@@ -9,7 +9,7 @@ Run as a script it also times the worked-example query under the
 row per arm (``figure4/<backend>``) for the perf-trend gate.  This is
 a deliberately tiny graph — the batched kernels have nothing to
 vectorize here, so the rows pin small-query overhead (no speedup
-floor; the ≥3x ratio gate lives on ``bench_kernel_speedup.py``).
+floor; the ≥1.5x ratio gate lives on ``bench_kernel_speedup.py``).
 """
 
 import statistics

@@ -8,8 +8,12 @@ two oldest hubs.  Expansion dominates this query: thousands of pops,
 hub rows of hundreds of edges, a long steady-state frontier — the
 regime the vectorized kernels exist for.
 
-Arms are one per available expansion backend (``python`` is the seed's
+Arms are one per available expansion backend (``python`` is the
 per-pop reference loop; ``numba`` joins automatically when importable).
+Every arm emits through the same release-bound gate in ``BaseSearch``,
+so the ratios measure batching and vectorization alone
+(docs/PERFORMANCE.md, "Emission", has what this bench read while only
+the kernel arms were gated).
 All arms alternate rounds so machine drift hits every backend equally,
 and each arm scores its *median* round — the ratio gate must not flake
 on one lucky or unlucky round.
@@ -24,8 +28,9 @@ ratio against ``baseline.json``):
   set — batching may re-decompose tied paths but must not change
   what the search finds;
 * ``vectorized`` beats ``python`` by at least ``KERNEL_MIN_SPEEDUP``
-  (env, default 2.0 — a loose local sanity floor; CI's ratio gate in
-  ``benchmarks/baseline.json`` enforces the real 3x bar).
+  (env, default 1.3 — a loose local sanity floor under the measured
+  1.9-2.1x; CI's ratio gate in ``benchmarks/baseline.json`` enforces
+  the 1.5x bar).
 
 This bench deliberately ignores ``REPRO_SCALE``: the speedup ratio is
 workload-shape-sensitive, and the gate pins one shape.  The synthetic
@@ -64,7 +69,7 @@ NODE_BUDGET = 60_000
 BATCH = 512
 ROUNDS = 5
 #: The in-bench floor (loose; see module docstring).
-MIN_SPEEDUP = float(os.environ.get("KERNEL_MIN_SPEEDUP", "2.0"))
+MIN_SPEEDUP = float(os.environ.get("KERNEL_MIN_SPEEDUP", "1.3"))
 
 
 def build_graph():
@@ -179,7 +184,7 @@ def run_kernel_speedup() -> Report:
     )
     report.notes.append(
         f"vectorized/python = {speedup['vectorized']:.2f}x "
-        f"(floor {MIN_SPEEDUP:.1f}x; CI ratio gate 3.0x in baseline.json)"
+        f"(floor {MIN_SPEEDUP:.1f}x; CI ratio gate 1.5x in baseline.json)"
     )
     if "numba" not in arms:
         report.notes.append("numba not importable here; arm skipped")

@@ -19,7 +19,7 @@ ratios against ``benchmarks/baseline.json``:
   never an error (the report suggests a baseline refresh instead);
 * **ratio gates** — the baseline may carry ``ratio_gates``: hard
   floors on the ratio of two rows *from the same run* (e.g. the
-  vectorized expansion backend must stay >= 3x the python backend's
+  vectorized expansion backend must stay >= 1.5x the python backend's
   QPS on the kernel bench).  Ratios of same-run rows need no
   calibration — the machine factor cancels — so these are absolute
   bars, not drift-tolerant comparisons, and they fail the run the

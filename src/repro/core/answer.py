@@ -14,7 +14,13 @@ from typing import Iterator, Optional, Sequence
 
 from repro.core.stats import SearchStats
 
-__all__ = ["AnswerTree", "OutputAnswer", "SearchResult", "is_minimal_rooting"]
+__all__ = [
+    "AnswerTree",
+    "OutputAnswer",
+    "SearchResult",
+    "is_minimal_rooting",
+    "leaf_nodes",
+]
 
 #: Undirected-skeleton signature: rotations of the same tree share it
 #: (paper Section 4.2.3 discards lower-scoring duplicates).
@@ -37,6 +43,19 @@ def is_minimal_rooting(root: int, paths: Sequence[Sequence[int]]) -> bool:
     # Zero children means a single-node tree, which only happens when
     # some path has length 1, handled above; so here children == 1.
     return False
+
+
+def leaf_nodes(paths: Sequence[Sequence[int]]) -> frozenset[int]:
+    """Nodes of the union of ``paths`` with no children; a single-node
+    tree's root is its leaf.  Every leaf is some path's endpoint.
+
+    Iterates the node set built the way :meth:`AnswerTree.nodes` builds
+    it: the tree's node score sums leaf prestige in this set's order, and
+    scores must not move by an ulp between callers.
+    """
+    parents = {node for path in paths for node in path[:-1]}
+    nodes = frozenset(node for path in paths for node in path)
+    return frozenset(node for node in nodes if node not in parents)
 
 
 @dataclass(frozen=True)
@@ -88,11 +107,7 @@ class AnswerTree:
 
     def leaves(self) -> frozenset[int]:
         """Nodes with no children.  A single-node tree's root is a leaf."""
-        edges = self.edges()
-        if not edges:
-            return frozenset({self.root})
-        parents = {parent for parent, _ in edges}
-        return frozenset(node for node in self.nodes() if node not in parents)
+        return leaf_nodes(self.paths)
 
     def matched_nodes(self) -> tuple[int, ...]:
         """The node matching each keyword (path endpoints, keyword order)."""

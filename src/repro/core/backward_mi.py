@@ -172,12 +172,6 @@ class BackwardExpandingSearch(BaseSearch):
             for node in nodes:
                 origin_keywords.setdefault(node, []).append(i)
         csr = self._maybe_csr(len(origin_keywords))
-        if csr is not None:
-            from repro.core.kernels.engines import EmitGate
-
-            self._emit_gate: Optional[EmitGate] = EmitGate(self)
-        else:
-            self._emit_gate = None
         self._iterators = [
             ShortestPathIterator(graph, origin, tuple(indices), self.stats, csr=csr)
             for origin, indices in sorted(origin_keywords.items())
@@ -269,9 +263,12 @@ class BackwardExpandingSearch(BaseSearch):
     def _emit_combo(self, node: int, combo: tuple[int, ...]) -> None:
         iterators = self._iterators
         dists = [iterators[idx].settled[node] for idx in combo]
-        gate = self._emit_gate
-        if gate is not None and gate.blocks(float(sum(dists))):
-            self.stats.gate_skips += 1
+        # The leaves are among this combo's origins, so the gate gets
+        # their prestige, not the per-keyword maximum.
+        origins = {iterators[idx].origin for idx in combo}
+        origins.discard(node)
+        leaf_prestige = sum(map(self.graph.node_prestige, origins))
+        if self._gate_blocks(node, float(sum(dists)), leaf_prestige):
             return
         paths = [iterators[idx].path_to_origin(node) for idx in combo]
         self._emit_tree(node, paths, dists)

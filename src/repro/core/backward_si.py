@@ -100,7 +100,7 @@ class SingleIteratorBackwardSearch(BaseSearch):
             self._profile_tick()
 
             if self._table.is_complete(node):
-                self._emit_root(node)
+                self._emit_root(self._table, node)
 
             if self._depth[node] < self.params.dmax:
                 self._expand(node)
@@ -115,13 +115,12 @@ class SingleIteratorBackwardSearch(BaseSearch):
             and not self._budget_exhausted()
         ):
             self._tie_sweep(
+                self._table,
                 sorted(
                     node
                     for node in self._table.seen_nodes()
                     if self._table.is_complete(node)
                 ),
-                self._table.build_paths,
-                self._table.dist,
             )
         self.stats.cascade_touches += self._table.cascade_touches
         return self._finish()
@@ -130,11 +129,6 @@ class SingleIteratorBackwardSearch(BaseSearch):
         return {"queue": len(self._queue)}
 
     # ------------------------------------------------------------------
-    def _emit_root(self, root: int) -> None:
-        paths, dists = self._table.build_paths(root)
-        self._emit_tree(root, paths, dists)
-        self._emit_tie_alternate(root, paths, self._table.dist)
-
     def _expand(self, v: int) -> None:
         """Traverse incoming edges of ``v``, propagating keyword
         distances backward (the single merged iterator step)."""
@@ -143,7 +137,7 @@ class SingleIteratorBackwardSearch(BaseSearch):
             self.stats.explore_edge()
             completions = self._table.explore_edge(u, v, w)
             for done_node in completions:
-                self._emit_root(done_node)
+                self._emit_root(self._table, done_node)
             if u not in self._explored:
                 self._touch(u, depth)
 

@@ -136,13 +136,12 @@ class BidirectionalSearch(BaseSearch):
             and not self._budget_exhausted()
         ):
             self._tie_sweep(
+                self._table,
                 sorted(
                     node
                     for node in self._table.seen_nodes()
                     if self._table.is_complete(node)
                 ),
-                self._table.build_paths,
-                self._table.dist,
             )
         self.stats.cascade_touches += (
             self._table.cascade_touches + self._act.cascade_touches
@@ -163,7 +162,7 @@ class BidirectionalSearch(BaseSearch):
         self._pops_since_flush += 1
 
         if self._table.is_complete(v):
-            self._emit_root(v)
+            self._emit_root(self._table, v)
 
         if self._depth[v] < self.params.dmax:
             depth = self._depth[v] + 1
@@ -171,7 +170,7 @@ class BidirectionalSearch(BaseSearch):
                 self.stats.explore_edge()
                 completions = self._table.explore_edge(u, v, w)
                 for node in completions:
-                    self._emit_root(node)
+                    self._emit_root(self._table, node)
                 if u not in self._xin and u not in self._qin:
                     self._depth.setdefault(u, depth)
                     self._qin.push(u, self._act.total(u))
@@ -198,7 +197,7 @@ class BidirectionalSearch(BaseSearch):
         self._pops_since_flush += 1
 
         if self._table.is_complete(u):
-            self._emit_root(u)
+            self._emit_root(self._table, u)
 
         if self._depth[u] < self.params.dmax:
             depth = self._depth[u] + 1
@@ -208,7 +207,7 @@ class BidirectionalSearch(BaseSearch):
                 # keyword *through* v — the payoff of forward search.
                 completions = self._table.explore_edge(u, v, w)
                 for node in completions:
-                    self._emit_root(node)
+                    self._emit_root(self._table, node)
                 if v not in self._xout and v not in self._qout:
                     self._depth.setdefault(v, depth)
                     self._qout.push(v, self._act.total(v))
@@ -217,11 +216,6 @@ class BidirectionalSearch(BaseSearch):
             self._act.spread_forward(u, self._table_parents())
 
     # ------------------------------------------------------------------
-    def _emit_root(self, root: int) -> None:
-        paths, dists = self._table.build_paths(root)
-        self._emit_tree(root, paths, dists)
-        self._emit_tie_alternate(root, paths, self._table.dist)
-
     def _table_parents(self) -> dict[int, dict[int, float]]:
         return self._table.parents_map()
 

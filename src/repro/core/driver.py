@@ -1,9 +1,9 @@
 """Shared machinery of the three search algorithms.
 
-Emission (minimality filter -> output heap -> stats), the Section 4.5
-output bounds, flush scheduling and result assembly are identical across
-MI-Backward, SI-Backward and Bidirectional; this module implements them
-once.
+Emission (release-bound gate -> minimality filter -> output heap ->
+stats), the Section 4.5 output bounds, flush scheduling and result
+assembly are identical across MI-Backward, SI-Backward and
+Bidirectional; this module implements them once.
 
 Bound computation (Section 4.5): per keyword ``i`` the frontier minimum
 ``m_i`` lower-bounds the ``s(T, t_i)`` of answers not yet generated; the
@@ -17,6 +17,7 @@ the output actually is.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import inf, isinf
 from time import perf_counter
 from typing import Iterable, Optional, Sequence
@@ -83,7 +84,7 @@ class BaseSearch:
         self.scorer = scorer if scorer is not None else Scorer(graph, self.params.lam)
         self.token = token
         self.stats = SearchStats()
-        self.output = OutputHeap(self.params.output_mode)
+        self.output = OutputHeap(self.params.output_mode, self.params.max_results)
         self._result = SearchResult(
             algorithm=self.algorithm, keywords=self.keywords, stats=self.stats
         )
@@ -168,8 +169,71 @@ class BaseSearch:
     # ------------------------------------------------------------------
     # emission
     # ------------------------------------------------------------------
+    @cached_property
+    def _leaf_prestige_cap(self) -> float:
+        """``sum_i max_{s in S_i} prestige(s)``: every leaf of an answer
+        tree is a path endpoint, i.e. a member of some ``S_i``, and
+        distinct leaves end distinct keywords' paths, so no tree's
+        leaves carry more prestige than this."""
+        prestige = self.graph.prestige
+        return sum(
+            float(prestige[list(nodes)].max()) for nodes in self.keyword_sets if nodes
+        )
+
+    def _gate_blocks(
+        self, root: int, edge_score: float, leaf_prestige: Optional[float] = None
+    ) -> bool:
+        """The one emission gate: can no tree rooted at ``root`` with
+        this edge score (and leaves worth at most ``leaf_prestige``,
+        default :attr:`_leaf_prestige_cap`) ever be output?
+
+        Exact release is best-first and stops at ``max_results``, so a
+        tree scoring below the ``max_results``-th best distinct answer
+        buffered or released so far is never output: its better rivals
+        are released first and fill the quota.  That floor only grows,
+        so an answer that is eventually output — and the add that last
+        improved it — always passes.  Heuristic mode keeps no floor.
+        """
+        floor = self.output.release_floor
+        if floor <= 0.0:
+            return False
+        if leaf_prestige is None:
+            leaf_prestige = self._leaf_prestige_cap
+        if self.scorer.tree_score_bound(root, leaf_prestige, edge_score) >= floor:
+            return False
+        self.stats.gate_skips += 1
+        return True
+
+    def _emit_root(self, table, root: int, *, sweep: bool = False) -> None:
+        """Figure 3 EMIT for a complete ``root`` of a single-iterator
+        table (``PathTable`` or ``DensePathState``): the ``sp``-table
+        tree, then the canonical equal-cost decomposition when it
+        differs (``sweep`` emits only the latter).
+
+        Under shortest-path ties the table's decomposition may be a
+        non-minimal chain while an equal-cost minimal star exists; the
+        minimality filter would then discard the root's only tree.  The
+        canonical decomposition (:mod:`repro.core.ties`) is computed
+        from distances and the static graph alone, so the oracle and
+        every backend agree on it.  It shares the table tree's edge
+        score, so one gate decision covers both.
+        """
+        rows = table.dist_rows
+        edge_score = 0.0
+        for row in rows:
+            edge_score += row[root]
+        if self._gate_blocks(root, edge_score):
+            return
+        paths, dists = table.build_paths(root)
+        if not sweep:
+            self._emit_tree(root, paths, dists)
+        if self.params.tie_alternates:
+            alt = tight_decomposition(self.graph, rows, root)
+            if alt is not None and alt[0] != paths:
+                self._emit_tree(root, *alt)
+
     def _emit_tree(self, root, paths, dists) -> None:
-        """Score and buffer a candidate tree (Figure 3 EMIT)."""
+        """Score and buffer a candidate tree that passed the gate."""
         if self.span is None:
             self._emit_tree_now(root, paths, dists)
             return
@@ -195,28 +259,7 @@ class BaseSearch:
         elif status == "new":
             self.stats.answers_generated += 1
 
-    def _emit_tie_alternate(self, root, paths, dist_fn) -> None:
-        """Emit the canonical equal-cost decomposition of ``root`` when
-        it differs from the just-emitted ``sp``-table one.
-
-        Under shortest-path ties the table's decomposition may be a
-        non-minimal chain while an equal-cost minimal star exists; the
-        minimality filter would then discard the root's only tree.  The
-        canonical decomposition (:mod:`repro.core.ties`) is computed
-        from distances and the static graph alone, so the oracle and
-        every backend agree on it.
-        """
-        if not self.params.tie_alternates:
-            return
-        alt = tight_decomposition(self.graph, dist_fn, root, self.k)
-        if alt is None:
-            return
-        alt_paths, alt_dists = alt
-        if alt_paths == list(paths):
-            return
-        self._emit_tree(root, alt_paths, alt_dists)
-
-    def _tie_sweep(self, complete_nodes, build_default, dist_fn) -> None:
+    def _tie_sweep(self, table, complete_nodes) -> None:
         """At natural exhaustion, re-emit each complete node's canonical
         equal-cost decomposition from its *final* distances.
 
@@ -227,17 +270,9 @@ class BaseSearch:
         when their queues drained naturally — never after a
         cancellation, budget stop or filled top-k quota.
         """
-        if not self.params.tie_alternates:
-            return
-        for root in complete_nodes:
-            alt = tight_decomposition(self.graph, dist_fn, root, self.k)
-            if alt is None:
-                continue
-            alt_paths, alt_dists = alt
-            default_paths, _ = build_default(root)
-            if alt_paths == list(default_paths):
-                continue
-            self._emit_tree(root, alt_paths, alt_dists)
+        if self.params.tie_alternates:
+            for root in complete_nodes:
+                self._emit_root(table, root, sweep=True)
 
     # ------------------------------------------------------------------
     # flushing (Section 4.5)

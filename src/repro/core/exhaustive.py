@@ -88,9 +88,6 @@ def exhaustive_answers(
 
     dist_maps = [table[0] for table in per_keyword]
 
-    def dist_fn(node: int, i: int) -> float:
-        return dist_maps[i].get(node, inf)
-
     best: dict[object, AnswerTree] = {}
     for root in graph.nodes():
         _tick_or_raise(token)
@@ -103,7 +100,7 @@ def exhaustive_answers(
         # reproducible from distances alone — the searches emit exactly
         # this decomposition for tied roots, making strict oracle
         # coverage a sound requirement.
-        decomposition = tight_decomposition(graph, dist_fn, root, len(per_keyword))
+        decomposition = tight_decomposition(graph, dist_maps, root)
         if decomposition is None:  # pragma: no cover - defensive
             continue
         paths, dists = decomposition

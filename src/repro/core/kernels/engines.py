@@ -23,8 +23,8 @@ Contracts preserved from the per-pop loops:
   ``nodes_touched`` frontier inserts and ``edges_explored`` explored
   edges; ``_profile_tick`` runs once per pop so
   ``trace_every_n_pops`` samples keep their meaning;
-* **output** — emission, minimality, duplicate discard and the
-  Section 4.5 bounded release all go through the ``BaseSearch``
+* **output** — emission (gate included), minimality, duplicate discard
+  and the Section 4.5 bounded release all go through the ``BaseSearch``
   plumbing, with the bound computed vectorized over the dense state.
 
 What batching *changes* is exploration order: cursors 2..K of a batch
@@ -37,7 +37,7 @@ share one deterministic order, which is the parity property
 
 from __future__ import annotations
 
-from typing import Callable
+from functools import partial
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from repro.core.kernels.expand import (
 from repro.core.kernels.frontier import VectorFrontier
 from repro.core.kernels.state import DenseActivationState, DensePathState
 
-__all__ = ["EmitGate", "effective_batch", "run_si_batched", "run_bidi_batched"]
+__all__ = ["effective_batch", "run_si_batched", "run_bidi_batched"]
 
 #: Auto batch size before the ``cancel_check_interval`` cap.
 DEFAULT_BATCH = 32
@@ -103,123 +103,10 @@ def _assign_depths(
     scratch[tgt] = _BIG
 
 
-class EmitGate:
-    """Emission pruning: completion events vastly outnumber answers
-    (a root re-emits on every distance improvement), so before paying
-    for path building + scoring, the kernel backends drop trees that
-    provably cannot enter the released top-k.
-
-    Sound in exact output mode only: release is best-score-first and
-    stops at ``max_results``, so once ``max_results`` distinct answers
-    with scores strictly above a tree's score upper bound
-    (``N_ub**lam / (1 + E)``, with ``E`` the tree's exact edge score)
-    are buffered or released, that tree can never be released — its
-    better rivals would exhaust the quota first.  Tracked scores are
-    never updated on ``improved`` re-adds, keeping the threshold an
-    understatement (pruning less, never wrongly).  Released answers are
-    identical with or without the gate; only ``answers_generated`` /
-    ``duplicates_discarded`` counters shrink.
-    """
-
-    __slots__ = ("enabled", "cap", "scorer", "k", "topk", "_nub_pow", "_block_above")
-
-    def __init__(self, search) -> None:
-        import heapq
-        from math import inf
-
-        self.enabled = search.params.output_mode == "exact"
-        self.cap = search.params.max_results
-        self.scorer = search.scorer
-        self.k = search.k
-        self.topk: list[float] = []
-        self._nub_pow = self.scorer.node_score_upper_bound(self.k) ** self.scorer.lam
-        # Edge scores above this certainly block (inverted threshold,
-        # padded conservatively); the band just below falls through to
-        # the exact upper-bound check.
-        self._block_above = inf
-
-        inner_add = search.output.add
-        topk = self.topk
-        cap = self.cap
-        gate = self
-
-        def tracking_add(tree, *args, **kwargs):
-            status = inner_add(tree, *args, **kwargs)
-            if status == "new":
-                if len(topk) < cap:
-                    heapq.heappush(topk, tree.score)
-                elif tree.score > topk[0]:
-                    heapq.heapreplace(topk, tree.score)
-                else:
-                    return status
-                if len(topk) >= cap:
-                    t = topk[0]
-                    gate._block_above = (
-                        (gate._nub_pow / t - 1.0) * (1.0 + 1e-12) + 1e-12
-                        if t > 0.0
-                        else inf
-                    )
-            return status
-
-        search.output.add = tracking_add
-
-    def blocks(self, edge_score: float) -> bool:
-        """True when no tree with this edge score can be released."""
-        topk = self.topk
-        if not self.enabled or len(topk) < self.cap:
-            return False
-        if edge_score > self._block_above:
-            return True
-        return self.scorer.score_upper_bound(edge_score, self.k) < topk[0]
-
-
-def _dense_dist_fn(state: DensePathState) -> Callable[[int, int], float]:
-    """``dist_fn(node, i)`` over the authoritative python rows (``inf``
-    marks unknown, matching the tie helpers' convention)."""
-    rows = state.dist_rows
-
-    def dist_fn(node: int, i: int) -> float:
-        return rows[i][node]
-
-    return dist_fn
-
-
-def _make_emit(search, state: DensePathState) -> Callable[[int], None]:
-    gate = EmitGate(search)
-    rows = state.dist_rows
-    k = search.k
-    topk = gate.topk
-    cap = gate.cap
-    enabled = gate.enabled
-    dist_fn = _dense_dist_fn(state)
-
-    def emit(root: int) -> None:
-        e = 0.0
-        for i in range(k):
-            e += rows[i][root]
-        # gate.blocks, inlined: completion events fire per distance
-        # improvement and the blocked case must stay a float compare.
-        # An equal-cost alternate shares the default's edge score, so
-        # one gate decision covers both emissions.
-        if enabled and len(topk) >= cap:
-            if e > gate._block_above:
-                search.stats.gate_skips += 1
-                return
-            if gate.scorer.score_upper_bound(e, k) < topk[0]:
-                search.stats.gate_skips += 1
-                return
-        paths, dists = state.build_paths(root)
-        search._emit_tree(root, paths, dists)
-        search._emit_tie_alternate(root, paths, dist_fn)
-
-    return emit
-
-
 def _tie_sweep_dense(search, state: DensePathState) -> None:
     """Exhaustion sweep over dense state (see ``BaseSearch._tie_sweep``)."""
     k = state.k
-    complete = [node for node, c in enumerate(state.finite) if c == k]
-    search._tie_sweep(complete, state.build_paths, _dense_dist_fn(state))
+    search._tie_sweep(state, [node for node, c in enumerate(state.finite) if c == k])
 
 
 # ----------------------------------------------------------------------
@@ -235,7 +122,7 @@ def run_si_batched(search, backend: str):
     scratch = np.full(csr.n, _BIG, dtype=np.int64)
     explored = np.zeros(csr.n, dtype=bool)
     search._frontier_sizes = lambda: {"queue": len(frontier)}
-    emit = _make_emit(search, state)
+    emit = partial(search._emit_root, state)
 
     seeds = state.seed_all()
     if seeds:
@@ -355,7 +242,7 @@ def run_bidi_batched(search, backend: str):
         "incoming": len(fin),
         "outgoing": len(fout),
     }
-    emit = _make_emit(search, state)
+    emit = partial(search._emit_root, state)
 
     seeds = state.seed_all()
     act.seed_all()

@@ -14,6 +14,12 @@ Two release modes mirror the paper:
   edge-score lower bound ``h(m_1..m_k)`` on future answers, sorted by
   relevance among themselves — cheaper, faster output, possibly out of
   order (quantified by the RP experiment).
+
+Exact release is best-first and the caller stops it at ``quota``
+answers, so the buffer also knows a score no later answer can be
+released below: the ``quota``-th best among the distinct answers it has
+ever accepted (:attr:`OutputHeap.release_floor`).  Emission uses it to
+skip trees that can never be output before building them.
 """
 
 from __future__ import annotations
@@ -41,10 +47,19 @@ class BufferedAnswer:
 class OutputHeap:
     """Score-ordered buffer of deduplicated answers."""
 
-    def __init__(self, mode: str = "exact") -> None:
+    def __init__(self, mode: str = "exact", quota: Optional[int] = None) -> None:
         if mode not in ("exact", "heuristic"):
             raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
+        if quota is not None and quota < 1:
+            raise ValueError(f"quota must be >= 1, got {quota!r}")
         self.mode = mode
+        #: The ``quota``-th best score among distinct answers buffered or
+        #: released so far; 0.0 (blocks nothing) until ``quota`` of them
+        #: exist, with no quota, and always in heuristic mode, whose
+        #: release order is not by score.  Never decreases.
+        self.release_floor = 0.0
+        self._quota = quota if mode == "exact" else None
+        self._best: list[float] = []
         self._entries: dict[Signature, BufferedAnswer] = {}
         self._heap: list[tuple[float, int, Signature]] = []
         self._seq = itertools.count()
@@ -74,10 +89,29 @@ class OutputHeap:
             status = "improved"
         else:
             status = "new"
+            if self._quota is not None:
+                self._raise_floor(tree.score)
         entry = BufferedAnswer(tree, generated_at, generated_pops, generated_touched)
         self._entries[signature] = entry
         heapq.heappush(self._heap, (-tree.score, next(self._seq), signature))
         return status
+
+    def _raise_floor(self, score: float) -> None:
+        """Count a new distinct answer toward the release floor.
+
+        Only ``"new"`` adds count, at their first score: a later
+        ``"improved"`` re-add leaves the floor an understatement, which
+        blocks less and never wrongly.
+        """
+        best = self._best
+        if len(best) < self._quota:
+            heapq.heappush(best, score)
+        elif score > best[0]:
+            heapq.heapreplace(best, score)
+        else:
+            return
+        if len(best) == self._quota:
+            self.release_floor = best[0]
 
     # ------------------------------------------------------------------
     def peek_best_score(self) -> Optional[float]:

@@ -67,14 +67,17 @@ class SearchParams:
         attributes are recorded either way whenever a span is active.
     expansion_backend:
         Which expansion kernel drives the inner loops:
-        ``"python"`` (the seed's per-pop loops), ``"scalar"`` (the
+        ``"python"`` (the per-pop loops), ``"scalar"`` (the
         batched engine with pure-python kernels — the parity
         reference), ``"vectorized"`` (batched engine with numpy
         kernels) or ``"numba"`` (compiled kernels; silently falls back
         to ``"vectorized"`` when numba is not installed).  The default
         ``"auto"`` resolves to the ``REPRO_EXPANSION_BACKEND``
-        environment variable, or ``"python"`` when unset, so existing
-        behaviour is bit-identical unless a backend is opted into.
+        environment variable, or ``"python"`` when unset.  Every value
+        shares one emission path, gated on the release bound in
+        ``BaseSearch``: ``"python"`` keeps the seed's pop schedule and
+        released answers, not the seed's emission stream (it builds
+        only the trees that can still be output).
     expansion_batch:
         Cursors popped per iteration by the batched engines.  ``0``
         (default) auto-selects: 1 for the python backend, otherwise

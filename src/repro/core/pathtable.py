@@ -51,7 +51,9 @@ class PathTable:
         self.k = len(self.keyword_sets)
         if self.k == 0:
             raise ValueError("at least one keyword set is required")
-        self._dist: list[dict[int, float]] = [dict() for _ in range(self.k)]
+        #: Per-keyword ``node -> dist`` dicts (missing = unknown); read
+        #: directly by emission, like ``DensePathState.dist_rows``.
+        self.dist_rows: list[dict[int, float]] = [dict() for _ in range(self.k)]
         # sp[i][u] = (child, edge weight) of the best edge out of u for i.
         self._sp: list[dict[int, tuple[int, float]]] = [dict() for _ in range(self.k)]
         self._parents: dict[int, dict[int, float]] = {}
@@ -73,8 +75,8 @@ class PathTable:
             i for i, nodes in enumerate(self.keyword_sets) if node in nodes
         )
         for i in matched:
-            if self._dist[i].get(node, inf) > 0.0:
-                self._dist[i][node] = 0.0
+            if self.dist_rows[i].get(node, inf) > 0.0:
+                self.dist_rows[i][node] = 0.0
                 self._sp[i].pop(node, None)
                 self._bump_finite(node)
         return matched
@@ -92,10 +94,10 @@ class PathTable:
     # queries
     # ------------------------------------------------------------------
     def dist(self, node: int, i: int) -> float:
-        return self._dist[i].get(node, inf)
+        return self.dist_rows[i].get(node, inf)
 
     def dist_vector(self, node: int) -> tuple[float, ...]:
-        return tuple(self._dist[i].get(node, inf) for i in range(self.k))
+        return tuple(self.dist_rows[i].get(node, inf) for i in range(self.k))
 
     def min_dist(self, node: int) -> float:
         """Distance to the nearest keyword (SI-Backward's priority)."""
@@ -139,11 +141,11 @@ class PathTable:
             bucket[u] = w
         completions: set[int] = set()
         for i in range(self.k):
-            dv = self._dist[i].get(v)
+            dv = self.dist_rows[i].get(v)
             if dv is None:
                 continue
             nd = dv + w
-            if nd < self._dist[i].get(u, inf):
+            if nd < self.dist_rows[i].get(u, inf):
                 self._set_dist(u, i, nd, v, w, completions)
                 self._propagate_up(u, i, completions)
         return completions
@@ -151,14 +153,14 @@ class PathTable:
     def _propagate_up(self, start: int, i: int, completions: set[int]) -> None:
         """ATTACH: best-first push of an improved ``dist[·][i]`` to
         reached ancestors through the explored-parents map."""
-        heap = [(self._dist[i][start], start)]
+        heap = [(self.dist_rows[i][start], start)]
         while heap:
             d, x = heapq.heappop(heap)
-            if d > self._dist[i].get(x, inf):
+            if d > self.dist_rows[i].get(x, inf):
                 continue  # stale entry
             for parent, w in self._parents.get(x, {}).items():
                 nd = d + w
-                if nd < self._dist[i].get(parent, inf):
+                if nd < self.dist_rows[i].get(parent, inf):
                     self._set_dist(parent, i, nd, x, w, completions)
                     heapq.heappush(heap, (nd, parent))
 
@@ -172,9 +174,9 @@ class PathTable:
         completions: set[int],
     ) -> None:
         self.cascade_touches += 1
-        if node not in self._dist[i]:
+        if node not in self.dist_rows[i]:
             self._bump_finite(node)
-        self._dist[i][node] = value
+        self.dist_rows[i][node] = value
         self._sp[i][node] = (child, weight)
         if self.is_complete(node):
             completions.add(node)
@@ -207,7 +209,7 @@ class PathTable:
             path = [node]
             total = 0.0
             steps = 0
-            while self._dist[i].get(node, inf) > 0.0:
+            while self.dist_rows[i].get(node, inf) > 0.0:
                 child, w = self._sp[i][node]
                 total += w
                 node = child

@@ -18,9 +18,13 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from repro.core.answer import AnswerTree
+from repro.core.answer import AnswerTree, leaf_nodes
 
 __all__ = ["Scorer", "edge_score", "overall_score"]
+
+#: Relative padding of :meth:`Scorer.tree_score_bound` — many orders
+#: above float64 summation error, many below any score gap that matters.
+BOUND_SLACK = 1.0 + 1e-9
 
 
 def edge_score(dists: Sequence[float]) -> float:
@@ -47,6 +51,7 @@ class Scorer:
         self.lam = lam
         # Root + k leaves bounds N; cached for the output bound.
         self._max_prestige = graph.max_prestige
+        self._prestige = graph.prestige
 
     # ------------------------------------------------------------------
     def node_score(self, root: int, leaves) -> float:
@@ -70,25 +75,16 @@ class Scorer:
         for path in tree_paths:
             if not path or path[0] != root:
                 raise ValueError(f"every path must start at the root {root}")
-        tree = AnswerTree(
+        e = edge_score(dists)
+        n = self.node_score(root, leaf_nodes(tree_paths))
+        return AnswerTree(
             root=root,
             paths=tree_paths,
             dists=tuple(float(d) for d in dists),
-            edge_score=0.0,
-            node_score=0.0,
-            score=0.0,
-        )
-        e = edge_score(dists)
-        n = self.node_score(root, tree.leaves())
-        scored = AnswerTree(
-            root=root,
-            paths=tree_paths,
-            dists=tree.dists,
             edge_score=e,
             node_score=n,
             score=overall_score(e, n, self.lam),
         )
-        return scored
 
     # ------------------------------------------------------------------
     # bounds (Section 4.5)
@@ -97,6 +93,21 @@ class Scorer:
         """Largest possible ``N``: root plus one leaf per keyword, each at
         the maximum prestige."""
         return self._max_prestige * (num_keywords + 1)
+
+    def tree_score_bound(
+        self, root: int, leaf_prestige: float, edge_score: float
+    ) -> float:
+        """Upper bound on the score :meth:`build_tree` gives any tree
+        rooted at ``root`` whose leaves carry at most ``leaf_prestige``
+        and whose edge score is ``edge_score``.
+
+        Padded by :data:`BOUND_SLACK`: the caller sums prestige and path
+        weights in another order than :meth:`build_tree`, so values equal
+        on paper can differ in their last bits.  Asked once per
+        completion event, so it stays a few float operations.
+        """
+        n = self._prestige.item(root) + leaf_prestige
+        return n**self.lam / (1.0 + edge_score) * BOUND_SLACK
 
     def score_upper_bound(self, min_edge_score: float, num_keywords: int) -> float:
         """Best overall score any tree with ``E >= min_edge_score`` can have."""

@@ -65,7 +65,8 @@ class SearchStats:
     #: Answer-tree emission attempts reaching the minimality/duplicate
     #: filters.
     emit_attempts: int = 0
-    #: Emissions dropped earlier still, by the exact-mode emit gate.
+    #: Candidates dropped earlier still, unbuilt, by the exact-mode
+    #: release-bound gate (``BaseSearch._gate_blocks``).
     gate_skips: int = 0
     #: Total inverted-index posting hits behind the query's keywords.
     resolve_hits: int = 0

@@ -24,74 +24,61 @@ Exact float equality is deliberate: every producer of these distances
 cost leaf-to-root with the same left-associated additions, so at
 exhaustion the distances agree bit for bit and the winning path's
 first hop always satisfies the equality.  Mid-search the distances may
-not be final; the helpers then either return a valid equal-cost-so-far
+not be final; the walk then either returns a valid equal-cost-so-far
 decomposition or ``None``, and callers simply skip the alternate.
 """
 
 from __future__ import annotations
 
 from math import inf
-from typing import Callable, Optional
+from typing import Optional, Sequence
 
-__all__ = ["tight_first_hop", "tight_decomposition"]
-
-#: ``dist_fn(node, i)`` -> known distance of ``node`` to keyword ``i``
-#: (``inf`` when unknown).
-DistFn = Callable[[int, int], float]
-
-
-def tight_first_hop(
-    graph, dist_fn: DistFn, node: int, i: int
-) -> Optional[tuple[int, float]]:
-    """Canonical first hop of ``node`` toward keyword ``i``.
-
-    The smallest ``(child, weight)`` among the tight out-edges of
-    ``node`` in the full static adjacency (not just explored edges, so
-    every backend enumerates identically), or ``None`` when the current
-    distances admit no tight hop.
-    """
-    du = dist_fn(node, i)
-    best: Optional[tuple[int, float]] = None
-    for v, w, _ in graph.out_edges(node):
-        dv = dist_fn(v, i)
-        if dv != inf and dv + w == du:
-            hop = (v, w)
-            if best is None or hop < best:
-                best = hop
-    return best
+__all__ = ["tight_decomposition"]
 
 
 def tight_decomposition(
-    graph, dist_fn: DistFn, root: int, k: int
+    graph, dist_rows: Sequence, root: int
 ) -> Optional[tuple[list[tuple[int, ...]], list[float]]]:
     """Canonical equal-cost decomposition of ``root``'s answer tree.
 
-    Follows :func:`tight_first_hop` per keyword until a zero-distance
-    (keyword-matching) node is reached.  Returns ``(paths, dists)``
-    shaped exactly like ``PathTable.build_paths`` — per-keyword path
-    tuples plus re-summed root-to-leaf weights — or ``None`` when any
-    keyword's walk dead-ends or exceeds the node count (possible only
-    on not-yet-consistent mid-search distances).
+    ``dist_rows[i]`` holds the known distances to keyword ``i``: a dict
+    (missing = unknown) or a dense list (``inf`` = unknown).  Per keyword,
+    follows the smallest ``(child, weight)`` among the tight out-edges —
+    of the full static adjacency, not just explored edges, so every
+    backend enumerates identically — until a zero-distance
+    (keyword-matching) node is reached.  Returns ``(paths, dists)`` shaped
+    exactly like ``PathTable.build_paths`` — per-keyword path tuples plus
+    re-summed root-to-leaf weights — or ``None`` when any keyword's walk
+    dead-ends or exceeds the node count (possible only on
+    not-yet-consistent mid-search distances).
     """
+    out_edges = graph.out_edges
     limit = graph.num_nodes + 1
     paths: list[tuple[int, ...]] = []
     dists: list[float] = []
-    for i in range(k):
+    for row in dist_rows:
+        # An unknown neighbour reads as None (dict) or inf (list);
+        # neither passes the tight test against a finite distance.
+        get = row.get if isinstance(row, dict) else row.__getitem__
         node = root
         path = [node]
         total = 0.0
         while True:
-            d = dist_fn(node, i)
-            if d == inf:
+            du = get(node)
+            if du is None or du == inf:
                 return None
-            if d <= 0.0:
+            if du <= 0.0:
                 break
-            hop = tight_first_hop(graph, dist_fn, node, i)
-            if hop is None or len(path) > limit:
+            best: Optional[tuple[int, float]] = None
+            for v, w, _ in out_edges(node):
+                dv = get(v)
+                if dv is not None and dv + w == du:
+                    if best is None or (v, w) < best:
+                        best = (v, w)
+            if best is None or len(path) > limit:
                 return None
-            child, w = hop
+            node, w = best
             total += w
-            node = child
             path.append(node)
         paths.append(tuple(path))
         dists.append(total)

@@ -17,8 +17,12 @@ Section 5.1.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["compute_prestige", "prestige_transition_matrix"]
 
@@ -31,6 +35,10 @@ def prestige_transition_matrix(graph) -> sp.csr_matrix:
     every incident forward edge induces a backward edge) get an all-zero
     column; the power iteration redistributes their mass uniformly.
     """
+    # Imported here: servers and spawned workers load prestige from a
+    # snapshot and must not pay for scipy they never run.
+    import scipy.sparse as sp
+
     n = graph.num_nodes
     rows: list[int] = []
     cols: list[int] = []

@@ -4,7 +4,11 @@ from math import inf
 
 import pytest
 
+from repro.core.bidirectional import BidirectionalSearch
 from repro.core.driver import frontier_minima, nra_edge_bound
+from repro.core.params import SearchParams
+
+from tests.helpers import build_graph
 
 
 class TestNraEdgeBound:
@@ -55,3 +59,48 @@ class TestFrontierMinima:
     def test_empty_frontier_gives_inf(self):
         ms = frontier_minima(2, [[]], lambda n, i: 0.0)
         assert ms == [inf, inf]
+
+
+class TestEmissionGate:
+    """``BaseSearch._gate_blocks``: the one place emission is pruned."""
+
+    def _search(self, **params):
+        # 0 <- 1 <- 2 with node 2 the prestigious one.
+        graph = build_graph(3, [(1, 0), (2, 1)], prestige=[0.1, 0.1, 0.8])
+        return BidirectionalSearch(
+            graph,
+            ("a", "b"),
+            [frozenset({0}), frozenset({1})],
+            params=SearchParams(**params),
+        )
+
+    def test_open_until_the_output_buffer_has_a_floor(self):
+        search = self._search(max_results=1)
+        assert not search._gate_blocks(2, 1e12)
+        assert search.stats.gate_skips == 0
+
+    def test_blocks_what_cannot_reach_the_floor_and_counts_it(self):
+        search = self._search(max_results=1)
+        search.output.release_floor = 0.5
+        assert search._gate_blocks(2, 1e12)
+        assert not search._gate_blocks(2, 0.0)
+        assert search.stats.gate_skips == 1
+
+    def test_bound_uses_the_root_and_the_keyword_sets_not_the_graph_maximum(self):
+        search = self._search(max_results=1)
+        # Leaves come from S_0 = {0}, S_1 = {1}: at most 0.1 + 0.1.
+        assert search._leaf_prestige_cap == pytest.approx(0.2)
+        lam = search.params.lam
+        low_root = search.scorer.tree_score_bound(0, 0.2, 1.0)
+        high_root = search.scorer.tree_score_bound(2, 0.2, 1.0)
+        assert low_root == pytest.approx(0.3**lam / 2.0)
+        assert high_root == pytest.approx(1.0**lam / 2.0)
+        search.output.release_floor = (low_root + high_root) / 2.0
+        assert search._gate_blocks(0, 1.0)
+        assert not search._gate_blocks(2, 1.0)
+
+    def test_explicit_leaf_prestige_overrides_the_per_keyword_cap(self):
+        search = self._search(max_results=1)
+        search.output.release_floor = search.scorer.tree_score_bound(0, 0.15, 1.0)
+        assert not search._gate_blocks(0, 1.0)
+        assert search._gate_blocks(0, 1.0, 0.1)

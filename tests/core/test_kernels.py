@@ -1,7 +1,8 @@
 """Unit tests for the batched expansion kernels: backend resolution,
-the CSR snapshot, the vector frontier's determinism rules, the emit
-gate's accounting, batch-size resolution, and the batched loops'
-cancellation responsiveness bound.
+the CSR snapshot, the vector frontier's determinism rules, batch-size
+resolution, and the batched loops' cancellation responsiveness bound.
+(The emission gate is not a kernel concern: ``test_output_heap.py`` and
+``test_driver.py`` cover it.)
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from repro.core.kernels import (
     numba_available,
     resolve_backend,
 )
-from repro.core.kernels.engines import EmitGate, effective_batch
+from repro.core.kernels.engines import effective_batch
 from repro.core.params import SearchParams
 
 from tests.helpers import build_graph
@@ -132,64 +133,6 @@ class TestEffectiveBatch:
     def test_explicit_batch_below_cap_kept(self):
         params = SearchParams(expansion_batch=4, cancel_check_interval=64)
         assert effective_batch(params) == 4
-
-
-class _FakeOutput:
-    def __init__(self):
-        self.statuses = []
-
-    def add(self, tree, *args, **kwargs):
-        return self.statuses.pop(0)
-
-
-class _FakeTree:
-    def __init__(self, score):
-        self.score = score
-
-
-class TestEmitGate:
-    def _gate(self, max_results=2, output_mode="exact"):
-        class Search:
-            pass
-
-        search = Search()
-        search.params = SearchParams(
-            max_results=max_results, output_mode=output_mode
-        )
-        search.output = _FakeOutput()
-        search.k = 2
-        from repro.core.scoring import Scorer
-
-        search.scorer = Scorer(build_graph(3, [(1, 0), (2, 1)]))
-        return search, EmitGate(search)
-
-    def test_never_blocks_below_capacity(self):
-        search, gate = self._gate(max_results=2)
-        search.output.statuses = ["new"]
-        search.output.add(_FakeTree(0.9))
-        assert not gate.blocks(1e9)  # only one answer tracked so far
-
-    def test_blocks_hopeless_edge_scores_once_full(self):
-        search, gate = self._gate(max_results=1)
-        search.output.statuses = ["new"]
-        search.output.add(_FakeTree(0.5))
-        # score_upper_bound(E, k) -> 0 as E -> inf, so a huge edge
-        # score can never beat the tracked 0.5.
-        assert gate.blocks(1e12)
-        assert not gate.blocks(0.0)
-
-    def test_tracks_only_new_status(self):
-        search, gate = self._gate(max_results=1)
-        search.output.statuses = ["improved", "duplicate"]
-        search.output.add(_FakeTree(0.5))
-        search.output.add(_FakeTree(0.9))
-        assert not gate.blocks(1e12)  # nothing tracked yet
-
-    def test_disabled_in_heuristic_mode(self):
-        search, gate = self._gate(max_results=1, output_mode="heuristic")
-        search.output.statuses = ["new"]
-        search.output.add(_FakeTree(0.5))
-        assert not gate.blocks(1e12)
 
 
 class TestCancellationResponsiveness:

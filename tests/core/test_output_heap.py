@@ -95,6 +95,59 @@ class TestHeuristicRelease:
             OutputHeap(mode="bogus")
 
 
+class TestReleaseFloor:
+    """The quota-th best distinct score ever accepted: what the
+    emission gate in ``BaseSearch`` compares candidates against."""
+
+    def _fill(self, heap, scores):
+        for i, score in enumerate(scores):
+            add(heap, make_tree(0, [(0, 1), (0, 2 + i)], score=score))
+
+    def test_zero_below_quota(self):
+        heap = OutputHeap(quota=3)
+        self._fill(heap, (0.9, 0.8))
+        assert heap.release_floor == 0.0
+
+    def test_is_quota_th_best(self):
+        heap = OutputHeap(quota=2)
+        self._fill(heap, (0.2, 0.9, 0.5, 0.1))
+        assert heap.release_floor == 0.5
+
+    def test_released_answers_still_count(self):
+        heap = OutputHeap(quota=2)
+        self._fill(heap, (0.9, 0.5))
+        list(heap.pop_ready(score_bound=0.8))
+        assert heap.release_floor == 0.5
+
+    def test_only_new_signatures_count(self):
+        heap = OutputHeap(quota=2)
+        add(heap, make_tree(0, [(0, 1), (0, 2)], score=0.3))
+        # A better rotation of the same skeleton, then a worse one.
+        assert add(heap, make_tree(1, [(1, 0), (1, 0, 2)], score=0.6)) == "improved"
+        assert add(heap, make_tree(2, [(2, 0), (2, 0, 1)], score=0.1)) == "duplicate"
+        assert heap.release_floor == 0.0  # one distinct answer so far
+        add(heap, make_tree(0, [(0, 1), (0, 3)], score=0.5))
+        # The improved answer keeps its first score: an understatement.
+        assert heap.release_floor == 0.3
+
+    def test_never_decreases(self):
+        heap = OutputHeap(quota=1)
+        floors = []
+        for i, score in enumerate((0.4, 0.2, 0.7, 0.1)):
+            add(heap, make_tree(0, [(0, 1), (0, 2 + i)], score=score))
+            floors.append(heap.release_floor)
+        assert floors == [0.4, 0.4, 0.7, 0.7]
+
+    def test_no_floor_without_quota_or_in_heuristic_mode(self):
+        for heap in (OutputHeap(), OutputHeap(mode="heuristic", quota=1)):
+            self._fill(heap, (0.9, 0.8))
+            assert heap.release_floor == 0.0
+
+    def test_quota_validated(self):
+        with pytest.raises(ValueError):
+            OutputHeap(quota=0)
+
+
 class TestDrain:
     def test_drains_in_score_order_and_empties(self):
         heap = OutputHeap()
