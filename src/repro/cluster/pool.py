@@ -275,6 +275,9 @@ class WorkerPool:
         for request_queue in queues.values():
             request_queue.close()
             request_queue.cancel_join_thread()
+        # The sink is a bound method of the pool's owner: dropped here,
+        # owner and pool die by refcount instead of as a cycle.
+        self._event_sink = None
 
     def __enter__(self) -> "WorkerPool":
         return self.start()

@@ -58,6 +58,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+import weakref
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from pathlib import Path
@@ -403,7 +404,13 @@ class ShardedQueryService:
             labels=("dataset",),
         )
 
+        # Held weakly for the same reason as ``QueryService``'s.
+        owner = weakref.ref(self)
+
         def collect() -> None:
+            self = owner()
+            if self is None:
+                return
             alive = self.pool.alive()
             workers_total.set(self.router.num_workers)
             workers_alive.set(sum(alive.values()))

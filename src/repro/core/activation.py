@@ -64,6 +64,10 @@ class ActivationTable:
         #: ``SearchStats.cascade_touches`` by the owning search.
         self.cascade_touches = 0
 
+    def detach(self) -> None:
+        """Forget ``on_activation_change`` (the owning search is finished)."""
+        self._on_change = None
+
     # ------------------------------------------------------------------
     def seed_all(self) -> None:
         """Seed ``a(u, i) = prestige(u) / |S_i|`` for every keyword node."""

@@ -63,6 +63,9 @@ class SingleIteratorBackwardSearch(BaseSearch):
             self._queue.push(node, self._table.min_dist(node))
             self.stats.heap_ops += 1
 
+    def _detach(self) -> None:
+        self._table.detach()
+
     def _touch(self, node: int, depth: int) -> None:
         if node in self._explored or node in self._queue:
             return

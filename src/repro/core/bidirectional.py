@@ -82,6 +82,9 @@ class BidirectionalSearch(BaseSearch):
             self._qout.push(node, total)
             self.stats.heap_ops += 1
 
+    def _detach(self) -> None:
+        self._act.detach()
+
     # ------------------------------------------------------------------
     def run(self) -> SearchResult:
         from repro.core.kernels import resolve_backend

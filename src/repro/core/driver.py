@@ -361,7 +361,15 @@ class BaseSearch:
             return True
         return False
 
+    def _detach(self) -> None:
+        """Clear every callback bound to this search that one of its
+        tables holds.  A table handed ``self._on_...`` keeps the search
+        in a reference cycle (search -> table -> bound method ->
+        search), so its state would wait for a cyclic-GC pass instead
+        of dying with the caller's last reference."""
+
     def _finish(self) -> SearchResult:
+        self._detach()
         if self._stopped_by_cancel and not self._done:
             # Cancelled: keep exactly the answers the Section 4.5 bound
             # already certified and released.  Draining the buffer here

@@ -126,4 +126,5 @@ class NearSearch:
         if k is not None:
             ranking = ranking[:k]
         self.stats.finish()
+        self._act.detach()
         return NearResult(ranking, self.stats)

@@ -63,6 +63,10 @@ class PathTable:
         #: ``SearchStats.cascade_touches`` by the owning search.
         self.cascade_touches = 0
 
+    def detach(self) -> None:
+        """Forget ``on_dist_change`` (the owning search is finished)."""
+        self._on_dist_change = None
+
     # ------------------------------------------------------------------
     # seeding
     # ------------------------------------------------------------------

@@ -62,6 +62,7 @@ import functools
 import inspect
 import threading
 import time
+import weakref
 from collections import deque
 from pathlib import Path
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -77,6 +78,7 @@ from repro.errors import (
     DeadlineExceededError,
     SearchCancelledError,
     UnknownDatasetError,
+    WalError,
 )
 from repro.service.cache import ResultCache, canonical_cache_key
 from repro.service.metrics import ServiceMetrics
@@ -155,14 +157,20 @@ class _DatasetJournal:
 
     def __init__(self, log: "MutationLog", service: "QueryService", name: str):
         self._log = log
-        self._service = service
+        # Weak: the service owns the dataset this journal is attached to.
+        self._service = weakref.ref(service)
         self._name = name
 
     def append(self, mutations, *, seq=None, recompute_prestige=False) -> int:
         del seq  # the service's effective version is authoritative
+        service = self._service()
+        if service is None:
+            raise WalError(
+                f"the service that journals dataset {self._name!r} is gone"
+            )
         return self._log.append(
             mutations,
-            seq=self._service.dataset_version(self._name) + 1,
+            seq=service.dataset_version(self._name) + 1,
             recompute_prestige=recompute_prestige,
         )
 
@@ -668,7 +676,14 @@ class QueryService:
             labels=("dataset",),
         )
 
+        # The registry this collector is stored in belongs to ``self``:
+        # a strong capture would make every service cyclic garbage.
+        owner = weakref.ref(self)
+
         def collect() -> None:
+            self = owner()
+            if self is None:
+                return
             stats = self.cache.stats()
             cache_entries.set(stats["size"])
             cache_capacity.set(stats["capacity"])
@@ -899,14 +914,19 @@ class QueryService:
         ``storage_mode`` picks the tier the lazy build loads into
         (``ram`` / ``mapped`` / ``auto``); omitted, it falls back to the
         service-wide default from the constructor, then the usual
-        per-load resolution.  ``pin_policy`` is forwarded to mapped
-        loads (see :class:`repro.storage.PinPolicy`).
+        per-load resolution.  ``pin_policy`` is forwarded to the
+        load (see :class:`repro.storage.PinPolicy`).
         """
         from repro.errors import SnapshotError
         from repro.service.snapshot import load_engine, snapshot_info
 
         if storage_mode is None:
             storage_mode = self._storage_mode
+        # The factory is stored on this service until first use, so it
+        # captures the three members it needs, not ``self`` — a pending
+        # (never-built) registration must not make the service cyclic.
+        lock = self._registry_lock
+        sources, digests = self._snapshot_sources, self._snapshot_digests
 
         def factory():
             # Record the digest of the file actually loaded (the file
@@ -924,12 +944,12 @@ class QueryService:
                 storage_mode=storage_mode,
                 pin_policy=pin_policy,
             )
-            with self._registry_lock:
+            with lock:
                 # Stamp only while this path is still the registered
                 # source — a build that lost a re-registration race
                 # must not resurrect stale provenance.
-                if self._snapshot_sources.get(name) == str(path):
-                    self._snapshot_digests[name] = digest
+                if sources.get(name) == str(path):
+                    digests[name] = digest
             return engine
 
         self.register_factory(name, factory)
@@ -1104,7 +1124,7 @@ class QueryService:
         Returns ``{"dataset", "path", "replayed", "wal_seq",
         "version"}``.
         """
-        from repro.errors import SnapshotError, WalError
+        from repro.errors import SnapshotError
         from repro.wal.log import MutationLog, default_wal_path
 
         with self._registry_lock:

@@ -1,16 +1,17 @@
-"""Storage tiers for built engine state.
+"""Residency modes for built engine state.
 
-The service's snapshot files come in two physical layouts (see
-:mod:`repro.service.snapshot`): the compressed zip container (format
-v1, deserialized fully into RAM) and the page-aligned mapped container
-(format v2, loaded lazily through ``np.memmap``).  This package holds
-the *runtime* side of the mapped tier:
+A snapshot file (see :mod:`repro.service.snapshot`) has one layout —
+page-aligned flat arrays behind a small JSON header — and loads the
+same way under every ``storage_mode``: lazily.  This package holds the
+*runtime* side of that load:
 
 * :class:`~repro.storage.mapped.MappedSearchGraph` /
   :class:`~repro.storage.mapped.MappedInvertedIndex` — drop-in
   read-only implementations of the graph/index contracts whose
-  adjacency rows and posting lists materialize on first touch;
-* :class:`PinPolicy` — which rows are faulted in eagerly at load time
+  adjacency rows and posting lists materialize on first touch, over an
+  ``np.memmap`` of the file (``mapped``) or its bytes read into process
+  memory (``ram``);
+* :class:`PinPolicy` — which rows are materialized eagerly at load time
   (high-prestige and high-degree nodes, hot posting lists);
 * :class:`StorageStats` — per-dataset fault/pin/residency counters the
   telemetry registry exports;

@@ -1,30 +1,31 @@
-"""Memory-mapped graph and index: lazy rows over snapshot arrays.
+"""Lazy graph and index: rows materialized on demand from snapshot arrays.
 
 :class:`MappedSearchGraph` and :class:`MappedInvertedIndex` are
 read-only subclasses of the in-RAM classes whose bulk state —
 adjacency rows, posting lists, and the per-node/per-term text metadata
-— stays in the snapshot file and materializes on first touch through
-``np.memmap`` slices.  Only what every query needs (indptr bounds,
-prestige, activation normalizers) is resident from the start; adjacency
-and postings page in per row, and the text block (labels, tables, refs,
-term vocabularies) decodes once on the first metadata or vocabulary
-access.
+— stays in the snapshot's flat arrays and materializes on first touch.
+The arrays are views of one buffer: an ``np.memmap`` of the file
+(``storage_mode="mapped"``) or the file's bytes read into process
+memory (``"ram"``); nothing here can tell the difference.  Only what
+every query needs (indptr bounds, prestige, activation normalizers) is
+resident from the start; adjacency and postings materialize per row,
+and the text block (labels, tables, refs, term vocabularies) decodes
+once on the first metadata or vocabulary access.
 
-Bit-identity contract: a materialized row is built through the exact
-``tolist()``/``zip`` pipeline the compressed loader uses
-(:func:`repro.service.snapshot._unpack_adjacency`), so every neighbor
-id is the same Python int, every weight the same Python float, and
-every search over a mapped graph scores answers bit-identically to the
-same search over the RAM-loaded graph — the property
-``tests/property/test_prop_storage.py`` pins across algorithms and
-expansion backends.
+Bit-identity contract: a materialized row is built through
+``tolist()``/``zip``, so every neighbor id is a Python int, every
+weight the Python float of the stored float64, and every search over a
+loaded graph scores answers bit-identically to the same search over
+the graph that was saved — the property
+``tests/property/test_prop_storage.py`` pins across storage modes,
+algorithms and expansion backends.
 
 Materialized rows are cached and never evicted: the Python working set
 grows with the rows a workload actually touches (counted by
-:class:`~repro.storage.stats.StorageStats`), while the OS page cache
-underneath holds the raw arrays and stays evictable *and shared* —
-N worker processes mapping one snapshot keep one physical copy of the
-cold data, which is the bigger-than-RAM story.
+:class:`~repro.storage.stats.StorageStats`).  Under ``mapped`` the OS
+page cache underneath holds the raw arrays and stays evictable *and
+shared* — N worker processes mapping one snapshot keep one physical
+copy of the cold data, which is the bigger-than-RAM story.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ __all__ = [
 class _TextBlob:
     """The snapshot's text metadata, decoded once on first access.
 
-    The v2 layout stores labels, tables, refs and the two term
+    The layout stores labels, tables, refs and the two term
     vocabularies as one JSON blob in the *data* region rather than the
     header — parsing it is O(n) text work that a lazy load should not
     pay before a query actually reads a label or looks up a term.
@@ -58,18 +59,14 @@ class _TextBlob:
     __slots__ = ("_raw", "_expect", "_path", "_decode_refs", "_data")
 
     def __init__(
-        self,
-        raw,
-        *,
-        num_nodes: int,
-        index_terms: int,
-        relation_terms: int,
-        path: str,
-        decode_refs: Callable[[list], list],
+        self, raw, header: dict, path, decode_refs: Callable[[list], list]
     ) -> None:
         self._raw = raw
-        self._expect = (num_nodes, index_terms, relation_terms)
-        self._path = path
+        self._expect = tuple(
+            int(header[key])
+            for key in ("num_nodes", "index_terms", "relation_terms")
+        )
+        self._path = str(path)
         self._decode_refs = decode_refs
         self._data: Optional[dict] = None
 
@@ -150,9 +147,9 @@ class _LazyAdjacency(Sequence):
             if not 0 <= u < len(self):
                 raise IndexError(u)
             lo, hi = self._bounds[u], self._bounds[u + 1]
-            # Same tolist()/zip pipeline as the compressed loader: the
-            # resulting Python ints/floats/bools are bit-identical to a
-            # RAM load of the same file.
+            # tolist() yields Python ints/floats/bools — the element
+            # pipeline pin_rows shares, so rows are bit-identical
+            # however they were materialized.
             row = tuple(
                 zip(
                     self._ids[lo:hi].tolist(),
@@ -215,7 +212,7 @@ class _LazyAdjacency(Sequence):
 
 
 class MappedSearchGraph(SearchGraph):
-    """A :class:`SearchGraph` whose adjacency lives in a mapped snapshot.
+    """A :class:`SearchGraph` whose adjacency lives in snapshot arrays.
 
     Prestige and the activation normalizers are resident; the two
     adjacency sides are :class:`_LazyAdjacency` objects and the
@@ -294,8 +291,8 @@ class MappedSearchGraph(SearchGraph):
         return g
 
     def csr_arrays(self) -> dict[str, np.ndarray]:
-        # Same contents as the base builder, straight from the mapped
-        # arrays (the v2 format stores rows in original graph order, so
+        # Same contents as the base builder, straight from the snapshot
+        # arrays (the format stores rows in original graph order, so
         # no per-edge loop is needed): indptr/dst copy verbatim, the
         # float64 weights narrow to float32 exactly as the per-element
         # assignment would.
@@ -325,11 +322,9 @@ class MappedSearchGraph(SearchGraph):
 class _LazyPostings(Mapping):
     """Term -> posting-set mapping over concatenated snapshot arrays.
 
-    Materializes one term's node set on first access (same
-    ``tolist()`` pipeline as the compressed loader, so members are the
-    same Python ints) and caches it.  Iteration order matches the
-    compressed loader's dict order: the snapshot stores terms sorted,
-    and ``_unpack_postings`` inserts them in that order.
+    Materializes one term's node set on first access (``tolist()``,
+    so members are Python ints) and caches it.  Iteration order is the
+    snapshot's term order, which is sorted.
 
     The term list itself comes from the text blob, decoded on the
     first *by-name* access; posting rows pinned at load time via
@@ -409,14 +404,14 @@ class _LazyPostings(Mapping):
 
 
 class MappedInvertedIndex(InvertedIndex):
-    """An :class:`InvertedIndex` whose text postings live in a mapped
-    snapshot.
+    """An :class:`InvertedIndex` whose text postings live in snapshot
+    arrays.
 
     The text posting map is a :class:`_LazyPostings`; relation-name
     postings (a handful of table-name terms) materialize from the text
     blob on first index read.  The inherited ``lookup`` memoization
     works unchanged — it only uses the mapping protocol — and the
-    ``add_*`` mutators are disabled: mapped state is read-only, live
+    ``add_*`` mutators are disabled: snapshot state is read-only, live
     mutations go through :class:`~repro.live.overlay.OverlayIndex`
     deltas in RAM.
     """
@@ -461,7 +456,7 @@ class MappedInvertedIndex(InvertedIndex):
 
     def _read_only(self, what: str):
         raise TypeError(
-            f"{what}: a mapped snapshot index is read-only; apply live "
+            f"{what}: a snapshot-loaded index is read-only; apply live "
             f"mutations through an overlay (repro.live), not in place"
         )
 

@@ -19,10 +19,10 @@ __all__ = [
     "resolve_storage_mode",
 ]
 
-#: Environment hook: set ``REPRO_SNAPSHOT_MODE=mapped`` (or ``ram``) to
+#: Environment hook: set ``REPRO_SNAPSHOT_MODE=ram`` (or ``mapped``) to
 #: steer every ``load_snapshot`` call that did not pick a mode
-#: explicitly — how CI runs the whole tier-1 suite against the mapped
-#: tier without touching a single call site.
+#: explicitly — how CI runs the storage-facing suites against the
+#: eager tier without touching a single call site.
 STORAGE_MODE_ENV = "REPRO_SNAPSHOT_MODE"
 
 STORAGE_MODES = ("ram", "mapped", "auto")
@@ -33,8 +33,7 @@ def resolve_storage_mode(value: Optional[str] = None) -> str:
 
     Precedence: explicit ``value`` argument, then the
     ``REPRO_SNAPSHOT_MODE`` environment variable, then ``"auto"``
-    (which the loader maps to the file's native tier: RAM for
-    compressed v1 files, mapped for v2 files).
+    (which the loader serves mapped).
     """
     if value is None:
         value = os.environ.get(STORAGE_MODE_ENV) or "auto"
@@ -48,7 +47,7 @@ def resolve_storage_mode(value: Optional[str] = None) -> str:
 
 @dataclass(frozen=True)
 class PinPolicy:
-    """Which rows the mapped loader faults in eagerly.
+    """Which rows a snapshot load materializes eagerly.
 
     The paper's activation model concentrates traffic on high-prestige
     hubs, and frontier expansion touches high-degree rows far more
@@ -96,14 +95,16 @@ class PinPolicy:
 
 
 class StorageStats:
-    """Mutable residency counters for one mapped dataset.
+    """Mutable residency counters for one snapshot-loaded dataset.
 
     One instance is shared by the dataset's graph and index (exposed as
     their ``.storage`` attribute) and read by the service telemetry
     collector at export time.  ``resident_bytes`` is an *estimate* of
     the Python-object working set (materialized rows and posting sets),
     not the OS page-cache footprint — the latter is shared across
-    processes and invisible from here.
+    processes and invisible from here.  ``mapped_bytes`` is the size of
+    the arrays behind ``np.memmap`` (0 under ``ram``, where the bytes
+    are the process's own).
     """
 
     __slots__ = (

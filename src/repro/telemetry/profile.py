@@ -97,13 +97,21 @@ class SamplingProfiler:
             )
             self._thread.start()
 
-    def stop(self, timeout: float = 1.0) -> None:
-        """Stop sampling; accumulated counts remain readable."""
+    def stop(self) -> None:
+        """Stop sampling and wait for the sampler thread to exit;
+        accumulated counts remain readable.
+
+        The join is unbounded on purpose (the loop re-checks the stop
+        flag every ``interval``, one bounded sample apart): owners call
+        this *before* tearing down executors, HTTP threads and workers,
+        and a sampler still walking ``sys._current_frames()`` while
+        those threads die is how CPython 3.11 segfaults in ``f_back``.
+        """
         self._stop.set()
-        thread = self._thread
-        if thread is not None and thread.is_alive():
-            thread.join(timeout)
-        self._thread = None
+        with self._lock:
+            thread, self._thread = self._thread, None
+        if thread is not None:
+            thread.join()
 
     @property
     def running(self) -> bool:
@@ -137,9 +145,13 @@ class SamplingProfiler:
             if thread.ident is not None
         }
         for ident, frame in frames.items():
-            if exclude and ident in exclude:
+            # A thread ``threading`` no longer lists is finishing (or
+            # was never Python's): its frame chain may be torn down
+            # under the walk, so it is not folded.
+            name = names.get(ident)
+            if name is None or (exclude and ident in exclude):
                 continue
-            folded.append(self._fold(names.get(ident, f"thread-{ident}"), frame))
+            folded.append(self._fold(name, frame))
         del frames
         with self._lock:
             for stack in folded:
@@ -151,27 +163,22 @@ class SamplingProfiler:
         return len(folded)
 
     def _fold(self, thread_name: str, frame: Any) -> str:
-        codes: list[int] = []
+        # One walk: every ``f_back`` read touches another thread's live
+        # frame chain, so take the code objects once and work from them.
+        codes = []
         walker = frame
-        depth = 0
-        while walker is not None and depth < _MAX_DEPTH:
-            codes.append(id(walker.f_code))
+        while walker is not None and len(codes) < _MAX_DEPTH:
+            codes.append(walker.f_code)
             walker = walker.f_back
-            depth += 1
         truncated = walker is not None
-        key = tuple(codes)
+        key = tuple(map(id, codes))
         cached = self._fold_cache.get(key)
         if cached is not None and not truncated:
             return f"{thread_name};{cached}"
-        parts: list[str] = []
-        walker = frame
-        depth = 0
-        while walker is not None and depth < _MAX_DEPTH:
-            code = walker.f_code
-            parts.append(f"{os.path.basename(code.co_filename)}:{code.co_name}")
-            walker = walker.f_back
-            depth += 1
-        parts.reverse()  # root first, leaf last — flamegraph order
+        parts = [
+            f"{os.path.basename(code.co_filename)}:{code.co_name}"
+            for code in reversed(codes)  # root first, leaf last — flamegraph order
+        ]
         if truncated:
             parts.insert(0, "(deep)")
         stack = ";".join(parts)

@@ -1,9 +1,18 @@
-"""Shared test utilities: graph builders and answer-tree validation."""
+"""Shared test utilities: graph builders, answer-tree validation, the
+cyclic-garbage census and a snapshot-file rewriter."""
 
 from __future__ import annotations
 
+import gc
+import json
 import random
-from typing import Optional, Sequence
+import struct
+import zlib
+from collections import Counter
+from pathlib import Path
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from repro.core.answer import AnswerTree, is_minimal_rooting
 from repro.core.scoring import Scorer
@@ -16,6 +25,8 @@ __all__ = [
     "random_keyword_sets",
     "validate_answer_tree",
     "edge_weight_of",
+    "assert_no_cyclic_garbage",
+    "rewrite_snapshot",
 ]
 
 
@@ -123,3 +134,90 @@ def validate_answer_tree(
     assert abs(rebuilt.edge_score - tree.edge_score) < 1e-9
     assert abs(rebuilt.node_score - tree.node_score) < 1e-9
     assert abs(rebuilt.score - tree.score) < 1e-9
+
+
+def assert_no_cyclic_garbage(fn: Callable[[], object]) -> None:
+    """Run ``fn`` with the cyclic collector off, then fail if anything
+    of ours it left behind was only reclaimable by that collector.
+
+    The release contract (docs/PERFORMANCE.md "Memory"): search and
+    serving state is freed by refcount the moment it is finished.  With
+    ``DEBUG_SAVEALL`` a collection keeps what it found unreachable in
+    ``gc.garbage``; any such object whose type lives under ``repro.``
+    was part of (or hung off) a reference cycle.
+    """
+    gc.collect()
+    was_enabled = gc.isenabled()
+    flags = gc.get_debug()
+    gc.disable()
+    try:
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        del gc.garbage[:]
+        fn()
+        gc.collect()
+        ours = Counter(
+            f"{type(obj).__module__}.{type(obj).__qualname__}"
+            for obj in gc.garbage
+            if type(obj).__module__.startswith("repro.")
+        )
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[:]
+        if was_enabled:
+            gc.enable()
+    assert not ours, f"cyclic garbage left behind: {dict(ours.most_common(12))}"
+
+
+def rewrite_snapshot(
+    src, dst, edit: Callable[[dict, dict], None], *, fix_crc: bool = True
+) -> Path:
+    """Copy snapshot ``src`` to ``dst`` with ``edit(header, arrays)``
+    applied in between — how the corruption tests build damaged files.
+
+    An independent reader/writer of the layout docs/STORAGE.md
+    describes (magic, ``<Q`` header length, JSON header, 4096-aligned
+    arrays).  ``arrays`` maps name to a writable copy; ``edit`` may
+    replace, resize or delete entries and change header fields.  The
+    array table is rebuilt from what is left; ``fix_crc=False`` keeps
+    the old checksums, so the edit looks like on-disk damage.
+    """
+    magic = b"\x93REPROMAP2\n"
+    align = lambda n: -(-n // 4096) * 4096  # noqa: E731
+    raw = Path(src).read_bytes()
+    assert raw.startswith(magic)
+    (header_len,) = struct.unpack_from("<Q", raw, len(magic))
+    head = len(magic) + 8
+    header = json.loads(raw[head : head + header_len])
+    data_start = align(head + header_len)
+    arrays = {}
+    for name, entry in header["arrays"].items():
+        count = int(np.prod(entry["shape"]))
+        arrays[name] = np.frombuffer(
+            raw, np.dtype(entry["dtype"]), count, data_start + entry["offset"]
+        ).reshape(entry["shape"]).copy()
+    old_table = header["arrays"]
+    edit(header, arrays)
+    table, offset = {}, 0
+    for name, arr in arrays.items():
+        arr = arrays[name] = np.ascontiguousarray(arr)
+        table[name] = {
+            "offset": offset,
+            "dtype": str(arr.dtype),
+            "shape": list(arr.shape),
+            "crc32": zlib.crc32(arr.tobytes())
+            if fix_crc or name not in old_table
+            else old_table[name]["crc32"],
+        }
+        offset = align(offset + arr.nbytes)
+    if header.get("arrays") is old_table:  # edit() may have replaced it
+        header["arrays"] = table
+    blob = json.dumps(header).encode("utf-8")
+    data_start = align(head + len(blob))
+    out = bytearray(data_start + offset)
+    out[:head] = magic + struct.pack("<Q", len(blob))
+    out[head : head + len(blob)] = blob
+    for name, arr in arrays.items():
+        start = data_start + table[name]["offset"]
+        out[start : start + arr.nbytes] = arr.tobytes()
+    Path(dst).write_bytes(bytes(out))
+    return Path(dst)

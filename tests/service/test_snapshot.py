@@ -1,6 +1,9 @@
-"""Snapshot format: round-trip fidelity, versioning, corruption handling."""
+"""Snapshot format: round-trip fidelity, versioning, corruption handling,
+integrity (checksums, ``verify``) and the version-1 ``upgrade`` path."""
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +13,26 @@ from repro.errors import SnapshotError
 from repro.relational.database import Database
 from repro.relational.schema import ForeignKey, Schema, Table
 from repro.service.snapshot import (
+    MAPPED_MAGIC,
     SNAPSHOT_VERSION,
     load_engine,
     load_snapshot,
+    main,
     save_engine,
     save_snapshot,
     snapshot_info,
+    upgrade_snapshot,
+    verify_snapshot,
 )
+
+from tests.helpers import rewrite_snapshot
+
+#: A version-1 (zip container) snapshot of dblp at scale 0.03, written
+#: by the last commit that had a v1 writer: 99 nodes, dataset_version 7.
+V1_FIXTURE = Path(__file__).parent.parent / "data" / "dblp-tiny-v1.snap"
+V1_DIGEST = "83b0bc4c6316c9357a3d2b197e48d95ecfaa2d94565ff3aaca66d404f201ce9f"
+
+MODES = ("ram", "mapped")
 
 
 @pytest.fixture
@@ -153,45 +169,7 @@ class TestVersionAndDigest:
             != snapshot_info(b)["content_digest"]
         )
 
-    def test_pre_digest_snapshot_loads_and_reports_none(
-        self, toy_snapshot, tmp_path
-    ):
-        """Files written before these fields existed stay readable."""
-        import io
-        import zipfile
-
-        raw = toy_snapshot.read_bytes()
-        stripped = tmp_path / "old.snap"
-        with zipfile.ZipFile(io.BytesIO(raw)) as archive:
-            meta = json.loads(
-                np.load(io.BytesIO(archive.read("meta.npy"))).tobytes().decode()
-            )
-            meta.pop("dataset_version")
-            meta.pop("content_digest")
-            buffer = io.BytesIO()
-            with zipfile.ZipFile(buffer, "w") as out:
-                for name in archive.namelist():
-                    if name == "meta.npy":
-                        meta_buffer = io.BytesIO()
-                        np.save(
-                            meta_buffer,
-                            np.frombuffer(
-                                json.dumps(meta).encode("utf-8"), dtype=np.uint8
-                            ),
-                        )
-                        out.writestr(name, meta_buffer.getvalue())
-                    else:
-                        out.writestr(name, archive.read(name))
-        stripped.write_bytes(buffer.getvalue())
-        info = snapshot_info(stripped)
-        assert info["dataset_version"] is None
-        assert info["content_digest"] is None
-        graph, _ = load_snapshot(stripped)
-        assert graph.num_nodes > 0
-
     def test_cli_info_prints_version_and_digest(self, toy_engine, tmp_path, capsys):
-        from repro.service.snapshot import main
-
         path = save_engine(tmp_path / "cli.snap", toy_engine, version=3)
         assert main(["info", str(path)]) == 0
         out = capsys.readouterr().out
@@ -217,116 +195,149 @@ class TestFormat:
         with pytest.raises(SnapshotError, match="does not exist"):
             load_snapshot(tmp_path / "nope.snap")
 
-    def test_garbage_file(self, tmp_path):
+    def test_default_output_is_the_page_aligned_layout(self, toy_snapshot, tmp_path):
+        assert toy_snapshot.read_bytes().startswith(MAPPED_MAGIC)
+        header = {}
+        copy = rewrite_snapshot(
+            toy_snapshot, tmp_path / "copy.snap", lambda h, a: header.update(h)
+        )
+        assert verify_snapshot(copy) == {
+            **verify_snapshot(toy_snapshot), "file_bytes": copy.stat().st_size
+        }
+        for entry in header["arrays"].values():
+            assert entry["offset"] % 4096 == 0
+            assert isinstance(entry["crc32"], int)
+
+    def test_there_is_no_format_to_choose(self, toy_engine, toy_snapshot, tmp_path):
+        with pytest.raises(TypeError):
+            save_snapshot(
+                tmp_path / "x.snap", toy_engine.graph, toy_engine.index, format="mapped"
+            )
+        with pytest.raises(ValueError, match="unknown snapshot format"):
+            save_engine(tmp_path / "x.snap", toy_engine, format="compressed")
+        # The one value the frozen ledger still passes names the default.
+        same = save_engine(tmp_path / "y.snap", toy_engine, format="mapped")
+        assert same.read_bytes() == toy_snapshot.read_bytes()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_garbage_file(self, tmp_path, mode):
         path = tmp_path / "garbage.snap"
         path.write_bytes(b"this is not a snapshot")
-        with pytest.raises(SnapshotError):
-            load_snapshot(path)
+        with pytest.raises(SnapshotError, match="not a repro-engine-snapshot file"):
+            load_snapshot(path, storage_mode=mode)
 
-    def test_truncated_file(self, toy_snapshot, tmp_path):
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("keep", [0.5, 0.9])
+    def test_truncated_file_fails_at_load(self, toy_snapshot, tmp_path, mode, keep):
         raw = toy_snapshot.read_bytes()
         truncated = tmp_path / "half.snap"
-        truncated.write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(SnapshotError, match="cannot read"):
-            load_snapshot(truncated)
+        truncated.write_bytes(raw[: int(len(raw) * keep)])
+        with pytest.raises(SnapshotError, match="extends past the end"):
+            load_snapshot(truncated, storage_mode=mode)
 
-    def test_wrong_format_magic(self, tmp_path):
-        path = tmp_path / "other.npz"
-        meta = np.frombuffer(
-            json.dumps({"format": "something-else", "version": 1}).encode(),
-            dtype=np.uint8,
-        )
-        np.savez(path, meta=meta)
-        with pytest.raises(SnapshotError, match="format"):
-            load_snapshot(path)
+    def test_truncated_header(self, toy_snapshot, tmp_path):
+        clipped = tmp_path / "clipped.snap"
+        clipped.write_bytes(toy_snapshot.read_bytes()[:20])
+        with pytest.raises(SnapshotError, match="truncated"):
+            snapshot_info(clipped)
 
-    def test_future_version_rejected(self, toy_engine, tmp_path, toy_snapshot):
-        with np.load(toy_snapshot) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        meta = json.loads(bytes(arrays["meta"].tobytes()).decode())
-        meta["version"] = SNAPSHOT_VERSION + 1
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        future = tmp_path / "future.snap"
-        with open(future, "wb") as fh:
-            np.savez(fh, **arrays)
+    def test_wrong_format_name(self, toy_snapshot, tmp_path):
+        def edit(header, arrays):
+            header["format"] = "something-else"
+
+        bad = rewrite_snapshot(toy_snapshot, tmp_path / "other.snap", edit)
+        with pytest.raises(SnapshotError, match="is not a repro-engine-snapshot"):
+            load_snapshot(bad)
+
+    def test_future_version_rejected(self, toy_snapshot, tmp_path):
+        def edit(header, arrays):
+            header["version"] = SNAPSHOT_VERSION + 1
+
+        future = rewrite_snapshot(toy_snapshot, tmp_path / "future.snap", edit)
         with pytest.raises(SnapshotError, match="version"):
             load_snapshot(future)
 
     def test_out_of_range_node_ids_rejected(self, toy_snapshot, tmp_path):
-        with np.load(toy_snapshot) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        arrays["out_dst"] = arrays["out_dst"].copy()
-        arrays["out_dst"][0] = 10_000  # beyond num_nodes
-        bad = tmp_path / "bad-ids.snap"
-        with open(bad, "wb") as fh:
-            np.savez(fh, **arrays)
+        def edit(header, arrays):
+            arrays["out_dst"][0] = 10_000  # beyond num_nodes
+
+        bad = rewrite_snapshot(toy_snapshot, tmp_path / "bad-ids.snap", edit)
         with pytest.raises(SnapshotError, match="out-of-range node ids"):
-            load_snapshot(bad)
+            load_snapshot(bad, storage_mode="ram")
 
     def test_negative_node_ids_rejected(self, toy_snapshot, tmp_path):
-        with np.load(toy_snapshot) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        arrays["in_src"] = arrays["in_src"].copy()
-        arrays["in_src"][0] = -3  # would silently mis-index, not crash
-        bad = tmp_path / "neg-ids.snap"
-        with open(bad, "wb") as fh:
-            np.savez(fh, **arrays)
+        def edit(header, arrays):
+            arrays["in_src"][0] = -3  # would silently mis-index, not crash
+
+        bad = rewrite_snapshot(toy_snapshot, tmp_path / "neg-ids.snap", edit)
         with pytest.raises(SnapshotError, match="out-of-range node ids"):
-            load_snapshot(bad)
+            load_snapshot(bad, storage_mode="ram")
 
-    def test_malformed_indptr_rejected(self, toy_snapshot, tmp_path):
-        with np.load(toy_snapshot) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        arrays["out_indptr"] = arrays["out_indptr"][:-2]
-        bad = tmp_path / "bad-indptr.snap"
-        with open(bad, "wb") as fh:
-            np.savez(fh, **arrays)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_malformed_indptr_rejected(self, toy_snapshot, tmp_path, mode):
+        def edit(header, arrays):
+            arrays["out_indptr"] = arrays["out_indptr"][:-2]
+
+        bad = rewrite_snapshot(toy_snapshot, tmp_path / "bad-indptr.snap", edit)
         with pytest.raises(SnapshotError, match="malformed out_indptr"):
-            load_snapshot(bad)
+            load_snapshot(bad, storage_mode=mode)
 
-    def test_corrupt_postings_indptr_rejected(self, toy_snapshot, tmp_path):
-        with np.load(toy_snapshot) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        arrays["post_indptr"] = arrays["post_indptr"].copy()
-        arrays["post_indptr"][1] = -4  # decreasing: would mis-slice silently
-        bad = tmp_path / "bad-post.snap"
-        with open(bad, "wb") as fh:
-            np.savez(fh, **arrays)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_corrupt_postings_indptr_rejected(self, toy_snapshot, tmp_path, mode):
+        def edit(header, arrays):
+            arrays["post_indptr"][1] = -4  # decreasing: would mis-slice silently
+
+        bad = rewrite_snapshot(toy_snapshot, tmp_path / "bad-post.snap", edit)
         with pytest.raises(SnapshotError, match="malformed post_indptr"):
-            load_snapshot(bad)
+            load_snapshot(bad, storage_mode=mode)
 
     def test_corrupt_postings_node_ids_rejected(self, toy_snapshot, tmp_path):
-        with np.load(toy_snapshot) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        arrays["rel_nodes"] = arrays["rel_nodes"].copy()
-        arrays["rel_nodes"][0] = 10_000
-        bad = tmp_path / "bad-rel.snap"
-        with open(bad, "wb") as fh:
-            np.savez(fh, **arrays)
+        def edit(header, arrays):
+            arrays["rel_nodes"][0] = 10_000
+
+        bad = rewrite_snapshot(toy_snapshot, tmp_path / "bad-rel.snap", edit)
         with pytest.raises(SnapshotError, match="out-of-range node ids in rel_nodes"):
-            load_snapshot(bad)
+            load_snapshot(bad, storage_mode="ram")
 
-    def test_corrupt_meta_lengths_raise_snapshot_error(self, toy_snapshot, tmp_path):
-        with np.load(toy_snapshot) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        meta = json.loads(bytes(arrays["meta"].tobytes()).decode())
-        meta["tables"] = meta["tables"][:-1]  # one element short
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        bad = tmp_path / "bad-tables.snap"
-        with open(bad, "wb") as fh:
-            np.savez(fh, **arrays)
-        with pytest.raises(SnapshotError, match="bad tables length"):
-            load_snapshot(bad)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_corrupt_text_lengths_raise_snapshot_error(
+        self, toy_snapshot, tmp_path, mode
+    ):
+        """The text block is decoded lazily, so its length check fires
+        at the first label read — still as a SnapshotError."""
 
-    def test_missing_arrays_rejected(self, toy_snapshot, tmp_path):
-        with np.load(toy_snapshot) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        del arrays["prestige"]
-        truncated = tmp_path / "truncated.snap"
-        with open(truncated, "wb") as fh:
-            np.savez(fh, **arrays)
-        with pytest.raises(SnapshotError, match="missing arrays"):
-            load_snapshot(truncated)
+        def edit(header, arrays):
+            text = json.loads(arrays["text_json"].tobytes())
+            text["tables"] = text["tables"][:-1]  # one element short
+            arrays["text_json"] = np.frombuffer(
+                json.dumps(text).encode(), dtype=np.uint8
+            )
+
+        bad = rewrite_snapshot(toy_snapshot, tmp_path / "bad-tables.snap", edit)
+        graph, _ = load_snapshot(bad, storage_mode=mode)
+        with pytest.raises(SnapshotError, match="text block is inconsistent"):
+            graph.label(0)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_missing_arrays_rejected(self, toy_snapshot, tmp_path, mode):
+        def edit(header, arrays):
+            del arrays["prestige"]
+
+        bad = rewrite_snapshot(toy_snapshot, tmp_path / "no-prestige.snap", edit)
+        with pytest.raises(SnapshotError, match="missing arrays: prestige"):
+            load_snapshot(bad, storage_mode=mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_header_without_checksums_rejected(self, toy_snapshot, tmp_path, mode):
+        def edit(header, arrays):
+            header["arrays"] = {
+                name: {k: v for k, v in entry.items() if k != "crc32"}
+                for name, entry in header["arrays"].items()
+            }
+
+        bad = rewrite_snapshot(toy_snapshot, tmp_path / "no-crc.snap", edit)
+        with pytest.raises(SnapshotError, match="malformed array-table entry"):
+            load_snapshot(bad, storage_mode=mode)
 
     def test_no_stale_tmp_file_left(self, toy_engine, tmp_path):
         path = tmp_path / "clean.snap"
@@ -341,3 +352,111 @@ class TestFormat:
         assert engine.params.max_results == 3
         result = engine.search("gray transaction")
         assert len(result.answers) <= 3
+
+
+# ----------------------------------------------------------------------
+# integrity: per-array checksums
+# ----------------------------------------------------------------------
+def flip_byte(path: Path, array: str, out: Path) -> Path:
+    """Copy ``path`` to ``out`` with one byte of ``array``'s data page
+    inverted and the header (checksums included) left as written."""
+
+    def edit(header, arrays):
+        arrays[array].view(np.uint8)[len(arrays[array].view(np.uint8)) // 2] ^= 0xFF
+
+    return rewrite_snapshot(path, out, edit, fix_crc=False)
+
+
+class TestIntegrity:
+    @pytest.mark.parametrize(
+        "array", ["out_dst", "in_weight", "prestige", "post_nodes", "text_json"]
+    )
+    def test_ram_load_names_the_damaged_array(self, toy_snapshot, tmp_path, array):
+        bad = flip_byte(toy_snapshot, array, tmp_path / "flipped.snap")
+        with pytest.raises(SnapshotError, match=f"array {array} fails its checksum"):
+            load_snapshot(bad, storage_mode="ram")
+
+    def test_mapped_load_reads_no_data_page(self, toy_snapshot, tmp_path):
+        """The documented trade-off: header + bounds checks only."""
+        bad = flip_byte(toy_snapshot, "out_weight", tmp_path / "flipped.snap")
+        graph, _ = load_snapshot(bad, storage_mode="mapped")
+        assert graph.num_nodes > 0
+
+    def test_verify_accepts_a_good_file(self, toy_snapshot, capsys):
+        info = verify_snapshot(toy_snapshot)
+        assert info["content_digest"] == snapshot_info(toy_snapshot)["content_digest"]
+        assert main(["verify", str(toy_snapshot)]) == 0
+        assert capsys.readouterr().out.startswith("ok: ")
+
+    def test_verify_names_the_damaged_array(self, toy_snapshot, tmp_path, capsys):
+        bad = flip_byte(toy_snapshot, "in_src", tmp_path / "flipped.snap")
+        with pytest.raises(SnapshotError, match="array in_src fails its checksum"):
+            verify_snapshot(bad)
+        assert main(["verify", str(bad)]) == 1
+        assert "in_src" in capsys.readouterr().out
+
+    def test_verify_checks_the_digest_end_to_end(self, toy_snapshot, tmp_path):
+        """Valid checksums over different content: only the digest
+        recomputed from the data can tell."""
+
+        def edit(header, arrays):
+            arrays["out_weight"][0] += 1.0
+
+        bad = rewrite_snapshot(toy_snapshot, tmp_path / "edited.snap", edit)
+        load_snapshot(bad, storage_mode="ram")  # structurally fine
+        with pytest.raises(SnapshotError, match="content_digest"):
+            verify_snapshot(bad)
+
+
+# ----------------------------------------------------------------------
+# version-1 files: info, refusal, upgrade
+# ----------------------------------------------------------------------
+class TestVersion1:
+    def test_fixture_is_a_v1_archive(self):
+        assert V1_FIXTURE.read_bytes().startswith(b"PK")
+
+    def test_info_still_reads_it(self):
+        info = snapshot_info(V1_FIXTURE)
+        assert info["version"] == 1
+        assert info["dataset_version"] == 7
+        assert info["content_digest"] == V1_DIGEST
+        assert (info["num_nodes"], info["index_terms"]) == (99, 52)
+        assert (info["pin_hint_nodes"], info["pin_hint_terms"]) == (0, 0)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_load_refuses_and_names_the_command(self, mode):
+        with pytest.raises(SnapshotError, match="snapshot upgrade OLD NEW"):
+            load_snapshot(V1_FIXTURE, storage_mode=mode)
+
+    def test_upgrade_preserves_content(self, tmp_path):
+        new = upgrade_snapshot(V1_FIXTURE, tmp_path / "new.snap")
+        info = snapshot_info(new)
+        assert info["version"] == SNAPSHOT_VERSION
+        assert info["content_digest"] == V1_DIGEST
+        assert info["dataset_version"] == 7
+        assert verify_snapshot(new)["num_nodes"] == 99
+        engine = load_engine(new)
+        result = engine.search("database parallel")
+        # Pinned when the fixture was written, by the engine that wrote it.
+        assert result.scores()[:3] == [
+            0.45385354751696305, 0.42667849695111315, 0.4096295175726818,
+        ]
+
+    def test_upgrade_cli(self, tmp_path, capsys):
+        new = tmp_path / "cli.snap"
+        assert main(["upgrade", str(V1_FIXTURE), str(new)]) == 0
+        assert V1_DIGEST in capsys.readouterr().out
+        assert new.read_bytes().startswith(MAPPED_MAGIC)
+
+    def test_upgrade_rejects_a_current_file(self, toy_snapshot, tmp_path, capsys):
+        with pytest.raises(SnapshotError, match="cannot read"):
+            upgrade_snapshot(toy_snapshot, tmp_path / "again.snap")
+        assert main(["upgrade", str(toy_snapshot), str(tmp_path / "x")]) == 1
+
+    def test_upgrade_rejects_a_damaged_archive(self, tmp_path):
+        clipped = tmp_path / "clipped-v1.snap"
+        shutil.copy(V1_FIXTURE, clipped)
+        raw = clipped.read_bytes()
+        clipped.write_bytes(raw[: len(raw) // 2])
+        with pytest.raises(SnapshotError):
+            upgrade_snapshot(clipped, tmp_path / "new.snap")

@@ -1,4 +1,5 @@
-"""Snapshot CLI: ``python -m repro.service.snapshot info|save``."""
+"""Snapshot CLI: ``python -m repro.service.snapshot info|save`` (``verify``
+and ``upgrade`` are covered in ``test_snapshot.py``)."""
 
 import os
 import subprocess
@@ -21,7 +22,7 @@ def test_info_prints_header_fields(toy_snapshot_path, capsys):
     info = snapshot_info(toy_snapshot_path)
     for key, value in info.items():
         assert f"{key} = {value}" in out
-    assert "version = 1" in out
+    assert "version = 2" in out
 
 
 def test_info_without_sibling_wal_stays_quiet(toy_snapshot_path, capsys):
@@ -58,6 +59,12 @@ def test_save_builds_and_writes_loadable_snapshot(tmp_path, capsys):
     assert engine.graph.num_nodes > 0
     result = engine.search(engine.index.terms_by_frequency()[0][0], k=1)
     assert result is not None
+
+
+def test_save_has_no_format_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(["save", "dblp", str(tmp_path / "x.snap"), "--format", "mapped"])
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_save_unknown_dataset_exits(tmp_path):

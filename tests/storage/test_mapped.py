@@ -1,16 +1,18 @@
-"""Mapped (v2) snapshot tier: format, parity, laziness, pinning, sidecars."""
+"""The lazy load in both residency modes: parity, laziness, pinning, and
+the load contract (O(pin set) materialisation; ``ram`` owns its bytes)."""
+
+import os
 
 import numpy as np
 import pytest
 
 from repro.errors import SnapshotError
 from repro.service.snapshot import (
-    MAPPED_SNAPSHOT_VERSION,
+    MAPPED_MAGIC,
     SNAPSHOT_VERSION,
     load_engine,
     load_snapshot,
     main,
-    mapped_sidecar_path,
     save_engine,
     snapshot_info,
 )
@@ -18,78 +20,47 @@ from repro.storage import (
     MappedInvertedIndex,
     MappedSearchGraph,
     PinPolicy,
-    StorageStats,
 )
 
 NO_PINS = PinPolicy(nodes=0, terms=0)
+MODES = ("ram", "mapped")
 
 
 @pytest.fixture
-def compressed_snapshot(toy_engine, tmp_path):
+def snapshot(toy_engine, tmp_path):
     path = tmp_path / "toy.snap"
     save_engine(path, toy_engine, version=5)
     return path
 
 
-@pytest.fixture
-def mapped_snapshot(toy_engine, tmp_path):
-    path = tmp_path / "toy.mapped.snap"
-    save_engine(path, toy_engine, version=5, format="mapped")
-    return path
-
-
 class TestFormat:
-    def test_info_reports_both_layouts(self, compressed_snapshot, mapped_snapshot):
-        v1 = snapshot_info(compressed_snapshot)
-        v2 = snapshot_info(mapped_snapshot)
-        assert v1["storage"] == "compressed"
-        assert v1["version"] == SNAPSHOT_VERSION
-        assert v2["storage"] == "mapped"
-        assert v2["version"] == MAPPED_SNAPSHOT_VERSION
-        for key in ("num_nodes", "num_forward_edges", "index_terms",
-                    "relation_terms", "dataset_version"):
-            assert v1[key] == v2[key]
+    def test_default_save_is_the_mapped_layout(self, snapshot):
+        assert snapshot.read_bytes().startswith(MAPPED_MAGIC)
+        info = snapshot_info(snapshot)
+        assert info["version"] == SNAPSHOT_VERSION == 2
+        assert info["dataset_version"] == 5
 
-    def test_content_digest_is_format_independent(
-        self, compressed_snapshot, mapped_snapshot
-    ):
-        d1 = snapshot_info(compressed_snapshot)["content_digest"]
-        d2 = snapshot_info(mapped_snapshot)["content_digest"]
-        assert d1 is not None and d1 == d2
-
-    def test_mapped_header_carries_pin_hints(self, mapped_snapshot):
-        info = snapshot_info(mapped_snapshot)
+    def test_header_carries_pin_hints(self, snapshot):
+        info = snapshot_info(snapshot)
         assert info["pin_hint_nodes"] > 0
         assert info["pin_hint_terms"] > 0
 
-    def test_compressed_info_has_no_pin_hints(self, compressed_snapshot):
-        info = snapshot_info(compressed_snapshot)
-        assert info["pin_hint_nodes"] == 0
-        assert info["pin_hint_terms"] == 0
-
-    def test_unknown_save_format_rejected(self, toy_engine, tmp_path):
-        with pytest.raises(ValueError, match="unknown snapshot format"):
-            save_engine(tmp_path / "x.snap", toy_engine, format="sideways")
-
-    def test_truncated_mapped_file_fails_loudly(self, mapped_snapshot, tmp_path):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_truncated_file_fails_at_load(self, snapshot, tmp_path, mode):
         clipped = tmp_path / "clipped.snap"
-        data = mapped_snapshot.read_bytes()
+        data = snapshot.read_bytes()
         clipped.write_bytes(data[: len(data) // 2])
-        with pytest.raises(SnapshotError):
-            load_snapshot(clipped, storage_mode="mapped")
-
-    def test_truncated_header_fails_loudly(self, mapped_snapshot, tmp_path):
-        clipped = tmp_path / "clipped.snap"
-        clipped.write_bytes(mapped_snapshot.read_bytes()[:20])
-        with pytest.raises(SnapshotError, match="truncated"):
-            snapshot_info(clipped)
+        with pytest.raises(SnapshotError, match="truncated snapshot"):
+            load_snapshot(clipped, storage_mode=mode)
 
 
 class TestParity:
-    def test_mapped_rows_match_ram(self, toy_engine, mapped_snapshot):
-        graph, index = load_snapshot(mapped_snapshot, storage_mode="mapped")
+    @pytest.mark.parametrize("mode", MODES)
+    def test_loaded_rows_match_the_built_graph(self, toy_engine, snapshot, mode):
+        graph, index = load_snapshot(snapshot, storage_mode=mode)
         assert isinstance(graph, MappedSearchGraph)
         assert isinstance(index, MappedInvertedIndex)
+        assert graph.storage.mode == mode
         original = toy_engine.graph
         assert graph.num_nodes == original.num_nodes
         assert graph.num_edges == original.num_edges
@@ -108,53 +79,39 @@ class TestParity:
             assert index.lookup(term) == toy_engine.index.lookup(term)
         assert index.terms_by_frequency() == toy_engine.index.terms_by_frequency()
 
-    def test_ram_mode_on_mapped_file_builds_plain_objects(
-        self, toy_engine, mapped_snapshot
-    ):
-        graph, index = load_snapshot(mapped_snapshot, storage_mode="ram")
-        assert not isinstance(graph, MappedSearchGraph)
-        assert not isinstance(index, MappedInvertedIndex)
-        original = toy_engine.graph
-        for node in original.nodes():
-            assert graph.out_edges(node) == original.out_edges(node)
-            assert graph.in_edges(node) == original.in_edges(node)
-
-    def test_auto_mode_follows_the_file(
-        self, compressed_snapshot, mapped_snapshot, monkeypatch
-    ):
+    def test_auto_mode_serves_mapped(self, snapshot, monkeypatch):
         monkeypatch.delenv("REPRO_SNAPSHOT_MODE", raising=False)
-        ram_graph, _ = load_snapshot(compressed_snapshot)
-        map_graph, _ = load_snapshot(mapped_snapshot)
-        assert not isinstance(ram_graph, MappedSearchGraph)
-        assert isinstance(map_graph, MappedSearchGraph)
+        graph, _ = load_snapshot(snapshot)
+        assert graph.storage.mode == "mapped"
+        graph, _ = load_snapshot(snapshot, storage_mode="auto")
+        assert graph.storage.mode == "mapped"
 
-    def test_environment_hook_steers_default_loads(
-        self, compressed_snapshot, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_SNAPSHOT_MODE", "mapped")
-        graph, _ = load_snapshot(compressed_snapshot)
-        assert isinstance(graph, MappedSearchGraph)
+    def test_environment_hook_steers_default_loads(self, snapshot, monkeypatch):
+        monkeypatch.setenv("REPRO_SNAPSHOT_MODE", "ram")
+        graph, _ = load_snapshot(snapshot)
+        assert graph.storage.mode == "ram"
+        assert graph.storage.mapped_bytes == 0
 
     @pytest.mark.parametrize(
         "algorithm", ["bidirectional", "si-backward", "mi-backward"]
     )
     def test_search_results_identical_per_algorithm(
-        self, toy_engine, mapped_snapshot, algorithm
+        self, toy_engine, snapshot, algorithm
     ):
-        mapped = load_engine(mapped_snapshot, storage_mode="mapped")
-        ram = load_engine(mapped_snapshot, storage_mode="ram")
+        mapped = load_engine(snapshot, storage_mode="mapped")
+        ram = load_engine(snapshot, storage_mode="ram")
         for query in ("gray transaction", "selinger vldb", '"jim gray" sigmod'):
-            a = ram.search(query, algorithm=algorithm, k=5)
-            b = mapped.search(query, algorithm=algorithm, k=5)
-            assert b.scores() == a.scores()
-            assert b.signatures() == a.signatures()
+            built = toy_engine.search(query, algorithm=algorithm, k=5)
+            for engine in (ram, mapped):
+                loaded = engine.search(query, algorithm=algorithm, k=5)
+                assert loaded.scores() == built.scores()
+                assert loaded.signatures() == built.signatures()
 
 
+@pytest.mark.parametrize("mode", MODES)
 class TestLaziness:
-    def test_structural_reads_fault_nothing(self, mapped_snapshot):
-        graph, index = load_snapshot(
-            mapped_snapshot, storage_mode="mapped", pin_policy=NO_PINS
-        )
+    def test_structural_reads_fault_nothing(self, snapshot, mode):
+        graph, index = load_snapshot(snapshot, storage_mode=mode, pin_policy=NO_PINS)
         stats = graph.storage
         assert (stats.row_faults, stats.posting_faults) == (0, 0)
         # num_edges / num_nodes / labels come from resident metadata.
@@ -164,10 +121,8 @@ class TestLaziness:
         assert index.vocabulary_size() > 0
         assert (stats.row_faults, stats.posting_faults) == (0, 0)
 
-    def test_demand_faults_are_counted_once_per_row(self, mapped_snapshot):
-        graph, index = load_snapshot(
-            mapped_snapshot, storage_mode="mapped", pin_policy=NO_PINS
-        )
+    def test_demand_faults_are_counted_once_per_row(self, snapshot, mode):
+        graph, index = load_snapshot(snapshot, storage_mode=mode, pin_policy=NO_PINS)
         stats = graph.storage
         graph.out_edges(0)
         graph.out_edges(0)  # cached: no second fault
@@ -180,16 +135,37 @@ class TestLaziness:
         index.lookup(term)
         assert stats.posting_faults == first
 
-    def test_mapped_bytes_accounts_the_data_region(self, mapped_snapshot):
-        graph, _ = load_snapshot(
-            mapped_snapshot, storage_mode="mapped", pin_policy=NO_PINS
-        )
-        assert 0 < graph.storage.mapped_bytes <= mapped_snapshot.stat().st_size
+    def test_load_materialises_no_more_than_the_pin_set(
+        self, dblp_small_engine, tmp_path, mode
+    ):
+        """The load contract: O(header + pin set) Python objects, in
+        either mode — not one adjacency row or posting list more."""
+        path = save_engine(tmp_path / "dblp.snap", dblp_small_engine)
+        policy = PinPolicy(nodes=5, terms=3)
+        graph, index = load_snapshot(path, storage_mode=mode, pin_policy=policy)
+        stats = graph.storage
+        # Union of top-5 by prestige and top-5 by degree.
+        assert 5 <= stats.pinned_nodes <= 10 < graph.num_nodes
+        assert stats.pinned_terms == 3 < index.vocabulary_size()
+        assert len(graph._out._rows) == stats.pinned_nodes
+        assert len(graph._in._rows) == stats.pinned_nodes
+        assert len(index._postings._by_index) == stats.pinned_terms
+        assert index._blob._data is None  # text block still undecoded
+        assert stats.resident_bytes == stats.pinned_bytes
+        assert (stats.row_faults, stats.posting_faults) == (0, 0)
+
+    def test_mapped_bytes_counts_only_what_is_memory_mapped(self, snapshot, mode):
+        graph, _ = load_snapshot(snapshot, storage_mode=mode, pin_policy=NO_PINS)
+        if mode == "mapped":
+            assert 0 < graph.storage.mapped_bytes <= snapshot.stat().st_size
+        else:
+            assert graph.storage.mapped_bytes == 0
 
 
+@pytest.mark.parametrize("mode", MODES)
 class TestPinning:
-    def test_default_policy_pins_and_zeroes_fault_counters(self, mapped_snapshot):
-        graph, _ = load_snapshot(mapped_snapshot, storage_mode="mapped")
+    def test_default_policy_pins_and_zeroes_fault_counters(self, snapshot, mode):
+        graph, _ = load_snapshot(snapshot, storage_mode=mode)
         stats = graph.storage
         assert stats.pinned_nodes > 0
         assert stats.pinned_terms > 0
@@ -197,10 +173,10 @@ class TestPinning:
         # Post-pin counters measure demand misses, not the warmup.
         assert (stats.row_faults, stats.posting_faults) == (0, 0)
 
-    def test_pinned_rows_do_not_refault(self, mapped_snapshot):
+    def test_pinned_rows_do_not_refault(self, snapshot, mode):
         graph, _ = load_snapshot(
-            mapped_snapshot,
-            storage_mode="mapped",
+            snapshot,
+            storage_mode=mode,
             pin_policy={"nodes": 10_000, "terms": 10_000},
         )
         stats = graph.storage
@@ -209,8 +185,8 @@ class TestPinning:
             graph.in_edges(node)
         assert stats.row_faults == 0
 
-    def test_with_prestige_shares_lazy_state(self, mapped_snapshot):
-        graph, _ = load_snapshot(mapped_snapshot, storage_mode="mapped")
+    def test_with_prestige_shares_lazy_state(self, snapshot, mode):
+        graph, _ = load_snapshot(snapshot, storage_mode=mode)
         rescored = graph.with_prestige(np.zeros(graph.num_nodes))
         assert isinstance(rescored, MappedSearchGraph)
         assert rescored.storage is graph.storage
@@ -218,9 +194,38 @@ class TestPinning:
         assert rescored.out_edges(0) == graph.out_edges(0)
 
 
+class TestRamOwnsItsBytes:
+    """``ram`` reads the file once; what happens to the file afterwards
+    cannot reach a loaded engine."""
+
+    QUERIES = ("gray transaction", "selinger vldb", '"jim gray" sigmod')
+
+    def answers(self, engine):
+        return [
+            (r.scores(), r.signatures())
+            for r in (engine.search(q, k=5) for q in self.QUERIES)
+        ]
+
+    def test_answers_survive_truncation(self, toy_engine, snapshot):
+        expected = self.answers(toy_engine)
+        engine = load_engine(snapshot, storage_mode="ram", pin_policy=NO_PINS)
+        os.truncate(snapshot, 100)
+        assert self.answers(engine) == expected  # rows fault in from memory
+        with pytest.raises(SnapshotError):  # a *new* load sees the damage
+            load_engine(snapshot, storage_mode="ram")
+
+    def test_answers_survive_unlink(self, toy_engine, snapshot):
+        expected = self.answers(toy_engine)
+        engine = load_engine(snapshot, storage_mode="ram", pin_policy=NO_PINS)
+        snapshot.unlink()
+        assert self.answers(engine) == expected
+        assert engine.graph.label(0) == toy_engine.graph.label(0)  # text block too
+
+
 class TestReadOnlyIndex:
-    def test_mutations_raise_type_error(self, mapped_snapshot):
-        _, index = load_snapshot(mapped_snapshot, storage_mode="mapped")
+    @pytest.mark.parametrize("mode", MODES)
+    def test_mutations_raise_type_error(self, snapshot, mode):
+        _, index = load_snapshot(snapshot, storage_mode=mode)
         with pytest.raises(TypeError, match="read-only"):
             index.add_text(0, "new text")
         with pytest.raises(TypeError, match="read-only"):
@@ -229,77 +234,15 @@ class TestReadOnlyIndex:
             index.add_relation_node("paper", 0)
 
 
-class TestSidecar:
-    def test_mapped_mode_on_compressed_file_builds_sidecar(
-        self, toy_engine, compressed_snapshot
-    ):
-        graph, index = load_snapshot(compressed_snapshot, storage_mode="mapped")
-        assert isinstance(graph, MappedSearchGraph)
-        sidecar = mapped_sidecar_path(compressed_snapshot)
-        assert sidecar.exists()
-        # The sidecar proves it matches its source by digest.
-        assert (
-            snapshot_info(sidecar)["content_digest"]
-            == snapshot_info(compressed_snapshot)["content_digest"]
-        )
-        for node in toy_engine.graph.nodes():
-            assert graph.out_edges(node) == toy_engine.graph.out_edges(node)
-
-    def test_fresh_sidecar_is_reused(self, compressed_snapshot):
-        load_snapshot(compressed_snapshot, storage_mode="mapped")
-        sidecar = mapped_sidecar_path(compressed_snapshot)
-        stamp = (sidecar.stat().st_mtime_ns, sidecar.stat().st_size)
-        load_snapshot(compressed_snapshot, storage_mode="mapped")
-        assert (sidecar.stat().st_mtime_ns, sidecar.stat().st_size) == stamp
-
-    def test_stale_sidecar_is_rebuilt(self, toy_engine, compressed_snapshot):
-        import os
-
-        load_snapshot(compressed_snapshot, storage_mode="mapped")
-        sidecar = mapped_sidecar_path(compressed_snapshot)
-        before = sidecar.stat().st_mtime_ns
-        # Rewrite the source with different content at a different mtime.
-        save_engine(compressed_snapshot, toy_engine, version=6)
-        stat = compressed_snapshot.stat()
-        os.utime(
-            compressed_snapshot, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000)
-        )
-        graph, _ = load_snapshot(compressed_snapshot, storage_mode="mapped")
-        assert sidecar.stat().st_mtime_ns != before
-        assert snapshot_info(sidecar)["dataset_version"] == 6
-        assert isinstance(graph, MappedSearchGraph)
-
-    def test_damaged_sidecar_is_rebuilt(self, compressed_snapshot):
-        load_snapshot(compressed_snapshot, storage_mode="mapped")
-        sidecar = mapped_sidecar_path(compressed_snapshot)
-        sidecar.write_bytes(b"\x93REPROMAP2\n garbage")
-        graph, _ = load_snapshot(compressed_snapshot, storage_mode="mapped")
-        assert isinstance(graph, MappedSearchGraph)
-        assert snapshot_info(sidecar)["storage"] == "mapped"
-
-
 class TestCli:
-    def test_info_prints_storage_and_pins_for_mapped(
-        self, mapped_snapshot, capsys
-    ):
-        assert main(["info", str(mapped_snapshot)]) == 0
+    def test_info_prints_version_and_pins(self, snapshot, capsys):
+        assert main(["info", str(snapshot)]) == 0
         out = capsys.readouterr().out
-        assert "storage = mapped" in out
         assert "pin_hint_nodes = " in out
-        assert f"version = {MAPPED_SNAPSHOT_VERSION}" in out
+        assert f"version = {SNAPSHOT_VERSION}" in out
 
-    def test_info_prints_storage_for_compressed(
-        self, compressed_snapshot, capsys
-    ):
-        assert main(["info", str(compressed_snapshot)]) == 0
-        out = capsys.readouterr().out
-        assert "storage = compressed" in out
-
-    def test_save_mapped_writes_v2(self, tmp_path, capsys):
+    def test_save_writes_the_one_layout(self, tmp_path, capsys):
         path = tmp_path / "cli.snap"
-        assert (
-            main(["save", "dblp", str(path), "--scale", "0.2", "--format", "mapped"])
-            == 0
-        )
-        assert snapshot_info(path)["storage"] == "mapped"
-        assert "mapped" in capsys.readouterr().out
+        assert main(["save", "dblp", str(path), "--scale", "0.2"]) == 0
+        assert path.read_bytes().startswith(MAPPED_MAGIC)
+        assert "wrote" in capsys.readouterr().out

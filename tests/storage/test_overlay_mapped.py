@@ -1,11 +1,11 @@
 """Overlay/index ``lookup`` memo invalidation across mutation
-interleavings, against both RAM and mapped snapshot bases.
+interleavings, against snapshot bases in both residency modes.
 
 Each committed epoch builds a fresh immutable ``OverlayIndex`` with its
 own lookup memo; these tests pin that a memoized answer from epoch N
 never leaks into epoch N+1 after ``remove_edge`` / ``update_text``
-interleavings — and that the mapped tier (whose *base* postings
-materialize lazily) behaves exactly like the RAM tier throughout.
+interleavings over a base whose postings materialize lazily — and that
+the two modes behave exactly alike throughout.
 """
 
 import pytest
@@ -27,7 +27,8 @@ def snapshot_path(toy_engine, tmp_path):
 
 def make_dataset(snapshot_path, mode) -> MutableDataset:
     ds = MutableDataset.from_snapshot(snapshot_path, storage_mode=mode)
-    assert isinstance(ds.graph, MappedSearchGraph) == (mode == "mapped")
+    assert isinstance(ds.graph, MappedSearchGraph)
+    assert ds.graph.storage.mode == mode
     return ds
 
 

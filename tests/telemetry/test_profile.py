@@ -1,7 +1,9 @@
 """SamplingProfiler: folding, snapshot diffs, fleet merge, lifecycle."""
 
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -59,6 +61,75 @@ class TestSampling:
         profiler.start()
         assert profiler._thread is first
         profiler.stop()
+
+    def test_stop_joins_the_sampler_even_mid_sample(self):
+        """``stop()`` returns only once the sampler thread is gone, so
+        owners can tear threads down right after it."""
+        profiler = SamplingProfiler(interval=0.001)
+        profiler.start()
+        thread = profiler._thread
+        time.sleep(0.01)
+        profiler.stop()
+        assert not thread.is_alive()
+        profiler.stop()  # idempotent
+
+    def test_threads_unknown_to_threading_are_not_folded(self, monkeypatch):
+        """A thread that has left ``threading.enumerate()`` is finishing:
+        its frame chain is not walked."""
+        profiler = SamplingProfiler(interval=0.01)
+        main = threading.main_thread()
+        monkeypatch.setattr(threading, "enumerate", lambda: [main])
+        stop = threading.Event()
+        worker = threading.Thread(target=spin_until, args=(stop,), name="ghost")
+        worker.start()
+        try:
+            assert profiler.sample_once() == 1
+        finally:
+            stop.set()
+            worker.join()
+        assert not any(s.startswith("ghost;") for s in profiler.snapshot()["samples"])
+
+    def test_start_stop_stress_beside_a_churning_thread_pool(self):
+        """Regression for the tier-1 segfault in ``_fold`` (CPython 3.11,
+        ``f_back`` on a dying thread's frame): 200 start/stop rounds at a
+        1 kHz sampling rate while executors and threads are created and
+        torn down, under a shortened switch interval."""
+
+        def deep(n: int) -> int:
+            return deep(n - 1) if n else sum(range(20))
+
+        def churn(stop: threading.Event) -> None:
+            while not stop.is_set():
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    assert sum(pool.map(deep, [25] * 16)) == 16 * 190
+                threads = [threading.Thread(target=deep, args=(40,)) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(10.0)
+
+        stop = threading.Event()
+        churners = [threading.Thread(target=churn, args=(stop,)) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for churner in churners:
+                churner.start()
+            total = 0
+            for _ in range(200):
+                profiler = SamplingProfiler(interval=0.001)
+                profiler.start()
+                time.sleep(0.003)
+                profiler.stop()
+                assert not profiler.running
+                total += profiler.snapshot()["total"]
+        finally:
+            stop.set()
+            for churner in churners:
+                churner.join(30.0)
+            sys.setswitchinterval(interval)
+        assert not any(churner.is_alive() for churner in churners)
+        assert total > 0
 
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):
