@@ -44,7 +44,6 @@ class ShortestPathIterator:
         origin: int,
         keyword_indices: tuple[int, ...],
         stats: SearchStats,
-        csr=None,
     ) -> None:
         self.graph = graph
         self.origin = origin
@@ -56,24 +55,11 @@ class ShortestPathIterator:
         self._frontier.push(origin, 0.0)
         self._stats = stats
         stats.heap_ops += 1
-        # Optional CSR fast path: a dense settled mask lets the in-edge
-        # scan prefilter settled neighbours in one vectorized mask
-        # instead of a dict probe per edge.  Same edges, same order,
-        # same float64 arithmetic — bit-identical to the tuple loop.
-        self._csr = csr
-        if csr is not None:
-            import numpy as np
-
-            self._settled_mask = np.zeros(csr.n, dtype=bool)
         stats.touch()
 
     def peek(self) -> Optional[float]:
         """Distance of the next node to settle, or None when exhausted."""
         return self._frontier.peek_priority()
-
-    #: Rows below this size expand through the plain tuple loop even in
-    #: CSR mode: numpy slicing only pays for itself on hub fan-ins.
-    VECTOR_ROW_MIN = 32
 
     def settle_next(self, dmax: int) -> Optional[int]:
         """Settle and return the nearest frontier node (one getnext() step)."""
@@ -82,61 +68,23 @@ class ShortestPathIterator:
         except IndexError:
             return None
         self.settled[node] = dist
-        csr = self._csr
-        if csr is not None:
-            self._settled_mask[node] = True
-            if self._hops[node] < dmax:
-                lo = int(csr.in_indptr[node])
-                hi = int(csr.in_indptr[node + 1])
-                if hi - lo >= self.VECTOR_ROW_MIN:
-                    self._expand_csr(node, dist, lo, hi)
-                else:
-                    self._expand_scalar(node, dist)
-            return node
-        if self._hops[node] < dmax:
-            self._expand_scalar(node, dist)
-        return node
-
-    def _expand_scalar(self, node: int, dist: float) -> None:
-        for u, w, _ in self.graph.in_edges(node):
-            self._stats.explore_edge()
-            if u in self.settled:
-                continue
-            nd = dist + w
-            current = self._frontier.get_priority(u)
-            if current is None:
-                self._stats.touch()
-            elif nd >= current:
-                continue
-            self.succ[u] = (node, w)
-            self._hops[u] = self._hops[node] + 1
-            self._frontier.push(u, nd)
-            self._stats.heap_ops += 1
-
-    def _expand_csr(self, node: int, dist: float, lo: int, hi: int) -> None:
-        """CSR row scan: count every edge, relax unsettled neighbours in
-        row order with the exact arithmetic of the tuple loop."""
-        csr = self._csr
-        self._stats.explore_edge(hi - lo)
-        u_arr = csr.in_src[lo:hi]
-        keep = ~self._settled_mask[u_arr]
-        if not keep.any():
-            return
         hops = self._hops[node] + 1
-        frontier = self._frontier
-        for u, w in zip(
-            u_arr[keep].tolist(), csr.in_w[lo:hi][keep].tolist()
-        ):
-            nd = dist + w
-            current = frontier.get_priority(u)
-            if current is None:
-                self._stats.touch()
-            elif nd >= current:
-                continue
-            self.succ[u] = (node, w)
-            self._hops[u] = hops
-            frontier.push(u, nd)
-            self._stats.heap_ops += 1
+        if hops <= dmax:
+            for u, w, _ in self.graph.in_edges(node):
+                self._stats.explore_edge()
+                if u in self.settled:
+                    continue
+                nd = dist + w
+                current = self._frontier.get_priority(u)
+                if current is None:
+                    self._stats.touch()
+                elif nd >= current:
+                    continue
+                self.succ[u] = (node, w)
+                self._hops[u] = hops
+                self._frontier.push(u, nd)
+                self._stats.heap_ops += 1
+        return node
 
     def path_to_origin(self, node: int) -> tuple[int, ...]:
         """The settled path ``node -> ... -> origin`` (forward direction)."""
@@ -171,9 +119,8 @@ class BackwardExpandingSearch(BaseSearch):
         for i, nodes in enumerate(self.keyword_sets):
             for node in nodes:
                 origin_keywords.setdefault(node, []).append(i)
-        csr = self._maybe_csr(len(origin_keywords))
         self._iterators = [
-            ShortestPathIterator(graph, origin, tuple(indices), self.stats, csr=csr)
+            ShortestPathIterator(graph, origin, tuple(indices), self.stats)
             for origin, indices in sorted(origin_keywords.items())
         ]
         # visited[v][i] -> iterators (by index) that settled v for keyword i.
@@ -187,22 +134,6 @@ class BackwardExpandingSearch(BaseSearch):
                 self._schedule.push(idx, peek)
 
     # ------------------------------------------------------------------
-    def _maybe_csr(self, num_origins: int):
-        """The shared CSR snapshot for iterator fast paths, or None.
-
-        MI keeps its getnext() schedule untouched under every backend
-        (the paper's baseline semantics); kernel backends only swap the
-        per-settle in-edge scan for a CSR row scan.  Gated by the dense
-        settled-mask footprint (one byte per node per iterator).
-        """
-        from repro.core.kernels import graph_csr, resolve_backend
-
-        if resolve_backend(self.params.expansion_backend) == "python":
-            return None
-        if num_origins * self.graph.num_nodes > 64 * 1024 * 1024:
-            return None
-        return graph_csr(self.graph)
-
     def run(self) -> SearchResult:
         while self._schedule and not self._done and not self._budget_exhausted():
             if self._cancelled():

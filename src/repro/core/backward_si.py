@@ -76,13 +76,10 @@ class SingleIteratorBackwardSearch(BaseSearch):
 
     # ------------------------------------------------------------------
     def run(self) -> SearchResult:
-        from repro.core.kernels import resolve_backend
-
-        backend = resolve_backend(self.params.expansion_backend)
-        if backend != "python":
+        if self.params.expansion_backend == "vectorized":
             from repro.core.kernels import run_si_batched
 
-            return run_si_batched(self, backend)
+            return run_si_batched(self)
         seeds = self._table.seed_all()
         for node in sorted(seeds):
             self._depth[node] = 0

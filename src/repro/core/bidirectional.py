@@ -87,13 +87,10 @@ class BidirectionalSearch(BaseSearch):
 
     # ------------------------------------------------------------------
     def run(self) -> SearchResult:
-        from repro.core.kernels import resolve_backend
-
-        backend = resolve_backend(self.params.expansion_backend)
-        if backend != "python":
+        if self.params.expansion_backend == "vectorized":
             from repro.core.kernels import run_bidi_batched
 
-            return run_bidi_batched(self, backend)
+            return run_bidi_batched(self)
         seeds = self._table.seed_all()
         self._act.seed_all()
         self._explain_side: Optional[bool] = None

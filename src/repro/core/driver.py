@@ -33,6 +33,10 @@ from repro.telemetry.trace import current_span
 
 __all__ = ["BaseSearch", "nra_edge_bound", "frontier_minima"]
 
+#: Fewest pops between two recomputations of the output bound; 16 keeps
+#: bound upkeep under a few percent of runtime.
+FLUSH_INTERVAL = 16
+
 
 def nra_edge_bound(
     ms: Sequence[float],
@@ -227,10 +231,9 @@ class BaseSearch:
         paths, dists = table.build_paths(root)
         if not sweep:
             self._emit_tree(root, paths, dists)
-        if self.params.tie_alternates:
-            alt = tight_decomposition(self.graph, rows, root)
-            if alt is not None and alt[0] != paths:
-                self._emit_tree(root, *alt)
+        alt = tight_decomposition(self.graph, rows, root)
+        if alt is not None and alt[0] != paths:
+            self._emit_tree(root, *alt)
 
     def _emit_tree(self, root, paths, dists) -> None:
         """Score and buffer a candidate tree that passed the gate."""
@@ -270,21 +273,20 @@ class BaseSearch:
         when their queues drained naturally — never after a
         cancellation, budget stop or filled top-k quota.
         """
-        if self.params.tie_alternates:
-            for root in complete_nodes:
-                self._emit_root(table, root, sweep=True)
+        for root in complete_nodes:
+            self._emit_root(table, root, sweep=True)
 
     # ------------------------------------------------------------------
     # flushing (Section 4.5)
     # ------------------------------------------------------------------
     def _should_flush(self) -> bool:
-        """Throttle bound recomputation: at least ``flush_interval``
+        """Throttle bound recomputation: at least ``FLUSH_INTERVAL``
         pops apart, growing with the explored set so total bound upkeep
         stays linear-ish in search size."""
         if not self.output:
             self._pops_since_flush = 0
             return False
-        interval = max(self.params.flush_interval, self.stats.nodes_explored // 8)
+        interval = max(FLUSH_INTERVAL, self.stats.nodes_explored // 8)
         if self._pops_since_flush < interval:
             return False
         self._pops_since_flush = 0

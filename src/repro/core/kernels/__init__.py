@@ -1,48 +1,26 @@
-"""Vectorized batch-frontier expansion kernels.
+"""Vectorized batch-frontier expansion engine.
 
-This package holds the flat-array fast path behind
-``SearchParams.expansion_backend``: CSR snapshots of the search graph
-(:mod:`~repro.core.kernels.csr`), a dense batch-pop priority frontier
-(:mod:`~repro.core.kernels.frontier`), dense distance/activation state
-with scalar cascade application (:mod:`~repro.core.kernels.state`),
-candidate kernels in scalar / numpy / numba flavours
+This package holds the flat-array path behind
+``SearchParams.expansion_backend="vectorized"``: CSR snapshots of the
+search graph (:mod:`~repro.core.kernels.csr`), a dense batch-pop
+priority frontier (:mod:`~repro.core.kernels.frontier`), dense
+distance/activation state with scalar cascade application
+(:mod:`~repro.core.kernels.state`), the numpy candidate kernels
 (:mod:`~repro.core.kernels.expand`), and the batched ``run()`` engines
 the search classes delegate to (:mod:`~repro.core.kernels.engines`).
-
-Backend selection (:mod:`~repro.core.kernels.backend`) resolves
-``"auto"`` through the ``REPRO_EXPANSION_BACKEND`` environment
-variable and degrades ``"numba"`` to ``"vectorized"`` when numba is
-not importable, so the dependency stays optional.
 """
 
-from repro.core.kernels.backend import (
-    ENV_VAR,
-    KERNEL_BACKENDS,
-    available_backends,
-    numba_available,
-    resolve_backend,
-)
 from repro.core.kernels.csr import GraphCSR, graph_csr
-from repro.core.kernels.engines import (
-    effective_batch,
-    run_bidi_batched,
-    run_si_batched,
-)
+from repro.core.kernels.engines import run_bidi_batched, run_si_batched
 from repro.core.kernels.frontier import VectorFrontier
 from repro.core.kernels.state import DenseActivationState, DensePathState
 
 __all__ = [
-    "ENV_VAR",
-    "KERNEL_BACKENDS",
-    "available_backends",
-    "numba_available",
-    "resolve_backend",
     "GraphCSR",
     "graph_csr",
     "VectorFrontier",
     "DenseActivationState",
     "DensePathState",
-    "effective_batch",
     "run_si_batched",
     "run_bidi_batched",
 ]

@@ -11,8 +11,8 @@ the first occurrence position — mirroring the explored-parents bucket
 accumulates once a node's edges are fully explored).
 
 Edge order inside every row matches ``graph.in_edges`` /
-``graph.out_edges`` exactly; that shared order is what makes the
-scalar and vectorized kernels produce identical candidate sequences.
+``graph.out_edges`` exactly, so candidate sequences are a function of
+the graph alone.
 
 Built lazily and cached on the graph instance (graphs are immutable;
 mutations produce new graph objects, so the cache can never go stale).
@@ -47,11 +47,9 @@ class GraphCSR:
     par_indptr: np.ndarray  # int64, n + 1
     par_src: np.ndarray  # int32, <= m
     par_w: np.ndarray  # float64, <= m
-    # activation normalizers sum(1/w) and structural degrees.
+    # activation normalizers sum(1/w).
     in_norm: np.ndarray  # float64, n
     out_norm: np.ndarray  # float64, n
-    in_degree: np.ndarray  # int64, n
-    out_degree: np.ndarray  # int64, n
     prestige: np.ndarray  # float64, n
 
 
@@ -217,8 +215,6 @@ def graph_csr(graph) -> GraphCSR:
         out_norm=np.array(
             [graph.out_inv_weight_sum(u) for u in range(n)], dtype=np.float64
         ),
-        in_degree=np.diff(in_indptr),
-        out_degree=np.diff(out_indptr),
         prestige=np.asarray(graph.prestige, dtype=np.float64),
     )
     try:

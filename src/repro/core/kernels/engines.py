@@ -1,24 +1,23 @@
 """Batched expansion engines for SI-Backward and Bidirectional search.
 
-These are alternate ``run()`` bodies the search classes delegate to
-when ``SearchParams.expansion_backend`` resolves to a kernel backend
-(``scalar`` / ``vectorized`` / ``numba``).  Instead of one cursor pop
-per iteration, each loop pops a batch of up to ``expansion_batch``
-cursors from a :class:`~repro.core.kernels.frontier.VectorFrontier`,
-gathers the batch's edges from the graph CSR in bulk, computes
-relaxation / activation candidates with the selected kernel, and
-applies them through the shared scalar cascade code in
-:mod:`repro.core.kernels.state`.
+These are the ``run()`` bodies the search classes delegate to under
+``SearchParams.expansion_backend="vectorized"``.  Instead of one cursor
+pop per iteration, each loop pops a batch of up to
+``cancel_check_interval`` cursors from a
+:class:`~repro.core.kernels.frontier.VectorFrontier`, gathers the
+batch's edges from the graph CSR in bulk, computes relaxation /
+activation candidates with the numpy kernels, and applies them through
+the scalar cascade code in :mod:`repro.core.kernels.state`.
 
 Contracts preserved from the per-pop loops:
 
 * **anytime/cancellation** — the token is consumed once per batch via
-  :meth:`CancellationToken.tick_many`; the batch is capped at
-  ``cancel_check_interval`` so a cancelled search still stops within
-  ~2 check intervals of pops, and a partially-granted batch processes
-  exactly the granted pops (``cancel_at_tick`` cuts stay exact).
-  Cancellation breaks *between* batches before any flush, so the
-  released answers remain a bound-certified prefix;
+  :meth:`CancellationToken.tick_many`; the batch *is*
+  ``cancel_check_interval`` pops, so a cancelled search still stops
+  within ~2 check intervals of pops, and a partially-granted batch
+  processes exactly the granted pops (``cancel_at_tick`` cuts stay
+  exact).  Cancellation breaks *between* batches before any flush, so
+  the released answers remain a bound-certified prefix;
 * **stats/tracing** — ``nodes_explored`` still counts pops,
   ``nodes_touched`` frontier inserts and ``edges_explored`` explored
   edges; ``_profile_tick`` runs once per pop so
@@ -30,9 +29,8 @@ Contracts preserved from the per-pop loops:
 What batching *changes* is exploration order: cursors 2..K of a batch
 are popped before cursor 1's relaxations land, so pop order (and
 anything downstream of it, like which equal-cost ``sp`` decomposition
-wins a tie) can differ from the python backend.  All kernel backends
-share one deterministic order, which is the parity property
-``tests/property/test_prop_kernels.py`` pins bit-identically.
+wins a tie) can differ from the python engine, and from this engine at
+another batch size.
 """
 
 from __future__ import annotations
@@ -51,18 +49,9 @@ from repro.core.kernels.expand import (
 from repro.core.kernels.frontier import VectorFrontier
 from repro.core.kernels.state import DenseActivationState, DensePathState
 
-__all__ = ["effective_batch", "run_si_batched", "run_bidi_batched"]
-
-#: Auto batch size before the ``cancel_check_interval`` cap.
-DEFAULT_BATCH = 32
+__all__ = ["run_si_batched", "run_bidi_batched"]
 
 _BIG = np.iinfo(np.int64).max
-
-
-def effective_batch(params) -> int:
-    """Resolve ``expansion_batch`` (0 = auto) under the cancellation cap."""
-    b = params.expansion_batch or DEFAULT_BATCH
-    return max(1, min(b, params.cancel_check_interval))
 
 
 def _grant(search, want: int) -> int:
@@ -96,8 +85,8 @@ def _assign_depths(
     src_depth_plus1: np.ndarray,
 ) -> None:
     """First-touch depths for newly discovered nodes: the minimum over
-    the batch edges that reached them (order-free, so every backend
-    agrees); already-known depths are kept (setdefault semantics)."""
+    the batch edges that reached them (order-free); already-known
+    depths are kept (setdefault semantics)."""
     np.minimum.at(scratch, tgt, src_depth_plus1)
     depth[fresh] = scratch[fresh]
     scratch[tgt] = _BIG
@@ -112,7 +101,7 @@ def _tie_sweep_dense(search, state: DensePathState) -> None:
 # ----------------------------------------------------------------------
 # SI-Backward
 # ----------------------------------------------------------------------
-def run_si_batched(search, backend: str):
+def run_si_batched(search):
     """Batched SI-Backward: distance-ordered single frontier."""
     params = search.params
     csr = graph_csr(search.graph)
@@ -132,7 +121,7 @@ def run_si_batched(search, backend: str):
         search.stats.touch(pushed)
         search.stats.heap_ops += pushed
 
-    batch_limit = effective_batch(params)
+    batch_limit = params.cancel_check_interval
     budget = params.node_budget
     while frontier and not search._done:
         # Ticks consumed == cursors popped (the legacy per-pop rate):
@@ -158,9 +147,7 @@ def run_si_batched(search, backend: str):
             tgt, src, w = gather_in(csr, expand_nodes)
             if len(w):
                 search.stats.explore_edge(len(w))
-                e_idx, i_idx, nd = dist_candidates(
-                    backend, state.dist, tgt, src, w
-                )
+                e_idx, i_idx, nd = dist_candidates(state.dist, tgt, src, w)
                 search.stats.candidates_generated += len(w)
                 search.stats.candidates_surviving += len(e_idx)
                 state.apply_dist_candidates(tgt, src, w, e_idx, i_idx, nd, emit)
@@ -197,30 +184,7 @@ def run_si_batched(search, backend: str):
 # ----------------------------------------------------------------------
 # Bidirectional
 # ----------------------------------------------------------------------
-def _choose_side(
-    rule: str, fin: VectorFrontier, fout: VectorFrontier, batch_limit: int
-) -> str:
-    """Which frontier to expand this batch.
-
-    ``"activation"`` is Figure 3's switch (highest-activation cursor
-    wins, ties favour incoming).  ``"fanout"`` expands the structurally
-    cheaper side: estimated batch fan-out = mean structural degree of
-    the live set x the cursors the batch would actually pop.
-    """
-    if not fout:
-        return "in"
-    if not fin:
-        return "out"
-    if rule == "fanout":
-        est_in = fin.cost_sum / len(fin) * min(batch_limit, len(fin))
-        est_out = fout.cost_sum / len(fout) * min(batch_limit, len(fout))
-        return "in" if est_in <= est_out else "out"
-    pin = fin.peek_priority()
-    pout = fout.peek_priority()
-    return "in" if pout is None or (pin is not None and pin >= pout) else "out"
-
-
-def run_bidi_batched(search, backend: str):
+def run_bidi_batched(search):
     """Batched Bidirectional: dual activation-ordered frontiers."""
     params = search.params
     csr = graph_csr(search.graph)
@@ -232,8 +196,8 @@ def run_bidi_batched(search, backend: str):
         mu=params.mu,
         combine=params.activation_combine,
     )
-    fin = VectorFrontier(csr.n, kind="max", cost=csr.in_degree)
-    fout = VectorFrontier(csr.n, kind="max", cost=csr.out_degree)
+    fin = VectorFrontier(csr.n, kind="max")
+    fout = VectorFrontier(csr.n, kind="max")
     xin = np.zeros(csr.n, dtype=bool)
     xout = np.zeros(csr.n, dtype=bool)
     depth = np.full(csr.n, -1, dtype=np.int64)
@@ -253,7 +217,7 @@ def run_bidi_batched(search, backend: str):
         search.stats.touch(pushed)
         search.stats.heap_ops += pushed
 
-    batch_limit = effective_batch(params)
+    batch_limit = params.cancel_check_interval
     budget = params.node_budget
     explain_side = None
     while (fin or fout) and not search._done:
@@ -263,16 +227,21 @@ def run_bidi_batched(search, backend: str):
             if room <= 0:
                 break
             want = min(want, room)
-        incoming = _choose_side(params.frontier_balance, fin, fout, want) == "in"
+        # Figure 3's switch: expand whichever queue holds the cursor
+        # with the highest activation (ties favour the incoming side,
+        # which discovers the potential roots).
+        pin = fin.peek_priority()
+        pout = fout.peek_priority()
+        incoming = pin is not None and (pout is None or pin >= pout)
         if search._explain_every and incoming is not explain_side:
             # Record only actual direction changes (mirrors the python
-            # backend) — one note per batch would flood the timeline.
+            # engine) — one note per batch would flood the timeline.
             explain_side = incoming
             search.explain_note(
                 "switch",
-                rule=params.frontier_balance,
-                pin=fin.peek_priority(),
-                pout=fout.peek_priority(),
+                rule="activation",
+                pin=pin,
+                pout=pout,
                 chose="in" if incoming else "out",
             )
         side = fin if incoming else fout
@@ -306,9 +275,7 @@ def run_bidi_batched(search, backend: str):
                 norm = csr.out_norm[rep]
             if len(w):
                 search.stats.explore_edge(len(w))
-                e_idx, i_idx, nd = dist_candidates(
-                    backend, state.dist, tgt_d, src_d, w
-                )
+                e_idx, i_idx, nd = dist_candidates(state.dist, tgt_d, src_d, w)
                 search.stats.candidates_generated += len(w)
                 search.stats.candidates_surviving += len(e_idx)
                 state.apply_dist_candidates(
@@ -316,7 +283,6 @@ def run_bidi_batched(search, backend: str):
                 )
                 state.drain_changed()  # priorities are activation-based
                 e_idx, i_idx, contr = spread_candidates(
-                    backend,
                     act.act,
                     nbr,
                     rep,

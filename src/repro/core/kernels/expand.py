@@ -1,4 +1,4 @@
-"""Batch-expansion candidate kernels (scalar / numpy / numba).
+"""Batch-expansion candidate kernels (numpy).
 
 A batch step gathers the frontier batch's edges from the CSR arrays
 (:func:`gather_in` / :func:`gather_out`) and computes *candidates* —
@@ -18,17 +18,15 @@ mid-batch are delivered by the cascades in
 :mod:`repro.core.kernels.state`, which flow through the batch's
 upfront-registered parent links.
 
-Every backend returns candidates in one canonical order — edge-major,
-keyword-minor — and identical IEEE float64 arithmetic, so downstream
-application (shared scalar code) is bit-identical across backends.
-The numba variants compile lazily on first use; callers never reach
-them unless :func:`repro.core.kernels.backend.resolve_backend` said
-numba is importable.
+Candidates come back in one canonical order — edge-major,
+keyword-minor — in IEEE float64.  Each kernel has a private loop twin
+(``_dist_candidates_reference`` / ``_spread_candidates_reference``):
+the same arithmetic one edge and keyword at a time, kept as the
+reference ``tests/core/test_kernels.py`` holds the array forms to, bit
+for bit.  Everything downstream of the candidates is shared code.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -82,58 +80,37 @@ def gather_out(
 # distance relaxation candidates
 # ----------------------------------------------------------------------
 def dist_candidates(
-    backend: str,
-    dist: np.ndarray,
-    tgt: np.ndarray,
-    src: np.ndarray,
-    w: np.ndarray,
+    dist: np.ndarray, tgt: np.ndarray, src: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(e_idx, i_idx, nd)`` of relaxations beating the snapshot."""
     if len(w) == 0:
         return _EMPTY_I, _EMPTY_I, _EMPTY_F
-    if backend == "vectorized":
-        nd_all = dist[:, src] + w[None, :]
-        better = nd_all < dist[:, tgt]
-        e_idx, i_idx = np.nonzero(better.T)
-        return e_idx, i_idx, nd_all[i_idx, e_idx]
-    if backend == "numba":
-        kernels = _numba_kernels()
-        cap = len(w) * dist.shape[0]
-        e_out = np.empty(cap, dtype=np.int64)
-        i_out = np.empty(cap, dtype=np.int64)
-        nd_out = np.empty(cap, dtype=np.float64)
-        count = kernels[0](dist, tgt, src, w, e_out, i_out, nd_out)
-        return e_out[:count], i_out[:count], nd_out[:count]
-    # scalar reference: same arrays, same arithmetic, python loops
-    k = dist.shape[0]
-    src_l = src.tolist()
-    tgt_l = tgt.tolist()
-    w_l = w.tolist()
+    nd_all = dist[:, src] + w[None, :]
+    better = nd_all < dist[:, tgt]
+    e_idx, i_idx = np.nonzero(better.T)
+    return e_idx, i_idx, nd_all[i_idx, e_idx]
+
+
+def _dist_candidates_reference(
+    dist: np.ndarray, tgt: np.ndarray, src: np.ndarray, w: np.ndarray
+) -> tuple[list[int], list[int], list[float]]:
     e_acc: list[int] = []
     i_acc: list[int] = []
     nd_acc: list[float] = []
-    for e in range(len(w_l)):
-        s = src_l[e]
-        t = tgt_l[e]
-        wt = w_l[e]
-        for i in range(k):
+    for e, (t, s, wt) in enumerate(zip(tgt.tolist(), src.tolist(), w.tolist())):
+        for i in range(dist.shape[0]):
             nd = dist[i, s] + wt
             if nd < dist[i, t]:
                 e_acc.append(e)
                 i_acc.append(i)
                 nd_acc.append(float(nd))
-    return (
-        np.array(e_acc, dtype=np.int64),
-        np.array(i_acc, dtype=np.int64),
-        np.array(nd_acc, dtype=np.float64),
-    )
+    return e_acc, i_acc, nd_acc
 
 
 # ----------------------------------------------------------------------
 # activation spread candidates
 # ----------------------------------------------------------------------
 def spread_candidates(
-    backend: str,
     act: np.ndarray,
     tgt: np.ndarray,
     src: np.ndarray,
@@ -150,108 +127,36 @@ def spread_candidates(
     """
     if len(w) == 0:
         return _EMPTY_I, _EMPTY_I, _EMPTY_F
-    want_sum = combine == "sum"
-    if backend == "vectorized":
-        contr = (mu * act[:, src]) * (1.0 / w)[None, :] / norm[None, :]
-        if want_sum:
-            better = contr > min_contribution
-        else:
-            better = contr > act[:, tgt]
-        e_idx, i_idx = np.nonzero(better.T)
-        return e_idx, i_idx, contr[i_idx, e_idx]
-    if backend == "numba":
-        kernels = _numba_kernels()
-        cap = len(w) * act.shape[0]
-        e_out = np.empty(cap, dtype=np.int64)
-        i_out = np.empty(cap, dtype=np.int64)
-        c_out = np.empty(cap, dtype=np.float64)
-        count = kernels[1](
-            act, tgt, src, w, norm, mu, want_sum, min_contribution,
-            e_out, i_out, c_out,
-        )
-        return e_out[:count], i_out[:count], c_out[:count]
-    k = act.shape[0]
-    src_l = src.tolist()
-    tgt_l = tgt.tolist()
-    w_l = w.tolist()
-    norm_l = norm.tolist()
+    contr = (mu * act[:, src]) * (1.0 / w)[None, :] / norm[None, :]
+    if combine == "sum":
+        better = contr > min_contribution
+    else:
+        better = contr > act[:, tgt]
+    e_idx, i_idx = np.nonzero(better.T)
+    return e_idx, i_idx, contr[i_idx, e_idx]
+
+
+def _spread_candidates_reference(
+    act: np.ndarray,
+    tgt: np.ndarray,
+    src: np.ndarray,
+    w: np.ndarray,
+    norm: np.ndarray,
+    mu: float,
+    combine: str,
+    min_contribution: float,
+) -> tuple[list[int], list[int], list[float]]:
     e_acc: list[int] = []
     i_acc: list[int] = []
     c_acc: list[float] = []
-    for e in range(len(w_l)):
-        s = src_l[e]
-        t = tgt_l[e]
-        wt = w_l[e]
-        nm = norm_l[e]
-        for i in range(k):
+    for e, (t, s, wt, nm) in enumerate(
+        zip(tgt.tolist(), src.tolist(), w.tolist(), norm.tolist())
+    ):
+        for i in range(act.shape[0]):
             contribution = (mu * act[i, s]) * (1.0 / wt) / nm
-            if want_sum:
-                ok = contribution > min_contribution
-            else:
-                ok = contribution > act[i, t]
-            if ok:
+            floor = min_contribution if combine == "sum" else act[i, t]
+            if contribution > floor:
                 e_acc.append(e)
                 i_acc.append(i)
                 c_acc.append(float(contribution))
-    return (
-        np.array(e_acc, dtype=np.int64),
-        np.array(i_acc, dtype=np.int64),
-        np.array(c_acc, dtype=np.float64),
-    )
-
-
-# ----------------------------------------------------------------------
-# numba backend (lazy compile; guarded by resolve_backend upstream)
-# ----------------------------------------------------------------------
-_NUMBA_CACHE: Optional[tuple] = None
-
-
-def _numba_kernels() -> tuple:
-    global _NUMBA_CACHE
-    if _NUMBA_CACHE is not None:
-        return _NUMBA_CACHE
-    import numba
-
-    @numba.njit(cache=False)
-    def dist_kernel(dist, tgt, src, w, e_out, i_out, nd_out):  # pragma: no cover
-        count = 0
-        k = dist.shape[0]
-        for e in range(w.shape[0]):
-            s = src[e]
-            t = tgt[e]
-            wt = w[e]
-            for i in range(k):
-                nd = dist[i, s] + wt
-                if nd < dist[i, t]:
-                    e_out[count] = e
-                    i_out[count] = i
-                    nd_out[count] = nd
-                    count += 1
-        return count
-
-    @numba.njit(cache=False)
-    def spread_kernel(  # pragma: no cover
-        act, tgt, src, w, norm, mu, want_sum, floor, e_out, i_out, c_out
-    ):
-        count = 0
-        k = act.shape[0]
-        for e in range(w.shape[0]):
-            s = src[e]
-            t = tgt[e]
-            wt = w[e]
-            nm = norm[e]
-            for i in range(k):
-                contribution = (mu * act[i, s]) * (1.0 / wt) / nm
-                if want_sum:
-                    ok = contribution > floor
-                else:
-                    ok = contribution > act[i, t]
-                if ok:
-                    e_out[count] = e
-                    i_out[count] = i
-                    c_out[count] = contribution
-                    count += 1
-        return count
-
-    _NUMBA_CACHE = (dist_kernel, spread_kernel)
-    return _NUMBA_CACHE
+    return e_acc, i_acc, c_acc

@@ -7,17 +7,12 @@ and an insertion sequence number for deterministic tie-breaking.
 ``argpartition`` + ``lexsort`` pass — O(frontier) per *batch* instead
 of O(log frontier) per *pop*, and entirely in numpy.
 
-Determinism contract (shared by every kernel backend): pops order by
-``(priority, seq)`` — seq assigned on first insertion and on every
-:meth:`push` re-insertion (mirroring the lazy heaps' push-on-update),
-while :meth:`update_many` reprioritizes *without* bumping seq (the
-batched engines' deferred decrease/increase-key, applied in bulk at
-batch end where arrival order is meaningless).
-
-An optional per-node integer ``cost`` vector (e.g. degree) is summed
-incrementally over the live set — the bidirectional engine's
-``"fanout"`` balancing rule reads :attr:`cost_sum` to estimate which
-side is structurally cheaper to expand.
+Determinism contract: pops order by ``(priority, seq)`` — seq assigned
+on first insertion and on every :meth:`push` re-insertion (mirroring
+the lazy heaps' push-on-update), while :meth:`update_many`
+reprioritizes *without* bumping seq (the batched engines' deferred
+decrease/increase-key, applied in bulk at batch end where arrival order
+is meaningless).
 """
 
 from __future__ import annotations
@@ -34,22 +29,17 @@ _EMPTY = np.zeros(0, dtype=np.int64)
 class VectorFrontier:
     """Dense min- or max-frontier over nodes ``0..n-1`` with batch pops."""
 
-    def __init__(
-        self, n: int, kind: str = "min", cost: Optional[np.ndarray] = None
-    ) -> None:
+    def __init__(self, n: int, kind: str = "min") -> None:
         if kind not in ("min", "max"):
             raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
         self._sign = 1.0 if kind == "min" else -1.0
         # Signed priority; +inf marks an absent node so selection can
         # ignore membership without a second mask read.
         self._key = np.full(n, np.inf, dtype=np.float64)
-        self._prio = np.zeros(n, dtype=np.float64)
         self._seq = np.zeros(n, dtype=np.int64)
         self._in = np.zeros(n, dtype=bool)
         self._count = 0
         self._next_seq = 0
-        self._cost = cost
-        self.cost_sum = 0
 
     # ------------------------------------------------------------------
     def push(self, node: int, priority: float) -> None:
@@ -57,9 +47,6 @@ class VectorFrontier:
         if not self._in[node]:
             self._in[node] = True
             self._count += 1
-            if self._cost is not None:
-                self.cost_sum += int(self._cost[node])
-        self._prio[node] = priority
         self._key[node] = self._sign * priority
         self._seq[node] = self._next_seq
         self._next_seq += 1
@@ -73,13 +60,9 @@ class VectorFrontier:
         m = len(nodes)
         if m == 0:
             return 0
-        fresh = ~self._in[nodes]
-        new = int(fresh.sum())
+        new = int((~self._in[nodes]).sum())
         self._in[nodes] = True
         self._count += new
-        if self._cost is not None and new:
-            self.cost_sum += int(self._cost[nodes[fresh]].sum())
-        self._prio[nodes] = priorities
         self._key[nodes] = self._sign * priorities
         self._seq[nodes] = np.arange(
             self._next_seq, self._next_seq + m, dtype=np.int64
@@ -94,7 +77,6 @@ class VectorFrontier:
         """
         if len(nodes) == 0:
             return
-        self._prio[nodes] = priorities
         self._key[nodes] = self._sign * priorities
 
     # ------------------------------------------------------------------
@@ -117,8 +99,6 @@ class VectorFrontier:
         self._in[chosen] = False
         self._key[chosen] = np.inf
         self._count -= k
-        if self._cost is not None:
-            self.cost_sum -= int(self._cost[chosen].sum())
         return chosen.astype(np.int64, copy=False)
 
     # ------------------------------------------------------------------

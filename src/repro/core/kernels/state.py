@@ -26,11 +26,9 @@ state.
 :class:`~repro.core.activation.ActivationTable` the same way, sharing
 the explored sets so ACTIVATE flows along explored edges only.
 
-The candidate *computation* differs per backend (scalar / numpy /
-numba kernels in :mod:`repro.core.kernels.expand`); the *application*
-here — recheck, set, cascade — is plain python shared by every
-backend, which is what makes kernel backends bit-identical to each
-other by construction.
+The candidate *computation* is numpy
+(:mod:`repro.core.kernels.expand`); the *application* here — recheck,
+set, cascade — is plain python.
 """
 
 from __future__ import annotations
@@ -128,7 +126,7 @@ class DensePathState:
         return best
 
     # ------------------------------------------------------------------
-    # candidate application (shared scalar path — all backends)
+    # candidate application (scalar path)
     # ------------------------------------------------------------------
     def apply_dist_candidates(
         self,

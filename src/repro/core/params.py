@@ -14,6 +14,12 @@ from typing import Optional
 __all__ = ["SearchParams", "DEFAULT_PARAMS"]
 
 
+def _check_type(name: str, value, types: tuple, what: str) -> None:
+    """``bool`` is an ``int`` and NaN a ``float``; neither is a setting."""
+    if isinstance(value, bool) or not isinstance(value, types) or value != value:
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SearchParams:
     """Tunable knobs shared by every search algorithm.
@@ -45,10 +51,6 @@ class SearchParams:
         ``"exact"`` uses the NRA-style upper bound of Section 4.5;
         ``"heuristic"`` uses the looser edge-score-only bound the paper
         describes as "cheaper ... outputs answers faster".
-    flush_interval:
-        Recompute the output bound every this many pops.  Purely a
-        constant-factor engineering knob; 16 keeps bound upkeep under a
-        few percent of runtime.
     max_combos_per_node:
         MI-Backward only: cap on origin combinations emitted per
         confluence node, bounding the cross-product blowup inherent to
@@ -58,7 +60,9 @@ class SearchParams:
         :class:`~repro.core.cancellation.CancellationToken`'s expensive
         sources (deadline clock, external cancel channel).  Bounds the
         overrun of a cancelled search at ~2 intervals of pops; the
-        service layers forward it as the token's ``check_every``.
+        service layers forward it as the token's ``check_every``.  It
+        is also the batch size of the ``"vectorized"`` engine, which
+        consumes the token once per batch.
     trace_every_n_pops:
         Sampling interval of the per-stage search profiler: every this
         many pops, the search records a trajectory sample (pops,
@@ -66,38 +70,17 @@ class SearchParams:
         ``0`` (the default) disables sampling; the end-of-run summary
         attributes are recorded either way whenever a span is active.
     expansion_backend:
-        Which expansion kernel drives the inner loops:
-        ``"python"`` (the per-pop loops), ``"scalar"`` (the
-        batched engine with pure-python kernels — the parity
-        reference), ``"vectorized"`` (batched engine with numpy
-        kernels) or ``"numba"`` (compiled kernels; silently falls back
-        to ``"vectorized"`` when numba is not installed).  The default
-        ``"auto"`` resolves to the ``REPRO_EXPANSION_BACKEND``
-        environment variable, or ``"python"`` when unset.  Every value
-        shares one emission path, gated on the release bound in
-        ``BaseSearch``: ``"python"`` keeps the seed's pop schedule and
-        released answers, not the seed's emission stream (it builds
-        only the trees that can still be output).
-    expansion_batch:
-        Cursors popped per iteration by the batched engines.  ``0``
-        (default) auto-selects: 1 for the python backend, otherwise
-        ``min(32, cancel_check_interval)``.  The effective batch is
-        always capped at ``cancel_check_interval`` so a cancelled
-        search still returns within ~2 check intervals of pops.
-    frontier_balance:
-        Bidirectional batched engine's side-selection rule:
-        ``"activation"`` (the paper's Figure 3 switch — expand the
-        queue holding the globally highest-activation cursor) or
-        ``"fanout"`` (expand the structurally cheaper side by
-        estimated batch fan-out; see docs/PERFORMANCE.md).
-    tie_alternates:
-        Emit the canonical equal-cost decomposition of a completed root
-        alongside the ``sp``-table one when shortest paths are tied
-        (see :mod:`repro.core.ties`), and re-sweep complete nodes at
-        natural exhaustion — the guarantee that an answer whose path
-        table settled on a non-minimal chain still surfaces as its
-        equal-cost minimal rooting.  On by default; an escape hatch
-        for exact replication of the pre-fix emission stream.
+        Which engine drives SI-Backward and Bidirectional:
+        ``"python"`` (the default: one cursor per pop over dict tables,
+        no per-graph set-up) or ``"vectorized"`` (pops
+        ``cancel_check_interval`` cursors per batch over the graph's
+        CSR arrays with numpy candidate kernels; pays an O(n) set-up
+        per graph and wins on long expansions, see
+        docs/PERFORMANCE.md).  Batching changes pop order, so the two
+        may decompose tied paths differently.  MI-Backward runs the
+        paper's per-iterator schedule under either value.  Both share
+        one emission path, gated on the release bound in
+        ``BaseSearch``.
     """
 
     mu: float = 0.5
@@ -107,16 +90,29 @@ class SearchParams:
     max_results: int = 10
     node_budget: Optional[int] = None
     output_mode: str = "exact"
-    flush_interval: int = 16
     max_combos_per_node: int = 64
     cancel_check_interval: int = 32
     trace_every_n_pops: int = 0
-    expansion_backend: str = "auto"
-    expansion_batch: int = 0
-    frontier_balance: str = "activation"
-    tie_alternates: bool = True
+    expansion_backend: str = "python"
 
     def __post_init__(self) -> None:
+        # Types first: params arrive as JSON from HTTP clients, and an
+        # ill-typed value must be a ValueError naming the field here,
+        # not a TypeError (or a silently truncated count) mid-search.
+        for name in ("mu", "lam"):
+            _check_type(name, getattr(self, name), (int, float), "a number")
+        for name in (
+            "dmax",
+            "max_results",
+            "max_combos_per_node",
+            "cancel_check_interval",
+            "trace_every_n_pops",
+        ):
+            _check_type(name, getattr(self, name), (int,), "an integer")
+        if self.node_budget is not None:
+            _check_type("node_budget", self.node_budget, (int,), "an integer")
+        for name in ("activation_combine", "output_mode", "expansion_backend"):
+            _check_type(name, getattr(self, name), (str,), "a string")
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError(f"mu must be in [0, 1], got {self.mu!r}")
         if self.activation_combine not in ("max", "sum"):
@@ -136,10 +132,6 @@ class SearchParams:
             raise ValueError(
                 f"output_mode must be 'exact' or 'heuristic', got {self.output_mode!r}"
             )
-        if self.flush_interval < 1:
-            raise ValueError(
-                f"flush_interval must be >= 1, got {self.flush_interval!r}"
-            )
         if self.max_combos_per_node < 1:
             raise ValueError(
                 f"max_combos_per_node must be >= 1, got {self.max_combos_per_node!r}"
@@ -154,25 +146,10 @@ class SearchParams:
                 f"trace_every_n_pops must be >= 0, got "
                 f"{self.trace_every_n_pops!r}"
             )
-        if self.expansion_backend not in (
-            "auto",
-            "python",
-            "scalar",
-            "vectorized",
-            "numba",
-        ):
+        if self.expansion_backend not in ("python", "vectorized"):
             raise ValueError(
-                "expansion_backend must be one of 'auto', 'python', 'scalar', "
-                f"'vectorized', 'numba', got {self.expansion_backend!r}"
-            )
-        if self.expansion_batch < 0:
-            raise ValueError(
-                f"expansion_batch must be >= 0, got {self.expansion_batch!r}"
-            )
-        if self.frontier_balance not in ("activation", "fanout"):
-            raise ValueError(
-                "frontier_balance must be 'activation' or 'fanout', got "
-                f"{self.frontier_balance!r}"
+                "expansion_backend must be one of 'python', 'vectorized', "
+                f"got {self.expansion_backend!r}"
             )
 
     def with_(self, **changes) -> "SearchParams":

@@ -290,9 +290,7 @@ SCORE_FORMULA = "node_score**lambda / (1 + edge_score)"
 #: Parameter fields excluded from the canonical echo: they select *how*
 #: the engine computes, not *what* the query means, and legitimately
 #: differ across backends/runs of the same logical query.
-_NON_CANONICAL_PARAMS = frozenset(
-    {"expansion_backend", "expansion_batch", "trace_every_n_pops"}
-)
+_NON_CANONICAL_PARAMS = frozenset({"expansion_backend", "trace_every_n_pops"})
 
 
 def _params_echo(params) -> dict:

@@ -140,6 +140,66 @@ def test_healthz_reports_fleet_state(server, sharded):
         server.service = original
 
 
+BAD_PARAMS = [
+    # ill-typed JSON values: never a TypeError 500 from inside a
+    # worker, never a fraction or a boolean silently searched with
+    ({"dmax": "8"}, "dmax"),
+    ({"mu": "x"}, "mu"),
+    ({"max_results": 2.5}, "max_results"),
+    ({"node_budget": 10.5}, "node_budget"),
+    ({"cancel_check_interval": 1.5}, "cancel_check_interval"),
+    ({"dmax": True}, "dmax"),
+    # removed spellings and knobs
+    ({"expansion_backend": "auto"}, "expansion_backend"),
+    ({"expansion_backend": "scalar"}, "expansion_backend"),
+    ({"expansion_backend": "numba"}, "expansion_backend"),
+    ({"expansion_batch": 64}, "expansion_batch"),
+    ({"frontier_balance": "fanout"}, "frontier_balance"),
+    ({"tie_alternates": False}, "tie_alternates"),
+    ({"flush_interval": 16}, "flush_interval"),
+]
+
+
+@pytest.mark.parametrize("tier", ["thread", "fleet"])
+def test_bad_params_are_structured_400s_on_both_tiers(server, sharded, tier):
+    original = server.service
+    service, dataset = (original, "toy") if tier == "thread" else (sharded, "alpha")
+    try:
+        server.service = service
+        before = service.metrics()["requests_total"]
+        for params, field in BAD_PARAMS:
+            body = {"dataset": dataset, "query": "gray transaction", "params": params}
+            status, reply = _post(server, "/search", body)
+            assert status == 400, (params, status, reply)
+            assert reply["error_type"] == "ValueError"
+            assert field in reply["error"]
+            # in a batch the bad slot fails alone
+            status, reply = _post(
+                server,
+                "/batch",
+                {"requests": [body, {"dataset": dataset, "query": "gray transaction"}]},
+            )
+            assert status == 200
+            assert reply["responses"][0]["error_type"] == "ValueError"
+            assert field in reply["responses"][0]["error"]
+            assert reply["responses"][1]["error"] is None
+        # None of the bad bodies reached a search: only the batches'
+        # good slots were counted.
+        assert service.metrics()["requests_total"] == before + len(BAD_PARAMS)
+        status, reply = _post(
+            server,
+            "/search",
+            {
+                "dataset": dataset,
+                "query": "gray transaction",
+                "params": {"expansion_backend": "vectorized"},
+            },
+        )
+        assert status == 200 and reply["error"] is None
+    finally:
+        server.service = original
+
+
 def _get_raw(server, path):
     """Like ``_get`` but also returns headers and the raw body text."""
     try:

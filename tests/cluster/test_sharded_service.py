@@ -4,16 +4,23 @@ structured errors, caching affinity, metrics aggregation, warmup."""
 import pytest
 
 from repro.cluster import ShardedQueryService
+from repro.core.params import SearchParams
 from repro.errors import DeadlineExceededError, SnapshotError
 from repro.service.service import QueryRequest
 
 
-def test_search_matches_local_engine(sharded, toy_engine_session):
-    response = sharded.search("alpha", "gray transaction", k=3)
+@pytest.mark.parametrize("backend", ["python", "vectorized"])
+def test_search_matches_local_engine(sharded, toy_engine_session, backend):
+    # The engine choice rides the wire inside ``params``: the worker
+    # must run the batched engine when asked (``kernel_batches``).
+    params = SearchParams(max_results=3, expansion_backend=backend)
+    response = sharded.search("alpha", "gray transaction", params=params)
     assert response.ok, response.error
-    local = toy_engine_session.search("gray transaction", k=3)
+    local = toy_engine_session.search("gray transaction", params=params)
     assert response.result.scores() == local.scores()
     assert response.result.signatures() == local.signatures()
+    assert response.result.stats.kernel_batches == local.stats.kernel_batches
+    assert (local.stats.kernel_batches > 0) == (backend == "vectorized")
     assert response.request.dataset == "alpha"
 
 

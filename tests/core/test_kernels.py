@@ -1,61 +1,89 @@
-"""Unit tests for the batched expansion kernels: backend resolution,
-the CSR snapshot, the vector frontier's determinism rules, batch-size
-resolution, and the batched loops' cancellation responsiveness bound.
+"""Unit tests for the batched expansion engine: the numpy candidate
+kernels against their private reference loops, the CSR snapshot, the
+vector frontier's determinism rules, the batch size, and the batched
+loops' cancellation responsiveness bound.
 (The emission gate is not a kernel concern: ``test_output_heap.py`` and
 ``test_driver.py`` cover it.)
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.backward_si import SingleIteratorBackwardSearch
 from repro.core.bidirectional import BidirectionalSearch
 from repro.core.cancellation import CancellationToken
-from repro.core.kernels import (
-    ENV_VAR,
-    GraphCSR,
-    VectorFrontier,
-    available_backends,
-    graph_csr,
-    numba_available,
-    resolve_backend,
-)
-from repro.core.kernels.engines import effective_batch
+from repro.core.kernels import GraphCSR, VectorFrontier, graph_csr
+from repro.core.kernels import expand
 from repro.core.params import SearchParams
 
 from tests.helpers import build_graph
 
 
-class TestBackendResolution:
-    def test_explicit_backends_pass_through(self):
-        assert resolve_backend("python") == "python"
-        assert resolve_backend("scalar") == "scalar"
-        assert resolve_backend("vectorized") == "vectorized"
+@st.composite
+def kernel_inputs(draw):
+    """Random ``(state, tgt, src, w, norm)`` arrays: ``k x n`` state
+    with ties, zeros and (for distances) unreached ``inf`` cells, and
+    up to 24 edges with repeats and self-loops."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=8))
+    m = draw(st.integers(min_value=0, max_value=24))
+    cell = st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0, float("inf")]),
+        st.floats(min_value=0.0, max_value=8.0, allow_nan=False),
+    )
+    state = np.array(
+        draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=k, max_size=k)),
+        dtype=np.float64,
+    ).reshape(k, n)
+    node = st.integers(min_value=0, max_value=n - 1)
+    positive = st.floats(min_value=0.1, max_value=6.0, allow_nan=False)
+    tgt = np.array(draw(st.lists(node, min_size=m, max_size=m)), dtype=np.int64)
+    src = np.array(draw(st.lists(node, min_size=m, max_size=m)), dtype=np.int64)
+    w = np.array(draw(st.lists(positive, min_size=m, max_size=m)), dtype=np.float64)
+    norm = np.array(draw(st.lists(positive, min_size=m, max_size=m)), dtype=np.float64)
+    return state, tgt, src, w, norm
 
-    def test_auto_defaults_to_python(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert resolve_backend("auto") == "python"
 
-    def test_auto_reads_environment(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "vectorized")
-        assert resolve_backend("auto") == "vectorized"
+def _assert_same_candidates(got, want):
+    """Same (edge, keyword) pairs in the same order, values bit-equal."""
+    e_idx, i_idx, values = got
+    e_ref, i_ref, values_ref = want
+    assert e_idx.tolist() == e_ref
+    assert i_idx.tolist() == i_ref
+    assert [v.hex() for v in values.tolist()] == [v.hex() for v in values_ref]
 
-    def test_env_typo_raises(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "vectorised")
-        with pytest.raises(ValueError, match="unknown expansion backend"):
-            resolve_backend("auto")
 
-    def test_numba_degrades_when_absent(self):
-        resolved = resolve_backend("numba")
-        if numba_available():
-            assert resolved == "numba"
-        else:
-            assert resolved == "vectorized"
+class TestKernelsMatchReferenceLoops:
+    """The engines share all application code, so candidate computation
+    is the only place the numpy path could diverge from per-element
+    python arithmetic."""
 
-    def test_available_backends_always_include_core_three(self):
-        arms = available_backends()
-        for backend in ("python", "scalar", "vectorized"):
-            assert backend in arms
+    @given(case=kernel_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_dist_candidates(self, case):
+        dist, tgt, src, w, _ = case
+        _assert_same_candidates(
+            expand.dist_candidates(dist, tgt, src, w),
+            expand._dist_candidates_reference(dist, tgt, src, w),
+        )
+
+    @pytest.mark.parametrize("combine", ["max", "sum"])
+    @given(
+        case=kernel_inputs(),
+        mu=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+        floor=st.sampled_from([0.0, 1e-9, 0.05]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_spread_candidates(self, combine, case, mu, floor):
+        act, tgt, src, w, norm = case
+        act = np.where(np.isinf(act), 0.0, act)  # activations are finite
+        args = (act, tgt, src, w, norm, mu, combine, floor)
+        _assert_same_candidates(
+            expand.spread_candidates(*args),
+            expand._spread_candidates_reference(*args),
+        )
 
 
 class TestGraphCSR:
@@ -121,39 +149,53 @@ class TestVectorFrontier:
         assert not f.contains_mask.any()
 
 
-class TestEffectiveBatch:
-    def test_auto_capped_by_cancel_interval(self):
-        params = SearchParams(cancel_check_interval=8)
-        assert effective_batch(params) == 8
+class TestBatchSize:
+    """The batch is ``cancel_check_interval`` cursors: no other knob."""
 
-    def test_explicit_batch_capped_by_cancel_interval(self):
-        params = SearchParams(expansion_batch=64, cancel_check_interval=16)
-        assert effective_batch(params) == 16
+    @pytest.mark.parametrize("interval", [1, 8, 32])
+    def test_si_pops_full_batches(self, interval):
+        # 100 isolated seeds: nothing is ever pushed after seeding, so
+        # the frontier drains in ceil(100 / interval) full batches.
+        graph = build_graph(100, [])
+        sets = [frozenset(range(60)), frozenset(range(60, 100))]
+        params = SearchParams(
+            expansion_backend="vectorized", cancel_check_interval=interval
+        )
+        stats = SingleIteratorBackwardSearch(
+            graph, ("a", "b"), sets, params=params
+        ).run().stats
+        assert stats.nodes_explored == 100
+        assert stats.kernel_batches == -(-100 // interval)
 
-    def test_explicit_batch_below_cap_kept(self):
-        params = SearchParams(expansion_batch=4, cancel_check_interval=64)
-        assert effective_batch(params) == 4
+    @pytest.mark.parametrize("interval", [1, 8, 32])
+    def test_bidirectional_batches_never_exceed_the_interval(self, interval):
+        graph = build_graph(100, [(i + 1, i) for i in range(99)])
+        sets = [frozenset(range(40)), frozenset({99})]
+        params = SearchParams(
+            expansion_backend="vectorized", cancel_check_interval=interval, dmax=200
+        )
+        stats = BidirectionalSearch(graph, ("a", "b"), sets, params=params).run().stats
+        assert stats.kernel_batches >= -(-stats.nodes_explored // interval)
+        if interval == 1:
+            assert stats.kernel_batches == stats.nodes_explored
 
 
 class TestCancellationResponsiveness:
     """The batched loops consume the token once per batch, and the
-    batch is capped at ``cancel_check_interval`` — so a firing token
-    stops the search within ~2 check intervals of pops even at the
-    largest batch size."""
+    batch is ``cancel_check_interval`` pops — so a firing token stops
+    the search within ~2 check intervals of pops."""
 
     def _chain(self, n=400):
         return build_graph(n, [(i + 1, i) for i in range(n - 1)])
 
     @pytest.mark.parametrize("cls", [SingleIteratorBackwardSearch, BidirectionalSearch])
-    @pytest.mark.parametrize("backend", ["vectorized", "scalar"])
-    def test_stops_within_two_check_intervals(self, cls, backend):
+    def test_stops_within_two_check_intervals(self, cls):
         interval = 32
         graph = self._chain()
         sets = [frozenset({0}), frozenset({399})]
         token = CancellationToken(cancel_at_tick=48, check_every=1)
         params = SearchParams(
-            expansion_backend=backend,
-            expansion_batch=512,  # asks for more than the cap allows
+            expansion_backend="vectorized",
             cancel_check_interval=interval,
             max_results=1,
             dmax=500,
@@ -168,7 +210,6 @@ class TestCancellationResponsiveness:
         token = CancellationToken(cancel_at_tick=10, check_every=1)
         params = SearchParams(
             expansion_backend="vectorized",
-            expansion_batch=32,
             cancel_check_interval=32,
             max_results=1,
             dmax=500,

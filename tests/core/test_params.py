@@ -1,5 +1,7 @@
 """SearchParams validation and defaults."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.params import DEFAULT_PARAMS, SearchParams
@@ -31,12 +33,41 @@ class TestValidation:
         ("max_results", 0),
         ("node_budget", 0),
         ("output_mode", "fancy"),
-        ("flush_interval", 0),
         ("max_combos_per_node", 0),
+        ("cancel_check_interval", 0),
+        ("trace_every_n_pops", -1),
     ])
     def test_rejects_bad_values(self, field, value):
         with pytest.raises(ValueError):
             SearchParams(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        # What a JSON client can send: strings for numbers, fractions
+        # and booleans for counts, NaN, numbers for names.
+        ("dmax", "8"),
+        ("dmax", True),
+        ("dmax", 8.0),
+        ("mu", "x"),
+        ("mu", True),
+        ("mu", float("nan")),
+        ("lam", "0.2"),
+        ("lam", float("nan")),
+        ("max_results", 2.5),
+        ("node_budget", 10.5),
+        ("node_budget", "10"),
+        ("max_combos_per_node", 1.5),
+        ("cancel_check_interval", 1.5),
+        ("trace_every_n_pops", None),
+        ("activation_combine", 1),
+        ("output_mode", None),
+        ("expansion_backend", 0),
+    ])
+    def test_rejects_ill_typed_values_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SearchParams(**{field: value})
+
+    def test_integer_valued_reals_are_accepted(self):
+        assert SearchParams(mu=1, lam=0).mu == 1
 
     def test_boundary_values_accepted(self):
         SearchParams(mu=0.0)
@@ -45,3 +76,24 @@ class TestValidation:
         SearchParams(dmax=1)
         SearchParams(node_budget=1)
         SearchParams(output_mode="heuristic")
+
+
+class TestTheKnobsThatAreLeft:
+    def test_eleven_fields(self):
+        assert len(dataclasses.fields(SearchParams)) == 11
+
+    def test_two_engines(self):
+        assert DEFAULT_PARAMS.expansion_backend == "python"
+        SearchParams(expansion_backend="vectorized")
+
+    @pytest.mark.parametrize("backend", ["auto", "scalar", "numba", ""])
+    def test_removed_backend_spellings_are_rejected(self, backend):
+        with pytest.raises(ValueError, match="expansion_backend must be one of"):
+            SearchParams(expansion_backend=backend)
+
+    @pytest.mark.parametrize(
+        "knob", ["expansion_batch", "frontier_balance", "tie_alternates", "flush_interval"]
+    )
+    def test_removed_knobs_are_not_constructor_arguments(self, knob):
+        with pytest.raises(TypeError, match=knob):
+            SearchParams(**{knob: 1})

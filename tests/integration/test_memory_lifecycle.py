@@ -30,7 +30,7 @@ from repro.telemetry.trace import Tracer
 from tests.helpers import assert_no_cyclic_garbage
 
 ALGORITHMS = ("bidirectional", "si-backward", "mi-backward")
-BACKENDS = ("python", "scalar", "vectorized")
+BACKENDS = ("python", "vectorized")
 QUERIES = ("gray transaction", "selinger vldb", '"jim gray" sigmod')
 MUTATION = [
     AddNode(label="Live Paper", table="paper", text="liveterm topic"),

@@ -12,7 +12,7 @@ Pinned:
 (a) the gated run equals the open-gate run on the whole contract tuple —
     released trees, scores, order, ``complete``, generation/output pops
     and every exploration counter — for all three algorithms on the
-    python, scalar and vectorized backends; only the emission counters
+    python and vectorized backends; only the emission counters
     may shrink;
 (b) the bound is sound: every tree that reaches ``Scorer.build_tree``
     scores at most ``tree_score_bound(root, leaf prestige, E)`` for the
@@ -47,7 +47,7 @@ from tests.conftest import make_toy_db
 from tests.helpers import build_graph
 
 ALGORITHMS = [BidirectionalSearch, SingleIteratorBackwardSearch, BackwardExpandingSearch]
-BACKENDS = ["python", "scalar", "vectorized"]
+BACKENDS = ["python", "vectorized"]
 TOP_K = [1, 3, 10]
 
 

@@ -30,7 +30,7 @@ ALGORITHMS = (
     SingleIteratorBackwardSearch,
     BackwardExpandingSearch,
 )
-BACKENDS = ("python", "scalar", "vectorized")
+BACKENDS = ("python", "vectorized")
 PARAMS = SearchParams(max_results=50, dmax=20, max_combos_per_node=64)
 
 

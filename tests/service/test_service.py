@@ -122,12 +122,28 @@ class TestRegistry:
 # single search + cache behaviour
 # ----------------------------------------------------------------------
 class TestSearch:
-    def test_matches_engine_search(self, service, toy_engine):
-        response = service.search("toy", "gray transaction", k=3)
+    @pytest.mark.parametrize("backend", ["python", "vectorized"])
+    def test_matches_engine_search(self, service, toy_engine, backend):
+        params = SearchParams(max_results=3, expansion_backend=backend)
+        response = service.search("toy", "gray transaction", params=params)
         assert response.ok and not response.cached
-        base = toy_engine.search("gray transaction", k=3)
+        base = toy_engine.search("gray transaction", params=params)
         assert response.result.scores() == base.scores()
         assert response.result.signatures() == base.signatures()
+        assert (response.result.stats.kernel_batches > 0) == (
+            backend == "vectorized"
+        )
+
+    def test_engines_do_not_share_cache_entries(self, service):
+        # Batching may decompose tied paths differently, so a result
+        # computed by one engine must not answer for the other.
+        vectorized = SearchParams(expansion_backend="vectorized")
+        assert not service.search("toy", "gray transaction").cached
+        second = service.search("toy", "gray transaction", params=vectorized)
+        assert not second.cached
+        assert second.result.stats.kernel_batches > 0
+        assert service.search("toy", "gray transaction", params=vectorized).cached
+        assert service.search("toy", "gray transaction").cached
 
     def test_repeat_query_is_cached(self, service):
         first = service.search("toy", "gray transaction", k=3)

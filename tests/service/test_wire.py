@@ -31,6 +31,33 @@ def test_params_rejects_unknown_fields():
         params_from_dict({"mu": 0.5, "bogus": 1})
 
 
+@pytest.mark.parametrize(
+    "params,names",
+    [
+        # knobs and spellings that no longer exist
+        ({"expansion_batch": 64}, "unknown fields: expansion_batch"),
+        ({"frontier_balance": "fanout"}, "unknown fields: frontier_balance"),
+        ({"tie_alternates": False}, "unknown fields: tie_alternates"),
+        ({"flush_interval": 16}, "unknown fields: flush_interval"),
+        ({"expansion_backend": "auto"}, "expansion_backend must be one of"),
+        ({"expansion_backend": "scalar"}, "expansion_backend must be one of"),
+        ({"expansion_backend": "numba"}, "expansion_backend must be one of"),
+        # JSON values of the wrong type
+        ({"dmax": "8"}, "dmax"),
+        ({"dmax": True}, "dmax"),
+        ({"mu": "x"}, "mu"),
+        ({"max_results": 2.5}, "max_results"),
+        ({"node_budget": 10.5}, "node_budget"),
+        ({"cancel_check_interval": 1.5}, "cancel_check_interval"),
+    ],
+)
+def test_bad_params_are_value_errors_naming_the_field(params, names):
+    with pytest.raises(ValueError, match=names):
+        params_from_dict(params)
+    with pytest.raises(ValueError, match=names):
+        request_from_dict({"dataset": "d", "query": "q", "params": params})
+
+
 def test_request_round_trip_string_query():
     request = QueryRequest("dblp", "gray transaction", k=5, timeout=2.0)
     data = request_to_dict(request)

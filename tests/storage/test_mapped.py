@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.params import SearchParams
 from repro.errors import SnapshotError
 from repro.service.snapshot import (
     MAPPED_MAGIC,
@@ -92,18 +93,20 @@ class TestParity:
         assert graph.storage.mode == "ram"
         assert graph.storage.mapped_bytes == 0
 
+    @pytest.mark.parametrize("backend", ["python", "vectorized"])
     @pytest.mark.parametrize(
         "algorithm", ["bidirectional", "si-backward", "mi-backward"]
     )
     def test_search_results_identical_per_algorithm(
-        self, toy_engine, snapshot, algorithm
+        self, toy_engine, snapshot, algorithm, backend
     ):
         mapped = load_engine(snapshot, storage_mode="mapped")
         ram = load_engine(snapshot, storage_mode="ram")
+        params = SearchParams(max_results=5, expansion_backend=backend)
         for query in ("gray transaction", "selinger vldb", '"jim gray" sigmod'):
-            built = toy_engine.search(query, algorithm=algorithm, k=5)
+            built = toy_engine.search(query, algorithm=algorithm, params=params)
             for engine in (ram, mapped):
-                loaded = engine.search(query, algorithm=algorithm, k=5)
+                loaded = engine.search(query, algorithm=algorithm, params=params)
                 assert loaded.scores() == built.scores()
                 assert loaded.signatures() == built.signatures()
 
