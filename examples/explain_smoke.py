@@ -1,7 +1,7 @@
 """Explain/accounting smoke: boot the HTTP tier, exercise the explain
 and workload-analytics surfaces end to end.
 
-The CI ``explain-smoke`` job runs this:
+The CI ``ops-smoke`` job runs this:
 
 1. build a small engine, snapshot it, spin up a two-worker
    :class:`repro.ShardedQueryService`,

@@ -1,6 +1,6 @@
 """Ops-dashboard smoke: boot the HTTP tier, scrape every debug endpoint.
 
-The CI ``dashboard-smoke`` job runs this end to end:
+The CI ``ops-smoke`` job runs this end to end:
 
 1. build a small engine, snapshot it, spin up a two-worker
    :class:`repro.ShardedQueryService` with a WAL and the sampling
@@ -8,12 +8,15 @@ The CI ``dashboard-smoke`` job runs this end to end:
 2. push a little traffic (including one guaranteed failure and one
    live mutation) so every dashboard section has something to show,
 3. serve the fleet over HTTP and fetch ``/debug/events``,
-   ``/debug/profile`` and ``/debug/dashboard`` like a browser would,
+   ``/debug/profile``, ``/debug/dashboard`` and
+   ``/metrics?format=prometheus`` like a browser or a scraper would,
 4. assert the responses carry what an operator needs (events with
    monotone sequence numbers, collapsed profile stacks, the SLO and
-   event sections in the HTML),
-5. write the dashboard page to ``DASHBOARD_HTML_OUT`` (when set) so CI
-   uploads a real page as an artifact.
+   event sections in the HTML, service + cluster + WAL families in the
+   exposition),
+5. write the dashboard page to ``DASHBOARD_HTML_OUT`` and the scraped
+   exposition to ``PROMETHEUS_OUT`` (when set) so CI uploads a real
+   page and checks the scrape's families against docs/OBSERVABILITY.md.
 
 Run:  python examples/ops_dashboard_smoke.py
 """
@@ -111,6 +114,24 @@ def main() -> None:
             if out:
                 Path(out).write_text(html, encoding="utf-8")
                 print(f"dashboard page written to {out}")
+
+            status, body = _get(base, "/metrics?format=prometheus")
+            assert status == 200, status
+            exposition = body.decode("utf-8")
+            for family in (
+                "repro_requests_total",
+                "repro_cluster_workers_alive",
+                "repro_wal_appends_total",
+            ):
+                assert f"# TYPE {family} " in exposition, family
+            print(
+                f"/metrics?format=prometheus: "
+                f"{exposition.count('# TYPE ')} families"
+            )
+            out = os.environ.get("PROMETHEUS_OUT")
+            if out:
+                Path(out).write_text(exposition, encoding="utf-8")
+                print(f"exposition written to {out}")
 
             server.shutdown()
             server.server_close()

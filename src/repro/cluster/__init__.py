@@ -16,8 +16,11 @@ above it that finally lets a batch use every core:
   warms a private ``QueryService`` from
   :mod:`repro.service.snapshot` files (disk load, never
   ``from_database``) and owns a private result cache.
-* :func:`~repro.cluster.metrics.merge_metrics` — per-worker metrics
-  merged into one cluster view with exact percentiles.
+* metrics — every worker ships its registry export,
+  :func:`~repro.telemetry.metrics.merge_registries` combines them
+  (latency windows concatenate, so percentiles stay exact) and
+  :func:`~repro.service.metrics.metrics_view` renders the same document
+  a single service serves.
 * :mod:`repro.cluster.http` — stdlib HTTP front-end (``/search``,
   ``/batch``, ``/metrics``, ``/healthz``) serving either tier.
 
@@ -26,7 +29,6 @@ dicts, response dicts (:mod:`repro.service.wire`).  See
 ``examples/cluster_quickstart.py`` for the end-to-end tour.
 """
 
-from repro.cluster.metrics import merge_metrics
 from repro.cluster.pool import WorkerPool
 from repro.cluster.router import ShardRouter
 from repro.cluster.service import ShardedQueryService
@@ -35,5 +37,4 @@ __all__ = [
     "ShardedQueryService",
     "ShardRouter",
     "WorkerPool",
-    "merge_metrics",
 ]

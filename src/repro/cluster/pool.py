@@ -414,30 +414,6 @@ class WorkerPool:
             return False
         return bool(payload.get("pong"))
 
-    def metrics(self, timeout: float = 10.0) -> dict[int, dict]:
-        """Per-worker ``QueryService.metrics`` dicts (with raw latency
-        samples), omitting workers that failed to answer."""
-        futures = {}
-        for worker_id in sorted(self._specs):
-            try:
-                futures[worker_id] = self.submit(worker_id, "metrics", True)
-            except PoolClosedError:
-                raise
-            except Exception:  # pragma: no cover - submit-time race
-                continue
-        collected = {}
-        deadline = time.monotonic() + timeout
-        for worker_id, future in futures.items():
-            try:
-                payload = future.result(
-                    timeout=max(deadline - time.monotonic(), 0.0)
-                )
-            except Exception:
-                continue
-            if control_error(payload) is None:
-                collected[worker_id] = payload
-        return collected
-
     def warmup(self, timeout: float = 300.0) -> dict[int, dict]:
         """Ask every worker to build its engines now; returns per-worker
         ``{dataset: build_seconds}`` timing dicts."""

@@ -38,9 +38,11 @@ Failure semantics extend the service contract across processes:
   the worker — callers never hang, and the *next* batch is served.
 
 Supervisor-side events (deadline misses, malformed requests, crashes)
-are recorded in a local :class:`~repro.service.metrics.ServiceMetrics`;
-:meth:`metrics` merges it with every worker's export into one cluster
-view (:func:`~repro.cluster.metrics.merge_metrics`).
+are recorded in the supervisor's own registry; :meth:`metrics` merges
+its export with every worker's
+(:func:`~repro.telemetry.metrics.merge_registries`) and serves the same
+view of the result that one ``QueryService`` serves of its own
+(:func:`~repro.service.metrics.metrics_view`).
 
 Live updates (:mod:`repro.live`) propagate fleet-wide without process
 restarts: :meth:`ShardedQueryService.apply` broadcasts a mutation
@@ -74,7 +76,12 @@ from repro.errors import (
     SearchCancelledError,
     WorkerCrashedError,
 )
-from repro.service.metrics import ServiceMetrics
+from repro.service.metrics import (
+    ServiceMetrics,
+    family_total,
+    family_values,
+    metrics_view,
+)
 from repro.service.service import (
     QueryRequest,
     QueryResponse,
@@ -86,7 +93,11 @@ from repro.service.wire import request_to_dict, response_from_dict
 from repro.telemetry.accounting import ExplainStore, merge_sketch_exports
 from repro.telemetry.dashboard import algorithm_summary
 from repro.telemetry.events import EventLog
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import (
+    MetricsRegistry,
+    merge_registries,
+    strip_samples,
+)
 from repro.telemetry.profile import (
     SamplingProfiler,
     diff_profiles,
@@ -97,7 +108,7 @@ from repro.telemetry.slo import SloEngine, SloObjective, default_objectives
 from repro.telemetry.slowlog import SlowQueryLog
 from repro.telemetry.trace import Tracer, new_span_id, new_trace_id
 from repro.wal.log import MutationLog
-from repro.cluster.metrics import merge_metrics
+from repro.wal.telemetry import WalTelemetry
 from repro.cluster.pool import WorkerPool, control_error
 from repro.cluster.router import ShardRouter
 
@@ -220,6 +231,8 @@ class ShardedQueryService:
         if cancel_grace < 0:
             raise ValueError(f"cancel_grace must be >= 0, got {cancel_grace!r}")
         self.event_log = EventLog(event_log_capacity)
+        self.registry = MetricsRegistry()
+        self._wal_telemetry = WalTelemetry(self.registry, self.event_log)
         self.router = ShardRouter(
             list(snapshots),
             num_workers,
@@ -228,7 +241,6 @@ class ShardedQueryService:
         )
         paths = {name: str(path) for name, path in snapshots.items()}
         self._wals: dict[str, MutationLog] = {}
-        self._wal_corruption: dict[str, int] = {}
         wal_paths: dict[str, str] = {}
         if wal_dir is not None:
             from repro.errors import SnapshotError
@@ -253,7 +265,7 @@ class ShardedQueryService:
                     log.reset(start_seq=start)
                 self._wals[name] = log
                 wal_paths[name] = str(wal_path)
-                self._note_wal_corruption(name, log)
+                self._wal_telemetry.note_recovery(name, log)
         specs = {
             worker_id: {name: paths[name] for name in names}
             for worker_id, names in self.router.assignments().items()
@@ -284,8 +296,7 @@ class ShardedQueryService:
         )
         self._cooperative = cooperative_cancellation
         self._cancel_grace = cancel_grace
-        self.registry = MetricsRegistry()
-        self._local_metrics = ServiceMetrics(metrics_window, registry=self.registry)
+        self._local_metrics = ServiceMetrics(self.registry, metrics_window)
         self.tracer: Optional[Tracer] = Tracer(trace_capacity) if tracing else None
         self.slow_log = SlowQueryLog(slow_query_threshold, slow_log_capacity)
         # Explain reports are harvested supervisor-side from settled
@@ -377,32 +388,6 @@ class ShardedQueryService:
             "Crash-restarts performed by the worker pool",
             labels=("worker",),
         )
-        wal_seq = self.registry.gauge(
-            "repro_wal_last_seq",
-            "Newest durable WAL sequence number",
-            labels=("dataset",),
-            merge="max",
-        )
-        wal_appends = self.registry.counter(
-            "repro_wal_appends_total",
-            "Mutation batches appended to the WAL",
-            labels=("dataset",),
-        )
-        wal_fsyncs = self.registry.counter(
-            "repro_wal_fsyncs_total",
-            "fsync calls issued by the WAL",
-            labels=("dataset",),
-        )
-        wal_bytes = self.registry.counter(
-            "repro_wal_appended_bytes_total",
-            "Bytes appended to the WAL",
-            labels=("dataset",),
-        )
-        wal_corruption = self.registry.counter(
-            "repro_wal_corruption_records_total",
-            "Corrupt records detected while reading the WAL",
-            labels=("dataset",),
-        )
 
         # Held weakly for the same reason as ``QueryService``'s.
         owner = weakref.ref(self)
@@ -416,50 +401,9 @@ class ShardedQueryService:
             workers_alive.set(sum(alive.values()))
             for worker_id, count in self.pool.restarts().items():
                 restarts.set_total(count, worker=str(worker_id))
-            for name, log in self._wals.items():
-                stats = log.stats()
-                wal_seq.set(stats.get("last_seq", 0), dataset=name)
-                wal_appends.set_total(stats.get("appends", 0), dataset=name)
-                wal_fsyncs.set_total(stats.get("fsyncs", 0), dataset=name)
-                wal_bytes.set_total(
-                    stats.get("appended_bytes", 0), dataset=name
-                )
-                wal_corruption.set_total(
-                    stats.get("corruption_records", 0), dataset=name
-                )
+            self._wal_telemetry.collect(self._wals)
 
         self.registry.add_collector(collect)
-
-    def _note_wal_corruption(self, name: str, log: MutationLog) -> None:
-        """Turn a freshly-opened log's corruption incidents into
-        first-class operational events (the counter is collector-driven
-        off ``log.stats()``, so this only handles the event side)."""
-        incidents = log.corruption_events()
-        if not incidents:
-            return
-        self._wal_corruption[name] = self._wal_corruption.get(name, 0) + len(
-            incidents
-        )
-        for incident in incidents:
-            outcome = (
-                "repaired by truncating the tail"
-                if incident.get("repaired")
-                else "reads stop at the last valid record"
-            )
-            self.event_log.emit(
-                "wal_corruption",
-                f"WAL for dataset {name!r} hit corrupt data at offset "
-                f"{incident.get('offset')}: {incident.get('reason')} "
-                f"({outcome})",
-                severity="warning",
-                dataset=name,
-                source="supervisor",
-                path=incident.get("path"),
-                offset=incident.get("offset"),
-                reason=incident.get("reason"),
-                last_valid_seq=incident.get("last_valid_seq"),
-                repaired=incident.get("repaired"),
-            )
 
     def _pool_event(self, kind: str, **info) -> None:
         """Event sink the worker pool calls from its health/crash
@@ -963,8 +907,9 @@ class ShardedQueryService:
     def metrics(self, *, include_samples: bool = False) -> dict:
         """One cluster-wide metrics dict.
 
-        Worker exports (latency reservoirs included, so percentiles are
-        exact) are merged with the supervisor's own counters; a
+        Every worker's registry export (latency windows included, so
+        percentiles are exact) is merged with the supervisor's own and
+        viewed exactly as one ``QueryService`` views its registry; a
         ``cluster`` section adds fleet state — per-worker liveness,
         restart counts and shard assignments.
 
@@ -975,29 +920,35 @@ class ShardedQueryService:
         exactly-once claim needs shared memory; across processes the
         honest choice is counting both sides rather than hiding either.
         """
-        per_worker = self.pool.metrics()
-        parts = list(per_worker.values())
-        local = self._local_metrics.export(include_samples=True)
-        local["registry"] = self.registry.export()
-        if self._wals:
-            # Workers replay the log read-only and let go of it; the
-            # supervisor's writable tip is the durable truth the merged
-            # datasets section should carry.
-            local["datasets"] = {
-                "wal_seq": {
-                    name: log.last_seq
-                    for name, log in sorted(self._wals.items())
+        per_worker = self._broadcast(
+            self.pool.worker_ids(), "metrics", None, timeout=10.0, strict=False
+        )
+        merged = merge_registries(
+            [*per_worker.values(), self.registry.export(include_samples=True)]
+        )
+        view = metrics_view(merged, include_samples=include_samples)
+        datasets = view.get("datasets")
+        if datasets is not None:
+            # Highest epoch wins the merge; a replica behind it shows up
+            # here — the signal a mutation broadcast missed one, and the
+            # one value only the unmerged exports can give.
+            wal_seq = datasets.pop("wal_seq", None)
+            datasets["version_drift"] = sorted(
+                {
+                    name
+                    for part in per_worker.values()
+                    for name, version in family_values(
+                        part, "repro_dataset_version", "dataset"
+                    ).items()
+                    if version != datasets["versions"][name]
                 }
-            }
-        parts.append(local)
-        merged = merge_metrics(parts)
-        if not include_samples:
-            for entry in merged.get("algorithms", {}).values():
-                entry.pop("latency_samples", None)
-        alive = self.pool.alive()
-        merged["cluster"] = {
+            )
+            if wal_seq is not None:
+                datasets["wal_seq"] = wal_seq  # keeps its place: last
+        view["registry"] = strip_samples(merged)
+        view["cluster"] = {
             "workers": self.router.num_workers,
-            "alive": sum(alive.values()),
+            "alive": sum(self.pool.alive().values()),
             "restarts": {str(w): n for w, n in sorted(self.pool.restarts().items())},
             "assignments": {
                 str(w): list(names)
@@ -1005,17 +956,17 @@ class ShardedQueryService:
             },
             "per_worker": {
                 str(w): {
-                    "requests_total": metrics.get("requests_total", 0),
-                    "errors_total": metrics.get("errors_total", 0),
+                    "requests_total": family_total(part, "repro_requests_total"),
+                    "errors_total": family_total(part, "repro_errors_total"),
                 }
-                for w, metrics in sorted(per_worker.items())
+                for w, part in sorted(per_worker.items())
             },
         }
         if self._wals:
-            merged["cluster"]["wal_seq"] = {
+            view["cluster"]["wal_seq"] = {
                 name: log.last_seq for name, log in sorted(self._wals.items())
             }
-        return merged
+        return view
 
     def cancel(self, request_id: str) -> bool:
         """Cancel an in-flight request by its ``QueryRequest.request_id``.
@@ -1035,9 +986,6 @@ class ShardedQueryService:
         if job_id is None:
             return False
         return self.pool.cancel(job_id)
-
-    def reset_metrics(self) -> None:
-        self._local_metrics.reset()
 
     def health(
         self, *, include_versions: bool = True, versions_timeout: float = 2.0

@@ -151,7 +151,9 @@ def _handle_message(
             "versions": service.dataset_versions(),
         }
     if kind == "metrics":
-        return service.metrics(include_samples=message[2])
+        # The registry export alone, latency windows included: the
+        # supervisor merges exports and builds the one view from them.
+        return service.registry.export(include_samples=True)
     if kind == "warmup":
         names: Optional[list] = message[2]
         return service.warmup(names)

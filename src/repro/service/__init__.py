@@ -9,14 +9,18 @@ A deployable tier above the single-engine library API:
   cache, reusable on its own.
 * :mod:`repro.service.snapshot` — versioned disk format for built
   graph/prestige/index state, so restarts skip ``from_database``.
-* :class:`~repro.service.metrics.ServiceMetrics` — latency percentiles,
-  cache hit rate and error counters exported as a plain dict.
+* :mod:`repro.service.metrics` — the request-path recorder
+  (:class:`~repro.service.metrics.ServiceMetrics`, which writes the
+  metrics registry and nothing else) and
+  :func:`~repro.service.metrics.metrics_view`, the pure function that
+  renders a registry export as the ``metrics()`` dict: latency
+  percentiles, cache hit rate, error counters.
 
 See ``examples/service_quickstart.py`` for the end-to-end tour.
 """
 
 from repro.service.cache import ResultCache, canonical_cache_key
-from repro.service.metrics import ServiceMetrics, percentile
+from repro.service.metrics import ServiceMetrics, metrics_view, percentile
 from repro.service.service import (
     QueryRequest,
     QueryResponse,
@@ -54,6 +58,7 @@ __all__ = [
     "ResultCache",
     "canonical_cache_key",
     "ServiceMetrics",
+    "metrics_view",
     "percentile",
     "SNAPSHOT_VERSION",
     "save_snapshot",

@@ -1,34 +1,30 @@
-"""Service-side observability: latency percentiles, hit rates, errors.
+"""Request-path recording and the JSON view of the metrics registry.
 
-The north-star deployment serves heavy traffic, so the service records
-what an operator would page on — per-algorithm latency distributions,
-cache effectiveness and error counts — and exports everything as one
-plain dict (:meth:`ServiceMetrics.export`) ready for JSON or a metrics
-agent, with no dependency on any particular telemetry stack.
-
-Latencies are kept in a bounded per-algorithm reservoir (most recent
-``window`` samples): a long-lived service must not grow memory with
-query count, and recent samples are the ones percentile alerts care
-about anyway.
-
-When constructed with a :class:`~repro.telemetry.MetricsRegistry`, the
-same events additionally feed Prometheus-style families (request
-counters, error counters, bucketed latency histograms) — the mergeable,
-scrapeable view.  :meth:`export` keeps its exact historical shape either
-way; the registry is exported separately by the owning service.
+The registry (:class:`~repro.telemetry.metrics.MetricsRegistry`) is the
+only store of serving numbers; this module is its two ends.
+:class:`ServiceMetrics` declares the request-path families and is what
+the serving code calls per request — a few family writes, nothing
+else.  :func:`metrics_view` is a pure function from a registry export
+(one service's, or a fleet's merged one) to the plain dict ``metrics()``
+/ ``GET /metrics`` have always served; docs/OBSERVABILITY.md tables
+which family backs which key.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import Counter, deque
 from typing import Optional
 
 import numpy as np
 
 from repro.telemetry.metrics import MetricsRegistry
 
-__all__ = ["ServiceMetrics", "percentile"]
+__all__ = [
+    "ServiceMetrics",
+    "family_total",
+    "family_values",
+    "metrics_view",
+    "percentile",
+]
 
 #: Percentiles exported per algorithm.
 EXPORTED_PERCENTILES = (50.0, 90.0, 99.0)
@@ -45,63 +41,45 @@ def percentile(samples: list[float], q: float) -> Optional[float]:
 
 
 class ServiceMetrics:
-    """Thread-safe counters and latency reservoirs for one service."""
+    """The request-path families of one service's registry."""
 
-    def __init__(
-        self, window: int = 2048, *, registry: Optional[MetricsRegistry] = None
-    ) -> None:
+    def __init__(self, registry: MetricsRegistry, window: int = 2048) -> None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window!r}")
-        self._window = window
-        self._lock = threading.Lock()
-        self._latencies: dict[str, deque] = {}
-        self._requests: Counter = Counter()
-        self._errors: Counter = Counter()
-        self._cancellations: Counter = Counter()
-        self._reclaimed_seconds = 0.0
-        self._overrun_seconds = 0.0
-        self._cache_hits = 0
-        self._cache_misses = 0
-        self._registry = registry
-        if registry is not None:
-            self._req_counter = registry.counter(
-                "repro_requests_total",
-                "Requests handled (including errors)",
-                labels=("algorithm",),
-            )
-            self._err_counter = registry.counter(
-                "repro_errors_total",
-                "Requests that ended in a structured error",
-                labels=("type",),
-            )
-            self._cancel_counter = registry.counter(
-                "repro_cancellations_total",
-                "Cooperatively stopped searches",
-                labels=("reason",),
-            )
-            self._reclaimed_counter = registry.counter(
-                "repro_cancel_reclaimed_seconds_total",
-                "Deadline budget handed back by cooperative cancellation",
-            )
-            self._overrun_counter = registry.counter(
-                "repro_cancel_overrun_seconds_total",
-                "Time searches ran past their deadline before stopping",
-            )
-            self._hit_counter = registry.counter(
-                "repro_cache_hits_total", "Result cache hits"
-            )
-            self._miss_counter = registry.counter(
-                "repro_cache_misses_total", "Result cache misses"
-            )
-            self._latency_hist = registry.histogram(
-                "repro_request_latency_seconds",
-                "Uncached request latency",
-                labels=("algorithm",),
-            )
+        self._requests = registry.counter(
+            "repro_requests_total",
+            "Requests handled (including errors)",
+            labels=("algorithm",),
+        )
+        self._errors = registry.counter(
+            "repro_errors_total",
+            "Requests that ended in a structured error",
+            labels=("type",),
+        )
+        self._cancellations = registry.counter(
+            "repro_cancellations_total",
+            "Cooperatively stopped searches",
+            labels=("reason",),
+        )
+        self._reclaimed = registry.counter(
+            "repro_cancel_reclaimed_seconds_total",
+            "Deadline budget handed back by cooperative cancellation",
+        )
+        self._overrun = registry.counter(
+            "repro_cancel_overrun_seconds_total",
+            "Time searches ran past their deadline before stopping",
+        )
+        self._hits = registry.counter("repro_cache_hits_total", "Result cache hits")
+        self._misses = registry.counter(
+            "repro_cache_misses_total", "Result cache misses"
+        )
+        self._latency = registry.histogram(
+            "repro_request_latency_seconds",
+            "Uncached request latency",
+            labels=("algorithm",),
+            window=window,
+        )
 
-    # ------------------------------------------------------------------
-    # recording
-    # ------------------------------------------------------------------
     def record_request(
         self, algorithm: str, seconds: float, *, cached: Optional[bool]
     ) -> None:
@@ -110,39 +88,21 @@ class ServiceMetrics:
         ``cached`` is True for a hit, False for a miss, None when the
         request bypassed the cache (``use_cache=False``) — bypasses are
         not cache lookups, so they leave the hit rate alone.  Cached
-        responses skip the latency reservoir: mixing ~microsecond cache
+        responses skip the latency family: mixing ~microsecond cache
         reads into the search distribution would make every percentile
         meaningless.
         """
-        with self._lock:
-            self._requests[algorithm] += 1
-            if cached is not True:
-                if cached is False:
-                    self._cache_misses += 1
-                reservoir = self._latencies.get(algorithm)
-                if reservoir is None:
-                    reservoir = self._latencies[algorithm] = deque(
-                        maxlen=self._window
-                    )
-                reservoir.append(float(seconds))
-            else:
-                self._cache_hits += 1
-        if self._registry is not None:
-            self._req_counter.inc(algorithm=algorithm)
-            if cached is True:
-                self._hit_counter.inc()
-            else:
-                if cached is False:
-                    self._miss_counter.inc()
-                self._latency_hist.observe(float(seconds), algorithm=algorithm)
+        self._requests.inc(algorithm=algorithm)
+        if cached is True:
+            self._hits.inc()
+            return
+        if cached is False:
+            self._misses.inc()
+        self._latency.observe(float(seconds), algorithm=algorithm)
 
     def record_error(self, algorithm: str, error_type: str) -> None:
-        with self._lock:
-            self._requests[algorithm] += 1
-            self._errors[error_type] += 1
-        if self._registry is not None:
-            self._req_counter.inc(algorithm=algorithm)
-            self._err_counter.inc(type=error_type)
+        self._requests.inc(algorithm=algorithm)
+        self._errors.inc(type=error_type)
 
     def record_cancellation(
         self,
@@ -173,67 +133,127 @@ class ServiceMetrics:
         the check interval, and the number to alert on if a
         non-cooperative section ever grows.
         """
-        bucket = "deadline_exceeded" if reason == "deadline" else "cancelled"
-        with self._lock:
-            self._cancellations[bucket] += 1
-            self._reclaimed_seconds += max(0.0, reclaimed_seconds)
-            self._overrun_seconds += max(0.0, overrun_seconds)
-        if self._registry is not None:
-            self._cancel_counter.inc(reason=bucket)
-            self._reclaimed_counter.inc(max(0.0, reclaimed_seconds))
-            self._overrun_counter.inc(max(0.0, overrun_seconds))
+        self._cancellations.inc(
+            reason="deadline_exceeded" if reason == "deadline" else "cancelled"
+        )
+        self._reclaimed.inc(max(0.0, reclaimed_seconds))
+        self._overrun.inc(max(0.0, overrun_seconds))
 
-    # ------------------------------------------------------------------
-    # export
-    # ------------------------------------------------------------------
-    def export(self, *, include_samples: bool = False) -> dict:
-        """Everything as one plain, JSON-serializable dict.
 
-        ``include_samples=True`` adds each algorithm's raw latency
-        reservoir under ``latency_samples`` — percentiles of percentiles
-        are meaningless, so a multi-worker aggregator (the cluster tier)
-        needs the samples themselves to merge distributions exactly.
-        """
-        with self._lock:
-            lookups = self._cache_hits + self._cache_misses
-            algorithms = {}
-            for algorithm in sorted(self._requests):
-                samples = list(self._latencies.get(algorithm, ()))
-                entry = {
-                    "requests": self._requests[algorithm],
-                    "latency_count": len(samples),
-                    "latency_mean": (
-                        sum(samples) / len(samples) if samples else None
-                    ),
-                }
-                for q in EXPORTED_PERCENTILES:
-                    entry[f"latency_p{q:g}"] = percentile(samples, q)
-                if include_samples:
-                    entry["latency_samples"] = samples
-                algorithms[algorithm] = entry
-            return {
-                "requests_total": sum(self._requests.values()),
-                "errors_total": sum(self._errors.values()),
-                "errors": dict(sorted(self._errors.items())),
-                "cancellations": {
-                    "cancelled": self._cancellations["cancelled"],
-                    "deadline_exceeded": self._cancellations["deadline_exceeded"],
-                    "reclaimed_seconds": self._reclaimed_seconds,
-                    "overrun_seconds": self._overrun_seconds,
-                },
-                "cache_hits": self._cache_hits,
-                "cache_misses": self._cache_misses,
-                "cache_hit_rate": (self._cache_hits / lookups) if lookups else 0.0,
-                "algorithms": algorithms,
-            }
+# ----------------------------------------------------------------------
+# the JSON view
+# ----------------------------------------------------------------------
+def _samples(export: dict, family: str) -> list:
+    return (export.get(family) or {}).get("samples", ())
 
-    def reset(self) -> None:
-        with self._lock:
-            self._latencies.clear()
-            self._requests.clear()
-            self._errors.clear()
-            self._cancellations.clear()
-            self._reclaimed_seconds = 0.0
-            self._overrun_seconds = 0.0
-            self._cache_hits = 0
-            self._cache_misses = 0
+
+def family_total(export: dict, family: str):
+    """Sum of ``family``'s samples in a registry export (0 if absent)."""
+    return sum(sample["value"] for sample in _samples(export, family))
+
+
+def family_values(export: dict, family: str, label: str) -> dict:
+    """``{label value: sample value}`` of a one-label family, sorted."""
+    return dict(
+        sorted(
+            (sample["labels"][label], sample["value"])
+            for sample in _samples(export, family)
+        )
+    )
+
+
+def _algorithm_entry(requests: int, sample: dict, include_samples: bool) -> dict:
+    """One ``algorithms`` row.  Count, mean and percentiles describe the
+    recent-latency *window*, not the histogram's lifetime totals."""
+    # No sample at all: the algorithm only ever errored.
+    window = sample.get("window", None if sample.get("count") else [])
+    if window is None:
+        # Exported (or merged) without its samples: lifetime count and
+        # mean are the best available, exact percentiles are not.
+        count, mean = sample["count"], sample["sum"] / sample["count"]
+    else:
+        count = len(window)
+        mean = sum(window) / count if count else None
+    entry = {"requests": requests, "latency_count": count, "latency_mean": mean}
+    for q in EXPORTED_PERCENTILES:
+        entry[f"latency_p{q:g}"] = percentile(window, q) if window else None
+    if include_samples:
+        entry["latency_samples"] = window
+    return entry
+
+
+def metrics_view(export: dict, *, include_samples: bool = False) -> dict:
+    """The ``metrics()`` document of a registry export.
+
+    ``export`` is ``MetricsRegistry.export(include_samples=True)`` of
+    one service or the merge of several; a section whose families are
+    absent (a supervisor has no cache, builds no datasets) is left out.
+    ``include_samples=True`` adds each algorithm's latency window under
+    ``latency_samples``.  ``cache_hits`` / ``cache_misses`` count
+    *requests* by how they were answered, ``cache.hits`` /
+    ``cache.misses`` count *lookups* on the cache object — two
+    measurements (``explain``, errors and cancellations split them).
+    """
+    requests = family_values(export, "repro_requests_total", "algorithm")
+    errors = family_values(export, "repro_errors_total", "type")
+    cancellations = family_values(export, "repro_cancellations_total", "reason")
+    hits = family_total(export, "repro_cache_hits_total")
+    misses = family_total(export, "repro_cache_misses_total")
+    latency = {
+        sample["labels"]["algorithm"]: sample
+        for sample in _samples(export, "repro_request_latency_seconds")
+    }
+    view = {
+        "requests_total": sum(requests.values()),
+        "errors_total": sum(errors.values()),
+        "errors": errors,
+        "cancellations": {
+            "cancelled": cancellations.get("cancelled", 0),
+            "deadline_exceeded": cancellations.get("deadline_exceeded", 0),
+            "reclaimed_seconds": float(
+                family_total(export, "repro_cancel_reclaimed_seconds_total")
+            ),
+            "overrun_seconds": float(
+                family_total(export, "repro_cancel_overrun_seconds_total")
+            ),
+        },
+        "cache_hits": hits,
+        "cache_misses": misses,
+        "cache_hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+        "algorithms": {
+            algorithm: _algorithm_entry(
+                count, latency.get(algorithm, {}), include_samples
+            )
+            for algorithm, count in requests.items()
+        },
+    }
+    if "repro_cache_capacity" in export:
+        lookup_hits = family_total(export, "repro_cache_lookup_hits_total")
+        lookup_misses = family_total(export, "repro_cache_lookup_misses_total")
+        lookups = lookup_hits + lookup_misses
+        ttl = _samples(export, "repro_cache_ttl_seconds")
+        view["cache"] = {
+            "size": family_total(export, "repro_cache_entries"),
+            "capacity": family_total(export, "repro_cache_capacity"),
+            "ttl": ttl[0]["value"] if ttl else None,
+            "hits": lookup_hits,
+            "misses": lookup_misses,
+            "hit_rate": lookup_hits / lookups if lookups else 0.0,
+            "evictions": family_total(export, "repro_cache_evictions_total"),
+            "expirations": family_total(export, "repro_cache_expirations_total"),
+        }
+    if "repro_dataset_version" in export:
+        versions = family_values(export, "repro_dataset_version", "dataset")
+        built = family_values(export, "repro_dataset_built", "dataset")
+        view["datasets"] = {
+            "registered": list(versions),
+            "built": [name for name, flag in built.items() if flag],
+            "build_seconds": family_values(
+                export, "repro_dataset_build_seconds", "dataset"
+            ),
+            "versions": versions,
+        }
+        wal_seq = family_values(export, "repro_wal_last_seq", "dataset")
+        if wal_seq:
+            view["datasets"]["wal_seq"] = wal_seq
+    return view

@@ -17,8 +17,10 @@ The layer the ROADMAP's production north star needs above
   never raise: errors (unknown dataset, absent keyword, deadline
   exceeded) come back as structured :class:`QueryResponse` objects, the
   contract an HTTP front-end can map onto status codes directly.
-* **Metrics** — :meth:`metrics` exports per-algorithm latency
-  percentiles, cache hit rate and error counters as a plain dict.
+* **Metrics** — every request writes the service's
+  :class:`~repro.telemetry.metrics.MetricsRegistry` and nothing else;
+  :meth:`metrics` is a view of its export (per-algorithm latency
+  percentiles, cache hit rate, error counters) as a plain dict.
 * **Live mutations** — :meth:`apply` commits a
   :mod:`repro.live` mutation batch against a dataset (upgrading it to
   a :class:`~repro.live.MutableDataset` on first touch): new requests
@@ -81,7 +83,7 @@ from repro.errors import (
     WalError,
 )
 from repro.service.cache import ResultCache, canonical_cache_key
-from repro.service.metrics import ServiceMetrics
+from repro.service.metrics import ServiceMetrics, metrics_view
 from repro.telemetry.accounting import (
     ExplainStore,
     WorkloadAnalytics,
@@ -89,7 +91,7 @@ from repro.telemetry.accounting import (
 )
 from repro.telemetry.dashboard import algorithm_summary
 from repro.telemetry.events import EventLog
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry, strip_samples
 from repro.telemetry.profile import (
     SamplingProfiler,
     diff_profiles,
@@ -98,6 +100,7 @@ from repro.telemetry.profile import (
 from repro.telemetry.slo import SloEngine, SloObjective, default_objectives
 from repro.telemetry.slowlog import SlowQueryLog
 from repro.telemetry.trace import Tracer, new_trace_id, use_span
+from repro.wal.telemetry import WalTelemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.live.dataset import MutableDataset
@@ -499,7 +502,7 @@ class QueryService:
             raise ValueError(f"cancel_grace must be >= 0, got {cancel_grace!r}")
         self.cache = ResultCache(cache_capacity, cache_ttl, clock=clock)
         self.registry = MetricsRegistry()
-        self._metrics = ServiceMetrics(metrics_window, registry=self.registry)
+        self._metrics = ServiceMetrics(self.registry, metrics_window)
         self.tracer: Optional[Tracer] = Tracer(trace_capacity) if tracing else None
         self.slow_log = SlowQueryLog(slow_query_threshold, slow_log_capacity)
         self.event_log = EventLog(event_log_capacity)
@@ -547,9 +550,6 @@ class QueryService:
         self._mutable: dict[str, "MutableDataset"] = {}
         self._wals: dict[str, "MutationLog"] = {}
         self._detached_wals: list["MutationLog"] = []
-        # Corruption incidents harvested from each attached log (the
-        # log instance may close after replay; the count must survive).
-        self._wal_corruption: dict[str, int] = {}
         self._versions: dict[str, int] = {}
         self._snapshot_sources: dict[str, str] = {}
         self._snapshot_digests: dict[str, Optional[str]] = {}
@@ -568,6 +568,7 @@ class QueryService:
         self._cancel_storm_lock = threading.Lock()
         self._cancel_storm_until = 0.0
         self._closed = False
+        self._wal_telemetry = WalTelemetry(self.registry, self.event_log)
         self._register_telemetry_collectors()
 
     def _register_telemetry_collectors(self) -> None:
@@ -579,6 +580,19 @@ class QueryService:
         )
         cache_capacity = registry.gauge(
             "repro_cache_capacity", "Result cache capacity"
+        )
+        cache_ttl = registry.gauge(
+            "repro_cache_ttl_seconds",
+            "Result cache entry time-to-live (no sample: entries never expire)",
+            merge="max",
+        )
+        cache_lookup_hits = registry.counter(
+            "repro_cache_lookup_hits_total",
+            "Result cache lookups that found a live entry",
+        )
+        cache_lookup_misses = registry.counter(
+            "repro_cache_lookup_misses_total",
+            "Result cache lookups that found nothing (or an expired entry)",
         )
         cache_evictions = registry.counter(
             "repro_cache_evictions_total", "Result cache LRU evictions"
@@ -595,37 +609,17 @@ class QueryService:
             labels=("dataset",),
             merge="max",
         )
-        wal_last_seq = registry.gauge(
-            "repro_wal_last_seq",
-            "Last durable WAL sequence number per dataset",
+        dataset_built = registry.gauge(
+            "repro_dataset_built",
+            "1 when the dataset's engine is built, 0 while it is still lazy",
             labels=("dataset",),
             merge="max",
         )
-        wal_appends = registry.counter(
-            "repro_wal_appends_total",
-            "WAL records appended",
+        dataset_build_seconds = registry.gauge(
+            "repro_dataset_build_seconds",
+            "Seconds the dataset's last engine build took (slowest replica)",
             labels=("dataset",),
-        )
-        wal_fsyncs = registry.counter(
-            "repro_wal_fsyncs_total",
-            "WAL fsync calls",
-            labels=("dataset",),
-        )
-        wal_bytes = registry.counter(
-            "repro_wal_appended_bytes_total",
-            "WAL bytes appended",
-            labels=("dataset",),
-        )
-        wal_replayed = registry.counter(
-            "repro_wal_replayed_records_total",
-            "WAL records replayed during recovery",
-            labels=("dataset",),
-        )
-        wal_corruption = registry.counter(
-            "repro_wal_corruption_records_total",
-            "WAL corruption incidents detected (and repaired when the "
-            "log was writable)",
-            labels=("dataset",),
+            merge="max",
         )
         registry.counter(
             "repro_mutations_applied_total",
@@ -687,41 +681,28 @@ class QueryService:
             stats = self.cache.stats()
             cache_entries.set(stats["size"])
             cache_capacity.set(stats["capacity"])
+            if stats["ttl"] is not None:
+                cache_ttl.set(stats["ttl"])
+            cache_lookup_hits.set_total(stats["hits"])
+            cache_lookup_misses.set_total(stats["misses"])
             cache_evictions.set_total(stats["evictions"])
             cache_expirations.set_total(stats["expirations"])
             with self._registry_lock:
-                registered = sorted(
-                    self._engines.keys()
-                    | self._factories.keys()
-                    | self._mutable.keys()
-                )
-                built = len(self._engines.keys() | self._mutable.keys())
+                built = self._engines.keys() | self._mutable.keys()
                 versions = {
                     name: self._effective_version_locked(name)
-                    for name in registered
+                    for name in built | self._factories.keys()
                 }
+                build_seconds = dict(self._build_seconds)
                 logs = dict(self._wals)
-                corruption = dict(self._wal_corruption)
-            datasets_built.set(built)
-            for name, incidents in corruption.items():
-                wal_corruption.set_total(incidents, dataset=name)
+                engines = dict(self._engines)
+            datasets_built.set(len(built))
             for name, version in versions.items():
                 dataset_version.set(version, dataset=name)
-            for name, log in logs.items():
-                wal_stats = log.stats()
-                wal_last_seq.set(wal_stats["last_seq"], dataset=name)
-                wal_appends.set_total(
-                    wal_stats.get("appends", 0), dataset=name
-                )
-                wal_fsyncs.set_total(wal_stats.get("fsyncs", 0), dataset=name)
-                wal_bytes.set_total(
-                    wal_stats.get("appended_bytes", 0), dataset=name
-                )
-                wal_replayed.set_total(
-                    wal_stats.get("replayed_records", 0), dataset=name
-                )
-            with self._registry_lock:
-                engines = dict(self._engines)
+                dataset_built.set(int(name in built), dataset=name)
+            for name, seconds in build_seconds.items():
+                dataset_build_seconds.set(seconds, dataset=name)
+            self._wal_telemetry.collect(logs)
             for name, engine in engines.items():
                 # Tolerate engine doubles without a graph (tests).
                 storage = getattr(getattr(engine, "graph", None), "storage", None)
@@ -1221,7 +1202,7 @@ class QueryService:
                 dataset.attach_journal(_DatasetJournal(log, self, name))
         else:
             log.close()
-        self._note_wal_events(name, log, replayed)
+        self._wal_telemetry.note_recovery(name, log, replayed)
         return {
             "dataset": name,
             "path": str(path),
@@ -1229,51 +1210,6 @@ class QueryService:
             "wal_seq": log.last_seq,
             "version": effective,
         }
-
-    def _note_wal_events(self, name: str, log, replayed: int) -> None:
-        """Turn a just-attached log's recovery outcome into first-class
-        signals: one event per corruption incident (plus the
-        ``repro_wal_corruption_records_total`` counter) and a replay
-        event when records were applied — the operational record of a
-        crash recovery, visible without anyone catching Python
-        warnings."""
-        incidents = log.corruption_events()
-        if incidents:
-            with self._registry_lock:
-                self._wal_corruption[name] = self._wal_corruption.get(
-                    name, 0
-                ) + len(incidents)
-        for incident in incidents:
-            self.event_log.emit(
-                "wal_corruption",
-                f"WAL for {name!r} damaged at byte {incident['offset']} "
-                f"({incident['reason']}); "
-                + (
-                    "tail repaired, "
-                    if incident.get("repaired")
-                    else "replay stopped, "
-                )
-                + f"last valid seq {incident['last_valid_seq']}",
-                severity="warning",
-                dataset=name,
-                source="wal",
-                **{
-                    key: incident[key]
-                    for key in ("path", "offset", "reason", "last_valid_seq", "repaired")
-                    if key in incident
-                },
-            )
-        if replayed:
-            self.event_log.emit(
-                "wal_replay",
-                f"replayed {replayed} WAL record(s) for {name!r} to seq "
-                f"{log.last_seq}",
-                severity="info",
-                dataset=name,
-                source="wal",
-                replayed=replayed,
-                wal_seq=log.last_seq,
-            )
 
     def wal_seqs(self) -> dict[str, int]:
         """``{dataset: last durable WAL sequence}`` for every dataset
@@ -1601,40 +1537,17 @@ class QueryService:
     # observability / lifecycle
     # ------------------------------------------------------------------
     def metrics(self, *, include_samples: bool = False) -> dict:
-        """Latency percentiles, cache and error counters as a plain dict.
+        """Latency percentiles, cache and error counters as a plain
+        dict: :func:`~repro.service.metrics.metrics_view` of the
+        registry export, plus the export itself under ``"registry"``.
 
-        ``include_samples=True`` adds the raw latency reservoirs (see
-        :meth:`ServiceMetrics.export`) — what the cluster tier ships to
-        its supervisor so merged percentiles are exact.
+        ``include_samples=True`` adds each algorithm's latency window
+        under ``latency_samples``.
         """
-        exported = self._metrics.export(include_samples=include_samples)
-        exported["cache"] = self.cache.stats()
-        with self._registry_lock:
-            registered = sorted(
-                self._engines.keys()
-                | self._factories.keys()
-                | self._mutable.keys()
-            )
-            built = sorted(self._engines.keys() | self._mutable.keys())
-            versions = {
-                name: self._effective_version_locked(name) for name in registered
-            }
-            exported["datasets"] = {
-                "registered": registered,
-                "built": built,
-                "build_seconds": dict(sorted(self._build_seconds.items())),
-                "versions": versions,
-            }
-            logs = dict(self._wals)
-        if logs:
-            exported["datasets"]["wal_seq"] = {
-                name: log.last_seq for name, log in sorted(logs.items())
-            }
-        exported["registry"] = self.registry.export()
-        return exported
-
-    def reset_metrics(self) -> None:
-        self._metrics.reset()
+        exported = self.registry.export(include_samples=True)
+        view = metrics_view(exported, include_samples=include_samples)
+        view["registry"] = strip_samples(exported)
+        return view
 
     def trace(self, trace_id: str) -> Optional[dict]:
         """The reconstructed span tree for ``trace_id``, or None (absent

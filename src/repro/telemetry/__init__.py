@@ -5,9 +5,10 @@ Stdlib-only observability for the whole serving stack.  Seven pieces:
 * :mod:`repro.telemetry.trace` — ``Tracer`` / ``Span`` / ``TraceStore``:
   one ``trace_id`` per query, a span tree crossing thread and process
   boundaries (``http → route → queue_wait → worker → engine``);
-* :mod:`repro.telemetry.metrics` — ``MetricsRegistry``: counters,
-  gauges and bucketed histograms every layer registers into, exported
-  as JSON or Prometheus text exposition, mergeable across replicas;
+* :mod:`repro.telemetry.metrics` — ``MetricsRegistry``: the one store
+  of serving numbers — counters, gauges and bucketed (optionally
+  windowed) histograms every layer registers into, mergeable across
+  replicas; ``metrics()`` and Prometheus text are views of its export;
 * :mod:`repro.telemetry.slowlog` — ``SlowQueryLog``: a ring buffer of
   span trees for queries over a latency threshold;
 * :mod:`repro.telemetry.events` — ``EventLog``: a monotonically

@@ -24,8 +24,9 @@ __all__ = ["algorithm_summary", "render_dashboard"]
 
 
 def algorithm_summary(algorithms: Mapping[str, Any] | None) -> dict[str, Any]:
-    """Boil a ``ServiceMetrics`` per-algorithm export down to the
-    request count and latency percentiles the dashboard table shows."""
+    """Boil the ``algorithms`` section of a ``metrics()`` document down
+    to the request count and latency percentiles the dashboard table
+    shows."""
     summary: dict[str, Any] = {}
     for name, entry in (algorithms or {}).items():
         entry = entry or {}

@@ -1,21 +1,25 @@
 """Central metrics registry: counters, gauges, bucketed histograms.
 
-Every layer of the stack registers families here — the service cache,
+The one store of serving numbers.  Every layer of the stack registers
+families here — request counters and latency, the service cache,
 cluster pool health, live-mutation dataset versions, WAL append/fsync
-counters — and two consumers read them back:
+counters — and everything an operator reads is a view of its export:
 
-* ``QueryService.metrics()`` / ``ShardedQueryService.metrics()`` embed
-  :meth:`MetricsRegistry.export` (a JSON-safe dict) under a
-  ``"registry"`` key, and :func:`merge_registries` combines the exports
-  of many replicas into one fleet view;
+* ``QueryService.metrics()`` / ``ShardedQueryService.metrics()`` build
+  their JSON document from :meth:`MetricsRegistry.export` with
+  :func:`repro.service.metrics.metrics_view` and embed the export itself
+  under a ``"registry"`` key; :func:`merge_registries` combines the
+  exports of many replicas into one fleet export first;
 * the HTTP front-end renders the same export as Prometheus text
   exposition (``/metrics?format=prometheus``) via
   :func:`render_prometheus`.
 
-Unlike :class:`~repro.service.metrics.ServiceMetrics` (whose reservoir
-percentiles are exact but unmergeable without shipping samples),
-histogram buckets merge across replicas by plain addition — the trade
-the whole Prometheus ecosystem makes.
+Histogram buckets merge across replicas by plain addition — the trade
+the whole Prometheus ecosystem makes — but a percentile read off
+buckets is only as fine as the ladder, so a histogram declared with a
+``window`` also keeps its most recent observations and ships them on
+``export(include_samples=True)`` (merged windows concatenate); scrapes
+and SLO ticks export without them and never copy a sample.
 
 Two ways to feed a family:
 
@@ -33,7 +37,8 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Callable, Iterable, Optional, Sequence, Union
+from collections import deque
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
@@ -43,6 +48,7 @@ __all__ = [
     "MetricsRegistry",
     "merge_registries",
     "render_prometheus",
+    "strip_samples",
 ]
 
 #: Default histogram buckets (seconds), Prometheus-style log-ish ladder.
@@ -86,12 +92,19 @@ class _Family:
     def _label_dict(self, key: tuple) -> dict:
         return dict(zip(self.labels, key))
 
-    def clear(self) -> None:
+    def export(self, include_samples: bool = False) -> dict:
+        """One ``value`` per label set (histograms override)."""
         with self._lock:
-            self._samples.clear()
-
-    def export(self) -> dict:
-        raise NotImplementedError
+            samples = [
+                {"labels": self._label_dict(key), "value": value}
+                for key, value in sorted(self._samples.items())
+            ]
+        return {
+            "type": self.kind,
+            "help": self.help,
+            "labels": list(self.labels),
+            "samples": samples,
+        }
 
 
 class Counter(_Family):
@@ -116,19 +129,6 @@ class Counter(_Family):
     def value(self, **labels: str) -> _Number:
         with self._lock:
             return self._samples.get(self._key(labels), 0)
-
-    def export(self) -> dict:
-        with self._lock:
-            samples = [
-                {"labels": self._label_dict(key), "value": value}
-                for key, value in sorted(self._samples.items())
-            ]
-        return {
-            "type": self.kind,
-            "help": self.help,
-            "labels": list(self.labels),
-            "samples": samples,
-        }
 
 
 class Gauge(_Family):
@@ -165,29 +165,37 @@ class Gauge(_Family):
     def dec(self, amount: _Number = 1, **labels: str) -> None:
         self.inc(-amount, **labels)
 
+    def replace(self, values: Mapping[tuple, _Number]) -> None:
+        """Swap in a whole sample set, keyed by label-value tuples in
+        ``labels`` order — for collector-driven gauges whose label sets
+        can go away (a detached WAL must stop reporting a position)."""
+        samples = {
+            tuple(str(part) for part in key): value for key, value in values.items()
+        }
+        with self._lock:
+            self._samples = samples
+
     def value(self, **labels: str) -> _Number:
         with self._lock:
             return self._samples.get(self._key(labels), 0)
 
-    def export(self) -> dict:
-        with self._lock:
-            samples = [
-                {"labels": self._label_dict(key), "value": value}
-                for key, value in sorted(self._samples.items())
-            ]
-        return {
-            "type": self.kind,
-            "help": self.help,
-            "labels": list(self.labels),
-            "merge": self.merge,
-            "samples": samples,
-        }
+    def export(self, include_samples: bool = False) -> dict:
+        family = super().export()
+        family["merge"] = self.merge
+        family["samples"] = family.pop("samples")  # keep samples last
+        return family
 
 
 class Histogram(_Family):
     """Bucketed distribution.  Exported bucket counts are *cumulative*
     (Prometheus ``le`` semantics), which keeps the merge a plain
-    per-bucket sum."""
+    per-bucket sum.
+
+    ``window`` > 0 also keeps the most recent ``window`` observations
+    per label set (bounded: a long-lived service must not grow with
+    query count, and recent samples are what percentile alerts care
+    about), exported only on ``export(include_samples=True)``.
+    """
 
     kind = "histogram"
 
@@ -198,6 +206,7 @@ class Histogram(_Family):
         labels: Sequence[str],
         lock: threading.RLock,
         buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
+        window: int = 0,
     ) -> None:
         super().__init__(name, help_text, labels, lock)
         bounds = tuple(sorted(float(bound) for bound in buckets))
@@ -205,7 +214,10 @@ class Histogram(_Family):
             raise ValueError(f"{name}: at least one bucket bound required")
         if len(set(bounds)) != len(bounds):
             raise ValueError(f"{name}: duplicate bucket bounds")
+        if window < 0:
+            raise ValueError(f"{name}: window must be >= 0, got {window!r}")
         self.buckets = bounds
+        self.window = window
 
     def observe(self, value: _Number, **labels: str) -> None:
         key = self._key(labels)
@@ -217,12 +229,15 @@ class Histogram(_Family):
                     "counts": [0] * (len(self.buckets) + 1),
                     "sum": 0.0,
                     "count": 0,
+                    # maxlen=0 (no window) makes every append a no-op.
+                    "recent": deque(maxlen=self.window),
                 }
             state["counts"][index] += 1
             state["sum"] += value
             state["count"] += 1
+            state["recent"].append(value)
 
-    def export(self) -> dict:
+    def export(self, include_samples: bool = False) -> dict:
         with self._lock:
             samples = []
             for key, state in sorted(self._samples.items()):
@@ -232,14 +247,15 @@ class Histogram(_Family):
                     running += count
                     cumulative[_bucket_label(bound)] = running
                 cumulative["+Inf"] = state["count"]
-                samples.append(
-                    {
-                        "labels": self._label_dict(key),
-                        "buckets": cumulative,
-                        "sum": state["sum"],
-                        "count": state["count"],
-                    }
-                )
+                sample = {
+                    "labels": self._label_dict(key),
+                    "buckets": cumulative,
+                    "sum": state["sum"],
+                    "count": state["count"],
+                }
+                if include_samples and self.window:
+                    sample["window"] = list(state["recent"])
+                samples.append(sample)
         return {
             "type": self.kind,
             "help": self.help,
@@ -292,11 +308,12 @@ class MetricsRegistry:
         help_text: str = "",
         labels: Sequence[str] = (),
         buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
+        window: int = 0,
     ) -> Histogram:
         return self._get_or_create(  # type: ignore[return-value]
             Histogram,
             name,
-            lambda: Histogram(name, help_text, labels, self._lock, buckets),
+            lambda: Histogram(name, help_text, labels, self._lock, buckets, window),
         )
 
     def add_collector(self, collector: Callable[[], None]) -> None:
@@ -311,18 +328,16 @@ class MetricsRegistry:
         for collector in collectors:
             collector()
 
-    def export(self) -> dict:
-        """Run collectors, then snapshot every family as JSON-safe data."""
+    def export(self, *, include_samples: bool = False) -> dict:
+        """Run collectors, then snapshot every family as JSON-safe
+        data; ``include_samples=True`` adds each windowed histogram's
+        recent observations (``"window"`` per sample)."""
         self.collect()
         with self._lock:
             families = dict(self._families)
-        return {name: families[name].export() for name in sorted(families)}
-
-    def reset(self) -> None:
-        """Zero every family's samples (families stay registered)."""
-        with self._lock:
-            for family in self._families.values():
-                family.clear()
+        return {
+            name: families[name].export(include_samples) for name in sorted(families)
+        }
 
 
 # ----------------------------------------------------------------------
@@ -341,6 +356,11 @@ def merge_registries(parts: Iterable[Optional[dict]]) -> dict:
     mode.  A family or label set present in only some replicas merges
     from the replicas that have it — heterogeneous fleets (a worker
     mid-restart, a replica without a dataset) must not KeyError.
+
+    Histogram windows concatenate (a percentile of percentiles is not
+    a percentile); a part that observed values but shipped no window
+    leaves the merged sample without one — exact percentiles are then
+    impossible, and the merge says so rather than guess.
     """
     merged: dict[str, dict] = {}
     for part in parts:
@@ -365,18 +385,23 @@ def merge_registries(parts: Iterable[Optional[dict]]) -> dict:
                 existing = target["samples"].get(key)
                 if kind == "histogram":
                     if existing is None:
-                        target["samples"][key] = {
+                        existing = target["samples"][key] = {
                             "labels": dict(labels),
-                            "buckets": dict(sample.get("buckets", {})),
-                            "sum": sample.get("sum", 0.0),
-                            "count": sample.get("count", 0),
+                            "buckets": {},
+                            "sum": 0.0,
+                            "count": 0,
                         }
-                    else:
-                        buckets = existing["buckets"]
-                        for bound, count in sample.get("buckets", {}).items():
-                            buckets[bound] = buckets.get(bound, 0) + count
-                        existing["sum"] += sample.get("sum", 0.0)
-                        existing["count"] += sample.get("count", 0)
+                    if "window" in sample and (
+                        "window" in existing or not existing["count"]
+                    ):
+                        existing.setdefault("window", []).extend(sample["window"])
+                    elif sample.get("count", 0):
+                        existing.pop("window", None)
+                    buckets = existing["buckets"]
+                    for bound, count in sample.get("buckets", {}).items():
+                        buckets[bound] = buckets.get(bound, 0) + count
+                    existing["sum"] += sample.get("sum", 0.0)
+                    existing["count"] += sample.get("count", 0)
                 else:
                     value = sample.get("value", 0)
                     if existing is None:
@@ -405,6 +430,23 @@ def _sort_buckets(buckets: dict) -> dict:
         return float("inf") if label == "+Inf" else float(label)
 
     return {label: buckets[label] for label in sorted(buckets, key=bound_key)}
+
+
+def strip_samples(families: dict) -> dict:
+    """An ``export(include_samples=True)`` (or a merge of several)
+    without its histogram windows — the form ``/metrics`` embeds."""
+    stripped = dict(families)
+    for name, family in families.items():
+        samples = family.get("samples", ())
+        if any("window" in sample for sample in samples):
+            stripped[name] = {
+                **family,
+                "samples": [
+                    {key: value for key, value in sample.items() if key != "window"}
+                    for sample in samples
+                ],
+            }
+    return stripped
 
 
 # ----------------------------------------------------------------------

@@ -355,6 +355,53 @@ class TestOperationalIntelligence:
             assert needle in html, f"dashboard missing {needle!r}"
 
 
+class TestDamagedTailRestart:
+    def test_corruption_counter_equals_corruption_events(
+        self, tmp_path, toy_snapshot
+    ):
+        """A fleet restarted over a log with a torn tail: the supervisor
+        repairs it, every committed record still replays, and the merged
+        ``repro_wal_corruption_records_total`` counts exactly the
+        ``wal_corruption`` events — one incident, announced once, by the
+        one function both tiers report WAL recovery through."""
+        from repro.wal import WalCorruptionWarning
+
+        def fleet():
+            return ShardedQueryService(
+                {"toy": toy_snapshot},
+                num_workers=2,
+                default_replicas=2,
+                health_interval=0.2,
+                wal_dir=tmp_path / "wal",
+            )
+
+        with fleet() as first:
+            first.warmup()
+            commit_stream(first, 3)
+        segment = sorted((tmp_path / "wal" / "toy.wal").glob("wal-*.seg"))[-1]
+        with open(segment, "ab") as handle:
+            handle.write(b"\x07torn write")  # a frame that never finished
+
+        with pytest.warns(WalCorruptionWarning):
+            restarted = fleet()
+        with restarted:
+            restarted.warmup()
+            assert restarted.dataset_versions()["toy"] == {"0": 3, "1": 3}
+            events = [
+                event
+                for event in restarted.events()["events"]
+                if event["kind"] == "wal_corruption"
+            ]
+            family = restarted.metrics()["registry"][
+                "repro_wal_corruption_records_total"
+            ]
+        assert len(events) == 1
+        assert events[0]["source"] == "wal" and events[0]["dataset"] == "toy"
+        assert events[0]["extra"]["repaired"] is True
+        assert family["help"].startswith("WAL corruption incidents")
+        assert family["samples"] == [{"labels": {"dataset": "toy"}, "value": 1}]
+
+
 class TestWithoutWal:
     def test_no_wal_dir_keeps_in_memory_semantics(self, tmp_path, toy_snapshot):
         """Without wal_dir nothing is written and apply reports no

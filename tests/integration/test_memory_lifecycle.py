@@ -231,7 +231,7 @@ def test_worker_loop_leaves_no_cyclic_garbage(snapshots):
                 ("mutate", {"dataset": "d", "mutations": mutations}),
                 ("request", {**request, "use_cache": False}),
                 ("reload", {"dataset": "d", "path": str(dblp)}),
-                ("metrics", False),
+                ("metrics", None),
             ]
         ):
             inbox.put((kind, job, payload))
@@ -240,6 +240,14 @@ def test_worker_loop_leaves_no_cyclic_garbage(snapshots):
         assert [job for _, job, _ in conn.sent] == list(range(7))
         errors = [p for _, _, p in conn.sent if p.get("error_type")]
         assert not errors, errors
+        # The metrics reply is the registry export alone — families, with
+        # the latency window the supervisor's merged view needs — and no
+        # second, pre-digested copy of the same numbers.
+        reply = conn.sent[-1][2]
+        assert all(name.startswith("repro_") for name in reply)
+        assert all({"type", "samples"} <= set(family) for family in reply.values())
+        (latency,) = reply["repro_request_latency_seconds"]["samples"]
+        assert len(latency["window"]) == latency["count"] == 2
 
     assert_no_cyclic_garbage(loop)
 

@@ -1,11 +1,13 @@
-"""ServiceMetrics: percentile math, counters, export shape."""
+"""Request-path recording and its JSON view: percentile math, counters,
+the shape ``metrics_view`` gives a registry export."""
 
 import json
 import threading
 
 import pytest
 
-from repro.service.metrics import ServiceMetrics, percentile
+from repro.service.metrics import ServiceMetrics, metrics_view, percentile
+from repro.telemetry.metrics import MetricsRegistry, merge_registries
 
 
 class TestPercentile:
@@ -29,14 +31,30 @@ class TestPercentile:
             percentile([1.0], 101.0)
 
 
+@pytest.fixture(params=["own export", "merge of one"])
+def view(request):
+    """``view(registry)``: the JSON document of a registry, read
+    directly or through a one-part fleet merge — the same numbers
+    either way."""
+
+    def build(registry, **kwargs):
+        exported = registry.export(include_samples=True)
+        if request.param == "merge of one":
+            exported = merge_registries([exported])
+        return metrics_view(exported, **kwargs)
+
+    return build
+
+
 class TestServiceMetrics:
-    def test_export_shape_is_json_serializable(self):
-        metrics = ServiceMetrics()
+    def test_export_shape_is_json_serializable(self, view):
+        registry = MetricsRegistry()
+        metrics = ServiceMetrics(registry)
         metrics.record_request("bidirectional", 0.010, cached=False)
         metrics.record_request("bidirectional", 0.030, cached=False)
         metrics.record_request("bidirectional", 0.0001, cached=True)
         metrics.record_error("si-backward", "KeywordNotFoundError")
-        exported = metrics.export()
+        exported = view(registry)
         json.dumps(exported)  # plain dict contract
         assert exported["requests_total"] == 4
         assert exported["errors_total"] == 1
@@ -45,41 +63,51 @@ class TestServiceMetrics:
         assert exported["cache_hit_rate"] == pytest.approx(1 / 3)
         bidi = exported["algorithms"]["bidirectional"]
         assert bidi["requests"] == 3
-        # Cached responses stay out of the latency reservoir.
+        # Cached responses stay out of the latency window.
         assert bidi["latency_count"] == 2
         assert bidi["latency_mean"] == pytest.approx(0.020)
         assert bidi["latency_p50"] == pytest.approx(0.020)
         assert bidi["latency_p99"] == pytest.approx(0.030, rel=0.02)
+        assert "latency_samples" not in bidi
+        assert view(registry, include_samples=True)["algorithms"]["bidirectional"][
+            "latency_samples"
+        ] == [0.010, 0.030]
+        # A service that records requests but owns no cache and builds
+        # no datasets (the fleet supervisor) has neither section.
+        assert "cache" not in exported and "datasets" not in exported
 
-    def test_cache_bypass_leaves_hit_rate_alone(self):
-        metrics = ServiceMetrics()
-        metrics.record_request("bidirectional", 0.010, cached=None)
-        exported = metrics.export()
+    def test_cache_bypass_leaves_hit_rate_alone(self, view):
+        registry = MetricsRegistry()
+        ServiceMetrics(registry).record_request("bidirectional", 0.010, cached=None)
+        exported = view(registry)
         assert exported["cache_hits"] == 0 and exported["cache_misses"] == 0
         assert exported["cache_hit_rate"] == 0.0
         # ... but the latency still counts: it was a real search.
         assert exported["algorithms"]["bidirectional"]["latency_count"] == 1
 
-    def test_window_bounds_reservoir(self):
-        metrics = ServiceMetrics(window=10)
+    def test_window_bounds_reservoir(self, view):
+        registry = MetricsRegistry()
+        metrics = ServiceMetrics(registry, window=10)
         for i in range(100):
             metrics.record_request("bidirectional", float(i), cached=False)
-        exported = metrics.export()["algorithms"]["bidirectional"]
+        exported = view(registry)["algorithms"]["bidirectional"]
         assert exported["requests"] == 100
+        # Count and mean describe the window, not the histogram's
+        # lifetime totals (which saw all 100).
         assert exported["latency_count"] == 10
+        assert exported["latency_mean"] == pytest.approx(94.5)
         # Only the most recent 10 samples (90..99) remain.
         assert exported["latency_p50"] == pytest.approx(94.5)
+        (lifetime,) = registry.export()["repro_request_latency_seconds"]["samples"]
+        assert lifetime["count"] == 100 and "window" not in lifetime
 
-    def test_reset(self):
-        metrics = ServiceMetrics()
-        metrics.record_request("bidirectional", 0.010, cached=False)
-        metrics.reset()
-        exported = metrics.export()
-        assert exported["requests_total"] == 0
-        assert exported["algorithms"] == {}
+    def test_window_must_be_positive(self):
+        with pytest.raises(ValueError, match="window"):
+            ServiceMetrics(MetricsRegistry(), window=0)
 
-    def test_concurrent_recording(self):
-        metrics = ServiceMetrics()
+    def test_concurrent_recording(self, view):
+        registry = MetricsRegistry()
+        metrics = ServiceMetrics(registry)
 
         def worker() -> None:
             for _ in range(250):
@@ -91,6 +119,7 @@ class TestServiceMetrics:
             t.start()
         for t in threads:
             t.join()
-        exported = metrics.export()
+        exported = view(registry)
         assert exported["requests_total"] == 8 * 250 * 2
         assert exported["errors"]["ValueError"] == 8 * 250
+        assert exported["algorithms"]["bidirectional"]["latency_count"] == 2000

@@ -1,11 +1,13 @@
 """QueryService + WAL: attach, journal, recover, truncate, reset."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.errors import WalError
 from repro.service import QueryService
 from repro.service.snapshot import save_engine, snapshot_info
-from repro.wal import MutationLog, default_wal_path
+from repro.wal import MutationLog, WalCorruptionWarning, default_wal_path
 
 
 @pytest.fixture()
@@ -139,6 +141,27 @@ class TestRecovery:
             # and the recovered service keeps journaling seamlessly
             assert add_word(reader, "postcrash").version == 5
             assert reader.wal_seqs()["toy"] == 5
+        finally:
+            reader.close()
+
+    def test_damaged_tail_is_repaired_counted_and_announced_once(self, toy_snapshot):
+        writer, info = wal_service(toy_snapshot)
+        for i in range(2):
+            add_word(writer, f"crashword{i}")
+        writer.close()
+        segment = sorted(Path(info["path"]).glob("wal-*.seg"))[-1]
+        with open(segment, "ab") as handle:
+            handle.write(b"\x07torn write")
+
+        with pytest.warns(WalCorruptionWarning):
+            reader, info = wal_service(toy_snapshot)
+        try:
+            assert info["replayed"] == 2
+            kinds = [event["kind"] for event in reader.events()["events"]]
+            assert kinds.count("wal_corruption") == 1
+            assert kinds.count("wal_replay") == 1
+            counter = reader.metrics()["registry"]["repro_wal_corruption_records_total"]
+            assert counter["samples"] == [{"labels": {"dataset": "toy"}, "value": 1}]
         finally:
             reader.close()
 

@@ -7,6 +7,7 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     merge_registries,
     render_prometheus,
+    strip_samples,
 )
 
 
@@ -131,13 +132,64 @@ class TestRegistry:
         assert list(export) == ["a", "b_total"]
         assert all(isinstance(family, dict) for family in export.values())
 
-    def test_reset_zeroes_samples_but_keeps_families(self):
+    def test_gauge_replace_swaps_the_whole_sample_set(self):
+        gauge = MetricsRegistry().gauge("seq", labels=("dataset",), merge="max")
+        gauge.set(4, dataset="a")
+        gauge.set(9, dataset="b")
+        gauge.replace({("b",): 10, ("c",): 1})
+        assert gauge.export()["samples"] == [
+            {"labels": {"dataset": "b"}, "value": 10},
+            {"labels": {"dataset": "c"}, "value": 1},
+        ]
+
+
+class TestHistogramWindow:
+    def _registry(self, window=3):
         reg = MetricsRegistry()
-        counter = reg.counter("c_total")
-        counter.inc(7)
-        reg.reset()
-        assert counter.value() == 0
-        assert reg.counter("c_total") is counter
+        hist = reg.histogram("lat", labels=("op",), buckets=(1.0,), window=window)
+        for value in (0.1, 0.2, 0.3, 2.0):
+            hist.observe(value, op="search")
+        return reg
+
+    def test_one_observe_feeds_buckets_and_a_bounded_window(self):
+        (sample,) = self._registry().export(include_samples=True)["lat"]["samples"]
+        assert sample["count"] == 4 and sample["buckets"] == {"1": 3, "+Inf": 4}
+        assert sample["window"] == [0.2, 0.3, 2.0]  # the most recent three
+
+    def test_window_is_exported_only_on_request(self):
+        reg = self._registry()
+        (sample,) = reg.export()["lat"]["samples"]
+        assert "window" not in sample
+        with_samples = reg.export(include_samples=True)
+        assert strip_samples(with_samples) == reg.export()
+        assert "window" in with_samples["lat"]["samples"][0]  # input untouched
+
+    def test_windowless_histograms_never_export_one(self):
+        (sample,) = self._registry(window=0).export(include_samples=True)["lat"][
+            "samples"
+        ]
+        assert "window" not in sample
+        with pytest.raises(ValueError, match="window"):
+            MetricsRegistry().histogram("bad", window=-1)
+
+    def test_merged_windows_concatenate(self):
+        part = self._registry().export(include_samples=True)
+        (sample,) = merge_registries([part, part])["lat"]["samples"]
+        assert sample["count"] == 8
+        assert sample["window"] == [0.2, 0.3, 2.0, 0.2, 0.3, 2.0]
+        assert "window" not in render_prometheus(merge_registries([part, part]))
+
+    def test_a_part_without_its_window_poisons_the_merged_one(self):
+        reg = self._registry()
+        bare, full = reg.export(), reg.export(include_samples=True)
+        empty = MetricsRegistry()
+        empty.histogram("lat", labels=("op",), buckets=(1.0,), window=3)
+        for parts in ([bare, full], [full, bare], [full, bare, full]):
+            (sample,) = merge_registries(parts)["lat"]["samples"]
+            assert "window" not in sample and sample["count"] == 4 * len(parts)
+        # ... but a part that observed nothing takes nothing away.
+        (sample,) = merge_registries([empty.export(), full])["lat"]["samples"]
+        assert sample["window"] == [0.2, 0.3, 2.0]
 
 
 class TestMergeRegistries:
