@@ -919,10 +919,17 @@ class ShardedQueryService:
         abandoned search eventually completes.  The thread tier's
         exactly-once claim needs shared memory; across processes the
         honest choice is counting both sides rather than hiding either.
+
+        A worker that is down or slow to answer is left out of the
+        merge; a closed fleet raises ``PoolClosedError``.
         """
-        per_worker = self._broadcast(
-            self.pool.worker_ids(), "metrics", None, timeout=10.0, strict=False
-        )
+        futures = {}
+        for worker_id in self.pool.worker_ids():
+            try:
+                futures[worker_id] = self.pool.submit(worker_id, "metrics")
+            except WorkerCrashedError:
+                continue
+        per_worker = self._collect(futures, "metrics", timeout=10.0, strict=False)
         merged = merge_registries(
             [*per_worker.values(), self.registry.export(include_samples=True)]
         )

@@ -67,6 +67,8 @@ class _Family:
     """Shared machinery: label validation and keyed sample storage."""
 
     kind = "untyped"
+    #: Cross-replica combine; only gauges declare (and export) one.
+    merge: Optional[str] = None
 
     def __init__(
         self,
@@ -92,19 +94,28 @@ class _Family:
     def _label_dict(self, key: tuple) -> dict:
         return dict(zip(self.labels, key))
 
+    def clear(self) -> None:
+        with self._lock:
+            self._samples.clear()
+
+    def _export_sample(self, state, include_samples: bool) -> dict:
+        """One label set's exported fields (histograms override)."""
+        return {"value": state}
+
     def export(self, include_samples: bool = False) -> dict:
-        """One ``value`` per label set (histograms override)."""
         with self._lock:
             samples = [
-                {"labels": self._label_dict(key), "value": value}
-                for key, value in sorted(self._samples.items())
+                {
+                    "labels": self._label_dict(key),
+                    **self._export_sample(state, include_samples),
+                }
+                for key, state in sorted(self._samples.items())
             ]
-        return {
-            "type": self.kind,
-            "help": self.help,
-            "labels": list(self.labels),
-            "samples": samples,
-        }
+        family = {"type": self.kind, "help": self.help, "labels": list(self.labels)}
+        if self.merge is not None:
+            family["merge"] = self.merge
+        family["samples"] = samples
+        return family
 
 
 class Counter(_Family):
@@ -179,12 +190,6 @@ class Gauge(_Family):
         with self._lock:
             return self._samples.get(self._key(labels), 0)
 
-    def export(self, include_samples: bool = False) -> dict:
-        family = super().export()
-        family["merge"] = self.merge
-        family["samples"] = family.pop("samples")  # keep samples last
-        return family
-
 
 class Histogram(_Family):
     """Bucketed distribution.  Exported bucket counts are *cumulative*
@@ -237,31 +242,17 @@ class Histogram(_Family):
             state["count"] += 1
             state["recent"].append(value)
 
-    def export(self, include_samples: bool = False) -> dict:
-        with self._lock:
-            samples = []
-            for key, state in sorted(self._samples.items()):
-                cumulative: dict[str, int] = {}
-                running = 0
-                for bound, count in zip(self.buckets, state["counts"]):
-                    running += count
-                    cumulative[_bucket_label(bound)] = running
-                cumulative["+Inf"] = state["count"]
-                sample = {
-                    "labels": self._label_dict(key),
-                    "buckets": cumulative,
-                    "sum": state["sum"],
-                    "count": state["count"],
-                }
-                if include_samples and self.window:
-                    sample["window"] = list(state["recent"])
-                samples.append(sample)
-        return {
-            "type": self.kind,
-            "help": self.help,
-            "labels": list(self.labels),
-            "samples": samples,
-        }
+    def _export_sample(self, state: dict, include_samples: bool) -> dict:
+        cumulative: dict[str, int] = {}
+        running = 0
+        for bound, count in zip(self.buckets, state["counts"]):
+            running += count
+            cumulative[_bucket_label(bound)] = running
+        cumulative["+Inf"] = state["count"]
+        sample = {"buckets": cumulative, "sum": state["sum"], "count": state["count"]}
+        if include_samples and self.window:
+            sample["window"] = list(state["recent"])
+        return sample
 
 
 class MetricsRegistry:
@@ -338,6 +329,12 @@ class MetricsRegistry:
         return {
             name: families[name].export(include_samples) for name in sorted(families)
         }
+
+    def reset(self) -> None:
+        """Zero every family's samples (families stay registered)."""
+        with self._lock:
+            for family in self._families.values():
+                family.clear()
 
 
 # ----------------------------------------------------------------------
@@ -435,18 +432,16 @@ def _sort_buckets(buckets: dict) -> dict:
 def strip_samples(families: dict) -> dict:
     """An ``export(include_samples=True)`` (or a merge of several)
     without its histogram windows — the form ``/metrics`` embeds."""
-    stripped = dict(families)
-    for name, family in families.items():
-        samples = family.get("samples", ())
-        if any("window" in sample for sample in samples):
-            stripped[name] = {
-                **family,
-                "samples": [
-                    {key: value for key, value in sample.items() if key != "window"}
-                    for sample in samples
-                ],
-            }
-    return stripped
+    return {
+        name: {
+            **family,
+            "samples": [
+                {key: value for key, value in sample.items() if key != "window"}
+                for sample in family["samples"]
+            ],
+        }
+        for name, family in families.items()
+    }
 
 
 # ----------------------------------------------------------------------

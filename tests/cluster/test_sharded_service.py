@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster import ShardedQueryService
 from repro.core.params import SearchParams
-from repro.errors import DeadlineExceededError, SnapshotError
+from repro.errors import DeadlineExceededError, PoolClosedError, SnapshotError
 from repro.service.service import QueryRequest
 
 
@@ -110,6 +110,16 @@ def test_warmup_from_corrupt_snapshot_raises_snapshot_error(tmp_path):
         # mistaken for a timings dict.
         with pytest.raises(SnapshotError, match="cannot read snapshot"):
             service.warmup()
+
+
+def test_metrics_on_a_closed_fleet_raises(toy_snapshot):
+    service = ShardedQueryService(
+        {"alpha": toy_snapshot}, num_workers=1, health_interval=0.2
+    )
+    service.close()
+    # Not a supervisor-only document that looks like an idle fleet.
+    with pytest.raises(PoolClosedError):
+        service.metrics()
 
 
 def test_metrics_merge_cluster_view(sharded):

@@ -132,6 +132,14 @@ class TestRegistry:
         assert list(export) == ["a", "b_total"]
         assert all(isinstance(family, dict) for family in export.values())
 
+    def test_reset_zeroes_samples_but_keeps_families(self):
+        reg = MetricsRegistry()
+        counter = reg.counter("c_total")
+        counter.inc(7)
+        reg.reset()
+        assert counter.value() == 0
+        assert reg.counter("c_total") is counter
+
     def test_gauge_replace_swaps_the_whole_sample_set(self):
         gauge = MetricsRegistry().gauge("seq", labels=("dataset",), merge="max")
         gauge.set(4, dataset="a")
