@@ -1,12 +1,15 @@
 """Process-pool sharding tier (ROADMAP: multi-core scale-out).
 
 The thread-based :class:`~repro.service.QueryService` batch executor
-serializes pure-Python search on the GIL; this package is the tier
-above it that finally lets a batch use every core:
+serializes pure-Python search on the GIL; this package puts the same
+:class:`~repro.service.core.ServiceCore` on worker processes, so a
+batch finally uses every core:
 
-* :class:`ShardedQueryService` — same facade as ``QueryService``
-  (``search`` / ``search_many`` / ``metrics`` / ``warmup`` / context
-  manager), dispatching over worker processes.
+* :class:`ShardedQueryService` — the core's verbs (``search_many``,
+  ``cancel``, ``trace``, ``events``, ``query_stats``, ``profile``,
+  ``dashboard_data`` ...) over a fleet: it adds only routing, fan-out
+  (``apply`` / ``reload`` / ``warmup`` broadcasts) and fan-in (worker
+  replies merged into the core's answers).
 * :class:`~repro.cluster.router.ShardRouter` — deterministic
   dataset -> worker placement with replica fan-out for hot datasets.
 * :class:`~repro.cluster.pool.WorkerPool` — supervised processes:
@@ -22,7 +25,8 @@ above it that finally lets a batch use every core:
   :func:`~repro.service.metrics.metrics_view` renders the same document
   a single service serves.
 * :mod:`repro.cluster.http` — stdlib HTTP front-end (``/search``,
-  ``/batch``, ``/metrics``, ``/healthz``) serving either tier.
+  ``/batch``, ``/metrics``, ``/healthz``, ``/debug/*``) over a
+  ``ServiceCore``, whichever substrate it runs on.
 
 Only primitives cross the process boundary: snapshot paths, request
 dicts, response dicts (:mod:`repro.service.wire`).  See

@@ -2,11 +2,12 @@
 
 ``QueryRequest`` / ``QueryResponse`` were wire-shaped from the start —
 structured errors, no exceptions across the boundary, JSON-ready
-metrics — so the endpoint is a thin translation layer over either a
+metrics — so the endpoint is a thin translation layer over a
+:class:`~repro.service.core.ServiceCore`: a
 :class:`~repro.service.QueryService` or a
-:class:`~repro.cluster.ShardedQueryService` (anything exposing
-``search`` / ``search_many`` / ``metrics`` / ``datasets``).  Pure
-stdlib: ``http.server.ThreadingHTTPServer``, no new dependencies.
+:class:`~repro.cluster.ShardedQueryService`, served by the same
+handlers because the verbs are the core's.  Pure stdlib:
+``http.server.ThreadingHTTPServer``, no new dependencies.
 
 Routes
 ------
@@ -38,12 +39,13 @@ Routes
     service's telemetry registry as Prometheus text exposition 0.0.4
     (``text/plain``) instead — what a scraper points at.
 ``GET /healthz``
-    ``{"status": "ok", "datasets": [...]}`` plus fleet liveness when
-    the service exposes ``health()`` (the sharded tier does); degrades
-    to 503 when workers are down.
+    ``{"status": "ok", "datasets": [...]}`` plus the service's
+    ``health()``: per-dataset versions, and on the sharded tier fleet
+    liveness; degrades to 503 when workers are down.
 ``GET /debug/trace/<trace_id>``
-    The reconstructed span tree for one trace (404 when unknown or
-    evicted, 501 when the service has tracing off).
+    The reconstructed span tree for one trace.  501 when the service
+    has tracing off (``service.tracer is None``), 404 when tracing is
+    on and the id is unknown or evicted.
     ``?format=text`` renders the tree as indented plain text
     (:func:`~repro.telemetry.trace.render_span_tree`) instead of JSON.
 ``GET /debug/slow``
@@ -51,8 +53,9 @@ Routes
     span tree plus its workload ``fingerprint`` and whether an explain
     report is retained for it.
 ``GET /debug/explain/<request_id>``
-    The retained explain report for one ``explain=True`` request (404
-    when unknown or evicted, 501 when the service has accounting off).
+    The retained explain report for one ``explain=True`` request.  501
+    when the service has accounting off (``service.explain_store is
+    None``), 404 when it is on and the id is unknown or evicted.
 ``GET /debug/queries``
     Workload analytics: the heavy-hitter sketch of query fingerprints
     with per-fingerprint count, latency and cost totals — merged
@@ -274,13 +277,13 @@ class _Handler(BaseHTTPRequestHandler):
                 "ValueError",
             )
             return
-        trace = getattr(self.server.service, "trace", None)
-        if not callable(trace):
+        service = self.server.service
+        if service.tracer is None:
             self._send_error_json(
-                501, "service does not support tracing", "NotImplemented"
+                501, "tracing is disabled on this service", "NotImplemented"
             )
             return
-        tree = trace(trace_id)
+        tree = service.trace(trace_id)
         if tree is None:
             self._send_error_json(
                 404, f"unknown trace {trace_id!r}", "NotFoundError"
@@ -296,22 +299,18 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200, tree)
 
     def _handle_slow(self) -> None:
-        slow = getattr(self.server.service, "slow_queries", None)
-        if not callable(slow):
-            self._send_error_json(
-                501, "service has no slow-query log", "NotImplemented"
-            )
-            return
-        self._send_json(200, {"slow_queries": slow()})
+        self._send_json(
+            200, {"slow_queries": self.server.service.slow_queries()}
+        )
 
     def _handle_explain(self, request_id: str) -> None:
-        explain = getattr(self.server.service, "explain", None)
-        if not callable(explain):
+        service = self.server.service
+        if service.explain_store is None:
             self._send_error_json(
-                501, "service has no explain store", "NotImplemented"
+                501, "accounting is disabled on this service", "NotImplemented"
             )
             return
-        report = explain(request_id)
+        report = service.explain(request_id)
         if report is None:
             self._send_error_json(
                 404,
@@ -323,21 +322,9 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200, report)
 
     def _handle_queries(self) -> None:
-        stats = getattr(self.server.service, "query_stats", None)
-        if not callable(stats):
-            self._send_error_json(
-                501, "service has no workload analytics", "NotImplemented"
-            )
-            return
-        self._send_json(200, stats())
+        self._send_json(200, self.server.service.query_stats())
 
     def _handle_events(self, query: str) -> None:
-        events = getattr(self.server.service, "events", None)
-        if not callable(events):
-            self._send_error_json(
-                501, "service has no event log", "NotImplemented"
-            )
-            return
         raw = (parse_qs(query).get("since") or ["0"])[0]
         try:
             since = int(raw)
@@ -346,15 +333,9 @@ class _Handler(BaseHTTPRequestHandler):
                 400, f'"since" must be an integer, got {raw!r}', "ValueError"
             )
             return
-        self._send_json(200, events(since))
+        self._send_json(200, self.server.service.events(since))
 
     def _handle_profile(self, query: str) -> None:
-        profile = getattr(self.server.service, "profile", None)
-        if not callable(profile):
-            self._send_error_json(
-                501, "service has no profiler", "NotImplemented"
-            )
-            return
         raw = (parse_qs(query).get("seconds") or ["2"])[0]
         try:
             seconds = float(raw)
@@ -370,7 +351,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "ValueError",
             )
             return
-        text = profile(seconds)
+        text = self.server.service.profile(seconds)
         if text is None:
             self._send_error_json(
                 501, "profiling is disabled on this service", "NotImplemented"
@@ -381,15 +362,9 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _handle_dashboard(self) -> None:
-        data = getattr(self.server.service, "dashboard_data", None)
-        if not callable(data):
-            self._send_error_json(
-                501, "service has no dashboard", "NotImplemented"
-            )
-            return
         self._send_text(
             200,
-            render_dashboard(data()),
+            render_dashboard(self.server.service.dashboard_data()),
             content_type="text/html; charset=utf-8",
         )
 
@@ -421,15 +396,8 @@ class _Handler(BaseHTTPRequestHandler):
                 )
                 return
             request_id = self.path[len(prefix):]
-            cancel = getattr(self.server.service, "cancel", None)
-            if not callable(cancel):
-                self._send_error_json(
-                    501, "service does not support cancellation", "NotImplemented"
-                )
-                return
-            self._send_json(
-                200, {"request_id": request_id, "cancelled": bool(cancel(request_id))}
-            )
+            cancelled = self.server.service.cancel(request_id)
+            self._send_json(200, {"request_id": request_id, "cancelled": cancelled})
         except Exception as exc:  # pragma: no cover - handler backstop
             self._send_error_json(500, str(exc), type(exc).__name__)
 
@@ -437,20 +405,11 @@ class _Handler(BaseHTTPRequestHandler):
     def _handle_healthz(self) -> None:
         service = self.server.service
         payload = {"status": "ok", "datasets": service.datasets()}
+        payload.update(service.health())
         status = 200
-        health = getattr(service, "health", None)
-        if callable(health):
-            fleet = health()
-            payload.update(fleet)
-            if fleet.get("alive", 0) < fleet.get("workers", 0):
-                payload["status"] = "degraded"
-                status = 503
-        if "versions" not in payload:
-            # Thread-tier services report per-dataset epoch versions
-            # directly (the sharded tier's health() already did).
-            versions = getattr(service, "dataset_versions", None)
-            if callable(versions):
-                payload["versions"] = versions()
+        if payload.get("alive", 0) < payload.get("workers", 0):
+            payload["status"] = "degraded"
+            status = 503
         self._send_json(status, payload)
 
     def _handle_mutate(self) -> None:
@@ -487,7 +446,7 @@ class _Handler(BaseHTTPRequestHandler):
         # Mint the trace at the front door: an ``http`` root span whose
         # id the route/worker spans hang off.  The span lands in the
         # service's own tracer, so /debug/trace/<id> shows one tree.
-        tracer = getattr(service, "tracer", None)
+        tracer = service.tracer
         http_span = None
         if tracer is not None:
             trace_id = (
@@ -502,9 +461,7 @@ class _Handler(BaseHTTPRequestHandler):
                 request, trace_id=trace_id, parent_span_id=http_span.span_id
             )
         watcher_stop: Optional[threading.Event] = None
-        if callable(getattr(service, "cancel", None)) and hasattr(
-            socket, "MSG_DONTWAIT"
-        ):
+        if hasattr(socket, "MSG_DONTWAIT"):
             # Map a client disconnect to cancellation: nobody is left
             # to read the answer, so free the worker.  Needs an id the
             # service registers; mint one if the client didn't.

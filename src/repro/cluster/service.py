@@ -1,12 +1,18 @@
-"""``ShardedQueryService``: the process-pool tier above ``QueryService``.
+"""``ShardedQueryService``: the serving core on worker processes.
 
-Same facade, different execution substrate: ``search`` / ``search_many``
-/ ``metrics`` / ``warmup`` / context-manager semantics match
-:class:`~repro.service.QueryService`, but requests are dispatched over
-N worker *processes*, each holding a private snapshot-warmed
-``QueryService`` — so a batch's pure-Python search time actually
-divides across cores instead of serializing on one GIL (the ROADMAP's
-first open item).
+One core, a different execution substrate:
+:class:`~repro.service.core.ServiceCore` holds the request front, the
+response builders, the telemetry state and the introspection verbs, and
+:class:`~repro.service.QueryService` runs it on threads.  This module
+runs it over N worker *processes*, each holding a private
+snapshot-warmed ``QueryService`` — so a batch's pure-Python search time
+actually divides across cores instead of serializing on one GIL.  What
+is written here is what only a supervisor does: **routing**
+(``_submit`` picks the shard and ships the request), **fan-out**
+(``apply`` / ``reload`` / ``warmup`` / ``dataset_versions`` broadcasts)
+and **fan-in** (``_await`` re-homes the worker's spans and settles its
+response; ``_gather`` / ``_pull_events`` / ``metrics`` collect worker
+replies for the core's merged verbs).
 
 Everything crossing the process boundary is primitives: snapshot paths
 at spawn time, request-shaped dicts out, response-shaped dicts back
@@ -57,6 +63,7 @@ already matches.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import time
@@ -66,6 +73,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
+from repro.core.cancellation import CancellationToken
 from repro.core.engine import parse_query
 from repro.core.params import SearchParams
 from repro.errors import (
@@ -76,47 +84,28 @@ from repro.errors import (
     SearchCancelledError,
     WorkerCrashedError,
 )
-from repro.service.metrics import (
-    ServiceMetrics,
-    family_total,
-    family_values,
-    metrics_view,
-)
-from repro.service.service import (
+from repro.service.core import (
     QueryRequest,
     QueryResponse,
-    coerce_request,
+    ServiceCore,
     normalize_search_args,
-    request_fingerprint,
 )
+from repro.service.metrics import family_total, family_values, metrics_view
 from repro.service.wire import request_to_dict, response_from_dict
-from repro.telemetry.accounting import ExplainStore, merge_sketch_exports
-from repro.telemetry.dashboard import algorithm_summary
-from repro.telemetry.events import EventLog
-from repro.telemetry.metrics import (
-    MetricsRegistry,
-    merge_registries,
-    strip_samples,
-)
-from repro.telemetry.profile import (
-    SamplingProfiler,
-    diff_profiles,
-    merge_profiles,
-    render_collapsed,
-)
-from repro.telemetry.slo import SloEngine, SloObjective, default_objectives
-from repro.telemetry.slowlog import SlowQueryLog
-from repro.telemetry.trace import Tracer, new_span_id, new_trace_id
+from repro.telemetry.metrics import merge_registries, strip_samples
+from repro.telemetry.slo import SloObjective
+from repro.telemetry.trace import new_span_id, new_trace_id
 from repro.wal.log import MutationLog
-from repro.wal.telemetry import WalTelemetry
 from repro.cluster.pool import WorkerPool, control_error
 from repro.cluster.router import ShardRouter
 
 __all__ = ["ShardedQueryService"]
 
 
-class ShardedQueryService:
-    """Facade owning a shard router, a worker pool and merged metrics.
+class ShardedQueryService(ServiceCore):
+    """The process tier: a :class:`~repro.service.core.ServiceCore`
+    that owns a shard router and a worker pool, routes each request to
+    a worker process and merges what the workers report.
 
     Parameters
     ----------
@@ -167,20 +156,14 @@ class ShardedQueryService:
         its own :class:`~repro.telemetry.Tracer` — :meth:`trace`
         reconstructs the cross-process tree.  Forwarded to every
         worker's private ``QueryService``; False disables both sides.
-    trace_capacity / slow_query_threshold / slow_log_capacity:
-        Supervisor-side retention knobs: how many traces the store
-        keeps, and the elapsed-seconds threshold / ring size of the
-        slow-query log (:meth:`slow_queries`; ``None`` disables it).
-    profiling / profile_interval:
+    slow_query_threshold:
+        Elapsed-seconds threshold of the supervisor's slow-query log
+        (:meth:`slow_queries`; ``None`` disables it).  Workers keep
+        none: the supervisor records from settled responses.
+    profiling:
         Always-on sampling profiler (:mod:`repro.telemetry.profile`),
-        on by default: the supervisor and every worker run a
-        ``SamplingProfiler`` at ``profile_interval`` seconds per
-        sample; :meth:`profile` diffs snapshots fleet-wide.
-    event_log_capacity:
-        Ring size of the supervisor's (and each worker's) structured
-        :class:`~repro.telemetry.events.EventLog`; worker events are
-        pulled and re-sequenced into the supervisor's stream by
-        :meth:`events`.
+        on by default: the supervisor and every worker run one;
+        :meth:`profile` diffs their snapshots fleet-wide.
     slo_objectives / slo_interval:
         Burn-rate alerting (:mod:`repro.telemetry.slo`): objectives
         default to :func:`~repro.telemetry.slo.default_objectives`
@@ -188,13 +171,28 @@ class ShardedQueryService:
         ticker (alerts fire into the event log and export ``slo_*``
         gauges).  An empty sequence disables SLOs; ``slo_interval=0``
         keeps evaluate-on-read only.
-    accounting / explain_capacity:
+    accounting:
         Per-query resource accounting (:mod:`repro.telemetry.accounting`),
         on by default: every worker keeps a workload sketch merged
         fleet-wide by :meth:`query_stats`, and the supervisor retains
-        the last ``explain_capacity`` explain reports harvested from
-        settled ``explain=True`` responses (:meth:`explain`).
+        the explain reports harvested from settled ``explain=True``
+        responses (:meth:`explain`) — workers are restartable cattle,
+        so ``GET /debug/explain/<id>`` works whichever replica ran the
+        query.
     """
+
+    # A supervisor sees every shard's traffic and every worker's
+    # events: it retains twice what one worker does.
+    TRACE_CAPACITY = 512
+    EVENT_LOG_CAPACITY = 1024
+    #: Recorded supervisor-side on every settled response
+    #: (:meth:`_account`), so the SLO engine never needs a worker
+    #: round-trip to evaluate.
+    SLO_FAMILIES = (
+        "repro_fleet_requests_total",
+        "repro_fleet_failures_total",
+        "repro_fleet_request_latency_seconds",
+    )
 
     def __init__(
         self,
@@ -205,7 +203,6 @@ class ShardedQueryService:
         replicas: Optional[Mapping[str, int]] = None,
         cache_capacity: int = 1024,
         cache_ttl: Optional[float] = None,
-        metrics_window: int = 2048,
         start_method: Optional[str] = "spawn",
         health_interval: float = 0.5,
         restart: bool = True,
@@ -214,33 +211,33 @@ class ShardedQueryService:
         wal_dir: Optional[os.PathLike] = None,
         wal_sync: str = "batched",
         tracing: bool = True,
-        trace_capacity: int = 512,
         slow_query_threshold: Optional[float] = 1.0,
-        slow_log_capacity: int = 128,
         profiling: bool = True,
-        profile_interval: float = 0.02,
-        event_log_capacity: int = 1024,
         slo_objectives: Optional[Sequence[SloObjective]] = None,
         slo_interval: float = 5.0,
         accounting: bool = True,
-        explain_capacity: int = 128,
         storage_mode: Optional[str] = None,
     ) -> None:
         if num_workers is None:
             num_workers = os.cpu_count() or 1
-        if cancel_grace < 0:
-            raise ValueError(f"cancel_grace must be >= 0, got {cancel_grace!r}")
-        self.event_log = EventLog(event_log_capacity)
-        self.registry = MetricsRegistry()
-        self._wal_telemetry = WalTelemetry(self.registry, self.event_log)
+        # Before the core starts its sampler thread: a bad shard layout
+        # must fail with nothing running.
         self.router = ShardRouter(
             list(snapshots),
             num_workers,
             default_replicas=default_replicas,
             replicas=replicas,
         )
+        super().__init__(
+            cooperative_cancellation=cooperative_cancellation,
+            cancel_grace=cancel_grace,
+            tracing=tracing,
+            slow_query_threshold=slow_query_threshold,
+            profiling=profiling,
+            slo_objectives=slo_objectives,
+            accounting=accounting,
+        )
         paths = {name: str(path) for name, path in snapshots.items()}
-        self._wals: dict[str, MutationLog] = {}
         wal_paths: dict[str, str] = {}
         if wal_dir is not None:
             from repro.errors import SnapshotError
@@ -279,8 +276,6 @@ class ShardedQueryService:
                 "wals": wal_paths,
                 "tracing": tracing,
                 "profiling": profiling,
-                "profile_interval": profile_interval,
-                "event_log_capacity": event_log_capacity,
                 "accounting": accounting,
                 # Storage tier every worker loads its snapshots into.
                 # Replacement workers spawned after a crash reuse these
@@ -294,25 +289,6 @@ class ShardedQueryService:
             restart=restart,
             event_sink=self._pool_event,
         )
-        self._cooperative = cooperative_cancellation
-        self._cancel_grace = cancel_grace
-        self._local_metrics = ServiceMetrics(self.registry, metrics_window)
-        self.tracer: Optional[Tracer] = Tracer(trace_capacity) if tracing else None
-        self.slow_log = SlowQueryLog(slow_query_threshold, slow_log_capacity)
-        # Explain reports are harvested supervisor-side from settled
-        # responses (workers are restartable cattle; their stores die
-        # with them), so ``GET /debug/explain/<id>`` works regardless of
-        # which replica ran the query.  Workload sketches stay
-        # worker-side and are merged on demand by :meth:`query_stats`.
-        self.explain_store: Optional[ExplainStore] = (
-            ExplainStore(explain_capacity) if accounting else None
-        )
-        self._active_lock = threading.Lock()
-        self._active: dict[str, int] = {}
-        # Fleet-level request accounting, recorded supervisor-side on
-        # every settled response so the SLO engine never needs a worker
-        # round-trip to evaluate: the families it watches live in this
-        # registry.
         self._fleet_requests = self.registry.counter(
             "repro_fleet_requests_total",
             "Requests settled by the supervisor",
@@ -328,36 +304,18 @@ class ShardedQueryService:
             "End-to-end request latency as seen by the supervisor",
             labels=("dataset",),
         )
-        self.profiler: Optional[SamplingProfiler] = None
-        if profiling:
-            self.profiler = SamplingProfiler(interval=profile_interval)
-            self.profiler.start()
         self._event_cursors: dict[int, int] = {}
         self._events_lock = threading.Lock()
-        self.slo: Optional[SloEngine] = None
         self._slo_stop = threading.Event()
         self._slo_thread: Optional[threading.Thread] = None
-        objectives = (
-            default_objectives() if slo_objectives is None else list(slo_objectives)
-        )
-        if objectives:
-            self.slo = SloEngine(
-                objectives,
-                source=self.registry.export,
-                registry=self.registry,
-                event_log=self.event_log,
-                request_family="repro_fleet_requests_total",
-                error_family="repro_fleet_failures_total",
-                latency_family="repro_fleet_request_latency_seconds",
+        if self.slo is not None and slo_interval and slo_interval > 0:
+            self._slo_thread = threading.Thread(
+                target=self._slo_loop,
+                args=(slo_interval,),
+                name="repro-slo-ticker",
+                daemon=True,
             )
-            if slo_interval and slo_interval > 0:
-                self._slo_thread = threading.Thread(
-                    target=self._slo_loop,
-                    args=(slo_interval,),
-                    name="repro-slo-ticker",
-                    daemon=True,
-                )
-                self._slo_thread.start()
+            self._slo_thread.start()
         # One mutation stream per *dataset*: broadcasts from concurrent
         # callers must reach every replica's queue in the same order,
         # or replicas would assign different node ids to the same
@@ -443,13 +401,13 @@ class ShardedQueryService:
             except Exception:  # pragma: no cover - defensive
                 pass
 
-    def _record_fleet_outcome(
-        self, request: Optional[QueryRequest], response: QueryResponse
-    ) -> None:
-        """Fleet-level per-dataset accounting for every settled
-        response — the series the SLO engine's error-rate and latency
-        objectives are evaluated over."""
+    def _account(self, response: QueryResponse) -> None:
+        """Fleet-level per-dataset accounting for every response the
+        front hands back (malformed items count under ``"unknown"``) —
+        the series the SLO engine's error-rate and latency objectives
+        are evaluated over."""
         try:
+            request = response.request
             dataset = request.dataset if request is not None else "unknown"
             self._fleet_requests.inc(dataset=dataset)
             if response.error_type:
@@ -836,8 +794,10 @@ class ShardedQueryService:
         timeout: Optional[float] = None,
         use_cache: bool = True,
     ) -> QueryResponse:
-        """Execute one query on its shard (same signature and dual
-        calling convention as :meth:`QueryService.search`)."""
+        """Execute one query on its shard.  Same dual calling
+        convention as :meth:`QueryService.search`, minus the caller
+        ``token``: a token cannot cross the process boundary — give the
+        request a ``request_id`` and use :meth:`cancel`."""
         request = normalize_search_args(
             dataset,
             query,
@@ -847,59 +807,7 @@ class ShardedQueryService:
             timeout=timeout,
             use_cache=use_cache,
         )
-        # Anchor the deadline *before* dispatch — crash-drain/respawn
-        # waits inside the pool count against the caller's budget, the
-        # same semantics search_many applies from its submission
-        # instant.
-        deadline = (
-            time.monotonic() + request.timeout
-            if request.timeout is not None
-            else None
-        )
-        dispatched = self._dispatch(request)
-        if isinstance(dispatched, QueryResponse):
-            self._record_fleet_outcome(request, dispatched)
-            return dispatched
-        return self._await(request, dispatched, deadline)
-
-    def search_many(
-        self,
-        requests: Sequence[Union[QueryRequest, tuple]],
-        *,
-        timeout: Optional[float] = None,
-    ) -> list[QueryResponse]:
-        """Execute a batch across the fleet; responses in request order.
-
-        The whole batch is dispatched before any response is awaited,
-        so shards run concurrently — this is the call whose CPU time
-        finally spreads over cores.  Per-item failures (malformed item,
-        unknown dataset, absent keyword, crash, deadline) come back as
-        structured error responses in their slots, never exceptions.
-        """
-        prepared: list[Union[QueryRequest, QueryResponse]] = []
-        for raw in requests:
-            try:
-                prepared.append(coerce_request(raw, default_timeout=timeout))
-            except Exception as exc:
-                prepared.append(self._malformed_response(exc))
-        submitted = time.monotonic()
-        dispatched = [
-            self._dispatch(item) if isinstance(item, QueryRequest) else item
-            for item in prepared
-        ]
-        responses: list[QueryResponse] = []
-        for item, outcome in zip(prepared, dispatched):
-            if isinstance(outcome, QueryResponse):
-                self._record_fleet_outcome(
-                    item if isinstance(item, QueryRequest) else None, outcome
-                )
-                responses.append(outcome)
-                continue
-            deadline = (
-                submitted + item.timeout if item.timeout is not None else None
-            )
-            responses.append(self._await(item, outcome, deadline))
-        return responses
+        return self.search_many([request])[0]
 
     # ------------------------------------------------------------------
     # observability / lifecycle
@@ -970,29 +878,8 @@ class ShardedQueryService:
             },
         }
         if self._wals:
-            view["cluster"]["wal_seq"] = {
-                name: log.last_seq for name, log in sorted(self._wals.items())
-            }
+            view["cluster"]["wal_seq"] = self.wal_seqs()
         return view
-
-    def cancel(self, request_id: str) -> bool:
-        """Cancel an in-flight request by its ``QueryRequest.request_id``.
-
-        Routed through the pool's cancel ring: the shard worker stops
-        the search at its next cooperative check (or skips it entirely
-        if still queued) and the waiter receives the structured
-        cancelled/partial response.  Returns True if a live request
-        with that id was found.  Always False with
-        ``cooperative_cancellation=False`` — the workers discarded
-        their cancel rings, so claiming success would be a lie.
-        """
-        if not self._cooperative:
-            return False
-        with self._active_lock:
-            job_id = self._active.get(request_id)
-        if job_id is None:
-            return False
-        return self.pool.cancel(job_id)
 
     def health(
         self, *, include_versions: bool = True, versions_timeout: float = 2.0
@@ -1022,9 +909,7 @@ class ShardedQueryService:
             # The durable tip per dataset: a replica whose version
             # matches is fully recovered; one behind it (and behind its
             # siblings) shows up in version_drift below.
-            payload["wal_seq"] = {
-                name: log.last_seq for name, log in sorted(self._wals.items())
-            }
+            payload["wal_seq"] = self.wal_seqs()
         if include_versions:
             versions = self.dataset_versions(timeout=versions_timeout)
             for name in self.datasets():
@@ -1044,11 +929,6 @@ class ShardedQueryService:
             )
         return payload
 
-    def wal_seqs(self) -> dict[str, int]:
-        """``{dataset: last durable WAL sequence}`` (empty without
-        ``wal_dir``)."""
-        return {name: log.last_seq for name, log in sorted(self._wals.items())}
-
     def close(self, timeout: float = 10.0) -> None:
         """Drain and stop the worker fleet (idempotent); durable logs
         are synced and closed last."""
@@ -1062,20 +942,20 @@ class ShardedQueryService:
         for log in self._wals.values():
             log.close()
 
-    def __enter__(self) -> "ShardedQueryService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _dispatch(
-        self, request: QueryRequest
+    def _submit(
+        self, request: QueryRequest, token: Optional[CancellationToken]
     ) -> Union[Future, QueryResponse]:
         """Route and ship one request; supervisor-side failures (bad
-        query, unknown dataset) come back as an immediate response."""
+        query, unknown dataset, a shard that is gone) come back as an
+        immediate response."""
+        if token is not None:
+            raise ValueError(
+                "a caller token cannot cross the process boundary; give "
+                "the request a request_id and use cancel()"
+            )
         start = time.perf_counter()
         trace_id = request.trace_id
         route_span = None
@@ -1086,66 +966,47 @@ class ShardedQueryService:
                 "route", trace_id=trace_id, parent_id=request.parent_span_id
             )
         try:
-            keywords = parse_query(request.query)
             worker_id = self.router.route(
-                request.dataset, (keywords, request.algorithm)
+                request.dataset, (parse_query(request.query), request.algorithm)
             )
-        except Exception as exc:
-            self._local_metrics.record_error(request.algorithm, type(exc).__name__)
+            wire_request = request_to_dict(request)
             if route_span is not None:
-                route_span.end(status="error")
-            return QueryResponse(
-                request=request,
-                error=str(exc),
-                error_type=type(exc).__name__,
-                elapsed=time.perf_counter() - start,
-                exception=exc,
-                request_id=request.request_id,
-                trace_id=trace_id,
-            )
-        wire_request = request_to_dict(request)
-        if route_span is not None:
-            route_span.set_attribute("dataset", request.dataset)
-            route_span.set_attribute("worker", worker_id)
-            # The worker's root span hangs off the route span: the wire
-            # copy carries the context, the caller's object stays as
-            # submitted.
-            wire_request["trace_id"] = trace_id
-            wire_request["parent_span_id"] = route_span.span_id
-        if not self._cooperative:
-            # Control arm: the supervisor owns the deadline; the worker
-            # runs every search to completion (pre-cancellation
-            # behaviour).  Cooperative mode ships the timeout so the
-            # worker arms its own token and frees the shard on expiry.
-            wire_request["timeout"] = None
-        try:
+                route_span.set_attribute("dataset", request.dataset)
+                route_span.set_attribute("worker", worker_id)
+                # The worker's root span hangs off the route span: the
+                # wire copy carries the context, the caller's object
+                # stays as submitted.
+                wire_request["trace_id"] = trace_id
+                wire_request["parent_span_id"] = route_span.span_id
+            if not self._cooperative:
+                # Control arm: the supervisor owns the deadline; the
+                # worker runs every search to completion
+                # (pre-cancellation behaviour).  Cooperative mode ships
+                # the timeout so the worker arms its own token and
+                # frees the shard on expiry.
+                wire_request["timeout"] = None
             future = self.pool.request(worker_id, wire_request)
         except PoolClosedError:
             if route_span is not None:
                 route_span.end(status="error")
             raise  # caller bug, like searching a closed QueryService
         except Exception as exc:
-            # e.g. WorkerCrashedError with restarts disabled: the shard
-            # is gone, which is an answer, not an exception.
-            self._local_metrics.record_error(request.algorithm, type(exc).__name__)
+            # Also e.g. WorkerCrashedError with restarts disabled: the
+            # shard is gone, which is an answer, not an exception.
             if route_span is not None:
                 route_span.end(status="error")
-            return QueryResponse(
-                request=request,
-                error=str(exc),
-                error_type=type(exc).__name__,
-                elapsed=time.perf_counter() - start,
-                exception=exc,
-                request_id=request.request_id,
-                trace_id=trace_id,
-            )
+            return self._error_response(request, exc, start, trace_id=trace_id)
         if route_span is not None:
             route_span.end()
             future.trace_id = trace_id  # type: ignore[attr-defined]
             future.route_span = route_span  # type: ignore[attr-defined]
         if self._cooperative and request.request_id is not None:
-            with self._active_lock:
-                self._active[request.request_id] = future.job_id  # type: ignore[attr-defined]
+            # Non-cooperative workers discarded their cancel rings:
+            # nothing is tracked, so cancel() never claims success.
+            future.canceller = functools.partial(  # type: ignore[attr-defined]
+                self.pool.cancel, future.job_id  # type: ignore[attr-defined]
+            )
+            self._track(request.request_id, future.canceller)  # type: ignore[attr-defined]
         return future
 
     def _await(
@@ -1155,15 +1016,11 @@ class ShardedQueryService:
         deadline: Optional[float],
     ) -> QueryResponse:
         try:
-            response = self._await_inner(request, future, deadline)
-            self._record_fleet_outcome(request, response)
-            return response
+            return self._await_inner(request, future, deadline)
         finally:
-            if request.request_id is not None:
-                job_id = getattr(future, "job_id", None)
-                with self._active_lock:
-                    if self._active.get(request.request_id) == job_id:
-                        del self._active[request.request_id]
+            canceller = getattr(future, "canceller", None)
+            if canceller is not None:
+                self._untrack(request.request_id, canceller)
 
     def _await_inner(
         self,
@@ -1189,33 +1046,22 @@ class ShardedQueryService:
             # the worker's answer a grace period to arrive.  (In the
             # common case the worker's own deadline token already
             # fired and its structured response is moments away.)
-            cancelled = False
-            job_id = getattr(future, "job_id", None)
-            if self._cooperative and job_id is not None:
-                cancelled = self.pool.cancel(job_id)
-            if self._cooperative and request.allow_partial:
-                try:
-                    payload = future.result(timeout=self._cancel_grace)
-                except FutureTimeoutError:  # pragma: no cover - stuck shard
-                    payload = None
+            if self._cooperative:
+                self.pool.cancel(future.job_id)  # type: ignore[attr-defined]
+                if request.allow_partial:
+                    try:
+                        payload = future.result(timeout=self._cancel_grace)
+                    except FutureTimeoutError:  # pragma: no cover - stuck shard
+                        pass
             if payload is None:
-                self._local_metrics.record_error(
-                    request.algorithm, DeadlineExceededError.__name__
-                )
-                suffix = (
-                    "the shard worker is stopping it cooperatively"
-                    if cancelled or self._cooperative
-                    else "the shard worker keeps running it in the background"
-                )
                 return self._absorb_trace(
                     request,
                     future,
-                    QueryResponse(
-                        request=request,
-                        error=f"deadline of {request.timeout}s exceeded "
-                        f"({suffix})",
-                        error_type=DeadlineExceededError.__name__,
-                        elapsed=request.timeout or 0.0,
+                    self._deadline_response(
+                        request,
+                        "the shard worker is stopping it cooperatively"
+                        if self._cooperative
+                        else "the shard worker keeps running it in the background",
                     ),
                 )
         response = response_from_dict(payload)
@@ -1236,7 +1082,7 @@ class ShardedQueryService:
         if response.error_type == WorkerCrashedError.__name__:
             # Worker-side errors are counted by the worker; a crash is
             # the one failure only the supervisor can account for.
-            self._local_metrics.record_error(
+            self._metrics.record_error(
                 request.algorithm, WorkerCrashedError.__name__
             )
             response.exception = WorkerCrashedError(response.error)
@@ -1246,7 +1092,8 @@ class ShardedQueryService:
         self, request: QueryRequest, future: Future, response: QueryResponse
     ) -> QueryResponse:
         """Re-home the worker's spans in the supervisor tracer, stamp
-        trace/request ids on the response, and feed the slow-query log.
+        trace/request ids on the response, and settle it (explain
+        harvest, slow-query log) supervisor-side.
 
         Also synthesizes the ``queue_wait`` span — the gap between the
         route span ending (request enqueued) and the worker's root span
@@ -1256,34 +1103,20 @@ class ShardedQueryService:
         """
         if response.request_id is None:
             response.request_id = request.request_id
-        result = response.result
-        if (
-            self.explain_store is not None
-            and result is not None
-            and result.explain is not None
-            and request.request_id is not None
-        ):
-            # Harvest before any early return: explain retention must
-            # not depend on tracing being enabled.
-            self.explain_store.put(request.request_id, result.explain)
         trace_id = getattr(future, "trace_id", None)
-        if self.tracer is None or trace_id is None:
-            response.spans = None
-            return response
-        if response.trace_id is None:
-            response.trace_id = trace_id
-        route_span = getattr(future, "route_span", None)
-        spans = response.spans
-        if spans:
-            self.tracer.ingest(span for span in spans if isinstance(span, dict))
+        if self.tracer is not None and trace_id is not None:
+            if response.trace_id is None:
+                response.trace_id = trace_id
+            route_span = getattr(future, "route_span", None)
+            spans = [span for span in response.spans or () if isinstance(span, dict)]
+            self.tracer.ingest(spans)
             if route_span is not None and route_span.duration is not None:
                 route_end = route_span.started_at + route_span.duration
                 worker_start = min(
                     (
                         span["start"]
                         for span in spans
-                        if isinstance(span, dict)
-                        and span.get("parent_id") == route_span.span_id
+                        if span.get("parent_id") == route_span.span_id
                         and isinstance(span.get("start"), (int, float))
                     ),
                     default=None,
@@ -1304,85 +1137,26 @@ class ShardedQueryService:
                         ]
                     )
         response.spans = None
-        if (
-            self.slow_log.threshold is not None
-            and response.elapsed >= self.slow_log.threshold
-        ):
-            self.slow_log.record(
-                elapsed=response.elapsed,
-                trace_id=trace_id,
-                request={
-                    "dataset": request.dataset,
-                    "query": (
-                        request.query
-                        if isinstance(request.query, str)
-                        else list(request.query)
-                    ),
-                    "algorithm": request.algorithm,
-                    "request_id": request.request_id,
-                },
-                error_type=response.error_type,
-                span_tree=self.tracer.trace(trace_id),
-                extra={
-                    "fingerprint": request_fingerprint(request),
-                    "explain_available": bool(
-                        self.explain_store is not None
-                        and request.request_id is not None
-                        and self.explain_store.get(request.request_id)
-                        is not None
-                    ),
-                },
-            )
+        self._settle(request, response)
         return response
 
-    def trace(self, trace_id: str) -> Optional[dict]:
-        """The reconstructed cross-process span tree for ``trace_id``
-        (``None`` when unknown, evicted, or tracing is off)."""
-        if self.tracer is None:
-            return None
-        return self.tracer.trace(trace_id)
-
-    def slow_queries(self) -> list[dict]:
-        """Supervisor-side slow-query entries, newest first."""
-        return self.slow_log.entries()
-
-    def explain(self, request_id: str) -> Optional[dict]:
-        """The retained explain report for ``request_id``, or None.
-
-        Reports are harvested from worker responses as they settle, so
-        they survive worker restarts for as long as the bounded store
-        keeps them.
-        """
-        if self.explain_store is None:
-            return None
-        return self.explain_store.get(request_id)
-
-    def query_stats(self, *, timeout: float = 5.0) -> dict:
-        """The fleet-wide workload-analytics export.
-
-        Broadcasts a sketch pull to every live worker and folds the
-        replies with
-        :func:`repro.telemetry.accounting.merge_sketch_exports` — the
-        mergeable-summaries combine, so per-fingerprint counts stay
-        over-estimates with known error even though each replica only
-        saw its own slice of the workload.  Non-strict: a busy or
-        crashed replica is simply absent from this pull.
-        """
-        results = self._broadcast(
-            self.pool.worker_ids(), "queries", None, timeout=timeout,
-            strict=False,
+    # ------------------------------------------------------------------
+    # what the workers contribute to the merged verbs
+    # ------------------------------------------------------------------
+    def _gather(self, kind: str) -> dict[str, dict]:
+        """The supervisor's own part plus every live worker's reply to
+        a ``kind`` pull.  Non-strict: a busy or crashed replica is
+        simply absent from this pull."""
+        parts = super()._gather(kind)
+        replies = self._broadcast(
+            self.pool.worker_ids(), kind, None, timeout=5.0, strict=False
         )
-        exports = [
-            payload["queries"]
-            for payload in results.values()
-            if isinstance(payload.get("queries"), dict)
-        ]
-        return merge_sketch_exports(exports)
+        for worker_id, payload in replies.items():
+            if isinstance(payload.get(kind), dict):
+                parts[f"worker-{worker_id}"] = payload[kind]
+        return parts
 
-    # ------------------------------------------------------------------
-    # operational intelligence
-    # ------------------------------------------------------------------
-    def _pull_worker_events(self, *, timeout: float = 2.0) -> None:
+    def _pull_events(self) -> None:
         """Merge every worker's event log into the supervisor's.
 
         Each worker keeps its own monotonically-sequenced log; the
@@ -1394,6 +1168,7 @@ class ShardedQueryService:
         worker queues mean a busy replica delays its answer; non-strict
         collection skips it until the next pull.
         """
+        timeout = 2.0
         with self._events_lock:
             futures: dict[int, Future] = {}
             for worker_id in self.pool.worker_ids():
@@ -1428,130 +1203,3 @@ class ShardedQueryService:
                             event, source=f"worker-{worker_id}"
                         )
                 self._event_cursors[worker_id] = last
-
-    def events(
-        self,
-        since: int = 0,
-        *,
-        limit: Optional[int] = None,
-        pull: bool = True,
-        timeout: float = 2.0,
-    ) -> dict:
-        """The merged fleet event stream after ``since`` (a supervisor
-        sequence number): ``{"events": [...], "last_seq": N}``.  Worker
-        logs are pulled first unless ``pull=False``."""
-        if pull:
-            self._pull_worker_events(timeout=timeout)
-        return {
-            "events": self.event_log.events(since=since, limit=limit),
-            "last_seq": self.event_log.last_seq,
-        }
-
-    def slo_status(self) -> list[dict]:
-        """Evaluate every objective now; ``[]`` when SLOs are off."""
-        if self.slo is None:
-            return []
-        return self.slo.evaluate()
-
-    def _profile_snapshots(self, *, timeout: float = 5.0) -> dict[str, dict]:
-        """Cumulative profiler snapshots, keyed by process."""
-        snaps: dict[str, dict] = {}
-        if self.profiler is not None:
-            snaps["supervisor"] = self.profiler.snapshot()
-        results = self._broadcast(
-            self.pool.worker_ids(), "profile", None, timeout=timeout,
-            strict=False,
-        )
-        for worker_id, payload in results.items():
-            snap = payload.get("profile")
-            if isinstance(snap, dict):
-                snaps[f"worker-{worker_id}"] = snap
-        return snaps
-
-    def profile_snapshot(self) -> Optional[dict]:
-        """The merged *cumulative* fleet profile (since process start);
-        ``None`` when profiling is off everywhere."""
-        snaps = self._profile_snapshots()
-        if not snaps:
-            return None
-        return merge_profiles(snaps.values())
-
-    def profile(
-        self, seconds: float = 2.0, *, timeout: float = 5.0
-    ) -> Optional[str]:
-        """Profile the whole fleet for ``seconds`` and render the
-        merged window as collapsed stacks (``stack count`` lines,
-        hottest first) — ``None`` when profiling is disabled.
-
-        Implemented as two cumulative snapshots and a diff, so the
-        samplers never pause and a worker busy serving is *exactly*
-        what shows up in the window.  A worker that restarts inside
-        the window contributes its whole new lifetime (its "before"
-        snapshot died with it) — close enough for a hot-stack view.
-        """
-        before = self._profile_snapshots(timeout=timeout)
-        time.sleep(max(0.0, seconds))
-        after = self._profile_snapshots(timeout=timeout)
-        if not after:
-            return None
-        windows = []
-        for key, snap in after.items():
-            prior = before.get(key)
-            windows.append(
-                diff_profiles(prior, snap) if prior is not None else snap
-            )
-        merged = merge_profiles(windows)
-        return render_collapsed(merged)
-
-    def dashboard_data(self) -> dict:
-        """Everything :func:`~repro.telemetry.dashboard.render_dashboard`
-        needs, in one pass: health, merged metrics, SLO status, the
-        merged event stream, slow queries and the cumulative profile."""
-        health = self.health()
-        merged = self.metrics()
-        slo = self.slo.evaluate() if self.slo is not None else []
-        self._pull_worker_events()
-        versions = {
-            name: ", ".join(
-                f"w{worker}={'?' if version is None else version}"
-                for worker, version in sorted(by_worker.items())
-            )
-            for name, by_worker in health.get("versions", {}).items()
-        }
-        return {
-            "service": type(self).__name__,
-            "generated_at": time.time(),
-            "health": {
-                "status": (
-                    "ok" if health["alive"] == health["workers"] else "degraded"
-                ),
-                "workers": health["workers"],
-                "workers_alive": health["alive"],
-                "restarts": {
-                    str(w): n for w, n in sorted(self.pool.restarts().items())
-                },
-                "versions": versions,
-                "version_drift": health.get("version_drift", []),
-                "wal_seq": health.get("wal_seq", {}),
-            },
-            "metrics": {
-                "requests_total": merged.get("requests_total", 0),
-                "errors_total": merged.get("errors_total", 0),
-                "cache_hit_rate": merged.get("cache_hit_rate"),
-                "algorithms": algorithm_summary(merged.get("algorithms", {})),
-            },
-            "slo": slo,
-            "events": self.event_log.events(limit=50),
-            "slow_queries": self.slow_queries()[:10],
-            "queries": self.query_stats(),
-            "profile": self.profile_snapshot(),
-        }
-
-    def _malformed_response(self, exc: Exception) -> QueryResponse:
-        self._local_metrics.record_error("invalid-request", type(exc).__name__)
-        return QueryResponse(
-            request=None,
-            error=str(exc),
-            error_type=type(exc).__name__,
-            exception=exc,
-        )

@@ -201,15 +201,12 @@ def _handle_message(
         # restarted with a fresh log.
         payload = message[2] if len(message) > 2 and message[2] else {}
         return service.events(since=int(payload.get("since") or 0))
-    if kind == "profile":
-        # Cumulative sampler snapshot (None when profiling is off);
-        # the supervisor diffs two of these to get a window.
-        return {"profile": service.profile_snapshot()}
-    if kind == "queries":
-        # Workload-analytics sketch export; the supervisor merges the
-        # replicas' exports into the fleet view (mergeable summaries,
-        # like the metrics registry).
-        return {"queries": service.query_stats()}
+    if kind in ("profile", "queries"):
+        # This process's part of a fleet-merged verb — the sampler's
+        # cumulative snapshot (the supervisor diffs two for a window),
+        # the workload sketch export (mergeable summaries, like the
+        # metrics registry) — or None with that feature off.
+        return {kind: service._local_part(kind)}
     if kind == "sleep":
         # Debug/test hook: hold this worker busy for a while, the cheap
         # stand-in for a long search when exercising crash recovery and
@@ -236,9 +233,10 @@ def worker_main(
     snapshots:
         ``{dataset_name: snapshot_path_string}`` for this shard.
     settings:
-        Plain dict of ``QueryService`` knobs: ``cache_capacity``,
-        ``cache_ttl``, ``cooperative_cancellation``, ``tracing``,
-        ``storage_mode``.
+        Plain dict of what the supervisor varies per fleet:
+        ``cache_capacity``, ``cache_ttl``, ``cooperative_cancellation``,
+        ``tracing``, ``profiling``, ``accounting``, ``storage_mode``
+        and ``wals`` (``{dataset: log path}`` to replay at startup).
     request_queue / response_conn:
         The channel pair described in the module docstring.
     cancel_cells:
@@ -257,8 +255,6 @@ def worker_main(
         cooperative_cancellation=cooperative,
         tracing=settings.get("tracing", True),
         profiling=settings.get("profiling", False),
-        profile_interval=settings.get("profile_interval", 0.02),
-        event_log_capacity=settings.get("event_log_capacity", 512),
         accounting=settings.get("accounting", True),
         # Storage tier for snapshot loads (ram/mapped/auto; None defers
         # to the environment).  Set fleet-wide by the supervisor: every
@@ -269,7 +265,13 @@ def worker_main(
         # Workers never evaluate SLOs — the supervisor owns the fleet
         # view; an engine per replica would just burn samples.
         slo_objectives=(),
+        # Nor do they log slow queries: the supervisor records them
+        # from settled responses, and no message reads a worker's log.
+        slow_query_threshold=None,
     )
+    # Same for explain reports, harvested supervisor-side; the workload
+    # sketch the same ``accounting`` switch turns on *is* pulled.
+    service.explain_store = None
     for name, path in snapshots.items():
         service.register_snapshot(name, path)
     for name, wal_path in (settings.get("wals") or {}).items():

@@ -1,10 +1,19 @@
 """Query service layer (production north star, ROADMAP).
 
-A deployable tier above the single-engine library API:
+A deployable tier above the single-engine library API — one core on
+two execution substrates:
 
-* :class:`QueryService` — engine registry + result cache + concurrent
-  batch executor + metrics, behind structured
-  :class:`QueryRequest` / :class:`QueryResponse` dataclasses.
+* :class:`~repro.service.core.ServiceCore` — the serving verbs behind
+  structured :class:`QueryRequest` / :class:`QueryResponse`
+  dataclasses, written once: the ``search_many`` front, ``cancel``, the
+  response builders, the per-process telemetry state and the
+  introspection verbs (``trace``, ``slow_queries``, ``explain``,
+  ``events``, ``query_stats``, ``profile``, ``slo_status``,
+  ``dashboard_data``).
+* :class:`QueryService` — the core on threads: engine registry +
+  result cache + concurrent batch executor + live mutations and their
+  WAL, all in this process.  (:class:`repro.cluster.ShardedQueryService`
+  is the same core over worker processes.)
 * :class:`~repro.service.cache.ResultCache` — thread-safe LRU + TTL
   cache, reusable on its own.
 * :mod:`repro.service.snapshot` — versioned disk format for built
@@ -21,12 +30,13 @@ See ``examples/service_quickstart.py`` for the end-to-end tour.
 
 from repro.service.cache import ResultCache, canonical_cache_key
 from repro.service.metrics import ServiceMetrics, metrics_view, percentile
-from repro.service.service import (
+from repro.service.core import (
     QueryRequest,
     QueryResponse,
-    QueryService,
+    ServiceCore,
     coerce_request,
 )
+from repro.service.service import QueryService
 from repro.service.snapshot import (
     SNAPSHOT_VERSION,
     load_engine,
@@ -48,6 +58,7 @@ __all__ = [
     "QueryRequest",
     "QueryResponse",
     "QueryService",
+    "ServiceCore",
     "coerce_request",
     "request_to_dict",
     "request_from_dict",

@@ -1,6 +1,11 @@
-"""Query service: named engines, cached results, concurrent batches.
+"""``QueryService``: the serving core on threads, in one process.
 
-The layer the ROADMAP's production north star needs above
+:class:`~repro.service.core.ServiceCore` holds what every tier serves
+the same way — the request front (``search_many``, deadlines anchored
+at submission, malformed items answered in their slots), ``cancel``,
+the response builders, the telemetry state and the introspection verbs.
+This module is the substrate under it that runs searches *here*, the
+layer the ROADMAP's production north star needs above
 :class:`~repro.core.engine.KeywordSearchEngine`:
 
 * **Engine registry** — one engine per dataset name, registered eagerly
@@ -12,12 +17,14 @@ The layer the ROADMAP's production north star needs above
 * **Result cache** — a shared :class:`~repro.service.cache.ResultCache`
   (LRU + TTL) keyed on the canonicalized query identity; repeated
   queries are answered in microseconds without touching the graph.
-* **Batch execution** — :meth:`search_many` fans requests over a
-  ``ThreadPoolExecutor`` and honours per-request deadlines.  Responses
-  never raise: errors (unknown dataset, absent keyword, deadline
-  exceeded) come back as structured :class:`QueryResponse` objects, the
-  contract an HTTP front-end can map onto status codes directly.
-* **Metrics** — every request writes the service's
+* **Execution** — the core's two hooks: ``_submit`` queues a request
+  on a ``ThreadPoolExecutor`` and ``_await`` watches its deadline; a
+  :meth:`QueryService.search` without a deadline skips both and runs
+  on the caller's thread.  Responses never raise: errors (unknown
+  dataset, absent keyword, deadline exceeded) come back as structured
+  :class:`QueryResponse` objects, the contract an HTTP front-end can
+  map onto status codes directly.
+* **Metrics** — every request writes the core's
   :class:`~repro.telemetry.metrics.MetricsRegistry` and nothing else;
   :meth:`metrics` is a view of its export (per-algorithm latency
   percentiles, cache hit rate, error counters) as a plain dict.
@@ -38,8 +45,9 @@ The layer the ROADMAP's production north star needs above
 Threads, not processes: search holds the GIL, so a batch's *CPU* time is
 not divided across cores — what batching buys is overlap of cache hits
 with in-flight searches, deduplication of identical queries through the
-cache, deadline enforcement, and a single shared warm engine.  A
-process-pool sharding tier is the ROADMAP follow-up.
+cache, deadline enforcement, and a single shared warm engine.  The
+process tier (:mod:`repro.cluster`) runs the same core over worker
+processes, each of which holds one of these.
 
 Deadlines are enforced *cooperatively*: the service arms a
 :class:`~repro.core.cancellation.CancellationToken` from each request's
@@ -69,12 +77,12 @@ from collections import deque
 from pathlib import Path
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from repro.core.answer import SearchResult
 from repro.core.cancellation import CancellationToken
-from repro.core.engine import ALGORITHMS, KeywordSearchEngine, parse_query
+from repro.core.engine import KeywordSearchEngine
 from repro.core.params import SearchParams
 from repro.errors import (
     DeadlineExceededError,
@@ -83,24 +91,19 @@ from repro.errors import (
     WalError,
 )
 from repro.service.cache import ResultCache, canonical_cache_key
-from repro.service.metrics import ServiceMetrics, metrics_view
-from repro.telemetry.accounting import (
-    ExplainStore,
-    WorkloadAnalytics,
-    query_fingerprint,
+from repro.service.core import (
+    QueryRequest,
+    QueryResponse,
+    ServiceCore,
+    coerce_request,
+    normalize_search_args,
+    request_fingerprint,
 )
-from repro.telemetry.dashboard import algorithm_summary
-from repro.telemetry.events import EventLog
-from repro.telemetry.metrics import MetricsRegistry, strip_samples
-from repro.telemetry.profile import (
-    SamplingProfiler,
-    diff_profiles,
-    render_collapsed,
-)
-from repro.telemetry.slo import SloEngine, SloObjective, default_objectives
-from repro.telemetry.slowlog import SlowQueryLog
-from repro.telemetry.trace import Tracer, new_trace_id, use_span
-from repro.wal.telemetry import WalTelemetry
+from repro.service.metrics import metrics_view
+from repro.telemetry.accounting import WorkloadAnalytics
+from repro.telemetry.metrics import strip_samples
+from repro.telemetry.slo import SloObjective
+from repro.telemetry.trace import new_trace_id, use_span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.live.dataset import MutableDataset
@@ -200,259 +203,10 @@ class _Once:
             return True
 
 
-@dataclass(frozen=True)
-class QueryRequest:
-    """One keyword query addressed to a registered dataset.
-
-    Attributes
-    ----------
-    dataset:
-        Registry name the query runs against.
-    query:
-        Query string or keyword sequence (sequences are normalized to
-        tuples so requests stay hashable).
-    algorithm:
-        ``"bidirectional"`` (default), ``"si-backward"`` or
-        ``"mi-backward"``.
-    k:
-        Top-k override; folded into the effective params before caching
-        so ``k=10`` via either spelling shares a cache entry.
-    params:
-        Full :class:`SearchParams` override (defaults to the engine's).
-    timeout:
-        Per-request deadline in seconds, measured from when the request
-        is handed to the executor.
-    deadline_ms:
-        The same deadline in milliseconds — the spelling HTTP clients
-        think in.  Normalized into ``timeout`` at construction (the
-        canonical field; ``deadline_ms`` reads None afterwards); setting
-        both is an error.
-    use_cache:
-        Set False to force a fresh search (the result still refreshes
-        the cache for later callers).
-    allow_partial:
-        When the deadline fires (or the request is cancelled), attach
-        the bound-certified answers the search had already released to
-        the error response (``result.complete`` is False).  Default
-        False: an expired query returns only the structured error.
-    explain:
-        Run the query with the engine's explain mode on: the response's
-        ``result.explain`` carries the structured report (seed
-        resolution, sampled expansion timeline, per-answer score
-        decomposition) and the service retains it in its bounded
-        explain store, keyed by ``request_id``.  Explain requests bypass
-        the cache *read* (a cached result has no report to attach) but
-        still refresh the cache with a report-stripped copy.
-    request_id:
-        Optional caller-chosen id making the request cancellable
-        mid-flight via ``cancel(request_id)`` on either service tier
-        (and ``DELETE /search/<id>`` over HTTP).
-    trace_id:
-        Trace this request belongs to.  Minted at the outermost layer
-        that sees the request (the HTTP front door, the cluster
-        supervisor, or the service itself when absent) and echoed on
-        the response; all spans the request produces share it.
-    parent_span_id:
-        Span id the executing service should parent its ``worker`` span
-        under — how the supervisor's ``route`` span and the worker
-        process's spans join into one tree.
-    """
-
-    dataset: str
-    query: Union[str, tuple[str, ...]]
-    algorithm: str = "bidirectional"
-    k: Optional[int] = None
-    params: Optional[SearchParams] = None
-    timeout: Optional[float] = None
-    deadline_ms: Optional[float] = None
-    use_cache: bool = True
-    allow_partial: bool = False
-    explain: bool = False
-    request_id: Optional[str] = None
-    trace_id: Optional[str] = None
-    parent_span_id: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.query, (str, tuple)):
-            object.__setattr__(self, "query", tuple(self.query))
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {self.algorithm!r}; expected one of "
-                f"{sorted(ALGORITHMS)}"
-            )
-        if self.deadline_ms is not None:
-            if self.timeout is not None:
-                raise ValueError(
-                    "set timeout (seconds) or deadline_ms (milliseconds), "
-                    "not both"
-                )
-            object.__setattr__(self, "timeout", self.deadline_ms / 1000.0)
-            object.__setattr__(self, "deadline_ms", None)
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout!r}")
-
-
-@dataclass
-class QueryResponse:
-    """Outcome of one request: a result, or a structured error.
-
-    The one case carrying both: a deadline-expired or cancelled request
-    with ``allow_partial=True`` keeps its error fields *and* attaches
-    the partial result (``result.complete`` is False) — the paper's
-    anytime semantics surfaced at the service boundary.
-
-    ``request`` is None only when the raw batch item was too malformed
-    to build a :class:`QueryRequest` at all (unknown algorithm, wrong
-    shape) — the error fields then carry the construction failure.
-    """
-
-    request: Optional[QueryRequest]
-    result: Optional[SearchResult] = None
-    error: Optional[str] = None
-    error_type: Optional[str] = None
-    cached: bool = False
-    elapsed: float = 0.0
-    #: Echo of ``request.request_id`` — present on every path (success,
-    #: error, deadline, cancel) so callers correlate without keeping the
-    #: request object around.
-    request_id: Optional[str] = None
-    #: The trace this response belongs to (minted by the executing
-    #: service when the request carried none); key into
-    #: ``service.trace(...)`` / ``GET /debug/trace/<id>``.
-    trace_id: Optional[str] = None
-    #: Finished span dicts produced while executing this request — how
-    #: spans cross the worker→supervisor process boundary (the
-    #: supervisor ingests and clears them).
-    spans: Optional[list] = field(default=None, repr=False)
-    #: The original exception object, for in-process callers that want
-    #: exception semantics back (``error``/``error_type`` carry the
-    #: wire-friendly view; a deadline miss has no exception object).
-    exception: Optional[BaseException] = field(default=None, repr=False)
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    def raise_for_error(self) -> "QueryResponse":
-        """Re-raise the recorded error (for callers preferring exceptions)."""
-        if self.exception is not None:
-            raise self.exception
-        if self.error is not None:
-            described = (
-                f"query {self.request.query!r} on {self.request.dataset!r}"
-                if self.request is not None
-                else "malformed request"
-            )
-            message = f"{described} failed: [{self.error_type}] {self.error}"
-            if self.error_type == DeadlineExceededError.__name__:
-                raise DeadlineExceededError(message)
-            raise RuntimeError(message)
-        return self
-
-
-def coerce_request(
-    request, *, default_timeout: Optional[float] = None
-) -> QueryRequest:
-    """Normalize one batch item into a :class:`QueryRequest`.
-
-    Accepts a prepared request (given ``default_timeout``, a request
-    without its own deadline picks it up) or a ``(dataset, query[,
-    algorithm])`` tuple.  Shared by :meth:`QueryService.search_many` and
-    the cluster tier's supervisor, so both layers reject malformed items
-    identically.  Raises on anything else — callers turn the exception
-    into a structured error response.
-    """
-    if isinstance(request, QueryRequest):
-        if request.timeout is None and default_timeout is not None:
-            return replace(request, timeout=default_timeout)
-        return request
-    dataset, query, *rest = request
-    if len(rest) > 1:
-        raise ValueError(
-            f"batch tuple must be (dataset, query[, algorithm]), got "
-            f"{len(rest) + 2} elements — build a QueryRequest for more knobs"
-        )
-    return QueryRequest(
-        dataset=dataset,
-        query=query if isinstance(query, str) else tuple(query),
-        algorithm=rest[0] if rest else "bidirectional",
-        timeout=default_timeout,
-    )
-
-
-def normalize_search_args(
-    dataset: Union[str, QueryRequest],
-    query: Optional[Union[str, Sequence[str]]],
-    *,
-    algorithm: str,
-    k: Optional[int],
-    params,
-    timeout: Optional[float],
-    use_cache: bool,
-) -> QueryRequest:
-    """Resolve ``search``'s dual calling convention to one request.
-
-    Both the thread tier and the cluster tier accept either a prepared
-    :class:`QueryRequest` or the ``(dataset, query, ...)`` shorthand —
-    not both: keyword overrides alongside a request object would be
-    silently shadowed by the request's own fields, so they are
-    rejected.  Shared so the two facades can never drift.
-    """
-    if isinstance(dataset, QueryRequest):
-        overrides = (
-            query is not None
-            or algorithm != "bidirectional"
-            or k is not None
-            or params is not None
-            or timeout is not None
-            or use_cache is not True
-        )
-        if overrides:
-            raise ValueError(
-                "pass either a QueryRequest or (dataset, query, ...) "
-                "keywords, not both — the request object already fixes "
-                "those fields"
-            )
-        return dataset
-    if query is None:
-        raise ValueError("query is required when dataset is a name")
-    return QueryRequest(
-        dataset=dataset,
-        query=query if isinstance(query, str) else tuple(query),
-        algorithm=algorithm,
-        k=k,
-        params=params,
-        timeout=timeout,
-        use_cache=use_cache,
-    )
-
-
-def request_fingerprint(request: QueryRequest) -> str:
-    """Canonical workload fingerprint for a request.
-
-    Normalizes through the engine's own query parser so
-    ``"beer wine"`` and ``("Wine", "beer")`` collapse to one
-    fingerprint, then folds in the algorithm and the shape-affecting
-    knobs (``k`` plus any explicit params override).  Used as the
-    aggregation key of the workload sketch and stamped onto slow-log
-    entries.
-    """
-    try:
-        terms = parse_query(request.query)
-    except Exception:
-        terms = (str(request.query),)
-    return query_fingerprint(
-        terms,
-        algorithm=request.algorithm,
-        params={
-            "k": request.k,
-            "params": asdict(request.params) if request.params else None,
-        },
-    )
-
-
-class QueryService:
-    """Facade owning engines, cache, executor and metrics.
+class QueryService(ServiceCore):
+    """The thread tier: a :class:`~repro.service.core.ServiceCore` that
+    owns engines, a result cache and an executor, and runs every search
+    in this process.
 
     Usable as a context manager; :meth:`close` shuts the executor down.
 
@@ -465,6 +219,13 @@ class QueryService:
     request waits for the cancelled search to hand back what it has —
     cooperative checks make that a few milliseconds; the grace only
     matters if a search is stuck in a non-cooperative section.
+
+    ``tracing``, ``slow_query_threshold`` (None disables the slow-query
+    log), ``profiling``, ``slo_objectives`` (empty disables SLOs; the
+    objectives here are fleet-wide — dataset-scoped ones belong to the
+    cluster tier, whose supervisor counters carry a dataset label) and
+    ``accounting`` (explain retention plus the workload sketch) switch
+    the core's telemetry; see docs/OBSERVABILITY.md.
     """
 
     #: Cancellation-storm event: this many cancellations inside the
@@ -479,76 +240,38 @@ class QueryService:
         cache_capacity: int = 1024,
         cache_ttl: Optional[float] = None,
         max_workers: int = 8,
-        metrics_window: int = 2048,
         clock: Callable[[], float] = time.monotonic,
         cooperative_cancellation: bool = True,
         cancel_grace: float = 1.0,
         tracing: bool = True,
-        trace_capacity: int = 256,
         slow_query_threshold: Optional[float] = 1.0,
-        slow_log_capacity: int = 128,
         profiling: bool = False,
-        profile_interval: float = 0.02,
-        event_log_capacity: int = 512,
         slo_objectives: Optional[Sequence[SloObjective]] = None,
         accounting: bool = True,
-        explain_capacity: int = 128,
-        analytics_capacity: int = 64,
         storage_mode: Optional[str] = None,
     ) -> None:
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers!r}")
-        if cancel_grace < 0:
-            raise ValueError(f"cancel_grace must be >= 0, got {cancel_grace!r}")
+        super().__init__(
+            cooperative_cancellation=cooperative_cancellation,
+            cancel_grace=cancel_grace,
+            tracing=tracing,
+            slow_query_threshold=slow_query_threshold,
+            profiling=profiling,
+            slo_objectives=slo_objectives,
+            accounting=accounting,
+        )
         self.cache = ResultCache(cache_capacity, cache_ttl, clock=clock)
-        self.registry = MetricsRegistry()
-        self._metrics = ServiceMetrics(self.registry, metrics_window)
-        self.tracer: Optional[Tracer] = Tracer(trace_capacity) if tracing else None
-        self.slow_log = SlowQueryLog(slow_query_threshold, slow_log_capacity)
-        self.event_log = EventLog(event_log_capacity)
-        # Per-query resource accounting: retained explain reports plus a
-        # heavy-hitter sketch of cost/latency per query fingerprint.
-        # ``accounting=False`` is the control arm of
-        # ``benchmarks/bench_telemetry_overhead.py``.
-        self.explain_store: Optional[ExplainStore] = (
-            ExplainStore(explain_capacity) if accounting else None
-        )
-        self.analytics: Optional[WorkloadAnalytics] = (
-            WorkloadAnalytics(analytics_capacity) if accounting else None
-        )
-        self.profiler: Optional[SamplingProfiler] = None
-        if profiling:
-            self.profiler = SamplingProfiler(profile_interval)
-            self.profiler.start()
-        # SLO burn-rate alerting over this tier's own registry families
-        # (per-algorithm counters — objectives here are fleet-wide;
-        # dataset-scoped objectives belong to the cluster tier, whose
-        # supervisor counters carry a dataset label).
-        objectives = (
-            default_objectives() if slo_objectives is None else tuple(slo_objectives)
-        )
-        self.slo: Optional[SloEngine] = None
-        if objectives:
-            self.slo = SloEngine(
-                objectives,
-                source=self.registry.export,
-                registry=self.registry,
-                event_log=self.event_log,
-                request_family="repro_requests_total",
-                error_family="repro_errors_total",
-                latency_family="repro_request_latency_seconds",
-            )
+        if accounting:
+            self.analytics = WorkloadAnalytics()
         # Default storage tier for snapshot registrations: None defers
         # to each load's own resolution (explicit arg, then the
         # REPRO_SNAPSHOT_MODE environment hook, then "auto").
         self._storage_mode = storage_mode
         self._max_workers = max_workers
-        self._cooperative = cooperative_cancellation
-        self._cancel_grace = cancel_grace
         self._engines: dict[str, KeywordSearchEngine] = {}
         self._factories: dict[str, Callable[[], KeywordSearchEngine]] = {}
         self._mutable: dict[str, "MutableDataset"] = {}
-        self._wals: dict[str, "MutationLog"] = {}
         self._detached_wals: list["MutationLog"] = []
         self._versions: dict[str, int] = {}
         self._snapshot_sources: dict[str, str] = {}
@@ -558,8 +281,6 @@ class QueryService:
         self._build_locks: dict[str, threading.Lock] = {}
         self._executor: Optional[ThreadPoolExecutor] = None
         self._executor_lock = threading.Lock()
-        self._active_lock = threading.Lock()
-        self._active: dict[str, CancellationToken] = {}
         # Cancellation-storm detector: a burst of cancellations usually
         # means one shared cause (deadline too tight after a deploy, a
         # stuck shard) rather than many unlucky queries — worth one
@@ -568,7 +289,6 @@ class QueryService:
         self._cancel_storm_lock = threading.Lock()
         self._cancel_storm_until = 0.0
         self._closed = False
-        self._wal_telemetry = WalTelemetry(self.registry, self.event_log)
         self._register_telemetry_collectors()
 
     def _register_telemetry_collectors(self) -> None:
@@ -1211,13 +931,6 @@ class QueryService:
             "version": effective,
         }
 
-    def wal_seqs(self) -> dict[str, int]:
-        """``{dataset: last durable WAL sequence}`` for every dataset
-        with an attached (writable) log."""
-        with self._registry_lock:
-            logs = dict(self._wals)
-        return {name: log.last_seq for name, log in sorted(logs.items())}
-
     def save_snapshot(self, name: str, path):
         """Write dataset ``name``'s built state to ``path`` (building it
         first if still lazy); returns the path written.  The snapshot
@@ -1470,68 +1183,10 @@ class QueryService:
             use_cache=use_cache,
         )
         if request.timeout is None:
+            # Nothing to watch the clock for: run on the caller's thread
+            # (no executor hop — a cache hit costs microseconds).
             return self._execute(request, None, self._arm_token(request, token))
-        future, record, armed = self._submit(request, token)
-        return self._await(
-            request, future, time.monotonic() + request.timeout, record, armed
-        )
-
-    def search_many(
-        self,
-        requests: Sequence[Union[QueryRequest, tuple]],
-        *,
-        timeout: Optional[float] = None,
-        token: Optional[CancellationToken] = None,
-    ) -> list[QueryResponse]:
-        """Execute a batch concurrently; responses in request order.
-
-        ``requests`` holds :class:`QueryRequest` objects or ``(dataset,
-        query)`` / ``(dataset, query, algorithm)`` tuples.  ``timeout``
-        is a default per-request deadline for requests without their
-        own; each deadline is measured from batch submission.  A shared
-        ``token`` cancels the whole batch at once.
-
-        Never raises per-item: a malformed item (unknown algorithm,
-        wrong shape) yields an error response in its slot and the rest
-        of the batch still runs.
-        """
-        prepared: list[Union[QueryRequest, QueryResponse]] = []
-        for raw in requests:
-            try:
-                prepared.append(coerce_request(raw, default_timeout=timeout))
-            except Exception as exc:
-                prepared.append(self._malformed_response(exc))
-        submitted = time.monotonic()
-        submissions = [
-            self._submit(item, token) if isinstance(item, QueryRequest) else None
-            for item in prepared
-        ]
-        responses: list[QueryResponse] = []
-        for item, submission in zip(prepared, submissions):
-            if submission is None or not isinstance(item, QueryRequest):
-                assert isinstance(item, QueryResponse)
-                responses.append(item)  # malformed: already a response
-                continue
-            future, record, armed = submission
-            deadline = submitted + item.timeout if item.timeout is not None else None
-            responses.append(self._await(item, future, deadline, record, armed))
-        return responses
-
-    def cancel(self, request_id: str) -> bool:
-        """Cancel an in-flight request by its ``QueryRequest.request_id``.
-
-        The running search stops at its next cooperative check and its
-        response comes back through the normal path
-        (``error_type="SearchCancelledError"``, carrying partial
-        answers when the request set ``allow_partial``).  Returns True
-        if a live request with that id was found.
-        """
-        with self._active_lock:
-            armed = self._active.get(request_id)
-        if armed is None:
-            return False
-        armed.cancel()
-        return True
+        return self.search_many([request], token=token)[0]
 
     # ------------------------------------------------------------------
     # observability / lifecycle
@@ -1549,91 +1204,14 @@ class QueryService:
         view["registry"] = strip_samples(exported)
         return view
 
-    def trace(self, trace_id: str) -> Optional[dict]:
-        """The reconstructed span tree for ``trace_id``, or None (absent
-        trace, or tracing disabled)."""
-        return self.tracer.trace(trace_id) if self.tracer is not None else None
-
-    def slow_queries(self) -> list[dict]:
-        """Slow-query log entries, newest first (see :class:`SlowQueryLog`)."""
-        return self.slow_log.entries()
-
-    def events(self, since: int = 0) -> dict:
-        """Operational events with ``seq > since`` plus the log head —
-        the polling contract behind ``GET /debug/events?since=<seq>``."""
+    def health(self) -> dict:
+        """Liveness summary — what ``GET /healthz`` serves: one process
+        is up if it answers, so the content is the registered datasets
+        and their versions."""
         return {
-            "events": self.event_log.events(since),
-            "last_seq": self.event_log.last_seq,
-        }
-
-    def profile_snapshot(self) -> Optional[dict]:
-        """Cumulative collapsed-stack counts (None when profiling is
-        off) — the wire shape workers ship to the supervisor."""
-        return self.profiler.snapshot() if self.profiler is not None else None
-
-    def profile(self, seconds: float = 2.0) -> Optional[str]:
-        """Collapsed-stack text for the next ``seconds`` of sampling.
-
-        Snapshot-diff over the always-on profiler: the caller's thread
-        sleeps, the service keeps serving.  None when profiling is off.
-        """
-        if self.profiler is None:
-            return None
-        before = self.profiler.snapshot()
-        time.sleep(max(0.0, seconds))
-        after = self.profiler.snapshot()
-        return render_collapsed(diff_profiles(before, after))
-
-    def explain(self, request_id: str) -> Optional[dict]:
-        """The retained explain report for ``request_id``, or None.
-
-        Reports are kept in a bounded FIFO store; only requests that ran
-        with ``explain=True`` (and carried a request id) leave one.
-        """
-        if self.explain_store is None:
-            return None
-        return self.explain_store.get(request_id)
-
-    def query_stats(self) -> dict:
-        """Workload analytics export: the top-K heavy-hitter sketch of
-        per-fingerprint query counts, latency and cost vectors (the
-        shape :func:`repro.telemetry.accounting.merge_sketch_exports`
-        merges across replicas).  Empty-shaped when accounting is off.
-        """
-        if self.analytics is None:
-            return {"capacity": 0, "total": 0, "floor": 0, "entries": []}
-        return self.analytics.export()
-
-    def slo_status(self) -> list[dict]:
-        """Evaluate the configured objectives now and return their
-        status (burn rates per window, firing state).  Empty when SLOs
-        are disabled (``slo_objectives=()``)."""
-        return self.slo.evaluate() if self.slo is not None else []
-
-    def dashboard_data(self) -> dict:
-        """Everything the ops dashboard renders, as one JSON-safe dict
-        (see :func:`repro.telemetry.dashboard.render_dashboard`)."""
-        exported = self.metrics()
-        datasets = exported.get("datasets") or {}
-        return {
-            "service": type(self).__name__,
-            "generated_at": time.time(),
-            "health": {
-                "status": "ok",
-                "versions": datasets.get("versions") or {},
-                "wal_seq": datasets.get("wal_seq") or {},
-            },
-            "metrics": {
-                "requests_total": exported.get("requests_total"),
-                "errors_total": exported.get("errors_total"),
-                "cache_hit_rate": exported.get("cache_hit_rate"),
-                "algorithms": algorithm_summary(exported.get("algorithms")),
-            },
-            "slo": self.slo_status(),
-            "events": self.event_log.events(limit=50),
-            "slow_queries": self.slow_queries()[:10],
-            "queries": self.query_stats(),
-            "profile": self.profile_snapshot(),
+            "status": "ok",
+            "datasets": self.datasets(),
+            "versions": self.dataset_versions(),
         }
 
     def close(self, *, wait: bool = True) -> None:
@@ -1657,24 +1235,9 @@ class QueryService:
         for log in logs:
             log.close()
 
-    def __enter__(self) -> "QueryService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _malformed_response(self, exc: Exception) -> QueryResponse:
-        self._metrics.record_error("invalid-request", type(exc).__name__)
-        return QueryResponse(
-            request=None,
-            error=str(exc),
-            error_type=type(exc).__name__,
-            exception=exc,
-        )
-
     def _arm_token(
         self, request: QueryRequest, token: Optional[CancellationToken]
     ) -> Optional[CancellationToken]:
@@ -1725,8 +1288,10 @@ class QueryService:
         )
 
     def _submit(
-        self, request: QueryRequest, token: Optional[CancellationToken] = None
+        self, request: QueryRequest, token: Optional[CancellationToken]
     ) -> tuple[Future, _Once, Optional[CancellationToken]]:
+        """Queue ``request`` on the executor; the handle is the future,
+        the exactly-once metrics claim and the armed token."""
         record = _Once()
         armed = self._arm_token(request, token)
         # Register for cancel() here, at submission — not when _execute
@@ -1758,25 +1323,21 @@ class QueryService:
     ) -> bool:
         if token is None or request.request_id is None:
             return False
-        with self._active_lock:
-            self._active[request.request_id] = token
+        self._track(request.request_id, token.cancel)
         return True
 
     def _unregister_active(
-        self, request: QueryRequest, token: Optional[CancellationToken]
+        self, request: QueryRequest, token: CancellationToken
     ) -> None:
-        with self._active_lock:
-            if self._active.get(request.request_id) is token:
-                del self._active[request.request_id]
+        self._untrack(request.request_id, token.cancel)
 
     def _await(
         self,
         request: QueryRequest,
-        future: Future,
+        handle: tuple[Future, _Once, Optional[CancellationToken]],
         deadline: Optional[float],
-        record: Optional[_Once] = None,
-        token: Optional[CancellationToken] = None,
     ) -> QueryResponse:
+        future, record, token = handle
         if deadline is None:
             return future.result()
         remaining = deadline - time.monotonic()
@@ -1805,22 +1366,13 @@ class QueryService:
         # The logical request is recorded exactly once; whoever wins
         # the claim — this deadline watcher or the still-running
         # worker — does the recording.
-        if record is None or record.claim():
-            self._metrics.record_error(
-                request.algorithm, DeadlineExceededError.__name__
-            )
-        suffix = (
+        return self._deadline_response(
+            request,
             "search stopping at its next cooperative check"
             if token is not None and self._cooperative
-            else "search keeps running in the background"
-        )
-        return QueryResponse(
-            request=request,
-            error=f"deadline of {request.timeout}s exceeded ({suffix})",
-            error_type=DeadlineExceededError.__name__,
-            elapsed=request.timeout or 0.0,
-            request_id=request.request_id,
+            else "search keeps running in the background",
             trace_id=request.trace_id,
+            record=record.claim(),
         )
 
     def _execute(
@@ -1865,7 +1417,7 @@ class QueryService:
             response = self._run_request(request, record, token, None)
             response.request_id = request.request_id
             response.trace_id = request.trace_id
-            self._finalize_accounting(request, response)
+            self._settle(request, response)
             return response
         trace_id = request.trace_id or new_trace_id()
         root = tracer.start_span(
@@ -1895,75 +1447,8 @@ class QueryService:
         response.request_id = request.request_id
         response.trace_id = trace_id
         response.spans = tracer.spans_for(trace_id)
-        self._finalize_accounting(request, response)
-        self._maybe_record_slow(request, response, trace_id)
+        self._settle(request, response)
         return response
-
-    def _finalize_accounting(
-        self, request: QueryRequest, response: QueryResponse
-    ) -> None:
-        """Fold one finished request into the accounting layer.
-
-        Cache hits are skipped in the workload sketch — their cost was
-        charged when the result was computed; charging the hit again
-        would double-count the fingerprint's resource usage (latency of
-        hits is already visible in the service metrics).
-        """
-        result = response.result
-        if self.analytics is not None and not response.cached:
-            costs = (
-                result.stats.cost_vector()
-                if result is not None and result.stats is not None
-                else None
-            )
-            self.analytics.record(
-                request_fingerprint(request),
-                elapsed=response.elapsed,
-                costs=costs,
-            )
-        if (
-            self.explain_store is not None
-            and result is not None
-            and result.explain is not None
-            and request.request_id is not None
-        ):
-            self.explain_store.put(request.request_id, result.explain)
-
-    def _maybe_record_slow(
-        self, request: QueryRequest, response: QueryResponse, trace_id: str
-    ) -> None:
-        if (
-            self.slow_log.threshold is None
-            or response.elapsed < self.slow_log.threshold
-        ):
-            return
-        span_tree = (
-            self.tracer.trace(trace_id) if self.tracer is not None else None
-        )
-        self.slow_log.record(
-            elapsed=response.elapsed,
-            trace_id=trace_id,
-            request={
-                "dataset": request.dataset,
-                "query": (
-                    request.query
-                    if isinstance(request.query, str)
-                    else list(request.query)
-                ),
-                "algorithm": request.algorithm,
-                "request_id": request.request_id,
-            },
-            error_type=response.error_type,
-            span_tree=span_tree,
-            extra={
-                "fingerprint": request_fingerprint(request),
-                "explain_available": bool(
-                    self.explain_store is not None
-                    and request.request_id is not None
-                    and self.explain_store.get(request.request_id) is not None
-                ),
-            },
-        )
 
     @staticmethod
     def _call_engine(engine, request, run_params, token):
@@ -2003,7 +1488,9 @@ class QueryService:
                 version=version,
             )
         except Exception as exc:
-            return self._error_response(request, exc, start, record)
+            return self._error_response(
+                request, exc, start, record=record is None or record.claim()
+            )
 
         if root is not None:
             root.set_attribute("dataset_version", version)
@@ -2053,7 +1540,9 @@ class QueryService:
         except Exception as exc:
             if engine_span is not None:
                 engine_span.end(status="error")
-            return self._error_response(request, exc, start, record)
+            return self._error_response(
+                request, exc, start, record=record is None or record.claim()
+            )
         if not result.complete:
             return self._cancelled_response(request, result, start, record, token)
         self.cache.put(
@@ -2153,20 +1642,3 @@ class QueryService:
             )
         except Exception:  # pragma: no cover - observability never breaks serving
             pass
-
-    def _error_response(
-        self,
-        request: QueryRequest,
-        exc: Exception,
-        start: float,
-        record: Optional[_Once] = None,
-    ) -> QueryResponse:
-        if record is None or record.claim():
-            self._metrics.record_error(request.algorithm, type(exc).__name__)
-        return QueryResponse(
-            request=request,
-            error=str(exc),
-            error_type=type(exc).__name__,
-            elapsed=time.perf_counter() - start,
-            exception=exc,
-        )

@@ -29,7 +29,7 @@ from typing import Optional
 from repro.core.answer import AnswerTree, OutputAnswer, SearchResult
 from repro.core.params import SearchParams
 from repro.core.stats import COST_FIELDS, SearchStats
-from repro.service.service import QueryRequest, QueryResponse
+from repro.service.core import QueryRequest, QueryResponse
 
 __all__ = [
     "params_to_dict",

@@ -7,6 +7,7 @@ import urllib.request
 
 import pytest
 
+from repro.cluster import ShardedQueryService
 from repro.cluster.http import make_server, status_for_error
 from repro.service.service import QueryService
 
@@ -354,6 +355,32 @@ def test_debug_profile_disabled_is_501(server):
     status, body = _get(server, "/debug/profile?seconds=0.1")
     assert status == 501
     assert "profiling" in body["error"]
+
+
+@pytest.mark.parametrize("tier", ["thread", "fleet"])
+def test_debug_trace_and_explain_are_501_when_off_404_when_unknown(
+    server, sharded, toy_engine_session, toy_snapshot, tier
+):
+    if tier == "thread":
+        enabled = server.service
+        disabled = QueryService(tracing=False, accounting=False)
+        disabled.register_engine("toy", toy_engine_session)
+    else:
+        enabled = sharded
+        disabled = ShardedQueryService(
+            {"toy": toy_snapshot}, num_workers=1, tracing=False, accounting=False
+        )
+    original = server.service
+    try:
+        with disabled:
+            for service, expected in ((enabled, 404), (disabled, 501)):
+                server.service = service
+                assert _get(server, "/debug/trace/no-such-id")[0] == expected
+                assert _get(server, "/debug/explain/no-such-id")[0] == expected
+            assert "tracing" in _get(server, "/debug/trace/no-such-id")[1]["error"]
+            assert "accounting" in _get(server, "/debug/explain/no-such-id")[1]["error"]
+    finally:
+        server.service = original
 
 
 def test_debug_profile_bounds_and_bad_values(server):
