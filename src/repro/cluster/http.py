@@ -260,13 +260,7 @@ class _Handler(BaseHTTPRequestHandler):
         if fmt == "json":
             self._send_json(200, metrics)
             return
-        families = metrics.get("registry")
-        if not isinstance(families, dict):
-            self._send_error_json(
-                501, "service exports no telemetry registry", "NotImplemented"
-            )
-            return
-        self._send_text(200, render_prometheus(families))
+        self._send_text(200, render_prometheus(metrics["registry"]))
 
     def _handle_trace(self, trace_id: str, query: str = "") -> None:
         fmt = (parse_qs(query).get("format") or ["json"])[0]
