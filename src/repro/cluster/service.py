@@ -1003,10 +1003,11 @@ class ShardedQueryService(ServiceCore):
         if self._cooperative and request.request_id is not None:
             # Non-cooperative workers discarded their cancel rings:
             # nothing is tracked, so cancel() never claims success.
-            future.canceller = functools.partial(  # type: ignore[attr-defined]
+            canceller = functools.partial(
                 self.pool.cancel, future.job_id  # type: ignore[attr-defined]
             )
-            self._track(request.request_id, future.canceller)  # type: ignore[attr-defined]
+            future.canceller = canceller  # type: ignore[attr-defined]
+            self._track(request.request_id, canceller)
         return future
 
     def _await(

@@ -1315,7 +1315,7 @@ class QueryService(ServiceCore):
                 return future, record, armed
         except BaseException:
             if registered:
-                self._unregister_active(request, armed)
+                self._untrack(request.request_id, armed.cancel)
             raise
 
     def _register_active(
@@ -1325,11 +1325,6 @@ class QueryService(ServiceCore):
             return False
         self._track(request.request_id, token.cancel)
         return True
-
-    def _unregister_active(
-        self, request: QueryRequest, token: CancellationToken
-    ) -> None:
-        self._untrack(request.request_id, token.cancel)
 
     def _await(
         self,
@@ -1398,7 +1393,7 @@ class QueryService(ServiceCore):
             return self._execute_inner(request, record, token, submitted_at)
         finally:
             if registered:
-                self._unregister_active(request, token)
+                self._untrack(request.request_id, token.cancel)
 
     def _execute_inner(
         self,
