@@ -379,6 +379,11 @@ def test_debug_trace_and_explain_are_501_when_off_404_when_unknown(
                 assert _get(server, "/debug/explain/no-such-id")[0] == expected
             assert "tracing" in _get(server, "/debug/trace/no-such-id")[1]["error"]
             assert "accounting" in _get(server, "/debug/explain/no-such-id")[1]["error"]
+            # Nothing sketches with accounting off: empty-shaped, not an error.
+            assert _get(server, "/debug/queries") == (
+                200,
+                {"capacity": 0, "total": 0, "floor": 0, "entries": []},
+            )
     finally:
         server.service = original
 
