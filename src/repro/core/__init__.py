@@ -1,6 +1,5 @@
 """Core search algorithms and answer model (S7-S11, S13)."""
 
-from repro.core.activation import ActivationTable
 from repro.core.answer import AnswerTree, OutputAnswer, SearchResult, is_minimal_rooting
 from repro.core.backward_mi import BackwardExpandingSearch, ShortestPathIterator
 from repro.core.backward_si import SingleIteratorBackwardSearch
@@ -12,12 +11,12 @@ from repro.core.exhaustive import exhaustive_answers, keyword_distances
 from repro.core.heaps import LazyMaxHeap, LazyMinHeap
 from repro.core.output_heap import BufferedAnswer, OutputHeap
 from repro.core.params import DEFAULT_PARAMS, SearchParams
-from repro.core.pathtable import PathTable
 from repro.core.scoring import Scorer, edge_score, overall_score
+from repro.core.state import ActivationState, PathState
 from repro.core.stats import SearchStats
 
 __all__ = [
-    "ActivationTable",
+    "ActivationState",
     "AnswerTree",
     "OutputAnswer",
     "SearchResult",
@@ -39,7 +38,7 @@ __all__ = [
     "OutputHeap",
     "DEFAULT_PARAMS",
     "SearchParams",
-    "PathTable",
+    "PathState",
     "Scorer",
     "edge_score",
     "overall_score",

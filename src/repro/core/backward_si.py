@@ -9,23 +9,28 @@ backward search, without any spreading activation component."
 
 Concretely: all keyword nodes are seeded into one priority queue ordered
 by distance to the *nearest* keyword; popping a node expands its
-incoming edges, relaxing the shared :class:`~repro.core.pathtable.PathTable`
+incoming edges, relaxing the shared :class:`~repro.core.state.PathState`
 (which propagates improvements to reached ancestors); a node with known
 paths to every keyword emits an answer tree.  Top-k output uses the same
 Section 4.5 bound machinery as Bidirectional.
+
+This module is the per-pop schedule — one cursor per iteration, lazy
+binary heap, sparse state rows; ``expansion_backend="vectorized"`` runs
+the batched schedule of :mod:`repro.core.kernels.engines` over the same
+state class.
 """
 
 from __future__ import annotations
 
-from math import inf
+from functools import partial
 from typing import Optional, Sequence
 
 from repro.core.answer import SearchResult
-from repro.core.driver import BaseSearch, frontier_minima, nra_edge_bound
+from repro.core.driver import BaseSearch, frontier_minima
 from repro.core.heaps import LazyMinHeap
 from repro.core.params import SearchParams
-from repro.core.pathtable import PathTable
 from repro.core.scoring import Scorer
+from repro.core.state import PathState
 
 __all__ = ["SingleIteratorBackwardSearch"]
 
@@ -51,28 +56,6 @@ class SingleIteratorBackwardSearch(BaseSearch):
         self._queue = LazyMinHeap()
         self._explored: set[int] = set()
         self._depth: dict[int, int] = {}
-        self._table = PathTable(
-            graph, self.keyword_sets, on_dist_change=self._on_dist_change
-        )
-
-    # ------------------------------------------------------------------
-    def _on_dist_change(self, node: int) -> None:
-        """Keep queue priorities equal to the current nearest-keyword
-        distance (decrease-key via lazy reinsertion)."""
-        if node in self._queue and node not in self._explored:
-            self._queue.push(node, self._table.min_dist(node))
-            self.stats.heap_ops += 1
-
-    def _detach(self) -> None:
-        self._table.detach()
-
-    def _touch(self, node: int, depth: int) -> None:
-        if node in self._explored or node in self._queue:
-            return
-        self._depth.setdefault(node, depth)
-        self._queue.push(node, self._table.min_dist(node))
-        self.stats.touch()
-        self.stats.heap_ops += 1
 
     # ------------------------------------------------------------------
     def run(self) -> SearchResult:
@@ -80,17 +63,18 @@ class SingleIteratorBackwardSearch(BaseSearch):
             from repro.core.kernels import run_si_batched
 
             return run_si_batched(self)
-        seeds = self._table.seed_all()
-        for node in sorted(seeds):
+        state = self._state = PathState(self.graph, self.keyword_sets)
+        queue = self._queue
+        for node in state.seed_all():
             self._depth[node] = 0
-            self._queue.push(node, 0.0)
+            queue.push(node, 0.0)
             self.stats.touch()
             self.stats.heap_ops += 1
 
-        while self._queue and not self._done and not self._budget_exhausted():
+        while queue and not self._done and not self._budget_exhausted():
             if self._cancelled():
                 break
-            node, _ = self._queue.pop()
+            node, _ = queue.pop()
             if node in self._explored:
                 continue
             self._explored.add(node)
@@ -99,30 +83,27 @@ class SingleIteratorBackwardSearch(BaseSearch):
             self._pops_since_flush += 1
             self._profile_tick()
 
-            if self._table.is_complete(node):
-                self._emit_root(self._table, node)
+            if state.is_complete(node):
+                self._emit_root(state, node)
 
             if self._depth[node] < self.params.dmax:
                 self._expand(node)
 
             if self._should_flush():
-                self._flush(self._edge_bound())
+                self._flush(
+                    state.edge_bound(
+                        frontier_minima(state.dist_rows, [n for n, _ in queue.items()])
+                    )
+                )
 
         if (
-            not self._queue
+            not queue
             and not self._done
             and not self._stopped_by_cancel
             and not self._budget_exhausted()
         ):
-            self._tie_sweep(
-                self._table,
-                sorted(
-                    node
-                    for node in self._table.seen_nodes()
-                    if self._table.is_complete(node)
-                ),
-            )
-        self.stats.cascade_touches += self._table.cascade_touches
+            self._tie_sweep(state)
+        self.stats.cascade_touches += state.cascade_touches
         return self._finish()
 
     def _frontier_sizes(self) -> dict[str, int]:
@@ -131,29 +112,27 @@ class SingleIteratorBackwardSearch(BaseSearch):
     # ------------------------------------------------------------------
     def _expand(self, v: int) -> None:
         """Traverse incoming edges of ``v``, propagating keyword
-        distances backward (the single merged iterator step)."""
+        distances backward (the single merged iterator step), then
+        bring the queue up to date with what moved."""
+        state = self._state
+        queue = self._queue
+        explored = self._explored
         depth = self._depth[v] + 1
+        emit = partial(self._emit_root, state)
+        state.expanded_in.add(v)
         for u, w, _ in self.graph.in_edges(v):
             self.stats.explore_edge()
-            completions = self._table.explore_edge(u, v, w)
-            for done_node in completions:
-                self._emit_root(self._table, done_node)
-            if u not in self._explored:
-                self._touch(u, depth)
-
-    # ------------------------------------------------------------------
-    def _edge_bound(self) -> float:
-        """Section 4.5 bound over the single backward frontier."""
-        ms = frontier_minima(
-            self.k,
-            [(node for node, _ in self._queue.items())],
-            self._table.dist,
-        )
-        if all(m == inf for m in ms):
-            return inf
-        incomplete = (
-            self._table.dist_vector(node)
-            for node in self._table.seen_nodes()
-            if not self._table.is_complete(node)
-        )
-        return nra_edge_bound(ms, incomplete)
+            state.explore_edge(u, v, w, emit)
+            if u not in explored and u not in queue:
+                self._depth.setdefault(u, depth)
+                queue.push(u, state.min_dist(u))
+                self.stats.touch()
+                self.stats.heap_ops += 1
+        # Keep queue priorities equal to the current nearest-keyword
+        # distance (decrease-key via lazy reinsertion).
+        for node in state.drain_changed():
+            if node in queue:
+                nearest = state.min_dist(node)
+                if nearest < queue.get_priority(node):
+                    queue.push(node, nearest)
+                    self.stats.heap_ops += 1

@@ -15,25 +15,29 @@ The paper's contribution.  Differences from Backward search (Section 4.2):
   globally highest-activation node is scheduled (Figure 3's switch).
 
 Distance bookkeeping (``dist``/``sp``/ATTACH) lives in the shared
-:class:`~repro.core.pathtable.PathTable`; activation (seeding, spreading,
-ACTIVATE) in :class:`~repro.core.activation.ActivationTable`; emission,
+:class:`~repro.core.state.PathState`; activation (seeding, spreading,
+ACTIVATE) in :class:`~repro.core.state.ActivationState`; emission,
 duplicate discard and the Section 4.5 bounded top-k output in the
 :class:`~repro.core.driver.BaseSearch` plumbing, all shared with the
 baselines so measured differences come from the strategy alone.
+
+This module is the per-pop schedule — one cursor per iteration, lazy
+binary heaps, sparse state rows; ``expansion_backend="vectorized"`` runs
+the batched schedule of :mod:`repro.core.kernels.engines` over the same
+two state classes.
 """
 
 from __future__ import annotations
 
-from math import inf
+from functools import partial
 from typing import Optional, Sequence
 
-from repro.core.activation import ActivationTable
 from repro.core.answer import SearchResult
-from repro.core.driver import BaseSearch, frontier_minima, nra_edge_bound
+from repro.core.driver import BaseSearch, frontier_minima
 from repro.core.heaps import LazyMaxHeap
 from repro.core.params import SearchParams
-from repro.core.pathtable import PathTable
 from repro.core.scoring import Scorer
+from repro.core.state import ActivationState, PathState
 
 __all__ = ["BidirectionalSearch"]
 
@@ -58,32 +62,11 @@ class BidirectionalSearch(BaseSearch):
         )
         self._qin = LazyMaxHeap()
         self._qout = LazyMaxHeap()
+        # Nodes popped from Qin / Qout (a superset of the state's
+        # expanded sets, which leave out nodes at depth ``dmax``).
         self._xin: set[int] = set()
         self._xout: set[int] = set()
         self._depth: dict[int, int] = {}
-        self._table = PathTable(graph, self.keyword_sets)
-        self._act = ActivationTable(
-            graph,
-            self.keyword_sets,
-            mu=self.params.mu,
-            combine=self.params.activation_combine,
-            on_activation_change=self._on_activation_change,
-        )
-
-    # ------------------------------------------------------------------
-    # priority upkeep (ACTIVATE's "update priority if present in Q...")
-    # ------------------------------------------------------------------
-    def _on_activation_change(self, node: int) -> None:
-        total = self._act.total(node)
-        if node in self._qin:
-            self._qin.push(node, total)
-            self.stats.heap_ops += 1
-        if node in self._qout:
-            self._qout.push(node, total)
-            self.stats.heap_ops += 1
-
-    def _detach(self) -> None:
-        self._act.detach()
 
     # ------------------------------------------------------------------
     def run(self) -> SearchResult:
@@ -91,12 +74,21 @@ class BidirectionalSearch(BaseSearch):
             from repro.core.kernels import run_bidi_batched
 
             return run_bidi_batched(self)
-        seeds = self._table.seed_all()
-        self._act.seed_all()
+        state = self._state = PathState(self.graph, self.keyword_sets)
+        act = self._act = ActivationState(
+            self.graph,
+            self.keyword_sets,
+            state.expanded_in,
+            state.expanded_out,
+            mu=self.params.mu,
+            combine=self.params.activation_combine,
+        )
+        act.seed_all()
+        total = act.total
         self._explain_side: Optional[bool] = None
-        for node in sorted(seeds):
+        for node in state.seed_all():
             self._depth[node] = 0
-            self._qin.push(node, self._act.total(node))
+            self._qin.push(node, total[node])
             self.stats.touch()
             self.stats.heap_ops += 1
 
@@ -125,9 +117,22 @@ class BidirectionalSearch(BaseSearch):
                 self._expand_incoming()
             else:
                 self._expand_outgoing()
+            # Priority upkeep (ACTIVATE's "update priority if present
+            # in Q..."): re-push every queued node whose activation
+            # moved.  Distance changes move no priority here.
+            for node in act.drain_changed():
+                if node in self._qin:
+                    self._qin.push(node, total[node])
+                    self.stats.heap_ops += 1
+                if node in self._qout:
+                    self._qout.push(node, total[node])
+                    self.stats.heap_ops += 1
             self._profile_tick()
             if self._should_flush():
-                self._flush(self._edge_bound())
+                frontier = [n for q in (self._qin, self._qout) for n, _ in q.items()]
+                self._flush(
+                    state.edge_bound(frontier_minima(state.dist_rows, frontier))
+                )
         if (
             not self._qin
             and not self._qout
@@ -135,17 +140,8 @@ class BidirectionalSearch(BaseSearch):
             and not self._stopped_by_cancel
             and not self._budget_exhausted()
         ):
-            self._tie_sweep(
-                self._table,
-                sorted(
-                    node
-                    for node in self._table.seen_nodes()
-                    if self._table.is_complete(node)
-                ),
-            )
-        self.stats.cascade_touches += (
-            self._table.cascade_touches + self._act.cascade_touches
-        )
+            self._tie_sweep(state)
+        self.stats.cascade_touches += state.cascade_touches + act.cascade_touches
         return self._finish()
 
     def _frontier_sizes(self) -> dict[str, int]:
@@ -155,34 +151,35 @@ class BidirectionalSearch(BaseSearch):
     # incoming iterator (Figure 3 lines 6-14)
     # ------------------------------------------------------------------
     def _expand_incoming(self) -> None:
+        state = self._state
+        total = self._act.total
         v, _ = self._qin.pop()
         self._xin.add(v)
         self.stats.explore()
         self.stats.pops_in += 1
         self._pops_since_flush += 1
 
-        if self._table.is_complete(v):
-            self._emit_root(self._table, v)
+        if state.is_complete(v):
+            self._emit_root(state, v)
 
         if self._depth[v] < self.params.dmax:
             depth = self._depth[v] + 1
-            for u, w, _ in self.graph.in_edges(v):
+            emit = partial(self._emit_root, state)
+            edges = self.graph.in_edges(v)
+            state.expanded_in.add(v)
+            for u, w, _ in edges:
                 self.stats.explore_edge()
-                completions = self._table.explore_edge(u, v, w)
-                for node in completions:
-                    self._emit_root(self._table, node)
+                state.explore_edge(u, v, w, emit)
                 if u not in self._xin and u not in self._qin:
                     self._depth.setdefault(u, depth)
-                    self._qin.push(u, self._act.total(u))
+                    self._qin.push(u, total[u])
                     self.stats.touch()
                     self.stats.heap_ops += 1
-            # Spread after the edges are registered so the ACTIVATE
-            # cascade sees the freshly explored parent links.
-            self._act.spread_backward(v, self._table_parents())
+            self._act.spread(v, edges, self.graph.in_inv_weight_sum(v))
 
         # Every node explored backward is a potential answer root.
         if v not in self._xout and v not in self._qout:
-            self._qout.push(v, self._act.total(v))
+            self._qout.push(v, total[v])
             self.stats.touch()
             self.stats.heap_ops += 1
 
@@ -190,52 +187,30 @@ class BidirectionalSearch(BaseSearch):
     # outgoing iterator (Figure 3 lines 15-23)
     # ------------------------------------------------------------------
     def _expand_outgoing(self) -> None:
+        state = self._state
+        total = self._act.total
         u, _ = self._qout.pop()
         self._xout.add(u)
         self.stats.explore()
         self.stats.pops_out += 1
         self._pops_since_flush += 1
 
-        if self._table.is_complete(u):
-            self._emit_root(self._table, u)
+        if state.is_complete(u):
+            self._emit_root(state, u)
 
         if self._depth[u] < self.params.dmax:
             depth = self._depth[u] + 1
-            for v, w, _ in self.graph.out_edges(u):
+            emit = partial(self._emit_root, state)
+            edges = self.graph.out_edges(u)
+            state.expanded_out.add(u)
+            for v, w, _ in edges:
                 self.stats.explore_edge()
                 # Forward exploration: u may gain a (shorter) path to a
                 # keyword *through* v — the payoff of forward search.
-                completions = self._table.explore_edge(u, v, w)
-                for node in completions:
-                    self._emit_root(self._table, node)
+                state.explore_edge(u, v, w, emit)
                 if v not in self._xout and v not in self._qout:
                     self._depth.setdefault(v, depth)
-                    self._qout.push(v, self._act.total(v))
+                    self._qout.push(v, total[v])
                     self.stats.touch()
                     self.stats.heap_ops += 1
-            self._act.spread_forward(u, self._table_parents())
-
-    # ------------------------------------------------------------------
-    def _table_parents(self) -> dict[int, dict[int, float]]:
-        return self._table.parents_map()
-
-    # ------------------------------------------------------------------
-    def _edge_bound(self) -> float:
-        """Section 4.5: frontier minima over both queues, refined NRA-style
-        over every seen-but-incomplete node."""
-        ms = frontier_minima(
-            self.k,
-            [
-                (node for node, _ in self._qin.items()),
-                (node for node, _ in self._qout.items()),
-            ],
-            self._table.dist,
-        )
-        if all(m == inf for m in ms):
-            return inf
-        incomplete = (
-            self._table.dist_vector(node)
-            for node in self._table.seen_nodes()
-            if not self._table.is_complete(node)
-        )
-        return nra_edge_bound(ms, incomplete)
+            self._act.spread(u, edges, self.graph.out_inv_weight_sum(u))

@@ -208,27 +208,27 @@ class BaseSearch:
         self.stats.gate_skips += 1
         return True
 
-    def _emit_root(self, table, root: int, *, sweep: bool = False) -> None:
-        """Figure 3 EMIT for a complete ``root`` of a single-iterator
-        table (``PathTable`` or ``DensePathState``): the ``sp``-table
-        tree, then the canonical equal-cost decomposition when it
-        differs (``sweep`` emits only the latter).
+    def _emit_root(self, state, root: int, *, sweep: bool = False) -> None:
+        """Figure 3 EMIT for a complete ``root`` of a
+        :class:`~repro.core.state.PathState`: the ``sp``-pointer tree,
+        then the canonical equal-cost decomposition when it differs
+        (``sweep`` emits only the latter).
 
-        Under shortest-path ties the table's decomposition may be a
+        Under shortest-path ties the ``sp`` decomposition may be a
         non-minimal chain while an equal-cost minimal star exists; the
         minimality filter would then discard the root's only tree.  The
         canonical decomposition (:mod:`repro.core.ties`) is computed
         from distances and the static graph alone, so the oracle and
-        every backend agree on it.  It shares the table tree's edge
+        both schedules agree on it.  It shares the ``sp`` tree's edge
         score, so one gate decision covers both.
         """
-        rows = table.dist_rows
+        rows = state.dist_rows
         edge_score = 0.0
         for row in rows:
             edge_score += row[root]
         if self._gate_blocks(root, edge_score):
             return
-        paths, dists = table.build_paths(root)
+        paths, dists = state.build_paths(root)
         if not sweep:
             self._emit_tree(root, paths, dists)
         alt = tight_decomposition(self.graph, rows, root)
@@ -262,7 +262,7 @@ class BaseSearch:
         elif status == "new":
             self.stats.answers_generated += 1
 
-    def _tie_sweep(self, table, complete_nodes) -> None:
+    def _tie_sweep(self, state) -> None:
         """At natural exhaustion, re-emit each complete node's canonical
         equal-cost decomposition from its *final* distances.
 
@@ -273,8 +273,8 @@ class BaseSearch:
         when their queues drained naturally — never after a
         cancellation, budget stop or filled top-k quota.
         """
-        for root in complete_nodes:
-            self._emit_root(table, root, sweep=True)
+        for root in state.complete_nodes():
+            self._emit_root(state, root, sweep=True)
 
     # ------------------------------------------------------------------
     # flushing (Section 4.5)
@@ -363,15 +363,7 @@ class BaseSearch:
             return True
         return False
 
-    def _detach(self) -> None:
-        """Clear every callback bound to this search that one of its
-        tables holds.  A table handed ``self._on_...`` keeps the search
-        in a reference cycle (search -> table -> bound method ->
-        search), so its state would wait for a cyclic-GC pass instead
-        of dying with the caller's last reference."""
-
     def _finish(self) -> SearchResult:
-        self._detach()
         if self._stopped_by_cancel and not self._done:
             # Cancelled: keep exactly the answers the Section 4.5 bound
             # already certified and released.  Draining the buffer here
@@ -413,15 +405,9 @@ class BaseSearch:
         raise NotImplementedError
 
 
-def frontier_minima(k: int, frontiers: Iterable[Iterable[int]], dist_fn) -> list[float]:
-    """Per-keyword minimum known distance over the given frontier node
-    iterables (``m_i`` of Section 4.5).  ``dist_fn(node, i)`` returns the
-    node's known distance to keyword ``i`` or ``inf``."""
-    ms = [inf] * k
-    for frontier in frontiers:
-        for node in frontier:
-            for i in range(k):
-                d = dist_fn(node, i)
-                if d < ms[i]:
-                    ms[i] = d
-    return ms
+def frontier_minima(dist_rows: Sequence, frontier: Iterable[int]) -> list[float]:
+    """Per-keyword minimum known distance over the frontier nodes
+    (``m_i`` of Section 4.5).  ``dist_rows[i][node]`` is the node's
+    known distance to keyword ``i`` or ``inf``; ``frontier`` is iterated
+    once per keyword."""
+    return [min(map(row.__getitem__, frontier), default=inf) for row in dist_rows]

@@ -86,13 +86,14 @@ def exhaustive_answers(
         keyword_distances(graph, targets, token=token) for targets in keyword_sets
     ]
 
-    dist_maps = [table[0] for table in per_keyword]
+    dist_rows = [
+        [dist.get(node, inf) for node in graph.nodes()] for dist, _ in per_keyword
+    ]
 
     best: dict[object, AnswerTree] = {}
     for root in graph.nodes():
         _tick_or_raise(token)
-        vectors = [dist_map.get(root) for dist_map in dist_maps]
-        if any(d is None for d in vectors):
+        if any(row[root] == inf for row in dist_rows):
             continue
         # The *canonical* equal-cost decomposition (repro.core.ties),
         # not the Dijkstra sp pointers: under shortest-path ties the sp
@@ -100,7 +101,7 @@ def exhaustive_answers(
         # reproducible from distances alone — the searches emit exactly
         # this decomposition for tied roots, making strict oracle
         # coverage a sound requirement.
-        decomposition = tight_decomposition(graph, dist_maps, root)
+        decomposition = tight_decomposition(graph, dist_rows, root)
         if decomposition is None:  # pragma: no cover - defensive
             continue
         paths, dists = decomposition

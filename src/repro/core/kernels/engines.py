@@ -7,7 +7,9 @@ pop per iteration, each loop pops a batch of up to
 :class:`~repro.core.kernels.frontier.VectorFrontier`, gathers the
 batch's edges from the graph CSR in bulk, computes relaxation /
 activation candidates with the numpy kernels, and applies them through
-the scalar cascade code in :mod:`repro.core.kernels.state`.
+the relax / receive steps of :mod:`repro.core.state` — the same state
+classes the per-pop loops run on, here with dense rows and the numpy
+snapshots the kernels read.
 
 Contracts preserved from the per-pop loops:
 
@@ -24,18 +26,19 @@ Contracts preserved from the per-pop loops:
   ``trace_every_n_pops`` samples keep their meaning;
 * **output** — emission (gate included), minimality, duplicate discard
   and the Section 4.5 bounded release all go through the ``BaseSearch``
-  plumbing, with the bound computed vectorized over the dense state.
+  plumbing and the state's one bound.
 
 What batching *changes* is exploration order: cursors 2..K of a batch
 are popped before cursor 1's relaxations land, so pop order (and
 anything downstream of it, like which equal-cost ``sp`` decomposition
-wins a tie) can differ from the python engine, and from this engine at
+wins a tie) can differ from the per-pop schedule, and from this one at
 another batch size.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from math import inf
 
 import numpy as np
 
@@ -47,7 +50,7 @@ from repro.core.kernels.expand import (
     spread_candidates,
 )
 from repro.core.kernels.frontier import VectorFrontier
-from repro.core.kernels.state import DenseActivationState, DensePathState
+from repro.core.state import ActivationState, PathState
 
 __all__ = ["run_si_batched", "run_bidi_batched"]
 
@@ -65,7 +68,7 @@ def _grant(search, want: int) -> int:
     return granted
 
 
-def _pop_loop_head(search, state: DensePathState, batch, emit) -> None:
+def _pop_loop_head(search, state: PathState, batch, emit) -> None:
     """The per-pop bookkeeping shared by both engines: stats, flush
     counter, profiler sample, emit-if-complete — one tick per cursor so
     counters and trace samples mean what they meant per-pop."""
@@ -92,10 +95,24 @@ def _assign_depths(
     scratch[tgt] = _BIG
 
 
-def _tie_sweep_dense(search, state: DensePathState) -> None:
-    """Exhaustion sweep over dense state (see ``BaseSearch._tie_sweep``)."""
-    k = state.k
-    search._tie_sweep(state, [node for node, c in enumerate(state.finite) if c == k])
+def _edge_bound(state: PathState, frontier: np.ndarray) -> float:
+    """Section 4.5 bound, the frontier minima read off the snapshot
+    (drained since the last relaxation)."""
+    if len(frontier) == 0:
+        return inf
+    return state.edge_bound(state.dist[:, frontier].min(axis=1).tolist())
+
+
+def _relaxations(tgt, src, w, e_idx, i_idx, nd):
+    """The kernel's surviving (edge, keyword) pairs as the state's
+    ``(u, i, nd, child, w)`` candidates, canonical order."""
+    return zip(
+        tgt[e_idx].tolist(),
+        i_idx.tolist(),
+        nd.tolist(),
+        src[e_idx].tolist(),
+        w[e_idx].tolist(),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -105,7 +122,7 @@ def run_si_batched(search):
     """Batched SI-Backward: distance-ordered single frontier."""
     params = search.params
     csr = graph_csr(search.graph)
-    state = DensePathState(csr, search.keyword_sets)
+    state = PathState(search.graph, search.keyword_sets, dense=True)
     frontier = VectorFrontier(csr.n, kind="min")
     depth = np.full(csr.n, -1, dtype=np.int64)
     scratch = np.full(csr.n, _BIG, dtype=np.int64)
@@ -150,33 +167,34 @@ def run_si_batched(search):
                 e_idx, i_idx, nd = dist_candidates(state.dist, tgt, src, w)
                 search.stats.candidates_generated += len(w)
                 search.stats.candidates_surviving += len(e_idx)
-                state.apply_dist_candidates(tgt, src, w, e_idx, i_idx, nd, emit)
-                changed = state.drain_changed()
+                state.relax_all(_relaxations(tgt, src, w, e_idx, i_idx, nd), emit)
+                changed = np.array(state.drain_changed(), dtype=np.int64)
                 if len(changed):
                     live = changed[frontier.contains_mask[changed]]
                     if len(live):
-                        frontier.update_many(live, state.min_dist_of(live))
+                        frontier.update_many(live, state.dist[:, live].min(axis=0))
                         search.stats.heap_ops += len(live)
                 fresh = np.unique(
                     tgt[~(explored[tgt] | frontier.contains_mask[tgt])]
                 )
                 if len(fresh):
                     _assign_depths(depth, scratch, fresh, tgt, depth[src] + 1)
-                    pushed = frontier.push_many(fresh, state.min_dist_of(fresh))
+                    pushed = frontier.push_many(
+                        fresh, state.dist[:, fresh].min(axis=0)
+                    )
                     search.stats.touch(pushed)
                     search.stats.heap_ops += pushed
         if search._stopped_by_cancel:
             break
         if search._should_flush():
-            ms = state.frontier_minima(frontier.live_nodes())
-            search._flush(state.nra_bound(ms))
+            search._flush(_edge_bound(state, frontier.live_nodes()))
     if (
         not frontier
         and not search._done
         and not search._stopped_by_cancel
         and not search._budget_exhausted()
     ):
-        _tie_sweep_dense(search, state)
+        search._tie_sweep(state)
     search.stats.cascade_touches += state.cascade_touches
     return search._finish()
 
@@ -188,13 +206,15 @@ def run_bidi_batched(search):
     """Batched Bidirectional: dual activation-ordered frontiers."""
     params = search.params
     csr = graph_csr(search.graph)
-    state = DensePathState(csr, search.keyword_sets)
-    act = DenseActivationState(
-        csr,
+    state = PathState(search.graph, search.keyword_sets, dense=True)
+    act = ActivationState(
+        search.graph,
         search.keyword_sets,
-        state,
+        state.expanded_in,
+        state.expanded_out,
         mu=params.mu,
         combine=params.activation_combine,
+        dense=True,
     )
     fin = VectorFrontier(csr.n, kind="max")
     fout = VectorFrontier(csr.n, kind="max")
@@ -278,10 +298,10 @@ def run_bidi_batched(search):
                 e_idx, i_idx, nd = dist_candidates(state.dist, tgt_d, src_d, w)
                 search.stats.candidates_generated += len(w)
                 search.stats.candidates_surviving += len(e_idx)
-                state.apply_dist_candidates(
-                    tgt_d, src_d, w, e_idx, i_idx, nd, emit
+                state.relax_all(
+                    _relaxations(tgt_d, src_d, w, e_idx, i_idx, nd), emit
                 )
-                state.drain_changed()  # priorities are activation-based
+                state.drain_changed()  # snapshot sync; priorities are activation-based
                 e_idx, i_idx, contr = spread_candidates(
                     act.act,
                     nbr,
@@ -293,7 +313,9 @@ def run_bidi_batched(search):
                     act.min_contribution,
                 )
                 search.stats.candidates_surviving += len(e_idx)
-                act.apply_spread_candidates(nbr, e_idx, i_idx, contr)
+                act.receive_all(
+                    zip(nbr[e_idx].tolist(), i_idx.tolist(), contr.tolist())
+                )
                 seen = xin if incoming else xout
                 fresh = np.unique(
                     nbr[~(seen[nbr] | side.contains_mask[nbr])]
@@ -312,7 +334,7 @@ def run_bidi_batched(search):
                 search.stats.touch(pushed)
                 search.stats.heap_ops += pushed
 
-        changed = act.drain_changed()
+        changed = np.array(act.drain_changed(), dtype=np.int64)
         if len(changed):
             live_in = changed[fin.contains_mask[changed]]
             if len(live_in):
@@ -326,11 +348,11 @@ def run_bidi_batched(search):
         if search._stopped_by_cancel:
             break
         if search._should_flush():
-            frontier_nodes = np.concatenate(
-                [fin.live_nodes(), fout.live_nodes()]
+            search._flush(
+                _edge_bound(
+                    state, np.concatenate([fin.live_nodes(), fout.live_nodes()])
+                )
             )
-            ms = state.frontier_minima(frontier_nodes)
-            search._flush(state.nra_bound(ms))
     if (
         not fin
         and not fout
@@ -338,6 +360,6 @@ def run_bidi_batched(search):
         and not search._stopped_by_cancel
         and not search._budget_exhausted()
     ):
-        _tie_sweep_dense(search, state)
+        search._tie_sweep(state)
     search.stats.cascade_touches += state.cascade_touches + act.cascade_touches
     return search._finish()

@@ -14,16 +14,12 @@ state taken at batch start:
 The snapshot prefilter is sound: distances only decrease and (max-mode)
 activations only increase, so a candidate that fails against the
 snapshot also fails against any later state; improvements enabled
-mid-batch are delivered by the cascades in
-:mod:`repro.core.kernels.state`, which flow through the batch's
-upfront-registered parent links.
+mid-batch are delivered by the cascades in :mod:`repro.core.state`,
+which flow through the batch's upfront-marked explored edges.
 
 Candidates come back in one canonical order — edge-major,
-keyword-minor — in IEEE float64.  Each kernel has a private loop twin
-(``_dist_candidates_reference`` / ``_spread_candidates_reference``):
-the same arithmetic one edge and keyword at a time, kept as the
-reference ``tests/core/test_kernels.py`` holds the array forms to, bit
-for bit.  Everything downstream of the candidates is shared code.
+keyword-minor — in IEEE float64.  Everything downstream of the
+candidates is shared code.
 """
 
 from __future__ import annotations
@@ -91,22 +87,6 @@ def dist_candidates(
     return e_idx, i_idx, nd_all[i_idx, e_idx]
 
 
-def _dist_candidates_reference(
-    dist: np.ndarray, tgt: np.ndarray, src: np.ndarray, w: np.ndarray
-) -> tuple[list[int], list[int], list[float]]:
-    e_acc: list[int] = []
-    i_acc: list[int] = []
-    nd_acc: list[float] = []
-    for e, (t, s, wt) in enumerate(zip(tgt.tolist(), src.tolist(), w.tolist())):
-        for i in range(dist.shape[0]):
-            nd = dist[i, s] + wt
-            if nd < dist[i, t]:
-                e_acc.append(e)
-                i_acc.append(i)
-                nd_acc.append(float(nd))
-    return e_acc, i_acc, nd_acc
-
-
 # ----------------------------------------------------------------------
 # activation spread candidates
 # ----------------------------------------------------------------------
@@ -134,29 +114,3 @@ def spread_candidates(
         better = contr > act[:, tgt]
     e_idx, i_idx = np.nonzero(better.T)
     return e_idx, i_idx, contr[i_idx, e_idx]
-
-
-def _spread_candidates_reference(
-    act: np.ndarray,
-    tgt: np.ndarray,
-    src: np.ndarray,
-    w: np.ndarray,
-    norm: np.ndarray,
-    mu: float,
-    combine: str,
-    min_contribution: float,
-) -> tuple[list[int], list[int], list[float]]:
-    e_acc: list[int] = []
-    i_acc: list[int] = []
-    c_acc: list[float] = []
-    for e, (t, s, wt, nm) in enumerate(
-        zip(tgt.tolist(), src.tolist(), w.tolist(), norm.tolist())
-    ):
-        for i in range(act.shape[0]):
-            contribution = (mu * act[i, s]) * (1.0 / wt) / nm
-            floor = min_contribution if combine == "sum" else act[i, t]
-            if contribution > floor:
-                e_acc.append(e)
-                i_acc.append(i)
-                c_acc.append(float(contribution))
-    return e_acc, i_acc, c_acc

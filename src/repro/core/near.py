@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.activation import ActivationTable
 from repro.core.heaps import LazyMaxHeap
+from repro.core.state import ActivationState
 from repro.core.stats import SearchStats
 
 __all__ = ["NearSearch", "NearResult"]
@@ -65,66 +65,60 @@ class NearSearch:
         self.include_keyword_nodes = include_keyword_nodes
         self.stats = SearchStats()
         self._queue = LazyMaxHeap()
-        self._act = ActivationTable(
+        # Proximity is direction-agnostic: an explored node's edges
+        # feed the ACTIVATE cascade in both directions, so one set
+        # stands for both explored sets.
+        self._explored: set[int] = set()
+        self._act = ActivationState(
             graph,
             self.keyword_sets,
+            self._explored,
+            self._explored,
             mu=mu,
             combine=combine,
-            on_activation_change=self._on_change,
         )
-
-    def _on_change(self, node: int) -> None:
-        if node in self._queue:
-            self._queue.push(node, self._act.total(node))
 
     # ------------------------------------------------------------------
     def run(self, k: Optional[int] = 10) -> NearResult:
         """Explore and return the top-``k`` nodes by activation (``None``
         returns every activated node)."""
-        self._act.seed_all()
+        act = self._act
+        total = act.total
+        graph = self.graph
+        act.seed_all()
         seeds: set[int] = set()
         for nodes in self.keyword_sets:
             seeds.update(nodes)
         for node in sorted(seeds):
-            self._queue.push(node, self._act.total(node))
+            self._queue.push(node, total[node])
             self.stats.touch()
 
-        explored: set[int] = set()
-        # Explored edges in both directions feed the ACTIVATE cascade.
-        parents: dict[int, dict[int, float]] = {}
+        explored = self._explored
         while self._queue and len(explored) < self.node_budget:
             node, _ = self._queue.pop()
             if node in explored:
                 continue
             explored.add(node)
             self.stats.explore()
-            for u, w, _ in self.graph.in_edges(node):
-                self.stats.explore_edge()
-                bucket = parents.setdefault(node, {})
-                if u not in bucket or w < bucket[u]:
-                    bucket[u] = w
-                if u not in explored and u not in self._queue:
-                    self._queue.push(u, self._act.total(u))
-                    self.stats.touch()
-            for v, w, _ in self.graph.out_edges(node):
-                self.stats.explore_edge()
-                bucket = parents.setdefault(v, {})
-                if node not in bucket or w < bucket[node]:
-                    bucket[node] = w
-                if v not in explored and v not in self._queue:
-                    self._queue.push(v, self._act.total(v))
-                    self.stats.touch()
-            self._act.spread_backward(node, parents)
-            self._act.spread_forward(node, parents)
+            for edges in (graph.in_edges(node), graph.out_edges(node)):
+                for other, _, _ in edges:
+                    self.stats.explore_edge()
+                    if other not in explored and other not in self._queue:
+                        self._queue.push(other, total[other])
+                        self.stats.touch()
+            act.spread(node, graph.in_edges(node), graph.in_inv_weight_sum(node))
+            act.spread(node, graph.out_edges(node), graph.out_inv_weight_sum(node))
+            for changed in act.drain_changed():
+                if changed in self._queue:
+                    self._queue.push(changed, total[changed])
 
         ranking = [
-            (node, total)
-            for node, total in self._act.totals()
-            if total > 0.0 and (self.include_keyword_nodes or node not in seeds)
+            (node, score)
+            for node, score in total.items()
+            if score > 0.0 and (self.include_keyword_nodes or node not in seeds)
         ]
         ranking.sort(key=lambda item: (-item[1], item[0]))
         if k is not None:
             ranking = ranking[:k]
         self.stats.finish()
-        self._act.detach()
         return NearResult(ranking, self.stats)

@@ -1,0 +1,544 @@
+"""The one search state: ``dist``/``sp``/``P`` and activation (Figures 2-3).
+
+SI-Backward and Bidirectional keep, for every node ``u`` reached so far
+and every keyword ``t_i`` (paper Figure 2):
+
+* ``dist[u][i]`` — length of the best known path from ``u`` down to a
+  node matching ``t_i``;
+* ``sp[u][i]`` — the child to follow from ``u`` on that path, and the
+  weight of the edge to it;
+* ``P[v]`` — the explored parents of ``v``: nodes ``u`` such that the
+  edge ``(u, v)`` has been explored.
+
+:class:`PathState` holds the first two per keyword and represents ``P``
+*implicitly*: both schedules explore a node's edge list in full, so an
+edge ``(u, v)`` is explored exactly when ``v`` was expanded backward
+(``expanded_in``) or ``u`` forward (``expanded_out``).  A distance
+improvement is pushed to every reached ancestor by one best-first
+cascade (procedure ATTACH, Figure 3) over the graph's deduplicated
+parent rows filtered by those two sets.  :class:`ActivationState` is
+the spreading activation of Section 4.3 over the same explored sets
+(procedure ACTIVATE).
+
+Both classes read and write rows as ``row[node]`` and nothing else, so
+the *schedule* that constructs them picks the row container: the
+per-pop loops (``backward_si`` / ``bidirectional`` / ``near``) take
+sparse rows — dicts in which an untouched node reads ``inf`` / ``0`` —
+and pay O(touched) per search; the batched loops (``kernels/engines``)
+take dense lists plus a numpy snapshot per state (``dist`` / ``act``)
+for the candidate kernels, on top of the O(n) they already pay for
+their frontier arrays.  ``drain_changed`` hands back the nodes whose
+values moved since the last call — what either loop needs for priority
+upkeep — and is where a snapshot, if there is one, is synced.
+"""
+
+from __future__ import annotations
+
+import heapq
+import weakref
+from collections import defaultdict
+from itertools import repeat
+from math import inf
+from typing import Sequence
+
+import numpy as np
+
+from repro.core.driver import nra_edge_bound
+
+__all__ = ["PathState", "ActivationState"]
+
+_MEMO_ATTR = "_explored_parents_memo"
+
+
+def _sparse_row(fill) -> defaultdict:
+    """Row container of the per-pop schedule: a dict in which an
+    untouched node reads ``fill``.  (The read stores it — a miss
+    handled in C costs a third of a python ``__missing__``, and the
+    tie walks probe the same unreached hub neighbours over and over.)"""
+    return defaultdict(repeat(fill).__next__)
+
+
+class _ParentMemo(dict):
+    """``x -> (((parent, weight), ...), norm)``: the in-edges of ``x``
+    with parallel edges collapsed to their minimum weight at the first
+    occurrence's position — the bucket ``P[x]`` of a fully explored
+    ``x`` — and its activation normalizer ``sum(1/w)``.  A row is built
+    when first asked for and kept on the graph (graphs are immutable; a
+    mutation makes a new graph object), so a search pays for the rows
+    its cascades read, not for ``n``.
+
+    The memo lives on its graph, so it refers back to it weakly: a
+    strong reference (a bound ``graph.in_edges`` included) would make a
+    cycle and leave every dropped graph to the cyclic collector.
+    """
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph) -> None:
+        self._graph = weakref.ref(graph)
+
+    def __missing__(self, x: int) -> tuple[tuple[tuple[int, float], ...], float]:
+        graph = self._graph()
+        bucket: dict[int, float] = {}
+        for u, w, _ in graph.in_edges(x):
+            prev = bucket.get(u)
+            if prev is None or w < prev:
+                bucket[u] = w
+        row = self[x] = (tuple(bucket.items()), graph.in_inv_weight_sum(x))
+        return row
+
+
+def _parents_memo(graph) -> _ParentMemo:
+    """The graph's parent-row memo, created on first use."""
+    memo = getattr(graph, _MEMO_ATTR, None)
+    if memo is None:
+        memo = _ParentMemo(graph)
+        try:
+            setattr(graph, _MEMO_ATTR, memo)
+        except AttributeError:  # pragma: no cover - exotic graph wrappers
+            pass
+    return memo
+
+
+class PathState:
+    """Per-keyword distance/successor rows with upward propagation."""
+
+    def __init__(
+        self, graph, keyword_sets: Sequence[frozenset[int]], *, dense: bool = False
+    ) -> None:
+        """``dense`` is the batched schedule's row container (lists over
+        all nodes plus the ``dist`` snapshot); the per-pop schedule
+        leaves it off."""
+        self.graph = graph
+        self.keyword_sets = tuple(frozenset(s) for s in keyword_sets)
+        self.k = k = len(self.keyword_sets)
+        if k == 0:
+            raise ValueError("at least one keyword set is required")
+        if dense:
+            n = graph.num_nodes
+            self.dist_rows = [[inf] * n for _ in range(k)]
+            self.sp = [[None] * n for _ in range(k)]
+            self.finite = [0] * n
+            #: numpy snapshot of ``dist_rows`` for the candidate kernels.
+            self.dist = np.full((k, n), inf, dtype=np.float64)
+        else:
+            self.dist_rows = [_sparse_row(inf) for _ in range(k)]
+            self.sp = [{} for _ in range(k)]
+            self.finite = _sparse_row(0)
+            self.dist = None
+        #: Nodes with at least one finite distance, in first-touch order.
+        self.seen: list[int] = []
+        self.expanded_in: set[int] = set()
+        self.expanded_out: set[int] = set()
+        self._parents = _parents_memo(graph)
+        self._changed: set[int] = set()
+        #: Rows written by ATTACH cascades — harvested into
+        #: ``SearchStats.cascade_touches`` by the owning search.
+        self.cascade_touches = 0
+
+    # ------------------------------------------------------------------
+    # seeding / queries
+    # ------------------------------------------------------------------
+    def seed_all(self) -> list[int]:
+        """``dist = 0`` for every keyword node; returns the sorted union."""
+        seeds: set[int] = set()
+        finite = self.finite
+        for i, nodes in enumerate(self.keyword_sets):
+            row = self.dist_rows[i]
+            for node in nodes:
+                if row[node] == inf:
+                    finite[node] += 1
+                    if finite[node] == 1:
+                        self.seen.append(node)
+                row[node] = 0.0
+                if self.dist is not None:
+                    self.dist[i, node] = 0.0
+            seeds.update(nodes)
+        return sorted(seeds)
+
+    def is_complete(self, node: int) -> bool:
+        """Has ``node`` a known path to every keyword? (Figure 3 Is-Complete)"""
+        return self.finite[node] == self.k
+
+    def complete_nodes(self) -> list[int]:
+        """Every complete node, ascending (the exhaustion sweep's roots)."""
+        finite, k = self.finite, self.k
+        return sorted(x for x in self.seen if finite[x] == k)
+
+    def min_dist(self, node: int) -> float:
+        """Distance to the nearest keyword (SI-Backward's priority)."""
+        return min(row[node] for row in self.dist_rows)
+
+    def edge_bound(self, ms: Sequence[float]) -> float:
+        """Section 4.5: the per-keyword frontier minima ``ms`` refined
+        NRA-style over every seen-but-incomplete node."""
+        if all(m == inf for m in ms):
+            return inf
+        finite, k = self.finite, self.k
+        incomplete = [x for x in self.seen if finite[x] < k]
+        return nra_edge_bound(
+            ms, zip(*(map(row.__getitem__, incomplete) for row in self.dist_rows))
+        )
+
+    # ------------------------------------------------------------------
+    # exploration
+    # ------------------------------------------------------------------
+    def explore_edge(self, u: int, v: int, w: float, emit) -> None:
+        """Pull ``v``'s distances into ``u`` across the edge ``(u, v)``
+        (Figure 3 ExploreEdge) — the per-pop schedule's candidate
+        generation, one edge at a time.
+
+        The caller has marked the edge explored — ``v`` in
+        ``expanded_in`` or ``u`` in ``expanded_out`` — before the first
+        edge of that expansion.
+        """
+        if w <= 0.0:
+            raise ValueError(f"edge weight must be > 0, got {w!r}")
+        for i, row in enumerate(self.dist_rows):
+            nd = row[v] + w
+            if nd < row[u]:
+                self.relax_all(((u, i, nd, v, w),), emit)
+
+    def relax_all(self, candidates, emit) -> None:
+        """The relaxation step, over ``(u, i, nd, child, w)`` candidates
+        in order: recheck ``dist[u][i] = nd`` (through ``child`` over an
+        edge of weight ``w``) against the live row — an earlier
+        candidate or its cascade may have done the work already — then
+        set it, ATTACH upward, and hand ``emit``, ascending, every node
+        that is complete once its distance moved."""
+        rows = self.dist_rows
+        completions: set[int] = set()
+        for u, i, nd, child, w in candidates:
+            if nd < rows[i][u]:
+                self._set_dist(u, i, nd, child, w, completions)
+                self._propagate_up(u, i, completions)
+                if completions:
+                    for node in sorted(completions):
+                        emit(node)
+                    completions.clear()
+
+    def _set_dist(
+        self,
+        node: int,
+        i: int,
+        value: float,
+        child: int,
+        weight: float,
+        completions: set[int],
+    ) -> None:
+        self.cascade_touches += 1
+        row = self.dist_rows[i]
+        finite = self.finite
+        if row[node] == inf:
+            count = finite[node] = finite[node] + 1
+            if count == 1:
+                self.seen.append(node)
+            if count == self.k:
+                completions.add(node)
+        elif finite[node] == self.k:
+            completions.add(node)
+        row[node] = value
+        self.sp[i][node] = (child, weight)
+        self._changed.add(node)
+
+    def _propagate_up(self, start: int, i: int, completions: set[int]) -> None:
+        """ATTACH: best-first push of an improved ``dist[·][i]`` through
+        the explored-parent links (parent rows filtered by the sets)."""
+        row = self.dist_rows[i]
+        par = self._parents
+        xin = self.expanded_in
+        xout = self.expanded_out
+        sp = self.sp[i]
+        finite = self.finite
+        seen = self.seen
+        changed = self._changed
+        k = self.k
+        touches = 0
+        heap = [(row[start], start)]
+        while heap:
+            d, x = heapq.heappop(heap)
+            if d > row[x]:
+                continue  # stale entry
+            unmasked = x in xin
+            if not unmasked and not xout:
+                # No edge into x is explored (always so under
+                # SI-Backward until x is expanded): leave its row
+                # unread — hub rows hold hundreds of parents.
+                continue
+            for parent, wt in par[x][0]:
+                if not unmasked and parent not in xout:
+                    continue
+                ndist = d + wt
+                if ndist < row[parent]:
+                    # _set_dist, inlined: this loop runs once per
+                    # improvement event and the call overhead shows.
+                    if row[parent] == inf:
+                        count = finite[parent] = finite[parent] + 1
+                        if count == 1:
+                            seen.append(parent)
+                        if count == k:
+                            completions.add(parent)
+                    elif finite[parent] == k:
+                        completions.add(parent)
+                    row[parent] = ndist
+                    sp[parent] = (x, wt)
+                    changed.add(parent)
+                    touches += 1
+                    heapq.heappush(heap, (ndist, parent))
+        self.cascade_touches += touches
+
+    def drain_changed(self) -> list[int]:
+        """Nodes whose distances changed since the last drain, sorted —
+        and the sync point of the ``dist`` snapshot, if there is one."""
+        changed = sorted(self._changed)
+        self._changed.clear()
+        if changed and self.dist is not None:
+            index = np.array(changed, dtype=np.int64)
+            for i, row in enumerate(self.dist_rows):
+                self.dist[i, index] = list(map(row.__getitem__, changed))
+        return changed
+
+    # ------------------------------------------------------------------
+    # tree extraction
+    # ------------------------------------------------------------------
+    def build_paths(self, root: int) -> tuple[list[tuple[int, ...]], list[float]]:
+        """Follow the ``sp`` pointers from ``root`` to each keyword.
+
+        Returns per-keyword ``(path, actual path weight)``; the weight is
+        re-summed from the stored edge weights so emitted trees are
+        scored on their true cost even if a propagation cascade is still
+        in flight (the recorded ``dist`` may lag briefly).
+        """
+        if not self.is_complete(root):
+            raise ValueError(f"node {root} has no path to every keyword")
+        paths: list[tuple[int, ...]] = []
+        weights: list[float] = []
+        limit = self.graph.num_nodes + 1
+        for row, sp in zip(self.dist_rows, self.sp):
+            node = root
+            path = [node]
+            total = 0.0
+            while row[node] > 0.0:
+                node, w = sp[node]
+                total += w
+                path.append(node)
+                if len(path) > limit:  # pragma: no cover - defensive
+                    raise RuntimeError("sp pointer cycle detected")
+            paths.append(tuple(path))
+            weights.append(total)
+        return paths, weights
+
+
+class ActivationState:
+    """Per-keyword and total activation with spreading and propagation.
+
+    Keyword node ``u in S_i`` is seeded with ``a(u, i) = prestige(u) /
+    |S_i|``: prestigious origins rank high, huge origin sets are damped.
+    When a node spreads, a fraction ``mu`` of its per-keyword activation
+    is divided among its neighbours in inverse proportion to the
+    connecting edge weight; per-keyword activation combines by ``max``
+    (the tree score uses the *shortest* path per keyword) and a node's
+    overall activation — its queue priority — is the sum over keywords
+    (close to several keywords => fewer connections left to find).
+    Increases reaching an explored node are propagated to its reached
+    ancestors best-first (procedure ACTIVATE, Figure 3) along the edges
+    the two explored sets stand for — a :class:`PathState`'s, or the
+    caller's own (near queries keep no distances).
+    """
+
+    def __init__(
+        self,
+        graph,
+        keyword_sets: Sequence[frozenset[int]],
+        expanded_in: set[int],
+        expanded_out: set[int],
+        *,
+        mu: float = 0.5,
+        combine: str = "max",
+        min_contribution: float = 1e-9,
+        dense: bool = False,
+    ) -> None:
+        """
+        ``combine`` selects how activation reaching a node from several
+        edges is merged per keyword: ``"max"`` (the paper's default) or
+        ``"sum"`` (the footnote-6 extension for scoring models that
+        aggregate along multiple paths; powers "near queries").  In sum
+        mode cascades terminate via the ``min_contribution`` floor.
+        ``dense`` as for :class:`PathState`.
+        """
+        if not 0.0 <= mu <= 1.0:
+            raise ValueError(f"mu must be in [0, 1], got {mu!r}")
+        if combine not in ("max", "sum"):
+            raise ValueError(f"combine must be 'max' or 'sum', got {combine!r}")
+        if min_contribution <= 0.0:
+            raise ValueError(
+                f"min_contribution must be > 0, got {min_contribution!r}"
+            )
+        self.graph = graph
+        self.keyword_sets = tuple(frozenset(s) for s in keyword_sets)
+        self.k = k = len(self.keyword_sets)
+        self.mu = mu
+        self.combine = combine
+        self.min_contribution = min_contribution
+        self.expanded_in = expanded_in
+        self.expanded_out = expanded_out
+        if dense:
+            n = graph.num_nodes
+            self.act_rows = [[0.0] * n for _ in range(k)]
+            #: Overall activation ``a_u = sum_i a(u, i)`` — the queue
+            #: priority; numpy so the batched loops gather it in bulk.
+            self.total = np.zeros(n, dtype=np.float64)
+            #: numpy snapshot of ``act_rows`` for the spread kernel.
+            self.act = np.zeros((k, n), dtype=np.float64)
+        else:
+            self.act_rows = [_sparse_row(0.0) for _ in range(k)]
+            self.total = _sparse_row(0.0)
+            self.act = None
+        self._parents = _parents_memo(graph)
+        self._changed: set[int] = set()
+        #: Rows written by ACTIVATE cascades — harvested into
+        #: ``SearchStats.cascade_touches`` by the owning search.
+        self.cascade_touches = 0
+
+    # ------------------------------------------------------------------
+    def seed_all(self) -> None:
+        """Seed ``a(u, i) = prestige(u) / |S_i|`` per keyword node."""
+        prestige = self.graph.node_prestige
+        for i, nodes in enumerate(self.keyword_sets):
+            size = len(nodes)
+            row = self.act_rows[i]
+            for node in sorted(nodes):
+                seed = prestige(node) / size
+                current = row[node]
+                if self.combine == "sum":
+                    merged = current + (seed if seed > self.min_contribution else 0.0)
+                else:
+                    merged = max(current, seed)
+                row[node] = merged
+                if self.act is not None:
+                    self.act[i, node] = merged
+                self.total[node] += merged - current
+
+    # ------------------------------------------------------------------
+    # spreading on expansion
+    # ------------------------------------------------------------------
+    def spread(self, node: int, edges, norm: float) -> None:
+        """Spread ``node``'s activation over ``edges`` — its in-edges
+        (incoming iterator expansion) or out-edges (outgoing) — whose
+        ``sum(1/w)`` is ``norm``: each edge of weight ``w`` carries
+        ``mu * a(node, i) * (1/w) / norm`` to its other end.  The
+        per-pop schedule's candidate generation."""
+        for i, row in enumerate(self.act_rows):
+            a = row[node]
+            if a:
+                budget = self.mu * a
+                self.receive_all(
+                    (other, i, budget * (1.0 / w) / norm) for other, w, _ in edges
+                )
+
+    def receive_all(self, contributions) -> None:
+        """The spreading step, over ``(node, i, value)`` contributions
+        in order: combine ``value`` into ``a(node, i)``; on an increase,
+        cascade to reached ancestors (ACTIVATE)."""
+        rows = self.act_rows
+        if self.combine == "sum":
+            floor = self.min_contribution
+            for node, i, value in contributions:
+                if value > floor:
+                    self._set(node, i, rows[i][node] + value)
+                    self._propagate_sum(node, i, value)
+        else:
+            for node, i, value in contributions:
+                if value > rows[i][node]:
+                    self._set(node, i, value)
+                    self._propagate_up(node, i)
+
+    def _set(self, node: int, i: int, value: float) -> None:
+        self.cascade_touches += 1
+        row = self.act_rows[i]
+        self.total[node] += value - row[node]
+        row[node] = value
+        self._changed.add(node)
+
+    def _propagate_up(self, start: int, i: int) -> None:
+        """Max-mode ACTIVATE: best-first cascade of an increase; dies
+        out geometrically thanks to ``mu`` attenuation and
+        max-combining."""
+        row = self.act_rows[i]
+        par = self._parents
+        xin = self.expanded_in
+        xout = self.expanded_out
+        total = self.total
+        changed = self._changed
+        touches = 0
+        heap = [(-row[start], start)]
+        while heap:
+            neg, x = heapq.heappop(heap)
+            ax = -neg
+            if ax < row[x]:
+                continue  # superseded by a later, larger increase
+            unmasked = x in xin
+            if not unmasked and not xout:
+                continue  # no explored edge into x: leave its row unread
+            parents, norm = par[x]
+            if not parents:
+                continue
+            budget = self.mu * ax
+            for parent, w in parents:
+                if not unmasked and parent not in xout:
+                    continue
+                contribution = budget * (1.0 / w) / norm
+                if contribution > row[parent]:
+                    # _set, inlined for the per-event hot loop.
+                    total[parent] += contribution - row[parent]
+                    row[parent] = contribution
+                    changed.add(parent)
+                    touches += 1
+                    heapq.heappush(heap, (-contribution, parent))
+        self.cascade_touches += touches
+
+    def _propagate_sum(self, start: int, i: int, delta: float) -> None:
+        """Sum-mode ACTIVATE: push the *added* mass upward, attenuated
+        by ``mu`` and the share split, until the ``min_contribution``
+        floor kills it."""
+        row = self.act_rows[i]
+        par = self._parents
+        xin = self.expanded_in
+        xout = self.expanded_out
+        total = self.total
+        changed = self._changed
+        floor = self.min_contribution
+        touches = 0
+        stack = [(start, delta)]
+        while stack:
+            x, d = stack.pop()
+            unmasked = x in xin
+            if not unmasked and not xout:
+                continue  # no explored edge into x: leave its row unread
+            parents, norm = par[x]
+            if not parents:
+                continue
+            budget = self.mu * d
+            for parent, w in parents:
+                if not unmasked and parent not in xout:
+                    continue
+                contribution = budget * (1.0 / w) / norm
+                if contribution > floor:
+                    # _set, inlined for the per-event hot loop.
+                    total[parent] += contribution
+                    row[parent] += contribution
+                    changed.add(parent)
+                    touches += 1
+                    stack.append((parent, contribution))
+        self.cascade_touches += touches
+
+    def drain_changed(self) -> list[int]:
+        """Nodes whose activation changed since the last drain, sorted —
+        and the sync point of the ``act`` snapshot, if there is one."""
+        changed = sorted(self._changed)
+        self._changed.clear()
+        if changed and self.act is not None:
+            index = np.array(changed, dtype=np.int64)
+            for i, row in enumerate(self.act_rows):
+                self.act[i, index] = list(map(row.__getitem__, changed))
+        return changed

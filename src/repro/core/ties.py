@@ -10,22 +10,22 @@ emitted tree even though an equal-cost minimal star exists (the pinned
 counterexample in ``tests/property/test_prop_search.py``).
 
 This module defines one *canonical* decomposition that every consumer
-— the exhaustive oracle, the per-pop python searches and the batched
-kernel engines — can compute independently from nothing but final
-distances and the static graph:
+— the exhaustive oracle and the searches under either schedule — can
+compute independently from nothing but final distances and the static
+graph:
 
     from each node ``u`` with ``dist_i(u) > 0`` follow the smallest
     ``(child, weight)`` pair among the **tight** out-edges, i.e. edges
     ``(u, v, w)`` with ``dist_i(v) + w == dist_i(u)`` exactly.
 
 Exact float equality is deliberate: every producer of these distances
-(the oracle's Dijkstra, :class:`~repro.core.pathtable.PathTable` and
-:class:`~repro.core.kernels.state.DensePathState`) accumulates path
-cost leaf-to-root with the same left-associated additions, so at
-exhaustion the distances agree bit for bit and the winning path's
-first hop always satisfies the equality.  Mid-search the distances may
-not be final; the walk then either returns a valid equal-cost-so-far
-decomposition or ``None``, and callers simply skip the alternate.
+(the oracle's Dijkstra and :class:`~repro.core.state.PathState`)
+accumulates path cost leaf-to-root with the same left-associated
+additions, so at exhaustion the distances agree bit for bit and the
+winning path's first hop always satisfies the equality.  Mid-search the
+distances may not be final; the walk then either returns a valid
+equal-cost-so-far decomposition or ``None``, and callers simply skip
+the alternate.
 """
 
 from __future__ import annotations
@@ -41,13 +41,13 @@ def tight_decomposition(
 ) -> Optional[tuple[list[tuple[int, ...]], list[float]]]:
     """Canonical equal-cost decomposition of ``root``'s answer tree.
 
-    ``dist_rows[i]`` holds the known distances to keyword ``i``: a dict
-    (missing = unknown) or a dense list (``inf`` = unknown).  Per keyword,
-    follows the smallest ``(child, weight)`` among the tight out-edges —
-    of the full static adjacency, not just explored edges, so every
-    backend enumerates identically — until a zero-distance
-    (keyword-matching) node is reached.  Returns ``(paths, dists)`` shaped
-    exactly like ``PathTable.build_paths`` — per-keyword path tuples plus
+    ``dist_rows[i][node]`` is the known distance from ``node`` to
+    keyword ``i``, ``inf`` when unknown.  Per keyword, follows the
+    smallest ``(child, weight)`` among the tight out-edges — of the full
+    static adjacency, not just explored edges, so every consumer
+    enumerates identically — until a zero-distance (keyword-matching)
+    node is reached.  Returns ``(paths, dists)`` shaped exactly like
+    ``PathState.build_paths`` — per-keyword path tuples plus
     re-summed root-to-leaf weights — or ``None`` when any keyword's walk
     dead-ends or exceeds the node count (possible only on
     not-yet-consistent mid-search distances).
@@ -57,22 +57,20 @@ def tight_decomposition(
     paths: list[tuple[int, ...]] = []
     dists: list[float] = []
     for row in dist_rows:
-        # An unknown neighbour reads as None (dict) or inf (list);
-        # neither passes the tight test against a finite distance.
-        get = row.get if isinstance(row, dict) else row.__getitem__
         node = root
         path = [node]
         total = 0.0
         while True:
-            du = get(node)
-            if du is None or du == inf:
+            du = row[node]
+            if du == inf:
                 return None
             if du <= 0.0:
                 break
             best: Optional[tuple[int, float]] = None
             for v, w, _ in out_edges(node):
-                dv = get(v)
-                if dv is not None and dv + w == du:
+                # An unknown neighbour reads inf, which never passes
+                # the tight test against a finite distance.
+                if row[v] + w == du:
                     if best is None or (v, w) < best:
                         best = (v, w)
             if best is None or len(path) > limit:

@@ -1,115 +1,170 @@
-"""Spreading activation (paper Section 4.3)."""
+"""Spreading activation (paper Section 4.3) on ``ActivationState``.
+
+Every case runs on both row containers: sparse rows here, the batched
+schedule's dense lists in the ``...Dense`` subclasses.
+"""
 
 import pytest
 
-from repro.core.activation import ActivationTable
+from repro.core.state import ActivationState
 
 from tests.helpers import build_graph
 
 
-class TestSeeding:
+class _BothContainers:
+    dense = False
+
+    def act(self, graph, keyword_sets, **kwargs) -> ActivationState:
+        """State over its own explored sets, kept as ``xin`` / ``xout``."""
+        self.xin: set[int] = set()
+        self.xout: set[int] = set()
+        return ActivationState(
+            graph, keyword_sets, self.xin, self.xout, dense=self.dense, **kwargs
+        )
+
+    def spread_backward(self, act, v):
+        self.xin.add(v)
+        act.spread(v, act.graph.in_edges(v), act.graph.in_inv_weight_sum(v))
+
+    def spread_forward(self, act, u):
+        self.xout.add(u)
+        act.spread(u, act.graph.out_edges(u), act.graph.out_inv_weight_sum(u))
+
+
+class TestSeeding(_BothContainers):
     def test_seed_divides_prestige_by_origin_size(self):
         g = build_graph(4, [(0, 1)], prestige=[0.4, 0.3, 0.2, 0.1])
-        table = ActivationTable(g, [frozenset({0, 1}), frozenset({2})])
-        table.seed_all()
-        assert table.activation(0, 0) == pytest.approx(0.4 / 2)
-        assert table.activation(1, 0) == pytest.approx(0.3 / 2)
-        assert table.activation(2, 1) == pytest.approx(0.2)
-        assert table.activation(3, 0) == 0.0
+        act = self.act(g, [frozenset({0, 1}), frozenset({2})])
+        act.seed_all()
+        assert act.act_rows[0][0] == pytest.approx(0.4 / 2)
+        assert act.act_rows[0][1] == pytest.approx(0.3 / 2)
+        assert act.act_rows[1][2] == pytest.approx(0.2)
+        assert act.act_rows[0][3] == 0.0
+        if self.dense:
+            assert act.act.tolist() == [row[:] for row in act.act_rows]
 
     def test_total_sums_over_keywords(self):
         g = build_graph(2, [(0, 1)], prestige=[0.6, 0.4])
-        table = ActivationTable(g, [frozenset({0}), frozenset({0})])
-        table.seed_all()
-        assert table.total(0) == pytest.approx(0.6 + 0.6)
+        act = self.act(g, [frozenset({0}), frozenset({0})])
+        act.seed_all()
+        assert act.total[0] == pytest.approx(0.6 + 0.6)
 
     def test_mu_validation(self):
         g = build_graph(2, [(0, 1)])
         with pytest.raises(ValueError):
-            ActivationTable(g, [frozenset({0})], mu=1.5)
+            self.act(g, [frozenset({0})], mu=1.5)
 
 
-class TestBackwardSpreading:
+class TestBackwardSpreading(_BothContainers):
     def test_spreads_mu_fraction_to_in_neighbours(self):
         # 0 -> 2, 1 -> 2; expanding 2 backward activates 0 and 1.
         g = build_graph(3, [(0, 2), (1, 2)], prestige=[0.2, 0.2, 0.6])
-        table = ActivationTable(g, [frozenset({2})], mu=0.5)
-        table.seed_all()
-        table.spread_backward(2, parents={})
+        act = self.act(g, [frozenset({2})], mu=0.5)
+        act.seed_all()
+        self.spread_backward(act, 2)
         # In-edges of 2: forward 0->2 and 1->2, weight 1 each; norm = 2.
-        assert table.activation(0, 0) == pytest.approx(0.5 * 0.6 / 2)
-        assert table.activation(1, 0) == pytest.approx(0.5 * 0.6 / 2)
+        assert act.act_rows[0][0] == pytest.approx(0.5 * 0.6 / 2)
+        assert act.act_rows[0][1] == pytest.approx(0.5 * 0.6 / 2)
 
     def test_division_inverse_to_weight(self):
         g = build_graph(3, [(0, 2, 1.0), (1, 2, 3.0)], prestige=[0.2, 0.2, 0.6])
-        table = ActivationTable(g, [frozenset({2})], mu=0.5)
-        table.seed_all()
-        table.spread_backward(2, parents={})
-        ratio = table.activation(0, 0) / table.activation(1, 0)
-        assert ratio == pytest.approx(3.0)
+        act = self.act(g, [frozenset({2})], mu=0.5)
+        act.seed_all()
+        self.spread_backward(act, 2)
+        assert act.act_rows[0][0] / act.act_rows[0][1] == pytest.approx(3.0)
 
     def test_max_combine_keeps_larger(self):
         g = build_graph(3, [(0, 2), (1, 2)], prestige=[0.2, 0.2, 0.6])
-        table = ActivationTable(g, [frozenset({0, 2})], mu=0.5)
-        table.seed_all()
-        before = table.activation(0, 0)  # seeded: 0.2 / 2 = 0.1
-        table.spread_backward(2, parents={})
+        act = self.act(g, [frozenset({0, 2})], mu=0.5)
+        act.seed_all()
+        before = act.act_rows[0][0]  # seeded: 0.2 / 2 = 0.1
+        self.spread_backward(act, 2)
         # Incoming spread is 0.5*0.3/2 = 0.075 < 0.1: keep the seed.
-        assert table.activation(0, 0) == pytest.approx(before)
+        assert act.act_rows[0][0] == pytest.approx(before)
 
     def test_no_in_edges_is_noop(self):
-        g = build_graph(2, [(0, 1)])
-        table = ActivationTable(g, [frozenset({0})])
-        table.seed_all()
-        table.spread_backward(0, parents={})  # must not raise
+        act = self.act(build_graph(2, []), [frozenset({0})])
+        act.seed_all()
+        self.spread_backward(act, 0)  # must not raise
+        assert act.drain_changed() == []
 
 
-class TestForwardSpreading:
+class TestForwardSpreading(_BothContainers):
     def test_spreads_to_out_neighbours(self):
         g = build_graph(3, [(0, 1), (0, 2)], prestige=[0.6, 0.2, 0.2])
-        table = ActivationTable(g, [frozenset({0})], mu=0.5)
-        table.seed_all()
-        table.spread_forward(0, parents={})
-        assert table.activation(1, 0) > 0.0
-        assert table.activation(2, 0) > 0.0
+        act = self.act(g, [frozenset({0})], mu=0.5)
+        act.seed_all()
+        self.spread_forward(act, 0)
+        assert act.act_rows[0][1] > 0.0
+        assert act.act_rows[0][2] > 0.0
 
 
-class TestActivatePropagation:
+class TestActivatePropagation(_BothContainers):
     def test_cascades_through_explored_parents(self):
-        # Chain 0 -> 1 -> 2; parents say: 1 explored into 2, 0 into 1.
+        # Chain 0 -> 1 -> 2 with 1 expanded backward before 2 spreads:
+        # (0, 1) is explored, so 1's increase cascades on to 0.
         g = build_graph(3, [(0, 1), (1, 2)], prestige=[0.1, 0.1, 0.8])
-        table = ActivationTable(g, [frozenset({2})], mu=0.5)
-        table.seed_all()
-        parents = {2: {1: 1.0}, 1: {0: 1.0}}
-        table.spread_backward(2, parents)
+        act = self.act(g, [frozenset({2})], mu=0.5)
+        act.seed_all()
+        self.xin.add(1)
+        self.spread_backward(act, 2)
         # 1 got mu * a(2) * share; 0 then got a cascaded share from 1.
-        assert table.activation(1, 0) > 0.0
-        assert table.activation(0, 0) > 0.0
-        assert table.activation(0, 0) < table.activation(1, 0)
+        assert act.act_rows[0][1] > 0.0
+        assert act.act_rows[0][0] > 0.0
+        assert act.act_rows[0][0] < act.act_rows[0][1]
 
-    def test_callback_fires_on_increase_only(self):
+    def test_no_cascade_across_unexplored_edges(self):
+        g = build_graph(3, [(0, 1), (1, 2)], prestige=[0.1, 0.1, 0.8])
+        act = self.act(g, [frozenset({2})], mu=0.5)
+        act.seed_all()
+        self.spread_backward(act, 2)
+        assert act.act_rows[0][1] > 0.0
+        assert act.act_rows[0][0] == 0.0
+        # ...until 0 is expanded forward: (0, 1) then counts.
+        self.xout.add(0)
+        self.spread_backward(act, 2)  # max-combine: no increase, no cascade
+        assert act.act_rows[0][0] == 0.0
+        act.receive_all([(1, 0, 0.9)])  # an increase at 1
+        assert act.act_rows[0][0] > 0.0
+
+    def test_drain_reports_increases_only(self):
         g = build_graph(3, [(0, 2), (1, 2)], prestige=[0.2, 0.2, 0.6])
-        events = []
-        table = ActivationTable(
-            g, [frozenset({2})], mu=0.5, on_activation_change=events.append
-        )
-        table.seed_all()
-        events.clear()
-        table.spread_backward(2, parents={})
-        assert set(events) == {0, 1}
-        events.clear()
-        table.spread_backward(2, parents={})  # same values: max-combine no-op
-        assert events == []
+        act = self.act(g, [frozenset({2})], mu=0.5)
+        act.seed_all()
+        assert act.drain_changed() == []  # seeds are pushed, not re-pushed
+        self.spread_backward(act, 2)
+        assert act.drain_changed() == [0, 1]
+        if self.dense:  # the drain is where the snapshot catches up
+            assert act.act.tolist() == [row[:] for row in act.act_rows]
+        self.spread_backward(act, 2)  # same values: max-combine no-op
+        assert act.drain_changed() == []
 
     def test_attenuation_dies_out(self):
         # A long chain: activation decays geometrically, so far-away
         # ancestors receive (much) less.
         edges = [(i, i + 1) for i in range(5)]
         g = build_graph(6, edges, prestige=[0.1] * 5 + [0.5])
-        table = ActivationTable(g, [frozenset({5})], mu=0.5)
-        table.seed_all()
-        parents = {i + 1: {i: 1.0} for i in range(5)}
-        table.spread_backward(5, parents)
-        values = [table.activation(i, 0) for i in range(5)]
+        act = self.act(g, [frozenset({5})], mu=0.5)
+        act.seed_all()
+        self.xin.update(range(1, 5))
+        self.spread_backward(act, 5)
+        values = [act.act_rows[0][i] for i in range(5)]
+        assert all(values)
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
         assert values[0] < values[4] / 4
+
+
+class TestSeedingDense(TestSeeding):
+    dense = True
+
+
+class TestBackwardSpreadingDense(TestBackwardSpreading):
+    dense = True
+
+
+class TestForwardSpreadingDense(TestForwardSpreading):
+    dense = True
+
+
+class TestActivatePropagationDense(TestActivatePropagation):
+    dense = True

@@ -55,28 +55,45 @@ class TestDistanceOrdering:
         assert result.best().tree.root == 1
 
     def test_distance_priority_updates_on_improvement(self):
-        # Node 3 first reached at distance 3 via the chain, later at 1
-        # via a direct edge; its queue priority must drop.
+        # X (2) is first reached straight from the keyword at distance
+        # 5, then at 2 through A (1) before it is popped; Y (3) sits at
+        # 2.5.  If X's queue priority drops with its distance it pops
+        # third, ahead of Y — visible in the explain timeline, whose
+        # per-pop samples count the nodes touched so far: expanding X
+        # touches its three parents, expanding Y its one.
         g = build_graph(
-            5, [(3, 2, 1.0), (2, 1, 1.0), (1, 0, 1.0), (3, 4, 1.0), (4, 0, 1.0)]
+            9,
+            [
+                (1, 0, 1.0),
+                (3, 0, 2.5),
+                (2, 0, 5.0),
+                (2, 1, 1.0),
+                (4, 2, 1.0),
+                (5, 2, 1.0),
+                (6, 2, 1.0),
+                (7, 3, 1.0),
+            ],
         )
         sets = [frozenset({0})]
-        # Inspects the legacy PathTable after the run, so pin the
-        # reference per-pop loop (batched backends keep dense state).
-        search = SingleIteratorBackwardSearch(
-            g,
-            ("x",),
-            sets,
-            params=SearchParams(max_results=100, expansion_backend="python"),
-        )
-        result = search.run()
-        # dist(3 -> 0): via 2,1 = 3 hops; via 4 = 2 hops; all weight-1
-        # chains plus derived backward edges may shorten further; assert
-        # the table holds the true shortest distance at exhaustion.
-        from repro.core.exhaustive import keyword_distances
-
-        dist, _ = keyword_distances(g, frozenset({0}))
-        assert search._table.dist(3, 0) == pytest.approx(dist[3])
+        for backend in ("python", "vectorized"):
+            search = SingleIteratorBackwardSearch(
+                g,
+                ("x",),
+                sets,
+                params=SearchParams(
+                    max_results=100,
+                    expansion_backend=backend,
+                    cancel_check_interval=1,
+                ),
+            )
+            search.enable_explain(every=1)
+            search.run()
+            touched = [
+                e["touched"] for e in search.explain_events if e["event"] == "sample"
+            ]
+            # Sampled at each pop, before its expansion: the keyword,
+            # A (after 0 touched A, Y, X), the third pop, the fourth.
+            assert touched[:4] == [1, 4, 4, 7]
 
     def test_emits_when_complete_on_pop(self):
         g = build_graph(3, [(0, 1), (0, 2)])

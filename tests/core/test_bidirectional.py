@@ -73,31 +73,35 @@ class TestForwardSearch:
 
 
 class TestActivationOrdering:
-    def test_rare_keyword_expanded_first(self):
-        graph, sets, _ = figure4_like()
-        # Spies on the legacy _expand_incoming hook, which the batched
-        # backends bypass — pin the reference per-pop loop.
+    @staticmethod
+    def _switches(graph, sets, backend):
+        """The explain timeline's ``switch`` events: the top activation
+        of each queue whenever the scheduled side changes."""
         search = BidirectionalSearch(
             graph,
             ("db", "james", "john"),
             sets,
-            params=SearchParams(max_results=1, expansion_backend="python"),
+            params=SearchParams(
+                max_results=1, expansion_backend=backend, cancel_check_interval=1
+            ),
         )
-        popped = []
-        original = search._expand_incoming
-
-        def spy():
-            top = search._qin.peek_priority()
-            node = None
-            # peek top item for recording: pop happens inside original.
-            original()
-            popped.append(top)
-
-        search._expand_incoming = spy
+        search.enable_explain(every=1)
         search.run()
-        # Priorities of successive Qin pops: the first pop must be one of
-        # the rare keywords (activation 1/|S| of a paper node is tiny).
-        assert popped[0] == max(popped)
+        return [e for e in search.explain_events if e["event"] == "switch"]
+
+    def test_rare_keyword_expanded_first(self):
+        graph, sets, _ = figure4_like()
+        # A rare keyword's lone node is seeded with its whole prestige;
+        # each of the 30 papers with a thirtieth of its own.
+        rare = max(graph.node_prestige(node) for nodes in sets[1:] for node in nodes)
+        assert rare > max(graph.node_prestige(node) / len(sets[0]) for node in sets[0])
+        for backend in ("python", "vectorized"):
+            switches = self._switches(graph, sets, backend)
+            # The first pop comes off Qin at that activation, and Qin's
+            # top never exceeds it again.
+            assert switches[0]["chose"] == "in"
+            assert switches[0]["pin"] == rare
+            assert all(e["pin"] is None or e["pin"] <= rare for e in switches)
 
     def test_mu_zero_spreads_nothing(self):
         graph, sets, _ = figure4_like()
@@ -111,12 +115,27 @@ class TestActivationOrdering:
         assert result.answers
 
     def test_queue_priorities_track_activation_increases(self):
-        g = build_graph(4, [(0, 1), (1, 2), (3, 2)])
+        # 2 <- 1 <- 0 and 2 <- 3: popping 2 pushes 1 and 3 at zero
+        # activation, then spreads to them.  The pop after must see
+        # the raised priorities: Qin's top at the next switch is the
+        # spread share, not the zero they were pushed with.
+        g = build_graph(4, [(0, 1), (1, 2), (3, 2)], prestige=[0.1, 0.1, 0.7, 0.1])
         sets = [frozenset({2})]
-        search = BidirectionalSearch(g, ("x",), sets)
-        search._qin.push(1, 0.0)
-        search._act._set(1, 0, 0.25)
-        assert search._qin.get_priority(1) == pytest.approx(0.25)
+        for backend in ("python", "vectorized"):
+            search = BidirectionalSearch(
+                g,
+                ("x",),
+                sets,
+                params=SearchParams(
+                    mu=0.5, expansion_backend=backend, cancel_check_interval=1
+                ),
+            )
+            search.enable_explain(every=1)
+            search.run()
+            switches = [e for e in search.explain_events if e["event"] == "switch"]
+            assert switches[0]["pin"] == pytest.approx(0.7)
+            # In-edges of 2 weigh 1 each: a half of 0.7, split in two.
+            assert switches[1]["pin"] == pytest.approx(0.5 * 0.7 / 2)
 
 
 class TestBothQueuesCount:

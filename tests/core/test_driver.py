@@ -44,21 +44,16 @@ class TestNraEdgeBound:
 
 class TestFrontierMinima:
     def test_minimum_per_keyword(self):
-        dists = {
-            (1, 0): 3.0, (1, 1): inf,
-            (2, 0): 1.0, (2, 1): 7.0,
-            (3, 0): inf, (3, 1): 2.0,
-        }
-
-        def dist_fn(node, i):
-            return dists.get((node, i), inf)
-
-        ms = frontier_minima(2, [[1, 2], [3]], dist_fn)
-        assert ms == [1.0, 2.0]
+        # Rows as the searches keep them: row[node], inf for unknown.
+        rows = [
+            {1: 3.0, 2: 1.0, 3: inf},
+            {1: inf, 2: 7.0, 3: 2.0},
+        ]
+        assert frontier_minima(rows, [1, 2, 3]) == [1.0, 2.0]
+        assert frontier_minima(rows, [1]) == [3.0, inf]
 
     def test_empty_frontier_gives_inf(self):
-        ms = frontier_minima(2, [[]], lambda n, i: 0.0)
-        assert ms == [inf, inf]
+        assert frontier_minima([[0.0], [0.0]], []) == [inf, inf]
 
 
 class TestEmissionGate:

@@ -1,7 +1,8 @@
 """Unit tests for the batched expansion engine: the numpy candidate
-kernels against their private reference loops, the CSR snapshot, the
-vector frontier's determinism rules, the batch size, and the batched
-loops' cancellation responsiveness bound.
+kernels against their reference loops (``tests/helpers.py``), the CSR
+views and the lazy parent rows, the vector frontier's determinism
+rules, the batch size, and the batched loops' cancellation
+responsiveness bound.
 (The emission gate is not a kernel concern: ``test_output_heap.py`` and
 ``test_driver.py`` cover it.)
 """
@@ -17,8 +18,13 @@ from repro.core.cancellation import CancellationToken
 from repro.core.kernels import GraphCSR, VectorFrontier, graph_csr
 from repro.core.kernels import expand
 from repro.core.params import SearchParams
+from repro.core.state import PathState
 
-from tests.helpers import build_graph
+from tests.helpers import (
+    build_graph,
+    dist_candidates_reference,
+    spread_candidates_reference,
+)
 
 
 @st.composite
@@ -66,7 +72,7 @@ class TestKernelsMatchReferenceLoops:
         dist, tgt, src, w, _ = case
         _assert_same_candidates(
             expand.dist_candidates(dist, tgt, src, w),
-            expand._dist_candidates_reference(dist, tgt, src, w),
+            dist_candidates_reference(dist, tgt, src, w),
         )
 
     @pytest.mark.parametrize("combine", ["max", "sum"])
@@ -82,7 +88,7 @@ class TestKernelsMatchReferenceLoops:
         args = (act, tgt, src, w, norm, mu, combine, floor)
         _assert_same_candidates(
             expand.spread_candidates(*args),
-            expand._spread_candidates_reference(*args),
+            spread_candidates_reference(*args),
         )
 
 
@@ -113,10 +119,14 @@ class TestGraphCSR:
             dg.add_node(f"n{i}")
         dg.add_edge(1, 0, 3.0)
         dg.add_edge(1, 0, 1.5)  # parallel edge, lighter
-        csr = graph_csr(dg.freeze())
-        lo, hi = int(csr.par_indptr[0]), int(csr.par_indptr[1])
-        assert hi - lo == 1
-        assert float(csr.par_w[lo]) == 1.5
+        graph = dg.freeze()
+        state = PathState(graph, [frozenset({0})])
+        # Built per asked-for node, first-occurrence order, min weight,
+        # with the graph's own normalizer; memoised on the graph.
+        assert dict(state._parents) == {}
+        assert state._parents[0] == (((1, 1.5),), graph.in_inv_weight_sum(0))
+        assert PathState(graph, [frozenset({1})], dense=True)._parents is state._parents
+        assert list(state._parents) == [0]
 
 
 class TestVectorFrontier:

@@ -2,59 +2,108 @@
 
 import pytest
 
-from repro.core.activation import ActivationTable
 from repro.core.near import NearSearch
+from repro.core.state import ActivationState
 
 from tests.helpers import build_graph
 
 
 class TestSumCombine:
+    """On sparse rows; ``TestSumCombineDense`` reruns it on dense ones."""
+
+    dense = False
+
+    @staticmethod
+    def spread_forward(act, u):
+        act.expanded_out.add(u)
+        act.spread(u, act.graph.out_edges(u), act.graph.out_inv_weight_sum(u))
+
     def test_sum_accumulates_multiple_edges(self):
         # 0 -> 2 and 1 -> 2 both seeded: node 3 with edges to both
         # receives the sum of both contributions in sum mode, the max
         # in max mode.
         g = build_graph(3, [(0, 2), (1, 2)], prestige=[0.25, 0.25, 0.5])
         for combine in ("max", "sum"):
-            table = ActivationTable(
-                g, [frozenset({0}), frozenset({1})], mu=0.5, combine=combine
+            act = ActivationState(
+                g,
+                [frozenset({0}), frozenset({1})],
+                set(),
+                set(),
+                mu=0.5,
+                combine=combine,
+                dense=self.dense,
             )
-            table.seed_all()
-            table.spread_forward(0, {})
-            table.spread_forward(1, {})
+            act.seed_all()
+            self.spread_forward(act, 0)
+            self.spread_forward(act, 1)
             if combine == "sum":
-                assert table.activation(2, 0) > 0 and table.activation(2, 1) > 0
-            total_sum = table.total(2)
+                assert act.act_rows[0][2] > 0 and act.act_rows[1][2] > 0
+            total_sum = act.total[2]
         # Re-spreading in sum mode adds again (event semantics)...
-        table.spread_forward(0, {})
-        assert table.total(2) > total_sum
+        self.spread_forward(act, 0)
+        assert act.total[2] > total_sum
 
     def test_max_mode_respreading_is_idempotent(self):
         g = build_graph(2, [(0, 1)], prestige=[0.6, 0.4])
-        table = ActivationTable(g, [frozenset({0})], mu=0.5, combine="max")
-        table.seed_all()
-        table.spread_forward(0, {})
-        once = table.total(1)
-        table.spread_forward(0, {})
-        assert table.total(1) == pytest.approx(once)
+        act = ActivationState(
+            g, [frozenset({0})], set(), set(), mu=0.5, combine="max", dense=self.dense
+        )
+        act.seed_all()
+        self.spread_forward(act, 0)
+        once = act.total[1]
+        self.spread_forward(act, 0)
+        assert act.total[1] == pytest.approx(once)
 
     def test_sum_cascade_terminates_on_cycle(self):
-        # 0 <-> 1 cycle through forward+backward edges: the cascade must
-        # decay below the contribution floor and stop.
+        # 0 <-> 1 cycle through forward+backward edges, both nodes
+        # expanded: the cascade must decay below the contribution floor
+        # and stop.
         g = build_graph(2, [(0, 1), (1, 0)], prestige=[0.5, 0.5])
-        table = ActivationTable(
-            g, [frozenset({0})], mu=0.9, combine="sum", min_contribution=1e-6
+        act = ActivationState(
+            g,
+            [frozenset({0})],
+            {0, 1},
+            set(),
+            mu=0.9,
+            combine="sum",
+            min_contribution=1e-6,
+            dense=self.dense,
         )
-        table.seed_all()
-        parents = {0: {1: 1.0}, 1: {0: 1.0}}
-        table.spread_backward(0, parents)  # must return
-        assert table.total(1) > 0.0
+        act.seed_all()
+        act.spread(0, g.in_edges(0), g.in_inv_weight_sum(0))  # must return
+        assert act.total[1] > 0.0
+        assert act.cascade_touches > 2  # the mass went round the cycle
 
     def test_combine_validation(self):
         g = build_graph(2, [(0, 1)])
         with pytest.raises(ValueError):
-            ActivationTable(g, [frozenset({0})], combine="avg")
+            ActivationState(
+                g, [frozenset({0})], set(), set(), combine="avg", dense=self.dense
+            )
         with pytest.raises(ValueError):
-            ActivationTable(g, [frozenset({0})], min_contribution=0.0)
+            ActivationState(
+                g, [frozenset({0})], set(), set(), min_contribution=0.0, dense=self.dense
+            )
+
+    def test_min_contribution_floors_the_seed_and_the_spread(self):
+        g = build_graph(2, [(0, 1)], prestige=[0.75, 0.25])
+        act = ActivationState(
+            g,
+            [frozenset({0}), frozenset({1})],
+            set(),
+            set(),
+            combine="sum",
+            min_contribution=0.5,
+            dense=self.dense,
+        )
+        act.seed_all()
+        assert act.total[0] == 0.75 and act.total[1] == 0.0  # 0.25 is under the floor
+        self.spread_forward(act, 0)  # carries 0.5 * 0.75 = 0.375: dropped
+        assert act.total[1] == 0.0
+
+
+class TestSumCombineDense(TestSumCombine):
+    dense = True
 
 
 class TestNearSearch:

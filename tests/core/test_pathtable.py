@@ -1,162 +1,262 @@
-"""PathTable: distances, sp pointers, ATTACH propagation."""
+"""PathState: distances, sp pointers, ATTACH propagation.
+
+Every case runs on both row containers — the per-pop schedule's sparse
+rows here, the batched schedule's dense lists in the ``...Dense``
+subclasses — so what is pinned is pinned on the code both schedules
+run.  ``tests.helpers.expand`` drives one node expansion the way the
+per-pop loops do: mark the node expanded, then explore its edge list.
+"""
 
 from math import inf
 
 import pytest
 
-from repro.core.pathtable import PathTable
+from repro.core.state import PathState
 
-from tests.helpers import build_graph
+from tests.helpers import build_graph, expand
 
 
 def chain_graph():
-    # 0 -> 1 -> 2 (plus derived backward edges).
+    # 0 -> 1 -> 2 (plus derived backward edges), every weight 1.
     return build_graph(3, [(0, 1), (1, 2)])
 
 
-class TestSeeding:
+class _BothContainers:
+    dense = False
+
+    def state(self, graph, keyword_sets) -> PathState:
+        return PathState(graph, keyword_sets, dense=self.dense)
+
+
+class TestSeeding(_BothContainers):
     def test_seed_all(self):
-        g = chain_graph()
-        table = PathTable(g, [frozenset({2}), frozenset({0, 1})])
-        seeds = table.seed_all()
-        assert seeds == {0, 1, 2}
-        assert table.dist(2, 0) == 0.0
-        assert table.dist(0, 1) == 0.0
-        assert table.dist(1, 1) == 0.0
-        assert table.dist(0, 0) == inf
+        state = self.state(chain_graph(), [frozenset({2}), frozenset({0, 1})])
+        assert state.seed_all() == [0, 1, 2]
+        assert state.dist_rows[0][2] == 0.0
+        assert state.dist_rows[1][0] == 0.0
+        assert state.dist_rows[1][1] == 0.0
+        assert state.dist_rows[0][0] == inf
+        assert sorted(state.seen) == [0, 1, 2]
+        if self.dense:
+            assert state.dist.tolist() == [[inf, inf, 0.0], [0.0, 0.0, inf]]
 
     def test_seed_returns_matched_indices(self):
-        g = chain_graph()
-        table = PathTable(g, [frozenset({2}), frozenset({2})])
-        assert table.seed(2) == (0, 1)
-        assert table.seed(0) == ()
+        # A node matching two keywords is seeded in both rows.
+        state = self.state(chain_graph(), [frozenset({2}), frozenset({2})])
+        assert state.seed_all() == [2]
+        assert [row[2] for row in state.dist_rows] == [0.0, 0.0]
+        assert state.is_complete(2)
+        assert state.finite[0] == 0 and not state.is_complete(0)
+        state.seed_all()  # seeding twice counts nothing twice
+        assert state.finite[2] == 2 and state.seen == [2]
 
     def test_requires_a_keyword(self):
         with pytest.raises(ValueError):
-            PathTable(chain_graph(), [])
+            self.state(chain_graph(), [])
 
 
-class TestExploreEdge:
+class TestExploreEdge(_BothContainers):
     def test_simple_relax(self):
-        g = chain_graph()
-        table = PathTable(g, [frozenset({2})])
-        table.seed_all()
-        completions = table.explore_edge(1, 2, 1.0)
-        assert table.dist(1, 0) == pytest.approx(1.0)
-        assert completions == {1}
-        assert table.is_complete(1)
+        state = self.state(chain_graph(), [frozenset({2})])
+        state.seed_all()
+        state.expanded_in.add(2)
+        emitted = []
+        state.explore_edge(1, 2, 1.0, emitted.append)
+        assert state.dist_rows[0][1] == pytest.approx(1.0)
+        assert state.sp[0][1] == (2, 1.0)
+        assert emitted == [1]
+        assert state.is_complete(1)
 
     def test_no_improvement_no_completion(self):
-        g = chain_graph()
-        table = PathTable(g, [frozenset({2})])
-        table.seed_all()
-        table.explore_edge(1, 2, 1.0)
-        assert table.explore_edge(1, 2, 5.0) == set()
-        assert table.dist(1, 0) == pytest.approx(1.0)
+        state = self.state(chain_graph(), [frozenset({2})])
+        state.seed_all()
+        assert expand(state, 2) == [1]
+        emitted = []
+        state.explore_edge(1, 2, 5.0, emitted.append)
+        assert emitted == []
+        assert state.dist_rows[0][1] == pytest.approx(1.0)
 
     def test_better_parallel_edge_improves(self):
-        g = chain_graph()
-        table = PathTable(g, [frozenset({2})])
-        table.seed_all()
-        table.explore_edge(1, 2, 3.0)
-        completions = table.explore_edge(1, 2, 1.0)
-        assert completions == {1}
-        assert table.dist(1, 0) == pytest.approx(1.0)
+        g = build_graph(2, [(1, 0, 3.0), (1, 0, 1.5)])
+        state = self.state(g, [frozenset({0})])
+        state.seed_all()
+        # Both parallel edges are explored, heavier first: the node
+        # completes on the first and is re-emitted on the improvement.
+        assert expand(state, 0) == [1, 1]
+        assert state.dist_rows[0][1] == pytest.approx(1.5)
+        assert state.sp[0][1] == (0, 1.5)
 
     def test_attach_propagates_to_ancestors(self):
-        # Explore 0->1 first (dist unknown), then 1->2: node 0 must be
-        # updated transitively through the explored-parents map.
-        g = chain_graph()
-        table = PathTable(g, [frozenset({2})])
-        table.seed_all()
-        table.explore_edge(0, 1, 1.0)
-        assert table.dist(0, 0) == inf
-        completions = table.explore_edge(1, 2, 1.0)
-        assert table.dist(0, 0) == pytest.approx(2.0)
-        assert completions == {1, 0}
+        # Expand 1 first (its distance unknown), then 2: node 0 must be
+        # updated transitively through the explored edge (0, 1).
+        state = self.state(chain_graph(), [frozenset({2})])
+        state.seed_all()
+        assert expand(state, 1) == []
+        assert state.dist_rows[0][0] == inf
+        assert expand(state, 2) == [0, 1]  # one cascade, emitted ascending
+        assert state.dist_rows[0][0] == pytest.approx(2.0)
+        assert state.sp[0][0] == (1, 1.0)
 
     def test_propagation_chooses_best_path(self):
-        # Diamond: 0->1->3, 0->2->3, with 0->2 cheaper overall.
+        # Diamond: 0->1->3, 0->2->3, with 0->2->3 cheaper overall.
         g = build_graph(4, [(0, 1, 1.0), (1, 3, 5.0), (0, 2, 1.0), (2, 3, 1.0)])
-        table = PathTable(g, [frozenset({3})])
-        table.seed_all()
-        table.explore_edge(0, 1, 1.0)
-        table.explore_edge(0, 2, 1.0)
-        table.explore_edge(1, 3, 5.0)
-        assert table.dist(0, 0) == pytest.approx(6.0)
-        table.explore_edge(2, 3, 1.0)
-        assert table.dist(0, 0) == pytest.approx(2.0)
+        state = self.state(g, [frozenset({3})])
+        state.seed_all()
+        expand(state, 1)
+        expand(state, 2)
+        state.expanded_in.add(3)
+        state.explore_edge(1, 3, 5.0, lambda node: None)
+        assert state.dist_rows[0][0] == pytest.approx(6.0)
+        state.explore_edge(2, 3, 1.0, lambda node: None)
+        assert state.dist_rows[0][0] == pytest.approx(2.0)
+        assert state.build_paths(0)[0] == [(0, 2, 3)]
 
     def test_rejects_nonpositive_weight(self):
-        table = PathTable(chain_graph(), [frozenset({2})])
+        state = self.state(chain_graph(), [frozenset({2})])
         with pytest.raises(ValueError):
-            table.explore_edge(0, 1, 0.0)
+            state.explore_edge(0, 1, 0.0, lambda node: None)
 
-    def test_dist_change_callback(self):
-        g = chain_graph()
-        changed = []
-        table = PathTable(
-            g, [frozenset({2})], on_dist_change=changed.append
-        )
-        table.seed_all()
-        table.explore_edge(1, 2, 1.0)
-        table.explore_edge(0, 1, 1.0)
-        assert 1 in changed and 0 in changed
+    def test_changed_nodes_are_drained_once(self):
+        state = self.state(chain_graph(), [frozenset({2})])
+        state.seed_all()
+        expand(state, 2)
+        expand(state, 1)
+        assert state.drain_changed() == [0, 1]
+        assert state.drain_changed() == []
+        if self.dense:  # the drain is where the snapshot catches up
+            assert state.dist.tolist() == [[2.0, 1.0, 0.0]]
+
+    def test_forward_exploration_pulls_the_neighbours_distance(self):
+        # Expanding 0 forward explores (0, 1): 0 learns 1's distance,
+        # and later improvements of 1 reach 0 through expanded_out.
+        state = self.state(chain_graph(), [frozenset({2})])
+        state.seed_all()
+        assert expand(state, 0, forward=True) == []
+        assert expand(state, 2) == [0, 1]
+        assert state.dist_rows[0][0] == pytest.approx(2.0)
 
 
-class TestCompleteness:
+class TestCompleteness(_BothContainers):
     def test_multi_keyword(self):
-        g = chain_graph()
-        table = PathTable(g, [frozenset({0}), frozenset({2})])
-        table.seed_all()
-        assert not table.is_complete(1)
-        table.explore_edge(1, 2, 1.0)
-        assert not table.is_complete(1)
+        state = self.state(chain_graph(), [frozenset({0}), frozenset({2})])
+        state.seed_all()
+        assert not state.is_complete(1)
+        assert expand(state, 2) == []
+        assert not state.is_complete(1)
         # Backward edge 1 -> 0 gives the path to keyword 0.
-        table.explore_edge(1, 0, 1.0)
-        assert table.is_complete(1)
-        assert table.known_keywords(1) == 2
+        assert expand(state, 0) == [1]
+        assert state.is_complete(1)
+        assert state.finite[1] == 2
+        assert state.complete_nodes() == [1]
 
     def test_min_dist(self):
-        g = chain_graph()
-        table = PathTable(g, [frozenset({0}), frozenset({2})])
-        table.seed_all()
-        table.explore_edge(1, 2, 3.0)
-        assert table.min_dist(1) == pytest.approx(3.0)
-        table.explore_edge(1, 0, 1.0)
-        assert table.min_dist(1) == pytest.approx(1.0)
+        g = build_graph(3, [(0, 1, 1.0), (1, 2, 3.0)])
+        state = self.state(g, [frozenset({0}), frozenset({2})])
+        state.seed_all()
+        expand(state, 2)
+        assert state.min_dist(1) == pytest.approx(3.0)
+        expand(state, 0)
+        assert state.min_dist(1) == pytest.approx(1.0)
+
+    def test_edge_bound_refines_over_seen_incomplete_nodes(self):
+        state = self.state(chain_graph(), [frozenset({0}), frozenset({2})])
+        state.seed_all()
+        expand(state, 2)
+        # Seen and incomplete: 0 = (0, ?), 2 = (?, 0), 1 = (?, 1).  With
+        # frontier minima (5, 5) an unseen root costs 10, but seed 0
+        # could still complete at 0 + 5.
+        assert state.edge_bound([5.0, 5.0]) == 5.0
+        assert state.edge_bound([0.5, 9.0]) == 0.5  # seed 2: 0.5 + 0
+        assert state.edge_bound([inf, inf]) == inf
+        expand(state, 0)
+        # 1 is complete at 1 + 1 = 2 now: an answer already generated,
+        # no longer a bound on future ones.
+        assert state.is_complete(1)
+        assert state.edge_bound([5.0, 5.0]) == 5.0
 
 
-class TestBuildPaths:
+class TestBuildPaths(_BothContainers):
     def test_paths_and_true_weights(self):
-        g = chain_graph()
-        table = PathTable(g, [frozenset({2}), frozenset({0})])
-        table.seed_all()
-        table.explore_edge(1, 2, 1.0)
-        table.explore_edge(1, 0, 1.0)
-        paths, weights = table.build_paths(1)
+        state = self.state(chain_graph(), [frozenset({2}), frozenset({0})])
+        state.seed_all()
+        expand(state, 2)
+        expand(state, 0)
+        paths, weights = state.build_paths(1)
         assert paths == [(1, 2), (1, 0)]
         assert weights == [pytest.approx(1.0), pytest.approx(1.0)]
 
     def test_seed_root_has_trivial_path(self):
-        g = chain_graph()
-        table = PathTable(g, [frozenset({2})])
-        table.seed_all()
-        paths, weights = table.build_paths(2)
+        state = self.state(chain_graph(), [frozenset({2})])
+        state.seed_all()
+        paths, weights = state.build_paths(2)
         assert paths == [(2,)]
         assert weights == [0.0]
 
     def test_incomplete_root_rejected(self):
-        g = chain_graph()
-        table = PathTable(g, [frozenset({2}), frozenset({0})])
-        table.seed_all()
+        state = self.state(chain_graph(), [frozenset({2}), frozenset({0})])
+        state.seed_all()
         with pytest.raises(ValueError):
-            table.build_paths(1)
+            state.build_paths(1)
 
-    def test_parents_map_exposed(self):
+    def test_unexplored_edges_carry_no_cascade(self):
+        # The explored-parents map is implicit: (0, 1) counts only once
+        # 1 was expanded backward or 0 forward.
+        state = self.state(chain_graph(), [frozenset({2})])
+        state.seed_all()
+        expand(state, 2)
+        assert state.dist_rows[0][1] == 1.0
+        assert state.dist_rows[0][0] == inf
+
+
+class TestHubRowsStayUnread:
+    """A node reached but not expanded backward has no explored edge
+    into it while nothing was expanded forward (always so under
+    SI-Backward): no cascade may ask for its parent row."""
+
+    class _Rows:
+        def __init__(self, memo, allowed):
+            self.memo = memo
+            self.allowed = allowed
+
+        def __getitem__(self, x):
+            assert x in self.allowed, f"parent row of unexpanded node {x} read"
+            return self.memo[x]
+
+    def test_attach_skips_unexpanded_nodes(self):
+        state = PathState(chain_graph(), [frozenset({2})])
+        state._parents = self._Rows(state._parents, state.expanded_in)
+        state.seed_all()
+        assert expand(state, 2) == [1]  # improves 1, which is not expanded
+        assert expand(state, 1) == [0]
+
+    @pytest.mark.parametrize("combine", ["max", "sum"])
+    def test_activate_skips_unexpanded_nodes(self, combine):
+        from repro.core.state import ActivationState
+
         g = chain_graph()
-        table = PathTable(g, [frozenset({2})])
-        table.seed_all()
-        table.explore_edge(1, 2, 1.0)
-        assert table.parents_map() == {2: {1: 1.0}}
-        assert table.parents_of(2) == {1: 1.0}
+        xin: set[int] = set()
+        act = ActivationState(g, [frozenset({2})], xin, set(), combine=combine)
+        act._parents = self._Rows(act._parents, xin)
+        act.seed_all()
+        xin.add(2)
+        act.spread(2, g.in_edges(2), g.in_inv_weight_sum(2))
+        assert act.total[1] > 0.0 and act.total[0] == 0.0
+        xin.add(1)
+        act.spread(1, g.in_edges(1), g.in_inv_weight_sum(1))
+        assert act.total[0] > 0.0
+
+
+class TestSeedingDense(TestSeeding):
+    dense = True
+
+
+class TestExploreEdgeDense(TestExploreEdge):
+    dense = True
+
+
+class TestCompletenessDense(TestCompleteness):
+    dense = True
+
+
+class TestBuildPathsDense(TestBuildPaths):
+    dense = True

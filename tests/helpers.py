@@ -25,8 +25,11 @@ __all__ = [
     "random_keyword_sets",
     "validate_answer_tree",
     "edge_weight_of",
+    "expand",
     "assert_no_cyclic_garbage",
     "rewrite_snapshot",
+    "dist_candidates_reference",
+    "spread_candidates_reference",
 ]
 
 
@@ -48,6 +51,29 @@ def build_graph(
             u, v, w = edge
             graph.add_edge(u, v, w)
     return graph.freeze(prestige=prestige)
+
+
+def expand(state, node: int, *, forward: bool = False, act=None) -> list[int]:
+    """One node expansion on a ``PathState``, driven the way the per-pop
+    loops drive it: mark ``node`` expanded (backward unless
+    ``forward``), explore its edge list, then spread its activation
+    over the same edges if an ``ActivationState`` is given.  Returns
+    the emitted completions in order."""
+    graph = state.graph
+    emitted: list[int] = []
+    if forward:
+        state.expanded_out.add(node)
+        edges, norm = graph.out_edges(node), graph.out_inv_weight_sum(node)
+        for v, w, _ in edges:
+            state.explore_edge(node, v, w, emitted.append)
+    else:
+        state.expanded_in.add(node)
+        edges, norm = graph.in_edges(node), graph.in_inv_weight_sum(node)
+        for u, w, _ in edges:
+            state.explore_edge(u, node, w, emitted.append)
+    if act is not None:
+        act.spread(node, edges, norm)
+    return emitted
 
 
 def random_data_graph(
@@ -221,3 +247,52 @@ def rewrite_snapshot(
         out[start : start + arr.nbytes] = arr.tobytes()
     Path(dst).write_bytes(bytes(out))
     return Path(dst)
+
+
+# ----------------------------------------------------------------------
+# reference loops of the numpy candidate kernels
+# ----------------------------------------------------------------------
+def dist_candidates_reference(
+    dist: np.ndarray, tgt: np.ndarray, src: np.ndarray, w: np.ndarray
+) -> tuple[list[int], list[int], list[float]]:
+    """The loop twin of ``repro.core.kernels.expand.dist_candidates``:
+    the same arithmetic one edge and keyword at a time — the reference
+    ``tests/core/test_kernels.py`` holds the array form to, bit for bit."""
+    e_acc: list[int] = []
+    i_acc: list[int] = []
+    nd_acc: list[float] = []
+    for e, (t, s, wt) in enumerate(zip(tgt.tolist(), src.tolist(), w.tolist())):
+        for i in range(dist.shape[0]):
+            nd = dist[i, s] + wt
+            if nd < dist[i, t]:
+                e_acc.append(e)
+                i_acc.append(i)
+                nd_acc.append(float(nd))
+    return e_acc, i_acc, nd_acc
+
+
+def spread_candidates_reference(
+    act: np.ndarray,
+    tgt: np.ndarray,
+    src: np.ndarray,
+    w: np.ndarray,
+    norm: np.ndarray,
+    mu: float,
+    combine: str,
+    min_contribution: float,
+) -> tuple[list[int], list[int], list[float]]:
+    """The loop twin of ``repro.core.kernels.expand.spread_candidates``."""
+    e_acc: list[int] = []
+    i_acc: list[int] = []
+    c_acc: list[float] = []
+    for e, (t, s, wt, nm) in enumerate(
+        zip(tgt.tolist(), src.tolist(), w.tolist(), norm.tolist())
+    ):
+        for i in range(act.shape[0]):
+            contribution = (mu * act[i, s]) * (1.0 / wt) / nm
+            floor = min_contribution if combine == "sum" else act[i, t]
+            if contribution > floor:
+                e_acc.append(e)
+                i_acc.append(i)
+                c_acc.append(float(contribution))
+    return e_acc, i_acc, c_acc

@@ -114,15 +114,16 @@ def test_near_query_leaves_no_cyclic_garbage(toy_engine):
 
 
 def test_the_census_catches_a_search_cycle(toy_engine):
-    """The harness itself: re-tie the knot `_finish` unties and the
-    census must see the search."""
+    """The harness itself: tie a knot the searches no longer tie (a
+    state holding a bound method of its search — what the change
+    callbacks were) and the census must see the search."""
     from repro.core.backward_si import SingleIteratorBackwardSearch
 
     def leaky():
         keywords, sets = toy_engine.resolve("gray transaction")
         search = SingleIteratorBackwardSearch(toy_engine.graph, keywords, sets)
         search.run()
-        search._table._on_dist_change = search._on_dist_change
+        search._state.on_change = search._frontier_sizes
 
     with pytest.raises(AssertionError, match="SingleIteratorBackwardSearch"):
         assert_no_cyclic_garbage(leaky)

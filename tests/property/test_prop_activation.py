@@ -1,9 +1,10 @@
-"""Property tests: spreading-activation invariants."""
+"""Property tests: spreading-activation invariants, on both row
+containers of ``ActivationState``."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.activation import ActivationTable
+from repro.core.state import ActivationState
 from repro.graph.digraph import DataGraph
 
 
@@ -41,7 +42,8 @@ def activation_cases(draw):
             max_size=12,
         )
     )
-    return n, dedup, keyword_sets, mu, spreads
+    dense = draw(st.booleans())
+    return n, dedup, keyword_sets, mu, spreads, dense
 
 
 def build(n, edges):
@@ -53,13 +55,25 @@ def build(n, edges):
     return dg.freeze()
 
 
+def spread_all(act, graph, spreads):
+    """Simulate exploration: each spreading node is expanded first, so
+    its edges count as explored for the ACTIVATE cascades."""
+    for direction, node in spreads:
+        if direction == "backward":
+            act.expanded_in.add(node)
+            act.spread(node, graph.in_edges(node), graph.in_inv_weight_sum(node))
+        else:
+            act.expanded_out.add(node)
+            act.spread(node, graph.out_edges(node), graph.out_inv_weight_sum(node))
+
+
 @given(case=activation_cases())
 @settings(max_examples=80, deadline=None)
 def test_activation_bounded_and_consistent(case):
-    n, edges, keyword_sets, mu, spreads = case
+    n, edges, keyword_sets, mu, spreads, dense = case
     graph = build(n, edges)
-    table = ActivationTable(graph, keyword_sets, mu=mu)
-    table.seed_all()
+    act = ActivationState(graph, keyword_sets, set(), set(), mu=mu, dense=dense)
+    act.seed_all()
 
     seed_max = [
         max(
@@ -69,54 +83,37 @@ def test_activation_bounded_and_consistent(case):
         for nodes in keyword_sets
     ]
 
-    parents: dict[int, dict[int, float]] = {}
-    for direction, node in spreads:
-        # Simulate exploration: register the spread edges as explored.
-        if direction == "backward":
-            for u, w, _ in graph.in_edges(node):
-                parents.setdefault(node, {})[u] = min(
-                    w, parents.get(node, {}).get(u, w)
-                )
-            table.spread_backward(node, parents)
-        else:
-            for v, w, _ in graph.out_edges(node):
-                parents.setdefault(v, {})[node] = min(
-                    w, parents.get(v, {}).get(node, w)
-                )
-            table.spread_forward(node, parents)
+    spread_all(act, graph, spreads)
 
-    for i, _ in enumerate(keyword_sets):
+    for i, row in enumerate(act.act_rows):
         for node in range(n):
-            a = table.activation(node, i)
             # Non-negative and never above the strongest seed of that
             # keyword (mu <= 1 and max-combine cannot amplify).
-            assert a >= 0.0
-            assert a <= seed_max[i] + 1e-9
+            assert row[node] >= 0.0
+            assert row[node] <= seed_max[i] + 1e-9
 
     for node in range(n):
-        total = sum(
-            table.activation(node, i) for i in range(len(keyword_sets))
-        )
-        assert abs(total - table.total(node)) < 1e-9
+        total = sum(row[node] for row in act.act_rows)
+        assert abs(total - act.total[node]) < 1e-9
+
+    # Whatever moved is reported once, and a dense state's snapshot has
+    # caught up with its rows by then.
+    moved = act.drain_changed()
+    assert moved == sorted(set(moved)) and act.drain_changed() == []
+    if dense:
+        assert act.act.tolist() == act.act_rows
 
 
 @given(case=activation_cases())
 @settings(max_examples=40, deadline=None)
 def test_spreading_is_monotone_nondecreasing(case):
     """Spreading can only raise activations (max-combine)."""
-    n, edges, keyword_sets, mu, spreads = case
+    n, edges, keyword_sets, mu, spreads, dense = case
     graph = build(n, edges)
-    table = ActivationTable(graph, keyword_sets, mu=mu)
-    table.seed_all()
-    before = {
-        (node, i): table.activation(node, i)
-        for node in range(n)
-        for i in range(len(keyword_sets))
-    }
-    for direction, node in spreads:
-        if direction == "backward":
-            table.spread_backward(node, {})
-        else:
-            table.spread_forward(node, {})
-    for (node, i), previous in before.items():
-        assert table.activation(node, i) >= previous - 1e-12
+    act = ActivationState(graph, keyword_sets, set(), set(), mu=mu, dense=dense)
+    act.seed_all()
+    before = [[row[node] for node in range(n)] for row in act.act_rows]
+    spread_all(act, graph, spreads)
+    for row, previous in zip(act.act_rows, before):
+        for node in range(n):
+            assert row[node] >= previous[node] - 1e-12
