@@ -52,9 +52,10 @@ _MEMO_ATTR = "_explored_parents_memo"
 
 def _sparse_row(fill) -> defaultdict:
     """Row container of the per-pop schedule: a dict in which an
-    untouched node reads ``fill``.  (The read stores it — a miss
-    handled in C costs a third of a python ``__missing__``, and the
-    tie walks probe the same unreached hub neighbours over and over.)"""
+    untouched node reads ``fill``.  The read stores it, so the miss is
+    handled in C and happens once per node: the tie walks probe the same
+    unreached hub neighbours over and over, and a python ``__missing__``
+    that stored nothing made the ``snapshot_cycle`` pool a third slower."""
     return defaultdict(repeat(fill).__next__)
 
 

@@ -1,7 +1,5 @@
 """SI-Backward specifics: distance ordering, single iterator."""
 
-import pytest
-
 from repro.core.backward_si import SingleIteratorBackwardSearch
 from repro.core.params import SearchParams
 
