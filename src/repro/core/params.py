@@ -70,17 +70,18 @@ class SearchParams:
         ``0`` (the default) disables sampling; the end-of-run summary
         attributes are recorded either way whenever a span is active.
     expansion_backend:
-        Which engine drives SI-Backward and Bidirectional:
-        ``"python"`` (the default: one cursor per pop over dict tables,
-        no per-graph set-up) or ``"vectorized"`` (pops
+        Which schedule drives SI-Backward and Bidirectional over their
+        one search state (:mod:`repro.core.state`): ``"python"`` (the
+        default: one cursor per pop, state rows that hold only touched
+        nodes, no per-graph set-up) or ``"vectorized"`` (pops
         ``cancel_check_interval`` cursors per batch over the graph's
-        CSR arrays with numpy candidate kernels; pays an O(n) set-up
-        per graph and wins on long expansions, see
-        docs/PERFORMANCE.md).  Batching changes pop order, so the two
-        may decompose tied paths differently.  MI-Backward runs the
-        paper's per-iterator schedule under either value.  Both share
-        one emission path, gated on the release bound in
-        ``BaseSearch``.
+        CSR arrays with numpy candidate kernels, state rows over all
+        nodes; pays an O(n) set-up per graph and per search and wins on
+        long expansions, see docs/PERFORMANCE.md).  Batching changes
+        pop order, so the two may decompose tied paths differently.
+        MI-Backward runs the paper's per-iterator schedule under either
+        value.  Both share one emission path, gated on the release
+        bound in ``BaseSearch``.
     """
 
     mu: float = 0.5

@@ -74,15 +74,16 @@ class TestForwardSearch:
 
 class TestActivationOrdering:
     @staticmethod
-    def _switches(graph, sets, backend):
+    def _switches(graph, keywords, sets, backend, **params):
         """The explain timeline's ``switch`` events: the top activation
-        of each queue whenever the scheduled side changes."""
+        of each queue whenever the scheduled side changes (one cursor
+        per batch, so the batched schedule switches per pop too)."""
         search = BidirectionalSearch(
             graph,
-            ("db", "james", "john"),
+            keywords,
             sets,
             params=SearchParams(
-                max_results=1, expansion_backend=backend, cancel_check_interval=1
+                expansion_backend=backend, cancel_check_interval=1, **params
             ),
         )
         search.enable_explain(every=1)
@@ -96,7 +97,9 @@ class TestActivationOrdering:
         rare = max(graph.node_prestige(node) for nodes in sets[1:] for node in nodes)
         assert rare > max(graph.node_prestige(node) / len(sets[0]) for node in sets[0])
         for backend in ("python", "vectorized"):
-            switches = self._switches(graph, sets, backend)
+            switches = self._switches(
+                graph, ("db", "james", "john"), sets, backend, max_results=1
+            )
             # The first pop comes off Qin at that activation, and Qin's
             # top never exceeds it again.
             assert switches[0]["chose"] == "in"
@@ -120,19 +123,8 @@ class TestActivationOrdering:
         # the raised priorities: Qin's top at the next switch is the
         # spread share, not the zero they were pushed with.
         g = build_graph(4, [(0, 1), (1, 2), (3, 2)], prestige=[0.1, 0.1, 0.7, 0.1])
-        sets = [frozenset({2})]
         for backend in ("python", "vectorized"):
-            search = BidirectionalSearch(
-                g,
-                ("x",),
-                sets,
-                params=SearchParams(
-                    mu=0.5, expansion_backend=backend, cancel_check_interval=1
-                ),
-            )
-            search.enable_explain(every=1)
-            search.run()
-            switches = [e for e in search.explain_events if e["event"] == "switch"]
+            switches = self._switches(g, ("x",), [frozenset({2})], backend, mu=0.5)
             assert switches[0]["pin"] == pytest.approx(0.7)
             # In-edges of 2 weigh 1 each: a half of 0.7, split in two.
             assert switches[1]["pin"] == pytest.approx(0.5 * 0.7 / 2)

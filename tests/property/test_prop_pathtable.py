@@ -19,9 +19,8 @@ from hypothesis import strategies as st
 
 from repro.core.exhaustive import keyword_distances
 from repro.core.state import PathState
-from repro.graph.digraph import DataGraph
 
-from tests.helpers import expand
+from tests.helpers import build_graph, expand
 
 
 @st.composite
@@ -61,12 +60,7 @@ def table_cases(draw):
 
 
 def build(n, edges):
-    dg = DataGraph()
-    for i in range(n):
-        dg.add_node(str(i))
-    for (u, v), w in edges.items():
-        dg.add_edge(u, v, w)
-    return dg.freeze()
+    return build_graph(n, [(u, v, w) for (u, v), w in edges.items()])
 
 
 def assert_paths_realize_distances(state, graph):
