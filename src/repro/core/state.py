@@ -60,14 +60,15 @@ def _sparse_row(fill) -> defaultdict:
 
 
 class _ParentMemo(dict):
-    """``x -> (edges, norm)``: the in-edges ``(parent, weight, _)`` of
-    ``x`` with parallel edges collapsed to their minimum weight at the
-    first occurrence's position — the bucket ``P[x]`` of a fully
-    explored ``x`` — and its activation normalizer ``sum(1/w)``.  A row
-    is built when first asked for and kept on the graph (graphs are
-    immutable; a mutation makes a new graph object), so a search pays
-    for the rows its cascades read, not for ``n``; a row without
-    parallel edges is the graph's own tuple, not a copy.
+    """``x -> (((parent, weight), ...), norm)``: the in-edges of ``x``
+    with parallel edges collapsed to their minimum weight at the first
+    occurrence's position — the bucket ``P[x]`` of a fully explored
+    ``x`` — and its activation normalizer ``sum(1/w)``.  A row is built
+    when first asked for and kept on the graph (graphs are immutable; a
+    mutation makes a new graph object), so a search pays for the rows
+    its cascades read, not for ``n``.  (Pairs, not the graph's own
+    ``(parent, weight, is_forward)`` edge tuples: unpacking three fields
+    per parent costs the batched schedule 15 % on the 20k-node gate.)
 
     The memo lives on its graph, so it refers back to it weakly: a
     strong reference (a bound ``graph.in_edges`` included) would make a
@@ -79,17 +80,14 @@ class _ParentMemo(dict):
     def __init__(self, graph) -> None:
         self._graph = weakref.ref(graph)
 
-    def __missing__(self, x: int):
+    def __missing__(self, x: int) -> tuple[tuple[tuple[int, float], ...], float]:
         graph = self._graph()
-        edges = graph.in_edges(x)
-        bucket: dict[int, tuple] = {}
-        for edge in edges:
-            prev = bucket.get(edge[0])
-            if prev is None or edge[1] < prev[1]:
-                bucket[edge[0]] = edge
-        if len(bucket) < len(edges):
-            edges = tuple(bucket.values())
-        row = self[x] = (edges, graph.in_inv_weight_sum(x))
+        bucket: dict[int, float] = {}
+        for u, w, _ in graph.in_edges(x):
+            prev = bucket.get(u)
+            if prev is None or w < prev:
+                bucket[u] = w
+        row = self[x] = (tuple(bucket.items()), graph.in_inv_weight_sum(x))
         return row
 
 
@@ -270,7 +268,7 @@ class PathState:
                 # SI-Backward until x is expanded): leave its row
                 # unread — hub rows hold hundreds of parents.
                 continue
-            for parent, wt, _ in par[x][0]:
+            for parent, wt in par[x][0]:
                 if not unmasked and parent not in xout:
                     continue
                 ndist = d + wt
@@ -489,7 +487,7 @@ class ActivationState:
             if not parents:
                 continue
             budget = self.mu * ax
-            for parent, w, _ in parents:
+            for parent, w in parents:
                 if not unmasked and parent not in xout:
                     continue
                 contribution = budget * (1.0 / w) / norm
@@ -524,7 +522,7 @@ class ActivationState:
             if not parents:
                 continue
             budget = self.mu * d
-            for parent, w, _ in parents:
+            for parent, w in parents:
                 if not unmasked and parent not in xout:
                     continue
                 contribution = budget * (1.0 / w) / norm

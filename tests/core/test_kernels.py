@@ -124,12 +124,9 @@ class TestGraphCSR:
         # Built per asked-for node, first-occurrence order, min weight,
         # with the graph's own normalizer; memoised on the graph.
         assert dict(state._parents) == {}
-        assert state._parents[0] == (((1, 1.5, True),), graph.in_inv_weight_sum(0))
+        assert state._parents[0] == (((1, 1.5),), graph.in_inv_weight_sum(0))
         assert PathState(graph, [frozenset({1})], dense=True)._parents is state._parents
         assert list(state._parents) == [0]
-        # A row without parallel edges is the graph's own, not a copy.
-        chain = build_graph(3, [(0, 1), (1, 2)])
-        assert PathState(chain, [frozenset({2})])._parents[1][0] is chain.in_edges(1)
 
 
 class TestVectorFrontier:
