@@ -50,66 +50,73 @@ Public API highlights
 :mod:`repro.experiments`
     Harness regenerating every table and figure of Section 5
     (``python -m repro.experiments --list``).
+
+Re-exports are lazy (:mod:`repro._lazy`): a process imports only what it runs.
 """
 
-from repro.core import (
-    ALGORITHMS,
-    AnswerTree,
-    BackwardExpandingSearch,
-    BidirectionalSearch,
-    CancellationToken,
-    DEFAULT_PARAMS,
-    KeywordSearchEngine,
-    OutputAnswer,
-    SearchParams,
-    SearchResult,
-    SearchStats,
-    Scorer,
-    SingleIteratorBackwardSearch,
-    exhaustive_answers,
-    parse_query,
-)
-from repro.cluster import ShardedQueryService
-from repro.errors import (
-    ClusterError,
-    DeadlineExceededError,
-    EmptyQueryError,
-    KeywordNotFoundError,
-    MutationError,
-    PoolClosedError,
-    ReproError,
-    SearchCancelledError,
-    ServiceError,
-    SnapshotError,
-    UnknownDatasetError,
-    WalError,
-    WorkerCrashedError,
-)
-from repro.graph import (
-    DataGraph,
-    SearchGraph,
-    build_data_graph,
-    build_search_graph,
-    compute_prestige,
-)
-from repro.index import InvertedIndex, build_index, tokenize
-from repro.live import (
-    AddEdge,
-    AddNode,
-    MutableDataset,
-    RemoveEdge,
-    UpdateText,
-)
-from repro.relational import Database, ForeignKey, Schema, Table
-from repro.render import render_result, render_tree
-from repro.service import (
-    QueryRequest,
-    QueryResponse,
-    QueryService,
-    ResultCache,
-    load_snapshot,
-    save_snapshot,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core import (
+        ALGORITHMS,
+        AnswerTree,
+        BackwardExpandingSearch,
+        BidirectionalSearch,
+        CancellationToken,
+        DEFAULT_PARAMS,
+        KeywordSearchEngine,
+        OutputAnswer,
+        SearchParams,
+        SearchResult,
+        SearchStats,
+        Scorer,
+        SingleIteratorBackwardSearch,
+        exhaustive_answers,
+        parse_query,
+    )
+    from repro.cluster import ShardedQueryService
+    from repro.errors import (
+        ClusterError,
+        DeadlineExceededError,
+        EmptyQueryError,
+        KeywordNotFoundError,
+        MutationError,
+        PoolClosedError,
+        ReproError,
+        SearchCancelledError,
+        ServiceError,
+        SnapshotError,
+        UnknownDatasetError,
+        WalError,
+        WorkerCrashedError,
+    )
+    from repro.graph import (
+        DataGraph,
+        SearchGraph,
+        build_data_graph,
+        build_search_graph,
+        compute_prestige,
+    )
+    from repro.index import InvertedIndex, build_index, tokenize
+    from repro.live import (
+        AddEdge,
+        AddNode,
+        MutableDataset,
+        RemoveEdge,
+        UpdateText,
+    )
+    from repro.relational import Database, ForeignKey, Schema, Table
+    from repro.render import render_result, render_tree
+    from repro.service import (
+        QueryRequest,
+        QueryResponse,
+        QueryService,
+        ResultCache,
+        load_snapshot,
+        save_snapshot,
+    )
 
 __version__ = "1.0.0"
 
@@ -170,3 +177,28 @@ __all__ = [
     "load_snapshot",
     "save_snapshot",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    core=(
+        "ALGORITHMS AnswerTree BackwardExpandingSearch BidirectionalSearch "
+        "CancellationToken DEFAULT_PARAMS KeywordSearchEngine OutputAnswer "
+        "SearchParams SearchResult SearchStats Scorer SingleIteratorBackwardSearch "
+        "exhaustive_answers parse_query"
+    ),
+    cluster="ShardedQueryService",
+    errors=(
+        "ClusterError DeadlineExceededError EmptyQueryError KeywordNotFoundError "
+        "MutationError PoolClosedError ReproError SearchCancelledError ServiceError "
+        "SnapshotError UnknownDatasetError WalError WorkerCrashedError"
+    ),
+    graph="DataGraph SearchGraph build_data_graph build_search_graph compute_prestige",
+    index="InvertedIndex build_index tokenize",
+    live="AddEdge AddNode MutableDataset RemoveEdge UpdateText",
+    relational="Database ForeignKey Schema Table",
+    render="render_result render_tree",
+    service=(
+        "QueryRequest QueryResponse QueryService ResultCache load_snapshot "
+        "save_snapshot"
+    ),
+)

@@ -31,14 +31,28 @@ batch finally uses every core:
 Only primitives cross the process boundary: snapshot paths, request
 dicts, response dicts (:mod:`repro.service.wire`).  See
 ``examples/cluster_quickstart.py`` for the end-to-end tour.
+
+Re-exports are lazy (:mod:`repro._lazy`): a process imports only what it runs.
 """
 
-from repro.cluster.pool import WorkerPool
-from repro.cluster.router import ShardRouter
-from repro.cluster.service import ShardedQueryService
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.cluster.pool import WorkerPool
+    from repro.cluster.router import ShardRouter
+    from repro.cluster.service import ShardedQueryService
 
 __all__ = [
     "ShardedQueryService",
     "ShardRouter",
     "WorkerPool",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    pool="WorkerPool",
+    router="ShardRouter",
+    service="ShardedQueryService",
+)

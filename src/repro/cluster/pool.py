@@ -54,7 +54,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from repro.errors import ClusterError, PoolClosedError, WorkerCrashedError
-from repro.cluster.worker import worker_main
 from repro.service.wire import error_response_dict
 
 __all__ = ["WorkerPool", "control_error"]
@@ -85,6 +84,15 @@ def control_error(payload) -> Optional[Exception]:
         except Exception:  # pragma: no cover - exotic constructor
             pass
     return ClusterError(f"[{payload.get('error_type')}] {payload['error']}")
+
+
+def _worker_entry(*args) -> None:
+    """Process target.  The worker module — and the engine, snapshot
+    reader and numpy behind it — is imported in the child, never in the
+    supervisor that spawns it."""
+    from repro.cluster.worker import worker_main
+
+    worker_main(*args)
 
 
 @dataclass
@@ -217,7 +225,7 @@ class WorkerPool:
         # jobs die with it (those jobs were failed over already).
         cancel_cells = self._ctx.Array("q", self.CANCEL_SLOTS)
         process = self._ctx.Process(
-            target=worker_main,
+            target=_worker_entry,
             args=(
                 worker_id,
                 self._specs[worker_id],

@@ -70,20 +70,23 @@ import time
 import weakref
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
 from repro.core.cancellation import CancellationToken
-from repro.core.engine import parse_query
 from repro.core.params import SearchParams
+from repro.core.query import parse_query
 from repro.errors import (
     ClusterError,
     DeadlineExceededError,
     MutationError,
     PoolClosedError,
     SearchCancelledError,
+    SnapshotError,
     WorkerCrashedError,
 )
+from repro.live.mutations import coerce_mutations, mutation_to_dict
 from repro.service.core import (
     QueryRequest,
     QueryResponse,
@@ -91,6 +94,7 @@ from repro.service.core import (
     normalize_search_args,
 )
 from repro.service.metrics import family_total, family_values, metrics_view
+from repro.service.snapshot_header import snapshot_info
 from repro.service.wire import request_to_dict, response_from_dict
 from repro.telemetry.metrics import merge_registries, strip_samples
 from repro.telemetry.slo import SloObjective
@@ -240,9 +244,6 @@ class ShardedQueryService(ServiceCore):
         paths = {name: str(path) for name, path in snapshots.items()}
         wal_paths: dict[str, str] = {}
         if wal_dir is not None:
-            from repro.errors import SnapshotError
-            from repro.service.snapshot import snapshot_info
-
             for name, snapshot_path in paths.items():
                 wal_path = Path(wal_dir) / f"{name}.wal"
                 try:
@@ -507,10 +508,6 @@ class ShardedQueryService(ServiceCore):
         the record back; a timeout or crash keeps it, since the batch
         is still in flight.
         """
-        from repro.live.mutations import coerce_mutations, mutation_to_dict
-
-        from contextlib import ExitStack
-
         wire = [mutation_to_dict(m) for m in coerce_mutations(mutations)]
         replicas = self.router.replicas_for(dataset)
         log = self._wals.get(dataset)

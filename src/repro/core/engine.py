@@ -6,14 +6,14 @@ three algorithms behind one call::
     engine = KeywordSearchEngine.from_database(db)
     result = engine.search("gray transaction", algorithm="bidirectional")
 
-Query syntax: whitespace-separated keywords; double quotes group a
-multi-word keyword (the paper's DQ1 ``"David Fernandez" parametric``),
-which matches nodes containing *all* of its words.
+Query syntax (:func:`~repro.core.query.parse_query`, re-exported here):
+whitespace-separated keywords; double quotes group a multi-word keyword
+(the paper's DQ1 ``"David Fernandez" parametric``), which matches nodes
+containing *all* of its words.
 """
 
 from __future__ import annotations
 
-import re
 import threading
 from collections import OrderedDict
 from typing import Optional, Sequence, Union
@@ -25,8 +25,9 @@ from repro.core.bidirectional import BidirectionalSearch
 from repro.core.cancellation import CancellationToken
 from repro.core.exhaustive import exhaustive_answers
 from repro.core.params import SearchParams
+from repro.core.query import parse_query
 from repro.core.scoring import Scorer
-from repro.errors import EmptyQueryError, KeywordNotFoundError
+from repro.errors import KeywordNotFoundError
 from repro.index.tokenizer import tokenize
 from repro.telemetry.trace import current_span, use_span
 
@@ -39,32 +40,12 @@ _SPAN_ALGO = {
     "mi-backward": "mi",
 }
 
-_QUERY_TOKEN_RE = re.compile(r'"([^"]*)"|(\S+)')
-
-#: Algorithm name -> search class.
+#: Algorithm name -> search class (keys: ``query.ALGORITHM_NAMES``).
 ALGORITHMS = {
     "bidirectional": BidirectionalSearch,
     "si-backward": SingleIteratorBackwardSearch,
     "mi-backward": BackwardExpandingSearch,
 }
-
-
-def parse_query(query: Union[str, Sequence[str]]) -> tuple[str, ...]:
-    """Split a query string into keywords, honouring double quotes.
-
-    A sequence of keywords passes through unchanged (stripped).
-    """
-    if isinstance(query, str):
-        keywords = [
-            quoted if quoted else bare
-            for quoted, bare in _QUERY_TOKEN_RE.findall(query)
-        ]
-    else:
-        keywords = [str(keyword) for keyword in query]
-    keywords = [keyword.strip() for keyword in keywords if keyword.strip()]
-    if not keywords:
-        raise EmptyQueryError("query contains no keywords")
-    return tuple(keywords)
 
 
 class KeywordSearchEngine:

@@ -25,22 +25,29 @@ HTTP front-end's ``POST /mutate``.  Durability lives in
 append every commit to a crash-recoverable mutation log, and
 :meth:`MutableDataset.replay` to reconstruct a dataset from its base
 snapshot plus that log.
+
+Re-exports are lazy (:mod:`repro._lazy`): a process imports only what it runs.
 """
 
-from repro.live.dataset import Epoch, MutableDataset, MutationOutcome
-from repro.live.mutations import (
-    AddEdge,
-    AddNode,
-    Mutation,
-    MutationResult,
-    RemoveEdge,
-    UpdateText,
-    coerce_mutation,
-    coerce_mutations,
-    mutation_from_dict,
-    mutation_to_dict,
-)
-from repro.live.overlay import OverlayGraph, OverlayIndex
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.live.dataset import Epoch, MutableDataset, MutationOutcome
+    from repro.live.mutations import (
+        AddEdge,
+        AddNode,
+        Mutation,
+        MutationResult,
+        RemoveEdge,
+        UpdateText,
+        coerce_mutation,
+        coerce_mutations,
+        mutation_from_dict,
+        mutation_to_dict,
+    )
+    from repro.live.overlay import OverlayGraph, OverlayIndex
 
 __all__ = [
     "AddEdge",
@@ -59,3 +66,13 @@ __all__ = [
     "mutation_from_dict",
     "mutation_to_dict",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    dataset="Epoch MutableDataset MutationOutcome",
+    mutations=(
+        "AddEdge AddNode Mutation MutationResult RemoveEdge UpdateText coerce_mutation "
+        "coerce_mutations mutation_from_dict mutation_to_dict"
+    ),
+    overlay="OverlayGraph OverlayIndex",
+)

@@ -26,33 +26,40 @@ two execution substrates:
   percentiles, cache hit rate, error counters.
 
 See ``examples/service_quickstart.py`` for the end-to-end tour.
+
+Re-exports are lazy (:mod:`repro._lazy`): a process imports only what it runs.
 """
 
-from repro.service.cache import ResultCache, canonical_cache_key
-from repro.service.metrics import ServiceMetrics, metrics_view, percentile
-from repro.service.core import (
-    QueryRequest,
-    QueryResponse,
-    ServiceCore,
-    coerce_request,
-)
-from repro.service.service import QueryService
-from repro.service.snapshot import (
-    SNAPSHOT_VERSION,
-    load_engine,
-    load_snapshot,
-    save_engine,
-    save_snapshot,
-    snapshot_info,
-)
-from repro.service.wire import (
-    request_from_dict,
-    request_to_dict,
-    response_from_dict,
-    response_to_dict,
-    result_from_dict,
-    result_to_dict,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.service.cache import ResultCache, canonical_cache_key
+    from repro.service.metrics import ServiceMetrics, metrics_view, percentile
+    from repro.service.core import (
+        QueryRequest,
+        QueryResponse,
+        ServiceCore,
+        coerce_request,
+    )
+    from repro.service.service import QueryService
+    from repro.service.snapshot import (
+        SNAPSHOT_VERSION,
+        load_engine,
+        load_snapshot,
+        save_engine,
+        save_snapshot,
+        snapshot_info,
+    )
+    from repro.service.wire import (
+        request_from_dict,
+        request_to_dict,
+        response_from_dict,
+        response_to_dict,
+        result_from_dict,
+        result_to_dict,
+    )
 
 __all__ = [
     "QueryRequest",
@@ -78,3 +85,19 @@ __all__ = [
     "load_engine",
     "snapshot_info",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    cache="ResultCache canonical_cache_key",
+    metrics="ServiceMetrics metrics_view percentile",
+    core="QueryRequest QueryResponse ServiceCore coerce_request",
+    service="QueryService",
+    snapshot=(
+        "SNAPSHOT_VERSION load_engine load_snapshot save_engine save_snapshot "
+        "snapshot_info"
+    ),
+    wire=(
+        "request_from_dict request_to_dict response_from_dict response_to_dict "
+        "result_from_dict result_to_dict"
+    ),
+)

@@ -27,8 +27,8 @@ import time
 from collections import OrderedDict
 from typing import Any, Callable, Hashable, Optional, Sequence, Union
 
-from repro.core.engine import parse_query
 from repro.core.params import SearchParams
+from repro.core.query import parse_query
 
 __all__ = ["ResultCache", "canonical_cache_key"]
 

@@ -45,8 +45,8 @@ from typing import Callable, Optional, Sequence, Union
 
 from repro.core.answer import SearchResult
 from repro.core.cancellation import CancellationToken
-from repro.core.engine import ALGORITHMS, parse_query
 from repro.core.params import SearchParams
+from repro.core.query import ALGORITHM_NAMES, parse_query
 from repro.errors import DeadlineExceededError
 from repro.service.metrics import ServiceMetrics
 from repro.telemetry.accounting import (
@@ -154,10 +154,10 @@ class QueryRequest:
     def __post_init__(self) -> None:
         if not isinstance(self.query, (str, tuple)):
             object.__setattr__(self, "query", tuple(self.query))
-        if self.algorithm not in ALGORITHMS:
+        if self.algorithm not in ALGORITHM_NAMES:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r}; expected one of "
-                f"{sorted(ALGORITHMS)}"
+                f"{sorted(ALGORITHM_NAMES)}"
             )
         if self.deadline_ms is not None:
             if self.timeout is not None:

@@ -12,9 +12,8 @@ which family backs which key.
 
 from __future__ import annotations
 
+from math import floor
 from typing import Optional
-
-import numpy as np
 
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -32,12 +31,21 @@ EXPORTED_PERCENTILES = (50.0, 90.0, 99.0)
 
 def percentile(samples: list[float], q: float) -> Optional[float]:
     """Linear-interpolation percentile (``q`` in [0, 100]) of ``samples``,
-    ``None`` on an empty list."""
+    ``None`` on an empty list.  Pure Python (the fleet supervisor
+    renders ``metrics()`` without numpy) and bit-identical to
+    ``numpy.percentile``: its virtual index and its ``_lerp``, which
+    interpolates from the right neighbour once ``t >= 0.5``."""
     if not samples:
         return None
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"q must be in [0, 100], got {q!r}")
-    return float(np.percentile(samples, q))
+    ordered = sorted(samples)
+    virtual = (len(ordered) - 1) * (q / 100)
+    below = floor(virtual)
+    if below >= len(ordered) - 1:
+        return float(ordered[-1])
+    a, b, t = ordered[below], ordered[below + 1], virtual - below
+    return float(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
 
 
 class ServiceMetrics:
@@ -175,8 +183,9 @@ def _algorithm_entry(requests: int, sample: dict, include_samples: bool) -> dict
         count = len(window)
         mean = sum(window) / count if count else None
     entry = {"requests": requests, "latency_count": count, "latency_mean": mean}
+    ordered = sorted(window or ())  # once: each percentile's own sort is then O(n)
     for q in EXPORTED_PERCENTILES:
-        entry[f"latency_p{q:g}"] = percentile(window, q) if window else None
+        entry[f"latency_p{q:g}"] = percentile(ordered, q)
     if include_samples:
         entry["latency_samples"] = window
     return entry

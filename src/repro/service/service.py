@@ -87,6 +87,7 @@ from repro.core.params import SearchParams
 from repro.errors import (
     DeadlineExceededError,
     SearchCancelledError,
+    SnapshotError,
     UnknownDatasetError,
     WalError,
 )
@@ -100,15 +101,16 @@ from repro.service.core import (
     request_fingerprint,
 )
 from repro.service.metrics import metrics_view
+from repro.service.snapshot_header import snapshot_info
 from repro.telemetry.accounting import WorkloadAnalytics
 from repro.telemetry.metrics import strip_samples
 from repro.telemetry.slo import SloObjective
 from repro.telemetry.trace import new_trace_id, use_span
+from repro.wal.log import MutationLog, default_wal_path
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.live.dataset import MutableDataset
     from repro.live.mutations import MutationResult
-    from repro.wal.log import MutationLog
 
 __all__ = [
     "QueryRequest",
@@ -618,8 +620,7 @@ class QueryService(ServiceCore):
         per-load resolution.  ``pin_policy`` is forwarded to the
         load (see :class:`repro.storage.PinPolicy`).
         """
-        from repro.errors import SnapshotError
-        from repro.service.snapshot import load_engine, snapshot_info
+        from repro.service.snapshot import load_engine
 
         if storage_mode is None:
             storage_mode = self._storage_mode
@@ -682,8 +683,6 @@ class QueryService(ServiceCore):
         the snapshot.  Returns ``{"dataset", "reloaded", "version",
         "digest"}``.
         """
-        from repro.service.snapshot import snapshot_info
-
         info = snapshot_info(path)
         digest = info.get("content_digest")
         if not force and digest is not None:
@@ -732,8 +731,6 @@ class QueryService(ServiceCore):
             )
             version = self._versions.get(name, 0)
         if prior_wal is not None:
-            from repro.wal.log import MutationLog
-
             fresh = MutationLog.fresh(
                 prior_wal[0], sync=prior_wal[1], start_seq=version
             )
@@ -759,9 +756,6 @@ class QueryService(ServiceCore):
         """Digest of the snapshot this service serves for ``name``, or
         None when unknown (never registered from a file, mutated since,
         or the file predates digests)."""
-        from repro.errors import SnapshotError
-        from repro.service.snapshot import snapshot_info
-
         with self._registry_lock:
             dataset = self._mutable.get(name)
             if dataset is not None and dataset.version > 0:
@@ -825,9 +819,6 @@ class QueryService(ServiceCore):
         Returns ``{"dataset", "path", "replayed", "wal_seq",
         "version"}``.
         """
-        from repro.errors import SnapshotError
-        from repro.wal.log import MutationLog, default_wal_path
-
         with self._registry_lock:
             registered = (
                 name in self._engines
@@ -846,8 +837,6 @@ class QueryService(ServiceCore):
             path = default_wal_path(source)
         snap_version = 0
         if source is not None:
-            from repro.service.snapshot import snapshot_info
-
             try:
                 snap_version = int(
                     snapshot_info(source).get("dataset_version") or 0

@@ -1,5 +1,6 @@
 """Shared test utilities: graph builders, answer-tree validation, the
-cyclic-garbage census and a snapshot-file rewriter."""
+cyclic-garbage census, a snapshot-file rewriter and a fresh-interpreter
+runner."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ import gc
 import json
 import random
 import struct
+import subprocess
+import sys
 import zlib
 from collections import Counter
 from pathlib import Path
@@ -28,6 +31,7 @@ __all__ = [
     "expand",
     "assert_no_cyclic_garbage",
     "rewrite_snapshot",
+    "run_python",
     "dist_candidates_reference",
     "spread_candidates_reference",
 ]
@@ -252,6 +256,22 @@ def rewrite_snapshot(
 # ----------------------------------------------------------------------
 # reference loops of the numpy candidate kernels
 # ----------------------------------------------------------------------
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(code: str, *, timeout: float = 120) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter whose ``""`` path entry is
+    the checkout's ``src/`` (not an install): what a test of import
+    behaviour needs, since this process has everything loaded."""
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=SRC,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
 def dist_candidates_reference(
     dist: np.ndarray, tgt: np.ndarray, src: np.ndarray, w: np.ndarray
 ) -> tuple[list[int], list[int], list[float]]:

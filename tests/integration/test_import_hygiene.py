@@ -1,30 +1,175 @@
-"""Import hygiene: what a server or spawned worker pays before serving.
+"""Import hygiene: what each process role pays before (and while) serving.
 
 Prestige comes out of the snapshot in every serving process, so scipy
 (only ``prestige_transition_matrix`` uses it) must not load with the
 package: it costs ~17 MiB of resident memory and ~150 ms per process,
 times every worker the fleet spawns.
+
+The same goes, per role, for everything a process never runs.  The
+fleet *supervisor* routes, journals and merges telemetry but never
+searches: numpy (~16 MiB), the engine, the snapshot array reader and
+the live-dataset machinery stay out of it for its whole life — ``apply``
+and ``reload`` with a ``wal_dir`` included.  A *worker* searches but
+serves no HTTP and builds no dataset.  Every check runs in a fresh
+interpreter, and a failure names who imported the offender first.
 """
 
+import os
 import subprocess
 import sys
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[2] / "src"
+from repro.service.snapshot import save_engine
+
+from tests.helpers import SRC, run_python
+
+#: Prepended to every role script: records the first importer of every
+#: module (nearest frame outside the import machinery and the lazy
+#: re-export helper), so a failure reads ``numpy <- repro.core.state:44
+#: <- repro.core.engine:25 <- ...`` instead of just ``numpy``.
+PRELUDE = '''
+import sys
+
+FIRST_IMPORTER = {}
 
 
-def _run(code: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-c", code],
-        cwd=SRC,  # "" on sys.path resolves here: the checkout, not an install
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+class _Recorder:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name not in FIRST_IMPORTER:
+            frame = sys._getframe(1)
+            while frame is not None and (
+                "importlib" in frame.f_code.co_filename
+                or frame.f_globals.get("__name__") == "repro._lazy"
+            ):
+                frame = frame.f_back
+            FIRST_IMPORTER[name] = (
+                (frame.f_globals.get("__name__", "?"), frame.f_lineno)
+                if frame is not None
+                else ("?", 0)
+            )
+        return None
+
+
+sys.meta_path.insert(0, _Recorder)
+
+
+def _chain(module):
+    links, seen = [module], {module}
+    while module in FIRST_IMPORTER:
+        module, line = FIRST_IMPORTER[module]
+        links.append(f"{module}:{line}")
+        if module in seen or module in ("__main__", "__mp_main__"):
+            break
+        seen.add(module)
+    return " <- ".join(links)
+
+
+def assert_not_loaded(*forbidden):
+    """A forbidden name also covers its submodules; the first loaded
+    module of each family is reported with its import chain."""
+    chains = []
+    for name in forbidden:
+        loaded = sorted(
+            m for m in sys.modules if m == name or m.startswith(name + ".")
+        )
+        if loaded:
+            first = min(loaded, key=list(FIRST_IMPORTER).index)
+            chains.append(_chain(first))
+    assert not chains, "loaded but never run by this role:\\n  " + "\\n  ".join(chains)
+'''
+
+SUPERVISOR_FORBIDDEN = (
+    "numpy",
+    "scipy",
+    "repro.core.engine",
+    "repro.core.state",
+    "repro.service.service",
+    "repro.service.snapshot",
+    "repro.graph.searchgraph",
+    "repro.live.dataset",
+    "repro.storage.mapped",
+    "repro.index.inverted",
+)
+
+#: The whole public life of a fleet supervisor.  A real file with a
+#: ``__main__`` guard: the spawned worker re-imports it.
+SUPERVISOR_SCRIPT = PRELUDE + '''
+
+def main(snapshot, wal_dir):
+    import http.client
+    import json
+    import threading
+
+    from repro.cluster import ShardedQueryService
+    from repro.cluster.http import make_server
+    from repro.service import QueryRequest
+
+    service = ShardedQueryService({"toy": snapshot}, num_workers=1, wal_dir=wal_dir)
+    server = make_server(service, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+
+    def http_call(method, path, body=None):
+        conn = http.client.HTTPConnection(*server.server_address[:2], timeout=60)
+        try:
+            conn.request(method, path, None if body is None else json.dumps(body))
+            reply = conn.getresponse()
+            return reply.status, reply.read()
+        finally:
+            conn.close()
+
+    mutations = [
+        {"op": "add_node", "label": "Zyzzqx Systems", "table": "paper",
+         "text": "Zyzzqx Systems"},
+        {"op": "add_edge", "u": -1, "v": 3},
+    ]
+    try:
+        service.warmup()
+        assert service.search("toy", "gray transaction").ok
+        batch = service.search_many(
+            [
+                QueryRequest(dataset="toy", query="gray transaction", algorithm=a)
+                for a in ("bidirectional", "si-backward", "mi-backward")
+            ]
+            + [QueryRequest(dataset="nope", query="gray")]
+        )
+        assert [r.ok for r in batch] == [True, True, True, False], batch
+        assert service.apply("toy", mutations)["applied"] == 2
+        assert service.search("toy", "zyzzqx").ok
+        status, _ = http_call(
+            "POST", "/search", {"dataset": "toy", "query": "selinger access"}
+        )
+        assert status == 200, status
+        status, _ = http_call(
+            "POST", "/mutate",
+            {"dataset": "toy", "mutations": [{"op": "update_text", "node": 0,
+                                              "text": "Jim Gray Qwertz"}]},
+        )
+        assert status == 200, status
+        assert service.reload("toy", snapshot, force=True)["reloaded"] == {"0": True}
+        for path in ("/metrics", "/metrics?format=prometheus", "/healthz",
+                     "/debug/dashboard", "/debug/events", "/debug/queries"):
+            status, _ = http_call("GET", path)
+            assert status == 200, (path, status)
+        assert service.metrics()["requests_total"] >= 6
+        assert service.health()["alive"] == 1
+        assert service.dashboard_data()
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.close()
+    assert_not_loaded(*FORBIDDEN)
+    print("SUPERVISOR-OK", len([m for m in sys.modules if m.startswith("repro")]))
+
+
+if __name__ == "__main__":
+    FORBIDDEN = sys.argv[3:]
+    main(sys.argv[1], sys.argv[2])
+'''
 
 
 def test_serving_stack_imports_without_scipy():
-    done = _run(
+    done = run_python(
         "import repro.cluster.http, sys; assert 'scipy' not in sys.modules, "
         "sorted(m for m in sys.modules if m.startswith('scipy'))[:5]"
     )
@@ -32,7 +177,7 @@ def test_serving_stack_imports_without_scipy():
 
 
 def test_prestige_still_computes_and_is_what_loads_scipy():
-    done = _run(
+    done = run_python(
         "import sys\n"
         "from repro.graph import DataGraph, compute_prestige\n"
         "g = DataGraph(); a = g.add_node('a'); b = g.add_node('b'); g.add_edge(a, b)\n"
@@ -41,3 +186,52 @@ def test_prestige_still_computes_and_is_what_loads_scipy():
         "assert abs(float(p.sum()) - 1.0) < 1e-9 and 'scipy.sparse' in sys.modules\n"
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_bare_import_loads_no_numpy():
+    done = run_python(PRELUDE + "import repro\nassert_not_loaded('numpy', 'repro.core')\n")
+    assert done.returncode == 0, done.stderr
+
+
+def test_supervisor_never_loads_the_data_plane(tmp_path, toy_engine):
+    """Construction with a ``wal_dir``, HTTP front, searches, ``apply``,
+    ``reload``, every telemetry read and ``close``: the supervisor's
+    ``sys.modules`` stays free of numpy and of the engine."""
+    snapshot = save_engine(tmp_path / "toy.snap", toy_engine)
+    script = tmp_path / "supervisor_role.py"
+    script.write_text(SUPERVISOR_SCRIPT)
+    done = subprocess.run(
+        [sys.executable, str(script), str(snapshot), str(tmp_path / "wal")]
+        + list(SUPERVISOR_FORBIDDEN),
+        cwd=SRC,
+        env={**os.environ, "PYTHONPATH": str(SRC)},  # sys.path[0] is tmp_path
+        capture_output=True,
+        text=True,
+        timeout=180,
+    )
+    assert done.returncode == 0, done.stderr[-4000:]
+    assert "SUPERVISOR-OK" in done.stdout
+
+
+def test_worker_loads_no_front_end_and_no_dataset_builders():
+    """What the pool's process target imports in the child: the worker
+    loop, the thread-tier service and the engine — not the HTTP front,
+    the supervisor, the dataset generators or scipy."""
+    done = run_python(
+        PRELUDE
+        + "import repro.cluster.pool, repro.cluster.worker\n"
+        "assert 'repro.core.engine' in sys.modules  # it did load the data plane\n"
+        "assert_not_loaded('http.server', 'repro.cluster.http', "
+        "'repro.cluster.service', 'repro.datasets', 'repro.relational', "
+        "'repro.sparse', 'repro.experiments', 'scipy')\n"
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_failure_names_the_first_importer():
+    """The harness itself: a violated expectation reports the chain."""
+    done = run_python(PRELUDE + "import repro.core.engine\nassert_not_loaded('numpy')\n")
+    assert done.returncode != 0
+    assert "numpy <- repro.core." in done.stderr, done.stderr
+    assert "<- repro.core.engine:" in done.stderr, done.stderr
+    assert "<- __main__:" in done.stderr, done.stderr

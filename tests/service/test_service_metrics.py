@@ -4,7 +4,10 @@ the shape ``metrics_view`` gives a registry export."""
 import json
 import threading
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service.metrics import ServiceMetrics, metrics_view, percentile
 from repro.telemetry.metrics import MetricsRegistry, merge_registries
@@ -29,6 +32,29 @@ class TestPercentile:
     def test_out_of_range_q(self):
         with pytest.raises(ValueError):
             percentile([1.0], 101.0)
+
+    # Latency-like samples: a small pool makes duplicates likely, and
+    # the pool spans magnitudes so (b - a) * t has bits to lose.
+    _sample = st.one_of(
+        st.sampled_from([0.0, 1e-9, 2.5e-4, 0.1, 0.30000000000000004, 7.0, 1e9]),
+        st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
+        st.floats(min_value=-1e12, max_value=1e12, allow_nan=False),
+    )
+
+    @given(
+        samples=st.lists(_sample, min_size=1, max_size=200),
+        q=st.one_of(
+            st.sampled_from([0, 50, 90, 95, 99, 100]),
+            st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+        ),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_bit_identical_to_numpy(self, samples, q):
+        """The pure-Python percentile is numpy's, to the last bit — the
+        virtual index, and ``_lerp`` switching to the right neighbour
+        at ``t >= 0.5`` — so ``metrics()`` did not move when the
+        supervisor stopped importing numpy."""
+        assert percentile(samples, q) == float(np.percentile(samples, q))
 
 
 @pytest.fixture(params=["own export", "merge of one"])
