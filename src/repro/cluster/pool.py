@@ -1,56 +1,59 @@
 """Worker-pool supervisor: spawn, watch, restart, drain.
 
-The pool owns N worker processes (:mod:`repro.cluster.worker`), each
-with a private request queue and a private response pipe.  Two
-supervisor threads run alongside the caller:
+The pool owns N worker processes (:mod:`repro.cluster.worker`) — plain
+``subprocess`` children of this interpreter — and reaches each over
+**one duplex channel**: a ``multiprocessing.connection`` socket pair
+whose far end the child inherits as a file descriptor.  Everything goes
+down it — the worker's id, shard and settings as its first message,
+then requests, control messages, ``("cancel", job_id)`` and
+``("stop",)``, each written under the channel's send lock — and every
+response comes up it.  Two supervisor threads run alongside the caller:
 
-* the **reader** multiplexes every worker's response pipe
+* the **reader** multiplexes every worker's channel
   (``multiprocessing.connection.wait``) and completes the matching
   in-flight :class:`~concurrent.futures.Future`;
 * the **monitor** polls worker liveness every ``health_interval``
   seconds.
 
-Responses use per-worker pipes, not one shared queue, for crash
-containment: a ``multiprocessing.Queue`` writer killed mid-put can die
-holding the queue's shared write lock and wedge every other worker's
-responses; a killed worker can only break its own pipe, whose buffered
-responses stay readable up to EOF and which is discarded on restart.
+A channel per worker, not one shared queue, for crash containment:
+workers share no lock one of them could die holding, so a killed worker
+can only break its own channel, whose buffered responses stay readable
+up to EOF and which is discarded on restart.
 
 Crash policy (the part that must never hang): when a worker dies, every
 in-flight request routed to it completes with a *structured error
 response* (``error_type="WorkerCrashedError"``) after a short grace
-period that lets already-produced responses drain from its pipe, and —
-unless the pool is closing — a replacement process is spawned on fresh
-channels so subsequent requests are served.  Control futures (ping /
-metrics / warmup) fail with the exception itself instead, since their
+period that lets already-produced responses drain from its channel, and
+— unless the pool is closing — a replacement process is spawned on a
+fresh channel so subsequent requests are served.  Control futures (ping
+/ metrics / warmup) fail with the exception itself instead, since their
 callers have exception semantics.
 
-``close()`` sends each worker the stop sentinel, joins with a deadline,
+``close()`` sends each worker the stop sentinel, waits with a deadline,
 kills stragglers, and fails anything still in flight with
-``PoolClosedError`` — a closed pool leaves no waiter blocked.
+``PoolClosedError`` — a closed pool leaves no waiter blocked.  A worker
+whose supervisor vanished without saying so reads EOF and stops too.
 
-Cancellation control channel: each worker also gets a small
-shared-memory **cancel ring** (a ``multiprocessing.Array`` of job ids).
-:meth:`WorkerPool.cancel` writes the doomed job id into its worker's
-ring; the worker probes the ring from inside the search's cooperative
-cancellation token (and once before starting each job, which covers
-requests cancelled while still queued).  Shared memory rather than a
-queue message because the request queue is FIFO: a cancel message would
-arrive *behind* the very request it is meant to stop, and the worker
-reads the queue only between jobs anyway.  Ring slots are overwritten
-oldest-first; job ids are never reused, so a stale id in a slot is
-harmless.
+Cancellation rides the same channel: :meth:`WorkerPool.cancel` writes
+``("cancel", job_id)``, which the worker's reader thread takes off the
+wire *while a search runs* — so it overtakes the worker's FIFO of
+pending work — and the search's cooperative token (or the check before
+a queued request starts) finds the id.  A job's id is known only from
+the future ``submit`` returns, after the request was written, so a
+cancel always reaches the wire behind the request it names.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import multiprocessing.connection
+import os
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from repro.errors import ClusterError, PoolClosedError, WorkerCrashedError
@@ -86,13 +89,27 @@ def control_error(payload) -> Optional[Exception]:
     return ClusterError(f"[{payload.get('error_type')}] {payload['error']}")
 
 
-def _worker_entry(*args) -> None:
-    """Process target.  The worker module — and the engine, snapshot
-    reader and numpy behind it — is imported in the child, never in the
-    supervisor that spawns it."""
-    from repro.cluster.worker import worker_main
+#: What a worker process runs.  The worker module — and the engine,
+#: snapshot reader and numpy behind it — is imported in the child, never
+#: in the supervisor that spawns it.
+_WORKER_COMMAND = (
+    "from multiprocessing.connection import Connection; "
+    "from repro.cluster.worker import worker_main; "
+    "worker_main(Connection({fd}))"
+)
 
-    worker_main(*args)
+
+def _worker_env() -> dict[str, str]:
+    """This environment with the directory ``repro`` was imported from
+    first on ``PYTHONPATH``: the child imports the same checkout even
+    when only this process's ``sys.path`` (pytest's ``pythonpath``, a
+    script's ``sys.path.insert``) knows where it is."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    inherited = os.environ.get("PYTHONPATH")
+    return {
+        **os.environ,
+        "PYTHONPATH": root + os.pathsep + inherited if inherited else root,
+    }
 
 
 @dataclass
@@ -105,9 +122,25 @@ class _Job:
     request: Optional[dict] = None
 
 
-def _crash_response(request: Optional[dict], message: str) -> dict:
-    """The response-shaped dict a crashed worker's request resolves to."""
-    return error_response_dict(request, message, WorkerCrashedError.__name__)
+@dataclass
+class _Channel:
+    """The supervisor's end of one worker's duplex connection."""
+
+    conn: multiprocessing.connection.Connection
+    #: Serializes writers: submitters, ``cancel`` and ``close`` share
+    #: the wire.
+    lock: threading.Lock = field(default_factory=threading.Lock)
+    #: Set by the reader at EOF: nothing more will come up this channel.
+    drained: bool = False
+
+    def send(self, message: tuple) -> None:
+        """Write one message.  A write to a worker that just died is
+        dropped: crash handling answers for whatever it was about."""
+        with self.lock:
+            try:
+                self.conn.send(message)
+            except OSError:
+                pass
 
 
 class WorkerPool:
@@ -124,11 +157,6 @@ class WorkerPool:
     settings:
         Plain-dict ``QueryService`` knobs forwarded to every worker
         (``cache_capacity``, ``cache_ttl``).
-    start_method:
-        ``multiprocessing`` start method.  Defaults to ``"spawn"``:
-        workers rebuild their world from snapshot files anyway, and
-        forking a supervisor that runs reader/monitor threads is the
-        classic fork-with-threads trap.
     health_interval:
         Seconds between monitor liveness sweeps.
     restart:
@@ -143,26 +171,18 @@ class WorkerPool:
     """
 
     #: Grace period after noticing a dead worker, letting responses it
-    #: produced before dying drain from its pipe.
+    #: produced before dying drain from its channel.
     CRASH_DRAIN_SECONDS = 0.25
 
     #: How long a submission waits for a crashed worker's replacement
     #: before giving up with :class:`WorkerCrashedError`.
     RESPAWN_WAIT_SECONDS = 5.0
 
-    #: Slots in each worker's shared-memory cancel ring.  Bounds how
-    #: many *concurrently pending* cancellations a worker can track;
-    #: overwriting the oldest is safe (ids are unique, a lost cancel
-    #: degrades to the request running to completion, never to a wrong
-    #: answer).
-    CANCEL_SLOTS = 32
-
     def __init__(
         self,
         specs: Mapping[int, Mapping[str, str]],
         *,
         settings: Optional[dict] = None,
-        start_method: Optional[str] = "spawn",
         health_interval: float = 0.5,
         restart: bool = True,
         event_sink=None,
@@ -174,7 +194,6 @@ class WorkerPool:
             for worker_id, spec in specs.items()
         }
         self._settings = dict(settings or {})
-        self._ctx = multiprocessing.get_context(start_method)
         self._health_interval = health_interval
         self._restart = restart
         self._event_sink = event_sink
@@ -182,11 +201,8 @@ class WorkerPool:
         self._lock = threading.RLock()
         self._job_ids = itertools.count(1)
         self._inflight: dict[int, _Job] = {}
-        self._processes: dict[int, Optional[multiprocessing.process.BaseProcess]] = {}
-        self._queues: dict[int, object] = {}
-        self._conns: dict[int, object] = {}
-        self._cancel_cells: dict[int, object] = {}
-        self._cancel_slot: dict[int, int] = {w: 0 for w in self._specs}
+        self._processes: dict[int, Optional[subprocess.Popen]] = {}
+        self._channels: dict[int, _Channel] = {}
         self._restarts: dict[int, int] = {w: 0 for w in self._specs}
         self._started = False
         self._closed = False
@@ -218,33 +234,21 @@ class WorkerPool:
         return self
 
     def _spawn(self, worker_id: int) -> None:
-        """Create the process + channel pair for ``worker_id`` (lock held)."""
-        request_queue = self._ctx.Queue()
-        recv_conn, send_conn = self._ctx.Pipe(duplex=False)
-        # Fresh ring per generation: cancels aimed at a dead worker's
-        # jobs die with it (those jobs were failed over already).
-        cancel_cells = self._ctx.Array("q", self.CANCEL_SLOTS)
-        process = self._ctx.Process(
-            target=_worker_entry,
-            args=(
-                worker_id,
-                self._specs[worker_id],
-                self._settings,
-                request_queue,
-                send_conn,
-                cancel_cells,
-            ),
-            name=f"repro-shard-{worker_id}",
-            daemon=True,
-        )
-        process.start()
-        # The child owns its copy now; keeping ours open would mask the
-        # pipe's EOF when the child dies.
-        send_conn.close()
-        self._queues[worker_id] = request_queue
-        self._conns[worker_id] = recv_conn
-        self._cancel_cells[worker_id] = cancel_cells
-        self._cancel_slot[worker_id] = 0
+        """Create the process + channel for ``worker_id`` (lock held)."""
+        ours, theirs = multiprocessing.connection.Pipe()
+        try:
+            process = subprocess.Popen(
+                [sys.executable, "-c", _WORKER_COMMAND.format(fd=theirs.fileno())],
+                pass_fds=[theirs.fileno()],
+                stdin=subprocess.DEVNULL,
+                env=_worker_env(),
+            )
+        finally:
+            # The child owns its copy now; keeping ours open would mask
+            # the channel's EOF when the child dies.
+            theirs.close()
+        ours.send((worker_id, self._specs[worker_id], self._settings))
+        self._channels[worker_id] = _Channel(ours)
         self._processes[worker_id] = process
 
     def close(self, timeout: float = 10.0) -> None:
@@ -254,21 +258,18 @@ class WorkerPool:
                 return
             self._closed = True
             processes = dict(self._processes)
-            queues = dict(self._queues)
-            conns = dict(self._conns)
-        for request_queue in queues.values():
-            try:
-                request_queue.put(("stop",))
-            except (OSError, ValueError):  # pragma: no cover - queue gone
-                pass
+            channels = dict(self._channels)
+        for channel in channels.values():
+            channel.send(("stop",))
         deadline = time.monotonic() + timeout
         for process in processes.values():
             if process is None:
                 continue
-            process.join(timeout=max(deadline - time.monotonic(), 0.0))
-            if process.is_alive():
+            try:
+                process.wait(timeout=max(deadline - time.monotonic(), 0.0))
+            except subprocess.TimeoutExpired:
                 process.kill()
-                process.join(timeout=1.0)
+                process.wait()
         self._stop_event.set()
         for thread in (self._reader, self._monitor):
             if thread is not None:
@@ -278,11 +279,8 @@ class WorkerPool:
             self._inflight.clear()
         for job in leftovers:
             self._fail_job(job, "worker pool closed with the request in flight")
-        for conn in conns.values():
-            conn.close()
-        for request_queue in queues.values():
-            request_queue.close()
-            request_queue.cancel_join_thread()
+        for channel in channels.values():
+            channel.conn.close()
         # The sink is a bound method of the pool's owner: dropped here,
         # owner and pool die by refcount instead of as a cycle.
         self._event_sink = None
@@ -333,7 +331,7 @@ class WorkerPool:
                 if self._closed:
                     raise PoolClosedError("WorkerPool is closed")
                 process = self._processes.get(worker_id)
-            if process is None or not process.is_alive():
+            if process is None or process.poll() is not None:
                 if process is not None:
                     self._handle_crash(worker_id, process)
                     continue
@@ -356,22 +354,17 @@ class WorkerPool:
                 # The generation guard closing the register/crash race:
                 # if the worker died after the liveness check above, a
                 # crash handler may already have collected its doomed
-                # jobs and swapped in a fresh queue — registering now
-                # and writing to the *old* queue would strand this job
+                # jobs and swapped in a fresh channel — registering now
+                # and writing to the *old* one would strand this job
                 # forever.  Registering under the same lock that
                 # verifies the process is still the observed one means
                 # any later crash handling sees (and fails) this job.
                 if self._processes.get(worker_id) is not process:
                     continue
                 self._inflight[job_id] = job
-                request_queue = self._queues[worker_id]
+                channel = self._channels[worker_id]
             break
-        try:
-            request_queue.put((kind, job_id, *payload))
-        except (OSError, ValueError) as exc:  # pragma: no cover - queue gone
-            with self._lock:
-                self._inflight.pop(job_id, None)
-            raise PoolClosedError(f"worker {worker_id} queue is closed") from exc
+        channel.send((kind, job_id, *payload))
         return future
 
     def request(self, worker_id: int, request_dict: dict) -> Future:
@@ -388,14 +381,14 @@ class WorkerPool:
     def cancel(self, job_id: int) -> bool:
         """Ask the worker holding ``job_id`` to stop it cooperatively.
 
-        Writes the id into the worker's shared-memory cancel ring; the
+        Writes ``("cancel", job_id)`` down the worker's channel; the
         worker notices inside the search's token checks (or before
         starting the job, if it was still queued) and responds with a
-        structured cancelled/partial response through the normal pipe —
-        the waiter is *not* failed here.  Returns True if the job was
-        found in flight; False means it already completed (or never
-        existed), which is not an error: cancellation is inherently
-        racy and idempotent.
+        structured cancelled/partial response the normal way — the
+        waiter is *not* failed here.  Returns True if the job was found
+        in flight; False means it already completed (or never existed),
+        which is not an error: cancellation is inherently racy and
+        idempotent.
         """
         with self._lock:
             if self._closed:
@@ -403,12 +396,10 @@ class WorkerPool:
             job = self._inflight.get(job_id)
             if job is None or job.kind != "request":
                 return False
-            cells = self._cancel_cells.get(job.worker_id)
-            if cells is None:  # pragma: no cover - worker mid-respawn
-                return False
-            slot = self._cancel_slot[job.worker_id]
-            self._cancel_slot[job.worker_id] = (slot + 1) % self.CANCEL_SLOTS
-        cells[slot] = job_id
+            # Crash handling retires a channel together with the jobs
+            # that were in flight on it.
+            channel = self._channels[job.worker_id]
+        channel.send(("cancel", job_id))
         return True
 
     # ------------------------------------------------------------------
@@ -444,7 +435,7 @@ class WorkerPool:
     def alive(self) -> dict[int, bool]:
         with self._lock:
             return {
-                worker_id: process is not None and process.is_alive()
+                worker_id: process is not None and process.poll() is None
                 for worker_id, process in self._processes.items()
             }
 
@@ -463,8 +454,8 @@ class WorkerPool:
         return sorted(self._specs)
 
     def process(self, worker_id: int):
-        """The live process object for ``worker_id`` (tests kill it to
-        exercise crash recovery)."""
+        """The live ``subprocess.Popen`` for ``worker_id`` (tests kill
+        it to exercise crash recovery)."""
         with self._lock:
             return self._processes.get(worker_id)
 
@@ -474,7 +465,11 @@ class WorkerPool:
     def _read_responses(self) -> None:
         while not self._stop_event.is_set():
             with self._lock:
-                watched = {conn: worker_id for worker_id, conn in self._conns.items()}
+                watched = {
+                    channel.conn: channel
+                    for channel in self._channels.values()
+                    if not channel.drained
+                }
             if not watched:  # pragma: no cover - all workers down
                 time.sleep(0.05)
                 continue
@@ -490,12 +485,10 @@ class WorkerPool:
                         _, job_id, payload = conn.recv()
                         self._complete(job_id, payload)
                 except (EOFError, OSError):
-                    # Worker died: its pipe is drained to EOF.  Stop
-                    # watching this channel; the monitor (or a submit)
-                    # fails the in-flight jobs and restarts.
-                    with self._lock:
-                        if self._conns.get(watched[conn]) is conn:
-                            del self._conns[watched[conn]]
+                    # Worker died: its channel is drained to EOF.  Stop
+                    # watching it; the monitor (or a submit) fails the
+                    # in-flight jobs and restarts.
+                    watched[conn].drained = True
 
     def _complete(self, job_id: int, payload: dict) -> None:
         with self._lock:
@@ -512,7 +505,7 @@ class WorkerPool:
                     return
                 snapshot = dict(self._processes)
             for worker_id, process in snapshot.items():
-                if process is not None and not process.is_alive():
+                if process is not None and process.poll() is not None:
                     self._handle_crash(worker_id, process)
 
     def _handle_crash(self, worker_id: int, dead_process) -> None:
@@ -526,7 +519,7 @@ class WorkerPool:
             if self._processes.get(worker_id) is not dead_process:
                 return
             self._processes[worker_id] = None
-            exitcode = dead_process.exitcode
+            exitcode = dead_process.returncode
             doomed_ids = [
                 job_id
                 for job_id, job in self._inflight.items()
@@ -540,7 +533,7 @@ class WorkerPool:
             in_flight=len(doomed_ids),
         )
         # Give responses the worker produced before dying a moment to
-        # drain from its pipe — the reader completes those futures and
+        # drain from its channel — the reader completes those futures and
         # removes them from the in-flight table, shrinking the failures.
         if doomed_ids:
             time.sleep(self.CRASH_DRAIN_SECONDS)
@@ -554,11 +547,11 @@ class WorkerPool:
                 for job_id in doomed_ids
                 if job_id in self._inflight
             ]
-            stale_conn = self._conns.pop(worker_id, None)
+            stale = self._channels.pop(worker_id)
         for job in doomed:
             self._fail_job(job, message)
-        if stale_conn is not None:
-            stale_conn.close()
+        with stale.lock:  # not under a writer's feet
+            stale.conn.close()
         with self._lock:
             if self._closed or not self._restart:
                 return

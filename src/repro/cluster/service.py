@@ -14,9 +14,11 @@ and **fan-in** (``_await`` re-homes the worker's spans and settles its
 response; ``_gather`` / ``_pull_events`` / ``metrics`` collect worker
 replies for the core's merged verbs).
 
-Everything crossing the process boundary is primitives: snapshot paths
-at spawn time, request-shaped dicts out, response-shaped dicts back
-(:mod:`repro.service.wire`).  Routing is deterministic
+Everything crossing the process boundary is primitives, and crosses it
+on the one duplex channel the pool keeps per worker
+(:mod:`repro.cluster.pool`): snapshot paths as its first message,
+request-shaped dicts, control messages and cancels down, response-shaped
+dicts back up (:mod:`repro.service.wire`).  Routing is deterministic
 (:class:`~repro.cluster.router.ShardRouter`): a dataset lives on a
 fixed replica set, and a given query always lands on the same replica —
 which is also what makes each worker's private result cache effective.
@@ -32,7 +34,7 @@ Failure semantics extend the service contract across processes:
   (``error_type="DeadlineExceededError"``, carrying partial answers
   when ``allow_partial``).  The supervisor still watches the clock as a
   backstop — a request that missed its deadline while *queued* is
-  killed through the pool's cancel ring
+  cancelled down its worker's channel
   (:meth:`~repro.cluster.pool.WorkerPool.cancel`) so it never occupies
   the shard at all;
 * requests carrying a ``request_id`` can be stopped explicitly through
@@ -126,15 +128,8 @@ class ShardedQueryService(ServiceCore):
         ``default_replicas=8``.
     cache_capacity / cache_ttl:
         Per-worker result-cache knobs.
-    start_method:
-        Worker start method (default ``"spawn"``; see ``WorkerPool``).
     restart:
         Restart-on-crash policy, on by default.
-    cooperative_cancellation:
-        Arm worker-side cancellation tokens (deadlines stop searches
-        and free shards; ``cancel`` works).  False restores the old
-        run-to-completion behaviour — the control arm of
-        ``benchmarks/bench_cancellation.py``.
     cancel_grace:
         How long a deadline-missed ``allow_partial`` request waits for
         the cancelled search's partial response before settling for a
@@ -207,10 +202,8 @@ class ShardedQueryService(ServiceCore):
         replicas: Optional[Mapping[str, int]] = None,
         cache_capacity: int = 1024,
         cache_ttl: Optional[float] = None,
-        start_method: Optional[str] = "spawn",
         health_interval: float = 0.5,
         restart: bool = True,
-        cooperative_cancellation: bool = True,
         cancel_grace: float = 1.0,
         wal_dir: Optional[os.PathLike] = None,
         wal_sync: str = "batched",
@@ -233,7 +226,6 @@ class ShardedQueryService(ServiceCore):
             replicas=replicas,
         )
         super().__init__(
-            cooperative_cancellation=cooperative_cancellation,
             cancel_grace=cancel_grace,
             tracing=tracing,
             slow_query_threshold=slow_query_threshold,
@@ -273,7 +265,6 @@ class ShardedQueryService(ServiceCore):
             settings={
                 "cache_capacity": cache_capacity,
                 "cache_ttl": cache_ttl,
-                "cooperative_cancellation": cooperative_cancellation,
                 "wals": wal_paths,
                 "tracing": tracing,
                 "profiling": profiling,
@@ -285,7 +276,6 @@ class ShardedQueryService(ServiceCore):
                 # a single physical copy in the OS page cache.
                 "storage_mode": storage_mode,
             },
-            start_method=start_method,
             health_interval=health_interval,
             restart=restart,
             event_sink=self._pool_event,
@@ -391,6 +381,12 @@ class ShardedQueryService(ServiceCore):
                 )
             else:  # pragma: no cover - future pool event kinds
                 self.event_log.emit(kind, str(info), source="pool", **info)
+            if self.slo is not None:
+                # The pool reports a crash while the slot is still down
+                # and a restart once it is back: evaluating on both
+                # edges records the outage however it falls between the
+                # ticker's samples.
+                self.slo.evaluate()
         except Exception:  # pragma: no cover - defensive
             pass
 
@@ -975,13 +971,6 @@ class ShardedQueryService(ServiceCore):
                 # stays as submitted.
                 wire_request["trace_id"] = trace_id
                 wire_request["parent_span_id"] = route_span.span_id
-            if not self._cooperative:
-                # Control arm: the supervisor owns the deadline; the
-                # worker runs every search to completion
-                # (pre-cancellation behaviour).  Cooperative mode ships
-                # the timeout so the worker arms its own token and
-                # frees the shard on expiry.
-                wire_request["timeout"] = None
             future = self.pool.request(worker_id, wire_request)
         except PoolClosedError:
             if route_span is not None:
@@ -997,9 +986,7 @@ class ShardedQueryService(ServiceCore):
             route_span.end()
             future.trace_id = trace_id  # type: ignore[attr-defined]
             future.route_span = route_span  # type: ignore[attr-defined]
-        if self._cooperative and request.request_id is not None:
-            # Non-cooperative workers discarded their cancel rings:
-            # nothing is tracked, so cancel() never claims success.
+        if request.request_id is not None:
             canceller = functools.partial(
                 self.pool.cancel, future.job_id  # type: ignore[attr-defined]
             )
@@ -1037,29 +1024,25 @@ class ShardedQueryService(ServiceCore):
         except FutureTimeoutError:
             payload = None
         if payload is None:
-            # Deadline passed without a response.  Cooperative mode:
-            # kill the request through the cancel ring — a search in
-            # flight stops at its next check, a request still *queued*
-            # never starts — then, for partial-results requests, give
-            # the worker's answer a grace period to arrive.  (In the
-            # common case the worker's own deadline token already
-            # fired and its structured response is moments away.)
-            if self._cooperative:
-                self.pool.cancel(future.job_id)  # type: ignore[attr-defined]
-                if request.allow_partial:
-                    try:
-                        payload = future.result(timeout=self._cancel_grace)
-                    except FutureTimeoutError:  # pragma: no cover - stuck shard
-                        pass
+            # Deadline passed without a response.  Cancel the request
+            # down its worker's channel — a search in flight stops at
+            # its next check, a request still *queued* never starts —
+            # then, for partial-results requests, give the worker's
+            # answer a grace period to arrive.  (In the common case the
+            # worker's own deadline token already fired and its
+            # structured response is moments away.)
+            self.pool.cancel(future.job_id)  # type: ignore[attr-defined]
+            if request.allow_partial:
+                try:
+                    payload = future.result(timeout=self._cancel_grace)
+                except FutureTimeoutError:  # pragma: no cover - stuck shard
+                    pass
             if payload is None:
                 return self._absorb_trace(
                     request,
                     future,
                     self._deadline_response(
-                        request,
-                        "the shard worker is stopping it cooperatively"
-                        if self._cooperative
-                        else "the shard worker keeps running it in the background",
+                        request, "the shard worker is stopping it cooperatively"
                     ),
                 )
         response = response_from_dict(payload)
@@ -1068,7 +1051,7 @@ class ShardedQueryService(ServiceCore):
             and response.error_type == SearchCancelledError.__name__
             and time.monotonic() >= deadline
         ):
-            # The ring cancel was *caused* by the deadline; surface the
+            # The cancel was *caused* by the deadline; surface the
             # cause, not the mechanism.
             response.error_type = DeadlineExceededError.__name__
             response.error = (

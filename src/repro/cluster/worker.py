@@ -1,21 +1,27 @@
 """Shard worker: one process, one snapshot-warmed ``QueryService``.
 
-``worker_main`` is the target the supervisor passes to
-``multiprocessing.Process``.  Its whole world is one queue and one pipe:
+``worker_main`` is what the supervisor's ``subprocess`` child runs.  Its
+whole world is **one duplex channel** (a ``multiprocessing.connection``
+socket pair; :mod:`repro.cluster.pool`):
 
-* the **request queue** (private to this worker) carries ``(kind,
+* down it come ``(worker_id, snapshots, settings)`` first, then ``(kind,
   job_id, ...)`` tuples of primitives — request-shaped dicts, dataset
   name lists, floats — never live objects;
-* the **response connection** (private to this worker) carries
-  ``(worker_id, job_id, payload)`` with a dict payload.
+* up it go ``(worker_id, job_id, payload)`` responses with a dict
+  payload.
 
-Responses travel over a per-worker ``Pipe`` rather than one shared
-queue deliberately: a ``multiprocessing.Queue`` writer killed mid-put
-can die holding the queue's shared write lock, wedging every *other*
-worker's responses forever.  A killed worker can only corrupt its own
-pipe, whose buffered responses stay readable up to the EOF and which
-the supervisor discards on restart — crash containment, not just crash
-detection.
+A reader thread drains the channel into an in-process FIFO the serving
+loop takes its work from, so the wire is read *while a search runs*:
+``("cancel", job_id)`` puts the id where the search's cancellation token
+probes for it — overtaking everything queued ahead of it — and EOF (the
+supervisor is gone, however it went) becomes the ``stop`` sentinel at
+once: a supervisor crash strands no worker process.
+
+The channel is per worker rather than one queue shared by the fleet
+deliberately: workers share no lock one of them could die holding.  A
+killed worker can only break its own channel, whose buffered responses
+stay readable up to the EOF and which the supervisor discards on
+restart — crash containment, not just crash detection.
 
 Engines are registered from snapshot *paths* via
 :meth:`QueryService.register_snapshot`, so warmup is a disk load —
@@ -25,9 +31,7 @@ crosses the process boundary in either direction.
 The loop never lets a per-message failure kill the process: any
 exception while handling a message becomes a structured error payload
 for that job and the loop continues.  The worker exits on the ``stop``
-sentinel, on a torn-down channel, or when it notices its parent died
-(orphan protection: a supervisor crash must not strand worker
-processes).
+sentinel or a torn-down channel.
 
 Deadlines *are* enforced here (cooperatively): the supervisor ships
 ``timeout`` with the request, the worker's private ``QueryService``
@@ -55,21 +59,14 @@ snapshot.  Workers open the log read-only (only the supervisor
 appends), and a ``mutate`` message carrying the record's ``seq`` is
 acknowledged idempotently when the startup replay already covered it —
 the guard against double-applying a batch that raced a restart.
-
-The supervisor can also stop a request explicitly: it writes the job id
-into this worker's shared-memory **cancel ring**
-(:meth:`~repro.cluster.pool.WorkerPool.cancel`); the token's external
-check probes the ring during the search, and a ring hit *before* the
-search starts (the request was cancelled while queued) short-circuits
-to a cancelled response without touching the engine.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import queue
 import sys
+import threading
 import time
 from typing import Optional
 
@@ -82,66 +79,82 @@ from repro.service.wire import (
     response_to_dict,
 )
 
-__all__ = ["worker_main", "WORKER_POLL_SECONDS"]
-
-#: How often a blocked worker wakes to check its parent is still alive.
-WORKER_POLL_SECONDS = 1.0
+__all__ = ["worker_main"]
 
 
-def _parent_alive() -> bool:
-    parent = multiprocessing.parent_process()
-    return parent is None or parent.is_alive()
+class _Inbox:
+    """The worker's end of the channel, read by a thread of its own.
 
-
-def _ring_probe(cancel_cells, job_id: int):
-    """A zero-arg callable: is ``job_id`` in the cancel ring?
-
-    One slice read per probe; the synchronized Array takes its lock
-    once.  Probes run only every ``check_every`` pops, so the lock is
-    off the hot path.
+    Every message lands in a FIFO for the serving loop; a ``cancel``
+    also puts its job id in :attr:`cancelled` the moment it is read —
+    where a search already running (or the check before a queued
+    request starts) finds it.  The supervisor can only write a cancel
+    after the request it names, so by the time the loop meets the
+    cancel in the FIFO that request has been answered and the id is
+    dropped: nothing accumulates, whenever the cancel arrived.
     """
 
-    def probe() -> bool:
-        return job_id in cancel_cells[:]
+    def __init__(self, conn) -> None:
+        self.cancelled: set[int] = set()
+        self._messages: queue.SimpleQueue = queue.SimpleQueue()
+        threading.Thread(
+            target=self._drain, args=(conn,), name="repro-worker-reader", daemon=True
+        ).start()
 
-    return probe
+    def _drain(self, conn) -> None:
+        try:
+            while True:
+                message = conn.recv()
+                if message[0] == "cancel":
+                    self.cancelled.add(message[1])
+                self._messages.put(message)
+                if message[0] == "stop":
+                    return
+        except (EOFError, OSError):
+            # The supervisor is gone: nobody is left to serve.
+            self._messages.put(("stop",))
+
+    def get(self) -> tuple:
+        """Block for the next message the loop has to handle."""
+        while True:
+            message = self._messages.get()
+            if message[0] != "cancel":
+                return message
+            self.cancelled.discard(message[1])
 
 
 def _handle_request(
-    service: QueryService, payload: dict, job_id: int, cancel_cells
+    service: QueryService, payload: dict, job_id: int, cancelled: set
 ) -> dict:
     """Execute one request dict, returning a response dict (never raises)."""
     try:
         request = request_from_dict(payload)
     except Exception as exc:
         return error_response_dict(payload, str(exc), type(exc).__name__)
-    token: Optional[CancellationToken] = None
-    if cancel_cells is not None:
-        probe = _ring_probe(cancel_cells, job_id)
-        if probe():
-            # Cancelled while still queued: answer without searching.
-            return error_response_dict(
-                payload,
-                "request cancelled before execution",
-                SearchCancelledError.__name__,
-            )
-        # Consumed as the *parent* of the token the service arms, whose
-        # full checks probe parents ungated — so only the ring probe
-        # matters here; the service's own token carries the per-request
-        # check interval.
-        token = CancellationToken(external_check=probe)
-    # QueryService.search never raises for a well-formed request: engine
-    # failures come back as structured error responses already, and the
-    # service composes its own deadline token on top of ``token``.
+    if job_id in cancelled:
+        # Cancelled while still queued: answer without searching.
+        return error_response_dict(
+            payload,
+            "request cancelled before execution",
+            SearchCancelledError.__name__,
+        )
+    # Consumed as the *parent* of the token the service arms, whose full
+    # checks probe parents ungated — so only the membership probe
+    # matters here; the service's own token carries the per-request
+    # check interval.  QueryService.search never raises for a
+    # well-formed request: engine failures come back as structured error
+    # responses already, and the service composes its own deadline token
+    # on top of this one.
+    token = CancellationToken(external_check=lambda: job_id in cancelled)
     return response_to_dict(service.search(request, token=token))
 
 
 def _handle_message(
-    service: QueryService, worker_id: int, kind: str, message: tuple, cancel_cells
+    service: QueryService, worker_id: int, kind: str, message: tuple, cancelled: set
 ) -> dict:
     """Dispatch one non-stop message to its handler (may raise)."""
     if kind == "request":
-        return _handle_request(service, message[2], message[1], cancel_cells)
+        return _handle_request(service, message[2], message[1], cancelled)
     if kind == "ping":
         return {
             "pong": True,
@@ -216,43 +229,29 @@ def _handle_message(
     raise ValueError(f"unknown message kind {kind!r}")
 
 
-def worker_main(
-    worker_id: int,
-    snapshots: dict,
-    settings: dict,
-    request_queue,
-    response_conn,
-    cancel_cells=None,
-) -> None:
+def worker_main(conn) -> None:
     """Run the worker loop until stopped (process entrypoint).
 
-    Parameters
-    ----------
+    ``conn`` is this worker's end of the channel described in the module
+    docstring.  Its first message is ``(worker_id, snapshots,
+    settings)``:
+
     worker_id:
         This worker's id, echoed on every response.
     snapshots:
         ``{dataset_name: snapshot_path_string}`` for this shard.
     settings:
         Plain dict of what the supervisor varies per fleet:
-        ``cache_capacity``, ``cache_ttl``, ``cooperative_cancellation``,
-        ``tracing``, ``profiling``, ``accounting``, ``storage_mode``
-        and ``wals`` (``{dataset: log path}`` to replay at startup).
-    request_queue / response_conn:
-        The channel pair described in the module docstring.
-    cancel_cells:
-        This worker's shared-memory cancel ring (None disables the
-        explicit-cancel channel; deadlines still work).
+        ``cache_capacity``, ``cache_ttl``, ``tracing``, ``profiling``,
+        ``accounting``, ``storage_mode`` and ``wals`` (``{dataset: log
+        path}`` to replay at startup).
     """
-    cooperative = settings.get("cooperative_cancellation", True)
-    if not cooperative:
-        # Control-arm fidelity (bench_cancellation): no ring probes, no
-        # armed tokens — a deadline miss burns the worker to completion.
-        cancel_cells = None
+    worker_id, snapshots, settings = conn.recv()
+    inbox = _Inbox(conn)
     service = QueryService(
         cache_capacity=settings.get("cache_capacity", 1024),
         cache_ttl=settings.get("cache_ttl"),
         max_workers=1,
-        cooperative_cancellation=cooperative,
         tracing=settings.get("tracing", True),
         profiling=settings.get("profiling", False),
         accounting=settings.get("accounting", True),
@@ -293,28 +292,20 @@ def worker_main(
 
     try:
         while True:
-            try:
-                message = request_queue.get(timeout=WORKER_POLL_SECONDS)
-            except queue.Empty:
-                if not _parent_alive():
-                    break
-                continue
-            except (EOFError, OSError):
-                break
-
+            message = inbox.get()
             kind = message[0]
             if kind == "stop":
                 break
             job_id = message[1]
             try:
                 payload = _handle_message(
-                    service, worker_id, kind, message, cancel_cells
+                    service, worker_id, kind, message, inbox.cancelled
                 )
             except Exception as exc:
                 payload = {"error": str(exc), "error_type": type(exc).__name__}
             try:
-                response_conn.send((worker_id, job_id, payload))
-            except (BrokenPipeError, OSError):
+                conn.send((worker_id, job_id, payload))
+            except OSError:
                 break  # supervisor is gone; nothing left to serve
     finally:
         service.close(wait=False)

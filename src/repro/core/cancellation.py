@@ -13,17 +13,17 @@ Design constraints, in order:
 
 * **The hot loop must not slow down.**  :meth:`CancellationToken.tick`
   is one method call per pop; the *full* check (deadline clock read,
-  parent walk, external probe — the cluster tier's probe takes a
-  multiprocessing lock) runs only every ``check_every`` ticks.  A fired
-  token short-circuits immediately.
+  parent walk, external probe) runs only every ``check_every`` ticks.
+  A fired token short-circuits immediately.
 * **Cancellation is a request, not preemption.**  The search notices at
   its next check and returns what it has; callers therefore observe a
   bounded overrun of at most one check interval of pops.
 * **Sources compose.**  A deadline, an explicit :meth:`cancel` from
   another thread, a ``parent`` token (the service wraps a caller's
   token with its own deadline token) and an ``external_check`` callable
-  (the cluster worker's shared-memory cancel ring) all feed one token;
-  whichever fires first wins and records its ``reason``.
+  (the cluster worker's set of job ids cancelled down its channel) all
+  feed one token; whichever fires first wins and records its
+  ``reason``.
 
 Two consumption styles:
 
@@ -72,7 +72,7 @@ class CancellationToken:
     external_check:
         Zero-argument callable probed on full checks; truthy means
         "cancel now" with reason ``"cancelled"``.  The cluster worker
-        wires its shared-memory cancel ring in through this.
+        probes the job ids cancelled down its channel through this.
     cancel_at_tick:
         Fire (reason ``"cancelled"``) once this many ticks have
         elapsed.  Checked on *every* tick, so tests and tick-budget

@@ -369,7 +369,6 @@ class ServiceCore:
     def __init__(
         self,
         *,
-        cooperative_cancellation: bool,
         cancel_grace: float,
         tracing: bool,
         slow_query_threshold: Optional[float],
@@ -379,7 +378,6 @@ class ServiceCore:
     ) -> None:
         if cancel_grace < 0:
             raise ValueError(f"cancel_grace must be >= 0, got {cancel_grace!r}")
-        self._cooperative = cooperative_cancellation
         self._cancel_grace = cancel_grace
         self.event_log = EventLog(self.EVENT_LOG_CAPACITY)
         self.registry = MetricsRegistry()
@@ -500,8 +498,7 @@ class ServiceCore:
         through the normal path (``error_type="SearchCancelledError"``,
         carrying partial answers when the request set
         ``allow_partial``).  Returns True if a live request with that
-        id was found — never with ``cooperative_cancellation=False`` on
-        the fleet, whose workers then have no cancel ring to honour it.
+        id was found.
         """
         with self._active_lock:
             canceller = self._active.get(request_id)

@@ -53,17 +53,15 @@ Deadlines are enforced *cooperatively*: the service arms a
 :class:`~repro.core.cancellation.CancellationToken` from each request's
 deadline and threads it into the engine's pop loop, so a deadline miss
 actually stops the losing search within a couple of check intervals and
-frees its worker thread — the capacity win
-``benchmarks/bench_cancellation.py`` measures.  The expired query's
+frees its worker thread (``benchmarks/bench_cancellation.py`` holds it
+to that bound).  The expired query's
 response is a structured ``error_type="DeadlineExceededError"``; with
 ``QueryRequest.allow_partial=True`` it additionally carries the
 bound-certified answers the search had already released, flagged
 ``complete=False``.  Explicit cancellation rides the same token:
 requests carrying a ``request_id`` can be stopped mid-flight through
 :meth:`QueryService.cancel` (what the HTTP front-end's ``DELETE
-/search/<id>`` and client-disconnect mapping call).  Construct with
-``cooperative_cancellation=False`` to fall back to the old
-abandon-the-thread behaviour (the benchmark's control arm).
+/search/<id>`` and client-disconnect mapping call).
 """
 
 from __future__ import annotations
@@ -212,11 +210,9 @@ class QueryService(ServiceCore):
 
     Usable as a context manager; :meth:`close` shuts the executor down.
 
-    ``cooperative_cancellation`` (default True) arms a
-    :class:`CancellationToken` per request so deadlines and explicit
-    :meth:`cancel` calls actually stop the search and free its thread;
-    False restores the old abandon-the-thread behaviour (kept as the
-    control arm of ``benchmarks/bench_cancellation.py``).
+    Every request with a cancellation source is armed with a
+    :class:`CancellationToken`, so deadlines and explicit :meth:`cancel`
+    calls actually stop the search and free its thread.
     ``cancel_grace`` bounds how long a deadline-missed *partial-results*
     request waits for the cancelled search to hand back what it has —
     cooperative checks make that a few milliseconds; the grace only
@@ -243,7 +239,6 @@ class QueryService(ServiceCore):
         cache_ttl: Optional[float] = None,
         max_workers: int = 8,
         clock: Callable[[], float] = time.monotonic,
-        cooperative_cancellation: bool = True,
         cancel_grace: float = 1.0,
         tracing: bool = True,
         slow_query_threshold: Optional[float] = 1.0,
@@ -255,7 +250,6 @@ class QueryService(ServiceCore):
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers!r}")
         super().__init__(
-            cooperative_cancellation=cooperative_cancellation,
             cancel_grace=cancel_grace,
             tracing=tracing,
             slow_query_threshold=slow_query_threshold,
@@ -1232,18 +1226,15 @@ class QueryService(ServiceCore):
     ) -> Optional[CancellationToken]:
         """The token a request's search will tick, or None.
 
-        Cooperative mode arms a fresh token per request — deadline from
-        ``request.timeout`` (anchored now, i.e. at submission),
-        ``check_every`` from the effective params, the caller's token
-        as parent — so deadline expiry, explicit :meth:`cancel` and a
-        caller-side cancel all stop the same search.  Non-cooperative
-        mode forwards only the caller's token untouched.  A request
-        with no cancellation source at all (no deadline, no caller
-        token, no ``request_id``) runs token-free, which also keeps
-        duck-typed engines without a ``token`` kwarg working.
+        A fresh token per request — deadline from ``request.timeout``
+        (anchored now, i.e. at submission), ``check_every`` from the
+        effective params, the caller's token as parent — so deadline
+        expiry, explicit :meth:`cancel` and a caller-side cancel all
+        stop the same search.  A request with no cancellation source at
+        all (no deadline, no caller token, no ``request_id``) runs
+        token-free, which also keeps duck-typed engines without a
+        ``token`` kwarg working.
         """
-        if not self._cooperative:
-            return token
         if (
             request.timeout is None
             and token is None
@@ -1286,7 +1277,7 @@ class QueryService(ServiceCore):
         # Register for cancel() here, at submission — not when _execute
         # starts — so a request still *queued* behind a busy executor is
         # already cancellable (its pre-fired token then stops the search
-        # at the first pop).  The cluster tier's cancel ring gives
+        # at the first pop).  The cluster tier's cancel message gives
         # queued requests the same treatment.
         registered = self._register_active(request, armed)
         try:
@@ -1329,32 +1320,27 @@ class QueryService(ServiceCore):
             return future.result(timeout=max(remaining, 0.0))
         except FutureTimeoutError:
             pass
-        if token is not None and self._cooperative:
-            # Cooperative path: tell the search to stop (its own
-            # deadline normally fired already; an explicit cancel also
-            # covers a search armed late, e.g. behind a slow engine
-            # build).  For partial-results requests, give the search a
-            # grace period to hand back what it has — a few
-            # milliseconds when checks run — then fall through to the
-            # plain deadline response.  The cooperative guard matters:
-            # in the control arm the token is the *caller's own*
-            # (possibly shared across a batch), and firing it here
-            # would cancel sibling searches in the mode that promises
-            # run-to-completion.
-            token.cancel("deadline")
-            if request.allow_partial:
-                try:
-                    return future.result(timeout=self._cancel_grace)
-                except FutureTimeoutError:  # pragma: no cover - stuck search
-                    pass
+        # Tell the search to stop (a request with a deadline was armed
+        # with a token of its own, never the caller's, which a batch may
+        # share): its deadline normally fired already; an explicit
+        # cancel also covers a search armed late, e.g. behind a slow
+        # engine build.  For partial-results requests, give the search
+        # a grace period to hand back what it has — a few milliseconds
+        # when checks run — then fall through to the plain deadline
+        # response.
+        assert token is not None
+        token.cancel("deadline")
+        if request.allow_partial:
+            try:
+                return future.result(timeout=self._cancel_grace)
+            except FutureTimeoutError:  # pragma: no cover - stuck search
+                pass
         # The logical request is recorded exactly once; whoever wins
         # the claim — this deadline watcher or the still-running
         # worker — does the recording.
         return self._deadline_response(
             request,
-            "search stopping at its next cooperative check"
-            if token is not None and self._cooperative
-            else "search keeps running in the background",
+            "search stopping at its next cooperative check",
             trace_id=request.trace_id,
             record=record.claim(),
         )

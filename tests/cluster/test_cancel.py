@@ -1,21 +1,27 @@
-"""Cancellation across the process boundary: cancel ring, deadlines,
-sibling isolation, and the HTTP cancel/disconnect surface."""
+"""Cancellation across the process boundary: cancels down the worker's
+channel, deadlines, sibling isolation, and the HTTP cancel/disconnect
+surface."""
 
 import json
+import queue
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cluster import ShardedQueryService
 from repro.cluster.http import make_server, status_for_error
 from repro.cluster.pool import WorkerPool
+from repro.cluster.worker import _Inbox
 from repro.core.answer import SearchResult
 from repro.core.params import SearchParams
 from repro.core.stats import SearchStats
 from repro.errors import DeadlineExceededError, SearchCancelledError
+from repro.service.metrics import family_total
 from repro.service.service import QueryRequest, QueryService
 from repro.service.snapshot import save_engine
 
@@ -29,7 +35,7 @@ def dblp_snapshot(tmp_path_factory, dblp_small_engine):
 
 
 # ----------------------------------------------------------------------
-# pool-level: the cancel ring
+# pool-level: cancel messages on the worker's channel
 # ----------------------------------------------------------------------
 class TestPoolCancel:
     def test_cancel_queued_request_never_searches(self, toy_snapshot):
@@ -59,6 +65,100 @@ class TestPoolCancel:
         with WorkerPool({0: {"toy": toy_snapshot}}) as pool:
             pool.warmup()
             assert pool.cancel(987654) is False
+
+    def test_every_pending_cancel_is_honoured(self, toy_snapshot):
+        """Any number of cancels can be pending on one worker at once:
+        each request cancelled while queued is answered without a
+        search.  (A 32-slot ring used to overwrite the oldest: of 40,
+        8 ran to completion after ``cancel()`` had returned True.)"""
+
+        def searched(pool):
+            export = pool.submit(0, "metrics").result(timeout=10.0)
+            return family_total(export, "repro_requests_total")
+
+        with WorkerPool({0: {"toy": toy_snapshot}}) as pool:
+            pool.warmup()
+            before = searched(pool)
+            sleeper = pool.submit(0, "sleep", 0.6)
+            queued = [
+                pool.request(
+                    0,
+                    {"dataset": "toy", "query": "gray transaction", "use_cache": False},
+                )
+                for _ in range(40)
+            ]
+            assert all(pool.cancel(future.job_id) for future in queued)
+            assert not sleeper.done(), "the worker was meant to be busy still"
+            for future in queued:
+                payload = future.result(timeout=10.0)
+                assert payload["error_type"] == SearchCancelledError.__name__
+                assert payload["error"] == "request cancelled before execution"
+            assert searched(pool) == before
+
+    def test_concurrent_submitters_and_cancellers_lose_no_cancel(self, toy_snapshot):
+        """More threads than cores submit and at once cancel against a
+        busy worker, switching between any two bytecodes: one channel
+        carries them all, each cancel behind its request, and the
+        worker's reader thread and serving loop share one set — a lost
+        or misplaced cancel shows as a request that ran."""
+        futures = []
+
+        def hammer(pool):
+            for _ in range(25):
+                future = pool.request(
+                    0,
+                    {"dataset": "toy", "query": "gray transaction", "use_cache": False},
+                )
+                assert pool.cancel(future.job_id) is True
+                futures.append(future)
+
+        with WorkerPool({0: {"toy": toy_snapshot}}) as pool:
+            pool.warmup()
+            sleeper = pool.submit(0, "sleep", 0.6)
+            threads = [threading.Thread(target=hammer, args=(pool,)) for _ in range(8)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not sleeper.done(), "the worker was meant to be busy still"
+            assert len(futures) == 200
+            for future in futures:
+                payload = future.result(timeout=10.0)
+                assert payload["error"] == "request cancelled before execution"
+
+    def test_a_cancel_leaves_nothing_behind_in_the_worker(self):
+        """The worker forgets a cancelled id once the loop passes the
+        cancel message — behind the request it names, so after the
+        answer — whether the cancel came in time or lost the race."""
+        wire = queue.SimpleQueue()
+        inbox = _Inbox(SimpleNamespace(recv=wire.get))
+        wire.put(("request", 1, {}))
+        assert inbox.get() == ("request", 1, {})  # ...answered, and only then:
+        wire.put(("cancel", 1))
+        wire.put(("request", 2, {}))
+        wire.put(("cancel", 2))  # this one in time, while 2 is queued
+        wire.put(("ping", 3))
+        assert inbox.get() == ("request", 2, {})
+        deadline = time.monotonic() + 5.0
+        while inbox.cancelled != {2} and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert inbox.cancelled == {2}  # what the request's token probes
+        assert inbox.get() == ("ping", 3)
+        assert inbox.cancelled == set()
+        wire.put(("stop",))
+        assert inbox.get() == ("stop",)
+
+    def test_worker_reads_a_vanished_supervisor_as_stop(self):
+        def recv():
+            raise EOFError
+
+        assert _Inbox(SimpleNamespace(recv=recv)).get() == ("stop",)
 
 
 # ----------------------------------------------------------------------
@@ -135,7 +235,7 @@ class TestShardedCancel:
             assert response.result is not None
             assert response.result.complete is False
             # Whichever source fired first — the worker's own deadline
-            # token or the supervisor's ring cancel — the *cause* is
+            # token or the supervisor's cancel message — the *cause* is
             # surfaced as DeadlineExceededError above.
             assert response.result.cancel_reason in ("deadline", "cancelled")
             # The shard was freed near the deadline, not after the
@@ -146,7 +246,7 @@ class TestShardedCancel:
             assert service.pool.restarts() == {0: 0}
             # The worker-side service recorded the cancellation in the
             # merged cluster metrics (under whichever reason won the
-            # race between deadline token and ring cancel).
+            # race between deadline token and cancel message).
             cancellations = service.metrics()["cancellations"]
             assert (
                 cancellations["deadline_exceeded"] + cancellations["cancelled"]
@@ -167,48 +267,14 @@ class TestShardedCancel:
                     allow_partial=True,
                 )
             )
-            # The supervisor's backstop killed it through the cancel
-            # ring before the worker ever started searching; the cause
+            # The supervisor's backstop cancelled it down the channel
+            # before the worker ever started searching; the cause
             # (deadline) is surfaced, not the mechanism.
             assert response.error_type == DeadlineExceededError.__name__
             assert service.search("toy", "gray transaction").ok
 
     def test_cancel_unknown_request_id_is_false(self, sharded):
         assert sharded.cancel("nobody-home") is False
-
-    def test_non_cooperative_mode_refuses_to_claim_cancellation(
-        self, toy_snapshot
-    ):
-        """With cooperative_cancellation=False the workers discard
-        their cancel rings; cancel() must say so rather than pretend."""
-        with ShardedQueryService(
-            {"toy": toy_snapshot},
-            num_workers=1,
-            health_interval=0.2,
-            cooperative_cancellation=False,
-        ) as service:
-            service.warmup()
-            sleeper = service.pool.submit(0, "sleep", 0.3)
-            box = {}
-
-            def run():
-                box["response"] = service.search(
-                    QueryRequest(
-                        "toy",
-                        "gray transaction",
-                        use_cache=False,
-                        request_id="uncancellable",
-                    )
-                )
-
-            thread = threading.Thread(target=run)
-            thread.start()
-            time.sleep(0.05)  # request dispatched, queued behind sleep
-            assert service.cancel("uncancellable") is False
-            sleeper.result(timeout=10.0)
-            thread.join(timeout=10.0)
-            assert not thread.is_alive()
-            assert box["response"].ok  # ran to completion, as promised
 
 
 # ----------------------------------------------------------------------

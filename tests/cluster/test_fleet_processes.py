@@ -1,0 +1,168 @@
+"""The fleet's processes, counted from outside: what a fleet starts,
+what it leaves behind, and what becomes of its workers when the
+supervisor is killed.
+
+Each test runs a real supervisor — ``ShardedQueryService`` behind
+``cluster.http`` — as a subprocess in a session of its own, so its
+process group is exactly the fleet, and reads ``/proc`` (POSIX-only,
+like ``test_wal_recovery.py``).  The supervisor gets no ``PYTHONPATH``:
+the checkout is on its ``sys.path`` only, the way pytest's
+``pythonpath`` setting puts it on this process's.
+"""
+
+import contextlib
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+from tests.helpers import SRC
+
+#: argv: src dir, snapshot.  Serves until stdin says otherwise.
+SUPERVISOR = '''
+import http.client
+import json
+import sys
+import threading
+
+sys.path.insert(0, sys.argv[1])
+
+from repro.cluster import ShardedQueryService
+from repro.cluster.http import make_server
+
+service = ShardedQueryService({"toy": sys.argv[2]}, num_workers=2, default_replicas=2)
+server = make_server(service, port=0)
+threading.Thread(target=server.serve_forever, daemon=True).start()
+service.warmup()
+conn = http.client.HTTPConnection(*server.server_address[:2], timeout=60)
+conn.request(
+    "POST",
+    "/mutate",
+    json.dumps({"dataset": "toy", "mutations": [{"op": "add_node", "label": "census"}]}),
+)
+assert conn.getresponse().status == 200
+conn.close()
+print("SERVING", flush=True)
+sys.stdin.readline()
+server.shutdown()
+server.server_close()
+service.close()
+print("CLOSED", flush=True)
+sys.stdin.readline()
+'''
+
+
+def _stat_fields(pid: str) -> list[str]:
+    """``/proc/<pid>/stat`` after the command: state, ppid, pgrp, ..."""
+    return Path("/proc", pid, "stat").read_text().rsplit(")", 1)[1].split()
+
+
+def _processes(pgid: int) -> dict[int, str]:
+    """``{pid: state}`` of every process in group ``pgid``, zombies
+    (state ``Z``) included."""
+    found = {}
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                state, _, pgrp = _stat_fields(entry)[:3]
+            except OSError:
+                continue  # exited between listdir and read
+            if int(pgrp) == pgid:
+                found[int(entry)] = state
+    return found
+
+
+@pytest.fixture
+def supervisor(tmp_path, toy_snapshot):
+    """A serving 2-worker fleet in a session of its own; yields the
+    ``Popen`` (pid == process group id) and the file its stderr — and
+    its workers', who inherit it — goes to."""
+    script = tmp_path / "supervisor.py"
+    script.write_text(SUPERVISOR)
+    stderr_path = tmp_path / "stderr.txt"
+    environment = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    with open(stderr_path, "wb") as stderr:
+        process = subprocess.Popen(
+            [sys.executable, "-W", "error::ResourceWarning", str(script), str(SRC),
+             str(toy_snapshot)],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=stderr,
+            env=environment,
+            cwd=tmp_path,
+            text=True,
+            start_new_session=True,
+        )
+    try:
+        assert process.stdout.readline() == "SERVING\n", stderr_path.read_text()
+        yield process, stderr_path
+    finally:
+        for pid in _processes(process.pid):
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        process.wait()
+        process.stdin.close()
+        process.stdout.close()
+
+
+def test_a_two_worker_fleet_is_three_processes_and_leaves_none(supervisor):
+    process, stderr_path = supervisor
+    fleet = _processes(process.pid)
+    assert len(fleet) == 3 and "Z" not in fleet.values(), fleet
+    for pid in fleet:
+        command = Path("/proc", str(pid), "cmdline").read_bytes()
+        assert b"resource_tracker" not in command, command
+    workers = [pid for pid in fleet if pid != process.pid]
+    assert all(int(_stat_fields(str(pid))[1]) == process.pid for pid in workers)
+
+    process.stdin.write("close\n")
+    process.stdin.flush()
+    assert process.stdout.readline() == "CLOSED\n", stderr_path.read_text()
+    # Nothing but the supervisor itself: no worker, no zombie of one.
+    assert list(_processes(process.pid)) == [process.pid]
+    process.stdin.write("exit\n")
+    process.stdin.flush()
+    assert process.wait(timeout=10) == 0
+    assert _processes(process.pid) == {}
+    assert stderr_path.read_text() == ""  # no ResourceWarning, no complaint
+
+
+def test_workers_import_the_checkout_only_the_supervisor_knew(supervisor):
+    """The fixture's supervisor has ``src`` on ``sys.path`` and nothing
+    in its environment; its workers were told where it is."""
+    process, _ = supervisor
+
+    def pythonpath(pid):
+        environment = Path("/proc", str(pid), "environ").read_bytes().split(b"\0")
+        return [entry for entry in environment if entry.startswith(b"PYTHONPATH=")]
+
+    assert pythonpath(process.pid) == []
+    workers = [pid for pid in _processes(process.pid) if pid != process.pid]
+    assert len(workers) == 2
+    for pid in workers:
+        assert pythonpath(pid) == [b"PYTHONPATH=" + os.fsencode(SRC)]
+
+
+def test_workers_of_a_killed_supervisor_are_gone_at_once(supervisor):
+    process, stderr_path = supervisor
+
+    def running():
+        # Whether an exited orphan lingers as a zombie is up to the
+        # container's init, not to the worker.
+        return [pid for pid, state in _processes(process.pid).items() if state != "Z"]
+
+    assert len(running()) == 3
+    os.kill(process.pid, signal.SIGKILL)
+    killed = time.monotonic()
+    process.wait()
+    # The idle workers read EOF on their channels and stop: no poll
+    # interval to wait out, no semaphore left for anyone to report.
+    while running() and time.monotonic() - killed < 5.0:
+        time.sleep(0.005)
+    assert running() == []
+    assert time.monotonic() - killed < 0.5
+    assert stderr_path.read_text() == ""

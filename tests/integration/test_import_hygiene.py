@@ -10,8 +10,11 @@ fleet *supervisor* routes, journals and merges telemetry but never
 searches: numpy (~16 MiB), the engine, the snapshot array reader and
 the live-dataset machinery stay out of it for its whole life — ``apply``
 and ``reload`` with a ``wal_dir`` included.  A *worker* searches but
-serves no HTTP and builds no dataset.  Every check runs in a fresh
-interpreter, and a failure names who imported the offender first.
+serves no HTTP and builds no dataset.  Neither uses more of
+``multiprocessing`` than its ``connection`` module: no queue, no
+semaphore, no shared memory — and so no resource-tracker process to
+clean up after them.  Every check runs in a fresh interpreter, and a
+failure names who imported the offender first.
 """
 
 import os
@@ -78,7 +81,17 @@ def assert_not_loaded(*forbidden):
     assert not chains, "loaded but never run by this role:\\n  " + "\\n  ".join(chains)
 '''
 
-SUPERVISOR_FORBIDDEN = (
+#: The supervisor reaches a worker, and a worker its supervisor, over
+#: one ``multiprocessing.connection`` socket pair and nothing else.
+MULTIPROCESSING_FORBIDDEN = (
+    "multiprocessing.queues",
+    "multiprocessing.synchronize",
+    "multiprocessing.sharedctypes",
+    "multiprocessing.resource_tracker",
+    "multiprocessing.popen_spawn_posix",
+)
+
+SUPERVISOR_FORBIDDEN = MULTIPROCESSING_FORBIDDEN + (
     "numpy",
     "scipy",
     "repro.core.engine",
@@ -91,8 +104,7 @@ SUPERVISOR_FORBIDDEN = (
     "repro.index.inverted",
 )
 
-#: The whole public life of a fleet supervisor.  A real file with a
-#: ``__main__`` guard: the spawned worker re-imports it.
+#: The whole public life of a fleet supervisor.
 SUPERVISOR_SCRIPT = PRELUDE + '''
 
 def main(snapshot, wal_dir):
@@ -213,19 +225,72 @@ def test_supervisor_never_loads_the_data_plane(tmp_path, toy_engine):
     assert "SUPERVISOR-OK" in done.stdout
 
 
-def test_worker_loads_no_front_end_and_no_dataset_builders():
-    """What the pool's process target imports in the child: the worker
-    loop, the thread-tier service and the engine — not the HTTP front,
-    the supervisor, the dataset generators or scipy."""
-    done = run_python(
-        PRELUDE
-        + "import repro.cluster.pool, repro.cluster.worker\n"
-        "assert 'repro.core.engine' in sys.modules  # it did load the data plane\n"
-        "assert_not_loaded('http.server', 'repro.cluster.http', "
-        "'repro.cluster.service', 'repro.datasets', 'repro.relational', "
-        "'repro.sparse', 'repro.experiments', 'scipy')\n"
+#: What the pool's worker command imports, then a worker's whole life
+#: on a real channel: warm-up, searches, a mutation, a reload, every
+#: telemetry pull, stop.  argv: snapshot, then the forbidden names.
+WORKER_SCRIPT = PRELUDE + '''
+from multiprocessing.connection import Connection, Pipe
+from repro.cluster.worker import worker_main
+
+snapshot = sys.argv[1]
+request = {"dataset": "toy", "query": "gray transaction", "request_id": "r1"}
+mutation = {"op": "add_node", "label": "Zyzzqx Systems", "text": "Zyzzqx Systems"}
+jobs = [
+    ("warmup", None),
+    ("request", request),
+    ("mutate", {"dataset": "toy", "mutations": [mutation]}),
+    ("request", {**request, "query": "zyzzqx", "use_cache": False, "timeout": 30.0}),
+    ("reload", {"dataset": "toy", "path": snapshot, "force": True}),
+    ("ping",),
+    ("versions",),
+    ("metrics",),
+    ("events", {"since": 0}),
+    ("queries",),
+    ("profile",),
+]
+ours, theirs = Pipe()
+ours.send((0, {"toy": snapshot}, {"profiling": True}))
+for job, (kind, *payload) in enumerate(jobs):
+    ours.send((kind, job, *payload))
+ours.send(("cancel", 1))
+ours.send(("stop",))
+worker_main(theirs)
+replies = [ours.recv()[2] for _ in jobs]
+errors = {job: reply["error_type"] for job, reply in enumerate(replies) if reply.get("error")}
+assert errors == {1: "SearchCancelledError"}, errors  # the cancel beat its request
+assert "repro.core.engine" in sys.modules  # it did load the data plane
+assert_not_loaded(*sys.argv[2:])
+print("WORKER-OK")
+'''
+
+WORKER_FORBIDDEN = MULTIPROCESSING_FORBIDDEN + (
+    "http.server",
+    "repro.cluster.http",
+    "repro.cluster.service",
+    "repro.cluster.pool",
+    "repro.datasets",
+    "repro.relational",
+    "repro.sparse",
+    "repro.experiments",
+    "scipy",
+)
+
+
+def test_worker_loads_no_front_end_and_no_dataset_builders(tmp_path, toy_engine):
+    """What the pool's worker command imports and a worker's life then
+    adds: the worker loop, the thread-tier service, the engine and the
+    live-dataset machinery — not the HTTP front, the supervisor, the
+    dataset generators or scipy."""
+    snapshot = save_engine(tmp_path / "toy.snap", toy_engine)
+    done = subprocess.run(
+        [sys.executable, "-c", WORKER_SCRIPT, str(snapshot), *WORKER_FORBIDDEN],
+        cwd=SRC,
+        capture_output=True,
+        text=True,
+        timeout=180,
     )
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == 0, done.stderr[-4000:]
+    assert "WORKER-OK" in done.stdout
 
 
 def test_failure_names_the_first_importer():

@@ -206,38 +206,39 @@ def test_sharded_supervisor_start_close_leaves_no_cyclic_garbage(snapshots, tmp_
 def test_worker_loop_leaves_no_cyclic_garbage(snapshots):
     """``worker_main`` driven in-process: what a fleet worker's private
     service accumulates over warmup/search/mutate/reload dies at exit."""
-    import queue
-
     from repro.cluster.worker import worker_main
     from repro.service.wire import request_to_dict
 
     toy, dblp = snapshots
 
     class Conn:
-        def __init__(self):
+        """The supervisor's side of the channel, scripted."""
+
+        def __init__(self, incoming):
+            self.recv = iter(incoming).__next__
             self.sent = []
 
         def send(self, item):
             self.sent.append(item)
 
     def loop():
-        inbox, conn = queue.Queue(), Conn()
         request = request_to_dict(QueryRequest(dataset="d", query=QUERIES[0]))
         mutations = [mutation_to_dict(m) for m in MUTATION]
-        for job, (kind, payload) in enumerate(
-            [
-                ("warmup", None),
-                ("request", request),
-                ("request", request),
-                ("mutate", {"dataset": "d", "mutations": mutations}),
-                ("request", {**request, "use_cache": False}),
-                ("reload", {"dataset": "d", "path": str(dblp)}),
-                ("metrics", None),
-            ]
-        ):
-            inbox.put((kind, job, payload))
-        inbox.put(("stop",))
-        worker_main(0, {"d": str(toy)}, {"profiling": True}, inbox, conn)
+        jobs = [
+            ("warmup", None),
+            ("request", request),
+            ("request", request),
+            ("mutate", {"dataset": "d", "mutations": mutations}),
+            ("request", {**request, "use_cache": False}),
+            ("reload", {"dataset": "d", "path": str(dblp)}),
+            ("metrics", None),
+        ]
+        conn = Conn(
+            [(0, {"d": str(toy)}, {"profiling": True})]
+            + [(kind, job, payload) for job, (kind, payload) in enumerate(jobs)]
+            + [("stop",)]
+        )
+        worker_main(conn)
         assert [job for _, job, _ in conn.sent] == list(range(7))
         errors = [p for _, _, p in conn.sent if p.get("error_type")]
         assert not errors, errors

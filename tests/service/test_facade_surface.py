@@ -4,8 +4,11 @@ Every shared serving verb is defined by exactly one class in each
 tier's MRO (``ServiceCore``), the telemetry structures are built and
 the accounting stores written at one site, a merge of one part is the
 part (what lets the thread tier be the fleet's one-part case), and the
-retention knobs that only ever had one value are gone.
+knobs that only ever had one value are gone — the constructors' argument
+lists are spelled out here, so a new one is a decision, not a drift.
 """
+
+import inspect
 
 from pathlib import Path
 
@@ -14,6 +17,7 @@ import pytest
 import repro.cluster
 import repro.service
 from repro.cluster import ShardedQueryService
+from repro.cluster.pool import WorkerPool
 from repro.service import QueryService, ServiceCore
 from repro.telemetry.accounting import WorkloadAnalytics, merge_sketch_exports
 from repro.telemetry.metrics import MetricsRegistry, merge_registries
@@ -108,6 +112,8 @@ def test_merging_one_part_is_the_part():
         "explain_capacity",
         "metrics_window",
         "analytics_capacity",
+        "cooperative_cancellation",
+        "start_method",
     ],
 )
 def test_single_valued_retention_knobs_are_not_arguments(argument):
@@ -116,6 +122,25 @@ def test_single_valued_retention_knobs_are_not_arguments(argument):
     with pytest.raises(TypeError, match=argument):
         # Rejected at the call, before any worker is spawned.
         ShardedQueryService({}, num_workers=1, **{argument: 8})
+
+
+def test_constructor_arguments_are_these():
+    def arguments(cls):
+        return list(inspect.signature(cls).parameters)
+
+    shared = ["cancel_grace", "tracing", "slow_query_threshold", "profiling",
+              "slo_objectives", "accounting", "storage_mode"]
+    assert sorted(arguments(QueryService)) == sorted(
+        ["cache_capacity", "cache_ttl", "max_workers", "clock"] + shared
+    )  # 11
+    assert sorted(arguments(ShardedQueryService)) == sorted(
+        ["snapshots", "num_workers", "default_replicas", "replicas",
+         "cache_capacity", "cache_ttl", "health_interval", "restart", "wal_dir",
+         "wal_sync", "slo_interval"] + shared
+    )  # 18
+    assert arguments(WorkerPool) == [
+        "specs", "settings", "health_interval", "restart", "event_sink"
+    ]
 
 
 def test_each_tier_keeps_the_retention_it_had():

@@ -173,7 +173,7 @@ class TestExplicitCancel:
 
     def test_cancel_request_still_queued_in_executor(self, toy_engine):
         """A queued request is registered (and cancellable) at submit
-        time — parity with the cluster tier's cancel ring.  Its
+        time — parity with the cluster tier's cancel message.  Its
         pre-fired token stops the search at the first pop once a thread
         frees up.  (Requests with a timeout run on the executor; the
         single worker is occupied by the gated blocker.)"""
@@ -244,44 +244,6 @@ class TestExplicitCancel:
         thread.join(timeout=5.0)
         assert not thread.is_alive()
         assert box["response"].error_type == SearchCancelledError.__name__
-
-
-class TestNonCooperativeMode:
-    def test_deadline_abandons_thread_like_before(self, gated, toy_engine):
-        with QueryService(max_workers=2, cooperative_cancellation=False) as svc:
-            svc.register_engine("slow", gated)
-            response = svc.search("slow", "anything", timeout=0.05)
-            assert response.error_type == DeadlineExceededError.__name__
-            # The losing search keeps burning its thread: not stopped
-            # until the gate opens.
-            assert not gated.stopped.wait(0.3)
-            gated.gate.set()
-            assert gated.stopped.wait(2.0)
-            svc.close(wait=False)
-
-    def test_real_engine_still_completes(self, toy_engine):
-        with QueryService(cooperative_cancellation=False) as svc:
-            svc.register_engine("toy", toy_engine)
-            response = svc.search("toy", "gray transaction", timeout=30.0)
-            assert response.ok
-            assert response.result.complete
-
-    def test_deadline_never_fires_a_caller_owned_token(self, gated):
-        """In the control arm the token belongs to the caller (and may
-        be shared across a batch); a deadline miss must not cancel it
-        — that would cooperatively stop sibling searches in the mode
-        that promises run-to-completion."""
-        shared = CancellationToken(check_every=1)
-        with QueryService(max_workers=2, cooperative_cancellation=False) as svc:
-            svc.register_engine("slow", gated)
-            response = svc.search(
-                QueryRequest("slow", "anything", timeout=0.05), token=shared
-            )
-            assert response.error_type == DeadlineExceededError.__name__
-            assert shared.fired is False
-            gated.gate.set()
-            assert gated.stopped.wait(2.0)
-            svc.close(wait=False)
 
 
 class TestCancellationStormEvent:
