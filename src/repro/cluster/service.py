@@ -234,6 +234,9 @@ class ShardedQueryService(ServiceCore):
             accounting=accounting,
         )
         paths = {name: str(path) for name, path in snapshots.items()}
+        #: The supervisor's durable mutation logs by dataset: filled
+        #: here, never changed afterwards.
+        self._wals: dict[str, MutationLog] = {}
         wal_paths: dict[str, str] = {}
         if wal_dir is not None:
             for name, snapshot_path in paths.items():
@@ -934,6 +937,9 @@ class ShardedQueryService(ServiceCore):
         self.pool.close(timeout)
         for log in self._wals.values():
             log.close()
+
+    def _logs(self) -> dict[str, MutationLog]:
+        return self._wals
 
     # ------------------------------------------------------------------
     # internals

@@ -255,7 +255,7 @@ def worker_main(conn) -> None:
         tracing=settings.get("tracing", True),
         profiling=settings.get("profiling", False),
         accounting=settings.get("accounting", True),
-        # Storage tier for snapshot loads (ram/mapped/auto; None defers
+        # Storage tier for snapshot loads (ram/mapped; None defers
         # to the environment).  Set fleet-wide by the supervisor: every
         # worker — including restart-on-crash replacements, which reuse
         # this settings dict — maps the same snapshot files, so the OS

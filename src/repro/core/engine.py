@@ -54,8 +54,8 @@ class KeywordSearchEngine:
     The graph and index never change after construction ("index is
     frozen"), so the engine memoizes derived state freely: scorers per
     ``lambda`` and resolved keyword sets per query string.  Both caches
-    are lock-protected — :meth:`search_many` and the service layer run
-    searches from many threads against one engine.
+    are lock-protected — the service layer runs searches from many
+    threads against one engine.
     """
 
     #: Bound on the resolve cache; far above any benchmark's distinct
@@ -289,53 +289,6 @@ class KeywordSearchEngine:
             if scorer is None:
                 scorer = self._scorers[lam] = Scorer(self.graph, lam)
             return scorer
-
-    # ------------------------------------------------------------------
-    def search_many(
-        self,
-        queries: Sequence[Union[str, Sequence[str]]],
-        *,
-        algorithm: str = "bidirectional",
-        k: Optional[int] = None,
-        params: Optional[SearchParams] = None,
-        max_workers: int = 8,
-        timeout: Optional[float] = None,
-    ) -> list[SearchResult]:
-        """Run many queries through the service-layer batch executor.
-
-        A convenience wrapper building a throwaway single-engine
-        :class:`~repro.service.QueryService` (uncached, so semantics
-        match sequential :meth:`search` calls exactly) and fanning the
-        queries over its thread pool.  Results come back in query order;
-        any per-query failure (absent keyword, deadline) re-raises here,
-        matching :meth:`search`.  Long-lived callers wanting caching,
-        metrics and structured errors should hold a
-        :class:`~repro.service.QueryService` directly.
-        """
-        from repro.service.service import QueryRequest, QueryService
-
-        service = QueryService(max_workers=max_workers)
-        try:
-            service.register_engine("default", self)
-            responses = service.search_many(
-                [
-                    QueryRequest(
-                        dataset="default",
-                        query=query if isinstance(query, str) else tuple(query),
-                        algorithm=algorithm,
-                        k=k,
-                        params=params,
-                        timeout=timeout,
-                        use_cache=False,
-                    )
-                    for query in queries
-                ]
-            )
-        finally:
-            # Don't join deadline-abandoned searches: a timeout must
-            # bound the caller's wall clock, not just relabel the error.
-            service.close(wait=False)
-        return [response.raise_for_error().result for response in responses]
 
     # ------------------------------------------------------------------
     def constrained(self, policy) -> "KeywordSearchEngine":

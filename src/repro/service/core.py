@@ -343,10 +343,10 @@ class ServiceCore:
     """Serving state and verbs shared by both tiers (module docstring).
 
     Subclasses provide ``search`` over :meth:`search_many`'s hooks
-    ``_submit`` / ``_await`` (the execution substrate), ``metrics``,
-    ``health``, ``datasets`` and ``close``, and may extend ``_gather`` /
-    ``_pull_events`` / ``_account`` with what other processes
-    contribute.
+    ``_submit`` / ``_await`` (the execution substrate), ``_logs``,
+    ``metrics``, ``health``, ``datasets`` and ``close``, and may extend
+    ``_gather`` / ``_pull_events`` / ``_account`` with what other
+    processes contribute.
 
     Retention is fixed: the structures size themselves (128 slow
     queries, 128 explain reports, a 64-row workload sketch, a 2048-sample
@@ -383,8 +383,6 @@ class ServiceCore:
         self.registry = MetricsRegistry()
         self._metrics = ServiceMetrics(self.registry)
         self._wal_telemetry = WalTelemetry(self.registry, self.event_log)
-        #: Attached durable mutation logs by dataset (the tier fills it).
-        self._wals: dict = {}
         self.tracer: Optional[Tracer] = (
             Tracer(self.TRACE_CAPACITY) if tracing else None
         )
@@ -670,11 +668,10 @@ class ServiceCore:
 
     def wal_seqs(self) -> dict[str, int]:
         """``{dataset: last durable WAL sequence}`` for every dataset
-        with an attached (writable) log."""
-        # ``dict()`` of a dict is one atomic copy: safe beside a
-        # registration that attaches or detaches a log.
-        logs = dict(self._wals)
-        return {name: log.last_seq for name, log in sorted(logs.items())}
+        with an attached (writable) log — the tier's ``_logs()``, a
+        dict that a registration attaching or detaching a log beside
+        this read cannot disturb."""
+        return {name: log.last_seq for name, log in sorted(self._logs().items())}
 
     # ------------------------------------------------------------------
     # verbs merged over every process's part

@@ -8,11 +8,13 @@ This module is the substrate under it that runs searches *here*, the
 layer the ROADMAP's production north star needs above
 :class:`~repro.core.engine.KeywordSearchEngine`:
 
-* **Engine registry** — one engine per dataset name, registered eagerly
-  (:meth:`QueryService.register_engine`), lazily from a database
-  (:meth:`register_database`), or from a disk snapshot
+* **Engine registry** — one record per dataset name (what is served,
+  its base version, snapshot provenance and mutation log, which change
+  together: a re-registration installs a new record in one step),
+  registered eagerly (:meth:`QueryService.register_engine`), lazily
+  from a database (:meth:`register_database`), or from a disk snapshot
   (:meth:`register_snapshot`) so restarts skip graph/prestige/index
-  builds.  Lazy builds are per-dataset locked: under concurrent traffic
+  builds.  Lazy builds are per-record locked: under concurrent traffic
   exactly one thread pays the construction cost.
 * **Result cache** — a shared :class:`~repro.service.cache.ResultCache`
   (LRU + TTL) keyed on the canonicalized query identity; repeated
@@ -75,7 +77,7 @@ from collections import deque
 from pathlib import Path
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from repro.core.answer import SearchResult
@@ -146,6 +148,75 @@ def _accepts_token(search_fn) -> bool:
     )
 
 
+def _file_digest(path: Optional[str]) -> Optional[str]:
+    """Content digest of the snapshot file at ``path``, or None: no
+    path, an unreadable file, or one that predates digests."""
+    try:
+        return snapshot_info(path).get("content_digest") if path else None
+    except SnapshotError:
+        return None
+
+
+@dataclass(eq=False)
+class _Dataset:
+    """One registration of a dataset name: what is served (``engine``
+    once built, ``factory`` while still lazy, ``live`` after the upgrade
+    to a :class:`~repro.live.MutableDataset`), the version lineage
+    (``base``), the snapshot provenance (``source`` path, ``digest`` of
+    the file actually loaded) and the attached mutation ``log``.
+
+    These change *together*: a replacement is a new record
+    (:meth:`QueryService._install`), never an edit of this one, so
+    ``service._datasets.get(name) is record`` is the one staleness
+    check — a slow lazy build that lost to a re-registration, a log
+    attached to a registration that is gone.  Provenance therefore goes
+    on every path that is not itself a snapshot registration — a later
+    :meth:`~QueryService.reload_snapshot` against the old file cannot
+    see a matching digest and incorrectly no-op while the service
+    serves something else — and so does the log: its sequence lineage
+    belongs to the replaced content, and leaving it attached would
+    wedge every later commit on an out-of-order append (re-attach
+    explicitly — or via ``reload_snapshot``, which starts a fresh log
+    itself).  Fields change only under the registry lock, ``source`` never.
+    """
+
+    engine: Optional[KeywordSearchEngine] = None
+    factory: Optional[Callable[[], KeywordSearchEngine]] = None
+    live: Optional["MutableDataset"] = None
+    base: int = 0
+    source: Optional[str] = None
+    digest: Optional[str] = None
+    #: Seconds the last engine build took: None until a lazy
+    #: registration is first built.
+    build_seconds: Optional[float] = None
+    log: Optional[MutationLog] = None
+    #: Per-registration, so under concurrent traffic exactly one thread
+    #: pays the construction cost (and a replacement's build never
+    #: queues behind the build it made stale).
+    build_lock: threading.Lock = field(default_factory=threading.Lock)
+
+    @property
+    def version(self) -> int:
+        """The dataset version cache keys embed.
+
+        ``base`` is a generation counter: every replacement
+        (re-register, reload) starts past the prior effective version,
+        and a mutable dataset adds its own monotone epoch on top.  The
+        sum therefore strictly increases across every event that can
+        change answers — commits and replacements — which is the
+        invariant that makes version-keyed cache entries impossible to
+        serve stale.
+        """
+        live = self.live
+        return self.base + live.version if live is not None else self.base
+
+    @property
+    def serving(self) -> Optional[KeywordSearchEngine]:
+        """The engine a request runs on now — the live dataset's current
+        epoch, else the built engine — or None while still lazy."""
+        return self.live.engine if self.live is not None else self.engine
+
+
 class _DatasetJournal:
     """Commit journal adapter pinning WAL sequence numbers to the
     service's *effective* dataset version.
@@ -154,29 +225,26 @@ class _DatasetJournal:
     (and replica drift checks) run on the effective version — base
     generation plus epoch.  Appending with the explicit expected
     sequence makes :class:`repro.wal.MutationLog` reject any
-    misalignment (e.g. a re-registration that bumped the base under an
-    attached log), failing the commit loudly instead of recording an
-    unreplayable history.
+    misalignment, failing the commit loudly instead of recording an
+    unreplayable history.  A replaced registration's log is closed
+    (:meth:`QueryService._install`), so a stale dataset's commit fails
+    the same way.
     """
 
-    __slots__ = ("_log", "_service", "_name")
+    __slots__ = ("_record",)
 
-    def __init__(self, log: "MutationLog", service: "QueryService", name: str):
-        self._log = log
-        # Weak: the service owns the dataset this journal is attached to.
-        self._service = weakref.ref(service)
-        self._name = name
+    def __init__(self, record: _Dataset):
+        # Weak: the record owns the dataset this journal is attached to.
+        self._record = weakref.ref(record)
 
     def append(self, mutations, *, seq=None, recompute_prestige=False) -> int:
-        del seq  # the service's effective version is authoritative
-        service = self._service()
-        if service is None:
-            raise WalError(
-                f"the service that journals dataset {self._name!r} is gone"
-            )
-        return self._log.append(
+        del seq  # the record's effective version is authoritative
+        record = self._record()
+        if record is None:
+            raise WalError("the registration this dataset journaled for is gone")
+        return record.log.append(
             mutations,
-            seq=service.dataset_version(self._name) + 1,
+            seq=record.version + 1,
             recompute_prestige=recompute_prestige,
         )
 
@@ -262,19 +330,11 @@ class QueryService(ServiceCore):
             self.analytics = WorkloadAnalytics()
         # Default storage tier for snapshot registrations: None defers
         # to each load's own resolution (explicit arg, then the
-        # REPRO_SNAPSHOT_MODE environment hook, then "auto").
+        # REPRO_SNAPSHOT_MODE environment hook, then "mapped").
         self._storage_mode = storage_mode
         self._max_workers = max_workers
-        self._engines: dict[str, KeywordSearchEngine] = {}
-        self._factories: dict[str, Callable[[], KeywordSearchEngine]] = {}
-        self._mutable: dict[str, "MutableDataset"] = {}
-        self._detached_wals: list["MutationLog"] = []
-        self._versions: dict[str, int] = {}
-        self._snapshot_sources: dict[str, str] = {}
-        self._snapshot_digests: dict[str, Optional[str]] = {}
-        self._build_seconds: dict[str, float] = {}
+        self._datasets: dict[str, _Dataset] = {}
         self._registry_lock = threading.Lock()
-        self._build_locks: dict[str, threading.Lock] = {}
         self._executor: Optional[ThreadPoolExecutor] = None
         self._executor_lock = threading.Lock()
         # Cancellation-storm detector: a burst of cancellations usually
@@ -404,22 +464,17 @@ class QueryService(ServiceCore):
             cache_evictions.set_total(stats["evictions"])
             cache_expirations.set_total(stats["expirations"])
             with self._registry_lock:
-                built = self._engines.keys() | self._mutable.keys()
-                versions = {
-                    name: self._effective_version_locked(name)
-                    for name in built | self._factories.keys()
-                }
-                build_seconds = dict(self._build_seconds)
-                logs = dict(self._wals)
-                engines = dict(self._engines)
-            datasets_built.set(len(built))
-            for name, version in versions.items():
+                rows = [
+                    (name, r.version, r.factory is None, r.build_seconds, r.engine)
+                    for name, r in self._datasets.items()
+                ]
+            datasets_built.set(sum(built for _, _, built, _, _ in rows))
+            self._wal_telemetry.collect(self._logs())
+            for name, version, built, seconds, engine in rows:
                 dataset_version.set(version, dataset=name)
-                dataset_built.set(int(name in built), dataset=name)
-            for name, seconds in build_seconds.items():
-                dataset_build_seconds.set(seconds, dataset=name)
-            self._wal_telemetry.collect(logs)
-            for name, engine in engines.items():
+                dataset_built.set(int(built), dataset=name)
+                if seconds is not None:
+                    dataset_build_seconds.set(seconds, dataset=name)
                 # Tolerate engine doubles without a graph (tests).
                 storage = getattr(getattr(engine, "graph", None), "storage", None)
                 if storage is None:
@@ -448,13 +503,7 @@ class QueryService(ServiceCore):
         purges its cached results — the old engine's answers must not
         outlive it.
         """
-        with self._registry_lock:
-            replacing = self._replace_registration_locked(name)
-            self._engines[name] = engine
-            self._build_seconds.setdefault(name, 0.0)
-        self._close_detached_wals()
-        if replacing:
-            self._shred_cache(name)
+        self._install(name, _Dataset(engine=engine, build_seconds=0.0))
 
     def register_factory(
         self, name: str, factory: Callable[[], KeywordSearchEngine]
@@ -464,13 +513,7 @@ class QueryService(ServiceCore):
         Like :meth:`register_engine`, replacing an existing name bumps
         the dataset's version and purges its cached results.
         """
-        with self._registry_lock:
-            replacing = self._replace_registration_locked(name)
-            self._factories[name] = factory
-            self._build_locks.setdefault(name, threading.Lock())
-        self._close_detached_wals()
-        if replacing:
-            self._shred_cache(name)
+        self._install(name, _Dataset(factory=factory))
 
     def register_mutable(
         self,
@@ -491,21 +534,34 @@ class QueryService(ServiceCore):
         every commit, the ``"batched"`` default flushes each commit and
         fsyncs periodically, ``"off"`` leaves flushing to rotation).
         """
-        with self._registry_lock:
-            replacing = self._replace_registration_locked(name)
-            self._mutable[name] = dataset
-            self._build_seconds.setdefault(name, 0.0)
-        self._close_detached_wals()
-        if replacing:
-            self._shred_cache(name)
+        self._install(name, _Dataset(live=dataset, build_seconds=0.0))
         if wal_path is not None:
             self.attach_wal(name, wal_path, sync=wal_sync)
 
-    def _shred_cache(self, name: str) -> None:
-        """Purge ``name``'s cached results after a re-registration and
-        record the shred as an operational event (a replaced engine's
-        answers must not outlive it — and an operator should see that
-        the fleet just lost its warm cache for the dataset)."""
+    def _install(self, name: str, record: _Dataset) -> None:
+        """Make ``record`` the registration of ``name`` — the one step
+        every ``register_*`` and :meth:`reload_snapshot` ends in.
+
+        One lock acquisition decides everything a replacement means:
+        the new base starts past the prior effective version, and the
+        old record — engine, provenance and log with it — stops being
+        served.  Outside the lock (closing fsyncs) the replaced log is
+        closed, so a stale dataset still holding it through its journal
+        fails its next commit loudly instead of appending to a lineage
+        no longer served, and the dataset's cached results are purged
+        and the shred recorded as an operational event (a replaced
+        engine's answers must not outlive it — and an operator should
+        see that the fleet just lost its warm cache for the dataset).
+        """
+        with self._registry_lock:
+            old = self._datasets.get(name)
+            if old is not None:
+                record.base = max(record.base, old.version + 1)
+            self._datasets[name] = record
+        if old is None:
+            return
+        if old.log is not None:
+            old.log.close()
         purged = self.cache.purge(lambda key: key[0] == name)
         self.event_log.emit(
             "cache_shred",
@@ -516,70 +572,6 @@ class QueryService(ServiceCore):
             source="service",
             purged=purged,
         )
-
-    def _replace_registration_locked(self, name: str) -> bool:
-        """Shared replacement sequence (registry lock held): bump the
-        version past the prior effective one, clear every registry
-        slot, forget snapshot provenance, and detach any attached WAL.
-
-        Provenance must go on every path that is not itself a snapshot
-        registration — otherwise a later :meth:`reload_snapshot`
-        against the old file would see a matching digest and
-        incorrectly no-op while the service serves something else
-        (:meth:`register_snapshot` re-records the source right after
-        its inner :meth:`register_factory` cleared it).  The WAL must
-        go too: its sequence lineage belongs to the replaced content,
-        and leaving it attached would wedge every later commit on an
-        out-of-order append (re-attach explicitly — or via
-        :meth:`reload_snapshot`, which starts a fresh log itself).
-        Returns whether an existing registration was replaced — the
-        caller's cue to purge the dataset's cached results (and close
-        the detached log, stashed in ``_detached_wals``) outside the
-        lock.
-        """
-        replacing = (
-            name in self._engines
-            or name in self._factories
-            or name in self._mutable
-        )
-        if replacing:
-            self._versions[name] = self._effective_version_locked(name) + 1
-        self._engines.pop(name, None)
-        self._factories.pop(name, None)
-        self._mutable.pop(name, None)
-        self._snapshot_sources.pop(name, None)
-        self._snapshot_digests.pop(name, None)
-        stale_wal = self._wals.pop(name, None)
-        if stale_wal is not None:
-            self._detached_wals.append(stale_wal)
-        return replacing
-
-    def _close_detached_wals(self) -> None:
-        """Close logs detached by a re-registration, outside the
-        registry lock (closing fsyncs).  A stale dataset still holding
-        one through its journal then fails its next commit loudly
-        instead of appending to a lineage no longer served."""
-        while True:
-            with self._registry_lock:
-                if not self._detached_wals:
-                    return
-                log = self._detached_wals.pop()
-            log.close()
-
-    def _effective_version_locked(self, name: str) -> int:
-        """The dataset version cache keys embed (registry lock held).
-
-        ``_versions[name]`` is a *base* generation counter: every
-        replacement (re-register, reload) jumps it past the prior
-        effective version, and a mutable dataset adds its own monotone
-        epoch on top.  The sum therefore strictly increases across
-        every event that can change answers — commits and
-        replacements — which is the invariant that makes version-keyed
-        cache entries impossible to serve stale.
-        """
-        base = self._versions.get(name, 0)
-        dataset = self._mutable.get(name)
-        return base + dataset.version if dataset is not None else base
 
     def register_database(
         self,
@@ -609,52 +601,34 @@ class QueryService(ServiceCore):
         """Register a disk snapshot; loading replaces ``from_database``.
 
         ``storage_mode`` picks the tier the lazy build loads into
-        (``ram`` / ``mapped`` / ``auto``); omitted, it falls back to the
+        (``ram`` / ``mapped``); omitted, it falls back to the
         service-wide default from the constructor, then the usual
         per-load resolution.  ``pin_policy`` is forwarded to the
         load (see :class:`repro.storage.PinPolicy`).
         """
+        record = self._snapshot_record(path, params, storage_mode, pin_policy)
+        self._install(name, record)
+
+    def _snapshot_record(self, path, params, storage_mode, pin_policy) -> _Dataset:
         from repro.service.snapshot import load_engine
 
         if storage_mode is None:
             storage_mode = self._storage_mode
         # The factory is stored on this service until first use, so it
-        # captures the three members it needs, not ``self`` — a pending
+        # captures what the load needs, not ``self`` — a pending
         # (never-built) registration must not make the service cyclic.
-        lock = self._registry_lock
-        sources, digests = self._snapshot_sources, self._snapshot_digests
-
-        def factory():
-            # Record the digest of the file actually loaded (the file
-            # may be rewritten later — reload_snapshot compares against
-            # what this service *serves*, not what is on disk now).  A
-            # concurrent swap between the two reads at worst records a
-            # stale digest, which degrades to an unnecessary reload.
-            try:
-                digest = snapshot_info(path).get("content_digest")
-            except SnapshotError:
-                digest = None
-            engine = load_engine(
+        return _Dataset(
+            factory=lambda: load_engine(
                 path,
                 params=params,
                 storage_mode=storage_mode,
                 pin_policy=pin_policy,
-            )
-            with lock:
-                # Stamp only while this path is still the registered
-                # source — a build that lost a re-registration race
-                # must not resurrect stale provenance.
-                if sources.get(name) == str(path):
-                    digests[name] = digest
-            return engine
-
-        self.register_factory(name, factory)
-        with self._registry_lock:
+            ),
             # Remembered (no I/O here — the file may not exist yet) so
             # reload_snapshot can later compare content digests and
             # no-op when this worker already holds the epoch.
-            self._snapshot_sources[name] = str(path)
-            self._snapshot_digests.pop(name, None)
+            source=str(path),
+        )
 
     def reload_snapshot(
         self,
@@ -688,48 +662,39 @@ class QueryService(ServiceCore):
                     "version": self.dataset_version(name),
                     "digest": digest,
                 }
+        record = self._snapshot_record(path, params, storage_mode, pin_policy)
+        record.digest = digest
+        # Convergence rule: every replica adopting this file lands
+        # on ``snapshot_version + 1`` — strictly above any replica
+        # the file could have been saved from (the saver stamps its
+        # own effective version), so cache keys stay monotone AND
+        # replicas with different histories stop reporting drift
+        # for identical content.  Reloading a snapshot *older* than
+        # this service's own state keeps the local ``prior + 1``
+        # (the max), which is the genuinely-ambiguous rollback case
+        # — drift stays visible until a fresh snapshot propagates.
+        record.base = int(info.get("dataset_version") or 0) + 1
         with self._registry_lock:
-            prior_log = self._wals.get(name)
-        prior_wal = (
-            (prior_log.path, prior_log.sync_policy)
-            if prior_log is not None
-            else None
-        )
-        # Registration detaches and closes the old log: its records
-        # applied on top of the *old* base, so against the reloaded
-        # file they are unreplayable history, and a stale dataset's
-        # in-flight commit must fail loudly against a closed log —
-        # never land an old-lineage batch in the new one.
-        self.register_snapshot(
-            name,
-            path,
-            params=params,
-            storage_mode=storage_mode,
-            pin_policy=pin_policy,
-        )
-        self._close_detached_wals()
-        with self._registry_lock:
-            self._snapshot_digests[name] = digest
-            # Convergence rule: every replica adopting this file lands
-            # on ``snapshot_version + 1`` — strictly above any replica
-            # the file could have been saved from (the saver stamps its
-            # own effective version), so cache keys stay monotone AND
-            # replicas with different histories stop reporting drift
-            # for identical content.  Reloading a snapshot *older* than
-            # this service's own state keeps the local ``prior + 1``
-            # (the max), which is the genuinely-ambiguous rollback case
-            # — drift stays visible until a fresh snapshot propagates.
-            self._versions[name] = max(
-                self._versions.get(name, 0),
-                int(info.get("dataset_version") or 0) + 1,
+            old = self._datasets.get(name)
+            old_log = old.log if old is not None else None
+        if old_log is not None:
+            # The old log's records applied on top of the *old* base,
+            # so against the reloaded file they are unreplayable
+            # history.  Closing it first pins the old version — a
+            # commit racing this reload fails loudly against the closed
+            # log, never lands an old-lineage batch in the new one or
+            # an unjournaled one in a window without a log — so the
+            # fresh log can open where the new record will start and
+            # be installed with it.  (Another registration slipping in
+            # between leaves the log behind the installed base, and its
+            # sequence check refuses every commit: loud, not lost.)
+            old_log.close()
+            record.base = max(record.base, old.version + 1)
+            record.log = MutationLog.fresh(
+                old_log.path, sync=old_log.sync_policy, start_seq=record.base
             )
-            version = self._versions.get(name, 0)
-        if prior_wal is not None:
-            fresh = MutationLog.fresh(
-                prior_wal[0], sync=prior_wal[1], start_seq=version
-            )
-            with self._registry_lock:
-                self._wals[name] = fresh
+        self._install(name, record)
+        version = record.base
         self.event_log.emit(
             "snapshot_reload",
             f"reloaded {name!r} from snapshot (version {version})",
@@ -751,29 +716,24 @@ class QueryService(ServiceCore):
         None when unknown (never registered from a file, mutated since,
         or the file predates digests)."""
         with self._registry_lock:
-            dataset = self._mutable.get(name)
-            if dataset is not None and dataset.version > 0:
+            record = self._datasets.get(name)
+            if record is None:
+                return None
+            if record.live is not None and record.live.version > 0:
                 # A commit landed: the served state diverged from any
                 # file.  (A version-0 mutable — upgraded but never
                 # successfully mutated — still equals its snapshot.)
                 return None
-            digest = self._snapshot_digests.get(name)
-            if digest is not None:
-                return digest
-            if name in self._engines or dataset is not None:
+            if record.digest is not None:
+                return record.digest
+            if record.factory is None:
                 # Built, but not from a digest-recorded snapshot load:
                 # we cannot prove equality, so never no-op.
                 return None
-            source = self._snapshot_sources.get(name)
-        if source is None:
-            return None
         # Still lazy: the registered factory will read this same file
         # when it first builds, so the file's current digest *is* what
         # this service would serve.
-        try:
-            return snapshot_info(source).get("content_digest")
-        except SnapshotError:
-            return None
+        return _file_digest(record.source)
 
     def attach_wal(
         self,
@@ -781,7 +741,6 @@ class QueryService(ServiceCore):
         path=None,
         *,
         sync: str = "batched",
-        replay: bool = True,
         writable: bool = True,
         strict: bool = True,
         **log_knobs,
@@ -814,14 +773,10 @@ class QueryService(ServiceCore):
         "version"}``.
         """
         with self._registry_lock:
-            registered = (
-                name in self._engines
-                or name in self._factories
-                or name in self._mutable
-            )
-            if not registered:
-                raise UnknownDatasetError(name)
-            source = self._snapshot_sources.get(name)
+            record = self._datasets.get(name)
+        if record is None:
+            raise UnknownDatasetError(name)
+        source = record.source
         if path is None:
             if source is None:
                 raise ValueError(
@@ -838,9 +793,8 @@ class QueryService(ServiceCore):
             except SnapshotError:
                 snap_version = 0
         with self._registry_lock:
-            dataset = self._mutable.get(name)
-            live_version = dataset.version if dataset is not None else 0
-            if live_version == 0 and self._versions.get(name, 0) < snap_version:
+            live_version = record.live.version if record.live is not None else 0
+            if live_version == 0 and record.base < snap_version:
                 # Adopt the snapshot's version baseline: WAL sequence
                 # numbers continue the snapshot's history instead of
                 # restarting at zero on every process start.  Only for
@@ -848,8 +802,8 @@ class QueryService(ServiceCore):
                 # (necessarily unjournaled) epochs into the baseline
                 # would let old log records replay on top of a
                 # diverged state instead of failing loudly below.
-                self._versions[name] = snap_version
-        effective = self.dataset_version(name)
+                record.base = snap_version
+            effective = record.version
         if writable:
             log = MutationLog(path, sync=sync, start_seq=effective, **log_knobs)
         else:
@@ -866,7 +820,7 @@ class QueryService(ServiceCore):
                 }
         try:
             replayed = 0
-            if replay and log.last_seq > effective:
+            if log.last_seq > effective:
                 dataset = self._mutable_dataset(name)
                 replayed = dataset.replay_records(
                     log.records(start_after=effective),
@@ -891,18 +845,23 @@ class QueryService(ServiceCore):
                     f"commits happened without a journal.  save_snapshot() "
                     f"and attach a fresh log instead"
                 )
+            if writable:
+                with self._registry_lock:
+                    if self._datasets.get(name) is not record:
+                        raise WalError(
+                            f"dataset {name!r} was re-registered while its "
+                            f"log was being attached"
+                        )
+                    stale, record.log = record.log, log
+                    live = record.live
         except BaseException:
             log.close()
             raise
         if writable:
-            with self._registry_lock:
-                stale = self._wals.get(name)
-                self._wals[name] = log
-                dataset = self._mutable.get(name)
             if stale is not None and stale is not log:
                 stale.close()
-            if dataset is not None:
-                dataset.attach_journal(_DatasetJournal(log, self, name))
+            if live is not None:
+                live.attach_journal(_DatasetJournal(record))
         else:
             log.close()
         self._wal_telemetry.note_recovery(name, log, replayed)
@@ -930,7 +889,8 @@ class QueryService(ServiceCore):
         from repro.service.snapshot import save_engine, save_snapshot
 
         with self._registry_lock:
-            live = self._mutable.get(name)
+            record = self._datasets.get(name)
+            live = record.live if record is not None else None
         if live is not None:
             epoch = live.compact()
             # The version must come from the epoch actually being
@@ -938,7 +898,7 @@ class QueryService(ServiceCore):
             # racing this save would otherwise stamp (and truncate the
             # WAL past) a version the file does not contain.
             with self._registry_lock:
-                version = self._versions.get(name, 0) + epoch.version
+                version = record.base + epoch.version
             written = save_snapshot(
                 path, epoch.graph, epoch.index, version=version
             )
@@ -947,8 +907,8 @@ class QueryService(ServiceCore):
             version = self.dataset_version(name)
             written = save_engine(path, engine, version=version)
         with self._registry_lock:
-            log = self._wals.get(name)
-            source = self._snapshot_sources.get(name)
+            record = self._datasets[name]
+            log, source = record.log, record.source
         if (
             log is not None
             and source is not None
@@ -960,11 +920,7 @@ class QueryService(ServiceCore):
     def datasets(self) -> list[str]:
         """Registered dataset names (built or lazy), sorted."""
         with self._registry_lock:
-            return sorted(
-                self._engines.keys()
-                | self._factories.keys()
-                | self._mutable.keys()
-            )
+            return sorted(self._datasets)
 
     def dataset_version(self, name: str) -> int:
         """The dataset's current effective version (0 until it changes).
@@ -972,11 +928,11 @@ class QueryService(ServiceCore):
         This is what result-cache keys embed: every mutation commit and
         every engine replacement advances it, so stale cached answers
         become unreachable the instant the new state is visible (see
-        :meth:`_effective_version_locked` for the monotonicity
-        argument).
+        :attr:`_Dataset.version` for the monotonicity argument).
         """
         with self._registry_lock:
-            return self._effective_version_locked(name)
+            record = self._datasets.get(name)
+            return record.version if record is not None else 0
 
     def dataset_versions(self) -> dict[str, int]:
         """``{dataset: version}`` for every registered dataset."""
@@ -989,7 +945,7 @@ class QueryService(ServiceCore):
         requests that already hold an older epoch's engine keep
         searching it unperturbed (MVCC by immutability).
 
-        Factory identity guards the slow build: if the dataset is
+        Record identity guards the slow build: if the dataset is
         re-registered (or reloaded) while a lazy build is in flight,
         the stale build's result is discarded and resolution restarts —
         storing it would silently shadow the replacement under the
@@ -997,32 +953,36 @@ class QueryService(ServiceCore):
         """
         while True:
             with self._registry_lock:
-                dataset = self._mutable.get(name)
-                if dataset is not None:
-                    return dataset.engine
-                engine = self._engines.get(name)
+                record = self._datasets.get(name)
+                if record is None:
+                    raise UnknownDatasetError(name)
+                engine = record.serving
                 if engine is not None:
                     return engine
-                factory = self._factories.get(name)
-                if factory is None:
-                    raise UnknownDatasetError(name)
-                build_lock = self._build_locks.setdefault(name, threading.Lock())
-            with build_lock:
+            with record.build_lock:
                 # Double-checked: a concurrent builder may have
-                # finished (factory popped), or a re-registration may
-                # have swapped the factory — both restart resolution.
+                # finished (factory cleared), or a re-registration may
+                # have replaced the record — both restart resolution.
                 with self._registry_lock:
-                    if self._factories.get(name) is not factory:
+                    factory = record.factory
+                    if factory is None or self._datasets.get(name) is not record:
                         continue
                 start = time.perf_counter()
+                # The digest of the file actually loaded (the file may
+                # be rewritten later — reload_snapshot compares against
+                # what this service *serves*, not what is on disk now,
+                # nor what was there when the reload registered it).  A
+                # concurrent swap between the two reads at worst records
+                # a stale digest, which degrades to an unnecessary
+                # reload.
+                digest = _file_digest(record.source)
                 engine = factory()
                 elapsed = time.perf_counter() - start
                 with self._registry_lock:
-                    if self._factories.get(name) is not factory:
+                    if self._datasets.get(name) is not record:
                         continue  # replaced mid-build: discard stale engine
-                    self._engines[name] = engine
-                    self._factories.pop(name, None)
-                    self._build_seconds[name] = elapsed
+                    record.engine, record.factory = engine, None
+                    record.build_seconds, record.digest = elapsed, digest
                 return engine
 
     def warmup(self, names: Optional[Sequence[str]] = None) -> dict[str, float]:
@@ -1037,7 +997,7 @@ class QueryService(ServiceCore):
         for name in targets:
             self.engine(name)
             with self._registry_lock:
-                timings[name] = self._build_seconds.get(name, 0.0)
+                timings[name] = self._datasets[name].build_seconds or 0.0
         return timings
 
     # ------------------------------------------------------------------
@@ -1062,8 +1022,7 @@ class QueryService(ServiceCore):
         """
         live = self._mutable_dataset(dataset)
         outcome = live.mutate(mutations)
-        with self._registry_lock:
-            version = self._effective_version_locked(dataset)
+        version = self.dataset_version(dataset)
         purged = self.cache.purge(
             lambda key: key[0] == dataset and key[-1] != version
         )
@@ -1098,30 +1057,23 @@ class QueryService(ServiceCore):
         from repro.live.dataset import MutableDataset
 
         while True:
+            self.engine(name)  # may build lazily; raises UnknownDataset
             with self._registry_lock:
-                dataset = self._mutable.get(name)
-                if dataset is not None:
-                    return dataset
-            engine = self.engine(name)  # may build lazily; raises UnknownDataset
-            with self._registry_lock:
-                dataset = self._mutable.get(name)
-                if dataset is not None:
-                    return dataset
-                if self._engines.get(name) is not engine:
-                    # Re-registered between the build and this lock:
-                    # wrapping the stale engine would silently discard
-                    # the replacement.  Resolve again.
+                record = self._datasets[name]
+                if record.live is not None:
+                    return record.live
+                if record.engine is None:
+                    # Re-registered (lazily) between the build and this
+                    # lock: wrapping the engine just resolved would
+                    # silently discard the replacement.  Resolve again.
                     continue
-                dataset = MutableDataset.from_engine(engine)
-                log = self._wals.get(name)
-                if log is not None:
+                dataset = MutableDataset.from_engine(record.engine)
+                if record.log is not None:
                     # A WAL attached while the dataset was still frozen
                     # starts journaling at the first commit that can
                     # exist — this upgrade.
-                    dataset.attach_journal(_DatasetJournal(log, self, name))
-                self._mutable[name] = dataset
-                self._engines.pop(name, None)
-                self._factories.pop(name, None)
+                    dataset.attach_journal(_DatasetJournal(record))
+                record.live, record.engine = dataset, None
                 # Snapshot provenance survives the upgrade: at version
                 # 0 the served content still equals the file, so a
                 # reload no-op stays possible — important because a
@@ -1212,11 +1164,17 @@ class QueryService(ServiceCore):
             if self._executor is not None:
                 self._executor.shutdown(wait=wait)
                 self._executor = None
-        with self._registry_lock:
-            logs = list(self._wals.values()) + self._detached_wals
-            self._detached_wals = []
-        for log in logs:
+        for log in self._logs().values():
             log.close()
+
+    def _logs(self) -> dict[str, MutationLog]:
+        """Attached logs by dataset (a copy: see :meth:`wal_seqs`)."""
+        with self._registry_lock:
+            return {
+                name: record.log
+                for name, record in self._datasets.items()
+                if record.log is not None
+            }
 
     # ------------------------------------------------------------------
     # internals
@@ -1248,11 +1206,8 @@ class QueryService(ServiceCore):
             # (or serialize on) a lazy build — that happens on the
             # worker thread in _execute.
             with self._registry_lock:
-                engine = self._engines.get(request.dataset)
-                if engine is None:
-                    live = self._mutable.get(request.dataset)
-                    if live is not None:
-                        engine = live.engine
+                record = self._datasets.get(request.dataset)
+                engine = record.serving if record is not None else None
             interval = (
                 engine.params.cancel_check_interval
                 if engine is not None
@@ -1464,7 +1419,7 @@ class QueryService(ServiceCore):
 
         if root is not None:
             root.set_attribute("dataset_version", version)
-            wal = self._wals.get(request.dataset)
+            wal = self._datasets[request.dataset].log
             if wal is not None:
                 root.set_attribute("wal_seq", wal.last_seq)
 

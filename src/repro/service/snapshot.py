@@ -33,24 +33,24 @@ array's raw C-contiguous bytes at a 4096-aligned offset:
 :class:`~repro.storage.MappedSearchGraph` /
 :class:`~repro.storage.MappedInvertedIndex` pair and the same pin
 policy, so every load is O(header + pin set) of Python objects and the
-modes differ only in where the bytes live: ``mapped`` (also ``auto``)
+modes differ only in where the bytes live: ``mapped`` (the default)
 leaves them in the file behind ``np.memmap`` — paged in on demand,
 shared physically across worker processes; ``ram`` reads them once into
 process memory, verifying every array's checksum and every node id on
 the way, and never touches the file again.  ``docs/STORAGE.md``
 documents the layout and the trade-offs.
 
-Version-1 files (the retired zip container) are read by exactly one
-piece of code, ``python -m repro.service.snapshot upgrade OLD NEW``;
-:func:`load_snapshot` refuses them with an error naming that command.
+Version-1 files (the retired zip container) are not read at all: a
+loader that meets one raises an error naming the last commit whose
+``snapshot upgrade`` converts it.
 
-No pickle anywhere — the header is plain JSON and the one
-``numpy.load`` (the upgrade reader) runs with ``allow_pickle=False`` —
-so loading a snapshot executes no code from the file.  Incompatible or
-corrupt files raise :class:`~repro.errors.SnapshotError`.  Snapshots
-capture frozen state: they are written once and never invalidated
-(rebuild and re-save to pick up new data), mirroring the engine's own
-"index is frozen" contract.
+No pickle anywhere — the header is plain JSON and the arrays are raw
+bytes — so loading a snapshot executes no code from the file.
+Incompatible or corrupt files raise
+:class:`~repro.errors.SnapshotError`.  Snapshots capture frozen state:
+they are written once and never invalidated (rebuild and re-save to
+pick up new data), mirroring the engine's own "index is frozen"
+contract.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ import hashlib
 import json
 import os
 import struct
-import zipfile
 import zlib
 from pathlib import Path
 from typing import Optional, Union
@@ -88,7 +87,6 @@ __all__ = [
     "save_engine",
     "load_engine",
     "snapshot_info",
-    "upgrade_snapshot",
     "verify_snapshot",
 ]
 
@@ -165,8 +163,7 @@ def _content_digest(meta: dict, arrays: dict) -> str:
     Computed from the packed arrays and text metadata, **not** the file
     bytes, so snapshots of the same dataset state digest identically
     across machines, runs and format versions — what lets a worker
-    reload no-op when it already holds the epoch, and what lets
-    ``upgrade`` prove the new file holds what the old one did.  The
+    reload no-op when it already holds the epoch.  The
     ``dataset_version`` field is deliberately excluded: version is
     provenance, digest is content.
     """
@@ -466,9 +463,9 @@ def load_snapshot(
 
     ``storage_mode`` picks where the file's bytes live (``None`` falls
     back to the ``REPRO_SNAPSHOT_MODE`` environment variable, then
-    ``"auto"``):
+    ``"mapped"``):
 
-    * ``"mapped"`` / ``"auto"`` — behind ``np.memmap``, paged in on
+    * ``"mapped"`` — behind ``np.memmap``, paged in on
       demand; header and bounds are checked, data pages are not read;
     * ``"ram"`` — read once into process memory, every array's checksum
       and every node id verified; the file is never touched again.
@@ -488,7 +485,7 @@ def load_snapshot(
     )
 
     path = Path(path)
-    mode = "ram" if resolve_storage_mode(storage_mode) == "ram" else "mapped"
+    mode = resolve_storage_mode(storage_mode)
     header, arrays = _read_arrays(path, eager=mode == "ram")
     num_nodes = int(header["num_nodes"])
     blob = _TextBlob(arrays["text_json"], header, path, _decode_refs)
@@ -544,53 +541,6 @@ def verify_snapshot(path: Union[str, os.PathLike]) -> dict:
     if _content_digest({**header, **text}, arrays) != header.get("content_digest"):
         raise SnapshotError(f"{path} content does not match its content_digest")
     return snapshot_info(path)
-
-
-# ----------------------------------------------------------------------
-# version-1 files: read by ``upgrade`` (and ``info``), nothing else
-# ----------------------------------------------------------------------
-def _read_v1_archive(path: Path, *, only_meta: bool = False) -> tuple[dict, dict]:
-    """``(meta, arrays)`` of a retired zip-container snapshot."""
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            names = ["meta"] if only_meta else archive.files
-            arrays = {name: archive[name] for name in names}
-        meta = json.loads(arrays.pop("meta").tobytes().decode("utf-8"))
-    except FileNotFoundError:
-        raise SnapshotError(f"snapshot file {path} does not exist") from None
-    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
-        # BadZipFile/EOFError: a truncated or corrupt container;
-        # ValueError covers UnicodeDecodeError and JSONDecodeError.
-        raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
-    if not isinstance(meta, dict) or meta.get("format") != SNAPSHOT_FORMAT:
-        raise SnapshotError(f"{path} is not a {SNAPSHOT_FORMAT} file")
-    if meta.get("version") != 1:
-        raise SnapshotError(
-            f"{path} is snapshot version {meta.get('version')!r}, not a "
-            f"version-1 archive"
-        )
-    return meta, arrays
-
-
-def upgrade_snapshot(
-    old: Union[str, os.PathLike], new: Union[str, os.PathLike]
-) -> Path:
-    """Convert the version-1 archive ``old`` into a current snapshot at
-    ``new`` — same arrays, same text, same ``content_digest``."""
-    old = Path(old)
-    meta, arrays = _read_v1_archive(old)
-    missing = [
-        name for name in _ARRAY_NAMES + _TEXT_FIELDS
-        if name not in arrays and name not in meta
-    ]
-    if missing:
-        raise SnapshotError(f"{old} is missing {', '.join(missing)}")
-    digest = _content_digest(meta, arrays)
-    if meta.setdefault("content_digest", digest) != digest:
-        raise SnapshotError(f"{old} content does not match its content_digest")
-    written = _write_snapshot(Path(new), meta, arrays)
-    verify_snapshot(written)
-    return written
 
 
 # ----------------------------------------------------------------------
@@ -667,8 +617,8 @@ def _make_dataset(name: str, scale: float):
 
 
 def main(argv=None) -> int:
-    """``python -m repro.service.snapshot`` — inspect, create, check and
-    convert snapshots.
+    """``python -m repro.service.snapshot`` — inspect, create and check
+    snapshots.
 
     ``info <path>`` prints the versioned header fields from
     :func:`snapshot_info` — including the save-time pin-hint summary —
@@ -681,14 +631,13 @@ def main(argv=None) -> int:
     engine snapshot, so a shard fleet can be provisioned entirely from
     the shell.  ``verify <path>`` reads the whole file and checks every
     array's checksum, the structural invariants and the content digest
-    (:func:`verify_snapshot`).  ``upgrade <old> <new>`` converts a
-    version-1 archive (:func:`upgrade_snapshot`).
+    (:func:`verify_snapshot`).
     """
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.service.snapshot",
-        description="Inspect, create, verify and upgrade engine snapshot files.",
+        description="Inspect, create and verify engine snapshot files.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -713,12 +662,6 @@ def main(argv=None) -> int:
         "verify", help="read every byte and check checksums, structure and digest"
     )
     verify_cmd.add_argument("path", help="snapshot file to check")
-
-    upgrade_cmd = commands.add_parser(
-        "upgrade", help="convert a version-1 (zip container) snapshot"
-    )
-    upgrade_cmd.add_argument("old", help="version-1 snapshot to read")
-    upgrade_cmd.add_argument("new", help="snapshot file to write")
     args = parser.parse_args(argv)
 
     if args.command == "save":
@@ -739,11 +682,6 @@ def main(argv=None) -> int:
             info = verify_snapshot(args.path)
             print(f"ok: {args.path} ({info['file_bytes']} bytes, "
                   f"content_digest {info['content_digest']})")
-            return 0
-        if args.command == "upgrade":
-            written = upgrade_snapshot(args.old, args.new)
-            print(f"wrote {written} ({written.stat().st_size} bytes, "
-                  f"content_digest {snapshot_info(written)['content_digest']})")
             return 0
         info = snapshot_info(args.path)
     except SnapshotError as exc:

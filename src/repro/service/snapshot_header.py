@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-import zipfile
 from pathlib import Path
 from typing import Union
 
@@ -42,11 +41,12 @@ def _read_header(path: Path) -> tuple[dict, int]:
         with open(path, "rb") as fh:
             magic = fh.read(len(MAPPED_MAGIC))
             if magic != MAPPED_MAGIC:
-                if zipfile.is_zipfile(path):
+                if magic.startswith(b"PK\x03\x04"):
                     raise SnapshotError(
                         f"{path} is a version-1 (zip container) snapshot, which "
-                        f"this build no longer loads; convert it once with "
-                        f"`python -m repro.service.snapshot upgrade OLD NEW`"
+                        f"this build no longer reads; `python -m "
+                        f"repro.service.snapshot upgrade OLD NEW` at commit "
+                        f"25ef7c5 is the last that converts it"
                     )
                 raise SnapshotError(
                     f"cannot read snapshot {path}: not a {SNAPSHOT_FORMAT} file"
@@ -82,24 +82,10 @@ def _read_header(path: Path) -> tuple[dict, int]:
 def snapshot_info(path: Union[str, os.PathLike]) -> dict:
     """Cheap header inspection: versions, digest and size counters.
 
-    Parses only the JSON header, never a data array.  Also answers for
-    a version-1 file (through the upgrade reader's meta block, the one
-    case that loads numpy) so an operator can see what an old file
-    holds before converting it; ``content_digest``/``dataset_version``
-    are None for v1 files written before those fields existed, and the
-    pin-hint counts are 0.
+    Parses only the JSON header, never a data array.
     """
     path = Path(path)
-    try:
-        meta, _ = _read_header(path)
-    except SnapshotError:
-        if not zipfile.is_zipfile(path):
-            raise
-        from repro.service.snapshot import _read_v1_archive
-
-        meta, _ = _read_v1_archive(path, only_meta=True)
-        meta["index_terms"] = len(meta["post_terms"])
-        meta["relation_terms"] = len(meta["rel_terms"])
+    meta, _ = _read_header(path)
     hints = meta.get("pin_hints") or {}
     return {
         "format": meta["format"],

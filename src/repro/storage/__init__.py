@@ -15,9 +15,9 @@ same way under every ``storage_mode``: lazily.  This package holds the
   (high-prestige and high-degree nodes, hot posting lists);
 * :class:`StorageStats` — per-dataset fault/pin/residency counters the
   telemetry registry exports;
-* :func:`resolve_storage_mode` — the ``ram`` / ``mapped`` / ``auto``
-  knob resolution shared by every load path (explicit argument beats
-  the ``REPRO_SNAPSHOT_MODE`` environment hook beats ``auto``).
+* :func:`resolve_storage_mode` — the ``ram`` / ``mapped`` knob
+  resolution shared by every load path (explicit argument beats the
+  ``REPRO_SNAPSHOT_MODE`` environment hook beats ``mapped``).
 """
 
 from repro.storage.stats import (

@@ -25,18 +25,17 @@ __all__ = [
 #: eager tier without touching a single call site.
 STORAGE_MODE_ENV = "REPRO_SNAPSHOT_MODE"
 
-STORAGE_MODES = ("ram", "mapped", "auto")
+STORAGE_MODES = ("ram", "mapped")
 
 
 def resolve_storage_mode(value: Optional[str] = None) -> str:
     """Resolve the effective storage mode for a snapshot load.
 
     Precedence: explicit ``value`` argument, then the
-    ``REPRO_SNAPSHOT_MODE`` environment variable, then ``"auto"``
-    (which the loader serves mapped).
+    ``REPRO_SNAPSHOT_MODE`` environment variable, then ``"mapped"``.
     """
     if value is None:
-        value = os.environ.get(STORAGE_MODE_ENV) or "auto"
+        value = os.environ.get(STORAGE_MODE_ENV) or "mapped"
     mode = str(value).strip().lower()
     if mode not in STORAGE_MODES:
         raise ValueError(

@@ -162,7 +162,7 @@ def test_service_life_cycle_leaves_no_cyclic_garbage(snapshots, tmp_path, mode, 
                 assert service.search("d", query, timeout=30.0).ok  # executor path
             assert service.apply("d", MUTATION).version == 1
             assert service.search("d", "liveterm").ok
-            service._mutable["d"].compact()
+            service._datasets["d"].live.compact()
             assert service.search("d", QUERIES[0]).ok
             service.save_snapshot("d", tmp_path / f"saved-{mode}.snap")
             assert service.reload_snapshot("d", dblp)["reloaded"]

@@ -310,19 +310,6 @@ class TestSearchMany:
             t.join()
         assert failures == []
 
-    def test_engine_search_many_parity(self, toy_engine):
-        queries = QUERIES * 3
-        sequential = [toy_engine.search(q, k=4) for q in queries]
-        batched = toy_engine.search_many(queries, k=4, max_workers=8)
-        assert len(batched) == len(sequential)
-        for seq, bat in zip(sequential, batched):
-            assert bat.scores() == seq.scores()
-            assert bat.signatures() == seq.signatures()
-
-    def test_engine_search_many_raises_like_search(self, toy_engine):
-        with pytest.raises(KeywordNotFoundError):
-            toy_engine.search_many(["gray", "zzz_nope"])
-
 
 # ----------------------------------------------------------------------
 # deadlines

@@ -278,7 +278,7 @@ class TestReloadSnapshot:
                 return original_load(path)
 
             with svc._registry_lock:  # swap in an observable slow build
-                svc._factories["toy"] = slow_factory
+                svc._datasets["toy"].factory = slow_factory
 
             worker = threading.Thread(target=lambda: svc.search("toy", "gray"))
             worker.start()

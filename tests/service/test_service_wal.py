@@ -69,7 +69,7 @@ class TestAttachAndJournal:
         service, info = wal_service(toy_snapshot)
         try:
             add_word(service, "first")
-            service._wals["toy"].close()  # simulate the disk going away
+            service._datasets["toy"].log.close()  # simulate the disk going away
             with pytest.raises(WalError):
                 add_word(service, "ghostword")
             # the rejected batch is gone: reattach and keep committing
@@ -311,3 +311,37 @@ class TestSnapshotIntegration:
             assert service.wal_seqs()["toy"] == result.version
         finally:
             service.close()
+
+    def test_commit_racing_a_reload_is_journaled_or_refused(
+        self, toy_snapshot, monkeypatch
+    ):
+        """A commit landing at the moment ``reload_snapshot`` opens the
+        new log must be journaled in the new lineage or fail loudly —
+        never be acknowledged in a window where the dataset has no log
+        (and leave every later commit unjournaled behind it)."""
+        service, info = wal_service(toy_snapshot)
+        acked = []
+
+        def commit(word):
+            try:
+                acked.append(add_word(service, word).version)
+            except WalError:
+                pass
+
+        fresh = MutationLog.fresh.__func__
+
+        def fresh_after_a_commit(cls, path, **knobs):
+            commit("racingword")
+            return fresh(cls, path, **knobs)
+
+        monkeypatch.setattr(MutationLog, "fresh", classmethod(fresh_after_a_commit))
+        try:
+            add_word(service, "preload")  # the old lineage: reset by design
+            service.reload_snapshot("toy", toy_snapshot, force=True)
+            commit("laterword")
+            assert acked and not service.search("toy", "preload").ok
+            assert service.wal_seqs()["toy"] == service.dataset_version("toy")
+        finally:
+            service.close()
+        with MutationLog(info["path"], readonly=True) as log:
+            assert [record.seq for record in log.records()] == acked

@@ -1,8 +1,8 @@
 """Snapshot format: round-trip fidelity, versioning, corruption handling,
-integrity (checksums, ``verify``) and the version-1 ``upgrade`` path."""
+integrity (checksums, ``verify``) and the refusal of version-1 files."""
 
 import json
-import shutil
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -21,16 +21,10 @@ from repro.service.snapshot import (
     save_engine,
     save_snapshot,
     snapshot_info,
-    upgrade_snapshot,
     verify_snapshot,
 )
 
 from tests.helpers import rewrite_snapshot
-
-#: A version-1 (zip container) snapshot of dblp at scale 0.03, written
-#: by the last commit that had a v1 writer: 99 nodes, dataset_version 7.
-V1_FIXTURE = Path(__file__).parent.parent / "data" / "dblp-tiny-v1.snap"
-V1_DIGEST = "83b0bc4c6316c9357a3d2b197e48d95ecfaa2d94565ff3aaca66d404f201ce9f"
 
 MODES = ("ram", "mapped")
 
@@ -409,54 +403,13 @@ class TestIntegrity:
 
 
 # ----------------------------------------------------------------------
-# version-1 files: info, refusal, upgrade
+# version-1 files (the retired zip container): refused, by name
 # ----------------------------------------------------------------------
 class TestVersion1:
-    def test_fixture_is_a_v1_archive(self):
-        assert V1_FIXTURE.read_bytes().startswith(b"PK")
-
-    def test_info_still_reads_it(self):
-        info = snapshot_info(V1_FIXTURE)
-        assert info["version"] == 1
-        assert info["dataset_version"] == 7
-        assert info["content_digest"] == V1_DIGEST
-        assert (info["num_nodes"], info["index_terms"]) == (99, 52)
-        assert (info["pin_hint_nodes"], info["pin_hint_terms"]) == (0, 0)
-
     @pytest.mark.parametrize("mode", MODES)
-    def test_load_refuses_and_names_the_command(self, mode):
-        with pytest.raises(SnapshotError, match="snapshot upgrade OLD NEW"):
-            load_snapshot(V1_FIXTURE, storage_mode=mode)
-
-    def test_upgrade_preserves_content(self, tmp_path):
-        new = upgrade_snapshot(V1_FIXTURE, tmp_path / "new.snap")
-        info = snapshot_info(new)
-        assert info["version"] == SNAPSHOT_VERSION
-        assert info["content_digest"] == V1_DIGEST
-        assert info["dataset_version"] == 7
-        assert verify_snapshot(new)["num_nodes"] == 99
-        engine = load_engine(new)
-        result = engine.search("database parallel")
-        # Pinned when the fixture was written, by the engine that wrote it.
-        assert result.scores()[:3] == [
-            0.45385354751696305, 0.42667849695111315, 0.4096295175726818,
-        ]
-
-    def test_upgrade_cli(self, tmp_path, capsys):
-        new = tmp_path / "cli.snap"
-        assert main(["upgrade", str(V1_FIXTURE), str(new)]) == 0
-        assert V1_DIGEST in capsys.readouterr().out
-        assert new.read_bytes().startswith(MAPPED_MAGIC)
-
-    def test_upgrade_rejects_a_current_file(self, toy_snapshot, tmp_path, capsys):
-        with pytest.raises(SnapshotError, match="cannot read"):
-            upgrade_snapshot(toy_snapshot, tmp_path / "again.snap")
-        assert main(["upgrade", str(toy_snapshot), str(tmp_path / "x")]) == 1
-
-    def test_upgrade_rejects_a_damaged_archive(self, tmp_path):
-        clipped = tmp_path / "clipped-v1.snap"
-        shutil.copy(V1_FIXTURE, clipped)
-        raw = clipped.read_bytes()
-        clipped.write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(SnapshotError):
-            upgrade_snapshot(clipped, tmp_path / "new.snap")
+    def test_load_refuses_and_names_the_command(self, mode, tmp_path):
+        old = tmp_path / "v1.snap"
+        with zipfile.ZipFile(old, "w") as archive:
+            archive.writestr("meta.npy", b"{}")
+        with pytest.raises(SnapshotError, match="snapshot upgrade OLD NEW.*25ef7c5"):
+            load_snapshot(old, storage_mode=mode)

@@ -80,12 +80,12 @@ class TestParity:
             assert index.lookup(term) == toy_engine.index.lookup(term)
         assert index.terms_by_frequency() == toy_engine.index.terms_by_frequency()
 
-    def test_auto_mode_serves_mapped(self, snapshot, monkeypatch):
+    def test_default_mode_is_mapped_and_auto_is_gone(self, snapshot, monkeypatch):
         monkeypatch.delenv("REPRO_SNAPSHOT_MODE", raising=False)
         graph, _ = load_snapshot(snapshot)
         assert graph.storage.mode == "mapped"
-        graph, _ = load_snapshot(snapshot, storage_mode="auto")
-        assert graph.storage.mode == "mapped"
+        with pytest.raises(ValueError, match="unknown storage mode"):
+            load_snapshot(snapshot, storage_mode="auto")
 
     def test_environment_hook_steers_default_loads(self, snapshot, monkeypatch):
         monkeypatch.setenv("REPRO_SNAPSHOT_MODE", "ram")

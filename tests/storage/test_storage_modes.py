@@ -15,13 +15,13 @@ class TestResolveStorageMode:
         monkeypatch.setenv(STORAGE_MODE_ENV, "mapped")
         assert resolve_storage_mode(None) == "mapped"
 
-    def test_default_is_auto(self, monkeypatch):
+    def test_default_is_mapped(self, monkeypatch):
         monkeypatch.delenv(STORAGE_MODE_ENV, raising=False)
-        assert resolve_storage_mode(None) == "auto"
+        assert resolve_storage_mode(None) == "mapped"
 
-    def test_empty_environment_value_means_auto(self, monkeypatch):
+    def test_empty_environment_value_means_mapped(self, monkeypatch):
         monkeypatch.setenv(STORAGE_MODE_ENV, "")
-        assert resolve_storage_mode(None) == "auto"
+        assert resolve_storage_mode(None) == "mapped"
 
     def test_case_and_whitespace_are_forgiven(self):
         assert resolve_storage_mode(" MAPPED ") == "mapped"
