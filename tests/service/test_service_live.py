@@ -195,6 +195,29 @@ class TestReloadSnapshot:
             # now a no-op again
             assert svc.reload_snapshot("toy", path)["reloaded"] is False
 
+    def test_build_stamps_the_digest_of_the_file_it_loaded(self, toy_engine, tmp_path):
+        """The digest a reload records is of the file *then*; if the
+        file is rewritten before the lazy build, the build's stamp must
+        win — or a later reload of the old content would no-op while
+        the service serves the new."""
+        import shutil
+
+        from repro.service.snapshot import save_engine, save_snapshot
+
+        path = save_engine(tmp_path / "toy.snap", toy_engine)
+        original = shutil.copy(path, tmp_path / "original.snap")
+        dataset = MutableDataset.from_engine(toy_engine)
+        dataset.mutate([AddNode(label="R", text="rewrittenterm")])
+        epoch = dataset.compact()
+        with QueryService() as svc:
+            svc.register_engine("toy", toy_engine)
+            assert svc.reload_snapshot("toy", path)["reloaded"] is True  # lazy
+            save_snapshot(path, epoch.graph, epoch.index)  # rewritten before build
+            assert svc.search("toy", "rewrittenterm").ok  # the build loads it
+            assert svc.reload_snapshot("toy", path)["reloaded"] is False
+            assert svc.reload_snapshot("toy", original)["reloaded"] is True
+            assert not svc.search("toy", "rewrittenterm").ok
+
     def test_reload_converges_replicas_with_different_histories(
         self, toy_engine, tmp_path
     ):
