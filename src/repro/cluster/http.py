@@ -6,8 +6,15 @@ metrics — so the endpoint is a thin translation layer over a
 :class:`~repro.service.core.ServiceCore`: a
 :class:`~repro.service.QueryService` or a
 :class:`~repro.cluster.ShardedQueryService`, served by the same
-handlers because the verbs are the core's.  Pure stdlib:
-``http.server.ThreadingHTTPServer``, no new dependencies.
+handlers because the verbs are the core's.  Pure stdlib: one HTTP/1.1
+request loop on ``socketserver.ThreadingTCPServer``, so the serving
+process loads no ``http.client``, ``email`` or ``ssl`` it never runs.
+
+Connections persist, one thread each, until ``Connection: close``, an
+``HTTP/1.0`` request line, a refused request, ``_IDLE_TIMEOUT_SECONDS``
+of silence or ``server_close()``.  The reader is bounded (request line,
+header block, ``Content-Length`` under a cap; ``Transfer-Encoding`` is
+refused, not half-read); every response carries ``Content-Length``.
 
 Routes
 ------
@@ -84,10 +91,11 @@ answer it got.  Span lists are stripped from JSON bodies; trees are
 read through the debug endpoint.
 
 Client disconnects map to cancellation: while a ``POST /search`` is
-running, a watcher thread peeks the socket; a client that hung up has
-its search cancelled (nobody is left to read the answer), freeing the
-worker.  A cancelled search's response uses 499, nginx's "client
-closed request" convention.
+running, the connection's watcher thread (one per connection, armed per
+search) peeks the socket; a client that hung up has its search
+cancelled (nobody is left to read the answer), freeing the worker.  A
+cancelled search's response uses 499, nginx's "client closed request"
+convention.
 
 Use :func:`make_server` + ``serve_forever`` in a thread (see
 ``examples/cluster_quickstart.py``), or :func:`serve` to block.
@@ -95,12 +103,16 @@ Use :func:`make_server` + ``serve_forever`` in a thread (see
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import socket
+import socketserver
+import sys
 import threading
+import time
 from dataclasses import replace
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from typing import Optional
 from urllib.parse import parse_qs
 
@@ -143,6 +155,16 @@ _ERROR_STATUS = {
 #: Seconds between socket peeks while a search runs.
 _DISCONNECT_POLL_SECONDS = 0.05
 
+#: Transport policy: constants, not arguments.  A connection may sit
+#: between requests, or inside a half-sent one, for the idle timeout.
+_IDLE_TIMEOUT_SECONDS = 30.0
+_BACKLOG = 128
+_MAX_REQUEST_LINE = 8 * 1024
+_MAX_HEADER_BYTES = 64 * 1024
+_MAX_HEADER_LINES = 100
+_MAX_BODY_BYTES = 64 * 1024 * 1024
+_PHRASES = {s.value: s.phrase for s in HTTPStatus} | {499: "Client Closed Request"}
+
 _internal_ids = itertools.count(1)
 
 
@@ -153,66 +175,175 @@ def status_for_error(error_type: Optional[str]) -> int:
     return _ERROR_STATUS.get(error_type, 500)
 
 
-class QueryHTTPServer(ThreadingHTTPServer):
+class QueryHTTPServer(socketserver.ThreadingTCPServer):
     """A threading HTTP server bound to one query service."""
 
     daemon_threads = True
+    allow_reuse_address = True
+    request_queue_size = _BACKLOG
 
     def __init__(self, address, service, *, quiet: bool = True) -> None:
         self.service = service
         self.quiet = quiet
+        self.closing = False
+        #: Connections waiting for (or still sending) a request -> since when.
+        self.idle: dict[socket.socket, float] = {}
         super().__init__(address, _Handler)
 
+    def service_actions(self) -> None:
+        """``serve_forever`` calls this twice a second: hang up on
+        connections idle past the timeout — once closing, on all."""
+        cutoff = time.monotonic() - (0 if self.closing else _IDLE_TIMEOUT_SECONDS)
+        for connection, since in self.idle.copy().items():
+            if since <= cutoff:
+                with contextlib.suppress(OSError):
+                    connection.shutdown(socket.SHUT_RDWR)  # its reader sees EOF
 
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "repro-query-http/1.0"
+    def server_close(self) -> None:
+        """A connection with a request in hand answers it, then leaves."""
+        super().server_close()
+        self.closing = True
+        self.service_actions()
+
+
+class _Refused(Exception):
+    """``(status, message)`` for a request the transport will not read
+    to its end: answered, then the connection is closed."""
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    disable_nagle_algorithm = True  # see _send
 
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if not self.server.quiet:  # pragma: no cover - debugging aid
-            super().log_message(format, *args)
+    def handle(self) -> None:
+        threading.current_thread().name = "repro-http-connection"
+        self._watched: Optional[str] = None  # request id the watcher may cancel
+        self._armed: Optional[threading.Event] = None  # set once a watcher runs
+        self._over = False
+        try:
+            while self._serve_one():
+                pass
+        except (OSError, EOFError):
+            pass  # hung up, between requests or inside one
+        finally:
+            self._over = True
+            if self._armed is not None:
+                self._armed.set()
 
-    def _send_json(
-        self,
-        status: int,
-        payload: dict,
-        headers: Optional[dict] = None,
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            if value is not None:
-                self.send_header(name, str(value))
-        self.end_headers()
-        self.wfile.write(body)
+    def _serve_one(self) -> bool:
+        """Read one request and answer it; False ends the connection."""
+        self.keep_alive, self.method, self.path = False, None, None
+        self.server.idle[self.connection] = time.monotonic()
+        try:
+            if self.server.closing:
+                return False
+            self._read_request()
+        except _Refused as exc:
+            status, message = exc.args
+            self._send_error_json(
+                status, message, "NotImplemented" if status == 501 else "ValueError"
+            )
+            # The rest of the request may still be arriving, and closing
+            # on unread bytes resets the connection and the reply with
+            # it: take up to 1 MiB, a second of silence or EOF first.
+            self.connection.shutdown(socket.SHUT_WR)
+            self.connection.settimeout(1.0)
+            self.rfile.read(1 << 20)
+            return False
+        finally:
+            del self.server.idle[self.connection]
+        try:
+            getattr(self, "do_" + self.method)()
+        except ValueError as exc:  # raised by a route: the request was bad
+            self._send_error_json(400, str(exc), type(exc).__name__)
+        except Exception as exc:  # pragma: no cover - handler backstop
+            self._send_error_json(500, str(exc), type(exc).__name__)
+        return self.keep_alive
 
-    def _send_text(
-        self,
-        status: int,
-        text: str,
-        content_type: str = "text/plain; version=0.0.4; charset=utf-8",
-    ) -> None:
+    def _readline(self, limit: int, status: int) -> bytes:
+        line = self.rfile.readline(limit + 1)
+        if len(line) > limit:
+            raise _Refused(status, "request line or header block over its limit")
+        if not line.endswith(b"\n"):
+            raise EOFError
+        return line
+
+    def _read_request(self) -> None:
+        """Parse one request into ``method`` / ``path`` / ``body`` /
+        ``keep_alive``; :class:`_Refused` for what is malformed, over a
+        limit or not spoken here, ``EOFError`` when the client is gone."""
+        words = str(self._readline(_MAX_REQUEST_LINE, 414), "iso-8859-1").split()
+        if len(words) != 3 or not words[2].startswith("HTTP/1."):
+            raise _Refused(400, "expected '<method> <target> HTTP/1.x'")
+        headers, budget = {}, _MAX_HEADER_BYTES
+        for count in itertools.count():
+            line = self._readline(budget, 431)
+            budget -= len(line)
+            if not line.strip():
+                break
+            name, colon, value = str(line, "iso-8859-1").partition(":")
+            name, value = name.strip().lower(), value.strip()
+            if count == _MAX_HEADER_LINES:
+                raise _Refused(431, f"more than {_MAX_HEADER_LINES} header lines")
+            if not (colon and name):
+                raise _Refused(400, f"malformed header line {line[:80]!r}")
+            if headers.setdefault(name, value) != value and name == "content-length":
+                raise _Refused(400, "conflicting Content-Length headers")
+        if "transfer-encoding" in headers:  # chunks left unread = smuggling
+            raise _Refused(501, "Transfer-Encoding is not supported")
+        if not hasattr(self, "do_" + words[0]):
+            raise _Refused(501, f"unsupported method {words[0]!r}")
+        length = headers.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()):
+            raise _Refused(400, "Content-Length must be a non-negative integer")
+        if len(length) > 15 or int(length) > _MAX_BODY_BYTES:
+            raise _Refused(413, f"request body over {_MAX_BODY_BYTES} bytes")
+        if int(length) and headers.get("expect", "").lower() == "100-continue":
+            self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        self.body = self.rfile.read(int(length))
+        if len(self.body) < int(length):
+            raise EOFError
+        self.method, self.path = words[:2]
+        self.keep_alive = (
+            words[2] != "HTTP/1.0"
+            and "close" not in headers.get("connection", "").lower()
+        )
+
+    def _send(self, status: int, content_type: str, text: str, headers=()) -> None:
+        """Status line, headers and body in **one** write with
+        ``TCP_NODELAY``: sent as two, the body waits under Nagle for the
+        client's delayed ACK of the headers — 40 ms on every response
+        of a kept-alive connection."""
         body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        lines = [
+            f"HTTP/1.1 {status} {_PHRASES.get(status, 'Unknown')}",
+            "Server: repro-query-http/1.0",
+            time.strftime("Date: %a, %d %b %Y %H:%M:%S GMT", time.gmtime()),
+            f"Content-Type: {content_type}",
+            f"Content-Length: {len(body)}",
+            "Connection: " + ("keep-alive" if self.keep_alive else "close"),
+        ]
+        for name, value in dict(headers).items():
+            if value is not None:  # may echo client text: no line breaks
+                lines.append(" ".join(f"{name}: {value}".splitlines()))
+        head = "\r\n".join(lines + ["", ""]).encode("iso-8859-1", "replace")
+        self.connection.sendall(head + body)
+        if not self.server.quiet:  # pragma: no cover - debugging aid
+            print(*self.client_address, self.method, self.path, status, file=sys.stderr)
+
+    def _send_json(self, status: int, payload: dict, headers=()) -> None:
+        self._send(status, "application/json", json.dumps(payload), headers)
 
     def _send_error_json(self, status: int, message: str, error_type: str) -> None:
         self._send_json(status, {"error": message, "error_type": error_type})
 
     def _read_json(self):
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
+        if not self.body:
             raise ValueError("request body is empty; expected a JSON object")
         try:
-            return json.loads(raw)
+            return json.loads(self.body)
         except json.JSONDecodeError as exc:
             raise ValueError(f"request body is not valid JSON: {exc}") from exc
 
@@ -220,57 +351,45 @@ class _Handler(BaseHTTPRequestHandler):
     # routes
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        try:
-            path, _, query = self.path.partition("?")
-            if path == "/healthz":
-                self._handle_healthz()
-            elif path == "/metrics":
-                self._handle_metrics(query)
-            elif path.startswith("/debug/trace/") and path != "/debug/trace/":
-                self._handle_trace(path[len("/debug/trace/"):], query)
-            elif path == "/debug/slow":
-                self._handle_slow()
-            elif path.startswith("/debug/explain/") and path != "/debug/explain/":
-                self._handle_explain(path[len("/debug/explain/"):])
-            elif path == "/debug/queries":
-                self._handle_queries()
-            elif path == "/debug/events":
-                self._handle_events(query)
-            elif path == "/debug/profile":
-                self._handle_profile(query)
-            elif path == "/debug/dashboard":
-                self._handle_dashboard()
-            else:
-                self._send_error_json(
-                    404, f"no route {self.path!r}", "NotFoundError"
-                )
-        except Exception as exc:  # pragma: no cover - handler backstop
-            self._send_error_json(500, str(exc), type(exc).__name__)
+        path, _, query = self.path.partition("?")
+        if path == "/healthz":
+            self._handle_healthz()
+        elif path == "/metrics":
+            self._handle_metrics(query)
+        elif path.startswith("/debug/trace/") and path != "/debug/trace/":
+            self._handle_trace(path[len("/debug/trace/"):], query)
+        elif path == "/debug/slow":
+            self._send_json(200, {"slow_queries": self.server.service.slow_queries()})
+        elif path.startswith("/debug/explain/") and path != "/debug/explain/":
+            self._handle_explain(path[len("/debug/explain/"):])
+        elif path == "/debug/queries":
+            self._send_json(200, self.server.service.query_stats())
+        elif path == "/debug/events":
+            self._handle_events(query)
+        elif path == "/debug/profile":
+            self._handle_profile(query)
+        elif path == "/debug/dashboard":
+            self._handle_dashboard()
+        else:
+            self._send_error_json(404, f"no route {self.path!r}", "NotFoundError")
 
     def _handle_metrics(self, query: str) -> None:
         fmt = (parse_qs(query).get("format") or ["json"])[0]
         if fmt not in ("json", "prometheus"):
-            self._send_error_json(
-                400,
-                f"unknown metrics format {fmt!r}; expected json or prometheus",
-                "ValueError",
+            raise ValueError(
+                f"unknown metrics format {fmt!r}; expected json or prometheus"
             )
-            return
         metrics = self.server.service.metrics()
         if fmt == "json":
             self._send_json(200, metrics)
             return
-        self._send_text(200, render_prometheus(metrics["registry"]))
+        text = render_prometheus(metrics["registry"])
+        self._send(200, "text/plain; version=0.0.4; charset=utf-8", text)
 
     def _handle_trace(self, trace_id: str, query: str = "") -> None:
         fmt = (parse_qs(query).get("format") or ["json"])[0]
         if fmt not in ("json", "text"):
-            self._send_error_json(
-                400,
-                f"unknown trace format {fmt!r}; expected json or text",
-                "ValueError",
-            )
-            return
+            raise ValueError(f"unknown trace format {fmt!r}; expected json or text")
         service = self.server.service
         if service.tracer is None:
             self._send_error_json(
@@ -284,18 +403,9 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
         if fmt == "text":
-            self._send_text(
-                200,
-                render_span_tree(tree),
-                content_type="text/plain; charset=utf-8",
-            )
+            self._send(200, "text/plain; charset=utf-8", render_span_tree(tree))
             return
         self._send_json(200, tree)
-
-    def _handle_slow(self) -> None:
-        self._send_json(
-            200, {"slow_queries": self.server.service.slow_queries()}
-        )
 
     def _handle_explain(self, request_id: str) -> None:
         service = self.server.service
@@ -315,18 +425,12 @@ class _Handler(BaseHTTPRequestHandler):
             return
         self._send_json(200, report)
 
-    def _handle_queries(self) -> None:
-        self._send_json(200, self.server.service.query_stats())
-
     def _handle_events(self, query: str) -> None:
         raw = (parse_qs(query).get("since") or ["0"])[0]
         try:
             since = int(raw)
         except ValueError:
-            self._send_error_json(
-                400, f'"since" must be an integer, got {raw!r}', "ValueError"
-            )
-            return
+            raise ValueError(f'"since" must be an integer, got {raw!r}') from None
         self._send_json(200, self.server.service.events(since))
 
     def _handle_profile(self, query: str) -> None:
@@ -334,66 +438,39 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             seconds = float(raw)
         except ValueError:
-            self._send_error_json(
-                400, f'"seconds" must be a number, got {raw!r}', "ValueError"
-            )
-            return
+            raise ValueError(f'"seconds" must be a number, got {raw!r}') from None
         if not 0 <= seconds <= 30:
-            self._send_error_json(
-                400,
-                f'"seconds" must be between 0 and 30, got {seconds}',
-                "ValueError",
-            )
-            return
+            raise ValueError(f'"seconds" must be between 0 and 30, got {seconds}')
         text = self.server.service.profile(seconds)
         if text is None:
             self._send_error_json(
                 501, "profiling is disabled on this service", "NotImplemented"
             )
             return
-        self._send_text(
-            200, text, content_type="text/plain; charset=utf-8"
-        )
+        self._send(200, "text/plain; charset=utf-8", text)
 
     def _handle_dashboard(self) -> None:
-        self._send_text(
-            200,
-            render_dashboard(self.server.service.dashboard_data()),
-            content_type="text/html; charset=utf-8",
-        )
+        page = render_dashboard(self.server.service.dashboard_data())
+        self._send(200, "text/html; charset=utf-8", page)
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        try:
-            if self.path == "/search":
-                self._handle_search()
-            elif self.path == "/batch":
-                self._handle_batch()
-            elif self.path == "/mutate":
-                self._handle_mutate()
-            else:
-                self._send_error_json(
-                    404, f"no route {self.path!r}", "NotFoundError"
-                )
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client hung up; its search was cancelled already
-        except ValueError as exc:
-            self._send_error_json(400, str(exc), type(exc).__name__)
-        except Exception as exc:  # pragma: no cover - handler backstop
-            self._send_error_json(500, str(exc), type(exc).__name__)
+        if self.path == "/search":
+            self._handle_search()
+        elif self.path == "/batch":
+            self._handle_batch()
+        elif self.path == "/mutate":
+            self._handle_mutate()
+        else:
+            self._send_error_json(404, f"no route {self.path!r}", "NotFoundError")
 
     def do_DELETE(self) -> None:  # noqa: N802 - stdlib naming
-        try:
-            prefix = "/search/"
-            if not self.path.startswith(prefix) or self.path == prefix:
-                self._send_error_json(
-                    404, f"no route {self.path!r}", "NotFoundError"
-                )
-                return
-            request_id = self.path[len(prefix):]
-            cancelled = self.server.service.cancel(request_id)
-            self._send_json(200, {"request_id": request_id, "cancelled": cancelled})
-        except Exception as exc:  # pragma: no cover - handler backstop
-            self._send_error_json(500, str(exc), type(exc).__name__)
+        prefix = "/search/"
+        if not self.path.startswith(prefix) or self.path == prefix:
+            self._send_error_json(404, f"no route {self.path!r}", "NotFoundError")
+            return
+        request_id = self.path[len(prefix):]
+        cancelled = self.server.service.cancel(request_id)
+        self._send_json(200, {"request_id": request_id, "cancelled": cancelled})
 
     # ------------------------------------------------------------------
     def _handle_healthz(self) -> None:
@@ -454,7 +531,6 @@ class _Handler(BaseHTTPRequestHandler):
             request = replace(
                 request, trace_id=trace_id, parent_span_id=http_span.span_id
             )
-        watcher_stop: Optional[threading.Event] = None
         if hasattr(socket, "MSG_DONTWAIT"):
             # Map a client disconnect to cancellation: nobody is left
             # to read the answer, so free the worker.  Needs an id the
@@ -463,13 +539,15 @@ class _Handler(BaseHTTPRequestHandler):
                 request = replace(
                     request, request_id=f"http-internal-{next(_internal_ids)}"
                 )
-            watcher_stop = threading.Event()
-            threading.Thread(
-                target=self._watch_disconnect,
-                args=(watcher_stop, request.request_id),
-                name="repro-http-disconnect-watch",
-                daemon=True,
-            ).start()
+            if self._armed is None:  # first search on this connection
+                self._armed = threading.Event()
+                threading.Thread(
+                    target=self._watch_disconnect,
+                    name="repro-http-disconnect-watch",
+                    daemon=True,
+                ).start()
+            self._watched = request.request_id
+            self._armed.set()
         try:
             response = service.search(request)
         except BaseException:
@@ -477,8 +555,7 @@ class _Handler(BaseHTTPRequestHandler):
                 http_span.end(status="error")
             raise
         finally:
-            if watcher_stop is not None:
-                watcher_stop.set()
+            self._watched = None
         status = status_for_error(response.error_type)
         if http_span is not None:
             http_span.set_attribute("status", status)
@@ -498,9 +575,10 @@ class _Handler(BaseHTTPRequestHandler):
             },
         )
 
-    def _watch_disconnect(self, stop: threading.Event, request_id: str) -> None:
-        """Peek the client socket while its search runs; EOF means the
-        client hung up — cancel the search it was waiting on.
+    def _watch_disconnect(self) -> None:
+        """Peek the client socket while a search of this connection
+        runs (``_watched`` names it); EOF means the client hung up —
+        cancel the search it was waiting on.
 
         Deliberate tradeoff: a read-side FIN cannot be distinguished
         from a full disconnect by peeking, so a client that half-closes
@@ -511,29 +589,31 @@ class _Handler(BaseHTTPRequestHandler):
         every genuinely vanished client burning a worker, which is the
         load pattern this watcher exists to stop.
         """
-        disconnected = False
-        while not stop.wait(_DISCONNECT_POLL_SECONDS):
+        disconnected, cancelled = False, None
+        while not self._over:
+            request_id = self._watched
+            if request_id in (None, cancelled):
+                self._armed.wait()  # for the next search or the connection's end
+                self._armed.clear()
+                continue
+            # Sleep first: a cached search is over before this wakes.
+            time.sleep(_DISCONNECT_POLL_SECONDS)
             if not disconnected:
                 try:
-                    chunk = self.connection.recv(
+                    # Pipelined bytes mean a live client: keep watching.
+                    disconnected = not self.connection.recv(
                         1, socket.MSG_PEEK | socket.MSG_DONTWAIT
                     )
                 except (BlockingIOError, InterruptedError):
                     continue  # no bytes waiting: still connected
                 except OSError:
-                    chunk = b""  # socket torn down
-                if chunk != b"":
-                    # Pipelined bytes from a live client: nothing to
-                    # cancel; keep watching for EOF.
-                    continue
-                disconnected = True
+                    disconnected = True  # socket torn down
             # Keep retrying until the cancel lands: the request may not
             # be registered yet (still queued behind a busy executor),
             # and a one-shot miss would leave the orphaned search
-            # running to completion.  The handler sets `stop` when the
-            # search returns.
-            if self.server.service.cancel(request_id):
-                return
+            # running to completion.
+            if disconnected and self.server.service.cancel(request_id):
+                cancelled = request_id
 
     def _handle_batch(self) -> None:
         body = self._read_json()

@@ -55,7 +55,6 @@ contract.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import struct
@@ -167,6 +166,8 @@ def _content_digest(meta: dict, arrays: dict) -> str:
     ``dataset_version`` field is deliberately excluded: version is
     provenance, digest is content.
     """
+    import hashlib  # save-time only: keeps OpenSSL out of serving processes
+
     hasher = hashlib.sha256()
     for field in ("num_nodes", "num_forward_edges", *_TEXT_FIELDS):
         hasher.update(field.encode("utf-8"))

@@ -29,9 +29,9 @@ can pass them around as plain dicts:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import threading
+import zlib
 from collections import OrderedDict
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -62,7 +62,9 @@ def _params_digest(params) -> str:
     else:  # pragma: no cover - defensive
         payload = {"repr": repr(params)}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha1(blob.encode("utf-8")).hexdigest()[:8]
+    # crc32, as ``ShardRouter`` keys by: a label, not a secret, and hashlib
+    # would map OpenSSL into every serving process for it.
+    return f"{zlib.crc32(blob.encode('utf-8')):08x}"
 
 
 def query_fingerprint(

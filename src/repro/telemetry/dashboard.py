@@ -16,7 +16,6 @@ fleets).
 
 from __future__ import annotations
 
-import html
 import time
 from typing import Any, Iterable, Mapping
 
@@ -70,6 +69,8 @@ a { color: #60a5fa; text-decoration: none; }
 
 
 def _esc(value: Any) -> str:
+    import html  # 1.7 MiB of entity tables: only a rendered dashboard pays
+
     return html.escape("" if value is None else str(value), quote=True)
 
 

@@ -25,6 +25,8 @@ from repro.service.metrics import family_total
 from repro.service.service import QueryRequest, QueryService
 from repro.service.snapshot import save_engine
 
+from tests.helpers import RawHTTP, http_threads, wait_until
+
 
 @pytest.fixture(scope="session")
 def dblp_snapshot(tmp_path_factory, dblp_small_engine):
@@ -285,6 +287,7 @@ class GatedEngine:
         self.params = SearchParams(cancel_check_interval=1)
         self.gate = threading.Event()
         self.started = threading.Event()
+        self.cancelled = threading.Event()
 
     def search(self, query, *, algorithm, params, token=None):
         self.started.set()
@@ -295,6 +298,7 @@ class GatedEngine:
             if token is not None and token.tick():
                 result.complete = False
                 result.cancel_reason = token.reason
+                self.cancelled.set()
                 break
             time.sleep(0.002)
         result.stats.finish()
@@ -384,3 +388,68 @@ class TestHTTPCancel:
         assert box["status"] == 499
         assert box["body"]["error_type"] == SearchCancelledError.__name__
         assert box["body"]["result"]["complete"] is False
+
+    # -- a vanished client's search is cancelled; a live one's is not --
+    SLOW = {"dataset": "slow", "query": "anything", "allow_partial": True}
+
+    def test_client_hangup_mid_search_cancels_it(self, gated_server):
+        server, engine = gated_server
+        client = RawHTTP(server)
+        client.send(RawHTTP.frame("POST", "/search", self.SLOW))
+        assert engine.started.wait(5.0)
+        assert not engine.cancelled.is_set()
+        client.close()  # nobody is left to read the answer
+        assert engine.cancelled.wait(5.0)
+        # The 499 is written to a dead socket; the connection's two
+        # threads end with it.
+        assert wait_until(lambda: not http_threads()), http_threads()
+
+    def test_hangup_on_a_kept_alive_connection_cancels_its_second_search(
+        self, gated_server
+    ):
+        """The watcher is armed per search, not spent by the first."""
+        server, engine = gated_server
+        client = RawHTTP(server)
+        status, _, _ = client.request(
+            "POST", "/search", {"dataset": "toy", "query": "gray transaction"}
+        )
+        assert status == 200 and not engine.started.is_set()
+        client.send(RawHTTP.frame("POST", "/search", self.SLOW))
+        assert engine.started.wait(5.0)
+        client.close()
+        assert engine.cancelled.wait(5.0)
+
+    def test_live_client_with_pipelined_bytes_is_not_cancelled(self, gated_server):
+        server, engine = gated_server
+        with RawHTTP(server) as client:
+            client.send(
+                RawHTTP.frame("POST", "/search", self.SLOW)
+                + RawHTTP.frame("GET", "/healthz")
+            )
+            assert engine.started.wait(5.0)
+            time.sleep(0.3)  # six polls of the watcher
+            assert not engine.cancelled.is_set()
+            engine.gate.set()
+            first, second = client.response(), client.response()
+        assert first[0] == 200 and json.loads(first[2])["result"]["complete"] is True
+        assert second[0] == 200
+
+    def test_cancelled_search_answers_499_with_a_length_and_keeps_the_connection(
+        self, gated_server
+    ):
+        server, engine = gated_server
+        with RawHTTP(server) as client, RawHTTP(server) as other:
+            client.send(
+                RawHTTP.frame("POST", "/search", {**self.SLOW, "request_id": "doomed"})
+            )
+            assert engine.started.wait(5.0)
+            assert wait_until(
+                lambda: json.loads(other.request("DELETE", "/search/doomed")[2])[
+                    "cancelled"
+                ]
+            )
+            status, headers, body = client.response()
+            assert status == 499 and int(headers["content-length"]) == len(body)
+            assert headers["x-request-id"] == "doomed"
+            assert json.loads(body)["error_type"] == SearchCancelledError.__name__
+            assert client.request("GET", "/healthz")[0] == 200  # same connection

@@ -1,15 +1,18 @@
 """Shared test utilities: graph builders, answer-tree validation, the
-cyclic-garbage census, a snapshot-file rewriter and a fresh-interpreter
-runner."""
+cyclic-garbage census, a snapshot-file rewriter, a fresh-interpreter
+runner and a raw-socket HTTP client."""
 
 from __future__ import annotations
 
 import gc
 import json
 import random
+import socket
 import struct
 import subprocess
 import sys
+import threading
+import time
 import zlib
 from collections import Counter
 from pathlib import Path
@@ -32,6 +35,9 @@ __all__ = [
     "assert_no_cyclic_garbage",
     "rewrite_snapshot",
     "run_python",
+    "RawHTTP",
+    "http_threads",
+    "wait_until",
     "dist_candidates_reference",
     "spread_candidates_reference",
 ]
@@ -270,6 +276,90 @@ def run_python(code: str, *, timeout: float = 120) -> subprocess.CompletedProces
         text=True,
         timeout=timeout,
     )
+
+
+# ----------------------------------------------------------------------
+# HTTP over a raw socket: what the keep-alive, pipelining and hostile
+# input tests need that urllib (one ``Connection: close`` per call) hides
+# ----------------------------------------------------------------------
+class RawHTTP:
+    """One TCP connection to a ``cluster.http`` server.  ``send`` writes
+    bytes as given; ``request`` frames a well-formed request;
+    ``response`` reads one reply, checking the framing every reply must
+    have, and returns ``(status, headers, body)`` — or ``None`` when the
+    server closed the connection cleanly instead."""
+
+    def __init__(self, server, timeout: float = 10.0) -> None:
+        self.sock = socket.create_connection(server.server_address[:2], timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.reader = self.sock.makefile("rb")
+
+    def __enter__(self) -> "RawHTTP":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+    @staticmethod
+    def frame(method, path, obj=None, *, version="HTTP/1.1", headers=()) -> bytes:
+        body = b"" if obj is None else json.dumps(obj).encode("utf-8")
+        lines = [f"{method} {path} {version}", "Host: test", *headers]
+        if body:
+            lines.append(f"Content-Length: {len(body)}")
+        return "\r\n".join(lines + ["", ""]).encode("latin-1") + body
+
+    def send(self, data: bytes) -> None:
+        self.sock.sendall(data)
+
+    def request(self, method, path, obj=None, **kwargs):
+        self.send(self.frame(method, path, obj, **kwargs))
+        return self.response()
+
+    def response(self):
+        status_line = self.reader.readline()
+        if not status_line:
+            return None
+        version, status, phrase = status_line.decode("latin-1").split(" ", 2)
+        assert version == "HTTP/1.1" and status_line.endswith(b"\r\n"), status_line
+        assert status.isdigit() and phrase.strip(), status_line
+        headers = {}
+        while (line := self.reader.readline()) != b"\r\n":
+            assert line.endswith(b"\r\n"), f"truncated head: {line!r}"
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        if int(status) < 200:
+            return int(status), headers, b""
+        body = self.reader.read(int(headers["content-length"]))
+        assert len(body) == int(headers["content-length"]), "truncated body"
+        return int(status), headers, body
+
+    def closed_by_server(self, timeout: float = 5.0) -> bool:
+        """True once the server's EOF arrives with nothing before it."""
+        self.sock.settimeout(timeout)
+        try:
+            return self.reader.read(1) == b""
+        except OSError:
+            return False
+
+
+def http_threads(prefix: str = "repro-http-") -> list[str]:
+    """Names of the live threads the HTTP front started: one
+    ``repro-http-connection`` per open connection, one
+    ``repro-http-disconnect-watch`` per connection that has searched."""
+    return sorted(t.name for t in threading.enumerate() if t.name.startswith(prefix))
+
+
+def wait_until(condition: Callable[[], object], timeout: float = 5.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
 
 
 def dist_candidates_reference(

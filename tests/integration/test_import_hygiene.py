@@ -13,8 +13,12 @@ and ``reload`` with a ``wal_dir`` included.  A *worker* searches but
 serves no HTTP and builds no dataset.  Neither uses more of
 ``multiprocessing`` than its ``connection`` module: no queue, no
 semaphore, no shared memory — and so no resource-tracker process to
-clean up after them.  Every check runs in a fresh interpreter, and a
-failure names who imported the offender first.
+clean up after them.  And no serving role — supervisor, thread tier,
+worker — maps OpenSSL: the front speaks HTTP from ``socketserver`` up
+(``http.server`` brings ``http.client``, ``email`` and ``ssl``), query
+fingerprints are ``crc32`` and ``hashlib`` is a save-time import.  Every
+check runs in a fresh interpreter, and a failure names who imported the
+offender first.
 """
 
 import os
@@ -79,7 +83,27 @@ def assert_not_loaded(*forbidden):
             first = min(loaded, key=list(FIRST_IMPORTER).index)
             chains.append(_chain(first))
     assert not chains, "loaded but never run by this role:\\n  " + "\\n  ".join(chains)
+
+
+def http_call(server, method, path, body=None):
+    """One request over a bare socket: ``http.client`` is on the
+    forbidden list, so the probe must not be what loads it."""
+    import json
+    import socket
+
+    data = b"" if body is None else json.dumps(body).encode("utf-8")
+    head = f"{method} {path} HTTP/1.1\\r\\nConnection: close\\r\\n"
+    head += f"Content-Length: {len(data)}\\r\\n\\r\\n"
+    with socket.create_connection(server.server_address[:2], timeout=60) as conn:
+        conn.sendall(head.encode("ascii") + data)
+        reply = b"".join(iter(lambda: conn.recv(65536), b""))
+    head, _, payload = reply.partition(b"\\r\\n\\r\\n")
+    return int(head.split()[1]), payload
 '''
+
+#: OpenSSL (``ssl`` for sockets nobody opens, ``_hashlib`` for digests
+#: nobody needs while serving) and the stdlib HTTP stack that drags it in.
+OPENSSL_FORBIDDEN = ("ssl", "_ssl", "_hashlib", "http.server", "http.client", "email")
 
 #: The supervisor reaches a worker, and a worker its supervisor, over
 #: one ``multiprocessing.connection`` socket pair and nothing else.
@@ -91,7 +115,7 @@ MULTIPROCESSING_FORBIDDEN = (
     "multiprocessing.popen_spawn_posix",
 )
 
-SUPERVISOR_FORBIDDEN = MULTIPROCESSING_FORBIDDEN + (
+SUPERVISOR_FORBIDDEN = MULTIPROCESSING_FORBIDDEN + OPENSSL_FORBIDDEN + (
     "numpy",
     "scipy",
     "repro.core.engine",
@@ -108,8 +132,6 @@ SUPERVISOR_FORBIDDEN = MULTIPROCESSING_FORBIDDEN + (
 SUPERVISOR_SCRIPT = PRELUDE + '''
 
 def main(snapshot, wal_dir):
-    import http.client
-    import json
     import threading
 
     from repro.cluster import ShardedQueryService
@@ -120,15 +142,6 @@ def main(snapshot, wal_dir):
     server = make_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-
-    def http_call(method, path, body=None):
-        conn = http.client.HTTPConnection(*server.server_address[:2], timeout=60)
-        try:
-            conn.request(method, path, None if body is None else json.dumps(body))
-            reply = conn.getresponse()
-            return reply.status, reply.read()
-        finally:
-            conn.close()
 
     mutations = [
         {"op": "add_node", "label": "Zyzzqx Systems", "table": "paper",
@@ -149,11 +162,11 @@ def main(snapshot, wal_dir):
         assert service.apply("toy", mutations)["applied"] == 2
         assert service.search("toy", "zyzzqx").ok
         status, _ = http_call(
-            "POST", "/search", {"dataset": "toy", "query": "selinger access"}
+            server, "POST", "/search", {"dataset": "toy", "query": "selinger access"}
         )
         assert status == 200, status
         status, _ = http_call(
-            "POST", "/mutate",
+            server, "POST", "/mutate",
             {"dataset": "toy", "mutations": [{"op": "update_text", "node": 0,
                                               "text": "Jim Gray Qwertz"}]},
         )
@@ -161,7 +174,7 @@ def main(snapshot, wal_dir):
         assert service.reload("toy", snapshot, force=True)["reloaded"] == {"0": True}
         for path in ("/metrics", "/metrics?format=prometheus", "/healthz",
                      "/debug/dashboard", "/debug/events", "/debug/queries"):
-            status, _ = http_call("GET", path)
+            status, _ = http_call(server, "GET", path)
             assert status == 200, (path, status)
         assert service.metrics()["requests_total"] >= 6
         assert service.health()["alive"] == 1
@@ -225,6 +238,64 @@ def test_supervisor_never_loads_the_data_plane(tmp_path, toy_engine):
     assert "SUPERVISOR-OK" in done.stdout
 
 
+#: The thread tier behind the same front: a snapshot-backed
+#: ``QueryService`` serving searches, a mutation and every telemetry
+#: read over HTTP.  It runs the engine, so numpy is its business; OpenSSL
+#: is not.  argv: snapshot, then the forbidden names.
+THREAD_TIER_SCRIPT = PRELUDE + '''
+import threading
+
+from repro.cluster.http import make_server
+from repro.service import QueryService
+
+service = QueryService()
+service.register_snapshot("toy", sys.argv[1])
+server = make_server(service, port=0)
+threading.Thread(target=server.serve_forever, daemon=True).start()
+try:
+    service.warmup()
+    for algorithm in ("bidirectional", "si-backward", "mi-backward"):
+        status, _ = http_call(
+            server, "POST", "/search",
+            {"dataset": "toy", "query": "gray transaction", "algorithm": algorithm,
+             "explain": True, "request_id": algorithm},
+        )
+        assert status == 200, (algorithm, status)
+    status, _ = http_call(
+        server, "POST", "/mutate",
+        {"dataset": "toy", "mutations": [{"op": "update_text", "node": 0,
+                                          "text": "Jim Gray Qwertz"}]},
+    )
+    assert status == 200, status
+    for path in ("/metrics", "/metrics?format=prometheus", "/healthz",
+                 "/debug/dashboard", "/debug/events", "/debug/queries",
+                 "/debug/slow", "/debug/explain/bidirectional"):
+        status, _ = http_call(server, "GET", path)
+        assert status == 200, (path, status)
+finally:
+    server.shutdown()
+    server.server_close()
+    service.close()
+assert "repro.core.engine" in sys.modules  # it did search
+assert_not_loaded(*sys.argv[2:])
+print("THREAD-TIER-OK")
+'''
+
+
+def test_thread_tier_serves_without_openssl(tmp_path, toy_engine):
+    snapshot = save_engine(tmp_path / "toy.snap", toy_engine)
+    done = subprocess.run(
+        [sys.executable, "-c", THREAD_TIER_SCRIPT, str(snapshot), *OPENSSL_FORBIDDEN,
+         *MULTIPROCESSING_FORBIDDEN, "scipy"],
+        cwd=SRC,
+        capture_output=True,
+        text=True,
+        timeout=180,
+    )
+    assert done.returncode == 0, done.stderr[-4000:]
+    assert "THREAD-TIER-OK" in done.stdout
+
+
 #: What the pool's worker command imports, then a worker's whole life
 #: on a real channel: warm-up, searches, a mutation, a reload, every
 #: telemetry pull, stop.  argv: snapshot, then the forbidden names.
@@ -263,8 +334,7 @@ assert_not_loaded(*sys.argv[2:])
 print("WORKER-OK")
 '''
 
-WORKER_FORBIDDEN = MULTIPROCESSING_FORBIDDEN + (
-    "http.server",
+WORKER_FORBIDDEN = MULTIPROCESSING_FORBIDDEN + OPENSSL_FORBIDDEN + (
     "repro.cluster.http",
     "repro.cluster.service",
     "repro.cluster.pool",

@@ -135,6 +135,24 @@ class TestVersionAndDigest:
         assert isinstance(info["content_digest"], str)
         assert len(info["content_digest"]) == 64  # sha256 hex
 
+    def test_digest_is_the_same_sha256_it_was_before_hashlib_went_lazy(self):
+        """Pinned at commit 72ea61a over literal inputs (little-endian
+        int64 ranges): a stored digest must keep matching a re-save."""
+        from repro.service.snapshot import _ARRAY_NAMES, _TEXT_FIELDS, _content_digest
+
+        meta = {
+            "num_nodes": 2,
+            "num_forward_edges": 1,
+            **{field: [field, "é"] for field in _TEXT_FIELDS},
+        }
+        arrays = {
+            name: np.arange(i, i + 3, dtype="<i8")
+            for i, name in enumerate(_ARRAY_NAMES)
+        }
+        assert _content_digest(meta, arrays) == (
+            "2688b60f8b45fdc6c65f48d70e118d1ef80375aeee1ca803d469967ce220fe30"
+        )
+
     def test_explicit_version_round_trips(self, toy_engine, tmp_path):
         path = save_engine(tmp_path / "v7.snap", toy_engine, version=7)
         assert snapshot_info(path)["dataset_version"] == 7

@@ -53,6 +53,18 @@ class TestFingerprint:
         assert terms == "paper stream"
         assert len(digest) == 8
 
+    def test_digest_is_crc32_of_the_canonical_params(self):
+        """Eight hex digits that label a workload shape: ``zlib.crc32``
+        (what ``ShardRouter`` keys by), not a ``hashlib`` digest that
+        maps OpenSSL into every serving process."""
+        import zlib
+
+        assert query_fingerprint(["a"]).split("|")[2] == "%08x" % zlib.crc32(b"{}")
+        assert query_fingerprint(["a"], params={"k": 5, "b": 1}).split("|")[2] == (
+            "%08x" % zlib.crc32(b'{"b":1,"k":5}')
+        )
+        assert query_fingerprint(["a"]) == "bidirectional|a|a3a6bf43"
+
     def test_string_query_kept_whole(self):
         assert query_fingerprint("paper stream").split("|")[1] == "paper stream"
 
