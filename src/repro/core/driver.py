@@ -179,10 +179,8 @@ class BaseSearch:
         tree is a path endpoint, i.e. a member of some ``S_i``, and
         distinct leaves end distinct keywords' paths, so no tree's
         leaves carry more prestige than this."""
-        prestige = self.graph.prestige
-        return sum(
-            float(prestige[list(nodes)].max()) for nodes in self.keyword_sets if nodes
-        )
+        prestige = self.graph.prestige_values.__getitem__
+        return sum(max(map(prestige, nodes)) for nodes in self.keyword_sets if nodes)
 
     def _gate_blocks(
         self, root: int, edge_score: float, leaf_prestige: Optional[float] = None

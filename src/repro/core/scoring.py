@@ -51,7 +51,7 @@ class Scorer:
         self.lam = lam
         # Root + k leaves bounds N; cached for the output bound.
         self._max_prestige = graph.max_prestige
-        self._prestige = graph.prestige
+        self._prestige = graph.prestige_values
 
     # ------------------------------------------------------------------
     def node_score(self, root: int, leaves) -> float:
@@ -106,7 +106,7 @@ class Scorer:
         on paper can differ in their last bits.  Asked once per
         completion event, so it stays a few float operations.
         """
-        n = self._prestige.item(root) + leaf_prestige
+        n = self._prestige[root] + leaf_prestige
         return n**self.lam / (1.0 + edge_score) * BOUND_SLACK
 
     def score_upper_bound(self, min_edge_score: float, num_keywords: int) -> float:

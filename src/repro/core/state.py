@@ -41,8 +41,6 @@ from itertools import repeat
 from math import inf
 from typing import Sequence
 
-import numpy as np
-
 from repro.core.driver import nra_edge_bound
 
 __all__ = ["PathState", "ActivationState"]
@@ -118,6 +116,8 @@ class PathState:
         if k == 0:
             raise ValueError("at least one keyword set is required")
         if dense:
+            import numpy as np  # the batched schedule's; per-pop never loads it
+
             n = graph.num_nodes
             self.dist_rows = [[inf] * n for _ in range(k)]
             self.sp = [[None] * n for _ in range(k)]
@@ -296,9 +296,9 @@ class PathState:
         changed = sorted(self._changed)
         self._changed.clear()
         if changed and self.dist is not None:
-            index = np.array(changed, dtype=np.int64)
-            for i, row in enumerate(self.dist_rows):
-                self.dist[i, index] = list(map(row.__getitem__, changed))
+            self.dist[:, changed] = [
+                list(map(row.__getitem__, changed)) for row in self.dist_rows
+            ]
         return changed
 
     # ------------------------------------------------------------------
@@ -386,6 +386,8 @@ class ActivationState:
         self.expanded_in = expanded_in
         self.expanded_out = expanded_out
         if dense:
+            import numpy as np
+
             n = graph.num_nodes
             self.act_rows = [[0.0] * n for _ in range(k)]
             #: Overall activation ``a_u = sum_i a(u, i)`` — the queue
@@ -541,7 +543,7 @@ class ActivationState:
         changed = sorted(self._changed)
         self._changed.clear()
         if changed and self.act is not None:
-            index = np.array(changed, dtype=np.int64)
-            for i, row in enumerate(self.act_rows):
-                self.act[i, index] = list(map(row.__getitem__, changed))
+            self.act[:, changed] = [
+                list(map(row.__getitem__, changed)) for row in self.act_rows
+            ]
         return changed

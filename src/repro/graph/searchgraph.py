@@ -20,12 +20,13 @@ Two representations coexist:
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Hashable, Iterator, Optional, Sequence
 
 from repro.errors import UnknownNodeError
 from repro.graph.weights import backward_edge_weight
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["SearchGraph", "Edge"]
 
@@ -44,7 +45,10 @@ class SearchGraph:
         self._tables: tuple[Optional[str], ...] = ()
         self._refs: tuple[Optional[tuple[str, Hashable]], ...] = ()
         self._num_forward_edges = 0
-        self._prestige: np.ndarray = np.zeros(0)
+        # Resident Python floats, like the two normalizer vectors: the
+        # per-pop schedule indexes them and never needs numpy for it.
+        self._prestige: tuple[float, ...] = ()
+        self._prestige_array: Optional[np.ndarray] = None
         self._in_inv_weight_sum: tuple[float, ...] = ()
         self._out_inv_weight_sum: tuple[float, ...] = ()
         self._csr_cache: Optional[dict[str, np.ndarray]] = None
@@ -73,9 +77,7 @@ class SearchGraph:
         g._refs = tuple(dg.ref(i) for i in range(n))
         g._num_forward_edges = dg.num_edges
         if prestige is None:
-            g._prestige = (
-                np.full(n, 1.0 / n, dtype=np.float64) if n else np.zeros(0, dtype=np.float64)
-            )
+            g._prestige = (1.0 / n,) * n if n else ()
         else:
             g._prestige = cls._validate_prestige(prestige, n)
         g._in_inv_weight_sum = tuple(
@@ -136,13 +138,18 @@ class SearchGraph:
         return g
 
     @staticmethod
-    def _validate_prestige(prestige, n: int) -> np.ndarray:
-        vec = np.asarray(prestige, dtype=np.float64)
-        if vec.shape != (n,):
-            raise ValueError(f"prestige vector must have shape ({n},), got {vec.shape}")
-        if np.any(vec < 0.0):
+    def _validate_prestige(prestige, n: int) -> tuple[float, ...]:
+        # An ndarray, a float64 memoryview of a snapshot, or a sequence.
+        if hasattr(prestige, "shape"):
+            shape, prestige = tuple(prestige.shape), prestige.tolist()
+        else:
+            shape = (len(prestige),)
+        if shape != (n,):
+            raise ValueError(f"prestige vector must have shape ({n},), got {shape}")
+        vec = tuple(map(float, prestige))
+        if vec and not min(vec) >= 0.0:  # a leading NaN fails too
             raise ValueError("prestige values must be non-negative")
-        return vec.copy()
+        return vec
 
     def with_prestige(self, prestige) -> "SearchGraph":
         """Return a structurally shared copy using the given prestige vector."""
@@ -249,18 +256,29 @@ class SearchGraph:
     # ------------------------------------------------------------------
     @property
     def prestige(self) -> np.ndarray:
-        """Per-node prestige vector (read-only view)."""
-        view = self._prestige.view()
-        view.flags.writeable = False
-        return view
+        """Per-node prestige vector (read-only ndarray, built on first
+        use — array consumers pay for numpy, the per-pop schedule reads
+        :attr:`prestige_values`)."""
+        if self._prestige_array is None:
+            import numpy as np
+
+            vec = np.array(self._prestige, dtype=np.float64)
+            vec.flags.writeable = False
+            self._prestige_array = vec
+        return self._prestige_array
+
+    @property
+    def prestige_values(self) -> tuple[float, ...]:
+        """Per-node prestige as Python floats, indexable by node id."""
+        return self._prestige
 
     def node_prestige(self, node: int) -> float:
         self._check_node(node)
-        return float(self._prestige[node])
+        return self._prestige[node]
 
     @property
     def max_prestige(self) -> float:
-        return float(self._prestige.max()) if self.num_nodes else 0.0
+        return max(self._prestige, default=0.0)
 
     def in_inv_weight_sum(self, v: int) -> float:
         """``sum(1/w)`` over edges entering ``v``; activation normalizer."""
@@ -283,6 +301,8 @@ class SearchGraph:
         (float64, n), where m counts combined edges.
         """
         if self._csr_cache is None:
+            import numpy as np
+
             n = self.num_nodes
             m = self.num_edges
             indptr = np.zeros(n + 1, dtype=np.int64)
@@ -300,7 +320,7 @@ class SearchGraph:
                 "indptr": indptr,
                 "dst": dst,
                 "weight": weight,
-                "prestige": self._prestige.astype(np.float64),
+                "prestige": np.array(self._prestige, dtype=np.float64),
             }
         return self._csr_cache
 

@@ -239,7 +239,7 @@ class MutableDataset:
         """Load a disk snapshot (:mod:`repro.service.snapshot`) and wrap.
 
         ``storage_mode="mapped"`` serves the base tier through
-        ``np.memmap`` — live mutations still overlay in plain RAM (the
+        one ``mmap`` — live mutations still overlay in plain RAM (the
         overlay is built from deltas, never written through), so the
         mapped base file stays strictly read-only.
         """

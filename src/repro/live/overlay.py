@@ -23,6 +23,7 @@ produces — the property ``tests/property/test_prop_live.py`` pins.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Hashable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -213,6 +214,11 @@ class OverlayGraph:
             vec.flags.writeable = False
             self._prestige_cache = vec
         return self._prestige_cache
+
+    @cached_property
+    def prestige_values(self) -> tuple[float, ...]:
+        """The same vector as Python floats (what the scorer indexes)."""
+        return tuple(self.prestige.tolist())
 
     def node_prestige(self, node: int) -> float:
         if node < self._base_n:

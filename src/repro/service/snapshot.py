@@ -34,11 +34,14 @@ array's raw C-contiguous bytes at a 4096-aligned offset:
 :class:`~repro.storage.MappedInvertedIndex` pair and the same pin
 policy, so every load is O(header + pin set) of Python objects and the
 modes differ only in where the bytes live: ``mapped`` (the default)
-leaves them in the file behind ``np.memmap`` — paged in on demand,
+leaves them in the file behind one ``mmap`` — paged in on demand,
 shared physically across worker processes; ``ram`` reads them once into
 process memory, verifying every array's checksum and every node id on
-the way, and never touches the file again.  ``docs/STORAGE.md``
-documents the layout and the trade-offs.
+the way, and never touches the file again.  Either way the arrays are
+``memoryview`` casts of that one buffer: loading and serving the per-pop
+schedule import no numpy (saving, the ``ram`` id scan and the array
+consumers do).  ``docs/STORAGE.md`` documents the layout and the
+trade-offs.
 
 Version-1 files (the retired zip container) are not read at all: a
 loader that meets one raises an error naming the last commit whose
@@ -56,13 +59,13 @@ contract.
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import struct
+import sys
 import zlib
 from pathlib import Path
-from typing import Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.errors import SnapshotError
 from repro.graph.searchgraph import SearchGraph
@@ -78,6 +81,9 @@ from repro.service.snapshot_header import (
 )
 from repro.storage.stats import StorageStats, resolve_storage_mode
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = [
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",
@@ -89,13 +95,22 @@ __all__ = [
     "verify_snapshot",
 ]
 
-#: Every numeric data array of the format, in on-disk order.
-_ARRAY_NAMES = (
-    "out_indptr", "out_dst", "out_weight", "out_fwd",
-    "in_indptr", "in_src", "in_weight", "in_fwd",
-    "prestige", "in_invw", "out_invw",
-    "post_indptr", "post_nodes", "rel_indptr", "rel_nodes",
+#: Every data array of the format, in on-disk order, with the
+#: ``memoryview.cast`` code the reader carves it with (``?`` reads a
+#: uint8 edge flag straight into a Python bool).
+_ARRAY_CODES = dict(
+    out_indptr="q", out_dst="i", out_weight="d", out_fwd="?",
+    in_indptr="q", in_src="i", in_weight="d", in_fwd="?",
+    prestige="d", in_invw="d", out_invw="d",
+    post_indptr="q", post_nodes="i", rel_indptr="q", rel_nodes="i",
+    text_json="B",
 )
+
+#: The dtype an array-table entry must name for each cast code.
+_CODE_DTYPES = {"q": "int64", "i": "int32", "d": "float64", "?": "uint8", "B": "uint8"}
+
+#: The numeric arrays (everything but the text blob).
+_ARRAY_NAMES = tuple(name for name in _ARRAY_CODES if name != "text_json")
 
 #: Text metadata fields, stored as the lazily-decoded ``text_json``
 #: data array rather than in the header.
@@ -106,6 +121,8 @@ _TEXT_FIELDS = ("labels", "tables", "refs", "post_terms", "rel_terms")
 # save
 # ----------------------------------------------------------------------
 def _pack_adjacency(adjacency) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    import numpy as np
+
     indptr = np.zeros(len(adjacency) + 1, dtype=np.int64)
     total = sum(len(edges) for edges in adjacency)
     dst = np.zeros(total, dtype=np.int32)
@@ -124,6 +141,8 @@ def _pack_adjacency(adjacency) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
 
 
 def _pack_postings(postings) -> tuple[list[str], np.ndarray, np.ndarray]:
+    import numpy as np
+
     terms = sorted(postings)
     indptr = np.zeros(len(terms) + 1, dtype=np.int64)
     total = sum(len(postings[term]) for term in terms)
@@ -183,6 +202,8 @@ def _pack_state(
 ) -> tuple[dict, dict]:
     """Pack graph + index into the format's (meta, arrays) pair, with
     the content digest already stamped into meta."""
+    import numpy as np
+
     out_indptr, out_dst, out_weight, out_fwd = _pack_adjacency(graph._out)
     in_indptr, in_src, in_weight, in_fwd = _pack_adjacency(graph._in)
     postings, relation_nodes = index._export_postings()
@@ -232,8 +253,9 @@ def _pin_hints(meta: dict, arrays: dict) -> dict:
     resident indptr/prestige arrays; the hints are advisory.
     """
     prestige = arrays["prestige"]
-    top_nodes = np.argsort(-prestige, kind="stable")[: min(32, len(prestige))]
-    freq = np.diff(arrays["post_indptr"]).tolist()
+    top_nodes = (-prestige).argsort(kind="stable")[: min(32, len(prestige))]
+    post_indptr = arrays["post_indptr"]
+    freq = (post_indptr[1:] - post_indptr[:-1]).tolist()
     terms = meta["post_terms"]
     ranked = sorted(range(len(terms)), key=lambda i: (-freq[i], terms[i]))
     return {
@@ -254,6 +276,8 @@ def _write_snapshot(path: Path, meta: dict, arrays: dict) -> Path:
     eager (``ram``) read and ``snapshot verify`` check it, so a damaged
     data page is named at load instead of mis-answering a query.
     """
+    import numpy as np
+
     text_blob = json.dumps(
         {field: meta[field] for field in _TEXT_FIELDS}, ensure_ascii=False
     ).encode("utf-8")
@@ -336,73 +360,77 @@ def _decode_refs(encoded: list) -> list:
     return refs
 
 
-def _carve_arrays(path: Path, header: dict, data_start: int, raw) -> dict:
+def _carve_arrays(
+    path: Path, header: dict, data_start: int, raw: memoryview
+) -> dict:
     """Carve every data array out of the file's bytes as a read-only
-    view, bounds-checked against the real size so a truncated file
-    fails here, not as a SIGBUS mid-search.
+    ``memoryview``, typed by the format's own table and bounds-checked
+    against the real size, so a header that names another dtype or a
+    truncated file fails here — not as a mis-scored answer or a SIGBUS
+    mid-search.
 
-    ``raw`` is the whole file as one ``uint8`` array — an ``np.memmap``
-    stripped to a plain ``ndarray`` (the subclass's per-slice
-    ``__array_finalize__`` bookkeeping would otherwise run on the hot
-    row-materialization path) or the bytes read into memory; one buffer
-    for all 16 arrays, because memmap construction stats the file each
-    time.
+    ``raw`` is the whole file as one byte view: an ``mmap`` of it or
+    the bytes read into memory; one buffer under all 16 arrays.
     """
+    if sys.byteorder != "little":
+        raise SnapshotError(f"{path} is little-endian; this host is not")
     table = header.get("arrays")
     if not isinstance(table, dict):
         raise SnapshotError(f"{path} has no array table in its header")
-    names = _ARRAY_NAMES + ("text_json",)
-    missing = [name for name in names if name not in table]
+    missing = [name for name in _ARRAY_CODES if name not in table]
     if missing:
         raise SnapshotError(f"{path} is missing arrays: {', '.join(missing)}")
     arrays = {}
-    for name in names:
+    for name, code in _ARRAY_CODES.items():
         entry = table[name]
         try:
-            dtype = np.dtype(entry["dtype"])
-            shape = tuple(int(dim) for dim in entry["shape"])
+            dtype, shape = entry["dtype"], entry["shape"]
             offset = data_start + int(entry["offset"])
             int(entry["crc32"])
+            if dtype != _CODE_DTYPES[code]:
+                raise ValueError(f"dtype {dtype!r}, not {_CODE_DTYPES[code]}")
+            if not isinstance(shape, list) or len(shape) != 1:
+                raise ValueError(f"shape {shape!r} is not one-dimensional")
+            count = int(shape[0])
         except (KeyError, TypeError, ValueError) as exc:
             raise SnapshotError(
                 f"{path} has a malformed array-table entry for {name}: {exc}"
             ) from exc
-        count = 1
-        for dim in shape:
-            if dim < 0:
-                raise SnapshotError(f"{path} array {name} has a negative shape")
-            count *= dim
-        nbytes = dtype.itemsize * count
+        if count < 0:
+            raise SnapshotError(f"{path} array {name} has a negative shape")
+        nbytes = struct.calcsize(code) * count
         if nbytes == 0:
             # Empty arrays carry no data; their (aligned) offset may sit
             # at or past EOF when nothing was written after them.
-            arrays[name] = np.zeros(shape, dtype=dtype)
+            offset = 0
         elif offset < 0 or offset + nbytes > len(raw):
             raise SnapshotError(
                 f"{path} array {name} extends past the end of the file "
                 f"(truncated snapshot?)"
             )
-        else:
-            arrays[name] = raw[offset : offset + nbytes].view(dtype).reshape(shape)
+        arrays[name] = raw[offset : offset + nbytes].cast(code)
     return arrays
 
 
-def _validate_arrays(header: dict, arrays: dict, path, *, deep: bool) -> None:
-    """Structural validation shared by both residency modes.
+def _validate_arrays(header: dict, arrays: dict, path, *, deep: bool) -> dict:
+    """Structural validation shared by both residency modes; returns the
+    four indptr arrays as the Python lists it checked (the lazy classes
+    keep row bounds resident as exactly those lists).
 
     A corrupt file must fail here, not as an IndexError (or a silent
     negative-index mis-score or mis-slice) deep inside a later search.
     Adjacency and postings use the same CSR shape, so one checker
     covers all four array pairs.  ``deep`` (the eager read) also
-    verifies every array's ``crc32`` and scans every node id for range;
-    the mapped load checks only the O(n) indptr invariants — touching
+    verifies every array's ``crc32`` and scans every node id for range
+    — with numpy, the one load-time job worth importing it for; the
+    mapped load checks only the O(n) indptr invariants — touching
     every data page at load time would defeat lazy warmup; the
     trade-off is documented in ``docs/STORAGE.md``.  The text blob
     validates its own lengths against the header when first decoded.
     """
     if deep:
         for name, arr in arrays.items():
-            if zlib.crc32(arr.data) != int(header["arrays"][name]["crc32"]):
+            if zlib.crc32(arr) != int(header["arrays"][name]["crc32"]):
                 raise SnapshotError(
                     f"{path} array {name} fails its checksum (damaged data page)"
                 )
@@ -415,43 +443,51 @@ def _validate_arrays(header: dict, arrays: dict, path, *, deep: bool) -> None:
         ("post_indptr", "post_nodes", int(header["index_terms"])),
         ("rel_indptr", "rel_nodes", int(header["relation_terms"])),
     )
+    bounds = {}
     for indptr_name, ids_name, num_rows in csr_pairs:
-        indptr, ids = arrays[indptr_name], arrays[ids_name]
+        indptr, ids = arrays[indptr_name].tolist(), arrays[ids_name]
+        bounds[indptr_name] = indptr
         if (
             len(indptr) != num_rows + 1
             or indptr[0] != 0
             or indptr[-1] != len(ids)
-            or np.any(np.diff(indptr) < 0)
+            or indptr != sorted(indptr)
         ):
             raise SnapshotError(f"{path} has a malformed {indptr_name} array")
-        if deep and ids.size and (ids.min() < 0 or ids.max() >= num_nodes):
-            raise SnapshotError(
-                f"{path} has out-of-range node ids in {ids_name} "
-                f"(expected [0, {num_nodes}))"
-            )
+        if deep and len(ids):
+            import numpy as np
+
+            scan = np.frombuffer(ids, dtype=np.int32)
+            if scan.min() < 0 or scan.max() >= num_nodes:
+                raise SnapshotError(
+                    f"{path} has out-of-range node ids in {ids_name} "
+                    f"(expected [0, {num_nodes}))"
+                )
+    return bounds
 
 
-def _read_arrays(path: Path, *, eager: bool) -> tuple[dict, dict]:
-    """``(header, arrays)`` of a snapshot, validated.
+def _read_arrays(path: Path, *, eager: bool) -> tuple[dict, dict, dict]:
+    """``(header, arrays, bounds)`` of a snapshot, validated.
 
     ``eager`` reads the file's bytes once into process memory and
     deep-validates them; otherwise the arrays are views of one
-    ``np.memmap`` with header + bounds checks only.
+    read-only ``mmap`` with header + bounds checks only.
     """
     header, data_start = _read_header(path)
     try:
-        if eager:
-            raw = np.fromfile(path, dtype=np.uint8)
-        else:
-            raw = np.asarray(np.memmap(path, dtype=np.uint8, mode="r"))
+        with open(path, "rb") as fh:
+            if eager:
+                raw = fh.read()
+            else:
+                raw = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     except (OSError, ValueError) as exc:  # ValueError: empty file
         raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
-    arrays = _carve_arrays(path, header, data_start, raw)
+    arrays = _carve_arrays(path, header, data_start, memoryview(raw))
     try:
-        _validate_arrays(header, arrays, path, deep=eager)
+        bounds = _validate_arrays(header, arrays, path, deep=eager)
     except (KeyError, TypeError, ValueError) as exc:
         raise SnapshotError(f"{path} has a malformed header: {exc}") from exc
-    return header, arrays
+    return header, arrays, bounds
 
 
 def load_snapshot(
@@ -466,7 +502,7 @@ def load_snapshot(
     back to the ``REPRO_SNAPSHOT_MODE`` environment variable, then
     ``"mapped"``):
 
-    * ``"mapped"`` — behind ``np.memmap``, paged in on
+    * ``"mapped"`` — behind one ``mmap``, paged in on
       demand; header and bounds are checked, data pages are not read;
     * ``"ram"`` — read once into process memory, every array's checksum
       and every node id verified; the file is never touched again.
@@ -487,7 +523,7 @@ def load_snapshot(
 
     path = Path(path)
     mode = resolve_storage_mode(storage_mode)
-    header, arrays = _read_arrays(path, eager=mode == "ram")
+    header, arrays, bounds = _read_arrays(path, eager=mode == "ram")
     num_nodes = int(header["num_nodes"])
     blob = _TextBlob(arrays["text_json"], header, path, _decode_refs)
     stats = StorageStats(mode=mode, path=str(path))
@@ -495,11 +531,11 @@ def load_snapshot(
         stats.mapped_bytes = sum(int(arr.nbytes) for arr in arrays.values())
     try:
         graph = MappedSearchGraph._from_mapped(
-            out_indptr=arrays["out_indptr"],
+            out_indptr=bounds["out_indptr"],
             out_dst=arrays["out_dst"],
             out_weight=arrays["out_weight"],
             out_fwd=arrays["out_fwd"],
-            in_indptr=arrays["in_indptr"],
+            in_indptr=bounds["in_indptr"],
             in_src=arrays["in_src"],
             in_weight=arrays["in_weight"],
             in_fwd=arrays["in_fwd"],
@@ -518,9 +554,9 @@ def load_snapshot(
         raise SnapshotError(f"{path} is corrupt: {exc}") from exc
     index = MappedInvertedIndex._from_mapped(
         blob=blob,
-        post_indptr=arrays["post_indptr"],
+        post_indptr=bounds["post_indptr"],
         post_nodes=arrays["post_nodes"],
-        rel_indptr=arrays["rel_indptr"],
+        rel_indptr=bounds["rel_indptr"],
         rel_nodes=arrays["rel_nodes"],
         stats=stats,
     )
@@ -537,7 +573,7 @@ def verify_snapshot(path: Union[str, os.PathLike]) -> dict:
     from repro.storage.mapped import _TextBlob
 
     path = Path(path)
-    header, arrays = _read_arrays(path, eager=True)
+    header, arrays, _ = _read_arrays(path, eager=True)
     text = _TextBlob(arrays["text_json"], header, path, decode_refs=list).load()
     if _content_digest({**header, **text}, arrays) != header.get("content_digest"):
         raise SnapshotError(f"{path} content does not match its content_digest")

@@ -9,7 +9,7 @@ same way under every ``storage_mode``: lazily.  This package holds the
   :class:`~repro.storage.mapped.MappedInvertedIndex` — drop-in
   read-only implementations of the graph/index contracts whose
   adjacency rows and posting lists materialize on first touch, over an
-  ``np.memmap`` of the file (``mapped``) or its bytes read into process
+  ``mmap`` of the file (``mapped``) or its bytes read into process
   memory (``ram``);
 * :class:`PinPolicy` — which rows are materialized eagerly at load time
   (high-prestige and high-degree nodes, hot posting lists);

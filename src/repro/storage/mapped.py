@@ -4,13 +4,15 @@
 read-only subclasses of the in-RAM classes whose bulk state —
 adjacency rows, posting lists, and the per-node/per-term text metadata
 — stays in the snapshot's flat arrays and materializes on first touch.
-The arrays are views of one buffer: an ``np.memmap`` of the file
-(``storage_mode="mapped"``) or the file's bytes read into process
-memory (``"ram"``); nothing here can tell the difference.  Only what
-every query needs (indptr bounds, prestige, activation normalizers) is
-resident from the start; adjacency and postings materialize per row,
-and the text block (labels, tables, refs, term vocabularies) decodes
-once on the first metadata or vocabulary access.
+The arrays are typed ``memoryview`` casts of one buffer: an ``mmap`` of
+the file (``storage_mode="mapped"``) or the file's bytes read into
+process memory (``"ram"``); nothing here can tell the difference, and
+nothing here imports numpy until a caller asks for the CSR ndarrays.
+Only what every query needs (indptr bounds, prestige) is resident from
+the start as Python numbers; the activation normalizers are indexed in
+place, adjacency and postings materialize per row, and the text block
+(labels, tables, refs, term vocabularies) decodes once on the first
+metadata or vocabulary access.
 
 Bit-identity contract: a materialized row is built through
 ``tolist()``/``zip``, so every neighbor id is a Python int, every
@@ -31,14 +33,17 @@ copy of the cold data, which is the bigger-than-RAM story.
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterator, Mapping, Optional, Sequence
-
-import numpy as np
+from heapq import nlargest
+from operator import add, sub
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional, Sequence
 
 from repro.errors import SnapshotError
 from repro.graph.searchgraph import Edge, SearchGraph
 from repro.index.inverted import InvertedIndex
 from repro.storage.stats import PinPolicy, StorageStats
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MappedInvertedIndex",
@@ -74,7 +79,7 @@ class _TextBlob:
         data = self._data
         if data is None:
             try:
-                data = json.loads(bytes(np.asarray(self._raw)).decode("utf-8"))
+                data = json.loads(bytes(self._raw).decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise SnapshotError(
                     f"{self._path} has a corrupt text block: {exc}"
@@ -127,11 +132,12 @@ class _LazyAdjacency(Sequence):
 
     __slots__ = ("_bounds", "_ids", "_weights", "_fwd", "_rows", "_stats")
 
-    def __init__(self, indptr, ids, weights, fwd, stats: StorageStats) -> None:
-        # Bounds are O(n) and consulted on every access: keep them as a
-        # resident Python list (int64 scalars would leak numpy types
-        # into slice arithmetic anyway).
-        self._bounds = np.asarray(indptr).tolist()
+    def __init__(
+        self, bounds: list[int], ids, weights, fwd, stats: StorageStats
+    ) -> None:
+        # Bounds are O(n) and consulted on every access: a resident
+        # Python list (the one the loader validated).
+        self._bounds = bounds
         self._ids = ids
         self._weights = weights
         self._fwd = fwd
@@ -147,14 +153,13 @@ class _LazyAdjacency(Sequence):
             if not 0 <= u < len(self):
                 raise IndexError(u)
             lo, hi = self._bounds[u], self._bounds[u + 1]
-            # tolist() yields Python ints/floats/bools — the element
-            # pipeline pin_rows shares, so rows are bit-identical
-            # however they were materialized.
+            # tolist() yields Python ints/floats/bools, whether the row
+            # is pinned at load or faulted by a search.
             row = tuple(
                 zip(
                     self._ids[lo:hi].tolist(),
                     self._weights[lo:hi].tolist(),
-                    self._fwd[lo:hi].astype(bool).tolist(),
+                    self._fwd[lo:hi].tolist(),
                 )
             )
             self._rows[u] = row
@@ -166,55 +171,12 @@ class _LazyAdjacency(Sequence):
         # row; that is inherent to the operation, not an accident.
         return (self[u] for u in range(len(self)))
 
-    def row_length(self, u: int) -> int:
-        """Degree of ``u`` without materializing the row."""
-        return self._bounds[u + 1] - self._bounds[u]
-
-    def pin_rows(self, nodes) -> None:
-        """Materialize many rows in one vectorized pass.
-
-        Per-row materialization costs three array slices and three
-        ``tolist`` calls of Python overhead; for a pin set of hundreds
-        of rows that overhead dominates a lazy load's warmup.  This
-        gathers every pinned edge with one fancy-index per side array
-        and cuts the flat lists back into rows — the element pipeline
-        (``tolist``/``zip``/``tuple``) is unchanged, so the cached rows
-        are bit-identical to demand-faulted ones.
-        """
-        rows = self._rows
-        todo = [u for u in nodes if u not in rows]
-        if not todo:
-            return
-        bounds = self._bounds
-        lo = np.array([bounds[u] for u in todo], dtype=np.int64)
-        lengths = np.array(
-            [bounds[u + 1] - bounds[u] for u in todo], dtype=np.int64
-        )
-        total = int(lengths.sum())
-        if total:
-            starts = np.repeat(
-                lo - np.concatenate(([0], np.cumsum(lengths)[:-1])), lengths
-            )
-            pos = np.arange(total, dtype=np.int64) + starts
-            ids = self._ids[pos].tolist()
-            weights = self._weights[pos].tolist()
-            fwd = self._fwd[pos].astype(bool).tolist()
-        else:
-            ids = weights = fwd = []
-        offset = 0
-        for u, length in zip(todo, lengths.tolist()):
-            end = offset + length
-            rows[u] = tuple(
-                zip(ids[offset:end], weights[offset:end], fwd[offset:end])
-            )
-            self._stats.note_row(length)
-            offset = end
-
 
 class MappedSearchGraph(SearchGraph):
     """A :class:`SearchGraph` whose adjacency lives in snapshot arrays.
 
-    Prestige and the activation normalizers are resident; the two
+    Prestige is resident (a tuple of Python floats) and the activation
+    normalizers are float64 views indexed in place; the two
     adjacency sides are :class:`_LazyAdjacency` objects and the
     per-node text metadata decodes from the snapshot's text blob on
     first access.  Every read accessor of the base class works
@@ -259,9 +221,10 @@ class MappedSearchGraph(SearchGraph):
         g._tables = tables
         g._refs = refs
         g._num_forward_edges = int(num_forward_edges)
-        g._prestige = cls._validate_prestige(np.asarray(prestige), n)
-        g._in_inv_weight_sum = tuple(np.asarray(in_inv_weight_sum).tolist())
-        g._out_inv_weight_sum = tuple(np.asarray(out_inv_weight_sum).tolist())
+        g._prestige = cls._validate_prestige(prestige, n)
+        # Read once per touched node: indexed in place, never listed.
+        g._in_inv_weight_sum = in_inv_weight_sum
+        g._out_inv_weight_sum = out_inv_weight_sum
         if len(g._in_inv_weight_sum) != n or len(g._out_inv_weight_sum) != n:
             raise ValueError("inv-weight-sum lengths disagree with adjacency")
         g._num_edges = int(g._out._bounds[-1])
@@ -297,18 +260,22 @@ class MappedSearchGraph(SearchGraph):
         # float64 weights narrow to float32 exactly as the per-element
         # assignment would.
         if self._csr_cache is None:
+            import numpy as np
+
             out = self._out
             self._csr_cache = {
                 "indptr": np.array(out._bounds, dtype=np.int64),
                 "dst": np.array(out._ids, dtype=np.int32),
                 "weight": np.array(out._weights, dtype=np.float32),
-                "prestige": self._prestige.astype(np.float64),
+                "prestige": np.array(self._prestige, dtype=np.float64),
             }
         return self._csr_cache
 
     def _mapped_csr_sides(self) -> dict[str, np.ndarray]:
         """Raw both-sides arrays for the kernel CSR fast path
         (:func:`repro.core.kernels.csr.graph_csr`)."""
+        import numpy as np
+
         return {
             "in_indptr": np.array(self._in._bounds, dtype=np.int64),
             "in_src": np.array(self._in._ids, dtype=np.int32),
@@ -339,14 +306,14 @@ class _LazyPostings(Mapping):
     def __init__(
         self,
         terms_thunk: Callable[[], list],
-        indptr,
+        bounds: list[int],
         nodes,
         stats: StorageStats,
     ) -> None:
         self._terms_thunk = terms_thunk
         self._terms: Optional[list[str]] = None
         self._positions: Optional[dict[str, int]] = None
-        self._bounds = np.asarray(indptr).tolist()
+        self._bounds = bounds
         self._nodes = nodes
         self._sets: dict[str, set[int]] = {}
         self._by_index: dict[int, set[int]] = {}
@@ -434,7 +401,7 @@ class MappedInvertedIndex(InvertedIndex):
             lambda: blob.load()["post_terms"], post_indptr, post_nodes, stats
         )
         index._blob = blob
-        index._rel_bounds = np.asarray(rel_indptr).tolist()
+        index._rel_bounds = rel_indptr
         index._rel_nodes_flat = rel_nodes
         index._rel_materialized = None
         index._lookup_cache = {}
@@ -446,7 +413,7 @@ class MappedInvertedIndex(InvertedIndex):
         rel = self._rel_materialized
         if rel is None:
             bounds = self._rel_bounds
-            flat = np.asarray(self._rel_nodes_flat).tolist()
+            flat = self._rel_nodes_flat.tolist()
             rel = {
                 term: set(flat[bounds[i] : bounds[i + 1]])
                 for i, term in enumerate(self._blob.load()["rel_terms"])
@@ -482,6 +449,13 @@ class MappedInvertedIndex(InvertedIndex):
         )
 
 
+def _top(k: int, values: Sequence) -> list[int]:
+    """Indices of the ``k`` largest ``values``, ties by index: what a
+    stable argsort of the negated values ranks first (``nlargest`` keeps
+    ties in input order; the bound method keeps the key in C)."""
+    return nlargest(k, range(len(values)), key=values.__getitem__)
+
+
 def apply_pin_policy(
     graph: MappedSearchGraph,
     index: MappedInvertedIndex,
@@ -503,34 +477,23 @@ def apply_pin_policy(
     policy = PinPolicy.coerce(policy)
     before = stats.resident_bytes
 
-    pinned_nodes: set[int] = set()
-    n = graph.num_nodes
-    k = min(policy.nodes, n)
-    if k > 0:
-        order = np.argsort(-graph.prestige, kind="stable")
-        pinned_nodes.update(order[:k].tolist())
-        degree = np.diff(np.asarray(graph._out._bounds)) + np.diff(
-            np.asarray(graph._in._bounds)
-        )
-        order = np.argsort(-degree, kind="stable")
-        pinned_nodes.update(order[:k].tolist())
-    ordered = sorted(pinned_nodes)
-    graph._out.pin_rows(ordered)
-    graph._in.pin_rows(ordered)
+    ends = list(map(add, graph._out._bounds, graph._in._bounds))
+    degree = list(map(sub, ends[1:], ends))
+    pinned_nodes = {
+        *_top(policy.nodes, graph.prestige_values), *_top(policy.nodes, degree)
+    }
+    for u in sorted(pinned_nodes):
+        graph.out_edges(u)
+        graph.in_edges(u)
 
     postings = index._postings
-    pinned_terms = 0
-    if policy.terms > 0 and len(postings):
-        ranked = sorted(
-            range(len(postings)),
-            key=lambda i: (-postings.frequency_of(i), i),
-        )
-        for i in ranked[: policy.terms]:
-            postings.pin_row(i)
-            pinned_terms += 1
+    freq = list(map(sub, postings._bounds[1:], postings._bounds))
+    pinned_terms = _top(policy.terms, freq)
+    for i in pinned_terms:
+        postings.pin_row(i)
 
     stats.pinned_nodes = len(pinned_nodes)
-    stats.pinned_terms = pinned_terms
+    stats.pinned_terms = len(pinned_terms)
     stats.pinned_bytes = stats.resident_bytes - before
     stats.row_faults = 0
     stats.posting_faults = 0

@@ -102,7 +102,7 @@ class StorageStats:
     the Python-object working set (materialized rows and posting sets),
     not the OS page-cache footprint — the latter is shared across
     processes and invisible from here.  ``mapped_bytes`` is the size of
-    the arrays behind ``np.memmap`` (0 under ``ram``, where the bytes
+    the arrays behind the ``mmap`` (0 under ``ram``, where the bytes
     are the process's own).
     """
 

@@ -22,7 +22,9 @@ import pytest
 
 from tests.helpers import SRC
 
-#: argv: src dir, snapshot.  Serves until stdin says otherwise.
+#: argv: src dir, snapshot, "mutate" or "search-only".  Both workers
+#: search (every algorithm, uncached) before anything else happens;
+#: serves until stdin says otherwise.
 SUPERVISOR = '''
 import http.client
 import json
@@ -33,19 +35,30 @@ sys.path.insert(0, sys.argv[1])
 
 from repro.cluster import ShardedQueryService
 from repro.cluster.http import make_server
+from repro.service import QueryRequest
 
-service = ShardedQueryService({"toy": sys.argv[2]}, num_workers=2, default_replicas=2)
+service = ShardedQueryService(
+    {"toy": sys.argv[2]}, num_workers=2, default_replicas=2, storage_mode="mapped"
+)
 server = make_server(service, port=0)
 threading.Thread(target=server.serve_forever, daemon=True).start()
 service.warmup()
-conn = http.client.HTTPConnection(*server.server_address[:2], timeout=60)
-conn.request(
-    "POST",
-    "/mutate",
-    json.dumps({"dataset": "toy", "mutations": [{"op": "add_node", "label": "census"}]}),
-)
-assert conn.getresponse().status == 200
-conn.close()
+batch = service.search_many([
+    QueryRequest(dataset="toy", query="gray transaction", algorithm=a, use_cache=False)
+    for a in ("bidirectional", "si-backward", "mi-backward") * 4
+])
+assert all(response.ok and response.result.answers for response in batch), batch
+served = service.metrics()["cluster"]["per_worker"]
+assert all(worker["requests_total"] for worker in served.values()), served
+if sys.argv[3] == "mutate":
+    conn = http.client.HTTPConnection(*server.server_address[:2], timeout=60)
+    conn.request(
+        "POST",
+        "/mutate",
+        json.dumps({"dataset": "toy", "mutations": [{"op": "add_node", "label": "census"}]}),
+    )
+    assert conn.getresponse().status == 200
+    conn.close()
 print("SERVING", flush=True)
 sys.stdin.readline()
 server.shutdown()
@@ -76,8 +89,8 @@ def _processes(pgid: int) -> dict[int, str]:
     return found
 
 
-@pytest.fixture
-def supervisor(tmp_path, toy_snapshot):
+@contextlib.contextmanager
+def _fleet(tmp_path, toy_snapshot, life: str):
     """A serving 2-worker fleet in a session of its own; yields the
     ``Popen`` (pid == process group id) and the file its stderr — and
     its workers', who inherit it — goes to."""
@@ -88,7 +101,7 @@ def supervisor(tmp_path, toy_snapshot):
     with open(stderr_path, "wb") as stderr:
         process = subprocess.Popen(
             [sys.executable, "-W", "error::ResourceWarning", str(script), str(SRC),
-             str(toy_snapshot)],
+             str(toy_snapshot), life],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=stderr,
@@ -107,6 +120,27 @@ def supervisor(tmp_path, toy_snapshot):
         process.wait()
         process.stdin.close()
         process.stdout.close()
+
+
+@pytest.fixture
+def supervisor(tmp_path, toy_snapshot):
+    """A fleet that has searched and taken a mutation."""
+    with _fleet(tmp_path, toy_snapshot, "mutate") as fleet:
+        yield fleet
+
+
+def test_workers_that_only_search_never_map_numpy(tmp_path, toy_snapshot):
+    """Searched on every algorithm, not mutated: the snapshot is one
+    ``mmap`` read through ``memoryview``s, so neither worker (nor the
+    supervisor) has numpy's extension module among its mappings."""
+    with _fleet(tmp_path, toy_snapshot, "search-only") as (process, stderr_path):
+        fleet = _processes(process.pid)
+        assert len(fleet) == 3, fleet
+        for pid in fleet:
+            maps = Path("/proc", str(pid), "maps").read_text()
+            assert str(toy_snapshot) in maps or pid == process.pid, pid
+            assert "_multiarray_umath" not in maps and "numpy" not in maps, pid
+        assert stderr_path.read_text() == ""
 
 
 def test_a_two_worker_fleet_is_three_processes_and_leaves_none(supervisor):

@@ -265,12 +265,15 @@ def rewrite_snapshot(
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_python(code: str, *, timeout: float = 120) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter whose ``""`` path entry is
-    the checkout's ``src/`` (not an install): what a test of import
-    behaviour needs, since this process has everything loaded."""
+def run_python(
+    code: str, *argv: str, timeout: float = 120
+) -> subprocess.CompletedProcess:
+    """Run ``code`` (``sys.argv[1:]`` = ``argv``) in a fresh interpreter
+    whose ``""`` path entry is the checkout's ``src/`` (not an install):
+    what a test of import behaviour needs, since this process has
+    everything loaded."""
     return subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *argv],
         cwd=SRC,
         capture_output=True,
         text=True,

@@ -10,7 +10,11 @@ fleet *supervisor* routes, journals and merges telemetry but never
 searches: numpy (~16 MiB), the engine, the snapshot array reader and
 the live-dataset machinery stay out of it for its whole life — ``apply``
 and ``reload`` with a ``wal_dir`` included.  A *worker* searches but
-serves no HTTP and builds no dataset.  Neither uses more of
+serves no HTTP and builds no dataset — and, like the thread tier, loads
+no numpy to search a snapshot on the default (per-pop) schedule: the
+arrays are ``memoryview`` casts of one ``mmap``, numpy arrives with the
+first ``vectorized`` request or the first mutation (``repro.live``).
+Neither uses more of
 ``multiprocessing`` than its ``connection`` module: no queue, no
 semaphore, no shared memory — and so no resource-tracker process to
 clean up after them.  And no serving role — supervisor, thread tier,
@@ -240,15 +244,16 @@ def test_supervisor_never_loads_the_data_plane(tmp_path, toy_engine):
 
 #: The thread tier behind the same front: a snapshot-backed
 #: ``QueryService`` serving searches, a mutation and every telemetry
-#: read over HTTP.  It runs the engine, so numpy is its business; OpenSSL
-#: is not.  argv: snapshot, then the forbidden names.
+#: read over HTTP.  Searching a mapped snapshot is numpy-free; the
+#: mutation is what loads ``repro.live`` and numpy with it.  OpenSSL is
+#: nobody's business.  argv: snapshot, then the forbidden names.
 THREAD_TIER_SCRIPT = PRELUDE + '''
 import threading
 
 from repro.cluster.http import make_server
 from repro.service import QueryService
 
-service = QueryService()
+service = QueryService(storage_mode="mapped")
 service.register_snapshot("toy", sys.argv[1])
 server = make_server(service, port=0)
 threading.Thread(target=server.serve_forever, daemon=True).start()
@@ -261,17 +266,18 @@ try:
              "explain": True, "request_id": algorithm},
         )
         assert status == 200, (algorithm, status)
+    for path in ("/metrics", "/metrics?format=prometheus", "/healthz",
+                 "/debug/dashboard", "/debug/events", "/debug/queries",
+                 "/debug/slow", "/debug/explain/bidirectional"):
+        status, _ = http_call(server, "GET", path)
+        assert status == 200, (path, status)
+    assert_not_loaded("numpy", "repro.live")  # searched, read telemetry: no arrays
     status, _ = http_call(
         server, "POST", "/mutate",
         {"dataset": "toy", "mutations": [{"op": "update_text", "node": 0,
                                           "text": "Jim Gray Qwertz"}]},
     )
     assert status == 200, status
-    for path in ("/metrics", "/metrics?format=prometheus", "/healthz",
-                 "/debug/dashboard", "/debug/events", "/debug/queries",
-                 "/debug/slow", "/debug/explain/bidirectional"):
-        status, _ = http_call(server, "GET", path)
-        assert status == 200, (path, status)
 finally:
     server.shutdown()
     server.server_close()
@@ -283,6 +289,8 @@ print("THREAD-TIER-OK")
 
 
 def test_thread_tier_serves_without_openssl(tmp_path, toy_engine):
+    """...and, up to its first mutation, without numpy (checked inside
+    the script, between the telemetry reads and the ``/mutate``)."""
     snapshot = save_engine(tmp_path / "toy.snap", toy_engine)
     done = subprocess.run(
         [sys.executable, "-c", THREAD_TIER_SCRIPT, str(snapshot), *OPENSSL_FORBIDDEN,
@@ -297,20 +305,28 @@ def test_thread_tier_serves_without_openssl(tmp_path, toy_engine):
 
 
 #: What the pool's worker command imports, then a worker's whole life
-#: on a real channel: warm-up, searches, a mutation, a reload, every
-#: telemetry pull, stop.  argv: snapshot, then the forbidden names.
+#: on a real channel: warm-up, searches of all three algorithms on the
+#: default schedule, a mutation, a reload, every telemetry pull, stop.
+#: argv: snapshot, then the forbidden names — with ``numpy`` among them
+#: the life has no mutation in it (``repro.live`` computes on arrays).
 WORKER_SCRIPT = PRELUDE + '''
 from multiprocessing.connection import Connection, Pipe
 from repro.cluster.worker import worker_main
 
-snapshot = sys.argv[1]
+snapshot, forbidden = sys.argv[1], sys.argv[2:]
 request = {"dataset": "toy", "query": "gray transaction", "request_id": "r1"}
+uncached = {"use_cache": False, "timeout": 30.0}
 mutation = {"op": "add_node", "label": "Zyzzqx Systems", "text": "Zyzzqx Systems"}
+mutating = [
+    ("mutate", {"dataset": "toy", "mutations": [mutation]}),
+    ("request", {**request, **uncached, "query": "zyzzqx"}),
+]
 jobs = [
     ("warmup", None),
     ("request", request),
-    ("mutate", {"dataset": "toy", "mutations": [mutation]}),
-    ("request", {**request, "query": "zyzzqx", "use_cache": False, "timeout": 30.0}),
+    *(("request", {**request, **uncached, "algorithm": algorithm})
+      for algorithm in ("bidirectional", "si-backward", "mi-backward")),
+    *([] if "numpy" in forbidden else mutating),
     ("reload", {"dataset": "toy", "path": snapshot, "force": True}),
     ("ping",),
     ("versions",),
@@ -320,7 +336,7 @@ jobs = [
     ("profile",),
 ]
 ours, theirs = Pipe()
-ours.send((0, {"toy": snapshot}, {"profiling": True}))
+ours.send((0, {"toy": snapshot}, {"profiling": True, "storage_mode": "mapped"}))
 for job, (kind, *payload) in enumerate(jobs):
     ours.send((kind, job, *payload))
 ours.send(("cancel", 1))
@@ -329,8 +345,9 @@ worker_main(theirs)
 replies = [ours.recv()[2] for _ in jobs]
 errors = {job: reply["error_type"] for job, reply in enumerate(replies) if reply.get("error")}
 assert errors == {1: "SearchCancelledError"}, errors  # the cancel beat its request
+assert all(reply["result"]["answers"] for reply in replies[2:5])  # they did search
 assert "repro.core.engine" in sys.modules  # it did load the data plane
-assert_not_loaded(*sys.argv[2:])
+assert_not_loaded(*forbidden)
 print("WORKER-OK")
 '''
 
@@ -363,10 +380,73 @@ def test_worker_loads_no_front_end_and_no_dataset_builders(tmp_path, toy_engine)
     assert "WORKER-OK" in done.stdout
 
 
+def test_worker_searches_a_mapped_snapshot_without_numpy(tmp_path, toy_engine):
+    """The same life minus the mutation: warm-up, all three algorithms
+    on the per-pop schedule, a reload and every telemetry pull read the
+    snapshot through ``memoryview``s — ~16 MiB per worker never mapped."""
+    snapshot = save_engine(tmp_path / "toy.snap", toy_engine)
+    done = subprocess.run(
+        [sys.executable, "-c", WORKER_SCRIPT, str(snapshot), *WORKER_FORBIDDEN,
+         "numpy", "repro.live"],
+        cwd=SRC,
+        capture_output=True,
+        text=True,
+        timeout=180,
+    )
+    assert done.returncode == 0, done.stderr[-4000:]
+    assert "WORKER-OK" in done.stdout
+
+
+#: A ``vectorized`` request is where a searching process does compute on
+#: arrays: numpy loads then, not before, and the answers are the same.
+VECTORIZED_SCRIPT = PRELUDE + '''
+from repro.core.params import SearchParams
+from repro.service import QueryService
+
+with QueryService(storage_mode="mapped") as service:
+    service.register_snapshot("toy", sys.argv[1])
+    service.warmup()
+    runs = {}
+    for backend in ("python", "vectorized"):
+        response = service.search(
+            "toy", "gray transaction", params=SearchParams(expansion_backend=backend)
+        )
+        assert response.ok, response.error
+        runs[backend] = (response.result.scores(), response.result.signatures())
+        if backend == "python":
+            assert_not_loaded("numpy")
+    assert "numpy" in sys.modules and "repro.core.kernels.csr" in sys.modules
+    assert runs["python"][0] and runs["vectorized"] == runs["python"], runs
+print("VECTORIZED-OK")
+'''
+
+
+def test_vectorized_request_is_what_loads_numpy(tmp_path, toy_engine):
+    snapshot = save_engine(tmp_path / "toy.snap", toy_engine)
+    done = run_python(VECTORIZED_SCRIPT, str(snapshot))
+    assert done.returncode == 0, done.stderr[-4000:]
+    assert "VECTORIZED-OK" in done.stdout
+
+
+def test_snapshot_info_loads_no_numpy(tmp_path, toy_engine):
+    """``python -m repro.service.snapshot info FILE`` reads a header: the
+    writer's numpy imports are local to the pack/write functions."""
+    snapshot = save_engine(tmp_path / "toy.snap", toy_engine)
+    done = run_python(
+        PRELUDE
+        + "from repro.service.snapshot import main\n"
+        + "assert main(['info', sys.argv[1]]) == 0\n"
+        + "assert_not_loaded('numpy', 'scipy', 'repro.core')\n",
+        str(snapshot),
+    )
+    assert done.returncode == 0, done.stderr[-4000:]
+    assert "num_nodes = " in done.stdout and "pin_hint" in done.stdout, done.stdout
+
+
 def test_failure_names_the_first_importer():
     """The harness itself: a violated expectation reports the chain."""
-    done = run_python(PRELUDE + "import repro.core.engine\nassert_not_loaded('numpy')\n")
+    done = run_python(PRELUDE + "import repro.live.dataset\nassert_not_loaded('numpy')\n")
     assert done.returncode != 0
-    assert "numpy <- repro.core." in done.stderr, done.stderr
-    assert "<- repro.core.engine:" in done.stderr, done.stderr
+    assert "numpy <- repro.live." in done.stderr, done.stderr
+    assert "<- repro.live.dataset:" in done.stderr, done.stderr
     assert "<- __main__:" in done.stderr, done.stderr

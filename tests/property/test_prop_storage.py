@@ -6,11 +6,17 @@ exactly the answers — same scores, same tree signatures, same order —
 as the built graph it was saved from, for all three algorithms and
 every expansion backend.  Residency modes change where the bytes live
 and what a load verifies, never results.
+
+The loader ranks its pin set without numpy (``heapq.nlargest`` over a
+C-level key); with ties everywhere it must still pick exactly the rows
+the stable ``argsort`` formulation picked, and the prestige a graph
+keeps as Python floats must be the vector ``graph.prestige`` hands out.
 """
 
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,3 +77,56 @@ def test_loaded_answers_bit_identical_to_built(mode, case):
                 b = cls(loaded_graph, keywords, loaded_sets, params=params).run()
                 assert b.scores() == a.scores(), (cls.__name__, backend)
                 assert b.signatures() == a.signatures(), (cls.__name__, backend)
+
+
+@given(
+    case=search_cases(),
+    levels=st.lists(st.sampled_from([0.0, 0.125, 0.25, 0.5]), min_size=12, max_size=12),
+    nodes=st.integers(min_value=0, max_value=6),
+    terms=st.integers(min_value=0, max_value=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_pin_set_and_prestige_reads_match_the_numpy_formulation(
+    case, levels, nodes, terms
+):
+    n, edges, keyword_sets = case
+    prestige = levels[:n]  # four distinct values over up to 12 nodes: ties
+    graph = build_graph_from(n, edges).with_prestige(prestige)
+    index = build_index(keyword_sets)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "case.snap"
+        save_snapshot(path, graph, index)
+        loaded = [
+            load_snapshot(
+                path, storage_mode=mode, pin_policy=PinPolicy(nodes=nodes, terms=terms)
+            )
+            for mode in ("ram", "mapped")
+        ]
+
+    # What apply_pin_policy computed before it stopped importing numpy.
+    k = min(nodes, n)
+    degree = np.array([graph.out_degree(u) + graph.in_degree(u) for u in range(n)])
+    by_prestige = np.argsort(-np.asarray(prestige), kind="stable")[:k]
+    by_degree = np.argsort(-degree, kind="stable")[:k]
+    expected_nodes = set(by_prestige.tolist()) | set(by_degree.tolist())
+    postings, _ = index._export_postings()
+    frequency = np.array([len(postings[term]) for term in sorted(postings)])
+    expected_terms = set(np.argsort(-frequency, kind="stable")[:terms].tolist())
+
+    for loaded_graph, loaded_index in loaded:
+        assert set(loaded_graph._out._rows) == expected_nodes
+        assert set(loaded_graph._in._rows) == expected_nodes
+        assert set(loaded_index._postings._by_index) == expected_terms
+        storage = loaded_graph.storage.snapshot()
+        assert storage["pinned_nodes"] == len(expected_nodes)
+        assert storage["pinned_terms"] == len(expected_terms)
+
+    for g in (graph, *(loaded_graph for loaded_graph, _ in loaded)):
+        vector = g.prestige
+        assert isinstance(vector, np.ndarray) and vector.dtype == np.float64
+        assert not vector.flags.writeable
+        assert g.prestige_values == tuple(prestige)
+        assert vector.tolist() == list(g.prestige_values)
+        assert all(type(value) is float for value in g.prestige_values)
+        assert [g.node_prestige(u) for u in range(n)] == prestige
+        assert g.max_prestige == max(prestige)

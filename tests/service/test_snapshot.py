@@ -351,6 +351,70 @@ class TestFormat:
         with pytest.raises(SnapshotError, match="malformed array-table entry"):
             load_snapshot(bad, storage_mode=mode)
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("array", ["in_weight", "out_weight"])
+    def test_header_naming_another_dtype_rejected(
+        self, toy_snapshot, tmp_path, mode, array
+    ):
+        """Same item size, same bytes, same crc32 — only the reader's
+        own name -> type table can tell float64 weights from int64 ones
+        (which used to load in both tiers and score 4e-20)."""
+
+        def edit(header, arrays):
+            arrays[array] = arrays[array].view(np.int64)
+
+        bad = rewrite_snapshot(toy_snapshot, tmp_path / "retyped.snap", edit)
+        with pytest.raises(
+            SnapshotError, match=f"malformed array-table entry for {array}: .*int64"
+        ):
+            load_snapshot(bad, storage_mode=mode)
+        with pytest.raises(SnapshotError, match=array):
+            verify_snapshot(bad)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "field, value, complaint",
+        [
+            ("dtype", "complex128", "dtype 'complex128'"),
+            ("dtype", ">f8", "dtype '>f8'"),
+            ("dtype", None, "dtype None"),
+            ("shape", [16, 1], "not one-dimensional"),
+            ("shape", [], "not one-dimensional"),
+            ("shape", 16, "not one-dimensional"),
+            ("shape", ["16"], None),  # int("16") == 16: the right length, accepted
+            ("shape", [None], "NoneType"),
+            ("shape", [-16], "negative shape"),
+        ],
+    )
+    def test_rewritten_table_entries_rejected(
+        self, toy_snapshot, tmp_path, mode, field, value, complaint
+    ):
+        def edit(header, arrays):
+            assert len(arrays["prestige"]) == 16
+            table = header["arrays"]
+            header["arrays"] = {
+                **table, "prestige": {**table["prestige"], field: value}
+            }
+
+        bad = rewrite_snapshot(toy_snapshot, tmp_path / "rewritten.snap", edit)
+        if complaint is None:
+            assert load_snapshot(bad, storage_mode=mode)[0].num_nodes == 16
+        else:
+            with pytest.raises(SnapshotError, match=f"prestige.*{complaint}"):
+                load_snapshot(bad, storage_mode=mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_big_endian_host_refuses_to_reinterpret(
+        self, toy_snapshot, mode, monkeypatch
+    ):
+        import types
+
+        import repro.service.snapshot as module
+
+        monkeypatch.setattr(module, "sys", types.SimpleNamespace(byteorder="big"))
+        with pytest.raises(SnapshotError, match="little-endian"):
+            load_snapshot(toy_snapshot, storage_mode=mode)
+
     def test_no_stale_tmp_file_left(self, toy_engine, tmp_path):
         path = tmp_path / "clean.snap"
         save_engine(path, toy_engine)
