@@ -90,8 +90,8 @@ def control_error(payload) -> Optional[Exception]:
 
 
 #: What a worker process runs.  The worker module — and the engine,
-#: snapshot reader and numpy behind it — is imported in the child, never
-#: in the supervisor that spawns it.
+#: snapshot reader and live datasets behind it — is imported in the
+#: child, never in the supervisor that spawns it.
 _WORKER_COMMAND = (
     "from multiprocessing.connection import Connection; "
     "from repro.cluster.worker import worker_main; "

@@ -43,9 +43,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from math import fsum
 from typing import Hashable, Optional, Sequence, Union
-
-import numpy as np
 
 from repro.core.engine import KeywordSearchEngine
 from repro.core.params import SearchParams
@@ -105,7 +104,11 @@ class MutableDataset:
     new_node_prestige:
         Prestige assigned to nodes added without a PageRank rerun;
         defaults to the base vector's mean (new entities rank as
-        ordinary citizens, not as hubs or outcasts).
+        ordinary citizens, not as hubs or outcasts), taken as
+        ``math.fsum(values) / n``: correctly rounded, so the default
+        does not depend on summation order or on an array library's
+        build.  The journal records each node's resolved value, so a
+        log replays the same floats whatever this default is.
     compact_ratio:
         Fold the overlay back into flat arrays when the number of
         mutations (of any kind) since the last compaction exceeds this
@@ -159,9 +162,8 @@ class MutableDataset:
         self._applied_total = 0
         self._rebase(graph, index)
         if new_node_prestige is None:
-            new_node_prestige = (
-                float(self._prestige_base.mean()) if graph.num_nodes else 1.0
-            )
+            values = graph.prestige_values
+            new_node_prestige = fsum(values) / len(values) if values else 1.0
         if new_node_prestige < 0:
             raise ValueError(
                 f"new_node_prestige must be >= 0, got {new_node_prestige!r}"
@@ -189,7 +191,6 @@ class MutableDataset:
         self._tables_ext: list[Optional[str]] = []
         self._refs_ext: list[Optional[tuple[str, Hashable]]] = []
         self._prestige_ext: list[float] = []
-        self._prestige_base = np.asarray(graph.prestige, dtype=np.float64)
         self._fwd_count = graph.num_forward_edges
         self._edge_count = graph.num_edges
         self._added: dict[str, set[int]] = {}
@@ -747,11 +748,14 @@ class MutableDataset:
             if recompute_prestige:
                 from repro.graph.prestige import compute_prestige
 
+                # The one commit that computes on a matrix.  The base
+                # keeps its adjacency and takes the new vector; epochs
+                # already handed out hold the old base.
                 vec = compute_prestige(graph)
-                self._prestige_base = np.asarray(
-                    vec[: self._base_n], dtype=np.float64
+                self._base_graph = self._base_graph.with_prestige(
+                    vec[: self._base_n]
                 )
-                self._prestige_ext = [float(p) for p in vec[self._base_n :]]
+                self._prestige_ext = vec[self._base_n :].tolist()
                 graph = self._build_view()
             index = OverlayIndex(
                 self._base_index,
@@ -790,7 +794,7 @@ class MutableDataset:
                 tables=[graph.table(u) for u in range(n)],
                 refs=[graph.ref(u) for u in range(n)],
                 num_forward_edges=graph.num_forward_edges,
-                prestige=graph.prestige,
+                prestige=graph.prestige_values,
                 in_inv_weight_sum=[graph.in_inv_weight_sum(u) for u in range(n)],
                 out_inv_weight_sum=[graph.out_inv_weight_sum(u) for u in range(n)],
             )
@@ -1006,7 +1010,6 @@ class MutableDataset:
             labels_ext=self._labels_ext,
             tables_ext=self._tables_ext,
             refs_ext=self._refs_ext,
-            prestige_base=self._prestige_base,
             prestige_ext=self._prestige_ext,
             num_forward_edges=self._fwd_count,
             num_edges=self._edge_count,

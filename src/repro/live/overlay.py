@@ -24,14 +24,15 @@ produces — the property ``tests/property/test_prop_live.py`` pins.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Hashable, Iterator, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Hashable, Iterator, Mapping, Optional, Sequence
 
 from repro.errors import UnknownNodeError
 from repro.graph.searchgraph import Edge, SearchGraph
 from repro.index.inverted import InvertedIndex
 from repro.index.tokenizer import normalize_term
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["OverlayGraph", "OverlayIndex"]
 
@@ -60,7 +61,7 @@ class OverlayGraph:
         labels_ext: Sequence[str] = (),
         tables_ext: Sequence[Optional[str]] = (),
         refs_ext: Sequence[Optional[tuple[str, Hashable]]] = (),
-        prestige_base: Optional[np.ndarray] = None,
+        prestige_base: Optional[Sequence[float]] = None,
         prestige_ext: Sequence[float] = (),
         num_forward_edges: Optional[int] = None,
         num_edges: Optional[int] = None,
@@ -76,16 +77,13 @@ class OverlayGraph:
         self._refs_ext = tuple(refs_ext)
         if not len(self._labels_ext) == len(self._tables_ext) == len(self._refs_ext):
             raise ValueError("extension metadata lengths disagree")
+        # The base's own tuple, shared; a caller's replacement passes
+        # the one validator both graph kinds use.
         self._prestige_base = (
-            np.asarray(prestige_base, dtype=np.float64)
-            if prestige_base is not None
-            else np.asarray(base.prestige, dtype=np.float64)
+            base.prestige_values
+            if prestige_base is None
+            else SearchGraph._validate_prestige(prestige_base, self._base_n)
         )
-        if self._prestige_base.shape != (self._base_n,):
-            raise ValueError(
-                f"prestige_base must have shape ({self._base_n},), "
-                f"got {self._prestige_base.shape}"
-            )
         self._prestige_ext = tuple(float(p) for p in prestige_ext)
         if len(self._prestige_ext) != len(self._labels_ext):
             raise ValueError("prestige extension length disagrees with metadata")
@@ -97,11 +95,9 @@ class OverlayGraph:
         self._num_edges = int(num_edges) if num_edges is not None else base.num_edges
         self._out_invw_over = dict(out_invw_over or {})
         self._in_invw_over = dict(in_invw_over or {})
-        self._max_prestige = float(
-            max(
-                self._prestige_base.max() if self._base_n else 0.0,
-                max(self._prestige_ext, default=0.0),
-            )
+        self._max_prestige = max(
+            max(self._prestige_base, default=0.0),
+            max(self._prestige_ext, default=0.0),
         )
         self._prestige_cache: Optional[np.ndarray] = None
         self._ref_to_node_ext: Optional[dict] = None
@@ -203,14 +199,12 @@ class OverlayGraph:
     # ------------------------------------------------------------------
     @property
     def prestige(self) -> np.ndarray:
-        """Full per-node prestige vector (read-only, built lazily)."""
+        """Full per-node prestige vector (read-only ndarray, built on
+        first use, as :attr:`SearchGraph.prestige` is)."""
         if self._prestige_cache is None:
-            vec = np.concatenate(
-                [
-                    self._prestige_base,
-                    np.asarray(self._prestige_ext, dtype=np.float64),
-                ]
-            )
+            import numpy as np
+
+            vec = np.array(self.prestige_values, dtype=np.float64)
             vec.flags.writeable = False
             self._prestige_cache = vec
         return self._prestige_cache
@@ -218,13 +212,13 @@ class OverlayGraph:
     @cached_property
     def prestige_values(self) -> tuple[float, ...]:
         """The same vector as Python floats (what the scorer indexes)."""
-        return tuple(self.prestige.tolist())
+        return self._prestige_base + self._prestige_ext
 
     def node_prestige(self, node: int) -> float:
         if node < self._base_n:
             if node < 0:
                 raise UnknownNodeError(node)
-            return float(self._prestige_base[node])
+            return self._prestige_base[node]
         self._check_node(node)
         return self._prestige_ext[node - self._base_n]
 

@@ -38,10 +38,10 @@ leaves them in the file behind one ``mmap`` — paged in on demand,
 shared physically across worker processes; ``ram`` reads them once into
 process memory, verifying every array's checksum and every node id on
 the way, and never touches the file again.  Either way the arrays are
-``memoryview`` casts of that one buffer: loading and serving the per-pop
-schedule import no numpy (saving, the ``ram`` id scan and the array
-consumers do).  ``docs/STORAGE.md`` documents the layout and the
-trade-offs.
+``memoryview`` casts of that one buffer, and the writer packs them with
+``array``: saving, loading and serving the per-pop schedule import no
+numpy (the ``ram`` id scan and the array consumers do).
+``docs/STORAGE.md`` documents the layout and the trade-offs.
 
 Version-1 files (the retired zip container) are not read at all: a
 loader that meets one raises an error naming the last commit whose
@@ -64,8 +64,11 @@ import os
 import struct
 import sys
 import zlib
+from array import array
+from itertools import accumulate, chain
+from operator import sub
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
 
 from repro.errors import SnapshotError
 from repro.graph.searchgraph import SearchGraph
@@ -81,9 +84,6 @@ from repro.service.snapshot_header import (
 )
 from repro.storage.stats import StorageStats, resolve_storage_mode
 
-if TYPE_CHECKING:
-    import numpy as np
-
 __all__ = [
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",
@@ -95,9 +95,10 @@ __all__ = [
     "verify_snapshot",
 ]
 
-#: Every data array of the format, in on-disk order, with the
-#: ``memoryview.cast`` code the reader carves it with (``?`` reads a
-#: uint8 edge flag straight into a Python bool).
+#: Every data array of the format, in on-disk order, with the code the
+#: writer types it with (``array``) and the reader carves it with
+#: (``memoryview.cast``; ``?`` reads a uint8 edge flag straight into a
+#: Python bool).
 _ARRAY_CODES = dict(
     out_indptr="q", out_dst="i", out_weight="d", out_fwd="?",
     in_indptr="q", in_src="i", in_weight="d", in_fwd="?",
@@ -106,7 +107,7 @@ _ARRAY_CODES = dict(
     text_json="B",
 )
 
-#: The dtype an array-table entry must name for each cast code.
+#: The dtype an array-table entry names, and must name, for each code.
 _CODE_DTYPES = {"q": "int64", "i": "int32", "d": "float64", "?": "uint8", "B": "uint8"}
 
 #: The numeric arrays (everything but the text blob).
@@ -120,41 +121,29 @@ _TEXT_FIELDS = ("labels", "tables", "refs", "post_terms", "rel_terms")
 # ----------------------------------------------------------------------
 # save
 # ----------------------------------------------------------------------
-def _pack_adjacency(adjacency) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    import numpy as np
-
-    indptr = np.zeros(len(adjacency) + 1, dtype=np.int64)
-    total = sum(len(edges) for edges in adjacency)
-    dst = np.zeros(total, dtype=np.int32)
-    weight = np.zeros(total, dtype=np.float64)
-    fwd = np.zeros(total, dtype=np.uint8)
-    pos = 0
-    for u, edges in enumerate(adjacency):
-        indptr[u] = pos
-        for v, w, is_forward in edges:
-            dst[pos] = v
-            weight[pos] = w
-            fwd[pos] = 1 if is_forward else 0
-            pos += 1
-    indptr[len(adjacency)] = pos
-    return indptr, dst, weight, fwd
+def _bounds(rows):
+    """CSR row bounds: the running total of the row lengths."""
+    return accumulate(map(len, rows), initial=0)
 
 
-def _pack_postings(postings) -> tuple[list[str], np.ndarray, np.ndarray]:
-    import numpy as np
+def _pack_adjacency(adjacency, side: str, ids: str) -> dict:
+    """One adjacency side's four columns, edges in row order."""
+    edges = list(chain.from_iterable(adjacency))
+    return {
+        f"{side}_indptr": _bounds(adjacency),
+        f"{side}_{ids}": [neighbour for neighbour, _, _ in edges],
+        f"{side}_weight": [weight for _, weight, _ in edges],
+        f"{side}_fwd": [forward for _, _, forward in edges],
+    }
 
+
+def _pack_postings(postings, kind: str) -> tuple[list[str], dict]:
     terms = sorted(postings)
-    indptr = np.zeros(len(terms) + 1, dtype=np.int64)
-    total = sum(len(postings[term]) for term in terms)
-    nodes = np.zeros(total, dtype=np.int32)
-    pos = 0
-    for i, term in enumerate(terms):
-        indptr[i] = pos
-        for node in sorted(postings[term]):
-            nodes[pos] = node
-            pos += 1
-    indptr[len(terms)] = pos
-    return terms, indptr, nodes
+    rows = [sorted(postings[term]) for term in terms]
+    return terms, {
+        f"{kind}_indptr": _bounds(rows),
+        f"{kind}_nodes": chain.from_iterable(rows),
+    }
 
 
 def _encode_refs(graph: SearchGraph) -> list:
@@ -202,13 +191,9 @@ def _pack_state(
 ) -> tuple[dict, dict]:
     """Pack graph + index into the format's (meta, arrays) pair, with
     the content digest already stamped into meta."""
-    import numpy as np
-
-    out_indptr, out_dst, out_weight, out_fwd = _pack_adjacency(graph._out)
-    in_indptr, in_src, in_weight, in_fwd = _pack_adjacency(graph._in)
     postings, relation_nodes = index._export_postings()
-    post_terms, post_indptr, post_nodes = _pack_postings(postings)
-    rel_terms, rel_indptr, rel_nodes = _pack_postings(relation_nodes)
+    post_terms, post_columns = _pack_postings(postings, "post")
+    rel_terms, rel_columns = _pack_postings(relation_nodes, "rel")
 
     meta = {
         "format": SNAPSHOT_FORMAT,
@@ -221,22 +206,20 @@ def _pack_state(
         "rel_terms": rel_terms,
         "dataset_version": int(version),
     }
+    columns = {
+        **_pack_adjacency(graph._out, "out", "dst"),
+        **_pack_adjacency(graph._in, "in", "src"),
+        "prestige": graph.prestige_values,
+        "in_invw": graph._in_inv_weight_sum,
+        "out_invw": graph._out_inv_weight_sum,
+        **post_columns,
+        **rel_columns,
+    }
+    # Typed with the codes the reader casts back with; ``array`` has no
+    # bool code, so an edge flag is written as the byte ``?`` reads.
     arrays = {
-        "out_indptr": out_indptr,
-        "out_dst": out_dst,
-        "out_weight": out_weight,
-        "out_fwd": out_fwd,
-        "in_indptr": in_indptr,
-        "in_src": in_src,
-        "in_weight": in_weight,
-        "in_fwd": in_fwd,
-        "prestige": np.asarray(graph.prestige, dtype=np.float64),
-        "in_invw": np.asarray(graph._in_inv_weight_sum, dtype=np.float64),
-        "out_invw": np.asarray(graph._out_inv_weight_sum, dtype=np.float64),
-        "post_indptr": post_indptr,
-        "post_nodes": post_nodes,
-        "rel_indptr": rel_indptr,
-        "rel_nodes": rel_nodes,
+        name: array(_ARRAY_CODES[name].replace("?", "B"), values)
+        for name, values in columns.items()
     }
     meta["content_digest"] = _content_digest(meta, arrays)
     return meta, arrays
@@ -252,15 +235,14 @@ def _pin_hints(meta: dict, arrays: dict) -> dict:
     :class:`~repro.storage.PinPolicy` recomputes the full set from the
     resident indptr/prestige arrays; the hints are advisory.
     """
-    prestige = arrays["prestige"]
-    top_nodes = (-prestige).argsort(kind="stable")[: min(32, len(prestige))]
+    from repro.storage.mapped import _top
+
     post_indptr = arrays["post_indptr"]
-    freq = (post_indptr[1:] - post_indptr[:-1]).tolist()
-    terms = meta["post_terms"]
-    ranked = sorted(range(len(terms)), key=lambda i: (-freq[i], terms[i]))
+    freq = list(map(sub, post_indptr[1:], post_indptr))
+    terms = meta["post_terms"]  # sorted: ties by row are ties by term
     return {
-        "nodes": [int(u) for u in top_nodes],
-        "terms": [terms[i] for i in ranked[:16]],
+        "nodes": _top(32, arrays["prestige"]),
+        "terms": [terms[i] for i in _top(16, freq)],
     }
 
 
@@ -276,25 +258,20 @@ def _write_snapshot(path: Path, meta: dict, arrays: dict) -> Path:
     eager (``ram``) read and ``snapshot verify`` check it, so a damaged
     data page is named at load instead of mis-answering a query.
     """
-    import numpy as np
-
-    text_blob = json.dumps(
+    buffers = {name: arrays[name] for name in _ARRAY_NAMES}
+    buffers["text_json"] = json.dumps(
         {field: meta[field] for field in _TEXT_FIELDS}, ensure_ascii=False
     ).encode("utf-8")
-    contiguous = {
-        name: np.ascontiguousarray(arrays[name]) for name in _ARRAY_NAMES
-    }
-    contiguous["text_json"] = np.frombuffer(text_blob, dtype=np.uint8)
     table = {}
     offset = 0
-    for name, arr in contiguous.items():
+    for name, buf in buffers.items():
         table[name] = {
             "offset": offset,
-            "dtype": str(arr.dtype),
-            "shape": [int(dim) for dim in arr.shape],
-            "crc32": zlib.crc32(arr.data),
+            "dtype": _CODE_DTYPES[_ARRAY_CODES[name]],
+            "shape": [len(buf)],
+            "crc32": zlib.crc32(buf),
         }
-        offset = _align(offset + arr.nbytes)
+        offset = _align(offset + memoryview(buf).nbytes)
     header = {
         key: value for key, value in meta.items() if key not in _TEXT_FIELDS
     }
@@ -313,10 +290,10 @@ def _write_snapshot(path: Path, meta: dict, arrays: dict) -> Path:
             fh.write(MAPPED_MAGIC)
             fh.write(struct.pack("<Q", len(header_bytes)))
             fh.write(header_bytes)
-            for name, arr in contiguous.items():
-                if arr.nbytes:
+            for name, buf in buffers.items():
+                if buf:
                     fh.seek(data_start + table[name]["offset"])
-                    fh.write(arr.data)
+                    fh.write(buf)
         os.replace(tmp, path)
     except OSError as exc:
         tmp.unlink(missing_ok=True)

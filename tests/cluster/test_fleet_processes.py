@@ -22,14 +22,18 @@ import pytest
 
 from tests.helpers import SRC
 
-#: argv: src dir, snapshot, "mutate" or "search-only".  Both workers
-#: search (every algorithm, uncached) before anything else happens;
-#: serves until stdin says otherwise.
+#: argv: src dir, snapshot, "mutate", "search-only" or "replay".  Both
+#: workers search (every algorithm, uncached) before anything else
+#: happens; "replay" journals its commits (the log goes beside the
+#: script), compacts both replicas, then kills both workers and waits
+#: for replacements that replayed the log.  Serves until stdin says
+#: otherwise.
 SUPERVISOR = '''
 import http.client
 import json
 import sys
 import threading
+import time
 
 sys.path.insert(0, sys.argv[1])
 
@@ -38,7 +42,8 @@ from repro.cluster.http import make_server
 from repro.service import QueryRequest
 
 service = ShardedQueryService(
-    {"toy": sys.argv[2]}, num_workers=2, default_replicas=2, storage_mode="mapped"
+    {"toy": sys.argv[2]}, num_workers=2, default_replicas=2, storage_mode="mapped",
+    health_interval=0.1, wal_dir="wal" if sys.argv[3] == "replay" else None,
 )
 server = make_server(service, port=0)
 threading.Thread(target=server.serve_forever, daemon=True).start()
@@ -59,6 +64,29 @@ if sys.argv[3] == "mutate":
     )
     assert conn.getresponse().status == 200
     conn.close()
+if sys.argv[3] == "replay":
+    outcomes = [
+        service.apply("toy", [
+            {"op": "add_node", "label": f"census {commit}", "text": f"census{commit}"},
+            {"op": "add_edge", "u": -1, "v": 3},
+        ])
+        for commit in range(4)
+    ]
+    assert outcomes[-1]["version"] == outcomes[-1]["wal_seq"] == 4, outcomes[-1]
+    assert not outcomes[-1]["drift"] and any(o["compacted"] for o in outcomes), outcomes
+    for worker in (0, 1):
+        service.pool.process(worker).kill()
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline and not (
+        all(service.pool.restarts().get(worker) for worker in (0, 1))
+        and service.dataset_versions().get("toy") == {"0": 4, "1": 4}
+    ):
+        time.sleep(0.05)
+    assert service.dataset_versions()["toy"] == {"0": 4, "1": 4}, service.health()
+    batch = service.search_many([
+        QueryRequest(dataset="toy", query="census3", use_cache=False) for _ in range(4)
+    ])
+    assert all(response.ok and response.result.answers for response in batch), batch
 print("SERVING", flush=True)
 sys.stdin.readline()
 server.shutdown()
@@ -140,6 +168,23 @@ def test_workers_that_only_search_never_map_numpy(tmp_path, toy_snapshot):
             maps = Path("/proc", str(pid), "maps").read_text()
             assert str(toy_snapshot) in maps or pid == process.pid, pid
             assert "_multiarray_umath" not in maps and "numpy" not in maps, pid
+        assert stderr_path.read_text() == ""
+
+
+def test_workers_that_commit_compact_and_replay_never_map_numpy(tmp_path, toy_snapshot):
+    """A ``wal_dir`` fleet whose two workers applied four commits each
+    (compacting on the way), were killed, and came back through a WAL
+    replay: overlays keep prestige as Python floats, so the write path
+    maps no more of numpy than the read path does."""
+    with _fleet(tmp_path, toy_snapshot, "replay") as (process, stderr_path):
+        fleet = _processes(process.pid)
+        assert len(fleet) == 3 and "Z" not in fleet.values(), fleet
+        for pid in fleet:
+            # (A compacted replica serves flat rows from its own memory:
+            # the snapshot's mapping went with the overlay's base.)
+            maps = Path("/proc", str(pid), "maps").read_text()
+            assert "_multiarray_umath" not in maps and "numpy" not in maps, pid
+        assert list((tmp_path / "wal").iterdir())  # the log they replayed
         assert stderr_path.read_text() == ""
 
 

@@ -11,9 +11,11 @@ searches: numpy (~16 MiB), the engine, the snapshot array reader and
 the live-dataset machinery stay out of it for its whole life — ``apply``
 and ``reload`` with a ``wal_dir`` included.  A *worker* searches but
 serves no HTTP and builds no dataset — and, like the thread tier, loads
-no numpy to search a snapshot on the default (per-pop) schedule: the
-arrays are ``memoryview`` casts of one ``mmap``, numpy arrives with the
-first ``vectorized`` request or the first mutation (``repro.live``).
+no numpy to serve a snapshot on the default (per-pop) schedule, writes
+included: the arrays are ``memoryview`` casts of one ``mmap``, an overlay
+keeps prestige as Python floats, a compaction's snapshot is packed with
+``array``; numpy arrives with the first ``vectorized`` request or a
+``commit(recompute_prestige=True)`` (a power iteration).
 Neither uses more of
 ``multiprocessing`` than its ``connection`` module: no queue, no
 semaphore, no shared memory — and so no resource-tracker process to
@@ -244,9 +246,10 @@ def test_supervisor_never_loads_the_data_plane(tmp_path, toy_engine):
 
 #: The thread tier behind the same front: a snapshot-backed
 #: ``QueryService`` serving searches, a mutation and every telemetry
-#: read over HTTP.  Searching a mapped snapshot is numpy-free; the
-#: mutation is what loads ``repro.live`` and numpy with it.  OpenSSL is
-#: nobody's business.  argv: snapshot, then the forbidden names.
+#: read over HTTP, then compacting, saving and reloading what it
+#: mutated.  The mutation is what loads ``repro.live``; nothing on the
+#: cycle loads numpy.  OpenSSL is nobody's business.  argv: snapshot,
+#: then the forbidden names.
 THREAD_TIER_SCRIPT = PRELUDE + '''
 import threading
 
@@ -278,23 +281,34 @@ try:
                                           "text": "Jim Gray Qwertz"}]},
     )
     assert status == 200, status
+    status, _ = http_call(server, "POST", "/search", {"dataset": "toy", "query": "qwertz"})
+    assert status == 200, status
+    assert "repro.live.overlay" in sys.modules  # ...which searched an overlay
+    assert_not_loaded(*sys.argv[2:])  # served and mutated: nothing it never runs
+    # Compacts, then packs and digests the flat state: sha256 is the
+    # one save-time import (OpenSSL), arrays still are not.
+    resaved = service.save_snapshot("toy", sys.argv[1] + ".resaved")
+    assert type(service.engine("toy").graph).__name__ == "SearchGraph"
+    service.reload_snapshot("toy", resaved)
+    assert service.search("toy", "qwertz").result.answers
+    assert_not_loaded("numpy", "scipy")
 finally:
     server.shutdown()
     server.server_close()
     service.close()
 assert "repro.core.engine" in sys.modules  # it did search
-assert_not_loaded(*sys.argv[2:])
 print("THREAD-TIER-OK")
 '''
 
 
 def test_thread_tier_serves_without_openssl(tmp_path, toy_engine):
-    """...and, up to its first mutation, without numpy (checked inside
-    the script, between the telemetry reads and the ``/mutate``)."""
+    """...and without numpy: checked inside the script before the
+    ``/mutate`` (with ``repro.live``) and again after it, a compaction, a
+    ``save_snapshot`` and a reload of the file that wrote."""
     snapshot = save_engine(tmp_path / "toy.snap", toy_engine)
     done = subprocess.run(
         [sys.executable, "-c", THREAD_TIER_SCRIPT, str(snapshot), *OPENSSL_FORBIDDEN,
-         *MULTIPROCESSING_FORBIDDEN, "scipy"],
+         *MULTIPROCESSING_FORBIDDEN, "numpy", "scipy"],
         cwd=SRC,
         capture_output=True,
         text=True,
@@ -305,28 +319,44 @@ def test_thread_tier_serves_without_openssl(tmp_path, toy_engine):
 
 
 #: What the pool's worker command imports, then a worker's whole life
-#: on a real channel: warm-up, searches of all three algorithms on the
-#: default schedule, a mutation, a reload, every telemetry pull, stop.
-#: argv: snapshot, then the forbidden names — with ``numpy`` among them
-#: the life has no mutation in it (``repro.live`` computes on arrays).
+#: on a real channel, twice: warm-up, searches of all three algorithms
+#: on the default schedule, a mutation, a search of the overlay, a
+#: reload, every telemetry pull, stop — then, the batch journalled the
+#: way the supervisor journals it, a restart that replays the log
+#: before its first message.  argv: snapshot, log directory, then the
+#: forbidden names.
 WORKER_SCRIPT = PRELUDE + '''
 from multiprocessing.connection import Connection, Pipe
 from repro.cluster.worker import worker_main
+from repro.wal import MutationLog
 
-snapshot, forbidden = sys.argv[1], sys.argv[2:]
+snapshot, wal, forbidden = sys.argv[1], sys.argv[2], sys.argv[3:]
 request = {"dataset": "toy", "query": "gray transaction", "request_id": "r1"}
 uncached = {"use_cache": False, "timeout": 30.0}
 mutation = {"op": "add_node", "label": "Zyzzqx Systems", "text": "Zyzzqx Systems"}
-mutating = [
-    ("mutate", {"dataset": "toy", "mutations": [mutation]}),
-    ("request", {**request, **uncached, "query": "zyzzqx"}),
-]
-jobs = [
+mutated = ("request", {**request, **uncached, "query": "zyzzqx"})
+
+
+def life(jobs, cancel=(), **settings):
+    """Replies to ``jobs`` from one worker, first message to ``stop``."""
+    ours, theirs = Pipe()
+    ours.send((0, {"toy": snapshot}, {"profiling": True, "storage_mode": "mapped", **settings}))
+    for job, (kind, *payload) in enumerate(jobs):
+        ours.send((kind, job, *payload))
+    for job in cancel:
+        ours.send(("cancel", job))
+    ours.send(("stop",))
+    worker_main(theirs)
+    return [ours.recv()[2] for _ in jobs]
+
+
+replies = life([
     ("warmup", None),
     ("request", request),
     *(("request", {**request, **uncached, "algorithm": algorithm})
       for algorithm in ("bidirectional", "si-backward", "mi-backward")),
-    *([] if "numpy" in forbidden else mutating),
+    ("mutate", {"dataset": "toy", "mutations": [mutation]}),
+    mutated,
     ("reload", {"dataset": "toy", "path": snapshot, "force": True}),
     ("ping",),
     ("versions",),
@@ -334,19 +364,18 @@ jobs = [
     ("events", {"since": 0}),
     ("queries",),
     ("profile",),
-]
-ours, theirs = Pipe()
-ours.send((0, {"toy": snapshot}, {"profiling": True, "storage_mode": "mapped"}))
-for job, (kind, *payload) in enumerate(jobs):
-    ours.send((kind, job, *payload))
-ours.send(("cancel", 1))
-ours.send(("stop",))
-worker_main(theirs)
-replies = [ours.recv()[2] for _ in jobs]
+], cancel=[1])
 errors = {job: reply["error_type"] for job, reply in enumerate(replies) if reply.get("error")}
 assert errors == {1: "SearchCancelledError"}, errors  # the cancel beat its request
 assert all(reply["result"]["answers"] for reply in replies[2:5])  # they did search
-assert "repro.core.engine" in sys.modules  # it did load the data plane
+assert replies[5]["applied"] == 1 and replies[6]["result"]["answers"], replies[5:7]
+
+with MutationLog(wal) as log:
+    assert log.append([{**mutation, "prestige": 0.125}]) == 1
+replies = life([("versions",), mutated], wals={"toy": wal})
+assert replies[0]["versions"] == {"toy": 1}, replies[0]  # replayed before its first message
+assert replies[1]["result"]["answers"], replies[1]  # ...and serves what it replayed
+assert "repro.core.engine" in sys.modules and "repro.live.dataset" in sys.modules
 assert_not_loaded(*forbidden)
 print("WORKER-OK")
 '''
@@ -363,38 +392,34 @@ WORKER_FORBIDDEN = MULTIPROCESSING_FORBIDDEN + OPENSSL_FORBIDDEN + (
 )
 
 
+def _worker_life(tmp_path, toy_engine, forbidden):
+    snapshot = save_engine(tmp_path / "toy.snap", toy_engine)
+    done = subprocess.run(
+        [sys.executable, "-c", WORKER_SCRIPT, str(snapshot), str(tmp_path / "toy.wal"),
+         *forbidden],
+        cwd=SRC,
+        capture_output=True,
+        text=True,
+        timeout=180,
+    )
+    assert done.returncode == 0, done.stderr[-4000:]
+    assert "WORKER-OK" in done.stdout
+
+
 def test_worker_loads_no_front_end_and_no_dataset_builders(tmp_path, toy_engine):
     """What the pool's worker command imports and a worker's life then
     adds: the worker loop, the thread-tier service, the engine and the
     live-dataset machinery — not the HTTP front, the supervisor, the
     dataset generators or scipy."""
-    snapshot = save_engine(tmp_path / "toy.snap", toy_engine)
-    done = subprocess.run(
-        [sys.executable, "-c", WORKER_SCRIPT, str(snapshot), *WORKER_FORBIDDEN],
-        cwd=SRC,
-        capture_output=True,
-        text=True,
-        timeout=180,
-    )
-    assert done.returncode == 0, done.stderr[-4000:]
-    assert "WORKER-OK" in done.stdout
+    _worker_life(tmp_path, toy_engine, WORKER_FORBIDDEN)
 
 
 def test_worker_searches_a_mapped_snapshot_without_numpy(tmp_path, toy_engine):
-    """The same life minus the mutation: warm-up, all three algorithms
-    on the per-pop schedule, a reload and every telemetry pull read the
-    snapshot through ``memoryview``s — ~16 MiB per worker never mapped."""
-    snapshot = save_engine(tmp_path / "toy.snap", toy_engine)
-    done = subprocess.run(
-        [sys.executable, "-c", WORKER_SCRIPT, str(snapshot), *WORKER_FORBIDDEN,
-         "numpy", "repro.live"],
-        cwd=SRC,
-        capture_output=True,
-        text=True,
-        timeout=180,
-    )
-    assert done.returncode == 0, done.stderr[-4000:]
-    assert "WORKER-OK" in done.stdout
+    """...and mutates it, searches the overlay, reloads, and comes back
+    from a restart through a WAL replay without it: the snapshot is read
+    through ``memoryview``s and an overlay's prestige is a tuple of
+    floats — ~16 MiB per worker never mapped, whichever life it leads."""
+    _worker_life(tmp_path, toy_engine, ("numpy",))
 
 
 #: A ``vectorized`` request is where a searching process does compute on
@@ -428,9 +453,59 @@ def test_vectorized_request_is_what_loads_numpy(tmp_path, toy_engine):
     assert "VECTORIZED-OK" in done.stdout
 
 
+#: A live dataset stages, commits, rolls back, compacts to a snapshot and
+#: replays a log on Python floats; ``commit(recompute_prestige=True)``
+#: iterates a sparse matrix, and is where numpy (and scipy) load.
+RECOMPUTE_SCRIPT = PRELUDE + '''
+from repro.live import MutableDataset
+from repro.wal import MutationLog
+
+snapshot, scratch = sys.argv[1], sys.argv[2]
+batch = [{"op": "add_node", "label": "hub", "text": "hub"},
+         *({"op": "add_edge", "u": paper, "v": -1} for paper in (5, 6, 7, 8))]
+with MutationLog(scratch + ".wal") as log:
+    dataset = MutableDataset.from_snapshot(snapshot, journal=log, compact_ratio=None)
+    hub = dataset.mutate(batch).new_nodes[0]
+    dataset.add_node("staged")
+    dataset.rollback()
+    assert dataset.engine.search("hub").answers
+    overlay = dataset.graph
+    replayed = MutableDataset.replay(
+        log, snapshot=snapshot, compact_ratio=None, snapshot_path=scratch + ".snap"
+    )
+    assert replayed.graph.prestige_values == overlay.prestige_values
+    assert replayed.compact().compacted
+    assert MutableDataset.from_snapshot(scratch + ".snap").engine.search("hub").answers
+    assert_not_loaded("numpy", "scipy")
+
+    epoch = dataset.commit(recompute_prestige=True)
+    assert "numpy" in sys.modules and "scipy.sparse" in sys.modules
+
+from repro.graph.prestige import compute_prestige
+
+# What the commit did before: the vector over the view it was asked on,
+# split at the base's size, every entry the float it was computed as.
+expected = compute_prestige(overlay)
+assert epoch.graph.prestige_values == tuple(expected.tolist())
+assert epoch.graph.prestige.tolist() == expected.tolist()
+assert epoch.graph.node_prestige(hub) == float(expected[hub]) > 0
+assert epoch.graph.max_prestige == float(expected.max())
+replayed = MutableDataset.replay(scratch + ".wal", snapshot=snapshot, compact_ratio=None)
+assert replayed.graph.prestige_values == epoch.graph.prestige_values  # the flag replays too
+print("RECOMPUTE-OK")
+'''
+
+
+def test_recompute_prestige_is_what_loads_numpy_in_a_live_dataset(tmp_path, toy_engine):
+    snapshot = save_engine(tmp_path / "toy.snap", toy_engine)
+    done = run_python(RECOMPUTE_SCRIPT, str(snapshot), str(tmp_path / "live"))
+    assert done.returncode == 0, done.stderr[-4000:]
+    assert "RECOMPUTE-OK" in done.stdout
+
+
 def test_snapshot_info_loads_no_numpy(tmp_path, toy_engine):
-    """``python -m repro.service.snapshot info FILE`` reads a header: the
-    writer's numpy imports are local to the pack/write functions."""
+    """``python -m repro.service.snapshot info FILE`` reads a header; the
+    module's one numpy import is local to the ``ram`` load's id scan."""
     snapshot = save_engine(tmp_path / "toy.snap", toy_engine)
     done = run_python(
         PRELUDE
@@ -445,8 +520,7 @@ def test_snapshot_info_loads_no_numpy(tmp_path, toy_engine):
 
 def test_failure_names_the_first_importer():
     """The harness itself: a violated expectation reports the chain."""
-    done = run_python(PRELUDE + "import repro.live.dataset\nassert_not_loaded('numpy')\n")
+    done = run_python(PRELUDE + "import repro.graph.prestige\nassert_not_loaded('numpy')\n")
     assert done.returncode != 0
-    assert "numpy <- repro.live." in done.stderr, done.stderr
-    assert "<- repro.live.dataset:" in done.stderr, done.stderr
+    assert "numpy <- repro.graph.prestige:" in done.stderr, done.stderr
     assert "<- __main__:" in done.stderr, done.stderr

@@ -1,5 +1,6 @@
 """MutableDataset lifecycle: epochs, MVCC isolation, compaction, snapshots."""
 
+import math
 import threading
 
 import pytest
@@ -185,10 +186,56 @@ class TestConstruction:
             MutableDataset.from_engine(toy_engine, new_node_prestige=-1.0)
 
     def test_new_node_prestige_default_is_base_mean(self, toy_engine):
+        """The correctly rounded mean (``fsum``): within an ulp or two
+        of numpy's pairwise one, and no summation order's business."""
         dataset = MutableDataset.from_engine(toy_engine)
         node = dataset.mutate([AddNode(label="x")]).new_nodes[0]
-        expected = float(toy_engine.graph.prestige.mean())
-        assert dataset.graph.node_prestige(node) == expected
+        values = toy_engine.graph.prestige_values
+        assert dataset.graph.node_prestige(node) == math.fsum(values) / len(values)
+        assert dataset.graph.node_prestige(node) == math.fsum(reversed(values)) / len(values)
+        assert dataset.graph.node_prestige(node) == pytest.approx(
+            float(toy_engine.graph.prestige.mean()), rel=1e-14
+        )
+
+    def test_journal_records_resolved_prestige_so_replay_ignores_the_default(
+        self, toy_engine, tmp_path
+    ):
+        """Every ``add_node`` is journalled with the float it was given,
+        default or explicit, so a log replays bit for bit over a dataset
+        whose own default is another number — a WAL written when the
+        default was numpy's mean included."""
+        from repro.wal import MutationLog
+
+        # Stands in for any earlier default: 0.1 + 0.2 is no round number.
+        writer_default = 0.1 + 0.2
+        with MutationLog(tmp_path / "toy.wal") as log:
+            writer = MutableDataset.from_engine(
+                toy_engine, journal=log, new_node_prestige=writer_default,
+                compact_ratio=None,
+            )
+            writer.mutate([AddNode(label="a"), AddNode(label="b", prestige=0.125)])
+            writer.mutate([AddNode(label="c"), AddEdge(u=-1, v=3)])
+            logged = [
+                mutation["prestige"]
+                for record in log.records()
+                for mutation in record.mutations
+                if mutation["op"] == "add_node"
+            ]
+            assert [p.hex() for p in logged] == [
+                p.hex() for p in (writer_default, 0.125, writer_default)
+            ]
+            for knobs in ({}, {"new_node_prestige": 0.5}):
+                replayed = MutableDataset.replay(
+                    log, graph=toy_engine.graph, index=toy_engine.index,
+                    compact_ratio=None, **knobs,
+                )
+                assert replayed.version == writer.version == 2
+                assert [p.hex() for p in replayed.graph.prestige_values] == [
+                    p.hex() for p in writer.graph.prestige_values
+                ]
+                # ...while a node the replayed dataset adds itself takes its own.
+                own = replayed.mutate([AddNode(label="d")]).new_nodes[0]
+                assert replayed.graph.node_prestige(own) != writer_default
 
     def test_recompute_prestige_on_commit(self, toy_engine):
         dataset = MutableDataset.from_engine(toy_engine, compact_ratio=None)

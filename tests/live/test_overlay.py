@@ -138,6 +138,45 @@ class TestOverlayGraphApi:
         )
         assert graph.max_prestige == max(base_max, vec[-1])
 
+    def test_prestige_values_share_the_base_tuple(self, toy_dataset, toy_engine):
+        """Python floats all the way: the base's own tuple under every
+        epoch (not a copy per commit), the vector its concatenation with
+        the extension, ``node_prestige`` an index into either."""
+        base = toy_engine.graph.prestige_values
+        node = toy_dataset.mutate([AddNode(label="X", prestige=0.25)]).new_nodes[0]
+        graph = toy_dataset.graph
+        assert graph._prestige_base is base
+        assert graph.prestige_values == base + (0.25,)
+        assert graph.node_prestige(0) is base[0]
+        assert graph.node_prestige(node) == 0.25
+        assert graph.prestige.tolist() == list(graph.prestige_values)
+        with pytest.raises(UnknownNodeError):
+            graph.node_prestige(-1)
+
+    def test_replacement_prestige_passes_the_search_graph_validator(self, toy_engine):
+        """A caller-supplied ``prestige_base`` is held to what
+        ``SearchGraph.with_prestige`` holds its argument to: any
+        sequence of the right length, no negative entry."""
+        from repro.live.overlay import OverlayGraph
+
+        base = toy_engine.graph
+        flat = [1.0 / base.num_nodes] * base.num_nodes
+        for vector in (flat, tuple(flat), np.array(flat)):
+            graph = OverlayGraph(base, out_over={}, in_over={}, prestige_base=vector)
+            assert graph.prestige_values == tuple(flat)
+            assert graph.max_prestige == flat[0]
+        for bad, message in (
+            (flat[:-1], "must have shape"),
+            (np.zeros((base.num_nodes, 1)), "must have shape"),
+            ([-0.1] + flat[1:], "non-negative"),
+            ([float("nan")] + flat[1:], "non-negative"),
+        ):
+            with pytest.raises(ValueError, match=message) as overlay_error:
+                OverlayGraph(base, out_over={}, in_over={}, prestige_base=bad)
+            with pytest.raises(ValueError) as graph_error:
+                base.with_prestige(bad)
+            assert str(overlay_error.value) == str(graph_error.value)
+
     def test_isolated_new_node_normalizers_are_zero(self, toy_dataset):
         node = toy_dataset.mutate([AddNode(label="X")]).new_nodes[0]
         graph = toy_dataset.graph
