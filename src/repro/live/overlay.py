@@ -95,10 +95,6 @@ class OverlayGraph:
         self._num_edges = int(num_edges) if num_edges is not None else base.num_edges
         self._out_invw_over = dict(out_invw_over or {})
         self._in_invw_over = dict(in_invw_over or {})
-        self._max_prestige = max(
-            max(self._prestige_base, default=0.0),
-            max(self._prestige_ext, default=0.0),
-        )
         self._prestige_cache: Optional[np.ndarray] = None
         self._ref_to_node_ext: Optional[dict] = None
 
@@ -222,9 +218,14 @@ class OverlayGraph:
         self._check_node(node)
         return self._prestige_ext[node - self._base_n]
 
-    @property
+    @cached_property
     def max_prestige(self) -> float:
-        return self._max_prestige
+        # Read once per scorer, not per commit: an O(n) pass a replayed
+        # epoch nobody searches never pays.
+        return max(
+            max(self._prestige_base, default=0.0),
+            max(self._prestige_ext, default=0.0),
+        )
 
     def in_inv_weight_sum(self, v: int) -> float:
         over = self._in_invw_over.get(v)
