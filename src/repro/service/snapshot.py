@@ -35,12 +35,13 @@ array's raw C-contiguous bytes at a 4096-aligned offset:
 policy, so every load is O(header + pin set) of Python objects and the
 modes differ only in where the bytes live: ``mapped`` (the default)
 leaves them in the file behind one ``mmap`` — paged in on demand,
-shared physically across worker processes; ``ram`` reads them once into
-process memory, verifying every array's checksum and every node id on
-the way, and never touches the file again.  Either way the arrays are
+shared physically across worker processes, every row's node ids
+range-checked as it faults in; ``ram`` reads them once into process
+memory, verifying every array's checksum and every node id on the way,
+and never touches the file again.  Either way the arrays are
 ``memoryview`` casts of that one buffer, and the writer packs them with
-``array``: saving, loading and serving the per-pop schedule import no
-numpy (the ``ram`` id scan and the array consumers do).
+``array``: saving, loading (in both modes), verifying and serving the
+per-pop schedule import no numpy (the array consumers do).
 ``docs/STORAGE.md`` documents the layout and the trade-offs.
 
 Version-1 files (the retired zip container) are not read at all: a
@@ -389,6 +390,47 @@ def _carve_arrays(
     return arrays
 
 
+#: Ids read into one Python int at a time: a 4 KiB page of int32 lanes
+#: keeps every operand cache-resident (twice as fast as one int over a
+#: whole 43k-id array).
+_PAGE_LANES = 1024
+
+
+def _page_of(lane: int) -> int:
+    """``lane`` in each 32-bit lane of one page, built by doubling shifts
+    (a division or a ``from_bytes`` of a repeated pattern costs more)."""
+    width = 32
+    while width < 32 * _PAGE_LANES:
+        lane |= lane << width
+        width *= 2
+    return lane
+
+
+#: The top bit of one lane (an int32 id's sign), and of every lane.
+_SIGN = 1 << 31
+_SIGNS = _page_of(_SIGN)
+
+
+def _ids_in_range(ids, n: int) -> bool:
+    """Whether every int32 of ``ids`` lies in ``[0, n)`` (``n >= 0``),
+    checked at C speed without numpy.
+
+    A page of the view's bytes, read as one little-endian int, holds one
+    32-bit lane per id.  An id is in range exactly when its lane's top
+    bit is clear and still clear after ``2**31 - n`` is added to every
+    lane: with the top bit clear the sum stays below ``2**32``, so no
+    carry crosses a lane boundary (a negative id's own top bit is kept
+    by the ``|``), and one ``&`` against the top-bit mask checks the
+    whole page.  For ``n >= 2**31`` only the sign test applies.
+    """
+    offset = _page_of(_SIGN - n) if n < _SIGN else 0
+    for start in range(0, len(ids), _PAGE_LANES):
+        lanes = int.from_bytes(ids[start : start + _PAGE_LANES], "little")
+        if (lanes | lanes + offset) & _SIGNS:
+            return False
+    return True
+
+
 def _validate_arrays(header: dict, arrays: dict, path, *, deep: bool) -> dict:
     """Structural validation shared by both residency modes; returns the
     four indptr arrays as the Python lists it checked (the lazy classes
@@ -397,11 +439,12 @@ def _validate_arrays(header: dict, arrays: dict, path, *, deep: bool) -> dict:
     A corrupt file must fail here, not as an IndexError (or a silent
     negative-index mis-score or mis-slice) deep inside a later search.
     Adjacency and postings use the same CSR shape, so one checker
-    covers all four array pairs.  ``deep`` (the eager read) also
-    verifies every array's ``crc32`` and scans every node id for range
-    — with numpy, the one load-time job worth importing it for; the
-    mapped load checks only the O(n) indptr invariants — touching
-    every data page at load time would defeat lazy warmup; the
+    covers all four array pairs, and every adjacency column must be as
+    long as its side's ids.  ``deep`` (the eager read) also verifies
+    every array's ``crc32`` and every node id's range
+    (:func:`_ids_in_range`); the mapped load checks only the O(n)
+    invariants — touching every data page at load time would defeat
+    lazy warmup — and range-checks a row's ids when it faults in; the
     trade-off is documented in ``docs/STORAGE.md``.  The text blob
     validates its own lengths against the header when first decoded.
     """
@@ -414,6 +457,13 @@ def _validate_arrays(header: dict, arrays: dict, path, *, deep: bool) -> dict:
     num_nodes = int(header["num_nodes"])
     if len(arrays["prestige"]) != num_nodes:
         raise SnapshotError(f"{path} metadata is inconsistent with its arrays")
+    for side, ids_name in (("out", "out_dst"), ("in", "in_src")):
+        for name in (f"{side}_weight", f"{side}_fwd"):
+            if len(arrays[name]) != len(arrays[ids_name]):
+                raise SnapshotError(
+                    f"{path} array {name} has {len(arrays[name])} entries, "
+                    f"not the {len(arrays[ids_name])} of {ids_name}"
+                )
     csr_pairs = (
         ("out_indptr", "out_dst", num_nodes),
         ("in_indptr", "in_src", num_nodes),
@@ -431,15 +481,11 @@ def _validate_arrays(header: dict, arrays: dict, path, *, deep: bool) -> dict:
             or indptr != sorted(indptr)
         ):
             raise SnapshotError(f"{path} has a malformed {indptr_name} array")
-        if deep and len(ids):
-            import numpy as np
-
-            scan = np.frombuffer(ids, dtype=np.int32)
-            if scan.min() < 0 or scan.max() >= num_nodes:
-                raise SnapshotError(
-                    f"{path} has out-of-range node ids in {ids_name} "
-                    f"(expected [0, {num_nodes}))"
-                )
+        if deep and not _ids_in_range(ids, num_nodes):
+            raise SnapshotError(
+                f"{path} has out-of-range node ids in {ids_name} "
+                f"(expected [0, {num_nodes}))"
+            )
     return bounds
 
 
@@ -480,7 +526,8 @@ def load_snapshot(
     ``"mapped"``):
 
     * ``"mapped"`` — behind one ``mmap``, paged in on
-      demand; header and bounds are checked, data pages are not read;
+      demand; header and bounds are checked, data pages are not read,
+      and a row's node ids are range-checked when it materializes;
     * ``"ram"`` — read once into process memory, every array's checksum
       and every node id verified; the file is never touched again.
 
@@ -535,6 +582,7 @@ def load_snapshot(
         post_nodes=arrays["post_nodes"],
         rel_indptr=bounds["rel_indptr"],
         rel_nodes=arrays["rel_nodes"],
+        num_nodes=num_nodes,
         stats=stats,
     )
     apply_pin_policy(graph, index, pin_policy, stats)

@@ -6,8 +6,9 @@ adjacency rows, posting lists, and the per-node/per-term text metadata
 — stays in the snapshot's flat arrays and materializes on first touch.
 The arrays are typed ``memoryview`` casts of one buffer: an ``mmap`` of
 the file (``storage_mode="mapped"``) or the file's bytes read into
-process memory (``"ram"``); nothing here can tell the difference, and
-nothing here imports numpy until a caller asks for the CSR ndarrays.
+process memory (``"ram"``); nothing here can tell the difference but
+the id check below, and nothing here imports numpy until a caller asks
+for the CSR ndarrays.
 Only what every query needs (indptr bounds, prestige) is resident from
 the start as Python numbers; the activation normalizers are indexed in
 place, adjacency and postings materialize per row, and the text block
@@ -20,7 +21,12 @@ weight the Python float of the stored float64, and every search over a
 loaded graph scores answers bit-identically to the same search over
 the graph that was saved — the property
 ``tests/property/test_prop_storage.py`` pins across storage modes,
-algorithms and expansion backends.
+algorithms and expansion backends.  Under ``mapped`` every row's node
+ids are checked against the node count as it materializes (the load
+reads no data page, so this is where a damaged one is caught; a ``ram``
+load has range-checked every id already): an id out of range is a
+:class:`~repro.errors.SnapshotError` naming the array and the row,
+never a neighbour read from the other end of the graph.
 
 Materialized rows are cached and never evicted: the Python working set
 grows with the rows a workload actually touches (counted by
@@ -120,6 +126,28 @@ class _LazyTextField(Sequence):
         return iter(self._blob.load()[self._key])
 
 
+def _unsigned(ids):
+    """An int32 id view read as uint32: the same ints for every valid id
+    and ``>= 2**31`` for a negative one, so a materializing row is in
+    range exactly when ``max(row) < num_nodes`` — one pass, not two."""
+    return ids.cast("B").cast("I")
+
+
+def _verify_rows(stats: StorageStats) -> bool:
+    """Whether rows must check their ids as they materialize: a ``ram``
+    load has checked every stored id (``service.snapshot._ids_in_range``)."""
+    return stats.mode == "mapped"
+
+
+def _bad_row(stats: StorageStats, array: str, row: int, num_nodes: int):
+    """The error for a row whose node ids leave ``[0, num_nodes)`` (a
+    ``-1`` would otherwise read the last node as a neighbour)."""
+    return SnapshotError(
+        f"{stats.path} has out-of-range node ids in {array} row {row} "
+        f"(expected [0, {num_nodes}))"
+    )
+
+
 class _LazyAdjacency(Sequence):
     """One adjacency side as a lazily materialized sequence of rows.
 
@@ -127,40 +155,45 @@ class _LazyAdjacency(Sequence):
     :class:`SearchGraph` stores: ``len()`` is the node count and
     ``[u]`` is ``u``'s row as a tuple of ``(neighbor, weight,
     is_forward)`` tuples, built from the mapped arrays on first access
-    and cached thereafter.
+    and cached thereafter.  ``name`` is the ids array's, for errors.
     """
 
-    __slots__ = ("_bounds", "_ids", "_weights", "_fwd", "_rows", "_stats")
+    __slots__ = (
+        "_bounds", "_ids", "_weights", "_fwd",
+        "_rows", "_stats", "_name", "_num_nodes", "_verify",
+    )
 
     def __init__(
-        self, bounds: list[int], ids, weights, fwd, stats: StorageStats
+        self, bounds: list[int], ids, weights, fwd, stats: StorageStats, name: str
     ) -> None:
         # Bounds are O(n) and consulted on every access: a resident
         # Python list (the one the loader validated).
         self._bounds = bounds
-        self._ids = ids
+        self._ids = _unsigned(ids)
         self._weights = weights
         self._fwd = fwd
         self._rows: dict[int, tuple[Edge, ...]] = {}
         self._stats = stats
+        self._name = name
+        self._num_nodes = len(bounds) - 1  # read on every fault
+        self._verify = _verify_rows(stats)
 
     def __len__(self) -> int:
-        return len(self._bounds) - 1
+        return self._num_nodes
 
     def __getitem__(self, u: int) -> tuple[Edge, ...]:
         row = self._rows.get(u)
         if row is None:
-            if not 0 <= u < len(self):
+            if not 0 <= u < self._num_nodes:
                 raise IndexError(u)
             lo, hi = self._bounds[u], self._bounds[u + 1]
             # tolist() yields Python ints/floats/bools, whether the row
             # is pinned at load or faulted by a search.
+            ids = self._ids[lo:hi].tolist()
+            if self._verify and ids and max(ids) >= self._num_nodes:
+                raise _bad_row(self._stats, self._name, u, self._num_nodes)
             row = tuple(
-                zip(
-                    self._ids[lo:hi].tolist(),
-                    self._weights[lo:hi].tolist(),
-                    self._fwd[lo:hi].tolist(),
-                )
+                zip(ids, self._weights[lo:hi].tolist(), self._fwd[lo:hi].tolist())
             )
             self._rows[u] = row
             self._stats.note_row(hi - lo)
@@ -211,8 +244,10 @@ class MappedSearchGraph(SearchGraph):
         if len(tables) != n or len(refs) != n:
             raise ValueError("adjacency and per-node metadata lengths disagree")
         g = cls()
-        g._out = _LazyAdjacency(out_indptr, out_dst, out_weight, out_fwd, stats)
-        g._in = _LazyAdjacency(in_indptr, in_src, in_weight, in_fwd, stats)
+        g._out = _LazyAdjacency(
+            out_indptr, out_dst, out_weight, out_fwd, stats, "out_dst"
+        )
+        g._in = _LazyAdjacency(in_indptr, in_src, in_weight, in_fwd, stats, "in_src")
         if len(g._out) != n or len(g._in) != n:
             raise ValueError("adjacency and per-node metadata lengths disagree")
         # Possibly-lazy sequences: stored as given, never tuple()d (that
@@ -300,7 +335,7 @@ class _LazyPostings(Mapping):
 
     __slots__ = (
         "_terms_thunk", "_terms", "_positions",
-        "_bounds", "_nodes", "_sets", "_by_index", "_stats",
+        "_bounds", "_nodes", "_num_nodes", "_verify", "_sets", "_by_index", "_stats",
     )
 
     def __init__(
@@ -308,13 +343,16 @@ class _LazyPostings(Mapping):
         terms_thunk: Callable[[], list],
         bounds: list[int],
         nodes,
+        num_nodes: int,
         stats: StorageStats,
     ) -> None:
         self._terms_thunk = terms_thunk
         self._terms: Optional[list[str]] = None
         self._positions: Optional[dict[str, int]] = None
         self._bounds = bounds
-        self._nodes = nodes
+        self._nodes = _unsigned(nodes)
+        self._num_nodes = num_nodes
+        self._verify = _verify_rows(stats)
         self._sets: dict[str, set[int]] = {}
         self._by_index: dict[int, set[int]] = {}
         self._stats = stats
@@ -335,8 +373,10 @@ class _LazyPostings(Mapping):
         nodes = self._by_index.get(i)
         if nodes is None:
             lo, hi = self._bounds[i], self._bounds[i + 1]
-            nodes = set(self._nodes[lo:hi].tolist())
-            self._by_index[i] = nodes
+            ids = self._nodes[lo:hi].tolist()
+            if self._verify and ids and max(ids) >= self._num_nodes:
+                raise _bad_row(self._stats, "post_nodes", i, self._num_nodes)
+            nodes = self._by_index[i] = set(ids)
             self._stats.note_postings(hi - lo)
         return nodes
 
@@ -392,17 +432,19 @@ class MappedInvertedIndex(InvertedIndex):
         post_nodes,
         rel_indptr,
         rel_nodes,
+        num_nodes: int,
         stats: StorageStats,
     ) -> "MappedInvertedIndex":
         # Bypass __init__: ``_relation_nodes`` is a lazy property here,
         # and the base constructor would try to assign over it.
         index = cls.__new__(cls)
         index._postings = _LazyPostings(
-            lambda: blob.load()["post_terms"], post_indptr, post_nodes, stats
+            lambda: blob.load()["post_terms"], post_indptr, post_nodes, num_nodes, stats
         )
         index._blob = blob
         index._rel_bounds = rel_indptr
-        index._rel_nodes_flat = rel_nodes
+        index._rel_nodes_flat = _unsigned(rel_nodes)
+        index._num_nodes = num_nodes
         index._rel_materialized = None
         index._lookup_cache = {}
         index.storage = stats
@@ -414,10 +456,13 @@ class MappedInvertedIndex(InvertedIndex):
         if rel is None:
             bounds = self._rel_bounds
             flat = self._rel_nodes_flat.tolist()
-            rel = {
-                term: set(flat[bounds[i] : bounds[i + 1]])
-                for i, term in enumerate(self._blob.load()["rel_terms"])
-            }
+            verify = _verify_rows(self.storage)
+            rel = {}
+            for i, term in enumerate(self._blob.load()["rel_terms"]):
+                ids = flat[bounds[i] : bounds[i + 1]]
+                if verify and ids and max(ids) >= self._num_nodes:
+                    raise _bad_row(self.storage, "rel_nodes", i, self._num_nodes)
+                rel[term] = set(ids)
             self._rel_materialized = rel
         return rel
 

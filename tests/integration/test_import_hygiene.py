@@ -504,18 +504,55 @@ def test_recompute_prestige_is_what_loads_numpy_in_a_live_dataset(tmp_path, toy_
 
 
 def test_snapshot_info_loads_no_numpy(tmp_path, toy_engine):
-    """``python -m repro.service.snapshot info FILE`` reads a header; the
-    module's one numpy import is local to the ``ram`` load's id scan."""
+    """``python -m repro.service.snapshot info FILE`` reads a header and
+    ``verify FILE`` every byte (checksums, node-id ranges, the digest):
+    neither imports numpy, and ``info`` not even the engine."""
     snapshot = save_engine(tmp_path / "toy.snap", toy_engine)
     done = run_python(
         PRELUDE
         + "from repro.service.snapshot import main\n"
         + "assert main(['info', sys.argv[1]]) == 0\n"
-        + "assert_not_loaded('numpy', 'scipy', 'repro.core')\n",
+        + "assert_not_loaded('numpy', 'scipy', 'repro.core')\n"
+        + "assert main(['verify', sys.argv[1]]) == 0\n"
+        + "assert_not_loaded('numpy', 'scipy')\n",
         str(snapshot),
     )
     assert done.returncode == 0, done.stderr[-4000:]
     assert "num_nodes = " in done.stdout and "pin_hint" in done.stdout, done.stdout
+    assert "ok: " in done.stdout, done.stdout
+
+
+#: A ``ram``-mode service reads the file once and range-checks every
+#: stored node id as 32-bit lanes of Python ints: registering, warming,
+#: searching with all three algorithms, reloading and verifying load no
+#: numpy.  argv: the snapshot and a byte-identical copy of it.
+RAM_SCRIPT = PRELUDE + '''
+from repro.service import QueryService
+from repro.service.snapshot import verify_snapshot
+
+snapshot, copy = sys.argv[1], sys.argv[2]
+with QueryService(storage_mode="ram") as service:
+    service.register_snapshot("toy", snapshot)
+    service.warmup()
+    for algorithm in ("bidirectional", "si-backward", "mi-backward"):
+        response = service.search("toy", "gray transaction", algorithm=algorithm)
+        assert response.ok and response.result.answers, (algorithm, response.error)
+    assert service.engine("toy").graph.storage.mode == "ram"
+    assert service.reload_snapshot("toy", copy, force=True)["reloaded"]
+    response = service.search("toy", "selinger access", use_cache=False)
+    assert response.ok and response.result.answers, response.error
+assert verify_snapshot(copy)["content_digest"]
+assert_not_loaded("numpy", "scipy")
+print("RAM-OK")
+'''
+
+
+def test_ram_mode_loads_no_numpy(tmp_path, toy_engine):
+    snapshot = save_engine(tmp_path / "toy.snap", toy_engine)
+    copy = save_engine(tmp_path / "copy.snap", toy_engine)
+    done = run_python(RAM_SCRIPT, str(snapshot), str(copy))
+    assert done.returncode == 0, done.stderr[-4000:]
+    assert "RAM-OK" in done.stdout
 
 
 def test_failure_names_the_first_importer():

@@ -11,14 +11,17 @@ The loader ranks its pin set without numpy (``heapq.nlargest`` over a
 C-level key); with ties everywhere it must still pick exactly the rows
 the stable ``argsort`` formulation picked, and the prestige a graph
 keeps as Python floats must be the vector ``graph.prestige`` hands out.
+A ``ram`` load range-checks every stored node id as 32-bit lanes of
+Python ints; that check must agree with the obvious one on every array.
 """
 
 import tempfile
+from array import array
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.backward_mi import BackwardExpandingSearch
@@ -26,7 +29,12 @@ from repro.core.backward_si import SingleIteratorBackwardSearch
 from repro.core.bidirectional import BidirectionalSearch
 from repro.core.params import SearchParams
 from repro.index.inverted import InvertedIndex
-from repro.service.snapshot import load_snapshot, save_snapshot
+from repro.service.snapshot import (
+    _PAGE_LANES,
+    _ids_in_range,
+    load_snapshot,
+    save_snapshot,
+)
 from repro.storage import MappedSearchGraph, PinPolicy
 
 from tests.property.test_prop_search import build_graph_from, search_cases
@@ -77,6 +85,51 @@ def test_loaded_answers_bit_identical_to_built(mode, case):
                 b = cls(loaded_graph, keywords, loaded_sets, params=params).run()
                 assert b.scores() == a.scores(), (cls.__name__, backend)
                 assert b.signatures() == a.signatures(), (cls.__name__, backend)
+
+
+INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
+
+
+@st.composite
+def id_arrays(draw):
+    """``(n, ids)``: a node count — ``0``, either side of ``2**31`` and
+    beyond included — and int32 ids around its boundaries, in arrays of
+    up to three lane pages whose odd values sit at any position."""
+    n = draw(
+        st.one_of(
+            st.sampled_from([0, 1, 2, 16, INT32_MAX, 2**31, 2**32]),
+            st.integers(min_value=0, max_value=2**33),
+        )
+    )
+    near = [
+        v
+        for v in (0, n - 1, n, n + 1, -1, INT32_MIN, INT32_MAX)
+        if INT32_MIN <= v <= INT32_MAX
+    ]
+    value = st.one_of(
+        st.sampled_from(near), st.integers(min_value=INT32_MIN, max_value=INT32_MAX)
+    )
+    length = draw(st.integers(min_value=0, max_value=3 * _PAGE_LANES))
+    ids = [draw(st.sampled_from(near))] * length
+    odd = st.lists(st.tuples(st.integers(min_value=0), value), max_size=4)
+    for position, v in draw(odd):
+        if length:
+            ids[position % length] = v
+    return n, ids
+
+
+@example(case=(0, []))
+@example(case=(0, [0]))
+@example(case=(16, [15, 16]))
+@example(case=(16, [0] * _PAGE_LANES + [-1]))
+@example(case=(2**31, [INT32_MAX, INT32_MIN]))
+@example(case=(2**32, [INT32_MAX, 0]))
+@given(case=id_arrays())
+@settings(max_examples=300, deadline=None)
+def test_id_range_check_agrees_with_brute_force(case):
+    n, ids = case
+    view = memoryview(array("i", ids))
+    assert _ids_in_range(view, n) == all(0 <= v < n for v in ids)
 
 
 @given(

@@ -23,8 +23,9 @@ from repro.service.snapshot import (
     snapshot_info,
     verify_snapshot,
 )
+from repro.storage import PinPolicy
 
-from tests.helpers import rewrite_snapshot
+from tests.helpers import RawHTTP, rewrite_snapshot
 
 MODES = ("ram", "mapped")
 
@@ -482,6 +483,154 @@ class TestIntegrity:
         load_snapshot(bad, storage_mode="ram")  # structurally fine
         with pytest.raises(SnapshotError, match="content_digest"):
             verify_snapshot(bad)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "column, ids",
+        [
+            ("out_weight", "out_dst"),
+            ("out_fwd", "out_dst"),
+            ("in_weight", "in_src"),
+            ("in_fwd", "in_src"),
+        ],
+    )
+    def test_a_short_column_is_refused_at_load(
+        self, toy_snapshot, tmp_path, mode, column, ids
+    ):
+        """Three entries short with a matching crc32: ``zip`` used to cut
+        the last rows short and the file loaded in both tiers."""
+
+        def edit(header, arrays):
+            arrays[column] = arrays[column][:-3]
+
+        bad = rewrite_snapshot(toy_snapshot, tmp_path / "short.snap", edit)
+        complaint = f"array {column} has 33 entries, not the 36 of {ids}"
+        with pytest.raises(SnapshotError, match=complaint):
+            load_snapshot(bad, storage_mode=mode)
+        with pytest.raises(SnapshotError, match=complaint):
+            verify_snapshot(bad)
+
+
+# ----------------------------------------------------------------------
+# node-id range: every stored id of a ``ram`` load at load time, every
+# materializing row of a ``mapped`` one at fault-in
+# ----------------------------------------------------------------------
+ID_ARRAYS = {
+    "out_dst": "out_indptr",
+    "in_src": "in_indptr",
+    "post_nodes": "post_indptr",
+    "rel_nodes": "rel_indptr",
+}
+NO_PINS = PinPolicy(nodes=0, terms=0)
+
+
+def set_one_id(path: Path, array: str, value: int, out: Path, position: int = -1):
+    """Copy ``path`` with one id of ``array`` replaced and every crc32
+    recomputed, so only a range check can tell; returns the new file
+    and the CSR row the id sits in."""
+    rows = []
+
+    def edit(header, arrays):
+        ids, indptr = arrays[array], arrays[ID_ARRAYS[array]]
+        ids[position] = value
+        rows.append(int(np.searchsorted(indptr, position % len(ids), "right")) - 1)
+
+    return rewrite_snapshot(path, out, edit), rows[0]
+
+
+def fault_row(graph, index, array: str, row: int, terms: list) -> None:
+    """Materialize the one row a search would read ``array``'s ``row`` from."""
+    if array == "out_dst":
+        graph.out_edges(row)
+    elif array == "in_src":
+        graph.in_edges(row)
+    else:  # a posting row by its term; any lookup reads the relation rows
+        index.lookup(terms[row] if array == "post_nodes" else "zzz-no-such-term")
+
+
+#: The toy graph has 16 nodes: ``n`` itself and ``-1`` are the first ids
+#: out of range at either end.
+BAD_IDS = [16, -1]
+
+
+class TestNodeIdRange:
+    @pytest.mark.parametrize("array", ID_ARRAYS)
+    @pytest.mark.parametrize("value", BAD_IDS)
+    def test_ram_and_verify_name_the_array(self, toy_snapshot, tmp_path, array, value):
+        path, _ = set_one_id(toy_snapshot, array, value, tmp_path / "bad.snap")
+        expected = rf"out-of-range node ids in {array} \(expected \[0, 16\)\)"
+        with pytest.raises(SnapshotError, match=expected):
+            load_snapshot(path, storage_mode="ram")
+        with pytest.raises(SnapshotError, match=expected):
+            verify_snapshot(path)
+
+    @pytest.mark.parametrize("array", ID_ARRAYS)
+    @pytest.mark.parametrize("value", BAD_IDS)
+    def test_mapped_loads_then_fails_at_the_faulted_row(
+        self, toy_engine, toy_snapshot, tmp_path, array, value
+    ):
+        path, row = set_one_id(toy_snapshot, array, value, tmp_path / "bad.snap")
+        graph, index = load_snapshot(path, storage_mode="mapped", pin_policy=NO_PINS)
+        terms = sorted(toy_engine.index.terms())
+        expected = rf"bad\.snap has out-of-range node ids in {array} row {row} "
+        with pytest.raises(SnapshotError, match=expected):
+            fault_row(graph, index, array, row, terms)
+
+    @pytest.mark.parametrize("array", ["out_dst", "in_src", "post_nodes"])
+    def test_pinned_rows_are_checked_at_load(self, toy_snapshot, tmp_path, array):
+        """The toy's default pin set is every node and the 16 largest
+        posting lists: the one damaged row is among them."""
+        bad = tmp_path / "bad.snap"
+        path, row = set_one_id(toy_snapshot, array, -1, bad, position=0)
+        with pytest.raises(SnapshotError, match=f"{array} row {row} "):
+            load_snapshot(path, storage_mode="mapped")
+
+    def test_rows_beside_the_damaged_one_still_answer(
+        self, toy_engine, toy_snapshot, tmp_path
+    ):
+        path, row = set_one_id(toy_snapshot, "out_dst", -1, tmp_path / "bad.snap")
+        graph, _ = load_snapshot(path, storage_mode="mapped", pin_policy=NO_PINS)
+        for node in range(row):
+            assert graph.out_edges(node) == toy_engine.graph.out_edges(node)
+        # Refused, not cached: a second read fails the same way.
+        for _ in range(2):
+            with pytest.raises(SnapshotError, match=f"out_dst row {row} "):
+                graph.out_edges(row)
+
+    def test_the_error_reaches_http_as_a_structured_response(
+        self, toy_snapshot, tmp_path
+    ):
+        """A thread-tier server over a ``mapped`` file whose posting ids
+        are all out of range: the first search that reads one answers a
+        structured 500, and the server keeps serving."""
+        import threading
+
+        from repro.cluster.http import make_server
+        from repro.service import QueryService
+
+        def edit(header, arrays):
+            arrays["post_nodes"][:] = 16
+
+        bad = rewrite_snapshot(toy_snapshot, tmp_path / "bad.snap", edit)
+        service = QueryService(storage_mode="mapped")
+        service.register_snapshot("toy", bad, pin_policy=NO_PINS)
+        server = make_server(service, port=0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            with RawHTTP(server) as client:
+                status, _, body = client.request(
+                    "POST", "/search", {"dataset": "toy", "query": "gray transaction"}
+                )
+                assert status == 500
+                reply = json.loads(body)
+                assert reply["error_type"] == "SnapshotError"
+                assert "out-of-range node ids in post_nodes row" in reply["error"]
+                status, _, _ = client.request("GET", "/healthz")
+                assert status == 200
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
 
 
 # ----------------------------------------------------------------------
