@@ -5,17 +5,18 @@ papers, a small set of conference hub nodes with very large fan-in,
 ``writes`` link tuples (nodes of their own, as in paper Figure 4) and
 preferential-attachment citations so PageRank prestige is informative.
 Real DBLP (2M nodes / 9M edges) is substituted by this generator scaled
-down — see DESIGN.md Section 3 for why the shape, not the size, drives
+down — the package docstring says why the shape, not the size, drives
 the paper's measurements.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
 from repro.datasets.names import NamePool
-from repro.datasets.vocab import make_vocabulary
+from repro.datasets.vocab import _FenwickTree, make_vocabulary
 from repro.relational.database import Database
 from repro.relational.schema import ForeignKey, Schema, Table
 
@@ -89,17 +90,16 @@ def make_dblp(config: DblpConfig = DblpConfig()) -> Database:
 
     # Prolific authors: preferential attachment over paper authorship,
     # giving the large-fan-in author nodes of the paper's "John" example.
-    author_weight = [1] * (config.n_authors + 1)
+    author_weight = _FenwickTree([1] * config.n_authors)
     # Conference sizes are skewed, too: a couple of mega-conferences.
-    conf_weights = [
-        1.0 / (rank ** 0.8) for rank in range(1, config.n_conferences + 1)
-    ]
+    conferences = range(1, config.n_conferences + 1)
+    conf_cumulative = list(
+        itertools.accumulate(1.0 / (rank ** 0.8) for rank in conferences)
+    )
 
     writes_id = 0
     for paper_id in range(1, config.n_papers + 1):
-        conf_id = rng.choices(
-            range(1, config.n_conferences + 1), weights=conf_weights
-        )[0]
+        conf_id = rng.choices(conferences, cum_weights=conf_cumulative)[0]
         db.insert(
             "paper",
             {
@@ -112,14 +112,11 @@ def make_dblp(config: DblpConfig = DblpConfig()) -> Database:
         n_authors = rng.randint(1, config.max_authors_per_paper)
         chosen: set[int] = set()
         for _ in range(n_authors):
-            author_id = rng.choices(
-                range(1, config.n_authors + 1),
-                weights=author_weight[1:],
-            )[0]
+            author_id = author_weight.draw(rng, config.n_authors) + 1
             if author_id in chosen:
                 continue
             chosen.add(author_id)
-            author_weight[author_id] += 2
+            author_weight.add(author_id - 1, 2)
             writes_id += 1
             db.insert(
                 "writes",
@@ -128,19 +125,17 @@ def make_dblp(config: DblpConfig = DblpConfig()) -> Database:
 
     # Citations: papers cite earlier papers, preferentially the already
     # well-cited (rich-get-richer), so prestige separates papers.
-    cite_weight = [1] * (config.n_papers + 1)
+    cite_weight = _FenwickTree([1] * config.n_papers)
     cites_id = 0
     for paper_id in range(2, config.n_papers + 1):
         n_cites = min(paper_id - 1, rng.randint(0, int(2 * config.mean_citations)))
         cited_chosen: set[int] = set()
         for _ in range(n_cites):
-            cited = rng.choices(
-                range(1, paper_id), weights=cite_weight[1:paper_id]
-            )[0]
+            cited = cite_weight.draw(rng, paper_id - 1) + 1
             if cited in cited_chosen:
                 continue
             cited_chosen.add(cited)
-            cite_weight[cited] += 1
+            cite_weight.add(cited - 1, 1)
             cites_id += 1
             db.insert(
                 "cites",

@@ -8,11 +8,12 @@ referenced by a large fraction of movies (hub fan-in).
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
 from repro.datasets.names import NamePool
-from repro.datasets.vocab import make_vocabulary
+from repro.datasets.vocab import _FenwickTree, make_vocabulary
 from repro.relational.database import Database
 from repro.relational.schema import ForeignKey, Schema, Table
 
@@ -89,8 +90,9 @@ def make_imdb(config: ImdbConfig = ImdbConfig()) -> Database:
     for person_id in range(1, config.n_persons + 1):
         db.insert("person", {"id": person_id, "name": names.person(rng)})
 
-    genre_weights = [1.0 / rank for rank in range(1, config.n_genres + 1)]
-    fame = [1] * (config.n_persons + 1)  # preferential casting
+    genres = range(1, config.n_genres + 1)
+    genre_cumulative = list(itertools.accumulate(1.0 / rank for rank in genres))
+    fame = _FenwickTree([1] * config.n_persons)  # preferential casting
 
     acts_id = 0
     directs_id = 0
@@ -101,21 +103,17 @@ def make_imdb(config: ImdbConfig = ImdbConfig()) -> Database:
                 "id": movie_id,
                 "title": vocab.phrase(rng, 1, 4).title(),
                 "year": rng.randint(1950, 2005),
-                "genre_id": rng.choices(
-                    range(1, config.n_genres + 1), weights=genre_weights
-                )[0],
+                "genre_id": rng.choices(genres, cum_weights=genre_cumulative)[0],
             },
         )
         cast_size = rng.randint(1, config.max_cast)
         cast: set[int] = set()
         for _ in range(cast_size):
-            person_id = rng.choices(
-                range(1, config.n_persons + 1), weights=fame[1:]
-            )[0]
+            person_id = fame.draw(rng, config.n_persons) + 1
             if person_id in cast:
                 continue
             cast.add(person_id)
-            fame[person_id] += 2
+            fame.add(person_id - 1, 2)
             acts_id += 1
             db.insert(
                 "acts",
@@ -126,7 +124,7 @@ def make_imdb(config: ImdbConfig = ImdbConfig()) -> Database:
                     "role": rng.choice(ROLE_WORDS).title(),
                 },
             )
-        director = rng.choices(range(1, config.n_persons + 1), weights=fame[1:])[0]
+        director = fame.draw(rng, config.n_persons) + 1
         directs_id += 1
         db.insert(
             "directs",

@@ -4,16 +4,17 @@ Patents with assignee company hub nodes (Microsoft holds thousands of
 patents — query UQ1's shape), inventors through ``invents`` link
 tuples, and patent-to-patent citations.  The paper's subset had 4M
 nodes / 15M edges; this generator reproduces the shape scaled down
-(DESIGN.md Section 3).
+(the package docstring says why).
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
 from repro.datasets.names import NamePool
-from repro.datasets.vocab import make_vocabulary
+from repro.datasets.vocab import _FenwickTree, make_vocabulary
 from repro.relational.database import Database
 from repro.relational.schema import ForeignKey, Schema, Table
 
@@ -93,10 +94,11 @@ def make_patents(config: PatentsConfig = PatentsConfig()) -> Database:
         db.insert("inventor", {"id": inventor_id, "name": names.person(rng)})
 
     # A couple of mega-assignees hold most patents (hub fan-in).
-    company_weights = [
-        1.0 / (rank ** 1.2) for rank in range(1, config.n_companies + 1)
-    ]
-    productivity = [1] * (config.n_inventors + 1)
+    companies = range(1, config.n_companies + 1)
+    company_cumulative = list(
+        itertools.accumulate(1.0 / (rank ** 1.2) for rank in companies)
+    )
+    productivity = _FenwickTree([1] * config.n_inventors)
 
     invents_id = 0
     for patent_id in range(1, config.n_patents + 1):
@@ -106,21 +108,17 @@ def make_patents(config: PatentsConfig = PatentsConfig()) -> Database:
                 "id": patent_id,
                 "title": vocab.phrase(rng, 3, 6),
                 "year": rng.randint(1975, 2004),
-                "company_id": rng.choices(
-                    range(1, config.n_companies + 1), weights=company_weights
-                )[0],
+                "company_id": rng.choices(companies, cum_weights=company_cumulative)[0],
             },
         )
         team = rng.randint(1, config.max_inventors_per_patent)
         chosen: set[int] = set()
         for _ in range(team):
-            inventor_id = rng.choices(
-                range(1, config.n_inventors + 1), weights=productivity[1:]
-            )[0]
+            inventor_id = productivity.draw(rng, config.n_inventors) + 1
             if inventor_id in chosen:
                 continue
             chosen.add(inventor_id)
-            productivity[inventor_id] += 2
+            productivity.add(inventor_id - 1, 2)
             invents_id += 1
             db.insert(
                 "invents",
@@ -131,7 +129,7 @@ def make_patents(config: PatentsConfig = PatentsConfig()) -> Database:
                 },
             )
 
-    cite_weight = [1] * (config.n_patents + 1)
+    cite_weight = _FenwickTree([1] * config.n_patents)
     pcites_id = 0
     for patent_id in range(2, config.n_patents + 1):
         n_cites = min(
@@ -139,13 +137,11 @@ def make_patents(config: PatentsConfig = PatentsConfig()) -> Database:
         )
         cited_chosen: set[int] = set()
         for _ in range(n_cites):
-            cited = rng.choices(
-                range(1, patent_id), weights=cite_weight[1:patent_id]
-            )[0]
+            cited = cite_weight.draw(rng, patent_id - 1) + 1
             if cited in cited_chosen:
                 continue
             cited_chosen.add(cited)
-            cite_weight[cited] += 1
+            cite_weight.add(cited - 1, 1)
             pcites_id += 1
             db.insert(
                 "pcites",

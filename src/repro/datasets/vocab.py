@@ -84,3 +84,60 @@ def make_vocabulary(
         f"{tail_prefix}{i:04d}" for i in range(size - len(base))
     )
     return ZipfVocabulary(base + tail, s=s)
+
+
+class _FenwickTree:
+    """Non-negative integer weights with O(log n) updates and draws.
+
+    The generators' preferential-attachment draws: ``draw(rng, m)``
+    returns the index ``rng.choices(range(m), weights=w[:m])[0]`` would,
+    from the same single ``rng.random()``, so every generated row stays
+    the same while a draw no longer re-sums the whole weight list.
+    """
+
+    def __init__(self, weights: Sequence[int]) -> None:
+        tree = [0, *weights]
+        n = len(weights)
+        for i in range(1, n + 1):
+            parent = i + (i & -i)
+            if parent <= n:
+                tree[parent] += tree[i]
+        self._tree = tree
+        self._top = 1 << (n.bit_length() - 1) if n else 0
+
+    def add(self, i: int, delta: int) -> None:
+        """Add ``delta`` to the weight at index ``i``."""
+        tree = self._tree
+        i += 1
+        while i < len(tree):
+            tree[i] += delta
+            i += i & -i
+
+    def prefix(self, m: int) -> int:
+        """Sum of the first ``m`` weights."""
+        tree = self._tree
+        total = 0
+        while m:
+            total += tree[m]
+            m &= m - 1
+        return total
+
+    def draw(self, rng: random.Random, m: int) -> int:
+        """An index in ``range(m)`` drawn in proportion to its weight."""
+        point = rng.random() * (self.prefix(m) + 0.0)
+        tree = self._tree
+        n = len(tree) - 1
+        pos = acc = 0
+        step = self._top
+        # Largest pos whose prefix sum is <= point: bisect_right over the
+        # cumulative weights.  acc + tree[j] is that prefix, an int, so the
+        # comparison with the float is exact, as it is in bisect.
+        while step:
+            j = pos + step
+            if j <= n and acc + tree[j] <= point:
+                pos = j
+                acc += tree[j]
+            step >>= 1
+        # choices bounds bisect with hi = m - 1: a point at the total
+        # still lands in range(m).
+        return min(pos, m - 1)

@@ -7,6 +7,7 @@ import sys
 import time
 
 from repro.experiments import REGISTRY
+from repro.experiments.common import _BENCH_CACHE
 
 
 def main(argv=None) -> int:
@@ -41,9 +42,16 @@ def main(argv=None) -> int:
 
     for name in names:
         start = time.perf_counter()
+        cached = len(_BENCH_CACHE)
         report = REGISTRY[name]()
         print(report.render())
-        print(f"[{name} took {time.perf_counter() - start:.1f}s]")
+        # Benches are cached: the ones added here are the ones it built.
+        built = ", ".join(
+            f"{dataset}@{scale:g} {bench.build_seconds:.2f}s"
+            for (dataset, scale), bench in list(_BENCH_CACHE.items())[cached:]
+        )
+        built = f"; built {built}" if built else ""
+        print(f"[{name} took {time.perf_counter() - start:.1f}s{built}]")
         print()
     return 0
 

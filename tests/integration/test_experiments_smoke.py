@@ -122,3 +122,19 @@ class TestCli:
         assert main(["fig4"]) == 0
         out = capsys.readouterr().out
         assert "FIG4" in out
+
+    def test_footer_reports_the_datasets_an_experiment_built(
+        self, capsys, monkeypatch
+    ):
+        from repro.experiments.__main__ import main
+
+        def tiny():
+            build_bench("imdb", 0.12)
+            return Report("TINY", "builds one bench", ["x"])
+
+        monkeypatch.delenv("REPRO_SCALE", raising=False)
+        monkeypatch.setitem(REGISTRY, "tiny", tiny)
+        assert main(["tiny", "tiny"]) == 0
+        first, second = capsys.readouterr().out.strip().split("\n\n")
+        assert "; built imdb@0.12 " in first.splitlines()[-1]
+        assert "built" not in second  # cached: the second run built nothing
