@@ -5,6 +5,9 @@ matches thousands of DBLP tuples while ``Giora`` matches five.  A
 :class:`ZipfVocabulary` reproduces that skew: rank-``r`` word drawn with
 probability proportional to ``1 / r**s``.  Head words double as the
 workload's Large-origin keywords, tail words as Tiny ones.
+
+The generators' other skew, preferential attachment, draws from
+:class:`_FenwickTree`.
 """
 
 from __future__ import annotations
