@@ -4,12 +4,10 @@ Regenerates the explored/touched counts of Section 4.4 and asserts the
 paper's headline: Bidirectional generates the co-authorship answer
 after exploring an order of magnitude fewer nodes than Backward search.
 
-Run as a script it also times the worked-example query under the
-``python`` and ``vectorized`` expansion backends and emits one JSON
-row per arm (``figure4/<backend>``) for the perf-trend gate.  This is
-a deliberately tiny graph — the batched kernels have nothing to
-vectorize here, so the rows pin small-query overhead (no speedup
-floor; the ≥1.5x ratio gate lives on ``bench_kernel_speedup.py``).
+Run as a script it also times the worked-example query (Bidirectional)
+and emits one JSON row (``figure4/bidirectional``) for the perf-trend
+gate.  This is a deliberately tiny graph: the row pins small-query
+overhead.
 """
 
 import statistics
@@ -52,65 +50,44 @@ def test_figure4_answer_is_coauthored_paper(benchmark):
     assert meta["john"] in best.tree.nodes()
 
 
-BACKEND_ARMS = ("python", "vectorized")
 ROUNDS = 5
 
 
-def run_backend_figure4() -> Report:
-    """Trend rows: the worked-example query under both backends,
-    arms alternated per round, median scored."""
+def run_latency_figure4() -> Report:
+    """Trend row: the worked-example query's median latency."""
     engine, meta = build_figure4_engine()
-    params = {
-        backend: engine.params.with_(expansion_backend=backend)
-        for backend in BACKEND_ARMS
-    }
-
-    def _search(backend):
-        return engine.search("database james john", params=params[backend])
-
-    times: dict[str, list[float]] = {arm: [] for arm in BACKEND_ARMS}
-    for backend in BACKEND_ARMS:  # warm engine + CSR caches off the clock
-        _search(backend)
+    engine.search("database james john")  # warm the engine off the clock
+    times: list[float] = []
     for _ in range(ROUNDS):
-        for backend in BACKEND_ARMS:
-            start = time.perf_counter()
-            result = _search(backend)
-            times[backend].append(time.perf_counter() - start)
-            best = result.best()
-            assert best is not None and meta["co_paper"] in best.tree.nodes()
+        start = time.perf_counter()
+        result = engine.search("database james john")
+        times.append(time.perf_counter() - start)
+        best = result.best()
+        assert best is not None and meta["co_paper"] in best.tree.nodes()
 
-    median = {arm: statistics.median(ts) for arm, ts in times.items()}
+    median = statistics.median(times)
     report = Report(
         experiment="figure4",
-        title=(
-            f"worked-example query, python vs vectorized backend, "
-            f"median of {ROUNDS} alternating rounds"
-        ),
-        headers=["backend", "median ms", "QPS", "vs python"],
+        title=f"worked-example query, median of {ROUNDS} rounds",
+        headers=["algorithm", "median ms", "QPS"],
     )
-    for backend in BACKEND_ARMS:
-        qps = 1.0 / median[backend]
-        speedup = median["python"] / median[backend]
-        emit_json(
-            {
-                "experiment": "figure4",
-                "mode": backend,
-                "rounds": ROUNDS,
-                "qps": qps,
-                "latency_ms": median[backend] * 1000.0,
-                "speedup_vs_python": speedup,
-            }
-        )
-        report.rows.append(
-            [backend, fmt(median[backend] * 1000.0), fmt(qps), fmt(speedup)]
-        )
+    emit_json(
+        {
+            "experiment": "figure4",
+            "mode": "bidirectional",
+            "rounds": ROUNDS,
+            "qps": 1.0 / median,
+            "latency_ms": median * 1000.0,
+        }
+    )
+    report.rows.append(["bidirectional", fmt(median * 1000.0), fmt(1.0 / median)])
     return report
 
 
-def test_backend_figure4_rows(benchmark):
-    report = run_report(benchmark, run_backend_figure4)
-    assert len(report.rows) == len(BACKEND_ARMS)
+def test_latency_figure4_row(benchmark):
+    report = run_report(benchmark, run_latency_figure4)
+    assert len(report.rows) == 1
 
 
 if __name__ == "__main__":
-    print(run_backend_figure4().render())
+    print(run_latency_figure4().render())

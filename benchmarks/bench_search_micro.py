@@ -3,19 +3,21 @@ fixed mid-skew query (statistically tight, multiple rounds) — the
 absolute-seconds companion to the ratio tables.
 
 Run as a script (``python benchmarks/bench_search_micro.py``) it times
-SI-Backward and Bidirectional under the ``python`` and ``vectorized``
-expansion backends, and MI-Backward once (it runs one loop under either
-value), and emits one JSON row per (algorithm, backend) arm
-(``search-micro/<algorithm>-<backend>``) for the perf-trend gate.  On
-this small, quickly-terminating workload batches never fill, so the
-kernel win here is modest by design — the ≥1.5x ratio gate lives on
-``bench_kernel_speedup.py``'s expansion-dominated workload; these rows
-pin the *default-deployment* latency of both backends against drift.
+the three algorithms on that dblp query, and Bidirectional on one long
+expansion: the top 10 answers joining the two oldest hubs of a
+20k-node preferential-attachment graph (3 out-edges per node, seeded
+RNG — scale-free like the paper's DBLP graph, so thousands of pops
+over hub rows of hundreds of edges).  It emits one JSON row per arm
+(``search-micro/<arm>``) for the perf-trend gate.  The
+preferential-attachment arm ignores ``REPRO_SCALE``: it pins one shape,
+and builds in about two seconds with no dataset generation.
 """
 
+import random
 import statistics
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -23,11 +25,14 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from repro.core.bidirectional import BidirectionalSearch
+from repro.core.params import SearchParams
 from repro.experiments.common import Report, build_bench, fmt, workload_rng
+from repro.graph.digraph import DataGraph
 
 
-@pytest.fixture(scope="module")
-def setup():
+def dblp_query():
+    """The dblp bench and the keywords of its fixed mid-skew query."""
     bench = build_bench("dblp", 0.4)
     rng = workload_rng(31337)
     query = bench.generator.sample_query(
@@ -35,6 +40,11 @@ def setup():
     )
     assert query is not None
     return bench, list(query.keywords)
+
+
+@pytest.fixture(scope="module")
+def setup():
+    return dblp_query()
 
 
 @pytest.mark.parametrize("algorithm", ["bidirectional", "si-backward", "mi-backward"])
@@ -65,91 +75,87 @@ def test_graph_build_latency(benchmark, setup):
 
 
 ALGORITHMS = ("bidirectional", "si-backward", "mi-backward")
-BACKEND_ARMS = ("python", "vectorized")
-#: MI-Backward runs the same loop under both values: a second arm would
-#: time it twice and a ratio of the two could only gate noise.
-ARMS = [
-    (algo, backend)
-    for algo in ALGORITHMS
-    for backend in BACKEND_ARMS
-    if algo != "mi-backward" or backend == "python"
-]
+PA_NODES = 20_000
+PA_OUT_EDGES = 3
+PA_SEED = 42
+PA_PARAMS = SearchParams(max_results=10, dmax=8, node_budget=60_000)
 ROUNDS = 5
 
 
-def run_backend_micro() -> Report:
-    """Trend rows: per-algorithm latency under both expansion backends
-    on the fixed mid-skew dblp query, arms alternated per round so
-    machine drift hits every cell equally, median scored."""
+def preferential_attachment_graph():
+    """Each new node links to ``PA_OUT_EDGES`` earlier nodes, biased
+    toward high-degree ones (scale-free hubs)."""
+    rng = random.Random(PA_SEED)
+    dg = DataGraph()
+    for i in range(PA_NODES):
+        dg.add_node(f"n{i}")
+    targets = [0]
+    for v in range(1, PA_NODES):
+        for _ in range(PA_OUT_EDGES):
+            u = rng.choice(targets)
+            if u != v:
+                dg.add_edge(v, u, rng.uniform(0.5, 2.0))
+        targets.extend([v] * 2)
+    return dg.freeze()
+
+
+def arms() -> dict:
+    """Arm name -> a zero-argument search returning its result."""
+    bench, keywords = dblp_query()
+    searches = {
+        algo: partial(bench.engine.search, keywords, algorithm=algo)
+        for algo in ALGORITHMS
+    }
+    graph = preferential_attachment_graph()
+    hubs = [frozenset({0}), frozenset({1})]
+    searches["pa20k-bidirectional"] = lambda: BidirectionalSearch(
+        graph, ("hub0", "hub1"), hubs, params=PA_PARAMS
+    ).run()
+    return searches
+
+
+def run_micro() -> Report:
+    """Trend rows: one median latency per arm, arms alternated per
+    round so machine drift hits every cell equally."""
     from conftest import emit_json
 
-    bench = build_bench("dblp", 0.4)
-    rng = workload_rng(31337)
-    query = bench.generator.sample_query(
-        rng, n_keywords=3, result_size=4, band_combo=("T", "S", "L")
-    )
-    assert query is not None
-    keywords = list(query.keywords)
-    params = {
-        backend: bench.engine.params.with_(expansion_backend=backend)
-        for backend in BACKEND_ARMS
-    }
-
-    def _search(algo, backend):
-        return bench.engine.search(
-            keywords, algorithm=algo, params=params[backend]
-        )
-
-    times: dict[tuple, list[float]] = {arm: [] for arm in ARMS}
-    for algo, backend in ARMS:  # warm engine + CSR caches off the clock
-        _search(algo, backend)
+    searches = arms()
+    times: dict[str, list[float]] = {arm: [] for arm in searches}
+    for search in searches.values():  # warm engine and row caches off the clock
+        search()
     for _ in range(ROUNDS):
-        for algo, backend in ARMS:
+        for arm, search in searches.items():
             start = time.perf_counter()
-            result = _search(algo, backend)
-            times[(algo, backend)].append(time.perf_counter() - start)
+            result = search()
+            times[arm].append(time.perf_counter() - start)
             assert result.stats.nodes_explored > 0
 
-    median = {arm: statistics.median(ts) for arm, ts in times.items()}
     report = Report(
         experiment="search-micro",
-        title=(
-            f"per-algorithm latency, python vs vectorized backend, "
-            f"median of {ROUNDS} alternating rounds"
-        ),
-        headers=["algorithm", "backend", "median ms", "QPS", "vs python"],
+        title=f"per-arm search latency, median of {ROUNDS} alternating rounds",
+        headers=["arm", "median ms", "QPS"],
     )
-    for algo, backend in ARMS:
-        qps = 1.0 / median[(algo, backend)]
-        speedup = median[(algo, "python")] / median[(algo, backend)]
+    for arm, samples in times.items():
+        median = statistics.median(samples)
         emit_json(
             {
                 "experiment": "search-micro",
-                "mode": f"{algo}-{backend}",
+                "mode": arm,
                 "rounds": ROUNDS,
-                "qps": qps,
-                "latency_ms": median[(algo, backend)] * 1000.0,
-                "speedup_vs_python": speedup,
+                "qps": 1.0 / median,
+                "latency_ms": median * 1000.0,
             }
         )
-        report.rows.append(
-            [
-                algo,
-                backend,
-                fmt(median[(algo, backend)] * 1000.0),
-                fmt(qps),
-                fmt(speedup),
-            ]
-        )
+        report.rows.append([arm, fmt(median * 1000.0), fmt(1.0 / median)])
     return report
 
 
-def test_backend_micro_rows(benchmark):
+def test_micro_rows(benchmark):
     from conftest import run_report
 
-    report = run_report(benchmark, run_backend_micro)
-    assert len(report.rows) == len(ARMS)
+    report = run_report(benchmark, run_micro)
+    assert len(report.rows) == len(ALGORITHMS) + 1
 
 
 if __name__ == "__main__":
-    print(run_backend_micro().render())
+    print(run_micro().render())

@@ -13,11 +13,6 @@ incoming edges, relaxing the shared :class:`~repro.core.state.PathState`
 (which propagates improvements to reached ancestors); a node with known
 paths to every keyword emits an answer tree.  Top-k output uses the same
 Section 4.5 bound machinery as Bidirectional.
-
-This module is the per-pop schedule — one cursor per iteration, lazy
-binary heap, sparse state rows; ``expansion_backend="vectorized"`` runs
-the batched schedule of :mod:`repro.core.kernels.engines` over the same
-state class.
 """
 
 from __future__ import annotations
@@ -59,10 +54,6 @@ class SingleIteratorBackwardSearch(BaseSearch):
 
     # ------------------------------------------------------------------
     def run(self) -> SearchResult:
-        if self.params.expansion_backend == "vectorized":
-            from repro.core.kernels import run_si_batched
-
-            return run_si_batched(self)
         state = self._state = PathState(self.graph, self.keyword_sets)
         queue = self._queue
         for node in state.seed_all():

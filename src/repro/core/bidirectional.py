@@ -19,12 +19,8 @@ Distance bookkeeping (``dist``/``sp``/ATTACH) lives in the shared
 ACTIVATE) in :class:`~repro.core.state.ActivationState`; emission,
 duplicate discard and the Section 4.5 bounded top-k output in the
 :class:`~repro.core.driver.BaseSearch` plumbing, all shared with the
-baselines so measured differences come from the strategy alone.
-
-This module is the per-pop schedule — one cursor per iteration, lazy
-binary heaps, sparse state rows; ``expansion_backend="vectorized"`` runs
-the batched schedule of :mod:`repro.core.kernels.engines` over the same
-two state classes.
+baselines so measured differences come from the strategy alone.  The
+schedule is Figure 3's: one cursor per iteration from lazy binary heaps.
 """
 
 from __future__ import annotations
@@ -70,10 +66,6 @@ class BidirectionalSearch(BaseSearch):
 
     # ------------------------------------------------------------------
     def run(self) -> SearchResult:
-        if self.params.expansion_backend == "vectorized":
-            from repro.core.kernels import run_bidi_batched
-
-            return run_bidi_batched(self)
         state = self._state = PathState(self.graph, self.keyword_sets)
         act = self._act = ActivationState(
             self.graph,

@@ -192,36 +192,6 @@ class CancellationToken:
             return False
         return self.check()
 
-    def tick_many(self, n: int) -> int:
-        """Consume up to ``n`` ticks at once; returns how many were granted.
-
-        The batched expansion engines' entry point: one call covers a
-        whole batch of pops.  A return of ``n`` means the batch may run
-        in full; anything smaller means the token fired and only that
-        many pops may still be performed (matching :meth:`tick`'s exact
-        ``cancel_at_tick`` semantics, where the ``T``-th tick observes
-        the cut and its pop is skipped, i.e. ``T - 1`` pops complete).
-        The expensive sources are probed once whenever the span crosses
-        a ``check_every`` boundary, so callers capping their batch at
-        ``check_every`` keep the legacy ~2-check-interval overrun bound.
-        """
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n!r}")
-        if self._fired:
-            return 0
-        start = self._ticks
-        cut = self.cancel_at_tick
-        if cut is not None and cut <= start + n:
-            granted = max(0, cut - 1 - start)
-            self._ticks = cut
-            self._fire(REASON_CANCELLED)
-            return granted
-        if (start + n) // self.check_every > start // self.check_every:
-            if self.check():
-                return 0
-        self._ticks = start + n
-        return n
-
     def check(self) -> bool:
         """Probe every source now (ungated); True once fired."""
         if self._fired:

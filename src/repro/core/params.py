@@ -60,28 +60,13 @@ class SearchParams:
         :class:`~repro.core.cancellation.CancellationToken`'s expensive
         sources (deadline clock, external cancel channel).  Bounds the
         overrun of a cancelled search at ~2 intervals of pops; the
-        service layers forward it as the token's ``check_every``.  It
-        is also the batch size of the ``"vectorized"`` engine, which
-        consumes the token once per batch.
+        service layers forward it as the token's ``check_every``.
     trace_every_n_pops:
         Sampling interval of the per-stage search profiler: every this
         many pops, the search records a trajectory sample (pops,
         touched, frontier sizes, elapsed) into the active trace span.
         ``0`` (the default) disables sampling; the end-of-run summary
         attributes are recorded either way whenever a span is active.
-    expansion_backend:
-        Which schedule drives SI-Backward and Bidirectional over their
-        one search state (:mod:`repro.core.state`): ``"python"`` (the
-        default: one cursor per pop, state rows that hold only touched
-        nodes, no per-graph set-up) or ``"vectorized"`` (pops
-        ``cancel_check_interval`` cursors per batch over the graph's
-        CSR arrays with numpy candidate kernels, state rows over all
-        nodes; pays an O(n) set-up per graph and per search and wins on
-        long expansions, see docs/PERFORMANCE.md).  Batching changes
-        pop order, so the two may decompose tied paths differently.
-        MI-Backward runs the paper's per-iterator schedule under either
-        value.  Both share one emission path, gated on the release
-        bound in ``BaseSearch``.
     """
 
     mu: float = 0.5
@@ -94,7 +79,6 @@ class SearchParams:
     max_combos_per_node: int = 64
     cancel_check_interval: int = 32
     trace_every_n_pops: int = 0
-    expansion_backend: str = "python"
 
     def __post_init__(self) -> None:
         # Types first: params arrive as JSON from HTTP clients, and an
@@ -112,7 +96,7 @@ class SearchParams:
             _check_type(name, getattr(self, name), (int,), "an integer")
         if self.node_budget is not None:
             _check_type("node_budget", self.node_budget, (int,), "an integer")
-        for name in ("activation_combine", "output_mode", "expansion_backend"):
+        for name in ("activation_combine", "output_mode"):
             _check_type(name, getattr(self, name), (str,), "a string")
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError(f"mu must be in [0, 1], got {self.mu!r}")
@@ -146,11 +130,6 @@ class SearchParams:
             raise ValueError(
                 f"trace_every_n_pops must be >= 0, got "
                 f"{self.trace_every_n_pops!r}"
-            )
-        if self.expansion_backend not in ("python", "vectorized"):
-            raise ValueError(
-                "expansion_backend must be one of 'python', 'vectorized', "
-                f"got {self.expansion_backend!r}"
             )
 
     def with_(self, **changes) -> "SearchParams":

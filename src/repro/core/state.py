@@ -11,7 +11,7 @@ and every keyword ``t_i`` (paper Figure 2):
   edge ``(u, v)`` has been explored.
 
 :class:`PathState` holds the first two per keyword and represents ``P``
-*implicitly*: both schedules explore a node's edge list in full, so an
+*implicitly*: every expansion explores a node's edge list in full, so an
 edge ``(u, v)`` is explored exactly when ``v`` was expanded backward
 (``expanded_in``) or ``u`` forward (``expanded_out``).  A distance
 improvement is pushed to every reached ancestor by one best-first
@@ -20,16 +20,11 @@ parent rows filtered by those two sets.  :class:`ActivationState` is
 the spreading activation of Section 4.3 over the same explored sets
 (procedure ACTIVATE).
 
-Both classes read and write rows as ``row[node]`` and nothing else, so
-the *schedule* that constructs them picks the row container: the
-per-pop loops (``backward_si`` / ``bidirectional`` / ``near``) take
-sparse rows — dicts in which an untouched node reads ``inf`` / ``0`` —
-and pay O(touched) per search; the batched loops (``kernels/engines``)
-take dense lists plus a numpy snapshot per state (``dist`` / ``act``)
-for the candidate kernels, on top of the O(n) they already pay for
-their frontier arrays.  ``drain_changed`` hands back the nodes whose
-values moved since the last call — what either loop needs for priority
-upkeep — and is where a snapshot, if there is one, is synced.
+Rows are sparse — dicts in which an untouched node reads ``inf`` /
+``0`` — so the per-pop loops (``backward_si`` / ``bidirectional`` /
+``near``) pay O(touched) per search, never O(n).  ``drain_changed``
+hands back the nodes whose values moved since the last call: what the
+loops need for priority upkeep.
 """
 
 from __future__ import annotations
@@ -49,7 +44,7 @@ _MEMO_ATTR = "_explored_parents_memo"
 
 
 def _sparse_row(fill) -> defaultdict:
-    """Row container of the per-pop schedule: a dict in which an
+    """Row container of the search state: a dict in which an
     untouched node reads ``fill``.  The read stores it, so the miss is
     handled in C and happens once per node: the tie walks probe the same
     unreached hub neighbours over and over, and a python ``__missing__``
@@ -65,8 +60,8 @@ class _ParentMemo(dict):
     when first asked for and kept on the graph (graphs are immutable; a
     mutation makes a new graph object), so a search pays for the rows
     its cascades read, not for ``n``.  (Pairs, not the graph's own
-    ``(parent, weight, is_forward)`` edge tuples: unpacking three fields
-    per parent costs the batched schedule 15 % on the 20k-node gate.)
+    ``(parent, weight, is_forward)`` edge tuples: a cascade unpacks one
+    per parent it visits, and the flag is dead weight there.)
 
     The memo lives on its graph, so it refers back to it weakly: a
     strong reference (a bound ``graph.in_edges`` included) would make a
@@ -104,31 +99,15 @@ def _parents_memo(graph) -> _ParentMemo:
 class PathState:
     """Per-keyword distance/successor rows with upward propagation."""
 
-    def __init__(
-        self, graph, keyword_sets: Sequence[frozenset[int]], *, dense: bool = False
-    ) -> None:
-        """``dense`` is the batched schedule's row container (lists over
-        all nodes plus the ``dist`` snapshot); the per-pop schedule
-        leaves it off."""
+    def __init__(self, graph, keyword_sets: Sequence[frozenset[int]]) -> None:
         self.graph = graph
         self.keyword_sets = tuple(frozenset(s) for s in keyword_sets)
         self.k = k = len(self.keyword_sets)
         if k == 0:
             raise ValueError("at least one keyword set is required")
-        if dense:
-            import numpy as np  # the batched schedule's; per-pop never loads it
-
-            n = graph.num_nodes
-            self.dist_rows = [[inf] * n for _ in range(k)]
-            self.sp = [[None] * n for _ in range(k)]
-            self.finite = [0] * n
-            #: numpy snapshot of ``dist_rows`` for the candidate kernels.
-            self.dist = np.full((k, n), inf, dtype=np.float64)
-        else:
-            self.dist_rows = [_sparse_row(inf) for _ in range(k)]
-            self.sp = [{} for _ in range(k)]
-            self.finite = _sparse_row(0)
-            self.dist = None
+        self.dist_rows = [_sparse_row(inf) for _ in range(k)]
+        self.sp = [{} for _ in range(k)]
+        self.finite = _sparse_row(0)
         #: Nodes with at least one finite distance, in first-touch order.
         self.seen: list[int] = []
         self.expanded_in: set[int] = set()
@@ -154,8 +133,6 @@ class PathState:
                     if finite[node] == 1:
                         self.seen.append(node)
                 row[node] = 0.0
-                if self.dist is not None:
-                    self.dist[i, node] = 0.0
             seeds.update(nodes)
         return sorted(seeds)
 
@@ -188,8 +165,9 @@ class PathState:
     # ------------------------------------------------------------------
     def explore_edge(self, u: int, v: int, w: float, emit) -> None:
         """Pull ``v``'s distances into ``u`` across the edge ``(u, v)``
-        (Figure 3 ExploreEdge) — the per-pop schedule's candidate
-        generation, one edge at a time.
+        (Figure 3 ExploreEdge): per keyword, set an improved
+        ``dist[u][i]``, ATTACH it upward, and hand ``emit``, ascending,
+        every node that is complete once its distance moved.
 
         The caller has marked the edge explored — ``v`` in
         ``expanded_in`` or ``u`` in ``expanded_out`` — before the first
@@ -197,23 +175,11 @@ class PathState:
         """
         if w <= 0.0:
             raise ValueError(f"edge weight must be > 0, got {w!r}")
+        completions: set[int] = set()
         for i, row in enumerate(self.dist_rows):
             nd = row[v] + w
             if nd < row[u]:
-                self.relax_all(((u, i, nd, v, w),), emit)
-
-    def relax_all(self, candidates, emit) -> None:
-        """The relaxation step, over ``(u, i, nd, child, w)`` candidates
-        in order: recheck ``dist[u][i] = nd`` (through ``child`` over an
-        edge of weight ``w``) against the live row — an earlier
-        candidate or its cascade may have done the work already — then
-        set it, ATTACH upward, and hand ``emit``, ascending, every node
-        that is complete once its distance moved."""
-        rows = self.dist_rows
-        completions: set[int] = set()
-        for u, i, nd, child, w in candidates:
-            if nd < rows[i][u]:
-                self._set_dist(u, i, nd, child, w, completions)
+                self._set_dist(u, i, nd, v, w, completions)
                 self._propagate_up(u, i, completions)
                 if completions:
                     for node in sorted(completions):
@@ -291,14 +257,9 @@ class PathState:
         self.cascade_touches += touches
 
     def drain_changed(self) -> list[int]:
-        """Nodes whose distances changed since the last drain, sorted —
-        and the sync point of the ``dist`` snapshot, if there is one."""
+        """Nodes whose distances changed since the last drain, sorted."""
         changed = sorted(self._changed)
         self._changed.clear()
-        if changed and self.dist is not None:
-            self.dist[:, changed] = [
-                list(map(row.__getitem__, changed)) for row in self.dist_rows
-            ]
         return changed
 
     # ------------------------------------------------------------------
@@ -359,7 +320,6 @@ class ActivationState:
         mu: float = 0.5,
         combine: str = "max",
         min_contribution: float = 1e-9,
-        dense: bool = False,
     ) -> None:
         """
         ``combine`` selects how activation reaching a node from several
@@ -367,7 +327,6 @@ class ActivationState:
         ``"sum"`` (the footnote-6 extension for scoring models that
         aggregate along multiple paths; powers "near queries").  In sum
         mode cascades terminate via the ``min_contribution`` floor.
-        ``dense`` as for :class:`PathState`.
         """
         if not 0.0 <= mu <= 1.0:
             raise ValueError(f"mu must be in [0, 1], got {mu!r}")
@@ -385,20 +344,9 @@ class ActivationState:
         self.min_contribution = min_contribution
         self.expanded_in = expanded_in
         self.expanded_out = expanded_out
-        if dense:
-            import numpy as np
-
-            n = graph.num_nodes
-            self.act_rows = [[0.0] * n for _ in range(k)]
-            #: Overall activation ``a_u = sum_i a(u, i)`` — the queue
-            #: priority; numpy so the batched loops gather it in bulk.
-            self.total = np.zeros(n, dtype=np.float64)
-            #: numpy snapshot of ``act_rows`` for the spread kernel.
-            self.act = np.zeros((k, n), dtype=np.float64)
-        else:
-            self.act_rows = [_sparse_row(0.0) for _ in range(k)]
-            self.total = _sparse_row(0.0)
-            self.act = None
+        self.act_rows = [_sparse_row(0.0) for _ in range(k)]
+        #: Overall activation ``a_u = sum_i a(u, i)`` — the queue priority.
+        self.total = _sparse_row(0.0)
         self._parents = _parents_memo(graph)
         self._changed: set[int] = set()
         #: Rows written by ACTIVATE cascades — harvested into
@@ -420,8 +368,6 @@ class ActivationState:
                 else:
                     merged = max(current, seed)
                 row[node] = merged
-                if self.act is not None:
-                    self.act[i, node] = merged
                 self.total[node] += merged - current
 
     # ------------------------------------------------------------------
@@ -431,8 +377,7 @@ class ActivationState:
         """Spread ``node``'s activation over ``edges`` — its in-edges
         (incoming iterator expansion) or out-edges (outgoing) — whose
         ``sum(1/w)`` is ``norm``: each edge of weight ``w`` carries
-        ``mu * a(node, i) * (1/w) / norm`` to its other end.  The
-        per-pop schedule's candidate generation."""
+        ``mu * a(node, i) * (1/w) / norm`` to its other end."""
         for i, row in enumerate(self.act_rows):
             a = row[node]
             if a:
@@ -538,12 +483,7 @@ class ActivationState:
         self.cascade_touches += touches
 
     def drain_changed(self) -> list[int]:
-        """Nodes whose activation changed since the last drain, sorted —
-        and the sync point of the ``act`` snapshot, if there is one."""
+        """Nodes whose activation changed since the last drain, sorted."""
         changed = sorted(self._changed)
         self._changed.clear()
-        if changed and self.act is not None:
-            self.act[:, changed] = [
-                list(map(row.__getitem__, changed)) for row in self.act_rows
-            ]
         return changed

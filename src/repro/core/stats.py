@@ -19,15 +19,12 @@ __all__ = ["COST_FIELDS", "SearchStats"]
 
 
 #: The always-on per-query cost vector (beyond the paper's three
-#: metrics): cheap plain-int counters every algorithm and kernel engine
-#: threads through, the feature set the explain layer, the workload
-#: analytics sketch and the future admission controller consume.
+#: metrics): cheap plain-int counters every algorithm threads through,
+#: the feature set the explain layer, the workload analytics sketch and
+#: the future admission controller consume.
 COST_FIELDS = (
     "pops_in",
     "pops_out",
-    "kernel_batches",
-    "candidates_generated",
-    "candidates_surviving",
     "heap_ops",
     "cascade_touches",
     "emit_attempts",
@@ -51,13 +48,6 @@ class SearchStats:
     pops_in: int = 0
     #: Pops from the outgoing-edge frontier (Qout; bidirectional only).
     pops_out: int = 0
-    #: Batched-expansion loop iterations (0 on the python backend).
-    kernel_batches: int = 0
-    #: Neighbor candidates the expansion produced before the distance /
-    #: activation recheck.
-    candidates_generated: int = 0
-    #: Candidates that survived the recheck and were applied.
-    candidates_surviving: int = 0
     #: Frontier heap pushes.
     heap_ops: int = 0
     #: Rows touched by the ancestor attach/propagate cascades.

@@ -196,7 +196,9 @@ def run_measured(
     """Run the given algorithms on one query; measure each at the last
     (or ``nth``) relevant answer.
 
-    Returns ``(relevant_count, {algorithm: MeasurementPoint | None})``.
+    Returns ``(relevant_count, points, reasons)``: ``points`` maps every
+    algorithm to its ``MeasurementPoint`` or None, and ``reasons`` says
+    why, for each None.
     """
     engine = bench.engine
     _, keyword_sets = engine.resolve(list(keywords))
@@ -207,12 +209,15 @@ def run_measured(
         scorer=engine.scorer,
     )
     if not relevant:
-        return 0, {}
-    points = {}
+        reasons = dict.fromkeys(algorithms, "no relevant tree")
+        return 0, dict.fromkeys(algorithms), reasons
+    points, reasons = {}, {}
     for algorithm in algorithms:
         result = engine.search(list(keywords), algorithm=algorithm, params=params)
-        points[algorithm] = measure_at_last_relevant(result, relevant, nth=nth)
-    return len(relevant), points
+        point = points[algorithm] = measure_at_last_relevant(result, relevant, nth=nth)
+        if point is None:
+            reasons[algorithm] = f"0/{len(relevant)} rel in top {len(result.answers)}"
+    return len(relevant), points, reasons
 
 
 def workload_rng(seed: int) -> random.Random:

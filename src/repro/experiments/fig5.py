@@ -43,6 +43,8 @@ QUERY_PROFILES: tuple[tuple[str, str, tuple[str, ...], int], ...] = (
     ("UQ5", "patents", ("S", "L"), 3),
 )
 
+MI, SI, BI = "mi-backward", "si-backward", "bidirectional"
+
 #: Band downgrade chain used when a combo cannot be instantiated on a
 #: small scaled dataset (e.g. no Medium terms co-occurring).
 _DOWNGRADE = {"L": "M", "M": "S", "S": "T", "T": "T"}
@@ -92,15 +94,23 @@ def run_fig5(*, scale: float = 0.4, seed: int = 100) -> Report:
         if query is None:
             report.rows.append([qid] + ["-"] * (len(report.headers) - 1))
             continue
-        relevant_count, points = run_measured(
-            bench,
-            query.keywords,
-            ("mi-backward", "si-backward", "bidirectional"),
-            result_size=result_size,
+        relevant_count, points, reasons = run_measured(
+            bench, query.keywords, (MI, SI, BI), result_size=result_size
         )
-        mi = points.get("mi-backward")
-        si = points.get("si-backward")
-        bi = points.get("bidirectional")
+
+        def ratio(attr: str, num: str, den: str) -> str:
+            """``num / den`` at the measurement point, or why one of
+            them has no point."""
+            for algorithm in (num, den):
+                if points[algorithm] is None:
+                    return reasons[algorithm]
+            return fmt(
+                safe_ratio(getattr(points[num], attr), getattr(points[den], attr))
+            )
+
+        def seconds(algorithm: str) -> str:
+            point = points[algorithm]
+            return reasons[algorithm] if point is None else fmt(point.out_time, 3)
 
         sparse = sparse_cache.get(dataset)
         if sparse is None:
@@ -119,23 +129,24 @@ def run_fig5(*, scale: float = 0.4, seed: int = 100) -> Report:
                 "(" + ",".join(str(s) for s in query.origin_sizes) + ")",
                 fmt(relevant_count),
                 fmt(result_size),
-                fmt(safe_ratio(mi.out_time if mi else None, si.out_time if si else None)),
-                fmt(safe_ratio(si.out_pops if si else None, bi.out_pops if bi else None)),
-                fmt(
-                    safe_ratio(
-                        si.out_touched if si else None, bi.out_touched if bi else None
-                    )
-                ),
-                fmt(safe_ratio(si.gen_time if si else None, bi.gen_time if bi else None)),
-                fmt(safe_ratio(si.out_time if si else None, bi.out_time if bi else None)),
-                fmt(si.out_time if si else None, 3),
-                fmt(bi.out_time if bi else None, 3),
+                ratio("out_time", MI, SI),
+                ratio("out_pops", SI, BI),
+                ratio("out_touched", SI, BI),
+                ratio("gen_time", SI, BI),
+                ratio("out_time", SI, BI),
+                seconds(SI),
+                seconds(BI),
                 f"{fmt(sparse_out.elapsed, 3)} ({sparse_out.num_networks})",
             ]
         )
     report.notes.append(
         "ratios > 1 mean the left algorithm is slower, as in the paper; "
         "absolute seconds are pure-Python on scaled-down synthetic data"
+    )
+    report.notes.append(
+        "a cell naming a reason has no measurement point: '0/R rel in top N' "
+        "means the algorithm released N answers and none of the R relevant "
+        "ones; 'no relevant tree' means the query has no relevant answer"
     )
     report.notes.append(
         "paper: MI/SI 2.7-16.7x; SI/Bidir nodes explored up to ~25x, "

@@ -88,7 +88,7 @@ def _ratio_sweep(
                 )
                 if query is None:
                     continue
-                _, points = run_measured(
+                _, points, _ = run_measured(
                     bench, query.keywords, (slow, fast), result_size=result_size
                 )
                 slow_point = points.get(slow)
@@ -204,7 +204,7 @@ def run_fig6c(
             )
             if query is None:
                 continue
-            _, points = run_measured(
+            _, points, _ = run_measured(
                 bench,
                 query.keywords,
                 ("si-backward", "bidirectional"),

@@ -1,4 +1,4 @@
-"""Frozen search graph: forward + derived backward edges, compact arrays.
+"""Frozen search graph: forward + derived backward edges.
 
 The :class:`SearchGraph` is what every search algorithm operates on.  It
 contains, for each original forward edge ``u -> v`` of the
@@ -7,15 +7,9 @@ backward edge ``v -> u`` weighted per :func:`repro.graph.weights.backward_edge_w
 Answer trees are rooted directed trees over this combined edge set
 (paper Sections 2.1 and 2.3).
 
-Two representations coexist:
-
-* tuple-based adjacency lists, used by the pure-Python search loops
-  (fastest for per-node neighbour iteration), and
-* a lazily built CSR array set mirroring the paper's compact
-  ``16*|V| + 8*|E|`` byte index (Section 5.1): an ``int64`` indptr plus a
-  ``float64`` prestige value per vertex (16 bytes) and an ``int32``
-  target plus ``float32`` weight per combined edge (8 bytes).  The
-  memory-footprint benchmark validates this formula.
+Adjacency is tuple-based, one row of ``(neighbour, weight, is_forward)``
+per node and direction: what the per-pop search loops iterate.  The
+only array form of a graph is a snapshot's (:mod:`repro.service.snapshot`).
 """
 
 from __future__ import annotations
@@ -51,7 +45,6 @@ class SearchGraph:
         self._prestige_array: Optional[np.ndarray] = None
         self._in_inv_weight_sum: tuple[float, ...] = ()
         self._out_inv_weight_sum: tuple[float, ...] = ()
-        self._csr_cache: Optional[dict[str, np.ndarray]] = None
         self._ref_to_node: Optional[dict[tuple[str, Hashable], int]] = None
 
     # ------------------------------------------------------------------
@@ -289,45 +282,6 @@ class SearchGraph:
         """``sum(1/w)`` over edges leaving ``u``; activation normalizer."""
         self._check_node(u)
         return self._out_inv_weight_sum[u]
-
-    # ------------------------------------------------------------------
-    # compact CSR arrays (paper Section 5.1 memory model)
-    # ------------------------------------------------------------------
-    def csr_arrays(self) -> dict[str, np.ndarray]:
-        """Compact out-adjacency arrays, built once and cached.
-
-        Returns a dict with keys ``indptr`` (int64, n+1), ``dst``
-        (int32, m), ``weight`` (float32, m) and ``prestige``
-        (float64, n), where m counts combined edges.
-        """
-        if self._csr_cache is None:
-            import numpy as np
-
-            n = self.num_nodes
-            m = self.num_edges
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            dst = np.zeros(m, dtype=np.int32)
-            weight = np.zeros(m, dtype=np.float32)
-            pos = 0
-            for u in range(n):
-                indptr[u] = pos
-                for v, w, _ in self._out[u]:
-                    dst[pos] = v
-                    weight[pos] = w
-                    pos += 1
-            indptr[n] = pos
-            self._csr_cache = {
-                "indptr": indptr,
-                "dst": dst,
-                "weight": weight,
-                "prestige": np.array(self._prestige, dtype=np.float64),
-            }
-        return self._csr_cache
-
-    def compact_nbytes(self) -> int:
-        """Bytes used by the compact index (paper: ``16|V| + 8|E|``)."""
-        arrays = self.csr_arrays()
-        return sum(int(a.nbytes) for a in arrays.values())
 
     # ------------------------------------------------------------------
     # internals

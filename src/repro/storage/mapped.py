@@ -7,8 +7,7 @@ adjacency rows, posting lists, and the per-node/per-term text metadata
 The arrays are typed ``memoryview`` casts of one buffer: an ``mmap`` of
 the file (``storage_mode="mapped"``) or the file's bytes read into
 process memory (``"ram"``); nothing here can tell the difference but
-the id check below, and nothing here imports numpy until a caller asks
-for the CSR ndarrays.
+the id check below, and nothing here imports numpy.
 Only what every query needs (indptr bounds, prestige) is resident from
 the start as Python numbers; the activation normalizers are indexed in
 place, adjacency and postings materialize per row, and the text block
@@ -20,8 +19,8 @@ Bit-identity contract: a materialized row is built through
 weight the Python float of the stored float64, and every search over a
 loaded graph scores answers bit-identically to the same search over
 the graph that was saved — the property
-``tests/property/test_prop_storage.py`` pins across storage modes,
-algorithms and expansion backends.  Under ``mapped`` every row's node
+``tests/property/test_prop_storage.py`` pins across storage modes and
+algorithms.  Under ``mapped`` every row's node
 ids are checked against the node count as it materializes (the load
 reads no data page, so this is where a damaged one is caught; a ``ram``
 load has range-checked every id already): an id out of range is a
@@ -41,15 +40,12 @@ from __future__ import annotations
 import json
 from heapq import nlargest
 from operator import add, sub
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from repro.errors import SnapshotError
 from repro.graph.searchgraph import Edge, SearchGraph
 from repro.index.inverted import InvertedIndex
 from repro.storage.stats import PinPolicy, StorageStats
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "MappedInvertedIndex",
@@ -215,8 +211,7 @@ class MappedSearchGraph(SearchGraph):
     first access.  Every read accessor of the base class works
     unchanged through the sequence protocols; the overrides below are
     exactly the base members that would otherwise iterate all rows
-    (``num_edges``, ``csr_arrays``) or forget the subclass
-    (``with_prestige``).
+    (``num_edges``) or forget the subclass (``with_prestige``).
     """
 
     @classmethod
@@ -288,37 +283,21 @@ class MappedSearchGraph(SearchGraph):
         g.storage = self.storage
         return g
 
-    def csr_arrays(self) -> dict[str, np.ndarray]:
-        # Same contents as the base builder, straight from the snapshot
-        # arrays (the format stores rows in original graph order, so
-        # no per-edge loop is needed): indptr/dst copy verbatim, the
-        # float64 weights narrow to float32 exactly as the per-element
-        # assignment would.
-        if self._csr_cache is None:
-            import numpy as np
-
-            out = self._out
-            self._csr_cache = {
-                "indptr": np.array(out._bounds, dtype=np.int64),
-                "dst": np.array(out._ids, dtype=np.int32),
-                "weight": np.array(out._weights, dtype=np.float32),
-                "prestige": np.array(self._prestige, dtype=np.float64),
-            }
-        return self._csr_cache
-
-    def _mapped_csr_sides(self) -> dict[str, np.ndarray]:
-        """Raw both-sides arrays for the kernel CSR fast path
-        (:func:`repro.core.kernels.csr.graph_csr`)."""
-        import numpy as np
-
-        return {
-            "in_indptr": np.array(self._in._bounds, dtype=np.int64),
-            "in_src": np.array(self._in._ids, dtype=np.int32),
-            "in_w": np.array(self._in._weights, dtype=np.float64),
-            "out_indptr": np.array(self._out._bounds, dtype=np.int64),
-            "out_dst": np.array(self._out._ids, dtype=np.int32),
-            "out_w": np.array(self._out._weights, dtype=np.float64),
-        }
+    def compact_nbytes(self) -> int:
+        """Bytes of the snapshot arrays the searches read edges and
+        activation normalizers from: per direction, the neighbour ids
+        (int32), weights (float64) and forward flags (uint8) of every
+        combined edge, and the two float64 ``sum(1/w)`` vectors.  Row
+        bounds and prestige are resident Python numbers, not arrays,
+        and are not counted."""
+        edge_columns = (
+            view
+            for side in (self._out, self._in)
+            for view in (side._ids, side._weights, side._fwd)
+        )
+        return sum(view.nbytes for view in edge_columns) + (
+            self._in_inv_weight_sum.nbytes + self._out_inv_weight_sum.nbytes
+        )
 
 
 class _LazyPostings(Mapping):

@@ -7,9 +7,9 @@ can pass them around as plain dicts:
 
 * :func:`build_explain_report` — turns one finished search (its stats,
   sampled timeline and released answers) into a structured report with
-  a **canonical** section that is deterministic across expansion
-  backends (seed resolution, parameter echo, answers with full score
-  decompositions) and non-canonical sections (timeline, cost vector,
+  a **canonical** section that is deterministic across runs and
+  profiler settings (seed resolution, parameter echo, answers with full
+  score decompositions) and non-canonical sections (timeline, cost vector,
   timings) that legitimately vary run to run.
 * :func:`query_fingerprint` — the canonical workload identity of a
   query: sorted lower-cased terms + algorithm + a digest of the
@@ -290,9 +290,9 @@ SEED_SAMPLE = 8
 SCORE_FORMULA = "node_score**lambda / (1 + edge_score)"
 
 #: Parameter fields excluded from the canonical echo: they select *how*
-#: the engine computes, not *what* the query means, and legitimately
-#: differ across backends/runs of the same logical query.
-_NON_CANONICAL_PARAMS = frozenset({"expansion_backend", "trace_every_n_pops"})
+#: the engine is observed, not *what* the query means, and legitimately
+#: differ across runs of the same logical query.
+_NON_CANONICAL_PARAMS = frozenset({"trace_every_n_pops"})
 
 
 def _params_echo(params) -> dict:
@@ -357,10 +357,10 @@ def build_explain_report(
 
     The ``canonical`` section depends only on the query and the
     released answers — per-term seed resolution (posting sizes plus a
-    sorted sample of origin ids), the parameter echo (minus
-    backend-selection knobs) and per-answer score decompositions — and
-    is byte-stable across expansion backends
-    (:func:`canonical_explain_bytes` pins this).  ``timeline`` (the
+    sorted sample of origin ids), the parameter echo (minus the
+    profiler's sampling interval) and per-answer score decompositions —
+    and is byte-stable across runs (:func:`canonical_explain_bytes`
+    pins this).  ``timeline`` (the
     sampled expansion trajectory and scheduling decisions), ``costs``
     (the always-on counters) and ``timings`` vary run to run and live
     outside it.
@@ -404,7 +404,7 @@ def build_explain_report(
 
 def canonical_explain_bytes(report: Mapping) -> bytes:
     """The canonical section serialized reproducibly — the bytes the
-    cross-backend determinism test compares."""
+    determinism test compares."""
     return json.dumps(
         report.get("canonical", {}),
         sort_keys=True,

@@ -158,9 +158,7 @@ BAD_PARAMS = [
     ({"cancel_check_interval": 1.5}, "cancel_check_interval"),
     ({"dmax": True}, "dmax"),
     # removed spellings and knobs
-    ({"expansion_backend": "auto"}, "expansion_backend"),
-    ({"expansion_backend": "scalar"}, "expansion_backend"),
-    ({"expansion_backend": "numba"}, "expansion_backend"),
+    ({"expansion_backend": "vectorized"}, "expansion_backend"),
     ({"expansion_batch": 64}, "expansion_batch"),
     ({"frontier_balance": "fanout"}, "frontier_balance"),
     ({"tie_alternates": False}, "tie_alternates"),
@@ -200,7 +198,7 @@ def test_bad_params_are_structured_400s_on_both_tiers(server, sharded, tier):
             {
                 "dataset": dataset,
                 "query": "gray transaction",
-                "params": {"expansion_backend": "vectorized"},
+                "params": {"output_mode": "heuristic"},
             },
         )
         assert status == 200 and reply["error"] is None

@@ -9,18 +9,15 @@ from repro.errors import DeadlineExceededError, PoolClosedError, SnapshotError
 from repro.service.service import QueryRequest
 
 
-@pytest.mark.parametrize("backend", ["python", "vectorized"])
-def test_search_matches_local_engine(sharded, toy_engine_session, backend):
-    # The engine choice rides the wire inside ``params``: the worker
-    # must run the batched engine when asked (``kernel_batches``).
-    params = SearchParams(max_results=3, expansion_backend=backend)
+def test_search_matches_local_engine(sharded, toy_engine_session):
+    # ``params`` and the cost counters ride the wire both ways.
+    params = SearchParams(max_results=3)
     response = sharded.search("alpha", "gray transaction", params=params)
     assert response.ok, response.error
     local = toy_engine_session.search("gray transaction", params=params)
     assert response.result.scores() == local.scores()
     assert response.result.signatures() == local.signatures()
-    assert response.result.stats.kernel_batches == local.stats.kernel_batches
-    assert (local.stats.kernel_batches > 0) == (backend == "vectorized")
+    assert response.result.stats.cost_vector() == local.stats.cost_vector()
     assert response.request.dataset == "alpha"
 
 

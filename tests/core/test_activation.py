@@ -1,8 +1,4 @@
-"""Spreading activation (paper Section 4.3) on ``ActivationState``.
-
-Every case runs on both row containers: sparse rows here, the batched
-schedule's dense lists in the ``...Dense`` subclasses.
-"""
+"""Spreading activation (paper Section 4.3) on ``ActivationState``."""
 
 import pytest
 
@@ -11,16 +7,12 @@ from repro.core.state import ActivationState
 from tests.helpers import build_graph
 
 
-class _BothContainers:
-    dense = False
-
+class _Explored:
     def act(self, graph, keyword_sets, **kwargs) -> ActivationState:
         """State over its own explored sets, kept as ``xin`` / ``xout``."""
         self.xin: set[int] = set()
         self.xout: set[int] = set()
-        return ActivationState(
-            graph, keyword_sets, self.xin, self.xout, dense=self.dense, **kwargs
-        )
+        return ActivationState(graph, keyword_sets, self.xin, self.xout, **kwargs)
 
     def spread_backward(self, act, v):
         self.xin.add(v)
@@ -31,7 +23,7 @@ class _BothContainers:
         act.spread(u, act.graph.out_edges(u), act.graph.out_inv_weight_sum(u))
 
 
-class TestSeeding(_BothContainers):
+class TestSeeding(_Explored):
     def test_seed_divides_prestige_by_origin_size(self):
         g = build_graph(4, [(0, 1)], prestige=[0.4, 0.3, 0.2, 0.1])
         act = self.act(g, [frozenset({0, 1}), frozenset({2})])
@@ -40,8 +32,6 @@ class TestSeeding(_BothContainers):
         assert act.act_rows[0][1] == pytest.approx(0.3 / 2)
         assert act.act_rows[1][2] == pytest.approx(0.2)
         assert act.act_rows[0][3] == 0.0
-        if self.dense:
-            assert act.act.tolist() == [row[:] for row in act.act_rows]
 
     def test_total_sums_over_keywords(self):
         g = build_graph(2, [(0, 1)], prestige=[0.6, 0.4])
@@ -55,7 +45,7 @@ class TestSeeding(_BothContainers):
             self.act(g, [frozenset({0})], mu=1.5)
 
 
-class TestBackwardSpreading(_BothContainers):
+class TestBackwardSpreading(_Explored):
     def test_spreads_mu_fraction_to_in_neighbours(self):
         # 0 -> 2, 1 -> 2; expanding 2 backward activates 0 and 1.
         g = build_graph(3, [(0, 2), (1, 2)], prestige=[0.2, 0.2, 0.6])
@@ -89,7 +79,7 @@ class TestBackwardSpreading(_BothContainers):
         assert act.drain_changed() == []
 
 
-class TestForwardSpreading(_BothContainers):
+class TestForwardSpreading(_Explored):
     def test_spreads_to_out_neighbours(self):
         g = build_graph(3, [(0, 1), (0, 2)], prestige=[0.6, 0.2, 0.2])
         act = self.act(g, [frozenset({0})], mu=0.5)
@@ -99,7 +89,7 @@ class TestForwardSpreading(_BothContainers):
         assert act.act_rows[0][2] > 0.0
 
 
-class TestActivatePropagation(_BothContainers):
+class TestActivatePropagation(_Explored):
     def test_cascades_through_explored_parents(self):
         # Chain 0 -> 1 -> 2 with 1 expanded backward before 2 spreads:
         # (0, 1) is explored, so 1's increase cascades on to 0.
@@ -134,8 +124,6 @@ class TestActivatePropagation(_BothContainers):
         assert act.drain_changed() == []  # seeds are pushed, not re-pushed
         self.spread_backward(act, 2)
         assert act.drain_changed() == [0, 1]
-        if self.dense:  # the drain is where the snapshot catches up
-            assert act.act.tolist() == [row[:] for row in act.act_rows]
         self.spread_backward(act, 2)  # same values: max-combine no-op
         assert act.drain_changed() == []
 
@@ -153,18 +141,3 @@ class TestActivatePropagation(_BothContainers):
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
         assert values[0] < values[4] / 4
 
-
-class TestSeedingDense(TestSeeding):
-    dense = True
-
-
-class TestBackwardSpreadingDense(TestBackwardSpreading):
-    dense = True
-
-
-class TestForwardSpreadingDense(TestForwardSpreading):
-    dense = True
-
-
-class TestActivatePropagationDense(TestActivatePropagation):
-    dense = True

@@ -73,25 +73,17 @@ class TestDistanceOrdering:
             ],
         )
         sets = [frozenset({0})]
-        for backend in ("python", "vectorized"):
-            search = SingleIteratorBackwardSearch(
-                g,
-                ("x",),
-                sets,
-                params=SearchParams(
-                    max_results=100,
-                    expansion_backend=backend,
-                    cancel_check_interval=1,
-                ),
-            )
-            search.enable_explain(every=1)
-            search.run()
-            touched = [
-                e["touched"] for e in search.explain_events if e["event"] == "sample"
-            ]
-            # Sampled at each pop, before its expansion: the keyword,
-            # A (after 0 touched A, Y, X), the third pop, the fourth.
-            assert touched[:4] == [1, 4, 4, 7]
+        search = SingleIteratorBackwardSearch(
+            g, ("x",), sets, params=SearchParams(max_results=100)
+        )
+        search.enable_explain(every=1)
+        search.run()
+        touched = [
+            e["touched"] for e in search.explain_events if e["event"] == "sample"
+        ]
+        # Sampled at each pop, before its expansion: the keyword,
+        # A (after 0 touched A, Y, X), the third pop, the fourth.
+        assert touched[:4] == [1, 4, 4, 7]
 
     def test_emits_when_complete_on_pop(self):
         g = build_graph(3, [(0, 1), (0, 2)])

@@ -35,9 +35,7 @@ def figure4_like(n_papers=30, n_john=14):
 class TestForwardSearch:
     def test_generates_result_before_backward_exhaustion(self):
         graph, sets, co_paper = figure4_like()
-        # Pops-to-generate compares per-pop scheduling, so pin the
-        # reference per-pop loop (batched backends pop whole batches).
-        params = SearchParams(max_results=1, expansion_backend="python")
+        params = SearchParams(max_results=1)
         bidi = BidirectionalSearch(
             graph, ("db", "james", "john"), sets, params=params
         ).run()
@@ -74,17 +72,11 @@ class TestForwardSearch:
 
 class TestActivationOrdering:
     @staticmethod
-    def _switches(graph, keywords, sets, backend, **params):
+    def _switches(graph, keywords, sets, **params):
         """The explain timeline's ``switch`` events: the top activation
-        of each queue whenever the scheduled side changes (one cursor
-        per batch, so the batched schedule switches per pop too)."""
+        of each queue whenever the scheduled side changes."""
         search = BidirectionalSearch(
-            graph,
-            keywords,
-            sets,
-            params=SearchParams(
-                expansion_backend=backend, cancel_check_interval=1, **params
-            ),
+            graph, keywords, sets, params=SearchParams(**params)
         )
         search.enable_explain(every=1)
         search.run()
@@ -96,15 +88,12 @@ class TestActivationOrdering:
         # each of the 30 papers with a thirtieth of its own.
         rare = max(graph.node_prestige(node) for nodes in sets[1:] for node in nodes)
         assert rare > max(graph.node_prestige(node) / len(sets[0]) for node in sets[0])
-        for backend in ("python", "vectorized"):
-            switches = self._switches(
-                graph, ("db", "james", "john"), sets, backend, max_results=1
-            )
-            # The first pop comes off Qin at that activation, and Qin's
-            # top never exceeds it again.
-            assert switches[0]["chose"] == "in"
-            assert switches[0]["pin"] == rare
-            assert all(e["pin"] is None or e["pin"] <= rare for e in switches)
+        switches = self._switches(graph, ("db", "james", "john"), sets, max_results=1)
+        # The first pop comes off Qin at that activation, and Qin's top
+        # never exceeds it again.
+        assert switches[0]["chose"] == "in"
+        assert switches[0]["pin"] == rare
+        assert all(e["pin"] is None or e["pin"] <= rare for e in switches)
 
     def test_mu_zero_spreads_nothing(self):
         graph, sets, _ = figure4_like()
@@ -123,11 +112,10 @@ class TestActivationOrdering:
         # the raised priorities: Qin's top at the next switch is the
         # spread share, not the zero they were pushed with.
         g = build_graph(4, [(0, 1), (1, 2), (3, 2)], prestige=[0.1, 0.1, 0.7, 0.1])
-        for backend in ("python", "vectorized"):
-            switches = self._switches(g, ("x",), [frozenset({2})], backend, mu=0.5)
-            assert switches[0]["pin"] == pytest.approx(0.7)
-            # In-edges of 2 weigh 1 each: a half of 0.7, split in two.
-            assert switches[1]["pin"] == pytest.approx(0.5 * 0.7 / 2)
+        switches = self._switches(g, ("x",), [frozenset({2})], mu=0.5)
+        assert switches[0]["pin"] == pytest.approx(0.7)
+        # In-edges of 2 weigh 1 each: a half of 0.7, split in two.
+        assert switches[1]["pin"] == pytest.approx(0.5 * 0.7 / 2)
 
 
 class TestBothQueuesCount:

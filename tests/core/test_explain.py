@@ -1,11 +1,12 @@
 """Engine-level explain reports: structure, score audit, and the
-cross-backend determinism contract.
+determinism contract.
 
 The canonical section of an explain report (seed resolution, parameter
 echo, answers with full score decompositions) must be **byte-identical**
-across the two expansion backends for every algorithm — that is what
-makes an explain plan trustworthy evidence rather than a backend
-artifact.  Non-canonical sections (timeline, costs, timings) may vary.
+across repeat runs and profiler settings for every algorithm — that is
+what makes an explain plan trustworthy evidence rather than a
+measurement artifact.  Non-canonical sections (timeline, costs,
+timings) may vary.
 """
 
 import pytest
@@ -13,14 +14,9 @@ import pytest
 from repro.core.params import SearchParams
 from repro.telemetry.accounting import SCORE_FORMULA, canonical_explain_bytes
 
-BACKENDS = ("python", "vectorized")
 ALGORITHMS = ("bidirectional", "si-backward", "mi-backward")
 
 QUERY = "stream paper"
-
-
-def _params(backend: str) -> SearchParams:
-    return SearchParams(expansion_backend=backend)
 
 
 class TestReportStructure:
@@ -45,8 +41,7 @@ class TestReportStructure:
             assert seed["origin_count"] >= len(seed["origin_sample"]) > 0
             assert seed["origin_sample"] == sorted(seed["origin_sample"])
         assert len(canonical["answers"]) == len(result.answers)
-        # Backend-selection knobs are excluded from the canonical echo.
-        assert "expansion_backend" not in canonical["params"]
+        # The profiler's sampling interval is excluded from the echo.
         assert "trace_every_n_pops" not in canonical["params"]
         assert "dmax" in canonical["params"]
 
@@ -95,23 +90,25 @@ class TestReportStructure:
             assert row["output_pops"] >= row["generated_pops"] >= 0
 
 
-class TestCrossBackendDeterminism:
+class TestDeterminism:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_canonical_bytes_identical_across_backends(
+    def test_canonical_bytes_identical_across_trace_sampling(
         self, dblp_small_engine, algorithm
     ):
-        blobs = {}
-        for backend in BACKENDS:
-            result = dblp_small_engine.search(
-                QUERY,
-                algorithm=algorithm,
-                k=5,
-                params=_params(backend),
-                explain=True,
+        blobs = [
+            canonical_explain_bytes(
+                dblp_small_engine.search(
+                    QUERY,
+                    algorithm=algorithm,
+                    k=5,
+                    params=SearchParams(trace_every_n_pops=every),
+                    explain=True,
+                ).explain
             )
-            blobs[backend] = canonical_explain_bytes(result.explain)
-        assert blobs["python"] == blobs["vectorized"], (
-            f"canonical explain for {algorithm} differs across backends"
+            for every in (0, 1)
+        ]
+        assert blobs[0] == blobs[1], (
+            f"canonical explain for {algorithm} moves with trace sampling"
         )
 
     def test_repeat_run_is_byte_stable(self, dblp_small_engine):

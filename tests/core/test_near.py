@@ -9,10 +9,6 @@ from tests.helpers import build_graph
 
 
 class TestSumCombine:
-    """On sparse rows; ``TestSumCombineDense`` reruns it on dense ones."""
-
-    dense = False
-
     @staticmethod
     def spread_forward(act, u):
         act.expanded_out.add(u)
@@ -31,7 +27,6 @@ class TestSumCombine:
                 set(),
                 mu=0.5,
                 combine=combine,
-                dense=self.dense,
             )
             act.seed_all()
             self.spread_forward(act, 0)
@@ -45,9 +40,7 @@ class TestSumCombine:
 
     def test_max_mode_respreading_is_idempotent(self):
         g = build_graph(2, [(0, 1)], prestige=[0.6, 0.4])
-        act = ActivationState(
-            g, [frozenset({0})], set(), set(), mu=0.5, combine="max", dense=self.dense
-        )
+        act = ActivationState(g, [frozenset({0})], set(), set(), mu=0.5, combine="max")
         act.seed_all()
         self.spread_forward(act, 0)
         once = act.total[1]
@@ -67,7 +60,6 @@ class TestSumCombine:
             mu=0.9,
             combine="sum",
             min_contribution=1e-6,
-            dense=self.dense,
         )
         act.seed_all()
         act.spread(0, g.in_edges(0), g.in_inv_weight_sum(0))  # must return
@@ -77,12 +69,10 @@ class TestSumCombine:
     def test_combine_validation(self):
         g = build_graph(2, [(0, 1)])
         with pytest.raises(ValueError):
-            ActivationState(
-                g, [frozenset({0})], set(), set(), combine="avg", dense=self.dense
-            )
+            ActivationState(g, [frozenset({0})], set(), set(), combine="avg")
         with pytest.raises(ValueError):
             ActivationState(
-                g, [frozenset({0})], set(), set(), min_contribution=0.0, dense=self.dense
+                g, [frozenset({0})], set(), set(), min_contribution=0.0
             )
 
     def test_min_contribution_floors_the_seed_and_the_spread(self):
@@ -94,16 +84,11 @@ class TestSumCombine:
             set(),
             combine="sum",
             min_contribution=0.5,
-            dense=self.dense,
         )
         act.seed_all()
         assert act.total[0] == 0.75 and act.total[1] == 0.0  # 0.25 is under the floor
         self.spread_forward(act, 0)  # carries 0.5 * 0.75 = 0.375: dropped
         assert act.total[1] == 0.0
-
-
-class TestSumCombineDense(TestSumCombine):
-    dense = True
 
 
 class TestNearSearch:

@@ -60,7 +60,6 @@ class TestValidation:
         ("trace_every_n_pops", None),
         ("activation_combine", 1),
         ("output_mode", None),
-        ("expansion_backend", 0),
     ])
     def test_rejects_ill_typed_values_naming_the_field(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -79,20 +78,18 @@ class TestValidation:
 
 
 class TestTheKnobsThatAreLeft:
-    def test_eleven_fields(self):
-        assert len(dataclasses.fields(SearchParams)) == 11
-
-    def test_two_engines(self):
-        assert DEFAULT_PARAMS.expansion_backend == "python"
-        SearchParams(expansion_backend="vectorized")
-
-    @pytest.mark.parametrize("backend", ["auto", "scalar", "numba", ""])
-    def test_removed_backend_spellings_are_rejected(self, backend):
-        with pytest.raises(ValueError, match="expansion_backend must be one of"):
-            SearchParams(expansion_backend=backend)
+    def test_ten_fields(self):
+        assert len(dataclasses.fields(SearchParams)) == 10
 
     @pytest.mark.parametrize(
-        "knob", ["expansion_batch", "frontier_balance", "tie_alternates", "flush_interval"]
+        "knob",
+        [
+            "expansion_backend",
+            "expansion_batch",
+            "frontier_balance",
+            "tie_alternates",
+            "flush_interval",
+        ],
     )
     def test_removed_knobs_are_not_constructor_arguments(self, knob):
         with pytest.raises(TypeError, match=knob):

@@ -1,10 +1,7 @@
 """PathState: distances, sp pointers, ATTACH propagation.
 
-Every case runs on both row containers — the per-pop schedule's sparse
-rows here, the batched schedule's dense lists in the ``...Dense``
-subclasses — so what is pinned is pinned on the code both schedules
-run.  ``tests.helpers.expand`` drives one node expansion the way the
-per-pop loops do: mark the node expanded, then explore its edge list.
+``tests.helpers.expand`` drives one node expansion the way the search
+loops do: mark the node expanded, then explore its edge list.
 """
 
 from math import inf
@@ -21,28 +18,19 @@ def chain_graph():
     return build_graph(3, [(0, 1), (1, 2)])
 
 
-class _BothContainers:
-    dense = False
-
-    def state(self, graph, keyword_sets) -> PathState:
-        return PathState(graph, keyword_sets, dense=self.dense)
-
-
-class TestSeeding(_BothContainers):
+class TestSeeding:
     def test_seed_all(self):
-        state = self.state(chain_graph(), [frozenset({2}), frozenset({0, 1})])
+        state = PathState(chain_graph(), [frozenset({2}), frozenset({0, 1})])
         assert state.seed_all() == [0, 1, 2]
         assert state.dist_rows[0][2] == 0.0
         assert state.dist_rows[1][0] == 0.0
         assert state.dist_rows[1][1] == 0.0
         assert state.dist_rows[0][0] == inf
         assert sorted(state.seen) == [0, 1, 2]
-        if self.dense:
-            assert state.dist.tolist() == [[inf, inf, 0.0], [0.0, 0.0, inf]]
 
     def test_seed_returns_matched_indices(self):
         # A node matching two keywords is seeded in both rows.
-        state = self.state(chain_graph(), [frozenset({2}), frozenset({2})])
+        state = PathState(chain_graph(), [frozenset({2}), frozenset({2})])
         assert state.seed_all() == [2]
         assert [row[2] for row in state.dist_rows] == [0.0, 0.0]
         assert state.is_complete(2)
@@ -52,12 +40,12 @@ class TestSeeding(_BothContainers):
 
     def test_requires_a_keyword(self):
         with pytest.raises(ValueError):
-            self.state(chain_graph(), [])
+            PathState(chain_graph(), [])
 
 
-class TestExploreEdge(_BothContainers):
+class TestExploreEdge:
     def test_simple_relax(self):
-        state = self.state(chain_graph(), [frozenset({2})])
+        state = PathState(chain_graph(), [frozenset({2})])
         state.seed_all()
         state.expanded_in.add(2)
         emitted = []
@@ -68,7 +56,7 @@ class TestExploreEdge(_BothContainers):
         assert state.is_complete(1)
 
     def test_no_improvement_no_completion(self):
-        state = self.state(chain_graph(), [frozenset({2})])
+        state = PathState(chain_graph(), [frozenset({2})])
         state.seed_all()
         assert expand(state, 2) == [1]
         emitted = []
@@ -78,7 +66,7 @@ class TestExploreEdge(_BothContainers):
 
     def test_better_parallel_edge_improves(self):
         g = build_graph(2, [(1, 0, 3.0), (1, 0, 1.5)])
-        state = self.state(g, [frozenset({0})])
+        state = PathState(g, [frozenset({0})])
         state.seed_all()
         # Both parallel edges are explored, heavier first: the node
         # completes on the first and is re-emitted on the improvement.
@@ -89,7 +77,7 @@ class TestExploreEdge(_BothContainers):
     def test_attach_propagates_to_ancestors(self):
         # Expand 1 first (its distance unknown), then 2: node 0 must be
         # updated transitively through the explored edge (0, 1).
-        state = self.state(chain_graph(), [frozenset({2})])
+        state = PathState(chain_graph(), [frozenset({2})])
         state.seed_all()
         assert expand(state, 1) == []
         assert state.dist_rows[0][0] == inf
@@ -100,7 +88,7 @@ class TestExploreEdge(_BothContainers):
     def test_propagation_chooses_best_path(self):
         # Diamond: 0->1->3, 0->2->3, with 0->2->3 cheaper overall.
         g = build_graph(4, [(0, 1, 1.0), (1, 3, 5.0), (0, 2, 1.0), (2, 3, 1.0)])
-        state = self.state(g, [frozenset({3})])
+        state = PathState(g, [frozenset({3})])
         state.seed_all()
         expand(state, 1)
         expand(state, 2)
@@ -112,33 +100,31 @@ class TestExploreEdge(_BothContainers):
         assert state.build_paths(0)[0] == [(0, 2, 3)]
 
     def test_rejects_nonpositive_weight(self):
-        state = self.state(chain_graph(), [frozenset({2})])
+        state = PathState(chain_graph(), [frozenset({2})])
         with pytest.raises(ValueError):
             state.explore_edge(0, 1, 0.0, lambda node: None)
 
     def test_changed_nodes_are_drained_once(self):
-        state = self.state(chain_graph(), [frozenset({2})])
+        state = PathState(chain_graph(), [frozenset({2})])
         state.seed_all()
         expand(state, 2)
         expand(state, 1)
         assert state.drain_changed() == [0, 1]
         assert state.drain_changed() == []
-        if self.dense:  # the drain is where the snapshot catches up
-            assert state.dist.tolist() == [[2.0, 1.0, 0.0]]
 
     def test_forward_exploration_pulls_the_neighbours_distance(self):
         # Expanding 0 forward explores (0, 1): 0 learns 1's distance,
         # and later improvements of 1 reach 0 through expanded_out.
-        state = self.state(chain_graph(), [frozenset({2})])
+        state = PathState(chain_graph(), [frozenset({2})])
         state.seed_all()
         assert expand(state, 0, forward=True) == []
         assert expand(state, 2) == [0, 1]
         assert state.dist_rows[0][0] == pytest.approx(2.0)
 
 
-class TestCompleteness(_BothContainers):
+class TestCompleteness:
     def test_multi_keyword(self):
-        state = self.state(chain_graph(), [frozenset({0}), frozenset({2})])
+        state = PathState(chain_graph(), [frozenset({0}), frozenset({2})])
         state.seed_all()
         assert not state.is_complete(1)
         assert expand(state, 2) == []
@@ -151,7 +137,7 @@ class TestCompleteness(_BothContainers):
 
     def test_min_dist(self):
         g = build_graph(3, [(0, 1, 1.0), (1, 2, 3.0)])
-        state = self.state(g, [frozenset({0}), frozenset({2})])
+        state = PathState(g, [frozenset({0}), frozenset({2})])
         state.seed_all()
         expand(state, 2)
         assert state.min_dist(1) == pytest.approx(3.0)
@@ -159,7 +145,7 @@ class TestCompleteness(_BothContainers):
         assert state.min_dist(1) == pytest.approx(1.0)
 
     def test_edge_bound_refines_over_seen_incomplete_nodes(self):
-        state = self.state(chain_graph(), [frozenset({0}), frozenset({2})])
+        state = PathState(chain_graph(), [frozenset({0}), frozenset({2})])
         state.seed_all()
         expand(state, 2)
         # Seen and incomplete: 0 = (0, ?), 2 = (?, 0), 1 = (?, 1).  With
@@ -175,9 +161,9 @@ class TestCompleteness(_BothContainers):
         assert state.edge_bound([5.0, 5.0]) == 5.0
 
 
-class TestBuildPaths(_BothContainers):
+class TestBuildPaths:
     def test_paths_and_true_weights(self):
-        state = self.state(chain_graph(), [frozenset({2}), frozenset({0})])
+        state = PathState(chain_graph(), [frozenset({2}), frozenset({0})])
         state.seed_all()
         expand(state, 2)
         expand(state, 0)
@@ -186,14 +172,14 @@ class TestBuildPaths(_BothContainers):
         assert weights == [pytest.approx(1.0), pytest.approx(1.0)]
 
     def test_seed_root_has_trivial_path(self):
-        state = self.state(chain_graph(), [frozenset({2})])
+        state = PathState(chain_graph(), [frozenset({2})])
         state.seed_all()
         paths, weights = state.build_paths(2)
         assert paths == [(2,)]
         assert weights == [0.0]
 
     def test_incomplete_root_rejected(self):
-        state = self.state(chain_graph(), [frozenset({2}), frozenset({0})])
+        state = PathState(chain_graph(), [frozenset({2}), frozenset({0})])
         state.seed_all()
         with pytest.raises(ValueError):
             state.build_paths(1)
@@ -201,7 +187,7 @@ class TestBuildPaths(_BothContainers):
     def test_unexplored_edges_carry_no_cascade(self):
         # The explored-parents map is implicit: (0, 1) counts only once
         # 1 was expanded backward or 0 forward.
-        state = self.state(chain_graph(), [frozenset({2})])
+        state = PathState(chain_graph(), [frozenset({2})])
         state.seed_all()
         expand(state, 2)
         assert state.dist_rows[0][1] == 1.0
@@ -246,17 +232,13 @@ class TestHubRowsStayUnread:
         assert act.total[0] > 0.0
 
 
-class TestSeedingDense(TestSeeding):
-    dense = True
-
-
-class TestExploreEdgeDense(TestExploreEdge):
-    dense = True
-
-
-class TestCompletenessDense(TestCompleteness):
-    dense = True
-
-
-class TestBuildPathsDense(TestBuildPaths):
-    dense = True
+class TestParentRows:
+    def test_parent_rows_dedup_to_min_weight(self):
+        g = build_graph(2, [(1, 0, 3.0), (1, 0, 1.5)])  # parallel, lighter second
+        state = PathState(g, [frozenset({0})])
+        # Built per asked-for node, first-occurrence order, min weight,
+        # with the graph's own normalizer; memoised on the graph.
+        assert dict(state._parents) == {}
+        assert state._parents[0] == (((1, 1.5),), g.in_inv_weight_sum(0))
+        assert PathState(g, [frozenset({1})])._parents is state._parents
+        assert list(state._parents) == [0]

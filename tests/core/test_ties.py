@@ -1,8 +1,7 @@
 """``tight_decomposition``: which equal-cost tree every root emits.
 
-Rows are read one way — ``row[node]``, ``inf`` for unknown — so every
-case runs over both containers the searches use: dicts in which a
-missing node reads ``inf``, and dense lists.
+Rows are read one way — ``row[node]``, ``inf`` for unknown — as the
+search state keeps them: dicts in which a missing node reads ``inf``.
 """
 
 from collections import defaultdict
@@ -16,13 +15,11 @@ from repro.core.ties import tight_decomposition
 from tests.helpers import build_graph
 
 
-@pytest.fixture(params=["sparse", "dense"])
-def rows_of(request):
+@pytest.fixture
+def rows_of():
     """``rows_of(graph, {node: dist}, ...)``: one row per mapping."""
 
     def build(graph, *known):
-        if request.param == "dense":
-            return [[d.get(x, inf) for x in graph.nodes()] for d in known]
         return [defaultdict(lambda: inf, d) for d in known]
 
     return build

@@ -105,29 +105,6 @@ class TestRefs:
             g.node_by_ref("t", 3)
 
 
-class TestCompactArrays:
-    def test_formula_16v_plus_8e(self):
-        g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-        expected = 16 * g.num_nodes + 8 * g.num_edges + 8  # +8: indptr end slot
-        assert g.compact_nbytes() == expected
-
-    def test_csr_consistency_with_adjacency(self):
-        g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        arrays = g.csr_arrays()
-        indptr, dst, weight = arrays["indptr"], arrays["dst"], arrays["weight"]
-        for u in g.nodes():
-            lo, hi = indptr[u], indptr[u + 1]
-            expected = [(v, w) for v, w, _ in g.out_edges(u)]
-            got = list(zip(dst[lo:hi].tolist(), weight[lo:hi].tolist()))
-            assert [v for v, _ in got] == [v for v, _ in expected]
-            for (_, got_w), (_, exp_w) in zip(got, expected):
-                assert got_w == pytest.approx(exp_w, rel=1e-6)
-
-    def test_cache_reused(self):
-        g = build_graph(2, [(0, 1)])
-        assert g.csr_arrays() is g.csr_arrays()
-
-
 class TestEdgeWeightLookup:
     def test_min_parallel_weight(self):
         dg = DataGraph()

@@ -38,8 +38,6 @@ __all__ = [
     "RawHTTP",
     "http_threads",
     "wait_until",
-    "dist_candidates_reference",
-    "spread_candidates_reference",
 ]
 
 
@@ -364,48 +362,3 @@ def wait_until(condition: Callable[[], object], timeout: float = 5.0) -> bool:
         time.sleep(0.01)
     return True
 
-
-def dist_candidates_reference(
-    dist: np.ndarray, tgt: np.ndarray, src: np.ndarray, w: np.ndarray
-) -> tuple[list[int], list[int], list[float]]:
-    """The loop twin of ``repro.core.kernels.expand.dist_candidates``:
-    the same arithmetic one edge and keyword at a time — the reference
-    ``tests/core/test_kernels.py`` holds the array form to, bit for bit."""
-    e_acc: list[int] = []
-    i_acc: list[int] = []
-    nd_acc: list[float] = []
-    for e, (t, s, wt) in enumerate(zip(tgt.tolist(), src.tolist(), w.tolist())):
-        for i in range(dist.shape[0]):
-            nd = dist[i, s] + wt
-            if nd < dist[i, t]:
-                e_acc.append(e)
-                i_acc.append(i)
-                nd_acc.append(float(nd))
-    return e_acc, i_acc, nd_acc
-
-
-def spread_candidates_reference(
-    act: np.ndarray,
-    tgt: np.ndarray,
-    src: np.ndarray,
-    w: np.ndarray,
-    norm: np.ndarray,
-    mu: float,
-    combine: str,
-    min_contribution: float,
-) -> tuple[list[int], list[int], list[float]]:
-    """The loop twin of ``repro.core.kernels.expand.spread_candidates``."""
-    e_acc: list[int] = []
-    i_acc: list[int] = []
-    c_acc: list[float] = []
-    for e, (t, s, wt, nm) in enumerate(
-        zip(tgt.tolist(), src.tolist(), w.tolist(), norm.tolist())
-    ):
-        for i in range(act.shape[0]):
-            contribution = (mu * act[i, s]) * (1.0 / wt) / nm
-            floor = min_contribution if combine == "sum" else act[i, t]
-            if contribution > floor:
-                e_acc.append(e)
-                i_acc.append(i)
-                c_acc.append(float(contribution))
-    return e_acc, i_acc, c_acc

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro import KeywordSearchEngine, SearchParams
+from repro import KeywordSearchEngine
 from repro.datasets import DblpConfig, make_dblp
 from repro.workload.generator import WorkloadGenerator
 
@@ -45,12 +45,8 @@ def pool_stats():
     rest = [request for request in pool if request[1] == "bidirectional"]
     for request in rng.sample(rest, round(0.25 * POOL)):
         request[1] = "si-backward"
-    # The exploration sums below are the per-pop schedule's; a batched
-    # backend pops in another order, so pin the loop the ledger runs.
-    params = SearchParams(expansion_backend="python")
     return [
-        engine.search(query, algorithm=algorithm, params=params).stats
-        for query, algorithm in pool
+        engine.search(query, algorithm=algorithm).stats for query, algorithm in pool
     ]
 
 

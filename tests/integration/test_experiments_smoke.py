@@ -13,6 +13,7 @@ from repro.experiments.ablations import (
     run_ablation_dmax,
 )
 from repro.experiments.common import Report, build_bench, fmt, geomean, safe_ratio
+from repro.experiments.fig5 import run_fig5
 from repro.experiments.fig6 import run_fig6b, run_fig6c
 from repro.experiments.figure4 import run_figure4
 from repro.experiments.memory import run_memory, run_prestige
@@ -82,9 +83,26 @@ class TestTinyRuns:
         report = run_recall_precision(scale=0.15, n_queries=2)
         assert len(report.rows) == 3
 
+    def test_fig5_says_why_a_row_is_empty(self, monkeypatch):
+        import repro.experiments.common as common
+        import repro.experiments.fig5 as fig5
+
+        profile = ("UQ1", "patents", ("T", "L"), 2)
+        monkeypatch.setattr(fig5, "QUERY_PROFILES", (profile,))
+        # No algorithm releases a relevant answer: every measured cell
+        # names that, where it used to print "-".
+        monkeypatch.setattr(common, "measure_at_last_relevant", lambda *a, **k: None)
+        (row,) = run_fig5(scale=0.15).rows
+        relevant = row[2]
+        assert row[4:11] == [f"0/{relevant} rel in top 10"] * 7, row
+
     def test_memory_tiny(self):
         report = run_memory(scales=(0.15,))
         assert len(report.rows) == 3
+        for row in report.rows:
+            # Both directions at 4 + 8 + 1 bytes an edge, against the
+            # paper's 8 for one: measured, well above the formula.
+            assert float(row[-1]) > 2.0, row
 
     def test_prestige_tiny(self):
         report = run_prestige(scales=(0.15,))

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.params import SearchParams
 from repro.experiments.figure4 import build_figure4_engine, run_figure4
 
 
@@ -40,13 +39,7 @@ class TestFigure4Claims:
 
     def test_bidirectional_generates_with_few_expansions(self, engine_meta):
         engine, _ = engine_meta
-        # Pops-to-generate is a per-pop scheduling claim: batched
-        # backends pop whole batches, so the claim is pinned to the
-        # reference per-pop loop.
-        result = engine.search(
-            "database james john",
-            params=SearchParams(expansion_backend="python"),
-        )
+        result = engine.search("database james john")
         best = result.best()
         # Paper: "Bidirectional search would explore only 4 nodes";
         # our pop accounting differs slightly, allow up to 12.

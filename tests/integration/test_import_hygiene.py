@@ -11,12 +11,11 @@ searches: numpy (~16 MiB), the engine, the snapshot array reader and
 the live-dataset machinery stay out of it for its whole life — ``apply``
 and ``reload`` with a ``wal_dir`` included.  A *worker* searches but
 serves no HTTP and builds no dataset — and, like the thread tier, loads
-no numpy to serve a snapshot on the default (per-pop) schedule, writes
-included: the arrays are ``memoryview`` casts of one ``mmap``, an overlay
-keeps prestige as Python floats, a compaction's snapshot is packed with
-``array``; numpy arrives with the first ``vectorized`` request or a
-``commit(recompute_prestige=True)`` (a power iteration).
-Neither uses more of
+no numpy to serve a snapshot, writes included: the arrays are
+``memoryview`` casts of one ``mmap``, an overlay keeps prestige as
+Python floats, a compaction's snapshot is packed with ``array``; numpy
+arrives only with a ``commit(recompute_prestige=True)`` (a power
+iteration).  Neither uses more of
 ``multiprocessing`` than its ``connection`` module: no queue, no
 semaphore, no shared memory — and so no resource-tracker process to
 clean up after them.  And no serving role — supervisor, thread tier,
@@ -422,35 +421,34 @@ def test_worker_searches_a_mapped_snapshot_without_numpy(tmp_path, toy_engine):
     _worker_life(tmp_path, toy_engine, ("numpy",))
 
 
-#: A ``vectorized`` request is where a searching process does compute on
-#: arrays: numpy loads then, not before, and the answers are the same.
-VECTORIZED_SCRIPT = PRELUDE + '''
+#: Every schedule a search can take: all three algorithms, in both output
+#: modes, over a ``ram`` and a ``mapped`` load of one snapshot.  Each is
+#: one per-pop loop over Python rows, so none of them loads numpy.
+SCHEDULES_SCRIPT = PRELUDE + '''
 from repro.core.params import SearchParams
 from repro.service import QueryService
 
-with QueryService(storage_mode="mapped") as service:
-    service.register_snapshot("toy", sys.argv[1])
-    service.warmup()
-    runs = {}
-    for backend in ("python", "vectorized"):
-        response = service.search(
-            "toy", "gray transaction", params=SearchParams(expansion_backend=backend)
-        )
-        assert response.ok, response.error
-        runs[backend] = (response.result.scores(), response.result.signatures())
-        if backend == "python":
-            assert_not_loaded("numpy")
-    assert "numpy" in sys.modules and "repro.core.kernels.csr" in sys.modules
-    assert runs["python"][0] and runs["vectorized"] == runs["python"], runs
-print("VECTORIZED-OK")
+for mode in ("ram", "mapped"):
+    with QueryService(storage_mode=mode) as service:
+        service.register_snapshot("toy", sys.argv[1])
+        for algorithm in ("bidirectional", "si-backward", "mi-backward"):
+            for output_mode in ("exact", "heuristic"):
+                response = service.search(
+                    "toy", "gray transaction", algorithm=algorithm,
+                    params=SearchParams(output_mode=output_mode),
+                )
+                assert response.ok and response.result.answers, (mode, algorithm)
+assert "repro.core.engine" in sys.modules  # it did search
+assert_not_loaded("numpy", "repro.core.kernels")
+print("SCHEDULES-OK")
 '''
 
 
-def test_vectorized_request_is_what_loads_numpy(tmp_path, toy_engine):
+def test_no_search_schedule_loads_numpy(tmp_path, toy_engine):
     snapshot = save_engine(tmp_path / "toy.snap", toy_engine)
-    done = run_python(VECTORIZED_SCRIPT, str(snapshot))
+    done = run_python(SCHEDULES_SCRIPT, str(snapshot))
     assert done.returncode == 0, done.stderr[-4000:]
-    assert "VECTORIZED-OK" in done.stdout
+    assert "SCHEDULES-OK" in done.stdout
 
 
 #: A live dataset stages, commits, rolls back, compacts to a snapshot and

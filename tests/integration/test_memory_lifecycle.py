@@ -30,7 +30,6 @@ from repro.telemetry.trace import Tracer
 from tests.helpers import assert_no_cyclic_garbage
 
 ALGORITHMS = ("bidirectional", "si-backward", "mi-backward")
-BACKENDS = ("python", "vectorized")
 QUERIES = ("gray transaction", "selinger vldb", '"jim gray" sigmod')
 MUTATION = [
     AddNode(label="Live Paper", table="paper", text="liveterm topic"),
@@ -96,10 +95,9 @@ SCENARIOS = {
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_search_leaves_no_cyclic_garbage(toy_engine, algorithm, backend, scenario):
-    params = SearchParams(expansion_backend=backend)
+def test_search_leaves_no_cyclic_garbage(toy_engine, algorithm, scenario):
+    params = SearchParams()
     run = SCENARIOS[scenario]
 
     def searches():
@@ -288,7 +286,7 @@ def in_flight_search(service, name, query):
     """Start ``query`` on a thread and park it mid-search."""
     gate = _Gate()
     token = CancellationToken(external_check=gate, check_every=1)
-    params = SearchParams(cancel_check_interval=1, expansion_backend="python")
+    params = SearchParams(cancel_check_interval=1)
     done = []
     thread = threading.Thread(
         target=lambda: done.append(

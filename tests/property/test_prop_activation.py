@@ -1,5 +1,4 @@
-"""Property tests: spreading-activation invariants, on both row
-containers of ``ActivationState``."""
+"""Property tests: spreading-activation invariants of ``ActivationState``."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,8 +41,7 @@ def activation_cases(draw):
             max_size=12,
         )
     )
-    dense = draw(st.booleans())
-    return n, dedup, keyword_sets, mu, spreads, dense
+    return n, dedup, keyword_sets, mu, spreads
 
 
 def build(n, edges):
@@ -70,9 +68,9 @@ def spread_all(act, graph, spreads):
 @given(case=activation_cases())
 @settings(max_examples=80, deadline=None)
 def test_activation_bounded_and_consistent(case):
-    n, edges, keyword_sets, mu, spreads, dense = case
+    n, edges, keyword_sets, mu, spreads = case
     graph = build(n, edges)
-    act = ActivationState(graph, keyword_sets, set(), set(), mu=mu, dense=dense)
+    act = ActivationState(graph, keyword_sets, set(), set(), mu=mu)
     act.seed_all()
 
     seed_max = [
@@ -96,21 +94,18 @@ def test_activation_bounded_and_consistent(case):
         total = sum(row[node] for row in act.act_rows)
         assert abs(total - act.total[node]) < 1e-9
 
-    # Whatever moved is reported once, and a dense state's snapshot has
-    # caught up with its rows by then.
+    # Whatever moved is reported once.
     moved = act.drain_changed()
     assert moved == sorted(set(moved)) and act.drain_changed() == []
-    if dense:
-        assert act.act.tolist() == act.act_rows
 
 
 @given(case=activation_cases())
 @settings(max_examples=40, deadline=None)
 def test_spreading_is_monotone_nondecreasing(case):
     """Spreading can only raise activations (max-combine)."""
-    n, edges, keyword_sets, mu, spreads, dense = case
+    n, edges, keyword_sets, mu, spreads = case
     graph = build(n, edges)
-    act = ActivationState(graph, keyword_sets, set(), set(), mu=mu, dense=dense)
+    act = ActivationState(graph, keyword_sets, set(), set(), mu=mu)
     act.seed_all()
     before = [[row[node] for node in range(n)] for row in act.act_rows]
     spread_all(act, graph, spreads)

@@ -11,9 +11,8 @@ Pinned:
 
 (a) the gated run equals the open-gate run on the whole contract tuple —
     released trees, scores, order, ``complete``, generation/output pops
-    and every exploration counter — for all three algorithms on the
-    python and vectorized backends; only the emission counters
-    may shrink;
+    and every exploration counter — for all three algorithms; only the
+    emission counters may shrink;
 (b) the bound is sound: every tree that reaches ``Scorer.build_tree``
     scores at most ``tree_score_bound(root, leaf prestige, E)`` for the
     arguments the gate was asked about — tie alternates included, on
@@ -47,7 +46,6 @@ from tests.conftest import make_toy_db
 from tests.helpers import build_graph
 
 ALGORITHMS = [BidirectionalSearch, SingleIteratorBackwardSearch, BackwardExpandingSearch]
-BACKENDS = ["python", "vectorized"]
 TOP_K = [1, 3, 10]
 
 
@@ -138,15 +136,11 @@ def emission_counters(result):
 # (a) gated == open gate
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("cls", ALGORITHMS)
-@given(
-    case=search_cases(),
-    backend=st.sampled_from(BACKENDS),
-    max_results=st.sampled_from(TOP_K),
-)
+@given(case=search_cases(), max_results=st.sampled_from(TOP_K))
 @settings(max_examples=60, deadline=None)
-def test_gated_run_equals_open_gate_run(cls, case, backend, max_results):
+def test_gated_run_equals_open_gate_run(cls, case, max_results):
     graph, keyword_sets = case
-    knobs = dict(max_results=max_results, expansion_backend=backend)
+    knobs = dict(max_results=max_results)
     gated = run(cls, graph, keyword_sets, **knobs)
     with open_gate():
         reference = run(cls, graph, keyword_sets, **knobs)
@@ -190,15 +184,13 @@ def checking_every_built_tree(built):
 
 
 @pytest.mark.parametrize("cls", ALGORITHMS)
-@given(case=search_cases(), backend=st.sampled_from(BACKENDS))
+@given(case=search_cases())
 @settings(max_examples=60, deadline=None)
-def test_every_built_tree_scores_within_its_bound(cls, case, backend):
+def test_every_built_tree_scores_within_its_bound(cls, case):
     graph, keyword_sets = case
     built = []
     with checking_every_built_tree(built):
-        result = run(
-            cls, graph, keyword_sets, max_results=50, expansion_backend=backend
-        )
+        result = run(cls, graph, keyword_sets, max_results=50)
     assert len(built) >= len(result.answers)
 
 
@@ -242,18 +234,15 @@ def overlay_batches(draw):
 @given(
     batch=overlay_batches(),
     algorithm=st.sampled_from(["bidirectional", "si-backward", "mi-backward"]),
-    backend=st.sampled_from(BACKENDS),
     max_results=st.sampled_from(TOP_K),
 )
 @settings(max_examples=40, deadline=None)
-def test_overlay_graphs_keep_the_bound_and_the_answers(
-    batch, algorithm, backend, max_results
-):
+def test_overlay_graphs_keep_the_bound_and_the_answers(batch, algorithm, max_results):
     dataset = MutableDataset.from_database(make_toy_db(), compact_ratio=None)
     dataset.mutate(batch)
     engine = dataset.engine
     assert type(engine.graph).__name__ == "OverlayGraph"
-    params = SearchParams(max_results=max_results, expansion_backend=backend)
+    params = SearchParams(max_results=max_results)
     for query in ("gray transaction", "paper stream", "transaction recovery"):
         try:
             gated = engine.search(query, algorithm=algorithm, params=params)
@@ -272,18 +261,13 @@ def test_overlay_graphs_keep_the_bound_and_the_answers(
 @pytest.mark.parametrize("cls", ALGORITHMS)
 @given(
     case=search_cases(),
-    backend=st.sampled_from(BACKENDS),
     max_results=st.sampled_from(TOP_K),
     cancel_after=st.integers(min_value=0, max_value=60),
 )
 @settings(max_examples=60, deadline=None)
-def test_cancelled_gated_run_is_prefix(cls, case, backend, max_results, cancel_after):
+def test_cancelled_gated_run_is_prefix(cls, case, max_results, cancel_after):
     graph, keyword_sets = case
-    # A check interval of 1 keeps the kernel batches at one pop, so the
-    # cancelled run follows the full run's schedule.
-    knobs = dict(
-        max_results=max_results, expansion_backend=backend, cancel_check_interval=1
-    )
+    knobs = dict(max_results=max_results)
     full = run(cls, graph, keyword_sets, **knobs)
     token = CancellationToken(cancel_at_tick=cancel_after, check_every=1)
     part = run(cls, graph, keyword_sets, token=token, **knobs)
@@ -301,17 +285,11 @@ def test_cancelled_gated_run_is_prefix(cls, case, backend, max_results, cancel_a
 # (d) heuristic mode is not gated
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("cls", ALGORITHMS)
-@given(
-    case=search_cases(),
-    backend=st.sampled_from(BACKENDS),
-    max_results=st.sampled_from(TOP_K),
-)
+@given(case=search_cases(), max_results=st.sampled_from(TOP_K))
 @settings(max_examples=40, deadline=None)
-def test_heuristic_mode_emits_everything(cls, case, backend, max_results):
+def test_heuristic_mode_emits_everything(cls, case, max_results):
     graph, keyword_sets = case
-    knobs = dict(
-        max_results=max_results, expansion_backend=backend, output_mode="heuristic"
-    )
+    knobs = dict(max_results=max_results, output_mode="heuristic")
     plain = run(cls, graph, keyword_sets, **knobs)
     with open_gate():
         reference = run(cls, graph, keyword_sets, **knobs)

@@ -78,19 +78,6 @@ def test_in_edges_are_transpose_of_out_edges(case):
 
 @given(edge_lists())
 @settings(max_examples=50, deadline=None)
-def test_csr_matches_adjacency_and_formula(case):
-    n, edges = case
-    sg = build(n, edges).freeze()
-    arrays = sg.csr_arrays()
-    assert arrays["indptr"][-1] == sg.num_edges
-    assert sg.compact_nbytes() == 16 * sg.num_nodes + 8 * sg.num_edges + 8
-    for u in sg.nodes():
-        lo, hi = arrays["indptr"][u], arrays["indptr"][u + 1]
-        assert hi - lo == sg.out_degree(u)
-
-
-@given(edge_lists())
-@settings(max_examples=50, deadline=None)
 def test_inverse_weight_sums_positive_where_edges_exist(case):
     n, edges = case
     sg = build(n, edges).freeze()

@@ -8,7 +8,7 @@ sequence of backward and forward expansions, it must equal the shortest
 distance over exactly the explored edges: the explored-parents map is
 implicit in the two expanded sets, so no cascade may cross an edge
 whose head was not expanded backward and whose tail was not expanded
-forward.  Both row containers are drawn.
+forward.
 """
 
 import heapq
@@ -55,8 +55,7 @@ def table_cases(draw):
     ]
     # Exploration order is part of the property: any permutation works.
     order_seed = draw(st.randoms(use_true_random=False))
-    dense = draw(st.booleans())
-    return n, edges, keyword_sets, order_seed, dense
+    return n, edges, keyword_sets, order_seed
 
 
 def build(n, edges):
@@ -74,9 +73,9 @@ def assert_paths_realize_distances(state, graph):
 @given(case=table_cases())
 @settings(max_examples=60, deadline=None)
 def test_full_relaxation_matches_dijkstra(case):
-    n, edges, keyword_sets, order_rng, dense = case
+    n, edges, keyword_sets, order_rng = case
     graph = build(n, edges)
-    state = PathState(graph, keyword_sets, dense=dense)
+    state = PathState(graph, keyword_sets)
     state.seed_all()
 
     # Expand every node, backward or forward, in a random order: either
@@ -123,9 +122,9 @@ def explored_edge_distances(graph, targets, expanded_in, expanded_out):
 )
 @settings(max_examples=120, deadline=None)
 def test_partial_expansion_matches_dijkstra_over_explored_edges(case, steps):
-    n, edges, keyword_sets, _, dense = case
+    n, edges, keyword_sets, _ = case
     graph = build(n, edges)
-    state = PathState(graph, keyword_sets, dense=dense)
+    state = PathState(graph, keyword_sets)
     state.seed_all()
     for node, forward in steps:
         expand(state, node % n, forward=forward)

@@ -3,8 +3,8 @@
 For hypothesis-generated graphs and keyword sets, a snapshot loaded
 through ``storage_mode="ram"`` and through ``"mapped"`` must produce
 exactly the answers — same scores, same tree signatures, same order —
-as the built graph it was saved from, for all three algorithms and
-every expansion backend.  Residency modes change where the bytes live
+as the built graph it was saved from, for all three algorithms.
+Residency modes change where the bytes live
 and what a load verifies, never results.
 
 The loader ranks its pin set without numpy (``heapq.nlargest`` over a
@@ -44,7 +44,6 @@ ALGORITHMS = (
     SingleIteratorBackwardSearch,
     BackwardExpandingSearch,
 )
-BACKENDS = ("python", "vectorized")
 PARAMS = SearchParams(max_results=50, dmax=20, max_combos_per_node=64)
 
 
@@ -79,12 +78,10 @@ def test_loaded_answers_bit_identical_to_built(mode, case):
         assert built_sets == loaded_sets
 
         for cls in ALGORITHMS:
-            for backend in BACKENDS:
-                params = PARAMS.with_(expansion_backend=backend)
-                a = cls(graph, keywords, built_sets, params=params).run()
-                b = cls(loaded_graph, keywords, loaded_sets, params=params).run()
-                assert b.scores() == a.scores(), (cls.__name__, backend)
-                assert b.signatures() == a.signatures(), (cls.__name__, backend)
+            a = cls(graph, keywords, built_sets, params=PARAMS).run()
+            b = cls(loaded_graph, keywords, loaded_sets, params=PARAMS).run()
+            assert b.scores() == a.scores(), cls.__name__
+            assert b.signatures() == a.signatures(), cls.__name__
 
 
 INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
