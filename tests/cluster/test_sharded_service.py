@@ -9,12 +9,18 @@ from repro.errors import DeadlineExceededError, PoolClosedError, SnapshotError
 from repro.service.service import QueryRequest
 
 
-def test_search_matches_local_engine(sharded, toy_engine_session):
-    # ``params`` and the cost counters ride the wire both ways.
+@pytest.mark.parametrize("algorithm", ["bidirectional", "si-backward", "mi-backward"])
+def test_search_matches_local_engine(sharded, toy_engine_session, algorithm):
+    # ``algorithm``, ``params`` and the cost counters ride the wire both ways.
     params = SearchParams(max_results=3)
-    response = sharded.search("alpha", "gray transaction", params=params)
+    response = sharded.search(
+        "alpha", "gray transaction", algorithm=algorithm, params=params
+    )
     assert response.ok, response.error
-    local = toy_engine_session.search("gray transaction", params=params)
+    assert response.result.algorithm == algorithm
+    local = toy_engine_session.search(
+        "gray transaction", algorithm=algorithm, params=params
+    )
     assert response.result.scores() == local.scores()
     assert response.result.signatures() == local.signatures()
     assert response.result.stats.cost_vector() == local.stats.cost_vector()

@@ -1,15 +1,24 @@
-"""Spreading activation (paper Section 4.3) on ``ActivationState``."""
+"""Spreading activation (paper Section 4.3) on ``ActivationState``.
+
+Every case runs on both graph residencies: the built graph here, the
+same graph reloaded from a mapped snapshot (lazy adjacency rows) in the
+``...Mapped`` subclasses.
+"""
 
 import pytest
 
 from repro.core.state import ActivationState
 
-from tests.helpers import build_graph
+from tests.helpers import build_graph, reloaded
 
 
 class _Explored:
+    mapped = False
+
     def act(self, graph, keyword_sets, **kwargs) -> ActivationState:
         """State over its own explored sets, kept as ``xin`` / ``xout``."""
+        if self.mapped:
+            graph = reloaded(graph)
         self.xin: set[int] = set()
         self.xout: set[int] = set()
         return ActivationState(graph, keyword_sets, self.xin, self.xout, **kwargs)
@@ -141,3 +150,18 @@ class TestActivatePropagation(_Explored):
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
         assert values[0] < values[4] / 4
 
+
+class TestSeedingMapped(TestSeeding):
+    mapped = True
+
+
+class TestBackwardSpreadingMapped(TestBackwardSpreading):
+    mapped = True
+
+
+class TestForwardSpreadingMapped(TestForwardSpreading):
+    mapped = True
+
+
+class TestActivatePropagationMapped(TestActivatePropagation):
+    mapped = True

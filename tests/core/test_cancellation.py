@@ -5,12 +5,23 @@ import time
 
 import pytest
 
+from repro.core.backward_mi import BackwardExpandingSearch
+from repro.core.backward_si import SingleIteratorBackwardSearch
+from repro.core.bidirectional import BidirectionalSearch
 from repro.core.cancellation import CancellationToken
+from repro.core.params import SearchParams
 from repro.errors import SearchCancelledError
 from repro.sparse.sparse_search import SparseSearch
 
+from tests.helpers import build_graph
+
 QUERY = "database james john"
 ALGORITHMS = ["bidirectional", "si-backward", "mi-backward"]
+SEARCH_CLASSES = [
+    BidirectionalSearch,
+    SingleIteratorBackwardSearch,
+    BackwardExpandingSearch,
+]
 
 
 # ----------------------------------------------------------------------
@@ -140,6 +151,40 @@ class TestSearchCancellation:
         result = dblp_small_engine.search(QUERY, params=params)
         assert result.complete is True
         assert result.cancel_reason is None
+
+
+class TestResponsiveness:
+    """Every search loop ticks the token once per pop, so a token stops
+    the search at the pop it fires on; what ``check_every`` delays is
+    only the full check (clock, parent, external probe)."""
+
+    CHAIN = build_graph(400, [(i + 1, i) for i in range(399)])
+    SETS = [frozenset({0}), frozenset({399})]
+    PARAMS = SearchParams(max_results=1, dmax=500)
+
+    @pytest.mark.parametrize("cls", SEARCH_CLASSES)
+    def test_exact_tick_cut_matches_grant(self, cls):
+        token = CancellationToken(cancel_at_tick=10, check_every=32)
+        result = cls(
+            self.CHAIN, ("a", "b"), self.SETS, params=self.PARAMS, token=token
+        ).run()
+        # The 10th tick observes the firing and its pop is skipped.
+        assert result.cancel_reason == "cancelled"
+        assert result.stats.nodes_explored == 9
+
+    @pytest.mark.parametrize("interval", [1, 8, 32])
+    @pytest.mark.parametrize("cls", SEARCH_CLASSES)
+    def test_external_cancel_stops_within_one_check_interval(self, cls, interval):
+        flip_at = 48
+        search = None
+        token = CancellationToken(
+            external_check=lambda: search.stats.nodes_explored >= flip_at,
+            check_every=interval,
+        )
+        search = cls(self.CHAIN, ("a", "b"), self.SETS, params=self.PARAMS, token=token)
+        result = search.run()
+        assert result.cancel_reason == "cancelled"
+        assert flip_at <= result.stats.nodes_explored < flip_at + interval
 
 
 # ----------------------------------------------------------------------

@@ -5,10 +5,19 @@ import pytest
 from repro.core.near import NearSearch
 from repro.core.state import ActivationState
 
-from tests.helpers import build_graph
+from tests.helpers import build_graph, reloaded
 
 
 class TestSumCombine:
+    """On the built graph; ``TestSumCombineMapped`` reruns it on the same
+    graph reloaded from a mapped snapshot."""
+
+    mapped = False
+
+    def graph(self, *args, **kwargs):
+        graph = build_graph(*args, **kwargs)
+        return reloaded(graph) if self.mapped else graph
+
     @staticmethod
     def spread_forward(act, u):
         act.expanded_out.add(u)
@@ -18,7 +27,7 @@ class TestSumCombine:
         # 0 -> 2 and 1 -> 2 both seeded: node 3 with edges to both
         # receives the sum of both contributions in sum mode, the max
         # in max mode.
-        g = build_graph(3, [(0, 2), (1, 2)], prestige=[0.25, 0.25, 0.5])
+        g = self.graph(3, [(0, 2), (1, 2)], prestige=[0.25, 0.25, 0.5])
         for combine in ("max", "sum"):
             act = ActivationState(
                 g,
@@ -39,7 +48,7 @@ class TestSumCombine:
         assert act.total[2] > total_sum
 
     def test_max_mode_respreading_is_idempotent(self):
-        g = build_graph(2, [(0, 1)], prestige=[0.6, 0.4])
+        g = self.graph(2, [(0, 1)], prestige=[0.6, 0.4])
         act = ActivationState(g, [frozenset({0})], set(), set(), mu=0.5, combine="max")
         act.seed_all()
         self.spread_forward(act, 0)
@@ -51,7 +60,7 @@ class TestSumCombine:
         # 0 <-> 1 cycle through forward+backward edges, both nodes
         # expanded: the cascade must decay below the contribution floor
         # and stop.
-        g = build_graph(2, [(0, 1), (1, 0)], prestige=[0.5, 0.5])
+        g = self.graph(2, [(0, 1), (1, 0)], prestige=[0.5, 0.5])
         act = ActivationState(
             g,
             [frozenset({0})],
@@ -67,7 +76,7 @@ class TestSumCombine:
         assert act.cascade_touches > 2  # the mass went round the cycle
 
     def test_combine_validation(self):
-        g = build_graph(2, [(0, 1)])
+        g = self.graph(2, [(0, 1)])
         with pytest.raises(ValueError):
             ActivationState(g, [frozenset({0})], set(), set(), combine="avg")
         with pytest.raises(ValueError):
@@ -76,7 +85,7 @@ class TestSumCombine:
             )
 
     def test_min_contribution_floors_the_seed_and_the_spread(self):
-        g = build_graph(2, [(0, 1)], prestige=[0.75, 0.25])
+        g = self.graph(2, [(0, 1)], prestige=[0.75, 0.25])
         act = ActivationState(
             g,
             [frozenset({0}), frozenset({1})],
@@ -89,6 +98,10 @@ class TestSumCombine:
         assert act.total[0] == 0.75 and act.total[1] == 0.0  # 0.25 is under the floor
         self.spread_forward(act, 0)  # carries 0.5 * 0.75 = 0.375: dropped
         assert act.total[1] == 0.0
+
+
+class TestSumCombineMapped(TestSumCombine):
+    mapped = True
 
 
 class TestNearSearch:

@@ -1,7 +1,10 @@
 """PathState: distances, sp pointers, ATTACH propagation.
 
-``tests.helpers.expand`` drives one node expansion the way the search
-loops do: mark the node expanded, then explore its edge list.
+Every case runs on both graph residencies: the built graph here, the
+same graph reloaded from a mapped snapshot (lazy adjacency rows) in the
+``...Mapped`` subclasses.  ``tests.helpers.expand`` drives one node
+expansion the way the search loops do: mark the node expanded, then
+explore its edge list.
 """
 
 from math import inf
@@ -10,7 +13,7 @@ import pytest
 
 from repro.core.state import PathState
 
-from tests.helpers import build_graph, expand
+from tests.helpers import build_graph, expand, reloaded
 
 
 def chain_graph():
@@ -18,9 +21,16 @@ def chain_graph():
     return build_graph(3, [(0, 1), (1, 2)])
 
 
-class TestSeeding:
+class _BothResidencies:
+    mapped = False
+
+    def state(self, graph, keyword_sets) -> PathState:
+        return PathState(reloaded(graph) if self.mapped else graph, keyword_sets)
+
+
+class TestSeeding(_BothResidencies):
     def test_seed_all(self):
-        state = PathState(chain_graph(), [frozenset({2}), frozenset({0, 1})])
+        state = self.state(chain_graph(), [frozenset({2}), frozenset({0, 1})])
         assert state.seed_all() == [0, 1, 2]
         assert state.dist_rows[0][2] == 0.0
         assert state.dist_rows[1][0] == 0.0
@@ -30,7 +40,7 @@ class TestSeeding:
 
     def test_seed_returns_matched_indices(self):
         # A node matching two keywords is seeded in both rows.
-        state = PathState(chain_graph(), [frozenset({2}), frozenset({2})])
+        state = self.state(chain_graph(), [frozenset({2}), frozenset({2})])
         assert state.seed_all() == [2]
         assert [row[2] for row in state.dist_rows] == [0.0, 0.0]
         assert state.is_complete(2)
@@ -40,12 +50,12 @@ class TestSeeding:
 
     def test_requires_a_keyword(self):
         with pytest.raises(ValueError):
-            PathState(chain_graph(), [])
+            self.state(chain_graph(), [])
 
 
-class TestExploreEdge:
+class TestExploreEdge(_BothResidencies):
     def test_simple_relax(self):
-        state = PathState(chain_graph(), [frozenset({2})])
+        state = self.state(chain_graph(), [frozenset({2})])
         state.seed_all()
         state.expanded_in.add(2)
         emitted = []
@@ -56,7 +66,7 @@ class TestExploreEdge:
         assert state.is_complete(1)
 
     def test_no_improvement_no_completion(self):
-        state = PathState(chain_graph(), [frozenset({2})])
+        state = self.state(chain_graph(), [frozenset({2})])
         state.seed_all()
         assert expand(state, 2) == [1]
         emitted = []
@@ -66,7 +76,7 @@ class TestExploreEdge:
 
     def test_better_parallel_edge_improves(self):
         g = build_graph(2, [(1, 0, 3.0), (1, 0, 1.5)])
-        state = PathState(g, [frozenset({0})])
+        state = self.state(g, [frozenset({0})])
         state.seed_all()
         # Both parallel edges are explored, heavier first: the node
         # completes on the first and is re-emitted on the improvement.
@@ -77,7 +87,7 @@ class TestExploreEdge:
     def test_attach_propagates_to_ancestors(self):
         # Expand 1 first (its distance unknown), then 2: node 0 must be
         # updated transitively through the explored edge (0, 1).
-        state = PathState(chain_graph(), [frozenset({2})])
+        state = self.state(chain_graph(), [frozenset({2})])
         state.seed_all()
         assert expand(state, 1) == []
         assert state.dist_rows[0][0] == inf
@@ -88,7 +98,7 @@ class TestExploreEdge:
     def test_propagation_chooses_best_path(self):
         # Diamond: 0->1->3, 0->2->3, with 0->2->3 cheaper overall.
         g = build_graph(4, [(0, 1, 1.0), (1, 3, 5.0), (0, 2, 1.0), (2, 3, 1.0)])
-        state = PathState(g, [frozenset({3})])
+        state = self.state(g, [frozenset({3})])
         state.seed_all()
         expand(state, 1)
         expand(state, 2)
@@ -100,12 +110,12 @@ class TestExploreEdge:
         assert state.build_paths(0)[0] == [(0, 2, 3)]
 
     def test_rejects_nonpositive_weight(self):
-        state = PathState(chain_graph(), [frozenset({2})])
+        state = self.state(chain_graph(), [frozenset({2})])
         with pytest.raises(ValueError):
             state.explore_edge(0, 1, 0.0, lambda node: None)
 
     def test_changed_nodes_are_drained_once(self):
-        state = PathState(chain_graph(), [frozenset({2})])
+        state = self.state(chain_graph(), [frozenset({2})])
         state.seed_all()
         expand(state, 2)
         expand(state, 1)
@@ -115,16 +125,16 @@ class TestExploreEdge:
     def test_forward_exploration_pulls_the_neighbours_distance(self):
         # Expanding 0 forward explores (0, 1): 0 learns 1's distance,
         # and later improvements of 1 reach 0 through expanded_out.
-        state = PathState(chain_graph(), [frozenset({2})])
+        state = self.state(chain_graph(), [frozenset({2})])
         state.seed_all()
         assert expand(state, 0, forward=True) == []
         assert expand(state, 2) == [0, 1]
         assert state.dist_rows[0][0] == pytest.approx(2.0)
 
 
-class TestCompleteness:
+class TestCompleteness(_BothResidencies):
     def test_multi_keyword(self):
-        state = PathState(chain_graph(), [frozenset({0}), frozenset({2})])
+        state = self.state(chain_graph(), [frozenset({0}), frozenset({2})])
         state.seed_all()
         assert not state.is_complete(1)
         assert expand(state, 2) == []
@@ -137,7 +147,7 @@ class TestCompleteness:
 
     def test_min_dist(self):
         g = build_graph(3, [(0, 1, 1.0), (1, 2, 3.0)])
-        state = PathState(g, [frozenset({0}), frozenset({2})])
+        state = self.state(g, [frozenset({0}), frozenset({2})])
         state.seed_all()
         expand(state, 2)
         assert state.min_dist(1) == pytest.approx(3.0)
@@ -145,7 +155,7 @@ class TestCompleteness:
         assert state.min_dist(1) == pytest.approx(1.0)
 
     def test_edge_bound_refines_over_seen_incomplete_nodes(self):
-        state = PathState(chain_graph(), [frozenset({0}), frozenset({2})])
+        state = self.state(chain_graph(), [frozenset({0}), frozenset({2})])
         state.seed_all()
         expand(state, 2)
         # Seen and incomplete: 0 = (0, ?), 2 = (?, 0), 1 = (?, 1).  With
@@ -161,9 +171,9 @@ class TestCompleteness:
         assert state.edge_bound([5.0, 5.0]) == 5.0
 
 
-class TestBuildPaths:
+class TestBuildPaths(_BothResidencies):
     def test_paths_and_true_weights(self):
-        state = PathState(chain_graph(), [frozenset({2}), frozenset({0})])
+        state = self.state(chain_graph(), [frozenset({2}), frozenset({0})])
         state.seed_all()
         expand(state, 2)
         expand(state, 0)
@@ -172,14 +182,14 @@ class TestBuildPaths:
         assert weights == [pytest.approx(1.0), pytest.approx(1.0)]
 
     def test_seed_root_has_trivial_path(self):
-        state = PathState(chain_graph(), [frozenset({2})])
+        state = self.state(chain_graph(), [frozenset({2})])
         state.seed_all()
         paths, weights = state.build_paths(2)
         assert paths == [(2,)]
         assert weights == [0.0]
 
     def test_incomplete_root_rejected(self):
-        state = PathState(chain_graph(), [frozenset({2}), frozenset({0})])
+        state = self.state(chain_graph(), [frozenset({2}), frozenset({0})])
         state.seed_all()
         with pytest.raises(ValueError):
             state.build_paths(1)
@@ -187,7 +197,7 @@ class TestBuildPaths:
     def test_unexplored_edges_carry_no_cascade(self):
         # The explored-parents map is implicit: (0, 1) counts only once
         # 1 was expanded backward or 0 forward.
-        state = PathState(chain_graph(), [frozenset({2})])
+        state = self.state(chain_graph(), [frozenset({2})])
         state.seed_all()
         expand(state, 2)
         assert state.dist_rows[0][1] == 1.0
@@ -242,3 +252,19 @@ class TestParentRows:
         assert state._parents[0] == (((1, 1.5),), g.in_inv_weight_sum(0))
         assert PathState(g, [frozenset({1})])._parents is state._parents
         assert list(state._parents) == [0]
+
+
+class TestSeedingMapped(TestSeeding):
+    mapped = True
+
+
+class TestExploreEdgeMapped(TestExploreEdge):
+    mapped = True
+
+
+class TestCompletenessMapped(TestCompleteness):
+    mapped = True
+
+
+class TestBuildPathsMapped(TestBuildPaths):
+    mapped = True

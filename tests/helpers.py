@@ -11,6 +11,7 @@ import socket
 import struct
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import zlib
@@ -27,6 +28,7 @@ from repro.graph.searchgraph import SearchGraph
 
 __all__ = [
     "build_graph",
+    "reloaded",
     "random_data_graph",
     "random_keyword_sets",
     "validate_answer_tree",
@@ -59,6 +61,19 @@ def build_graph(
             u, v, w = edge
             graph.add_edge(u, v, w)
     return graph.freeze(prestige=prestige)
+
+
+def reloaded(graph: SearchGraph, mode: str = "mapped") -> SearchGraph:
+    """``graph`` saved to a snapshot and loaded back in storage ``mode``:
+    the lazy ``MappedSearchGraph`` a snapshot-backed engine searches,
+    whose adjacency rows materialize on first touch."""
+    from repro.index.inverted import InvertedIndex
+    from repro.service.snapshot import load_snapshot, save_snapshot
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = save_snapshot(Path(tmp) / "graph.snap", graph, InvertedIndex())
+        loaded, _ = load_snapshot(path, storage_mode=mode)
+    return loaded
 
 
 def expand(state, node: int, *, forward: bool = False, act=None) -> list[int]:
@@ -258,7 +273,7 @@ def rewrite_snapshot(
 
 
 # ----------------------------------------------------------------------
-# reference loops of the numpy candidate kernels
+# a fresh interpreter over the checkout's sources
 # ----------------------------------------------------------------------
 SRC = Path(__file__).resolve().parents[1] / "src"
 

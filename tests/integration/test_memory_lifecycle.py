@@ -24,12 +24,13 @@ from repro.core.params import SearchParams
 from repro.live import MutableDataset
 from repro.live.mutations import AddEdge, AddNode, mutation_to_dict
 from repro.service import QueryRequest, QueryService
-from repro.service.snapshot import save_engine
+from repro.service.snapshot import load_engine, save_engine
 from repro.telemetry.trace import Tracer
 
 from tests.helpers import assert_no_cyclic_garbage
 
 ALGORITHMS = ("bidirectional", "si-backward", "mi-backward")
+RESIDENCIES = ("built", "ram", "mapped")
 QUERIES = ("gray transaction", "selinger vldb", '"jim gray" sigmod')
 MUTATION = [
     AddNode(label="Live Paper", table="paper", text="liveterm topic"),
@@ -94,15 +95,25 @@ SCENARIOS = {
 }
 
 
+@pytest.fixture(params=RESIDENCIES)
+def engine(request, toy_engine, tmp_path):
+    """The toy engine as built, or loaded back from its snapshot in one
+    storage mode (lazy rows that materialize during the search)."""
+    if request.param == "built":
+        return toy_engine
+    path = save_engine(tmp_path / "toy.snap", toy_engine)
+    return load_engine(path, storage_mode=request.param)
+
+
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_search_leaves_no_cyclic_garbage(toy_engine, algorithm, scenario):
+def test_search_leaves_no_cyclic_garbage(engine, algorithm, scenario):
     params = SearchParams()
     run = SCENARIOS[scenario]
 
     def searches():
         for query in QUERIES:
-            run(toy_engine, query, algorithm, params)
+            run(engine, query, algorithm, params)
 
     assert_no_cyclic_garbage(searches)
 

@@ -2,10 +2,13 @@
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.digraph import DataGraph
+
+from tests.helpers import reloaded
 
 
 @st.composite
@@ -86,3 +89,25 @@ def test_inverse_weight_sums_positive_where_edges_exist(case):
             assert sg.in_inv_weight_sum(v) > 0.0
         else:
             assert sg.in_inv_weight_sum(v) == 0.0
+
+
+@pytest.mark.parametrize("mode", ["ram", "mapped"])
+@given(edge_lists())
+@settings(max_examples=50, deadline=None)
+def test_reloaded_graph_matches_adjacency_and_formula(mode, case):
+    n, edges = case
+    sg = build(n, edges).freeze()
+    loaded = reloaded(sg, mode)
+    assert (loaded.num_nodes, loaded.num_edges) == (sg.num_nodes, sg.num_edges)
+    # Per combined edge and direction: int32 id, float64 weight, uint8
+    # flag; per node: two float64 normalizers.
+    assert loaded.compact_nbytes() == 26 * sg.num_edges + 16 * sg.num_nodes
+    for u in sg.nodes():
+        assert list(loaded.out_edges(u)) == list(sg.out_edges(u))
+        assert list(loaded.in_edges(u)) == list(sg.in_edges(u))
+        assert loaded.out_inv_weight_sum(u) == sg.out_inv_weight_sum(u)
+        assert loaded.in_inv_weight_sum(u) == sg.in_inv_weight_sum(u)
+        assert (loaded.out_degree(u), loaded.in_degree(u)) == (
+            sg.out_degree(u),
+            sg.in_degree(u),
+        )

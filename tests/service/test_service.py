@@ -122,13 +122,27 @@ class TestRegistry:
 # single search + cache behaviour
 # ----------------------------------------------------------------------
 class TestSearch:
-    def test_matches_engine_search(self, service, toy_engine):
+    @pytest.mark.parametrize("algorithm", ["bidirectional", "si-backward", "mi-backward"])
+    def test_matches_engine_search(self, service, toy_engine, algorithm):
         params = SearchParams(max_results=3)
-        response = service.search("toy", "gray transaction", params=params)
+        response = service.search(
+            "toy", "gray transaction", algorithm=algorithm, params=params
+        )
         assert response.ok and not response.cached
-        base = toy_engine.search("gray transaction", params=params)
+        assert response.result.algorithm == algorithm
+        base = toy_engine.search("gray transaction", algorithm=algorithm, params=params)
         assert response.result.scores() == base.scores()
         assert response.result.signatures() == base.signatures()
+
+    def test_algorithms_do_not_share_cache_entries(self, service):
+        # Each algorithm emits its own answer stream, so a result one
+        # computed must not answer for another.
+        assert not service.search("toy", "gray transaction").cached
+        second = service.search("toy", "gray transaction", algorithm="si-backward")
+        assert not second.cached
+        assert second.result.algorithm == "si-backward"
+        assert service.search("toy", "gray transaction", algorithm="si-backward").cached
+        assert service.search("toy", "gray transaction").cached
 
     def test_repeat_query_is_cached(self, service):
         first = service.search("toy", "gray transaction", k=3)

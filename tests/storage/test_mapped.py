@@ -93,14 +93,18 @@ class TestParity:
         assert graph.storage.mode == "ram"
         assert graph.storage.mapped_bytes == 0
 
+    @pytest.mark.parametrize("pins", ["default-pins", "no-pins"])
     @pytest.mark.parametrize(
         "algorithm", ["bidirectional", "si-backward", "mi-backward"]
     )
     def test_search_results_identical_per_algorithm(
-        self, toy_engine, snapshot, algorithm
+        self, toy_engine, snapshot, algorithm, pins
     ):
-        mapped = load_engine(snapshot, storage_mode="mapped")
-        ram = load_engine(snapshot, storage_mode="ram")
+        # Pinned rows are faulted in at load, the rest on first touch:
+        # which rows are pinned must not matter either.
+        policy = NO_PINS if pins == "no-pins" else None
+        mapped = load_engine(snapshot, storage_mode="mapped", pin_policy=policy)
+        ram = load_engine(snapshot, storage_mode="ram", pin_policy=policy)
         params = SearchParams(max_results=5)
         for query in ("gray transaction", "selinger vldb", '"jim gray" sigmod'):
             built = toy_engine.search(query, algorithm=algorithm, params=params)
