@@ -1,4 +1,4 @@
-"""Telemetry overhead: QPS with tracing and profiling on vs off.
+"""Telemetry overhead: QPS with tracing and accounting on vs off.
 
 Two observability bars:
 
@@ -8,12 +8,6 @@ Two observability bars:
   are a handful of dict writes around a graph search that costs
   milliseconds; if this budget ever fails, a span crept into a per-pop
   loop;
-* the always-on sampling profiler at its default rate
-  (:data:`repro.telemetry.profile.DEFAULT_INTERVAL`) must cost **less
-  than 3% QPS** on top of the traced arm.  The sampler reads
-  ``sys._current_frames`` from its own thread — the serving thread
-  only pays for brief GIL steals; if this fails, the sampler's fold
-  path got expensive;
 * per-query resource accounting (cost counters + fingerprint sketch,
   explain **off**) must cost **less than 3% QPS** against the untraced
   arm.  The counters are plain int adds on paths that already touch
@@ -74,9 +68,6 @@ SLICES = 24
 QUERY_POOL = 8
 #: The acceptance bar: tracing may cost at most this QPS fraction.
 MAX_OVERHEAD = 0.05
-#: The profiler bar: sampling at the default rate may cost at most
-#: this QPS fraction *on top of* the traced arm.
-PROFILER_MAX_OVERHEAD = 0.03
 #: The accounting bar: cost counters + the fingerprint sketch (explain
 #: off) may cost at most this QPS fraction against the untraced arm.
 ACCOUNTING_MAX_OVERHEAD = 0.03
@@ -88,7 +79,6 @@ ARMS = {
     "untraced": {"tracing": False, "accounting": False},
     "accounting": {"tracing": False, "accounting": True},
     "traced": {"tracing": True, "accounting": False},
-    "profiled": {"tracing": True, "profiling": True, "accounting": False},
 }
 
 
@@ -166,21 +156,13 @@ def run_telemetry_overhead() -> Report:
         for turn in range(SLICES):  # warm the engine-side caches
             _run_slice(service, queries, turn)
 
-    # The sampler thread reads every thread of the process, so it runs
-    # only while its own arm does — left on, all four arms would pay
-    # for it and the profiler budget would compare noise with noise.
-    sampler = arms["profiled"]["service"].profiler
-    sampler.stop()
     order = list(arms)
     for turn in range(ROUNDS * SLICES):
         shift = turn % len(order)
         for mode in order[shift:] + order[:shift]:
-            if mode == "profiled":
-                sampler.start()
             arms[mode]["seconds"].append(
                 _run_slice(arms[mode]["service"], queries, turn)
             )
-            sampler.stop()
 
     _dump_sample_span_tree(arms["traced"]["service"], queries)
     _dump_accounting(arms["accounting"]["service"])
@@ -189,7 +171,6 @@ def run_telemetry_overhead() -> Report:
 
     slices = {mode: arm["seconds"] for mode, arm in arms.items()}
     overhead = _paired_overhead(slices["traced"], slices["untraced"])
-    profiler_overhead = _paired_overhead(slices["profiled"], slices["traced"])
     accounting_overhead = _paired_overhead(slices["accounting"], slices["untraced"])
     rounds = {mode: _round_qps(seconds) for mode, seconds in slices.items()}
     best = {mode: max(qps) for mode, qps in rounds.items()}
@@ -199,7 +180,7 @@ def run_telemetry_overhead() -> Report:
         title=(
             f"{NUM_QUERIES} uncached searches x {ROUNDS} rounds on "
             f"synthetic DBLP ({bench.engine.graph.num_nodes} nodes): "
-            f"tracing and profiling on vs off"
+            f"tracing and accounting on vs off"
         ),
         headers=["mode", "best QPS", "rounds"],
     )
@@ -209,7 +190,6 @@ def run_telemetry_overhead() -> Report:
             "experiment": "telemetry-overhead",
             "mode": mode,
             "tracing": kwargs.get("tracing", False),
-            "profiling": kwargs.get("profiling", False),
             "accounting": kwargs.get("accounting", False),
             "queries": NUM_QUERIES,
             "rounds": ROUNDS,
@@ -228,11 +208,6 @@ def run_telemetry_overhead() -> Report:
         f"tracing overhead {overhead:.1%} exceeds the {MAX_OVERHEAD:.0%} "
         f"budget ({best['traced']:.0f} vs {best['untraced']:.0f} QPS)"
     )
-    assert profiler_overhead < PROFILER_MAX_OVERHEAD, (
-        f"profiler overhead {profiler_overhead:.1%} exceeds the "
-        f"{PROFILER_MAX_OVERHEAD:.0%} budget "
-        f"({best['profiled']:.0f} vs {best['traced']:.0f} QPS)"
-    )
     assert accounting_overhead < ACCOUNTING_MAX_OVERHEAD, (
         f"accounting overhead {accounting_overhead:.1%} exceeds the "
         f"{ACCOUNTING_MAX_OVERHEAD:.0%} budget "
@@ -241,10 +216,6 @@ def run_telemetry_overhead() -> Report:
     report.notes.append(
         f"tracing QPS overhead at default sampling: {overhead:+.1%} "
         f"(budget < {MAX_OVERHEAD:.0%})"
-    )
-    report.notes.append(
-        f"profiler QPS overhead at the default rate: "
-        f"{profiler_overhead:+.1%} (budget < {PROFILER_MAX_OVERHEAD:.0%})"
     )
     report.notes.append(
         f"accounting QPS overhead with explain off: "

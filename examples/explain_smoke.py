@@ -66,7 +66,6 @@ def main() -> None:
             {"dblp": snapshot},
             num_workers=2,
             default_replicas=2,
-            profiling=False,
         ) as cluster:
             cluster.warmup()
             server = make_server(cluster)

@@ -1,24 +1,20 @@
-"""Ops-dashboard smoke: boot the HTTP tier, scrape every debug endpoint.
+"""Ops smoke: boot the HTTP tier, poll the event stream, scrape metrics.
 
 The CI ``ops-smoke`` job runs this end to end:
 
 1. build a small engine, snapshot it, spin up a two-worker
-   :class:`repro.ShardedQueryService` with a WAL and the sampling
-   profiler on,
+   :class:`repro.ShardedQueryService` with a WAL,
 2. push a little traffic (including one guaranteed failure and one
-   live mutation) so every dashboard section has something to show,
-3. serve the fleet over HTTP and fetch ``/debug/events``,
-   ``/debug/profile``, ``/debug/dashboard`` and
-   ``/metrics?format=prometheus`` like a browser or a scraper would,
+   live mutation),
+3. serve the fleet over HTTP and fetch ``/debug/events`` and
+   ``/metrics?format=prometheus`` like a poller or a scraper would,
 4. assert the responses carry what an operator needs (events with
-   monotone sequence numbers, collapsed profile stacks, the SLO and
-   event sections in the HTML, service + cluster + WAL families in the
-   exposition),
-5. write the dashboard page to ``DASHBOARD_HTML_OUT`` and the scraped
-   exposition to ``PROMETHEUS_OUT`` (when set) so CI uploads a real
-   page and checks the scrape's families against docs/OBSERVABILITY.md.
+   monotone sequence numbers and an empty incremental tail; service +
+   cluster + WAL families in the exposition),
+5. write the scraped exposition to ``PROMETHEUS_OUT`` (when set) so CI
+   checks its families against docs/OBSERVABILITY.md.
 
-Run:  python examples/ops_dashboard_smoke.py
+Run:  python examples/ops_smoke.py
 """
 
 import json
@@ -59,14 +55,14 @@ def main() -> None:
         ) as cluster:
             cluster.warmup()
 
-            # Traffic for the dashboard to show: some hits, one failure
+            # Traffic to observe: some hits, one failure
             # (unknown dataset -> fleet failure counter), one mutation
             # (WAL append + mutation_commit events on both sides).
             for _ in range(5):
                 cluster.search("dblp", "paper stream", k=3).raise_for_error()
             assert cluster.search("nope", "paper").error_type is not None
             cluster.apply(
-                "dblp", [AddNode(label="ops probe", text="dashboard")]
+                "dblp", [AddNode(label="ops probe", text="ops probe")]
             )
             time.sleep(0.6)  # let the SLO ticker evaluate at least once
 
@@ -93,28 +89,6 @@ def main() -> None:
             )
             assert json.loads(body)["events"] == []
 
-            status, body = _get(base, "/debug/profile?seconds=1")
-            assert status == 200, status
-            profile = body.decode("utf-8")
-            lines = [line for line in profile.splitlines() if line.strip()]
-            assert lines, "profiler returned no stacks"
-            assert all(
-                line.rsplit(" ", 1)[1].isdigit() for line in lines
-            ), "not collapsed-stack format"
-            print(f"/debug/profile: {len(lines)} collapsed stacks")
-
-            status, body = _get(base, "/debug/dashboard")
-            assert status == 200, status
-            html = body.decode("utf-8")
-            for needle in ("SLO", "Events", "dblp", "<html"):
-                assert needle in html, f"dashboard missing {needle!r}"
-            print(f"/debug/dashboard: {len(html)} bytes of HTML")
-
-            out = os.environ.get("DASHBOARD_HTML_OUT")
-            if out:
-                Path(out).write_text(html, encoding="utf-8")
-                print(f"dashboard page written to {out}")
-
             status, body = _get(base, "/metrics?format=prometheus")
             assert status == 200, status
             exposition = body.decode("utf-8")
@@ -135,7 +109,7 @@ def main() -> None:
 
             server.shutdown()
             server.server_close()
-    print("ops dashboard smoke OK")
+    print("ops smoke OK")
 
 
 if __name__ == "__main__":

@@ -6,8 +6,8 @@ serializes pure-Python search on the GIL; this package puts the same
 batch finally uses every core:
 
 * :class:`ShardedQueryService` — the core's verbs (``search_many``,
-  ``cancel``, ``trace``, ``events``, ``query_stats``, ``profile``,
-  ``dashboard_data`` ...) over a fleet: it adds only routing, fan-out
+  ``cancel``, ``trace``, ``events``, ``query_stats`` ...) over a
+  fleet: it adds only routing, fan-out
   (``apply`` / ``reload`` / ``warmup`` broadcasts) and fan-in (worker
   replies merged into the core's answers).
 * :class:`~repro.cluster.router.ShardRouter` — deterministic

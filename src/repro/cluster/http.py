@@ -73,14 +73,6 @@ Routes
     "last_seq": N}``.  ``?since=<seq>`` returns only events after that
     supervisor sequence number — poll with the last ``last_seq`` you
     saw for an incremental tail.
-``GET /debug/profile``
-    Profile the fleet for ``?seconds=N`` (default 2, capped at 30)
-    and return the merged collapsed-stack text (``stack count`` per
-    line, flamegraph-ready); 501 when profiling is off.
-``GET /debug/dashboard``
-    The whole fleet on one dependency-free auto-refreshing HTML page:
-    health, SLO burn rates, recent events, latency per algorithm,
-    slow queries and the hottest profile stacks.
 
 Tracing: when the service has a tracer, ``POST /search`` mints the
 trace at the front door — an ``http`` root span whose id rides the
@@ -132,7 +124,6 @@ from repro.service.wire import (
     request_from_dict,
     response_to_dict,
 )
-from repro.telemetry.dashboard import render_dashboard
 from repro.telemetry.metrics import render_prometheus
 from repro.telemetry.trace import new_trace_id, render_span_tree
 
@@ -366,10 +357,6 @@ class _Handler(socketserver.StreamRequestHandler):
             self._send_json(200, self.server.service.query_stats())
         elif path == "/debug/events":
             self._handle_events(query)
-        elif path == "/debug/profile":
-            self._handle_profile(query)
-        elif path == "/debug/dashboard":
-            self._handle_dashboard()
         else:
             self._send_error_json(404, f"no route {self.path!r}", "NotFoundError")
 
@@ -432,26 +419,6 @@ class _Handler(socketserver.StreamRequestHandler):
         except ValueError:
             raise ValueError(f'"since" must be an integer, got {raw!r}') from None
         self._send_json(200, self.server.service.events(since))
-
-    def _handle_profile(self, query: str) -> None:
-        raw = (parse_qs(query).get("seconds") or ["2"])[0]
-        try:
-            seconds = float(raw)
-        except ValueError:
-            raise ValueError(f'"seconds" must be a number, got {raw!r}') from None
-        if not 0 <= seconds <= 30:
-            raise ValueError(f'"seconds" must be between 0 and 30, got {seconds}')
-        text = self.server.service.profile(seconds)
-        if text is None:
-            self._send_error_json(
-                501, "profiling is disabled on this service", "NotImplemented"
-            )
-            return
-        self._send(200, "text/plain; charset=utf-8", text)
-
-    def _handle_dashboard(self) -> None:
-        page = render_dashboard(self.server.service.dashboard_data())
-        self._send(200, "text/html; charset=utf-8", page)
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         if self.path == "/search":

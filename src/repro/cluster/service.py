@@ -159,10 +159,6 @@ class ShardedQueryService(ServiceCore):
         Elapsed-seconds threshold of the supervisor's slow-query log
         (:meth:`slow_queries`; ``None`` disables it).  Workers keep
         none: the supervisor records from settled responses.
-    profiling:
-        Always-on sampling profiler (:mod:`repro.telemetry.profile`),
-        on by default: the supervisor and every worker run one;
-        :meth:`profile` diffs their snapshots fleet-wide.
     slo_objectives / slo_interval:
         Burn-rate alerting (:mod:`repro.telemetry.slo`): objectives
         default to :func:`~repro.telemetry.slo.default_objectives`
@@ -209,7 +205,6 @@ class ShardedQueryService(ServiceCore):
         wal_sync: str = "batched",
         tracing: bool = True,
         slow_query_threshold: Optional[float] = 1.0,
-        profiling: bool = True,
         slo_objectives: Optional[Sequence[SloObjective]] = None,
         slo_interval: float = 5.0,
         accounting: bool = True,
@@ -217,8 +212,7 @@ class ShardedQueryService(ServiceCore):
     ) -> None:
         if num_workers is None:
             num_workers = os.cpu_count() or 1
-        # Before the core starts its sampler thread: a bad shard layout
-        # must fail with nothing running.
+        # A bad shard layout fails before any serving state is built.
         self.router = ShardRouter(
             list(snapshots),
             num_workers,
@@ -229,7 +223,6 @@ class ShardedQueryService(ServiceCore):
             cancel_grace=cancel_grace,
             tracing=tracing,
             slow_query_threshold=slow_query_threshold,
-            profiling=profiling,
             slo_objectives=slo_objectives,
             accounting=accounting,
         )
@@ -270,7 +263,6 @@ class ShardedQueryService(ServiceCore):
                 "cache_ttl": cache_ttl,
                 "wals": wal_paths,
                 "tracing": tracing,
-                "profiling": profiling,
                 "accounting": accounting,
                 # Storage tier every worker loads its snapshots into.
                 # Replacement workers spawned after a crash reuse these
@@ -932,8 +924,6 @@ class ShardedQueryService(ServiceCore):
         if self._slo_thread is not None:
             self._slo_thread.join(timeout=1.0)
             self._slo_thread = None
-        if self.profiler is not None:
-            self.profiler.stop()
         self.pool.close(timeout)
         for log in self._wals.values():
             log.close()
@@ -1130,17 +1120,17 @@ class ShardedQueryService(ServiceCore):
     # ------------------------------------------------------------------
     # what the workers contribute to the merged verbs
     # ------------------------------------------------------------------
-    def _gather(self, kind: str) -> dict[str, dict]:
-        """The supervisor's own part plus every live worker's reply to
-        a ``kind`` pull.  Non-strict: a busy or crashed replica is
+    def _gather(self) -> dict[str, dict]:
+        """The supervisor's own sketch plus every live worker's reply to
+        a ``"queries"`` pull.  Non-strict: a busy or crashed replica is
         simply absent from this pull."""
-        parts = super()._gather(kind)
+        parts = super()._gather()
         replies = self._broadcast(
-            self.pool.worker_ids(), kind, None, timeout=5.0, strict=False
+            self.pool.worker_ids(), "queries", None, timeout=5.0, strict=False
         )
         for worker_id, payload in replies.items():
-            if isinstance(payload.get(kind), dict):
-                parts[f"worker-{worker_id}"] = payload[kind]
+            if isinstance(payload.get("queries"), dict):
+                parts[f"worker-{worker_id}"] = payload["queries"]
         return parts
 
     def _pull_events(self) -> None:

@@ -214,12 +214,11 @@ def _handle_message(
         # restarted with a fresh log.
         payload = message[2] if len(message) > 2 and message[2] else {}
         return service.events(since=int(payload.get("since") or 0))
-    if kind in ("profile", "queries"):
-        # This process's part of a fleet-merged verb — the sampler's
-        # cumulative snapshot (the supervisor diffs two for a window),
-        # the workload sketch export (mergeable summaries, like the
-        # metrics registry) — or None with that feature off.
-        return {kind: service._local_part(kind)}
+    if kind == "queries":
+        # This process's part of the fleet-merged workload sketch
+        # (mergeable summaries, like the metrics registry), or None with
+        # accounting off.
+        return {"queries": service._local_part()}
     if kind == "sleep":
         # Debug/test hook: hold this worker busy for a while, the cheap
         # stand-in for a long search when exercising crash recovery and
@@ -242,8 +241,8 @@ def worker_main(conn) -> None:
         ``{dataset_name: snapshot_path_string}`` for this shard.
     settings:
         Plain dict of what the supervisor varies per fleet:
-        ``cache_capacity``, ``cache_ttl``, ``tracing``, ``profiling``,
-        ``accounting``, ``storage_mode`` and ``wals`` (``{dataset: log
+        ``cache_capacity``, ``cache_ttl``, ``tracing``, ``accounting``,
+        ``storage_mode`` and ``wals`` (``{dataset: log
         path}`` to replay at startup).
     """
     worker_id, snapshots, settings = conn.recv()
@@ -253,7 +252,6 @@ def worker_main(conn) -> None:
         cache_ttl=settings.get("cache_ttl"),
         max_workers=1,
         tracing=settings.get("tracing", True),
-        profiling=settings.get("profiling", False),
         accounting=settings.get("accounting", True),
         # Storage tier for snapshot loads (ram/mapped; None defers
         # to the environment).  Set fleet-wide by the supervisor: every

@@ -62,7 +62,7 @@ class SearchParams:
         overrun of a cancelled search at ~2 intervals of pops; the
         service layers forward it as the token's ``check_every``.
     trace_every_n_pops:
-        Sampling interval of the per-stage search profiler: every this
+        Trajectory sampling interval of a traced search: every this
         many pops, the search records a trajectory sample (pops,
         touched, frontier sizes, elapsed) into the active trace span.
         ``0`` (the default) disables sampling; the end-of-run summary

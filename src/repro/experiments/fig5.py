@@ -100,13 +100,18 @@ def run_fig5(*, scale: float = 0.4, seed: int = 100) -> Report:
 
         def ratio(attr: str, num: str, den: str) -> str:
             """``num / den`` at the measurement point, or why one of
-            them has no point."""
+            them has no point; ``*`` marks an output ratio with a point
+            measured at the final drain."""
             for algorithm in (num, den):
                 if points[algorithm] is None:
                     return reasons[algorithm]
-            return fmt(
+            cell = fmt(
                 safe_ratio(getattr(points[num], attr), getattr(points[den], attr))
             )
+            drained = attr.startswith("out_") and any(
+                points[a].out_pops == points[a].total_pops for a in (num, den)
+            )
+            return cell + "*" if drained else cell
 
         def seconds(algorithm: str) -> str:
             point = points[algorithm]
@@ -147,6 +152,11 @@ def run_fig5(*, scale: float = 0.4, seed: int = 100) -> Report:
         "a cell naming a reason has no measurement point: '0/R rel in top N' "
         "means the algorithm released N answers and none of the R relevant "
         "ones; 'no relevant tree' means the query has no relevant answer"
+    )
+    report.notes.append(
+        "* the last relevant answer of one side left only in the final drain "
+        "(out_pops == total_pops): that output ratio compares whole searches, "
+        "not time to the answer; generation-time ratios are never marked"
     )
     report.notes.append(
         "paper: MI/SI 2.7-16.7x; SI/Bidir nodes explored up to ~25x, "

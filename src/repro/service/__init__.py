@@ -8,8 +8,7 @@ two execution substrates:
   dataclasses, written once: the ``search_many`` front, ``cancel``, the
   response builders, the per-process telemetry state and the
   introspection verbs (``trace``, ``slow_queries``, ``explain``,
-  ``events``, ``query_stats``, ``profile``, ``slo_status``,
-  ``dashboard_data``).
+  ``events``, ``query_stats``, ``slo_status``).
 * :class:`QueryService` — the core on threads: engine registry +
   result cache + concurrent batch executor + live mutations and their
   WAL, all in this process.  (:class:`repro.cluster.ShardedQueryService`

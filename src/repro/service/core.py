@@ -10,7 +10,7 @@ the introspection verbs behind the HTTP front-end's ``/debug/*`` routes
 
 * the **per-process serving state**: event log, metrics registry and
   its request-path recorder, WAL telemetry, tracer, slow-query log,
-  explain store, sampling profiler, SLO engine, and the map of
+  explain store, SLO engine, and the map of
   cancellable in-flight requests;
 * the **request front**: :meth:`ServiceCore.search_many` (a tier's
   ``search`` is a batch of one) normalises arguments, answers malformed
@@ -23,11 +23,10 @@ the introspection verbs behind the HTTP front-end's ``/debug/*`` routes
   explain report and feeds the slow-query log for every finished
   request;
 * the **verbs**: ``cancel``, ``trace``, ``slow_queries``, ``explain``,
-  ``slo_status``, ``wal_seqs`` read the state above; ``events``,
-  ``profile_snapshot``, ``profile``, ``query_stats`` and
-  ``dashboard_data`` merge the parts :meth:`ServiceCore._gather`
-  returns — one part on the thread tier, the supervisor's plus every
-  worker's on the fleet.  A merge of one part is the part
+  ``slo_status``, ``wal_seqs`` read the state above; ``events`` and
+  ``query_stats`` merge the parts other processes contribute — one
+  part on the thread tier, the supervisor's plus every worker's on the
+  fleet.  A merge of one part is the part
   (``tests/service/test_facade_surface.py``), so there is no
   single-process special case.
 
@@ -55,15 +54,8 @@ from repro.telemetry.accounting import (
     merge_sketch_exports,
     query_fingerprint,
 )
-from repro.telemetry.dashboard import algorithm_summary
 from repro.telemetry.events import EventLog
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.profile import (
-    SamplingProfiler,
-    diff_profiles,
-    merge_profiles,
-    render_collapsed,
-)
 from repro.telemetry.slo import SloEngine, SloObjective, default_objectives
 from repro.telemetry.slowlog import SlowQueryLog
 from repro.telemetry.trace import Tracer
@@ -328,17 +320,6 @@ def request_fingerprint(request: QueryRequest) -> str:
     )
 
 
-def _replica_versions(version) -> object:
-    """A dataset's version as the dashboard shows it: the number, or
-    ``"w0=3, w1=?"`` when ``health()`` reports one per replica."""
-    if not isinstance(version, dict):
-        return version
-    return ", ".join(
-        f"w{worker}={'?' if value is None else value}"
-        for worker, value in sorted(version.items())
-    )
-
-
 class ServiceCore:
     """Serving state and verbs shared by both tiers (module docstring).
 
@@ -350,7 +331,7 @@ class ServiceCore:
 
     Retention is fixed: the structures size themselves (128 slow
     queries, 128 explain reports, a 64-row workload sketch, a 2048-sample
-    latency window, one profile sample per 0.02 s) except where the
+    latency window) except where the
     tiers differ, which the two capacities below state.
     """
 
@@ -372,7 +353,6 @@ class ServiceCore:
         cancel_grace: float,
         tracing: bool,
         slow_query_threshold: Optional[float],
-        profiling: bool,
         slo_objectives: Optional[Sequence[SloObjective]],
         accounting: bool,
     ) -> None:
@@ -396,10 +376,6 @@ class ServiceCore:
         #: kept only by a process that runs searches (the thread tier
         #: sets it; a fleet supervisor merges its workers').
         self.analytics: Optional[WorkloadAnalytics] = None
-        self.profiler: Optional[SamplingProfiler] = None
-        if profiling:
-            self.profiler = SamplingProfiler()
-            self.profiler.start()
         objectives = (
             default_objectives() if slo_objectives is None else tuple(slo_objectives)
         )
@@ -676,19 +652,16 @@ class ServiceCore:
     # ------------------------------------------------------------------
     # verbs merged over every process's part
     # ------------------------------------------------------------------
-    def _local_part(self, kind: str) -> Optional[dict]:
-        """This process's part of a merged verb — ``"profile"`` (the
-        sampler's cumulative snapshot) or ``"queries"`` (the workload
-        sketch export) — or None with that feature off.  Also what a
-        worker answers its supervisor's pull with."""
-        if kind == "profile":
-            return self.profiler.snapshot() if self.profiler is not None else None
+    def _local_part(self) -> Optional[dict]:
+        """This process's workload sketch export, or None with
+        accounting off.  Also what a worker answers its supervisor's
+        ``"queries"`` pull with."""
         return self.analytics.export() if self.analytics is not None else None
 
-    def _gather(self, kind: str) -> dict[str, dict]:
-        """Every process's part of a merged verb, keyed by process.
+    def _gather(self) -> dict[str, dict]:
+        """Every process's workload sketch export, keyed by process.
         One process here; the fleet adds its workers' replies."""
-        part = self._local_part(kind)
+        part = self._local_part()
         return {} if part is None else {"local": part}
 
     def _pull_events(self) -> None:
@@ -710,34 +683,6 @@ class ServiceCore:
             "last_seq": self.event_log.last_seq,
         }
 
-    def profile_snapshot(self) -> Optional[dict]:
-        """The merged *cumulative* collapsed-stack profile of every
-        sampler (since process start); None when profiling is off."""
-        parts = self._gather("profile")
-        return merge_profiles(parts.values()) if parts else None
-
-    def profile(self, seconds: float = 2.0) -> Optional[str]:
-        """Profile for ``seconds`` and render the merged window as
-        collapsed stacks (``stack count`` lines, hottest first); None
-        when profiling is off.
-
-        Two cumulative snapshots and a diff: the samplers never pause,
-        the caller's thread sleeps, the service keeps serving.  A
-        worker that restarts inside the window contributes its whole
-        new lifetime (its "before" died with it) — close enough for a
-        hot-stack view.
-        """
-        before = self._gather("profile")
-        if not before:
-            return None
-        time.sleep(max(0.0, seconds))
-        after = self._gather("profile")
-        windows = [
-            diff_profiles(before[process], snap) if process in before else snap
-            for process, snap in after.items()
-        ]
-        return render_collapsed(merge_profiles(windows))
-
     def query_stats(self) -> dict:
         """Workload analytics: the top-K heavy-hitter sketch of
         per-fingerprint query counts, latency and cost vectors, folded
@@ -748,51 +693,7 @@ class ServiceCore:
         workload.  A busy or crashed replica is absent from the pull;
         empty-shaped when accounting is off.
         """
-        parts = self._gather("queries")
+        parts = self._gather()
         if not parts:
             return {"capacity": 0, "total": 0, "floor": 0, "entries": []}
         return merge_sketch_exports(parts.values())
-
-    def dashboard_data(self) -> dict:
-        """Everything the ops dashboard renders, as one JSON-safe dict
-        (see :func:`repro.telemetry.dashboard.render_dashboard`): the
-        tier's ``health()`` and ``metrics()`` reshaped, plus the verbs
-        above.  Worker facts appear when ``metrics()`` has a ``cluster``
-        section, ``version_drift`` when ``health()`` reports it."""
-        health = self.health()
-        exported = self.metrics()
-        cluster = exported.get("cluster") or {}
-        section = {
-            "status": (
-                "ok"
-                if cluster.get("alive", 0) == cluster.get("workers", 0)
-                else "degraded"
-            )
-        }
-        if cluster:
-            section["workers"] = cluster["workers"]
-            section["workers_alive"] = cluster["alive"]
-            section["restarts"] = cluster["restarts"]
-        section["versions"] = {
-            name: _replica_versions(version)
-            for name, version in health.get("versions", {}).items()
-        }
-        if "version_drift" in health:
-            section["version_drift"] = health["version_drift"]
-        section["wal_seq"] = self.wal_seqs()
-        return {
-            "service": type(self).__name__,
-            "generated_at": time.time(),
-            "health": section,
-            "metrics": {
-                "requests_total": exported.get("requests_total"),
-                "errors_total": exported.get("errors_total"),
-                "cache_hit_rate": exported.get("cache_hit_rate"),
-                "algorithms": algorithm_summary(exported.get("algorithms")),
-            },
-            "slo": self.slo_status(),
-            "events": self.events(limit=50)["events"],
-            "slow_queries": self.slow_queries()[:10],
-            "queries": self.query_stats(),
-            "profile": self.profile_snapshot(),
-        }

@@ -172,18 +172,14 @@ def family_values(export: dict, family: str, label: str) -> dict:
 
 def _algorithm_entry(requests: int, sample: dict, include_samples: bool) -> dict:
     """One ``algorithms`` row.  Count, mean and percentiles describe the
-    recent-latency *window*, not the histogram's lifetime totals."""
+    recent-latency *window*, not the histogram's lifetime totals; a
+    sample exported without its window is a ``KeyError``."""
     # No sample at all: the algorithm only ever errored.
-    window = sample.get("window", None if sample.get("count") else [])
-    if window is None:
-        # Exported (or merged) without its samples: lifetime count and
-        # mean are the best available, exact percentiles are not.
-        count, mean = sample["count"], sample["sum"] / sample["count"]
-    else:
-        count = len(window)
-        mean = sum(window) / count if count else None
+    window = sample["window"] if sample else []
+    count = len(window)
+    mean = sum(window) / count if count else None
     entry = {"requests": requests, "latency_count": count, "latency_mean": mean}
-    ordered = sorted(window or ())  # once: each percentile's own sort is then O(n)
+    ordered = sorted(window)  # once: each percentile's own sort is then O(n)
     for q in EXPORTED_PERCENTILES:
         entry[f"latency_p{q:g}"] = percentile(ordered, q)
     if include_samples:

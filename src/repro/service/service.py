@@ -287,7 +287,7 @@ class QueryService(ServiceCore):
     matters if a search is stuck in a non-cooperative section.
 
     ``tracing``, ``slow_query_threshold`` (None disables the slow-query
-    log), ``profiling``, ``slo_objectives`` (empty disables SLOs; the
+    log), ``slo_objectives`` (empty disables SLOs; the
     objectives here are fleet-wide — dataset-scoped ones belong to the
     cluster tier, whose supervisor counters carry a dataset label) and
     ``accounting`` (explain retention plus the workload sketch) switch
@@ -310,7 +310,6 @@ class QueryService(ServiceCore):
         cancel_grace: float = 1.0,
         tracing: bool = True,
         slow_query_threshold: Optional[float] = 1.0,
-        profiling: bool = False,
         slo_objectives: Optional[Sequence[SloObjective]] = None,
         accounting: bool = True,
         storage_mode: Optional[str] = None,
@@ -321,7 +320,6 @@ class QueryService(ServiceCore):
             cancel_grace=cancel_grace,
             tracing=tracing,
             slow_query_threshold=slow_query_threshold,
-            profiling=profiling,
             slo_objectives=slo_objectives,
             accounting=accounting,
         )
@@ -1157,8 +1155,6 @@ class QueryService(ServiceCore):
         threads in the background — the choice for callers whose own
         deadline matters more than a clean join.
         """
-        if self.profiler is not None:
-            self.profiler.stop()
         with self._executor_lock:
             self._closed = True
             if self._executor is not None:

@@ -1,6 +1,6 @@
-"""Unified telemetry: tracing, metrics, events, SLOs, profiling.
+"""Unified telemetry: tracing, metrics, events, SLOs, accounting.
 
-Stdlib-only observability for the whole serving stack.  Seven pieces:
+Stdlib-only observability for the whole serving stack.  Six pieces:
 
 * :mod:`repro.telemetry.trace` — ``Tracer`` / ``Span`` / ``TraceStore``:
   one ``trace_id`` per query, a span tree crossing thread and process
@@ -17,10 +17,6 @@ Stdlib-only observability for the whole serving stack.  Seven pieces:
 * :mod:`repro.telemetry.slo` — ``SloEngine``: declarative objectives
   evaluated over sliding windows of the registry with multi-window
   burn-rate alerting;
-* :mod:`repro.telemetry.profile` — ``SamplingProfiler``: an always-on
-  collapsed-stack sampler over ``sys._current_frames``;
-* :mod:`repro.telemetry.dashboard` — ``render_dashboard``: the whole
-  fleet on one dependency-free HTML page;
 * :mod:`repro.telemetry.accounting` — explain reports
   (``build_explain_report`` / ``ExplainStore``), canonical query
   fingerprints and the mergeable space-saving workload sketch behind
@@ -39,7 +35,6 @@ from repro.telemetry.accounting import (
     merge_sketch_exports,
     query_fingerprint,
 )
-from repro.telemetry.dashboard import render_dashboard
 from repro.telemetry.events import SEVERITIES, EventLog, merge_events
 from repro.telemetry.metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -49,12 +44,6 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     merge_registries,
     render_prometheus,
-)
-from repro.telemetry.profile import (
-    SamplingProfiler,
-    diff_profiles,
-    merge_profiles,
-    render_collapsed,
 )
 from repro.telemetry.slo import (
     SloEngine,
@@ -85,7 +74,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "SEVERITIES",
-    "SamplingProfiler",
     "SloEngine",
     "SloObjective",
     "SlowQueryLog",
@@ -100,17 +88,13 @@ __all__ = [
     "canonical_explain_bytes",
     "current_span",
     "default_objectives",
-    "diff_profiles",
     "histogram_bad_fraction",
     "merge_events",
-    "merge_profiles",
     "merge_registries",
     "merge_sketch_exports",
     "query_fingerprint",
     "new_span_id",
     "new_trace_id",
-    "render_collapsed",
-    "render_dashboard",
     "render_prometheus",
     "render_span_tree",
     "use_span",

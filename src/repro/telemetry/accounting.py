@@ -8,9 +8,9 @@ can pass them around as plain dicts:
 * :func:`build_explain_report` — turns one finished search (its stats,
   sampled timeline and released answers) into a structured report with
   a **canonical** section that is deterministic across runs and
-  profiler settings (seed resolution, parameter echo, answers with full
-  score decompositions) and non-canonical sections (timeline, cost vector,
-  timings) that legitimately vary run to run.
+  trajectory sampling settings (seed resolution, parameter echo,
+  answers with full score decompositions) and non-canonical sections
+  (timeline, cost vector, timings) that legitimately vary run to run.
 * :func:`query_fingerprint` — the canonical workload identity of a
   query: sorted lower-cased terms + algorithm + a digest of the
   parameter overrides.  Caching keys identify *result* identity;
@@ -358,7 +358,8 @@ def build_explain_report(
     The ``canonical`` section depends only on the query and the
     released answers — per-term seed resolution (posting sizes plus a
     sorted sample of origin ids), the parameter echo (minus the
-    profiler's sampling interval) and per-answer score decompositions —
+    trajectory sampling interval ``trace_every_n_pops``) and per-answer
+    score decompositions —
     and is byte-stable across runs (:func:`canonical_explain_bytes`
     pins this).  ``timeline`` (the
     sampled expansion trajectory and scheduling decisions), ``costs``

@@ -2,6 +2,7 @@
 hand-merge of the parts."""
 
 import numpy as np
+import pytest
 
 from repro.service.metrics import ServiceMetrics, metrics_view
 from repro.telemetry.metrics import MetricsRegistry, merge_registries
@@ -136,20 +137,18 @@ def test_merge_equals_hand_merge():
     }
 
 
-def test_merge_without_samples_yields_none_percentiles():
+def test_merge_without_samples_is_refused():
     registry = MetricsRegistry()
     ServiceMetrics(registry).record_request("bidirectional", 0.01, cached=False)
     no_samples = registry.export()
     with_samples = registry.export(include_samples=True)
-    for parts in ([no_samples, with_samples], [with_samples, no_samples]):
-        merged = metrics_view(merge_registries(parts), include_samples=True)
-        entry = merged["algorithms"]["bidirectional"]
-        # One part lacks its window: exact percentiles are impossible,
-        # and the merge must say so rather than guess.
-        assert entry["latency_p50"] is None
-        assert entry["latency_samples"] is None
-        assert entry["latency_count"] == 2
-        assert entry["latency_mean"] == 0.01
+    for parts in (
+        [no_samples], [no_samples, with_samples], [with_samples, no_samples]
+    ):
+        # One part lacks its window, so the merge has none: every row
+        # comes from a window, and there is no lifetime-total stand-in.
+        with pytest.raises(KeyError, match="window"):
+            metrics_view(merge_registries(parts))
 
 
 def test_merge_tolerates_supervisor_only_parts():

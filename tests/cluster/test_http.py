@@ -92,8 +92,13 @@ def test_bad_json_and_unknown_route(server):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         urllib.request.urlopen(request, timeout=30)
     assert excinfo.value.code == 400
-    assert _get(server, "/nope")[0] == 404
     assert _post(server, "/nope", {})[0] == 404
+    # There is no profiler or dashboard route: those paths get the
+    # router's JSON 404 like any unknown path.
+    for path in ("/nope", "/debug/profile", "/debug/dashboard"):
+        status, body = _get(server, path)
+        assert status == 404, path
+        assert body["error_type"] == "NotFoundError", path
 
 
 def test_batch_keeps_slots(server):
@@ -355,13 +360,6 @@ def test_debug_events_bad_since_is_400(server):
     assert _get(server, "/debug/events?since=abc")[0] == 400
 
 
-def test_debug_profile_disabled_is_501(server):
-    # The thread-tier module fixture runs with profiling off.
-    status, body = _get(server, "/debug/profile?seconds=0.1")
-    assert status == 501
-    assert "profiling" in body["error"]
-
-
 @pytest.mark.parametrize("tier", ["thread", "fleet"])
 def test_debug_trace_and_explain_are_501_when_off_404_when_unknown(
     server, sharded, toy_engine_session, toy_snapshot, tier
@@ -391,49 +389,6 @@ def test_debug_trace_and_explain_are_501_when_off_404_when_unknown(
             )
     finally:
         server.service = original
-
-
-def test_debug_profile_bounds_and_bad_values(server):
-    assert _get(server, "/debug/profile?seconds=bogus")[0] == 400
-    assert _get(server, "/debug/profile?seconds=99")[0] == 400
-    assert _get(server, "/debug/profile?seconds=-1")[0] == 400
-
-
-def test_debug_profile_collapsed_stacks_from_fleet(server, sharded):
-    original = server.service
-    try:
-        server.service = sharded
-        status, headers, text = _get_raw(server, "/debug/profile?seconds=0.3")
-        assert status == 200, text
-        assert headers["Content-Type"].startswith("text/plain")
-        lines = [line for line in text.splitlines() if line.strip()]
-        assert lines
-        for line in lines:
-            stack, count = line.rsplit(" ", 1)
-            assert stack and count.isdigit()
-    finally:
-        server.service = original
-
-
-def test_debug_dashboard_serves_html(server, sharded):
-    original = server.service
-    try:
-        server.service = sharded
-        sharded.search("alpha", "gray transaction")
-        status, headers, html = _get_raw(server, "/debug/dashboard")
-        assert status == 200
-        assert headers["Content-Type"].startswith("text/html")
-        for needle in ("<!doctype html>", "SLO", "Events", "alpha"):
-            assert needle in html, needle
-    finally:
-        server.service = original
-
-
-def test_debug_dashboard_on_thread_tier(server):
-    status, headers, html = _get_raw(server, "/debug/dashboard")
-    assert status == 200
-    assert "<!doctype html>" in html
-    assert "QueryService" in html
 
 
 def test_status_for_error_mapping():

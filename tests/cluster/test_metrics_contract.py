@@ -5,20 +5,30 @@ lists its families can be held to it: every ``family | type | labels``
 table is parsed and compared with the export of a live ``QueryService``
 and a live 2-worker fleet.  An undocumented family, a phantom one (in
 the doc, exported by neither tier), or a type / merge-mode / label-set
-mismatch fails here.
+mismatch fails here.  The ``route | answers`` table is held to the HTTP
+front end the same way: every ``GET`` route ``repro.cluster.http``
+dispatches is in it, and every route in it answers on a live server.
 
 CI's ``ops-smoke`` job feeds one more input: ``PROMETHEUS_SCRAPE`` names
 a file holding a real ``GET /metrics?format=prometheus`` body, whose
 ``# TYPE`` lines must agree with the same tables.
 """
 
+import ast
+import inspect
+import json
 import os
 import re
+import textwrap
+import threading
 from pathlib import Path
 
 import pytest
 
+from repro.cluster import http as http_module
 from repro.service import QueryService
+
+from tests.helpers import RawHTTP
 
 DOC = Path(__file__).resolve().parents[2] / "docs" / "OBSERVABILITY.md"
 _CODE = re.compile(r"`([^`]+)`")
@@ -52,6 +62,45 @@ def documented_families() -> dict[str, dict]:
                 "labels": labels,
             }
     return families
+
+
+def documented_routes() -> list[str]:
+    """The ``GET`` paths of the table whose header row is ``| route |
+    answers |``, a path parameter spelled ``<id>``."""
+    routes, in_table = [], False
+    for line in DOC.read_text(encoding="utf-8").splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if not line.startswith("|"):
+            in_table = False
+        elif cells[:2] == ["route", "answers"]:
+            in_table = True
+        elif in_table and not set(cells[0]) <= set("-"):
+            method, path = _CODE.fullmatch(cells[0]).group(1).split(" ")
+            assert method == "GET", cells[0]
+            routes.append(re.sub(r"<[^>]+>", "<id>", path))
+    return routes
+
+
+def served_routes() -> list[str]:
+    """The paths ``_Handler.do_GET`` dispatches on: ``path == "/x"`` is
+    the route ``/x``, ``path.startswith("/x/")`` the route ``/x/<id>``."""
+    source = textwrap.dedent(inspect.getsource(http_module._Handler.do_GET))
+    routes = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Name)
+            and node.left.id == "path"
+            and isinstance(node.ops[0], ast.Eq)
+        ):
+            routes.append(node.comparators[0].value)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "startswith"
+        ):
+            routes.append(node.args[0].value + "<id>")
+    return routes
 
 
 def exported_shape(export: dict) -> dict[str, dict]:
@@ -101,6 +150,33 @@ def test_no_documented_family_is_a_phantom(exports):
     exported = set().union(*exports.values())
     phantoms = sorted(set(documented_families()) - exported)
     assert not phantoms, f"documented but exported by neither tier: {phantoms}"
+
+
+def test_every_served_route_is_documented_and_no_other():
+    served, documented = served_routes(), documented_routes()
+    assert len(served) == len(set(served)) and "/healthz" in served, served
+    assert len(documented) == len(set(documented)), documented
+    assert sorted(documented) == sorted(served)
+
+
+@pytest.fixture(scope="module")
+def thread_server(toy_snapshot):
+    with QueryService() as service:
+        service.register_snapshot("toy", toy_snapshot)
+        server = http_module.make_server(service)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        yield server
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.mark.parametrize("route", documented_routes())
+def test_every_documented_route_answers(thread_server, route):
+    with RawHTTP(thread_server) as client:
+        status, _, body = client.request("GET", route.replace("<id>", "no-such-id"))
+    # An unknown id may be a 404, but never the router's.
+    assert status in (200, 404), (status, body)
+    assert not json.loads(body).get("error", "").startswith("no route"), body
 
 
 @pytest.mark.skipif(

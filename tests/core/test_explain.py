@@ -3,7 +3,7 @@ determinism contract.
 
 The canonical section of an explain report (seed resolution, parameter
 echo, answers with full score decompositions) must be **byte-identical**
-across repeat runs and profiler settings for every algorithm — that is
+across repeat runs and trajectory sampling settings for every algorithm — that is
 what makes an explain plan trustworthy evidence rather than a
 measurement artifact.  Non-canonical sections (timeline, costs,
 timings) may vary.
@@ -41,7 +41,7 @@ class TestReportStructure:
             assert seed["origin_count"] >= len(seed["origin_sample"]) > 0
             assert seed["origin_sample"] == sorted(seed["origin_sample"])
         assert len(canonical["answers"]) == len(result.answers)
-        # The profiler's sampling interval is excluded from the echo.
+        # The trajectory sampling interval is excluded from the echo.
         assert "trace_every_n_pops" not in canonical["params"]
         assert "dmax" in canonical["params"]
 

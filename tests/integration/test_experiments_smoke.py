@@ -96,6 +96,27 @@ class TestTinyRuns:
         relevant = row[2]
         assert row[4:11] == [f"0/{relevant} rel in top 10"] * 7, row
 
+    @pytest.mark.parametrize("drained", [True, False])
+    def test_fig5_marks_points_measured_at_the_final_drain(self, monkeypatch, drained):
+        import repro.experiments.common as common
+        import repro.experiments.fig5 as fig5
+        from repro.workload.metrics import MeasurementPoint
+
+        point = MeasurementPoint(
+            rank=1, relevant_found=1, out_time=2.0, gen_time=1.0,
+            out_pops=40 if drained else 30, gen_pops=20, out_touched=60,
+            gen_touched=30, total_time=2.0, total_pops=40, total_touched=60,
+        )
+        profile = ("UQ1", "patents", ("T", "L"), 2)
+        monkeypatch.setattr(fig5, "QUERY_PROFILES", (profile,))
+        monkeypatch.setattr(common, "measure_at_last_relevant", lambda *a, **k: point)
+        report = run_fig5(scale=0.15)
+        (row,) = report.rows
+        one, marked = "1.00", "1.00*" if drained else "1.00"
+        # MI/SI time, SI/Bidir explored and touched, gen time, out time
+        assert row[4:9] == [marked, marked, marked, one, marked], row
+        assert any(note.startswith("* ") for note in report.notes)
+
     def test_memory_tiny(self):
         report = run_memory(scales=(0.15,))
         assert len(report.rows) == 3

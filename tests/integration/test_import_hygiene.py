@@ -178,12 +178,12 @@ def main(snapshot, wal_dir):
         assert status == 200, status
         assert service.reload("toy", snapshot, force=True)["reloaded"] == {"0": True}
         for path in ("/metrics", "/metrics?format=prometheus", "/healthz",
-                     "/debug/dashboard", "/debug/events", "/debug/queries"):
+                     "/debug/slow", "/debug/events", "/debug/queries"):
             status, _ = http_call(server, "GET", path)
             assert status == 200, (path, status)
         assert service.metrics()["requests_total"] >= 6
         assert service.health()["alive"] == 1
-        assert service.dashboard_data()
+        assert service.slo_status() and service.query_stats()["entries"]
     finally:
         server.shutdown()
         server.server_close()
@@ -269,8 +269,8 @@ try:
         )
         assert status == 200, (algorithm, status)
     for path in ("/metrics", "/metrics?format=prometheus", "/healthz",
-                 "/debug/dashboard", "/debug/events", "/debug/queries",
-                 "/debug/slow", "/debug/explain/bidirectional"):
+                 "/debug/events", "/debug/queries", "/debug/slow",
+                 "/debug/explain/bidirectional"):
         status, _ = http_call(server, "GET", path)
         assert status == 200, (path, status)
     assert_not_loaded("numpy", "repro.live")  # searched, read telemetry: no arrays
@@ -339,7 +339,7 @@ mutated = ("request", {**request, **uncached, "query": "zyzzqx"})
 def life(jobs, cancel=(), **settings):
     """Replies to ``jobs`` from one worker, first message to ``stop``."""
     ours, theirs = Pipe()
-    ours.send((0, {"toy": snapshot}, {"profiling": True, "storage_mode": "mapped", **settings}))
+    ours.send((0, {"toy": snapshot}, {"storage_mode": "mapped", **settings}))
     for job, (kind, *payload) in enumerate(jobs):
         ours.send((kind, job, *payload))
     for job in cancel:
@@ -362,7 +362,6 @@ replies = life([
     ("metrics",),
     ("events", {"since": 0}),
     ("queries",),
-    ("profile",),
 ], cancel=[1])
 errors = {job: reply["error_type"] for job, reply in enumerate(replies) if reply.get("error")}
 assert errors == {1: "SearchCancelledError"}, errors  # the cancel beat its request

@@ -178,7 +178,8 @@ def test_service_life_cycle_leaves_no_cyclic_garbage(snapshots, tmp_path, mode, 
             assert service.engine("d").graph.storage.mode == mode
             service.metrics()
             service.registry.export()
-            service.dashboard_data()
+            service.query_stats()
+            service.slo_status()
 
     assert_no_cyclic_garbage(life_cycle)
 
@@ -243,7 +244,7 @@ def test_worker_loop_leaves_no_cyclic_garbage(snapshots):
             ("metrics", None),
         ]
         conn = Conn(
-            [(0, {"d": str(toy)}, {"profiling": True})]
+            [(0, {"d": str(toy)}, {})]
             + [(kind, job, payload) for job, (kind, payload) in enumerate(jobs)]
             + [("stop",)]
         )

@@ -21,7 +21,6 @@ from repro.cluster.pool import WorkerPool
 from repro.service import QueryService, ServiceCore
 from repro.telemetry.accounting import WorkloadAnalytics, merge_sketch_exports
 from repro.telemetry.metrics import MetricsRegistry, merge_registries
-from repro.telemetry.profile import SamplingProfiler, merge_profiles
 
 SHARED_VERBS = [
     "search_many",
@@ -32,10 +31,7 @@ SHARED_VERBS = [
     "slo_status",
     "wal_seqs",
     "events",
-    "profile_snapshot",
-    "profile",
     "query_stats",
-    "dashboard_data",
     "_settle",
     "_malformed_response",
     "_error_response",
@@ -72,7 +68,7 @@ def _sources():
         "SlowQueryLog(",
         "ExplainStore(",
         "SloEngine(",
-        "SamplingProfiler(",
+        "WalTelemetry(",
         "EventLog(",
         "MetricsRegistry(",
     ],
@@ -88,13 +84,6 @@ def test_merging_one_part_is_the_part():
     sketch.record("c|mi-backward", elapsed=1.0)
     export = sketch.export()
     assert merge_sketch_exports([export]) == export
-
-    profiler = SamplingProfiler()
-    profiler.sample_once()
-    snapshot = profiler.snapshot()
-    merged = merge_profiles([snapshot])
-    assert merged == {key: snapshot[key] for key in ("samples", "total", "interval")}
-    assert merged["total"] > 0
 
     registry = MetricsRegistry()
     registry.counter("probe_total", "probe", labels=("kind",)).inc(kind="x")
@@ -124,20 +113,30 @@ def test_single_valued_retention_knobs_are_not_arguments(argument):
         ShardedQueryService({}, num_workers=1, **{argument: 8})
 
 
+@pytest.mark.parametrize("tier", ["thread", "fleet"])
+def test_no_tier_takes_a_profiling_switch(tier):
+    # No tier runs a sampling profiler, so neither has a switch for one.
+    with pytest.raises(TypeError, match="profiling"):
+        if tier == "thread":
+            QueryService(profiling=True)
+        else:
+            ShardedQueryService({}, num_workers=1, profiling=True)
+
+
 def test_constructor_arguments_are_these():
     def arguments(cls):
         return list(inspect.signature(cls).parameters)
 
-    shared = ["cancel_grace", "tracing", "slow_query_threshold", "profiling",
+    shared = ["cancel_grace", "tracing", "slow_query_threshold",
               "slo_objectives", "accounting", "storage_mode"]
     assert sorted(arguments(QueryService)) == sorted(
         ["cache_capacity", "cache_ttl", "max_workers", "clock"] + shared
-    )  # 11
+    )  # 10
     assert sorted(arguments(ShardedQueryService)) == sorted(
         ["snapshots", "num_workers", "default_replicas", "replicas",
          "cache_capacity", "cache_ttl", "health_interval", "restart", "wal_dir",
          "wal_sync", "slo_interval"] + shared
-    )  # 18
+    )  # 17
     assert arguments(WorkerPool) == [
         "specs", "settings", "health_interval", "restart", "event_sink"
     ]

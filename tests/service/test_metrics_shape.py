@@ -319,3 +319,27 @@ def test_sharded_service_metrics_shape(dblp_snapshot, tmp_path):
         assert entry["requests_total"] >= 4  # its query's miss/hit/bypass/explain
     assert sum(entry["requests_total"] for entry in per_worker.values()) == 11
     assert sum(entry["errors_total"] for entry in per_worker.values()) == 2
+
+
+@pytest.mark.parametrize("tier", ["thread", "fleet"])
+def test_every_algorithm_row_comes_from_a_window(tier, dblp_snapshot):
+    """No row stands in lifetime totals for a window: on both tiers each
+    row's count, mean and percentiles are those of ``latency_samples``."""
+    if tier == "thread":
+        service = QueryService()
+        service.register_snapshot("dblp", dblp_snapshot)
+    else:
+        service = ShardedQueryService({"dblp": dblp_snapshot}, num_workers=1)
+    with service:
+        for algorithm in ("bidirectional", "si-backward", "mi-backward"):
+            service.search("dblp", CANDIDATES[0], algorithm=algorithm).raise_for_error()
+        missing = service.search("dblp", "zzzqqq nonexistent")
+        assert missing.error_type == "KeywordNotFoundError"
+        rows = service.metrics(include_samples=True)["algorithms"]
+    assert sorted(rows) == ["bidirectional", "mi-backward", "si-backward"]
+    assert rows["bidirectional"]["requests"] == 2  # the error has no latency
+    for name, row in rows.items():
+        (elapsed,) = row["latency_samples"]
+        assert row["latency_count"] == 1, name
+        for key in ("latency_mean", "latency_p50", "latency_p90", "latency_p99"):
+            assert row[key] == elapsed, (name, key)

@@ -40,10 +40,6 @@ SLO_KEYS = [
     "objective", "kind", "dataset", "budget", "burn_threshold", "windows", "firing",
     "firing_since",
 ]
-DASHBOARD_KEYS = [
-    "service", "generated_at", "health", "metrics", "slo", "events",
-    "slow_queries", "queries", "profile",
-]
 
 
 def _span_names(node, found):
@@ -82,7 +78,7 @@ def _drive(service):
     return miss, explained
 
 
-def _check(service, miss, explained, *, span_names, health_keys, event_sources):
+def _check(service, miss, explained, *, span_names, event_sources):
     # trace: one tree per request, rooted where the tier first saw it
     trace = service.trace(miss.trace_id)
     assert list(trace) == ["trace_id", "span_count", "roots"]
@@ -163,54 +159,31 @@ def _check(service, miss, explained, *, span_names, health_keys, event_sources):
         assert ("threshold" in status) is (status["objective"] == "latency-p99")
         assert list(status["windows"]) == ["fast", "slow"]
 
-    # profile_snapshot: cumulative collapsed stacks of every sampler
-    profile = service.profile_snapshot()
-    assert {"samples", "total", "interval"} <= set(profile)
-    assert profile["interval"] == 0.02
-    assert all(isinstance(count, int) for count in profile["samples"].values())
-
-    # dashboard_data: the sections above on one page
-    page = service.dashboard_data()
-    assert list(page) == DASHBOARD_KEYS
-    assert page["service"] == type(service).__name__
-    assert list(page["health"]) == health_keys
-    assert page["health"]["status"] == "ok"
-    assert page["health"]["wal_seq"] == {"dblp": 1}
-    assert list(page["metrics"]) == [
-        "requests_total", "errors_total", "cache_hit_rate", "algorithms",
-    ]
-    assert page["metrics"]["requests_total"] == 9
-    assert page["metrics"]["errors_total"] == 4
-    assert sorted(page["metrics"]["algorithms"]) == [
+    # wal_seqs / metrics: the commit is journalled; nine requests, four
+    # of them errors, the malformed slot counted under its own row
+    assert service.wal_seqs() == {"dblp": 1}
+    exported = service.metrics()
+    assert exported["requests_total"] == 9
+    assert exported["errors_total"] == 4
+    assert sorted(exported["algorithms"]) == [
         "bidirectional", "invalid-request", "mi-backward",
     ]
-    assert [status["objective"] for status in page["slo"]] == [
-        status["objective"] for status in slo
-    ]
-    assert [e["seq"] for e in page["events"]] == [e["seq"] for e in events["events"]]
-    assert [entry["trace_id"] for entry in page["slow_queries"]] == [
-        entry["trace_id"] for entry in slow
-    ]
-    assert page["queries"]["total"] == stats["total"]
-    assert {"samples", "total", "interval"} <= set(page["profile"])
-    return page
 
 
 def test_query_service_verbs(dblp_snapshot, tmp_path):
-    with QueryService(slow_query_threshold=0.0, profiling=True) as service:
+    with QueryService(slow_query_threshold=0.0) as service:
         service.register_snapshot("dblp", dblp_snapshot)
         service.warmup()
         service.attach_wal("dblp", tmp_path / "dblp.wal")
         miss, explained = _drive(service)
-        page = _check(
+        _check(
             service,
             miss,
             explained,
             span_names={"worker", "engine"},
-            health_keys=["status", "versions", "wal_seq"],
             event_sources={"service"},
         )
-    assert page["health"]["versions"] == {"dblp": 1}
+        assert service.health()["versions"] == {"dblp": 1}
 
 
 def test_sharded_service_verbs(dblp_snapshot, tmp_path):
@@ -224,22 +197,17 @@ def test_sharded_service_verbs(dblp_snapshot, tmp_path):
     ) as service:
         service.warmup()
         miss, explained = _drive(service)
-        page = _check(
+        _check(
             service,
             miss,
             explained,
             span_names={"route", "queue_wait", "worker", "engine"},
-            health_keys=[
-                "status", "workers", "workers_alive", "restarts", "versions",
-                "version_drift", "wal_seq",
-            ],
             # the supervisor's own record plus each replica's, re-sequenced
             event_sources={"supervisor", "worker-0", "worker-1"},
         )
-    health = page["health"]
-    assert (health["workers"], health["workers_alive"]) == (2, 2)
-    assert health["restarts"] == {"0": 0, "1": 0}
-    assert health["versions"] == {"dblp": "w0=1, w1=1"}
+        health = service.health()
+    assert (health["workers"], health["alive"], health["restarts"]) == (2, 2, 0)
+    assert health["versions"] == {"dblp": {"0": 1, "1": 1}}
     assert health["version_drift"] == []
 
 
