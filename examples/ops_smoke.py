@@ -55,9 +55,9 @@ def main() -> None:
         ) as cluster:
             cluster.warmup()
 
-            # Traffic to observe: some hits, one failure
-            # (unknown dataset -> fleet failure counter), one mutation
-            # (WAL append + mutation_commit events on both sides).
+            # Traffic to observe: some hits, one failure (unknown dataset
+            # -> fleet failure counter), one mutation (WAL append +
+            # mutation_commit events on both sides).
             for _ in range(5):
                 cluster.search("dblp", "paper stream", k=3).raise_for_error()
             assert cluster.search("nope", "paper").error_type is not None

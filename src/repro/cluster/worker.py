@@ -242,8 +242,8 @@ def worker_main(conn) -> None:
     settings:
         Plain dict of what the supervisor varies per fleet:
         ``cache_capacity``, ``cache_ttl``, ``tracing``, ``accounting``,
-        ``storage_mode`` and ``wals`` (``{dataset: log
-        path}`` to replay at startup).
+        ``storage_mode`` and ``wals`` (``{dataset: log path}`` to replay
+        at startup).
     """
     worker_id, snapshots, settings = conn.recv()
     inbox = _Inbox(conn)

@@ -10,8 +10,8 @@ the introspection verbs behind the HTTP front-end's ``/debug/*`` routes
 
 * the **per-process serving state**: event log, metrics registry and
   its request-path recorder, WAL telemetry, tracer, slow-query log,
-  explain store, SLO engine, and the map of
-  cancellable in-flight requests;
+  explain store, SLO engine, and the map of cancellable in-flight
+  requests;
 * the **request front**: :meth:`ServiceCore.search_many` (a tier's
   ``search`` is a batch of one) normalises arguments, answers malformed
   items in their slots, anchors each deadline at submission and
@@ -24,11 +24,10 @@ the introspection verbs behind the HTTP front-end's ``/debug/*`` routes
   request;
 * the **verbs**: ``cancel``, ``trace``, ``slow_queries``, ``explain``,
   ``slo_status``, ``wal_seqs`` read the state above; ``events`` and
-  ``query_stats`` merge the parts other processes contribute — one
-  part on the thread tier, the supervisor's plus every worker's on the
-  fleet.  A merge of one part is the part
-  (``tests/service/test_facade_surface.py``), so there is no
-  single-process special case.
+  ``query_stats`` merge one part per process — one on the thread tier,
+  the supervisor's plus every worker's on the fleet.  A merge of one
+  part is the part (``tests/service/test_facade_surface.py``), so there
+  is no single-process special case.
 
 What is *not* here is what the substrates do differently: running a
 search, registering datasets, committing mutations, ``metrics()``'s
@@ -331,8 +330,8 @@ class ServiceCore:
 
     Retention is fixed: the structures size themselves (128 slow
     queries, 128 explain reports, a 64-row workload sketch, a 2048-sample
-    latency window) except where the
-    tiers differ, which the two capacities below state.
+    latency window) except where the tiers differ, which the two
+    capacities below state.
     """
 
     #: Traces the tracer's store retains.

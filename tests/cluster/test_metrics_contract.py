@@ -34,50 +34,51 @@ DOC = Path(__file__).resolve().parents[2] / "docs" / "OBSERVABILITY.md"
 _CODE = re.compile(r"`([^`]+)`")
 
 
-def documented_families() -> dict[str, dict]:
-    """``{family: {"type", "merge", "labels"}}`` from every table whose
-    header row starts ``| family | type | labels |``."""
-    families: dict[str, dict] = {}
+def table_rows(header: list[str]):
+    """The cells of each body row of every table whose header row is
+    ``header``."""
     in_table = False
     for line in DOC.read_text(encoding="utf-8").splitlines():
         cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
         if not line.startswith("|"):
             in_table = False
-        elif cells == ["family", "type", "labels"]:
+        elif cells == header:
             in_table = True
         elif in_table and not set(cells[0]) <= set("-"):
-            # An escaped pipe inside a cell (``a \| b``) splits it; the
-            # label names are the backticked words before any "(".
-            name = _CODE.fullmatch(cells[0]).group(1)
-            kind, _, merge = cells[1].partition(" (merge=")
-            labels = [
-                _CODE.search(part).group(1)
-                for part in "|".join(cells[2:]).split(",")
-                if _CODE.search(part)
-            ]
-            assert name not in families, f"{name} is documented twice"
-            families[name] = {
-                "type": kind,
-                "merge": merge.rstrip(")") or None,
-                "labels": labels,
-            }
+            yield cells
+
+
+def documented_families() -> dict[str, dict]:
+    """``{family: {"type", "merge", "labels"}}`` from every table whose
+    header row is ``| family | type | labels |``."""
+    families: dict[str, dict] = {}
+    for cells in table_rows(["family", "type", "labels"]):
+        # An escaped pipe inside a cell (``a \| b``) splits it; the
+        # label names are the backticked words before any "(".
+        name = _CODE.fullmatch(cells[0]).group(1)
+        kind, _, merge = cells[1].partition(" (merge=")
+        labels = [
+            _CODE.search(part).group(1)
+            for part in "|".join(cells[2:]).split(",")
+            if _CODE.search(part)
+        ]
+        assert name not in families, f"{name} is documented twice"
+        families[name] = {
+            "type": kind,
+            "merge": merge.rstrip(")") or None,
+            "labels": labels,
+        }
     return families
 
 
 def documented_routes() -> list[str]:
-    """The ``GET`` paths of the table whose header row is ``| route |
-    answers |``, a path parameter spelled ``<id>``."""
-    routes, in_table = [], False
-    for line in DOC.read_text(encoding="utf-8").splitlines():
-        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
-        if not line.startswith("|"):
-            in_table = False
-        elif cells[:2] == ["route", "answers"]:
-            in_table = True
-        elif in_table and not set(cells[0]) <= set("-"):
-            method, path = _CODE.fullmatch(cells[0]).group(1).split(" ")
-            assert method == "GET", cells[0]
-            routes.append(re.sub(r"<[^>]+>", "<id>", path))
+    """The ``GET`` paths of the ``| route | answers |`` table, a path
+    parameter spelled ``<id>``."""
+    routes = []
+    for cells in table_rows(["route", "answers"]):
+        method, path = _CODE.fullmatch(cells[0]).group(1).split(" ")
+        assert method == "GET", cells[0]
+        routes.append(re.sub(r"<[^>]+>", "<id>", path))
     return routes
 
 
