@@ -87,7 +87,9 @@ def _mutation_batch(sequence: int, author_node: int, conference_node: int) -> li
 def _run_mode(engine, percent: int, reads: list[str], wal_path=None) -> dict:
     service = QueryService(max_workers=4)
     dataset = MutableDataset.from_engine(engine, compact_ratio=None)
-    service.register_mutable("dblp", dataset, wal_path=wal_path)
+    service.register_mutable("dblp", dataset)
+    if wal_path is not None:
+        service.attach_wal("dblp", wal_path)
     graph = engine.graph
     author = next(n for n in graph.nodes() if graph.table(n) == "author")
     conference = next(n for n in graph.nodes() if graph.table(n) == "conference")

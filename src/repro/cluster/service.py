@@ -72,7 +72,6 @@ import time
 import weakref
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from contextlib import ExitStack
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
@@ -142,7 +141,6 @@ class ShardedQueryService(ServiceCore):
         replacement a restart-on-crash spawns — **replays the log at
         startup**, so a ``kill -9``'d replica recovers to exactly the
         last durable epoch instead of silently serving its snapshot.
-        None (the default) keeps the PR-4 in-memory behaviour.
     wal_sync:
         Per-append durability policy for those logs: ``"commit"``
         fsyncs every batch, the ``"batched"`` default flushes every
@@ -180,6 +178,7 @@ class ShardedQueryService(ServiceCore):
     # events: it retains twice what one worker does.
     TRACE_CAPACITY = 512
     EVENT_LOG_CAPACITY = 1024
+    EVENT_SOURCE = "supervisor"
     #: Recorded supervisor-side on every settled response
     #: (:meth:`_account`), so the SLO engine never needs a worker
     #: round-trip to evaluate.
@@ -227,9 +226,6 @@ class ShardedQueryService(ServiceCore):
             accounting=accounting,
         )
         paths = {name: str(path) for name, path in snapshots.items()}
-        #: The supervisor's durable mutation logs by dataset: filled
-        #: here, never changed afterwards.
-        self._wals: dict[str, MutationLog] = {}
         wal_paths: dict[str, str] = {}
         if wal_dir is not None:
             for name, snapshot_path in paths.items():
@@ -243,13 +239,10 @@ class ShardedQueryService(ServiceCore):
                 log = MutationLog(wal_path, sync=wal_sync, start_seq=start)
                 if log.last_seq < start:
                     # The snapshot was re-provisioned past this log's
-                    # lineage (its records are superseded history);
-                    # keeping them would leave every new append's
-                    # sequence number trailing replica versions, which
-                    # the idempotent-skip guard reads as "already
-                    # applied".  Restart the log at the snapshot.
+                    # lineage: new appends would trail replica versions
+                    # and be skipped as already applied.
                     log.reset(start_seq=start)
-                self._wals[name] = log
+                self._set_log(name, log)
                 wal_paths[name] = str(wal_path)
                 self._wal_telemetry.note_recovery(name, log)
         specs = {
@@ -302,15 +295,6 @@ class ShardedQueryService(ServiceCore):
                 daemon=True,
             )
             self._slo_thread.start()
-        # One mutation stream per *dataset*: broadcasts from concurrent
-        # callers must reach every replica's queue in the same order,
-        # or replicas would assign different node ids to the same
-        # AddNode and drift apart.  Per-dataset (not fleet-wide) so a
-        # slow replica of one dataset never serializes applies — or a
-        # WAL append's hold-through-collection — against another's.
-        self._mutate_locks: dict[str, threading.Lock] = {
-            name: threading.Lock() for name in paths
-        }
         self._register_telemetry_collectors()
 
     def _register_telemetry_collectors(self) -> None:
@@ -345,7 +329,7 @@ class ShardedQueryService(ServiceCore):
             workers_alive.set(sum(alive.values()))
             for worker_id, count in self.pool.restarts().items():
                 restarts.set_total(count, worker=str(worker_id))
-            self._wal_telemetry.collect(self._wals)
+            self._wal_telemetry.collect(self._logs())
 
         self.registry.add_collector(collect)
 
@@ -374,8 +358,6 @@ class ShardedQueryService(ServiceCore):
                     source="pool",
                     **info,
                 )
-            else:  # pragma: no cover - future pool event kinds
-                self.event_log.emit(kind, str(info), source="pool", **info)
             if self.slo is not None:
                 # The pool reports a crash while the slot is still down
                 # and a restart once it is back: evaluating on both
@@ -465,8 +447,9 @@ class ShardedQueryService(ServiceCore):
         """Apply a mutation batch on **every replica** of ``dataset``.
 
         The batch is validated once supervisor-side, then broadcast
-        (under a fleet-wide mutation lock, so concurrent callers reach
-        every replica in the same order) as ``mutate`` messages; each
+        (under the dataset's mutation lock, held until every replica
+        answers, so concurrent callers reach every replica in the same
+        order) as ``mutate`` messages; each
         replica's private ``QueryService`` commits a new epoch and
         bumps its version-keyed cache.  No worker restarts: the commit
         is an in-process overlay.  Exception semantics like
@@ -501,52 +484,41 @@ class ShardedQueryService(ServiceCore):
         """
         wire = [mutation_to_dict(m) for m in coerce_mutations(mutations)]
         replicas = self.router.replicas_for(dataset)
-        log = self._wals.get(dataset)
-        with ExitStack() as stack:
-            stack.enter_context(self._mutate_locks[dataset])
-            payload = {"dataset": dataset, "mutations": wire}
+        payload = {"dataset": dataset, "mutations": wire}
+        # Held through collection: rolling a rejected record back is
+        # only sound while it is still the log's tail.
+        with self._mutation_lock(dataset):
+            log = self._log(dataset)
             seq: Optional[int] = None
             if log is not None and wire:
                 # Empty batches are version no-ops on every replica
                 # (commit() early-returns); journaling one would leave
                 # a record that bumps nothing and desynchronize WAL
                 # sequences from replica versions forever.
-                seq = log.append(wire)
-                payload["seq"] = seq
+                seq = payload["seq"] = log.append(wire)
             futures = {
                 worker_id: self.pool.submit(worker_id, "mutate", payload)
                 for worker_id in replicas
             }
-            if log is None:
-                # PR-4 semantics: the lock only orders enqueueing; the
-                # round-trip itself runs unserialized.
-                stack.close()
+            try:
                 results = self._collect(
                     futures, "mutate", timeout=timeout, strict=True
                 )
-            else:
-                # With a WAL the lock is held through collection too:
-                # rolling a rejected record back is only sound while it
-                # is still the log's tail.
-                try:
-                    results = self._collect(
-                        futures, "mutate", timeout=timeout, strict=True
-                    )
-                except MutationError:
-                    # A rejected batch rolls back atomically on every
-                    # replica *of the same state*, so the record should
-                    # not survive to be replayed at the next restart —
-                    # but a drifted replica (e.g. one whose non-strict
-                    # startup replay stopped early) can reject a batch
-                    # its healthy siblings committed.  Reusing the
-                    # sequence number would then make the siblings skip
-                    # the *next* batch as a duplicate, so roll back
-                    # only when no replica is known to have committed.
-                    if self._no_replica_committed(
-                        futures, timeout=min(timeout, 10.0)
-                    ):
-                        log.rollback_last()
-                    raise
+            except MutationError:
+                # A rejected batch rolls back atomically on every
+                # replica *of the same state*, so the record should not
+                # survive to be replayed at the next restart — but a
+                # drifted replica (e.g. one whose non-strict startup
+                # replay stopped early) can reject a batch its healthy
+                # siblings committed.  Reusing the sequence number would
+                # then make the siblings skip the *next* batch as a
+                # duplicate, so roll back only when no replica is known
+                # to have committed.
+                if seq is not None and self._no_replica_committed(
+                    futures, timeout=min(timeout, 10.0)
+                ):
+                    log.rollback_last()
+                raise
         versions = {
             worker_id: result["version"] for worker_id, result in results.items()
         }
@@ -565,16 +537,7 @@ class ShardedQueryService(ServiceCore):
         }
         if seq is not None:
             outcome["wal_seq"] = seq
-        self.event_log.emit(
-            "mutation_commit",
-            f"dataset {dataset!r} committed {outcome['applied']} mutation(s) "
-            f"at version {outcome['version']}",
-            dataset=dataset,
-            source="supervisor",
-            version=outcome["version"],
-            applied=outcome["applied"],
-            wal_seq=seq,
-        )
+        self._note_commit(dataset, outcome["version"], outcome["applied"], seq)
         if outcome["drift"]:
             self.event_log.emit(
                 "version_drift",
@@ -625,23 +588,19 @@ class ShardedQueryService(ServiceCore):
         ``{"dataset", "reloaded": {worker_id: bool}, "version"}``.
 
         With ``wal_dir`` set, the supervisor's log is **reset** to the
-        replicas' post-reload version: the old records applied on top
-        of the old lineage and replaying them onto the new file would
-        rebuild the wrong state — and without the realignment the next
-        ``apply``'s sequence number would trail the bumped replica
-        versions, making every replica skip it as already-replayed.
-        (A replica that crash-restarts *after* a reload still warms
-        from its original spec snapshot and cannot replay the reset
-        log past the reload point — the same observable-drift-then-
-        reload story as before; restart the fleet on the new snapshot
-        to make reloads crash-durable.)
+        replicas' post-reload version: its records applied to the old
+        lineage, and the next ``apply``'s sequence number must not trail
+        the bumped replica versions (every replica would skip it as
+        already replayed).  A replica that crash-restarts *after* a
+        reload warms from its spec snapshot and cannot replay past the
+        reload point: restart the fleet on the new snapshot to make
+        reloads crash-durable.
         """
         replicas = self.router.replicas_for(dataset)
         payload = {"dataset": dataset, "path": str(snapshot_path), "force": force}
-        # The dataset's mutation lock is held for the whole reload:
-        # an apply interleaving between the replica swap and the log
-        # reset would journal an old-lineage batch into the new log.
-        with self._mutate_locks[dataset]:
+        # Held for the whole reload: an apply between the replica swap
+        # and the log reset would journal an old lineage's batch.
+        with self._mutation_lock(dataset):
             futures = {
                 worker_id: self.pool.submit(worker_id, "reload", payload)
                 for worker_id in replicas
@@ -653,7 +612,7 @@ class ShardedQueryService(ServiceCore):
                 (int(result.get("version") or 0) for result in results.values()),
                 default=0,
             )
-            log = self._wals.get(dataset)
+            log = self._log(dataset)
             if log is not None and any(
                 result["reloaded"] for result in results.values()
             ):
@@ -661,22 +620,16 @@ class ShardedQueryService(ServiceCore):
                 # stays replayable.  Any actual reload starts a new
                 # lineage.
                 log.reset(start_seq=version)
+            wal_seq = log.last_seq if log is not None else None
         reloaded = {
             str(worker_id): bool(result["reloaded"])
             for worker_id, result in sorted(results.items())
         }
         if any(reloaded.values()):
-            self.event_log.emit(
-                "snapshot_reload",
-                f"dataset {dataset!r} hot-reloaded from "
-                f"{snapshot_path} on replicas "
-                f"{sorted(w for w, did in reloaded.items() if did)} "
-                f"(version {version})",
-                dataset=dataset,
-                source="supervisor",
-                version=version,
-                reloaded=reloaded,
+            digest = next(
+                (r.get("digest") for r in results.values() if r["reloaded"]), None
             )
+            self._note_reload(dataset, version, digest, wal_seq)
         return {
             "dataset": dataset,
             "reloaded": reloaded,
@@ -865,8 +818,9 @@ class ShardedQueryService(ServiceCore):
                 for w, part in sorted(per_worker.items())
             },
         }
-        if self._wals:
-            view["cluster"]["wal_seq"] = self.wal_seqs()
+        wal_seqs = self.wal_seqs()
+        if wal_seqs:
+            view["cluster"]["wal_seq"] = wal_seqs
         return view
 
     def health(
@@ -893,11 +847,11 @@ class ShardedQueryService(ServiceCore):
             "restarts": sum(self.pool.restarts().values()),
             "datasets": self.datasets(),
         }
-        if self._wals:
-            # The durable tip per dataset: a replica whose version
-            # matches is fully recovered; one behind it (and behind its
-            # siblings) shows up in version_drift below.
-            payload["wal_seq"] = self.wal_seqs()
+        wal_seqs = self.wal_seqs()
+        if wal_seqs:
+            # The durable tip: a replica behind it shows up in
+            # version_drift below.
+            payload["wal_seq"] = wal_seqs
         if include_versions:
             versions = self.dataset_versions(timeout=versions_timeout)
             for name in self.datasets():
@@ -925,11 +879,7 @@ class ShardedQueryService(ServiceCore):
             self._slo_thread.join(timeout=1.0)
             self._slo_thread = None
         self.pool.close(timeout)
-        for log in self._wals.values():
-            log.close()
-
-    def _logs(self) -> dict[str, MutationLog]:
-        return self._wals
+        self._close_logs()
 
     # ------------------------------------------------------------------
     # internals

@@ -187,15 +187,10 @@ def _handle_message(
             # versions and WAL sequences share one lineage — the
             # supervisor maintains that by resetting the log whenever
             # a reload bumps replica versions past it.
-            return {
-                "dataset": name,
-                "version": service.dataset_version(name),
-                "applied": 0,
-                "new_nodes": [],
-                "compacted": False,
-                "cache_purged": 0,
-                "skipped": True,
-            }
+            from repro.live.mutations import MutationResult
+
+            skipped = MutationResult(name, service.dataset_version(name), 0)
+            return {**skipped.to_dict(), "skipped": True}
         return service.apply(name, payload["mutations"]).to_dict()
     if kind == "reload":
         # Snapshot hot-reload: re-register from a (usually re-written)

@@ -21,8 +21,9 @@ Service integration lives in the owning tiers:
 ``QueryService.apply`` / ``register_mutable`` (version-keyed result
 caching), ``ShardedQueryService.apply`` (replica broadcast) and the
 HTTP front-end's ``POST /mutate``.  Durability lives in
-:mod:`repro.wal`: pass ``journal=`` (or ``QueryService.attach_wal``) to
-append every commit to a crash-recoverable mutation log, and
+:mod:`repro.wal`: pass ``mutate(batch, journal=log.append)`` (or
+attach a log with ``QueryService.attach_wal``) to append every commit
+to a crash-recoverable mutation log, and
 :meth:`MutableDataset.replay` to reconstruct a dataset from its base
 snapshot plus that log.
 

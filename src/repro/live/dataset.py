@@ -107,8 +107,8 @@ class MutableDataset:
         ordinary citizens, not as hubs or outcasts), taken as
         ``math.fsum(values) / n``: correctly rounded, so the default
         does not depend on summation order or on an array library's
-        build.  The journal records each node's resolved value, so a
-        log replays the same floats whatever this default is.
+        build.  A commit's journal receives each node's resolved value,
+        so a log replays the same floats whatever this default is.
     compact_ratio:
         Fold the overlay back into flat arrays when the number of
         mutations (of any kind) since the last compaction exceeds this
@@ -119,14 +119,10 @@ class MutableDataset:
         When set, every compaction writes a fresh versioned snapshot
         here (:func:`repro.service.snapshot.save_snapshot`), so worker
         restarts warm from recent state instead of the original build.
-    journal:
-        Optional durability sink (:class:`repro.wal.MutationLog`, or
-        anything with its ``append(mutations, *, seq=None,
-        recompute_prestige=False)`` shape).  Every commit appends its
-        wire-mutation batch *before* the new epoch becomes visible
-        (write-ahead: a journal failure fails the commit, never the
-        other way around), with aliases already resolved to real node
-        ids so :meth:`replay` reconstructs identical state.
+
+    The dataset holds no durability sink: a caller that wants a commit
+    logged passes the write-ahead step to :meth:`mutate` / :meth:`commit`
+    as ``journal`` (``QueryService.apply`` passes its log's ``append``).
     """
 
     def __init__(
@@ -139,7 +135,6 @@ class MutableDataset:
         compact_ratio: Optional[float] = 0.25,
         compact_every: Optional[int] = None,
         snapshot_path=None,
-        journal=None,
     ) -> None:
         if isinstance(graph, OverlayGraph):
             raise MutationError(
@@ -154,7 +149,6 @@ class MutableDataset:
         self._compact_ratio = compact_ratio
         self._compact_every = compact_every
         self._snapshot_path = snapshot_path
-        self._journal = journal
         self._lock = threading.RLock()
         self._version = 0
         self._commits = 0
@@ -210,7 +204,7 @@ class MutableDataset:
         self._dirty_terms: set[str] = set()
         self._staged = 0
         # Wire-dict mirror of the staged mutations, aliases resolved —
-        # what the journal records at commit so replay is exact.
+        # what a commit's journal records so replay is exact.
         self._staged_wire: list[dict] = []
         self._committed_ext = 0
         self._committed_fwd = self._fwd_count
@@ -289,12 +283,6 @@ class MutableDataset:
         """
         from repro.wal.log import MutationLog
 
-        if "journal" in knobs:
-            raise ValueError(
-                "replay() does not accept journal=; attach the journal "
-                "after replaying (re-journaling replayed records would "
-                "duplicate them)"
-            )
         if not hasattr(log, "records"):
             log = MutationLog(log, readonly=True)
         if snapshot is not None:
@@ -367,43 +355,17 @@ class MutableDataset:
 
     def _replay_record(self, record) -> Epoch:
         """Apply one :class:`~repro.wal.WalRecord` as a single commit,
-        with journaling suspended (the record *is* the journal)."""
+        journalled nowhere (the record *is* the journal)."""
         with self._lock:
-            journal, self._journal = self._journal, None
+            batch = coerce_mutations(record.mutations)
+            new_nodes: list[int] = []
             try:
-                batch = coerce_mutations(record.mutations)
-                new_nodes: list[int] = []
-                try:
-                    for mutation in batch:
-                        self._apply_one(mutation, new_nodes)
-                except Exception:
-                    self.rollback()
-                    raise
-                return self.commit(
-                    recompute_prestige=record.recompute_prestige
-                )
-            finally:
-                self._journal = journal
-
-    # ------------------------------------------------------------------
-    # journal (durability sink)
-    # ------------------------------------------------------------------
-    @property
-    def journal(self):
-        """The attached durability sink, or None."""
-        return self._journal
-
-    def attach_journal(self, journal) -> None:
-        """Attach (or replace) the commit journal.
-
-        Attach only when the sink's last sequence matches the state the
-        dataset currently serves — commits append with auto-assigned
-        sequence numbers, and :class:`repro.wal.MutationLog` rejects a
-        discontinuous append, failing the commit loudly rather than
-        recording unreplayable history.
-        """
-        with self._lock:
-            self._journal = journal
+                for mutation in batch:
+                    self._apply_one(mutation, new_nodes)
+            except Exception:
+                self.rollback()
+                raise
+            return self.commit(recompute_prestige=record.recompute_prestige)
 
     # ------------------------------------------------------------------
     # epoch access (lock-free reads: epochs are immutable)
@@ -602,7 +564,7 @@ class MutableDataset:
             self._staged += 1
             self._muts_since_compact += 1
 
-    def mutate(self, mutations: Sequence) -> MutationOutcome:
+    def mutate(self, mutations: Sequence, *, journal=None) -> MutationOutcome:
         """Apply a whole batch atomically, then commit.
 
         ``mutations`` holds mutation objects or their wire dicts
@@ -610,6 +572,8 @@ class MutableDataset:
         aliases (``-(k+1)`` names the k-th ``AddNode`` of this batch).
         Any failure rolls back *all* uncommitted staging — a malformed
         batch never leaves half its edges behind — and re-raises.
+        ``journal`` is the commit's write-ahead step (see
+        :meth:`commit`).
         """
         with self._lock:
             batch = coerce_mutations(mutations)
@@ -624,7 +588,7 @@ class MutableDataset:
                 # the epoch is installed (e.g. a compaction snapshot
                 # write) leaves nothing staged, so the rollback below
                 # degrades to a no-op and the commit stands.
-                epoch = self.commit()
+                epoch = self.commit(journal=journal)
             except Exception:
                 self.rollback()
                 raise
@@ -702,12 +666,16 @@ class MutableDataset:
     # ------------------------------------------------------------------
     # commit / compaction
     # ------------------------------------------------------------------
-    def commit(self, *, recompute_prestige: bool = False) -> Epoch:
+    def commit(self, *, recompute_prestige: bool = False, journal=None) -> Epoch:
         """Freeze staged changes into a new epoch (no-op when nothing
         is staged, so idle commits never invalidate caches).
 
-        With a ``journal`` attached, the staged batch's wire form is
-        appended *first* (write-ahead): a journal failure — disk full,
+        ``journal``, when given, is called *first* (write-ahead) as
+        ``journal(batch, recompute_prestige=...)`` — a
+        :class:`repro.wal.MutationLog`'s ``append`` fits — with the
+        staged batch's wire form: aliases resolved to real node ids and
+        every new node's prestige resolved, so :meth:`replay`
+        reconstructs identical state.  A journal failure — disk full,
         sequence misalignment — raises here with the staged state
         intact (roll back or retry), and an epoch is never visible that
         the log does not contain.
@@ -715,8 +683,8 @@ class MutableDataset:
         with self._lock:
             if not self._staged and not recompute_prestige:
                 return self._epoch
-            if self._journal is not None:
-                self._journal.append(
+            if journal is not None:
+                journal(
                     list(self._staged_wire),
                     recompute_prestige=recompute_prestige,
                 )

@@ -48,10 +48,12 @@ class AddNode:
     does for a freshly inserted tuple.
 
     ``prestige`` pins the node's prestige explicitly; None (the
-    default) takes the dataset's ``new_node_prestige``.  The WAL
-    journals the *resolved* value, so a replayed node scores
+    default) takes the dataset's ``new_node_prestige``.  The thread
+    tier's WAL journals the *resolved* value, so a replayed node scores
     bit-identically no matter which snapshot lineage the replay started
-    from.
+    from.  The fleet supervisor's log holds the request form (aliases,
+    an unset prestige) and is replayed only onto the spec snapshot it
+    was written against, where every replica resolves it the same way.
     """
 
     label: str = ""

@@ -22,6 +22,10 @@ the introspection verbs behind the HTTP front-end's ``/debug/*`` routes
   malformed items, and :meth:`ServiceCore._settle`, which harvests the
   explain report and feeds the slow-query log for every finished
   request;
+* the **mutation log's one owner**: a ``{dataset: MutationLog}`` map
+  and one mutation lock per dataset, which ``apply``, the reload verb
+  and ``attach_wal`` hold on both tiers, and one event helper each for
+  a commit and a reload;
 * the **verbs**: ``cancel``, ``trace``, ``slow_queries``, ``explain``,
   ``slo_status``, ``wal_seqs`` read the state above; ``events`` and
   ``query_stats`` merge one part per process — one on the thread tier,
@@ -30,8 +34,9 @@ the introspection verbs behind the HTTP front-end's ``/debug/*`` routes
   is no single-process special case.
 
 What is *not* here is what the substrates do differently: running a
-search, registering datasets, committing mutations, ``metrics()``'s
-fleet sections, ``close()``.
+search, registering datasets, a commit's write-ahead order (stage then
+journal here; journal, broadcast, roll back a batch every replica
+rejected on the fleet), ``metrics()``'s fleet sections, ``close()``.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.slo import SloEngine, SloObjective, default_objectives
 from repro.telemetry.slowlog import SlowQueryLog
 from repro.telemetry.trace import Tracer
+from repro.wal.log import MutationLog
 from repro.wal.telemetry import WalTelemetry
 
 __all__ = [
@@ -323,8 +329,8 @@ class ServiceCore:
     """Serving state and verbs shared by both tiers (module docstring).
 
     Subclasses provide ``search`` over :meth:`search_many`'s hooks
-    ``_submit`` / ``_await`` (the execution substrate), ``_logs``,
-    ``metrics``, ``health``, ``datasets`` and ``close``, and may extend
+    ``_submit`` / ``_await`` (the execution substrate), ``metrics``,
+    ``health``, ``datasets`` and ``close``, and may extend
     ``_gather`` / ``_pull_events`` / ``_account`` with what other
     processes contribute.
 
@@ -338,6 +344,8 @@ class ServiceCore:
     TRACE_CAPACITY = 256
     #: Ring size of the structured event log.
     EVENT_LOG_CAPACITY = 512
+    #: ``source`` of the commit and reload events this tier emits.
+    EVENT_SOURCE = "service"
     #: Request / error / latency families the SLO objectives read: the
     #: per-algorithm request-path counters every service records.
     SLO_FAMILIES = (
@@ -394,6 +402,11 @@ class ServiceCore:
         #: ``request_id -> canceller`` for every cancellable in-flight
         #: request; see :meth:`cancel`.
         self._active: dict[str, Callable[[], object]] = {}
+        #: Attached writable logs, and one lock per dataset (a slow
+        #: replica of one dataset never serializes another's applies).
+        self._wal_lock = threading.Lock()
+        self._wals: dict[str, MutationLog] = {}
+        self._mutate_locks: dict[str, threading.RLock] = {}
 
     def __enter__(self):
         return self
@@ -643,10 +656,63 @@ class ServiceCore:
 
     def wal_seqs(self) -> dict[str, int]:
         """``{dataset: last durable WAL sequence}`` for every dataset
-        with an attached (writable) log — the tier's ``_logs()``, a
-        dict that a registration attaching or detaching a log beside
-        this read cannot disturb."""
+        with an attached (writable) log."""
         return {name: log.last_seq for name, log in sorted(self._logs().items())}
+
+    # ------------------------------------------------------------------
+    # the mutation log: one map, one lock per dataset
+    # ------------------------------------------------------------------
+    def _mutation_lock(self, name: str):
+        """The lock ordering ``name``'s commits, reloads, registrations
+        and log attaches (reentrant: a reload installs under it)."""
+        with self._wal_lock:
+            return self._mutate_locks.setdefault(name, threading.RLock())
+
+    def _log(self, name: str) -> Optional[MutationLog]:
+        """``name``'s attached log, or None."""
+        with self._wal_lock:
+            return self._wals.get(name)
+
+    def _logs(self) -> dict[str, MutationLog]:
+        """Attached logs by dataset (a copy, safe to iterate)."""
+        with self._wal_lock:
+            return dict(self._wals)
+
+    def _set_log(self, name: str, log: Optional[MutationLog]) -> None:
+        """Attach ``log`` to ``name`` (None detaches), closing the log
+        it replaces: a commit still holding that one fails loudly."""
+        with self._wal_lock:
+            old = self._wals.pop(name, None)
+            if log is not None:
+                self._wals[name] = log
+        if old is not None and old is not log:
+            old.close()
+
+    def _close_logs(self) -> None:
+        for log in self._logs().values():
+            log.close()
+
+    def _note_commit(self, dataset: str, version: int, applied: int, wal_seq) -> None:
+        self.event_log.emit(
+            "mutation_commit",
+            f"committed {applied} mutation(s) to {dataset!r} (version {version})",
+            dataset=dataset,
+            source=self.EVENT_SOURCE,
+            version=version,
+            applied=applied,
+            wal_seq=wal_seq,
+        )
+
+    def _note_reload(self, dataset: str, version: int, digest, wal_seq) -> None:
+        self.event_log.emit(
+            "snapshot_reload",
+            f"reloaded {dataset!r} from snapshot (version {version})",
+            dataset=dataset,
+            source=self.EVENT_SOURCE,
+            version=version,
+            digest=digest,
+            wal_seq=wal_seq,
+        )
 
     # ------------------------------------------------------------------
     # verbs merged over every process's part

@@ -9,8 +9,9 @@ layer the ROADMAP's production north star needs above
 :class:`~repro.core.engine.KeywordSearchEngine`:
 
 * **Engine registry** — one record per dataset name (what is served,
-  its base version, snapshot provenance and mutation log, which change
-  together: a re-registration installs a new record in one step),
+  its base version and snapshot provenance, which change together: a
+  re-registration installs a new record in one step and detaches the
+  dataset's log from the core's map),
   registered eagerly (:meth:`QueryService.register_engine`), lazily
   from a database (:meth:`register_database`), or from a disk snapshot
   (:meth:`register_snapshot`) so restarts skip graph/prestige/index
@@ -148,13 +149,14 @@ def _accepts_token(search_fn) -> bool:
     )
 
 
-def _file_digest(path: Optional[str]) -> Optional[str]:
-    """Content digest of the snapshot file at ``path``, or None: no
-    path, an unreadable file, or one that predates digests."""
+def _file_info(path: Optional[str]) -> dict:
+    """The header of the snapshot file at ``path``; empty with no path
+    or an unreadable file (``content_digest`` is absent, too, from a
+    file that predates digests)."""
     try:
-        return snapshot_info(path).get("content_digest") if path else None
+        return snapshot_info(path) if path else {}
     except SnapshotError:
-        return None
+        return {}
 
 
 @dataclass(eq=False)
@@ -162,22 +164,18 @@ class _Dataset:
     """One registration of a dataset name: what is served (``engine``
     once built, ``factory`` while still lazy, ``live`` after the upgrade
     to a :class:`~repro.live.MutableDataset`), the version lineage
-    (``base``), the snapshot provenance (``source`` path, ``digest`` of
-    the file actually loaded) and the attached mutation ``log``.
+    (``base``) and the snapshot provenance (``source`` path, ``digest``
+    of the file actually loaded).
 
     These change *together*: a replacement is a new record
     (:meth:`QueryService._install`), never an edit of this one, so
     ``service._datasets.get(name) is record`` is the one staleness
-    check — a slow lazy build that lost to a re-registration, a log
-    attached to a registration that is gone.  Provenance therefore goes
-    on every path that is not itself a snapshot registration — a later
-    :meth:`~QueryService.reload_snapshot` against the old file cannot
-    see a matching digest and incorrectly no-op while the service
-    serves something else — and so does the log: its sequence lineage
-    belongs to the replaced content, and leaving it attached would
-    wedge every later commit on an out-of-order append (re-attach
-    explicitly — or via ``reload_snapshot``, which starts a fresh log
-    itself).  Fields change only under the registry lock, ``source`` never.
+    check — a slow lazy build that lost to a re-registration.
+    Provenance therefore goes on every path that is not itself a
+    snapshot registration: a later :meth:`~QueryService.reload_snapshot`
+    against the old file cannot see a matching digest and incorrectly
+    no-op while the service serves something else.  Fields change only
+    under the registry lock, ``source`` never.
     """
 
     engine: Optional[KeywordSearchEngine] = None
@@ -189,7 +187,6 @@ class _Dataset:
     #: Seconds the last engine build took: None until a lazy
     #: registration is first built.
     build_seconds: Optional[float] = None
-    log: Optional[MutationLog] = None
     #: Per-registration, so under concurrent traffic exactly one thread
     #: pays the construction cost (and a replacement's build never
     #: queues behind the build it made stale).
@@ -215,38 +212,6 @@ class _Dataset:
         """The engine a request runs on now — the live dataset's current
         epoch, else the built engine — or None while still lazy."""
         return self.live.engine if self.live is not None else self.engine
-
-
-class _DatasetJournal:
-    """Commit journal adapter pinning WAL sequence numbers to the
-    service's *effective* dataset version.
-
-    ``MutableDataset`` only knows its own epoch counter; the cache keys
-    (and replica drift checks) run on the effective version — base
-    generation plus epoch.  Appending with the explicit expected
-    sequence makes :class:`repro.wal.MutationLog` reject any
-    misalignment, failing the commit loudly instead of recording an
-    unreplayable history.  A replaced registration's log is closed
-    (:meth:`QueryService._install`), so a stale dataset's commit fails
-    the same way.
-    """
-
-    __slots__ = ("_record",)
-
-    def __init__(self, record: _Dataset):
-        # Weak: the record owns the dataset this journal is attached to.
-        self._record = weakref.ref(record)
-
-    def append(self, mutations, *, seq=None, recompute_prestige=False) -> int:
-        del seq  # the record's effective version is authoritative
-        record = self._record()
-        if record is None:
-            raise WalError("the registration this dataset journaled for is gone")
-        return record.log.append(
-            mutations,
-            seq=record.version + 1,
-            recompute_prestige=recompute_prestige,
-        )
 
 
 class _Once:
@@ -513,53 +478,43 @@ class QueryService(ServiceCore):
         """
         self._install(name, _Dataset(factory=factory))
 
-    def register_mutable(
-        self,
-        name: str,
-        dataset: "MutableDataset",
-        *,
-        wal_path=None,
-        wal_sync: str = "batched",
-    ) -> None:
+    def register_mutable(self, name: str, dataset: "MutableDataset") -> None:
         """Register a live :class:`~repro.live.MutableDataset`.
 
         Queries run against the dataset's *current epoch* engine;
         :meth:`apply` commits mutations and advances the version the
-        result cache is keyed by.  ``wal_path`` opens (or resumes) a
-        durable mutation log there and journals every commit into it —
-        shorthand for a follow-up :meth:`attach_wal` call; ``wal_sync``
-        picks the :mod:`repro.wal` sync policy (``"commit"`` fsyncs
-        every commit, the ``"batched"`` default flushes each commit and
-        fsyncs periodically, ``"off"`` leaves flushing to rotation).
+        result cache is keyed by; :meth:`attach_wal` makes the commits
+        durable.
         """
         self._install(name, _Dataset(live=dataset, build_seconds=0.0))
-        if wal_path is not None:
-            self.attach_wal(name, wal_path, sync=wal_sync)
 
-    def _install(self, name: str, record: _Dataset) -> None:
+    def _install(
+        self, name: str, record: _Dataset, log: Optional[MutationLog] = None
+    ) -> None:
         """Make ``record`` the registration of ``name`` — the one step
         every ``register_*`` and :meth:`reload_snapshot` ends in.
 
-        One lock acquisition decides everything a replacement means:
-        the new base starts past the prior effective version, and the
-        old record — engine, provenance and log with it — stops being
-        served.  Outside the lock (closing fsyncs) the replaced log is
-        closed, so a stale dataset still holding it through its journal
-        fails its next commit loudly instead of appending to a lineage
-        no longer served, and the dataset's cached results are purged
-        and the shred recorded as an operational event (a replaced
-        engine's answers must not outlive it — and an operator should
-        see that the fleet just lost its warm cache for the dataset).
+        Under the dataset's mutation lock, so no commit interleaves: the
+        new base starts past the prior effective version, the old record
+        — engine and provenance with it — stops being served, and the
+        dataset's log is detached and closed unless ``log`` is the one
+        the new record continues (its lineage belongs to the replaced
+        content: left attached, every later commit would wedge on an
+        out-of-order append).  Then the dataset's cached results are
+        purged and the shred recorded as an operational event (a
+        replaced engine's answers must not outlive it — and an operator
+        should see that the fleet just lost its warm cache for the
+        dataset).
         """
-        with self._registry_lock:
-            old = self._datasets.get(name)
-            if old is not None:
-                record.base = max(record.base, old.version + 1)
-            self._datasets[name] = record
+        with self._mutation_lock(name):
+            with self._registry_lock:
+                old = self._datasets.get(name)
+                if old is not None:
+                    record.base = max(record.base, old.version + 1)
+                self._datasets[name] = record
+            self._set_log(name, log)
         if old is None:
             return
-        if old.log is not None:
-            old.log.close()
         purged = self.cache.purge(lambda key: key[0] == name)
         self.event_log.emit(
             "cache_shred",
@@ -672,36 +627,19 @@ class QueryService(ServiceCore):
         # (the max), which is the genuinely-ambiguous rollback case
         # — drift stays visible until a fresh snapshot propagates.
         record.base = int(info.get("dataset_version") or 0) + 1
-        with self._registry_lock:
-            old = self._datasets.get(name)
-            old_log = old.log if old is not None else None
-        if old_log is not None:
-            # The old log's records applied on top of the *old* base,
-            # so against the reloaded file they are unreplayable
-            # history.  Closing it first pins the old version — a
-            # commit racing this reload fails loudly against the closed
-            # log, never lands an old-lineage batch in the new one or
-            # an unjournaled one in a window without a log — so the
-            # fresh log can open where the new record will start and
-            # be installed with it.  (Another registration slipping in
-            # between leaves the log behind the installed base, and its
-            # sequence check refuses every commit: loud, not lost.)
-            old_log.close()
-            record.base = max(record.base, old.version + 1)
-            record.log = MutationLog.fresh(
-                old_log.path, sync=old_log.sync_policy, start_seq=record.base
-            )
-        self._install(name, record)
-        version = record.base
-        self.event_log.emit(
-            "snapshot_reload",
-            f"reloaded {name!r} from snapshot (version {version})",
-            severity="info",
-            dataset=name,
-            source="service",
-            version=version,
-            digest=digest,
-        )
+        with self._mutation_lock(name):
+            log = self._log(name)
+            if log is not None:
+                # The old records applied to the *old* base: the log
+                # restarts where the new record starts.  The lock is the
+                # fence — a racing commit waits, then is journalled in
+                # the new lineage.
+                record.base = max(record.base, self.dataset_version(name) + 1)
+                log.reset(start_seq=record.base)
+            self._install(name, record, log)
+            version = record.base
+            wal_seq = log.last_seq if log is not None else None
+        self._note_reload(name, version, digest, wal_seq)
         return {
             "dataset": name,
             "reloaded": True,
@@ -731,7 +669,7 @@ class QueryService(ServiceCore):
         # Still lazy: the registered factory will read this same file
         # when it first builds, so the file's current digest *is* what
         # this service would serve.
-        return _file_digest(record.source)
+        return _file_info(record.source).get("content_digest")
 
     def attach_wal(
         self,
@@ -770,98 +708,82 @@ class QueryService(ServiceCore):
         Returns ``{"dataset", "path", "replayed", "wal_seq",
         "version"}``.
         """
-        with self._registry_lock:
-            record = self._datasets.get(name)
-        if record is None:
-            raise UnknownDatasetError(name)
-        source = record.source
-        if path is None:
-            if source is None:
-                raise ValueError(
-                    f"dataset {name!r} was not registered from a snapshot; "
-                    f"pass an explicit WAL path"
-                )
-            path = default_wal_path(source)
-        snap_version = 0
-        if source is not None:
-            try:
-                snap_version = int(
-                    snapshot_info(source).get("dataset_version") or 0
-                )
-            except SnapshotError:
-                snap_version = 0
-        with self._registry_lock:
-            live_version = record.live.version if record.live is not None else 0
-            if live_version == 0 and record.base < snap_version:
-                # Adopt the snapshot's version baseline: WAL sequence
-                # numbers continue the snapshot's history instead of
-                # restarting at zero on every process start.  Only for
-                # a dataset with no live commits — absorbing committed
-                # (necessarily unjournaled) epochs into the baseline
-                # would let old log records replay on top of a
-                # diverged state instead of failing loudly below.
-                record.base = snap_version
-            effective = record.version
-        if writable:
-            log = MutationLog(path, sync=sync, start_seq=effective, **log_knobs)
-        else:
-            try:
-                log = MutationLog(path, readonly=True, **log_knobs)
-            except WalError:
-                # No log on disk yet: nothing to recover, nothing to own.
-                return {
-                    "dataset": name,
-                    "path": str(path),
-                    "replayed": 0,
-                    "wal_seq": effective,
-                    "version": effective,
-                }
-        try:
-            replayed = 0
-            if log.last_seq > effective:
-                dataset = self._mutable_dataset(name)
-                replayed = dataset.replay_records(
-                    log.records(start_after=effective),
-                    expected=effective + 1,
-                    strict=strict,
-                )
-                if replayed:
-                    self.cache.purge(lambda key: key[0] == name)
-                if strict and log.last_seq > self.dataset_version(name):
-                    raise WalError(
-                        f"replay gap for {name!r}: the log ends at seq "
-                        f"{log.last_seq} but its retained records only "
-                        f"reach version {self.dataset_version(name)} "
-                        f"(older segments were truncated past this "
-                        f"snapshot; recover from a newer one)"
+        # Under the dataset's mutation lock: no commit, reload or
+        # re-registration interleaves with the replay and the attach.
+        with self._mutation_lock(name):
+            with self._registry_lock:
+                record = self._datasets.get(name)
+            if record is None:
+                raise UnknownDatasetError(name)
+            source = record.source
+            if path is None:
+                if source is None:
+                    raise ValueError(
+                        f"dataset {name!r} was not registered from a snapshot; "
+                        f"pass an explicit WAL path"
                     )
-            effective = self.dataset_version(name)
-            if writable and log.last_seq < effective:
-                raise WalError(
-                    f"WAL for {name!r} ends at seq {log.last_seq} but the "
-                    f"served state is already at version {effective}: "
-                    f"commits happened without a journal.  save_snapshot() "
-                    f"and attach a fresh log instead"
-                )
+                path = default_wal_path(source)
+            snap_version = int(_file_info(source).get("dataset_version") or 0)
+            with self._registry_lock:
+                live_version = record.live.version if record.live is not None else 0
+                if live_version == 0 and record.base < snap_version:
+                    # Adopt the snapshot's version baseline: WAL sequence
+                    # numbers continue the snapshot's history instead of
+                    # restarting at zero on every process start.  Only for
+                    # a dataset with no live commits — absorbing committed
+                    # (necessarily unjournaled) epochs into the baseline
+                    # would let old log records replay on top of a
+                    # diverged state instead of failing loudly below.
+                    record.base = snap_version
+                effective = record.version
             if writable:
-                with self._registry_lock:
-                    if self._datasets.get(name) is not record:
+                log = MutationLog(path, sync=sync, start_seq=effective, **log_knobs)
+            else:
+                try:
+                    log = MutationLog(path, readonly=True, **log_knobs)
+                except WalError:
+                    # No log on disk yet: nothing to recover, nothing to own.
+                    return {
+                        "dataset": name,
+                        "path": str(path),
+                        "replayed": 0,
+                        "wal_seq": effective,
+                        "version": effective,
+                    }
+            try:
+                replayed = 0
+                if log.last_seq > effective:
+                    dataset = self._mutable_dataset(name)
+                    replayed = dataset.replay_records(
+                        log.records(start_after=effective),
+                        expected=effective + 1,
+                        strict=strict,
+                    )
+                    if replayed:
+                        self.cache.purge(lambda key: key[0] == name)
+                    if strict and log.last_seq > self.dataset_version(name):
                         raise WalError(
-                            f"dataset {name!r} was re-registered while its "
-                            f"log was being attached"
+                            f"replay gap for {name!r}: the log ends at seq "
+                            f"{log.last_seq} but its retained records only "
+                            f"reach version {self.dataset_version(name)} "
+                            f"(older segments were truncated past this "
+                            f"snapshot; recover from a newer one)"
                         )
-                    stale, record.log = record.log, log
-                    live = record.live
-        except BaseException:
-            log.close()
-            raise
-        if writable:
-            if stale is not None and stale is not log:
-                stale.close()
-            if live is not None:
-                live.attach_journal(_DatasetJournal(record))
-        else:
-            log.close()
+                effective = self.dataset_version(name)
+                if writable and log.last_seq < effective:
+                    raise WalError(
+                        f"WAL for {name!r} ends at seq {log.last_seq} but the "
+                        f"served state is already at version {effective}: "
+                        f"commits happened without a journal.  save_snapshot() "
+                        f"and attach a fresh log instead"
+                    )
+            except BaseException:
+                log.close()
+                raise
+            if writable:
+                self._set_log(name, log)
+            else:
+                log.close()
         self._wal_telemetry.note_recovery(name, log, replayed)
         return {
             "dataset": name,
@@ -905,8 +827,8 @@ class QueryService(ServiceCore):
             version = self.dataset_version(name)
             written = save_engine(path, engine, version=version)
         with self._registry_lock:
-            record = self._datasets[name]
-            log, source = record.log, record.source
+            source = self._datasets[name].source
+            log = self._log(name)
         if (
             log is not None
             and source is not None
@@ -973,7 +895,7 @@ class QueryService(ServiceCore):
                 # concurrent swap between the two reads at worst records
                 # a stale digest, which degrades to an unnecessary
                 # reload.
-                digest = _file_digest(record.source)
+                digest = _file_info(record.source).get("content_digest")
                 engine = factory()
                 elapsed = time.perf_counter() - start
                 with self._registry_lock:
@@ -1016,28 +938,27 @@ class QueryService(ServiceCore):
         epoch can never be served afterwards; in-flight searches keep
         the epoch they started on and complete unperturbed.  The old
         version's entries are also purged eagerly — pure capacity
-        hygiene, the version key already made them unreachable.
+        hygiene, the version key already made them unreachable.  With a
+        log attached the dataset stages the batch, then hands its
+        resolved form to the log before the epoch installs.
         """
-        live = self._mutable_dataset(dataset)
-        outcome = live.mutate(mutations)
-        version = self.dataset_version(dataset)
+        with self._mutation_lock(dataset):
+            live = self._mutable_dataset(dataset)
+            log = self._log(dataset)
+            # Pinned to the next effective version: a log out of step
+            # with it fails the commit instead of recording it.
+            seq = self.dataset_version(dataset) + 1
+            journal = log and functools.partial(log.append, seq=seq)
+            outcome = live.mutate(mutations, journal=journal)
+            version = self.dataset_version(dataset)
+            wal_seq = log.last_seq if log is not None else None
         purged = self.cache.purge(
             lambda key: key[0] == dataset and key[-1] != version
         )
         self.registry.counter("repro_mutations_applied_total").inc(
             dataset=dataset
         )
-        self.event_log.emit(
-            "mutation_commit",
-            f"committed {outcome.applied} mutation(s) to {dataset!r} "
-            f"(version {version}, {purged} cached result(s) shredded)",
-            severity="info",
-            dataset=dataset,
-            source="service",
-            version=version,
-            applied=outcome.applied,
-            cache_purged=purged,
-        )
+        self._note_commit(dataset, version, outcome.applied, wal_seq)
         from repro.live.mutations import MutationResult
 
         return MutationResult(
@@ -1066,11 +987,6 @@ class QueryService(ServiceCore):
                     # silently discard the replacement.  Resolve again.
                     continue
                 dataset = MutableDataset.from_engine(record.engine)
-                if record.log is not None:
-                    # A WAL attached while the dataset was still frozen
-                    # starts journaling at the first commit that can
-                    # exist — this upgrade.
-                    dataset.attach_journal(_DatasetJournal(record))
                 record.live, record.engine = dataset, None
                 # Snapshot provenance survives the upgrade: at version
                 # 0 the served content still equals the file, so a
@@ -1160,17 +1076,7 @@ class QueryService(ServiceCore):
             if self._executor is not None:
                 self._executor.shutdown(wait=wait)
                 self._executor = None
-        for log in self._logs().values():
-            log.close()
-
-    def _logs(self) -> dict[str, MutationLog]:
-        """Attached logs by dataset (a copy: see :meth:`wal_seqs`)."""
-        with self._registry_lock:
-            return {
-                name: record.log
-                for name, record in self._datasets.items()
-                if record.log is not None
-            }
+        self._close_logs()
 
     # ------------------------------------------------------------------
     # internals
@@ -1415,7 +1321,7 @@ class QueryService(ServiceCore):
 
         if root is not None:
             root.set_attribute("dataset_version", version)
-            wal = self._datasets[request.dataset].log
+            wal = self._log(request.dataset)
             if wal is not None:
                 root.set_attribute("wal_seq", wal.last_seq)
 

@@ -18,8 +18,8 @@ epoch instead of silently serving its stale snapshot.
 * :func:`default_wal_path` — the ``<snapshot>.wal`` sibling convention
   shared by ``QueryService.attach_wal`` and the snapshot CLI.
 
-Wiring lives in the owning tiers: ``MutableDataset(journal=...)`` +
-``MutableDataset.replay`` (:mod:`repro.live`),
+Wiring lives in the owning tiers: ``MutableDataset.mutate(batch,
+journal=log.append)`` + ``MutableDataset.replay`` (:mod:`repro.live`),
 ``QueryService.attach_wal`` (thread tier),
 ``ShardedQueryService(wal_dir=...)`` append-before-broadcast plus
 worker startup replay (cluster tier).

@@ -515,20 +515,6 @@ class MutationLog:
             }
 
     @classmethod
-    def fresh(
-        cls, path: Union[str, os.PathLike], *, start_seq: int, **knobs
-    ) -> "MutationLog":
-        """Open a log at ``path`` after discarding any existing
-        segments *without scanning them* — the reload path: prior
-        records are superseded history, not worth validating, repairing
-        or warning about before deletion."""
-        root = Path(path)
-        if root.is_dir():
-            for segment in sorted(root.glob(_SEGMENT_GLOB)):
-                segment.unlink()
-        return cls(path, start_seq=start_seq, **knobs)
-
-    @classmethod
     def peek(cls, path: Union[str, os.PathLike]) -> Optional[dict]:
         """Cheap read-only inspection: :meth:`stats` for an existing log
         directory, or None when there is no log at ``path``.  Never

@@ -8,6 +8,9 @@ the doc, exported by neither tier), or a type / merge-mode / label-set
 mismatch fails here.  The ``route | answers`` table is held to the HTTP
 front end the same way: every ``GET`` route ``repro.cluster.http``
 dispatches is in it, and every route in it answers on a live server.
+The ``kind | severity | source | when`` table is held to the source: every
+literal kind passed to ``.emit(`` under ``src/`` is a row of it, and
+every row is emitted somewhere.
 
 CI's ``ops-smoke`` job feeds one more input: ``PROMETHEUS_SCRAPE`` names
 a file holding a real ``GET /metrics?format=prometheus`` body, whose
@@ -31,6 +34,7 @@ from repro.service import QueryService
 from tests.helpers import RawHTTP
 
 DOC = Path(__file__).resolve().parents[2] / "docs" / "OBSERVABILITY.md"
+SRC = Path(__file__).resolve().parents[2] / "src"
 _CODE = re.compile(r"`([^`]+)`")
 
 
@@ -104,6 +108,34 @@ def served_routes() -> list[str]:
     return routes
 
 
+def documented_event_kinds() -> list[str]:
+    """The kinds of the ``| kind | severity | source | when |`` table
+    (one row may name two: ``a`` / ``b``)."""
+    return [
+        kind
+        for cells in table_rows(["kind", "severity", "source", "when"])
+        for kind in _CODE.findall(cells[0])
+    ]
+
+
+def emitted_event_kinds() -> set[str]:
+    """Every string literal passed as the first argument of an
+    ``.emit(`` call under ``src/``."""
+    kinds = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "emit"
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+            ):
+                kinds.add(node.args[0].value)
+    return kinds
+
+
 def exported_shape(export: dict) -> dict[str, dict]:
     return {
         name: {
@@ -158,6 +190,15 @@ def test_every_served_route_is_documented_and_no_other():
     assert len(served) == len(set(served)) and "/healthz" in served, served
     assert len(documented) == len(set(documented)), documented
     assert sorted(documented) == sorted(served)
+
+
+def test_every_emitted_event_kind_is_documented_and_no_other():
+    documented = documented_event_kinds()
+    assert len(documented) == len(set(documented)), documented
+    assert "slo_clear" in documented  # the two-kind row parses
+    emitted = emitted_event_kinds()
+    assert sorted(emitted - set(documented)) == [], "emitted, not documented"
+    assert sorted(set(documented) - emitted) == [], "documented, never emitted"
 
 
 @pytest.fixture(scope="module")

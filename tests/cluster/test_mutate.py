@@ -17,6 +17,7 @@ from repro.cluster import ShardedQueryService
 from repro.cluster.http import make_server
 from repro.errors import MutationError
 from repro.service.service import QueryRequest
+from repro.service.snapshot_header import snapshot_info
 from repro.service.wire import request_to_dict, response_from_dict
 
 
@@ -206,6 +207,30 @@ class TestReloadBroadcast:
             assert outcome["reloaded"] == {"0": True, "1": True}
             response = replica_answers(service, 0, "mutword")
             assert response.error_type == "KeywordNotFoundError"
+
+
+    def test_commit_and_reload_events_carry_one_field_set(
+        self, toy_snapshot, tmp_path
+    ):
+        with ShardedQueryService(
+            {"toy": toy_snapshot}, num_workers=1, wal_dir=tmp_path / "wals"
+        ) as service:
+            service.warmup()
+            service.apply("toy", [{"op": "add_node", "label": "m", "text": "mutword"}])
+            outcome = service.reload("toy", toy_snapshot)
+            events = {
+                event["kind"]: event
+                for event in service.events(pull=False)["events"]
+            }
+        commit, reload = events["mutation_commit"], events["snapshot_reload"]
+        assert (commit["dataset"], commit["source"]) == ("toy", "supervisor")
+        assert commit["extra"] == {"version": 1, "applied": 1, "wal_seq": 1}
+        assert (reload["dataset"], reload["source"]) == ("toy", "supervisor")
+        assert reload["extra"] == {
+            "version": outcome["version"],
+            "digest": snapshot_info(toy_snapshot)["content_digest"],
+            "wal_seq": outcome["version"],
+        }
 
 
 class TestHttpMutate:

@@ -461,8 +461,8 @@ snapshot, scratch = sys.argv[1], sys.argv[2]
 batch = [{"op": "add_node", "label": "hub", "text": "hub"},
          *({"op": "add_edge", "u": paper, "v": -1} for paper in (5, 6, 7, 8))]
 with MutationLog(scratch + ".wal") as log:
-    dataset = MutableDataset.from_snapshot(snapshot, journal=log, compact_ratio=None)
-    hub = dataset.mutate(batch).new_nodes[0]
+    dataset = MutableDataset.from_snapshot(snapshot, compact_ratio=None)
+    hub = dataset.mutate(batch, journal=log.append).new_nodes[0]
     dataset.add_node("staged")
     dataset.rollback()
     assert dataset.engine.search("hub").answers
@@ -475,7 +475,7 @@ with MutationLog(scratch + ".wal") as log:
     assert MutableDataset.from_snapshot(scratch + ".snap").engine.search("hub").answers
     assert_not_loaded("numpy", "scipy")
 
-    epoch = dataset.commit(recompute_prestige=True)
+    epoch = dataset.commit(recompute_prestige=True, journal=log.append)
     assert "numpy" in sys.modules and "scipy.sparse" in sys.modules
 
 from repro.graph.prestige import compute_prestige

@@ -185,7 +185,8 @@ def test_service_life_cycle_leaves_no_cyclic_garbage(snapshots, tmp_path, mode, 
 
 
 def test_service_that_ends_mutable_with_a_wal(snapshots, tmp_path):
-    """The journal adapter must not tie dataset and service together."""
+    """A commit journalled through the service's log must not tie
+    dataset and service together."""
     toy, _ = snapshots
 
     def life_cycle():

@@ -210,11 +210,13 @@ class TestConstruction:
         writer_default = 0.1 + 0.2
         with MutationLog(tmp_path / "toy.wal") as log:
             writer = MutableDataset.from_engine(
-                toy_engine, journal=log, new_node_prestige=writer_default,
-                compact_ratio=None,
+                toy_engine, new_node_prestige=writer_default, compact_ratio=None,
             )
-            writer.mutate([AddNode(label="a"), AddNode(label="b", prestige=0.125)])
-            writer.mutate([AddNode(label="c"), AddEdge(u=-1, v=3)])
+            writer.mutate(
+                [AddNode(label="a"), AddNode(label="b", prestige=0.125)],
+                journal=log.append,
+            )
+            writer.mutate([AddNode(label="c"), AddEdge(u=-1, v=3)], journal=log.append)
             logged = [
                 mutation["prestige"]
                 for record in log.records()

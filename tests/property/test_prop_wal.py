@@ -41,10 +41,10 @@ def run_wal_equivalence(batches, *, live_knobs=None) -> None:
             Path(tmp) / "toy.snap.wal", sync="off", segment_max_records=2
         )
         live = MutableDataset.from_snapshot(
-            snapshot, journal=log, **(live_knobs or {"compact_ratio": None})
+            snapshot, **(live_knobs or {"compact_ratio": None})
         )
         for batch in batches:
-            live.mutate(batch)
+            live.mutate(batch, journal=log.append)
         assert log.last_seq == live.version
 
         replayed = MutableDataset.replay(
@@ -104,10 +104,8 @@ def test_replay_from_mid_lineage_snapshot(batch):
         log = MutationLog(
             Path(tmp) / "toy.snap.wal", sync="off", segment_max_records=2
         )
-        live = MutableDataset.from_snapshot(
-            base, journal=log, compact_ratio=None
-        )
-        live.mutate(batch)
+        live = MutableDataset.from_snapshot(base, compact_ratio=None)
+        live.mutate(batch, journal=log.append)
         version_at_snapshot = live.version
         # Snapshot the mid-run state (compaction keeps answers and the
         # version; the journal is untouched).
@@ -118,7 +116,10 @@ def test_replay_from_mid_lineage_snapshot(batch):
             epoch.index,
             version=version_at_snapshot,
         )
-        live.mutate([AddNode(label="tail", table="paper", text="quorum vector")])
+        live.mutate(
+            [AddNode(label="tail", table="paper", text="quorum vector")],
+            journal=log.append,
+        )
         assert log.last_seq == live.version == version_at_snapshot + 1
 
         replayed = MutableDataset.replay(log, snapshot=mid, compact_ratio=None)

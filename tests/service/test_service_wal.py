@@ -1,5 +1,6 @@
 """QueryService + WAL: attach, journal, recover, truncate, reset."""
 
+import threading
 from pathlib import Path
 
 import pytest
@@ -69,7 +70,7 @@ class TestAttachAndJournal:
         service, info = wal_service(toy_snapshot)
         try:
             add_word(service, "first")
-            service._datasets["toy"].log.close()  # simulate the disk going away
+            service._logs()["toy"].close()  # simulate the disk going away
             with pytest.raises(WalError):
                 add_word(service, "ghostword")
             # the rejected batch is gone: reattach and keep committing
@@ -110,18 +111,6 @@ class TestAttachAndJournal:
             service.register_engine("toy", toy_engine)
             with pytest.raises(ValueError, match="explicit WAL path"):
                 service.attach_wal("toy")
-
-    def test_register_mutable_wal_path_shorthand(self, tmp_path, toy_engine):
-        from repro.live import MutableDataset
-
-        with QueryService() as service:
-            service.register_mutable(
-                "toy",
-                MutableDataset.from_engine(toy_engine, compact_ratio=None),
-                wal_path=tmp_path / "live.wal",
-            )
-            result = add_word(service, "shorthandword")
-            assert service.wal_seqs()["toy"] == result.version == 1
 
 
 class TestRecovery:
@@ -312,15 +301,36 @@ class TestSnapshotIntegration:
         finally:
             service.close()
 
+    def test_commit_and_reload_events_carry_one_field_set(self, toy_snapshot):
+        service, _ = wal_service(toy_snapshot)
+        try:
+            add_word(service, "eventword")
+            outcome = service.reload_snapshot("toy", toy_snapshot, force=True)
+            events = {event["kind"]: event for event in service.events()["events"]}
+        finally:
+            service.close()
+        commit, reload = events["mutation_commit"], events["snapshot_reload"]
+        assert (commit["dataset"], commit["source"]) == ("toy", "service")
+        assert commit["extra"] == {"version": 1, "applied": 2, "wal_seq": 1}
+        assert (reload["dataset"], reload["source"]) == ("toy", "service")
+        assert reload["extra"] == {
+            "version": outcome["version"],
+            "digest": snapshot_info(toy_snapshot)["content_digest"],
+            "wal_seq": outcome["version"],
+        }
+
     def test_commit_racing_a_reload_is_journaled_or_refused(
         self, toy_snapshot, monkeypatch
     ):
-        """A commit landing at the moment ``reload_snapshot`` opens the
-        new log must be journaled in the new lineage or fail loudly —
-        never be acknowledged in a window where the dataset has no log
-        (and leave every later commit unjournaled behind it)."""
+        """A commit issued from another thread while ``reload_snapshot``
+        resets the log must be journaled in the new lineage or fail
+        loudly — never be acknowledged into the old lineage the reset
+        discards (and leave every later commit unjournaled behind it).
+        The dataset's mutation lock is the fence: the racer waits for
+        the reload."""
         service, info = wal_service(toy_snapshot)
         acked = []
+        racers = []
 
         def commit(word):
             try:
@@ -328,18 +338,23 @@ class TestSnapshotIntegration:
             except WalError:
                 pass
 
-        fresh = MutationLog.fresh.__func__
+        reset = MutationLog.reset
 
-        def fresh_after_a_commit(cls, path, **knobs):
-            commit("racingword")
-            return fresh(cls, path, **knobs)
+        def reset_beside_a_commit(log, start_seq):
+            racer = threading.Thread(target=commit, args=("racingword",))
+            racer.start()
+            racer.join(timeout=0.2)  # a commit not fenced out lands now
+            racers.append(racer)
+            reset(log, start_seq=start_seq)
 
-        monkeypatch.setattr(MutationLog, "fresh", classmethod(fresh_after_a_commit))
+        monkeypatch.setattr(MutationLog, "reset", reset_beside_a_commit)
         try:
             add_word(service, "preload")  # the old lineage: reset by design
             service.reload_snapshot("toy", toy_snapshot, force=True)
+            for racer in racers:
+                racer.join()
             commit("laterword")
-            assert acked and not service.search("toy", "preload").ok
+            assert racers and acked and not service.search("toy", "preload").ok
             assert service.wal_seqs()["toy"] == service.dataset_version("toy")
         finally:
             service.close()
