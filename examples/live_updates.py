@@ -12,8 +12,9 @@ watch the new answer appear — no rebuild, no restart.
    version-keyed, so no stale answer survived the commit,
 5. an engine captured *before* the commit still answers from its old
    epoch (MVCC: in-flight searches are never perturbed),
-6. compact the overlay back to flat arrays and write a versioned disk
-   snapshot a worker fleet could hot-reload from.
+6. compact the overlay back to flat arrays, write a versioned disk
+   snapshot and ``reload`` the dataset from it — the verb both service
+   tiers share (a worker fleet hot-reloads the same way).
 
 Run:  python examples/live_updates.py
 """
@@ -115,9 +116,16 @@ def main() -> None:
             f"\nsnapshot after compaction: version "
             f"{info['dataset_version']}, digest "
             f"{info['content_digest'][:12]}..., "
-            f"{info['file_bytes'] / 1024:.0f} KiB "
-            f"(a ShardedQueryService.reload() would no-op on replicas "
-            f"already at this digest)"
+            f"{info['file_bytes'] / 1024:.0f} KiB"
+        )
+        # The same verb on both tiers: serve the file at its version
+        # (the commits are in it), then no-op on the matching digest.
+        first = service.reload("dblp", path)
+        again = service.reload("dblp", path)
+        print(
+            f"reload(): reloaded={first['reloaded']} at version "
+            f"{first['version']}, then reloaded={again['reloaded']} "
+            f"(same digest)"
         )
     service.close()
 

@@ -445,7 +445,8 @@ class _Handler(socketserver.StreamRequestHandler):
         payload = {"status": "ok", "datasets": service.datasets()}
         payload.update(service.health())
         status = 200
-        if payload.get("alive", 0) < payload.get("workers", 0):
+        down = payload.get("alive", 0) < payload.get("workers", 0)
+        if down or payload.get("wal_behind"):
             payload["status"] = "degraded"
             status = 503
         self._send_json(status, payload)
@@ -475,8 +476,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 status_for_error(type(exc).__name__), str(exc), type(exc).__name__
             )
             return
-        payload = result.to_dict() if hasattr(result, "to_dict") else result
-        self._send_json(200, payload)
+        self._send_json(200, result.to_dict())
 
     def _handle_search(self) -> None:
         request = request_from_dict(self._read_json())

@@ -251,6 +251,14 @@ class WorkerPool:
         self._channels[worker_id] = _Channel(ours)
         self._processes[worker_id] = process
 
+    def set_snapshot(self, dataset: str, path: str) -> None:
+        """Point every spec serving ``dataset`` at ``path``: a worker
+        spawned from now on (a restart-on-crash replacement) loads it."""
+        with self._lock:
+            for spec in self._specs.values():
+                if dataset in spec:
+                    spec[dataset] = str(path)
+
     def close(self, timeout: float = 10.0) -> None:
         """Drain and stop every worker; never leaves a waiter hanging."""
         with self._lock:

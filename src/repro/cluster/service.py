@@ -60,7 +60,8 @@ bumps the version its result cache is keyed by, and
 :meth:`dataset_versions` / :meth:`health` expose per-replica versions
 so drift is observable.  :meth:`reload` hot-swaps a dataset from a
 re-written snapshot file, no-opping on replicas whose content digest
-already matches.
+already matches, and points the worker specs at it: a replica respawned
+after a crash loads the reloaded file and replays the log past it.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ from repro.errors import (
     SnapshotError,
     WorkerCrashedError,
 )
-from repro.live.mutations import coerce_mutations, mutation_to_dict
+from repro.live.mutations import MutationResult, coerce_mutations, mutation_to_dict
 from repro.service.core import (
     QueryRequest,
     QueryResponse,
@@ -237,12 +238,7 @@ class ShardedQueryService(ServiceCore):
                 except SnapshotError:
                     start = 0
                 log = MutationLog(wal_path, sync=wal_sync, start_seq=start)
-                if log.last_seq < start:
-                    # The snapshot was re-provisioned past this log's
-                    # lineage: new appends would trail replica versions
-                    # and be skipped as already applied.
-                    log.reset(start_seq=start)
-                self._set_log(name, log)
+                self._continue_lineage(name, log, start)
                 wal_paths[name] = str(wal_path)
                 self._wal_telemetry.note_recovery(name, log)
         specs = {
@@ -443,7 +439,7 @@ class ShardedQueryService(ServiceCore):
     # ------------------------------------------------------------------
     def apply(
         self, dataset: str, mutations: Sequence, *, timeout: float = 60.0
-    ) -> dict:
+    ) -> MutationResult:
         """Apply a mutation batch on **every replica** of ``dataset``.
 
         The batch is validated once supervisor-side, then broadcast
@@ -458,11 +454,8 @@ class ShardedQueryService(ServiceCore):
         a crash; the survivors stay consistent because a bad batch
         rolls back atomically on every replica).
 
-        Returns ``{"dataset", "version", "applied", "new_nodes",
-        "compacted", "workers": {worker_id: version}, "drift"}`` —
-        ``drift`` is True if replica versions disagree (observable via
-        :meth:`health` too), which after a crash-restart means the
-        replica reloaded its snapshot and missed earlier commits.
+        Returns the thread tier's :class:`~repro.live.MutationResult`
+        with ``workers`` (``{worker_id: version}``) filled in.
 
         Caution on timeouts: worker queues are serial, so a replica
         busy with a long search can push the collection past
@@ -489,13 +482,12 @@ class ShardedQueryService(ServiceCore):
         # only sound while it is still the log's tail.
         with self._mutation_lock(dataset):
             log = self._log(dataset)
-            seq: Optional[int] = None
             if log is not None and wire:
                 # Empty batches are version no-ops on every replica
                 # (commit() early-returns); journaling one would leave
                 # a record that bumps nothing and desynchronize WAL
                 # sequences from replica versions forever.
-                seq = payload["seq"] = log.append(wire)
+                payload["seq"] = log.append(wire)
             futures = {
                 worker_id: self.pool.submit(worker_id, "mutate", payload)
                 for worker_id in replicas
@@ -514,40 +506,39 @@ class ShardedQueryService(ServiceCore):
                 # then make the siblings skip the *next* batch as a
                 # duplicate, so roll back only when no replica is known
                 # to have committed.
-                if seq is not None and self._no_replica_committed(
+                if "seq" in payload and self._no_replica_committed(
                     futures, timeout=min(timeout, 10.0)
                 ):
                     log.rollback_last()
                 raise
-        versions = {
-            worker_id: result["version"] for worker_id, result in results.items()
-        }
+            wal_seq = log.last_seq if log is not None else None
+        # A replica whose replay already held the record acknowledges
+        # it with nothing applied; the others report the batch.
         first = next(
-            (r for r in results.values() if not r.get("skipped")),
-            results[replicas[0]],
+            (r for r in results.values() if r["applied"]), results[replicas[0]]
         )
-        outcome = {
-            "dataset": dataset,
-            "version": max(versions.values()),
-            "applied": first["applied"],
-            "new_nodes": first["new_nodes"],
-            "compacted": any(result["compacted"] for result in results.values()),
-            "workers": {str(w): v for w, v in sorted(versions.items())},
-            "drift": len(set(versions.values())) > 1,
-        }
-        if seq is not None:
-            outcome["wal_seq"] = seq
-        self._note_commit(dataset, outcome["version"], outcome["applied"], seq)
-        if outcome["drift"]:
+        workers = {str(w): int(r["version"]) for w, r in sorted(results.items())}
+        outcome = MutationResult(
+            dataset=dataset,
+            version=max(workers.values()),
+            applied=first["applied"],
+            new_nodes=tuple(first["new_nodes"]),
+            compacted=any(r["compacted"] for r in results.values()),
+            cache_purged=sum(r["cache_purged"] for r in results.values()),
+            workers=workers,
+            wal_seq=wal_seq,
+        )
+        self._note_commit(dataset, outcome.version, outcome.applied, wal_seq)
+        if outcome.drift:
             self.event_log.emit(
                 "version_drift",
                 f"replica versions for dataset {dataset!r} disagree after "
-                f"commit: {outcome['workers']} — a replica likely "
-                f"crash-restarted from an older snapshot and needs a reload",
+                f"commit: {workers} — a replica likely crash-restarted "
+                f"and needs a reload",
                 severity="warning",
                 dataset=dataset,
                 source="supervisor",
-                workers=outcome["workers"],
+                workers=workers,
             )
         return outcome
 
@@ -580,61 +571,35 @@ class ShardedQueryService(ServiceCore):
         force: bool = False,
         timeout: float = 300.0,
     ) -> dict:
-        """Hot-reload ``dataset`` from a snapshot file on every replica.
-
-        Replicas already holding the file's content digest no-op
-        (satellite of the versioned-snapshot work); the rest re-register
-        and rebuild from disk — no process restart.  Returns
-        ``{"dataset", "reloaded": {worker_id: bool}, "version"}``.
-
-        With ``wal_dir`` set, the supervisor's log is **reset** to the
-        replicas' post-reload version: its records applied to the old
-        lineage, and the next ``apply``'s sequence number must not trail
-        the bumped replica versions (every replica would skip it as
-        already replayed).  A replica that crash-restarts *after* a
-        reload warms from its spec snapshot and cannot replay past the
-        reload point: restart the fleet on the new snapshot to make
-        reloads crash-durable.
+        """Hot-reload ``dataset`` from a snapshot file on every replica
+        (no process restart; a replica already holding the file's
+        content digest no-ops), at the file's ``dataset_version``.  The
+        worker specs then point at the file and the log restarts at that
+        version (``ServiceCore._continue_lineage``), so a replica
+        respawned after a crash replays every commit acknowledged since.
+        Returns ``{"dataset", "reloaded": {worker_id: bool}, "version"}``.
         """
         replicas = self.router.replicas_for(dataset)
-        payload = {"dataset": dataset, "path": str(snapshot_path), "force": force}
+        path = str(snapshot_path)
+        version = int(snapshot_info(path).get("dataset_version") or 0)
+        payload = {"dataset": dataset, "path": path, "force": force}
         # Held for the whole reload: an apply between the replica swap
         # and the log reset would journal an old lineage's batch.
         with self._mutation_lock(dataset):
-            futures = {
-                worker_id: self.pool.submit(worker_id, "reload", payload)
-                for worker_id in replicas
+            results = self._broadcast(replicas, "reload", payload, timeout=timeout)
+            self.pool.set_snapshot(dataset, path)
+            reloaded = {
+                str(worker_id): bool(result["reloaded"])
+                for worker_id, result in sorted(results.items())
             }
-            results = self._collect(
-                futures, "reload", timeout=timeout, strict=True
-            )
-            version = max(
-                (int(result.get("version") or 0) for result in results.values()),
-                default=0,
-            )
             log = self._log(dataset)
-            if log is not None and any(
-                result["reloaded"] for result in results.values()
-            ):
-                # A fleet-wide digest no-op changed nothing — the log
-                # stays replayable.  Any actual reload starts a new
-                # lineage.
-                log.reset(start_seq=version)
+            if log is not None and any(reloaded.values()):
+                self._continue_lineage(dataset, log, version, reload=True)
             wal_seq = log.last_seq if log is not None else None
-        reloaded = {
-            str(worker_id): bool(result["reloaded"])
-            for worker_id, result in sorted(results.items())
-        }
         if any(reloaded.values()):
-            digest = next(
-                (r.get("digest") for r in results.values() if r["reloaded"]), None
-            )
+            digest = next(r["digest"] for r in results.values() if r["reloaded"])
             self._note_reload(dataset, version, digest, wal_seq)
-        return {
-            "dataset": dataset,
-            "reloaded": reloaded,
-            "version": version,
-        }
+        return {"dataset": dataset, "reloaded": reloaded, "version": version}
 
     def dataset_versions(self, *, timeout: float = 10.0) -> dict[str, dict[str, int]]:
         """Per-dataset epoch versions as seen by each replica:
@@ -837,8 +802,10 @@ class ShardedQueryService(ServiceCore):
         so a long search delays control messages) reports ``None`` and
         puts its datasets in ``version_unknown`` rather than silently
         vanishing — a wedged replica must never make the fleet look
-        *more* consistent.  ``include_versions=False`` restores the
-        pure supervisor-local (never-blocking) probe.
+        *more* consistent.  ``wal_behind`` names datasets with a replica
+        behind the log's tip: acknowledged commits it does not serve
+        (``/healthz`` answers 503).  ``include_versions=False`` restores
+        the pure supervisor-local (never-blocking) probe.
         """
         alive = self.pool.alive()
         payload = {
@@ -849,9 +816,16 @@ class ShardedQueryService(ServiceCore):
         }
         wal_seqs = self.wal_seqs()
         if wal_seqs:
-            # The durable tip: a replica behind it shows up in
-            # version_drift below.
             payload["wal_seq"] = wal_seqs
+        # Tips read while no commit sits between its append and its
+        # broadcast (the mutation lock is free): the versions probed
+        # next have seen every record up to them.
+        tips = {}
+        for name, log in self._logs().items():
+            lock = self._mutation_lock(name)
+            if lock.acquire(blocking=False):
+                tips[name] = log.last_seq
+                lock.release()
         if include_versions:
             versions = self.dataset_versions(timeout=versions_timeout)
             for name in self.datasets():
@@ -868,6 +842,11 @@ class ShardedQueryService(ServiceCore):
                 name
                 for name, by_worker in versions.items()
                 if any(v is None for v in by_worker.values())
+            )
+            payload["wal_behind"] = sorted(
+                name
+                for name, tip in tips.items()
+                if any(v is not None and v < tip for v in versions[name].values())
             )
         return payload
 

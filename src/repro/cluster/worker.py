@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import os
 import queue
-import sys
 import threading
 import time
 from typing import Optional
@@ -181,23 +180,20 @@ def _handle_message(
         seq = payload.get("seq")
         if seq is not None and service.dataset_version(name) >= seq:
             # This replica's startup WAL replay already covered the
-            # record (a broadcast raced a restart): acknowledge
-            # idempotently rather than double-applying the batch.
-            # Comparing against the effective version assumes replica
-            # versions and WAL sequences share one lineage — the
-            # supervisor maintains that by resetting the log whenever
-            # a reload bumps replica versions past it.
+            # record (a broadcast raced a restart): acknowledge with
+            # nothing applied rather than double-applying the batch.
+            # Replica versions and WAL sequences share one lineage
+            # (ServiceCore._continue_lineage).
             from repro.live.mutations import MutationResult
 
-            skipped = MutationResult(name, service.dataset_version(name), 0)
-            return {**skipped.to_dict(), "skipped": True}
+            return MutationResult(name, service.dataset_version(name), 0).to_dict()
         return service.apply(name, payload["mutations"]).to_dict()
     if kind == "reload":
         # Snapshot hot-reload: re-register from a (usually re-written)
         # snapshot file; a digest match means this worker already holds
         # the epoch and the reload no-ops.
         payload = message[2]
-        return service.reload_snapshot(
+        return service.reload(
             payload["dataset"], payload["path"], force=payload.get("force", False)
         )
     if kind == "versions":
@@ -271,16 +267,19 @@ def worker_main(conn) -> None:
             continue
         # Crash recovery: replay the supervisor-written WAL (read-only;
         # non-strict — a replica that cannot replay to the tip keeps
-        # serving what it recovered, visible as version drift, instead
-        # of crash-looping the whole shard).
+        # serving what it recovered, visible in health as wal_behind,
+        # instead of crash-looping the whole shard).
         try:
             service.attach_wal(name, wal_path, writable=False, strict=False)
         except Exception as exc:
-            print(
-                f"repro worker {worker_id}: WAL replay for {name!r} "
-                f"failed ({type(exc).__name__}: {exc}); serving the "
-                f"snapshot state",
-                file=sys.stderr,
+            service.event_log.emit(
+                "wal_replay_failed",
+                f"WAL replay for {name!r} failed ({type(exc).__name__}: "
+                f"{exc}); serving the snapshot state",
+                severity="error",
+                dataset=name,
+                source="wal",
+                error_type=type(exc).__name__,
             )
 
     try:

@@ -39,6 +39,8 @@ __all__ = [
     "run_measured",
     "geomean",
     "safe_ratio",
+    "drained",
+    "DRAIN_NOTE",
     "fmt",
 ]
 
@@ -115,6 +117,19 @@ def safe_ratio(numerator: Optional[float], denominator: Optional[float]) -> Opti
     if numerator is None or denominator is None:
         return None
     return max(numerator, 1e-9) / max(denominator, 1e-9)
+
+
+def drained(*points) -> bool:
+    """Whether a point was measured at the final drain (what
+    :data:`DRAIN_NOTE`, a ``*``-marking report's note, explains)."""
+    return any(point.out_pops == point.total_pops for point in points)
+
+
+DRAIN_NOTE = (
+    "* a point behind the output ratio was measured at the final drain "
+    "(out_pops == total_pops): the ratio compares whole searches, not time "
+    "to the last relevant answer; generation-time ratios are never marked"
+)
 
 
 # ----------------------------------------------------------------------

@@ -14,9 +14,11 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.experiments.common import (
+    DRAIN_NOTE,
     Bench,
     Report,
     build_bench,
+    drained,
     fmt,
     run_measured,
     safe_ratio,
@@ -108,10 +110,8 @@ def run_fig5(*, scale: float = 0.4, seed: int = 100) -> Report:
             cell = fmt(
                 safe_ratio(getattr(points[num], attr), getattr(points[den], attr))
             )
-            drained = attr.startswith("out_") and any(
-                points[a].out_pops == points[a].total_pops for a in (num, den)
-            )
-            return cell + "*" if drained else cell
+            marked = attr.startswith("out_") and drained(points[num], points[den])
+            return cell + "*" if marked else cell
 
         def seconds(algorithm: str) -> str:
             point = points[algorithm]
@@ -153,11 +153,7 @@ def run_fig5(*, scale: float = 0.4, seed: int = 100) -> Report:
         "means the algorithm released N answers and none of the R relevant "
         "ones; 'no relevant tree' means the query has no relevant answer"
     )
-    report.notes.append(
-        "* the last relevant answer of one side left only in the final drain "
-        "(out_pops == total_pops): that output ratio compares whole searches, "
-        "not time to the answer; generation-time ratios are never marked"
-    )
+    report.notes.append(DRAIN_NOTE)
     report.notes.append(
         "paper: MI/SI 2.7-16.7x; SI/Bidir nodes explored up to ~25x, "
         "out-time 1.2-18.5x; Sparse-LB slower than Bidir on all rows"

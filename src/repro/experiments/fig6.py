@@ -10,16 +10,20 @@
     the difference between the origin sizes of keywords increases" — we
     sweep combinations from uniform-rare to maximally skewed.
 
-Each point aggregates per-query ratios with the geometric mean.
+Each point aggregates per-query ratios with the geometric mean; an
+output-ratio cell is marked ``*`` when a point behind it was measured
+at the final drain (as in FIG5).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments.common import (
+    DRAIN_NOTE,
     Report,
     build_bench,
+    drained,
     fmt,
     geomean,
     run_measured,
@@ -40,6 +44,12 @@ FIG6C_COMBOS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("G", ("T", "T", "L", "L")),
     ("H", ("T", "T", "T", "L")),
 )
+
+
+def _cell(ratios: list[float], drain: bool) -> str:
+    """The geometric mean of ``ratios``, ``*``-marked when ``drain``."""
+    cell = fmt(geomean(ratios))
+    return cell + "*" if drain and ratios else cell
 
 
 def _ratio_sweep(
@@ -72,13 +82,14 @@ def _ratio_sweep(
         ],
     )
     for n_keywords in keyword_range:
-        cells: dict[str, Optional[float]] = {}
+        cells: dict[str, str] = {}
         counts = []
         for origin_class in ("small", "large"):
             rng = workload_rng(seed + n_keywords * 17)
             time_ratios: list[float] = []
             pop_ratios: list[float] = []
             gen_ratios: list[float] = []
+            drain = False
             for _ in range(queries_per_point):
                 query = bench.generator.sample_query(
                     rng,
@@ -95,6 +106,7 @@ def _ratio_sweep(
                 fast_point = points.get(fast)
                 if slow_point is None or fast_point is None:
                     continue
+                drain = drain or drained(slow_point, fast_point)
                 time_ratio = safe_ratio(slow_point.out_time, fast_point.out_time)
                 pop_ratio = safe_ratio(slow_point.out_pops, fast_point.out_pops)
                 gen_ratio = safe_ratio(slow_point.gen_time, fast_point.gen_time)
@@ -104,23 +116,24 @@ def _ratio_sweep(
                     pop_ratios.append(pop_ratio)
                 if gen_ratio is not None:
                     gen_ratios.append(gen_ratio)
-            cells[f"time_{origin_class}"] = geomean(time_ratios)
-            cells[f"pops_{origin_class}"] = geomean(pop_ratios)
-            cells[f"gen_{origin_class}"] = geomean(gen_ratios)
+            cells[f"time_{origin_class}"] = _cell(time_ratios, drain)
+            cells[f"pops_{origin_class}"] = _cell(pop_ratios, drain)
+            cells[f"gen_{origin_class}"] = _cell(gen_ratios, False)
             counts.append(len(time_ratios))
         report.rows.append(
             [
                 str(n_keywords),
-                fmt(cells.get("time_small")),
-                fmt(cells.get("time_large")),
-                fmt(cells.get("pops_small")),
-                fmt(cells.get("pops_large")),
-                fmt(cells.get("gen_small")),
-                fmt(cells.get("gen_large")),
+                cells["time_small"],
+                cells["time_large"],
+                cells["pops_small"],
+                cells["pops_large"],
+                cells["gen_small"],
+                cells["gen_large"],
                 "+".join(str(c) for c in counts),
             ]
         )
     report.notes.append(note)
+    report.notes.append(DRAIN_NOTE)
     return report
 
 
@@ -198,6 +211,7 @@ def run_fig6c(
         time_ratios: list[float] = []
         pop_ratios: list[float] = []
         gen_ratios: list[float] = []
+        drain = False
         for _ in range(queries_per_point):
             query = bench.generator.sample_query(
                 rng, n_keywords=4, result_size=3, band_combo=combo
@@ -214,6 +228,7 @@ def run_fig6c(
             bi = points.get("bidirectional")
             if si is None or bi is None:
                 continue
+            drain = drain or drained(si, bi)
             ratio_t = safe_ratio(si.out_time, bi.out_time)
             ratio_p = safe_ratio(si.out_pops, bi.out_pops)
             ratio_g = safe_ratio(si.gen_time, bi.gen_time)
@@ -227,9 +242,9 @@ def run_fig6c(
             [
                 label,
                 "(" + ",".join(combo) + ")",
-                fmt(geomean(time_ratios)),
-                fmt(geomean(pop_ratios)),
-                fmt(geomean(gen_ratios)),
+                _cell(time_ratios, drain),
+                _cell(pop_ratios, drain),
+                _cell(gen_ratios, False),
                 str(len(time_ratios)),
             ]
         )
@@ -238,4 +253,5 @@ def run_fig6c(
         "speedup grows with origin-size skew — largest for (T,T,T,L), "
         "smallest for (M,M,M,M) and (M,L,L,L)"
     )
+    report.notes.append(DRAIN_NOTE)
     return report

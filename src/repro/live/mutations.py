@@ -21,7 +21,7 @@ aliases and reports the assigned real ids in its
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Union
 
 from repro.errors import MutationError
@@ -171,12 +171,15 @@ def _check_endpoint(value, what: str) -> None:
 
 @dataclass(frozen=True)
 class MutationResult:
-    """Outcome of one committed mutation batch.
+    """Outcome of one committed mutation batch, on either service tier.
 
     ``new_nodes`` lists the real ids assigned to the batch's
     :class:`AddNode` mutations, in batch order; ``cache_purged`` counts
     the stale result-cache entries dropped eagerly (version keying
-    already made them unreachable).
+    already made them unreachable).  ``workers`` maps each fleet
+    replica to the version it committed (empty on the thread tier),
+    ``drift`` says they disagree, and ``wal_seq`` is the attached log's
+    tip after the commit (None without a log).
     """
 
     dataset: str
@@ -185,16 +188,15 @@ class MutationResult:
     new_nodes: tuple[int, ...] = field(default=())
     compacted: bool = False
     cache_purged: int = 0
+    workers: dict[str, int] = field(default_factory=dict)
+    wal_seq: Optional[int] = None
+
+    @property
+    def drift(self) -> bool:
+        return len(set(self.workers.values())) > 1
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "version": self.version,
-            "applied": self.applied,
-            "new_nodes": list(self.new_nodes),
-            "compacted": self.compacted,
-            "cache_purged": self.cache_purged,
-        }
+        return {**asdict(self), "new_nodes": list(self.new_nodes), "drift": self.drift}
 
 
 # ----------------------------------------------------------------------

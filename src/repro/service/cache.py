@@ -41,7 +41,7 @@ def canonical_cache_key(
     algorithm: str,
     params: SearchParams,
     *,
-    version: int = 0,
+    version: Hashable = 0,
 ) -> tuple:
     """Canonical, hashable identity of one logical query.
 
@@ -52,11 +52,11 @@ def canonical_cache_key(
     ``params`` must already include any ``k`` override — the service
     applies ``with_(max_results=k)`` before keying.
 
-    ``version`` is the dataset's epoch at lookup time (see
-    :meth:`~repro.service.QueryService.dataset_version`): a live
-    mutation commit bumps it, so every entry cached against the prior
-    epoch becomes unreachable — commits invalidate stale results for
-    free, with no purge required for correctness.
+    ``version`` names the dataset's epoch at lookup time (the service
+    passes its registration's generation and version): a live mutation
+    commit bumps it, so every entry cached against the prior epoch
+    becomes unreachable — commits invalidate stale results for free,
+    with no purge required for correctness.
     """
     keywords = parse_query(query)
     return (dataset, keywords, algorithm, params, version)

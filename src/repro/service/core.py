@@ -23,9 +23,10 @@ the introspection verbs behind the HTTP front-end's ``/debug/*`` routes
   explain report and feeds the slow-query log for every finished
   request;
 * the **mutation log's one owner**: a ``{dataset: MutationLog}`` map
-  and one mutation lock per dataset, which ``apply``, the reload verb
-  and ``attach_wal`` hold on both tiers, and one event helper each for
-  a commit and a reload;
+  and one mutation lock per dataset, which ``apply``, ``reload`` and
+  the log attach hold on both tiers, the one lineage rule they follow
+  (:meth:`ServiceCore._continue_lineage`), and one event helper each
+  for a commit and a reload;
 * the **verbs**: ``cancel``, ``trace``, ``slow_queries``, ``explain``,
   ``slo_status``, ``wal_seqs`` read the state above; ``events`` and
   ``query_stats`` merge one part per process — one on the thread tier,
@@ -687,6 +688,21 @@ class ServiceCore:
                 self._wals[name] = log
         if old is not None and old is not log:
             old.close()
+
+    def _continue_lineage(
+        self, name: str, log: MutationLog, version: int, *, reload: bool = False
+    ) -> None:
+        """The one lineage rule, for both tiers: attach ``log`` to
+        ``name``, continuing the snapshot served at ``version`` (the
+        file's ``dataset_version``, which registering, reloading and
+        restarting all serve).  A reload restarts the log there: its
+        records described the replaced content.  An attach keeps the
+        records past ``version`` (they replay on top) and restarts a log
+        ending behind it.  Called under the dataset's mutation lock.
+        """
+        if reload or log.last_seq < version:
+            log.reset(start_seq=version)
+        self._set_log(name, log)
 
     def _close_logs(self) -> None:
         for log in self._logs().values():

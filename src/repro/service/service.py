@@ -11,7 +11,8 @@ layer the ROADMAP's production north star needs above
 * **Engine registry** — one record per dataset name (what is served,
   its base version and snapshot provenance, which change together: a
   re-registration installs a new record in one step and detaches the
-  dataset's log from the core's map),
+  dataset's log from the core's map; a snapshot's record starts at the
+  file's ``dataset_version``),
   registered eagerly (:meth:`QueryService.register_engine`), lazily
   from a database (:meth:`register_database`), or from a disk snapshot
   (:meth:`register_snapshot`) so restarts skip graph/prestige/index
@@ -36,9 +37,9 @@ layer the ROADMAP's production north star needs above
   a :class:`~repro.live.MutableDataset` on first touch): new requests
   see the new epoch, in-flight searches finish on theirs, and the
   result cache is keyed by :meth:`dataset_version` so a commit makes
-  stale entries unreachable atomically.  :meth:`reload_snapshot`
-  hot-swaps a dataset from a re-written snapshot file, no-opping when
-  the file's content digest matches what is already served.
+  stale entries unreachable atomically.  :meth:`reload` hot-swaps a
+  dataset from a re-written snapshot file, no-opping when the file's
+  content digest matches what is already served.
 * **Durability** — :meth:`attach_wal` opens the dataset's
   :mod:`repro.wal` mutation log: records the served state is missing
   are replayed (crash recovery to exactly the last durable epoch) and
@@ -71,6 +72,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import threading
 import time
 import weakref
@@ -164,15 +166,16 @@ class _Dataset:
     """One registration of a dataset name: what is served (``engine``
     once built, ``factory`` while still lazy, ``live`` after the upgrade
     to a :class:`~repro.live.MutableDataset`), the version lineage
-    (``base``) and the snapshot provenance (``source`` path, ``digest``
-    of the file actually loaded).
+    (``base``: a snapshot file's ``dataset_version``, else 0), the
+    snapshot provenance (``source`` path, ``digest`` of the file
+    actually loaded) and the ``generation`` result-cache keys carry.
 
     These change *together*: a replacement is a new record
     (:meth:`QueryService._install`), never an edit of this one, so
     ``service._datasets.get(name) is record`` is the one staleness
     check — a slow lazy build that lost to a re-registration.
     Provenance therefore goes on every path that is not itself a
-    snapshot registration: a later :meth:`~QueryService.reload_snapshot`
+    snapshot registration: a later :meth:`~QueryService.reload`
     against the old file cannot see a matching digest and incorrectly
     no-op while the service serves something else.  Fields change only
     under the registry lock, ``source`` never.
@@ -182,6 +185,8 @@ class _Dataset:
     factory: Optional[Callable[[], KeywordSearchEngine]] = None
     live: Optional["MutableDataset"] = None
     base: int = 0
+    #: Unique per record: versions repeat across registrations.
+    generation: int = field(default_factory=itertools.count(1).__next__)
     source: Optional[str] = None
     digest: Optional[str] = None
     #: Seconds the last engine build took: None until a lazy
@@ -194,16 +199,8 @@ class _Dataset:
 
     @property
     def version(self) -> int:
-        """The dataset version cache keys embed.
-
-        ``base`` is a generation counter: every replacement
-        (re-register, reload) starts past the prior effective version,
-        and a mutable dataset adds its own monotone epoch on top.  The
-        sum therefore strictly increases across every event that can
-        change answers — commits and replacements — which is the
-        invariant that makes version-keyed cache entries impossible to
-        serve stale.
-        """
+        """``base`` plus the live dataset's commits: the position in
+        the content's lineage, which a log's sequence numbers share."""
         live = self.live
         return self.base + live.version if live is not None else self.base
 
@@ -461,10 +458,9 @@ class QueryService(ServiceCore):
     def register_engine(self, name: str, engine: KeywordSearchEngine) -> None:
         """Register an already-built engine under ``name``.
 
-        Re-registering an existing name replaces its engine, bumps the
-        dataset's version (so version-keyed cache entries go stale) and
-        purges its cached results — the old engine's answers must not
-        outlive it.
+        Re-registering an existing name replaces its engine and purges
+        its cached results — the old engine's answers must not outlive
+        it.
         """
         self._install(name, _Dataset(engine=engine, build_seconds=0.0))
 
@@ -473,8 +469,8 @@ class QueryService(ServiceCore):
     ) -> None:
         """Register a lazy engine builder; it runs (once) on first use.
 
-        Like :meth:`register_engine`, replacing an existing name bumps
-        the dataset's version and purges its cached results.
+        Like :meth:`register_engine`, replacing an existing name purges
+        its cached results.
         """
         self._install(name, _Dataset(factory=factory))
 
@@ -492,25 +488,21 @@ class QueryService(ServiceCore):
         self, name: str, record: _Dataset, log: Optional[MutationLog] = None
     ) -> None:
         """Make ``record`` the registration of ``name`` — the one step
-        every ``register_*`` and :meth:`reload_snapshot` ends in.
+        every ``register_*`` and :meth:`reload` ends in.
 
         Under the dataset's mutation lock, so no commit interleaves: the
-        new base starts past the prior effective version, the old record
-        — engine and provenance with it — stops being served, and the
-        dataset's log is detached and closed unless ``log`` is the one
-        the new record continues (its lineage belongs to the replaced
-        content: left attached, every later commit would wedge on an
-        out-of-order append).  Then the dataset's cached results are
-        purged and the shred recorded as an operational event (a
-        replaced engine's answers must not outlive it — and an operator
-        should see that the fleet just lost its warm cache for the
-        dataset).
+        old record — engine and provenance with it — stops being served,
+        and the dataset's log is detached and closed unless ``log`` is
+        the one the new record continues (its lineage belongs to the
+        replaced content: left attached, every later commit would wedge
+        on an out-of-order append).  The old record's cached results
+        (keyed by its generation) are purged and the shred recorded as
+        an operational event: an operator should see that the fleet
+        just lost its warm cache for the dataset.
         """
         with self._mutation_lock(name):
             with self._registry_lock:
                 old = self._datasets.get(name)
-                if old is not None:
-                    record.base = max(record.base, old.version + 1)
                 self._datasets[name] = record
             self._set_log(name, log)
         if old is None:
@@ -562,8 +554,14 @@ class QueryService(ServiceCore):
         record = self._snapshot_record(path, params, storage_mode, pin_policy)
         self._install(name, record)
 
-    def _snapshot_record(self, path, params, storage_mode, pin_policy) -> _Dataset:
+    def _snapshot_record(
+        self, path, params, storage_mode, pin_policy, info=None
+    ) -> _Dataset:
+        """A lazy registration of ``path`` at its header's version."""
         from repro.service.snapshot import load_engine
+
+        if info is None:
+            info = _file_info(str(path))
 
         if storage_mode is None:
             storage_mode = self._storage_mode
@@ -577,73 +575,58 @@ class QueryService(ServiceCore):
                 storage_mode=storage_mode,
                 pin_policy=pin_policy,
             ),
-            # Remembered (no I/O here — the file may not exist yet) so
-            # reload_snapshot can later compare content digests and
-            # no-op when this worker already holds the epoch.
+            # Remembered so reload can later compare content digests
+            # and no-op when this worker already holds the epoch.
             source=str(path),
+            base=int(info.get("dataset_version") or 0),
         )
 
-    def reload_snapshot(
+    def reload(
         self,
         name: str,
         path,
         *,
-        params: Optional[SearchParams] = None,
         force: bool = False,
+        params: Optional[SearchParams] = None,
         storage_mode: Optional[str] = None,
         pin_policy=None,
     ) -> dict:
-        """Re-register ``name`` from ``path`` without a process restart.
+        """Re-register ``name`` from ``path`` without a process restart,
+        serving the file's ``dataset_version``.
 
-        The fleet-wide purge/reload story: compares the new file's
-        content digest (:func:`repro.service.snapshot.snapshot_info`)
-        against what this service is already serving and **no-ops**
-        when they match — a broadcast reload is then free on replicas
-        that already hold the epoch.  A dataset with *committed* live
-        mutations never no-ops: reloading it deliberately resets to
-        the snapshot.  Returns ``{"dataset", "reloaded", "version",
-        "digest"}``.
+        No-ops when the file's content digest
+        (:func:`repro.service.snapshot.snapshot_info`) matches what this
+        service already serves — a broadcast reload is then free on
+        replicas that already hold the epoch.  A dataset with
+        *committed* live mutations never no-ops: reloading it
+        deliberately resets to the snapshot.  The attached log restarts
+        at the file's version
+        (:meth:`~repro.service.core.ServiceCore._continue_lineage`), so
+        a restart that registers the same file and attaches the log
+        replays every commit acknowledged after the reload.  Returns
+        ``{"dataset", "reloaded", "version", "digest"}``.
         """
         info = snapshot_info(path)
         digest = info.get("content_digest")
-        if not force and digest is not None:
-            current = self._current_snapshot_digest(name)
-            if current == digest:
-                return {
-                    "dataset": name,
-                    "reloaded": False,
-                    "version": self.dataset_version(name),
-                    "digest": digest,
-                }
-        record = self._snapshot_record(path, params, storage_mode, pin_policy)
-        record.digest = digest
-        # Convergence rule: every replica adopting this file lands
-        # on ``snapshot_version + 1`` — strictly above any replica
-        # the file could have been saved from (the saver stamps its
-        # own effective version), so cache keys stay monotone AND
-        # replicas with different histories stop reporting drift
-        # for identical content.  Reloading a snapshot *older* than
-        # this service's own state keeps the local ``prior + 1``
-        # (the max), which is the genuinely-ambiguous rollback case
-        # — drift stays visible until a fresh snapshot propagates.
-        record.base = int(info.get("dataset_version") or 0) + 1
-        with self._mutation_lock(name):
-            log = self._log(name)
-            if log is not None:
-                # The old records applied to the *old* base: the log
-                # restarts where the new record starts.  The lock is the
-                # fence — a racing commit waits, then is journalled in
-                # the new lineage.
-                record.base = max(record.base, self.dataset_version(name) + 1)
-                log.reset(start_seq=record.base)
-            self._install(name, record, log)
-            version = record.base
-            wal_seq = log.last_seq if log is not None else None
-        self._note_reload(name, version, digest, wal_seq)
+        reloaded = (
+            force or digest is None or self._current_snapshot_digest(name) != digest
+        )
+        if reloaded:
+            record = self._snapshot_record(path, params, storage_mode, pin_policy, info)
+            record.digest = digest
+            # The lock is the fence: a racing commit waits, then is
+            # journalled in the new lineage.
+            with self._mutation_lock(name):
+                log = self._log(name)
+                if log is not None:
+                    self._continue_lineage(name, log, record.base, reload=True)
+                self._install(name, record, log)
+                wal_seq = log.last_seq if log is not None else None
+            self._note_reload(name, record.base, digest, wal_seq)
         return {
             "dataset": name,
-            "reloaded": True,
-            "version": version,
+            "reloaded": reloaded,
+            "version": self.dataset_version(name),
             "digest": digest,
         }
 
@@ -682,31 +665,31 @@ class QueryService(ServiceCore):
         **log_knobs,
     ) -> dict:
         """Open dataset ``name``'s durable mutation log: replay what the
-        served state is missing, then journal every later commit.
+        served snapshot is missing, then journal every later commit.
 
-        This is the crash-recovery entry point (call it right after
-        registering the dataset): records newer than the served state —
-        the snapshot's ``dataset_version`` for snapshot-registered
-        datasets, the current effective version otherwise — are applied
-        in sequence, landing the dataset on exactly the log's last
-        durable epoch.  ``path`` defaults to the registered snapshot's
-        sibling ``<snapshot>.wal`` (:func:`repro.wal.default_wal_path`).
+        This is the crash-recovery entry point, called right after
+        registering (or reloading) the dataset: the records past the
+        snapshot's ``dataset_version`` are applied in sequence, landing
+        the dataset on exactly the log's last durable epoch; a log that
+        ends behind that version restarts at it
+        (:meth:`~repro.service.core.ServiceCore._continue_lineage`).
+        ``path`` defaults to the registered snapshot's sibling
+        ``<snapshot>.wal`` (:func:`repro.wal.default_wal_path`).
 
         ``sync`` is the durability knob per commit (see
         :mod:`repro.wal`): ``"commit"`` fsyncs each append, the default
         ``"batched"`` flushes each append (commits survive a process
         ``kill -9``) and fsyncs every few, ``"off"`` defers flushing
-        entirely.  ``writable=False`` replays without taking ownership
-        of the log — what a cluster replica does, since only the
-        supervisor appends.  ``strict=False`` lets replay stop at a
+        entirely.  ``writable=False`` replays an existing log without
+        taking ownership of it — what a cluster replica does, since
+        only the supervisor appends.  ``strict=False`` lets replay stop at a
         record that fails to apply (warning) instead of raising.
 
         Raises :class:`~repro.errors.WalError` when exact recovery is
-        impossible: a replay gap (log truncated past the snapshot) or,
-        for writable logs, a log *behind* the served state (commits
-        happened unjournaled — save a snapshot and reset instead).
-        Returns ``{"dataset", "path", "replayed", "wal_seq",
-        "version"}``.
+        impossible: a replay gap (log truncated past the snapshot), or
+        commits since the registration, which no log holds and which
+        the records past the snapshot do not describe.  Returns
+        ``{"dataset", "path", "replayed", "wal_seq", "version"}``.
         """
         # Under the dataset's mutation lock: no commit, reload or
         # re-registration interleaves with the replay and the attach.
@@ -715,48 +698,31 @@ class QueryService(ServiceCore):
                 record = self._datasets.get(name)
             if record is None:
                 raise UnknownDatasetError(name)
-            source = record.source
             if path is None:
-                if source is None:
+                if record.source is None:
                     raise ValueError(
                         f"dataset {name!r} was not registered from a snapshot; "
                         f"pass an explicit WAL path"
                     )
-                path = default_wal_path(source)
-            snap_version = int(_file_info(source).get("dataset_version") or 0)
-            with self._registry_lock:
-                live_version = record.live.version if record.live is not None else 0
-                if live_version == 0 and record.base < snap_version:
-                    # Adopt the snapshot's version baseline: WAL sequence
-                    # numbers continue the snapshot's history instead of
-                    # restarting at zero on every process start.  Only for
-                    # a dataset with no live commits — absorbing committed
-                    # (necessarily unjournaled) epochs into the baseline
-                    # would let old log records replay on top of a
-                    # diverged state instead of failing loudly below.
-                    record.base = snap_version
-                effective = record.version
+                path = default_wal_path(record.source)
+            base = record.base
+            if record.version != base:
+                raise WalError(
+                    f"{name!r} has {record.version - base} commit(s) since it "
+                    f"was registered that no log holds: attach the log right "
+                    f"after registering, or save_snapshot() and register the "
+                    f"new file"
+                )
             if writable:
-                log = MutationLog(path, sync=sync, start_seq=effective, **log_knobs)
+                log = MutationLog(path, sync=sync, start_seq=base, **log_knobs)
             else:
-                try:
-                    log = MutationLog(path, readonly=True, **log_knobs)
-                except WalError:
-                    # No log on disk yet: nothing to recover, nothing to own.
-                    return {
-                        "dataset": name,
-                        "path": str(path),
-                        "replayed": 0,
-                        "wal_seq": effective,
-                        "version": effective,
-                    }
+                log = MutationLog(path, readonly=True, **log_knobs)
             try:
                 replayed = 0
-                if log.last_seq > effective:
-                    dataset = self._mutable_dataset(name)
-                    replayed = dataset.replay_records(
-                        log.records(start_after=effective),
-                        expected=effective + 1,
+                if log.last_seq > base:
+                    replayed = self._mutable_dataset(name).replay_records(
+                        log.records(start_after=base),
+                        expected=base + 1,
                         strict=strict,
                     )
                     if replayed:
@@ -769,28 +735,21 @@ class QueryService(ServiceCore):
                             f"(older segments were truncated past this "
                             f"snapshot; recover from a newer one)"
                         )
-                effective = self.dataset_version(name)
-                if writable and log.last_seq < effective:
-                    raise WalError(
-                        f"WAL for {name!r} ends at seq {log.last_seq} but the "
-                        f"served state is already at version {effective}: "
-                        f"commits happened without a journal.  save_snapshot() "
-                        f"and attach a fresh log instead"
-                    )
+                if writable:
+                    self._continue_lineage(name, log, base)
+                else:
+                    log.close()
             except BaseException:
                 log.close()
                 raise
-            if writable:
-                self._set_log(name, log)
-            else:
-                log.close()
+            version = self.dataset_version(name)
         self._wal_telemetry.note_recovery(name, log, replayed)
         return {
             "dataset": name,
             "path": str(path),
             "replayed": replayed,
             "wal_seq": log.last_seq,
-            "version": effective,
+            "version": version,
         }
 
     def save_snapshot(self, name: str, path):
@@ -843,16 +802,20 @@ class QueryService(ServiceCore):
             return sorted(self._datasets)
 
     def dataset_version(self, name: str) -> int:
-        """The dataset's current effective version (0 until it changes).
+        """The dataset's current version: a snapshot file's
+        ``dataset_version`` (0 for anything else) plus the commits
+        since it was registered."""
+        return self._cache_version(name)[1]
 
-        This is what result-cache keys embed: every mutation commit and
-        every engine replacement advances it, so stale cached answers
-        become unreachable the instant the new state is visible (see
-        :attr:`_Dataset.version` for the monotonicity argument).
-        """
+    def _cache_version(self, name: str) -> tuple[int, int]:
+        """``(generation, version)`` of ``name``'s registration — what
+        result-cache keys embed.  A commit advances the version, so
+        stale answers become unreachable the instant the new state is
+        visible; versions repeat across registrations (each of file F
+        starts at F's), generations never do."""
         with self._registry_lock:
             record = self._datasets.get(name)
-            return record.version if record is not None else 0
+            return (record.generation, record.version) if record else (0, 0)
 
     def dataset_versions(self) -> dict[str, int]:
         """``{dataset: version}`` for every registered dataset."""
@@ -889,7 +852,7 @@ class QueryService(ServiceCore):
                         continue
                 start = time.perf_counter()
                 # The digest of the file actually loaded (the file may
-                # be rewritten later — reload_snapshot compares against
+                # be rewritten later — reload compares against
                 # what this service *serves*, not what is on disk now,
                 # nor what was there when the reload registered it).  A
                 # concurrent swap between the two reads at worst records
@@ -950,10 +913,11 @@ class QueryService(ServiceCore):
             seq = self.dataset_version(dataset) + 1
             journal = log and functools.partial(log.append, seq=seq)
             outcome = live.mutate(mutations, journal=journal)
-            version = self.dataset_version(dataset)
+            current = self._cache_version(dataset)
             wal_seq = log.last_seq if log is not None else None
+        version = current[1]
         purged = self.cache.purge(
-            lambda key: key[0] == dataset and key[-1] != version
+            lambda key: key[0] == dataset and key[-1] != current
         )
         self.registry.counter("repro_mutations_applied_total").inc(
             dataset=dataset
@@ -968,6 +932,7 @@ class QueryService(ServiceCore):
             new_nodes=outcome.new_nodes,
             compacted=outcome.epoch.compacted,
             cache_purged=purged,
+            wal_seq=wal_seq,
         )
 
     def _mutable_dataset(self, name: str) -> "MutableDataset":
@@ -1302,7 +1267,7 @@ class QueryService(ServiceCore):
             # under the old (already unreachable) key — wasted space,
             # never a stale answer.  The opposite order could cache an
             # old epoch's answers under the new version.
-            version = self.dataset_version(request.dataset)
+            version = self._cache_version(request.dataset)
             engine = self.engine(request.dataset)
             run_params = request.params if request.params is not None else engine.params
             if request.k is not None:
@@ -1320,7 +1285,7 @@ class QueryService(ServiceCore):
             )
 
         if root is not None:
-            root.set_attribute("dataset_version", version)
+            root.set_attribute("dataset_version", version[1])
             wal = self._log(request.dataset)
             if wal is not None:
                 root.set_attribute("wal_seq", wal.last_seq)

@@ -72,8 +72,8 @@ if sys.argv[3] == "replay":
         ])
         for commit in range(4)
     ]
-    assert outcomes[-1]["version"] == outcomes[-1]["wal_seq"] == 4, outcomes[-1]
-    assert not outcomes[-1]["drift"] and any(o["compacted"] for o in outcomes), outcomes
+    assert outcomes[-1].version == outcomes[-1].wal_seq == 4, outcomes[-1]
+    assert not outcomes[-1].drift and any(o.compacted for o in outcomes), outcomes
     for worker in (0, 1):
         service.pool.process(worker).kill()
     deadline = time.monotonic() + 60

@@ -65,11 +65,11 @@ class TestBroadcast:
                 {"op": "add_edge", "u": -1, "v": 3},
             ],
         )
-        assert outcome["drift"] is False
-        assert outcome["workers"] == {"0": outcome["version"], "1": outcome["version"]}
+        assert outcome.drift is False
+        assert outcome.workers == {"0": outcome.version, "1": outcome.version}
 
         # Visible on both replicas...
-        new_node = outcome["new_nodes"][0]
+        new_node = outcome.new_nodes[0]
         for worker_id in (0, 1):
             response = replica_answers(fleet, worker_id, "zyzzqx")
             assert response.ok, response.error
@@ -97,7 +97,7 @@ class TestBroadcast:
                 },
             ],
         )
-        new_node = outcome["new_nodes"][0]
+        new_node = outcome.new_nodes[0]
         for worker_id in (0, 1):
             response = replica_answers(fleet, worker_id, "transaction")
             assert response.ok
@@ -106,7 +106,7 @@ class TestBroadcast:
             assert new_node in roots
 
     def test_versions_observable_everywhere(self, fleet):
-        version = fleet.apply("toy", [{"op": "add_node", "label": "v"}])["version"]
+        version = fleet.apply("toy", [{"op": "add_node", "label": "v"}]).version
         by_worker = fleet.dataset_versions()["toy"]
         assert by_worker == {"0": version, "1": version}
         health = fleet.health()

@@ -8,8 +8,12 @@ version N** — zero drift in ``health()``, post-mutation answers served
 miss every commit.
 """
 
+import json
 import signal
+import threading
 import time
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -74,9 +78,9 @@ class TestKill9Recovery:
     def test_sigkilled_replica_replays_to_exact_version(self, wal_fleet):
         fleet = wal_fleet
         outcome = commit_stream(fleet, NUM_COMMITS)
-        assert outcome["version"] == NUM_COMMITS
-        assert outcome["wal_seq"] == NUM_COMMITS
-        assert outcome["drift"] is False
+        assert outcome.version == NUM_COMMITS
+        assert outcome.wal_seq == NUM_COMMITS
+        assert outcome.drift is False
 
         # SIGKILL one replica mid-stream: no drain, no goodbye.
         victim = 0
@@ -123,30 +127,30 @@ class TestKill9Recovery:
         outcome = commit_stream(fleet, 2, prefix="afterkill")
         assert wait_until(
             lambda: fleet.dataset_versions(timeout=5.0).get("toy", {})
-            == {"0": outcome["version"], "1": outcome["version"]}
+            == {"0": outcome.version, "1": outcome.version}
         )
-        assert outcome["drift"] is False or fleet.health()["version_drift"] == []
+        assert outcome.drift is False or fleet.health()["version_drift"] == []
         for worker_id in (0, 1):
             response = replica_answers(fleet, worker_id, "afterkill1")
             assert response.ok, response.error
         metrics = fleet.metrics()
-        assert metrics["cluster"]["wal_seq"] == {"toy": outcome["version"]}
+        assert metrics["cluster"]["wal_seq"] == {"toy": outcome.version}
 
     def test_reload_resets_wal_and_later_applies_still_land(
         self, wal_fleet, toy_snapshot
     ):
-        """A fleet reload bumps replica versions past the log's lineage;
-        the supervisor must reset the log to match or every subsequent
-        apply would be skipped as already-replayed."""
+        """A fleet reload lands replicas on the file's version; the
+        supervisor must restart the log there, or every subsequent apply
+        would be skipped as already-replayed (or trail the replicas)."""
         fleet = wal_fleet
         commit_stream(fleet, 2)
         outcome = fleet.reload("toy", toy_snapshot, force=True)
-        assert fleet.wal_seqs()["toy"] == outcome["version"]
+        assert fleet.wal_seqs()["toy"] == outcome["version"] == 0
         after = fleet.apply(
             "toy", [{"op": "add_node", "label": "r", "text": "postreloadfleet"}]
         )
-        assert after["applied"] == 1
-        assert after["version"] == after["wal_seq"] == outcome["version"] + 1
+        assert after.applied == 1
+        assert after.version == after.wal_seq == outcome["version"] + 1
         for worker_id in (0, 1):
             response = replica_answers(fleet, worker_id, "postreloadfleet")
             assert response.ok, response.error
@@ -176,13 +180,13 @@ class TestKill9Recovery:
         fleet = wal_fleet
         commit_stream(fleet, 1)
         outcome = fleet.apply("toy", [])
-        assert outcome["applied"] == 0
+        assert outcome.applied == 0
         assert fleet.wal_seqs()["toy"] == 1  # no record appended
         after = fleet.apply(
             "toy", [{"op": "add_node", "label": "e", "text": "postempty"}]
         )
-        assert after["applied"] == 1
-        assert after["version"] == after["wal_seq"] == 2
+        assert after.applied == 1
+        assert after.version == after.wal_seq == 2
         for worker_id in (0, 1):
             assert replica_answers(fleet, worker_id, "postempty").ok
 
@@ -209,9 +213,102 @@ class TestKill9Recovery:
             outcome = fleet.apply(
                 "toy", [{"op": "add_node", "label": "n", "text": "freshword"}]
             )
-            assert outcome["applied"] == 1
-            assert outcome["wal_seq"] == 8
+            assert outcome.applied == 1
+            assert outcome.wal_seq == 8
             assert replica_answers(fleet, 0, "freshword").ok
+
+    def test_commit_after_a_reload_survives_killing_every_replica(
+        self, wal_fleet, tmp_path, toy_engine_session
+    ):
+        """Reload a new file, commit, kill both workers: the respawned
+        replicas load the reloaded file (the specs point at it) and
+        replay the commit, at the log's version."""
+        from repro.live import MutableDataset
+        from repro.service.snapshot import save_snapshot
+
+        fleet = wal_fleet
+        commit_stream(fleet, 2)
+        reloaded = MutableDataset.from_engine(toy_engine_session)
+        reloaded.mutate([{"op": "add_node", "label": "b", "text": "reloadedword"}])
+        epoch = reloaded.compact()
+        b = save_snapshot(tmp_path / "b.snap", epoch.graph, epoch.index, version=4)
+        assert fleet.reload("toy", b)["version"] == 4
+        acked = fleet.apply(
+            "toy", [{"op": "add_node", "label": "c", "text": "committedword"}]
+        )
+        assert acked.version == acked.wal_seq == 5
+        for worker_id in (0, 1):
+            fleet.pool.process(worker_id).kill()
+        assert wait_until(
+            lambda: all(fleet.pool.restarts().get(w, 0) >= 1 for w in (0, 1))
+            and fleet.dataset_versions(timeout=5.0).get("toy") == {"0": 5, "1": 5}
+        ), fleet.dataset_versions(timeout=5.0)
+        for worker_id in (0, 1):
+            for word in ("reloadedword", "committedword"):
+                response = replica_answers(fleet, worker_id, word)
+                assert response.ok, (worker_id, word, response.error)
+            assert not replica_answers(fleet, worker_id, "walpaper0").ok
+        health = fleet.health()
+        assert (health["wal_behind"], health["version_drift"]) == ([], [])
+
+    def test_replicas_behind_the_log_are_reported(self, wal_fleet):
+        """A record no replica serves (the log holds a commit the
+        broadcast never delivered) is named by health, and /healthz
+        answers 503."""
+        from repro.cluster.http import make_server
+
+        fleet = wal_fleet
+        commit_stream(fleet, 1)
+        assert fleet.health()["wal_behind"] == []
+        fleet._log("toy").append([{"op": "add_node", "label": "lost"}])
+        health = fleet.health()
+        assert health["wal_seq"] == {"toy": 2}
+        assert health["versions"]["toy"] == {"0": 1, "1": 1}
+        assert (health["version_drift"], health["wal_behind"]) == ([], ["toy"])
+        server = make_server(fleet)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        try:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(f"http://{host}:{port}/healthz")
+            assert excinfo.value.code == 503
+            assert json.loads(excinfo.value.read())["status"] == "degraded"
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_failed_startup_replay_is_a_worker_event(self, tmp_path):
+        """A worker whose startup replay raises keeps serving and says
+        so in its event log, where the supervisor's pull finds it."""
+        from repro.cluster.worker import worker_main
+        from repro.wal import MutationLog
+
+        junk = tmp_path / "junk.snap"
+        junk.write_bytes(b"not a snapshot")
+        with MutationLog(tmp_path / "toy.wal") as log:
+            log.append([{"op": "add_node", "label": "x"}])
+
+        class Conn:
+            def __init__(self, incoming):
+                self.recv = iter(incoming).__next__
+                self.sent = []
+
+            def send(self, item):
+                self.sent.append(item)
+
+        conn = Conn(
+            [
+                (0, {"toy": str(junk)}, {"wals": {"toy": str(tmp_path / "toy.wal")}}),
+                ("events", 1, {"since": 0}),
+                ("stop",),
+            ]
+        )
+        worker_main(conn)
+        ((_, _, reply),) = conn.sent
+        (event,) = [e for e in reply["events"] if e["kind"] == "wal_replay_failed"]
+        assert (event["dataset"], event["severity"]) == ("toy", "error")
+        assert event["extra"] == {"error_type": "SnapshotError"}
 
     def test_sigkill_constant_is_what_kill_sends(self):
         """`process.kill()` is SIGKILL on POSIX — pin the assumption the
@@ -408,6 +505,6 @@ class TestWithoutWal:
             outcome = fleet.apply(
                 "toy", [{"op": "add_node", "label": "x", "text": "nowalword"}]
             )
-            assert "wal_seq" not in outcome
+            assert outcome.wal_seq is None
             assert fleet.wal_seqs() == {}
             assert "wal_seq" not in fleet.health()

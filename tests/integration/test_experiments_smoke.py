@@ -117,6 +117,26 @@ class TestTinyRuns:
         assert row[4:9] == [marked, marked, marked, one, marked], row
         assert any(note.startswith("* ") for note in report.notes)
 
+    @pytest.mark.parametrize("drained", [True, False])
+    def test_fig6_marks_points_measured_at_the_final_drain(self, monkeypatch, drained):
+        import repro.experiments.common as common
+        from repro.workload.metrics import MeasurementPoint
+
+        point = MeasurementPoint(
+            rank=1, relevant_found=1, out_time=2.0, gen_time=1.0,
+            out_pops=40 if drained else 30, gen_pops=20, out_touched=60,
+            gen_touched=30, total_time=2.0, total_pops=40, total_touched=60,
+        )
+        monkeypatch.setattr(common, "measure_at_last_relevant", lambda *a, **k: point)
+        one, marked = "1.00", "1.00*" if drained else "1.00"
+        report = run_fig6b(scale=0.15, queries_per_point=1, keyword_range=(2,))
+        (row,) = report.rows
+        # out-time and nodes-explored (small, large), then gen-time
+        assert row[1:7] == [marked] * 4 + [one] * 2, row
+        assert any(note.startswith("* ") for note in report.notes)
+        (row, *_) = run_fig6c(scale=0.15, queries_per_point=1).rows
+        assert row[2:5] == [marked, marked, one], row
+
     def test_memory_tiny(self):
         report = run_memory(scales=(0.15,))
         assert len(report.rows) == 3

@@ -164,7 +164,7 @@ def main(snapshot, wal_dir):
             + [QueryRequest(dataset="nope", query="gray")]
         )
         assert [r.ok for r in batch] == [True, True, True, False], batch
-        assert service.apply("toy", mutations)["applied"] == 2
+        assert service.apply("toy", mutations).applied == 2
         assert service.search("toy", "zyzzqx").ok
         status, _ = http_call(
             server, "POST", "/search", {"dataset": "toy", "query": "selinger access"}
@@ -288,7 +288,7 @@ try:
     # one save-time import (OpenSSL), arrays still are not.
     resaved = service.save_snapshot("toy", sys.argv[1] + ".resaved")
     assert type(service.engine("toy").graph).__name__ == "SearchGraph"
-    service.reload_snapshot("toy", resaved)
+    service.reload("toy", resaved)
     assert service.search("toy", "qwertz").result.answers
     assert_not_loaded("numpy", "scipy")
 finally:
@@ -535,7 +535,7 @@ with QueryService(storage_mode="ram") as service:
         response = service.search("toy", "gray transaction", algorithm=algorithm)
         assert response.ok and response.result.answers, (algorithm, response.error)
     assert service.engine("toy").graph.storage.mode == "ram"
-    assert service.reload_snapshot("toy", copy, force=True)["reloaded"]
+    assert service.reload("toy", copy, force=True)["reloaded"]
     response = service.search("toy", "selinger access", use_cache=False)
     assert response.ok and response.result.answers, response.error
 assert verify_snapshot(copy)["content_digest"]

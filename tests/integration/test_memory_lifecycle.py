@@ -174,7 +174,7 @@ def test_service_life_cycle_leaves_no_cyclic_garbage(snapshots, tmp_path, mode, 
             service._datasets["d"].live.compact()
             assert service.search("d", QUERIES[0]).ok
             service.save_snapshot("d", tmp_path / f"saved-{mode}.snap")
-            assert service.reload_snapshot("d", dblp)["reloaded"]
+            assert service.reload("d", dblp)["reloaded"]
             assert service.engine("d").graph.storage.mode == mode
             service.metrics()
             service.registry.export()
@@ -318,7 +318,7 @@ def test_reloaded_dataset_dies_with_its_last_search(no_gc, snapshots):
         old_graph = weakref.ref(service.engine("d").graph)
         old_index = weakref.ref(service.engine("d").index)
         gate, thread, done = in_flight_search(service, "d", QUERIES[0])
-        assert service.reload_snapshot("d", dblp)["reloaded"]
+        assert service.reload("d", dblp)["reloaded"]
         assert old_graph() is not None  # the parked search still reads it
         gate.release()
         thread.join(30.0)

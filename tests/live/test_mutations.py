@@ -100,4 +100,11 @@ class TestValidation:
             "new_nodes": [9],
             "compacted": True,
             "cache_purged": 0,
+            "workers": {},
+            "drift": False,
+            "wal_seq": None,
         }
+        fleet = MutationResult(
+            dataset="d", version=3, applied=2, workers={"0": 3, "1": 2}, wal_seq=3
+        )
+        assert fleet.drift and fleet.to_dict()["workers"] == {"0": 3, "1": 2}

@@ -20,11 +20,14 @@ holds.  After every step:
   oracle releases, and SI-Backward's top answer scores exactly what
   :mod:`repro.core.exhaustive`'s does.
 
-Recovery is predicted from the model, not assumed: a new service
-registering the snapshot and attaching the log replays exactly the
-records past the snapshot's version, and refuses loudly
-(:class:`~repro.errors.WalError`) when the log does not continue the
-snapshot (a replay gap) or ends behind it.
+Recovery is predicted from the model, not assumed.  Registering,
+reloading and restarting the source all serve its ``dataset_version``;
+a reload restarts the log there, so a new service registering the
+snapshot and attaching the log replays exactly the records past the
+snapshot's version — commits acknowledged after a reload included.  A
+log ending behind the snapshot restarts at its version, and one that no
+longer reaches back to it is refused loudly
+(:class:`~repro.errors.WalError`, a replay gap).
 """
 
 from __future__ import annotations
@@ -138,7 +141,7 @@ class LineageMachine(RuleBasedStateMachine):
         self.service = None
         self.log_first_base = self.log_last = 0
         self.log_records: dict[int, list] = {}
-        self._serve()
+        self._serve(0)
         info = self.service.attach_wal(NAME, self.wal_path)
         assert info["replayed"] == 0
         self.attached = True
@@ -152,9 +155,10 @@ class LineageMachine(RuleBasedStateMachine):
     # ------------------------------------------------------------------
     # model helpers
     # ------------------------------------------------------------------
-    def _serve(self, version: int = 0) -> None:
-        """A (new) registration of the source: the model's base is
-        the file's content, nothing acknowledged on top of it yet."""
+    def _serve(self, version: int) -> None:
+        """A (new) registration of the source at its ``version``: the
+        model's base is the file's content, nothing acknowledged on top
+        of it yet."""
         if self.service is None:
             self.service = QueryService()
             self.service.register_snapshot(NAME, self.source)
@@ -237,15 +241,15 @@ class LineageMachine(RuleBasedStateMachine):
             self.log_records.clear()
 
     @rule()
-    def reload_snapshot(self):
-        outcome = self.service.reload_snapshot(NAME, self.source, force=True)
-        version = max(self._source_version(), self.version) + 1
+    def reload_source(self):
+        outcome = self.service.reload(NAME, self.source, force=True)
+        version = self._source_version()
         assert outcome["reloaded"] and outcome["version"] == version
         attached = self.attached
         self._serve(version)
         if attached:
-            # The old lineage's records are unreplayable against the
-            # reloaded file: the log restarts at the new version.
+            # The old lineage's records are not the reloaded file's
+            # history: the log restarts at the file's version.
             self.attached = True
             self.log_first_base = self.log_last = version
             self.log_records.clear()
@@ -253,7 +257,7 @@ class LineageMachine(RuleBasedStateMachine):
     @rule()
     def reregister_then_attach_wal(self):
         self.service.register_snapshot(NAME, self.source)
-        self._serve(self.version + 1)
+        self._serve(self._source_version())
         if self._attach(self.version):
             return
         # What the refusal tells an operator to do: start a fresh log.
@@ -275,11 +279,14 @@ class LineageMachine(RuleBasedStateMachine):
 
     def _attach(self, start: int) -> bool:
         """Attach the log to a registration serving the source at
-        version ``start`` with nothing committed on top: the records
-        past ``start`` replay when the log continues it, and the attach
-        is refused when the log ends behind ``start`` or no longer
-        reaches back to it (a replay gap)."""
-        continues = self.log_first_base <= start <= self.log_last
+        version ``start`` with nothing committed on top: a log ending
+        behind ``start`` restarts there, the records past ``start``
+        replay when the log continues it, and the attach is refused
+        when the log no longer reaches back to it (a replay gap)."""
+        if self.log_last < start:
+            self.log_first_base = self.log_last = start
+            self.log_records.clear()
+        continues = self.log_first_base <= start
         try:
             info = self.service.attach_wal(NAME, self.wal_path)
         except WalError:

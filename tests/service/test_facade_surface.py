@@ -40,7 +40,7 @@ SHARED_VERBS = [
 #: What each tier writes itself: its substrate, and the verbs whose
 #: bodies differ (``search`` only in signature and the inline path).
 PER_TIER = ["search", "metrics", "health", "close", "datasets", "warmup", "apply",
-            "dataset_versions", "_submit", "_await"]
+            "reload", "dataset_versions", "_submit", "_await"]
 
 
 @pytest.mark.parametrize("tier", [QueryService, ShardedQueryService])

@@ -121,13 +121,23 @@ class TestVersionKeyedCache:
         exported = service.metrics()
         assert exported["datasets"]["versions"] == {"toy": 1}
 
-    def test_reregistration_advances_version(self, service, toy_engine):
+    def test_reregistration_restarts_the_version_under_a_new_cache_key(
+        self, service, toy_engine
+    ):
+        """A registration serves its content's version, so versions
+        repeat across registrations; the cache key's generation keeps
+        the replaced content's answers from ever being served."""
         service.apply("toy", [AddNode(label="x")])
-        assert service.dataset_version("toy") == 1
+        stale = service.search("toy", "transaction")
+        (key,) = service.cache.keys()
         service.register_engine("toy", toy_engine)
-        assert service.dataset_version("toy") == 2
-        # mutating the re-registered dataset keeps strictly increasing
-        assert service.apply("toy", [AddNode(label="y")]).version == 3
+        assert service.dataset_version("toy") == 0
+        # A search of the replaced registration still in flight caches
+        # its answer after the purge...
+        service.cache.put(key, stale.result)
+        # ...and the replacement reaches the same version.
+        assert service.apply("toy", [AddNode(label="y")]).version == 1
+        assert not service.search("toy", "transaction").cached
 
     def test_inflight_epoch_completes_unperturbed(self, service):
         """A search holding the old epoch's engine finishes against it
@@ -151,7 +161,7 @@ class TestReloadSnapshot:
         with QueryService() as svc:
             svc.register_snapshot("toy", path)
             svc.warmup()
-            outcome = svc.reload_snapshot("toy", path)
+            outcome = svc.reload("toy", path)
             assert outcome["reloaded"] is False
 
     def test_failed_batch_keeps_reload_noop_possible(self, toy_engine, tmp_path):
@@ -166,10 +176,10 @@ class TestReloadSnapshot:
             svc.warmup()
             with pytest.raises(MutationError):
                 svc.apply("toy", [{"op": "remove_edge", "u": 0, "v": 1}])
-            assert svc.reload_snapshot("toy", path)["reloaded"] is False
+            assert svc.reload("toy", path)["reloaded"] is False
             # but a *successful* commit kills the no-op, as it must
             svc.apply("toy", [AddNode(label="x")])
-            assert svc.reload_snapshot("toy", path)["reloaded"] is True
+            assert svc.reload("toy", path)["reloaded"] is True
 
     def test_reload_after_rewrite(self, toy_engine, tmp_path):
         from repro.service.snapshot import save_engine
@@ -188,12 +198,12 @@ class TestReloadSnapshot:
 
             save_snapshot(path, epoch.graph, epoch.index, version=epoch.version)
 
-            outcome = svc.reload_snapshot("toy", path)
+            outcome = svc.reload("toy", path)
             assert outcome["reloaded"] is True
             assert svc.dataset_version("toy") > version_before
             assert svc.search("toy", "reloadedterm").ok
             # now a no-op again
-            assert svc.reload_snapshot("toy", path)["reloaded"] is False
+            assert svc.reload("toy", path)["reloaded"] is False
 
     def test_build_stamps_the_digest_of_the_file_it_loaded(self, toy_engine, tmp_path):
         """The digest a reload records is of the file *then*; if the
@@ -211,20 +221,20 @@ class TestReloadSnapshot:
         epoch = dataset.compact()
         with QueryService() as svc:
             svc.register_engine("toy", toy_engine)
-            assert svc.reload_snapshot("toy", path)["reloaded"] is True  # lazy
+            assert svc.reload("toy", path)["reloaded"] is True  # lazy
             save_snapshot(path, epoch.graph, epoch.index)  # rewritten before build
             assert svc.search("toy", "rewrittenterm").ok  # the build loads it
-            assert svc.reload_snapshot("toy", path)["reloaded"] is False
-            assert svc.reload_snapshot("toy", original)["reloaded"] is True
+            assert svc.reload("toy", path)["reloaded"] is False
+            assert svc.reload("toy", original)["reloaded"] is True
             assert not svc.search("toy", "rewrittenterm").ok
 
     def test_reload_converges_replicas_with_different_histories(
         self, toy_engine, tmp_path
     ):
         """Two services at different versions reloading the same file
-        must land on the same version — identical content must not
+        must land on the file's version — identical content must not
         read as drift (the fleet's health check keys off this)."""
-        from repro.service.snapshot import save_engine
+        from repro.service.snapshot import save_engine, snapshot_info
 
         path = save_engine(tmp_path / "toy.snap", toy_engine)
         behind = QueryService()
@@ -236,13 +246,12 @@ class TestReloadSnapshot:
             ahead.apply("toy", [AddNode(label="x")])  # histories diverge
 
             fresh = ahead.save_snapshot("toy", tmp_path / "fresh.snap")
-            a = behind.reload_snapshot("toy", fresh)
-            b = ahead.reload_snapshot("toy", fresh)
+            a = behind.reload("toy", fresh)
+            b = ahead.reload("toy", fresh)
             assert a["reloaded"] and b["reloaded"]
             assert a["version"] == b["version"]
             assert behind.dataset_version("toy") == ahead.dataset_version("toy")
-            # and strictly above both priors, so no stale cache key lives
-            assert a["version"] > 1
+            assert a["version"] == snapshot_info(fresh)["dataset_version"] == 1
         finally:
             behind.close()
             ahead.close()
@@ -268,7 +277,7 @@ class TestReloadSnapshot:
             svc.warmup()  # factory records the file's digest
             svc.register_engine("toy", other_engine)
             assert svc.search("toy", "otherterm").ok
-            outcome = svc.reload_snapshot("toy", path)
+            outcome = svc.reload("toy", path)
             assert outcome["reloaded"] is True
             response = svc.search("toy", "otherterm")
             assert response.error_type == "KeywordNotFoundError"
@@ -306,7 +315,7 @@ class TestReloadSnapshot:
             worker = threading.Thread(target=lambda: svc.search("toy", "gray"))
             worker.start()
             assert build_started.wait(timeout=10)
-            outcome = svc.reload_snapshot("toy", fresh)  # lands mid-build
+            outcome = svc.reload("toy", fresh)  # lands mid-build
             assert outcome["reloaded"] is True
             release_build.set()
             worker.join(timeout=30)
@@ -321,7 +330,7 @@ class TestReloadSnapshot:
         with QueryService() as svc:
             svc.register_snapshot("toy", path)
             svc.warmup()
-            assert svc.reload_snapshot("toy", path, force=True)["reloaded"] is True
+            assert svc.reload("toy", path, force=True)["reloaded"] is True
 
     def test_save_snapshot_of_mutated_dataset(self, service, tmp_path):
         service.apply(

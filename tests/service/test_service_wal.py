@@ -73,8 +73,9 @@ class TestAttachAndJournal:
             service._logs()["toy"].close()  # simulate the disk going away
             with pytest.raises(WalError):
                 add_word(service, "ghostword")
-            # the rejected batch is gone: reattach and keep committing
-            service.attach_wal("toy", info["path"])
+            # the rejected batch is gone: recover and keep committing
+            service.register_snapshot("toy", toy_snapshot)
+            assert service.attach_wal("toy", info["path"])["replayed"] == 1
             assert add_word(service, "second").version == 2
             assert not service.search("toy", "ghostword").ok
             assert service.search("toy", "second").ok
@@ -174,34 +175,66 @@ class TestRecovery:
         self, tmp_path, toy_engine
     ):
         """Commits applied before attach diverge the state from the
-        snapshot the log's records assume; attach must fail loudly (a
-        replay gap), not absorb the commits into the snapshot baseline
-        and replay old records on top of the wrong graph."""
+        snapshot the log's records assume; attach must fail loudly, not
+        take the log as the history of a state it does not describe
+        (here both are at version 3)."""
         snap = save_engine(tmp_path / "v2.snap", toy_engine, version=2)
         with MutationLog(tmp_path / "v2.snap.wal", start_seq=2) as log:
             log.append([{"op": "add_node", "label": "logged"}])  # seq 3
         service = QueryService()
         service.register_snapshot("toy", snap)
-        add_word(service, "unjournaled")  # effective version 1, no WAL
-        with pytest.raises(WalError, match="replay gap"):
+        add_word(service, "unjournaled")  # version 3, no WAL
+        with pytest.raises(WalError, match="no log holds"):
             service.attach_wal("toy")
         service.close()
 
     def test_writable_log_behind_served_state_raises(self, tmp_path, toy_snapshot):
-        service, _ = wal_service(toy_snapshot)
-        add_word(service, "aheadword")
-        service.close()
-        # A second service mutates WITHOUT the journal, then attaches.
+        """A commit made before the log is attached is in no log: the
+        served state is ahead of the log, and attach refuses it."""
         service = QueryService()
         service.register_snapshot("toy", toy_snapshot)
-        service.attach_wal("toy")  # replays to 1
-        add_word(service, "unjournaled")  # journaled: 2
-        # Detach by re-registering (bumps the base generation)...
-        service.register_snapshot("toy", toy_snapshot)
-        # ...now served version (3 = bumped base) is ahead of the log.
-        with pytest.raises(WalError, match="behind|ends at"):
+        add_word(service, "unjournaled")  # version 1, no log
+        with pytest.raises(WalError, match="no log holds"):
             service.attach_wal("toy")
+        assert service.wal_seqs() == {}
         service.close()
+
+    def test_log_behind_the_snapshot_restarts_at_its_version(
+        self, tmp_path, toy_engine
+    ):
+        """The lineage rule: a log ending behind the registered
+        snapshot's version holds only what the snapshot holds, and
+        restarts at that version."""
+        snap = save_engine(tmp_path / "v2.snap", toy_engine, version=2)
+        with MutationLog(default_wal_path(snap)) as log:
+            log.append([{"op": "add_node", "label": "covered"}])  # seq 1
+        service, info = wal_service(snap)
+        try:
+            assert (info["replayed"], info["wal_seq"], info["version"]) == (0, 2, 2)
+            assert add_word(service, "next").version == 3
+            assert MutationLog.peek(info["path"])["last_seq"] == 3
+        finally:
+            service.close()
+
+    def test_commit_after_a_reload_survives_a_restart(self, toy_snapshot):
+        """Register, attach, reload, commit, stop: a restart that
+        registers the same file and attaches the log replays the commit
+        acknowledged after the reload (the reload restarted the log at
+        the file's version)."""
+        service, _ = wal_service(toy_snapshot)
+        add_word(service, "beforereload")
+        assert service.reload("toy", toy_snapshot, force=True)["version"] == 0
+        acked = add_word(service, "afterreload").version
+        service.close()
+
+        recovered, info = wal_service(toy_snapshot)
+        try:
+            assert info["replayed"] == 1
+            assert info["version"] == info["wal_seq"] == acked == 1
+            assert recovered.search("toy", "afterreload").ok
+            assert not recovered.search("toy", "beforereload").ok
+        finally:
+            recovered.close()
 
 
 class TestSnapshotIntegration:
@@ -291,7 +324,7 @@ class TestSnapshotIntegration:
         service, info = wal_service(toy_snapshot)
         try:
             add_word(service, "preload")
-            outcome = service.reload_snapshot("toy", toy_snapshot, force=True)
+            outcome = service.reload("toy", toy_snapshot, force=True)
             stats = MutationLog.peek(info["path"])
             assert stats["records"] == 0
             assert stats["last_seq"] == outcome["version"]
@@ -305,7 +338,7 @@ class TestSnapshotIntegration:
         service, _ = wal_service(toy_snapshot)
         try:
             add_word(service, "eventword")
-            outcome = service.reload_snapshot("toy", toy_snapshot, force=True)
+            outcome = service.reload("toy", toy_snapshot, force=True)
             events = {event["kind"]: event for event in service.events()["events"]}
         finally:
             service.close()
@@ -322,7 +355,7 @@ class TestSnapshotIntegration:
     def test_commit_racing_a_reload_is_journaled_or_refused(
         self, toy_snapshot, monkeypatch
     ):
-        """A commit issued from another thread while ``reload_snapshot``
+        """A commit issued from another thread while ``reload``
         resets the log must be journaled in the new lineage or fail
         loudly — never be acknowledged into the old lineage the reset
         discards (and leave every later commit unjournaled behind it).
@@ -350,7 +383,7 @@ class TestSnapshotIntegration:
         monkeypatch.setattr(MutationLog, "reset", reset_beside_a_commit)
         try:
             add_word(service, "preload")  # the old lineage: reset by design
-            service.reload_snapshot("toy", toy_snapshot, force=True)
+            service.reload("toy", toy_snapshot, force=True)
             for racer in racers:
                 racer.join()
             commit("laterword")

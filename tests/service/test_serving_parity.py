@@ -13,7 +13,7 @@ Fixtures and the slow query come from ``test_metrics_shape``.
 import pytest
 
 from repro.cluster import ShardedQueryService
-from repro.live.mutations import AddNode
+from repro.live.mutations import AddNode, MutationResult
 from repro.service.service import QueryRequest, QueryService, request_fingerprint
 
 from test_metrics_shape import (  # noqa: F401 - dblp_snapshot is a fixture
@@ -36,6 +36,10 @@ EVENT_KEYS = {
     "ts", "kind", "severity", "message", "dataset", "trace_id", "source", "extra",
     "seq",
 }
+COMMIT_KEYS = [
+    "dataset", "version", "applied", "new_nodes", "compacted", "cache_purged",
+    "workers", "wal_seq", "drift",
+]
 SLO_KEYS = [
     "objective", "kind", "dataset", "budget", "burn_threshold", "windows", "firing",
     "firing_since",
@@ -74,8 +78,20 @@ def _drive(service):
     assert partial.error_type == "DeadlineExceededError"
     assert partial.result is not None and partial.result.complete is False
     _cancel_mid_search(service)
-    service.apply("dblp", [AddNode(label="parity probe", text="parity probe")])
-    return miss, explained
+    commit = service.apply("dblp", [AddNode(label="parity probe", text="parity probe")])
+    return miss, explained, commit
+
+
+def _check_commit(commit, *, workers):
+    """Both tiers' ``apply`` returns one type with one field set;
+    only the fleet has replicas to report."""
+    assert isinstance(commit, MutationResult)
+    assert list(commit.to_dict()) == COMMIT_KEYS
+    assert (commit.dataset, commit.version, commit.applied, commit.wal_seq) == (
+        "dblp", 1, 1, 1,
+    )
+    assert len(commit.new_nodes) == 1 and commit.compacted is False
+    assert commit.workers == workers and commit.drift is False
 
 
 def _check(service, miss, explained, *, span_names, event_sources):
@@ -175,7 +191,8 @@ def test_query_service_verbs(dblp_snapshot, tmp_path):
         service.register_snapshot("dblp", dblp_snapshot)
         service.warmup()
         service.attach_wal("dblp", tmp_path / "dblp.wal")
-        miss, explained = _drive(service)
+        miss, explained, commit = _drive(service)
+        _check_commit(commit, workers={})
         _check(
             service,
             miss,
@@ -196,7 +213,8 @@ def test_sharded_service_verbs(dblp_snapshot, tmp_path):
         slow_query_threshold=0.0,
     ) as service:
         service.warmup()
-        miss, explained = _drive(service)
+        miss, explained, commit = _drive(service)
+        _check_commit(commit, workers={"0": 1, "1": 1})
         _check(
             service,
             miss,
@@ -208,7 +226,7 @@ def test_sharded_service_verbs(dblp_snapshot, tmp_path):
         health = service.health()
     assert (health["workers"], health["alive"], health["restarts"]) == (2, 2, 0)
     assert health["versions"] == {"dblp": {"0": 1, "1": 1}}
-    assert health["version_drift"] == []
+    assert health["version_drift"] == health["wal_behind"] == []
 
 
 @pytest.mark.parametrize("tier", ["thread", "fleet"])
