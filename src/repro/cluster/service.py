@@ -59,9 +59,10 @@ so replicas stay bit-identical), each worker commits a new epoch and
 bumps the version its result cache is keyed by, and
 :meth:`dataset_versions` / :meth:`health` expose per-replica versions
 so drift is observable.  :meth:`reload` hot-swaps a dataset from a
-re-written snapshot file, no-opping on replicas whose content digest
-already matches, and points the worker specs at it: a replica respawned
-after a crash loads the reloaded file and replays the log past it.
+re-written snapshot file, no-opping on replicas that already serve its
+content digest at its version; once a replica reloads, the worker specs
+point at the file: a replica respawned after a crash loads it and
+replays the log past it.
 """
 
 from __future__ import annotations
@@ -232,13 +233,17 @@ class ShardedQueryService(ServiceCore):
             for name, snapshot_path in paths.items():
                 wal_path = Path(wal_dir) / f"{name}.wal"
                 try:
-                    start = int(
-                        snapshot_info(snapshot_path).get("dataset_version") or 0
-                    )
+                    info = snapshot_info(snapshot_path)
                 except SnapshotError:
-                    start = 0
+                    info = {}
+                start = int(info.get("dataset_version") or 0)
                 log = MutationLog(wal_path, sync=wal_sync, start_seq=start)
-                self._continue_lineage(name, log, start)
+                try:
+                    self._continue_lineage(name, log, start, info.get("content_digest"))
+                except BaseException:
+                    log.close()
+                    self._close_logs()
+                    raise
                 wal_paths[name] = str(wal_path)
                 self._wal_telemetry.note_recovery(name, log)
         specs = {
@@ -572,32 +577,40 @@ class ShardedQueryService(ServiceCore):
         timeout: float = 300.0,
     ) -> dict:
         """Hot-reload ``dataset`` from a snapshot file on every replica
-        (no process restart; a replica already holding the file's
-        content digest no-ops), at the file's ``dataset_version``.  The
-        worker specs then point at the file and the log restarts at that
-        version (``ServiceCore._continue_lineage``), so a replica
-        respawned after a crash replays every commit acknowledged since.
+        (no process restart; a replica already serving the file's content
+        digest at its version no-ops), at the file's ``dataset_version``.
+        When a replica reloaded, the worker specs then point at the file
+        and the log restarts at that version, naming the file
+        (``ServiceCore._continue_lineage``), so a replica respawned after
+        a crash replays every commit acknowledged since.
         Returns ``{"dataset", "reloaded": {worker_id: bool}, "version"}``.
         """
         replicas = self.router.replicas_for(dataset)
         path = str(snapshot_path)
-        version = int(snapshot_info(path).get("dataset_version") or 0)
+        info = snapshot_info(path)
+        version = int(info.get("dataset_version") or 0)
+        digest = info.get("content_digest")
         payload = {"dataset": dataset, "path": path, "force": force}
         # Held for the whole reload: an apply between the replica swap
         # and the log reset would journal an old lineage's batch.
         with self._mutation_lock(dataset):
             results = self._broadcast(replicas, "reload", payload, timeout=timeout)
-            self.pool.set_snapshot(dataset, path)
             reloaded = {
                 str(worker_id): bool(result["reloaded"])
                 for worker_id, result in sorted(results.items())
             }
             log = self._log(dataset)
-            if log is not None and any(reloaded.values()):
-                self._continue_lineage(dataset, log, version, reload=True)
+            if any(reloaded.values()):
+                # A replica no-ops only when it already serves this
+                # digest at this version, so with none reloaded the old
+                # file and its lineage stay.
+                self.pool.set_snapshot(dataset, path)
+                if log is not None:
+                    self._continue_lineage(
+                        dataset, log, version, digest, reload=True
+                    )
             wal_seq = log.last_seq if log is not None else None
         if any(reloaded.values()):
-            digest = next(r["digest"] for r in results.values() if r["reloaded"])
             self._note_reload(dataset, version, digest, wal_seq)
         return {"dataset": dataset, "reloaded": reloaded, "version": version}
 

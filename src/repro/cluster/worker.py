@@ -46,8 +46,8 @@ Live updates arrive as ``mutate`` messages (a dataset name plus wire
 mutation dicts): the private service applies and commits them, so the
 dataset's version advances and subsequent searches see the new epoch —
 all without restarting the process.  ``reload`` re-registers a dataset
-from a snapshot file, no-opping when the file's content digest matches
-what the worker already serves; ``versions`` reports per-dataset epoch
+from a snapshot file, no-opping when the worker already serves the
+file's content digest at its version; ``versions`` reports per-dataset epoch
 versions so the supervisor can observe replica drift.
 
 Durability: when ``settings["wals"]`` maps datasets to mutation-log

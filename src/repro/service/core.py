@@ -51,7 +51,7 @@ from repro.core.answer import SearchResult
 from repro.core.cancellation import CancellationToken
 from repro.core.params import SearchParams
 from repro.core.query import ALGORITHM_NAMES, parse_query
-from repro.errors import DeadlineExceededError
+from repro.errors import DeadlineExceededError, WalError
 from repro.service.metrics import ServiceMetrics
 from repro.telemetry.accounting import (
     ExplainStore,
@@ -690,19 +690,45 @@ class ServiceCore:
             old.close()
 
     def _continue_lineage(
-        self, name: str, log: MutationLog, version: int, *, reload: bool = False
+        self,
+        name: str,
+        log: MutationLog,
+        version: int,
+        digest: Optional[str],
+        *,
+        reload: bool = False,
     ) -> None:
         """The one lineage rule, for both tiers: attach ``log`` to
         ``name``, continuing the snapshot served at ``version`` (the
         file's ``dataset_version``, which registering, reloading and
-        restarting all serve).  A reload restarts the log there: its
-        records described the replaced content.  An attach keeps the
-        records past ``version`` (they replay on top) and restarts a log
-        ending behind it.  Called under the dataset's mutation lock.
+        restarting all serve) whose content digest is ``digest``.  A
+        reload restarts the log there: its records described the
+        replaced content.  An attach refuses a log that continues another
+        file (:meth:`_check_lineage`), keeps the records past
+        ``version`` (they replay on top) and restarts a log holding
+        nothing past it.  A restart records ``digest``: the log names the
+        file it continues.  Called under the dataset's mutation lock.
         """
-        if reload or log.last_seq < version:
-            log.reset(start_seq=version)
+        if not reload:
+            self._check_lineage(name, log, version, digest)
+        if reload or log.last_seq <= version:
+            log.reset(version, snapshot=digest)
         self._set_log(name, log)
+
+    @staticmethod
+    def _check_lineage(
+        name: str, log: MutationLog, version: int, digest: Optional[str]
+    ) -> None:
+        """Refuse a log that recorded another content digest at
+        ``version``: its records are another file's commits, and without
+        any the dataset was last served from that other file."""
+        recorded = log.snapshot_at(version)
+        if None not in (recorded, digest) and recorded != digest:
+            raise WalError(
+                f"the log at {log.path} continues another snapshot of "
+                f"{name!r} at version {version} (content digest {recorded}, "
+                f"not {digest}): register the file it was last reloaded from"
+            )
 
     def _close_logs(self) -> None:
         for log in self._logs().values():

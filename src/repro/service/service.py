@@ -39,7 +39,7 @@ layer the ROADMAP's production north star needs above
   result cache is keyed by :meth:`dataset_version` so a commit makes
   stale entries unreachable atomically.  :meth:`reload` hot-swaps a
   dataset from a re-written snapshot file, no-opping when the file's
-  content digest matches what is already served.
+  content digest and version match what is already served.
 * **Durability** — :meth:`attach_wal` opens the dataset's
   :mod:`repro.wal` mutation log: records the served state is missing
   are replayed (crash recovery to exactly the last durable epoch) and
@@ -161,14 +161,20 @@ def _file_info(path: Optional[str]) -> dict:
         return {}
 
 
+#: Result-cache generations: unique per registration (and per build
+#: that moved a registration's version), since versions repeat.
+_GENERATIONS = itertools.count(1)
+
+
 @dataclass(eq=False)
 class _Dataset:
     """One registration of a dataset name: what is served (``engine``
     once built, ``factory`` while still lazy, ``live`` after the upgrade
     to a :class:`~repro.live.MutableDataset`), the version lineage
-    (``base``: a snapshot file's ``dataset_version``, else 0), the
-    snapshot provenance (``source`` path, ``digest`` of the file
-    actually loaded) and the ``generation`` result-cache keys carry.
+    (``base``: the ``dataset_version`` of the snapshot file actually
+    loaded, else 0), the snapshot provenance (``source`` path,
+    ``digest`` of the file actually loaded) and the ``generation``
+    result-cache keys carry.
 
     These change *together*: a replacement is a new record
     (:meth:`QueryService._install`), never an edit of this one, so
@@ -185,8 +191,7 @@ class _Dataset:
     factory: Optional[Callable[[], KeywordSearchEngine]] = None
     live: Optional["MutableDataset"] = None
     base: int = 0
-    #: Unique per record: versions repeat across registrations.
-    generation: int = field(default_factory=itertools.count(1).__next__)
+    generation: int = field(default_factory=_GENERATIONS.__next__)
     source: Optional[str] = None
     digest: Optional[str] = None
     #: Seconds the last engine build took: None until a lazy
@@ -595,31 +600,45 @@ class QueryService(ServiceCore):
         serving the file's ``dataset_version``.
 
         No-ops when the file's content digest
-        (:func:`repro.service.snapshot.snapshot_info`) matches what this
-        service already serves — a broadcast reload is then free on
+        (:func:`repro.service.snapshot.snapshot_info`) and version match
+        what this service serves — a broadcast reload is then free on
         replicas that already hold the epoch.  A dataset with
         *committed* live mutations never no-ops: reloading it
         deliberately resets to the snapshot.  The attached log restarts
         at the file's version
-        (:meth:`~repro.service.core.ServiceCore._continue_lineage`), so
-        a restart that registers the same file and attaches the log
+        (:meth:`~repro.service.core.ServiceCore._continue_lineage`), and
+        moves with it from the old file's default path to ``<path>.wal``:
+        a restart that registers the reloaded file and attaches its log
         replays every commit acknowledged after the reload.  Returns
         ``{"dataset", "reloaded", "version", "digest"}``.
         """
         info = snapshot_info(path)
         digest = info.get("content_digest")
+        record = self._snapshot_record(path, params, storage_mode, pin_policy, info)
         reloaded = (
-            force or digest is None or self._current_snapshot_digest(name) != digest
+            force
+            or digest is None
+            or self._current_snapshot_digest(name) != digest
+            or self.dataset_version(name) != record.base
         )
         if reloaded:
-            record = self._snapshot_record(path, params, storage_mode, pin_policy, info)
             record.digest = digest
             # The lock is the fence: a racing commit waits, then is
             # journalled in the new lineage.
             with self._mutation_lock(name):
                 log = self._log(name)
+                with self._registry_lock:
+                    old = self._datasets.get(name)
+                if log is not None and old.source is not None and (
+                    log.path == default_wal_path(old.source) != default_wal_path(path)
+                ):
+                    # The log at the served file's default path moves to
+                    # the new file's; the old one is emptied and names the
+                    # new file, so a restart on the replaced one is refused.
+                    log.reset(old.base, snapshot=digest)
+                    log = log.moved(default_wal_path(path))
                 if log is not None:
-                    self._continue_lineage(name, log, record.base, reload=True)
+                    self._continue_lineage(name, log, record.base, digest, reload=True)
                 self._install(name, record, log)
                 wal_seq = log.last_seq if log is not None else None
             self._note_reload(name, record.base, digest, wal_seq)
@@ -686,18 +705,19 @@ class QueryService(ServiceCore):
         record that fails to apply (warning) instead of raising.
 
         Raises :class:`~repro.errors.WalError` when exact recovery is
-        impossible: a replay gap (log truncated past the snapshot), or
-        commits since the registration, which no log holds and which
-        the records past the snapshot do not describe.  Returns
+        impossible: a replay gap (log truncated past the snapshot), a
+        log that continues another file (it recorded another content
+        digest at the snapshot's version), or commits since the
+        registration that the attached log does not hold.  Re-attaching
+        the log that journalled them is fine.  Returns
         ``{"dataset", "path", "replayed", "wal_seq", "version"}``.
         """
         # Under the dataset's mutation lock: no commit, reload or
         # re-registration interleaves with the replay and the attach.
         with self._mutation_lock(name):
+            self.engine(name)  # the build reads the file's version and digest
             with self._registry_lock:
-                record = self._datasets.get(name)
-            if record is None:
-                raise UnknownDatasetError(name)
+                record = self._datasets[name]
             if path is None:
                 if record.source is None:
                     raise ValueError(
@@ -705,24 +725,33 @@ class QueryService(ServiceCore):
                         f"pass an explicit WAL path"
                     )
                 path = default_wal_path(record.source)
-            base = record.base
-            if record.version != base:
-                raise WalError(
-                    f"{name!r} has {record.version - base} commit(s) since it "
-                    f"was registered that no log holds: attach the log right "
-                    f"after registering, or save_snapshot() and register the "
-                    f"new file"
-                )
+            base, version = record.base, record.version
+            attached = self._log(name)
             if writable:
                 log = MutationLog(path, sync=sync, start_seq=base, **log_knobs)
             else:
                 log = MutationLog(path, readonly=True, **log_knobs)
             try:
+                if version != base and not (
+                    attached is not None
+                    and attached.path == log.path
+                    and attached.last_seq == log.last_seq == version
+                ):
+                    raise WalError(
+                        f"{name!r} has {version - base} commit(s) since it "
+                        f"was registered that no log holds: attach the log "
+                        f"right after registering, or save_snapshot() and "
+                        f"register the new file"
+                    )
+                if writable:
+                    self._continue_lineage(name, log, base, record.digest)
+                else:
+                    self._check_lineage(name, log, base, record.digest)
                 replayed = 0
-                if log.last_seq > base:
+                if log.last_seq > version:
                     replayed = self._mutable_dataset(name).replay_records(
-                        log.records(start_after=base),
-                        expected=base + 1,
+                        log.records(start_after=version),
+                        expected=version + 1,
                         strict=strict,
                     )
                     if replayed:
@@ -735,11 +764,11 @@ class QueryService(ServiceCore):
                             f"(older segments were truncated past this "
                             f"snapshot; recover from a newer one)"
                         )
-                if writable:
-                    self._continue_lineage(name, log, base)
-                else:
+                if not writable:
                     log.close()
             except BaseException:
+                if self._log(name) is log:
+                    self._set_log(name, None)
                 log.close()
                 raise
             version = self.dataset_version(name)
@@ -793,7 +822,7 @@ class QueryService(ServiceCore):
             and source is not None
             and Path(source).resolve() == written.resolve()
         ):
-            log.truncate(version)
+            log.truncate(version, _file_info(written).get("content_digest"))
         return written
 
     def datasets(self) -> list[str]:
@@ -851,21 +880,22 @@ class QueryService(ServiceCore):
                     if factory is None or self._datasets.get(name) is not record:
                         continue
                 start = time.perf_counter()
-                # The digest of the file actually loaded (the file may
-                # be rewritten later — reload compares against
-                # what this service *serves*, not what is on disk now,
-                # nor what was there when the reload registered it).  A
-                # concurrent swap between the two reads at worst records
-                # a stale digest, which degrades to an unnecessary
-                # reload.
-                digest = _file_info(record.source).get("content_digest")
+                # The version and digest of the file actually loaded,
+                # not of what is on disk later or was there at
+                # registration.  A concurrent swap between the two reads
+                # at worst records a stale digest: an unneeded reload.
+                info = _file_info(record.source)
                 engine = factory()
                 elapsed = time.perf_counter() - start
                 with self._registry_lock:
                     if self._datasets.get(name) is not record:
                         continue  # replaced mid-build: discard stale engine
                     record.engine, record.factory = engine, None
-                    record.build_seconds, record.digest = elapsed, digest
+                    record.build_seconds = elapsed
+                    record.digest = info.get("content_digest")
+                    base = int(info.get("dataset_version") or 0)
+                    if base != record.base:  # rewritten since registering
+                        record.base, record.generation = base, next(_GENERATIONS)
                 return engine
 
     def warmup(self, names: Optional[Sequence[str]] = None) -> dict[str, float]:

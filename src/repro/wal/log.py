@@ -18,7 +18,9 @@ the last record *before* the segment, so a segment's first record is
 segment sits without opening it.
 
 Each segment starts with a framed header record (JSON: format magic,
-format version, ``base_seq``) followed by framed data records.  A frame
+format version, ``base_seq``, and ``snapshot`` — the content digest of
+the snapshot file at ``base_seq`` the records continue, when the log
+was reset or truncated there) followed by framed data records.  A frame
 is::
 
     <u32 little-endian payload length> <u32 crc32(payload)> <payload>
@@ -152,6 +154,7 @@ class _Segment:
     last_seq: int  # == base_seq when the segment holds no data records
     end_offset: int  # byte offset just past the last valid record
     records: int = 0
+    snapshot: Optional[str] = None  # the header's snapshot digest
     damaged: Optional[WalCorruptionWarning] = field(default=None, repr=False)
 
 
@@ -182,7 +185,7 @@ def _read_frame(handle, path, offset: int) -> Union[bytes, WalCorruptionWarning,
 def _walk_segment(path: Path, expected_base: Optional[int]):
     """The one validating pass over a segment, as an event stream.
 
-    Yields ``("base", base_seq, end_offset)`` for a valid header, then
+    Yields ``("base", header, end_offset)`` for a valid header, then
     ``("record", WalRecord, end_offset)`` per valid record, stopping
     after ``("damage", WalCorruptionWarning, last_valid_offset)`` at
     the first torn frame, checksum mismatch, undecodable payload or
@@ -198,11 +201,12 @@ def _walk_segment(path: Path, expected_base: Optional[int]):
             yield ("damage", WalCorruptionWarning(
                 path, 0, "unreadable segment header", last), 0)
             return
-        base = _decode_header(payload)
-        if base is None:
+        header = _decode_header(payload)
+        if header is None:
             yield ("damage", WalCorruptionWarning(
                 path, 0, "not a repro-wal v1 segment header", last), 0)
             return
+        base = header["base_seq"]
         if expected_base is not None and base != expected_base:
             yield ("damage", WalCorruptionWarning(
                 path,
@@ -213,7 +217,7 @@ def _walk_segment(path: Path, expected_base: Optional[int]):
             return
         last = base
         valid_end = handle.tell()
-        yield ("base", base, valid_end)
+        yield ("base", header, valid_end)
         while True:
             offset = valid_end
             payload = _read_frame(handle, path, offset)
@@ -248,9 +252,11 @@ def _scan_segment(path: Path, expected_base: Optional[int]) -> _Segment:
     valid_end = 0
     count = 0
     damaged: Optional[WalCorruptionWarning] = None
+    snapshot = None
     for event, value, offset in _walk_segment(path, expected_base):
         if event == "base":
-            base = last = value
+            base = last = value["base_seq"]
+            snapshot = value.get("snapshot")
             valid_end = offset
         elif event == "record":
             last = value.seq
@@ -264,6 +270,7 @@ def _scan_segment(path: Path, expected_base: Optional[int]) -> _Segment:
         last_seq=last,
         end_offset=valid_end,
         records=count,
+        snapshot=snapshot,
         damaged=damaged,
     )
 
@@ -287,8 +294,8 @@ def _decode_record(payload: bytes) -> Optional[WalRecord]:
     )
 
 
-def _decode_header(payload: bytes) -> Optional[int]:
-    """The segment header's ``base_seq``; None when not a valid header."""
+def _decode_header(payload: bytes) -> Optional[dict]:
+    """The segment header; None when not a valid header."""
     try:
         header = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
@@ -300,7 +307,7 @@ def _decode_header(payload: bytes) -> Optional[int]:
         or not isinstance(header.get("base_seq"), int)
     ):
         return None
-    return header["base_seq"]
+    return header
 
 
 class MutationLog:
@@ -466,19 +473,19 @@ class MutationLog:
                 segments = [self._create_segment(start_seq)]
         return segments
 
-    def _create_segment(self, base_seq: int) -> _Segment:
+    def _create_segment(
+        self, base_seq: int, snapshot: Optional[str] = None
+    ) -> _Segment:
         path = self.path / _segment_name(base_seq)
-        header = json.dumps(
-            {"format": WAL_FORMAT, "version": WAL_VERSION, "base_seq": base_seq}
-        ).encode("utf-8")
-        data = _frame(header)
+        header = {"format": WAL_FORMAT, "version": WAL_VERSION, "base_seq": base_seq}
+        if snapshot is not None:
+            header["snapshot"] = snapshot
+        data = _frame(json.dumps(header).encode("utf-8"))
         with open(path, "wb") as handle:
             handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
-        return _Segment(
-            path=path, base_seq=base_seq, last_seq=base_seq, end_offset=len(data)
-        )
+        return _Segment(path, base_seq, base_seq, len(data), snapshot=snapshot)
 
     # ------------------------------------------------------------------
     # properties
@@ -496,6 +503,24 @@ class MutationLog:
         can reconstruct any state from ``first_base`` forward."""
         with self._lock:
             return self._segments[0].base_seq if self._segments else 0
+
+    def moved(self, path: Union[str, os.PathLike]) -> "MutationLog":
+        """A log at ``path`` with this one's sync and rotation knobs."""
+        return MutationLog(
+            path,
+            sync=self.sync_policy,
+            batch_every=self._batch_every,
+            segment_max_records=self._segment_max_records,
+            segment_max_bytes=self._segment_max_bytes,
+        )
+
+    def snapshot_at(self, seq: int) -> Optional[str]:
+        """The content digest of the snapshot file at ``seq`` that the
+        records after it continue, as :meth:`reset` or :meth:`truncate`
+        recorded it; None when no retained segment recorded one."""
+        with self._lock:
+            found = [s.snapshot for s in self._segments if s.base_seq == seq]
+            return found[0] if found else None
 
     def stats(self) -> dict:
         """Size and position counters for metrics/health export."""
@@ -637,38 +662,41 @@ class MutationLog:
             self._check_writable()
             return self._rotate_locked().path
 
-    def _rotate_locked(self) -> _Segment:
+    def _rotate_locked(self, snapshot: Optional[str] = None) -> _Segment:
         self._close_writer()
-        segment = self._create_segment(self._segments[-1].last_seq)
+        segment = self._create_segment(self._segments[-1].last_seq, snapshot)
         self._segments.append(segment)
         self._last_append_offset = None
         return segment
 
-    def truncate(self, upto_seq: int) -> int:
-        """Delete segments wholly covered by a snapshot at ``upto_seq``.
+    def truncate(self, upto_seq: int, snapshot: Optional[str] = None) -> int:
+        """Delete segments wholly covered by a snapshot at ``upto_seq``
+        (whose content digest is ``snapshot``).
 
         A segment is deletable when every record in it has
         ``seq <= upto_seq`` *and* a later segment exists to carry the
         log forward; the active segment is first rotated away when it
         is itself fully covered, so a snapshot taken at the current tip
-        leaves exactly one empty segment based at ``upto_seq``.
-        Returns the number of segment files deleted.
+        leaves exactly one empty segment based at ``upto_seq``, which
+        records ``snapshot``.  Returns the number of segment files
+        deleted.
         """
         with self._lock:
             self._check_writable()
             if self._segments[-1].last_seq <= upto_seq and (
                 self._segments[-1].records > 0 or len(self._segments) > 1
             ):
-                self._rotate_locked()
+                self._rotate_locked(snapshot)
             deleted = 0
             while len(self._segments) > 1 and self._segments[0].last_seq <= upto_seq:
                 self._segments.pop(0).path.unlink()
                 deleted += 1
             return deleted
 
-    def reset(self, start_seq: int) -> None:
+    def reset(self, start_seq: int, snapshot: Optional[str] = None) -> None:
         """Discard every segment and start a fresh log after
-        ``start_seq`` — the reload path: a dataset hot-swapped to an
+        ``start_seq``, continuing the snapshot whose content digest is
+        ``snapshot`` — the reload path: a dataset hot-swapped to an
         unrelated snapshot makes the old records unreplayable, so the
         log restarts at the new baseline."""
         with self._lock:
@@ -676,7 +704,7 @@ class MutationLog:
             self._close_writer()
             for segment in self._segments:
                 segment.path.unlink()
-            self._segments = [self._create_segment(start_seq)]
+            self._segments = [self._create_segment(start_seq, snapshot)]
             self._last_append_offset = None
             self._unsynced = 0
 
@@ -708,7 +736,7 @@ class MutationLog:
                         self._replayed_records += 1
                         yield value
                 elif event == "base":
-                    last = value
+                    last = value["base_seq"]
                 else:  # damage
                     damage = value
             if damage is not None:

@@ -14,6 +14,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -250,6 +251,56 @@ class TestKill9Recovery:
             assert not replica_answers(fleet, worker_id, "walpaper0").ok
         health = fleet.health()
         assert (health["wal_behind"], health["version_drift"]) == ([], [])
+
+    def test_a_restart_on_the_file_a_reload_replaced_is_refused(
+        self, tmp_path, toy_snapshot, toy_engine_session
+    ):
+        """Reload a different file at the same version and commit: a
+        fleet restarted on the replaced file with the same ``wal_dir``
+        refuses the log loudly (it names the reloaded file), and one
+        restarted on the reloaded file serves the commit."""
+        from repro.errors import WalError
+        from repro.live import MutableDataset
+        from repro.service.snapshot import save_snapshot
+
+        other = MutableDataset.from_engine(toy_engine_session)
+        other.mutate([{"op": "add_node", "label": "b", "text": "reloadedword"}])
+        epoch = other.compact()
+        b = save_snapshot(tmp_path / "b.snap", epoch.graph, epoch.index)
+        wal_dir = tmp_path / "wal"
+        with ShardedQueryService(
+            {"toy": toy_snapshot}, num_workers=1, health_interval=0.2, wal_dir=wal_dir
+        ) as fleet:
+            assert fleet.reload("toy", b)["version"] == 0
+            commit_stream(fleet, 1, prefix="afterreload")
+        with pytest.raises(WalError, match="continues another snapshot"):
+            ShardedQueryService({"toy": toy_snapshot}, num_workers=1, wal_dir=wal_dir)
+        with ShardedQueryService(
+            {"toy": b}, num_workers=1, health_interval=0.2, wal_dir=wal_dir
+        ) as fleet:
+            fleet.warmup()
+            assert fleet.dataset_versions()["toy"] == {"0": 1}
+            for word in ("reloadedword", "afterreload0"):
+                assert replica_answers(fleet, 0, word).ok, word
+
+    def test_noop_reload_leaves_the_specs_on_the_served_file(
+        self, wal_fleet, toy_snapshot, tmp_path
+    ):
+        """A reload every replica no-ops (same digest, same version)
+        changes nothing: a replica respawned afterwards still loads the
+        file it was serving, even once the other file is gone."""
+        import shutil
+
+        fleet = wal_fleet
+        copy = shutil.copy(toy_snapshot, tmp_path / "copy.snap")
+        assert not any(fleet.reload("toy", copy)["reloaded"].values())
+        Path(copy).unlink()
+        fleet.pool.process(0).kill()
+        assert wait_until(lambda: fleet.pool.restarts().get(0, 0) >= 1)
+        commit_stream(fleet, 1)
+        for worker_id in (0, 1):
+            response = replica_answers(fleet, worker_id, "walpaper0")
+            assert response.ok, (worker_id, response.error)
 
     def test_replicas_behind_the_log_are_reported(self, wal_fleet):
         """A record no replica serves (the log holds a commit the

@@ -256,6 +256,23 @@ class TestReloadSnapshot:
             behind.close()
             ahead.close()
 
+    def test_reload_of_the_same_content_at_another_version_is_not_a_noop(
+        self, toy_engine, tmp_path
+    ):
+        """The content digest leaves the version out: a file holding the
+        served content at another version must reload, or the service
+        would serve it at a version the file does not carry."""
+        from repro.service.snapshot import save_engine
+
+        at0 = save_engine(tmp_path / "at0.snap", toy_engine)
+        at3 = save_engine(tmp_path / "at3.snap", toy_engine, version=3)
+        with QueryService() as svc:
+            svc.register_snapshot("toy", at0)
+            svc.warmup()
+            outcome = svc.reload("toy", at3)
+            assert (outcome["reloaded"], outcome["version"]) == (True, 3)
+            assert svc.reload("toy", at3)["reloaded"] is False
+
     def test_reload_after_nonsnapshot_reregistration_is_not_a_noop(
         self, toy_engine, tmp_path
     ):

@@ -16,6 +16,18 @@ def toy_snapshot(tmp_path, toy_engine):
     return save_engine(tmp_path / "toy.snap", toy_engine)
 
 
+@pytest.fixture()
+def other_snapshot(tmp_path, toy_engine):
+    """Another file at the toy's version 0: the toy plus one node."""
+    from repro.live import MutableDataset
+    from repro.service.snapshot import save_snapshot
+
+    dataset = MutableDataset.from_engine(toy_engine)
+    dataset.mutate([{"op": "add_node", "label": "o", "text": "otherword"}])
+    epoch = dataset.compact()
+    return save_snapshot(tmp_path / "other.snap", epoch.graph, epoch.index)
+
+
 def wal_service(snapshot, **attach_knobs):
     service = QueryService()
     service.register_snapshot("toy", snapshot)
@@ -73,9 +85,11 @@ class TestAttachAndJournal:
             service._logs()["toy"].close()  # simulate the disk going away
             with pytest.raises(WalError):
                 add_word(service, "ghostword")
-            # the rejected batch is gone: recover and keep committing
-            service.register_snapshot("toy", toy_snapshot)
-            assert service.attach_wal("toy", info["path"])["replayed"] == 1
+            # the rejected batch is gone, in memory and on disk
+            assert not service.search("toy", "ghostword").ok
+            assert service.dataset_version("toy") == 1
+            # reattach the log that holds the commit and keep committing
+            assert service.attach_wal("toy", info["path"])["replayed"] == 0
             assert add_word(service, "second").version == 2
             assert not service.search("toy", "ghostword").ok
             assert service.search("toy", "second").ok
@@ -237,6 +251,83 @@ class TestRecovery:
             recovered.close()
 
 
+    def test_a_restart_on_the_file_a_reload_replaced_is_refused(
+        self, tmp_path, toy_snapshot, other_snapshot
+    ):
+        """Reload a different file at the same version and commit: the
+        log names the file it continues, so a restart that registers
+        the replaced file is refused loudly, and one that registers the
+        reloaded file replays the commit."""
+        path = tmp_path / "toy.wal"
+        service, _ = wal_service(toy_snapshot, path=path)
+        assert service.reload("toy", other_snapshot)["version"] == 0
+        add_word(service, "afterreload")
+        service.close()
+
+        with QueryService() as restarted:
+            restarted.register_snapshot("toy", toy_snapshot)
+            with pytest.raises(WalError, match="continues another snapshot"):
+                restarted.attach_wal("toy", path)
+            assert restarted.wal_seqs() == {}
+        recovered, info = wal_service(other_snapshot, path=path)
+        try:
+            assert (info["replayed"], info["version"]) == (1, 1)
+            assert recovered.search("toy", "afterreload").ok
+            assert recovered.search("toy", "otherword").ok
+        finally:
+            recovered.close()
+
+    def test_a_reload_to_another_file_moves_the_default_log(
+        self, toy_snapshot, other_snapshot
+    ):
+        """A log at the served file's default path follows the reload to
+        the new file's, so the default recovery of the reloaded file
+        replays the commit; the replaced file's log now refuses."""
+        service, _ = wal_service(toy_snapshot)
+        service.reload("toy", other_snapshot)
+        add_word(service, "afterreload")
+        service.close()
+
+        recovered, info = wal_service(other_snapshot)
+        try:
+            assert info["path"] == str(default_wal_path(other_snapshot))
+            assert (info["replayed"], info["version"]) == (1, 1)
+            assert recovered.search("toy", "afterreload").ok
+        finally:
+            recovered.close()
+        with QueryService() as restarted:
+            restarted.register_snapshot("toy", toy_snapshot)
+            with pytest.raises(WalError, match="continues another snapshot"):
+                restarted.attach_wal("toy")
+
+    def test_attach_continues_the_file_the_build_loaded(
+        self, tmp_path, toy_snapshot
+    ):
+        """The served version is the header of the file the lazy build
+        loads: a file rewritten at another version after registering
+        must not replay records it already holds."""
+        import shutil
+
+        service, _ = wal_service(toy_snapshot)
+        add_word(service, "first")
+        add_word(service, "second")
+        saved = service.save_snapshot("toy", tmp_path / "at2.snap")
+        service.close()
+
+        restarted = QueryService()
+        try:
+            restarted.register_snapshot("toy", toy_snapshot)
+            assert restarted.dataset_version("toy") == 0
+            shutil.copy(saved, toy_snapshot)  # rewritten before the build
+            info = restarted.attach_wal("toy")
+            assert (info["replayed"], info["version"]) == (0, 2)
+            engine = restarted.engine("toy")
+            assert engine.graph.num_nodes == snapshot_info(saved)["num_nodes"]
+            assert add_word(restarted, "third").version == 3
+        finally:
+            restarted.close()
+
+
 class TestSnapshotIntegration:
     def test_save_over_source_truncates_covered_segments(
         self, tmp_path, toy_snapshot
@@ -373,12 +464,12 @@ class TestSnapshotIntegration:
 
         reset = MutationLog.reset
 
-        def reset_beside_a_commit(log, start_seq):
+        def reset_beside_a_commit(log, start_seq, snapshot=None):
             racer = threading.Thread(target=commit, args=("racingword",))
             racer.start()
             racer.join(timeout=0.2)  # a commit not fenced out lands now
             racers.append(racer)
-            reset(log, start_seq=start_seq)
+            reset(log, start_seq, snapshot)
 
         monkeypatch.setattr(MutationLog, "reset", reset_beside_a_commit)
         try:
