@@ -118,14 +118,17 @@ def main() -> None:
             f"{info['content_digest'][:12]}..., "
             f"{info['file_bytes'] / 1024:.0f} KiB"
         )
-        # The same verb on both tiers: serve the file at its version
-        # (the commits are in it), then no-op on the matching digest.
+        # The same verb and result on both tiers: serve the file at its
+        # version (the commits are in it), then no-op on the matching
+        # digest.  ``workers`` names each replica's outcome on a fleet
+        # and is empty here, in one process.
         first = service.reload("dblp", path)
         again = service.reload("dblp", path)
         print(
             f"reload(): reloaded={first['reloaded']} at version "
-            f"{first['version']}, then reloaded={again['reloaded']} "
-            f"(same digest)"
+            f"{first['version']} (digest {first['digest'][:12]}...), then "
+            f"reloaded={again['reloaded']} (same digest), "
+            f"workers={again['workers']}"
         )
     service.close()
 

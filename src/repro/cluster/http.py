@@ -33,8 +33,7 @@ Routes
     dicts (:mod:`repro.live.mutations`).  Applies the batch through the
     service's ``apply`` — on the sharded tier that broadcasts to every
     replica — and returns the commit outcome (new version, assigned
-    node ids).  400 for malformed batches, 404 for unknown datasets,
-    501 when the service has no live-mutation support.
+    node ids).  400 for malformed batches, 404 for unknown datasets.
 ``DELETE /search/<request_id>``
     Cancel an in-flight search submitted with that ``request_id``.
     The search stops at its next cooperative check; the original
@@ -47,8 +46,10 @@ Routes
     (``text/plain``) instead — what a scraper points at.
 ``GET /healthz``
     ``{"status": "ok", "datasets": [...]}`` plus the service's
-    ``health()``: per-dataset versions, and on the sharded tier fleet
-    liveness; degrades to 503 when workers are down.
+    ``health()``: per-dataset versions and ``wal_behind``, and on the
+    sharded tier fleet liveness; degrades to 503 (``"status":
+    "degraded"``) when a worker is down or, on either tier, a dataset is
+    served behind its log's tip (``wal_behind``).
 ``GET /debug/trace/<trace_id>``
     The reconstructed span tree for one trace.  501 when the service
     has tracing off (``service.tracer is None``), 404 when tracing is
@@ -461,14 +462,8 @@ class _Handler(socketserver.StreamRequestHandler):
             raise ValueError('mutate body is missing the "dataset" name')
         if not isinstance(mutations, list):
             raise ValueError('"mutations" must be a list of mutation objects')
-        apply_fn = getattr(self.server.service, "apply", None)
-        if not callable(apply_fn):
-            self._send_error_json(
-                501, "service does not support live mutations", "NotImplemented"
-            )
-            return
         try:
-            result = apply_fn(dataset, mutations)
+            result = self.server.service.apply(dataset, mutations)
         except ReproError as exc:
             # apply has exception semantics (unlike search): map the
             # structured library errors onto the same status table.

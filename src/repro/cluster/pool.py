@@ -421,25 +421,6 @@ class WorkerPool:
             return False
         return bool(payload.get("pong"))
 
-    def warmup(self, timeout: float = 300.0) -> dict[int, dict]:
-        """Ask every worker to build its engines now; returns per-worker
-        ``{dataset: build_seconds}`` timing dicts."""
-        futures = {
-            worker_id: self.submit(worker_id, "warmup", None)
-            for worker_id in sorted(self._specs)
-        }
-        timings = {}
-        deadline = time.monotonic() + timeout
-        for worker_id, future in futures.items():
-            payload = future.result(
-                timeout=max(deadline - time.monotonic(), 0.0)
-            )
-            error = control_error(payload)
-            if error is not None:
-                raise error
-            timings[worker_id] = payload
-        return timings
-
     def alive(self) -> dict[int, bool]:
         with self._lock:
             return {

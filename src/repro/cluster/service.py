@@ -11,8 +11,9 @@ is written here is what only a supervisor does: **routing**
 (``_submit`` picks the shard and ships the request), **fan-out**
 (``apply`` / ``reload`` / ``warmup`` / ``dataset_versions`` broadcasts)
 and **fan-in** (``_await`` re-homes the worker's spans and settles its
-response; ``_gather`` / ``_pull_events`` / ``metrics`` collect worker
-replies for the core's merged verbs).
+response; ``_gather`` / ``_pull_events`` / ``_worker_exports`` collect
+worker replies for the core's merged verbs, all through one
+:meth:`~ShardedQueryService._collect`).
 
 Everything crossing the process boundary is primitives, and crosses it
 on the one duplex channel the pool keeps per worker
@@ -45,24 +46,12 @@ Failure semantics extend the service contract across processes:
   ``error_type="WorkerCrashedError"`` responses and the pool restarts
   the worker — callers never hang, and the *next* batch is served.
 
-Supervisor-side events (deadline misses, malformed requests, crashes)
-are recorded in the supervisor's own registry; :meth:`metrics` merges
-its export with every worker's
-(:func:`~repro.telemetry.metrics.merge_registries`) and serves the same
-view of the result that one ``QueryService`` serves of its own
-(:func:`~repro.service.metrics.metrics_view`).
-
 Live updates (:mod:`repro.live`) propagate fleet-wide without process
 restarts: :meth:`ShardedQueryService.apply` broadcasts a mutation
 batch to every replica of the dataset's shard (one serialized stream,
-so replicas stay bit-identical), each worker commits a new epoch and
-bumps the version its result cache is keyed by, and
-:meth:`dataset_versions` / :meth:`health` expose per-replica versions
-so drift is observable.  :meth:`reload` hot-swaps a dataset from a
-re-written snapshot file, no-opping on replicas that already serve its
-content digest at its version; once a replica reloads, the worker specs
-point at the file: a replica respawned after a crash loads it and
-replays the log past it.
+so replicas stay bit-identical), the core's ``reload`` swaps every
+replica to a snapshot file, and :meth:`dataset_versions` /
+:meth:`health` expose per-replica versions so drift is observable.
 """
 
 from __future__ import annotations
@@ -72,7 +61,7 @@ import os
 import threading
 import time
 import weakref
-from concurrent.futures import Future
+from concurrent.futures import Future, wait
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
@@ -86,7 +75,6 @@ from repro.errors import (
     MutationError,
     PoolClosedError,
     SearchCancelledError,
-    SnapshotError,
     WorkerCrashedError,
 )
 from repro.live.mutations import MutationResult, coerce_mutations, mutation_to_dict
@@ -96,10 +84,9 @@ from repro.service.core import (
     ServiceCore,
     normalize_search_args,
 )
-from repro.service.metrics import family_total, family_values, metrics_view
-from repro.service.snapshot_header import snapshot_info
+from repro.service.metrics import family_total
+from repro.service.snapshot_header import file_info
 from repro.service.wire import request_to_dict, response_from_dict
-from repro.telemetry.metrics import merge_registries, strip_samples
 from repro.telemetry.slo import SloObjective
 from repro.telemetry.trace import new_span_id, new_trace_id
 from repro.wal.log import MutationLog
@@ -189,6 +176,10 @@ class ShardedQueryService(ServiceCore):
         "repro_fleet_failures_total",
         "repro_fleet_request_latency_seconds",
     )
+    #: Seconds ``warmup`` and ``reload`` wait for every replica to load
+    #: a snapshot: a worker alive but stuck loading (a hung filesystem
+    #: read) surfaces as an error instead of blocking forever.
+    LOAD_TIMEOUT = 300.0
 
     def __init__(
         self,
@@ -232,10 +223,7 @@ class ShardedQueryService(ServiceCore):
         if wal_dir is not None:
             for name, snapshot_path in paths.items():
                 wal_path = Path(wal_dir) / f"{name}.wal"
-                try:
-                    info = snapshot_info(snapshot_path)
-                except SnapshotError:
-                    info = {}
+                info = file_info(snapshot_path)
                 start = int(info.get("dataset_version") or 0)
                 log = MutationLog(wal_path, sync=wal_sync, start_seq=start)
                 try:
@@ -401,40 +389,26 @@ class ShardedQueryService(ServiceCore):
         """Dataset names the cluster serves, sorted."""
         return self.router.datasets()
 
-    def warmup(
-        self, names: Optional[Sequence[str]] = None, *, timeout: float = 300.0
-    ) -> dict[str, float]:
+    def warmup(self, names: Optional[Sequence[str]] = None) -> dict[str, float]:
         """Build every shard's engines from disk now.
 
         Returns ``{dataset: build_seconds}``, reporting each dataset's
-        *slowest* replica — the one that gates fleet readiness.
-        ``timeout`` bounds the whole fleet warmup: a worker alive but
-        stuck loading (hung filesystem read) must surface as an error,
-        not block startup forever — the same deadline discipline as
-        :meth:`WorkerPool.warmup`.
+        *slowest* replica — the one that gates fleet readiness.  Waits
+        at most :attr:`LOAD_TIMEOUT`; a worker-side error (e.g. a
+        ``SnapshotError`` warming a corrupt file) re-raises here with
+        its original type.
         """
         wanted = set(names) if names is not None else None
         futures: dict[int, Future] = {}
         for worker_id, assigned in self.router.assignments().items():
-            targets = (
-                list(assigned)
-                if wanted is None
-                else [name for name in assigned if name in wanted]
-            )
-            if not targets:
-                continue
-            futures[worker_id] = self.pool.submit(worker_id, "warmup", targets)
+            targets = [name for name in assigned if wanted is None or name in wanted]
+            if targets:
+                futures[worker_id] = self.pool.submit(worker_id, "warmup", targets)
         timings: dict[str, float] = {}
-        deadline = time.monotonic() + timeout
-        for future in futures.values():
-            payload = future.result(
-                timeout=max(deadline - time.monotonic(), 0.0)
-            )
-            error = control_error(payload)
-            if error is not None:
-                # e.g. a SnapshotError warming from a corrupt file —
-                # re-raised here with its original type where possible.
-                raise error
+        results = self._collect(
+            futures, "warmup", timeout=self.LOAD_TIMEOUT, strict=True
+        )
+        for payload in results.values():
             for name, seconds in payload.items():
                 timings[name] = max(timings.get(name, 0.0), seconds)
         return timings
@@ -556,63 +530,31 @@ class ShardedQueryService(ServiceCore):
         possible commit: keeping a rejected record merely degrades to a
         warned stop at the next replay, while rolling back a committed
         one would silently desynchronize sequence numbers."""
-        deadline = time.monotonic() + timeout
-        for future in futures.values():
-            try:
-                result = future.result(
-                    timeout=max(deadline - time.monotonic(), 0.0)
-                )
-            except Exception:
-                return False
-            if not isinstance(result, dict) or control_error(result) is None:
-                return False
-        return True
+        done, pending = wait(futures.values(), timeout=timeout)
+        return not pending and all(
+            future.exception() is None and control_error(future.result()) is not None
+            for future in done
+        )
 
-    def reload(
-        self,
-        dataset: str,
-        snapshot_path,
-        *,
-        force: bool = False,
-        timeout: float = 300.0,
-    ) -> dict:
-        """Hot-reload ``dataset`` from a snapshot file on every replica
-        (no process restart; a replica already serving the file's content
-        digest at its version no-ops), at the file's ``dataset_version``.
-        When a replica reloaded, the worker specs then point at the file
-        and the log restarts at that version, naming the file
-        (``ServiceCore._continue_lineage``), so a replica respawned after
-        a crash replays every commit acknowledged since.
-        Returns ``{"dataset", "reloaded": {worker_id: bool}, "version"}``.
-        """
+    def _swap_snapshot(
+        self, dataset: str, path: str, info: dict, force: bool
+    ) -> tuple[bool, dict[str, bool]]:
+        """:meth:`reload`'s hook: broadcast the reload to every replica
+        of ``dataset``.  When one reloaded, the worker specs point at
+        the file, so a replica respawned after a crash loads it.  A
+        replica no-ops only when it already serves this digest at this
+        version, so with none reloaded the old file and its lineage
+        stay."""
         replicas = self.router.replicas_for(dataset)
-        path = str(snapshot_path)
-        info = snapshot_info(path)
-        version = int(info.get("dataset_version") or 0)
-        digest = info.get("content_digest")
         payload = {"dataset": dataset, "path": path, "force": force}
-        # Held for the whole reload: an apply between the replica swap
-        # and the log reset would journal an old lineage's batch.
-        with self._mutation_lock(dataset):
-            results = self._broadcast(replicas, "reload", payload, timeout=timeout)
-            reloaded = {
-                str(worker_id): bool(result["reloaded"])
-                for worker_id, result in sorted(results.items())
-            }
-            log = self._log(dataset)
-            if any(reloaded.values()):
-                # A replica no-ops only when it already serves this
-                # digest at this version, so with none reloaded the old
-                # file and its lineage stay.
-                self.pool.set_snapshot(dataset, path)
-                if log is not None:
-                    self._continue_lineage(
-                        dataset, log, version, digest, reload=True
-                    )
-            wal_seq = log.last_seq if log is not None else None
-        if any(reloaded.values()):
-            self._note_reload(dataset, version, digest, wal_seq)
-        return {"dataset": dataset, "reloaded": reloaded, "version": version}
+        results = self._broadcast(
+            replicas, "reload", payload, timeout=self.LOAD_TIMEOUT
+        )
+        workers = {str(w): bool(r["reloaded"]) for w, r in sorted(results.items())}
+        reloaded = any(workers.values())
+        if reloaded:
+            self.pool.set_snapshot(dataset, path)
+        return reloaded, workers
 
     def dataset_versions(self, *, timeout: float = 10.0) -> dict[str, dict[str, int]]:
         """Per-dataset epoch versions as seen by each replica:
@@ -643,11 +585,13 @@ class ShardedQueryService(ServiceCore):
         ``strict`` raises on any failure (submit error, timeout, or a
         worker-side error payload, rebuilt via :func:`control_error`);
         non-strict skips failed workers — the observability calls'
-        contract.  A strict timeout raises a structured
-        :class:`~repro.errors.ClusterError` that says the message is
-        *still queued* — worker queues are serial, so it may yet be
-        processed; callers must check :meth:`dataset_versions` before
-        retrying a mutation or they risk double-applying it.
+        contract — but never a closed pool's ``PoolClosedError``: a read
+        of a closed fleet must not look like an idle one.  A strict
+        timeout raises a structured :class:`~repro.errors.ClusterError`
+        that says the message is *still queued* — worker queues are
+        serial, so it may yet be processed; callers must check
+        :meth:`dataset_versions` before retrying a mutation or they risk
+        double-applying it.
         (Mutation-ordering calls — :meth:`apply`, :meth:`reload` —
         submit under their dataset's mutation lock themselves.)
         """
@@ -656,8 +600,8 @@ class ShardedQueryService(ServiceCore):
         for worker_id in worker_ids:
             try:
                 futures[worker_id] = self.pool.submit(worker_id, kind, *args)
-            except Exception:
-                if strict:
+            except Exception as exc:
+                if strict or isinstance(exc, PoolClosedError):
                     raise
         return self._collect(futures, kind, timeout=timeout, strict=strict)
 
@@ -731,79 +675,7 @@ class ShardedQueryService(ServiceCore):
     # ------------------------------------------------------------------
     # observability / lifecycle
     # ------------------------------------------------------------------
-    def metrics(self, *, include_samples: bool = False) -> dict:
-        """One cluster-wide metrics dict.
-
-        Every worker's registry export (latency windows included, so
-        percentiles are exact) is merged with the supervisor's own and
-        viewed exactly as one ``QueryService`` views its registry; a
-        ``cluster`` section adds fleet state — per-worker liveness,
-        restart counts and shard assignments.
-
-        Known divergence from the thread tier: a deadline-missed
-        request is recorded twice — once here as a supervisor-side
-        ``DeadlineExceededError`` and once by the worker when the
-        abandoned search eventually completes.  The thread tier's
-        exactly-once claim needs shared memory; across processes the
-        honest choice is counting both sides rather than hiding either.
-
-        A worker that is down or slow to answer is left out of the
-        merge; a closed fleet raises ``PoolClosedError``.
-        """
-        futures = {}
-        for worker_id in self.pool.worker_ids():
-            try:
-                futures[worker_id] = self.pool.submit(worker_id, "metrics")
-            except WorkerCrashedError:
-                continue
-        per_worker = self._collect(futures, "metrics", timeout=10.0, strict=False)
-        merged = merge_registries(
-            [*per_worker.values(), self.registry.export(include_samples=True)]
-        )
-        view = metrics_view(merged, include_samples=include_samples)
-        datasets = view.get("datasets")
-        if datasets is not None:
-            # Highest epoch wins the merge; a replica behind it shows up
-            # here — the signal a mutation broadcast missed one, and the
-            # one value only the unmerged exports can give.
-            wal_seq = datasets.pop("wal_seq", None)
-            datasets["version_drift"] = sorted(
-                {
-                    name
-                    for part in per_worker.values()
-                    for name, version in family_values(
-                        part, "repro_dataset_version", "dataset"
-                    ).items()
-                    if version != datasets["versions"][name]
-                }
-            )
-            if wal_seq is not None:
-                datasets["wal_seq"] = wal_seq  # keeps its place: last
-        view["registry"] = strip_samples(merged)
-        view["cluster"] = {
-            "workers": self.router.num_workers,
-            "alive": sum(self.pool.alive().values()),
-            "restarts": {str(w): n for w, n in sorted(self.pool.restarts().items())},
-            "assignments": {
-                str(w): list(names)
-                for w, names in sorted(self.router.assignments().items())
-            },
-            "per_worker": {
-                str(w): {
-                    "requests_total": family_total(part, "repro_requests_total"),
-                    "errors_total": family_total(part, "repro_errors_total"),
-                }
-                for w, part in sorted(per_worker.items())
-            },
-        }
-        wal_seqs = self.wal_seqs()
-        if wal_seqs:
-            view["cluster"]["wal_seq"] = wal_seqs
-        return view
-
-    def health(
-        self, *, include_versions: bool = True, versions_timeout: float = 2.0
-    ) -> dict:
+    def health(self, *, versions_timeout: float = 2.0) -> dict:
         """Fleet liveness summary for a health endpoint.
 
         ``versions`` maps each dataset to its per-replica epoch
@@ -816,51 +688,40 @@ class ShardedQueryService(ServiceCore):
         puts its datasets in ``version_unknown`` rather than silently
         vanishing — a wedged replica must never make the fleet look
         *more* consistent.  ``wal_behind`` names datasets with a replica
-        behind the log's tip: acknowledged commits it does not serve
-        (``/healthz`` answers 503).  ``include_versions=False`` restores
-        the pure supervisor-local (never-blocking) probe.
+        behind the log's tip (:meth:`_wal_tips`): acknowledged commits
+        it does not serve (``/healthz`` answers 503).
         """
-        alive = self.pool.alive()
         payload = {
             "workers": self.router.num_workers,
-            "alive": sum(alive.values()),
+            "alive": sum(self.pool.alive().values()),
             "restarts": sum(self.pool.restarts().values()),
             "datasets": self.datasets(),
         }
         wal_seqs = self.wal_seqs()
         if wal_seqs:
             payload["wal_seq"] = wal_seqs
-        # Tips read while no commit sits between its append and its
-        # broadcast (the mutation lock is free): the versions probed
-        # next have seen every record up to them.
-        tips = {}
-        for name, log in self._logs().items():
-            lock = self._mutation_lock(name)
-            if lock.acquire(blocking=False):
-                tips[name] = log.last_seq
-                lock.release()
-        if include_versions:
-            versions = self.dataset_versions(timeout=versions_timeout)
-            for name in self.datasets():
-                by_worker = versions.setdefault(name, {})
-                for worker_id in self.router.replicas_for(name):
-                    by_worker.setdefault(str(worker_id), None)
-            payload["versions"] = versions
-            payload["version_drift"] = sorted(
-                name
-                for name, by_worker in versions.items()
-                if len({v for v in by_worker.values() if v is not None}) > 1
-            )
-            payload["version_unknown"] = sorted(
-                name
-                for name, by_worker in versions.items()
-                if any(v is None for v in by_worker.values())
-            )
-            payload["wal_behind"] = sorted(
-                name
-                for name, tip in tips.items()
-                if any(v is not None and v < tip for v in versions[name].values())
-            )
+        tips = self._wal_tips()
+        versions = self.dataset_versions(timeout=versions_timeout)
+        for name in self.datasets():
+            by_worker = versions.setdefault(name, {})
+            for worker_id in self.router.replicas_for(name):
+                by_worker.setdefault(str(worker_id), None)
+        payload["versions"] = versions
+        payload["version_drift"] = sorted(
+            name
+            for name, by_worker in versions.items()
+            if len({v for v in by_worker.values() if v is not None}) > 1
+        )
+        payload["version_unknown"] = sorted(
+            name
+            for name, by_worker in versions.items()
+            if any(v is None for v in by_worker.values())
+        )
+        payload["wal_behind"] = sorted(
+            name
+            for name, tip in tips.items()
+            if any(v is not None and v < tip for v in versions[name].values())
+        )
         return payload
 
     def close(self, timeout: float = 10.0) -> None:
@@ -1062,6 +923,37 @@ class ShardedQueryService(ServiceCore):
     # ------------------------------------------------------------------
     # what the workers contribute to the merged verbs
     # ------------------------------------------------------------------
+    def _worker_exports(self) -> dict[int, dict]:
+        """Every live worker's registry export; a busy or crashed
+        replica is absent from this pull."""
+        return self._broadcast(
+            self.pool.worker_ids(), "metrics", None, timeout=10.0, strict=False
+        )
+
+    def _cluster_section(self, exports: dict[int, dict]) -> dict:
+        """Fleet state for :meth:`metrics`: liveness, restart counts,
+        shard assignments, per-worker totals and the log tips."""
+        section = {
+            "workers": self.router.num_workers,
+            "alive": sum(self.pool.alive().values()),
+            "restarts": {str(w): n for w, n in sorted(self.pool.restarts().items())},
+            "assignments": {
+                str(w): list(names)
+                for w, names in sorted(self.router.assignments().items())
+            },
+            "per_worker": {
+                str(w): {
+                    "requests_total": family_total(part, "repro_requests_total"),
+                    "errors_total": family_total(part, "repro_errors_total"),
+                }
+                for w, part in sorted(exports.items())
+            },
+        }
+        wal_seqs = self.wal_seqs()
+        if wal_seqs:
+            section["wal_seq"] = wal_seqs
+        return section
+
     def _gather(self) -> dict[str, dict]:
         """The supervisor's own sketch plus every live worker's reply to
         a ``"queries"`` pull.  Non-strict: a busy or crashed replica is
@@ -1104,16 +996,11 @@ class ShardedQueryService(ServiceCore):
             for worker_id, payload in results.items():
                 last = int(payload.get("last_seq") or 0)
                 if last < self._event_cursors.get(worker_id, 0):
-                    try:
-                        payload = self.pool.submit(
-                            worker_id, "events", {"since": 0}
-                        ).result(timeout=timeout)
-                    except Exception:
-                        continue
-                    if (
-                        not isinstance(payload, dict)
-                        or control_error(payload) is not None
-                    ):
+                    payload = self._broadcast(
+                        [worker_id], "events", {"since": 0}, timeout=timeout,
+                        strict=False,
+                    ).get(worker_id)
+                    if payload is None:
                         continue
                     last = int(payload.get("last_seq") or 0)
                 for event in payload.get("events") or []:

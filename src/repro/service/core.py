@@ -23,21 +23,22 @@ the introspection verbs behind the HTTP front-end's ``/debug/*`` routes
   explain report and feeds the slow-query log for every finished
   request;
 * the **mutation log's one owner**: a ``{dataset: MutationLog}`` map
-  and one mutation lock per dataset, which ``apply``, ``reload`` and
-  the log attach hold on both tiers, the one lineage rule they follow
-  (:meth:`ServiceCore._continue_lineage`), and one event helper each
-  for a commit and a reload;
+  and one mutation lock per dataset, which ``apply``, :meth:`reload`
+  (over one tier hook, ``_swap_snapshot``) and the log attach hold on
+  both tiers, the one lineage rule they follow (``_continue_lineage``)
+  and the one tip rule ``health()``'s ``wal_behind`` reads
+  (``_wal_tips``);
 * the **verbs**: ``cancel``, ``trace``, ``slow_queries``, ``explain``,
-  ``slo_status``, ``wal_seqs`` read the state above; ``events`` and
-  ``query_stats`` merge one part per process — one on the thread tier,
-  the supervisor's plus every worker's on the fleet.  A merge of one
-  part is the part (``tests/service/test_facade_surface.py``), so there
-  is no single-process special case.
+  ``slo_status``, ``wal_seqs`` read the state above; ``events``,
+  ``query_stats`` and ``metrics`` merge one part per process — one on
+  the thread tier, the supervisor's plus every worker's on the fleet.
+  A merge of one part is the part (``test_facade_surface.py``), so
+  there is no single-process special case.
 
 What is *not* here is what the substrates do differently: running a
 search, registering datasets, a commit's write-ahead order (stage then
 journal here; journal, broadcast, roll back a batch every replica
-rejected on the fleet), ``metrics()``'s fleet sections, ``close()``.
+rejected on the fleet), ``health()``, ``close()``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ from repro.core.cancellation import CancellationToken
 from repro.core.params import SearchParams
 from repro.core.query import ALGORITHM_NAMES, parse_query
 from repro.errors import DeadlineExceededError, WalError
-from repro.service.metrics import ServiceMetrics
+from repro.service.metrics import ServiceMetrics, family_values, metrics_view
+from repro.service.snapshot_header import snapshot_info
 from repro.telemetry.accounting import (
     ExplainStore,
     WorkloadAnalytics,
@@ -60,7 +62,7 @@ from repro.telemetry.accounting import (
     query_fingerprint,
 )
 from repro.telemetry.events import EventLog
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry, merge_registries, strip_samples
 from repro.telemetry.slo import SloEngine, SloObjective, default_objectives
 from repro.telemetry.slowlog import SlowQueryLog
 from repro.telemetry.trace import Tracer
@@ -330,10 +332,11 @@ class ServiceCore:
     """Serving state and verbs shared by both tiers (module docstring).
 
     Subclasses provide ``search`` over :meth:`search_many`'s hooks
-    ``_submit`` / ``_await`` (the execution substrate), ``metrics``,
-    ``health``, ``datasets`` and ``close``, and may extend
-    ``_gather`` / ``_pull_events`` / ``_account`` with what other
-    processes contribute.
+    ``_submit`` / ``_await`` (the execution substrate), :meth:`reload`'s
+    ``_swap_snapshot``, ``health``, ``datasets`` and ``close``, and may
+    extend ``_gather`` / ``_pull_events`` / ``_worker_exports`` /
+    ``_cluster_section`` / ``_account`` with what other processes
+    contribute.
 
     Retention is fixed: the structures size themselves (128 slow
     queries, 128 explain reports, a 64-row workload sketch, a 2048-sample
@@ -745,16 +748,69 @@ class ServiceCore:
             wal_seq=wal_seq,
         )
 
-    def _note_reload(self, dataset: str, version: int, digest, wal_seq) -> None:
-        self.event_log.emit(
-            "snapshot_reload",
-            f"reloaded {dataset!r} from snapshot (version {version})",
-            dataset=dataset,
-            source=self.EVENT_SOURCE,
-            version=version,
-            digest=digest,
-            wal_seq=wal_seq,
-        )
+    def _wal_tips(self) -> dict[str, int]:
+        """Each attached log's last sequence, read while its dataset's
+        mutation lock is free — no commit sits between its append and
+        its install (or broadcast), so versions read next have seen
+        every record up to the tip.  A dataset mid-commit is left out."""
+        tips = {}
+        for name, log in self._logs().items():
+            lock = self._mutation_lock(name)
+            if lock.acquire(blocking=False):
+                tips[name] = log.last_seq
+                lock.release()
+        return tips
+
+    # ------------------------------------------------------------------
+    # reload: one body over one tier hook
+    # ------------------------------------------------------------------
+    def reload(self, dataset: str, path, *, force: bool = False) -> dict:
+        """Hot-swap ``dataset`` to the snapshot file at ``path`` without
+        a process restart, serving the file's ``dataset_version``.
+
+        The tier's hook ``_swap_snapshot(dataset, path, header, force)``
+        swaps what it serves and returns ``(reloaded, workers)``.
+        Wherever the file's content digest is already served at its
+        version the swap no-ops; ``force`` swaps regardless, and
+        committed live mutations never no-op (reloading resets them).
+        When anything swapped, the log restarts at the file's version,
+        naming the file (:meth:`_continue_lineage`), so a restart — or a
+        replica respawned after a crash — replays every commit
+        acknowledged since.  Under the dataset's mutation lock: a racing
+        commit waits, then is journalled in the new lineage.
+
+        Returns ``{"dataset", "reloaded", "version", "digest",
+        "workers"}``; ``workers`` is ``{worker_id: reloaded}`` on the
+        fleet and ``{}`` on the thread tier, as ``MutationResult.workers``
+        is.
+        """
+        path = str(path)
+        info = snapshot_info(path)
+        version = int(info.get("dataset_version") or 0)
+        digest = info.get("content_digest")
+        with self._mutation_lock(dataset):
+            reloaded, workers = self._swap_snapshot(dataset, path, info, force)
+            log = self._log(dataset)
+            if reloaded and log is not None:
+                self._continue_lineage(dataset, log, version, digest, reload=True)
+            wal_seq = log.last_seq if log is not None else None
+        if reloaded:
+            self.event_log.emit(
+                "snapshot_reload",
+                f"reloaded {dataset!r} from snapshot (version {version})",
+                dataset=dataset,
+                source=self.EVENT_SOURCE,
+                version=version,
+                digest=digest,
+                wal_seq=wal_seq,
+            )
+        return {
+            "dataset": dataset,
+            "reloaded": reloaded,
+            "version": version,
+            "digest": digest,
+            "workers": workers,
+        }
 
     # ------------------------------------------------------------------
     # verbs merged over every process's part
@@ -774,6 +830,59 @@ class ServiceCore:
     def _pull_events(self) -> None:
         """Fold other processes' event logs into :attr:`event_log`
         before a read.  One process here: nothing to pull."""
+
+    def _worker_exports(self) -> dict[int, dict]:
+        """Every worker's registry export (latency windows included), by
+        worker id.  One process here: none."""
+        return {}
+
+    def _cluster_section(self, exports: dict[int, dict]) -> Optional[dict]:
+        """The fleet's ``cluster`` section of :meth:`metrics` over its
+        workers' ``exports``; None here."""
+        return None
+
+    def metrics(self, *, include_samples: bool = False) -> dict:
+        """Latency percentiles, cache and error counters as a plain
+        dict: :func:`~repro.service.metrics.metrics_view` of this
+        process's registry export merged with every worker's (windows
+        included, so percentiles are exact), plus the merged export
+        under ``"registry"``; ``include_samples=True`` adds each
+        algorithm's latency window.  ``datasets.version_drift`` names
+        datasets a worker serves behind the merged (highest) version,
+        which only the unmerged exports tell.  The fleet adds its
+        ``cluster`` section; a worker down or slow to answer is left
+        out, and a closed fleet raises ``PoolClosedError``.
+
+        On the fleet a deadline-missed request counts twice: as the
+        supervisor's ``DeadlineExceededError`` and by the worker when
+        the abandoned search completes — the thread tier's exactly-once
+        claim needs shared memory.
+        """
+        exports = self._worker_exports()
+        merged = merge_registries(
+            [*exports.values(), self.registry.export(include_samples=True)]
+        )
+        view = metrics_view(merged, include_samples=include_samples)
+        datasets = view.get("datasets")
+        if datasets is not None:
+            wal_seq = datasets.pop("wal_seq", None)
+            datasets["version_drift"] = sorted(
+                {
+                    name
+                    for part in exports.values()
+                    for name, version in family_values(
+                        part, "repro_dataset_version", "dataset"
+                    ).items()
+                    if version != datasets["versions"][name]
+                }
+            )
+            if wal_seq is not None:
+                datasets["wal_seq"] = wal_seq  # keeps its place: last
+        view["registry"] = strip_samples(merged)
+        cluster = self._cluster_section(exports)
+        if cluster is not None:
+            view["cluster"] = cluster
+        return view
 
     def events(
         self, since: int = 0, *, limit: Optional[int] = None, pull: bool = True

@@ -29,17 +29,13 @@ layer the ROADMAP's production north star needs above
   :class:`QueryResponse` objects, the contract an HTTP front-end can
   map onto status codes directly.
 * **Metrics** — every request writes the core's
-  :class:`~repro.telemetry.metrics.MetricsRegistry` and nothing else;
-  :meth:`metrics` is a view of its export (per-algorithm latency
-  percentiles, cache hit rate, error counters) as a plain dict.
+  :class:`~repro.telemetry.metrics.MetricsRegistry` and nothing else.
 * **Live mutations** — :meth:`apply` commits a
   :mod:`repro.live` mutation batch against a dataset (upgrading it to
   a :class:`~repro.live.MutableDataset` on first touch): new requests
   see the new epoch, in-flight searches finish on theirs, and the
   result cache is keyed by :meth:`dataset_version` so a commit makes
-  stale entries unreachable atomically.  :meth:`reload` hot-swaps a
-  dataset from a re-written snapshot file, no-opping when the file's
-  content digest and version match what is already served.
+  stale entries unreachable atomically.
 * **Durability** — :meth:`attach_wal` opens the dataset's
   :mod:`repro.wal` mutation log: records the served state is missing
   are replayed (crash recovery to exactly the last durable epoch) and
@@ -90,7 +86,6 @@ from repro.core.params import SearchParams
 from repro.errors import (
     DeadlineExceededError,
     SearchCancelledError,
-    SnapshotError,
     UnknownDatasetError,
     WalError,
 )
@@ -103,10 +98,8 @@ from repro.service.core import (
     normalize_search_args,
     request_fingerprint,
 )
-from repro.service.metrics import metrics_view
-from repro.service.snapshot_header import snapshot_info
+from repro.service.snapshot_header import file_info
 from repro.telemetry.accounting import WorkloadAnalytics
-from repro.telemetry.metrics import strip_samples
 from repro.telemetry.slo import SloObjective
 from repro.telemetry.trace import new_trace_id, use_span
 from repro.wal.log import MutationLog, default_wal_path
@@ -149,16 +142,6 @@ def _accepts_token(search_fn) -> bool:
         parameter.kind is inspect.Parameter.VAR_KEYWORD
         for parameter in parameters.values()
     )
-
-
-def _file_info(path: Optional[str]) -> dict:
-    """The header of the snapshot file at ``path``; empty with no path
-    or an unreadable file (``content_digest`` is absent, too, from a
-    file that predates digests)."""
-    try:
-        return snapshot_info(path) if path else {}
-    except SnapshotError:
-        return {}
 
 
 #: Result-cache generations: unique per registration (and per build
@@ -556,17 +539,16 @@ class QueryService(ServiceCore):
         per-load resolution.  ``pin_policy`` is forwarded to the
         load (see :class:`repro.storage.PinPolicy`).
         """
-        record = self._snapshot_record(path, params, storage_mode, pin_policy)
+        record = self._snapshot_record(
+            path, file_info(str(path)), params, storage_mode, pin_policy
+        )
         self._install(name, record)
 
     def _snapshot_record(
-        self, path, params, storage_mode, pin_policy, info=None
+        self, path, info: dict, params=None, storage_mode=None, pin_policy=None
     ) -> _Dataset:
         """A lazy registration of ``path`` at its header's version."""
         from repro.service.snapshot import load_engine
-
-        if info is None:
-            info = _file_info(str(path))
 
         if storage_mode is None:
             storage_mode = self._storage_mode
@@ -586,68 +568,37 @@ class QueryService(ServiceCore):
             base=int(info.get("dataset_version") or 0),
         )
 
-    def reload(
-        self,
-        name: str,
-        path,
-        *,
-        force: bool = False,
-        params: Optional[SearchParams] = None,
-        storage_mode: Optional[str] = None,
-        pin_policy=None,
-    ) -> dict:
-        """Re-register ``name`` from ``path`` without a process restart,
-        serving the file's ``dataset_version``.
-
-        No-ops when the file's content digest
-        (:func:`repro.service.snapshot.snapshot_info`) and version match
-        what this service serves — a broadcast reload is then free on
-        replicas that already hold the epoch.  A dataset with
-        *committed* live mutations never no-ops: reloading it
-        deliberately resets to the snapshot.  The attached log restarts
-        at the file's version
-        (:meth:`~repro.service.core.ServiceCore._continue_lineage`), and
-        moves with it from the old file's default path to ``<path>.wal``:
-        a restart that registers the reloaded file and attaches its log
-        replays every commit acknowledged after the reload.  Returns
-        ``{"dataset", "reloaded", "version", "digest"}``.
-        """
-        info = snapshot_info(path)
+    def _swap_snapshot(
+        self, name: str, path: str, info: dict, force: bool
+    ) -> tuple[bool, dict[str, bool]]:
+        """:meth:`reload`'s hook: install a lazy registration of
+        ``path`` unless this service serves its digest at its version.
+        The log at the served file's default path moves with it to
+        ``<path>.wal``: a restart that registers the reloaded file and
+        attaches its log replays every commit acknowledged after the
+        reload."""
         digest = info.get("content_digest")
-        record = self._snapshot_record(path, params, storage_mode, pin_policy, info)
-        reloaded = (
+        record = self._snapshot_record(path, info)
+        if not (
             force
             or digest is None
             or self._current_snapshot_digest(name) != digest
             or self.dataset_version(name) != record.base
-        )
-        if reloaded:
-            record.digest = digest
-            # The lock is the fence: a racing commit waits, then is
-            # journalled in the new lineage.
-            with self._mutation_lock(name):
-                log = self._log(name)
-                with self._registry_lock:
-                    old = self._datasets.get(name)
-                if log is not None and old.source is not None and (
-                    log.path == default_wal_path(old.source) != default_wal_path(path)
-                ):
-                    # The log at the served file's default path moves to
-                    # the new file's; the old one is emptied and names the
-                    # new file, so a restart on the replaced one is refused.
-                    log.reset(old.base, snapshot=digest)
-                    log = log.moved(default_wal_path(path))
-                if log is not None:
-                    self._continue_lineage(name, log, record.base, digest, reload=True)
-                self._install(name, record, log)
-                wal_seq = log.last_seq if log is not None else None
-            self._note_reload(name, record.base, digest, wal_seq)
-        return {
-            "dataset": name,
-            "reloaded": reloaded,
-            "version": self.dataset_version(name),
-            "digest": digest,
-        }
+        ):
+            return False, {}
+        record.digest = digest
+        log = self._log(name)
+        with self._registry_lock:
+            old = self._datasets.get(name)
+        if log is not None and old.source is not None and (
+            log.path == default_wal_path(old.source) != default_wal_path(path)
+        ):
+            # The old log is emptied and names the new file, so a
+            # restart on the replaced one is refused.
+            log.reset(old.base, snapshot=digest)
+            log = log.moved(default_wal_path(path))
+        self._install(name, record, log)
+        return True, {}
 
     def _current_snapshot_digest(self, name: str) -> Optional[str]:
         """Digest of the snapshot this service serves for ``name``, or
@@ -671,7 +622,7 @@ class QueryService(ServiceCore):
         # Still lazy: the registered factory will read this same file
         # when it first builds, so the file's current digest *is* what
         # this service would serve.
-        return _file_info(record.source).get("content_digest")
+        return file_info(record.source).get("content_digest")
 
     def attach_wal(
         self,
@@ -822,7 +773,7 @@ class QueryService(ServiceCore):
             and source is not None
             and Path(source).resolve() == written.resolve()
         ):
-            log.truncate(version, _file_info(written).get("content_digest"))
+            log.truncate(version, file_info(written).get("content_digest"))
         return written
 
     def datasets(self) -> list[str]:
@@ -884,7 +835,7 @@ class QueryService(ServiceCore):
                 # not of what is on disk later or was there at
                 # registration.  A concurrent swap between the two reads
                 # at worst records a stale digest: an unneeded reload.
-                info = _file_info(record.source)
+                info = file_info(record.source)
                 engine = factory()
                 elapsed = time.perf_counter() - start
                 with self._registry_lock:
@@ -1035,27 +986,21 @@ class QueryService(ServiceCore):
     # ------------------------------------------------------------------
     # observability / lifecycle
     # ------------------------------------------------------------------
-    def metrics(self, *, include_samples: bool = False) -> dict:
-        """Latency percentiles, cache and error counters as a plain
-        dict: :func:`~repro.service.metrics.metrics_view` of the
-        registry export, plus the export itself under ``"registry"``.
-
-        ``include_samples=True`` adds each algorithm's latency window
-        under ``latency_samples``.
-        """
-        exported = self.registry.export(include_samples=True)
-        view = metrics_view(exported, include_samples=include_samples)
-        view["registry"] = strip_samples(exported)
-        return view
-
     def health(self) -> dict:
         """Liveness summary — what ``GET /healthz`` serves: one process
-        is up if it answers, so the content is the registered datasets
-        and their versions."""
+        is up if it answers, so the content is the registered datasets,
+        their versions and ``wal_behind``, the datasets served behind
+        their log's tip — acknowledged commits not served, e.g. after a
+        non-strict replay stopped early (``/healthz`` answers 503)."""
+        tips = self._wal_tips()
+        versions = self.dataset_versions()
         return {
             "status": "ok",
             "datasets": self.datasets(),
-            "versions": self.dataset_versions(),
+            "versions": versions,
+            "wal_behind": sorted(
+                name for name, tip in tips.items() if versions.get(name, tip) < tip
+            ),
         }
 
     def close(self, *, wait: bool = True) -> None:

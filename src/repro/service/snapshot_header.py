@@ -100,3 +100,13 @@ def snapshot_info(path: Union[str, os.PathLike]) -> dict:
         "pin_hint_terms": len(hints.get("terms") or ()),
         "file_bytes": path.stat().st_size,
     }
+
+
+def file_info(path) -> dict:
+    """:func:`snapshot_info` of the file at ``path``; empty with no path
+    or an unreadable file (``content_digest`` is absent, too, from a
+    file that predates digests)."""
+    try:
+        return snapshot_info(path) if path else {}
+    except SnapshotError:
+        return {}

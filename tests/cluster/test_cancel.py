@@ -42,7 +42,7 @@ def dblp_snapshot(tmp_path_factory, dblp_small_engine):
 class TestPoolCancel:
     def test_cancel_queued_request_never_searches(self, toy_snapshot):
         with WorkerPool({0: {"toy": toy_snapshot}}) as pool:
-            pool.warmup()
+            pool.submit(0, "warmup", None).result(timeout=300.0)
             # Occupy the worker, then queue a request behind it and
             # cancel the queued request — deterministically cancelled
             # *before* execution.
@@ -65,7 +65,7 @@ class TestPoolCancel:
 
     def test_cancel_unknown_job_is_false(self, toy_snapshot):
         with WorkerPool({0: {"toy": toy_snapshot}}) as pool:
-            pool.warmup()
+            pool.submit(0, "warmup", None).result(timeout=300.0)
             assert pool.cancel(987654) is False
 
     def test_every_pending_cancel_is_honoured(self, toy_snapshot):
@@ -79,7 +79,7 @@ class TestPoolCancel:
             return family_total(export, "repro_requests_total")
 
         with WorkerPool({0: {"toy": toy_snapshot}}) as pool:
-            pool.warmup()
+            pool.submit(0, "warmup", None).result(timeout=300.0)
             before = searched(pool)
             sleeper = pool.submit(0, "sleep", 0.6)
             queued = [
@@ -115,7 +115,7 @@ class TestPoolCancel:
                 futures.append(future)
 
         with WorkerPool({0: {"toy": toy_snapshot}}) as pool:
-            pool.warmup()
+            pool.submit(0, "warmup", None).result(timeout=300.0)
             sleeper = pool.submit(0, "sleep", 0.6)
             threads = [threading.Thread(target=hammer, args=(pool,)) for _ in range(8)]
             interval = sys.getswitchinterval()

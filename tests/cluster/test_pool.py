@@ -36,8 +36,8 @@ def pool(toy_snapshot):
 
 def test_ping_and_warmup(pool):
     assert pool.ping(0, timeout=60.0)
-    timings = pool.warmup()
-    assert "toy" in timings[0]
+    timings = pool.submit(0, "warmup", None).result(timeout=300.0)
+    assert "toy" in timings
     assert pool.alive() == {0: True}
     assert pool.restarts() == {0: 0}
 

@@ -176,7 +176,7 @@ def main(snapshot, wal_dir):
                                               "text": "Jim Gray Qwertz"}]},
         )
         assert status == 200, status
-        assert service.reload("toy", snapshot, force=True)["reloaded"] == {"0": True}
+        assert service.reload("toy", snapshot, force=True)["workers"] == {"0": True}
         for path in ("/metrics", "/metrics?format=prometheus", "/healthz",
                      "/debug/slow", "/debug/events", "/debug/queries"):
             status, _ = http_call(server, "GET", path)

@@ -32,6 +32,8 @@ SHARED_VERBS = [
     "wal_seqs",
     "events",
     "query_stats",
+    "reload",
+    "metrics",
     "_settle",
     "_malformed_response",
     "_error_response",
@@ -39,8 +41,8 @@ SHARED_VERBS = [
 ]
 #: What each tier writes itself: its substrate, and the verbs whose
 #: bodies differ (``search`` only in signature and the inline path).
-PER_TIER = ["search", "metrics", "health", "close", "datasets", "warmup", "apply",
-            "reload", "dataset_versions", "_submit", "_await"]
+PER_TIER = ["search", "health", "close", "datasets", "warmup", "apply",
+            "dataset_versions", "_submit", "_await", "_swap_snapshot"]
 
 
 @pytest.mark.parametrize("tier", [QueryService, ShardedQueryService])
@@ -51,6 +53,15 @@ def test_shared_verbs_are_defined_once(tier):
         assert owners == ["ServiceCore"], (verb, owners)
     for verb in PER_TIER:
         assert verb in vars(tier), verb
+
+
+@pytest.mark.parametrize("verb", ["reload", "metrics", "warmup"])
+def test_both_tiers_take_the_same_arguments(verb):
+    thread, fleet = (
+        inspect.signature(getattr(tier, verb))
+        for tier in (QueryService, ShardedQueryService)
+    )
+    assert thread == fleet, (verb, thread, fleet)
 
 
 def _sources():

@@ -253,8 +253,10 @@ def test_query_service_metrics_shape(dblp_snapshot, tmp_path):
         top_keys=TOP_KEYS,
     )
     assert list(metrics["datasets"]) == [
-        "registered", "built", "build_seconds", "versions", "wal_seq",
+        "registered", "built", "build_seconds", "versions", "version_drift",
+        "wal_seq",
     ]
+    assert metrics["datasets"]["version_drift"] == []
 
 
 def test_sharded_service_metrics_shape(dblp_snapshot, tmp_path):

@@ -1,6 +1,9 @@
 """QueryService + WAL: attach, journal, recover, truncate, reset."""
 
+import json
 import threading
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -147,6 +150,45 @@ class TestRecovery:
             assert reader.wal_seqs()["toy"] == 5
         finally:
             reader.close()
+
+    def test_a_replay_that_stops_early_is_wal_behind(self, toy_snapshot):
+        """A non-strict replay that stops at a record it cannot apply
+        leaves the log's tip ahead of the served version: health names
+        the dataset and /healthz answers 503, as on the fleet — every
+        later commit would fail its out-of-order append."""
+        from repro.cluster.http import make_server
+
+        word = {"op": "add_node", "label": "w", "table": "paper", "text": "behind"}
+        with MutationLog(default_wal_path(toy_snapshot)) as log:
+            log.append([word])
+            log.append([{"op": "add_edge", "u": 0, "v": 10**6}])  # no such node
+            log.append([word])
+        with pytest.warns(UserWarning, match="replay stopped before seq 2"):
+            service, info = wal_service(toy_snapshot, strict=False)
+        with service:
+            assert (info["version"], info["wal_seq"]) == (1, 3)
+            health = service.health()
+            assert (health["versions"], health["wal_behind"]) == ({"toy": 1}, ["toy"])
+            server = make_server(service)
+            thread = threading.Thread(target=server.serve_forever, daemon=True)
+            thread.start()
+            host, port = server.server_address[:2]
+            try:
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    urllib.request.urlopen(f"http://{host}:{port}/healthz")
+                assert excinfo.value.code == 503
+                body = json.loads(excinfo.value.read())
+                assert (body["status"], body["wal_behind"]) == ("degraded", ["toy"])
+            finally:
+                server.shutdown()
+                server.server_close()
+
+    def test_a_served_log_tip_is_not_behind(self, toy_snapshot):
+        service, _ = wal_service(toy_snapshot)
+        with service:
+            assert service.health()["wal_behind"] == []
+            add_word(service, "servedword")
+            assert service.health()["wal_behind"] == []
 
     def test_damaged_tail_is_repaired_counted_and_announced_once(self, toy_snapshot):
         writer, info = wal_service(toy_snapshot)
@@ -411,7 +453,7 @@ class TestSnapshotIntegration:
             stale.attach_wal("toy", info["path"])
         stale.close()
 
-    def test_reload_snapshot_resets_the_log(self, tmp_path, toy_snapshot):
+    def test_reload_resets_the_log(self, tmp_path, toy_snapshot):
         service, info = wal_service(toy_snapshot)
         try:
             add_word(service, "preload")

@@ -4,7 +4,8 @@ One scripted sequence — miss, hit, ``explain=True`` with a request id,
 keyword-not-found, a batch with a malformed slot, a deadline miss with
 ``allow_partial``, an explicit ``cancel``, a commit — runs through a
 ``QueryService`` and a 2-worker ``ShardedQueryService``, both with
-``slow_query_threshold=0.0`` so every settled request is a slow query.
+``slow_query_threshold=0.0`` so every settled request is a slow query;
+a reload then resets the commit and a second one no-ops.
 Each verb's key tree and every value the script determines is asserted
 per tier; what differs between the tiers is stated where it differs.
 Fixtures and the slow query come from ``test_metrics_shape``.
@@ -15,6 +16,7 @@ import pytest
 from repro.cluster import ShardedQueryService
 from repro.live.mutations import AddNode, MutationResult
 from repro.service.service import QueryRequest, QueryService, request_fingerprint
+from repro.service.snapshot_header import snapshot_info
 
 from test_metrics_shape import (  # noqa: F401 - dblp_snapshot is a fixture
     SLOW,
@@ -40,6 +42,7 @@ COMMIT_KEYS = [
     "dataset", "version", "applied", "new_nodes", "compacted", "cache_purged",
     "workers", "wal_seq", "drift",
 ]
+RELOAD_KEYS = ["dataset", "reloaded", "version", "digest", "workers"]
 SLO_KEYS = [
     "objective", "kind", "dataset", "budget", "burn_threshold", "windows", "firing",
     "firing_since",
@@ -92,6 +95,24 @@ def _check_commit(commit, *, workers):
     )
     assert len(commit.new_nodes) == 1 and commit.compacted is False
     assert commit.workers == workers and commit.drift is False
+
+
+def _check_reload(service, snapshot, *, replicas):
+    """Both tiers' ``reload`` returns one key list; only the fleet has
+    replicas to report.  The first resets the commit, the second finds
+    the file's digest served at its version and no-ops."""
+    digest = snapshot_info(snapshot)["content_digest"]
+    for reloaded in (True, False):
+        outcome = service.reload("dblp", snapshot)
+        assert list(outcome) == RELOAD_KEYS
+        assert outcome == {
+            "dataset": "dblp",
+            "reloaded": reloaded,
+            "version": 0,
+            "digest": digest,
+            "workers": {worker: reloaded for worker in replicas},
+        }
+    assert service.wal_seqs() == {"dblp": 0}
 
 
 def _check(service, miss, explained, *, span_names, event_sources):
@@ -201,6 +222,7 @@ def test_query_service_verbs(dblp_snapshot, tmp_path):
             event_sources={"service"},
         )
         assert service.health()["versions"] == {"dblp": 1}
+        _check_reload(service, dblp_snapshot, replicas=[])
 
 
 def test_sharded_service_verbs(dblp_snapshot, tmp_path):
@@ -224,6 +246,7 @@ def test_sharded_service_verbs(dblp_snapshot, tmp_path):
             event_sources={"supervisor", "worker-0", "worker-1"},
         )
         health = service.health()
+        _check_reload(service, dblp_snapshot, replicas=["0", "1"])
     assert (health["workers"], health["alive"], health["restarts"]) == (2, 2, 0)
     assert health["versions"] == {"dblp": {"0": 1, "1": 1}}
     assert health["version_drift"] == health["wal_behind"] == []
