@@ -14,8 +14,9 @@ the frozen substrate without giving up any of its guarantees:
 * :mod:`repro.live.dataset` — :class:`MutableDataset`, the MVCC epoch
   manager: staged mutations, monotone-versioned commits (in-flight
   searches keep their epoch), incremental backward-weight and posting
-  maintenance, and compaction back to flat arrays + versioned disk
-  snapshots.
+  maintenance, and compaction back to flat arrays.  A dataset keeps
+  data, not lineage: it writes no file, and prestige stays what the
+  base was built with (new nodes take the base's mean).
 
 Service integration lives in the owning tiers:
 ``QueryService.apply`` / ``register_mutable`` (version-keyed result
@@ -25,7 +26,8 @@ HTTP front-end's ``POST /mutate``.  Durability lives in
 attach a log with ``QueryService.attach_wal``) to append every commit
 to a crash-recoverable mutation log, and
 :meth:`MutableDataset.replay` to reconstruct a dataset from its base
-snapshot plus that log.
+graph and index plus that log.  ``QueryService`` writes live state to
+disk, stamped with the version it serves.
 
 Re-exports are lazy (:mod:`repro._lazy`): a process imports only what it runs.
 """

@@ -15,12 +15,11 @@ MVCC-style epoch design:
   :class:`~repro.core.engine.KeywordSearchEngine` over them, and bumps
   the monotone ``version``.  In-flight searches keep the epoch they
   started on; new requests see the new one.
-* **Compaction** — when the overlay grows past the configured policy
-  the deltas are folded back into flat
-  :class:`~repro.graph.SearchGraph` arrays (adjacency order preserved,
-  so scores stay bit-identical) and, when ``snapshot_path`` is set, a
-  fresh versioned ``.npz`` snapshot is written via
-  :mod:`repro.service.snapshot` — the EMBANKS reload story.
+* **Compaction** — when the overlay grows past ``compact_ratio`` the
+  deltas are folded back into flat :class:`~repro.graph.SearchGraph`
+  arrays (adjacency order preserved, so scores stay bit-identical).
+  Writing that state to disk is the serving tier's job: ``QueryService``
+  stamps the file with the lineage version it serves.
 
 Incremental maintenance is the subtle part: a forward edge into ``v``
 changes ``indegree(v)``, and with it the weight of *every* derived
@@ -32,11 +31,10 @@ adjacency order — which keeps every float bit-identical to a
 from-scratch rebuild of the final state (the equivalence property
 ``tests/property/test_prop_live.py`` pins).
 
-Prestige policy: mutations do **not** rerun PageRank (the paper treats
-prestige as precomputed).  Existing nodes keep their prestige; new
-nodes get ``new_node_prestige`` (default: the base mean).  Pass
-``commit(recompute_prestige=True)`` to rerun the biased PageRank over
-the overlay when ranking drift matters more than commit latency.
+Prestige policy: mutations never rerun PageRank (the paper computes
+prestige once, when the graph is built).  Existing nodes keep their
+prestige; a new node takes ``AddNode.prestige`` or, unset, the base's
+mean.  To refresh prestige, build a new snapshot and ``reload`` it.
 """
 
 from __future__ import annotations
@@ -101,28 +99,22 @@ class MutableDataset:
         ``freeze``/snapshot load, and its :class:`InvertedIndex`).
     params:
         Engine parameters for every epoch's engine.
-    new_node_prestige:
-        Prestige assigned to nodes added without a PageRank rerun;
-        defaults to the base vector's mean (new entities rank as
-        ordinary citizens, not as hubs or outcasts), taken as
-        ``math.fsum(values) / n``: correctly rounded, so the default
-        does not depend on summation order or on an array library's
-        build.  A commit's journal receives each node's resolved value,
-        so a log replays the same floats whatever this default is.
     compact_ratio:
         Fold the overlay back into flat arrays when the number of
-        mutations (of any kind) since the last compaction exceeds this
+        mutations (of any kind) since the last compaction reaches this
         fraction of the base's forward edges (None disables).
-    compact_every:
-        Alternatively (or additionally), compact every N commits.
-    snapshot_path:
-        When set, every compaction writes a fresh versioned snapshot
-        here (:func:`repro.service.snapshot.save_snapshot`), so worker
-        restarts warm from recent state instead of the original build.
 
-    The dataset holds no durability sink: a caller that wants a commit
-    logged passes the write-ahead step to :meth:`mutate` / :meth:`commit`
-    as ``journal`` (``QueryService.apply`` passes its log's ``append``).
+    A node added without a prestige gets the base vector's mean (new
+    entities rank as ordinary citizens, not as hubs or outcasts), taken
+    as ``math.fsum(values) / n``: correctly rounded, so it does not
+    depend on summation order or on an array library's build.  A
+    commit's journal receives each node's resolved value, so a log
+    replays the same floats onto a base with another mean.
+
+    The dataset holds no durability sink and writes no file: a caller
+    that wants a commit logged passes the write-ahead step to
+    :meth:`mutate` / :meth:`commit` as ``journal`` (``QueryService.apply``
+    passes its log's ``append``).
     """
 
     def __init__(
@@ -131,10 +123,7 @@ class MutableDataset:
         index: InvertedIndex,
         *,
         params: Optional[SearchParams] = None,
-        new_node_prestige: Optional[float] = None,
         compact_ratio: Optional[float] = 0.25,
-        compact_every: Optional[int] = None,
-        snapshot_path=None,
     ) -> None:
         if isinstance(graph, OverlayGraph):
             raise MutationError(
@@ -143,26 +132,16 @@ class MutableDataset:
             )
         if compact_ratio is not None and compact_ratio <= 0:
             raise ValueError(f"compact_ratio must be > 0, got {compact_ratio!r}")
-        if compact_every is not None and compact_every < 1:
-            raise ValueError(f"compact_every must be >= 1, got {compact_every!r}")
         self._params = params
         self._compact_ratio = compact_ratio
-        self._compact_every = compact_every
-        self._snapshot_path = snapshot_path
         self._lock = threading.RLock()
         self._version = 0
         self._commits = 0
         self._muts_since_compact = 0
         self._applied_total = 0
         self._rebase(graph, index)
-        if new_node_prestige is None:
-            values = graph.prestige_values
-            new_node_prestige = fsum(values) / len(values) if values else 1.0
-        if new_node_prestige < 0:
-            raise ValueError(
-                f"new_node_prestige must be >= 0, got {new_node_prestige!r}"
-            )
-        self._new_node_prestige = new_node_prestige
+        values = graph.prestige_values
+        self._new_node_prestige = fsum(values) / len(values) if values else 1.0
         self._epoch = Epoch(
             version=0,
             graph=graph,
@@ -221,55 +200,27 @@ class MutableDataset:
         return cls(engine.graph, engine.index, **knobs)
 
     @classmethod
-    def from_database(cls, db, **knobs) -> "MutableDataset":
-        """Build graph, prestige and index from ``db``, then wrap."""
-        return cls.from_engine(
-            KeywordSearchEngine.from_database(db), **knobs
-        )
-
-    @classmethod
-    def from_snapshot(
-        cls, path, *, storage_mode=None, pin_policy=None, **knobs
-    ) -> "MutableDataset":
-        """Load a disk snapshot (:mod:`repro.service.snapshot`) and wrap.
-
-        ``storage_mode="mapped"`` serves the base tier through
-        one ``mmap`` — live mutations still overlay in plain RAM (the
-        overlay is built from deltas, never written through), so the
-        mapped base file stays strictly read-only.
-        """
-        from repro.service.snapshot import load_snapshot
-
-        graph, index = load_snapshot(
-            path, storage_mode=storage_mode, pin_policy=pin_policy
-        )
-        return cls(graph, index, **knobs)
-
-    @classmethod
     def replay(
         cls,
         log,
         *,
-        snapshot=None,
-        graph: Optional[SearchGraph] = None,
-        index: Optional[InvertedIndex] = None,
+        graph: SearchGraph,
+        index: InvertedIndex,
         start_seq: Optional[int] = None,
         strict: bool = True,
-        storage_mode=None,
-        pin_policy=None,
         **knobs,
     ) -> "MutableDataset":
         """Reconstruct a live dataset by replaying a mutation log onto
         its base state — the crash-recovery path.
 
         ``log`` is a :class:`repro.wal.MutationLog` (or a path to one,
-        opened read-only).  The base is either a ``snapshot`` file
-        (``start_seq`` defaults to its header's ``dataset_version``) or
-        an explicit ``graph`` + ``index`` pair (``start_seq`` defaults
-        to the log's oldest retained base).  Records with
+        opened read-only); ``graph`` + ``index`` are the base, built or
+        loaded by the caller (a mapped base stays read-only: the overlay
+        lives in RAM).  ``start_seq`` is the version the base holds, by
+        default the log's oldest retained base.  Records with
         ``seq <= start_seq`` are already baked into the base and are
-        skipped; the rest must be contiguous from ``start_seq + 1`` —
-        a gap means the log was truncated past this snapshot and exact
+        skipped; the rest must be contiguous from ``start_seq + 1`` — a
+        gap means the log was truncated past this base and exact
         recovery is impossible, which raises
         :class:`~repro.errors.WalError` rather than silently rebuilding
         a different state.  With ``strict=False`` a record that fails
@@ -285,21 +236,7 @@ class MutableDataset:
 
         if not hasattr(log, "records"):
             log = MutationLog(log, readonly=True)
-        if snapshot is not None:
-            if graph is not None or index is not None:
-                raise ValueError("pass snapshot= or graph=+index=, not both")
-            from repro.service.snapshot import load_snapshot, snapshot_info
-
-            if start_seq is None:
-                start_seq = int(snapshot_info(snapshot).get("dataset_version") or 0)
-            # Replay overlays mutations in RAM on top of whatever tier
-            # the base loads into; a mapped base is never written.
-            graph, index = load_snapshot(
-                snapshot, storage_mode=storage_mode, pin_policy=pin_policy
-            )
-        elif graph is None or index is None:
-            raise ValueError("replay() needs snapshot= or graph=+index=")
-        elif start_seq is None:
+        if start_seq is None:
             start_seq = log.first_base
         dataset = cls(graph, index, **knobs)
         dataset.replay_records(
@@ -316,7 +253,8 @@ class MutableDataset:
 
         ``expected`` names the sequence number the first record must
         carry; a gap raises :class:`~repro.errors.WalError` (exact
-        recovery is impossible), as does a record that fails to apply —
+        recovery is impossible), as does a record that fails to apply or
+        that this code refuses (:attr:`~repro.wal.WalRecord.refused`) —
         unless ``strict=False``, which stops at the previous epoch with
         a warning instead (the degraded-but-serving replica choice).
         Returns the number of records applied.  Shared by
@@ -356,6 +294,8 @@ class MutableDataset:
     def _replay_record(self, record) -> Epoch:
         """Apply one :class:`~repro.wal.WalRecord` as a single commit,
         journalled nowhere (the record *is* the journal)."""
+        if record.refused is not None:
+            raise MutationError(record.refused)
         with self._lock:
             batch = coerce_mutations(record.mutations)
             new_nodes: list[int] = []
@@ -365,7 +305,7 @@ class MutableDataset:
             except Exception:
                 self.rollback()
                 raise
-            return self.commit(recompute_prestige=record.recompute_prestige)
+            return self.commit()
 
     # ------------------------------------------------------------------
     # epoch access (lock-free reads: epochs are immutable)
@@ -423,10 +363,10 @@ class MutableDataset:
         Section 2.2 semantics: a keyword matching a relation name
         matches every tuple of it); ``text`` indexes the node's terms —
         together they mirror what :func:`repro.index.build_index` does
-        for one inserted tuple.  ``prestige`` overrides the dataset's
-        ``new_node_prestige`` default; the journal always records the
-        resolved value, so replay assigns it bit-identically regardless
-        of which snapshot lineage it starts from.
+        for one inserted tuple.  ``prestige`` overrides the default, the
+        base's mean prestige; the journal always records the resolved
+        value, so replay assigns it bit-identically regardless of which
+        snapshot lineage it starts from.
         """
         with self._lock:
             if prestige is None:
@@ -585,9 +525,9 @@ class MutableDataset:
                 # failure (disk full, misaligned log) must discard the
                 # staging too, or the "failed" batch would silently
                 # ride along with the next commit.  A failure *after*
-                # the epoch is installed (e.g. a compaction snapshot
-                # write) leaves nothing staged, so the rollback below
-                # degrades to a no-op and the commit stands.
+                # the epoch is installed (in compaction) leaves nothing
+                # staged, so the rollback below degrades to a no-op and
+                # the commit stands.
                 epoch = self.commit(journal=journal)
             except Exception:
                 self.rollback()
@@ -666,28 +606,25 @@ class MutableDataset:
     # ------------------------------------------------------------------
     # commit / compaction
     # ------------------------------------------------------------------
-    def commit(self, *, recompute_prestige: bool = False, journal=None) -> Epoch:
+    def commit(self, *, journal=None) -> Epoch:
         """Freeze staged changes into a new epoch (no-op when nothing
         is staged, so idle commits never invalidate caches).
 
         ``journal``, when given, is called *first* (write-ahead) as
-        ``journal(batch, recompute_prestige=...)`` — a
-        :class:`repro.wal.MutationLog`'s ``append`` fits — with the
-        staged batch's wire form: aliases resolved to real node ids and
-        every new node's prestige resolved, so :meth:`replay`
+        ``journal(batch)`` — a :class:`repro.wal.MutationLog`'s
+        ``append`` fits — with the staged batch's wire form: aliases
+        resolved to real node ids and every new node's prestige
+        resolved, so :meth:`replay`
         reconstructs identical state.  A journal failure — disk full,
         sequence misalignment — raises here with the staged state
         intact (roll back or retry), and an epoch is never visible that
         the log does not contain.
         """
         with self._lock:
-            if not self._staged and not recompute_prestige:
+            if not self._staged:
                 return self._epoch
             if journal is not None:
-                journal(
-                    list(self._staged_wire),
-                    recompute_prestige=recompute_prestige,
-                )
+                journal(list(self._staged_wire))
             for node in self._dirty_nodes:
                 out = self._current_list(self._out, node)
                 in_ = self._current_list(self._in, node)
@@ -713,18 +650,6 @@ class MutableDataset:
             self._commits += 1
 
             graph = self._build_view()
-            if recompute_prestige:
-                from repro.graph.prestige import compute_prestige
-
-                # The one commit that computes on a matrix.  The base
-                # keeps its adjacency and takes the new vector; epochs
-                # already handed out hold the old base.
-                vec = compute_prestige(graph)
-                self._base_graph = self._base_graph.with_prestige(
-                    vec[: self._base_n]
-                )
-                self._prestige_ext = vec[self._base_n :].tolist()
-                graph = self._build_view()
             index = OverlayIndex(
                 self._base_index,
                 added=self._f_added,
@@ -737,7 +662,9 @@ class MutableDataset:
                 index=index,
                 engine=KeywordSearchEngine(graph, index, params=self._params),
             )
-            if self._should_compact():
+            ratio = self._compact_ratio
+            base_edges = max(self._base_graph.num_forward_edges, 1)
+            if ratio is not None and self._muts_since_compact >= ratio * base_edges:
                 self.compact()
             return self._epoch
 
@@ -745,9 +672,7 @@ class MutableDataset:
         """Fold the overlay into flat base arrays (committing any staged
         changes first).  Answers and scores are unchanged — adjacency
         order and every weight survive verbatim — so the version does
-        *not* bump and cached results stay valid.  With
-        ``snapshot_path`` set, the folded state is written as a fresh
-        versioned snapshot."""
+        *not* bump and cached results stay valid."""
         with self._lock:
             if self._staged:
                 self.commit()
@@ -779,21 +704,7 @@ class MutableDataset:
                 engine=KeywordSearchEngine(flat, flat_index, params=self._params),
                 compacted=True,
             )
-            if self._snapshot_path is not None:
-                from repro.service.snapshot import save_snapshot
-
-                save_snapshot(
-                    self._snapshot_path, flat, flat_index, version=self._version
-                )
             return self._epoch
-
-    def _should_compact(self) -> bool:
-        if self._compact_every is not None and self._commits % self._compact_every == 0:
-            return self._muts_since_compact > 0
-        if self._compact_ratio is not None:
-            base_edges = max(self._base_graph.num_forward_edges, 1)
-            return self._muts_since_compact >= self._compact_ratio * base_edges
-        return False
 
     # ------------------------------------------------------------------
     # working-state internals (lock held by callers)

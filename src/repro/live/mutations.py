@@ -48,7 +48,7 @@ class AddNode:
     does for a freshly inserted tuple.
 
     ``prestige`` pins the node's prestige explicitly; None (the
-    default) takes the dataset's ``new_node_prestige``.  The thread
+    default) takes the mean prestige of the dataset's base.  The thread
     tier's WAL journals the *resolved* value, so a replayed node scores
     bit-identically no matter which snapshot lineage the replay started
     from.  The fleet supervisor's log holds the request form (aliases,

@@ -363,7 +363,7 @@ class OverlayIndex:
     # ------------------------------------------------------------------
     def materialize(self) -> InvertedIndex:
         """Fold the deltas into a flat :class:`InvertedIndex` (what
-        compaction snapshots and re-bases on)."""
+        compaction re-bases on)."""
         postings: dict[str, set[int]] = {}
         for term in self._base_post:
             nodes = self._text_nodes(term)

@@ -632,7 +632,6 @@ class QueryService(ServiceCore):
         sync: str = "batched",
         writable: bool = True,
         strict: bool = True,
-        **log_knobs,
     ) -> dict:
         """Open dataset ``name``'s durable mutation log: replay what the
         served snapshot is missing, then journal every later commit.
@@ -653,7 +652,8 @@ class QueryService(ServiceCore):
         entirely.  ``writable=False`` replays an existing log without
         taking ownership of it — what a cluster replica does, since
         only the supervisor appends.  ``strict=False`` lets replay stop at a
-        record that fails to apply (warning) instead of raising.
+        record that fails to apply or is refused (warning) instead of
+        raising.
 
         Raises :class:`~repro.errors.WalError` when exact recovery is
         impossible: a replay gap (log truncated past the snapshot), a
@@ -679,9 +679,9 @@ class QueryService(ServiceCore):
             base, version = record.base, record.version
             attached = self._log(name)
             if writable:
-                log = MutationLog(path, sync=sync, start_seq=base, **log_knobs)
+                log = MutationLog(path, sync=sync, start_seq=base)
             else:
-                log = MutationLog(path, readonly=True, **log_knobs)
+                log = MutationLog(path, readonly=True)
             try:
                 if version != base and not (
                     attached is not None

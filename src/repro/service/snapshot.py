@@ -250,8 +250,8 @@ def _pin_hints(meta: dict, arrays: dict) -> dict:
 def _write_snapshot(path: Path, meta: dict, arrays: dict) -> Path:
     """Write the page-aligned layout atomically.
 
-    The tmp name embeds the pid so concurrent writers (a worker fleet
-    compacting) never clobber each other's partial writes.  The header
+    The tmp name embeds the pid so concurrent writers (processes saving
+    to one path) never clobber each other's partial writes.  The header
     carries only O(1) state (counts, digest, array table, pin hints);
     the O(n) text metadata is serialized as one JSON blob into the
     ``text_json`` data array, so a load can leave it undecoded until

@@ -8,10 +8,12 @@ A ``kill -9``'d replica therefore recovers to exactly the last durable
 epoch instead of silently serving its stale snapshot.
 
 * :class:`MutationLog` — the log itself: append/replay/rotate/truncate
-  with configurable sync policy (``"commit"`` / ``"batched"`` /
-  ``"off"``).
+  with one knob, the sync policy (``"commit"`` / ``"batched"`` /
+  ``"off"``); fsync batching and segment rotation are class constants.
 * :class:`WalRecord` — one replayable record (sequence number ==
-  dataset epoch version, wire mutation dicts).
+  dataset epoch version, wire mutation dicts); a record an earlier
+  version wrote that this one cannot apply carries ``refused``, and
+  replay stops there by its seq.
 * :class:`WalCorruptionWarning` — the structured warning a torn or
   corrupt tail surfaces; recovery stops cleanly at the last valid
   record, never crashes, never skips valid data.

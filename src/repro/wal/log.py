@@ -27,8 +27,12 @@ is::
 
 and a data record's payload is UTF-8 JSON::
 
-    {"seq": <int>, "mutations": [<wire mutation dicts>],
-     "recompute_prestige": <bool, omitted when false>}
+    {"seq": <int>, "mutations": [<wire mutation dicts>], "ts": <unix time>}
+
+Earlier versions could also write a record that asks for a PageRank
+rerun.  Such a record still reads as valid, so an appending open keeps
+it and everything after it, but replay refuses it by its seq
+(:attr:`WalRecord.refused`) rather than apply it with other prestige.
 
 Sequence numbers are strictly contiguous (``seq == previous + 1``)
 within and across segments; they align one-to-one with dataset epoch
@@ -61,8 +65,8 @@ toward the platter:
 ``"batched"`` (default)
     ``flush()`` on every append (the record reaches the OS page cache,
     so it survives a ``kill -9`` of this process), ``fsync()`` every
-    ``batch_every`` appends.  At most ``batch_every - 1`` commits are
-    exposed to a whole-machine crash; a process crash loses nothing.
+    :attr:`MutationLog.BATCH_EVERY` (16) appends.  At most 15 commits
+    are exposed to a whole-machine crash; a process crash loses nothing.
 ``"off"``
     Library-buffered writes only; flushed on rotate/close.  For bulk
     loads and tests where durability is somebody else's problem.
@@ -138,11 +142,15 @@ class WalCorruptionWarning(UserWarning):
 @dataclass(frozen=True)
 class WalRecord:
     """One committed mutation batch: the wire dicts plus its sequence
-    number (== the dataset epoch version the commit produced)."""
+    number (== the dataset epoch version the commit produced).
+
+    ``refused`` says why this code cannot apply the record (None when it
+    can); replay stops there instead of building other state.
+    """
 
     seq: int
     mutations: tuple
-    recompute_prestige: bool = False
+    refused: Optional[str] = None
 
 
 @dataclass
@@ -287,10 +295,14 @@ def _decode_record(payload: bytes) -> Optional[WalRecord]:
         or not isinstance(data.get("mutations"), list)
     ):
         return None
+    refused = None
+    if data.get("recompute_prestige"):
+        refused = (
+            "the record asks for a PageRank rerun (recompute_prestige), "
+            "which this version does not do; rebuild the snapshot instead"
+        )
     return WalRecord(
-        seq=data["seq"],
-        mutations=tuple(data["mutations"]),
-        recompute_prestige=bool(data.get("recompute_prestige", False)),
+        seq=data["seq"], mutations=tuple(data["mutations"]), refused=refused
     )
 
 
@@ -321,13 +333,6 @@ class MutationLog:
         Durability policy per append — ``"commit"`` / ``"batched"`` /
         ``"off"``; see the module docstring for exactly what each
         guarantees and costs.
-    batch_every:
-        Under ``"batched"``, how many appends may pass between
-        ``fsync`` calls (durability exposure to an *OS* crash; a
-        process crash never loses a flushed append).
-    segment_max_records / segment_max_bytes:
-        Rotation thresholds; a full segment is sealed and a new one
-        started, which is what gives truncation its unit of deletion.
     start_seq:
         The sequence number the log starts *after* when created empty —
         i.e. the ``dataset_version`` of the snapshot this log's records
@@ -337,14 +342,20 @@ class MutationLog:
         CLI inspection).  Append, truncate, rotate and reset raise.
     """
 
+    #: Under ``"batched"``, how many appends may pass between ``fsync``
+    #: calls (durability exposure to an *OS* crash; a process crash
+    #: never loses a flushed append).
+    BATCH_EVERY = 16
+    #: Rotation thresholds: a full segment is sealed and a new one
+    #: started, which is what gives truncation its unit of deletion.
+    SEGMENT_MAX_RECORDS = 1024
+    SEGMENT_MAX_BYTES = 4 << 20
+
     def __init__(
         self,
         path: Union[str, os.PathLike],
         *,
         sync: str = "batched",
-        batch_every: int = 16,
-        segment_max_records: int = 1024,
-        segment_max_bytes: int = 4 << 20,
         start_seq: int = 0,
         readonly: bool = False,
     ) -> None:
@@ -352,17 +363,10 @@ class MutationLog:
             raise ValueError(
                 f"unknown sync policy {sync!r}; expected one of {SYNC_POLICIES}"
             )
-        if batch_every < 1:
-            raise ValueError(f"batch_every must be >= 1, got {batch_every!r}")
-        if segment_max_records < 1 or segment_max_bytes < 1:
-            raise ValueError("segment rotation thresholds must be >= 1")
         if start_seq < 0:
             raise ValueError(f"start_seq must be >= 0, got {start_seq!r}")
         self.path = Path(path)
         self.sync_policy = sync
-        self._batch_every = batch_every
-        self._segment_max_records = segment_max_records
-        self._segment_max_bytes = segment_max_bytes
         self._readonly = readonly
         self._lock = threading.RLock()
         self._handle = None
@@ -505,14 +509,8 @@ class MutationLog:
             return self._segments[0].base_seq if self._segments else 0
 
     def moved(self, path: Union[str, os.PathLike]) -> "MutationLog":
-        """A log at ``path`` with this one's sync and rotation knobs."""
-        return MutationLog(
-            path,
-            sync=self.sync_policy,
-            batch_every=self._batch_every,
-            segment_max_records=self._segment_max_records,
-            segment_max_bytes=self._segment_max_bytes,
-        )
+        """A log at ``path`` with this one's sync policy."""
+        return MutationLog(path, sync=self.sync_policy)
 
     def snapshot_at(self, seq: int) -> Optional[str]:
         """The content digest of the snapshot file at ``seq`` that the
@@ -551,13 +549,7 @@ class MutationLog:
     # ------------------------------------------------------------------
     # appending
     # ------------------------------------------------------------------
-    def append(
-        self,
-        mutations,
-        *,
-        seq: Optional[int] = None,
-        recompute_prestige: bool = False,
-    ) -> int:
+    def append(self, mutations, *, seq: Optional[int] = None) -> int:
         """Append one committed batch of wire mutation dicts.
 
         ``seq`` defaults to ``last_seq + 1``; passing it explicitly
@@ -576,14 +568,12 @@ class MutationLog:
                     f"out-of-order append: seq {seq} does not continue the "
                     f"log's last sequence {self.last_seq}"
                 )
-            record: dict = {"seq": seq, "mutations": list(mutations), "ts": time.time()}
-            if recompute_prestige:
-                record["recompute_prestige"] = True
+            record = {"seq": seq, "mutations": list(mutations), "ts": time.time()}
             data = _frame(json.dumps(record).encode("utf-8"))
             active = self._segments[-1]
             if (
-                active.records >= self._segment_max_records
-                or active.end_offset + len(data) > self._segment_max_bytes
+                active.records >= self.SEGMENT_MAX_RECORDS
+                or active.end_offset + len(data) > self.SEGMENT_MAX_BYTES
             ) and active.records > 0:
                 self._rotate_locked()
                 active = self._segments[-1]
@@ -603,7 +593,7 @@ class MutationLog:
             elif self.sync_policy == "batched":
                 handle.flush()
                 self._unsynced += 1
-                if self._unsynced >= self._batch_every:
+                if self._unsynced >= self.BATCH_EVERY:
                     os.fsync(handle.fileno())
                     self._fsyncs += 1
                     self._unsynced = 0

@@ -13,9 +13,8 @@ and ``reload`` with a ``wal_dir`` included.  A *worker* searches but
 serves no HTTP and builds no dataset — and, like the thread tier, loads
 no numpy to serve a snapshot, writes included: the arrays are
 ``memoryview`` casts of one ``mmap``, an overlay keeps prestige as
-Python floats, a compaction's snapshot is packed with ``array``; numpy
-arrives only with a ``commit(recompute_prestige=True)`` (a power
-iteration).  Neither uses more of
+Python floats, a compaction's snapshot is packed with ``array``.
+Neither uses more of
 ``multiprocessing`` than its ``connection`` module: no queue, no
 semaphore, no shared memory — and so no resource-tracker process to
 clean up after them.  And no serving role — supervisor, thread tier,
@@ -450,54 +449,47 @@ def test_no_search_schedule_loads_numpy(tmp_path, toy_engine):
     assert "SCHEDULES-OK" in done.stdout
 
 
-#: A live dataset stages, commits, rolls back, compacts to a snapshot and
-#: replays a log on Python floats; ``commit(recompute_prestige=True)``
-#: iterates a sparse matrix, and is where numpy (and scipy) load.
-RECOMPUTE_SCRIPT = PRELUDE + '''
+#: A live dataset stages, commits, rolls back, compacts and replays a
+#: log on Python floats, and a service saves it, attaches the log and
+#: reloads the saved file without an array library: no live or WAL
+#: operation loads numpy or scipy.
+LIVE_SCRIPT = PRELUDE + '''
 from repro.live import MutableDataset
+from repro.service import QueryService
+from repro.service.snapshot import load_snapshot
 from repro.wal import MutationLog
 
 snapshot, scratch = sys.argv[1], sys.argv[2]
 batch = [{"op": "add_node", "label": "hub", "text": "hub"},
          *({"op": "add_edge", "u": paper, "v": -1} for paper in (5, 6, 7, 8))]
+graph, index = load_snapshot(snapshot)
 with MutationLog(scratch + ".wal") as log:
-    dataset = MutableDataset.from_snapshot(snapshot, compact_ratio=None)
-    hub = dataset.mutate(batch, journal=log.append).new_nodes[0]
+    dataset = MutableDataset(graph, index, compact_ratio=None)
+    dataset.mutate(batch, journal=log.append)
     dataset.add_node("staged")
     dataset.rollback()
     assert dataset.engine.search("hub").answers
-    overlay = dataset.graph
-    replayed = MutableDataset.replay(
-        log, snapshot=snapshot, compact_ratio=None, snapshot_path=scratch + ".snap"
-    )
-    assert replayed.graph.prestige_values == overlay.prestige_values
+    replayed = MutableDataset.replay(log, graph=graph, index=index, compact_ratio=None)
+    assert replayed.graph.prestige_values == dataset.graph.prestige_values
     assert replayed.compact().compacted
-    assert MutableDataset.from_snapshot(scratch + ".snap").engine.search("hub").answers
-    assert_not_loaded("numpy", "scipy")
-
-    epoch = dataset.commit(recompute_prestige=True, journal=log.append)
-    assert "numpy" in sys.modules and "scipy.sparse" in sys.modules
-
-from repro.graph.prestige import compute_prestige
-
-# What the commit did before: the vector over the view it was asked on,
-# split at the base's size, every entry the float it was computed as.
-expected = compute_prestige(overlay)
-assert epoch.graph.prestige_values == tuple(expected.tolist())
-assert epoch.graph.prestige.tolist() == expected.tolist()
-assert epoch.graph.node_prestige(hub) == float(expected[hub]) > 0
-assert epoch.graph.max_prestige == float(expected.max())
-replayed = MutableDataset.replay(scratch + ".wal", snapshot=snapshot, compact_ratio=None)
-assert replayed.graph.prestige_values == epoch.graph.prestige_values  # the flag replays too
-print("RECOMPUTE-OK")
+with QueryService() as service:
+    service.register_mutable("live", replayed)
+    service.save_snapshot("live", scratch + ".snap")
+    service.register_snapshot("toy", snapshot)
+    assert service.attach_wal("toy", scratch + ".wal")["replayed"] == 1
+    assert service.reload("toy", scratch + ".snap", force=True)["reloaded"]
+    response = service.search("toy", "hub", use_cache=False)
+    assert response.ok and response.result.answers, response.error
+assert_not_loaded("numpy", "scipy")
+print("LIVE-OK")
 '''
 
 
-def test_recompute_prestige_is_what_loads_numpy_in_a_live_dataset(tmp_path, toy_engine):
+def test_no_live_or_wal_operation_loads_numpy(tmp_path, toy_engine):
     snapshot = save_engine(tmp_path / "toy.snap", toy_engine)
-    done = run_python(RECOMPUTE_SCRIPT, str(snapshot), str(tmp_path / "live"))
+    done = run_python(LIVE_SCRIPT, str(snapshot), str(tmp_path / "live"))
     assert done.returncode == 0, done.stderr[-4000:]
-    assert "RECOMPUTE-OK" in done.stdout
+    assert "LIVE-OK" in done.stdout
 
 
 def test_snapshot_info_loads_no_numpy(tmp_path, toy_engine):

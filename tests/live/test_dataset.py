@@ -1,13 +1,16 @@
-"""MutableDataset lifecycle: epochs, MVCC isolation, compaction, snapshots."""
+"""MutableDataset lifecycle: epochs, MVCC isolation, compaction, arguments."""
 
+import inspect
 import math
 import threading
 
 import pytest
 
+from repro.core.engine import KeywordSearchEngine
 from repro.live import MutableDataset
 from repro.live.mutations import AddEdge, AddNode, UpdateText
-from repro.service.snapshot import load_snapshot, snapshot_info
+from repro.service.snapshot import load_snapshot
+from repro.wal import MutationLog
 
 from tests.conftest import make_toy_db
 from tests.live.conftest import assert_same_graph, assert_same_index, canonical_answers
@@ -121,9 +124,8 @@ class TestCompaction:
         """Regression: a node-/text-only ingest stream must still hit
         the compaction policy — only counting edge ops let the overlay
         grow without bound."""
-        dataset = MutableDataset.from_engine(
-            toy_engine, compact_ratio=None, compact_every=1
-        )
+        # Small enough that any one mutation reaches it: every commit compacts.
+        dataset = MutableDataset.from_engine(toy_engine, compact_ratio=1e-9)
         assert dataset.mutate([AddNode(label="n", text="justtext")]).epoch.compacted
         assert dataset.mutate([UpdateText(node=7, text="renamed")]).epoch.compacted
         assert dataset.stats()["added_nodes"] == 0  # folded into the base
@@ -137,28 +139,14 @@ class TestCompaction:
         assert dataset.stats()["mutations_since_compaction"] == 0
 
     def test_auto_compaction_every_commits(self, toy_engine):
-        dataset = MutableDataset.from_engine(
-            toy_engine, compact_ratio=None, compact_every=2
-        )
+        dataset = MutableDataset.from_engine(toy_engine, compact_ratio=1e-9)
         first = dataset.mutate([AddNode(label="x"), AddEdge(u=-1, v=3)])
-        assert not first.epoch.compacted
-        second = dataset.mutate([AddEdge(u=-1 + dataset.graph.num_nodes, v=4)])
+        assert first.epoch.compacted
+        second = dataset.mutate([AddEdge(u=dataset.graph.num_nodes - 1, v=4)])
         assert second.epoch.compacted
-
-    def test_compaction_writes_versioned_snapshot(self, toy_engine, tmp_path):
-        path = tmp_path / "live.snap"
-        dataset = MutableDataset.from_engine(
-            toy_engine, compact_ratio=0.01, snapshot_path=path
-        )
-        dataset.mutate(
-            [AddNode(label="snap", text="snapshotterm"), AddEdge(u=-1, v=3)]
-        )
-        info = snapshot_info(path)
-        assert info["dataset_version"] == dataset.version
-        assert info["content_digest"]
-        graph, index = load_snapshot(path)
-        assert_same_graph(graph, dataset.graph)
-        assert index.lookup("snapshotterm") == dataset.index.lookup("snapshotterm")
+        assert second.epoch.version == 2
+        # An idle commit folds nothing and bumps nothing.
+        assert dataset.commit() is second.epoch
 
 
 class TestConstruction:
@@ -166,7 +154,7 @@ class TestConstruction:
         from repro.service.snapshot import save_engine
 
         path = save_engine(tmp_path / "toy.snap", toy_engine)
-        dataset = MutableDataset.from_snapshot(path)
+        dataset = MutableDataset(*load_snapshot(path))
         outcome = dataset.mutate([AddNode(label="x", text="fromsnapshot")])
         assert dataset.index.lookup("fromsnapshot") == {outcome.new_nodes[0]}
 
@@ -177,13 +165,49 @@ class TestConstruction:
         with pytest.raises(MutationError, match="flat SearchGraph"):
             MutableDataset(toy_dataset.graph, toy_dataset.index)
 
-    def test_bad_knobs(self, toy_engine):
+    def test_bad_knobs(self, toy_engine, tmp_path):
         with pytest.raises(ValueError):
             MutableDataset.from_engine(toy_engine, compact_ratio=0)
-        with pytest.raises(ValueError):
-            MutableDataset.from_engine(toy_engine, compact_every=0)
-        with pytest.raises(ValueError):
-            MutableDataset.from_engine(toy_engine, new_node_prestige=-1.0)
+        # Set only by tests, so gone: a snapshot writer, a second
+        # compaction trigger and a second new-node prestige.
+        for argument, value in (
+            ("snapshot_path", "live.snap"),
+            ("compact_every", 1),
+            ("new_node_prestige", 0.5),
+        ):
+            with pytest.raises(TypeError, match=argument):
+                MutableDataset.from_engine(toy_engine, **{argument: value})
+        with pytest.raises(TypeError, match="recompute_prestige"):
+            MutableDataset.from_engine(toy_engine).commit(recompute_prestige=True)
+        # replay() takes a loaded base, not a file to load.
+        with MutationLog(tmp_path / "toy.wal") as log:
+            for argument in ("snapshot", "storage_mode", "pin_policy"):
+                with pytest.raises(TypeError, match=argument):
+                    MutableDataset.replay(
+                        log,
+                        graph=toy_engine.graph,
+                        index=toy_engine.index,
+                        **{argument: None},
+                    )
+        for entry in ("from_snapshot", "from_database"):
+            assert not hasattr(MutableDataset, entry)
+
+    def test_arguments_are_these(self):
+        def arguments(function):
+            return list(inspect.signature(function).parameters)
+
+        assert arguments(MutableDataset) == ["graph", "index", "params", "compact_ratio"]
+        assert arguments(MutableDataset.commit) == ["self", "journal"]
+        assert arguments(MutableDataset.replay) == [
+            "log", "graph", "index", "start_seq", "strict", "knobs"
+        ]
+        assert arguments(MutationLog) == ["path", "sync", "start_seq", "readonly"]
+        assert arguments(MutationLog.append) == ["self", "mutations", "seq"]
+        assert (
+            MutationLog.BATCH_EVERY,
+            MutationLog.SEGMENT_MAX_RECORDS,
+            MutationLog.SEGMENT_MAX_BYTES,
+        ) == (16, 1024, 4 << 20)
 
     def test_new_node_prestige_default_is_base_mean(self, toy_engine):
         """The correctly rounded mean (``fsum``): within an ulp or two
@@ -202,16 +226,15 @@ class TestConstruction:
     ):
         """Every ``add_node`` is journalled with the float it was given,
         default or explicit, so a log replays bit for bit over a dataset
-        whose own default is another number — a WAL written when the
-        default was numpy's mean included."""
-        from repro.wal import MutationLog
-
-        # Stands in for any earlier default: 0.1 + 0.2 is no round number.
-        writer_default = 0.1 + 0.2
+        whose own default is another number — a base with another mean,
+        or a WAL written when the default was numpy's mean."""
+        graph, index = toy_engine.graph, toy_engine.index
+        n = graph.num_nodes
+        writer_default = math.fsum(graph.prestige_values) / n
+        # Another mean: 0.1 + 0.2 is no round number.
+        other = graph.with_prestige([0.1 + 0.2] * n)
         with MutationLog(tmp_path / "toy.wal") as log:
-            writer = MutableDataset.from_engine(
-                toy_engine, new_node_prestige=writer_default, compact_ratio=None,
-            )
+            writer = MutableDataset.from_engine(toy_engine, compact_ratio=None)
             writer.mutate(
                 [AddNode(label="a"), AddNode(label="b", prestige=0.125)],
                 journal=log.append,
@@ -226,30 +249,18 @@ class TestConstruction:
             assert [p.hex() for p in logged] == [
                 p.hex() for p in (writer_default, 0.125, writer_default)
             ]
-            for knobs in ({}, {"new_node_prestige": 0.5}):
+            for base in (graph, other):
                 replayed = MutableDataset.replay(
-                    log, graph=toy_engine.graph, index=toy_engine.index,
-                    compact_ratio=None, **knobs,
+                    log, graph=base, index=index, compact_ratio=None
                 )
                 assert replayed.version == writer.version == 2
-                assert [p.hex() for p in replayed.graph.prestige_values] == [
-                    p.hex() for p in writer.graph.prestige_values
+                assert [p.hex() for p in replayed.graph.prestige_values[n:]] == [
+                    p.hex() for p in writer.graph.prestige_values[n:]
                 ]
-                # ...while a node the replayed dataset adds itself takes its own.
-                own = replayed.mutate([AddNode(label="d")]).new_nodes[0]
-                assert replayed.graph.node_prestige(own) != writer_default
-
-    def test_recompute_prestige_on_commit(self, toy_engine):
-        dataset = MutableDataset.from_engine(toy_engine, compact_ratio=None)
-        dataset.add_node("hub", text="hub")
-        hub = dataset.graph.num_nodes  # id after commit
-        for paper in (5, 6, 7, 8):
-            dataset.add_edge(paper, hub)
-        epoch = dataset.commit(recompute_prestige=True)
-        # A node every paper points at should out-rank the default.
-        assert epoch.graph.node_prestige(hub) > 0
-        total = float(epoch.graph.prestige.sum())
-        assert total == pytest.approx(1.0, rel=1e-6)
+            assert replayed.graph.prestige_values[:n] == other.prestige_values
+            # ...while a node the replayed dataset adds itself takes its own.
+            own = replayed.mutate([AddNode(label="d")]).new_nodes[0]
+            assert replayed.graph.node_prestige(own) == 0.1 + 0.2 != writer_default
 
     def test_stats_shape(self, toy_dataset):
         toy_dataset.mutate([AddNode(label="x"), AddEdge(u=-1, v=3)])
@@ -263,7 +274,7 @@ class TestConstruction:
 def test_update_text_via_fresh_database():
     """update_text on a node whose terms come only from the base index."""
     engine_db = make_toy_db()
-    dataset = MutableDataset.from_database(engine_db)
+    dataset = MutableDataset.from_engine(KeywordSearchEngine.from_database(engine_db))
     node = dataset.graph.node_by_ref("paper", 3)  # "The Design of Postgres"
     dataset.mutate([UpdateText(node=node, text="vector databases now")])
     assert node not in dataset.index.lookup("postgres")

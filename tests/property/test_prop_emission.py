@@ -36,6 +36,7 @@ from repro.core.backward_si import SingleIteratorBackwardSearch
 from repro.core.bidirectional import BidirectionalSearch
 from repro.core.cancellation import CancellationToken
 from repro.core.driver import BaseSearch
+from repro.core.engine import KeywordSearchEngine
 from repro.core.params import SearchParams
 from repro.core.scoring import Scorer
 from repro.errors import KeywordNotFoundError
@@ -238,7 +239,9 @@ def overlay_batches(draw):
 )
 @settings(max_examples=40, deadline=None)
 def test_overlay_graphs_keep_the_bound_and_the_answers(batch, algorithm, max_results):
-    dataset = MutableDataset.from_database(make_toy_db(), compact_ratio=None)
+    dataset = MutableDataset.from_engine(
+        KeywordSearchEngine.from_database(make_toy_db()), compact_ratio=None
+    )
     dataset.mutate(batch)
     engine = dataset.engine
     assert type(engine.graph).__name__ == "OverlayGraph"

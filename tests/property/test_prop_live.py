@@ -22,6 +22,7 @@ must change nothing either.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.engine import KeywordSearchEngine
 from repro.core.params import SearchParams
 from repro.errors import KeywordNotFoundError
 from repro.live import MutableDataset
@@ -120,7 +121,9 @@ def mutation_sequences(draw):
 def run_equivalence(batches) -> None:
     engine_db = make_toy_db()
     model = ReplayModel.from_database(engine_db)
-    dataset = MutableDataset.from_database(engine_db, compact_ratio=None)
+    dataset = MutableDataset.from_engine(
+        KeywordSearchEngine.from_database(engine_db), compact_ratio=None
+    )
     for batch in batches:
         outcome = dataset.mutate(batch)
         assert list(outcome.new_nodes) == replay(model, batch)
@@ -175,7 +178,9 @@ def test_base_edge_removal_equals_rebuild(data):
     pick existing forward edges off the toy graph and drop them."""
     engine_db = make_toy_db()
     model = ReplayModel.from_database(engine_db)
-    dataset = MutableDataset.from_database(engine_db, compact_ratio=None)
+    dataset = MutableDataset.from_engine(
+        KeywordSearchEngine.from_database(engine_db), compact_ratio=None
+    )
     count = data.draw(st.integers(min_value=1, max_value=4))
     for _ in range(count):
         edges = list(model.edges)

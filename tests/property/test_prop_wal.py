@@ -5,22 +5,23 @@ The same discipline as ``test_prop_live`` (graphs compare bit-for-bit:
 adjacency order, weights, activation normalizers; index lookups agree
 on every term), applied to the durability path: for any mutation
 sequence journaled through :class:`repro.wal.MutationLog`,
-``MutableDataset.replay(log, snapshot=...)`` must reconstruct the live
-dataset exactly — including when the log spans **multiple segments**
-and when the live side **compacted** mid-run (compaction folds the
-overlay but is invisible in the journal, so the replayed overlay must
-still match bit-for-bit).
+``MutableDataset.replay(log, graph=..., index=...)`` over the loaded
+base snapshot must reconstruct the live dataset exactly — including
+when the log spans **multiple segments** and when the live side
+**compacted** mid-run (compaction folds the overlay but is invisible
+in the journal, so the replayed overlay must still match bit-for-bit).
 """
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import KeywordSearchEngine
 from repro.live import MutableDataset
-from repro.service.snapshot import save_engine
+from repro.service.snapshot import load_snapshot, save_engine
 from repro.wal import MutationLog
 
 from tests.conftest import make_toy_db
@@ -28,27 +29,28 @@ from tests.live.conftest import assert_same_graph, assert_same_index
 from tests.property.test_prop_live import WORDS, mutation_sequences
 
 
-def run_wal_equivalence(batches, *, live_knobs=None) -> None:
+def two_record_segments():
+    """Rotation every two records, so every non-trivial run exercises
+    the multi-segment read path."""
+    return mock.patch.object(MutationLog, "SEGMENT_MAX_RECORDS", 2)
+
+
+def run_wal_equivalence(batches, *, compact_ratio=None) -> None:
     """Journal ``batches`` through a tiny-segment log, then replay."""
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, two_record_segments():
         snapshot = save_engine(
             Path(tmp) / "toy.snap",
             KeywordSearchEngine.from_database(make_toy_db()),
         )
-        # segment_max_records=2 forces rotation constantly, so every
-        # non-trivial run exercises the multi-segment read path.
-        log = MutationLog(
-            Path(tmp) / "toy.snap.wal", sync="off", segment_max_records=2
-        )
-        live = MutableDataset.from_snapshot(
-            snapshot, **(live_knobs or {"compact_ratio": None})
-        )
+        log = MutationLog(Path(tmp) / "toy.snap.wal", sync="off")
+        graph, index = load_snapshot(snapshot)
+        live = MutableDataset(graph, index, compact_ratio=compact_ratio)
         for batch in batches:
             live.mutate(batch, journal=log.append)
         assert log.last_seq == live.version
 
         replayed = MutableDataset.replay(
-            log, snapshot=snapshot, compact_ratio=None
+            log, graph=graph, index=index, compact_ratio=None
         )
         assert replayed.version == live.version
         assert_same_graph(replayed.graph, live.graph)
@@ -59,7 +61,7 @@ def run_wal_equivalence(batches, *, live_knobs=None) -> None:
         log.close()
         reopened = MutationLog(Path(tmp) / "toy.snap.wal", readonly=True)
         replayed_cold = MutableDataset.replay(
-            reopened, snapshot=snapshot, compact_ratio=None
+            reopened, graph=graph, index=index, compact_ratio=None
         )
         assert_same_graph(replayed_cold.graph, live.graph)
         assert_same_index(replayed_cold.index, live.index, extra_terms=WORDS)
@@ -80,10 +82,11 @@ def test_multi_commit_multi_segment_replay_equals_live(batches):
 @given(batches=st.lists(mutation_sequences(), min_size=2, max_size=4))
 @settings(max_examples=15, deadline=None)
 def test_replay_matches_live_across_compaction(batches):
-    """The live side compacts after every commit; the journal never
-    records compaction (it changes no answer), so the replayed overlay
-    must still be bit-identical to the folded flat arrays."""
-    run_wal_equivalence(batches, live_knobs={"compact_every": 1})
+    """The live side compacts after every commit (any one mutation
+    reaches the ratio); the journal never records compaction (it changes
+    no answer), so the replayed overlay must still be bit-identical to
+    the folded flat arrays."""
+    run_wal_equivalence(batches, compact_ratio=1e-9)
 
 
 @given(batch=mutation_sequences())
@@ -96,15 +99,13 @@ def test_replay_from_mid_lineage_snapshot(batch):
     from repro.live.mutations import AddNode
     from repro.service.snapshot import save_snapshot
 
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, two_record_segments():
         base = save_engine(
             Path(tmp) / "toy.snap",
             KeywordSearchEngine.from_database(make_toy_db()),
         )
-        log = MutationLog(
-            Path(tmp) / "toy.snap.wal", sync="off", segment_max_records=2
-        )
-        live = MutableDataset.from_snapshot(base, compact_ratio=None)
+        log = MutationLog(Path(tmp) / "toy.snap.wal", sync="off")
+        live = MutableDataset(*load_snapshot(base), compact_ratio=None)
         live.mutate(batch, journal=log.append)
         version_at_snapshot = live.version
         # Snapshot the mid-run state (compaction keeps answers and the
@@ -122,7 +123,14 @@ def test_replay_from_mid_lineage_snapshot(batch):
         )
         assert log.last_seq == live.version == version_at_snapshot + 1
 
-        replayed = MutableDataset.replay(log, snapshot=mid, compact_ratio=None)
+        graph, index = load_snapshot(mid)
+        replayed = MutableDataset.replay(
+            log,
+            graph=graph,
+            index=index,
+            start_seq=version_at_snapshot,
+            compact_ratio=None,
+        )
         # Only the tail record applies; the rest is baked into the
         # snapshot the replay started from.
         assert replayed.version == 1

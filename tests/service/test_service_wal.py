@@ -1,8 +1,11 @@
 """QueryService + WAL: attach, journal, recover, truncate, reset."""
 
 import json
+import struct
 import threading
+import time
 import urllib.error
+import zlib
 import urllib.request
 from pathlib import Path
 
@@ -182,6 +185,48 @@ class TestRecovery:
             finally:
                 server.shutdown()
                 server.server_close()
+
+    def test_a_prestige_rerun_record_is_refused_not_replayed(
+        self, toy_snapshot, toy_engine
+    ):
+        """A record asking for a PageRank rerun (an earlier version's
+        ``commit(recompute_prestige=True)``) is refused by its seq:
+        strict replay raises, a non-strict one stops before it and is
+        wal_behind, and an appending open keeps it — it is no damage."""
+        from repro.live import MutableDataset
+
+        word = {"op": "add_node", "label": "w", "table": "paper", "text": "refused"}
+        path = default_wal_path(toy_snapshot)
+        with MutationLog(path) as log:
+            log.append([word])
+        rerun = {"seq": 2, "mutations": [word], "ts": time.time(),
+                 "recompute_prestige": True}
+        payload = json.dumps(rerun).encode("utf-8")
+        (segment,) = Path(path).glob("wal-*.seg")
+        with open(segment, "ab") as handle:
+            handle.write(struct.pack("<II", len(payload), zlib.crc32(payload)) + payload)
+        with MutationLog(path) as log:  # appending open: nothing truncated
+            assert log.last_seq == 2
+            assert [record.seq for record in log.records()] == [1, 2]
+
+        graph, index = toy_engine.graph, toy_engine.index
+        with pytest.raises(WalError, match="seq 2 .*PageRank"):
+            MutableDataset.replay(path, graph=graph, index=index)
+        with pytest.warns(UserWarning, match="replay stopped before seq 2"):
+            assert MutableDataset.replay(
+                path, graph=graph, index=index, strict=False
+            ).version == 1
+        strict = QueryService()
+        strict.register_snapshot("toy", toy_snapshot)
+        with strict, pytest.raises(WalError, match="seq 2 .*PageRank"):
+            strict.attach_wal("toy")
+        with pytest.warns(UserWarning, match="replay stopped before seq 2"):
+            service, info = wal_service(toy_snapshot, strict=False)
+        with service:
+            assert (info["version"], info["wal_seq"]) == (1, 2)
+            assert service.health()["wal_behind"] == ["toy"]
+        with MutationLog(path) as log:
+            assert log.last_seq == 2
 
     def test_a_served_log_tip_is_not_behind(self, toy_snapshot):
         service, _ = wal_service(toy_snapshot)
@@ -372,11 +417,10 @@ class TestRecovery:
 
 class TestSnapshotIntegration:
     def test_save_over_source_truncates_covered_segments(
-        self, tmp_path, toy_snapshot
+        self, tmp_path, toy_snapshot, monkeypatch
     ):
-        service, info = wal_service(
-            toy_snapshot, segment_max_records=1
-        )
+        monkeypatch.setattr(MutationLog, "SEGMENT_MAX_RECORDS", 1)
+        service, info = wal_service(toy_snapshot)
         try:
             for i in range(3):
                 add_word(service, f"truncword{i}")
@@ -392,10 +436,13 @@ class TestSnapshotIntegration:
         finally:
             service.close()
 
-    def test_save_to_other_path_keeps_the_log(self, tmp_path, toy_snapshot):
+    def test_save_to_other_path_keeps_the_log(
+        self, tmp_path, toy_snapshot, monkeypatch
+    ):
         """A backup save must not eat the records crash recovery from
         the *registered* snapshot still needs."""
-        service, info = wal_service(toy_snapshot, segment_max_records=1)
+        monkeypatch.setattr(MutationLog, "SEGMENT_MAX_RECORDS", 1)
+        service, info = wal_service(toy_snapshot)
         try:
             add_word(service, "keepword")
             service.save_snapshot("toy", tmp_path / "backup.snap")
@@ -434,13 +481,14 @@ class TestSnapshotIntegration:
             recovered.close()
 
     def test_old_snapshot_with_truncated_log_is_a_replay_gap(
-        self, tmp_path, toy_snapshot
+        self, tmp_path, toy_snapshot, monkeypatch
     ):
         import shutil
 
         old_copy = tmp_path / "old-copy.snap"
         shutil.copy(toy_snapshot, old_copy)
-        service, info = wal_service(toy_snapshot, segment_max_records=1)
+        monkeypatch.setattr(MutationLog, "SEGMENT_MAX_RECORDS", 1)
+        service, info = wal_service(toy_snapshot)
         for i in range(3):
             add_word(service, f"gapword{i}")
         service.save_snapshot("toy", toy_snapshot)  # rotates + truncates

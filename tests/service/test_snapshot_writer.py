@@ -243,12 +243,12 @@ def test_a_resaved_mapped_graph(toy_engine, tmp_path):
 
 
 def test_a_compacted_overlay(toy_engine, tmp_path):
-    """What ``compact()`` with a ``snapshot_path`` writes: the folded
-    state, through the same writer."""
+    """What ``QueryService.save_snapshot`` writes for a live dataset:
+    ``compact()``, then the folded state through the same writer."""
     from repro.live import MutableDataset
+    from repro.service import QueryService
 
-    path = tmp_path / "live.snap"
-    dataset = MutableDataset.from_engine(toy_engine, snapshot_path=path, compact_ratio=None)
+    dataset = MutableDataset.from_engine(toy_engine, compact_ratio=None)
     dataset.mutate(
         [
             {"op": "add_node", "label": "Zyzzqx Sÿstems", "table": "paper",
@@ -257,7 +257,12 @@ def test_a_compacted_overlay(toy_engine, tmp_path):
             {"op": "update_text", "node": 0, "text": "Jim Gray Qwertz"},
         ]
     )
-    epoch = dataset.compact()
+    path = tmp_path / "live.snap"
+    with QueryService() as service:
+        service.register_mutable("live", dataset)
+        service.save_snapshot("live", path)
+    epoch = dataset.epoch
+    assert epoch.compacted
     written = assert_writes_what_the_oracle_wrote(
         tmp_path, epoch.graph, epoch.index, version=epoch.version
     )

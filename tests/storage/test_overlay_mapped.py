@@ -13,7 +13,7 @@ import pytest
 from repro.core.engine import KeywordSearchEngine
 from repro.core.params import SearchParams
 from repro.live.dataset import MutableDataset
-from repro.service.snapshot import save_engine
+from repro.service.snapshot import load_snapshot, save_engine
 from repro.storage import MappedSearchGraph
 
 MODES = ("ram", "mapped")
@@ -27,7 +27,7 @@ def snapshot_path(toy_engine, tmp_path):
 
 
 def make_dataset(snapshot_path, mode) -> MutableDataset:
-    ds = MutableDataset.from_snapshot(snapshot_path, storage_mode=mode)
+    ds = MutableDataset(*load_snapshot(snapshot_path, storage_mode=mode))
     assert isinstance(ds.graph, MappedSearchGraph)
     assert ds.graph.storage.mode == mode
     return ds

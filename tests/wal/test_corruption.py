@@ -15,8 +15,8 @@ def batch(i: int) -> list:
     return [{"op": "add_node", "label": f"node-{i}"}]
 
 
-def write_log(path: Path, count: int, **knobs) -> MutationLog:
-    log = MutationLog(path, **knobs)
+def write_log(path: Path, count: int) -> MutationLog:
+    log = MutationLog(path)
     for i in range(count):
         log.append(batch(i))
     log.close()
@@ -110,8 +110,9 @@ class TestTornTail:
 
 
 class TestMultiSegmentDamage:
-    def test_damage_in_sealed_segment_hides_later_segments(self, tmp_path):
-        write_log(tmp_path / "log", 6, segment_max_records=2)
+    def test_damage_in_sealed_segment_hides_later_segments(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(MutationLog, "SEGMENT_MAX_RECORDS", 2)
+        write_log(tmp_path / "log", 6)
         first = segments(tmp_path / "log")[0]
         first.write_bytes(first.read_bytes()[:-5])
         with pytest.warns(WalCorruptionWarning) as caught:
@@ -120,8 +121,9 @@ class TestMultiSegmentDamage:
         reasons = [w.message.reason for w in caught]
         assert any("later segment" in reason for reason in reasons)
 
-    def test_corrupt_segment_header_stops_before_it(self, tmp_path):
-        write_log(tmp_path / "log", 4, segment_max_records=2)
+    def test_corrupt_segment_header_stops_before_it(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(MutationLog, "SEGMENT_MAX_RECORDS", 2)
+        write_log(tmp_path / "log", 4)
         second = segments(tmp_path / "log")[1]
         data = bytearray(second.read_bytes())
         data[10] ^= 0xFF  # inside the header frame
@@ -173,8 +175,9 @@ class TestCorruptionSignal:
         assert incident["repaired"] is True
         writable.close()
 
-    def test_multi_segment_damage_counts_every_incident(self, tmp_path):
-        write_log(tmp_path / "log", 6, segment_max_records=2)
+    def test_multi_segment_damage_counts_every_incident(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(MutationLog, "SEGMENT_MAX_RECORDS", 2)
+        write_log(tmp_path / "log", 6)
         first = segments(tmp_path / "log")[0]
         first.write_bytes(first.read_bytes()[:-5])
         with pytest.warns(WalCorruptionWarning):
@@ -235,8 +238,9 @@ class TestAppendRepair:
                 assert log.last_seq == 2
         assert seg.read_bytes() == torn  # bytes untouched
 
-    def test_repair_drops_segments_past_the_damage(self, tmp_path):
-        write_log(tmp_path / "log", 6, segment_max_records=2)
+    def test_repair_drops_segments_past_the_damage(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(MutationLog, "SEGMENT_MAX_RECORDS", 2)
+        write_log(tmp_path / "log", 6)
         first = segments(tmp_path / "log")[0]
         first.write_bytes(first.read_bytes()[:-5])
         with pytest.warns(WalCorruptionWarning):

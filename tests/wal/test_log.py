@@ -32,13 +32,6 @@ class TestAppendAndRead:
         log.append(mutations)
         (record,) = log.records()
         assert list(record.mutations) == mutations
-        assert record.recompute_prestige is False
-
-    def test_recompute_prestige_flag_round_trips(self, log):
-        log.append([], recompute_prestige=True)
-        (record,) = log.records()
-        assert record.mutations == ()
-        assert record.recompute_prestige is True
 
     def test_start_after_skips_older_records(self, log):
         for i in range(5):
@@ -75,15 +68,26 @@ class TestAppendAndRead:
     def test_bad_knobs_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="sync policy"):
             MutationLog(tmp_path / "log", sync="eventually")
-        with pytest.raises(ValueError, match="batch_every"):
-            MutationLog(tmp_path / "log", batch_every=0)
         with pytest.raises(ValueError, match="start_seq"):
             MutationLog(tmp_path / "log", start_seq=-1)
+        # Class constants now (BATCH_EVERY, SEGMENT_MAX_*), not arguments.
+        for argument in ("batch_every", "segment_max_records", "segment_max_bytes"):
+            with pytest.raises(TypeError, match=argument):
+                MutationLog(tmp_path / "log", **{argument: 2})
+        with pytest.raises(TypeError, match="recompute_prestige"):
+            with MutationLog(tmp_path / "log") as log:
+                log.append([], recompute_prestige=True)
 
 
+@pytest.fixture()
+def two_record_segments(monkeypatch):
+    monkeypatch.setattr(MutationLog, "SEGMENT_MAX_RECORDS", 2)
+
+
+@pytest.mark.usefixtures("two_record_segments")
 class TestSegments:
     def test_rotation_by_record_count(self, tmp_path):
-        with MutationLog(tmp_path / "log", segment_max_records=2) as log:
+        with MutationLog(tmp_path / "log") as log:
             for i in range(5):
                 log.append(batch(i))
             stats = log.stats()
@@ -92,7 +96,7 @@ class TestSegments:
             assert [r.seq for r in log.records()] == [1, 2, 3, 4, 5]
 
     def test_truncate_drops_snapshotted_segments(self, tmp_path):
-        with MutationLog(tmp_path / "log", segment_max_records=2) as log:
+        with MutationLog(tmp_path / "log") as log:
             for i in range(6):
                 log.append(batch(i))
             deleted = log.truncate(4)
@@ -102,7 +106,7 @@ class TestSegments:
             assert [r.seq for r in log.records(start_after=4)] == [5, 6]
 
     def test_truncate_at_tip_leaves_one_empty_segment(self, tmp_path):
-        with MutationLog(tmp_path / "log", segment_max_records=2) as log:
+        with MutationLog(tmp_path / "log") as log:
             for i in range(3):
                 log.append(batch(i))
             log.truncate(3)
@@ -122,8 +126,9 @@ class TestSegments:
 
 class TestSyncPolicies:
     @pytest.mark.parametrize("sync", ["commit", "batched", "off"])
-    def test_all_policies_produce_identical_logs(self, tmp_path, sync):
-        with MutationLog(tmp_path / sync, sync=sync, batch_every=2) as log:
+    def test_all_policies_produce_identical_logs(self, tmp_path, sync, monkeypatch):
+        monkeypatch.setattr(MutationLog, "BATCH_EVERY", 2)
+        with MutationLog(tmp_path / sync, sync=sync) as log:
             for i in range(5):
                 log.append(batch(i))
             log.sync()
