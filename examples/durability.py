@@ -18,9 +18,10 @@ other half — mutations that *survive the process*:
    truncates the now-covered log segments (saving to any *other* path
    — a backup — deliberately leaves the log alone).
 
-The ``"batched"`` sync default flushes every commit to the OS page
-cache, so a process ``kill -9`` loses nothing; ``sync="commit"`` adds
-an fsync per commit to survive whole-machine crashes too.
+A service's log flushes every commit to the OS page cache
+(``MutationLog``'s ``"batched"`` sync), so a process ``kill -9`` loses
+nothing; it fsyncs every few commits, so a whole-machine crash may lose
+the last few.
 
 Run:  python examples/durability.py
 """
@@ -48,7 +49,7 @@ from repro.service import QueryService
 snapshot = sys.argv[1]
 service = QueryService()
 service.register_snapshot("dblp", snapshot)
-service.attach_wal("dblp")  # sibling <snapshot>.wal, sync="batched"
+service.attach_wal("dblp")  # sibling <snapshot>.wal, "batched" sync
 for i in range(3):
     result = service.apply("dblp", [
         {"op": "add_node", "label": f"Durable Paper {i}", "table": "paper",

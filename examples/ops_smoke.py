@@ -22,7 +22,6 @@ import os
 import sys
 import tempfile
 import threading
-import time
 import urllib.request
 from pathlib import Path
 
@@ -51,7 +50,6 @@ def main() -> None:
             num_workers=2,
             default_replicas=2,
             wal_dir=Path(tmp) / "wal",
-            slo_interval=0.5,
         ) as cluster:
             cluster.warmup()
 
@@ -64,7 +62,7 @@ def main() -> None:
             cluster.apply(
                 "dblp", [AddNode(label="ops probe", text="ops probe")]
             )
-            time.sleep(0.6)  # let the SLO ticker evaluate at least once
+            cluster.slo_status()  # evaluate now: the slo_* gauges are set
 
             server = make_server(cluster)
             host, port = server.server_address[:2]

@@ -12,8 +12,8 @@ response comes up it.  Two supervisor threads run alongside the caller:
 * the **reader** multiplexes every worker's channel
   (``multiprocessing.connection.wait``) and completes the matching
   in-flight :class:`~concurrent.futures.Future`;
-* the **monitor** polls worker liveness every ``health_interval``
-  seconds.
+* the **monitor** polls worker liveness every
+  :attr:`WorkerPool.HEALTH_INTERVAL` seconds.
 
 A channel per worker, not one shared queue, for crash containment:
 workers share no lock one of them could die holding, so a killed worker
@@ -24,10 +24,10 @@ Crash policy (the part that must never hang): when a worker dies, every
 in-flight request routed to it completes with a *structured error
 response* (``error_type="WorkerCrashedError"``) after a short grace
 period that lets already-produced responses drain from its channel, and
-— unless the pool is closing — a replacement process is spawned on a
-fresh channel so subsequent requests are served.  Control futures (ping
-/ metrics / warmup) fail with the exception itself instead, since their
-callers have exception semantics.
+— unless the pool is closing — a replacement process is always spawned
+on a fresh channel so subsequent requests are served.  Control futures
+(ping / metrics / warmup) fail with the exception itself instead, since
+their callers have exception semantics.
 
 ``close()`` sends each worker the stop sentinel, waits with a deadline,
 kills stragglers, and fails anything still in flight with
@@ -157,11 +157,6 @@ class WorkerPool:
     settings:
         Plain-dict ``QueryService`` knobs forwarded to every worker
         (``cache_capacity``, ``cache_ttl``).
-    health_interval:
-        Seconds between monitor liveness sweeps.
-    restart:
-        Whether a dead worker is replaced (tests disable this to
-        observe pure failure behaviour).
     event_sink:
         Optional ``callable(kind, **info)`` invoked on worker
         lifecycle transitions (``worker_crash`` with
@@ -169,6 +164,10 @@ class WorkerPool:
         ``worker_id/restarts``).  Exceptions it raises are swallowed —
         observability must never break crash handling.
     """
+
+    #: Seconds between the monitor's liveness sweeps: how late a crash
+    #: of an idle worker is noticed (a submission to it notices at once).
+    HEALTH_INTERVAL = 0.5
 
     #: Grace period after noticing a dead worker, letting responses it
     #: produced before dying drain from its channel.
@@ -183,8 +182,6 @@ class WorkerPool:
         specs: Mapping[int, Mapping[str, str]],
         *,
         settings: Optional[dict] = None,
-        health_interval: float = 0.5,
-        restart: bool = True,
         event_sink=None,
     ) -> None:
         if not specs:
@@ -194,8 +191,6 @@ class WorkerPool:
             for worker_id, spec in specs.items()
         }
         self._settings = dict(settings or {})
-        self._health_interval = health_interval
-        self._restart = restart
         self._event_sink = event_sink
 
         self._lock = threading.RLock()
@@ -308,10 +303,9 @@ class WorkerPool:
         Returns a future resolving to the worker's payload dict.  If the
         target worker is found dead here, crash handling (fail its
         in-flight work, restart) runs first so this submission lands on
-        the replacement.  A worker with no live replacement — respawn
-        still pending past ``RESPAWN_WAIT_SECONDS``, or ``restart``
-        disabled — raises :class:`WorkerCrashedError` rather than
-        queueing work nobody will ever read.
+        the replacement.  A worker whose respawn is still pending past
+        ``RESPAWN_WAIT_SECONDS`` raises :class:`WorkerCrashedError`
+        rather than queueing work nobody may ever read.
         """
         with self._lock:
             if self._closed:
@@ -343,12 +337,7 @@ class WorkerPool:
                 if process is not None:
                     self._handle_crash(worker_id, process)
                     continue
-                # Slot is None: a crash handler is mid-respawn (wait
-                # for it) or restarts are disabled (fail now).
-                if not self._restart:
-                    raise WorkerCrashedError(
-                        f"worker {worker_id} is down and restart is disabled"
-                    )
+                # Slot is None: a crash handler is mid-respawn.
                 if time.monotonic() >= deadline:
                     raise WorkerCrashedError(
                         f"worker {worker_id} has no live replacement after "
@@ -488,7 +477,7 @@ class WorkerPool:
             job.future.set_result(payload)
 
     def _watch_health(self) -> None:
-        while not self._stop_event.wait(self._health_interval):
+        while not self._stop_event.wait(self.HEALTH_INTERVAL):
             with self._lock:
                 if self._closed:
                     return
@@ -542,7 +531,7 @@ class WorkerPool:
         with stale.lock:  # not under a writer's feet
             stale.conn.close()
         with self._lock:
-            if self._closed or not self._restart:
+            if self._closed:
                 return
             if self._processes.get(worker_id) is None:
                 self._restarts[worker_id] += 1

@@ -67,7 +67,6 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
 from repro.core.cancellation import CancellationToken
-from repro.core.params import SearchParams
 from repro.core.query import parse_query
 from repro.errors import (
     ClusterError,
@@ -82,7 +81,6 @@ from repro.service.core import (
     QueryRequest,
     QueryResponse,
     ServiceCore,
-    normalize_search_args,
 )
 from repro.service.metrics import family_total
 from repro.service.snapshot_header import file_info
@@ -116,12 +114,6 @@ class ShardedQueryService(ServiceCore):
         ``default_replicas=8``.
     cache_capacity / cache_ttl:
         Per-worker result-cache knobs.
-    restart:
-        Restart-on-crash policy, on by default.
-    cancel_grace:
-        How long a deadline-missed ``allow_partial`` request waits for
-        the cancelled search's partial response before settling for a
-        bare deadline error.
     wal_dir:
         Directory for per-dataset durable mutation logs
         (:mod:`repro.wal`; ``<wal_dir>/<dataset>.wal``).  When set, the
@@ -130,11 +122,9 @@ class ShardedQueryService(ServiceCore):
         replacement a restart-on-crash spawns — **replays the log at
         startup**, so a ``kill -9``'d replica recovers to exactly the
         last durable epoch instead of silently serving its snapshot.
-    wal_sync:
-        Per-append durability policy for those logs: ``"commit"``
-        fsyncs every batch, the ``"batched"`` default flushes every
-        batch (a supervisor ``kill -9`` loses nothing) and fsyncs
-        periodically, ``"off"`` defers flushing to rotation/close.
+        The logs take :class:`~repro.wal.MutationLog`'s ``"batched"``
+        durability: every batch is flushed (a supervisor ``kill -9``
+        loses nothing) and fsynced periodically.
     tracing:
         Structured tracing, on by default: the supervisor mints a trace
         id per request (or adopts the caller's), records a ``route``
@@ -146,13 +136,13 @@ class ShardedQueryService(ServiceCore):
         Elapsed-seconds threshold of the supervisor's slow-query log
         (:meth:`slow_queries`; ``None`` disables it).  Workers keep
         none: the supervisor records from settled responses.
-    slo_objectives / slo_interval:
+    slo_objectives:
         Burn-rate alerting (:mod:`repro.telemetry.slo`): objectives
         default to :func:`~repro.telemetry.slo.default_objectives`
-        evaluated every ``slo_interval`` seconds by a background
-        ticker (alerts fire into the event log and export ``slo_*``
-        gauges).  An empty sequence disables SLOs; ``slo_interval=0``
-        keeps evaluate-on-read only.
+        evaluated every :attr:`SLO_INTERVAL` seconds by a background
+        ticker, and on every :meth:`slo_status` read (alerts fire into
+        the event log and export ``slo_*`` gauges).  An empty sequence
+        disables SLOs and the ticker.
     accounting:
         Per-query resource accounting (:mod:`repro.telemetry.accounting`),
         on by default: every worker keeps a workload sketch merged
@@ -161,6 +151,9 @@ class ShardedQueryService(ServiceCore):
         responses (:meth:`explain`) — workers are restartable cattle,
         so ``GET /debug/explain/<id>`` works whichever replica ran the
         query.
+
+    The pool restarts a crashed worker (:class:`WorkerPool`); the
+    timeouts of the fan-out verbs are the class constants below.
     """
 
     # A supervisor sees every shard's traffic and every worker's
@@ -180,6 +173,15 @@ class ShardedQueryService(ServiceCore):
     #: a snapshot: a worker alive but stuck loading (a hung filesystem
     #: read) surfaces as an error instead of blocking forever.
     LOAD_TIMEOUT = 300.0
+    #: Seconds :meth:`apply` waits for every replica to commit a batch.
+    APPLY_TIMEOUT = 60.0
+    #: Seconds :meth:`dataset_versions` waits for the replicas' answers.
+    VERSIONS_TIMEOUT = 10.0
+    #: Seconds :meth:`health` waits for them: a health check answers
+    #: fast, reporting a replica too busy to answer as unknown.
+    HEALTH_VERSIONS_TIMEOUT = 2.0
+    #: Seconds between the SLO ticker's evaluations.
+    SLO_INTERVAL = 5.0
 
     def __init__(
         self,
@@ -190,15 +192,10 @@ class ShardedQueryService(ServiceCore):
         replicas: Optional[Mapping[str, int]] = None,
         cache_capacity: int = 1024,
         cache_ttl: Optional[float] = None,
-        health_interval: float = 0.5,
-        restart: bool = True,
-        cancel_grace: float = 1.0,
         wal_dir: Optional[os.PathLike] = None,
-        wal_sync: str = "batched",
         tracing: bool = True,
         slow_query_threshold: Optional[float] = 1.0,
         slo_objectives: Optional[Sequence[SloObjective]] = None,
-        slo_interval: float = 5.0,
         accounting: bool = True,
         storage_mode: Optional[str] = None,
     ) -> None:
@@ -212,7 +209,6 @@ class ShardedQueryService(ServiceCore):
             replicas=replicas,
         )
         super().__init__(
-            cancel_grace=cancel_grace,
             tracing=tracing,
             slow_query_threshold=slow_query_threshold,
             slo_objectives=slo_objectives,
@@ -225,7 +221,7 @@ class ShardedQueryService(ServiceCore):
                 wal_path = Path(wal_dir) / f"{name}.wal"
                 info = file_info(snapshot_path)
                 start = int(info.get("dataset_version") or 0)
-                log = MutationLog(wal_path, sync=wal_sync, start_seq=start)
+                log = MutationLog(wal_path, start_seq=start)
                 try:
                     self._continue_lineage(name, log, start, info.get("content_digest"))
                 except BaseException:
@@ -253,8 +249,6 @@ class ShardedQueryService(ServiceCore):
                 # a single physical copy in the OS page cache.
                 "storage_mode": storage_mode,
             },
-            health_interval=health_interval,
-            restart=restart,
             event_sink=self._pool_event,
         )
         self._fleet_requests = self.registry.counter(
@@ -276,10 +270,9 @@ class ShardedQueryService(ServiceCore):
         self._events_lock = threading.Lock()
         self._slo_stop = threading.Event()
         self._slo_thread: Optional[threading.Thread] = None
-        if self.slo is not None and slo_interval and slo_interval > 0:
+        if self.slo is not None:
             self._slo_thread = threading.Thread(
                 target=self._slo_loop,
-                args=(slo_interval,),
                 name="repro-slo-ticker",
                 daemon=True,
             )
@@ -356,8 +349,8 @@ class ShardedQueryService(ServiceCore):
         except Exception:  # pragma: no cover - defensive
             pass
 
-    def _slo_loop(self, interval: float) -> None:
-        while not self._slo_stop.wait(interval):
+    def _slo_loop(self) -> None:
+        while not self._slo_stop.wait(self.SLO_INTERVAL):
             try:
                 if self.slo is not None:
                     self.slo.evaluate()
@@ -416,9 +409,7 @@ class ShardedQueryService(ServiceCore):
     # ------------------------------------------------------------------
     # live mutations
     # ------------------------------------------------------------------
-    def apply(
-        self, dataset: str, mutations: Sequence, *, timeout: float = 60.0
-    ) -> MutationResult:
+    def apply(self, dataset: str, mutations: Sequence) -> MutationResult:
         """Apply a mutation batch on **every replica** of ``dataset``.
 
         The batch is validated once supervisor-side, then broadcast
@@ -438,7 +429,7 @@ class ShardedQueryService(ServiceCore):
 
         Caution on timeouts: worker queues are serial, so a replica
         busy with a long search can push the collection past
-        ``timeout``.  That raises a structured
+        :attr:`APPLY_TIMEOUT`.  That raises a structured
         :class:`~repro.errors.ClusterError`, but the mutate message is
         *already enqueued* and commits when the worker drains — a blind
         retry would double-apply the batch.  Check
@@ -473,7 +464,7 @@ class ShardedQueryService(ServiceCore):
             }
             try:
                 results = self._collect(
-                    futures, "mutate", timeout=timeout, strict=True
+                    futures, "mutate", timeout=self.APPLY_TIMEOUT, strict=True
                 )
             except MutationError:
                 # A rejected batch rolls back atomically on every
@@ -485,9 +476,7 @@ class ShardedQueryService(ServiceCore):
                 # then make the siblings skip the *next* batch as a
                 # duplicate, so roll back only when no replica is known
                 # to have committed.
-                if "seq" in payload and self._no_replica_committed(
-                    futures, timeout=min(timeout, 10.0)
-                ):
+                if "seq" in payload and self._no_replica_committed(futures):
                     log.rollback_last()
                 raise
             wal_seq = log.last_seq if log is not None else None
@@ -521,16 +510,14 @@ class ShardedQueryService(ServiceCore):
             )
         return outcome
 
-    def _no_replica_committed(
-        self, futures: Mapping[int, Future], *, timeout: float
-    ) -> bool:
+    def _no_replica_committed(self, futures: Mapping[int, Future]) -> bool:
         """True iff every replica's mutate outcome resolved to an error
         payload — the precondition for rolling a WAL record back.  An
-        outcome that cannot be confirmed (timeout, crash) counts as a
+        outcome that cannot be confirmed (not in 10 s, crash) counts as a
         possible commit: keeping a rejected record merely degrades to a
         warned stop at the next replay, while rolling back a committed
         one would silently desynchronize sequence numbers."""
-        done, pending = wait(futures.values(), timeout=timeout)
+        done, pending = wait(futures.values(), timeout=10.0)
         return not pending and all(
             future.exception() is None and control_error(future.result()) is not None
             for future in done
@@ -556,12 +543,16 @@ class ShardedQueryService(ServiceCore):
             self.pool.set_snapshot(dataset, path)
         return reloaded, workers
 
-    def dataset_versions(self, *, timeout: float = 10.0) -> dict[str, dict[str, int]]:
+    def dataset_versions(self) -> dict:
         """Per-dataset epoch versions as seen by each replica:
         ``{dataset: {worker_id: version}}`` — the drift observability
         ``/healthz`` and ``/metrics`` surface.  Workers that fail to
-        answer in time are omitted rather than blocking health checks.
+        answer within :attr:`VERSIONS_TIMEOUT` are omitted rather than
+        blocking health checks.
         """
+        return self._replica_versions(self.VERSIONS_TIMEOUT)
+
+    def _replica_versions(self, timeout: float) -> dict[str, dict[str, int]]:
         results = self._broadcast(
             self.pool.worker_ids(), "versions", None, timeout=timeout, strict=False
         )
@@ -644,38 +635,9 @@ class ShardedQueryService(ServiceCore):
         return results
 
     # ------------------------------------------------------------------
-    # querying
-    # ------------------------------------------------------------------
-    def search(
-        self,
-        dataset: Union[str, QueryRequest],
-        query: Optional[Union[str, Sequence[str]]] = None,
-        *,
-        algorithm: str = "bidirectional",
-        k: Optional[int] = None,
-        params: Optional[SearchParams] = None,
-        timeout: Optional[float] = None,
-        use_cache: bool = True,
-    ) -> QueryResponse:
-        """Execute one query on its shard.  Same dual calling
-        convention as :meth:`QueryService.search`, minus the caller
-        ``token``: a token cannot cross the process boundary — give the
-        request a ``request_id`` and use :meth:`cancel`."""
-        request = normalize_search_args(
-            dataset,
-            query,
-            algorithm=algorithm,
-            k=k,
-            params=params,
-            timeout=timeout,
-            use_cache=use_cache,
-        )
-        return self.search_many([request])[0]
-
-    # ------------------------------------------------------------------
     # observability / lifecycle
     # ------------------------------------------------------------------
-    def health(self, *, versions_timeout: float = 2.0) -> dict:
+    def health(self) -> dict:
         """Fleet liveness summary for a health endpoint.
 
         ``versions`` maps each dataset to its per-replica epoch
@@ -683,7 +645,7 @@ class ShardedQueryService(ServiceCore):
         disagree — the observable signal that a replica missed a
         mutation broadcast (e.g. it crash-restarted from an older
         snapshot) and needs a :meth:`reload`.  A replica too busy to
-        answer within ``versions_timeout`` (worker queues are serial,
+        answer within :attr:`HEALTH_VERSIONS_TIMEOUT` (worker queues are serial,
         so a long search delays control messages) reports ``None`` and
         puts its datasets in ``version_unknown`` rather than silently
         vanishing — a wedged replica must never make the fleet look
@@ -701,7 +663,7 @@ class ShardedQueryService(ServiceCore):
         if wal_seqs:
             payload["wal_seq"] = wal_seqs
         tips = self._wal_tips()
-        versions = self.dataset_versions(timeout=versions_timeout)
+        versions = self._replica_versions(self.HEALTH_VERSIONS_TIMEOUT)
         for name in self.datasets():
             by_worker = versions.setdefault(name, {})
             for worker_id in self.router.replicas_for(name):
@@ -724,14 +686,15 @@ class ShardedQueryService(ServiceCore):
         )
         return payload
 
-    def close(self, timeout: float = 10.0) -> None:
-        """Drain and stop the worker fleet (idempotent); durable logs
-        are synced and closed last."""
+    def close(self) -> None:
+        """Drain and stop the worker fleet (idempotent; a worker that
+        has not stopped after :meth:`WorkerPool.close`'s grace is
+        killed); durable logs are synced and closed last."""
         self._slo_stop.set()
         if self._slo_thread is not None:
             self._slo_thread.join(timeout=1.0)
             self._slo_thread = None
-        self.pool.close(timeout)
+        self.pool.close()
         self._close_logs()
 
     # ------------------------------------------------------------------
@@ -776,8 +739,9 @@ class ShardedQueryService(ServiceCore):
                 route_span.end(status="error")
             raise  # caller bug, like searching a closed QueryService
         except Exception as exc:
-            # Also e.g. WorkerCrashedError with restarts disabled: the
-            # shard is gone, which is an answer, not an exception.
+            # Also e.g. WorkerCrashedError when a crashed worker's
+            # replacement did not come up in time: the shard is gone,
+            # which is an answer, not an exception.
             if route_span is not None:
                 route_span.end(status="error")
             return self._error_response(request, exc, start, trace_id=trace_id)
@@ -833,7 +797,7 @@ class ShardedQueryService(ServiceCore):
             self.pool.cancel(future.job_id)  # type: ignore[attr-defined]
             if request.allow_partial:
                 try:
-                    payload = future.result(timeout=self._cancel_grace)
+                    payload = future.result(timeout=self.CANCEL_GRACE)
                 except FutureTimeoutError:  # pragma: no cover - stuck shard
                     pass
             if payload is None:
@@ -988,6 +952,8 @@ class ShardedQueryService(ServiceCore):
                     futures[worker_id] = self.pool.submit(
                         worker_id, "events", {"since": since}
                     )
+                except PoolClosedError:
+                    raise  # a closed fleet's events are not an idle one's
                 except Exception:
                     continue
             results = self._collect(

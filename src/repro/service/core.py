@@ -12,12 +12,12 @@ the introspection verbs behind the HTTP front-end's ``/debug/*`` routes
   its request-path recorder, WAL telemetry, tracer, slow-query log,
   explain store, SLO engine, and the map of cancellable in-flight
   requests;
-* the **request front**: :meth:`ServiceCore.search_many` (a tier's
-  ``search`` is a batch of one) normalises arguments, answers malformed
-  items in their slots, anchors each deadline at submission and
-  collects in order, over two tier hooks — ``_submit(request, token)``
-  starts a request (or answers it at once) and ``_await(request,
-  handle, deadline)`` settles it;
+* the **request front**: :meth:`ServiceCore.search` (a batch of one,
+  unless the tier answers it inline) and :meth:`ServiceCore.search_many`
+  normalise arguments, answer malformed items in their slots, anchor
+  each deadline at submission and collect in order, over two tier
+  hooks — ``_submit(request, token)`` starts a request (or answers it
+  at once) and ``_await(request, handle, deadline)`` settles it;
 * the **response builders** for structured errors, deadline misses and
   malformed items, and :meth:`ServiceCore._settle`, which harvests the
   explain report and feeds the slow-query log for every finished
@@ -36,9 +36,9 @@ the introspection verbs behind the HTTP front-end's ``/debug/*`` routes
   there is no single-process special case.
 
 What is *not* here is what the substrates do differently: running a
-search, registering datasets, a commit's write-ahead order (stage then
-journal here; journal, broadcast, roll back a batch every replica
-rejected on the fleet), ``health()``, ``close()``.
+search (the hooks above), registering datasets, a commit's write-ahead
+order (stage then journal here; journal, broadcast, roll back a batch
+every replica rejected on the fleet), ``health()``, ``close()``.
 """
 
 from __future__ import annotations
@@ -331,12 +331,12 @@ def request_fingerprint(request: QueryRequest) -> str:
 class ServiceCore:
     """Serving state and verbs shared by both tiers (module docstring).
 
-    Subclasses provide ``search`` over :meth:`search_many`'s hooks
-    ``_submit`` / ``_await`` (the execution substrate), :meth:`reload`'s
+    Subclasses provide :meth:`search_many`'s hooks ``_submit`` /
+    ``_await`` (the execution substrate), :meth:`reload`'s
     ``_swap_snapshot``, ``health``, ``datasets`` and ``close``, and may
-    extend ``_gather`` / ``_pull_events`` / ``_worker_exports`` /
-    ``_cluster_section`` / ``_account`` with what other processes
-    contribute.
+    extend ``_search_one`` / ``_gather`` / ``_pull_events`` /
+    ``_worker_exports`` / ``_cluster_section`` / ``_account`` with what
+    their substrate does differently or other processes contribute.
 
     Retention is fixed: the structures size themselves (128 slow
     queries, 128 explain reports, a 64-row workload sketch, a 2048-sample
@@ -350,6 +350,11 @@ class ServiceCore:
     EVENT_LOG_CAPACITY = 512
     #: ``source`` of the commit and reload events this tier emits.
     EVENT_SOURCE = "service"
+    #: Seconds a deadline-missed ``allow_partial`` request waits for the
+    #: cancelled search to hand back what it has before settling for a
+    #: bare deadline error.  Cooperative checks make that milliseconds;
+    #: the grace only matters for a search stuck between checks.
+    CANCEL_GRACE = 1.0
     #: Request / error / latency families the SLO objectives read: the
     #: per-algorithm request-path counters every service records.
     SLO_FAMILIES = (
@@ -361,15 +366,11 @@ class ServiceCore:
     def __init__(
         self,
         *,
-        cancel_grace: float,
         tracing: bool,
         slow_query_threshold: Optional[float],
         slo_objectives: Optional[Sequence[SloObjective]],
         accounting: bool,
     ) -> None:
-        if cancel_grace < 0:
-            raise ValueError(f"cancel_grace must be >= 0, got {cancel_grace!r}")
-        self._cancel_grace = cancel_grace
         self.event_log = EventLog(self.EVENT_LOG_CAPACITY)
         self.registry = MetricsRegistry()
         self._metrics = ServiceMetrics(self.registry)
@@ -425,6 +426,47 @@ class ServiceCore:
         """Tier-level accounting of a response :meth:`search_many` hands
         back.  Nothing here: a service counts each request where it
         runs."""
+
+    def search(
+        self,
+        dataset: Union[str, QueryRequest],
+        query: Optional[Union[str, Sequence[str]]] = None,
+        *,
+        algorithm: str = "bidirectional",
+        k: Optional[int] = None,
+        params: Optional[SearchParams] = None,
+        timeout: Optional[float] = None,
+        use_cache: bool = True,
+        token: Optional[CancellationToken] = None,
+    ) -> QueryResponse:
+        """Execute one query synchronously.
+
+        Accepts either a prepared :class:`QueryRequest` or the
+        ``(dataset, query, ...)`` shorthand — not both
+        (:func:`normalize_search_args`).  ``token`` is an optional
+        caller-owned :class:`CancellationToken`, composed with the
+        deadline token the thread tier arms itself; the fleet refuses
+        one (it cannot cross a process boundary — give the request a
+        ``request_id`` and use :meth:`cancel`).
+        """
+        request = normalize_search_args(
+            dataset,
+            query,
+            algorithm=algorithm,
+            k=k,
+            params=params,
+            timeout=timeout,
+            use_cache=use_cache,
+        )
+        return self._search_one(request, token)
+
+    def _search_one(
+        self, request: QueryRequest, token: Optional[CancellationToken]
+    ) -> QueryResponse:
+        """:meth:`search`'s hook: one request as a batch of one.  The
+        thread tier answers a request without a deadline on the
+        caller's thread instead."""
+        return self.search_many([request], token=token)[0]
 
     def search_many(
         self,

@@ -23,8 +23,8 @@ layer the ROADMAP's production north star needs above
   queries are answered in microseconds without touching the graph.
 * **Execution** — the core's two hooks: ``_submit`` queues a request
   on a ``ThreadPoolExecutor`` and ``_await`` watches its deadline; a
-  :meth:`QueryService.search` without a deadline skips both and runs
-  on the caller's thread.  Responses never raise: errors (unknown
+  ``search`` without a deadline skips both and runs on the caller's
+  thread (``_search_one``).  Responses never raise: errors (unknown
   dataset, absent keyword, deadline exceeded) come back as structured
   :class:`QueryResponse` objects, the contract an HTTP front-end can
   map onto status codes directly.
@@ -67,7 +67,6 @@ requests carrying a ``request_id`` can be stopped mid-flight through
 from __future__ import annotations
 
 import functools
-import inspect
 import itertools
 import threading
 import time
@@ -77,7 +76,7 @@ from pathlib import Path
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.core.answer import SearchResult
 from repro.core.cancellation import CancellationToken
@@ -118,30 +117,6 @@ __all__ = [
 ]
 
 _MISS = object()
-
-
-@functools.lru_cache(maxsize=256)
-def _accepts_token(search_fn) -> bool:
-    """Whether an engine's ``search`` takes the ``token`` kwarg.
-
-    Duck-typed engines (tests, embedders) predating cooperative
-    cancellation must keep working; they simply run uncancellable, with
-    the deadline watcher's structured response as the fallback.
-
-    Memoized — the answer is a property of the function, and the
-    reflection must stay off the per-request hot path.  Callers pass
-    the *underlying* function (``__func__`` for bound methods) so the
-    cache neither grows per bound-method object nor pins engine
-    instances alive.
-    """
-    try:
-        parameters = inspect.signature(search_fn).parameters
-    except (TypeError, ValueError):  # pragma: no cover - C callables
-        return False
-    return "token" in parameters or any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    )
 
 
 #: Result-cache generations: unique per registration (and per build
@@ -230,11 +205,12 @@ class QueryService(ServiceCore):
 
     Every request with a cancellation source is armed with a
     :class:`CancellationToken`, so deadlines and explicit :meth:`cancel`
-    calls actually stop the search and free its thread.
-    ``cancel_grace`` bounds how long a deadline-missed *partial-results*
-    request waits for the cancelled search to hand back what it has —
-    cooperative checks make that a few milliseconds; the grace only
-    matters if a search is stuck in a non-cooperative section.
+    calls actually stop the search and free its thread; a
+    deadline-missed *partial-results* request waits at most
+    :attr:`CANCEL_GRACE` for the cancelled search to hand back what it
+    has.  An engine is anything whose ``search(query, *, algorithm,
+    params, explain, token)`` returns a
+    :class:`~repro.core.answer.SearchResult`.
 
     ``tracing``, ``slow_query_threshold`` (None disables the slow-query
     log), ``slo_objectives`` (empty disables SLOs; the
@@ -256,8 +232,6 @@ class QueryService(ServiceCore):
         cache_capacity: int = 1024,
         cache_ttl: Optional[float] = None,
         max_workers: int = 8,
-        clock: Callable[[], float] = time.monotonic,
-        cancel_grace: float = 1.0,
         tracing: bool = True,
         slow_query_threshold: Optional[float] = 1.0,
         slo_objectives: Optional[Sequence[SloObjective]] = None,
@@ -267,13 +241,12 @@ class QueryService(ServiceCore):
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers!r}")
         super().__init__(
-            cancel_grace=cancel_grace,
             tracing=tracing,
             slow_query_threshold=slow_query_threshold,
             slo_objectives=slo_objectives,
             accounting=accounting,
         )
-        self.cache = ResultCache(cache_capacity, cache_ttl, clock=clock)
+        self.cache = ResultCache(cache_capacity, cache_ttl)
         if accounting:
             self.analytics = WorkloadAnalytics()
         # Default storage tier for snapshot registrations: None defers
@@ -629,7 +602,6 @@ class QueryService(ServiceCore):
         name: str,
         path=None,
         *,
-        sync: str = "batched",
         writable: bool = True,
         strict: bool = True,
     ) -> dict:
@@ -645,11 +617,10 @@ class QueryService(ServiceCore):
         ``path`` defaults to the registered snapshot's sibling
         ``<snapshot>.wal`` (:func:`repro.wal.default_wal_path`).
 
-        ``sync`` is the durability knob per commit (see
-        :mod:`repro.wal`): ``"commit"`` fsyncs each append, the default
-        ``"batched"`` flushes each append (commits survive a process
-        ``kill -9``) and fsyncs every few, ``"off"`` defers flushing
-        entirely.  ``writable=False`` replays an existing log without
+        A writable log takes :class:`~repro.wal.MutationLog`'s default
+        ``"batched"`` durability: each append is flushed (commits
+        survive a process ``kill -9``) and every few are fsynced.
+        ``writable=False`` replays an existing log without
         taking ownership of it — what a cluster replica does, since
         only the supervisor appends.  ``strict=False`` lets replay stop at a
         record that fails to apply or is refused (warning) instead of
@@ -679,7 +650,7 @@ class QueryService(ServiceCore):
             base, version = record.base, record.version
             attached = self._log(name)
             if writable:
-                log = MutationLog(path, sync=sync, start_seq=base)
+                log = MutationLog(path, start_seq=base)
             else:
                 log = MutationLog(path, readonly=True)
             try:
@@ -797,7 +768,7 @@ class QueryService(ServiceCore):
             record = self._datasets.get(name)
             return (record.generation, record.version) if record else (0, 0)
 
-    def dataset_versions(self) -> dict[str, int]:
+    def dataset_versions(self) -> dict:
         """``{dataset: version}`` for every registered dataset."""
         return {name: self.dataset_version(name) for name in self.datasets()}
 
@@ -867,7 +838,7 @@ class QueryService(ServiceCore):
     # ------------------------------------------------------------------
     # live mutations
     # ------------------------------------------------------------------
-    def apply(self, dataset: str, mutations: Sequence) -> "MutationResult":
+    def apply(self, dataset: str, mutations: Sequence) -> MutationResult:
         """Apply a mutation batch to ``dataset`` and commit a new epoch.
 
         ``mutations`` holds :mod:`repro.live.mutations` objects or
@@ -945,43 +916,15 @@ class QueryService(ServiceCore):
     # ------------------------------------------------------------------
     # querying
     # ------------------------------------------------------------------
-    def search(
-        self,
-        dataset: Union[str, QueryRequest],
-        query: Optional[Union[str, Sequence[str]]] = None,
-        *,
-        algorithm: str = "bidirectional",
-        k: Optional[int] = None,
-        params: Optional[SearchParams] = None,
-        timeout: Optional[float] = None,
-        use_cache: bool = True,
-        token: Optional[CancellationToken] = None,
+    def _search_one(
+        self, request: QueryRequest, token: Optional[CancellationToken]
     ) -> QueryResponse:
-        """Execute one query synchronously.
-
-        Accepts either a prepared :class:`QueryRequest` or the
-        ``(dataset, query, ...)`` shorthand — not both: keyword
-        overrides alongside a request object would be silently shadowed
-        by the request's own fields, so they are rejected.  With a
-        ``timeout`` the request runs on the executor so the deadline is
-        enforced.  ``token`` is an optional caller-owned
-        :class:`CancellationToken` (composes with the deadline token
-        the service arms itself).
-        """
-        request = normalize_search_args(
-            dataset,
-            query,
-            algorithm=algorithm,
-            k=k,
-            params=params,
-            timeout=timeout,
-            use_cache=use_cache,
-        )
+        """A request without a deadline has nothing to watch the clock
+        for: it runs on the caller's thread (no executor hop — a cache
+        hit costs microseconds)."""
         if request.timeout is None:
-            # Nothing to watch the clock for: run on the caller's thread
-            # (no executor hop — a cache hit costs microseconds).
             return self._execute(request, None, self._arm_token(request, token))
-        return self.search_many([request], token=token)[0]
+        return super()._search_one(request, token)
 
     # ------------------------------------------------------------------
     # observability / lifecycle
@@ -1032,8 +975,7 @@ class QueryService(ServiceCore):
         expiry, explicit :meth:`cancel` and a caller-side cancel all
         stop the same search.  A request with no cancellation source at
         all (no deadline, no caller token, no ``request_id``) runs
-        token-free, which also keeps duck-typed engines without a
-        ``token`` kwarg working.
+        token-free.
         """
         if (
             request.timeout is None
@@ -1129,7 +1071,7 @@ class QueryService(ServiceCore):
         token.cancel("deadline")
         if request.allow_partial:
             try:
-                return future.result(timeout=self._cancel_grace)
+                return future.result(timeout=self.CANCEL_GRACE)
             except FutureTimeoutError:  # pragma: no cover - stuck search
                 pass
         # The logical request is recorded exactly once; whoever wins
@@ -1217,17 +1159,6 @@ class QueryService(ServiceCore):
         self._settle(request, response)
         return response
 
-    @staticmethod
-    def _call_engine(engine, request, run_params, token):
-        # ``explain`` is passed only when asked for, so stub engines in
-        # tests that don't accept the keyword keep working.
-        kwargs = {"algorithm": request.algorithm, "params": run_params}
-        if request.explain:
-            kwargs["explain"] = True
-        if token is not None:
-            kwargs["token"] = token
-        return engine.search(request.query, **kwargs)
-
     def _run_request(
         self,
         request: QueryRequest,
@@ -1287,29 +1218,24 @@ class QueryService(ServiceCore):
                 "miss" if request.use_cache and not request.explain else "bypass",
             )
 
-        search = engine.search
-        run_token = (
-            token
-            if token is not None
-            and _accepts_token(getattr(search, "__func__", search))
-            else None
-        )
         engine_span = root.child("engine") if root is not None else None
         try:
-            if engine_span is not None:
-                with use_span(engine_span):
-                    result = self._call_engine(
-                        engine, request, run_params, run_token
-                    )
-                engine_span.end()
-            else:
-                result = self._call_engine(engine, request, run_params, run_token)
+            with use_span(engine_span):
+                result = engine.search(
+                    request.query,
+                    algorithm=request.algorithm,
+                    params=run_params,
+                    explain=request.explain,
+                    token=token,
+                )
         except Exception as exc:
             if engine_span is not None:
                 engine_span.end(status="error")
             return self._error_response(
                 request, exc, start, record=record is None or record.claim()
             )
+        if engine_span is not None:
+            engine_span.end()
         if not result.complete:
             return self._cancelled_response(request, result, start, record, token)
         self.cache.put(

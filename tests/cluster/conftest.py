@@ -35,7 +35,6 @@ def sharded(toy_snapshot):
     service = ShardedQueryService(
         {"alpha": toy_snapshot, "beta": toy_snapshot},
         num_workers=2,
-        health_interval=0.2,
     )
     service.warmup()
     yield service

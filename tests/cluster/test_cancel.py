@@ -172,7 +172,7 @@ class TestShardedCancel:
         neighbours on the same worker — not their results, and not the
         worker process itself."""
         with ShardedQueryService(
-            {"toy": toy_snapshot}, num_workers=1, health_interval=0.2
+            {"toy": toy_snapshot}, num_workers=1
         ) as service:
             service.warmup()
             baseline = service.search("toy", "gray transaction", use_cache=False)
@@ -217,7 +217,7 @@ class TestShardedCancel:
         self, dblp_snapshot
     ):
         with ShardedQueryService(
-            {"dblp": dblp_snapshot}, num_workers=1, health_interval=0.2
+            {"dblp": dblp_snapshot}, num_workers=1
         ) as service:
             service.warmup()
             start = time.monotonic()
@@ -257,7 +257,7 @@ class TestShardedCancel:
 
     def test_deadline_expired_while_queued_never_searches(self, toy_snapshot):
         with ShardedQueryService(
-            {"toy": toy_snapshot}, num_workers=1, health_interval=0.2
+            {"toy": toy_snapshot}, num_workers=1
         ) as service:
             service.warmup()
             response = service.search(
@@ -289,7 +289,7 @@ class GatedEngine:
         self.started = threading.Event()
         self.cancelled = threading.Event()
 
-    def search(self, query, *, algorithm, params, token=None):
+    def search(self, query, *, algorithm, params, explain=False, token=None):
         self.started.set()
         result = SearchResult(
             algorithm=algorithm, keywords=("slow",), stats=SearchStats()

@@ -39,11 +39,13 @@ sys.path.insert(0, sys.argv[1])
 
 from repro.cluster import ShardedQueryService
 from repro.cluster.http import make_server
+from repro.cluster.pool import WorkerPool
 from repro.service import QueryRequest
 
+WorkerPool.HEALTH_INTERVAL = 0.1  # the replay life waits for two respawns
 service = ShardedQueryService(
     {"toy": sys.argv[2]}, num_workers=2, default_replicas=2, storage_mode="mapped",
-    health_interval=0.1, wal_dir="wal" if sys.argv[3] == "replay" else None,
+    wal_dir="wal" if sys.argv[3] == "replay" else None,
 )
 server = make_server(service, port=0)
 threading.Thread(target=server.serve_forever, daemon=True).start()

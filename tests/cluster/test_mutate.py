@@ -10,6 +10,7 @@ import json
 import threading
 import urllib.error
 import urllib.request
+from unittest import mock
 
 import pytest
 
@@ -29,7 +30,6 @@ def fleet(toy_snapshot):
         {"toy": toy_snapshot},
         num_workers=2,
         default_replicas=2,
-        health_interval=0.2,
     )
     service.warmup()
     yield service
@@ -123,7 +123,10 @@ class TestBroadcast:
             fleet.pool.submit(worker_id, "sleep", 1.0)
             for worker_id in (0, 1)
         ]
-        health = fleet.health(versions_timeout=0.2)
+        with mock.patch.object(
+            ShardedQueryService, "HEALTH_VERSIONS_TIMEOUT", 0.2
+        ):
+            health = fleet.health()
         for future in holds:
             future.result(timeout=30)
         assert health["version_unknown"] == ["toy"]
@@ -159,17 +162,17 @@ class TestBroadcast:
 
         before = fleet.dataset_versions()["toy"]
         holds = [fleet.pool.submit(worker_id, "sleep", 1.0) for worker_id in (0, 1)]
-        with pytest.raises(ClusterError, match="may yet be processed"):
-            fleet.apply(
-                "toy",
-                [{"op": "add_node", "label": "late", "text": "lateword"}],
-                timeout=0.2,
-            )
+        with mock.patch.object(ShardedQueryService, "APPLY_TIMEOUT", 0.2):
+            with pytest.raises(ClusterError, match="may yet be processed"):
+                fleet.apply(
+                    "toy",
+                    [{"op": "add_node", "label": "late", "text": "lateword"}],
+                )
         for future in holds:
             future.result(timeout=30)
         deadline = time.monotonic() + 10
         while time.monotonic() < deadline:
-            versions = set(fleet.dataset_versions(timeout=5.0)["toy"].values())
+            versions = set(fleet.dataset_versions()["toy"].values())
             if versions == {max(before.values()) + 1}:
                 break
             time.sleep(0.1)

@@ -1,7 +1,8 @@
 """WorkerPool failure drills: crash mid-batch, restart, drain, close.
 
 These tests kill real worker processes, so each builds its own
-throwaway pool/service rather than sharing the session fleet.
+throwaway pool/service rather than sharing the session fleet, and
+notices a killed worker within 0.2 s (``fast_health``).
 """
 
 import threading
@@ -25,12 +26,13 @@ def _wait_until(predicate, timeout=20.0, interval=0.05):
 
 
 @pytest.fixture
-def pool(toy_snapshot):
-    pool = WorkerPool(
-        {0: {"toy": str(toy_snapshot)}},
-        health_interval=0.2,
-    )
-    with pool:
+def fast_health(monkeypatch):
+    monkeypatch.setattr(WorkerPool, "HEALTH_INTERVAL", 0.2)
+
+
+@pytest.fixture
+def pool(toy_snapshot, fast_health):
+    with WorkerPool({0: {"toy": str(toy_snapshot)}}) as pool:
         yield pool
 
 
@@ -42,10 +44,10 @@ def test_ping_and_warmup(pool):
     assert pool.restarts() == {0: 0}
 
 
-def test_kill_mid_batch_yields_structured_errors_and_recovers(toy_snapshot):
-    service = ShardedQueryService(
-        {"toy": toy_snapshot}, num_workers=1, health_interval=0.2
-    )
+def test_kill_mid_batch_yields_structured_errors_and_recovers(
+    toy_snapshot, fast_health
+):
+    service = ShardedQueryService({"toy": toy_snapshot}, num_workers=1)
     try:
         service.warmup()
         pool = service.pool
@@ -121,32 +123,8 @@ def test_responses_produced_before_death_are_not_lost(pool):
     assert done.result(timeout=1.0)["pong"]
 
 
-def test_dead_worker_without_restart_fails_fast_not_hangs(toy_snapshot):
-    service = ShardedQueryService(
-        {"toy": toy_snapshot}, num_workers=1, health_interval=0.2, restart=False
-    )
-    try:
-        service.warmup()
-        service.pool.process(0).kill()
-        assert _wait_until(lambda: not service.pool.alive()[0])
-        # Submitting against a permanently-down shard must answer with a
-        # structured error immediately — never queue into the void.
-        start = time.monotonic()
-        response = service.search("toy", "gray transaction")
-        assert time.monotonic() - start < 10.0
-        assert not response.ok
-        assert response.error_type == WorkerCrashedError.__name__
-        responses = service.search_many([("toy", "gray"), ("toy", "postgres")])
-        assert all(
-            r.error_type == WorkerCrashedError.__name__ for r in responses
-        )
-        assert service.pool.restarts() == {0: 0}
-    finally:
-        service.close()
-
-
 def test_close_is_graceful_and_idempotent(toy_snapshot):
-    pool = WorkerPool({0: {"toy": str(toy_snapshot)}}, health_interval=0.2)
+    pool = WorkerPool({0: {"toy": str(toy_snapshot)}})
     pool.start()
     assert pool.ping(0, timeout=60.0)
     process = pool.process(0)
@@ -158,9 +136,7 @@ def test_close_is_graceful_and_idempotent(toy_snapshot):
 
 
 def test_close_fails_inflight_requests_not_hangs(toy_snapshot):
-    pool = WorkerPool(
-        {0: {"toy": str(toy_snapshot)}}, health_interval=0.2
-    )
+    pool = WorkerPool({0: {"toy": str(toy_snapshot)}})
     pool.start()
     assert pool.ping(0, timeout=60.0)
     pool.submit(0, "sleep", 120.0)

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import ShardedQueryService
+from repro.cluster.pool import WorkerPool
 from repro.service.service import QueryRequest
 from repro.service.wire import request_to_dict, response_from_dict
 
@@ -43,13 +44,14 @@ def wait_until(predicate, timeout: float = 30.0, interval: float = 0.05):
 
 
 @pytest.fixture()
-def wal_fleet(tmp_path, toy_snapshot):
-    """Two workers, the dataset on both replicas, durable WAL enabled."""
+def wal_fleet(tmp_path, toy_snapshot, monkeypatch):
+    """Two workers, the dataset on both replicas, durable WAL enabled;
+    a killed worker is noticed within 0.1 s."""
+    monkeypatch.setattr(WorkerPool, "HEALTH_INTERVAL", 0.1)
     service = ShardedQueryService(
         {"toy": toy_snapshot},
         num_workers=2,
         default_replicas=2,
-        health_interval=0.1,
         wal_dir=tmp_path / "wal",
     )
     service.warmup()
@@ -96,9 +98,9 @@ class TestKill9Recovery:
         # The replacement must replay the WAL to exactly version N —
         # not 0 (snapshot warm, the PR-4 lossy behaviour), not N-1.
         assert wait_until(
-            lambda: fleet.dataset_versions(timeout=5.0).get("toy", {})
+            lambda: fleet.dataset_versions().get("toy", {})
             == {"0": NUM_COMMITS, "1": NUM_COMMITS}
-        ), fleet.dataset_versions(timeout=5.0)
+        ), fleet.dataset_versions()
 
         health = fleet.health()
         assert health["version_drift"] == []
@@ -127,7 +129,7 @@ class TestKill9Recovery:
         # double-applied).
         outcome = commit_stream(fleet, 2, prefix="afterkill")
         assert wait_until(
-            lambda: fleet.dataset_versions(timeout=5.0).get("toy", {})
+            lambda: fleet.dataset_versions().get("toy", {})
             == {"0": outcome.version, "1": outcome.version}
         )
         assert outcome.drift is False or fleet.health()["version_drift"] == []
@@ -207,7 +209,7 @@ class TestKill9Recovery:
         with MutationLog(wal_dir / "toy.wal", start_seq=0) as stale:
             stale.append([{"op": "add_node", "label": "old"}])  # seq 1 << 7
         with ShardedQueryService(
-            {"toy": snap}, num_workers=1, health_interval=0.2, wal_dir=wal_dir
+            {"toy": snap}, num_workers=1, wal_dir=wal_dir
         ) as fleet:
             fleet.warmup()
             assert fleet.wal_seqs() == {"toy": 7}
@@ -242,8 +244,8 @@ class TestKill9Recovery:
             fleet.pool.process(worker_id).kill()
         assert wait_until(
             lambda: all(fleet.pool.restarts().get(w, 0) >= 1 for w in (0, 1))
-            and fleet.dataset_versions(timeout=5.0).get("toy") == {"0": 5, "1": 5}
-        ), fleet.dataset_versions(timeout=5.0)
+            and fleet.dataset_versions().get("toy") == {"0": 5, "1": 5}
+        ), fleet.dataset_versions()
         for worker_id in (0, 1):
             for word in ("reloadedword", "committedword"):
                 response = replica_answers(fleet, worker_id, word)
@@ -269,14 +271,14 @@ class TestKill9Recovery:
         b = save_snapshot(tmp_path / "b.snap", epoch.graph, epoch.index)
         wal_dir = tmp_path / "wal"
         with ShardedQueryService(
-            {"toy": toy_snapshot}, num_workers=1, health_interval=0.2, wal_dir=wal_dir
+            {"toy": toy_snapshot}, num_workers=1, wal_dir=wal_dir
         ) as fleet:
             assert fleet.reload("toy", b)["version"] == 0
             commit_stream(fleet, 1, prefix="afterreload")
         with pytest.raises(WalError, match="continues another snapshot"):
             ShardedQueryService({"toy": toy_snapshot}, num_workers=1, wal_dir=wal_dir)
         with ShardedQueryService(
-            {"toy": b}, num_workers=1, health_interval=0.2, wal_dir=wal_dir
+            {"toy": b}, num_workers=1, wal_dir=wal_dir
         ) as fleet:
             fleet.warmup()
             assert fleet.dataset_versions()["toy"] == {"0": 1}
@@ -368,20 +370,21 @@ class TestKill9Recovery:
 
 
 @pytest.fixture()
-def ops_fleet(tmp_path, toy_snapshot):
+def ops_fleet(tmp_path, toy_snapshot, monkeypatch):
     """The kill-9 fleet with aggressive SLO windows so an availability
     burn-rate alert can fire and clear within a test's patience."""
     from repro.telemetry.slo import SloObjective
 
-    # health_interval bounds crash *detection*: a kill landing right
-    # before the monitor's next sweep is respawned between two samples
-    # of the 0.05s SLO ticker, so the outage is recorded by the
-    # supervisor's own evaluation on the pool's crash event.
+    # The pool's HEALTH_INTERVAL (0.5 s) bounds crash *detection*: a
+    # kill landing right before the monitor's next sweep is respawned
+    # between two samples of the 0.05s SLO ticker, so the outage is
+    # recorded by the supervisor's own evaluation on the pool's crash
+    # event.
+    monkeypatch.setattr(ShardedQueryService, "SLO_INTERVAL", 0.05)
     service = ShardedQueryService(
         {"toy": toy_snapshot},
         num_workers=2,
         default_replicas=2,
-        health_interval=0.5,
         wal_dir=tmp_path / "wal",
         slo_objectives=[
             SloObjective(
@@ -393,7 +396,6 @@ def ops_fleet(tmp_path, toy_snapshot):
                 burn_threshold=1.5,
             )
         ],
-        slo_interval=0.05,
     )
     service.warmup()
     yield service
@@ -418,7 +420,7 @@ class TestOperationalIntelligence:
             and fleet.pool.alive().get(0, False)
         ), "supervisor never restarted the killed worker"
         assert wait_until(
-            lambda: fleet.dataset_versions(timeout=5.0).get("toy", {})
+            lambda: fleet.dataset_versions().get("toy", {})
             == {"0": NUM_COMMITS, "1": NUM_COMMITS}
         )
 
@@ -514,7 +516,6 @@ class TestDamagedTailRestart:
                 {"toy": toy_snapshot},
                 num_workers=2,
                 default_replicas=2,
-                health_interval=0.2,
                 wal_dir=tmp_path / "wal",
             )
 
@@ -550,7 +551,7 @@ class TestWithoutWal:
         """Without wal_dir nothing is written and apply reports no
         wal_seq — the PR-4 behaviour is untouched."""
         with ShardedQueryService(
-            {"toy": toy_snapshot}, num_workers=1, health_interval=0.2
+            {"toy": toy_snapshot}, num_workers=1
         ) as fleet:
             fleet.warmup()
             outcome = fleet.apply(

@@ -348,8 +348,12 @@ def life(jobs, cancel=(), **settings):
     return [ours.recv()[2] for _ in jobs]
 
 
+# The loop sleeps (GIL released) before job 2 while the reader takes
+# every message off the wire, the cancel of job 2 included: a cancel
+# written behind its request still overtakes it, but only once read.
 replies = life([
     ("warmup", None),
+    ("sleep", 0.5),
     ("request", request),
     *(("request", {**request, **uncached, "algorithm": algorithm})
       for algorithm in ("bidirectional", "si-backward", "mi-backward")),
@@ -361,11 +365,11 @@ replies = life([
     ("metrics",),
     ("events", {"since": 0}),
     ("queries",),
-], cancel=[1])
+], cancel=[2])
 errors = {job: reply["error_type"] for job, reply in enumerate(replies) if reply.get("error")}
-assert errors == {1: "SearchCancelledError"}, errors  # the cancel beat its request
-assert all(reply["result"]["answers"] for reply in replies[2:5])  # they did search
-assert replies[5]["applied"] == 1 and replies[6]["result"]["answers"], replies[5:7]
+assert errors == {2: "SearchCancelledError"}, errors  # the cancel beat its request
+assert all(reply["result"]["answers"] for reply in replies[3:6])  # they did search
+assert replies[6]["applied"] == 1 and replies[7]["result"]["answers"], replies[6:8]
 
 with MutationLog(wal) as log:
     assert log.append([{**mutation, "prestige": 0.125}]) == 1

@@ -23,6 +23,7 @@ from repro.telemetry.accounting import WorkloadAnalytics, merge_sketch_exports
 from repro.telemetry.metrics import MetricsRegistry, merge_registries
 
 SHARED_VERBS = [
+    "search",
     "search_many",
     "cancel",
     "trace",
@@ -40,9 +41,12 @@ SHARED_VERBS = [
     "_deadline_response",
 ]
 #: What each tier writes itself: its substrate, and the verbs whose
-#: bodies differ (``search`` only in signature and the inline path).
-PER_TIER = ["search", "health", "close", "datasets", "warmup", "apply",
+#: bodies differ.
+PER_TIER = ["health", "close", "datasets", "warmup", "apply",
             "dataset_versions", "_submit", "_await", "_swap_snapshot"]
+#: Every public verb but ``close`` (the thread tier's takes ``wait``).
+PUBLIC_VERBS = ["search", "apply", "health", "dataset_versions", "datasets",
+                "warmup", "reload", "metrics"]
 
 
 @pytest.mark.parametrize("tier", [QueryService, ShardedQueryService])
@@ -55,7 +59,7 @@ def test_shared_verbs_are_defined_once(tier):
         assert verb in vars(tier), verb
 
 
-@pytest.mark.parametrize("verb", ["reload", "metrics", "warmup"])
+@pytest.mark.parametrize("verb", PUBLIC_VERBS)
 def test_both_tiers_take_the_same_arguments(verb):
     thread, fleet = (
         inspect.signature(getattr(tier, verb))
@@ -138,19 +142,61 @@ def test_constructor_arguments_are_these():
     def arguments(cls):
         return list(inspect.signature(cls).parameters)
 
-    shared = ["cancel_grace", "tracing", "slow_query_threshold",
-              "slo_objectives", "accounting", "storage_mode"]
+    shared = ["tracing", "slow_query_threshold", "slo_objectives",
+              "accounting", "storage_mode"]
     assert sorted(arguments(QueryService)) == sorted(
-        ["cache_capacity", "cache_ttl", "max_workers", "clock"] + shared
-    )  # 10
+        ["cache_capacity", "cache_ttl", "max_workers"] + shared
+    )  # 8
     assert sorted(arguments(ShardedQueryService)) == sorted(
         ["snapshots", "num_workers", "default_replicas", "replicas",
-         "cache_capacity", "cache_ttl", "health_interval", "restart", "wal_dir",
-         "wal_sync", "slo_interval"] + shared
-    )  # 17
-    assert arguments(WorkerPool) == [
-        "specs", "settings", "health_interval", "restart", "event_sink"
-    ]
+         "cache_capacity", "cache_ttl", "wal_dir"] + shared
+    )  # 12
+    assert arguments(WorkerPool) == ["specs", "settings", "event_sink"]
+
+
+#: Arguments that only tests set, or nobody: each is a class constant
+#: now, or gone with the behaviour it switched.
+REMOVED_ARGUMENTS = [
+    (QueryService, "clock"),
+    (QueryService, "cancel_grace"),
+    (QueryService.attach_wal, "sync"),
+    (ShardedQueryService, "cancel_grace"),  # ServiceCore.CANCEL_GRACE
+    (ShardedQueryService, "health_interval"),  # WorkerPool.HEALTH_INTERVAL
+    (ShardedQueryService, "restart"),  # a crashed worker always restarts
+    (ShardedQueryService, "wal_sync"),
+    (ShardedQueryService, "slo_interval"),  # SLO_INTERVAL
+    (ShardedQueryService.apply, "timeout"),  # APPLY_TIMEOUT
+    (ShardedQueryService.health, "versions_timeout"),  # HEALTH_VERSIONS_TIMEOUT
+    (ShardedQueryService.dataset_versions, "timeout"),  # VERSIONS_TIMEOUT
+    (ShardedQueryService.close, "timeout"),
+    (WorkerPool, "health_interval"),
+    (WorkerPool, "restart"),
+]
+
+
+@pytest.mark.parametrize(
+    "callable_, argument",
+    REMOVED_ARGUMENTS,
+    ids=[f"{c.__qualname__}-{a}" for c, a in REMOVED_ARGUMENTS],
+)
+def test_removed_arguments_are_a_type_error(callable_, argument):
+    # Bound without calling: no worker is spawned, no log opened.
+    signature = inspect.signature(callable_)
+    positional = [None] * sum(
+        p.default is p.empty and p.kind is p.POSITIONAL_OR_KEYWORD
+        for p in signature.parameters.values()
+    )
+    with pytest.raises(TypeError, match=argument):
+        signature.bind(*positional, **{argument: 1})
+
+
+def test_the_constants_keep_the_old_defaults():
+    assert ServiceCore.CANCEL_GRACE == 1.0
+    assert WorkerPool.HEALTH_INTERVAL == 0.5
+    assert ShardedQueryService.SLO_INTERVAL == 5.0
+    assert ShardedQueryService.APPLY_TIMEOUT == 60.0
+    assert ShardedQueryService.HEALTH_VERSIONS_TIMEOUT == 2.0
+    assert ShardedQueryService.VERSIONS_TIMEOUT == 10.0
 
 
 def test_each_tier_keeps_the_retention_it_had():

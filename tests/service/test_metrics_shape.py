@@ -265,7 +265,6 @@ def test_sharded_service_metrics_shape(dblp_snapshot, tmp_path):
         num_workers=2,
         default_replicas=2,
         wal_dir=tmp_path / "wal",
-        health_interval=0.2,
     ) as service:
         service.warmup()
 

@@ -11,7 +11,7 @@ from repro.errors import (
     KeywordNotFoundError,
     UnknownDatasetError,
 )
-from repro.service import QueryRequest, QueryService
+from repro.service import QueryRequest, QueryService, ResultCache
 
 QUERIES = ["gray transaction", "selinger", "vldb", "postgres stonebraker"]
 ALGOS = ["bidirectional", "si-backward", "mi-backward"]
@@ -198,7 +198,7 @@ class TestSearch:
         class BrokenEngine:
             params = SearchParams()
 
-            def search(self, query, *, algorithm, params):
+            def search(self, query, *, algorithm, params, explain, token):
                 raise AttributeError("engine bug, not a library error")
 
         service.register_engine("broken", BrokenEngine())
@@ -208,7 +208,9 @@ class TestSearch:
 
     def test_ttl_expiry_forces_recompute(self, toy_engine):
         clock_value = [0.0]
-        with QueryService(cache_ttl=10.0, clock=lambda: clock_value[0]) as svc:
+        with QueryService(cache_ttl=10.0) as svc:
+            # The cache's clock is its test seam; the service has none.
+            svc.cache = ResultCache(ttl=10.0, clock=lambda: clock_value[0])
             svc.register_engine("toy", toy_engine)
             svc.search("toy", "gray transaction")
             assert svc.search("toy", "gray transaction").cached
@@ -320,7 +322,7 @@ class TestDeadlines:
         class SlowEngine:
             params = SearchParams()
 
-            def search(self, query, *, algorithm, params):
+            def search(self, query, *, algorithm, params, explain, token):
                 gate.wait(5.0)
                 raise AssertionError("should not matter for the response")
 
@@ -343,7 +345,7 @@ class TestDeadlines:
         class SlowEngine:
             params = SearchParams()
 
-            def search(self, query, *, algorithm, params):
+            def search(self, query, *, algorithm, params, explain, token):
                 gate.wait(5.0)
                 return toy_engine.search("gray", algorithm=algorithm, params=params)
 
@@ -370,7 +372,7 @@ class TestDeadlines:
         class SlowEngine:
             params = SearchParams()
 
-            def search(self, query, *, algorithm, params):
+            def search(self, query, *, algorithm, params, explain, token):
                 release.wait(5.0)
                 return toy_engine.search("gray", algorithm=algorithm, params=params)
 

@@ -30,7 +30,7 @@ class GatedEngine:
         self.stopped = threading.Event()
         self.runs = 0
 
-    def search(self, query, *, algorithm, params, token=None):
+    def search(self, query, *, algorithm, params, explain=False, token=None):
         self.runs += 1
         self.started.set()
         result = SearchResult(

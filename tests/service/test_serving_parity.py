@@ -231,7 +231,6 @@ def test_sharded_service_verbs(dblp_snapshot, tmp_path):
         num_workers=2,
         default_replicas=2,
         wal_dir=tmp_path / "wal",
-        health_interval=0.2,
         slow_query_threshold=0.0,
     ) as service:
         service.warmup()
