@@ -383,14 +383,17 @@ class ShardedQueryService(ServiceCore):
         return self.router.datasets()
 
     def warmup(self, names: Optional[Sequence[str]] = None) -> dict[str, float]:
-        """Build every shard's engines from disk now.
+        """Wait for every replica to have loaded its shard.
 
         Returns ``{dataset: build_seconds}``, reporting each dataset's
         *slowest* replica — the one that gates fleet readiness.  Waits
-        at most :attr:`LOAD_TIMEOUT`; a worker-side error (e.g. a
-        ``SnapshotError`` warming a corrupt file) re-raises here with
-        its original type.
+        at most :attr:`LOAD_TIMEOUT`; an unknown name raises
+        ``UnknownDatasetError`` and a worker-side error (e.g. the
+        ``SnapshotError`` of a corrupt file) re-raises here with its
+        original type.
         """
+        for name in names or ():
+            self.router.replicas_for(name)  # raises for an unknown name
         wanted = set(names) if names is not None else None
         futures: dict[int, Future] = {}
         for worker_id, assigned in self.router.assignments().items():

@@ -23,10 +23,13 @@ killed worker can only break its own channel, whose buffered responses
 stay readable up to the EOF and which the supervisor discards on
 restart — crash containment, not just crash detection.
 
-Engines are registered from snapshot *paths* via
-:meth:`QueryService.register_snapshot`, so warmup is a disk load —
-``from_database`` never runs inside a worker, and nothing un-picklable
-crosses the process boundary in either direction.
+Engines are loaded from snapshot *paths* at startup, through
+:meth:`QueryService.register_snapshot` — ``from_database`` never runs
+inside a worker, and nothing un-picklable crosses the process boundary
+in either direction.  A snapshot that does not load does not stop the
+worker (a replacement would fail the same way, and the pool would
+crash-loop): its error answers ``warmup`` and every request for that
+dataset until a ``reload`` loads a file.
 
 The loop never lets a per-message failure kill the process: any
 exception while handling a message becomes a structured error payload
@@ -123,13 +126,16 @@ class _Inbox:
 
 
 def _handle_request(
-    service: QueryService, payload: dict, job_id: int, cancelled: set
+    service: QueryService, payload: dict, job_id: int, cancelled: set, unloaded: dict
 ) -> dict:
     """Execute one request dict, returning a response dict (never raises)."""
     try:
         request = request_from_dict(payload)
     except Exception as exc:
         return error_response_dict(payload, str(exc), type(exc).__name__)
+    error = unloaded.get(request.dataset)
+    if error is not None:
+        return error_response_dict(payload, str(error), type(error).__name__)
     if job_id in cancelled:
         # Cancelled while still queued: answer without searching.
         return error_response_dict(
@@ -148,12 +154,24 @@ def _handle_request(
     return response_to_dict(service.search(request, token=token))
 
 
+def _error_payload(exc: BaseException) -> dict:
+    """The control-message reply the supervisor re-raises as ``exc``'s type."""
+    return {"error": str(exc), "error_type": type(exc).__name__}
+
+
 def _handle_message(
-    service: QueryService, worker_id: int, kind: str, message: tuple, cancelled: set
+    service: QueryService,
+    worker_id: int,
+    kind: str,
+    message: tuple,
+    cancelled: set,
+    unloaded: dict,
 ) -> dict:
-    """Dispatch one non-stop message to its handler (may raise)."""
+    """Dispatch one non-stop message to its handler (may raise).
+    ``unloaded`` maps each dataset whose snapshot failed to load to the
+    load's error."""
     if kind == "request":
-        return _handle_request(service, message[2], message[1], cancelled)
+        return _handle_request(service, message[2], message[1], cancelled, unloaded)
     if kind == "ping":
         return {
             "pong": True,
@@ -168,6 +186,9 @@ def _handle_message(
         return service.registry.export(include_samples=True)
     if kind == "warmup":
         names: Optional[list] = message[2]
+        for name in unloaded if names is None else names:
+            if name in unloaded:
+                return _error_payload(unloaded[name])
         return service.warmup(names)
     if kind == "mutate":
         # Live-update propagation: the supervisor broadcasts one batch
@@ -193,9 +214,11 @@ def _handle_message(
         # snapshot file; a digest match means this worker already holds
         # the epoch and the reload no-ops.
         payload = message[2]
-        return service.reload(
+        result = service.reload(
             payload["dataset"], payload["path"], force=payload.get("force", False)
         )
+        unloaded.pop(payload["dataset"], None)
+        return result
     if kind == "versions":
         return {"versions": service.dataset_versions()}
     if kind == "events":
@@ -260,8 +283,12 @@ def worker_main(conn) -> None:
     # Same for explain reports, harvested supervisor-side; the workload
     # sketch the same ``accounting`` switch turns on *is* pulled.
     service.explain_store = None
+    unloaded: dict[str, Exception] = {}
     for name, path in snapshots.items():
-        service.register_snapshot(name, path)
+        try:
+            service.register_snapshot(name, path)
+        except Exception as exc:
+            unloaded[name] = exc
     for name, wal_path in (settings.get("wals") or {}).items():
         if name not in snapshots:
             continue
@@ -270,6 +297,8 @@ def worker_main(conn) -> None:
         # serving what it recovered, visible in health as wal_behind,
         # instead of crash-looping the whole shard).
         try:
+            if name in unloaded:
+                raise unloaded[name]
             service.attach_wal(name, wal_path, writable=False, strict=False)
         except Exception as exc:
             service.event_log.emit(
@@ -291,10 +320,10 @@ def worker_main(conn) -> None:
             job_id = message[1]
             try:
                 payload = _handle_message(
-                    service, worker_id, kind, message, inbox.cancelled
+                    service, worker_id, kind, message, inbox.cancelled, unloaded
                 )
             except Exception as exc:
-                payload = {"error": str(exc), "error_type": type(exc).__name__}
+                payload = _error_payload(exc)
             try:
                 conn.send((worker_id, job_id, payload))
             except OSError:

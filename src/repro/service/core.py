@@ -811,7 +811,9 @@ class ServiceCore:
         a process restart, serving the file's ``dataset_version``.
 
         The tier's hook ``_swap_snapshot(dataset, path, header, force)``
-        swaps what it serves and returns ``(reloaded, workers)``.
+        loads the file, swaps what it serves and returns ``(reloaded,
+        workers)``; a failed load raises here, leaving the log and the
+        fleet's worker specs as they were.
         Wherever the file's content digest is already served at its
         version the swap no-ops; ``force`` swaps regardless, and
         committed live mutations never no-op (reloading resets them).

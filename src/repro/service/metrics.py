@@ -249,10 +249,8 @@ def metrics_view(export: dict, *, include_samples: bool = False) -> dict:
         }
     if "repro_dataset_version" in export:
         versions = family_values(export, "repro_dataset_version", "dataset")
-        built = family_values(export, "repro_dataset_built", "dataset")
         view["datasets"] = {
             "registered": list(versions),
-            "built": [name for name, flag in built.items() if flag],
             "build_seconds": family_values(
                 export, "repro_dataset_build_seconds", "dataset"
             ),

@@ -12,12 +12,12 @@ layer the ROADMAP's production north star needs above
   its base version and snapshot provenance, which change together: a
   re-registration installs a new record in one step and detaches the
   dataset's log from the core's map; a snapshot's record starts at the
-  file's ``dataset_version``),
-  registered eagerly (:meth:`QueryService.register_engine`), lazily
-  from a database (:meth:`register_database`), or from a disk snapshot
-  (:meth:`register_snapshot`) so restarts skip graph/prestige/index
-  builds.  Lazy builds are per-record locked: under concurrent traffic
-  exactly one thread pays the construction cost.
+  file's ``dataset_version``).  A record holds a loaded engine: an
+  engine built by the caller (:meth:`QueryService.register_engine`), a
+  live dataset (:meth:`register_mutable`) or a disk snapshot loaded
+  before the record is installed (:meth:`register_snapshot`,
+  :meth:`reload`), so restarts skip graph/prestige/index builds and a
+  file that does not load raises where it was named, never at a search.
 * **Result cache** — a shared :class:`~repro.service.cache.ResultCache`
   (LRU + TTL) keyed on the canonicalized query identity; repeated
   queries are answered in microseconds without touching the graph.
@@ -76,7 +76,7 @@ from pathlib import Path
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core.answer import SearchResult
 from repro.core.cancellation import CancellationToken
@@ -119,25 +119,22 @@ __all__ = [
 _MISS = object()
 
 
-#: Result-cache generations: unique per registration (and per build
-#: that moved a registration's version), since versions repeat.
+#: Result-cache generations: unique per registration, since versions
+#: repeat.
 _GENERATIONS = itertools.count(1)
 
 
 @dataclass(eq=False)
 class _Dataset:
-    """One registration of a dataset name: what is served (``engine``
-    once built, ``factory`` while still lazy, ``live`` after the upgrade
-    to a :class:`~repro.live.MutableDataset`), the version lineage
-    (``base``: the ``dataset_version`` of the snapshot file actually
-    loaded, else 0), the snapshot provenance (``source`` path,
-    ``digest`` of the file actually loaded) and the ``generation``
-    result-cache keys carry.
+    """One registration of a dataset name: what is served (``engine``,
+    or ``live`` after the upgrade to a
+    :class:`~repro.live.MutableDataset`), the version lineage (``base``:
+    the ``dataset_version`` of the snapshot file loaded, else 0), the
+    snapshot provenance (``source`` path, ``digest`` of the file loaded)
+    and the ``generation`` result-cache keys carry.
 
     These change *together*: a replacement is a new record
-    (:meth:`QueryService._install`), never an edit of this one, so
-    ``service._datasets.get(name) is record`` is the one staleness
-    check — a slow lazy build that lost to a re-registration.
+    (:meth:`QueryService._install`), never an edit of this one.
     Provenance therefore goes on every path that is not itself a
     snapshot registration: a later :meth:`~QueryService.reload`
     against the old file cannot see a matching digest and incorrectly
@@ -146,19 +143,13 @@ class _Dataset:
     """
 
     engine: Optional[KeywordSearchEngine] = None
-    factory: Optional[Callable[[], KeywordSearchEngine]] = None
     live: Optional["MutableDataset"] = None
     base: int = 0
     generation: int = field(default_factory=_GENERATIONS.__next__)
     source: Optional[str] = None
     digest: Optional[str] = None
-    #: Seconds the last engine build took: None until a lazy
-    #: registration is first built.
-    build_seconds: Optional[float] = None
-    #: Per-registration, so under concurrent traffic exactly one thread
-    #: pays the construction cost (and a replacement's build never
-    #: queues behind the build it made stale).
-    build_lock: threading.Lock = field(default_factory=threading.Lock)
+    #: Seconds the snapshot load took (0 for an engine built elsewhere).
+    build_seconds: float = 0.0
 
     @property
     def version(self) -> int:
@@ -168,9 +159,9 @@ class _Dataset:
         return self.base + live.version if live is not None else self.base
 
     @property
-    def serving(self) -> Optional[KeywordSearchEngine]:
-        """The engine a request runs on now — the live dataset's current
-        epoch, else the built engine — or None while still lazy."""
+    def serving(self) -> KeywordSearchEngine:
+        """The engine a request runs on now: the live dataset's current
+        epoch, else the registered engine."""
         return self.live.engine if self.live is not None else self.engine
 
 
@@ -297,18 +288,9 @@ class QueryService(ServiceCore):
         cache_expirations = registry.counter(
             "repro_cache_expirations_total", "Result cache TTL expirations"
         )
-        datasets_built = registry.gauge(
-            "repro_datasets_built", "Datasets with a built engine"
-        )
         dataset_version = registry.gauge(
             "repro_dataset_version",
             "Live-mutation epoch per dataset",
-            labels=("dataset",),
-            merge="max",
-        )
-        dataset_built = registry.gauge(
-            "repro_dataset_built",
-            "1 when the dataset's engine is built, 0 while it is still lazy",
             labels=("dataset",),
             merge="max",
         )
@@ -386,16 +368,13 @@ class QueryService(ServiceCore):
             cache_expirations.set_total(stats["expirations"])
             with self._registry_lock:
                 rows = [
-                    (name, r.version, r.factory is None, r.build_seconds, r.engine)
+                    (name, r.version, r.build_seconds, r.engine)
                     for name, r in self._datasets.items()
                 ]
-            datasets_built.set(sum(built for _, _, built, _, _ in rows))
             self._wal_telemetry.collect(self._logs())
-            for name, version, built, seconds, engine in rows:
+            for name, version, seconds, engine in rows:
                 dataset_version.set(version, dataset=name)
-                dataset_built.set(int(built), dataset=name)
-                if seconds is not None:
-                    dataset_build_seconds.set(seconds, dataset=name)
+                dataset_build_seconds.set(seconds, dataset=name)
                 # Tolerate engine doubles without a graph (tests).
                 storage = getattr(getattr(engine, "graph", None), "storage", None)
                 if storage is None:
@@ -423,17 +402,7 @@ class QueryService(ServiceCore):
         its cached results — the old engine's answers must not outlive
         it.
         """
-        self._install(name, _Dataset(engine=engine, build_seconds=0.0))
-
-    def register_factory(
-        self, name: str, factory: Callable[[], KeywordSearchEngine]
-    ) -> None:
-        """Register a lazy engine builder; it runs (once) on first use.
-
-        Like :meth:`register_engine`, replacing an existing name purges
-        its cached results.
-        """
-        self._install(name, _Dataset(factory=factory))
+        self._install(name, _Dataset(engine=engine))
 
     def register_mutable(self, name: str, dataset: "MutableDataset") -> None:
         """Register a live :class:`~repro.live.MutableDataset`.
@@ -443,7 +412,7 @@ class QueryService(ServiceCore):
         result cache is keyed by; :meth:`attach_wal` makes the commits
         durable.
         """
-        self._install(name, _Dataset(live=dataset, build_seconds=0.0))
+        self._install(name, _Dataset(live=dataset))
 
     def _install(
         self, name: str, record: _Dataset, log: Optional[MutationLog] = None
@@ -479,87 +448,57 @@ class QueryService(ServiceCore):
             purged=purged,
         )
 
-    def register_database(
-        self,
-        name: str,
-        db,
-        *,
-        params: Optional[SearchParams] = None,
-        compute_prestige: bool = True,
-    ) -> None:
-        """Register a database to be built into an engine on first use."""
-        self.register_factory(
-            name,
-            lambda: KeywordSearchEngine.from_database(
-                db, params=params, compute_prestige=compute_prestige
-            ),
-        )
+    def register_snapshot(self, name: str, path, *, pin_policy=None) -> None:
+        """Load a disk snapshot and serve it; loading replaces
+        ``from_database``.
 
-    def register_snapshot(
-        self,
-        name: str,
-        path,
-        *,
-        params: Optional[SearchParams] = None,
-        storage_mode: Optional[str] = None,
-        pin_policy=None,
-    ) -> None:
-        """Register a disk snapshot; loading replaces ``from_database``.
-
-        ``storage_mode`` picks the tier the lazy build loads into
-        (``ram`` / ``mapped``); omitted, it falls back to the
-        service-wide default from the constructor, then the usual
-        per-load resolution.  ``pin_policy`` is forwarded to the
-        load (see :class:`repro.storage.PinPolicy`).
+        The load runs before anything is registered, in the storage tier
+        the constructor's ``storage_mode`` picks; ``pin_policy`` is
+        forwarded to it (see :class:`repro.storage.PinPolicy`).  A file
+        that does not load raises its
+        :class:`~repro.errors.SnapshotError` here and registers nothing.
         """
-        record = self._snapshot_record(
-            path, file_info(str(path)), params, storage_mode, pin_policy
-        )
-        self._install(name, record)
+        self._install(name, self._load(path, file_info(str(path)), pin_policy))
 
-    def _snapshot_record(
-        self, path, info: dict, params=None, storage_mode=None, pin_policy=None
-    ) -> _Dataset:
-        """A lazy registration of ``path`` at its header's version."""
+    def _load(self, path, info: dict, pin_policy=None) -> _Dataset:
+        """A registration of the snapshot at ``path``, loaded now, at
+        the version and digest of ``info``: its header, read just before
+        the load."""
         from repro.service.snapshot import load_engine
 
-        if storage_mode is None:
-            storage_mode = self._storage_mode
-        # The factory is stored on this service until first use, so it
-        # captures what the load needs, not ``self`` — a pending
-        # (never-built) registration must not make the service cyclic.
+        start = time.perf_counter()
+        engine = load_engine(
+            path, storage_mode=self._storage_mode, pin_policy=pin_policy
+        )
         return _Dataset(
-            factory=lambda: load_engine(
-                path,
-                params=params,
-                storage_mode=storage_mode,
-                pin_policy=pin_policy,
-            ),
+            engine=engine,
+            base=int(info.get("dataset_version") or 0),
             # Remembered so reload can later compare content digests
             # and no-op when this worker already holds the epoch.
             source=str(path),
-            base=int(info.get("dataset_version") or 0),
+            digest=info.get("content_digest"),
+            build_seconds=time.perf_counter() - start,
         )
 
     def _swap_snapshot(
         self, name: str, path: str, info: dict, force: bool
     ) -> tuple[bool, dict[str, bool]]:
-        """:meth:`reload`'s hook: install a lazy registration of
-        ``path`` unless this service serves its digest at its version.
-        The log at the served file's default path moves with it to
+        """:meth:`reload`'s hook: load ``path`` and install it unless
+        this service serves its digest at its version.  A load that
+        raises leaves the served record and its log as they were.  The
+        log at the served file's default path moves with it to
         ``<path>.wal``: a restart that registers the reloaded file and
         attaches its log replays every commit acknowledged after the
         reload."""
         digest = info.get("content_digest")
-        record = self._snapshot_record(path, info)
         if not (
             force
             or digest is None
             or self._current_snapshot_digest(name) != digest
-            or self.dataset_version(name) != record.base
+            or self.dataset_version(name) != int(info.get("dataset_version") or 0)
         ):
             return False, {}
-        record.digest = digest
+        record = self._load(path, info)
         log = self._log(name)
         with self._registry_lock:
             old = self._datasets.get(name)
@@ -579,23 +518,12 @@ class QueryService(ServiceCore):
         or the file predates digests)."""
         with self._registry_lock:
             record = self._datasets.get(name)
-            if record is None:
-                return None
-            if record.live is not None and record.live.version > 0:
+            if record is None or (record.live is not None and record.live.version):
                 # A commit landed: the served state diverged from any
                 # file.  (A version-0 mutable — upgraded but never
                 # successfully mutated — still equals its snapshot.)
                 return None
-            if record.digest is not None:
-                return record.digest
-            if record.factory is None:
-                # Built, but not from a digest-recorded snapshot load:
-                # we cannot prove equality, so never no-op.
-                return None
-        # Still lazy: the registered factory will read this same file
-        # when it first builds, so the file's current digest *is* what
-        # this service would serve.
-        return file_info(record.source).get("content_digest")
+            return record.digest
 
     def attach_wal(
         self,
@@ -637,9 +565,8 @@ class QueryService(ServiceCore):
         # Under the dataset's mutation lock: no commit, reload or
         # re-registration interleaves with the replay and the attach.
         with self._mutation_lock(name):
-            self.engine(name)  # the build reads the file's version and digest
             with self._registry_lock:
-                record = self._datasets[name]
+                record = self._record(name)
             if path is None:
                 if record.source is None:
                     raise ValueError(
@@ -704,18 +631,18 @@ class QueryService(ServiceCore):
         }
 
     def save_snapshot(self, name: str, path):
-        """Write dataset ``name``'s built state to ``path`` (building it
-        first if still lazy); returns the path written.  The snapshot
-        records the dataset's current version.  A mutable dataset is
-        compacted first — snapshots hold flat arrays, and compaction
-        changes no answer (or version).  With a WAL attached **and**
-        ``path`` being the dataset's registered snapshot source,
-        segments the new snapshot makes redundant (every record at or
-        below its ``dataset_version``) are deleted afterwards — the
-        log only ever needs to reach back to the newest snapshot.
-        Saving to any *other* path (a backup, a new provision file)
-        leaves the log alone: crash recovery still registers the
-        original source and must be able to replay up from it."""
+        """Write dataset ``name``'s served state to ``path``; returns the
+        path written.  The snapshot records the dataset's current
+        version.  A mutable dataset is compacted first — snapshots hold
+        flat arrays, and compaction changes no answer (or version).
+        With a WAL attached **and** ``path`` being the dataset's
+        registered snapshot source, segments the new snapshot makes
+        redundant (every record at or below its ``dataset_version``) are
+        deleted afterwards — the log only ever needs to reach back to
+        the newest snapshot.  Saving to any *other* path (a backup, a
+        new provision file) leaves the log alone: crash recovery still
+        registers the original source and must be able to replay up
+        from it."""
         from repro.service.snapshot import save_engine, save_snapshot
 
         with self._registry_lock:
@@ -748,7 +675,7 @@ class QueryService(ServiceCore):
         return written
 
     def datasets(self) -> list[str]:
-        """Registered dataset names (built or lazy), sorted."""
+        """Registered dataset names, sorted."""
         with self._registry_lock:
             return sorted(self._datasets)
 
@@ -772,68 +699,34 @@ class QueryService(ServiceCore):
         """``{dataset: version}`` for every registered dataset."""
         return {name: self.dataset_version(name) for name in self.datasets()}
 
+    def _record(self, name: str) -> _Dataset:
+        """``name``'s registration, read under the registry lock the
+        caller holds; raises ``UnknownDatasetError``."""
+        record = self._datasets.get(name)
+        if record is None:
+            raise UnknownDatasetError(name)
+        return record
+
     def engine(self, name: str) -> KeywordSearchEngine:
-        """The engine for ``name``, building/loading it on first use.
+        """The engine serving ``name``.
 
         A mutable dataset answers with its *current epoch's* engine —
         requests that already hold an older epoch's engine keep
         searching it unperturbed (MVCC by immutability).
-
-        Record identity guards the slow build: if the dataset is
-        re-registered (or reloaded) while a lazy build is in flight,
-        the stale build's result is discarded and resolution restarts —
-        storing it would silently shadow the replacement under the
-        already-bumped cache version.
         """
-        while True:
-            with self._registry_lock:
-                record = self._datasets.get(name)
-                if record is None:
-                    raise UnknownDatasetError(name)
-                engine = record.serving
-                if engine is not None:
-                    return engine
-            with record.build_lock:
-                # Double-checked: a concurrent builder may have
-                # finished (factory cleared), or a re-registration may
-                # have replaced the record — both restart resolution.
-                with self._registry_lock:
-                    factory = record.factory
-                    if factory is None or self._datasets.get(name) is not record:
-                        continue
-                start = time.perf_counter()
-                # The version and digest of the file actually loaded,
-                # not of what is on disk later or was there at
-                # registration.  A concurrent swap between the two reads
-                # at worst records a stale digest: an unneeded reload.
-                info = file_info(record.source)
-                engine = factory()
-                elapsed = time.perf_counter() - start
-                with self._registry_lock:
-                    if self._datasets.get(name) is not record:
-                        continue  # replaced mid-build: discard stale engine
-                    record.engine, record.factory = engine, None
-                    record.build_seconds = elapsed
-                    record.digest = info.get("content_digest")
-                    base = int(info.get("dataset_version") or 0)
-                    if base != record.base:  # rewritten since registering
-                        record.base, record.generation = base, next(_GENERATIONS)
-                return engine
+        with self._registry_lock:
+            return self._record(name).serving
 
     def warmup(self, names: Optional[Sequence[str]] = None) -> dict[str, float]:
-        """Build/load the given datasets (default: all registered) now.
-
-        Returns ``{name: build_seconds}`` — snapshot-backed entries come
-        in orders of magnitude under ``from_database`` ones, which is the
-        point of snapshotting.
+        """``{name: build_seconds}`` for the given datasets (default: all
+        registered): the seconds each snapshot load took when it was
+        registered (0 for an engine the caller built).  Registration
+        loads, so nothing is left to build; the fleet's ``warmup`` is
+        what waits for its replicas' loads.
         """
-        targets = list(names) if names is not None else self.datasets()
-        timings = {}
-        for name in targets:
-            self.engine(name)
-            with self._registry_lock:
-                timings[name] = self._datasets[name].build_seconds or 0.0
-        return timings
+        with self._registry_lock:
+            targets = sorted(self._datasets) if names is None else names
+            return {name: self._record(name).build_seconds for name in targets}
 
     # ------------------------------------------------------------------
     # live mutations
@@ -889,29 +782,21 @@ class QueryService(ServiceCore):
 
     def _mutable_dataset(self, name: str) -> "MutableDataset":
         """The live dataset for ``name``, upgrading a frozen engine on
-        first use (double-checked under the registry lock)."""
+        first use (under the registry lock)."""
         from repro.live.dataset import MutableDataset
 
-        while True:
-            self.engine(name)  # may build lazily; raises UnknownDataset
-            with self._registry_lock:
-                record = self._datasets[name]
-                if record.live is not None:
-                    return record.live
-                if record.engine is None:
-                    # Re-registered (lazily) between the build and this
-                    # lock: wrapping the engine just resolved would
-                    # silently discard the replacement.  Resolve again.
-                    continue
-                dataset = MutableDataset.from_engine(record.engine)
-                record.live, record.engine = dataset, None
+        with self._registry_lock:
+            record = self._record(name)
+            if record.live is None:
+                record.live = MutableDataset.from_engine(record.engine)
+                record.engine = None
                 # Snapshot provenance survives the upgrade: at version
                 # 0 the served content still equals the file, so a
                 # reload no-op stays possible — important because a
                 # *failed* (rolled-back) batch also lands here.  The
                 # digest check goes dead the moment a commit lands
                 # (_current_snapshot_digest keys off dataset.version).
-                return dataset
+            return record.live
 
     # ------------------------------------------------------------------
     # querying
@@ -983,27 +868,21 @@ class QueryService(ServiceCore):
             and request.request_id is None
         ):
             return None
-        if request.params is not None:
-            interval = request.params.cancel_check_interval
-        else:
-            # Peek only at already-built engines: arming must not pay
-            # (or serialize on) a lazy build — that happens on the
-            # worker thread in _execute.
+        params = request.params
+        if params is None:
             with self._registry_lock:
                 record = self._datasets.get(request.dataset)
-                engine = record.serving if record is not None else None
-            interval = (
-                engine.params.cancel_check_interval
-                if engine is not None
-                else SearchParams().cancel_check_interval
-            )
+                # An unknown dataset's request fails before it searches.
+                params = record.serving.params if record else SearchParams()
         deadline = (
             time.monotonic() + request.timeout
             if request.timeout is not None
             else None
         )
         return CancellationToken(
-            deadline=deadline, check_every=interval, parent=token
+            deadline=deadline,
+            check_every=params.cancel_check_interval,
+            parent=token,
         )
 
     def _submit(
@@ -1062,11 +941,10 @@ class QueryService(ServiceCore):
         # Tell the search to stop (a request with a deadline was armed
         # with a token of its own, never the caller's, which a batch may
         # share): its deadline normally fired already; an explicit
-        # cancel also covers a search armed late, e.g. behind a slow
-        # engine build.  For partial-results requests, give the search
-        # a grace period to hand back what it has — a few milliseconds
-        # when checks run — then fall through to the plain deadline
-        # response.
+        # cancel also covers a search that has not ticked its token yet.
+        # For partial-results requests, give the search a grace period
+        # to hand back what it has — a few milliseconds when checks run
+        # — then fall through to the plain deadline response.
         assert token is not None
         token.cancel("deadline")
         if request.allow_partial:
@@ -1092,7 +970,7 @@ class QueryService(ServiceCore):
         submitted_at: Optional[float] = None,
     ) -> QueryResponse:
         """Run one request, never raising — any failure (library error,
-        broken factory, engine bug) becomes a structured error response,
+        engine bug) becomes a structured error response,
         the contract :meth:`search_many` promises.  ``record``, when
         given, is the exactly-once metrics claim shared with the
         deadline watcher: if the watcher already recorded this request

@@ -37,16 +37,14 @@ def _fill_cache(registry, *, size, capacity, hits, misses, evictions=0, ttl=None
     registry.counter("repro_cache_expirations_total").set_total(0)
 
 
-def _fill_datasets(registry, *, registered, built=(), build_seconds=None, wal_seq=None):
+def _fill_datasets(registry, *, registered, build_seconds=None, wal_seq=None):
     """... and off its dataset registry (plus an attached WAL's tip)."""
     labels = ("dataset",)
     version = registry.gauge("repro_dataset_version", labels=labels, merge="max")
-    flag = registry.gauge("repro_dataset_built", labels=labels, merge="max")
     seconds = registry.gauge("repro_dataset_build_seconds", labels=labels, merge="max")
     tip = registry.gauge("repro_wal_last_seq", labels=labels, merge="max")
     for name in registered:
         version.set(0, dataset=name)
-        flag.set(int(name in built), dataset=name)
     for name, value in (build_seconds or {}).items():
         seconds.set(value, dataset=name)
     for name, value in (wal_seq or {}).items():
@@ -82,16 +80,14 @@ def test_merge_equals_hand_merge():
         hits=3,
         errors=["KeywordNotFoundError"],
         cache=dict(size=4, capacity=64, hits=3, misses=4, evictions=1),
-        datasets=dict(registered=["alpha", "beta"], built=["alpha"],
-                      build_seconds={"alpha": 0.5}),
+        datasets=dict(registered=["alpha", "beta"], build_seconds={"alpha": 0.5}),
     )
     part_b = _worker_part(
         lat_b,
         hits=1,
         errors=["KeywordNotFoundError", "UnknownDatasetError"],
         cache=dict(size=2, capacity=64, hits=1, misses=3),
-        datasets=dict(registered=["alpha"], built=["alpha"],
-                      build_seconds={"alpha": 0.9}),
+        datasets=dict(registered=["alpha"], build_seconds={"alpha": 0.9}),
     )
     view_a, view_b = metrics_view(part_a), metrics_view(part_b)
     merged = metrics_view(merge_registries([part_a, part_b]), include_samples=True)
@@ -131,7 +127,6 @@ def test_merge_equals_hand_merge():
     # Datasets: union, slowest replica's build time.
     assert merged["datasets"] == {
         "registered": ["alpha", "beta"],
-        "built": ["alpha"],
         "build_seconds": {"alpha": 0.9},
         "versions": {"alpha": 0, "beta": 0},
     }
@@ -173,7 +168,7 @@ def test_merge_heterogeneous_replicas_no_keyerror():
         hits=0,
         errors=[],
         cache=dict(size=1, capacity=8, hits=0, misses=1),
-        datasets=dict(registered=["alpha"], built=["alpha"], wal_seq={"alpha": 3}),
+        datasets=dict(registered=["alpha"], wal_seq={"alpha": 3}),
     )
     merged = metrics_view(
         merge_registries([bare.export(include_samples=True), full, None, {}])
@@ -201,7 +196,7 @@ def test_merge_wal_seq_is_max_per_dataset():
 def test_merge_wal_seq_absent_when_no_part_has_it():
     merged = metrics_view(merge_registries([_datasets_part(registered=[])]))
     assert merged["datasets"] == {
-        "registered": [], "built": [], "build_seconds": {}, "versions": {},
+        "registered": [], "build_seconds": {}, "versions": {},
     }
 
 

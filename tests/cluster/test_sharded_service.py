@@ -115,6 +115,24 @@ def test_warmup_from_corrupt_snapshot_raises_snapshot_error(tmp_path):
             service.warmup()
 
 
+def test_a_dataset_that_did_not_load_answers_its_load_error(toy_snapshot, tmp_path):
+    """A worker never exits over a load — its replacement would fail
+    the same way — so the load's error answers each search until a
+    reload loads a file; the shard's other datasets serve throughout."""
+    corrupt = tmp_path / "corrupt.snap"
+    corrupt.write_bytes(b"this is not a snapshot")
+    with ShardedQueryService(
+        {"bad": corrupt, "good": toy_snapshot}, num_workers=1
+    ) as service:
+        response = service.search("bad", "gray transaction")
+        assert response.error_type == "SnapshotError"
+        assert "cannot read snapshot" in response.error
+        assert service.search("good", "gray transaction").ok
+        assert service.reload("bad", toy_snapshot)["reloaded"] is True
+        assert service.search("bad", "gray transaction").ok
+        assert set(service.warmup()) == {"bad", "good"}
+
+
 def test_metrics_on_a_closed_fleet_raises(toy_snapshot):
     service = ShardedQueryService({"alpha": toy_snapshot}, num_workers=1)
     service.close()

@@ -171,6 +171,8 @@ REMOVED_ARGUMENTS = [
     (ShardedQueryService.close, "timeout"),
     (WorkerPool, "health_interval"),
     (WorkerPool, "restart"),
+    (QueryService.register_snapshot, "params"),
+    (QueryService.register_snapshot, "storage_mode"),  # the constructor's
 ]
 
 
@@ -188,6 +190,27 @@ def test_removed_arguments_are_a_type_error(callable_, argument):
     )
     with pytest.raises(TypeError, match=argument):
         signature.bind(*positional, **{argument: 1})
+
+
+def test_registration_verbs_are_these():
+    """A registration is a loaded engine: one the caller built, a live
+    dataset, or a snapshot loaded by the call."""
+    def arguments(verb):
+        return list(inspect.signature(verb).parameters)
+
+    verbs = sorted(name for name in vars(QueryService) if name.startswith("register"))
+    assert verbs == ["register_engine", "register_mutable", "register_snapshot"]
+    assert arguments(QueryService.register_engine) == ["self", "name", "engine"]
+    assert arguments(QueryService.register_mutable) == ["self", "name", "dataset"]
+    assert arguments(QueryService.register_snapshot) == [
+        "self", "name", "path", "pin_policy",
+    ]
+
+
+@pytest.mark.parametrize("verb", ["register_factory", "register_database"])
+def test_lazy_registration_verbs_are_gone(verb):
+    with pytest.raises(AttributeError, match=verb):
+        getattr(QueryService, verb)
 
 
 def test_the_constants_keep_the_old_defaults():

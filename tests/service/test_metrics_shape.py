@@ -220,7 +220,6 @@ def _check(metrics, windows, *, cancellations, capacity, top_keys):
 
     datasets = metrics["datasets"]
     assert datasets["registered"] == ["dblp"]
-    assert datasets["built"] == ["dblp"]
     assert list(datasets["build_seconds"]) == ["dblp"]
     assert datasets["build_seconds"]["dblp"] >= 0.0
     assert datasets["versions"] == {"dblp": 1}
@@ -253,7 +252,7 @@ def test_query_service_metrics_shape(dblp_snapshot, tmp_path):
         top_keys=TOP_KEYS,
     )
     assert list(metrics["datasets"]) == [
-        "registered", "built", "build_seconds", "versions", "version_drift",
+        "registered", "build_seconds", "versions", "version_drift",
         "wal_seq",
     ]
     assert metrics["datasets"]["version_drift"] == []
@@ -298,7 +297,7 @@ def test_sharded_service_metrics_shape(dblp_snapshot, tmp_path):
         top_keys=TOP_KEYS + ["cluster"],
     )
     assert list(metrics["datasets"]) == [
-        "registered", "built", "build_seconds", "versions", "version_drift",
+        "registered", "build_seconds", "versions", "version_drift",
         "wal_seq",
     ]
     assert metrics["datasets"]["version_drift"] == []

@@ -39,50 +39,12 @@ class TestRegistry:
         with pytest.raises(UnknownDatasetError):
             response.raise_for_error()
 
-    def test_register_factory_is_lazy_and_built_once(self, toy_db):
-        builds = []
+    def test_warmup_reports_build_seconds(self, toy_engine, tmp_path):
+        from repro.service.snapshot import save_engine
+
+        path = save_engine(tmp_path / "toy.snap", toy_engine)
         with QueryService() as svc:
-
-            def factory():
-                builds.append(1)
-                return KeywordSearchEngine.from_database(toy_db)
-
-            svc.register_factory("toy", factory)
-            assert svc.datasets() == ["toy"]
-            assert builds == []  # nothing built yet
-            first = svc.engine("toy")
-            second = svc.engine("toy")
-            assert first is second
-            assert builds == [1]
-
-    def test_lazy_build_under_concurrency_builds_once(self, toy_db):
-        builds = []
-        gate = threading.Event()
-
-        def factory():
-            gate.wait(5.0)
-            builds.append(1)
-            return KeywordSearchEngine.from_database(toy_db)
-
-        with QueryService(max_workers=8) as svc:
-            svc.register_factory("toy", factory)
-            engines = []
-
-            def worker():
-                engines.append(svc.engine("toy"))
-
-            threads = [threading.Thread(target=worker) for _ in range(8)]
-            for t in threads:
-                t.start()
-            gate.set()
-            for t in threads:
-                t.join()
-        assert builds == [1]
-        assert all(e is engines[0] for e in engines)
-
-    def test_warmup_reports_build_seconds(self, toy_db):
-        with QueryService() as svc:
-            svc.register_database("toy", toy_db)
+            svc.register_snapshot("toy", path)
             timings = svc.warmup()
             assert set(timings) == {"toy"}
             assert timings["toy"] > 0.0
@@ -404,7 +366,7 @@ class TestMetrics:
         assert exported["errors"] == {"KeywordNotFoundError": 1}
         assert exported["algorithms"]["bidirectional"]["latency_p50"] is not None
         assert exported["cache"]["size"] == 2
-        assert exported["datasets"]["built"] == ["toy"]
+        assert exported["datasets"]["registered"] == ["toy"]
 
     def test_metrics_are_json_serializable(self, service):
         import json

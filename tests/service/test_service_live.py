@@ -206,10 +206,10 @@ class TestReloadSnapshot:
             assert svc.reload("toy", path)["reloaded"] is False
 
     def test_build_stamps_the_digest_of_the_file_it_loaded(self, toy_engine, tmp_path):
-        """The digest a reload records is of the file *then*; if the
-        file is rewritten before the lazy build, the build's stamp must
-        win — or a later reload of the old content would no-op while
-        the service serves the new."""
+        """The digest a reload records is of the file it loaded: a file
+        rewritten afterwards is not served until reloaded, and that
+        reload must swap — a stamp read from the file later would no-op
+        it while the service serves the old content."""
         import shutil
 
         from repro.service.snapshot import save_engine, save_snapshot
@@ -221,12 +221,13 @@ class TestReloadSnapshot:
         epoch = dataset.compact()
         with QueryService() as svc:
             svc.register_engine("toy", toy_engine)
-            assert svc.reload("toy", path)["reloaded"] is True  # lazy
-            save_snapshot(path, epoch.graph, epoch.index)  # rewritten before build
-            assert svc.search("toy", "rewrittenterm").ok  # the build loads it
+            assert svc.reload("toy", path)["reloaded"] is True
+            save_snapshot(path, epoch.graph, epoch.index)  # rewritten after the load
+            assert not svc.search("toy", "rewrittenterm").ok  # what the load read
+            assert svc.reload("toy", original)["reloaded"] is False
+            assert svc.reload("toy", path)["reloaded"] is True
+            assert svc.search("toy", "rewrittenterm").ok
             assert svc.reload("toy", path)["reloaded"] is False
-            assert svc.reload("toy", original)["reloaded"] is True
-            assert not svc.search("toy", "rewrittenterm").ok
 
     def test_reload_converges_replicas_with_different_histories(
         self, toy_engine, tmp_path
@@ -291,7 +292,7 @@ class TestReloadSnapshot:
         path = save_engine(tmp_path / "toy.snap", toy_engine)
         with QueryService() as svc:
             svc.register_snapshot("toy", path)
-            svc.warmup()  # factory records the file's digest
+            svc.warmup()
             svc.register_engine("toy", other_engine)
             assert svc.search("toy", "otherterm").ok
             outcome = svc.reload("toy", path)
@@ -299,46 +300,40 @@ class TestReloadSnapshot:
             response = svc.search("toy", "otherterm")
             assert response.error_type == "KeywordNotFoundError"
 
-    def test_stale_lazy_build_does_not_shadow_reload(self, toy_engine, tmp_path):
-        """Regression: a lazy snapshot build finishing *after* a
-        concurrent re-registration must be discarded, not stored over
-        the replacement."""
+    def test_searches_run_on_the_old_engine_while_a_reload_loads(
+        self, toy_engine, tmp_path, monkeypatch
+    ):
+        """The load runs before the swap and outside the registry lock:
+        a search meanwhile answers from the served engine, and the
+        reload then installs what it loaded."""
         import threading
 
-        from repro.service.snapshot import load_engine, save_engine
+        from repro.service import snapshot
 
-        path = save_engine(tmp_path / "old.snap", toy_engine)
-
+        path = snapshot.save_engine(tmp_path / "old.snap", toy_engine)
         dataset = MutableDataset.from_engine(toy_engine)
         dataset.mutate([AddNode(label="new", text="replacementterm")])
-        fresh_engine = dataset.compact().engine
-        fresh = save_engine(tmp_path / "fresh.snap", fresh_engine)
+        fresh = snapshot.save_engine(tmp_path / "fresh.snap", dataset.compact().engine)
+        started, release = threading.Event(), threading.Event()
+        load = snapshot.load_engine
+
+        def slow_load(*args, **kwargs):
+            started.set()
+            release.wait(timeout=10)
+            return load(*args, **kwargs)
 
         with QueryService() as svc:
             svc.register_snapshot("toy", path)
-            build_started = threading.Event()
-            release_build = threading.Event()
-
-            original_load = load_engine
-
-            def slow_factory():
-                build_started.set()
-                release_build.wait(timeout=10)
-                return original_load(path)
-
-            with svc._registry_lock:  # swap in an observable slow build
-                svc._datasets["toy"].factory = slow_factory
-
-            worker = threading.Thread(target=lambda: svc.search("toy", "gray"))
-            worker.start()
-            assert build_started.wait(timeout=10)
-            outcome = svc.reload("toy", fresh)  # lands mid-build
-            assert outcome["reloaded"] is True
-            release_build.set()
-            worker.join(timeout=30)
-            # The stale build must not have shadowed the reload.
+            monkeypatch.setattr(snapshot, "load_engine", slow_load)
+            reload = threading.Thread(target=svc.reload, args=("toy", fresh))
+            reload.start()
+            assert started.wait(timeout=10)
+            assert svc.search("toy", "gray", use_cache=False).ok
             response = svc.search("toy", "replacementterm")
-            assert response.ok, response.error
+            assert response.error_type == "KeywordNotFoundError"
+            release.set()
+            reload.join(timeout=30)
+            assert svc.search("toy", "replacementterm").ok
 
     def test_reload_force(self, toy_engine, tmp_path):
         from repro.service.snapshot import save_engine

@@ -1,6 +1,7 @@
 """QueryService + WAL: attach, journal, recover, truncate, reset."""
 
 import json
+import os
 import struct
 import threading
 import time
@@ -390,9 +391,11 @@ class TestRecovery:
     def test_attach_continues_the_file_the_build_loaded(
         self, tmp_path, toy_snapshot
     ):
-        """The served version is the header of the file the lazy build
-        loads: a file rewritten at another version after registering
-        must not replay records it already holds."""
+        """The served version is the header of the file registration
+        loaded: a file rewritten at another version afterwards changes
+        nothing served until it is reloaded, so the attach replays the
+        records past the loaded file's version, and a reload of the
+        rewritten file swaps to it."""
         import shutil
 
         service, _ = wal_service(toy_snapshot)
@@ -404,13 +407,18 @@ class TestRecovery:
         restarted = QueryService()
         try:
             restarted.register_snapshot("toy", toy_snapshot)
+            loaded = restarted.engine("toy").graph.num_nodes
+            # Rewritten after the load, by rename as save_snapshot writes.
+            os.replace(shutil.copy(saved, tmp_path / "copy.snap"), toy_snapshot)
             assert restarted.dataset_version("toy") == 0
-            shutil.copy(saved, toy_snapshot)  # rewritten before the build
             info = restarted.attach_wal("toy")
-            assert (info["replayed"], info["version"]) == (0, 2)
-            engine = restarted.engine("toy")
-            assert engine.graph.num_nodes == snapshot_info(saved)["num_nodes"]
+            assert (info["replayed"], info["version"]) == (2, 2)
+            nodes = snapshot_info(saved)["num_nodes"]
+            assert restarted.engine("toy").graph.num_nodes == nodes > loaded
             assert add_word(restarted, "third").version == 3
+            outcome = restarted.reload("toy", toy_snapshot)
+            assert (outcome["reloaded"], outcome["version"]) == (True, 2)
+            assert restarted.engine("toy").graph.num_nodes == nodes
         finally:
             restarted.close()
 

@@ -8,14 +8,18 @@ keyword-not-found, a batch with a malformed slot, a deadline miss with
 a reload then resets the commit and a second one no-ops.
 Each verb's key tree and every value the script determines is asserted
 per tier; what differs between the tiers is stated where it differs.
+Failures are pinned the same way: ``warmup`` of an unknown name and a
+reload onto a file that does not load raise on both tiers.
 Fixtures and the slow query come from ``test_metrics_shape``.
 """
 
 import pytest
 
 from repro.cluster import ShardedQueryService
+from repro.errors import SnapshotError, UnknownDatasetError
 from repro.live.mutations import AddNode, MutationResult
 from repro.service.service import QueryRequest, QueryService, request_fingerprint
+from repro.service.snapshot import save_engine
 from repro.service.snapshot_header import snapshot_info
 
 from test_metrics_shape import (  # noqa: F401 - dblp_snapshot is a fixture
@@ -23,6 +27,7 @@ from test_metrics_shape import (  # noqa: F401 - dblp_snapshot is a fixture
     _cancel_mid_search,
     dblp_snapshot,
 )
+from test_snapshot import flip_byte
 
 MISS, EXPLAINED = "paper stream", "database query"
 
@@ -272,3 +277,55 @@ def test_search_many_keeps_malformed_slots_in_place(tier, dblp_snapshot):
     ]
     assert [r.request is None for r in responses] == [True, False, False, True]
     assert responses[1].request.query == MISS
+
+
+@pytest.mark.parametrize("tier", ["thread", "fleet"])
+def test_warmup_of_an_unknown_name_raises(tier, dblp_snapshot):
+    if tier == "thread":
+        service = QueryService()
+        service.register_snapshot("dblp", dblp_snapshot)
+    else:
+        service = ShardedQueryService({"dblp": dblp_snapshot}, num_workers=1)
+    with service:
+        with pytest.raises(UnknownDatasetError):
+            service.warmup(["nope"])
+        assert list(service.warmup(["dblp"])) == ["dblp"]
+
+
+#: How a file fails to load, and the storage mode that finds out: a
+#: truncated copy fails either load, a flipped data byte fails the
+#: ``ram`` load's checksums (a ``mapped`` load reads no data page).
+UNLOADABLE = [("truncated", "ram"), ("truncated", "mapped"), ("flipped", "ram")]
+
+
+@pytest.mark.parametrize("damage, mode", UNLOADABLE)
+@pytest.mark.parametrize("tier", ["thread", "fleet"])
+def test_a_reload_onto_a_file_that_does_not_load_raises(
+    tier, damage, mode, toy_engine, tmp_path
+):
+    """The load runs before the swap: a forced reload onto a damaged
+    copy raises the load's error and leaves the served engine, its
+    version and, on the fleet, health and the replica specs as they
+    were."""
+    path = save_engine(tmp_path / "toy.snap", toy_engine)
+    if damage == "truncated":
+        bad = tmp_path / "truncated.snap"
+        bad.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    else:
+        bad = flip_byte(path, "out_weight", tmp_path / "flipped.snap")
+    if tier == "thread":
+        service = QueryService(storage_mode=mode)
+        service.register_snapshot("toy", path)
+    else:
+        service = ShardedQueryService({"toy": path}, num_workers=1, storage_mode=mode)
+    with service:
+        service.warmup()
+        versions = service.dataset_versions()
+        with pytest.raises(SnapshotError):
+            service.reload("toy", bad, force=True)
+        assert service.dataset_versions() == versions
+        response = service.search("toy", "gray transaction", use_cache=False)
+        assert response.ok, response.error
+        if tier == "fleet":
+            assert service.health()["version_drift"] == []
+            assert service.pool._specs[0] == {"toy": str(path)}
