@@ -45,11 +45,11 @@ Routes
     service's telemetry registry as Prometheus text exposition 0.0.4
     (``text/plain``) instead — what a scraper points at.
 ``GET /healthz``
-    ``{"status": "ok", "datasets": [...]}`` plus the service's
-    ``health()``: per-dataset versions and ``wal_behind``, and on the
-    sharded tier fleet liveness; degrades to 503 (``"status":
-    "degraded"``) when a worker is down or, on either tier, a dataset is
-    served behind its log's tip (``wal_behind``).
+    ``{"status": "ok"}`` plus the service's ``health()`` (one key list on
+    both tiers, fleet liveness first on the sharded tier); degrades to
+    503 (``"status": "degraded"``) when a worker is down or, on either
+    tier, a replica failed to load a dataset (``unloaded``) or serves
+    it behind its log's tip (``wal_behind``).
 ``GET /debug/trace/<trace_id>``
     The reconstructed span tree for one trace.  501 when the service
     has tracing off (``service.tracer is None``), 404 when tracing is
@@ -442,15 +442,14 @@ class _Handler(socketserver.StreamRequestHandler):
 
     # ------------------------------------------------------------------
     def _handle_healthz(self) -> None:
-        service = self.server.service
-        payload = {"status": "ok", "datasets": service.datasets()}
-        payload.update(service.health())
-        status = 200
-        down = payload.get("alive", 0) < payload.get("workers", 0)
-        if down or payload.get("wal_behind"):
-            payload["status"] = "degraded"
-            status = 503
-        self._send_json(status, payload)
+        health = self.server.service.health()
+        degraded = (
+            health.get("alive", 0) < health.get("workers", 0)
+            or health["unloaded"]
+            or health["wal_behind"]
+        )
+        status = "degraded" if degraded else "ok"
+        self._send_json(503 if degraded else 200, {"status": status, **health})
 
     def _handle_mutate(self) -> None:
         body = self._read_json()

@@ -26,7 +26,7 @@ response* (``error_type="WorkerCrashedError"``) after a short grace
 period that lets already-produced responses drain from its channel, and
 — unless the pool is closing — a replacement process is always spawned
 on a fresh channel so subsequent requests are served.  Control futures
-(ping / metrics / warmup) fail with the exception itself instead, since
+(state / metrics / mutate) fail with the exception itself instead, since
 their callers have exception semantics.
 
 ``close()`` sends each worker the stop sentinel, waits with a deadline,
@@ -69,7 +69,7 @@ def control_error(payload) -> Optional[Exception]:
     a corrupt file) replies ``{"error": ..., "error_type": ...}``
     instead of its normal payload.  Rebuild the library exception when
     the type names one, else wrap in :class:`ClusterError` — callers of
-    ping/metrics/warmup have exception semantics, and a timings dict
+    state/metrics/mutate have exception semantics, and a state dict
     must never silently be an error dict.
     """
     if (
@@ -402,14 +402,6 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # health / observability
     # ------------------------------------------------------------------
-    def ping(self, worker_id: int, timeout: float = 5.0) -> bool:
-        """True iff ``worker_id`` answers a ping within ``timeout``."""
-        try:
-            payload = self.submit(worker_id, "ping").result(timeout=timeout)
-        except Exception:
-            return False
-        return bool(payload.get("pong"))
-
     def alive(self) -> dict[int, bool]:
         with self._lock:
             return {

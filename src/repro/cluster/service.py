@@ -9,10 +9,11 @@ snapshot-warmed ``QueryService`` — so a batch's pure-Python search time
 actually divides across cores instead of serializing on one GIL.  What
 is written here is what only a supervisor does: **routing**
 (``_submit`` picks the shard and ships the request), **fan-out**
-(``apply`` / ``reload`` / ``warmup`` / ``dataset_versions`` broadcasts)
-and **fan-in** (``_await`` re-homes the worker's spans and settles its
-response; ``_gather`` / ``_pull_events`` / ``_worker_exports`` collect
-worker replies for the core's merged verbs, all through one
+(``apply`` / ``reload`` broadcasts, and the ``state`` pull behind the
+core's ``warmup`` / ``dataset_versions`` / ``health``) and **fan-in**
+(``_await`` re-homes the worker's spans and settles its response;
+``_gather`` / ``_pull_events`` / ``_worker_exports`` collect worker
+replies for the core's merged verbs, all through one
 :meth:`~ShardedQueryService._collect`).
 
 Everything crossing the process boundary is primitives, and crosses it
@@ -50,8 +51,8 @@ Live updates (:mod:`repro.live`) propagate fleet-wide without process
 restarts: :meth:`ShardedQueryService.apply` broadcasts a mutation
 batch to every replica of the dataset's shard (one serialized stream,
 so replicas stay bit-identical), the core's ``reload`` swaps every
-replica to a snapshot file, and :meth:`dataset_versions` /
-:meth:`health` expose per-replica versions so drift is observable.
+replica to a snapshot file, and the core's ``dataset_versions`` /
+``health`` expose per-replica versions so drift is observable.
 """
 
 from __future__ import annotations
@@ -139,10 +140,10 @@ class ShardedQueryService(ServiceCore):
     slo_objectives:
         Burn-rate alerting (:mod:`repro.telemetry.slo`): objectives
         default to :func:`~repro.telemetry.slo.default_objectives`
-        evaluated every :attr:`SLO_INTERVAL` seconds by a background
-        ticker, and on every :meth:`slo_status` read (alerts fire into
-        the event log and export ``slo_*`` gauges).  An empty sequence
-        disables SLOs and the ticker.
+        evaluated every :attr:`SLO_INTERVAL` seconds by the core's
+        ticker, on every :meth:`slo_status` read and on a worker crash
+        or restart (alerts fire into the event log and export ``slo_*``
+        gauges).  An empty sequence disables SLOs and the ticker.
     accounting:
         Per-query resource accounting (:mod:`repro.telemetry.accounting`),
         on by default: every worker keeps a workload sketch merged
@@ -169,19 +170,8 @@ class ShardedQueryService(ServiceCore):
         "repro_fleet_failures_total",
         "repro_fleet_request_latency_seconds",
     )
-    #: Seconds ``warmup`` and ``reload`` wait for every replica to load
-    #: a snapshot: a worker alive but stuck loading (a hung filesystem
-    #: read) surfaces as an error instead of blocking forever.
-    LOAD_TIMEOUT = 300.0
     #: Seconds :meth:`apply` waits for every replica to commit a batch.
     APPLY_TIMEOUT = 60.0
-    #: Seconds :meth:`dataset_versions` waits for the replicas' answers.
-    VERSIONS_TIMEOUT = 10.0
-    #: Seconds :meth:`health` waits for them: a health check answers
-    #: fast, reporting a replica too busy to answer as unknown.
-    HEALTH_VERSIONS_TIMEOUT = 2.0
-    #: Seconds between the SLO ticker's evaluations.
-    SLO_INTERVAL = 5.0
 
     def __init__(
         self,
@@ -268,15 +258,6 @@ class ShardedQueryService(ServiceCore):
         )
         self._event_cursors: dict[int, int] = {}
         self._events_lock = threading.Lock()
-        self._slo_stop = threading.Event()
-        self._slo_thread: Optional[threading.Thread] = None
-        if self.slo is not None:
-            self._slo_thread = threading.Thread(
-                target=self._slo_loop,
-                name="repro-slo-ticker",
-                daemon=True,
-            )
-            self._slo_thread.start()
         self._register_telemetry_collectors()
 
     def _register_telemetry_collectors(self) -> None:
@@ -306,11 +287,11 @@ class ShardedQueryService(ServiceCore):
             self = owner()
             if self is None:
                 return
-            alive = self.pool.alive()
-            workers_total.set(self.router.num_workers)
-            workers_alive.set(sum(alive.values()))
-            for worker_id, count in self.pool.restarts().items():
-                restarts.set_total(count, worker=str(worker_id))
+            liveness = self._liveness()
+            workers_total.set(liveness["workers"])
+            workers_alive.set(liveness["alive"])
+            for worker_id, count in liveness["restarts"].items():
+                restarts.set_total(count, worker=worker_id)
             self._wal_telemetry.collect(self._logs())
 
         self.registry.add_collector(collect)
@@ -349,14 +330,6 @@ class ShardedQueryService(ServiceCore):
         except Exception:  # pragma: no cover - defensive
             pass
 
-    def _slo_loop(self) -> None:
-        while not self._slo_stop.wait(self.SLO_INTERVAL):
-            try:
-                if self.slo is not None:
-                    self.slo.evaluate()
-            except Exception:  # pragma: no cover - defensive
-                pass
-
     def _account(self, response: QueryResponse) -> None:
         """Fleet-level per-dataset accounting for every response the
         front hands back (malformed items count under ``"unknown"``) —
@@ -382,32 +355,28 @@ class ShardedQueryService(ServiceCore):
         """Dataset names the cluster serves, sorted."""
         return self.router.datasets()
 
-    def warmup(self, names: Optional[Sequence[str]] = None) -> dict[str, float]:
-        """Wait for every replica to have loaded its shard.
-
-        Returns ``{dataset: build_seconds}``, reporting each dataset's
-        *slowest* replica — the one that gates fleet readiness.  Waits
-        at most :attr:`LOAD_TIMEOUT`; an unknown name raises
-        ``UnknownDatasetError`` and a worker-side error (e.g. the
-        ``SnapshotError`` of a corrupt file) re-raises here with its
-        original type.
-        """
-        for name in names or ():
-            self.router.replicas_for(name)  # raises for an unknown name
-        wanted = set(names) if names is not None else None
-        futures: dict[int, Future] = {}
-        for worker_id, assigned in self.router.assignments().items():
-            targets = [name for name in assigned if wanted is None or name in wanted]
-            if targets:
-                futures[worker_id] = self.pool.submit(worker_id, "warmup", targets)
-        timings: dict[str, float] = {}
-        results = self._collect(
-            futures, "warmup", timeout=self.LOAD_TIMEOUT, strict=True
+    def _replica_states(
+        self, names: Optional[Sequence[str]], *, timeout: float, strict: bool
+    ) -> dict[str, dict[str, object]]:
+        """One ``state`` message to each worker holding one of ``names``
+        (None: all); a load error comes back as its exception, and a
+        worker that did not answer holds None for each of its datasets."""
+        held = {
+            worker_id: [name for name in assigned if names is None or name in names]
+            for worker_id, assigned in sorted(self.router.assignments().items())
+        }
+        held = {worker_id: wanted for worker_id, wanted in held.items() if wanted}
+        replies = self._broadcast(
+            dict.fromkeys(held), "state", timeout=timeout, strict=strict
         )
-        for payload in results.values():
-            for name, seconds in payload.items():
-                timings[name] = max(timings.get(name, 0.0), seconds)
-        return timings
+        states: dict[str, dict[str, object]] = {}
+        for worker_id, wanted in held.items():
+            reply = replies.get(worker_id, {}).get("datasets", {})
+            states[str(worker_id)] = {
+                name: control_error(reply.get(name)) or reply.get(name)
+                for name in wanted
+            }
+        return states
 
     # ------------------------------------------------------------------
     # live mutations
@@ -538,7 +507,7 @@ class ShardedQueryService(ServiceCore):
         replicas = self.router.replicas_for(dataset)
         payload = {"dataset": dataset, "path": path, "force": force}
         results = self._broadcast(
-            replicas, "reload", payload, timeout=self.LOAD_TIMEOUT
+            dict.fromkeys(replicas, payload), "reload", timeout=self.LOAD_TIMEOUT
         )
         workers = {str(w): bool(r["reloaded"]) for w, r in sorted(results.items())}
         reloaded = any(workers.values())
@@ -546,35 +515,16 @@ class ShardedQueryService(ServiceCore):
             self.pool.set_snapshot(dataset, path)
         return reloaded, workers
 
-    def dataset_versions(self) -> dict:
-        """Per-dataset epoch versions as seen by each replica:
-        ``{dataset: {worker_id: version}}`` — the drift observability
-        ``/healthz`` and ``/metrics`` surface.  Workers that fail to
-        answer within :attr:`VERSIONS_TIMEOUT` are omitted rather than
-        blocking health checks.
-        """
-        return self._replica_versions(self.VERSIONS_TIMEOUT)
-
-    def _replica_versions(self, timeout: float) -> dict[str, dict[str, int]]:
-        results = self._broadcast(
-            self.pool.worker_ids(), "versions", None, timeout=timeout, strict=False
-        )
-        collected: dict[str, dict[str, int]] = {}
-        for worker_id, payload in results.items():
-            for name, version in payload.get("versions", {}).items():
-                collected.setdefault(name, {})[str(worker_id)] = int(version)
-        return collected
-
     def _broadcast(
         self,
-        worker_ids: Sequence[int],
+        payloads: Mapping[int, Optional[dict]],
         kind: str,
-        payload: Optional[dict],
         *,
         timeout: float,
         strict: bool = True,
     ) -> dict[int, dict]:
-        """Submit one control message to each worker; collect payloads.
+        """Submit one ``kind`` message to each worker of ``payloads``,
+        carrying its payload (None: none); collect the replies.
 
         ``strict`` raises on any failure (submit error, timeout, or a
         worker-side error payload, rebuilt via :func:`control_error`);
@@ -589,9 +539,9 @@ class ShardedQueryService(ServiceCore):
         (Mutation-ordering calls — :meth:`apply`, :meth:`reload` —
         submit under their dataset's mutation lock themselves.)
         """
-        args = () if payload is None else (payload,)
         futures = {}
-        for worker_id in worker_ids:
+        for worker_id, payload in payloads.items():
+            args = () if payload is None else (payload,)
             try:
                 futures[worker_id] = self.pool.submit(worker_id, kind, *args)
             except Exception as exc:
@@ -638,65 +588,13 @@ class ShardedQueryService(ServiceCore):
         return results
 
     # ------------------------------------------------------------------
-    # observability / lifecycle
+    # lifecycle
     # ------------------------------------------------------------------
-    def health(self) -> dict:
-        """Fleet liveness summary for a health endpoint.
-
-        ``versions`` maps each dataset to its per-replica epoch
-        versions and ``version_drift`` names datasets whose replicas
-        disagree — the observable signal that a replica missed a
-        mutation broadcast (e.g. it crash-restarted from an older
-        snapshot) and needs a :meth:`reload`.  A replica too busy to
-        answer within :attr:`HEALTH_VERSIONS_TIMEOUT` (worker queues are serial,
-        so a long search delays control messages) reports ``None`` and
-        puts its datasets in ``version_unknown`` rather than silently
-        vanishing — a wedged replica must never make the fleet look
-        *more* consistent.  ``wal_behind`` names datasets with a replica
-        behind the log's tip (:meth:`_wal_tips`): acknowledged commits
-        it does not serve (``/healthz`` answers 503).
-        """
-        payload = {
-            "workers": self.router.num_workers,
-            "alive": sum(self.pool.alive().values()),
-            "restarts": sum(self.pool.restarts().values()),
-            "datasets": self.datasets(),
-        }
-        wal_seqs = self.wal_seqs()
-        if wal_seqs:
-            payload["wal_seq"] = wal_seqs
-        tips = self._wal_tips()
-        versions = self._replica_versions(self.HEALTH_VERSIONS_TIMEOUT)
-        for name in self.datasets():
-            by_worker = versions.setdefault(name, {})
-            for worker_id in self.router.replicas_for(name):
-                by_worker.setdefault(str(worker_id), None)
-        payload["versions"] = versions
-        payload["version_drift"] = sorted(
-            name
-            for name, by_worker in versions.items()
-            if len({v for v in by_worker.values() if v is not None}) > 1
-        )
-        payload["version_unknown"] = sorted(
-            name
-            for name, by_worker in versions.items()
-            if any(v is None for v in by_worker.values())
-        )
-        payload["wal_behind"] = sorted(
-            name
-            for name, tip in tips.items()
-            if any(v is not None and v < tip for v in versions[name].values())
-        )
-        return payload
-
     def close(self) -> None:
         """Drain and stop the worker fleet (idempotent; a worker that
         has not stopped after :meth:`WorkerPool.close`'s grace is
         killed); durable logs are synced and closed last."""
-        self._slo_stop.set()
-        if self._slo_thread is not None:
-            self._slo_thread.join(timeout=1.0)
-            self._slo_thread = None
+        self._stop_slo()
         self.pool.close()
         self._close_logs()
 
@@ -894,16 +792,23 @@ class ShardedQueryService(ServiceCore):
         """Every live worker's registry export; a busy or crashed
         replica is absent from this pull."""
         return self._broadcast(
-            self.pool.worker_ids(), "metrics", None, timeout=10.0, strict=False
+            dict.fromkeys(self.pool.worker_ids()), "metrics", timeout=10.0, strict=False
         )
+
+    def _liveness(self) -> dict:
+        """``workers``, ``alive`` and per-worker ``restarts``: what health,
+        :meth:`_cluster_section` and the collector read of the pool."""
+        return {
+            "workers": self.router.num_workers,
+            "alive": sum(self.pool.alive().values()),
+            "restarts": {str(w): n for w, n in sorted(self.pool.restarts().items())},
+        }
 
     def _cluster_section(self, exports: dict[int, dict]) -> dict:
         """Fleet state for :meth:`metrics`: liveness, restart counts,
         shard assignments, per-worker totals and the log tips."""
         section = {
-            "workers": self.router.num_workers,
-            "alive": sum(self.pool.alive().values()),
-            "restarts": {str(w): n for w, n in sorted(self.pool.restarts().items())},
+            **self._liveness(),
             "assignments": {
                 str(w): list(names)
                 for w, names in sorted(self.router.assignments().items())
@@ -927,7 +832,7 @@ class ShardedQueryService(ServiceCore):
         simply absent from this pull."""
         parts = super()._gather()
         replies = self._broadcast(
-            self.pool.worker_ids(), "queries", None, timeout=5.0, strict=False
+            dict.fromkeys(self.pool.worker_ids()), "queries", timeout=5.0, strict=False
         )
         for worker_id, payload in replies.items():
             if isinstance(payload.get("queries"), dict):
@@ -948,26 +853,17 @@ class ShardedQueryService(ServiceCore):
         """
         timeout = 2.0
         with self._events_lock:
-            futures: dict[int, Future] = {}
-            for worker_id in self.pool.worker_ids():
-                since = self._event_cursors.get(worker_id, 0)
-                try:
-                    futures[worker_id] = self.pool.submit(
-                        worker_id, "events", {"since": since}
-                    )
-                except PoolClosedError:
-                    raise  # a closed fleet's events are not an idle one's
-                except Exception:
-                    continue
-            results = self._collect(
-                futures, "events", timeout=timeout, strict=False
-            )
+            cursors = {
+                worker_id: {"since": self._event_cursors.get(worker_id, 0)}
+                for worker_id in self.pool.worker_ids()
+            }
+            results = self._broadcast(cursors, "events", timeout=timeout, strict=False)
             for worker_id, payload in results.items():
                 last = int(payload.get("last_seq") or 0)
-                if last < self._event_cursors.get(worker_id, 0):
+                if last < cursors[worker_id]["since"]:
+                    restarted = {worker_id: {"since": 0}}
                     payload = self._broadcast(
-                        [worker_id], "events", {"since": 0}, timeout=timeout,
-                        strict=False,
+                        restarted, "events", timeout=timeout, strict=False
                     ).get(worker_id)
                     if payload is None:
                         continue

@@ -5,10 +5,15 @@ whole world is **one duplex channel** (a ``multiprocessing.connection``
 socket pair; :mod:`repro.cluster.pool`):
 
 * down it come ``(worker_id, snapshots, settings)`` first, then ``(kind,
-  job_id, ...)`` tuples of primitives — request-shaped dicts, dataset
-  name lists, floats — never live objects;
+  job_id, ...)`` tuples of primitives — request-shaped dicts, mutation
+  and reload dicts, floats — never live objects;
 * up it go ``(worker_id, job_id, payload)`` responses with a dict
   payload.
+
+The kinds are ``request``, ``state``, ``mutate``, ``reload``,
+``metrics``, ``events``, ``queries``, the test hook ``sleep``, and
+``cancel`` / ``stop``, which the channel's reader takes
+(``tests/cluster/test_message_table.py`` checks the table both ways).
 
 A reader thread drains the channel into an in-process FIFO the serving
 loop takes its work from, so the wire is read *while a search runs*:
@@ -28,7 +33,7 @@ Engines are loaded from snapshot *paths* at startup, through
 inside a worker, and nothing un-picklable crosses the process boundary
 in either direction.  A snapshot that does not load does not stop the
 worker (a replacement would fail the same way, and the pool would
-crash-loop): its error answers ``warmup`` and every request for that
+crash-loop): its error answers ``state`` and every request for that
 dataset until a ``reload`` loads a file.
 
 The loop never lets a per-message failure kill the process: any
@@ -50,8 +55,9 @@ mutation dicts): the private service applies and commits them, so the
 dataset's version advances and subsequent searches see the new epoch —
 all without restarting the process.  ``reload`` re-registers a dataset
 from a snapshot file, no-opping when the worker already serves the
-file's content digest at its version; ``versions`` reports per-dataset epoch
-versions so the supervisor can observe replica drift.
+file's content digest at its version.  ``state`` reports each dataset's
+version and load seconds, or its load error — the one pull behind the
+supervisor's ``warmup``, ``dataset_versions`` and ``health``.
 
 Durability: when ``settings["wals"]`` maps datasets to mutation-log
 directories (:mod:`repro.wal`, written by the supervisor *before* each
@@ -66,11 +72,9 @@ the guard against double-applying a batch that raced a restart.
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 import time
-from typing import Optional
 
 from repro.core.cancellation import CancellationToken
 from repro.errors import SearchCancelledError
@@ -161,7 +165,6 @@ def _error_payload(exc: BaseException) -> dict:
 
 def _handle_message(
     service: QueryService,
-    worker_id: int,
     kind: str,
     message: tuple,
     cancelled: set,
@@ -172,24 +175,17 @@ def _handle_message(
     load's error."""
     if kind == "request":
         return _handle_request(service, message[2], message[1], cancelled, unloaded)
-    if kind == "ping":
-        return {
-            "pong": True,
-            "worker_id": worker_id,
-            "pid": os.getpid(),
-            "datasets": service.datasets(),
-            "versions": service.dataset_versions(),
-        }
+    if kind == "state":
+        # Every dataset this replica holds: its version and load
+        # seconds, or the error its load raised.  Reading the registry
+        # waits on nothing.
+        loaded = service._replica_states(None, timeout=0.0, strict=True)["local"]
+        failed = {name: _error_payload(exc) for name, exc in unloaded.items()}
+        return {"datasets": {**loaded, **failed}}
     if kind == "metrics":
         # The registry export alone, latency windows included: the
         # supervisor merges exports and builds the one view from them.
         return service.registry.export(include_samples=True)
-    if kind == "warmup":
-        names: Optional[list] = message[2]
-        for name in unloaded if names is None else names:
-            if name in unloaded:
-                return _error_payload(unloaded[name])
-        return service.warmup(names)
     if kind == "mutate":
         # Live-update propagation: the supervisor broadcasts one batch
         # to every replica of the dataset's shard; the private
@@ -219,8 +215,6 @@ def _handle_message(
         )
         unloaded.pop(payload["dataset"], None)
         return result
-    if kind == "versions":
-        return {"versions": service.dataset_versions()}
     if kind == "events":
         # Incremental event-log pull: the supervisor tracks a cursor
         # per worker and re-sequences what comes back into its own
@@ -320,7 +314,7 @@ def worker_main(conn) -> None:
             job_id = message[1]
             try:
                 payload = _handle_message(
-                    service, worker_id, kind, message, inbox.cancelled, unloaded
+                    service, kind, message, inbox.cancelled, unloaded
                 )
             except Exception as exc:
                 payload = _error_payload(exc)

@@ -33,18 +33,23 @@ the introspection verbs behind the HTTP front-end's ``/debug/*`` routes
   ``query_stats`` and ``metrics`` merge one part per process — one on
   the thread tier, the supervisor's plus every worker's on the fleet.
   A merge of one part is the part (``test_facade_surface.py``), so
-  there is no single-process special case.
+  there is no single-process special case; ``warmup``,
+  ``dataset_versions`` and ``health`` read one per-replica state pull,
+  the tier hook ``_replica_states`` (one replica, ``"local"``, on the
+  thread tier; one ``state`` message per worker on the fleet);
+* the **SLO ticker**, evaluating the objectives on both tiers.
 
 What is *not* here is what the substrates do differently: running a
 search (the hooks above), registering datasets, a commit's write-ahead
 order (stage then journal here; journal, broadcast, roll back a batch
-every replica rejected on the fleet), ``health()``, ``close()``.
+every replica rejected on the fleet), ``close()``.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+import weakref
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
@@ -52,7 +57,7 @@ from repro.core.answer import SearchResult
 from repro.core.cancellation import CancellationToken
 from repro.core.params import SearchParams
 from repro.core.query import ALGORITHM_NAMES, parse_query
-from repro.errors import DeadlineExceededError, WalError
+from repro.errors import DeadlineExceededError, UnknownDatasetError, WalError
 from repro.service.metrics import ServiceMetrics, family_values, metrics_view
 from repro.service.snapshot_header import snapshot_info
 from repro.telemetry.accounting import (
@@ -328,15 +333,30 @@ def request_fingerprint(request: QueryRequest) -> str:
     )
 
 
+def _slo_ticker(owner: weakref.ref, stop: threading.Event, interval: float) -> None:
+    """Evaluate ``owner``'s SLOs every ``interval`` seconds until ``stop``
+    is set or the service is gone (held weakly, as the collectors are)."""
+    while not stop.wait(interval):
+        service = owner()
+        if service is None:
+            return
+        try:
+            service.slo.evaluate()
+        except Exception:  # pragma: no cover - defensive
+            pass
+        del service
+
+
 class ServiceCore:
     """Serving state and verbs shared by both tiers (module docstring).
 
     Subclasses provide :meth:`search_many`'s hooks ``_submit`` /
     ``_await`` (the execution substrate), :meth:`reload`'s
-    ``_swap_snapshot``, ``health``, ``datasets`` and ``close``, and may
-    extend ``_search_one`` / ``_gather`` / ``_pull_events`` /
-    ``_worker_exports`` / ``_cluster_section`` / ``_account`` with what
-    their substrate does differently or other processes contribute.
+    ``_swap_snapshot``, the per-replica state pull ``_replica_states``,
+    ``datasets`` and ``close``, and may extend ``_search_one`` /
+    ``_gather`` / ``_pull_events`` / ``_worker_exports`` /
+    ``_cluster_section`` / ``_liveness`` / ``_account`` with what their
+    substrate does differently or other processes contribute.
 
     Retention is fixed: the structures size themselves (128 slow
     queries, 128 explain reports, a 64-row workload sketch, a 2048-sample
@@ -355,6 +375,14 @@ class ServiceCore:
     #: bare deadline error.  Cooperative checks make that milliseconds;
     #: the grace only matters for a search stuck between checks.
     CANCEL_GRACE = 1.0
+    #: Seconds :meth:`warmup` and the fleet's ``reload`` wait for every
+    #: replica's load: a hung filesystem read raises, never blocks.
+    LOAD_TIMEOUT = 300.0
+    #: Seconds :meth:`dataset_versions` and :meth:`health` wait for each
+    #: replica's state; one too busy to answer reads None.
+    VERSIONS_TIMEOUT = 2.0
+    #: Seconds between the SLO ticker's evaluations.
+    SLO_INTERVAL = 5.0
     #: Request / error / latency families the SLO objectives read: the
     #: per-algorithm request-path counters every service records.
     SLO_FAMILIES = (
@@ -403,6 +431,15 @@ class ServiceCore:
                 error_family=errors,
                 latency_family=latency,
             )
+        self._slo_stop = threading.Event()
+        self._slo_thread = threading.Thread(
+            target=_slo_ticker,
+            args=(weakref.ref(self), self._slo_stop, self.SLO_INTERVAL),
+            name="repro-slo-ticker",
+            daemon=True,
+        )
+        if self.slo is not None:
+            self._slo_thread.start()
         self._active_lock = threading.Lock()
         #: ``request_id -> canceller`` for every cancellable in-flight
         #: request; see :meth:`cancel`.
@@ -418,6 +455,12 @@ class ServiceCore:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+    def _stop_slo(self) -> None:
+        """Stop the SLO ticker; every tier's ``close`` calls this."""
+        self._slo_stop.set()
+        if self._slo_thread.is_alive():
+            self._slo_thread.join(timeout=1.0)
 
     # ------------------------------------------------------------------
     # the request front
@@ -857,6 +900,94 @@ class ServiceCore:
         }
 
     # ------------------------------------------------------------------
+    # per-replica state: one pull over one tier hook
+    # ------------------------------------------------------------------
+    def _replica_states(
+        self, names: Optional[Sequence[str]], *, timeout: float, strict: bool
+    ) -> dict[str, dict]:
+        """``{replica: {dataset: state}}`` over ``names`` (None: all): a
+        state is ``{"version", "build_seconds"}``, the replica's load
+        error, or None when it did not answer within ``timeout`` (a
+        ``strict`` pull raises instead)."""
+        raise NotImplementedError
+
+    def _liveness(self) -> dict:
+        """The fleet's ``workers``, ``alive`` and per-worker ``restarts``."""
+        return {}
+
+    def warmup(self, names: Optional[Sequence[str]] = None) -> dict[str, float]:
+        """``{dataset: build_seconds}`` for ``names`` (default: all): the
+        slowest replica's snapshot load, waited for up to
+        :attr:`LOAD_TIMEOUT`.  An unknown name raises
+        ``UnknownDatasetError``; a load error re-raises with its type."""
+        for name in set(names or ()) - set(self.datasets()):
+            raise UnknownDatasetError(name)
+        timings: dict[str, float] = {}
+        states = self._replica_states(names, timeout=self.LOAD_TIMEOUT, strict=True)
+        for held in states.values():
+            for name, state in held.items():
+                if isinstance(state, Exception):
+                    raise state
+                timings[name] = max(timings.get(name, 0.0), state["build_seconds"])
+        return timings
+
+    def dataset_versions(self) -> dict[str, dict[str, Optional[int]]]:
+        """``{dataset: {replica: version}}``: None is a replica that did
+        not answer within :attr:`VERSIONS_TIMEOUT` or did not load the
+        dataset, so none is ever left out."""
+        return self._versions(
+            self._replica_states(None, timeout=self.VERSIONS_TIMEOUT, strict=False)
+        )
+
+    @staticmethod
+    def _versions(states: dict[str, dict]) -> dict[str, dict[str, Optional[int]]]:
+        versions: dict[str, dict[str, Optional[int]]] = {}
+        for replica, held in states.items():
+            for name, state in held.items():
+                version = state["version"] if isinstance(state, dict) else None
+                versions.setdefault(name, {})[replica] = version
+        return dict(sorted(versions.items()))
+
+    @staticmethod
+    def _drift(versions: dict[str, dict]) -> list[str]:
+        """The drift rule: datasets served at more than one version."""
+        return [
+            name for name, by in versions.items() if len(set(by.values()) - {None}) > 1
+        ]
+
+    def health(self) -> dict:
+        """What ``GET /healthz`` serves (docs/OBSERVABILITY.md, "The health
+        shape"): the fleet's liveness, then :meth:`dataset_versions` and
+        the datasets drifting, of unknown version, ``unloaded`` by some
+        replica or served behind the log's tip (:meth:`_wal_tips`)."""
+        tips = self._wal_tips()
+        states = self._replica_states(None, timeout=self.VERSIONS_TIMEOUT, strict=False)
+        versions = self._versions(states)
+        payload = self._liveness()  # after the pull, which starts a fleet
+        if payload:
+            payload["restarts"] = sum(payload["restarts"].values())
+        payload["datasets"] = self.datasets()
+        payload["versions"] = versions
+        payload["version_drift"] = self._drift(versions)
+        payload["version_unknown"] = [
+            name for name, by in versions.items() if None in by.values()
+        ]
+        payload["unloaded"] = [
+            name
+            for name in versions
+            if any(isinstance(held.get(name), Exception) for held in states.values())
+        ]
+        payload["wal_behind"] = [
+            name
+            for name, tip in sorted(tips.items())
+            if any(v is not None and v < tip for v in versions.get(name, {}).values())
+        ]
+        wal_seqs = self.wal_seqs()
+        if wal_seqs:
+            payload["wal_seq"] = wal_seqs
+        return payload
+
+    # ------------------------------------------------------------------
     # verbs merged over every process's part
     # ------------------------------------------------------------------
     def _local_part(self) -> Optional[dict]:
@@ -891,11 +1022,10 @@ class ServiceCore:
         process's registry export merged with every worker's (windows
         included, so percentiles are exact), plus the merged export
         under ``"registry"``; ``include_samples=True`` adds each
-        algorithm's latency window.  ``datasets.version_drift`` names
-        datasets a worker serves behind the merged (highest) version,
-        which only the unmerged exports tell.  The fleet adds its
-        ``cluster`` section; a worker down or slow to answer is left
-        out, and a closed fleet raises ``PoolClosedError``.
+        algorithm's latency window.  ``datasets.version_drift`` applies
+        :meth:`health`'s drift rule to the workers' unmerged exports.
+        The fleet adds its ``cluster`` section; a worker down or slow to
+        answer is left out, and a closed fleet raises ``PoolClosedError``.
 
         On the fleet a deadline-missed request counts twice: as the
         supervisor's ``DeadlineExceededError`` and by the worker when
@@ -910,16 +1040,13 @@ class ServiceCore:
         datasets = view.get("datasets")
         if datasets is not None:
             wal_seq = datasets.pop("wal_seq", None)
-            datasets["version_drift"] = sorted(
-                {
-                    name
-                    for part in exports.values()
-                    for name, version in family_values(
-                        part, "repro_dataset_version", "dataset"
-                    ).items()
-                    if version != datasets["versions"][name]
-                }
-            )
+            replicas: dict[str, dict] = {}
+            for worker_id, part in exports.items():
+                for name, version in family_values(
+                    part, "repro_dataset_version", "dataset"
+                ).items():
+                    replicas.setdefault(name, {})[worker_id] = version
+            datasets["version_drift"] = self._drift(replicas)
             if wal_seq is not None:
                 datasets["wal_seq"] = wal_seq  # keeps its place: last
         view["registry"] = strip_samples(merged)

@@ -204,9 +204,9 @@ class QueryService(ServiceCore):
     :class:`~repro.core.answer.SearchResult`.
 
     ``tracing``, ``slow_query_threshold`` (None disables the slow-query
-    log), ``slo_objectives`` (empty disables SLOs; the
-    objectives here are fleet-wide — dataset-scoped ones belong to the
-    cluster tier, whose supervisor counters carry a dataset label) and
+    log), ``slo_objectives`` (empty disables SLOs and the core's ticker;
+    the objectives here are fleet-wide — dataset-scoped ones belong to
+    the cluster tier, whose supervisor counters carry a dataset label) and
     ``accounting`` (explain retention plus the workload sketch) switch
     the core's telemetry; see docs/OBSERVABILITY.md.
     """
@@ -695,10 +695,6 @@ class QueryService(ServiceCore):
             record = self._datasets.get(name)
             return (record.generation, record.version) if record else (0, 0)
 
-    def dataset_versions(self) -> dict:
-        """``{dataset: version}`` for every registered dataset."""
-        return {name: self.dataset_version(name) for name in self.datasets()}
-
     def _record(self, name: str) -> _Dataset:
         """``name``'s registration, read under the registry lock the
         caller holds; raises ``UnknownDatasetError``."""
@@ -717,16 +713,23 @@ class QueryService(ServiceCore):
         with self._registry_lock:
             return self._record(name).serving
 
-    def warmup(self, names: Optional[Sequence[str]] = None) -> dict[str, float]:
-        """``{name: build_seconds}`` for the given datasets (default: all
-        registered): the seconds each snapshot load took when it was
-        registered (0 for an engine the caller built).  Registration
-        loads, so nothing is left to build; the fleet's ``warmup`` is
-        what waits for its replicas' loads.
-        """
+    def _replica_states(
+        self, names: Optional[Sequence[str]], *, timeout: float, strict: bool
+    ) -> dict[str, dict[str, object]]:
+        """One replica, ``"local"`` as in :meth:`_gather`, read from the
+        registry: a registration is a loaded engine, so there is no load
+        error to report and nothing to wait for."""
         with self._registry_lock:
-            targets = sorted(self._datasets) if names is None else names
-            return {name: self._record(name).build_seconds for name in targets}
+            records = [
+                (name, self._record(name))
+                for name in (sorted(self._datasets) if names is None else names)
+            ]
+            return {
+                "local": {
+                    name: {"version": r.version, "build_seconds": r.build_seconds}
+                    for name, r in records
+                }
+            }
 
     # ------------------------------------------------------------------
     # live mutations
@@ -812,25 +815,8 @@ class QueryService(ServiceCore):
         return super()._search_one(request, token)
 
     # ------------------------------------------------------------------
-    # observability / lifecycle
+    # lifecycle
     # ------------------------------------------------------------------
-    def health(self) -> dict:
-        """Liveness summary — what ``GET /healthz`` serves: one process
-        is up if it answers, so the content is the registered datasets,
-        their versions and ``wal_behind``, the datasets served behind
-        their log's tip — acknowledged commits not served, e.g. after a
-        non-strict replay stopped early (``/healthz`` answers 503)."""
-        tips = self._wal_tips()
-        versions = self.dataset_versions()
-        return {
-            "status": "ok",
-            "datasets": self.datasets(),
-            "versions": versions,
-            "wal_behind": sorted(
-                name for name, tip in tips.items() if versions.get(name, tip) < tip
-            ),
-        }
-
     def close(self, *, wait: bool = True) -> None:
         """Shut the executor down (idempotent); engines stay usable.
 
@@ -839,6 +825,7 @@ class QueryService(ServiceCore):
         threads in the background — the choice for callers whose own
         deadline matters more than a clean join.
         """
+        self._stop_slo()
         with self._executor_lock:
             self._closed = True
             if self._executor is not None:

@@ -42,7 +42,7 @@ def dblp_snapshot(tmp_path_factory, dblp_small_engine):
 class TestPoolCancel:
     def test_cancel_queued_request_never_searches(self, toy_snapshot):
         with WorkerPool({0: {"toy": toy_snapshot}}) as pool:
-            pool.submit(0, "warmup", None).result(timeout=300.0)
+            pool.submit(0, "state").result(timeout=300.0)
             # Occupy the worker, then queue a request behind it and
             # cancel the queued request — deterministically cancelled
             # *before* execution.
@@ -65,7 +65,7 @@ class TestPoolCancel:
 
     def test_cancel_unknown_job_is_false(self, toy_snapshot):
         with WorkerPool({0: {"toy": toy_snapshot}}) as pool:
-            pool.submit(0, "warmup", None).result(timeout=300.0)
+            pool.submit(0, "state").result(timeout=300.0)
             assert pool.cancel(987654) is False
 
     def test_every_pending_cancel_is_honoured(self, toy_snapshot):
@@ -79,7 +79,7 @@ class TestPoolCancel:
             return family_total(export, "repro_requests_total")
 
         with WorkerPool({0: {"toy": toy_snapshot}}) as pool:
-            pool.submit(0, "warmup", None).result(timeout=300.0)
+            pool.submit(0, "state").result(timeout=300.0)
             before = searched(pool)
             sleeper = pool.submit(0, "sleep", 0.6)
             queued = [
@@ -115,7 +115,7 @@ class TestPoolCancel:
                 futures.append(future)
 
         with WorkerPool({0: {"toy": toy_snapshot}}) as pool:
-            pool.submit(0, "warmup", None).result(timeout=300.0)
+            pool.submit(0, "state").result(timeout=300.0)
             sleeper = pool.submit(0, "sleep", 0.6)
             threads = [threading.Thread(target=hammer, args=(pool,)) for _ in range(8)]
             interval = sys.getswitchinterval()
@@ -145,13 +145,13 @@ class TestPoolCancel:
         wire.put(("cancel", 1))
         wire.put(("request", 2, {}))
         wire.put(("cancel", 2))  # this one in time, while 2 is queued
-        wire.put(("ping", 3))
+        wire.put(("state", 3))
         assert inbox.get() == ("request", 2, {})
         deadline = time.monotonic() + 5.0
         while inbox.cancelled != {2} and time.monotonic() < deadline:
             time.sleep(0.001)
         assert inbox.cancelled == {2}  # what the request's token probes
-        assert inbox.get() == ("ping", 3)
+        assert inbox.get() == ("state", 3)
         assert inbox.cancelled == set()
         wire.put(("stop",))
         assert inbox.get() == ("stop",)

@@ -153,6 +153,29 @@ def test_healthz_reports_fleet_state(server, sharded):
         server.service = original
 
 
+def test_healthz_is_503_for_a_replica_that_did_not_load(
+    server, sharded, toy_snapshot, tmp_path
+):
+    """A replica that could not load its snapshot fails every search,
+    and /healthz says so; a healthy fleet still answers 200."""
+    truncated = tmp_path / "truncated.snap"
+    truncated.write_bytes(toy_snapshot.read_bytes()[: toy_snapshot.stat().st_size // 2])
+    original = server.service
+    with ShardedQueryService({"toy": truncated}, num_workers=1) as unloaded:
+        unloaded.dataset_versions()  # the worker is up, and stays up
+        try:
+            server.service = unloaded
+            status, body = _get(server, "/healthz")
+            assert (status, body["status"]) == (503, "degraded")
+            assert body["unloaded"] == ["toy"]
+            assert body["alive"] == body["workers"] == 1
+            server.service = sharded
+            status, body = _get(server, "/healthz")
+            assert (status, body["status"], body["unloaded"]) == (200, "ok", [])
+        finally:
+            server.service = original
+
+
 BAD_PARAMS = [
     # ill-typed JSON values: never a TypeError 500 from inside a
     # worker, never a fraction or a boolean silently searched with

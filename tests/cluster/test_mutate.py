@@ -8,6 +8,7 @@ restart, while stale cached results are never served afterwards.
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 from unittest import mock
@@ -124,7 +125,7 @@ class TestBroadcast:
             for worker_id in (0, 1)
         ]
         with mock.patch.object(
-            ShardedQueryService, "HEALTH_VERSIONS_TIMEOUT", 0.2
+            ShardedQueryService, "VERSIONS_TIMEOUT", 0.2
         ):
             health = fleet.health()
         for future in holds:
@@ -135,6 +136,21 @@ class TestBroadcast:
         # and a later unhurried probe recovers
         health = fleet.health()
         assert health["version_unknown"] == []
+
+    def test_one_busy_replica_reads_none_on_every_verb(self, fleet):
+        """dataset_versions and health read one pull with one timeout:
+        a replica held busy answers neither, and both name it None
+        rather than block past the timeout or leave it out."""
+        hold = fleet.pool.submit(0, "sleep", 2 * fleet.VERSIONS_TIMEOUT + 1.0)
+        started = time.monotonic()
+        versions = fleet.dataset_versions()
+        elapsed = time.monotonic() - started
+        health = fleet.health()
+        hold.result(timeout=30)
+        assert elapsed < fleet.VERSIONS_TIMEOUT + 1.0, elapsed
+        assert versions["toy"]["0"] is None and versions["toy"]["1"] is not None
+        assert health["versions"]["toy"]["0"] is None
+        assert health["version_unknown"] == ["toy"]
 
     def test_bad_batch_raises_and_leaves_replicas_consistent(self, fleet):
         before = fleet.dataset_versions()["toy"]
@@ -156,8 +172,6 @@ class TestBroadcast:
         ClusterError (never a raw concurrent.futures.TimeoutError), and
         — because the message is already queued — the batch commits
         once the busy worker drains, which the error text warns about."""
-        import time
-
         from repro.errors import ClusterError
 
         before = fleet.dataset_versions()["toy"]

@@ -36,10 +36,20 @@ def pool(toy_snapshot, fast_health):
         yield pool
 
 
-def test_ping_and_warmup(pool):
-    assert pool.ping(0, timeout=60.0)
-    timings = pool.submit(0, "warmup", None).result(timeout=300.0)
-    assert "toy" in timings
+def answers(pool, worker_id=0, timeout=60.0) -> bool:
+    """True iff the worker answers a ``state`` message within ``timeout``."""
+    try:
+        reply = pool.submit(worker_id, "state").result(timeout=timeout)
+    except Exception:
+        return False
+    return "datasets" in reply
+
+
+def test_state_reports_the_loaded_shard(pool):
+    reply = pool.submit(0, "state").result(timeout=300.0)
+    assert list(reply["datasets"]) == ["toy"]
+    assert reply["datasets"]["toy"]["version"] == 0
+    assert reply["datasets"]["toy"]["build_seconds"] > 0.0
     assert pool.alive() == {0: True}
     assert pool.restarts() == {0: 0}
 
@@ -102,43 +112,43 @@ def test_kill_mid_batch_yields_structured_errors_and_recovers(
 
 
 def test_control_futures_fail_with_exception_on_crash(pool):
-    assert pool.ping(0, timeout=60.0)
+    assert answers(pool)
     pool.submit(0, "sleep", 60.0)
-    blocked_ping = pool.submit(0, "ping")
+    blocked_state = pool.submit(0, "state")
     pool.process(0).kill()
     with pytest.raises(WorkerCrashedError):
-        blocked_ping.result(timeout=30.0)
+        blocked_state.result(timeout=30.0)
     # Restarted worker answers again.
-    assert _wait_until(lambda: pool.ping(0, timeout=5.0), timeout=60.0)
+    assert _wait_until(lambda: answers(pool, timeout=5.0), timeout=60.0)
 
 
 def test_responses_produced_before_death_are_not_lost(pool):
     # A response sitting in the worker's pipe when it dies must still
     # complete its future (crash containment, not blanket failure).
-    future = pool.submit(0, "ping")
-    assert future.result(timeout=60.0)["pong"]
-    done = pool.submit(0, "ping")
+    future = pool.submit(0, "state")
+    assert "toy" in future.result(timeout=60.0)["datasets"]
+    done = pool.submit(0, "state")
     assert _wait_until(done.done, timeout=60.0)
     pool.process(0).kill()
-    assert done.result(timeout=1.0)["pong"]
+    assert "toy" in done.result(timeout=1.0)["datasets"]
 
 
 def test_close_is_graceful_and_idempotent(toy_snapshot):
     pool = WorkerPool({0: {"toy": str(toy_snapshot)}})
     pool.start()
-    assert pool.ping(0, timeout=60.0)
+    assert answers(pool)
     process = pool.process(0)
     pool.close()
     assert process.poll() is not None
     pool.close()  # idempotent
     with pytest.raises(PoolClosedError):
-        pool.submit(0, "ping")
+        pool.submit(0, "state")
 
 
 def test_close_fails_inflight_requests_not_hangs(toy_snapshot):
     pool = WorkerPool({0: {"toy": str(toy_snapshot)}})
     pool.start()
-    assert pool.ping(0, timeout=60.0)
+    assert answers(pool)
     pool.submit(0, "sleep", 120.0)
     stuck = pool.request(0, {"dataset": "toy", "query": "gray"})
     start = time.monotonic()

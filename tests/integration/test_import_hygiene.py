@@ -352,7 +352,7 @@ def life(jobs, cancel=(), **settings):
 # every message off the wire, the cancel of job 2 included: a cancel
 # written behind its request still overtakes it, but only once read.
 replies = life([
-    ("warmup", None),
+    ("state",),
     ("sleep", 0.5),
     ("request", request),
     *(("request", {**request, **uncached, "algorithm": algorithm})
@@ -360,8 +360,7 @@ replies = life([
     ("mutate", {"dataset": "toy", "mutations": [mutation]}),
     mutated,
     ("reload", {"dataset": "toy", "path": snapshot, "force": True}),
-    ("ping",),
-    ("versions",),
+    ("state",),
     ("metrics",),
     ("events", {"since": 0}),
     ("queries",),
@@ -370,11 +369,13 @@ errors = {job: reply["error_type"] for job, reply in enumerate(replies) if reply
 assert errors == {2: "SearchCancelledError"}, errors  # the cancel beat its request
 assert all(reply["result"]["answers"] for reply in replies[3:6])  # they did search
 assert replies[6]["applied"] == 1 and replies[7]["result"]["answers"], replies[6:8]
+assert replies[0]["datasets"]["toy"]["version"] == 0, replies[0]
+assert replies[9]["datasets"]["toy"]["version"] == 0, replies[9]  # the reload reset it
 
 with MutationLog(wal) as log:
     assert log.append([{**mutation, "prestige": 0.125}]) == 1
-replies = life([("versions",), mutated], wals={"toy": wal})
-assert replies[0]["versions"] == {"toy": 1}, replies[0]  # replayed before its first message
+replies = life([("state",), mutated], wals={"toy": wal})
+assert replies[0]["datasets"]["toy"]["version"] == 1, replies[0]  # replayed first
 assert replies[1]["result"]["answers"], replies[1]  # ...and serves what it replayed
 assert "repro.core.engine" in sys.modules and "repro.live.dataset" in sys.modules
 assert_not_loaded(*forbidden)

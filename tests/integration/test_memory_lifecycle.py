@@ -236,7 +236,7 @@ def test_worker_loop_leaves_no_cyclic_garbage(snapshots):
         request = request_to_dict(QueryRequest(dataset="d", query=QUERIES[0]))
         mutations = [mutation_to_dict(m) for m in MUTATION]
         jobs = [
-            ("warmup", None),
+            ("state", None),
             ("request", request),
             ("request", request),
             ("mutate", {"dataset": "d", "mutations": mutations}),

@@ -35,6 +35,9 @@ SHARED_VERBS = [
     "query_stats",
     "reload",
     "metrics",
+    "health",
+    "dataset_versions",
+    "warmup",
     "_settle",
     "_malformed_response",
     "_error_response",
@@ -42,8 +45,8 @@ SHARED_VERBS = [
 ]
 #: What each tier writes itself: its substrate, and the verbs whose
 #: bodies differ.
-PER_TIER = ["health", "close", "datasets", "warmup", "apply",
-            "dataset_versions", "_submit", "_await", "_swap_snapshot"]
+PER_TIER = ["close", "datasets", "apply", "_submit", "_await", "_swap_snapshot",
+            "_replica_states"]
 #: Every public verb but ``close`` (the thread tier's takes ``wait``).
 PUBLIC_VERBS = ["search", "apply", "health", "dataset_versions", "datasets",
                 "warmup", "reload", "metrics"]
@@ -166,8 +169,8 @@ REMOVED_ARGUMENTS = [
     (ShardedQueryService, "wal_sync"),
     (ShardedQueryService, "slo_interval"),  # SLO_INTERVAL
     (ShardedQueryService.apply, "timeout"),  # APPLY_TIMEOUT
-    (ShardedQueryService.health, "versions_timeout"),  # HEALTH_VERSIONS_TIMEOUT
-    (ShardedQueryService.dataset_versions, "timeout"),  # VERSIONS_TIMEOUT
+    (ShardedQueryService.health, "versions_timeout"),  # VERSIONS_TIMEOUT, one pull
+    (ShardedQueryService.dataset_versions, "timeout"),  # the same VERSIONS_TIMEOUT
     (ShardedQueryService.close, "timeout"),
     (WorkerPool, "health_interval"),
     (WorkerPool, "restart"),
@@ -218,8 +221,9 @@ def test_the_constants_keep_the_old_defaults():
     assert WorkerPool.HEALTH_INTERVAL == 0.5
     assert ShardedQueryService.SLO_INTERVAL == 5.0
     assert ShardedQueryService.APPLY_TIMEOUT == 60.0
-    assert ShardedQueryService.HEALTH_VERSIONS_TIMEOUT == 2.0
-    assert ShardedQueryService.VERSIONS_TIMEOUT == 10.0
+    # health and dataset_versions read one pull with one timeout
+    assert ShardedQueryService.VERSIONS_TIMEOUT == 2.0
+    assert not hasattr(ShardedQueryService, "HEALTH_VERSIONS_TIMEOUT")
 
 
 def test_each_tier_keeps_the_retention_it_had():

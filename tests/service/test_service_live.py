@@ -115,9 +115,9 @@ class TestVersionKeyedCache:
         assert len(service.cache) == 0
 
     def test_versions_in_metrics_and_datasets(self, service):
-        assert service.dataset_versions() == {"toy": 0}
+        assert service.dataset_versions() == {"toy": {"local": 0}}
         service.apply("toy", [AddNode(label="x")])
-        assert service.dataset_versions() == {"toy": 1}
+        assert service.dataset_versions() == {"toy": {"local": 1}}
         exported = service.metrics()
         assert exported["datasets"]["versions"] == {"toy": 1}
 

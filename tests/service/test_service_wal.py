@@ -172,7 +172,8 @@ class TestRecovery:
         with service:
             assert (info["version"], info["wal_seq"]) == (1, 3)
             health = service.health()
-            assert (health["versions"], health["wal_behind"]) == ({"toy": 1}, ["toy"])
+            assert health["versions"] == {"toy": {"local": 1}}
+            assert health["wal_behind"] == ["toy"]
             server = make_server(service)
             thread = threading.Thread(target=server.serve_forever, daemon=True)
             thread.start()

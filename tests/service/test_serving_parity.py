@@ -48,6 +48,13 @@ COMMIT_KEYS = [
     "workers", "wal_seq", "drift",
 ]
 RELOAD_KEYS = ["dataset", "reloaded", "version", "digest", "workers"]
+#: ``health()`` on both tiers (a log is attached); the fleet leads with
+#: its liveness.
+HEALTH_KEYS = [
+    "datasets", "versions", "version_drift", "version_unknown", "unloaded",
+    "wal_behind", "wal_seq",
+]
+FLEET_KEYS = ["workers", "alive", "restarts"]
 SLO_KEYS = [
     "objective", "kind", "dataset", "budget", "burn_threshold", "windows", "firing",
     "firing_since",
@@ -226,8 +233,13 @@ def test_query_service_verbs(dblp_snapshot, tmp_path):
             span_names={"worker", "engine"},
             event_sources={"service"},
         )
-        assert service.health()["versions"] == {"dblp": 1}
+        health = service.health()
         _check_reload(service, dblp_snapshot, replicas=[])
+    assert list(health) == HEALTH_KEYS
+    assert health["versions"] == {"dblp": {"local": 1}}
+    assert health["version_drift"] == health["version_unknown"] == []
+    assert health["unloaded"] == health["wal_behind"] == []
+    assert health["wal_seq"] == {"dblp": 1}
 
 
 def test_sharded_service_verbs(dblp_snapshot, tmp_path):
@@ -251,9 +263,12 @@ def test_sharded_service_verbs(dblp_snapshot, tmp_path):
         )
         health = service.health()
         _check_reload(service, dblp_snapshot, replicas=["0", "1"])
+    assert list(health) == FLEET_KEYS + HEALTH_KEYS
     assert (health["workers"], health["alive"], health["restarts"]) == (2, 2, 0)
     assert health["versions"] == {"dblp": {"0": 1, "1": 1}}
-    assert health["version_drift"] == health["wal_behind"] == []
+    assert health["version_drift"] == health["version_unknown"] == []
+    assert health["unloaded"] == health["wal_behind"] == []
+    assert health["wal_seq"] == {"dblp": 1}
 
 
 @pytest.mark.parametrize("tier", ["thread", "fleet"])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.service import QueryService
 from repro.telemetry.events import EventLog
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.slo import (
@@ -11,6 +12,8 @@ from repro.telemetry.slo import (
     default_objectives,
     histogram_bad_fraction,
 )
+
+from tests.helpers import wait_until
 
 
 class FakeSource:
@@ -291,3 +294,28 @@ class TestLatency:
         (status,) = engine.evaluate()
         assert status["windows"]["fast"]["burn_rate"] > 2.0
         assert status["firing"]
+
+
+def test_the_thread_tier_ticks_without_a_reader(monkeypatch, toy_engine):
+    """Both tiers run the core's SLO ticker: failing searches on a
+    ``QueryService`` breach an objective with no caller reading
+    ``slo_status()``, and the gauges get samples."""
+    monkeypatch.setattr(QueryService, "SLO_INTERVAL", 0.05)
+    objective = SloObjective(
+        name="errors", kind="error_rate", budget=0.01,
+        fast_window=0.2, slow_window=0.4,
+    )
+    with QueryService(slo_objectives=[objective]) as service:
+        service.register_engine("toy", toy_engine)
+        assert wait_until(service.slo.status)  # a baseline tick, no evaluation here
+        for _ in range(150):
+            assert not service.search("toy", "zzzunknownword").ok
+
+        def breached():
+            return any(
+                event["kind"] == "slo_breach" for event in service.events()["events"]
+            )
+
+        assert wait_until(breached)
+        firing = service.registry.export()["repro_slo_alert_firing"]["samples"]
+        assert firing and firing[0]["value"] == 1.0
