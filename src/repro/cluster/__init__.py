@@ -7,9 +7,9 @@ batch finally uses every core:
 
 * :class:`ShardedQueryService` — the core's verbs (``search_many``,
   ``cancel``, ``trace``, ``events``, ``query_stats`` ...) over a
-  fleet: it adds only routing, fan-out
-  (``apply`` / ``reload`` / ``warmup`` broadcasts) and fan-in (worker
-  replies merged into the core's answers).
+  fleet: it adds only routing (a result-cache miss to the least busy
+  replica), fan-out (``apply`` / ``reload`` / ``warmup`` broadcasts)
+  and fan-in (worker replies merged into the core's answers).
 * :class:`~repro.cluster.router.ShardRouter` — deterministic
   dataset -> worker placement with replica fan-out for hot datasets.
 * :class:`~repro.cluster.pool.WorkerPool` — supervised processes:
@@ -18,7 +18,8 @@ batch finally uses every core:
 * :mod:`repro.cluster.worker` — the process entrypoint; each worker
   warms a private ``QueryService`` from
   :mod:`repro.service.snapshot` files (disk load, never
-  ``from_database``) and owns a private result cache.
+  ``from_database``) and runs no result cache: the supervisor's is
+  the fleet's one.
 * metrics — every worker ships its registry export,
   :func:`~repro.telemetry.metrics.merge_registries` combines them
   (latency windows concatenate, so percentiles stay exact) and

@@ -52,6 +52,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
@@ -156,7 +157,7 @@ class WorkerPool:
         cross the boundary.
     settings:
         Plain-dict ``QueryService`` knobs forwarded to every worker
-        (``cache_capacity``, ``cache_ttl``).
+        (``wals``, ``tracing``, ``accounting``, ``storage_mode``).
     event_sink:
         Optional ``callable(kind, **info)`` invoked on worker
         lifecycle transitions (``worker_crash`` with
@@ -300,12 +301,13 @@ class WorkerPool:
     def submit(self, worker_id: int, kind: str, *payload) -> Future:
         """Ship ``(kind, job_id, *payload)`` to ``worker_id``.
 
-        Returns a future resolving to the worker's payload dict.  If the
-        target worker is found dead here, crash handling (fail its
-        in-flight work, restart) runs first so this submission lands on
-        the replacement.  A worker whose respawn is still pending past
+        Returns a future resolving to the worker's payload dict; its
+        ``job_id`` attribute is the handle :meth:`cancel` takes.  A
+        target found dead here is failed over first (its in-flight work
+        failed, a replacement spawned), so this submission lands on the
+        replacement; one whose respawn is still pending past
         ``RESPAWN_WAIT_SECONDS`` raises :class:`WorkerCrashedError`
-        rather than queueing work nobody may ever read.
+        rather than queue work nobody may ever read.
         """
         with self._lock:
             if self._closed:
@@ -316,11 +318,7 @@ class WorkerPool:
                 raise KeyError(f"unknown worker id {worker_id!r}")
         future: Future = Future()
         job_id = next(self._job_ids)
-        # Exposed for cancellation: callers hand the id back to
-        # :meth:`cancel` (the sharded service keys its request_id
-        # registry on it).
         future.job_id = job_id  # type: ignore[attr-defined]
-        future.worker_id = worker_id  # type: ignore[attr-defined]
         job = _Job(
             worker_id=worker_id,
             kind=kind,
@@ -348,13 +346,10 @@ class WorkerPool:
             with self._lock:
                 if self._closed:
                     raise PoolClosedError("WorkerPool is closed")
-                # The generation guard closing the register/crash race:
-                # if the worker died after the liveness check above, a
-                # crash handler may already have collected its doomed
-                # jobs and swapped in a fresh channel — registering now
-                # and writing to the *old* one would strand this job
-                # forever.  Registering under the same lock that
-                # verifies the process is still the observed one means
+                # The register/crash race: a worker that died after the
+                # check above may already have had its jobs failed and
+                # its channel swapped.  Registering under the lock that
+                # verifies the process is still the one observed means
                 # any later crash handling sees (and fails) this job.
                 if self._processes.get(worker_id) is not process:
                     continue
@@ -363,14 +358,6 @@ class WorkerPool:
             break
         channel.send((kind, job_id, *payload))
         return future
-
-    def request(self, worker_id: int, request_dict: dict) -> Future:
-        """Submit one request-shaped dict; resolves to a response dict.
-
-        The returned future carries ``job_id`` / ``worker_id``
-        attributes — the handle :meth:`cancel` takes.
-        """
-        return self.submit(worker_id, "request", request_dict)
 
     # ------------------------------------------------------------------
     # cancellation
@@ -409,16 +396,15 @@ class WorkerPool:
                 for worker_id, process in self._processes.items()
             }
 
+    def in_flight(self) -> Counter[int]:
+        """Jobs sent to each worker and not yet answered: what routing
+        balances on."""
+        with self._lock:
+            return Counter(job.worker_id for job in self._inflight.values())
+
     def restarts(self) -> dict[int, int]:
         with self._lock:
             return dict(self._restarts)
-
-    def pids(self) -> dict[int, Optional[int]]:
-        with self._lock:
-            return {
-                worker_id: (process.pid if process is not None else None)
-                for worker_id, process in self._processes.items()
-            }
 
     def worker_ids(self) -> list[int]:
         return sorted(self._specs)

@@ -9,15 +9,17 @@ request:
   least-loaded greedy over datasets in sorted order, so it is a pure
   function of ``(datasets, num_workers, replica counts)`` — every
   supervisor computes the same shard map without coordination.
-* **routing** — which replica serves *this* request?  The replica index
-  is ``crc32`` of the request's canonical query identity, so the same
-  logical query always lands on the same worker.  That is not just
-  determinism for tests: each worker owns a private result cache, and
-  stable routing is what makes repeated queries hit it.
+* **routing** — which replica serves *this* request?  The one with the
+  fewest jobs in flight (:meth:`ShardRouter.least_busy`): a request that
+  reaches routing missed the supervisor's result cache, which sits in
+  front of it, so no replica holds anything that would answer it faster
+  and a cold expansion belongs on an idle core.  Replicas that tie —
+  the whole set, on an idle fleet — fall back to :meth:`ShardRouter.route`:
+  ``crc32`` of the request's canonical query identity, so the choice is
+  a pure function of the request.
 
 ``crc32`` rather than ``hash()``: Python randomizes string hashes per
-process, and the whole point is that routing agrees across processes
-and runs.
+process, and a tie-break should agree across processes and runs.
 """
 
 from __future__ import annotations
@@ -114,15 +116,28 @@ class ShardRouter:
         return {w: tuple(names) for w, names in out.items()}
 
     def route(self, dataset: str, key: object = None) -> int:
-        """The worker id serving this ``(dataset, key)`` pair.
+        """The replica of ``dataset`` that ``key`` hashes to.
 
         ``key`` is any stable representation of the request identity
         (the supervisor passes the parsed keyword tuple + algorithm);
         equal keys always map to the same replica, distinct keys spread
         uniformly across them.
         """
+        return _pick(self.replicas_for(dataset), key)
+
+    def least_busy(
+        self, dataset: str, key: object, in_flight: Mapping[int, int]
+    ) -> int:
+        """The replica of ``dataset`` with the fewest ``in_flight`` jobs
+        (a worker absent from it has none); replicas that tie go to
+        :meth:`route`'s hash of ``key``, taken over the tied ones."""
         workers = self.replicas_for(dataset)
-        if len(workers) == 1:
-            return workers[0]
-        digest = crc32(repr(key).encode("utf-8", "backslashreplace"))
-        return workers[digest % len(workers)]
+        fewest = min(in_flight.get(w, 0) for w in workers)
+        return _pick(tuple(w for w in workers if in_flight.get(w, 0) == fewest), key)
+
+
+def _pick(workers: tuple[int, ...], key: object) -> int:
+    if len(workers) == 1:
+        return workers[0]
+    digest = crc32(repr(key).encode("utf-8", "backslashreplace"))
+    return workers[digest % len(workers)]

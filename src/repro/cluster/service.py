@@ -1,58 +1,40 @@
 """``ShardedQueryService``: the serving core on worker processes.
 
-One core, a different execution substrate:
 :class:`~repro.service.core.ServiceCore` holds the request front, the
-response builders, the telemetry state and the introspection verbs, and
-:class:`~repro.service.QueryService` runs it on threads.  This module
-runs it over N worker *processes*, each holding a private
-snapshot-warmed ``QueryService`` — so a batch's pure-Python search time
-actually divides across cores instead of serializing on one GIL.  What
-is written here is what only a supervisor does: **routing**
-(``_submit`` picks the shard and ships the request), **fan-out**
-(``apply`` / ``reload`` broadcasts, and the ``state`` pull behind the
-core's ``warmup`` / ``dataset_versions`` / ``health``) and **fan-in**
-(``_await`` re-homes the worker's spans and settles its response;
-``_gather`` / ``_pull_events`` / ``_worker_exports`` collect worker
-replies for the core's merged verbs, all through one
-:meth:`~ShardedQueryService._collect`).
+result cache, the response builders, the telemetry state and the
+introspection verbs; :class:`~repro.service.QueryService` runs it on
+threads, and this module over N worker *processes*, each holding a
+private snapshot-warmed ``QueryService`` — so a batch's pure-Python
+search time divides across cores instead of serializing on one GIL.
+What is written here is what only a supervisor does: **routing**
+(``_submit`` sends a cache miss to the dataset's replica with the
+fewest jobs in flight — no replica holds an answer the cache does not),
+**fan-out** (``apply`` / ``reload`` broadcasts, the ``state`` pull) and
+**fan-in** (``_await`` re-homes the worker's spans; ``_gather`` /
+``_pull_events`` / ``_worker_exports`` collect replies for the merged
+verbs, all through one :meth:`~ShardedQueryService._collect`).  Only
+primitives cross the process boundary, on the one duplex channel per
+worker (:mod:`repro.cluster.pool`, :mod:`repro.service.wire`).
 
-Everything crossing the process boundary is primitives, and crosses it
-on the one duplex channel the pool keeps per worker
-(:mod:`repro.cluster.pool`): snapshot paths as its first message,
-request-shaped dicts, control messages and cancels down, response-shaped
-dicts back up (:mod:`repro.service.wire`).  Routing is deterministic
-(:class:`~repro.cluster.router.ShardRouter`): a dataset lives on a
-fixed replica set, and a given query always lands on the same replica —
-which is also what makes each worker's private result cache effective.
+The supervisor keys its cache at each dataset's ``(generation,
+version)`` without asking a replica: a broadcast reload bumps the
+generation, an ``apply`` every replica acknowledged sets the version,
+and a worker's answer is kept only when the version it carries back is
+that one.
 
-Failure semantics extend the service contract across processes:
-
-* a malformed request or unroutable dataset is answered supervisor-side
-  as a structured error response;
-* a deadline is enforced *worker-side first*: the request ships with
-  its ``timeout``, the worker arms a cooperative
-  :class:`~repro.core.cancellation.CancellationToken`, and the expired
-  search stops within a couple of check intervals and frees the shard
-  (``error_type="DeadlineExceededError"``, carrying partial answers
-  when ``allow_partial``).  The supervisor still watches the clock as a
-  backstop — a request that missed its deadline while *queued* is
-  cancelled down its worker's channel
-  (:meth:`~repro.cluster.pool.WorkerPool.cancel`) so it never occupies
-  the shard at all;
-* requests carrying a ``request_id`` can be stopped explicitly through
-  :meth:`ShardedQueryService.cancel` (what ``DELETE /search/<id>`` and
-  the HTTP disconnect watcher call) — the shard stops searching, the
-  waiter gets a structured ``SearchCancelledError`` response;
-* a worker crash turns its in-flight requests into
-  ``error_type="WorkerCrashedError"`` responses and the pool restarts
-  the worker — callers never hang, and the *next* batch is served.
-
-Live updates (:mod:`repro.live`) propagate fleet-wide without process
-restarts: :meth:`ShardedQueryService.apply` broadcasts a mutation
-batch to every replica of the dataset's shard (one serialized stream,
-so replicas stay bit-identical), the core's ``reload`` swaps every
-replica to a snapshot file, and the core's ``dataset_versions`` /
-``health`` expose per-replica versions so drift is observable.
+Failure semantics extend the service contract across processes: a
+malformed request or unroutable dataset is answered supervisor-side; a
+deadline is enforced worker-side first (a cooperative token stops the
+search and frees the shard, with partial answers when
+``allow_partial``), with the supervisor's clock as a backstop that
+cancels a request still *queued* down its worker's channel; a
+``request_id`` makes a request cancellable (:meth:`cancel`, ``DELETE
+/search/<id>``, the HTTP disconnect watcher); and a worker crash turns
+its in-flight requests into ``WorkerCrashedError`` responses while the
+pool restarts it.  Live updates reach every replica without restarts:
+``apply`` broadcasts one serialized stream per dataset, ``reload``
+swaps every replica's snapshot, and ``dataset_versions`` / ``health``
+show per-replica versions, so drift is observable.
 """
 
 from __future__ import annotations
@@ -68,6 +50,7 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
 from repro.core.cancellation import CancellationToken
+from repro.core.params import DEFAULT_PARAMS, SearchParams
 from repro.core.query import parse_query
 from repro.errors import (
     ClusterError,
@@ -75,14 +58,11 @@ from repro.errors import (
     MutationError,
     PoolClosedError,
     SearchCancelledError,
+    UnknownDatasetError,
     WorkerCrashedError,
 )
 from repro.live.mutations import MutationResult, coerce_mutations, mutation_to_dict
-from repro.service.core import (
-    QueryRequest,
-    QueryResponse,
-    ServiceCore,
-)
+from repro.service.core import GENERATIONS, QueryRequest, QueryResponse, ServiceCore
 from repro.service.metrics import family_total
 from repro.service.snapshot_header import file_info
 from repro.service.wire import request_to_dict, response_from_dict
@@ -97,61 +77,45 @@ __all__ = ["ShardedQueryService"]
 
 class ShardedQueryService(ServiceCore):
     """The process tier: a :class:`~repro.service.core.ServiceCore`
-    that owns a shard router and a worker pool, routes each request to
-    a worker process and merges what the workers report.
+    that owns a shard router and a worker pool, routes each cache miss
+    to a worker process and merges what the workers report.
 
     Parameters
     ----------
     snapshots:
-        ``{dataset_name: snapshot_path}`` — every dataset a worker may
-        serve must exist as a snapshot file
-        (:func:`repro.service.snapshot.save_engine`); workers load from
-        disk, ``from_database`` never runs in the fleet.
+        ``{dataset_name: snapshot_path}``: workers load every dataset
+        from disk (:func:`repro.service.snapshot.save_engine`), never
+        ``from_database``.
     num_workers:
         Process count (default: the machine's CPU count).
     default_replicas / replicas:
-        Replica fan-out per dataset (see :class:`ShardRouter`).  A
-        single hot dataset on an 8-core box wants
-        ``default_replicas=8``.
+        Replica fan-out per dataset (see :class:`ShardRouter`); a single
+        hot dataset on an 8-core box wants ``default_replicas=8``.
     cache_capacity / cache_ttl:
-        Per-worker result-cache knobs.
+        The supervisor's result cache, the fleet's only one.
     wal_dir:
-        Directory for per-dataset durable mutation logs
-        (:mod:`repro.wal`; ``<wal_dir>/<dataset>.wal``).  When set, the
-        supervisor appends every :meth:`apply` batch to the dataset's
-        log *before* broadcasting it, and every worker — including the
-        replacement a restart-on-crash spawns — **replays the log at
-        startup**, so a ``kill -9``'d replica recovers to exactly the
-        last durable epoch instead of silently serving its snapshot.
-        The logs take :class:`~repro.wal.MutationLog`'s ``"batched"``
-        durability: every batch is flushed (a supervisor ``kill -9``
-        loses nothing) and fsynced periodically.
+        Directory of per-dataset durable mutation logs
+        (``<wal_dir>/<dataset>.wal``, :mod:`repro.wal`, ``"batched"``
+        durability): the supervisor appends every :meth:`apply` batch
+        *before* broadcasting it, and every worker — a restart-on-crash
+        replacement too — replays the log at startup, so a ``kill
+        -9``'d replica recovers to exactly the last durable epoch.
     tracing:
-        Structured tracing, on by default: the supervisor mints a trace
-        id per request (or adopts the caller's), records a ``route``
-        span, and re-homes every span the worker process returns into
-        its own :class:`~repro.telemetry.Tracer` — :meth:`trace`
-        reconstructs the cross-process tree.  Forwarded to every
-        worker's private ``QueryService``; False disables both sides.
+        The supervisor mints (or adopts) a trace id per request, records
+        a ``route`` span and re-homes the spans a worker returns, so
+        :meth:`trace` reconstructs the cross-process tree.  Forwarded to
+        every worker; False disables both sides.
     slow_query_threshold:
-        Elapsed-seconds threshold of the supervisor's slow-query log
-        (:meth:`slow_queries`; ``None`` disables it).  Workers keep
-        none: the supervisor records from settled responses.
+        Seconds over which the supervisor's slow-query log records a
+        settled response (``None`` disables it); workers keep none.
     slo_objectives:
-        Burn-rate alerting (:mod:`repro.telemetry.slo`): objectives
-        default to :func:`~repro.telemetry.slo.default_objectives`
-        evaluated every :attr:`SLO_INTERVAL` seconds by the core's
-        ticker, on every :meth:`slo_status` read and on a worker crash
-        or restart (alerts fire into the event log and export ``slo_*``
-        gauges).  An empty sequence disables SLOs and the ticker.
+        Burn-rate objectives (default :func:`~repro.telemetry.slo.default_objectives`),
+        evaluated by the core's ticker, on every :meth:`slo_status` read
+        and on a worker crash or restart; empty disables SLOs.
     accounting:
-        Per-query resource accounting (:mod:`repro.telemetry.accounting`),
-        on by default: every worker keeps a workload sketch merged
-        fleet-wide by :meth:`query_stats`, and the supervisor retains
-        the explain reports harvested from settled ``explain=True``
-        responses (:meth:`explain`) — workers are restartable cattle,
-        so ``GET /debug/explain/<id>`` works whichever replica ran the
-        query.
+        Every worker keeps a workload sketch merged by
+        :meth:`query_stats`; the supervisor retains the explain reports
+        of settled ``explain=True`` responses, whichever replica ran them.
 
     The pool restarts a crashed worker (:class:`WorkerPool`); the
     timeouts of the fan-out verbs are the class constants below.
@@ -199,6 +163,8 @@ class ShardedQueryService(ServiceCore):
             replicas=replicas,
         )
         super().__init__(
+            cache_capacity=cache_capacity,
+            cache_ttl=cache_ttl,
             tracing=tracing,
             slow_query_threshold=slow_query_threshold,
             slo_objectives=slo_objectives,
@@ -206,11 +172,14 @@ class ShardedQueryService(ServiceCore):
         )
         paths = {name: str(path) for name, path in snapshots.items()}
         wal_paths: dict[str, str] = {}
-        if wal_dir is not None:
-            for name, snapshot_path in paths.items():
+        #: ``{dataset: (generation, version)}`` the cache keys carry: the
+        #: snapshot header's version, or the log's tip replicas replay to.
+        self._states: dict[str, tuple[int, int]] = {}
+        for name, snapshot_path in paths.items():
+            info = file_info(snapshot_path)
+            start = int(info.get("dataset_version") or 0)
+            if wal_dir is not None:
                 wal_path = Path(wal_dir) / f"{name}.wal"
-                info = file_info(snapshot_path)
-                start = int(info.get("dataset_version") or 0)
                 log = MutationLog(wal_path, start_seq=start)
                 try:
                     self._continue_lineage(name, log, start, info.get("content_digest"))
@@ -220,6 +189,8 @@ class ShardedQueryService(ServiceCore):
                     raise
                 wal_paths[name] = str(wal_path)
                 self._wal_telemetry.note_recovery(name, log)
+                start = log.last_seq
+            self._states[name] = (next(GENERATIONS), start)
         specs = {
             worker_id: {name: paths[name] for name in names}
             for worker_id, names in self.router.assignments().items()
@@ -227,8 +198,6 @@ class ShardedQueryService(ServiceCore):
         self.pool = WorkerPool(
             specs,
             settings={
-                "cache_capacity": cache_capacity,
-                "cache_ttl": cache_ttl,
                 "wals": wal_paths,
                 "tracing": tracing,
                 "accounting": accounting,
@@ -355,6 +324,14 @@ class ShardedQueryService(ServiceCore):
         """Dataset names the cluster serves, sorted."""
         return self.router.datasets()
 
+    def _cache_state(self, name: str) -> tuple[SearchParams, tuple[int, int]]:
+        """The defaults a worker's snapshot registration serves with, and
+        ``name``'s tracked ``(generation, version)``: no replica is asked."""
+        try:
+            return DEFAULT_PARAMS, self._states[name]
+        except KeyError:
+            raise UnknownDatasetError(name) from None
+
     def _replica_states(
         self, names: Optional[Sequence[str]], *, timeout: float, strict: bool
     ) -> dict[str, dict[str, object]]:
@@ -384,38 +361,28 @@ class ShardedQueryService(ServiceCore):
     def apply(self, dataset: str, mutations: Sequence) -> MutationResult:
         """Apply a mutation batch on **every replica** of ``dataset``.
 
-        The batch is validated once supervisor-side, then broadcast
-        (under the dataset's mutation lock, held until every replica
-        answers, so concurrent callers reach every replica in the same
-        order) as ``mutate`` messages; each
-        replica's private ``QueryService`` commits a new epoch and
-        bumps its version-keyed cache.  No worker restarts: the commit
-        is an in-process overlay.  Exception semantics like
-        :meth:`warmup` — a replica that fails the batch raises here
-        (``MutationError`` for bad batches, ``WorkerCrashedError`` for
-        a crash; the survivors stay consistent because a bad batch
-        rolls back atomically on every replica).
+        Validated once here, then broadcast as ``mutate`` messages under
+        the dataset's mutation lock, held until every replica answers (so
+        concurrent callers reach every replica in one order); each
+        replica commits an in-process epoch, no restart, and the version
+        they acknowledge keys the supervisor's cache.  A replica that
+        fails the batch raises here (``MutationError``: rolled back
+        atomically on every replica; ``WorkerCrashedError``).  Returns
+        the thread tier's :class:`~repro.live.MutationResult` with
+        ``workers`` (``{worker_id: version}``) filled in.
 
-        Returns the thread tier's :class:`~repro.live.MutationResult`
-        with ``workers`` (``{worker_id: version}``) filled in.
+        Past :attr:`APPLY_TIMEOUT` (a replica busy with a long search)
+        this raises :class:`~repro.errors.ClusterError`, but the message
+        is *already queued* and commits when the worker drains: check
+        :meth:`dataset_versions` before a retry double-applies it.
 
-        Caution on timeouts: worker queues are serial, so a replica
-        busy with a long search can push the collection past
-        :attr:`APPLY_TIMEOUT`.  That raises a structured
-        :class:`~repro.errors.ClusterError`, but the mutate message is
-        *already enqueued* and commits when the worker drains — a blind
-        retry would double-apply the batch.  Check
-        :meth:`dataset_versions` first.
-
-        With ``wal_dir`` set, the batch is appended to the dataset's
-        durable log **before** the broadcast (write-ahead: the log is
-        the recovery truth, so a crash mid-broadcast leaves replicas
-        *behind* the log — recoverable by restart replay — never ahead
-        of it), and the record's sequence number rides on the message
-        so a replica whose startup replay already covered it
-        acknowledges idempotently.  A batch every replica rejects rolls
-        the record back; a timeout or crash keeps it, since the batch
-        is still in flight.
+        With ``wal_dir`` the batch is appended to the log **before** the
+        broadcast (a crash mid-broadcast leaves replicas *behind* the log,
+        which restart replay recovers, never ahead of it), and its
+        sequence number rides on the message, so a replica whose startup
+        replay covered it acknowledges idempotently.  A batch every
+        replica rejects rolls the record back; a timeout or crash keeps
+        it, the batch still in flight.
         """
         wire = [mutation_to_dict(m) for m in coerce_mutations(mutations)]
         replicas = self.router.replicas_for(dataset)
@@ -452,19 +419,21 @@ class ShardedQueryService(ServiceCore):
                     log.rollback_last()
                 raise
             wal_seq = log.last_seq if log is not None else None
+            workers = {str(w): int(r["version"]) for w, r in sorted(results.items())}
+            generation = self._states[dataset][0]
+            current = self._states[dataset] = (generation, max(workers.values()))
         # A replica whose replay already held the record acknowledges
         # it with nothing applied; the others report the batch.
         first = next(
             (r for r in results.values() if r["applied"]), results[replicas[0]]
         )
-        workers = {str(w): int(r["version"]) for w, r in sorted(results.items())}
         outcome = MutationResult(
             dataset=dataset,
-            version=max(workers.values()),
+            version=current[1],
             applied=first["applied"],
             new_nodes=tuple(first["new_nodes"]),
             compacted=any(r["compacted"] for r in results.values()),
-            cache_purged=sum(r["cache_purged"] for r in results.values()),
+            cache_purged=self._shred(dataset, keep=current),
             workers=workers,
             wal_seq=wal_seq,
         )
@@ -499,11 +468,10 @@ class ShardedQueryService(ServiceCore):
         self, dataset: str, path: str, info: dict, force: bool
     ) -> tuple[bool, dict[str, bool]]:
         """:meth:`reload`'s hook: broadcast the reload to every replica
-        of ``dataset``.  When one reloaded, the worker specs point at
-        the file, so a replica respawned after a crash loads it.  A
-        replica no-ops only when it already serves this digest at this
-        version, so with none reloaded the old file and its lineage
-        stay."""
+        of ``dataset`` (one no-ops only when it serves this digest at this
+        version).  When one reloaded, the worker specs point at the file,
+        so a respawned replica loads it, and the cache moves to a new
+        generation at the file's version; else the old file stays."""
         replicas = self.router.replicas_for(dataset)
         payload = {"dataset": dataset, "path": path, "force": force}
         results = self._broadcast(
@@ -513,6 +481,9 @@ class ShardedQueryService(ServiceCore):
         reloaded = any(workers.values())
         if reloaded:
             self.pool.set_snapshot(dataset, path)
+            version = int(info.get("dataset_version") or 0)
+            self._states[dataset] = (next(GENERATIONS), version)
+            self._shred(dataset)
         return reloaded, workers
 
     def _broadcast(
@@ -527,17 +498,12 @@ class ShardedQueryService(ServiceCore):
         carrying its payload (None: none); collect the replies.
 
         ``strict`` raises on any failure (submit error, timeout, or a
-        worker-side error payload, rebuilt via :func:`control_error`);
-        non-strict skips failed workers — the observability calls'
-        contract — but never a closed pool's ``PoolClosedError``: a read
-        of a closed fleet must not look like an idle one.  A strict
-        timeout raises a structured :class:`~repro.errors.ClusterError`
-        that says the message is *still queued* — worker queues are
-        serial, so it may yet be processed; callers must check
-        :meth:`dataset_versions` before retrying a mutation or they risk
-        double-applying it.
-        (Mutation-ordering calls — :meth:`apply`, :meth:`reload` —
-        submit under their dataset's mutation lock themselves.)
+        worker-side error payload, rebuilt via :func:`control_error`); a
+        strict timeout's :class:`~repro.errors.ClusterError` says the
+        message is *still queued* and may yet be processed.  Non-strict
+        (the observability reads) skips failed workers, but never a
+        closed pool's ``PoolClosedError``: a closed fleet must not read
+        as an idle one.
         """
         futures = {}
         for worker_id, payload in payloads.items():
@@ -604,9 +570,9 @@ class ShardedQueryService(ServiceCore):
     def _submit(
         self, request: QueryRequest, token: Optional[CancellationToken]
     ) -> Union[Future, QueryResponse]:
-        """Route and ship one request; supervisor-side failures (bad
-        query, unknown dataset, a shard that is gone) come back as an
-        immediate response."""
+        """Route one request to its dataset's least busy replica and ship
+        it; supervisor-side failures (bad query, unknown dataset, a shard
+        that is gone) come back as an immediate response."""
         if token is not None:
             raise ValueError(
                 "a caller token cannot cross the process boundary; give "
@@ -622,8 +588,10 @@ class ShardedQueryService(ServiceCore):
                 "route", trace_id=trace_id, parent_id=request.parent_span_id
             )
         try:
-            worker_id = self.router.route(
-                request.dataset, (parse_query(request.query), request.algorithm)
+            worker_id = self.router.least_busy(
+                request.dataset,
+                (parse_query(request.query), request.algorithm),
+                self.pool.in_flight(),
             )
             wire_request = request_to_dict(request)
             if route_span is not None:
@@ -634,7 +602,7 @@ class ShardedQueryService(ServiceCore):
                 # stays as submitted.
                 wire_request["trace_id"] = trace_id
                 wire_request["parent_span_id"] = route_span.span_id
-            future = self.pool.request(worker_id, wire_request)
+            future = self.pool.submit(worker_id, "request", wire_request)
         except PoolClosedError:
             if route_span is not None:
                 route_span.end(status="error")
@@ -788,12 +756,13 @@ class ShardedQueryService(ServiceCore):
     # ------------------------------------------------------------------
     # what the workers contribute to the merged verbs
     # ------------------------------------------------------------------
-    def _worker_exports(self) -> dict[int, dict]:
-        """Every live worker's registry export; a busy or crashed
-        replica is absent from this pull."""
-        return self._broadcast(
-            dict.fromkeys(self.pool.worker_ids()), "metrics", timeout=10.0, strict=False
-        )
+    def _worker_exports(self) -> dict[int, Optional[dict]]:
+        """Every worker's registry export, None for one that did not
+        answer within :attr:`VERSIONS_TIMEOUT` (busy or crashed)."""
+        workers = dict.fromkeys(self.pool.worker_ids())
+        timeout = self.VERSIONS_TIMEOUT
+        replies = self._broadcast(workers, "metrics", timeout=timeout, strict=False)
+        return {worker_id: replies.get(worker_id) for worker_id in workers}
 
     def _liveness(self) -> dict:
         """``workers``, ``alive`` and per-worker ``restarts``: what health,
@@ -804,9 +773,10 @@ class ShardedQueryService(ServiceCore):
             "restarts": {str(w): n for w, n in sorted(self.pool.restarts().items())},
         }
 
-    def _cluster_section(self, exports: dict[int, dict]) -> dict:
+    def _cluster_section(self, exports: dict[int, Optional[dict]]) -> dict:
         """Fleet state for :meth:`metrics`: liveness, restart counts,
-        shard assignments, per-worker totals and the log tips."""
+        shard assignments, per-worker totals (None: no answer) and the
+        log tips."""
         section = {
             **self._liveness(),
             "assignments": {
@@ -814,7 +784,9 @@ class ShardedQueryService(ServiceCore):
                 for w, names in sorted(self.router.assignments().items())
             },
             "per_worker": {
-                str(w): {
+                str(w): None
+                if part is None
+                else {
                     "requests_total": family_total(part, "repro_requests_total"),
                     "errors_total": family_total(part, "repro_errors_total"),
                 }

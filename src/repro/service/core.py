@@ -18,6 +18,10 @@ the introspection verbs behind the HTTP front-end's ``/debug/*`` routes
   each deadline at submission and collect in order, over two tier
   hooks — ``_submit(request, token)`` starts a request (or answers it
   at once) and ``_await(request, handle, deadline)`` settles it;
+* the **result cache**, one per service, in front of both hooks: a hit
+  is answered before ``_submit`` and a complete answer is put after
+  ``_await``, keyed at the dataset's ``(generation, version)`` (tier
+  hook ``_cache_state``) and only when the answer was computed there;
 * the **response builders** for structured errors, deadline misses and
   malformed items, and :meth:`ServiceCore._settle`, which harvests the
   explain report and feeds the slow-query log for every finished
@@ -47,6 +51,7 @@ every replica rejected on the fleet), ``close()``.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 import weakref
@@ -58,6 +63,7 @@ from repro.core.cancellation import CancellationToken
 from repro.core.params import SearchParams
 from repro.core.query import ALGORITHM_NAMES, parse_query
 from repro.errors import DeadlineExceededError, UnknownDatasetError, WalError
+from repro.service.cache import ResultCache, canonical_cache_key
 from repro.service.metrics import ServiceMetrics, family_values, metrics_view
 from repro.service.snapshot_header import snapshot_info
 from repro.telemetry.accounting import (
@@ -212,6 +218,11 @@ class QueryResponse:
     #: exception semantics back (``error``/``error_type`` carry the
     #: wire-friendly view; a deadline miss has no exception object).
     exception: Optional[BaseException] = field(default=None, repr=False)
+    #: The dataset version the answer was computed at (a hit's: the
+    #: version its entry was keyed at); None when no search ran.  Set by
+    #: the service that answered and carried on the wire, so a fleet
+    #: supervisor caches a worker's answer only at its current version.
+    dataset_version: Optional[int] = field(default=None, init=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -333,6 +344,11 @@ def request_fingerprint(request: QueryRequest) -> str:
     )
 
 
+#: Result-cache generations: one per registration (a fleet's: per
+#: reload), since versions repeat across them.
+GENERATIONS = itertools.count(1)
+
+
 def _slo_ticker(owner: weakref.ref, stop: threading.Event, interval: float) -> None:
     """Evaluate ``owner``'s SLOs every ``interval`` seconds until ``stop``
     is set or the service is gone (held weakly, as the collectors are)."""
@@ -351,9 +367,9 @@ class ServiceCore:
     """Serving state and verbs shared by both tiers (module docstring).
 
     Subclasses provide :meth:`search_many`'s hooks ``_submit`` /
-    ``_await`` (the execution substrate), :meth:`reload`'s
-    ``_swap_snapshot``, the per-replica state pull ``_replica_states``,
-    ``datasets`` and ``close``, and may extend ``_search_one`` /
+    ``_await`` (the execution substrate), the cache's ``_cache_state``,
+    :meth:`reload`'s ``_swap_snapshot``, the per-replica state pull
+    ``_replica_states``, ``datasets`` and ``close``, and may extend ``_search_one`` /
     ``_gather`` / ``_pull_events`` / ``_worker_exports`` /
     ``_cluster_section`` / ``_liveness`` / ``_account`` with what their
     substrate does differently or other processes contribute.
@@ -394,6 +410,8 @@ class ServiceCore:
     def __init__(
         self,
         *,
+        cache_capacity: int,
+        cache_ttl: Optional[float],
         tracing: bool,
         slow_query_threshold: Optional[float],
         slo_objectives: Optional[Sequence[SloObjective]],
@@ -402,6 +420,12 @@ class ServiceCore:
         self.event_log = EventLog(self.EVENT_LOG_CAPACITY)
         self.registry = MetricsRegistry()
         self._metrics = ServiceMetrics(self.registry)
+        #: The result cache (None: ``cache_capacity=0``, what a fleet
+        #: worker serves with behind its supervisor's).
+        self.cache: Optional[ResultCache] = None
+        if cache_capacity:
+            self.cache = ResultCache(cache_capacity, cache_ttl)
+            self._register_cache_collector()
         self._wal_telemetry = WalTelemetry(self.registry, self.event_log)
         self.tracer: Optional[Tracer] = (
             Tracer(self.TRACE_CAPACITY) if tracing else None
@@ -461,6 +485,43 @@ class ServiceCore:
         self._slo_stop.set()
         if self._slo_thread.is_alive():
             self._slo_thread.join(timeout=1.0)
+
+    def _register_cache_collector(self) -> None:
+        """Declare the result cache's families, filled at export time
+        from ``self.cache.stats()`` (held weakly: a strong capture in
+        its own registry would make the service cyclic garbage)."""
+        registry, owner = self.registry, weakref.ref(self)
+        gauges = {
+            "size": registry.gauge("repro_cache_entries", "Result cache entries held"),
+            "capacity": registry.gauge("repro_cache_capacity", "Result cache capacity"),
+            "ttl": registry.gauge(
+                "repro_cache_ttl_seconds",
+                "Result cache entry time-to-live (no sample: entries never expire)",
+                merge="max",
+            ),
+        }
+        counters = {
+            stat: registry.counter(f"repro_cache_{name}_total", f"Result cache {help}")
+            for stat, name, help in (
+                ("hits", "lookup_hits", "lookups that found a live entry"),
+                ("misses", "lookup_misses", "lookups that found no live entry"),
+                ("evictions", "evictions", "LRU evictions"),
+                ("expirations", "expirations", "TTL expirations"),
+            )
+        }
+
+        def collect() -> None:
+            service = owner()
+            if service is None:
+                return
+            stats = service.cache.stats()
+            for stat, gauge in gauges.items():
+                if stats[stat] is not None:
+                    gauge.set(stats[stat])
+            for stat, counter in counters.items():
+                counter.set_total(stats[stat])
+
+        registry.add_collector(collect)
 
     # ------------------------------------------------------------------
     # the request front
@@ -530,8 +591,9 @@ class ServiceCore:
         parallel (shards).  A shared ``token`` cancels the whole batch
         at once (thread tier; a token cannot cross a process boundary).
 
-        Two tier hooks do the work: ``_submit(request, token)`` starts
-        a request and returns an opaque handle — or a
+        A cache hit is answered before any hook runs.  Otherwise two
+        tier hooks do the work: ``_submit(request, token)`` starts a
+        request and returns an opaque handle — or a
         :class:`QueryResponse` when the tier can answer at once (an
         unroutable dataset, a dead shard) — and ``_await(request,
         handle, deadline)`` settles it, ``deadline`` being a
@@ -548,22 +610,134 @@ class ServiceCore:
             except Exception as exc:
                 prepared.append(self._malformed_response(exc))
         submitted = time.monotonic()
-        handles = [
-            self._submit(item, token) if isinstance(item, QueryRequest) else item
+        started = [
+            self._start(item, token) if isinstance(item, QueryRequest) else (None, item)
             for item in prepared
         ]
         responses: list[QueryResponse] = []
-        for item, handle in zip(prepared, handles):
+        for item, (key, handle) in zip(prepared, started):
             if isinstance(handle, QueryResponse):
-                response = handle  # malformed, or answered at submission
+                response = handle  # malformed, a hit, or answered at submission
             else:
                 deadline = (
                     submitted + item.timeout if item.timeout is not None else None
                 )
                 response = self._await(item, handle, deadline)
-            self._account(response)
-            responses.append(response)
+            responses.append(self._finish(item, key, response))
         return responses
+
+    def _start(self, request: QueryRequest, token: Optional[CancellationToken]):
+        """``(key, handle)``: ``request``'s cache key, and its cached
+        answer or what the tier's ``_submit`` returned."""
+        key = self._cache_key(request)
+        hit = self._hit(request, key)
+        return key, hit if hit is not None else self._submit(request, token)
+
+    def _finish(self, request, key, response: QueryResponse) -> QueryResponse:
+        if key is not None and not response.cached:
+            self._remember(request, key, response)
+        self._account(response)
+        return response
+
+    # ------------------------------------------------------------------
+    # the result cache, in front of both hooks
+    # ------------------------------------------------------------------
+    def _cache_state(self, name: str) -> tuple[SearchParams, tuple[int, int]]:
+        """``name``'s default params and ``(generation, version)``, what
+        its cache keys embed; raises ``UnknownDatasetError``."""
+        raise NotImplementedError
+
+    def _cache_key(self, request: QueryRequest) -> Optional[tuple]:
+        """``request``'s cache key at its dataset's current state (``k``
+        folded into the effective params); None without a cache, or when
+        no key fits (an unknown dataset, an empty query: execution
+        answers those)."""
+        if self.cache is None:
+            return None
+        try:
+            params, state = self._cache_state(request.dataset)
+            params = request.params if request.params is not None else params
+            if request.k is not None:
+                params = params.with_(max_results=request.k)
+            return canonical_cache_key(
+                request.dataset, request.query, request.algorithm, params, version=state
+            )
+        except Exception:
+            return None
+
+    def _hit(self, request: QueryRequest, key) -> Optional[QueryResponse]:
+        """The cached answer to ``request``, or None: a miss, or a
+        request that skips the read (``use_cache=False``; ``explain``,
+        since a cached result has no report to attach).  A hit opens one
+        ``cache`` span and counts as a cached request."""
+        if key is None or not request.use_cache or request.explain:
+            return None
+        start = time.perf_counter()
+        result = self.cache.get(key)
+        if result is None:
+            return None
+        response = QueryResponse(
+            request, result, cached=True, request_id=request.request_id
+        )
+        response.dataset_version = version = key[-1][1]
+        response.trace_id = request.trace_id
+        if self.tracer is not None:
+            span = self.tracer.start_span(
+                "cache", trace_id=request.trace_id, parent_id=request.parent_span_id
+            )
+            span.attributes.update(
+                dataset=request.dataset,
+                algorithm=request.algorithm,
+                cached=True,
+                dataset_version=version,
+            )
+            if request.request_id is not None:
+                span.set_attribute("request_id", request.request_id)
+            response.trace_id = span.end().trace_id
+        response.elapsed = time.perf_counter() - start
+        self._metrics.record_request(request.algorithm, response.elapsed, cached=True)
+        self._settle(request, response)
+        return response
+
+    def _remember(self, request: QueryRequest, key, response: QueryResponse) -> None:
+        """Put a complete, ok answer under ``key`` — report-stripped —
+        when it was computed at the version ``key`` names and that is
+        still the dataset's: an answer from a replica behind the log's
+        tip, or one that raced a commit or a reload, never fills a
+        current key."""
+        result = response.result
+        if (
+            not response.ok
+            or result is None
+            or not result.complete
+            or response.dataset_version != key[-1][1]
+            or self._cache_state(request.dataset)[1] != key[-1]
+        ):
+            return
+        self.cache.put(
+            key, replace(result, explain=None) if result.explain is not None else result
+        )
+
+    def _shred(self, name: str, keep: Optional[tuple[int, int]] = None) -> int:
+        """Drop ``name``'s cached answers but those keyed at ``keep``;
+        returns how many.  Capacity hygiene only: a key naming another
+        generation or version is unreachable already.  Dropping them all
+        (a replaced registration, a reload, a replay) is an operational
+        event: the dataset just lost its warm cache."""
+        if self.cache is None:
+            return 0
+        purged = self.cache.purge(lambda key: key[0] == name and key[-1] != keep)
+        if keep is None:
+            self.event_log.emit(
+                "cache_shred",
+                f"purged {purged} cached result(s) for {name!r}: its state was "
+                f"replaced",
+                severity="info",
+                dataset=name,
+                source=self.EVENT_SOURCE,
+                purged=purged,
+            )
+        return purged
 
     def cancel(self, request_id: str) -> bool:
         """Cancel an in-flight request by its ``QueryRequest.request_id``.
@@ -1006,12 +1180,13 @@ class ServiceCore:
         """Fold other processes' event logs into :attr:`event_log`
         before a read.  One process here: nothing to pull."""
 
-    def _worker_exports(self) -> dict[int, dict]:
+    def _worker_exports(self) -> dict[int, Optional[dict]]:
         """Every worker's registry export (latency windows included), by
-        worker id.  One process here: none."""
+        worker id, None for one that did not answer.  One process here:
+        none."""
         return {}
 
-    def _cluster_section(self, exports: dict[int, dict]) -> Optional[dict]:
+    def _cluster_section(self, exports: dict[int, Optional[dict]]) -> Optional[dict]:
         """The fleet's ``cluster`` section of :meth:`metrics` over its
         workers' ``exports``; None here."""
         return None
@@ -1025,7 +1200,9 @@ class ServiceCore:
         algorithm's latency window.  ``datasets.version_drift`` applies
         :meth:`health`'s drift rule to the workers' unmerged exports.
         The fleet adds its ``cluster`` section; a worker down or slow to
-        answer is left out, and a closed fleet raises ``PoolClosedError``.
+        answer within :attr:`VERSIONS_TIMEOUT` is left out of the merge
+        and reads None there, and a closed fleet raises
+        ``PoolClosedError``.
 
         On the fleet a deadline-missed request counts twice: as the
         supervisor's ``DeadlineExceededError`` and by the worker when
@@ -1033,15 +1210,16 @@ class ServiceCore:
         claim needs shared memory.
         """
         exports = self._worker_exports()
+        answered = {w: part for w, part in exports.items() if part is not None}
         merged = merge_registries(
-            [*exports.values(), self.registry.export(include_samples=True)]
+            [*answered.values(), self.registry.export(include_samples=True)]
         )
         view = metrics_view(merged, include_samples=include_samples)
         datasets = view.get("datasets")
         if datasets is not None:
             wal_seq = datasets.pop("wal_seq", None)
             replicas: dict[str, dict] = {}
-            for worker_id, part in exports.items():
+            for worker_id, part in answered.items():
                 for name, version in family_values(
                     part, "repro_dataset_version", "dataset"
                 ).items():

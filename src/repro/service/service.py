@@ -1,73 +1,53 @@
 """``QueryService``: the serving core on threads, in one process.
 
 :class:`~repro.service.core.ServiceCore` holds what every tier serves
-the same way — the request front (``search_many``, deadlines anchored
-at submission, malformed items answered in their slots), ``cancel``,
-the response builders, the telemetry state and the introspection verbs.
-This module is the substrate under it that runs searches *here*, the
-layer the ROADMAP's production north star needs above
+the same way — the request front, the result cache, ``cancel``, the
+response builders, the telemetry state and the introspection verbs.
+This module is the substrate under it that runs searches *here*, above
 :class:`~repro.core.engine.KeywordSearchEngine`:
 
 * **Engine registry** — one record per dataset name (what is served,
   its base version and snapshot provenance, which change together: a
   re-registration installs a new record in one step and detaches the
   dataset's log from the core's map; a snapshot's record starts at the
-  file's ``dataset_version``).  A record holds a loaded engine: an
-  engine built by the caller (:meth:`QueryService.register_engine`), a
-  live dataset (:meth:`register_mutable`) or a disk snapshot loaded
-  before the record is installed (:meth:`register_snapshot`,
-  :meth:`reload`), so restarts skip graph/prestige/index builds and a
-  file that does not load raises where it was named, never at a search.
-* **Result cache** — a shared :class:`~repro.service.cache.ResultCache`
-  (LRU + TTL) keyed on the canonicalized query identity; repeated
-  queries are answered in microseconds without touching the graph.
+  file's ``dataset_version``).  A record holds a loaded engine: one the
+  caller built (:meth:`QueryService.register_engine`), a live dataset
+  (:meth:`register_mutable`) or a disk snapshot loaded before the record
+  is installed (:meth:`register_snapshot`, :meth:`reload`), so a file
+  that does not load raises where it was named, never at a search.
 * **Execution** — the core's two hooks: ``_submit`` queues a request
   on a ``ThreadPoolExecutor`` and ``_await`` watches its deadline; a
-  ``search`` without a deadline skips both and runs on the caller's
-  thread (``_search_one``).  Responses never raise: errors (unknown
-  dataset, absent keyword, deadline exceeded) come back as structured
-  :class:`QueryResponse` objects, the contract an HTTP front-end can
-  map onto status codes directly.
-* **Metrics** — every request writes the core's
-  :class:`~repro.telemetry.metrics.MetricsRegistry` and nothing else.
-* **Live mutations** — :meth:`apply` commits a
-  :mod:`repro.live` mutation batch against a dataset (upgrading it to
-  a :class:`~repro.live.MutableDataset` on first touch): new requests
-  see the new epoch, in-flight searches finish on theirs, and the
-  result cache is keyed by :meth:`dataset_version` so a commit makes
-  stale entries unreachable atomically.
-* **Durability** — :meth:`attach_wal` opens the dataset's
-  :mod:`repro.wal` mutation log: records the served state is missing
-  are replayed (crash recovery to exactly the last durable epoch) and
-  every later commit is journaled write-ahead; :meth:`save_snapshot`
-  truncates segments the new snapshot covers.
+  ``search`` without a deadline runs a miss on the caller's thread
+  (``_search_one``).  Responses never raise: errors come back as
+  structured :class:`QueryResponse` objects, which an HTTP front-end
+  maps onto status codes directly.
+* **Live mutations** — :meth:`apply` commits a :mod:`repro.live`
+  batch (upgrading the dataset to a :class:`~repro.live.MutableDataset`
+  on first touch): new requests see the new epoch, in-flight searches
+  finish on theirs, and the version every answer carries moves with it,
+  so a commit makes stale cache entries unreachable atomically.
+* **Durability** — :meth:`attach_wal` replays what the served state is
+  missing from the dataset's :mod:`repro.wal` log (crash recovery to the
+  last durable epoch) and journals every later commit write-ahead;
+  :meth:`save_snapshot` truncates the segments a new snapshot covers.
 
-Threads, not processes: search holds the GIL, so a batch's *CPU* time is
-not divided across cores — what batching buys is overlap of cache hits
-with in-flight searches, deduplication of identical queries through the
-cache, deadline enforcement, and a single shared warm engine.  The
-process tier (:mod:`repro.cluster`) runs the same core over worker
-processes, each of which holds one of these.
-
-Deadlines are enforced *cooperatively*: the service arms a
-:class:`~repro.core.cancellation.CancellationToken` from each request's
-deadline and threads it into the engine's pop loop, so a deadline miss
-actually stops the losing search within a couple of check intervals and
-frees its worker thread (``benchmarks/bench_cancellation.py`` holds it
-to that bound).  The expired query's
-response is a structured ``error_type="DeadlineExceededError"``; with
-``QueryRequest.allow_partial=True`` it additionally carries the
-bound-certified answers the search had already released, flagged
-``complete=False``.  Explicit cancellation rides the same token:
-requests carrying a ``request_id`` can be stopped mid-flight through
-:meth:`QueryService.cancel` (what the HTTP front-end's ``DELETE
-/search/<id>`` and client-disconnect mapping call).
+Threads, not processes: search holds the GIL, so what batching buys is
+overlap, deadline enforcement and one shared warm engine; the process
+tier (:mod:`repro.cluster`) runs the same core over worker processes,
+each holding one of these.  Deadlines are enforced *cooperatively*: a
+:class:`~repro.core.cancellation.CancellationToken` armed from each
+request's deadline stops a losing search within a couple of check
+intervals and frees its thread (``benchmarks/bench_cancellation.py``);
+the response is a structured ``DeadlineExceededError``, carrying the
+answers already released (``complete=False``) with
+``allow_partial=True``.  A ``request_id`` makes a request cancellable
+mid-flight through the same token (:meth:`QueryService.cancel`, ``DELETE
+/search/<id>``, the HTTP disconnect watcher).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import threading
 import time
 import weakref
@@ -75,7 +55,7 @@ from collections import deque
 from pathlib import Path
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core.answer import SearchResult
@@ -88,8 +68,8 @@ from repro.errors import (
     UnknownDatasetError,
     WalError,
 )
-from repro.service.cache import ResultCache, canonical_cache_key
 from repro.service.core import (
+    GENERATIONS,
     QueryRequest,
     QueryResponse,
     ServiceCore,
@@ -100,7 +80,7 @@ from repro.service.core import (
 from repro.service.snapshot_header import file_info
 from repro.telemetry.accounting import WorkloadAnalytics
 from repro.telemetry.slo import SloObjective
-from repro.telemetry.trace import new_trace_id, use_span
+from repro.telemetry.trace import use_span
 from repro.wal.log import MutationLog, default_wal_path
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -115,14 +95,6 @@ __all__ = [
     "normalize_search_args",
     "request_fingerprint",
 ]
-
-_MISS = object()
-
-
-#: Result-cache generations: unique per registration, since versions
-#: repeat.
-_GENERATIONS = itertools.count(1)
-
 
 @dataclass(eq=False)
 class _Dataset:
@@ -145,7 +117,7 @@ class _Dataset:
     engine: Optional[KeywordSearchEngine] = None
     live: Optional["MutableDataset"] = None
     base: int = 0
-    generation: int = field(default_factory=_GENERATIONS.__next__)
+    generation: int = field(default_factory=GENERATIONS.__next__)
     source: Optional[str] = None
     digest: Optional[str] = None
     #: Seconds the snapshot load took (0 for an engine built elsewhere).
@@ -158,11 +130,14 @@ class _Dataset:
         live = self.live
         return self.base + live.version if live is not None else self.base
 
-    @property
-    def serving(self) -> KeywordSearchEngine:
-        """The engine a request runs on now: the live dataset's current
-        epoch, else the registered engine."""
-        return self.live.engine if self.live is not None else self.engine
+    def serving(self) -> tuple[KeywordSearchEngine, int]:
+        """The engine a request runs on now (the live dataset's current
+        epoch, else the registered engine) and the version it answers
+        at, read from one epoch: a commit cannot pair them wrong."""
+        if self.live is None:
+            return self.engine, self.base
+        epoch = self.live.epoch
+        return epoch.engine, self.base + epoch.version
 
 
 class _Once:
@@ -189,8 +164,9 @@ class _Once:
 
 class QueryService(ServiceCore):
     """The thread tier: a :class:`~repro.service.core.ServiceCore` that
-    owns engines, a result cache and an executor, and runs every search
-    in this process.
+    owns engines and an executor, and runs every search in this process
+    (``cache_capacity=0`` serves without the core's result cache, as a
+    fleet worker does behind its supervisor's).
 
     Usable as a context manager; :meth:`close` shuts the executor down.
 
@@ -232,12 +208,13 @@ class QueryService(ServiceCore):
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers!r}")
         super().__init__(
+            cache_capacity=cache_capacity,
+            cache_ttl=cache_ttl,
             tracing=tracing,
             slow_query_threshold=slow_query_threshold,
             slo_objectives=slo_objectives,
             accounting=accounting,
         )
-        self.cache = ResultCache(cache_capacity, cache_ttl)
         if accounting:
             self.analytics = WorkloadAnalytics()
         # Default storage tier for snapshot registrations: None defers
@@ -260,34 +237,9 @@ class QueryService(ServiceCore):
         self._register_telemetry_collectors()
 
     def _register_telemetry_collectors(self) -> None:
-        """Declare the service/live/wal metric families and the
+        """Declare the dataset/live/storage metric families and the
         export-time collector that reads their live state."""
         registry = self.registry
-        cache_entries = registry.gauge(
-            "repro_cache_entries", "Result cache entries currently held"
-        )
-        cache_capacity = registry.gauge(
-            "repro_cache_capacity", "Result cache capacity"
-        )
-        cache_ttl = registry.gauge(
-            "repro_cache_ttl_seconds",
-            "Result cache entry time-to-live (no sample: entries never expire)",
-            merge="max",
-        )
-        cache_lookup_hits = registry.counter(
-            "repro_cache_lookup_hits_total",
-            "Result cache lookups that found a live entry",
-        )
-        cache_lookup_misses = registry.counter(
-            "repro_cache_lookup_misses_total",
-            "Result cache lookups that found nothing (or an expired entry)",
-        )
-        cache_evictions = registry.counter(
-            "repro_cache_evictions_total", "Result cache LRU evictions"
-        )
-        cache_expirations = registry.counter(
-            "repro_cache_expirations_total", "Result cache TTL expirations"
-        )
         dataset_version = registry.gauge(
             "repro_dataset_version",
             "Live-mutation epoch per dataset",
@@ -349,23 +301,13 @@ class QueryService(ServiceCore):
             labels=("dataset",),
         )
 
-        # The registry this collector is stored in belongs to ``self``:
-        # a strong capture would make every service cyclic garbage.
+        # Held weakly, as the core's cache collector is.
         owner = weakref.ref(self)
 
         def collect() -> None:
             self = owner()
             if self is None:
                 return
-            stats = self.cache.stats()
-            cache_entries.set(stats["size"])
-            cache_capacity.set(stats["capacity"])
-            if stats["ttl"] is not None:
-                cache_ttl.set(stats["ttl"])
-            cache_lookup_hits.set_total(stats["hits"])
-            cache_lookup_misses.set_total(stats["misses"])
-            cache_evictions.set_total(stats["evictions"])
-            cache_expirations.set_total(stats["expirations"])
             with self._registry_lock:
                 rows = [
                     (name, r.version, r.build_seconds, r.engine)
@@ -421,32 +363,19 @@ class QueryService(ServiceCore):
         every ``register_*`` and :meth:`reload` ends in.
 
         Under the dataset's mutation lock, so no commit interleaves: the
-        old record — engine and provenance with it — stops being served,
-        and the dataset's log is detached and closed unless ``log`` is
-        the one the new record continues (its lineage belongs to the
-        replaced content: left attached, every later commit would wedge
-        on an out-of-order append).  The old record's cached results
-        (keyed by its generation) are purged and the shred recorded as
-        an operational event: an operator should see that the fleet
-        just lost its warm cache for the dataset.
+        old record stops being served, and the dataset's log is detached
+        and closed unless ``log`` is the one the new record continues
+        (left attached, the replaced content's lineage would wedge every
+        later commit on an out-of-order append).  The old generation's
+        cached answers are purged (:meth:`_shred`).
         """
         with self._mutation_lock(name):
             with self._registry_lock:
                 old = self._datasets.get(name)
                 self._datasets[name] = record
             self._set_log(name, log)
-        if old is None:
-            return
-        purged = self.cache.purge(lambda key: key[0] == name)
-        self.event_log.emit(
-            "cache_shred",
-            f"purged {purged} cached result(s) for {name!r} after "
-            f"re-registration",
-            severity="info",
-            dataset=name,
-            source="service",
-            purged=purged,
-        )
+        if old is not None:
+            self._shred(name)
 
     def register_snapshot(self, name: str, path, *, pin_policy=None) -> None:
         """Load a disk snapshot and serve it; loading replaces
@@ -604,7 +533,7 @@ class QueryService(ServiceCore):
                         strict=strict,
                     )
                     if replayed:
-                        self.cache.purge(lambda key: key[0] == name)
+                        self._shred(name)
                     if strict and log.last_seq > self.dataset_version(name):
                         raise WalError(
                             f"replay gap for {name!r}: the log ends at seq "
@@ -683,17 +612,19 @@ class QueryService(ServiceCore):
         """The dataset's current version: a snapshot file's
         ``dataset_version`` (0 for anything else) plus the commits
         since it was registered."""
-        return self._cache_version(name)[1]
+        with self._registry_lock:
+            record = self._datasets.get(name)
+            return record.version if record else 0
 
-    def _cache_version(self, name: str) -> tuple[int, int]:
-        """``(generation, version)`` of ``name``'s registration — what
-        result-cache keys embed.  A commit advances the version, so
+    def _cache_state(self, name: str) -> tuple[SearchParams, tuple[int, int]]:
+        """The serving engine's params and ``(generation, version)`` of
+        ``name``'s registration.  A commit advances the version, so
         stale answers become unreachable the instant the new state is
         visible; versions repeat across registrations (each of file F
         starts at F's), generations never do."""
         with self._registry_lock:
-            record = self._datasets.get(name)
-            return (record.generation, record.version) if record else (0, 0)
+            record = self._record(name)
+            return record.serving()[0].params, (record.generation, record.version)
 
     def _record(self, name: str) -> _Dataset:
         """``name``'s registration, read under the registry lock the
@@ -711,7 +642,7 @@ class QueryService(ServiceCore):
         searching it unperturbed (MVCC by immutability).
         """
         with self._registry_lock:
-            return self._record(name).serving
+            return self._record(name).serving()[0]
 
     def _replica_states(
         self, names: Optional[Sequence[str]], *, timeout: float, strict: bool
@@ -737,21 +668,17 @@ class QueryService(ServiceCore):
     def apply(self, dataset: str, mutations: Sequence) -> MutationResult:
         """Apply a mutation batch to ``dataset`` and commit a new epoch.
 
-        ``mutations`` holds :mod:`repro.live.mutations` objects or
-        their wire dicts (what ``POST /mutate`` ships).  A dataset not
-        yet registered mutable is upgraded in place on first apply: its
-        built engine is wrapped in a
-        :class:`~repro.live.MutableDataset` and every later query runs
-        against the dataset's current epoch.
+        ``mutations`` holds :mod:`repro.live.mutations` objects or their
+        wire dicts (what ``POST /mutate`` ships).  A dataset not yet
+        mutable is upgraded in place on first apply (its engine wrapped
+        in a :class:`~repro.live.MutableDataset`).
 
-        Correctness contract: the commit bumps the dataset version the
-        result cache is keyed by, so a result computed against the old
-        epoch can never be served afterwards; in-flight searches keep
-        the epoch they started on and complete unperturbed.  The old
-        version's entries are also purged eagerly — pure capacity
-        hygiene, the version key already made them unreachable.  With a
-        log attached the dataset stages the batch, then hands its
-        resolved form to the log before the epoch installs.
+        The commit bumps the version cache keys carry, so an answer from
+        the old epoch is never served afterwards (its entries are purged
+        too, for capacity); in-flight searches finish on the epoch they
+        started on.  With a log attached the dataset stages the batch,
+        then hands its resolved form to the log before the epoch
+        installs.
         """
         with self._mutation_lock(dataset):
             live = self._mutable_dataset(dataset)
@@ -761,12 +688,10 @@ class QueryService(ServiceCore):
             seq = self.dataset_version(dataset) + 1
             journal = log and functools.partial(log.append, seq=seq)
             outcome = live.mutate(mutations, journal=journal)
-            current = self._cache_version(dataset)
+            current = self._cache_state(dataset)[1]
             wal_seq = log.last_seq if log is not None else None
         version = current[1]
-        purged = self.cache.purge(
-            lambda key: key[0] == dataset and key[-1] != current
-        )
+        purged = self._shred(dataset, keep=current)
         self.registry.counter("repro_mutations_applied_total").inc(
             dataset=dataset
         )
@@ -808,11 +733,14 @@ class QueryService(ServiceCore):
         self, request: QueryRequest, token: Optional[CancellationToken]
     ) -> QueryResponse:
         """A request without a deadline has nothing to watch the clock
-        for: it runs on the caller's thread (no executor hop — a cache
-        hit costs microseconds)."""
-        if request.timeout is None:
-            return self._execute(request, None, self._arm_token(request, token))
-        return super()._search_one(request, token)
+        for: a miss runs on the caller's thread (no executor hop)."""
+        if request.timeout is not None:
+            return super()._search_one(request, token)
+        key = self._cache_key(request)
+        response = self._hit(request, key)
+        if response is None:
+            response = self._execute(request, None, self._arm_token(request, token))
+        return self._finish(request, key, response)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -860,7 +788,7 @@ class QueryService(ServiceCore):
             with self._registry_lock:
                 record = self._datasets.get(request.dataset)
                 # An unknown dataset's request fails before it searches.
-                params = record.serving.params if record else SearchParams()
+                params = record.serving()[0].params if record else SearchParams()
         deadline = (
             time.monotonic() + request.timeout
             if request.timeout is not None
@@ -957,70 +885,48 @@ class QueryService(ServiceCore):
         submitted_at: Optional[float] = None,
     ) -> QueryResponse:
         """Run one request, never raising — any failure (library error,
-        engine bug) becomes a structured error response,
-        the contract :meth:`search_many` promises.  ``record``, when
-        given, is the exactly-once metrics claim shared with the
-        deadline watcher: if the watcher already recorded this request
-        as a deadline miss, this worker stays silent (its result still
-        refreshes the cache).  ``token`` is the armed cancellation
-        token the search will tick."""
+        engine bug) becomes a structured error response, the contract
+        :meth:`search_many` promises.  ``record``, when given, is the
+        exactly-once metrics claim shared with the deadline watcher: if
+        the watcher already recorded this request as a deadline miss,
+        this worker stays silent.  ``token`` is the armed cancellation
+        token the search will tick.  Under tracing the request runs in
+        a ``worker`` root span (``queue_wait`` synthesized from the
+        executor hand-off at ``submitted_at``), and whatever response
+        comes back carries ``request_id`` / ``trace_id`` / ``spans``."""
         # Re-registering here is an idempotent overwrite for executor
         # submissions (already registered at _submit time) and the
         # actual registration for the inline no-deadline path.
         registered = self._register_active(request, token)
-        try:
-            return self._execute_inner(request, record, token, submitted_at)
-        finally:
-            if registered:
-                self._untrack(request.request_id, token.cancel)
-
-    def _execute_inner(
-        self,
-        request: QueryRequest,
-        record: Optional[_Once],
-        token: Optional[CancellationToken],
-        submitted_at: Optional[float] = None,
-    ) -> QueryResponse:
-        """Trace wrapper around :meth:`_run_request`: mints the trace id
-        when the request carries none, opens the ``worker`` root span,
-        synthesizes ``queue_wait`` from the executor hand-off gap, and
-        stamps ``request_id`` / ``trace_id`` / ``spans`` onto whatever
-        response comes back (every path, success or error)."""
-        tracer = self.tracer
-        if tracer is None:
-            response = self._run_request(request, record, token, None)
-            response.request_id = request.request_id
-            response.trace_id = request.trace_id
-            self._settle(request, response)
-            return response
-        trace_id = request.trace_id or new_trace_id()
-        root = tracer.start_span(
-            "worker", trace_id=trace_id, parent_id=request.parent_span_id
-        )
-        if submitted_at is not None:
-            root.child("queue_wait").end(
-                duration=max(0.0, root.started_at - submitted_at)
+        tracer, root = self.tracer, None
+        if tracer is not None:
+            root = tracer.start_span(
+                "worker", trace_id=request.trace_id, parent_id=request.parent_span_id
             )
+            if submitted_at is not None:
+                root.child("queue_wait").end(
+                    duration=max(0.0, root.started_at - submitted_at)
+                )
         try:
             response = self._run_request(request, record, token, root)
         except BaseException:
-            root.end(status="error")
+            if root is not None:
+                root.end(status="error")
             raise
-        root.set_attributes(
-            {
-                "dataset": request.dataset,
-                "algorithm": request.algorithm,
-                "cached": response.cached,
-            }
-        )
-        if request.request_id is not None:
-            root.set_attribute("request_id", request.request_id)
-        if response.error_type is not None:
-            root.set_attribute("error_type", response.error_type)
-        root.end(status="ok" if response.ok else "error")
+        finally:
+            if registered:
+                self._untrack(request.request_id, token.cancel)
         response.request_id = request.request_id
-        response.trace_id = trace_id
-        response.spans = tracer.spans_for(trace_id)
+        response.trace_id = request.trace_id
+        if tracer is not None and root is not None:
+            root.attributes.update(dataset=request.dataset, algorithm=request.algorithm)
+            if request.request_id is not None:
+                root.set_attribute("request_id", request.request_id)
+            if response.error_type is not None:
+                root.set_attribute("error_type", response.error_type)
+            root.end(status="ok" if response.ok else "error")
+            response.trace_id = root.trace_id
+            response.spans = tracer.spans_for(root.trace_id)
         self._settle(request, response)
         return response
 
@@ -1033,55 +939,21 @@ class QueryService(ServiceCore):
     ) -> QueryResponse:
         start = time.perf_counter()
         try:
-            # Version before engine: if a commit lands between the two
-            # reads, a result computed on the *new* epoch gets cached
-            # under the old (already unreachable) key — wasted space,
-            # never a stale answer.  The opposite order could cache an
-            # old epoch's answers under the new version.
-            version = self._cache_version(request.dataset)
-            engine = self.engine(request.dataset)
+            with self._registry_lock:
+                engine, version = self._record(request.dataset).serving()
             run_params = request.params if request.params is not None else engine.params
             if request.k is not None:
                 run_params = run_params.with_(max_results=request.k)
-            key = canonical_cache_key(
-                request.dataset,
-                request.query,
-                request.algorithm,
-                run_params,
-                version=version,
-            )
         except Exception as exc:
             return self._error_response(
                 request, exc, start, record=record is None or record.claim()
             )
 
         if root is not None:
-            root.set_attribute("dataset_version", version[1])
+            root.set_attribute("dataset_version", version)
             wal = self._log(request.dataset)
             if wal is not None:
                 root.set_attribute("wal_seq", wal.last_seq)
-
-        # An explain request must actually run the engine — a cached
-        # result has no report to attach — so it skips the cache *read*
-        # but still refreshes the cache (stripped) on the way out.
-        if request.use_cache and not request.explain:
-            cached = self.cache.get(key, _MISS)
-            if cached is not _MISS:
-                elapsed = time.perf_counter() - start
-                if record is None or record.claim():
-                    self._metrics.record_request(
-                        request.algorithm, elapsed, cached=True
-                    )
-                if root is not None:
-                    root.set_attribute("cache", "hit")
-                return QueryResponse(
-                    request=request, result=cached, cached=True, elapsed=elapsed
-                )
-        if root is not None:
-            root.set_attribute(
-                "cache",
-                "miss" if request.use_cache and not request.explain else "bypass",
-            )
 
         engine_span = root.child("engine") if root is not None else None
         try:
@@ -1103,16 +975,14 @@ class QueryService(ServiceCore):
             engine_span.end()
         if not result.complete:
             return self._cancelled_response(request, result, start, record, token)
-        self.cache.put(
-            key,
-            replace(result, explain=None) if result.explain is not None else result,
-        )
         elapsed = time.perf_counter() - start
         if record is None or record.claim():
             self._metrics.record_request(
                 request.algorithm, elapsed, cached=False if request.use_cache else None
             )
-        return QueryResponse(request=request, result=result, elapsed=elapsed)
+        response = QueryResponse(request=request, result=result, elapsed=elapsed)
+        response.dataset_version = version
+        return response
 
     def _cancelled_response(
         self,

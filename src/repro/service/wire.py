@@ -287,6 +287,7 @@ def response_to_dict(response: QueryResponse) -> dict:
         "request_id": response.request_id,
         "trace_id": response.trace_id,
         "spans": response.spans,
+        "dataset_version": response.dataset_version,
     }
 
 
@@ -322,7 +323,7 @@ def response_from_dict(data: dict) -> QueryResponse:
     data = _require_mapping(data, "response")
     request = data.get("request")
     result = data.get("result")
-    return QueryResponse(
+    response = QueryResponse(
         request=request_from_dict(request) if request is not None else None,
         result=result_from_dict(result) if result is not None else None,
         error=data.get("error"),
@@ -333,3 +334,5 @@ def response_from_dict(data: dict) -> QueryResponse:
         trace_id=data.get("trace_id"),
         spans=data.get("spans"),
     )
+    response.dataset_version = data.get("dataset_version")
+    return response

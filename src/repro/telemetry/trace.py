@@ -233,6 +233,11 @@ class TraceStore:
         with self._lock:
             return list(self._traces)
 
+    def clear(self) -> None:
+        """Forget every trace."""
+        with self._lock:
+            self._traces.clear()
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._traces)
@@ -290,6 +295,11 @@ class Tracer:
 
     def trace_ids(self) -> list[str]:
         return self.store.trace_ids()
+
+    def clear(self) -> None:
+        """Forget every retained trace (the spans already handed out
+        stay with their holders)."""
+        self.store.clear()
 
 
 def build_span_tree(spans: Iterable[dict]) -> dict:

@@ -17,7 +17,7 @@ def _flatten(nodes):
 class TestCrossProcessTree:
     def test_route_queue_wait_worker_engine(self, sharded):
         # use_cache=False keeps the engine subtree present even when an
-        # earlier test already warmed this query into a worker's cache.
+        # earlier test already warmed this query into the cache.
         request = QueryRequest(
             dataset="alpha", query="gray transaction", use_cache=False
         )
@@ -40,8 +40,8 @@ class TestCrossProcessTree:
         assert "queue_wait" in route_children
 
     def test_engine_stage_span_has_pop_attributes(self, sharded):
-        # use_cache=False: a worker that already served this query would
-        # otherwise answer from cache, skipping the engine spans.
+        # use_cache=False: a query already served would otherwise be
+        # answered from the cache, skipping the engine spans.
         request = QueryRequest(
             dataset="alpha", query="gray transaction", use_cache=False
         )
@@ -116,7 +116,8 @@ class TestSlowLog:
         original = sharded.slow_log.threshold
         sharded.slow_log.threshold = 0.0
         try:
-            response = sharded.search("alpha", "gray transaction")
+            # use_cache=False: a hit would be one cache span, not a tree.
+            response = sharded.search("alpha", "gray transaction", use_cache=False)
             entries = sharded.slow_queries()
             assert entries
             entry = entries[0]

@@ -284,8 +284,11 @@ def test_error_responses_still_carry_trace_header(server):
 
 
 def test_debug_trace_reconstructs_http_rooted_tree(server):
+    # use_cache=False: a hit is answered by a cache span, not a worker.
     _, headers, _ = _post_raw(
-        server, "/search", {"dataset": "toy", "query": "gray transaction"}
+        server,
+        "/search",
+        {"dataset": "toy", "query": "gray transaction", "use_cache": False},
     )
     trace_id = headers["X-Trace-Id"]
     status, tree = _get(server, f"/debug/trace/{trace_id}")
@@ -344,7 +347,9 @@ def test_metrics_unknown_format_is_400(server):
 
 def test_debug_trace_text_format_renders_span_tree(server):
     _, headers, _ = _post_raw(
-        server, "/search", {"dataset": "toy", "query": "gray transaction"}
+        server,
+        "/search",
+        {"dataset": "toy", "query": "gray transaction", "use_cache": False},
     )
     trace_id = headers["X-Trace-Id"]
     status, resp_headers, text = _get_raw(

@@ -201,6 +201,50 @@ def test_every_emitted_event_kind_is_documented_and_no_other():
     assert sorted(set(documented) - emitted) == [], "documented, never emitted"
 
 
+def documented_span_names() -> set[str]:
+    """The span names of the "Span taxonomy" tree, and the span column
+    of the ``| span | attributes |`` table (which must name no other)."""
+    block = DOC.read_text(encoding="utf-8").split("### Span taxonomy")[1]
+    tree = block.split("```")[1].strip().splitlines()
+    names = {line.lstrip(" │├└─").split()[0] for line in tree}
+    attributed = {_CODE.fullmatch(c[0]).group(1) for c in table_rows(["span", "attributes"])}
+    assert attributed <= names, attributed - names
+    return names
+
+
+def _span_names(nodes):
+    for node in nodes:
+        yield re.sub(r"^expand\[.*\]$", "expand[…]", node["name"])
+        yield from _span_names(node["children"])
+
+
+def test_every_emitted_span_name_is_documented_and_no_other(toy_snapshot, sharded):
+    """The names a hit, a miss and a deadline-carrying miss produce over
+    HTTP on the thread tier, and on the fleet for every algorithm."""
+    emitted = set()
+    with QueryService() as service:
+        service.register_snapshot("toy", toy_snapshot)
+        server = http_module.make_server(service)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            with RawHTTP(server) as client:
+                for body in ({}, {}, {"use_cache": False, "deadline_ms": 30000}):
+                    payload = {"dataset": "toy", "query": "gray transaction", **body}
+                    _, headers, _ = client.request("POST", "/search", payload)
+                    tree = service.trace(headers["x-trace-id"])
+                    emitted.update(_span_names(tree["roots"]))
+        finally:
+            server.shutdown()
+            server.server_close()
+    for algorithm in ("bidirectional", "si-backward", "mi-backward"):
+        for use_cache in (False, True):
+            response = sharded.search(
+                "alpha", "gray transaction", algorithm=algorithm, use_cache=use_cache
+            )
+            emitted.update(_span_names(sharded.trace(response.trace_id)["roots"]))
+    assert emitted == documented_span_names()
+
+
 @pytest.fixture(scope="module")
 def thread_server(toy_snapshot):
     with QueryService() as service:

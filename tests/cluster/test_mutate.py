@@ -39,15 +39,15 @@ def fleet(toy_snapshot):
 
 def replica_answers(fleet, worker_id: int, query: str):
     """Ask one specific replica directly (bypassing routing)."""
-    payload = fleet.pool.request(
-        worker_id, request_to_dict(QueryRequest(dataset="toy", query=query))
+    payload = fleet.pool.submit(
+        worker_id, "request", request_to_dict(QueryRequest(dataset="toy", query=query))
     ).result(timeout=60)
     return response_from_dict(payload)
 
 
 class TestBroadcast:
     def test_mutation_visible_on_every_replica_without_restart(self, fleet):
-        pids_before = fleet.pool.pids()
+        pids_before = [fleet.pool.process(w).pid for w in (0, 1)]
 
         # Unknown term everywhere first.
         for worker_id in (0, 1):
@@ -77,15 +77,14 @@ class TestBroadcast:
             roots = {answer.tree.root for answer in response.result.answers}
             assert new_node in roots
         # ...with no process restart.
-        assert fleet.pool.pids() == pids_before
+        assert [fleet.pool.process(w).pid for w in (0, 1)] == pids_before
         assert all(count == 0 for count in fleet.pool.restarts().values())
 
     def test_stale_cache_never_served_after_broadcast(self, fleet):
-        # Prime both replicas' private caches with the same query.
-        for worker_id in (0, 1):
-            assert replica_answers(fleet, worker_id, "transaction").ok
-        cached = replica_answers(fleet, 0, "transaction")
-        assert cached.cached  # second hit on worker 0 came from cache
+        # Prime the supervisor's cache, the one in front of routing.
+        assert fleet.search("toy", "transaction").ok
+        cached = fleet.search("toy", "transaction")
+        assert cached.cached  # the repeat came from the cache
 
         outcome = fleet.apply(
             "toy",
@@ -99,8 +98,11 @@ class TestBroadcast:
             ],
         )
         new_node = outcome.new_nodes[0]
-        for worker_id in (0, 1):
-            response = replica_answers(fleet, worker_id, "transaction")
+        fresh = fleet.search("toy", "transaction")
+        for response in (
+            fresh,
+            *(replica_answers(fleet, worker_id, "transaction") for worker_id in (0, 1)),
+        ):
             assert response.ok
             assert not response.cached
             roots = {answer.tree.root for answer in response.result.answers}

@@ -58,6 +58,26 @@ def test_routing_spreads_distinct_keys_over_replicas():
     assert len(hits) > 1  # fan-out actually fans out
 
 
+def test_least_busy_takes_the_idlest_replica_and_ties_go_to_route():
+    router = ShardRouter(["hot"], num_workers=4, default_replicas=4)
+    keys = [(f"kw{i}",) for i in range(16)]
+    for key in keys:
+        # An idle fleet is one tie: the hash decides, as route() does.
+        assert router.least_busy("hot", key, {}) == router.route("hot", key)
+        hashed = router.route("hot", key)
+        busy = {w: 1 for w in range(4) if w != hashed}
+        assert router.least_busy("hot", key, busy) == hashed
+        idle = (hashed + 1) % 4
+        assert router.least_busy("hot", key, {hashed: 2, idle: 0}) in {
+            w for w in range(4) if w != hashed
+        }
+        loaded = {**{w: 3 for w in range(4)}, idle: 1}
+        assert router.least_busy("hot", key, loaded) == idle
+    # A tie among some replicas is broken by the hash over those alone.
+    tied = {router.least_busy("hot", key, {0: 5, 1: 5}) for key in keys}
+    assert tied == {2, 3}
+
+
 def test_unknown_dataset_raises():
     router = ShardRouter(["a"], num_workers=1)
     with pytest.raises(UnknownDatasetError):

@@ -1,5 +1,5 @@
 """ShardedQueryService end-to-end: parity with the in-process engine,
-structured errors, caching affinity, metrics aggregation, warmup."""
+structured errors, the supervisor's cache, metrics aggregation, warmup."""
 
 import pytest
 
@@ -38,11 +38,11 @@ def test_search_accepts_request_object_and_rejects_overrides(sharded):
         sharded.search("alpha")
 
 
-def test_repeat_query_hits_worker_cache(sharded):
+def test_repeat_query_hits_the_supervisor_cache(sharded):
     first = sharded.search("beta", "selinger access", k=3)
     assert first.ok
-    # Deterministic routing sends the same logical query (whatever its
-    # whitespace) to the same replica, where the result cache holds it.
+    # The same logical query (whatever its whitespace) is answered by
+    # the supervisor's cache, in front of routing.
     second = sharded.search("beta", "selinger   access", k=3)
     assert second.ok
     assert second.cached is True
@@ -76,9 +76,10 @@ def test_search_many_mixed_batch_in_order(sharded, toy_engine_session):
 def test_deadline_miss_is_structured(sharded):
     # A sleep on one worker holds it busy; a routed request then misses
     # a tight supervisor-side deadline but must not raise or hang.
+    # (use_cache=False: a hit never reaches the busy worker.)
     worker_id = sharded.router.route("alpha", (("gray",), "bidirectional"))
     sleep_future = sharded.pool.submit(worker_id, "sleep", 1.2)
-    response = sharded.search("alpha", "gray", timeout=0.2)
+    response = sharded.search("alpha", "gray", timeout=0.2, use_cache=False)
     assert not response.ok
     assert response.error_type == DeadlineExceededError.__name__
     with pytest.raises(DeadlineExceededError):

@@ -259,8 +259,9 @@ def test_worker_loop_leaves_no_cyclic_garbage(snapshots):
         reply = conn.sent[-1][2]
         assert all(name.startswith("repro_") for name in reply)
         assert all({"type", "samples"} <= set(family) for family in reply.values())
+        # A worker runs no result cache: each of the three requests searched.
         (latency,) = reply["repro_request_latency_seconds"]["samples"]
-        assert len(latency["window"]) == latency["count"] == 2
+        assert len(latency["window"]) == latency["count"] == 3
 
     assert_no_cyclic_garbage(loop)
 

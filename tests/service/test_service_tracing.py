@@ -80,9 +80,12 @@ class TestSpanTree:
         second = service.search("toy", "selinger")
         assert second.cached
         tree = service.trace(second.trace_id)
-        (root,) = [r for r in tree["roots"] if r["name"] == "worker"]
+        # Answered in front of execution: one cache span, no worker span.
+        (root,) = tree["roots"]
+        assert root["name"] == "cache"
         assert root["attributes"]["cached"] is True
-        assert _find(root["children"], "engine") is None
+        assert root["children"] == []
+        assert _find(tree["roots"], "engine") is None
         assert second.trace_id != first.trace_id
 
     def test_error_response_is_stamped_and_marked(self, service):
