@@ -374,39 +374,44 @@ class _Handler(socketserver.StreamRequestHandler):
         text = render_prometheus(metrics["registry"])
         self._send(200, "text/plain; version=0.0.4; charset=utf-8", text)
 
-    def _retained(self, feature: str, store, value, missing: str):
-        """``value`` (None with ``store`` None, the ``feature`` off), or
-        None once answered 501 (off) or 404 (on, nothing retained)."""
-        if store is None:
-            message = f"{feature} is disabled on this service"
-            self._send_error_json(501, message, "NotImplemented")
-        elif value is None:
-            self._send_error_json(404, missing, "NotFoundError")
-        return value
-
     def _handle_trace(self, trace_id: str, query: str = "") -> None:
         fmt = (parse_qs(query).get("format") or ["json"])[0]
         if fmt not in ("json", "text"):
             raise ValueError(f"unknown trace format {fmt!r}; expected json or text")
         service = self.server.service
-        tree, missing = service.trace(trace_id), f"unknown trace {trace_id!r}"
-        tree = self._retained("tracing", service.tracer, tree, missing)
-        if tree is not None and fmt == "text":
+        if service.tracer is None:
+            self._send_error_json(
+                501, "tracing is disabled on this service", "NotImplemented"
+            )
+            return
+        tree = service.trace(trace_id)
+        if tree is None:
+            self._send_error_json(
+                404, f"unknown trace {trace_id!r}", "NotFoundError"
+            )
+            return
+        if fmt == "text":
             self._send(200, "text/plain; charset=utf-8", render_span_tree(tree))
-        elif tree is not None:
-            self._send_json(200, tree)
+            return
+        self._send_json(200, tree)
 
     def _handle_explain(self, request_id: str) -> None:
         service = self.server.service
-        report = self._retained(
-            "accounting",
-            service.explain_store,
-            service.explain(request_id),
-            f"no explain report for request {request_id!r} (run the query with "
-            f"explain=true and a request_id)",
-        )
-        if report is not None:
-            self._send_json(200, report)
+        if service.explain_store is None:
+            self._send_error_json(
+                501, "accounting is disabled on this service", "NotImplemented"
+            )
+            return
+        report = service.explain(request_id)
+        if report is None:
+            self._send_error_json(
+                404,
+                f"no explain report for request {request_id!r} (run the "
+                f"query with explain=true and a request_id)",
+                "NotFoundError",
+            )
+            return
+        self._send_json(200, report)
 
     def _handle_events(self, query: str) -> None:
         raw = (parse_qs(query).get("since") or ["0"])[0]

@@ -301,13 +301,12 @@ class WorkerPool:
     def submit(self, worker_id: int, kind: str, *payload) -> Future:
         """Ship ``(kind, job_id, *payload)`` to ``worker_id``.
 
-        Returns a future resolving to the worker's payload dict; its
-        ``job_id`` attribute is the handle :meth:`cancel` takes.  A
-        target found dead here is failed over first (its in-flight work
-        failed, a replacement spawned), so this submission lands on the
-        replacement; one whose respawn is still pending past
+        Returns a future resolving to the worker's payload dict.  If the
+        target worker is found dead here, crash handling (fail its
+        in-flight work, restart) runs first so this submission lands on
+        the replacement.  A worker whose respawn is still pending past
         ``RESPAWN_WAIT_SECONDS`` raises :class:`WorkerCrashedError`
-        rather than queue work nobody may ever read.
+        rather than queueing work nobody may ever read.
         """
         with self._lock:
             if self._closed:
@@ -318,7 +317,11 @@ class WorkerPool:
                 raise KeyError(f"unknown worker id {worker_id!r}")
         future: Future = Future()
         job_id = next(self._job_ids)
+        # Exposed for cancellation: callers hand the id back to
+        # :meth:`cancel` (the sharded service keys its request_id
+        # registry on it).
         future.job_id = job_id  # type: ignore[attr-defined]
+        future.worker_id = worker_id  # type: ignore[attr-defined]
         job = _Job(
             worker_id=worker_id,
             kind=kind,
@@ -346,10 +349,13 @@ class WorkerPool:
             with self._lock:
                 if self._closed:
                     raise PoolClosedError("WorkerPool is closed")
-                # The register/crash race: a worker that died after the
-                # check above may already have had its jobs failed and
-                # its channel swapped.  Registering under the lock that
-                # verifies the process is still the one observed means
+                # The generation guard closing the register/crash race:
+                # if the worker died after the liveness check above, a
+                # crash handler may already have collected its doomed
+                # jobs and swapped in a fresh channel — registering now
+                # and writing to the *old* one would strand this job
+                # forever.  Registering under the same lock that
+                # verifies the process is still the observed one means
                 # any later crash handling sees (and fails) this job.
                 if self._processes.get(worker_id) is not process:
                     continue
@@ -358,6 +364,14 @@ class WorkerPool:
             break
         channel.send((kind, job_id, *payload))
         return future
+
+    def request(self, worker_id: int, request_dict: dict) -> Future:
+        """Submit one request-shaped dict; resolves to a response dict.
+
+        The returned future carries ``job_id`` / ``worker_id``
+        attributes — the handle :meth:`cancel` takes.
+        """
+        return self.submit(worker_id, "request", request_dict)
 
     # ------------------------------------------------------------------
     # cancellation
@@ -405,6 +419,13 @@ class WorkerPool:
     def restarts(self) -> dict[int, int]:
         with self._lock:
             return dict(self._restarts)
+
+    def pids(self) -> dict[int, Optional[int]]:
+        with self._lock:
+            return {
+                worker_id: (process.pid if process is not None else None)
+                for worker_id, process in self._processes.items()
+            }
 
     def worker_ids(self) -> list[int]:
         return sorted(self._specs)

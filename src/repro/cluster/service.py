@@ -1,40 +1,70 @@
 """``ShardedQueryService``: the serving core on worker processes.
 
+One core, a different execution substrate:
 :class:`~repro.service.core.ServiceCore` holds the request front, the
 result cache, the response builders, the telemetry state and the
-introspection verbs; :class:`~repro.service.QueryService` runs it on
-threads, and this module over N worker *processes*, each holding a
-private snapshot-warmed ``QueryService`` — so a batch's pure-Python
-search time divides across cores instead of serializing on one GIL.
-What is written here is what only a supervisor does: **routing**
-(``_submit`` sends a cache miss to the dataset's replica with the
-fewest jobs in flight — no replica holds an answer the cache does not),
-**fan-out** (``apply`` / ``reload`` broadcasts, the ``state`` pull) and
-**fan-in** (``_await`` re-homes the worker's spans; ``_gather`` /
-``_pull_events`` / ``_worker_exports`` collect replies for the merged
-verbs, all through one :meth:`~ShardedQueryService._collect`).  Only
-primitives cross the process boundary, on the one duplex channel per
-worker (:mod:`repro.cluster.pool`, :mod:`repro.service.wire`).
+introspection verbs, and :class:`~repro.service.QueryService` runs it
+on threads.  This module runs it over N worker *processes*, each
+holding a private snapshot-warmed ``QueryService`` — so a batch's
+pure-Python search time actually divides across cores instead of
+serializing on one GIL.  What is written here is what only a
+supervisor does: **routing** (``_submit`` picks a replica for a cache
+miss and ships the request), **fan-out** (``apply`` / ``reload``
+broadcasts, and the ``state`` pull behind the core's ``warmup`` /
+``dataset_versions`` / ``health``) and **fan-in**
+(``_await`` re-homes the worker's spans and settles its response;
+``_gather`` / ``_pull_events`` / ``_worker_exports`` collect worker
+replies for the core's merged verbs, all through one
+:meth:`~ShardedQueryService._collect`).
+
+Everything crossing the process boundary is primitives, and crosses it
+on the one duplex channel the pool keeps per worker
+(:mod:`repro.cluster.pool`): snapshot paths as its first message,
+request-shaped dicts, control messages and cancels down, response-shaped
+dicts back up (:mod:`repro.service.wire`).  Placement is deterministic
+(:class:`~repro.cluster.router.ShardRouter`): a dataset lives on a
+fixed replica set.  Which replica serves a request is not pinned: the
+one result cache sits here, in front of routing, so a request that
+reaches routing missed it and no replica holds anything that would
+answer it faster — a miss goes to the replica with the fewest jobs in
+flight, ties to the hash of its query.
 
 The supervisor keys its cache at each dataset's ``(generation,
 version)`` without asking a replica: a broadcast reload bumps the
 generation, an ``apply`` every replica acknowledged sets the version,
 and a worker's answer is kept only when the version it carries back is
-that one.
+that one.  A broadcast that fails once sent leaves the replicas at a
+state nobody acknowledged, so the dataset caches nothing until the next
+``apply`` or reload succeeds.
 
-Failure semantics extend the service contract across processes: a
-malformed request or unroutable dataset is answered supervisor-side; a
-deadline is enforced worker-side first (a cooperative token stops the
-search and frees the shard, with partial answers when
-``allow_partial``), with the supervisor's clock as a backstop that
-cancels a request still *queued* down its worker's channel; a
-``request_id`` makes a request cancellable (:meth:`cancel`, ``DELETE
-/search/<id>``, the HTTP disconnect watcher); and a worker crash turns
-its in-flight requests into ``WorkerCrashedError`` responses while the
-pool restarts it.  Live updates reach every replica without restarts:
-``apply`` broadcasts one serialized stream per dataset, ``reload``
-swaps every replica's snapshot, and ``dataset_versions`` / ``health``
-show per-replica versions, so drift is observable.
+Failure semantics extend the service contract across processes:
+
+* a malformed request or unroutable dataset is answered supervisor-side
+  as a structured error response;
+* a deadline is enforced *worker-side first*: the request ships with
+  its ``timeout``, the worker arms a cooperative
+  :class:`~repro.core.cancellation.CancellationToken`, and the expired
+  search stops within a couple of check intervals and frees the shard
+  (``error_type="DeadlineExceededError"``, carrying partial answers
+  when ``allow_partial``).  The supervisor still watches the clock as a
+  backstop — a request that missed its deadline while *queued* is
+  cancelled down its worker's channel
+  (:meth:`~repro.cluster.pool.WorkerPool.cancel`) so it never occupies
+  the shard at all;
+* requests carrying a ``request_id`` can be stopped explicitly through
+  :meth:`ShardedQueryService.cancel` (what ``DELETE /search/<id>`` and
+  the HTTP disconnect watcher call) — the shard stops searching, the
+  waiter gets a structured ``SearchCancelledError`` response;
+* a worker crash turns its in-flight requests into
+  ``error_type="WorkerCrashedError"`` responses and the pool restarts
+  the worker — callers never hang, and the *next* batch is served.
+
+Live updates (:mod:`repro.live`) propagate fleet-wide without process
+restarts: :meth:`ShardedQueryService.apply` broadcasts a mutation
+batch to every replica of the dataset's shard (one serialized stream,
+so replicas stay bit-identical), the core's ``reload`` swaps every
+replica to a snapshot file, and the core's ``dataset_versions`` /
+``health`` expose per-replica versions so drift is observable.
 """
 
 from __future__ import annotations
@@ -83,39 +113,56 @@ class ShardedQueryService(ServiceCore):
     Parameters
     ----------
     snapshots:
-        ``{dataset_name: snapshot_path}``: workers load every dataset
-        from disk (:func:`repro.service.snapshot.save_engine`), never
-        ``from_database``.
+        ``{dataset_name: snapshot_path}`` — every dataset a worker may
+        serve must exist as a snapshot file
+        (:func:`repro.service.snapshot.save_engine`); workers load from
+        disk, ``from_database`` never runs in the fleet.
     num_workers:
         Process count (default: the machine's CPU count).
     default_replicas / replicas:
-        Replica fan-out per dataset (see :class:`ShardRouter`); a single
-        hot dataset on an 8-core box wants ``default_replicas=8``.
+        Replica fan-out per dataset (see :class:`ShardRouter`).  A
+        single hot dataset on an 8-core box wants
+        ``default_replicas=8``.
     cache_capacity / cache_ttl:
-        The supervisor's result cache, the fleet's only one.
+        The supervisor's result cache, the fleet's only one (workers
+        run none).
     wal_dir:
-        Directory of per-dataset durable mutation logs
-        (``<wal_dir>/<dataset>.wal``, :mod:`repro.wal`, ``"batched"``
-        durability): the supervisor appends every :meth:`apply` batch
-        *before* broadcasting it, and every worker — a restart-on-crash
-        replacement too — replays the log at startup, so a ``kill
-        -9``'d replica recovers to exactly the last durable epoch.
+        Directory for per-dataset durable mutation logs
+        (:mod:`repro.wal`; ``<wal_dir>/<dataset>.wal``).  When set, the
+        supervisor appends every :meth:`apply` batch to the dataset's
+        log *before* broadcasting it, and every worker — including the
+        replacement a restart-on-crash spawns — **replays the log at
+        startup**, so a ``kill -9``'d replica recovers to exactly the
+        last durable epoch instead of silently serving its snapshot.
+        The logs take :class:`~repro.wal.MutationLog`'s ``"batched"``
+        durability: every batch is flushed (a supervisor ``kill -9``
+        loses nothing) and fsynced periodically.
     tracing:
-        The supervisor mints (or adopts) a trace id per request, records
-        a ``route`` span and re-homes the spans a worker returns, so
-        :meth:`trace` reconstructs the cross-process tree.  Forwarded to
-        every worker; False disables both sides.
+        Structured tracing, on by default: the supervisor mints a trace
+        id per request (or adopts the caller's), records a ``route``
+        span, and re-homes every span the worker process returns into
+        its own :class:`~repro.telemetry.Tracer` — :meth:`trace`
+        reconstructs the cross-process tree.  Forwarded to every
+        worker's private ``QueryService``; False disables both sides.
     slow_query_threshold:
-        Seconds over which the supervisor's slow-query log records a
-        settled response (``None`` disables it); workers keep none.
+        Elapsed-seconds threshold of the supervisor's slow-query log
+        (:meth:`slow_queries`; ``None`` disables it).  Workers keep
+        none: the supervisor records from settled responses.
     slo_objectives:
-        Burn-rate objectives (default :func:`~repro.telemetry.slo.default_objectives`),
-        evaluated by the core's ticker, on every :meth:`slo_status` read
-        and on a worker crash or restart; empty disables SLOs.
+        Burn-rate alerting (:mod:`repro.telemetry.slo`): objectives
+        default to :func:`~repro.telemetry.slo.default_objectives`
+        evaluated every :attr:`SLO_INTERVAL` seconds by the core's
+        ticker, on every :meth:`slo_status` read and on a worker crash
+        or restart (alerts fire into the event log and export ``slo_*``
+        gauges).  An empty sequence disables SLOs and the ticker.
     accounting:
-        Every worker keeps a workload sketch merged by
-        :meth:`query_stats`; the supervisor retains the explain reports
-        of settled ``explain=True`` responses, whichever replica ran them.
+        Per-query resource accounting (:mod:`repro.telemetry.accounting`),
+        on by default: every worker keeps a workload sketch merged
+        fleet-wide by :meth:`query_stats`, and the supervisor retains
+        the explain reports harvested from settled ``explain=True``
+        responses (:meth:`explain`) — workers are restartable cattle,
+        so ``GET /debug/explain/<id>`` works whichever replica ran the
+        query.
 
     The pool restarts a crashed worker (:class:`WorkerPool`); the
     timeouts of the fan-out verbs are the class constants below.
@@ -361,28 +408,42 @@ class ShardedQueryService(ServiceCore):
     def apply(self, dataset: str, mutations: Sequence) -> MutationResult:
         """Apply a mutation batch on **every replica** of ``dataset``.
 
-        Validated once here, then broadcast as ``mutate`` messages under
-        the dataset's mutation lock, held until every replica answers (so
-        concurrent callers reach every replica in one order); each
-        replica commits an in-process epoch, no restart, and the version
-        they acknowledge keys the supervisor's cache.  A replica that
-        fails the batch raises here (``MutationError``: rolled back
-        atomically on every replica; ``WorkerCrashedError``).  Returns
-        the thread tier's :class:`~repro.live.MutationResult` with
-        ``workers`` (``{worker_id: version}``) filled in.
+        The batch is validated once supervisor-side, then broadcast
+        (under the dataset's mutation lock, held until every replica
+        answers, so concurrent callers reach every replica in the same
+        order) as ``mutate`` messages; each replica's private
+        ``QueryService`` commits a new epoch, and the version they
+        acknowledge keys the supervisor's cache from then on.  No worker
+        restarts: the commit is an in-process overlay.  Exception
+        semantics like :meth:`warmup` — a replica that fails the batch raises here
+        (``MutationError`` for bad batches, ``WorkerCrashedError`` for
+        a crash; the survivors stay consistent because a bad batch
+        rolls back atomically on every replica).
 
-        Past :attr:`APPLY_TIMEOUT` (a replica busy with a long search)
-        this raises :class:`~repro.errors.ClusterError`, but the message
-        is *already queued* and commits when the worker drains: check
-        :meth:`dataset_versions` before a retry double-applies it.
+        Returns the thread tier's :class:`~repro.live.MutationResult`
+        with ``workers`` (``{worker_id: version}``) filled in.
 
-        With ``wal_dir`` the batch is appended to the log **before** the
-        broadcast (a crash mid-broadcast leaves replicas *behind* the log,
-        which restart replay recovers, never ahead of it), and its
-        sequence number rides on the message, so a replica whose startup
-        replay covered it acknowledges idempotently.  A batch every
-        replica rejects rolls the record back; a timeout or crash keeps
-        it, the batch still in flight.
+        Caution on timeouts: worker queues are serial, so a replica
+        busy with a long search can push the collection past
+        :attr:`APPLY_TIMEOUT`.  That raises a structured
+        :class:`~repro.errors.ClusterError`, but the mutate message is
+        *already enqueued* and commits when the worker drains — a blind
+        retry would double-apply the batch.  Check
+        :meth:`dataset_versions` first.  Any failure after the broadcast
+        went out (that timeout, a crash, a batch some replicas committed
+        and another rejected) leaves the dataset caching nothing until
+        the next ``apply`` or reload succeeds: the replicas may be at a
+        version the supervisor never saw acknowledged.
+
+        With ``wal_dir`` set, the batch is appended to the dataset's
+        durable log **before** the broadcast (write-ahead: the log is
+        the recovery truth, so a crash mid-broadcast leaves replicas
+        *behind* the log — recoverable by restart replay — never ahead
+        of it), and the record's sequence number rides on the message
+        so a replica whose startup replay already covered it
+        acknowledges idempotently.  A batch every replica rejects rolls
+        the record back; a timeout or crash keeps it, since the batch
+        is still in flight.
         """
         wire = [mutation_to_dict(m) for m in coerce_mutations(mutations)]
         replicas = self.router.replicas_for(dataset)
@@ -397,11 +458,10 @@ class ShardedQueryService(ServiceCore):
                 # a record that bumps nothing and desynchronize WAL
                 # sequences from replica versions forever.
                 payload["seq"] = log.append(wire)
-            futures = {
-                worker_id: self.pool.submit(worker_id, "mutate", payload)
-                for worker_id in replicas
-            }
+            futures: dict[int, Future] = {}
             try:
+                for worker_id in replicas:
+                    futures[worker_id] = self.pool.submit(worker_id, "mutate", payload)
                 results = self._collect(
                     futures, "mutate", timeout=self.APPLY_TIMEOUT, strict=True
                 )
@@ -415,8 +475,17 @@ class ShardedQueryService(ServiceCore):
                 # then make the siblings skip the *next* batch as a
                 # duplicate, so roll back only when no replica is known
                 # to have committed.
-                if "seq" in payload and self._no_replica_committed(futures):
-                    log.rollback_last()
+                if self._no_replica_committed(futures):
+                    if "seq" in payload:
+                        log.rollback_last()
+                else:
+                    self._lose_track(dataset)
+                raise
+            except BaseException:
+                # A timeout (the message still queued), a crash (with a
+                # log, the replacement replays the record) or a failed
+                # submit: the batch may yet commit.
+                self._lose_track(dataset)
                 raise
             wal_seq = log.last_seq if log is not None else None
             workers = {str(w): int(r["version"]) for w, r in sorted(results.items())}
@@ -453,11 +522,13 @@ class ShardedQueryService(ServiceCore):
 
     def _no_replica_committed(self, futures: Mapping[int, Future]) -> bool:
         """True iff every replica's mutate outcome resolved to an error
-        payload — the precondition for rolling a WAL record back.  An
-        outcome that cannot be confirmed (not in 10 s, crash) counts as a
-        possible commit: keeping a rejected record merely degrades to a
-        warned stop at the next replay, while rolling back a committed
-        one would silently desynchronize sequence numbers."""
+        payload — the precondition for rolling a WAL record back and for
+        keeping the dataset's cached answers.  An outcome that cannot be
+        confirmed (not in 10 s, crash) counts as a possible commit:
+        keeping a rejected record merely degrades to a warned stop at the
+        next replay, while rolling back a committed one would silently
+        desynchronize sequence numbers.  (Losing the cache on a doubtful
+        outcome costs only misses.)"""
         done, pending = wait(futures.values(), timeout=10.0)
         return not pending and all(
             future.exception() is None and control_error(future.result()) is not None
@@ -468,15 +539,22 @@ class ShardedQueryService(ServiceCore):
         self, dataset: str, path: str, info: dict, force: bool
     ) -> tuple[bool, dict[str, bool]]:
         """:meth:`reload`'s hook: broadcast the reload to every replica
-        of ``dataset`` (one no-ops only when it serves this digest at this
-        version).  When one reloaded, the worker specs point at the file,
-        so a respawned replica loads it, and the cache moves to a new
-        generation at the file's version; else the old file stays."""
+        of ``dataset``.  When one reloaded, the worker specs point at
+        the file, so a replica respawned after a crash loads it.  A
+        replica no-ops only when it already serves this digest at this
+        version, so with none reloaded the old file and its lineage
+        stay.  When one reloaded, the cache moves to a new generation at
+        the file's version; a broadcast that failed part way moves it to
+        one that caches nothing (:meth:`_lose_track`)."""
         replicas = self.router.replicas_for(dataset)
         payload = {"dataset": dataset, "path": path, "force": force}
-        results = self._broadcast(
-            dict.fromkeys(replicas, payload), "reload", timeout=self.LOAD_TIMEOUT
-        )
+        try:
+            results = self._broadcast(
+                dict.fromkeys(replicas, payload), "reload", timeout=self.LOAD_TIMEOUT
+            )
+        except BaseException:
+            self._lose_track(dataset)
+            raise
         workers = {str(w): bool(r["reloaded"]) for w, r in sorted(results.items())}
         reloaded = any(workers.values())
         if reloaded:
@@ -485,6 +563,15 @@ class ShardedQueryService(ServiceCore):
             self._states[dataset] = (next(GENERATIONS), version)
             self._shred(dataset)
         return reloaded, workers
+
+    def _lose_track(self, dataset: str) -> None:
+        """After a broadcast that failed once sent: key ``dataset`` at a
+        new generation and a version no reply carries, so no answer is
+        cached for it — whatever state its replicas reach — until an
+        ``apply`` or reload succeeds and sets a state every replica
+        acknowledged."""
+        self._states[dataset] = (next(GENERATIONS), -1)
+        self._shred(dataset)
 
     def _broadcast(
         self,
@@ -498,12 +585,17 @@ class ShardedQueryService(ServiceCore):
         carrying its payload (None: none); collect the replies.
 
         ``strict`` raises on any failure (submit error, timeout, or a
-        worker-side error payload, rebuilt via :func:`control_error`); a
-        strict timeout's :class:`~repro.errors.ClusterError` says the
-        message is *still queued* and may yet be processed.  Non-strict
-        (the observability reads) skips failed workers, but never a
-        closed pool's ``PoolClosedError``: a closed fleet must not read
-        as an idle one.
+        worker-side error payload, rebuilt via :func:`control_error`);
+        non-strict skips failed workers — the observability calls'
+        contract — but never a closed pool's ``PoolClosedError``: a read
+        of a closed fleet must not look like an idle one.  A strict
+        timeout raises a structured :class:`~repro.errors.ClusterError`
+        that says the message is *still queued* — worker queues are
+        serial, so it may yet be processed; callers must check
+        :meth:`dataset_versions` before retrying a mutation or they risk
+        double-applying it.
+        (Mutation-ordering calls — :meth:`apply`, :meth:`reload` —
+        submit under their dataset's mutation lock themselves.)
         """
         futures = {}
         for worker_id, payload in payloads.items():
@@ -570,9 +662,10 @@ class ShardedQueryService(ServiceCore):
     def _submit(
         self, request: QueryRequest, token: Optional[CancellationToken]
     ) -> Union[Future, QueryResponse]:
-        """Route one request to its dataset's least busy replica and ship
-        it; supervisor-side failures (bad query, unknown dataset, a shard
-        that is gone) come back as an immediate response."""
+        """Route and ship one request (a cache miss: to its dataset's
+        least busy replica); supervisor-side failures (bad query, unknown
+        dataset, a shard that is gone) come back as an immediate
+        response."""
         if token is not None:
             raise ValueError(
                 "a caller token cannot cross the process boundary; give "
@@ -602,7 +695,7 @@ class ShardedQueryService(ServiceCore):
                 # stays as submitted.
                 wire_request["trace_id"] = trace_id
                 wire_request["parent_span_id"] = route_span.span_id
-            future = self.pool.submit(worker_id, "request", wire_request)
+            future = self.pool.request(worker_id, wire_request)
         except PoolClosedError:
             if route_span is not None:
                 route_span.end(status="error")

@@ -2,48 +2,77 @@
 
 ``worker_main`` is what the supervisor's ``subprocess`` child runs.  Its
 whole world is **one duplex channel** (a ``multiprocessing.connection``
-socket pair; :mod:`repro.cluster.pool`): down it come ``(worker_id,
-snapshots, settings)`` first, then ``(kind, job_id, ...)`` tuples of
-primitives, never live objects; up it go ``(worker_id, job_id,
-payload)`` replies with a dict payload.  The kinds are ``request``,
-``state``, ``mutate``, ``reload``, ``metrics``, ``events``,
-``queries``, the test hook ``sleep``, and ``cancel`` / ``stop``, which
-the channel's reader takes (``tests/cluster/test_message_table.py``
-checks the table both ways).
+socket pair; :mod:`repro.cluster.pool`):
 
-A reader thread drains the channel into the FIFO the serving loop takes
-its work from, so the wire is read *while a search runs*: ``("cancel",
-job_id)`` puts the id where the search's cancellation token probes for
-it, overtaking everything queued, and EOF (the supervisor is gone,
-however it went) becomes ``stop`` at once.  The channel is per worker so
-that workers share no lock one of them could die holding: a killed
-worker breaks only its own channel.
+* down it come ``(worker_id, snapshots, settings)`` first, then ``(kind,
+  job_id, ...)`` tuples of primitives — request-shaped dicts, mutation
+  and reload dicts, floats — never live objects;
+* up it go ``(worker_id, job_id, payload)`` responses with a dict
+  payload.
 
-Engines load from snapshot *paths* at startup
-(:meth:`QueryService.register_snapshot`; never ``from_database``).  A
-snapshot that does not load does not stop the worker (a replacement
-would fail the same way and crash-loop): its error answers ``state``
-and every request for that dataset until a ``reload`` loads a file.  A
-per-message failure becomes a structured error payload for that job;
-the worker exits on ``stop`` or a torn-down channel.
+The kinds are ``request``, ``state``, ``mutate``, ``reload``,
+``metrics``, ``events``, ``queries``, the test hook ``sleep``, and
+``cancel`` / ``stop``, which the channel's reader takes
+(``tests/cluster/test_message_table.py`` checks the table both ways).
 
-The private service runs no result cache — the supervisor's is in front
-of routing — and every reply carries the version its answer was
-computed at (``dataset_version``), which the supervisor caches only at
-the version it tracks.  Deadlines are enforced here cooperatively (the
-service arms a token from the shipped ``timeout``; the supervisor's
-clock is the backstop for a request still queued).  ``mutate`` commits
-a batch in-process, ``reload`` re-registers from a snapshot file
-(no-opping when this worker serves its digest at its version), and
-``state`` reports each dataset's version and load seconds or its load
-error — the one pull behind ``warmup``, ``dataset_versions`` and
-``health``.
+A reader thread drains the channel into an in-process FIFO the serving
+loop takes its work from, so the wire is read *while a search runs*:
+``("cancel", job_id)`` puts the id where the search's cancellation token
+probes for it — overtaking everything queued ahead of it — and EOF (the
+supervisor is gone, however it went) becomes the ``stop`` sentinel at
+once: a supervisor crash strands no worker process.
 
-Durability: with ``settings["wals"]`` the worker replays each dataset's
-supervisor-written log read-only at startup — a restart-on-crash
-included — back to exactly the last durable epoch, and acknowledges a
-``mutate`` whose ``seq`` that replay already covered with nothing
-applied, so a batch that raced a restart is never applied twice.
+The channel is per worker rather than one queue shared by the fleet
+deliberately: workers share no lock one of them could die holding.  A
+killed worker can only break its own channel, whose buffered responses
+stay readable up to the EOF and which the supervisor discards on
+restart — crash containment, not just crash detection.
+
+Engines are loaded from snapshot *paths* at startup, through
+:meth:`QueryService.register_snapshot` — ``from_database`` never runs
+inside a worker, and nothing un-picklable crosses the process boundary
+in either direction.  A snapshot that does not load does not stop the
+worker (a replacement would fail the same way, and the pool would
+crash-loop): its error answers ``state`` and every request for that
+dataset until a ``reload`` loads a file.
+
+The private service runs no result cache (:class:`_Replica`): the
+supervisor's sits in front of routing.  Every reply carries the version
+its answer was computed at (``dataset_version``), and the supervisor
+caches an answer only at the version it tracks.
+
+The loop never lets a per-message failure kill the process: any
+exception while handling a message becomes a structured error payload
+for that job and the loop continues.  The worker exits on the ``stop``
+sentinel or a torn-down channel.
+
+Deadlines *are* enforced here (cooperatively): the supervisor ships
+``timeout`` with the request, the worker's private ``QueryService``
+arms a :class:`~repro.core.cancellation.CancellationToken` from it, and
+an expired search stops at its next check and returns a structured
+``DeadlineExceededError`` response — with the answers released so far
+when the request set ``allow_partial``.  The supervisor still watches
+the clock as a backstop (a request stuck in the queue behind a long
+search has no worker-side token yet).
+
+Live updates arrive as ``mutate`` messages (a dataset name plus wire
+mutation dicts): the private service applies and commits them, so the
+dataset's version advances and subsequent searches see the new epoch —
+all without restarting the process.  ``reload`` re-registers a dataset
+from a snapshot file, no-opping when the worker already serves the
+file's content digest at its version.  ``state`` reports each dataset's
+version and load seconds, or its load error — the one pull behind the
+supervisor's ``warmup``, ``dataset_versions`` and ``health``.
+
+Durability: when ``settings["wals"]`` maps datasets to mutation-log
+directories (:mod:`repro.wal`, written by the supervisor *before* each
+broadcast), the worker **replays the log at startup** — including the
+startup after a restart-on-crash — so a ``kill -9``'d replica comes
+back at exactly the last durable epoch instead of silently serving its
+snapshot.  Workers open the log read-only (only the supervisor
+appends), and a ``mutate`` message carrying the record's ``seq`` is
+acknowledged idempotently when the startup replay already covered it —
+the guard against double-applying a batch that raced a restart.
 """
 
 from __future__ import annotations
@@ -105,6 +134,14 @@ class _Inbox:
             self.cancelled.discard(message[1])
 
 
+class _Replica(QueryService):
+    """A worker's private service: it runs no result cache, since the
+    supervisor's sits in front of routing — a request that reaches a
+    worker missed it, and a repeat may be routed elsewhere."""
+
+    RESULT_CACHE = False
+
+
 def _handle_request(
     service: QueryService, payload: dict, job_id: int, cancelled: set, unloaded: dict
 ) -> dict:
@@ -123,9 +160,13 @@ def _handle_request(
             "request cancelled before execution",
             SearchCancelledError.__name__,
         )
-    # The parent of the token the service arms (which carries the
-    # deadline and check interval and probes parents ungated): only the
-    # membership probe matters here.  search never raises.
+    # Consumed as the *parent* of the token the service arms, whose full
+    # checks probe parents ungated — so only the membership probe
+    # matters here; the service's own token carries the per-request
+    # check interval.  QueryService.search never raises for a
+    # well-formed request: engine failures come back as structured error
+    # responses already, and the service composes its own deadline token
+    # on top of this one.
     token = CancellationToken(external_check=lambda: job_id in cancelled)
     response = service.search(request, token=token)
     if service.tracer is not None:
@@ -164,8 +205,11 @@ def _handle_message(
         # supervisor merges exports and builds the one view from them.
         return service.registry.export(include_samples=True)
     if kind == "mutate":
-        # One broadcast batch, committed in-process (the dataset upgraded
-        # to mutable on first touch), bumping the version answers carry.
+        # Live-update propagation: the supervisor broadcasts one batch
+        # to every replica of the dataset's shard; the private
+        # QueryService applies and commits it (upgrading the dataset to
+        # mutable on first touch), bumping the version its answers carry
+        # back — no process restart, no stale answers.
         payload = message[2]
         name = payload["dataset"]
         seq = payload.get("seq")
@@ -202,7 +246,9 @@ def _handle_message(
         # accounting off.
         return {"queries": service._local_part()}
     if kind == "sleep":
-        # Test hook: the cheap stand-in for a long search.
+        # Debug/test hook: hold this worker busy for a while, the cheap
+        # stand-in for a long search when exercising crash recovery and
+        # drain behaviour.
         time.sleep(message[2])
         return {"slept": message[2]}
     raise ValueError(f"unknown message kind {kind!r}")
@@ -226,10 +272,7 @@ def worker_main(conn) -> None:
     """
     worker_id, snapshots, settings = conn.recv()
     inbox = _Inbox(conn)
-    service = QueryService(
-        # The supervisor's cache sits in front of routing: a request
-        # reaching a worker missed it, and a repeat may go elsewhere.
-        cache_capacity=0,
+    service = _Replica(
         max_workers=1,
         tracing=settings.get("tracing", True),
         accounting=settings.get("accounting", True),

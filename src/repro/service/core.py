@@ -399,6 +399,10 @@ class ServiceCore:
     VERSIONS_TIMEOUT = 2.0
     #: Seconds between the SLO ticker's evaluations.
     SLO_INTERVAL = 5.0
+    #: Whether this service keeps a result cache.  A fleet worker's does
+    #: not: its supervisor's sits in front of routing
+    #: (:mod:`repro.cluster.worker`).
+    RESULT_CACHE = True
     #: Request / error / latency families the SLO objectives read: the
     #: per-algorithm request-path counters every service records.
     SLO_FAMILIES = (
@@ -420,10 +424,9 @@ class ServiceCore:
         self.event_log = EventLog(self.EVENT_LOG_CAPACITY)
         self.registry = MetricsRegistry()
         self._metrics = ServiceMetrics(self.registry)
-        #: The result cache (None: ``cache_capacity=0``, what a fleet
-        #: worker serves with behind its supervisor's).
+        #: The result cache; None where :attr:`RESULT_CACHE` is off.
         self.cache: Optional[ResultCache] = None
-        if cache_capacity:
+        if self.RESULT_CACHE:
             self.cache = ResultCache(cache_capacity, cache_ttl)
             self._register_cache_collector()
         self._wal_telemetry = WalTelemetry(self.registry, self.event_log)

@@ -1,48 +1,69 @@
 """``QueryService``: the serving core on threads, in one process.
 
 :class:`~repro.service.core.ServiceCore` holds what every tier serves
-the same way — the request front, the result cache, ``cancel``, the
-response builders, the telemetry state and the introspection verbs.
-This module is the substrate under it that runs searches *here*, above
+the same way — the request front (``search_many``, deadlines anchored
+at submission, malformed items answered in their slots), the result
+cache, ``cancel``, the response builders, the telemetry state and the
+introspection verbs.
+This module is the substrate under it that runs searches *here*, the
+layer the ROADMAP's production north star needs above
 :class:`~repro.core.engine.KeywordSearchEngine`:
 
 * **Engine registry** — one record per dataset name (what is served,
   its base version and snapshot provenance, which change together: a
   re-registration installs a new record in one step and detaches the
   dataset's log from the core's map; a snapshot's record starts at the
-  file's ``dataset_version``).  A record holds a loaded engine: one the
-  caller built (:meth:`QueryService.register_engine`), a live dataset
-  (:meth:`register_mutable`) or a disk snapshot loaded before the record
-  is installed (:meth:`register_snapshot`, :meth:`reload`), so a file
-  that does not load raises where it was named, never at a search.
+  file's ``dataset_version``).  A record holds a loaded engine: an
+  engine built by the caller (:meth:`QueryService.register_engine`), a
+  live dataset (:meth:`register_mutable`) or a disk snapshot loaded
+  before the record is installed (:meth:`register_snapshot`,
+  :meth:`reload`), so restarts skip graph/prestige/index builds and a
+  file that does not load raises where it was named, never at a search.
+* **Cache state** — the core's result cache keys a request at its
+  registration's ``(generation, version)`` and its engine's params
+  (``_cache_state``), and every answer carries the version it was
+  computed at, read from one epoch together with the engine that ran it.
 * **Execution** — the core's two hooks: ``_submit`` queues a request
   on a ``ThreadPoolExecutor`` and ``_await`` watches its deadline; a
-  ``search`` without a deadline runs a miss on the caller's thread
-  (``_search_one``).  Responses never raise: errors come back as
-  structured :class:`QueryResponse` objects, which an HTTP front-end
-  maps onto status codes directly.
-* **Live mutations** — :meth:`apply` commits a :mod:`repro.live`
-  batch (upgrading the dataset to a :class:`~repro.live.MutableDataset`
-  on first touch): new requests see the new epoch, in-flight searches
-  finish on theirs, and the version every answer carries moves with it,
-  so a commit makes stale cache entries unreachable atomically.
-* **Durability** — :meth:`attach_wal` replays what the served state is
-  missing from the dataset's :mod:`repro.wal` log (crash recovery to the
-  last durable epoch) and journals every later commit write-ahead;
-  :meth:`save_snapshot` truncates the segments a new snapshot covers.
+  ``search`` without a deadline skips both, and a miss runs on the
+  caller's thread (``_search_one``).  Responses never raise: errors
+  (unknown dataset, absent keyword, deadline exceeded) come back as
+  structured :class:`QueryResponse` objects, the contract an HTTP
+  front-end can map onto status codes directly.
+* **Metrics** — every request writes the core's
+  :class:`~repro.telemetry.metrics.MetricsRegistry` and nothing else.
+* **Live mutations** — :meth:`apply` commits a
+  :mod:`repro.live` mutation batch against a dataset (upgrading it to
+  a :class:`~repro.live.MutableDataset` on first touch): new requests
+  see the new epoch, in-flight searches finish on theirs, and the
+  result cache is keyed by :meth:`dataset_version` so a commit makes
+  stale entries unreachable atomically.
+* **Durability** — :meth:`attach_wal` opens the dataset's
+  :mod:`repro.wal` mutation log: records the served state is missing
+  are replayed (crash recovery to exactly the last durable epoch) and
+  every later commit is journaled write-ahead; :meth:`save_snapshot`
+  truncates segments the new snapshot covers.
 
-Threads, not processes: search holds the GIL, so what batching buys is
-overlap, deadline enforcement and one shared warm engine; the process
-tier (:mod:`repro.cluster`) runs the same core over worker processes,
-each holding one of these.  Deadlines are enforced *cooperatively*: a
-:class:`~repro.core.cancellation.CancellationToken` armed from each
-request's deadline stops a losing search within a couple of check
-intervals and frees its thread (``benchmarks/bench_cancellation.py``);
-the response is a structured ``DeadlineExceededError``, carrying the
-answers already released (``complete=False``) with
-``allow_partial=True``.  A ``request_id`` makes a request cancellable
-mid-flight through the same token (:meth:`QueryService.cancel`, ``DELETE
-/search/<id>``, the HTTP disconnect watcher).
+Threads, not processes: search holds the GIL, so a batch's *CPU* time is
+not divided across cores — what batching buys is overlap of cache hits
+with in-flight searches, deduplication of identical queries through the
+cache, deadline enforcement, and a single shared warm engine.  The
+process tier (:mod:`repro.cluster`) runs the same core over worker
+processes, each of which holds one of these.
+
+Deadlines are enforced *cooperatively*: the service arms a
+:class:`~repro.core.cancellation.CancellationToken` from each request's
+deadline and threads it into the engine's pop loop, so a deadline miss
+actually stops the losing search within a couple of check intervals and
+frees its worker thread (``benchmarks/bench_cancellation.py`` holds it
+to that bound).  The expired query's
+response is a structured ``error_type="DeadlineExceededError"``; with
+``QueryRequest.allow_partial=True`` it additionally carries the
+bound-certified answers the search had already released, flagged
+``complete=False``.  Explicit cancellation rides the same token:
+requests carrying a ``request_id`` can be stopped mid-flight through
+:meth:`QueryService.cancel` (what the HTTP front-end's ``DELETE
+/search/<id>`` and client-disconnect mapping call).
 """
 
 from __future__ import annotations
@@ -80,7 +101,7 @@ from repro.service.core import (
 from repro.service.snapshot_header import file_info
 from repro.telemetry.accounting import WorkloadAnalytics
 from repro.telemetry.slo import SloObjective
-from repro.telemetry.trace import use_span
+from repro.telemetry.trace import new_trace_id, use_span
 from repro.wal.log import MutationLog, default_wal_path
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -164,9 +185,7 @@ class _Once:
 
 class QueryService(ServiceCore):
     """The thread tier: a :class:`~repro.service.core.ServiceCore` that
-    owns engines and an executor, and runs every search in this process
-    (``cache_capacity=0`` serves without the core's result cache, as a
-    fleet worker does behind its supervisor's).
+    owns engines and an executor, and runs every search in this process.
 
     Usable as a context manager; :meth:`close` shuts the executor down.
 
@@ -363,11 +382,14 @@ class QueryService(ServiceCore):
         every ``register_*`` and :meth:`reload` ends in.
 
         Under the dataset's mutation lock, so no commit interleaves: the
-        old record stops being served, and the dataset's log is detached
-        and closed unless ``log`` is the one the new record continues
-        (left attached, the replaced content's lineage would wedge every
-        later commit on an out-of-order append).  The old generation's
-        cached answers are purged (:meth:`_shred`).
+        old record — engine and provenance with it — stops being served,
+        and the dataset's log is detached and closed unless ``log`` is
+        the one the new record continues (its lineage belongs to the
+        replaced content: left attached, every later commit would wedge
+        on an out-of-order append).  The old record's cached results
+        (keyed by its generation) are purged and the shred recorded as
+        an operational event (:meth:`_shred`): an operator should see
+        that the fleet just lost its warm cache for the dataset.
         """
         with self._mutation_lock(name):
             with self._registry_lock:
@@ -668,17 +690,21 @@ class QueryService(ServiceCore):
     def apply(self, dataset: str, mutations: Sequence) -> MutationResult:
         """Apply a mutation batch to ``dataset`` and commit a new epoch.
 
-        ``mutations`` holds :mod:`repro.live.mutations` objects or their
-        wire dicts (what ``POST /mutate`` ships).  A dataset not yet
-        mutable is upgraded in place on first apply (its engine wrapped
-        in a :class:`~repro.live.MutableDataset`).
+        ``mutations`` holds :mod:`repro.live.mutations` objects or
+        their wire dicts (what ``POST /mutate`` ships).  A dataset not
+        yet registered mutable is upgraded in place on first apply: its
+        built engine is wrapped in a
+        :class:`~repro.live.MutableDataset` and every later query runs
+        against the dataset's current epoch.
 
-        The commit bumps the version cache keys carry, so an answer from
-        the old epoch is never served afterwards (its entries are purged
-        too, for capacity); in-flight searches finish on the epoch they
-        started on.  With a log attached the dataset stages the batch,
-        then hands its resolved form to the log before the epoch
-        installs.
+        Correctness contract: the commit bumps the dataset version the
+        result cache is keyed by, so a result computed against the old
+        epoch can never be served afterwards; in-flight searches keep
+        the epoch they started on and complete unperturbed.  The old
+        version's entries are also purged eagerly — pure capacity
+        hygiene, the version key already made them unreachable.  With a
+        log attached the dataset stages the batch, then hands its
+        resolved form to the log before the epoch installs.
         """
         with self._mutation_lock(dataset):
             live = self._mutable_dataset(dataset)
@@ -733,7 +759,9 @@ class QueryService(ServiceCore):
         self, request: QueryRequest, token: Optional[CancellationToken]
     ) -> QueryResponse:
         """A request without a deadline has nothing to watch the clock
-        for: a miss runs on the caller's thread (no executor hop)."""
+        for: it is looked up in the cache here and a miss runs on the
+        caller's thread (no executor hop — a cache hit costs
+        microseconds)."""
         if request.timeout is not None:
             return super()._search_one(request, token)
         key = self._cache_key(request)
@@ -885,48 +913,65 @@ class QueryService(ServiceCore):
         submitted_at: Optional[float] = None,
     ) -> QueryResponse:
         """Run one request, never raising — any failure (library error,
-        engine bug) becomes a structured error response, the contract
-        :meth:`search_many` promises.  ``record``, when given, is the
-        exactly-once metrics claim shared with the deadline watcher: if
-        the watcher already recorded this request as a deadline miss,
-        this worker stays silent.  ``token`` is the armed cancellation
-        token the search will tick.  Under tracing the request runs in
-        a ``worker`` root span (``queue_wait`` synthesized from the
-        executor hand-off at ``submitted_at``), and whatever response
-        comes back carries ``request_id`` / ``trace_id`` / ``spans``."""
+        engine bug) becomes a structured error response,
+        the contract :meth:`search_many` promises.  ``record``, when
+        given, is the exactly-once metrics claim shared with the
+        deadline watcher: if the watcher already recorded this request
+        as a deadline miss, this worker stays silent.  ``token`` is the
+        armed cancellation token the search will tick."""
         # Re-registering here is an idempotent overwrite for executor
         # submissions (already registered at _submit time) and the
         # actual registration for the inline no-deadline path.
         registered = self._register_active(request, token)
-        tracer, root = self.tracer, None
-        if tracer is not None:
-            root = tracer.start_span(
-                "worker", trace_id=request.trace_id, parent_id=request.parent_span_id
-            )
-            if submitted_at is not None:
-                root.child("queue_wait").end(
-                    duration=max(0.0, root.started_at - submitted_at)
-                )
         try:
-            response = self._run_request(request, record, token, root)
-        except BaseException:
-            if root is not None:
-                root.end(status="error")
-            raise
+            return self._execute_inner(request, record, token, submitted_at)
         finally:
             if registered:
                 self._untrack(request.request_id, token.cancel)
+
+    def _execute_inner(
+        self,
+        request: QueryRequest,
+        record: Optional[_Once],
+        token: Optional[CancellationToken],
+        submitted_at: Optional[float] = None,
+    ) -> QueryResponse:
+        """Trace wrapper around :meth:`_run_request`: mints the trace id
+        when the request carries none, opens the ``worker`` root span,
+        synthesizes ``queue_wait`` from the executor hand-off gap, and
+        stamps ``request_id`` / ``trace_id`` / ``spans`` onto whatever
+        response comes back (every path, success or error)."""
+        tracer = self.tracer
+        if tracer is None:
+            response = self._run_request(request, record, token, None)
+            response.request_id = request.request_id
+            response.trace_id = request.trace_id
+            self._settle(request, response)
+            return response
+        trace_id = request.trace_id or new_trace_id()
+        root = tracer.start_span(
+            "worker", trace_id=trace_id, parent_id=request.parent_span_id
+        )
+        if submitted_at is not None:
+            root.child("queue_wait").end(
+                duration=max(0.0, root.started_at - submitted_at)
+            )
+        try:
+            response = self._run_request(request, record, token, root)
+        except BaseException:
+            root.end(status="error")
+            raise
+        root.set_attributes(
+            {"dataset": request.dataset, "algorithm": request.algorithm}
+        )
+        if request.request_id is not None:
+            root.set_attribute("request_id", request.request_id)
+        if response.error_type is not None:
+            root.set_attribute("error_type", response.error_type)
+        root.end(status="ok" if response.ok else "error")
         response.request_id = request.request_id
-        response.trace_id = request.trace_id
-        if tracer is not None and root is not None:
-            root.attributes.update(dataset=request.dataset, algorithm=request.algorithm)
-            if request.request_id is not None:
-                root.set_attribute("request_id", request.request_id)
-            if response.error_type is not None:
-                root.set_attribute("error_type", response.error_type)
-            root.end(status="ok" if response.ok else "error")
-            response.trace_id = root.trace_id
-            response.spans = tracer.spans_for(root.trace_id)
+        response.trace_id = trace_id
+        response.spans = tracer.spans_for(trace_id)
         self._settle(request, response)
         return response
 

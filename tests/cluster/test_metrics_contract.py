@@ -207,7 +207,8 @@ def documented_span_names() -> set[str]:
     block = DOC.read_text(encoding="utf-8").split("### Span taxonomy")[1]
     tree = block.split("```")[1].strip().splitlines()
     names = {line.lstrip(" │├└─").split()[0] for line in tree}
-    attributed = {_CODE.fullmatch(c[0]).group(1) for c in table_rows(["span", "attributes"])}
+    rows = table_rows(["span", "attributes"])
+    attributed = {_CODE.fullmatch(row[0]).group(1) for row in rows}
     assert attributed <= names, attributed - names
     return names
 

@@ -39,15 +39,15 @@ def fleet(toy_snapshot):
 
 def replica_answers(fleet, worker_id: int, query: str):
     """Ask one specific replica directly (bypassing routing)."""
-    payload = fleet.pool.submit(
-        worker_id, "request", request_to_dict(QueryRequest(dataset="toy", query=query))
+    payload = fleet.pool.request(
+        worker_id, request_to_dict(QueryRequest(dataset="toy", query=query))
     ).result(timeout=60)
     return response_from_dict(payload)
 
 
 class TestBroadcast:
     def test_mutation_visible_on_every_replica_without_restart(self, fleet):
-        pids_before = [fleet.pool.process(w).pid for w in (0, 1)]
+        pids_before = fleet.pool.pids()
 
         # Unknown term everywhere first.
         for worker_id in (0, 1):
@@ -77,7 +77,7 @@ class TestBroadcast:
             roots = {answer.tree.root for answer in response.result.answers}
             assert new_node in roots
         # ...with no process restart.
-        assert [fleet.pool.process(w).pid for w in (0, 1)] == pids_before
+        assert fleet.pool.pids() == pids_before
         assert all(count == 0 for count in fleet.pool.restarts().values())
 
     def test_stale_cache_never_served_after_broadcast(self, fleet):

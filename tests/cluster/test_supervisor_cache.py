@@ -14,6 +14,7 @@ import pytest
 
 from repro.cluster import ShardedQueryService
 from repro.core.query import parse_query
+from repro.errors import ClusterError, MutationError
 from repro.service import QueryService
 from repro.service.service import QueryRequest
 from repro.wal import MutationLog
@@ -112,7 +113,10 @@ def test_an_answer_behind_the_log_tip_is_never_cached(toy_snapshot, tmp_path):
         log.append([{"op": "add_edge", "u": 0, "v": 10**6}])  # no such node
         log.append([word])
     with ShardedQueryService(
-        {"toy": toy_snapshot}, num_workers=2, default_replicas=2, wal_dir=tmp_path / "wal"
+        {"toy": toy_snapshot},
+        num_workers=2,
+        default_replicas=2,
+        wal_dir=tmp_path / "wal",
     ) as service:
         service.warmup()
         assert service.health()["wal_behind"] == ["toy"]
@@ -123,13 +127,88 @@ def test_an_answer_behind_the_log_tip_is_never_cached(toy_snapshot, tmp_path):
         assert len(service.cache) == 0
 
 
+def _roots(response) -> set:
+    return {answer.tree.root for answer in response.result.answers}
+
+
+@pytest.mark.parametrize("verb", ["apply", "reload"])
+def test_a_broadcast_that_timed_out_never_serves_a_stale_hit(
+    verb, toy_snapshot, tmp_path
+):
+    """A timed-out ``apply`` or ``reload`` is still queued and lands once
+    the busy replica drains: every replica is then at the new state, and
+    a read must see it rather than the answer cached before."""
+    with QueryService() as thread_tier:
+        thread_tier.register_snapshot("toy", toy_snapshot)
+        thread_tier.apply("toy", INSERT)
+        inserted = thread_tier.save_snapshot("toy", tmp_path / "inserted.snap")
+    with ShardedQueryService(
+        {"toy": toy_snapshot}, num_workers=2, default_replicas=2
+    ) as service:
+        service.warmup()
+        before = service.search("toy", "transaction")
+        assert service.search("toy", "transaction").cached
+        hold = service.pool.submit(1, "sleep", 1.0)
+        timeout = "APPLY_TIMEOUT" if verb == "apply" else "LOAD_TIMEOUT"
+        with mock.patch.object(ShardedQueryService, timeout, 0.2):
+            with pytest.raises(ClusterError, match="may yet be processed"):
+                if verb == "apply":
+                    service.apply("toy", INSERT)
+                else:
+                    service.reload("toy", inserted)
+        hold.result(timeout=30)
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            versions = service.dataset_versions()["toy"]
+            if set(versions.values()) == {before.dataset_version + 1}:
+                break
+            time.sleep(0.05)
+        assert set(versions.values()) == {before.dataset_version + 1}
+        for _ in range(2):
+            fresh = service.search("toy", "transaction")
+            assert fresh.ok and not fresh.cached
+            assert fresh.dataset_version == before.dataset_version + 1
+            assert _roots(fresh) != _roots(before)
+        # An apply every replica acknowledges (an empty one will do)
+        # gives the cache a state to key at again.
+        assert service.apply("toy", []).version == before.dataset_version + 1
+        service.search("toy", "transaction")
+        again = service.search("toy", "transaction")
+        assert again.cached and _roots(again) == _roots(fresh)
+
+
+def test_a_batch_one_replica_rejected_never_serves_a_stale_hit(toy_snapshot):
+    """A replica that drifted rejects a batch its sibling commits: the
+    apply raises, the sibling is at a version nobody acknowledged, and a
+    read routed there must not be answered from the cache primed before."""
+    with ShardedQueryService(
+        {"toy": toy_snapshot}, num_workers=2, default_replicas=2
+    ) as service:
+        service.warmup()
+        before = service.search("toy", "transaction")
+        assert service.search("toy", "transaction").cached
+        # Worker 1 alone gains a node, so an edge to the next node id is
+        # valid on worker 1 and dangling on worker 0.
+        ghost = {"op": "add_node", "label": "ghost", "table": "paper", "text": "ghost"}
+        (extra,) = service.pool.submit(
+            1, "mutate", {"dataset": "toy", "mutations": [ghost]}
+        ).result(timeout=30)["new_nodes"]
+        edge = {"op": "add_edge", "u": extra, "v": 3}
+        with pytest.raises(MutationError):
+            service.apply("toy", [edge])
+        fresh = [service.search("toy", "transaction", use_cache=True) for _ in range(4)]
+        assert not any(response.cached for response in fresh)
+        assert all(response.ok for response in fresh)
+        assert len(service.cache) == 0
+
+
 def test_a_worker_retains_no_trace_after_its_reply(toy_snapshot):
     from repro.cluster import worker
     from repro.service.wire import request_to_dict
 
     created = []
 
-    class Recording(QueryService):
+    class Recording(worker._Replica):
         def __init__(self, **kwargs):
             super().__init__(**kwargs)
             created.append(self)
@@ -151,9 +230,10 @@ def test_a_worker_retains_no_trace_after_its_reply(toy_snapshot):
         + [("request", job, payload) for job, payload in enumerate(requests)]
         + [("stop",)]
     )
-    with mock.patch.object(worker, "QueryService", Recording):
+    with mock.patch.object(worker, "_Replica", Recording):
         worker.worker_main(conn)
     (service,) = created
+    assert service.cache is None  # the supervisor's is the fleet's one
     replies = [payload for _, _, payload in conn.sent]
     assert len(replies) == len(requests)
     assert all(reply["spans"] for reply in replies)  # the spans left with them
@@ -173,3 +253,11 @@ def test_metrics_reads_a_silent_worker_as_none(fleet):
     per_worker = metrics["cluster"]["per_worker"]
     assert per_worker["1"] is None
     assert list(per_worker["0"]) == ["requests_total", "errors_total"]
+
+
+def test_a_zero_capacity_cache_is_rejected_on_both_tiers(toy_snapshot):
+    """A worker runs without a cache; a public constructor never does."""
+    with pytest.raises(ValueError, match="capacity"):
+        QueryService(cache_capacity=0)
+    with pytest.raises(ValueError, match="capacity"):
+        ShardedQueryService({"toy": toy_snapshot}, num_workers=1, cache_capacity=0)
