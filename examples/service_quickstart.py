@@ -51,7 +51,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 1. cold service: the engine is built from the database
     # ------------------------------------------------------------------
-    with QueryService(cache_capacity=256, cache_ttl=300.0, max_workers=8) as service:
+    with QueryService(cache_capacity=256, max_workers=8) as service:
         start = time.perf_counter()
         service.register_engine("dblp", KeywordSearchEngine.from_database(db))
         cold_build = time.perf_counter() - start
@@ -65,7 +65,7 @@ def main() -> None:
             service.save_snapshot("dblp", snap)
             print(f"snapshot written: {snap.stat().st_size / 1024:.0f} KiB")
 
-            with QueryService(cache_capacity=256, cache_ttl=300.0) as warm:
+            with QueryService(cache_capacity=256) as warm:
                 warm.register_snapshot("dblp", snap)
                 warm_build = warm.warmup()["dblp"]
                 print(

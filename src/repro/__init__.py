@@ -46,7 +46,7 @@ Public API highlights
     write-ahead, with crash-recovery replay — a kill-9'd process or
     replica recovers to exactly the last durable epoch
     (``QueryService.attach_wal``, ``ShardedQueryService(wal_dir=...)``,
-    :meth:`~repro.live.MutableDataset.replay`).
+    :meth:`~repro.live.MutableDataset.replay_records`).
 :mod:`repro.experiments`
     Harness regenerating every table and figure of Section 5
     (``python -m repro.experiments --list``).

@@ -321,7 +321,6 @@ class WorkerPool:
         # :meth:`cancel` (the sharded service keys its request_id
         # registry on it).
         future.job_id = job_id  # type: ignore[attr-defined]
-        future.worker_id = worker_id  # type: ignore[attr-defined]
         job = _Job(
             worker_id=worker_id,
             kind=kind,
@@ -364,14 +363,6 @@ class WorkerPool:
             break
         channel.send((kind, job_id, *payload))
         return future
-
-    def request(self, worker_id: int, request_dict: dict) -> Future:
-        """Submit one request-shaped dict; resolves to a response dict.
-
-        The returned future carries ``job_id`` / ``worker_id``
-        attributes — the handle :meth:`cancel` takes.
-        """
-        return self.submit(worker_id, "request", request_dict)
 
     # ------------------------------------------------------------------
     # cancellation
@@ -419,13 +410,6 @@ class WorkerPool:
     def restarts(self) -> dict[int, int]:
         with self._lock:
             return dict(self._restarts)
-
-    def pids(self) -> dict[int, Optional[int]]:
-        with self._lock:
-            return {
-                worker_id: (process.pid if process is not None else None)
-                for worker_id, process in self._processes.items()
-            }
 
     def worker_ids(self) -> list[int]:
         return sorted(self._specs)

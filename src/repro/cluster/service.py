@@ -119,11 +119,11 @@ class ShardedQueryService(ServiceCore):
         disk, ``from_database`` never runs in the fleet.
     num_workers:
         Process count (default: the machine's CPU count).
-    default_replicas / replicas:
+    default_replicas:
         Replica fan-out per dataset (see :class:`ShardRouter`).  A
         single hot dataset on an 8-core box wants
         ``default_replicas=8``.
-    cache_capacity / cache_ttl:
+    cache_capacity:
         The supervisor's result cache, the fleet's only one (workers
         run none).
     wal_dir:
@@ -190,9 +190,7 @@ class ShardedQueryService(ServiceCore):
         *,
         num_workers: Optional[int] = None,
         default_replicas: int = 1,
-        replicas: Optional[Mapping[str, int]] = None,
         cache_capacity: int = 1024,
-        cache_ttl: Optional[float] = None,
         wal_dir: Optional[os.PathLike] = None,
         tracing: bool = True,
         slow_query_threshold: Optional[float] = 1.0,
@@ -204,14 +202,10 @@ class ShardedQueryService(ServiceCore):
             num_workers = os.cpu_count() or 1
         # A bad shard layout fails before any serving state is built.
         self.router = ShardRouter(
-            list(snapshots),
-            num_workers,
-            default_replicas=default_replicas,
-            replicas=replicas,
+            list(snapshots), num_workers, default_replicas=default_replicas
         )
         super().__init__(
             cache_capacity=cache_capacity,
-            cache_ttl=cache_ttl,
             tracing=tracing,
             slow_query_threshold=slow_query_threshold,
             slo_objectives=slo_objectives,
@@ -652,9 +646,13 @@ class ShardedQueryService(ServiceCore):
         """Drain and stop the worker fleet (idempotent; a worker that
         has not stopped after :meth:`WorkerPool.close`'s grace is
         killed); durable logs are synced and closed last."""
+        self._closed = True
         self._stop_slo()
         self.pool.close()
         self._close_logs()
+
+    def _closed_error(self) -> Exception:
+        return PoolClosedError("ShardedQueryService is closed")
 
     # ------------------------------------------------------------------
     # internals
@@ -681,10 +679,10 @@ class ShardedQueryService(ServiceCore):
                 "route", trace_id=trace_id, parent_id=request.parent_span_id
             )
         try:
-            worker_id = self.router.least_busy(
+            worker_id = self.router.route(
                 request.dataset,
                 (parse_query(request.query), request.algorithm),
-                self.pool.in_flight(),
+                in_flight=self.pool.in_flight(),
             )
             wire_request = request_to_dict(request)
             if route_span is not None:
@@ -695,7 +693,7 @@ class ShardedQueryService(ServiceCore):
                 # stays as submitted.
                 wire_request["trace_id"] = trace_id
                 wire_request["parent_span_id"] = route_span.span_id
-            future = self.pool.request(worker_id, wire_request)
+            future = self.pool.submit(worker_id, "request", wire_request)
         except PoolClosedError:
             if route_span is not None:
                 route_span.end(status="error")
@@ -855,6 +853,10 @@ class ShardedQueryService(ServiceCore):
         workers = dict.fromkeys(self.pool.worker_ids())
         timeout = self.VERSIONS_TIMEOUT
         replies = self._broadcast(workers, "metrics", timeout=timeout, strict=False)
+        for part in replies.values():
+            # Every replica commits each batch; the supervisor counts
+            # it once, where it is acknowledged (:meth:`apply`).
+            part.pop("repro_mutations_applied_total", None)
         return {worker_id: replies.get(worker_id) for worker_id in workers}
 
     def _liveness(self) -> dict:

@@ -51,9 +51,10 @@ Deadlines *are* enforced here (cooperatively): the supervisor ships
 arms a :class:`~repro.core.cancellation.CancellationToken` from it, and
 an expired search stops at its next check and returns a structured
 ``DeadlineExceededError`` response — with the answers released so far
-when the request set ``allow_partial``.  The supervisor still watches
-the clock as a backstop (a request stuck in the queue behind a long
-search has no worker-side token yet).
+when the request set ``allow_partial``.  Every request runs on the
+loop thread under that token; the one clock watcher is the
+supervisor's (a request stuck in the queue behind a long search has no
+worker-side token yet).
 
 Live updates arrive as ``mutate`` messages (a dataset name plus wire
 mutation dicts): the private service applies and commits them, so the
@@ -140,6 +141,15 @@ class _Replica(QueryService):
     worker missed it, and a repeat may be routed elsewhere."""
 
     RESULT_CACHE = False
+
+    def _search_one(self, request, token):
+        """Every request, one with a deadline too, runs on the loop
+        thread under the token :meth:`_arm_token` builds (the deadline
+        plus the channel's cancel), and no executor is built: the
+        supervisor's ``_await`` is the one clock watcher, and handing
+        off to a thread would free nothing — the loop is this process's
+        only execution thread."""
+        return self._execute(request, None, self._arm_token(request, token))
 
 
 def _handle_request(
@@ -273,7 +283,6 @@ def worker_main(conn) -> None:
     worker_id, snapshots, settings = conn.recv()
     inbox = _Inbox(conn)
     service = _Replica(
-        max_workers=1,
         tracing=settings.get("tracing", True),
         accounting=settings.get("accounting", True),
         # Storage tier for snapshot loads (ram/mapped; None defers

@@ -25,9 +25,9 @@ HTTP front-end's ``POST /mutate``.  Durability lives in
 :mod:`repro.wal`: pass ``mutate(batch, journal=log.append)`` (or
 attach a log with ``QueryService.attach_wal``) to append every commit
 to a crash-recoverable mutation log, and
-:meth:`MutableDataset.replay` to reconstruct a dataset from its base
-graph and index plus that log.  ``QueryService`` writes live state to
-disk, stamped with the version it serves.
+:meth:`MutableDataset.replay_records` to bring a dataset on its base
+graph and index up to that log's tip.  ``QueryService`` writes live
+state to disk, stamped with the version it serves.
 
 Re-exports are lazy (:mod:`repro._lazy`): a process imports only what it runs.
 """

@@ -201,49 +201,23 @@ class MutableDataset:
 
     @classmethod
     def replay(
-        cls,
-        log,
-        *,
-        graph: SearchGraph,
-        index: InvertedIndex,
-        start_seq: Optional[int] = None,
-        strict: bool = True,
-        **knobs,
+        cls, log, *, graph: SearchGraph, index: InvertedIndex
     ) -> "MutableDataset":
-        """Reconstruct a live dataset by replaying a mutation log onto
-        its base state — the crash-recovery path.
-
-        ``log`` is a :class:`repro.wal.MutationLog` (or a path to one,
-        opened read-only); ``graph`` + ``index`` are the base, built or
-        loaded by the caller (a mapped base stays read-only: the overlay
-        lives in RAM).  ``start_seq`` is the version the base holds, by
-        default the log's oldest retained base.  Records with
-        ``seq <= start_seq`` are already baked into the base and are
-        skipped; the rest must be contiguous from ``start_seq + 1`` — a
-        gap means the log was truncated past this base and exact
-        recovery is impossible, which raises
-        :class:`~repro.errors.WalError` rather than silently rebuilding
-        a different state.  With ``strict=False`` a record that fails
-        to apply stops the replay at the previous epoch (with a
-        warning) instead of raising — the degraded-but-serving choice a
-        restarting replica makes.
-
-        The replayed dataset's ``version`` equals the number of records
-        applied, so ``start_seq + dataset.version`` lands exactly on
-        the log's last replayed sequence number.
+        """A live dataset over ``graph`` + ``index`` (the base, built or
+        loaded by the caller) with every record of ``log`` — a
+        :class:`repro.wal.MutationLog`, or a path opened read-only —
+        past its oldest retained base applied by :meth:`replay_records`,
+        strictly.  The recovery paths call :meth:`replay_records`
+        directly; this spelling is what the ledger's
+        ``wal.replay_ms_per_100`` probe times.
         """
         from repro.wal.log import MutationLog
 
         if not hasattr(log, "records"):
             log = MutationLog(log, readonly=True)
-        if start_seq is None:
-            start_seq = log.first_base
-        dataset = cls(graph, index, **knobs)
-        dataset.replay_records(
-            log.records(start_after=start_seq),
-            expected=start_seq + 1,
-            strict=strict,
-        )
+        dataset = cls(graph, index)
+        start = log.first_base
+        dataset.replay_records(log.records(start_after=start), expected=start + 1)
         return dataset
 
     def replay_records(
@@ -257,9 +231,9 @@ class MutableDataset:
         that this code refuses (:attr:`~repro.wal.WalRecord.refused`) —
         unless ``strict=False``, which stops at the previous epoch with
         a warning instead (the degraded-but-serving replica choice).
-        Returns the number of records applied.  Shared by
-        :meth:`replay` and ``QueryService.attach_wal`` so the two
-        recovery paths cannot drift.
+        Returns the number of records applied.  The one recovery path:
+        ``QueryService.attach_wal`` (and through it every fleet
+        worker's startup replay) calls it, and so does :meth:`replay`.
         """
         import warnings
 

@@ -415,7 +415,6 @@ class ServiceCore:
         self,
         *,
         cache_capacity: int,
-        cache_ttl: Optional[float],
         tracing: bool,
         slow_query_threshold: Optional[float],
         slo_objectives: Optional[Sequence[SloObjective]],
@@ -424,10 +423,20 @@ class ServiceCore:
         self.event_log = EventLog(self.EVENT_LOG_CAPACITY)
         self.registry = MetricsRegistry()
         self._metrics = ServiceMetrics(self.registry)
+        # Counted where a batch is acknowledged (:meth:`_note_commit`):
+        # on the fleet, by the supervisor once, not by every replica.
+        self._mutations_applied = self.registry.counter(
+            "repro_mutations_applied_total",
+            "Mutation batches committed",
+            labels=("dataset",),
+        )
+        #: Set by ``close``: every later search raises
+        #: :meth:`_closed_error`, a cache hit too.
+        self._closed = False
         #: The result cache; None where :attr:`RESULT_CACHE` is off.
         self.cache: Optional[ResultCache] = None
         if self.RESULT_CACHE:
-            self.cache = ResultCache(cache_capacity, cache_ttl)
+            self.cache = ResultCache(cache_capacity)
             self._register_cache_collector()
         self._wal_telemetry = WalTelemetry(self.registry, self.event_log)
         self.tracer: Optional[Tracer] = (
@@ -497,11 +506,6 @@ class ServiceCore:
         gauges = {
             "size": registry.gauge("repro_cache_entries", "Result cache entries held"),
             "capacity": registry.gauge("repro_cache_capacity", "Result cache capacity"),
-            "ttl": registry.gauge(
-                "repro_cache_ttl_seconds",
-                "Result cache entry time-to-live (no sample: entries never expire)",
-                merge="max",
-            ),
         }
         counters = {
             stat: registry.counter(f"repro_cache_{name}_total", f"Result cache {help}")
@@ -509,7 +513,6 @@ class ServiceCore:
                 ("hits", "lookup_hits", "lookups that found a live entry"),
                 ("misses", "lookup_misses", "lookups that found no live entry"),
                 ("evictions", "evictions", "LRU evictions"),
-                ("expirations", "expirations", "TTL expirations"),
             )
         }
 
@@ -519,8 +522,7 @@ class ServiceCore:
                 return
             stats = service.cache.stats()
             for stat, gauge in gauges.items():
-                if stats[stat] is not None:
-                    gauge.set(stats[stat])
+                gauge.set(stats[stat])
             for stat, counter in counters.items():
                 counter.set_total(stats[stat])
 
@@ -556,6 +558,8 @@ class ServiceCore:
         one (it cannot cross a process boundary — give the request a
         ``request_id`` and use :meth:`cancel`).
         """
+        if self._closed:
+            raise self._closed_error()
         request = normalize_search_args(
             dataset,
             query,
@@ -566,6 +570,11 @@ class ServiceCore:
             use_cache=use_cache,
         )
         return self._search_one(request, token)
+
+    def _closed_error(self) -> Exception:
+        """What a search raises once ``close`` ran; the fleet raises its
+        pool's ``PoolClosedError``."""
+        return RuntimeError(f"{type(self).__name__} is closed")
 
     def _search_one(
         self, request: QueryRequest, token: Optional[CancellationToken]
@@ -604,8 +613,11 @@ class ServiceCore:
 
         Never raises per-item: a malformed item (unknown algorithm,
         wrong shape) yields an error response in its slot and the rest
-        of the batch still runs.
+        of the batch still runs.  A closed service raises
+        :meth:`_closed_error` for the whole batch.
         """
+        if self._closed:
+            raise self._closed_error()
         prepared: list[Union[QueryRequest, QueryResponse]] = []
         for raw in requests:
             try:
@@ -1000,6 +1012,7 @@ class ServiceCore:
             log.close()
 
     def _note_commit(self, dataset: str, version: int, applied: int, wal_seq) -> None:
+        self._mutations_applied.inc(dataset=dataset)
         self.event_log.emit(
             "mutation_commit",
             f"committed {applied} mutation(s) to {dataset!r} (version {version})",

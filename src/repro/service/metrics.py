@@ -236,16 +236,13 @@ def metrics_view(export: dict, *, include_samples: bool = False) -> dict:
         lookup_hits = family_total(export, "repro_cache_lookup_hits_total")
         lookup_misses = family_total(export, "repro_cache_lookup_misses_total")
         lookups = lookup_hits + lookup_misses
-        ttl = _samples(export, "repro_cache_ttl_seconds")
         view["cache"] = {
             "size": family_total(export, "repro_cache_entries"),
             "capacity": family_total(export, "repro_cache_capacity"),
-            "ttl": ttl[0]["value"] if ttl else None,
             "hits": lookup_hits,
             "misses": lookup_misses,
             "hit_rate": lookup_hits / lookups if lookups else 0.0,
             "evictions": family_total(export, "repro_cache_evictions_total"),
-            "expirations": family_total(export, "repro_cache_expirations_total"),
         }
     if "repro_dataset_version" in export:
         versions = family_values(export, "repro_dataset_version", "dataset")

@@ -216,7 +216,6 @@ class QueryService(ServiceCore):
         self,
         *,
         cache_capacity: int = 1024,
-        cache_ttl: Optional[float] = None,
         max_workers: int = 8,
         tracing: bool = True,
         slow_query_threshold: Optional[float] = 1.0,
@@ -228,7 +227,6 @@ class QueryService(ServiceCore):
             raise ValueError(f"max_workers must be >= 1, got {max_workers!r}")
         super().__init__(
             cache_capacity=cache_capacity,
-            cache_ttl=cache_ttl,
             tracing=tracing,
             slow_query_threshold=slow_query_threshold,
             slo_objectives=slo_objectives,
@@ -252,7 +250,6 @@ class QueryService(ServiceCore):
         self._cancel_times: deque[float] = deque()
         self._cancel_storm_lock = threading.Lock()
         self._cancel_storm_until = 0.0
-        self._closed = False
         self._register_telemetry_collectors()
 
     def _register_telemetry_collectors(self) -> None:
@@ -270,11 +267,6 @@ class QueryService(ServiceCore):
             "Seconds the dataset's last engine build took (slowest replica)",
             labels=("dataset",),
             merge="max",
-        )
-        registry.counter(
-            "repro_mutations_applied_total",
-            "Mutation batches committed",
-            labels=("dataset",),
         )
         # Mapped-storage residency (datasets served from a memory-mapped
         # snapshot; see docs/STORAGE.md).  Fault counters measure
@@ -399,28 +391,25 @@ class QueryService(ServiceCore):
         if old is not None:
             self._shred(name)
 
-    def register_snapshot(self, name: str, path, *, pin_policy=None) -> None:
+    def register_snapshot(self, name: str, path) -> None:
         """Load a disk snapshot and serve it; loading replaces
         ``from_database``.
 
         The load runs before anything is registered, in the storage tier
-        the constructor's ``storage_mode`` picks; ``pin_policy`` is
-        forwarded to it (see :class:`repro.storage.PinPolicy`).  A file
-        that does not load raises its
-        :class:`~repro.errors.SnapshotError` here and registers nothing.
+        the constructor's ``storage_mode`` picks.  A file that does not
+        load raises its :class:`~repro.errors.SnapshotError` here and
+        registers nothing.
         """
-        self._install(name, self._load(path, file_info(str(path)), pin_policy))
+        self._install(name, self._load(path, file_info(str(path))))
 
-    def _load(self, path, info: dict, pin_policy=None) -> _Dataset:
+    def _load(self, path, info: dict) -> _Dataset:
         """A registration of the snapshot at ``path``, loaded now, at
         the version and digest of ``info``: its header, read just before
         the load."""
         from repro.service.snapshot import load_engine
 
         start = time.perf_counter()
-        engine = load_engine(
-            path, storage_mode=self._storage_mode, pin_policy=pin_policy
-        )
+        engine = load_engine(path, storage_mode=self._storage_mode)
         return _Dataset(
             engine=engine,
             base=int(info.get("dataset_version") or 0),
@@ -718,9 +707,6 @@ class QueryService(ServiceCore):
             wal_seq = log.last_seq if log is not None else None
         version = current[1]
         purged = self._shred(dataset, keep=current)
-        self.registry.counter("repro_mutations_applied_total").inc(
-            dataset=dataset
-        )
         self._note_commit(dataset, version, outcome.applied, wal_seq)
         from repro.live.mutations import MutationResult
 
@@ -774,7 +760,9 @@ class QueryService(ServiceCore):
     # lifecycle
     # ------------------------------------------------------------------
     def close(self, *, wait: bool = True) -> None:
-        """Shut the executor down (idempotent); engines stay usable.
+        """Shut the executor down (idempotent); every later search
+        raises ``RuntimeError``, a cache hit too, while the engines
+        themselves stay usable.
 
         ``wait=False`` returns immediately, leaving any in-flight
         (e.g. deadline-abandoned) searches to finish on their worker

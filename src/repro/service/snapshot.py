@@ -233,8 +233,8 @@ def _pin_hints(meta: dict, arrays: dict) -> dict:
     posting lists) — enough for ``snapshot info`` to summarize the pin
     set without touching a single data array, and for operators to see
     *what* a replica pins.  The load-time
-    :class:`~repro.storage.PinPolicy` recomputes the full set from the
-    resident indptr/prestige arrays; the hints are advisory.
+    :func:`~repro.storage.apply_pin_policy` recomputes the full set from
+    the resident indptr/prestige arrays; the hints are advisory.
     """
     from repro.storage.mapped import _top
 
@@ -517,7 +517,6 @@ def load_snapshot(
     path: Union[str, os.PathLike],
     *,
     storage_mode: Optional[str] = None,
-    pin_policy=None,
 ) -> tuple[SearchGraph, InvertedIndex]:
     """Restore the ``(graph, index)`` pair saved by :func:`save_snapshot`.
 
@@ -533,9 +532,8 @@ def load_snapshot(
 
     Both return the same lazy graph/index classes: adjacency rows,
     posting lists and text metadata materialize on first touch, except
-    the rows ``pin_policy`` (a :class:`~repro.storage.PinPolicy`, dict
-    or None for defaults) faults in at load.  Answers and scores are
-    bit-identical across modes.
+    the rows :func:`~repro.storage.apply_pin_policy` faults in at load.
+    Answers and scores are bit-identical across modes.
     """
     from repro.storage.mapped import (
         MappedInvertedIndex,
@@ -585,7 +583,7 @@ def load_snapshot(
         num_nodes=num_nodes,
         stats=stats,
     )
-    apply_pin_policy(graph, index, pin_policy, stats)
+    apply_pin_policy(graph, index, stats)
     return graph, index
 
 
@@ -639,14 +637,11 @@ def load_engine(
     *,
     params=None,
     storage_mode: Optional[str] = None,
-    pin_policy=None,
 ):
     """Rebuild a ready-to-query engine from a snapshot file."""
     from repro.core.engine import KeywordSearchEngine
 
-    graph, index = load_snapshot(
-        path, storage_mode=storage_mode, pin_policy=pin_policy
-    )
+    graph, index = load_snapshot(path, storage_mode=storage_mode)
     return KeywordSearchEngine(graph, index, params=params)
 
 

@@ -11,8 +11,9 @@ same way under every ``storage_mode``: lazily.  This package holds the
   adjacency rows and posting lists materialize on first touch, over an
   ``mmap`` of the file (``mapped``) or its bytes read into process
   memory (``ram``);
-* :class:`PinPolicy` — which rows are materialized eagerly at load time
-  (high-prestige and high-degree nodes, hot posting lists);
+* :func:`apply_pin_policy` — the rows materialized eagerly at load time
+  (high-prestige and high-degree nodes, hot posting lists; counts
+  :data:`~repro.storage.mapped.PIN_NODES` / ``PIN_TERMS``);
 * :class:`StorageStats` — per-dataset fault/pin/residency counters the
   telemetry registry exports;
 * :func:`resolve_storage_mode` — the ``ram`` / ``mapped`` knob
@@ -22,7 +23,6 @@ same way under every ``storage_mode``: lazily.  This package holds the
 
 from repro.storage.stats import (
     STORAGE_MODES,
-    PinPolicy,
     StorageStats,
     resolve_storage_mode,
 )
@@ -36,7 +36,6 @@ __all__ = [
     "STORAGE_MODES",
     "MappedInvertedIndex",
     "MappedSearchGraph",
-    "PinPolicy",
     "StorageStats",
     "apply_pin_policy",
     "resolve_storage_mode",

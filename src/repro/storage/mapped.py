@@ -45,7 +45,7 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence
 from repro.errors import SnapshotError
 from repro.graph.searchgraph import Edge, SearchGraph
 from repro.index.inverted import InvertedIndex
-from repro.storage.stats import PinPolicy, StorageStats
+from repro.storage.stats import StorageStats
 
 __all__ = [
     "MappedInvertedIndex",
@@ -480,39 +480,55 @@ def _top(k: int, values: Sequence) -> list[int]:
     return nlargest(k, range(len(values)), key=values.__getitem__)
 
 
-def apply_pin_policy(
-    graph: MappedSearchGraph,
-    index: MappedInvertedIndex,
-    policy: Optional[PinPolicy],
-    stats: StorageStats,
-) -> None:
-    """Fault in the policy's pin set and record it in ``stats``.
+#: Which rows a snapshot load materializes eagerly.  The paper's
+#: activation model concentrates traffic on high-prestige hubs, and
+#: frontier expansion touches high-degree rows far more often than the
+#: long tail — so the pin set is the union of the top-``PIN_NODES`` rows
+#: by prestige and by combined degree (both adjacency sides are pinned
+#: for each).  ``PIN_TERMS`` pins the largest posting lists: keyword
+#: seeding reads whole origin sets, and the frequent-keyword case is
+#: exactly where a posting list is big.
+#:
+#: Pinning only *materializes* the rows at load time (they live in the
+#: ordinary row cache, which never evicts); it does not ``mlock`` pages
+#: — the OS page cache underneath stays evictable, which is what lets N
+#: worker processes share one physical copy of the file.
+#:
+#: The counts are deliberately small: pinning is O(pin set) Python tuple
+#: construction at load time, and a lazy load's whole point is an
+#: O(1)-ish warmup.  Hub nodes and frequent keywords are so skewed that a
+#: few dozen rows cover most first-query traffic.
+PIN_NODES = 64
+PIN_TERMS = 16
 
-    Node selection: union of the top-``policy.nodes`` rows by prestige
+
+def apply_pin_policy(
+    graph: MappedSearchGraph, index: MappedInvertedIndex, stats: StorageStats
+) -> None:
+    """Fault in the pin set and record it in ``stats``.
+
+    Node selection: union of the top-:data:`PIN_NODES` rows by prestige
     and by combined (in+out) degree, ties broken by node id — both
     rankings deterministic, so every replica pins the same set.  Term
-    selection: the ``policy.terms`` largest text posting lists, ties by
+    selection: the :data:`PIN_TERMS` largest text posting lists, ties by
     row index — which is term order, since the snapshot stores terms
     sorted; pinning by row index keeps the text blob untouched at load
     time.  Counters are zeroed afterwards so ``row_faults`` /
     ``posting_faults`` measure post-warmup demand misses, while the pin
     set itself is reported through ``pinned_*``.
     """
-    policy = PinPolicy.coerce(policy)
     before = stats.resident_bytes
 
     ends = list(map(add, graph._out._bounds, graph._in._bounds))
     degree = list(map(sub, ends[1:], ends))
-    pinned_nodes = {
-        *_top(policy.nodes, graph.prestige_values), *_top(policy.nodes, degree)
-    }
+    pinned_nodes = {*_top(PIN_NODES, graph.prestige_values), *_top(PIN_NODES, degree)}
     for u in sorted(pinned_nodes):
         graph.out_edges(u)
         graph.in_edges(u)
 
     postings = index._postings
     freq = list(map(sub, postings._bounds[1:], postings._bounds))
-    pinned_terms = _top(policy.terms, freq)
+    pinned_terms = _top(PIN_TERMS, freq)
     for i in pinned_terms:
         postings.pin_row(i)
 

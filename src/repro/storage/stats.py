@@ -1,4 +1,4 @@
-"""Storage-mode resolution, pin policy and residency accounting.
+"""Storage-mode resolution and residency accounting.
 
 Small, dependency-free pieces shared by the snapshot loader
 (:mod:`repro.service.snapshot`), the mapped graph/index classes
@@ -8,13 +8,11 @@ Small, dependency-free pieces shared by the snapshot loader
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 __all__ = [
     "STORAGE_MODES",
     "STORAGE_MODE_ENV",
-    "PinPolicy",
     "StorageStats",
     "resolve_storage_mode",
 ]
@@ -42,55 +40,6 @@ def resolve_storage_mode(value: Optional[str] = None) -> str:
             f"unknown storage mode {value!r}; expected one of {STORAGE_MODES}"
         )
     return mode
-
-
-@dataclass(frozen=True)
-class PinPolicy:
-    """Which rows a snapshot load materializes eagerly.
-
-    The paper's activation model concentrates traffic on high-prestige
-    hubs, and frontier expansion touches high-degree rows far more
-    often than the long tail — so the pin set is the union of the
-    top-``nodes`` rows by prestige and by combined degree (both
-    adjacency sides are pinned for each).  ``terms`` pins the largest
-    posting lists: keyword seeding reads whole origin sets, and the
-    frequent-keyword case is exactly where a posting list is big.
-
-    Pinning only *materializes* the rows at load time (they live in the
-    ordinary row cache, which never evicts); it does not ``mlock``
-    pages — the OS page cache underneath stays evictable, which is what
-    lets N worker processes share one physical copy of the file.
-
-    The defaults are deliberately small: pinning is O(pin set) Python
-    tuple construction at load time, and a lazy load's whole point is
-    an O(1)-ish warmup.  Hub nodes and frequent keywords are so skewed
-    that a few dozen rows cover most first-query traffic; services with
-    known-hot workloads pass a bigger policy explicitly.
-    """
-
-    nodes: int = 64
-    terms: int = 16
-
-    def __post_init__(self) -> None:
-        if self.nodes < 0 or self.terms < 0:
-            raise ValueError(
-                f"pin counts must be >= 0, got nodes={self.nodes!r} "
-                f"terms={self.terms!r}"
-            )
-
-    @classmethod
-    def coerce(cls, value: Union[None, dict, "PinPolicy"]) -> "PinPolicy":
-        """Accept ``None`` (defaults), a ``{"nodes", "terms"}`` dict, or
-        an existing policy."""
-        if value is None:
-            return cls()
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, dict):
-            return cls(**value)
-        raise TypeError(
-            f"pin_policy must be a PinPolicy, a dict or None, got {value!r}"
-        )
 
 
 class StorageStats:

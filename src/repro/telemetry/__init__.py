@@ -2,8 +2,8 @@
 
 Stdlib-only observability for the whole serving stack.  Six pieces:
 
-* :mod:`repro.telemetry.trace` — ``Tracer`` / ``Span`` / ``TraceStore``:
-  one ``trace_id`` per query, a span tree crossing thread and process
+* :mod:`repro.telemetry.trace` — ``Tracer`` / ``Span``: one
+  ``trace_id`` per query, a span tree crossing thread and process
   boundaries (``http → route → queue_wait → worker → engine``);
 * :mod:`repro.telemetry.metrics` — ``MetricsRegistry``: the one store
   of serving numbers — counters, gauges and bucketed (optionally
@@ -35,7 +35,7 @@ from repro.telemetry.accounting import (
     merge_sketch_exports,
     query_fingerprint,
 )
-from repro.telemetry.events import SEVERITIES, EventLog, merge_events
+from repro.telemetry.events import SEVERITIES, EventLog
 from repro.telemetry.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
@@ -56,7 +56,6 @@ from repro.telemetry.slowlog import SlowQueryLog
 from repro.telemetry.trace import (
     Span,
     Tracer,
-    TraceStore,
     build_span_tree,
     current_span,
     new_span_id,
@@ -80,7 +79,6 @@ __all__ = [
     "SpaceSavingSketch",
     "Span",
     "Tracer",
-    "TraceStore",
     "WorkloadAnalytics",
     "build_explain_report",
     "build_span_tree",
@@ -89,7 +87,6 @@ __all__ = [
     "current_span",
     "default_objectives",
     "histogram_bad_fraction",
-    "merge_events",
     "merge_registries",
     "merge_sketch_exports",
     "query_fingerprint",

@@ -438,11 +438,6 @@ class ExplainStore:
         with self._lock:
             return self._reports.get(request_id)
 
-    def ids(self) -> list[str]:
-        """Stored request ids, oldest first."""
-        with self._lock:
-            return list(self._reports)
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._reports)

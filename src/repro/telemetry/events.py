@@ -23,9 +23,9 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
-__all__ = ["EventLog", "SEVERITIES", "merge_events"]
+__all__ = ["EventLog", "SEVERITIES"]
 
 #: Recognised severities, mildest first.  ``emit`` rejects others so a
 #: typo cannot silently create an un-filterable severity class.
@@ -51,7 +51,6 @@ class EventLog:
         self._lock = threading.Lock()
         self._ring: deque[dict[str, Any]] = deque(maxlen=capacity)
         self._seq = 0
-        self._emitted = 0
 
     # ------------------------------------------------------------------
     # Producing events
@@ -91,7 +90,6 @@ class EventLog:
         }
         with self._lock:
             self._seq += 1
-            self._emitted += 1
             event["seq"] = self._seq
             self._ring.append(event)
         return event
@@ -115,7 +113,6 @@ class EventLog:
             copied["source"] = source
         with self._lock:
             self._seq += 1
-            self._emitted += 1
             copied["seq"] = self._seq
             self._ring.append(copied)
         return copied
@@ -160,31 +157,3 @@ class EventLog:
     def last_seq(self) -> int:
         with self._lock:
             return self._seq
-
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "last_seq": self._seq,
-                "emitted": self._emitted,
-                "size": len(self._ring),
-                "capacity": self.capacity,
-                "dropped": self._emitted - len(self._ring),
-            }
-
-
-def merge_events(
-    parts: Iterable[Iterable[dict[str, Any]]], *, limit: int | None = None
-) -> list[dict[str, Any]]:
-    """Combine event lists from several logs into one timeline.
-
-    Events sort by wall-clock timestamp (stable, so same-timestamp
-    events keep their per-source order); ``limit`` keeps the newest.
-    Used for ad-hoc views over logs that were *not* ingested into one
-    authoritative ring — the supervisor's normal path is
-    :meth:`EventLog.ingest`, which keeps one sequence space instead.
-    """
-    merged = [dict(event) for part in parts for event in part]
-    merged.sort(key=lambda event: event.get("ts") or 0.0)
-    if limit is not None and len(merged) > limit:
-        merged = merged[-limit:]
-    return merged

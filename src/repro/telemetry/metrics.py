@@ -94,10 +94,6 @@ class _Family:
     def _label_dict(self, key: tuple) -> dict:
         return dict(zip(self.labels, key))
 
-    def clear(self) -> None:
-        with self._lock:
-            self._samples.clear()
-
     def _export_sample(self, state, include_samples: bool) -> dict:
         """One label set's exported fields (histograms override)."""
         return {"value": state}
@@ -137,10 +133,6 @@ class Counter(_Family):
         with self._lock:
             self._samples[key] = value
 
-    def value(self, **labels: str) -> _Number:
-        with self._lock:
-            return self._samples.get(self._key(labels), 0)
-
 
 class Gauge(_Family):
     """A value that can go both ways.  ``merge`` picks the cross-replica
@@ -168,14 +160,6 @@ class Gauge(_Family):
         with self._lock:
             self._samples[key] = value
 
-    def inc(self, amount: _Number = 1, **labels: str) -> None:
-        key = self._key(labels)
-        with self._lock:
-            self._samples[key] = self._samples.get(key, 0) + amount
-
-    def dec(self, amount: _Number = 1, **labels: str) -> None:
-        self.inc(-amount, **labels)
-
     def replace(self, values: Mapping[tuple, _Number]) -> None:
         """Swap in a whole sample set, keyed by label-value tuples in
         ``labels`` order — for collector-driven gauges whose label sets
@@ -185,10 +169,6 @@ class Gauge(_Family):
         }
         with self._lock:
             self._samples = samples
-
-    def value(self, **labels: str) -> _Number:
-        with self._lock:
-            return self._samples.get(self._key(labels), 0)
 
 
 class Histogram(_Family):
@@ -329,12 +309,6 @@ class MetricsRegistry:
         return {
             name: families[name].export(include_samples) for name in sorted(families)
         }
-
-    def reset(self) -> None:
-        """Zero every family's samples (families stay registered)."""
-        with self._lock:
-            for family in self._families.values():
-                family.clear()
 
 
 # ----------------------------------------------------------------------

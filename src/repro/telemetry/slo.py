@@ -189,7 +189,6 @@ class SloEngine:
         self._snapshots: deque[dict[str, Any]] = deque()
         self._firing: dict[str, bool] = {o.name: False for o in self.objectives}
         self._since: dict[str, float | None] = {o.name: None for o in self.objectives}
-        self._last_status: list[dict[str, Any]] = []
         horizon = max((o.slow_window for o in self.objectives), default=300.0)
         self._retention = horizon * 2.0 + 60.0
         self._burn_gauge = None
@@ -428,7 +427,6 @@ class SloEngine:
                     self._firing_gauge.set(
                         1.0 if firing else 0.0, objective=objective.name
                     )
-            self._last_status = statuses
             return [dict(status) for status in statuses]
 
     def _on_fire(
@@ -464,12 +462,3 @@ class SloEngine:
                 objective=objective.name,
                 burn_fast=fast["burn_rate"],
             )
-
-    def status(self) -> list[dict[str, Any]]:
-        """The most recent evaluation (without taking a new snapshot)."""
-        with self._lock:
-            return [dict(status) for status in self._last_status]
-
-    def firing(self) -> dict[str, bool]:
-        with self._lock:
-            return dict(self._firing)

@@ -1,4 +1,4 @@
-"""Structured tracing: spans, tracers, and a cross-process trace store.
+"""Structured tracing: spans, and tracers that keep them across processes.
 
 One query produces one *trace*: a tree of :class:`Span` records named
 after the stage they time (``http`` → ``route`` → ``queue_wait`` →
@@ -36,7 +36,6 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 __all__ = [
     "Span",
     "Tracer",
-    "TraceStore",
     "build_span_tree",
     "render_span_tree",
     "current_span",
@@ -181,13 +180,14 @@ class Span:
         return f"Span({self.name!r}, trace={self.trace_id[:8]}, {state})"
 
 
-class TraceStore:
-    """Bounded, thread-safe retention of finished spans, keyed by trace.
+class Tracer:
+    """Mints spans and retains the finished ones, keyed by trace.
 
-    Holds the ``capacity`` most recently touched traces; older traces
-    evict whole (a trace with half its spans is worse than no trace).
-    Re-adding a span id already present in a trace is a no-op, so
-    ingesting the same worker response twice cannot duplicate a tree.
+    Bounded and thread-safe: holds the ``capacity`` most recently
+    touched traces; older traces evict whole (a trace with half its
+    spans is worse than no trace).  Re-adding a span id already present
+    in a trace is a no-op, so ingesting the same worker response twice
+    cannot duplicate a tree.
     """
 
     def __init__(self, capacity: int = 256) -> None:
@@ -197,7 +197,21 @@ class TraceStore:
         self._traces: OrderedDict[str, list[dict]] = OrderedDict()
         self._lock = threading.Lock()
 
-    def add(self, span: dict) -> None:
+    def start_span(
+        self,
+        name: str,
+        *,
+        trace_id: Optional[str] = None,
+        parent_id: Optional[str] = None,
+    ) -> Span:
+        return Span(
+            name,
+            trace_id=trace_id if trace_id is not None else new_trace_id(),
+            parent_id=parent_id,
+            sink=self._add,
+        )
+
+    def _add(self, span: dict) -> None:
         trace_id = span.get("trace_id")
         if not isinstance(trace_id, str) or not trace_id:
             return
@@ -218,88 +232,22 @@ class TraceStore:
         """Add externally produced span dicts (e.g. shipped by a worker)."""
         for span in spans or ():
             if isinstance(span, dict):
-                self.add(span)
+                self._add(span)
 
-    def get(self, trace_id: str) -> Optional[list[dict]]:
+    def spans_for(self, trace_id: str) -> Optional[list[dict]]:
         with self._lock:
             spans = self._traces.get(trace_id)
             return [dict(span) for span in spans] if spans is not None else None
 
-    def tree(self, trace_id: str) -> Optional[dict]:
-        spans = self.get(trace_id)
-        return build_span_tree(spans) if spans else None
-
-    def trace_ids(self) -> list[str]:
-        with self._lock:
-            return list(self._traces)
-
-    def clear(self) -> None:
-        """Forget every trace."""
-        with self._lock:
-            self._traces.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._traces)
-
-
-class Tracer:
-    """Mints spans and retains the finished ones in a :class:`TraceStore`."""
-
-    def __init__(self, capacity: int = 256) -> None:
-        self.store = TraceStore(capacity)
-
-    def start_span(
-        self,
-        name: str,
-        *,
-        trace_id: Optional[str] = None,
-        parent_id: Optional[str] = None,
-    ) -> Span:
-        return Span(
-            name,
-            trace_id=trace_id if trace_id is not None else new_trace_id(),
-            parent_id=parent_id,
-            sink=self.store.add,
-        )
-
-    @contextmanager
-    def span(
-        self,
-        name: str,
-        *,
-        trace_id: Optional[str] = None,
-        parent_id: Optional[str] = None,
-    ) -> Iterator[Span]:
-        """Open a span, make it ambient, end it on exit (error-aware)."""
-        span = self.start_span(name, trace_id=trace_id, parent_id=parent_id)
-        token = _ACTIVE_SPAN.set(span)
-        try:
-            yield span
-        except BaseException:
-            span.end(status="error")
-            raise
-        else:
-            span.end()
-        finally:
-            _ACTIVE_SPAN.reset(token)
-
-    def ingest(self, spans: Optional[Iterable[dict]]) -> None:
-        self.store.ingest(spans)
-
-    def spans_for(self, trace_id: str) -> Optional[list[dict]]:
-        return self.store.get(trace_id)
-
     def trace(self, trace_id: str) -> Optional[dict]:
-        return self.store.tree(trace_id)
-
-    def trace_ids(self) -> list[str]:
-        return self.store.trace_ids()
+        spans = self.spans_for(trace_id)
+        return build_span_tree(spans) if spans else None
 
     def clear(self) -> None:
         """Forget every retained trace (the spans already handed out
         stay with their holders)."""
-        self.store.clear()
+        with self._lock:
+            self._traces.clear()
 
 
 def build_span_tree(spans: Iterable[dict]) -> dict:

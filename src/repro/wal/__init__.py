@@ -7,8 +7,8 @@ log onto the base snapshot reconstructs the live dataset bit-for-bit.
 A ``kill -9``'d replica therefore recovers to exactly the last durable
 epoch instead of silently serving its stale snapshot.
 
-* :class:`MutationLog` — the log itself: append/replay/rotate/truncate
-  with one knob, the sync policy (``"commit"`` / ``"batched"`` /
+* :class:`MutationLog` — the log itself: append/replay/truncate with
+  one knob, the sync policy (``"commit"`` / ``"batched"`` /
   ``"off"``); fsync batching and segment rotation are class constants.
 * :class:`WalRecord` — one replayable record (sequence number ==
   dataset epoch version, wire mutation dicts); a record an earlier
@@ -21,7 +21,8 @@ epoch instead of silently serving its stale snapshot.
   shared by ``QueryService.attach_wal`` and the snapshot CLI.
 
 Wiring lives in the owning tiers: ``MutableDataset.mutate(batch,
-journal=log.append)`` + ``MutableDataset.replay`` (:mod:`repro.live`),
+journal=log.append)`` + ``MutableDataset.replay_records``
+(:mod:`repro.live`),
 ``QueryService.attach_wal`` (thread tier),
 ``ShardedQueryService(wal_dir=...)`` append-before-broadcast plus
 worker startup replay (cluster tier).

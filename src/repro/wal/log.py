@@ -339,7 +339,7 @@ class MutationLog:
         apply on top of.  Ignored when segments already exist on disk.
     readonly:
         Open without creating or repairing anything (replica replay,
-        CLI inspection).  Append, truncate, rotate and reset raise.
+        CLI inspection).  Append, truncate and reset raise.
     """
 
     #: Under ``"batched"``, how many appends may pass between ``fsync``
@@ -623,15 +623,6 @@ class MutationLog:
             self._unsynced = 0
             return active.last_seq
 
-    def sync(self) -> None:
-        """Flush and ``fsync`` any buffered appends now."""
-        with self._lock:
-            if self._handle is not None:
-                self._handle.flush()
-                os.fsync(self._handle.fileno())
-                self._fsyncs += 1
-                self._unsynced = 0
-
     def _writer(self, active: _Segment):
         if self._handle is None:
             self._handle = open(active.path, "ab")
@@ -646,12 +637,6 @@ class MutationLog:
     # ------------------------------------------------------------------
     # segment management
     # ------------------------------------------------------------------
-    def rotate(self) -> Path:
-        """Seal the active segment and start a new one."""
-        with self._lock:
-            self._check_writable()
-            return self._rotate_locked().path
-
     def _rotate_locked(self, snapshot: Optional[str] = None) -> _Segment:
         self._close_writer()
         segment = self._create_segment(self._segments[-1].last_seq, snapshot)

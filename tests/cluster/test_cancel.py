@@ -47,8 +47,8 @@ class TestPoolCancel:
             # cancel the queued request — deterministically cancelled
             # *before* execution.
             sleeper = pool.submit(0, "sleep", 0.6)
-            queued = pool.request(
-                0, {"dataset": "toy", "query": "gray transaction"}
+            queued = pool.submit(
+                0, "request", {"dataset": "toy", "query": "gray transaction"}
             )
             assert pool.cancel(queued.job_id) is True
             payload = queued.result(timeout=10.0)
@@ -56,8 +56,8 @@ class TestPoolCancel:
             assert "before execution" in payload["error"]
             assert sleeper.result(timeout=10.0)["slept"] == 0.6
             # The worker is unharmed: the next request is served.
-            follow_up = pool.request(
-                0, {"dataset": "toy", "query": "gray transaction"}
+            follow_up = pool.submit(
+                0, "request", {"dataset": "toy", "query": "gray transaction"}
             ).result(timeout=10.0)
             assert follow_up["error"] is None
             assert follow_up["result"]["answers"]
@@ -83,8 +83,9 @@ class TestPoolCancel:
             before = searched(pool)
             sleeper = pool.submit(0, "sleep", 0.6)
             queued = [
-                pool.request(
+                pool.submit(
                     0,
+                    "request",
                     {"dataset": "toy", "query": "gray transaction", "use_cache": False},
                 )
                 for _ in range(40)
@@ -107,8 +108,9 @@ class TestPoolCancel:
 
         def hammer(pool):
             for _ in range(25):
-                future = pool.request(
+                future = pool.submit(
                     0,
+                    "request",
                     {"dataset": "toy", "query": "gray transaction", "use_cache": False},
                 )
                 assert pool.cancel(future.job_id) is True

@@ -24,17 +24,13 @@ EMPTY_VIEW = {
 }
 
 
-def _fill_cache(registry, *, size, capacity, hits, misses, evictions=0, ttl=None):
+def _fill_cache(registry, *, size, capacity, hits, misses, evictions=0):
     """What a worker's export-time collector reads off its ResultCache."""
     registry.gauge("repro_cache_entries").set(size)
     registry.gauge("repro_cache_capacity").set(capacity)
-    ttl_gauge = registry.gauge("repro_cache_ttl_seconds", merge="max")
-    if ttl is not None:
-        ttl_gauge.set(ttl)
     registry.counter("repro_cache_lookup_hits_total").set_total(hits)
     registry.counter("repro_cache_lookup_misses_total").set_total(misses)
     registry.counter("repro_cache_evictions_total").set_total(evictions)
-    registry.counter("repro_cache_expirations_total").set_total(0)
 
 
 def _fill_datasets(registry, *, registered, build_seconds=None, wal_seq=None):
@@ -120,8 +116,8 @@ def test_merge_equals_hand_merge():
 
     # Cache section: summed counters, recomputed rate.
     assert merged["cache"] == {
-        "size": 6, "capacity": 128, "ttl": None, "hits": 4, "misses": 7,
-        "hit_rate": 4 / (4 + 7), "evictions": 1, "expirations": 0,
+        "size": 6, "capacity": 128, "hits": 4, "misses": 7,
+        "hit_rate": 4 / (4 + 7), "evictions": 1,
     }
 
     # Datasets: union, slowest replica's build time.

@@ -39,6 +39,24 @@ class TestCrossProcessTree:
         assert "worker" in route_children
         assert "queue_wait" in route_children
 
+    @pytest.mark.parametrize("timeout", [None, 30.0])
+    def test_one_queue_wait_per_miss_with_or_without_a_deadline(
+        self, sharded, timeout
+    ):
+        """The worker runs every request on its loop thread, so the one
+        queue wait is the supervisor's, under ``route``: a deadline adds
+        no executor hand-off (and no second watcher) worker-side."""
+        request = QueryRequest(
+            dataset="alpha", query="gray transaction", use_cache=False,
+            timeout=timeout,
+        )
+        response = sharded.search(request)
+        assert response.ok
+        nodes = list(_flatten(sharded.trace(response.trace_id)["roots"]))
+        (wait,) = [node for node in nodes if node["name"] == "queue_wait"]
+        route = next(node for node in nodes if node["name"] == "route")
+        assert wait["parent_id"] == route["span_id"]
+
     def test_engine_stage_span_has_pop_attributes(self, sharded):
         # use_cache=False: a query already served would otherwise be
         # answered from the cache, skipping the engine spans.
@@ -126,7 +144,7 @@ class TestSlowLog:
             assert entry["span_tree"]["span_count"] >= 3
         finally:
             sharded.slow_log.threshold = original
-            sharded.slow_log.clear()
+            sharded.slow_log._entries.clear()
 
 
 class TestMergedRegistry:

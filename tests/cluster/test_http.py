@@ -320,7 +320,7 @@ def test_debug_slow_lists_flight_recorded_queries(server, http_service):
         assert entry["span_tree"]["span_count"] >= 1
     finally:
         http_service.slow_log.threshold = original
-        http_service.slow_log.clear()
+        http_service.slow_log._entries.clear()
 
 
 def test_metrics_prometheus_exposition(server):

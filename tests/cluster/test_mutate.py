@@ -18,7 +18,8 @@ import pytest
 from repro.cluster import ShardedQueryService
 from repro.cluster.http import make_server
 from repro.errors import MutationError
-from repro.service.service import QueryRequest
+from repro.service.metrics import family_values
+from repro.service.service import QueryRequest, QueryService
 from repro.service.snapshot_header import snapshot_info
 from repro.service.wire import request_to_dict, response_from_dict
 
@@ -39,15 +40,15 @@ def fleet(toy_snapshot):
 
 def replica_answers(fleet, worker_id: int, query: str):
     """Ask one specific replica directly (bypassing routing)."""
-    payload = fleet.pool.request(
-        worker_id, request_to_dict(QueryRequest(dataset="toy", query=query))
+    payload = fleet.pool.submit(
+        worker_id, "request", request_to_dict(QueryRequest(dataset="toy", query=query))
     ).result(timeout=60)
     return response_from_dict(payload)
 
 
 class TestBroadcast:
     def test_mutation_visible_on_every_replica_without_restart(self, fleet):
-        pids_before = fleet.pool.pids()
+        processes_before = {w: fleet.pool.process(w) for w in (0, 1)}
 
         # Unknown term everywhere first.
         for worker_id in (0, 1):
@@ -77,7 +78,7 @@ class TestBroadcast:
             roots = {answer.tree.root for answer in response.result.answers}
             assert new_node in roots
         # ...with no process restart.
-        assert fleet.pool.pids() == pids_before
+        assert {w: fleet.pool.process(w) for w in (0, 1)} == processes_before
         assert all(count == 0 for count in fleet.pool.restarts().values())
 
     def test_stale_cache_never_served_after_broadcast(self, fleet):
@@ -205,6 +206,23 @@ class TestBroadcast:
 
         with pytest.raises(UnknownDatasetError):
             fleet.apply("nope", [{"op": "add_node", "label": "x"}])
+
+
+def test_a_batch_counts_once_on_both_tiers(fleet, toy_engine):
+    """``repro_mutations_applied_total`` counts a batch where it is
+    acknowledged: one per ``apply``, however many replicas commit it."""
+
+    def applied(service) -> int:
+        families = service.metrics()["registry"]
+        counts = family_values(families, "repro_mutations_applied_total", "dataset")
+        return counts.get("toy", 0)
+
+    with QueryService() as thread:
+        thread.register_engine("toy", toy_engine)
+        for service in (thread, fleet):
+            before = applied(service)
+            service.apply("toy", [{"op": "add_node", "label": "counted once"}])
+            assert applied(service) == before + 1
 
 
 class TestReloadBroadcast:

@@ -77,8 +77,8 @@ def test_kill_mid_batch_yields_structured_errors_and_recovers(
         batch_thread.start()
         # Sleep + 3 searches in flight, then pull the trigger.
         assert _wait_until(lambda: len(pool._inflight) >= 4)
-        old_pid = pool.pids()[0]
-        pool.process(0).kill()
+        old = pool.process(0)
+        old.kill()
 
         batch_thread.join(timeout=30.0)
         assert not batch_thread.is_alive(), "batch hung after worker crash"
@@ -96,7 +96,7 @@ def test_kill_mid_batch_yields_structured_errors_and_recovers(
 
         # The supervisor restarts the worker and the next batch works.
         assert _wait_until(
-            lambda: pool.pids()[0] not in (None, old_pid), timeout=30.0
+            lambda: pool.process(0) not in (None, old), timeout=30.0
         )
         assert pool.restarts()[0] == 1
         responses = service.search_many(
@@ -150,7 +150,7 @@ def test_close_fails_inflight_requests_not_hangs(toy_snapshot):
     pool.start()
     assert answers(pool)
     pool.submit(0, "sleep", 120.0)
-    stuck = pool.request(0, {"dataset": "toy", "query": "gray"})
+    stuck = pool.submit(0, "request", {"dataset": "toy", "query": "gray"})
     start = time.monotonic()
     pool.close(timeout=1.0)
     payload = stuck.result(timeout=5.0)

@@ -22,20 +22,14 @@ def test_single_replica_balances_load():
     assert sizes == [2, 2]
 
 
-def test_replica_overrides_fan_out():
-    router = ShardRouter(DATASETS, num_workers=4, replicas={"dblp": 3})
-    assert len(router.replicas_for("dblp")) == 3
-    assert len(router.replicas_for("imdb")) == 1
-
-
 def test_replicas_capped_at_worker_count():
     router = ShardRouter(["only"], num_workers=2, default_replicas=8)
     assert router.replicas_for("only") == (0, 1)
 
 
 def test_placement_is_deterministic_across_instances_and_order():
-    a = ShardRouter(DATASETS, num_workers=3, replicas={"imdb": 2})
-    b = ShardRouter(list(reversed(DATASETS)), num_workers=3, replicas={"imdb": 2})
+    a = ShardRouter(DATASETS, num_workers=3, default_replicas=2)
+    b = ShardRouter(list(reversed(DATASETS)), num_workers=3, default_replicas=2)
     assert a.assignments() == b.assignments()
 
 
@@ -62,19 +56,20 @@ def test_least_busy_takes_the_idlest_replica_and_ties_go_to_route():
     router = ShardRouter(["hot"], num_workers=4, default_replicas=4)
     keys = [(f"kw{i}",) for i in range(16)]
     for key in keys:
-        # An idle fleet is one tie: the hash decides, as route() does.
-        assert router.least_busy("hot", key, {}) == router.route("hot", key)
+        # An idle fleet is one tie: the hash decides, with or without a
+        # map of jobs in flight.
         hashed = router.route("hot", key)
+        assert router.route("hot", key, in_flight={}) == hashed
         busy = {w: 1 for w in range(4) if w != hashed}
-        assert router.least_busy("hot", key, busy) == hashed
+        assert router.route("hot", key, in_flight=busy) == hashed
         idle = (hashed + 1) % 4
-        assert router.least_busy("hot", key, {hashed: 2, idle: 0}) in {
+        assert router.route("hot", key, in_flight={hashed: 2, idle: 0}) in {
             w for w in range(4) if w != hashed
         }
         loaded = {**{w: 3 for w in range(4)}, idle: 1}
-        assert router.least_busy("hot", key, loaded) == idle
+        assert router.route("hot", key, in_flight=loaded) == idle
     # A tie among some replicas is broken by the hash over those alone.
-    tied = {router.least_busy("hot", key, {0: 5, 1: 5}) for key in keys}
+    tied = {router.route("hot", key, in_flight={0: 5, 1: 5}) for key in keys}
     assert tied == {2, 3}
 
 
@@ -93,7 +88,3 @@ def test_validation():
         ShardRouter(["a"], num_workers=0)
     with pytest.raises(ValueError):
         ShardRouter(["a"], num_workers=1, default_replicas=0)
-    with pytest.raises(ValueError):
-        ShardRouter(["a"], num_workers=1, replicas={"b": 1})
-    with pytest.raises(ValueError):
-        ShardRouter(["a"], num_workers=1, replicas={"a": 0})

@@ -14,7 +14,7 @@ import pytest
 
 from repro.cluster import ShardedQueryService
 from repro.core.query import parse_query
-from repro.errors import ClusterError, MutationError
+from repro.errors import ClusterError, MutationError, PoolClosedError
 from repro.service import QueryService
 from repro.service.service import QueryRequest
 from repro.wal import MutationLog
@@ -202,6 +202,20 @@ def test_a_batch_one_replica_rejected_never_serves_a_stale_hit(toy_snapshot):
         assert len(service.cache) == 0
 
 
+def test_a_closed_fleet_answers_nothing(toy_snapshot):
+    """After close every search raises ``PoolClosedError``, a hit too:
+    the supervisor's cache sits in front of the closed pool."""
+    service = ShardedQueryService({"toy": toy_snapshot}, num_workers=1)
+    assert service.search("toy", "gray").ok  # cached
+    service.close()
+    for timeout in (None, 1.0):
+        for use_cache in (True, False):  # a hit, a miss
+            with pytest.raises(PoolClosedError, match="closed"):
+                service.search("toy", "gray", timeout=timeout, use_cache=use_cache)
+        with pytest.raises(PoolClosedError, match="closed"):
+            service.search_many([("toy", "gray")], timeout=timeout)
+
+
 def test_a_worker_retains_no_trace_after_its_reply(toy_snapshot):
     from repro.cluster import worker
     from repro.service.wire import request_to_dict
@@ -230,14 +244,26 @@ def test_a_worker_retains_no_trace_after_its_reply(toy_snapshot):
         + [("request", job, payload) for job, payload in enumerate(requests)]
         + [("stop",)]
     )
-    with mock.patch.object(worker, "_Replica", Recording):
+    from repro.service import service as thread_tier
+
+    executors = mock.Mock(wraps=thread_tier.ThreadPoolExecutor)
+    with mock.patch.object(worker, "_Replica", Recording), mock.patch.object(
+        thread_tier, "ThreadPoolExecutor", executors
+    ):
         worker.worker_main(conn)
     (service,) = created
     assert service.cache is None  # the supervisor's is the fleet's one
     replies = [payload for _, _, payload in conn.sent]
     assert len(replies) == len(requests)
     assert all(reply["spans"] for reply in replies)  # the spans left with them
-    assert len(service.tracer.store) == 0
+    assert len(service.tracer._traces) == 0
+    # Every request, one with a deadline too, ran on the loop thread:
+    # no executor, so no hand-off for a queue_wait span to time.
+    assert executors.call_count == 0
+    assert not [
+        span for reply in replies for span in reply["spans"]
+        if span["name"] == "queue_wait"
+    ]
 
 
 def test_metrics_reads_a_silent_worker_as_none(fleet):

@@ -28,8 +28,8 @@ NUM_COMMITS = 5
 
 def replica_answers(fleet, worker_id: int, query: str):
     """Ask one specific replica directly (bypassing routing)."""
-    payload = fleet.pool.request(
-        worker_id, request_to_dict(QueryRequest(dataset="toy", query=query))
+    payload = fleet.pool.submit(
+        worker_id, "request", request_to_dict(QueryRequest(dataset="toy", query=query))
     ).result(timeout=60)
     return response_from_dict(payload)
 

@@ -16,8 +16,10 @@ import threading
 import time
 import zlib
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Optional, Sequence
+from unittest import mock
 
 import numpy as np
 
@@ -74,6 +76,28 @@ def reloaded(graph: SearchGraph, mode: str = "mapped") -> SearchGraph:
         path = save_snapshot(Path(tmp) / "graph.snap", graph, InvertedIndex())
         loaded, _ = load_snapshot(path, storage_mode=mode)
     return loaded
+
+
+def replayed(log, graph, index, start: int = 0):
+    """A live dataset over ``graph`` + ``index`` (no compaction) with
+    ``log``'s records past ``start`` applied through the one recovery
+    path, :meth:`~repro.live.MutableDataset.replay_records`."""
+    from repro.live import MutableDataset
+
+    dataset = MutableDataset(graph, index, compact_ratio=None)
+    dataset.replay_records(log.records(start_after=start), expected=start + 1)
+    return dataset
+
+
+@contextmanager
+def pins(nodes: int, terms: int):
+    """Snapshot loads inside the block pin ``nodes`` rows per ranking and
+    ``terms`` posting lists (the patched ``PIN_NODES`` / ``PIN_TERMS``
+    of :mod:`repro.storage.mapped`)."""
+    with mock.patch.multiple(
+        "repro.storage.mapped", PIN_NODES=nodes, PIN_TERMS=terms
+    ):
+        yield
 
 
 def expand(state, node: int, *, forward: bool = False, act=None) -> list[int]:

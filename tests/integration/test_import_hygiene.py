@@ -474,7 +474,8 @@ with MutationLog(scratch + ".wal") as log:
     dataset.add_node("staged")
     dataset.rollback()
     assert dataset.engine.search("hub").answers
-    replayed = MutableDataset.replay(log, graph=graph, index=index, compact_ratio=None)
+    replayed = MutableDataset(graph, index, compact_ratio=None)
+    assert replayed.replay_records(log.records(), expected=1) == 1
     assert replayed.graph.prestige_values == dataset.graph.prestige_values
     assert replayed.compact().compacted
 with QueryService() as service:

@@ -25,7 +25,7 @@ from repro.live import MutableDataset
 from repro.live.mutations import AddEdge, AddNode, mutation_to_dict
 from repro.service import QueryRequest, QueryService
 from repro.service.snapshot import load_engine, save_engine
-from repro.telemetry.trace import Tracer
+from repro.telemetry.trace import Tracer, use_span
 
 from tests.helpers import assert_no_cyclic_garbage
 
@@ -78,10 +78,12 @@ def run_explain(engine, query, algorithm, params):
 
 def run_traced(engine, query, algorithm, params):
     tracer = Tracer()
-    with tracer.span("request") as span:
+    span = tracer.start_span("request")
+    with use_span(span):
         engine.search(
             query, algorithm=algorithm, params=params.with_(trace_every_n_pops=1)
         )
+    span.end()
     names = {s["name"] for s in tracer.spans_for(span.trace_id)}
     assert {"resolve", "emit"} <= names
 

@@ -13,6 +13,7 @@ from repro.service.snapshot import load_snapshot
 from repro.wal import MutationLog
 
 from tests.conftest import make_toy_db
+from tests.helpers import replayed
 from tests.live.conftest import assert_same_graph, assert_same_index, canonical_answers
 
 
@@ -179,9 +180,13 @@ class TestConstruction:
                 MutableDataset.from_engine(toy_engine, **{argument: value})
         with pytest.raises(TypeError, match="recompute_prestige"):
             MutableDataset.from_engine(toy_engine).commit(recompute_prestige=True)
-        # replay() takes a loaded base, not a file to load.
+        # replay() takes a loaded base, not a file to load, and applies
+        # every record strictly with the default knobs.
         with MutationLog(tmp_path / "toy.wal") as log:
-            for argument in ("snapshot", "storage_mode", "pin_policy"):
+            for argument in (
+                "snapshot", "storage_mode", "pin_policy", "start_seq", "strict",
+                "compact_ratio",
+            ):
                 with pytest.raises(TypeError, match=argument):
                     MutableDataset.replay(
                         log,
@@ -198,9 +203,7 @@ class TestConstruction:
 
         assert arguments(MutableDataset) == ["graph", "index", "params", "compact_ratio"]
         assert arguments(MutableDataset.commit) == ["self", "journal"]
-        assert arguments(MutableDataset.replay) == [
-            "log", "graph", "index", "start_seq", "strict", "knobs"
-        ]
+        assert arguments(MutableDataset.replay) == ["log", "graph", "index"]
         assert arguments(MutationLog) == ["path", "sync", "start_seq", "readonly"]
         assert arguments(MutationLog.append) == ["self", "mutations", "seq"]
         assert (
@@ -250,17 +253,15 @@ class TestConstruction:
                 p.hex() for p in (writer_default, 0.125, writer_default)
             ]
             for base in (graph, other):
-                replayed = MutableDataset.replay(
-                    log, graph=base, index=index, compact_ratio=None
-                )
-                assert replayed.version == writer.version == 2
-                assert [p.hex() for p in replayed.graph.prestige_values[n:]] == [
+                replay = replayed(log, base, index)
+                assert replay.version == writer.version == 2
+                assert [p.hex() for p in replay.graph.prestige_values[n:]] == [
                     p.hex() for p in writer.graph.prestige_values[n:]
                 ]
-            assert replayed.graph.prestige_values[:n] == other.prestige_values
+            assert replay.graph.prestige_values[:n] == other.prestige_values
             # ...while a node the replayed dataset adds itself takes its own.
-            own = replayed.mutate([AddNode(label="d")]).new_nodes[0]
-            assert replayed.graph.node_prestige(own) == 0.1 + 0.2 != writer_default
+            own = replay.mutate([AddNode(label="d")]).new_nodes[0]
+            assert replay.graph.node_prestige(own) == 0.1 + 0.2 != writer_default
 
     def test_stats_shape(self, toy_dataset):
         toy_dataset.mutate([AddNode(label="x"), AddEdge(u=-1, v=3)])

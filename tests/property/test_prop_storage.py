@@ -35,8 +35,9 @@ from repro.service.snapshot import (
     load_snapshot,
     save_snapshot,
 )
-from repro.storage import MappedSearchGraph, PinPolicy
+from repro.storage import MappedSearchGraph
 
+from tests.helpers import pins
 from tests.property.test_prop_search import build_graph_from, search_cases
 
 ALGORITHMS = (
@@ -67,9 +68,8 @@ def test_loaded_answers_bit_identical_to_built(mode, case):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "case.snap"
         save_snapshot(path, graph, index)
-        loaded_graph, loaded_index = load_snapshot(
-            path, storage_mode=mode, pin_policy=PinPolicy(nodes=2, terms=1)
-        )
+        with pins(2, 1):
+            loaded_graph, loaded_index = load_snapshot(path, storage_mode=mode)
         assert isinstance(loaded_graph, MappedSearchGraph)
         assert loaded_graph.storage.mode == mode
 
@@ -146,12 +146,10 @@ def test_pin_set_and_prestige_reads_match_the_numpy_formulation(
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "case.snap"
         save_snapshot(path, graph, index)
-        loaded = [
-            load_snapshot(
-                path, storage_mode=mode, pin_policy=PinPolicy(nodes=nodes, terms=terms)
-            )
-            for mode in ("ram", "mapped")
-        ]
+        with pins(nodes, terms):
+            loaded = [
+                load_snapshot(path, storage_mode=mode) for mode in ("ram", "mapped")
+            ]
 
     # What apply_pin_policy computed before it stopped importing numpy.
     k = min(nodes, n)

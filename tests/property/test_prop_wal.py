@@ -5,7 +5,7 @@ The same discipline as ``test_prop_live`` (graphs compare bit-for-bit:
 adjacency order, weights, activation normalizers; index lookups agree
 on every term), applied to the durability path: for any mutation
 sequence journaled through :class:`repro.wal.MutationLog`,
-``MutableDataset.replay(log, graph=..., index=...)`` over the loaded
+``MutableDataset.replay_records`` over the loaded
 base snapshot must reconstruct the live dataset exactly — including
 when the log spans **multiple segments** and when the live side
 **compacted** mid-run (compaction folds the overlay but is invisible
@@ -25,6 +25,7 @@ from repro.service.snapshot import load_snapshot, save_engine
 from repro.wal import MutationLog
 
 from tests.conftest import make_toy_db
+from tests.helpers import replayed
 from tests.live.conftest import assert_same_graph, assert_same_index
 from tests.property.test_prop_live import WORDS, mutation_sequences
 
@@ -49,20 +50,16 @@ def run_wal_equivalence(batches, *, compact_ratio=None) -> None:
             live.mutate(batch, journal=log.append)
         assert log.last_seq == live.version
 
-        replayed = MutableDataset.replay(
-            log, graph=graph, index=index, compact_ratio=None
-        )
-        assert replayed.version == live.version
-        assert_same_graph(replayed.graph, live.graph)
-        assert_same_index(replayed.index, live.index, extra_terms=WORDS)
+        replay = replayed(log, graph, index)
+        assert replay.version == live.version
+        assert_same_graph(replay.graph, live.graph)
+        assert_same_index(replay.index, live.index, extra_terms=WORDS)
 
         # A fresh read-only open from disk (what a restarted replica
         # does) replays identically too.
         log.close()
         reopened = MutationLog(Path(tmp) / "toy.snap.wal", readonly=True)
-        replayed_cold = MutableDataset.replay(
-            reopened, graph=graph, index=index, compact_ratio=None
-        )
+        replayed_cold = replayed(reopened, graph, index)
         assert_same_graph(replayed_cold.graph, live.graph)
         assert_same_index(replayed_cold.index, live.index, extra_terms=WORDS)
 
@@ -124,16 +121,10 @@ def test_replay_from_mid_lineage_snapshot(batch):
         assert log.last_seq == live.version == version_at_snapshot + 1
 
         graph, index = load_snapshot(mid)
-        replayed = MutableDataset.replay(
-            log,
-            graph=graph,
-            index=index,
-            start_seq=version_at_snapshot,
-            compact_ratio=None,
-        )
+        replay = replayed(log, graph, index, start=version_at_snapshot)
         # Only the tail record applies; the rest is baked into the
         # snapshot the replay started from.
-        assert replayed.version == 1
-        assert_same_graph(replayed.graph, live.graph)
-        assert_same_index(replayed.index, live.index, extra_terms=WORDS)
+        assert replay.version == 1
+        assert_same_graph(replay.graph, live.graph)
+        assert_same_index(replay.index, live.index, extra_terms=WORDS)
         log.close()

@@ -1,4 +1,4 @@
-"""ResultCache: LRU eviction order, TTL expiry, key canonicalization."""
+"""ResultCache: LRU eviction order, key canonicalization."""
 
 import threading
 
@@ -7,19 +7,6 @@ import pytest
 from repro.core.params import SearchParams
 from repro.errors import EmptyQueryError
 from repro.service.cache import ResultCache, canonical_cache_key
-
-
-class FakeClock:
-    """Manually advanced monotonic clock for deterministic TTL tests."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 # ----------------------------------------------------------------------
@@ -50,10 +37,10 @@ class TestLru:
         cache.put("a", 1)
         cache.put("b", 2)
         cache.put("c", 3)  # evicts a
-        assert cache.keys() == ["b", "c"]
+        assert list(cache._entries) == ["b", "c"]
         cache.get("b")  # c is now LRU
         cache.put("d", 4)  # evicts c
-        assert cache.keys() == ["b", "d"]
+        assert list(cache._entries) == ["b", "d"]
 
     def test_put_refreshes_recency_and_value(self):
         cache = ResultCache(capacity=2)
@@ -74,60 +61,6 @@ class TestLru:
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             ResultCache(capacity=0)
-        with pytest.raises(ValueError):
-            ResultCache(ttl=0.0)
-
-
-# ----------------------------------------------------------------------
-# TTL semantics
-# ----------------------------------------------------------------------
-class TestTtl:
-    def test_entry_expires_after_ttl(self):
-        clock = FakeClock()
-        cache = ResultCache(capacity=8, ttl=10.0, clock=clock)
-        cache.put("a", 1)
-        clock.advance(9.999)
-        assert cache.get("a") == 1
-        clock.advance(0.001)  # exactly ttl old -> expired
-        assert cache.get("a") is None
-        assert "a" not in cache
-        assert cache.stats()["expirations"] == 1
-
-    def test_refresh_resets_ttl(self):
-        clock = FakeClock()
-        cache = ResultCache(capacity=8, ttl=10.0, clock=clock)
-        cache.put("a", 1)
-        clock.advance(6.0)
-        cache.put("a", 2)
-        clock.advance(6.0)  # 12s after first put, 6s after refresh
-        assert cache.get("a") == 2
-
-    def test_get_does_not_reset_ttl(self):
-        clock = FakeClock()
-        cache = ResultCache(capacity=8, ttl=10.0, clock=clock)
-        cache.put("a", 1)
-        clock.advance(6.0)
-        assert cache.get("a") == 1
-        clock.advance(6.0)
-        assert cache.get("a") is None
-
-    def test_purge_expired_sweeps_eagerly(self):
-        clock = FakeClock()
-        cache = ResultCache(capacity=8, ttl=5.0, clock=clock)
-        for key in "abc":
-            cache.put(key, key)
-        clock.advance(10.0)
-        cache.put("d", "d")
-        assert cache.purge_expired() == 3
-        assert cache.keys() == ["d"]
-
-    def test_no_ttl_never_expires(self):
-        clock = FakeClock()
-        cache = ResultCache(capacity=8, ttl=None, clock=clock)
-        cache.put("a", 1)
-        clock.advance(1e9)
-        assert cache.get("a") == 1
-        assert cache.purge_expired() == 0
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ knobs that only ever had one value are gone — the constructors' argument
 lists are spelled out here, so a new one is a decision, not a drift.
 """
 
+import importlib
 import inspect
 
 from pathlib import Path
@@ -148,13 +149,13 @@ def test_constructor_arguments_are_these():
     shared = ["tracing", "slow_query_threshold", "slo_objectives",
               "accounting", "storage_mode"]
     assert sorted(arguments(QueryService)) == sorted(
-        ["cache_capacity", "cache_ttl", "max_workers"] + shared
-    )  # 8
+        ["cache_capacity", "max_workers"] + shared
+    )  # 7
     assert sorted(arguments(ShardedQueryService)) == sorted(
-        ["snapshots", "num_workers", "default_replicas", "replicas",
-         "cache_capacity", "cache_ttl", "wal_dir"] + shared
-    )  # 12
-    assert arguments(WorkerPool) == ["specs", "settings", "event_sink"]
+        ["snapshots", "num_workers", "default_replicas", "cache_capacity",
+         "wal_dir"] + shared
+    )  # 10
+    assert arguments(WorkerPool) == ["specs", "settings", "event_sink"]  # 3
 
 
 #: Arguments that only tests set, or nobody: each is a class constant
@@ -176,6 +177,12 @@ REMOVED_ARGUMENTS = [
     (WorkerPool, "restart"),
     (QueryService.register_snapshot, "params"),
     (QueryService.register_snapshot, "storage_mode"),  # the constructor's
+    # Cache keys carry (generation, version): a stale entry is already
+    # unreachable, and capacity bounds memory.
+    (QueryService, "cache_ttl"),
+    (ShardedQueryService, "cache_ttl"),
+    (ShardedQueryService, "replicas"),  # default_replicas places them all
+    (QueryService.register_snapshot, "pin_policy"),  # PIN_NODES / PIN_TERMS
 ]
 
 
@@ -205,9 +212,48 @@ def test_registration_verbs_are_these():
     assert verbs == ["register_engine", "register_mutable", "register_snapshot"]
     assert arguments(QueryService.register_engine) == ["self", "name", "engine"]
     assert arguments(QueryService.register_mutable) == ["self", "name", "dataset"]
-    assert arguments(QueryService.register_snapshot) == [
-        "self", "name", "path", "pin_policy",
-    ]
+    assert arguments(QueryService.register_snapshot) == ["self", "name", "path"]
+
+
+#: Entry points only tests called: each has one surviving path.
+DELETED_ENTRY_POINTS = [
+    ("repro.cluster.pool", "WorkerPool", "request"),  # submit(w, "request", ...)
+    ("repro.cluster.pool", "WorkerPool", "pids"),
+    ("repro.cluster.router", "ShardRouter", "least_busy"),  # route(in_flight=)
+    ("repro.wal.log", "MutationLog", "rotate"),
+    ("repro.wal.log", "MutationLog", "sync"),
+    ("repro.service.cache", "ResultCache", "purge_expired"),
+    ("repro.service.cache", "ResultCache", "keys"),
+    ("repro.service.cache", "ResultCache", "clear"),
+    ("repro.storage", None, "PinPolicy"),
+    ("repro.telemetry.trace", None, "TraceStore"),  # Tracer keeps its spans
+    ("repro.telemetry.trace", "Tracer", "span"),
+    ("repro.telemetry.trace", "Tracer", "trace_ids"),
+    ("repro.telemetry.events", None, "merge_events"),
+    ("repro.telemetry.events", "EventLog", "stats"),
+    ("repro.telemetry.metrics", "Gauge", "dec"),
+    ("repro.telemetry.metrics", "Gauge", "inc"),
+    ("repro.telemetry.metrics", "Gauge", "value"),
+    ("repro.telemetry.metrics", "Counter", "value"),
+    ("repro.telemetry.metrics", "MetricsRegistry", "reset"),
+    ("repro.telemetry.metrics", "_Family", "clear"),
+    ("repro.telemetry.accounting", "ExplainStore", "ids"),
+    ("repro.telemetry.slowlog", "SlowQueryLog", "clear"),
+    ("repro.telemetry.slo", "SloEngine", "status"),
+    ("repro.telemetry.slo", "SloEngine", "firing"),
+]
+
+
+@pytest.mark.parametrize(
+    "module, owner, name",
+    DELETED_ENTRY_POINTS,
+    ids=[f"{owner or module}.{name}" for module, owner, name in DELETED_ENTRY_POINTS],
+)
+def test_deleted_entry_points_are_gone(module, owner, name):
+    namespace = importlib.import_module(module)
+    if owner is not None:
+        namespace = getattr(namespace, owner)
+    assert not hasattr(namespace, name)
 
 
 @pytest.mark.parametrize("verb", ["register_factory", "register_database"])

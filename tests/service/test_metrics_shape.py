@@ -64,12 +64,10 @@ ALGORITHM_KEYS = [
 CACHE_KEYS = [
     "size",
     "capacity",
-    "ttl",
     "hits",
     "misses",
     "hit_rate",
     "evictions",
-    "expirations",
 ]
 CANCELLATION_KEYS = [
     "cancelled",
@@ -168,12 +166,10 @@ EXPECTED = {
     # keyword-not-found request did
     "cache": {
         "size": 1,
-        "ttl": None,
         "hits": 2,
         "misses": 4,
         "hit_rate": 2 / 6,
         "evictions": 0,
-        "expirations": 0,
     },
 }
 

@@ -168,17 +168,6 @@ class TestSearch:
         assert [r.ok for r in responses] == [False, True]
         assert responses[0].error_type == "AttributeError"
 
-    def test_ttl_expiry_forces_recompute(self, toy_engine):
-        clock_value = [0.0]
-        with QueryService(cache_ttl=10.0) as svc:
-            # The cache's clock is its test seam; the service has none.
-            svc.cache = ResultCache(ttl=10.0, clock=lambda: clock_value[0])
-            svc.register_engine("toy", toy_engine)
-            svc.search("toy", "gray transaction")
-            assert svc.search("toy", "gray transaction").cached
-            clock_value[0] += 11.0
-            assert not svc.search("toy", "gray transaction").cached
-
 
 # ----------------------------------------------------------------------
 # batches
@@ -375,8 +364,15 @@ class TestMetrics:
         json.dumps(service.metrics())
 
     def test_closed_service_rejects_batches(self, toy_engine):
+        """Every search after close raises: a cache hit too, and a miss
+        without a deadline, which runs on the caller's thread."""
         svc = QueryService()
         svc.register_engine("toy", toy_engine)
+        assert svc.search("toy", "gray").ok  # cached
         svc.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            svc.search("toy", "gray", timeout=1.0)
+        for timeout in (None, 1.0):
+            for use_cache in (True, False):  # a hit, a miss
+                with pytest.raises(RuntimeError, match="QueryService is closed"):
+                    svc.search("toy", "gray", timeout=timeout, use_cache=use_cache)
+            with pytest.raises(RuntimeError, match="QueryService is closed"):
+                svc.search_many([("toy", "gray")], timeout=timeout)

@@ -129,7 +129,7 @@ class TestVersionKeyedCache:
         the replaced content's answers from ever being served."""
         service.apply("toy", [AddNode(label="x")])
         stale = service.search("toy", "transaction")
-        (key,) = service.cache.keys()
+        (key,) = service.cache._entries
         service.register_engine("toy", toy_engine)
         assert service.dataset_version("toy") == 0
         # A search of the replaced registration still in flight caches

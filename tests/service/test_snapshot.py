@@ -23,9 +23,8 @@ from repro.service.snapshot import (
     snapshot_info,
     verify_snapshot,
 )
-from repro.storage import PinPolicy
 
-from tests.helpers import RawHTTP, rewrite_snapshot
+from tests.helpers import RawHTTP, pins, rewrite_snapshot
 
 MODES = ("ram", "mapped")
 
@@ -521,7 +520,6 @@ ID_ARRAYS = {
     "post_nodes": "post_indptr",
     "rel_nodes": "rel_indptr",
 }
-NO_PINS = PinPolicy(nodes=0, terms=0)
 
 
 def set_one_id(path: Path, array: str, value: int, out: Path, position: int = -1):
@@ -570,7 +568,8 @@ class TestNodeIdRange:
         self, toy_engine, toy_snapshot, tmp_path, array, value
     ):
         path, row = set_one_id(toy_snapshot, array, value, tmp_path / "bad.snap")
-        graph, index = load_snapshot(path, storage_mode="mapped", pin_policy=NO_PINS)
+        with pins(0, 0):
+            graph, index = load_snapshot(path, storage_mode="mapped")
         terms = sorted(toy_engine.index.terms())
         expected = rf"bad\.snap has out-of-range node ids in {array} row {row} "
         with pytest.raises(SnapshotError, match=expected):
@@ -589,7 +588,8 @@ class TestNodeIdRange:
         self, toy_engine, toy_snapshot, tmp_path
     ):
         path, row = set_one_id(toy_snapshot, "out_dst", -1, tmp_path / "bad.snap")
-        graph, _ = load_snapshot(path, storage_mode="mapped", pin_policy=NO_PINS)
+        with pins(0, 0):
+            graph, _ = load_snapshot(path, storage_mode="mapped")
         for node in range(row):
             assert graph.out_edges(node) == toy_engine.graph.out_edges(node)
         # Refused, not cached: a second read fails the same way.
@@ -613,7 +613,8 @@ class TestNodeIdRange:
 
         bad = rewrite_snapshot(toy_snapshot, tmp_path / "bad.snap", edit)
         service = QueryService(storage_mode="mapped")
-        service.register_snapshot("toy", bad, pin_policy=NO_PINS)
+        with pins(0, 0):
+            service.register_snapshot("toy", bad)
         server = make_server(service, port=0)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         try:

@@ -2,6 +2,7 @@
 the load contract (O(pin set) materialisation; ``ram`` owns its bytes)."""
 
 import os
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -17,13 +18,9 @@ from repro.service.snapshot import (
     save_engine,
     snapshot_info,
 )
-from repro.storage import (
-    MappedInvertedIndex,
-    MappedSearchGraph,
-    PinPolicy,
-)
+from repro.storage import MappedInvertedIndex, MappedSearchGraph
+from tests.helpers import pins
 
-NO_PINS = PinPolicy(nodes=0, terms=0)
 MODES = ("ram", "mapped")
 
 
@@ -93,18 +90,18 @@ class TestParity:
         assert graph.storage.mode == "ram"
         assert graph.storage.mapped_bytes == 0
 
-    @pytest.mark.parametrize("pins", ["default-pins", "no-pins"])
+    @pytest.mark.parametrize("pin_set", ["default-pins", "no-pins"])
     @pytest.mark.parametrize(
         "algorithm", ["bidirectional", "si-backward", "mi-backward"]
     )
     def test_search_results_identical_per_algorithm(
-        self, toy_engine, snapshot, algorithm, pins
+        self, toy_engine, snapshot, algorithm, pin_set
     ):
         # Pinned rows are faulted in at load, the rest on first touch:
         # which rows are pinned must not matter either.
-        policy = NO_PINS if pins == "no-pins" else None
-        mapped = load_engine(snapshot, storage_mode="mapped", pin_policy=policy)
-        ram = load_engine(snapshot, storage_mode="ram", pin_policy=policy)
+        with pins(0, 0) if pin_set == "no-pins" else nullcontext():
+            mapped = load_engine(snapshot, storage_mode="mapped")
+            ram = load_engine(snapshot, storage_mode="ram")
         params = SearchParams(max_results=5)
         for query in ("gray transaction", "selinger vldb", '"jim gray" sigmod'):
             built = toy_engine.search(query, algorithm=algorithm, params=params)
@@ -117,7 +114,8 @@ class TestParity:
 @pytest.mark.parametrize("mode", MODES)
 class TestLaziness:
     def test_structural_reads_fault_nothing(self, snapshot, mode):
-        graph, index = load_snapshot(snapshot, storage_mode=mode, pin_policy=NO_PINS)
+        with pins(0, 0):
+            graph, index = load_snapshot(snapshot, storage_mode=mode)
         stats = graph.storage
         assert (stats.row_faults, stats.posting_faults) == (0, 0)
         # num_edges / num_nodes / labels come from resident metadata.
@@ -128,7 +126,8 @@ class TestLaziness:
         assert (stats.row_faults, stats.posting_faults) == (0, 0)
 
     def test_compact_nbytes_measures_the_mapped_columns(self, snapshot, mode):
-        graph, _ = load_snapshot(snapshot, storage_mode=mode, pin_policy=NO_PINS)
+        with pins(0, 0):
+            graph, _ = load_snapshot(snapshot, storage_mode=mode)
         # Per combined edge and direction: int32 id, float64 weight,
         # uint8 flag; per node: two float64 normalizers.  Read off the
         # views' sizes, so nothing faults.
@@ -136,7 +135,8 @@ class TestLaziness:
         assert graph.storage.row_faults == 0
 
     def test_demand_faults_are_counted_once_per_row(self, snapshot, mode):
-        graph, index = load_snapshot(snapshot, storage_mode=mode, pin_policy=NO_PINS)
+        with pins(0, 0):
+            graph, index = load_snapshot(snapshot, storage_mode=mode)
         stats = graph.storage
         graph.out_edges(0)
         graph.out_edges(0)  # cached: no second fault
@@ -155,8 +155,8 @@ class TestLaziness:
         """The load contract: O(header + pin set) Python objects, in
         either mode — not one adjacency row or posting list more."""
         path = save_engine(tmp_path / "dblp.snap", dblp_small_engine)
-        policy = PinPolicy(nodes=5, terms=3)
-        graph, index = load_snapshot(path, storage_mode=mode, pin_policy=policy)
+        with pins(5, 3):
+            graph, index = load_snapshot(path, storage_mode=mode)
         stats = graph.storage
         # Union of top-5 by prestige and top-5 by degree.
         assert 5 <= stats.pinned_nodes <= 10 < graph.num_nodes
@@ -169,7 +169,8 @@ class TestLaziness:
         assert (stats.row_faults, stats.posting_faults) == (0, 0)
 
     def test_mapped_bytes_counts_only_what_is_memory_mapped(self, snapshot, mode):
-        graph, _ = load_snapshot(snapshot, storage_mode=mode, pin_policy=NO_PINS)
+        with pins(0, 0):
+            graph, _ = load_snapshot(snapshot, storage_mode=mode)
         if mode == "mapped":
             assert 0 < graph.storage.mapped_bytes <= snapshot.stat().st_size
         else:
@@ -188,11 +189,8 @@ class TestPinning:
         assert (stats.row_faults, stats.posting_faults) == (0, 0)
 
     def test_pinned_rows_do_not_refault(self, snapshot, mode):
-        graph, _ = load_snapshot(
-            snapshot,
-            storage_mode=mode,
-            pin_policy={"nodes": 10_000, "terms": 10_000},
-        )
+        with pins(10_000, 10_000):
+            graph, _ = load_snapshot(snapshot, storage_mode=mode)
         stats = graph.storage
         for node in graph.nodes():
             graph.out_edges(node)
@@ -222,7 +220,8 @@ class TestRamOwnsItsBytes:
 
     def test_answers_survive_truncation(self, toy_engine, snapshot):
         expected = self.answers(toy_engine)
-        engine = load_engine(snapshot, storage_mode="ram", pin_policy=NO_PINS)
+        with pins(0, 0):
+            engine = load_engine(snapshot, storage_mode="ram")
         os.truncate(snapshot, 100)
         assert self.answers(engine) == expected  # rows fault in from memory
         with pytest.raises(SnapshotError):  # a *new* load sees the damage
@@ -230,7 +229,8 @@ class TestRamOwnsItsBytes:
 
     def test_answers_survive_unlink(self, toy_engine, snapshot):
         expected = self.answers(toy_engine)
-        engine = load_engine(snapshot, storage_mode="ram", pin_policy=NO_PINS)
+        with pins(0, 0):
+            engine = load_engine(snapshot, storage_mode="ram")
         snapshot.unlink()
         assert self.answers(engine) == expected
         assert engine.graph.label(0) == toy_engine.graph.label(0)  # text block too

@@ -1,8 +1,8 @@
-"""Storage-mode resolution and pin-policy coercion."""
+"""Storage-mode resolution and the load-time pin counts."""
 
 import pytest
 
-from repro.storage import PinPolicy, resolve_storage_mode
+from repro.storage import mapped, resolve_storage_mode
 from repro.storage.stats import STORAGE_MODE_ENV, StorageStats
 
 
@@ -39,28 +39,7 @@ class TestResolveStorageMode:
 
 class TestPinPolicy:
     def test_defaults(self):
-        policy = PinPolicy()
-        assert policy.nodes == 64
-        assert policy.terms == 16
-
-    def test_coerce_none_gives_defaults(self):
-        assert PinPolicy.coerce(None) == PinPolicy()
-
-    def test_coerce_dict(self):
-        policy = PinPolicy.coerce({"nodes": 4, "terms": 1})
-        assert (policy.nodes, policy.terms) == (4, 1)
-
-    def test_coerce_passthrough(self):
-        policy = PinPolicy(nodes=7)
-        assert PinPolicy.coerce(policy) is policy
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError, match="pin counts"):
-            PinPolicy(nodes=-1)
-
-    def test_coerce_rejects_other_types(self):
-        with pytest.raises(TypeError, match="pin_policy"):
-            PinPolicy.coerce(42)
+        assert (mapped.PIN_NODES, mapped.PIN_TERMS) == (64, 16)
 
 
 class TestStorageStats:

@@ -133,7 +133,7 @@ class TestErrorRateFiring:
             source.errors["SearchError"] += 10.0
             (status,) = engine.evaluate()
             assert clock.now < 300, "alert never fired"
-        assert engine.firing()["errors"] is True
+        assert engine._firing["errors"] is True
         assert status["firing_since"] == clock.now
 
     def test_clears_when_fast_window_recovers(self):
@@ -151,7 +151,7 @@ class TestErrorRateFiring:
             source.requests += 100
             (status,) = engine.evaluate()
         assert not status["firing"]
-        assert engine.firing()["errors"] is False
+        assert engine._firing["errors"] is False
 
     def test_breach_and_clear_events(self):
         events = EventLog(16)
@@ -307,7 +307,8 @@ def test_the_thread_tier_ticks_without_a_reader(monkeypatch, toy_engine):
     )
     with QueryService(slo_objectives=[objective]) as service:
         service.register_engine("toy", toy_engine)
-        assert wait_until(service.slo.status)  # a baseline tick, no evaluation here
+        # A baseline tick, taken by the ticker and no reader.
+        assert wait_until(lambda: service.slo._snapshots)
         for _ in range(150):
             assert not service.search("toy", "zzzunknownword").ok
 

@@ -65,10 +65,3 @@ class TestEntries:
         for elapsed in (1.0, 2.0, 3.0):
             log.record(elapsed=elapsed)
         assert [entry["elapsed"] for entry in log.entries()] == [3.0, 2.0]
-
-    def test_clear(self):
-        log = SlowQueryLog(threshold=0.0)
-        log.record(elapsed=1.0)
-        log.clear()
-        assert len(log) == 0
-        assert log.entries() == []

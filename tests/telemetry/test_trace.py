@@ -1,10 +1,9 @@
-"""Unit tests for the tracing primitives (span, store, tree rendering)."""
+"""Unit tests for the tracing primitives (span, tracer, tree rendering)."""
 
 import pytest
 
 from repro.telemetry.trace import (
     Span,
-    TraceStore,
     Tracer,
     build_span_tree,
     current_span,
@@ -115,59 +114,64 @@ class TestAmbientSpan:
 
 
 class TestTraceStore:
+    """The tracer's bounded retention of finished spans, by trace."""
+
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            TraceStore(0)
+            Tracer(0)
 
     def test_add_and_get_round_trip(self):
-        store = TraceStore()
+        tracer = Tracer()
         span = Span("s", trace_id="abc").end()
-        store.add(span.to_dict())
-        spans = store.get("abc")
+        tracer.ingest([span.to_dict()])
+        spans = tracer.spans_for("abc")
         assert spans is not None and len(spans) == 1
         assert spans[0]["name"] == "s"
-        assert store.get("missing") is None
+        assert tracer.spans_for("missing") is None
 
     def test_duplicate_span_id_is_deduped(self):
-        store = TraceStore()
+        tracer = Tracer()
         data = Span("s", trace_id="abc").end().to_dict()
-        store.add(data)
-        store.add(dict(data))
-        assert len(store.get("abc")) == 1
+        tracer.ingest([data, dict(data)])
+        assert len(tracer.spans_for("abc")) == 1
 
     def test_spans_without_trace_id_are_ignored(self):
-        store = TraceStore()
-        store.add({"name": "x", "span_id": "y"})
-        store.add({"name": "x", "span_id": "y", "trace_id": None})
-        store.add({"name": "x", "span_id": "y", "trace_id": ""})
-        assert len(store) == 0
+        tracer = Tracer()
+        tracer.ingest(
+            [
+                {"name": "x", "span_id": "y"},
+                {"name": "x", "span_id": "y", "trace_id": None},
+                {"name": "x", "span_id": "y", "trace_id": ""},
+            ]
+        )
+        assert len(tracer._traces) == 0
 
     def test_lru_evicts_whole_traces(self):
-        store = TraceStore(capacity=2)
+        tracer = Tracer(capacity=2)
         for trace_id in ("t1", "t2", "t3"):
-            store.add(Span("s", trace_id=trace_id).end().to_dict())
-        assert store.get("t1") is None
-        assert store.get("t2") is not None
-        assert store.get("t3") is not None
+            tracer.start_span("s", trace_id=trace_id).end()
+        assert tracer.spans_for("t1") is None
+        assert tracer.spans_for("t2") is not None
+        assert tracer.spans_for("t3") is not None
 
     def test_touching_a_trace_refreshes_its_lru_slot(self):
-        store = TraceStore(capacity=2)
-        store.add(Span("a", trace_id="t1").end().to_dict())
-        store.add(Span("b", trace_id="t2").end().to_dict())
+        tracer = Tracer(capacity=2)
+        tracer.start_span("a", trace_id="t1").end()
+        tracer.start_span("b", trace_id="t2").end()
         # Adding to t1 again makes t2 the eviction candidate.
-        store.add(Span("c", trace_id="t1").end().to_dict())
-        store.add(Span("d", trace_id="t3").end().to_dict())
-        assert store.get("t1") is not None
-        assert store.get("t2") is None
+        tracer.start_span("c", trace_id="t1").end()
+        tracer.start_span("d", trace_id="t3").end()
+        assert tracer.spans_for("t1") is not None
+        assert tracer.spans_for("t2") is None
 
     def test_ingest_filters_non_dicts(self):
-        store = TraceStore()
-        store.ingest(None)
-        store.ingest(["junk", 42, Span("s", trace_id="t").end().to_dict()])
-        assert len(store.get("t")) == 1
+        tracer = Tracer()
+        tracer.ingest(None)
+        tracer.ingest(["junk", 42, Span("s", trace_id="t").end().to_dict()])
+        assert len(tracer.spans_for("t")) == 1
 
     def test_tree_returns_none_for_unknown_trace(self):
-        assert TraceStore().tree("nope") is None
+        assert Tracer().trace("nope") is None
 
 
 class TestTracer:
@@ -179,31 +183,15 @@ class TestTracer:
     def test_finished_spans_land_in_the_store(self):
         tracer = Tracer()
         span = tracer.start_span("root")
+        assert tracer.spans_for(span.trace_id) is None  # open: not yet kept
         span.end()
         assert tracer.spans_for(span.trace_id)[0]["name"] == "root"
-        assert span.trace_id in tracer.trace_ids()
-
-    def test_span_contextmanager_sets_ambient_and_ends(self):
-        tracer = Tracer()
-        with tracer.span("cm") as span:
-            assert current_span() is span
-        assert span.ended
-        assert span.status == "ok"
-        assert current_span() is None
-
-    def test_span_contextmanager_marks_errors(self):
-        tracer = Tracer()
-        with pytest.raises(RuntimeError):
-            with tracer.span("boom") as span:
-                raise RuntimeError("x")
-        assert span.status == "error"
-        stored = tracer.spans_for(span.trace_id)[0]
-        assert stored["status"] == "error"
 
     def test_trace_builds_a_tree(self):
         tracer = Tracer()
-        with tracer.span("root") as root:
-            root.child("leaf").end()
+        root = tracer.start_span("root")
+        root.child("leaf").end()
+        root.end()
         tree = tracer.trace(root.trace_id)
         assert tree["span_count"] == 2
         assert tree["roots"][0]["name"] == "root"

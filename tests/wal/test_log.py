@@ -131,7 +131,6 @@ class TestSyncPolicies:
         with MutationLog(tmp_path / sync, sync=sync) as log:
             for i in range(5):
                 log.append(batch(i))
-            log.sync()
         with MutationLog(tmp_path / sync, readonly=True) as log:
             assert [r.seq for r in log.records()] == [1, 2, 3, 4, 5]
 
