@@ -93,6 +93,8 @@ class BaseSearch:
             algorithm=self.algorithm, keywords=self.keywords, stats=self.stats
         )
         self._pops_since_flush = 0
+        #: ``(root, paths, dists)`` of every tree handed to the output.
+        self._added: set[tuple] = set()
         self._done = False
         self._stopped_by_cancel = False
         # Tracing: the ambient span (if any) receives an end-of-run
@@ -246,8 +248,16 @@ class BaseSearch:
 
     def _emit_tree_now(self, root, paths, dists) -> None:
         self.stats.emit_attempts += 1
+        # An exact repeat of a tree already added can only come back
+        # "duplicate" (the output keeps each signature's best score or
+        # its release), so it is counted without being rebuilt.
+        key = (root, tuple(paths), tuple(dists))
+        if key in self._added:
+            self.stats.duplicates_discarded += 1
+            return
         if not is_minimal_rooting(root, paths):
             return
+        self._added.add(key)
         tree = self.scorer.build_tree(root, paths, dists)
         status = self.output.add(
             tree,

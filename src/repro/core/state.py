@@ -173,42 +173,32 @@ class PathState:
         ``expanded_in`` or ``u`` in ``expanded_out`` — before the first
         edge of that expansion.
         """
-        if w <= 0.0:
-            raise ValueError(f"edge weight must be > 0, got {w!r}")
-        completions: set[int] = set()
-        for i, row in enumerate(self.dist_rows):
+        if not 0.0 < w < inf:  # NaN fails too
+            raise ValueError(f"edge weight must be finite and > 0, got {w!r}")
+        i = 0
+        for row in self.dist_rows:
             nd = row[v] + w
             if nd < row[u]:
-                self._set_dist(u, i, nd, v, w, completions)
+                # Set the improved distance (the cascade's own step,
+                # for the start node), then ATTACH it upward.
+                completions: set[int] = set()
+                finite, k = self.finite, self.k
+                if row[u] == inf:
+                    count = finite[u] = finite[u] + 1
+                    if count == 1:
+                        self.seen.append(u)
+                    if count == k:
+                        completions.add(u)
+                elif finite[u] == k:
+                    completions.add(u)
+                row[u] = nd
+                self.sp[i][u] = (v, w)
+                self._changed.add(u)
+                self.cascade_touches += 1
                 self._propagate_up(u, i, completions)
-                if completions:
-                    for node in sorted(completions):
-                        emit(node)
-                    completions.clear()
-
-    def _set_dist(
-        self,
-        node: int,
-        i: int,
-        value: float,
-        child: int,
-        weight: float,
-        completions: set[int],
-    ) -> None:
-        self.cascade_touches += 1
-        row = self.dist_rows[i]
-        finite = self.finite
-        if row[node] == inf:
-            count = finite[node] = finite[node] + 1
-            if count == 1:
-                self.seen.append(node)
-            if count == self.k:
-                completions.add(node)
-        elif finite[node] == self.k:
-            completions.add(node)
-        row[node] = value
-        self.sp[i][node] = (child, weight)
-        self._changed.add(node)
+                for node in sorted(completions):
+                    emit(node)
+            i += 1
 
     def _propagate_up(self, start: int, i: int, completions: set[int]) -> None:
         """ATTACH: best-first push of an improved ``dist[·][i]`` through
@@ -239,8 +229,6 @@ class PathState:
                     continue
                 ndist = d + wt
                 if ndist < row[parent]:
-                    # _set_dist, inlined: this loop runs once per
-                    # improvement event and the call overhead shows.
                     if row[parent] == inf:
                         count = finite[parent] = finite[parent] + 1
                         if count == 1:
@@ -378,13 +366,27 @@ class ActivationState:
         (incoming iterator expansion) or out-edges (outgoing) — whose
         ``sum(1/w)`` is ``norm``: each edge of weight ``w`` carries
         ``mu * a(node, i) * (1/w) / norm`` to its other end."""
-        for i, row in enumerate(self.act_rows):
+        if self.combine == "sum":
+            for i, row in enumerate(self.act_rows):
+                a = row[node]
+                if a:
+                    budget = self.mu * a
+                    self.receive_all(
+                        (other, i, budget * (1.0 / w) / norm) for other, w, _ in edges
+                    )
+            return
+        # Max mode, the search's: receive_all's loop, inlined.
+        i = 0
+        for row in self.act_rows:
             a = row[node]
             if a:
                 budget = self.mu * a
-                self.receive_all(
-                    (other, i, budget * (1.0 / w) / norm) for other, w, _ in edges
-                )
+                for other, w, _ in edges:
+                    value = budget * (1.0 / w) / norm
+                    if value > row[other]:
+                        self._set(other, i, value)
+                        self._propagate_up(other, i)
+            i += 1
 
     def receive_all(self, contributions) -> None:
         """The spreading step, over ``(node, i, value)`` contributions

@@ -1,12 +1,14 @@
 """Bound computation helpers (Section 4.5)."""
 
 from math import inf
+from unittest import mock
 
 import pytest
 
 from repro.core.bidirectional import BidirectionalSearch
 from repro.core.driver import frontier_minima, nra_edge_bound
 from repro.core.params import SearchParams
+from repro.core.scoring import Scorer
 
 from tests.helpers import build_graph
 
@@ -99,3 +101,37 @@ class TestEmissionGate:
         search.output.release_floor = search.scorer.tree_score_bound(0, 0.15, 1.0)
         assert not search._gate_blocks(0, 1.0)
         assert search._gate_blocks(0, 1.0, 0.1)
+
+
+class TestEmissionMemo:
+    """An exact repeat of a tree already handed to the output is counted,
+    not rebuilt: it can only come back ``"duplicate"``."""
+
+    def _search(self):
+        graph = build_graph(3, [(2, 0), (2, 1)])
+        return BidirectionalSearch(
+            graph, ("a", "b"), [frozenset({0}), frozenset({1})]
+        )
+
+    def test_an_exact_repeat_is_built_once_and_counted_as_a_duplicate(self):
+        search = self._search()
+        with mock.patch.object(
+            Scorer, "build_tree", autospec=True, side_effect=Scorer.build_tree
+        ) as build:
+            search._emit_tree(2, [(2, 0), (2, 1)], [1.0, 1.0])
+            search._emit_tree(2, [(2, 0), (2, 1)], [1.0, 1.0])
+        assert build.call_count == 1
+        stats = search.stats
+        assert (stats.emit_attempts, stats.answers_generated) == (2, 1)
+        assert stats.duplicates_discarded == 1
+        assert len(search.output) == 1
+
+    def test_other_dists_or_a_non_minimal_tree_are_not_repeats(self):
+        search = self._search()
+        search._emit_tree(2, [(2, 0), (2, 1)], [1.0, 1.0])
+        search._emit_tree(2, [(2, 0), (2, 1)], [1.0, 0.5])  # improves it
+        search._emit_tree(2, [(2, 0, 1)], [2.0])  # one child: not minimal
+        search._emit_tree(2, [(2, 0, 1)], [2.0])
+        stats = search.stats
+        assert stats.emit_attempts == 4
+        assert (stats.answers_generated, stats.duplicates_discarded) == (1, 0)
