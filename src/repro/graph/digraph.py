@@ -14,6 +14,7 @@ attribute values stay in the relational store, mirroring the paper's
 
 from __future__ import annotations
 
+from math import inf
 from typing import Hashable, Iterable, Iterator, Optional
 
 from repro.errors import GraphError, GraphFrozenError, UnknownNodeError
@@ -81,8 +82,8 @@ class DataGraph:
         self._check_node(v)
         if u == v:
             raise GraphError(f"self loops are not allowed (node {u})")
-        if weight <= 0.0:
-            raise GraphError(f"edge weight must be > 0, got {weight!r}")
+        if not 0.0 < weight < inf:  # NaN fails too
+            raise GraphError(f"edge weight must be finite and > 0, got {weight!r}")
         self._edges.append((u, v, float(weight)))
         self._outdegree[u] += 1
         self._indegree[v] += 1

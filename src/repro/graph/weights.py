@@ -43,12 +43,14 @@ def backward_edge_weight(forward_weight: float, indegree: int) -> float:
     Raises
     ------
     ValueError
-        If ``forward_weight`` is not strictly positive or ``indegree``
+        If ``forward_weight`` is not finite and positive or ``indegree``
         is not at least 1 (a backward edge only exists because at least
         one forward edge points into ``v``).
     """
-    if forward_weight <= 0.0:
-        raise ValueError(f"forward edge weight must be > 0, got {forward_weight!r}")
+    if not 0.0 < forward_weight < math.inf:  # NaN fails too
+        raise ValueError(
+            f"forward edge weight must be finite and > 0, got {forward_weight!r}"
+        )
     if indegree < 1:
         raise ValueError(f"indegree must be >= 1 for a backward edge, got {indegree!r}")
     return forward_weight * math.log2(1.0 + indegree)

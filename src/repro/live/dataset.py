@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from math import fsum
+from math import fsum, inf
 from typing import Hashable, Optional, Sequence, Union
 
 from repro.core.engine import KeywordSearchEngine
@@ -395,8 +395,10 @@ class MutableDataset:
             if u == v:
                 raise MutationError(f"self loops are not allowed (node {u})")
             weight = float(weight)
-            if weight <= 0.0:
-                raise MutationError(f"edge weight must be > 0, got {weight!r}")
+            if not 0.0 < weight < inf:  # NaN fails too
+                raise MutationError(
+                    f"edge weight must be finite and > 0, got {weight!r}"
+                )
             self._wlist(self._out, u).append((v, weight, True))
             self._wlist(self._in, v).append((u, weight, True))
             indegree = self._fwd_indegree(v)

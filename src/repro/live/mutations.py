@@ -22,6 +22,7 @@ aliases and reports the assigned real ids in its
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from math import inf
 from typing import Optional, Union
 
 from repro.errors import MutationError
@@ -104,8 +105,10 @@ class AddEdge:
             raise MutationError(
                 f"add_edge weight must be a number, got {self.weight!r}"
             )
-        if self.weight <= 0.0:
-            raise MutationError(f"add_edge weight must be > 0, got {self.weight!r}")
+        if not 0.0 < self.weight < inf:  # NaN fails too
+            raise MutationError(
+                f"add_edge weight must be finite and > 0, got {self.weight!r}"
+            )
         object.__setattr__(self, "weight", float(self.weight))
 
 
@@ -127,6 +130,10 @@ class RemoveEdge:
             ):
                 raise MutationError(
                     f"remove_edge weight must be a number, got {self.weight!r}"
+                )
+            if not 0.0 < self.weight < inf:  # no edge has such a weight
+                raise MutationError(
+                    f"remove_edge weight must be finite and > 0, got {self.weight!r}"
                 )
             object.__setattr__(self, "weight", float(self.weight))
 

@@ -9,6 +9,7 @@ Sections 5 and 6 / Hristidis et al. VLDB 2003).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import Iterator
 
 from repro.errors import SchemaError, UnknownColumnError, UnknownTableError
@@ -70,8 +71,10 @@ class ForeignKey:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.weight <= 0.0:
-            raise SchemaError(f"foreign key weight must be > 0, got {self.weight!r}")
+        if not 0.0 < self.weight < inf:  # NaN fails too
+            raise SchemaError(
+                f"foreign key weight must be finite and > 0, got {self.weight!r}"
+            )
 
 
 @dataclass

@@ -322,6 +322,24 @@ class TestHttpMutate:
             )
         assert excinfo.value.code == 400
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_post_mutate_nonfinite_weight_is_400_and_commits_nothing(
+        self, http_fleet, fleet, weight
+    ):
+        before = fleet.dataset_versions()["toy"]
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            # json.dumps writes the NaN / Infinity literals json.loads takes.
+            self._post(
+                f"{http_fleet}/mutate",
+                {
+                    "dataset": "toy",
+                    "mutations": [{"op": "add_edge", "u": 0, "v": 1, "weight": weight}],
+                },
+            )
+        assert excinfo.value.code == 400
+        assert "finite" in json.loads(excinfo.value.read())["error"]
+        assert fleet.dataset_versions()["toy"] == before
+
     def test_post_mutate_unknown_dataset_is_404(self, http_fleet):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             self._post(

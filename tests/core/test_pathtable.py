@@ -114,6 +114,14 @@ class TestExploreEdge(_BothResidencies):
         with pytest.raises(ValueError):
             state.explore_edge(0, 1, 0.0, lambda node: None)
 
+    @pytest.mark.parametrize("weight", [float("nan"), inf])
+    def test_rejects_nonfinite_weight(self, weight):
+        state = self.state(chain_graph(), [frozenset({2})])
+        state.seed_all()
+        with pytest.raises(ValueError, match="finite"):
+            state.explore_edge(1, 2, weight, lambda node: None)
+        assert state.dist_rows[0][1] == inf
+
     def test_changed_nodes_are_drained_once(self):
         state = self.state(chain_graph(), [frozenset({2})])
         state.seed_all()

@@ -65,6 +65,14 @@ class TestAddEdge:
         with pytest.raises(GraphError):
             g.add_edge(a, b, -2.0)
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_nonfinite_weight_rejected(self, weight):
+        g = DataGraph()
+        a, b = g.add_nodes("ab")
+        with pytest.raises(GraphError, match="finite"):
+            g.add_edge(a, b, weight)
+        assert g.num_edges == 0
+
     def test_unknown_node_rejected(self):
         g = DataGraph()
         a = g.add_node("a")

@@ -36,6 +36,11 @@ class TestBackwardEdgeWeight:
         with pytest.raises(ValueError):
             backward_edge_weight(-1.0, 1)
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_rejects_nonfinite_weight(self, weight):
+        with pytest.raises(ValueError, match="finite"):
+            backward_edge_weight(weight, 1)
+
     def test_rejects_zero_indegree(self):
         with pytest.raises(ValueError):
             backward_edge_weight(1.0, 0)

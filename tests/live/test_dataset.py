@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from repro.core.engine import KeywordSearchEngine
+from repro.errors import MutationError
 from repro.live import MutableDataset
 from repro.live.mutations import AddEdge, AddNode, UpdateText
 from repro.service.snapshot import load_snapshot
@@ -27,6 +28,15 @@ class TestEpochs:
     def test_empty_batch_does_not_bump(self, toy_dataset):
         assert toy_dataset.mutate([]).epoch.version == 0
         assert toy_dataset.commit().version == 0
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, 0.0])
+    def test_add_edge_rejects_a_bad_weight_and_stages_nothing(
+        self, toy_dataset, weight
+    ):
+        edges = toy_dataset.graph.num_edges
+        with pytest.raises(MutationError, match="finite and > 0"):
+            toy_dataset.add_edge(0, 1, weight)
+        assert toy_dataset.commit().graph.num_edges == edges
 
     def test_staged_changes_invisible_until_commit(self, toy_dataset):
         node = toy_dataset.add_node("staged", text="stagedterm")

@@ -77,6 +77,15 @@ class TestValidation:
         with pytest.raises(MutationError, match="weight"):
             AddEdge(u=1, v=2, weight="heavy")
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_weight(self, weight):
+        with pytest.raises(MutationError, match="finite"):
+            AddEdge(u=1, v=2, weight=weight)
+        with pytest.raises(MutationError, match="finite"):
+            RemoveEdge(u=1, v=2, weight=weight)
+        with pytest.raises(MutationError, match="finite"):
+            mutation_from_dict({"op": "add_edge", "u": 1, "v": 2, "weight": weight})
+
     def test_bad_endpoint(self):
         with pytest.raises(MutationError, match="node id"):
             AddEdge(u="a", v=2)

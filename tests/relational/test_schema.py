@@ -40,6 +40,11 @@ class TestForeignKey:
         with pytest.raises(SchemaError):
             ForeignKey("a", "b", "c", weight=0.0)
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_nonfinite_weight_rejected(self, weight):
+        with pytest.raises(SchemaError, match="finite"):
+            ForeignKey("a", "b", "c", weight=weight)
+
 
 def two_table_schema() -> Schema:
     return Schema(
