@@ -29,8 +29,10 @@ whole 120-query rounds scored best-against-best or paired read up to
 30% apart (stdev 8.6%) — the old gate, whose 3% budgets flaked; the
 same queries as 72 slices of 5 read within 0.9% (stdev 0.4%).  The
 emitted rows are what they always were — ``qps`` is the arm's best of
-``ROUNDS`` rounds of ``NUM_QUERIES`` queries, the value ``perf_trend``
-calibrates by and ``baseline.json`` was recorded against.
+``ROUNDS`` rounds of ``NUM_QUERIES`` queries.  The run also emits the
+``calibration/python-loop`` row ``perf_trend`` divides every row by
+(``conftest.emit_calibration_row``: a fixed loop that runs no ``repro``
+code), timed right after the arms.
 
 A sample span tree from the traced arm is written to
 ``TELEMETRY_SPAN_OUT`` (JSON) when set — CI uploads it as an artifact,
@@ -59,7 +61,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from repro.experiments.common import Report, build_bench, fmt, workload_rng
 from repro.service import QueryRequest, QueryService
 
-from conftest import as_float, cell, emit_json, run_report
+from conftest import as_float, cell, emit_calibration_row, emit_json, run_report
 
 NUM_QUERIES = 120
 ROUNDS = 3
@@ -73,8 +75,8 @@ MAX_OVERHEAD = 0.05
 ACCOUNTING_MAX_OVERHEAD = 0.03
 
 #: Arm name -> QueryService telemetry kwargs.  Every arm isolates one
-#: feature against "untraced" (the all-off calibration row perf_trend
-#: normalizes by), so each budget measures its own feature only.
+#: feature against "untraced" (all telemetry off), so each budget
+#: measures its own feature only.
 ARMS = {
     "untraced": {"tracing": False, "accounting": False},
     "accounting": {"tracing": False, "accounting": True},
@@ -164,6 +166,7 @@ def run_telemetry_overhead() -> Report:
                 _run_slice(arms[mode]["service"], queries, turn)
             )
 
+    emit_calibration_row()
     _dump_sample_span_tree(arms["traced"]["service"], queries)
     _dump_accounting(arms["accounting"]["service"])
     for arm in arms.values():
