@@ -70,7 +70,7 @@ def _calibration_pass() -> int:
     return len(seen)
 
 
-def emit_calibration_row() -> dict:
+def emit_calibration_row() -> None:
     """Time the calibration loop (best of ``CALIBRATION_ROUNDS`` rounds
     of ``CALIBRATION_PASSES`` passes) and emit its row; ``qps`` is
     passes per second."""
@@ -81,6 +81,4 @@ def emit_calibration_row() -> dict:
             _calibration_pass()
         best = max(best, CALIBRATION_PASSES / (time.perf_counter() - start))
     experiment, mode = CALIBRATION
-    row = {"experiment": experiment, "mode": mode, "qps": best}
-    emit_json(row)
-    return row
+    emit_json({"experiment": experiment, "mode": mode, "qps": best})

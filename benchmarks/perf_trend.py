@@ -14,10 +14,9 @@ ratios against ``benchmarks/baseline.json``:
   emitted by ``bench_telemetry_overhead.py``).  The ratio "this row
   runs N x the loop's rate *on this machine*" is stable across
   hardware; a >20% drop in it is a real relative regression, not a
-  slower runner.  (The calibration row used to be
-  ``telemetry-overhead/untraced``, itself an uncached search loop, so
-  a uniform engine speed-up or regression cancelled out of every
-  search row.);
+  slower runner.  The loop runs no ``repro`` code on purpose: a
+  calibration row that searched would cancel a uniform engine speed-up
+  or regression out of every search row;
 * **tolerance** — a row regresses when its normalized ratio falls more
   than ``tolerance`` (default 0.20) below the baseline's.  Faster is
   never an error (the report suggests a baseline refresh instead);

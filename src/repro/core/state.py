@@ -25,6 +25,12 @@ Rows are sparse — dicts in which an untouched node reads ``inf`` /
 ``near``) pay O(touched) per search, never O(n).  ``drain_changed``
 hands back the nodes whose values moved since the last call: what the
 loops need for priority upkeep.
+
+The loops call ``explore_edge`` once per edge and ``spread`` once per
+pop, so both are plain loops over the rows: ``explore_edge`` allocates
+only when a distance improves (on the ledger's ``cached_fleet`` pool
+three relaxed edges in four improve none), and max-mode ``spread``
+combines each share in place, not through ``receive_all``.
 """
 
 from __future__ import annotations
