@@ -43,9 +43,9 @@ def backward_edge_weight(forward_weight: float, indegree: int) -> float:
     Raises
     ------
     ValueError
-        If ``forward_weight`` is not finite and positive or ``indegree``
+        If ``forward_weight`` is not finite and positive, ``indegree``
         is not at least 1 (a backward edge only exists because at least
-        one forward edge points into ``v``).
+        one forward edge points into ``v``), or the product overflows.
     """
     if not 0.0 < forward_weight < math.inf:  # NaN fails too
         raise ValueError(
@@ -53,4 +53,9 @@ def backward_edge_weight(forward_weight: float, indegree: int) -> float:
         )
     if indegree < 1:
         raise ValueError(f"indegree must be >= 1 for a backward edge, got {indegree!r}")
-    return forward_weight * math.log2(1.0 + indegree)
+    weight = forward_weight * math.log2(1.0 + indegree)
+    if weight == math.inf:
+        raise ValueError(
+            f"backward edge weight overflows: {forward_weight!r} x log2(1 + {indegree})"
+        )
+    return weight

@@ -399,6 +399,17 @@ class MutableDataset:
                 raise MutationError(
                     f"edge weight must be finite and > 0, got {weight!r}"
                 )
+            # Every backward weight into ``v`` is rescaled for the new
+            # indegree: refuse the edge before staging it if the
+            # heaviest would overflow.
+            heaviest = max(
+                [weight]
+                + [w for _, w, forward in self._current_list(self._in, v) if forward]
+            )
+            try:
+                backward_edge_weight(heaviest, self._fwd_indegree(v) + 1)
+            except ValueError as exc:
+                raise MutationError(str(exc)) from None
             self._wlist(self._out, u).append((v, weight, True))
             self._wlist(self._in, v).append((u, weight, True))
             indegree = self._fwd_indegree(v)

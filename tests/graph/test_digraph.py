@@ -65,6 +65,14 @@ class TestAddEdge:
         with pytest.raises(GraphError):
             g.add_edge(a, b, -2.0)
 
+    def test_freeze_refuses_an_overflowing_backward_weight(self):
+        g = DataGraph()
+        a, b, c = g.add_nodes("abc")
+        g.add_edge(a, c, 1.5e308)
+        g.add_edge(b, c, 1.0)  # indegree 2: 1.5e308 * log2(3) overflows
+        with pytest.raises(ValueError, match="overflows"):
+            g.freeze()
+
     @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
     def test_nonfinite_weight_rejected(self, weight):
         g = DataGraph()

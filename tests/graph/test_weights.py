@@ -41,6 +41,11 @@ class TestBackwardEdgeWeight:
         with pytest.raises(ValueError, match="finite"):
             backward_edge_weight(weight, 1)
 
+    def test_rejects_an_overflowing_product(self):
+        assert backward_edge_weight(1.5e308, 1) == 1.5e308
+        with pytest.raises(ValueError, match="overflows"):
+            backward_edge_weight(1.5e308, 2)
+
     def test_rejects_zero_indegree(self):
         with pytest.raises(ValueError):
             backward_edge_weight(1.0, 0)

@@ -38,6 +38,24 @@ class TestEpochs:
             toy_dataset.add_edge(0, 1, weight)
         assert toy_dataset.commit().graph.num_edges == edges
 
+    def test_add_edge_whose_backward_weight_overflows_commits_nothing(
+        self, toy_dataset
+    ):
+        # Node 0 (Jim Gray) has two forward in-edges: a third makes every
+        # backward weight into it w * log2(4), infinite for w = 1e308.
+        version = toy_dataset.version
+        with pytest.raises(MutationError, match="overflows"):
+            toy_dataset.mutate([AddEdge(u=5, v=0, weight=1e308)])
+        assert toy_dataset.version == version
+        # A node with no forward in-edge takes 1.5e308 (log2(2) = 1);
+        # a second edge into it would rescale that by log2(3).
+        toy_dataset.mutate([AddEdge(u=5, v=9, weight=1.5e308)])
+        with pytest.raises(MutationError, match="overflows"):
+            toy_dataset.mutate([AddEdge(u=6, v=9, weight=1.0)])
+        graph = toy_dataset.graph
+        assert all(0.0 < w < math.inf for x in range(graph.num_nodes)
+                   for _, w, _ in graph.in_edges(x))
+
     def test_staged_changes_invisible_until_commit(self, toy_dataset):
         node = toy_dataset.add_node("staged", text="stagedterm")
         assert toy_dataset.index.lookup("stagedterm") == frozenset()
