@@ -29,7 +29,9 @@ One loop body serves both iterators.  Each queue is a lazy-deletion
 heap of ``(-priority, seq, node)`` beside a dict of live priorities
 (:class:`~repro.core.heaps.LazyMaxHeap`, inlined): a queued node's
 priority only grows and a popped node never returns to its queue, so
-a stale entry never becomes live again.
+a stale entry never becomes live again.  Near queries keep the class:
+they run outside every search workload, so inlining there would buy
+no measured time.
 """
 
 from __future__ import annotations

@@ -29,8 +29,8 @@ loops need for priority upkeep.
 The loops call ``explore_edge`` once per edge and ``spread`` once per
 pop, so both are plain loops over the rows: ``explore_edge`` allocates
 only when a distance improves (on the ledger's ``cached_fleet`` pool
-three relaxed edges in four improve none), and max-mode ``spread``
-combines each share in place, not through ``receive_all``.
+three relaxed edges in four improve none), and ``spread`` combines
+each share in place.
 """
 
 from __future__ import annotations
@@ -371,17 +371,11 @@ class ActivationState:
         """Spread ``node``'s activation over ``edges`` — its in-edges
         (incoming iterator expansion) or out-edges (outgoing) — whose
         ``sum(1/w)`` is ``norm``: each edge of weight ``w`` carries
-        ``mu * a(node, i) * (1/w) / norm`` to its other end."""
-        if self.combine == "sum":
-            for i, row in enumerate(self.act_rows):
-                a = row[node]
-                if a:
-                    budget = self.mu * a
-                    self.receive_all(
-                        (other, i, budget * (1.0 / w) / norm) for other, w, _ in edges
-                    )
-            return
-        # Max mode, the search's: receive_all's loop, inlined.
+        ``mu * a(node, i) * (1/w) / norm`` to its other end, combined
+        into ``a(other, i)``; an increase cascades to reached ancestors
+        (ACTIVATE)."""
+        sum_mode = self.combine == "sum"
+        floor = self.min_contribution
         i = 0
         for row in self.act_rows:
             a = row[node]
@@ -389,27 +383,14 @@ class ActivationState:
                 budget = self.mu * a
                 for other, w, _ in edges:
                     value = budget * (1.0 / w) / norm
-                    if value > row[other]:
+                    if sum_mode:
+                        if value > floor:
+                            self._set(other, i, row[other] + value)
+                            self._propagate_sum(other, i, value)
+                    elif value > row[other]:
                         self._set(other, i, value)
                         self._propagate_up(other, i)
             i += 1
-
-    def receive_all(self, contributions) -> None:
-        """The spreading step, over ``(node, i, value)`` contributions
-        in order: combine ``value`` into ``a(node, i)``; on an increase,
-        cascade to reached ancestors (ACTIVATE)."""
-        rows = self.act_rows
-        if self.combine == "sum":
-            floor = self.min_contribution
-            for node, i, value in contributions:
-                if value > floor:
-                    self._set(node, i, rows[i][node] + value)
-                    self._propagate_sum(node, i, value)
-        else:
-            for node, i, value in contributions:
-                if value > rows[i][node]:
-                    self._set(node, i, value)
-                    self._propagate_up(node, i)
 
     def _set(self, node: int, i: int, value: float) -> None:
         self.cascade_touches += 1

@@ -123,7 +123,8 @@ class TestActivatePropagation(_Explored):
         self.xout.add(0)
         self.spread_backward(act, 2)  # max-combine: no increase, no cascade
         assert act.act_rows[0][0] == 0.0
-        act.receive_all([(1, 0, 0.9)])  # an increase at 1
+        act._set(1, 0, 0.9)  # an increase at 1
+        act._propagate_up(1, 0)
         assert act.act_rows[0][0] > 0.0
 
     def test_drain_reports_increases_only(self):
