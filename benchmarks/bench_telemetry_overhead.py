@@ -2,8 +2,8 @@
 
 Two observability bars:
 
-* end-to-end tracing at the default sampling (``trace_every_n_pops=0``
-  — span per stage, no per-pop trajectory sampling) must cost the
+* end-to-end tracing (a span per stage; the per-pop trajectory is
+  sampled only by an ``explain=True`` search) must cost the
   serving path **less than 5% QPS** against the untraced arm.  Spans
   are a handful of dict writes around a graph search that costs
   milliseconds; if this budget ever fails, a span crept into a per-pop

@@ -100,6 +100,11 @@ class BackwardExpandingSearch(BaseSearch):
 
     algorithm = "mi-backward"
 
+    #: Most origin combinations emitted per confluence node: bounds
+    #: the cross-product blowup inherent to the multi-iterator
+    #: algorithm.
+    MAX_COMBOS_PER_NODE = 64
+
     def __init__(
         self,
         graph,
@@ -146,7 +151,7 @@ class BackwardExpandingSearch(BaseSearch):
                 self.stats.pops_in += 1
                 self._pops_since_flush += 1
                 self._record_visit(node, idx)
-                self._profile_tick()
+                self._explain_tick()
             peek = iterator.peek()
             if peek is not None:
                 self._schedule.push(idx, peek)
@@ -179,8 +184,8 @@ class BackwardExpandingSearch(BaseSearch):
     ) -> None:
         """Emit combinations that place the newly-arrived iterator in
         ``new_slot``; older combinations were emitted on earlier visits.
-        Capped by ``max_combos_per_node`` to bound the cross-product."""
-        cap = self.params.max_combos_per_node
+        Capped by :attr:`MAX_COMBOS_PER_NODE` to bound the cross-product."""
+        cap = self.MAX_COMBOS_PER_NODE
         pools = [
             slot if i != new_slot else [new_iterator] for i, slot in enumerate(slots)
         ]

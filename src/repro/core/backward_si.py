@@ -72,7 +72,7 @@ class SingleIteratorBackwardSearch(BaseSearch):
             self.stats.explore()
             self.stats.pops_in += 1
             self._pops_since_flush += 1
-            self._profile_tick()
+            self._explain_tick()
 
             if state.is_complete(node):
                 self._emit_root(state, node)

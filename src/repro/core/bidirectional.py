@@ -83,7 +83,6 @@ class BidirectionalSearch(BaseSearch):
             state.expanded_in,
             state.expanded_out,
             mu=self.params.mu,
-            combine=self.params.activation_combine,
         )
         act.seed_all()
         total = act.total
@@ -118,7 +117,7 @@ class BidirectionalSearch(BaseSearch):
             heap_out, qout, xout, state.expanded_out, graph.out_edges,
             graph.out_inv_weight_sum,
         )
-        ticking = self._sample_every or self._explain_every
+        explaining = self._explain_every
         explain_side: Optional[bool] = None
 
         while (qin or qout) and not self._done:
@@ -136,7 +135,7 @@ class BidirectionalSearch(BaseSearch):
             # with the highest activation (ties favour backward search,
             # which discovers the potential roots).
             incoming = pin is not None and (pout is None or pin >= pout)
-            if self._explain_every and incoming is not explain_side:
+            if explaining and incoming is not explain_side:
                 # Record only actual direction changes (with the balance
                 # rule's inputs) — per-pop entries would flood the
                 # bounded timeline with repeats.
@@ -205,8 +204,8 @@ class BidirectionalSearch(BaseSearch):
                     qout[node] = priority = total[node]
                     heappush(heap_out, (-priority, next(seq), node))
                     heap_ops += 1
-            if ticking:
-                self._profile_tick()
+            if explaining:
+                self._explain_tick()
             if self._should_flush():
                 self._flush(
                     state.edge_bound(frontier_minima(state.dist_rows, [*qin, *qout]))

@@ -66,6 +66,11 @@ class BaseSearch:
 
     algorithm = "base"
 
+    #: Pops between two ``sample`` events of an explain timeline.
+    EXPLAIN_EVERY = 64
+    #: Most events one explain timeline keeps.
+    EXPLAIN_LIMIT = 256
+
     def __init__(
         self,
         graph,
@@ -85,7 +90,7 @@ class BaseSearch:
         self.keyword_sets = tuple(frozenset(s) for s in keyword_sets)
         self.k = len(self.keyword_sets)
         self.params = params if params is not None else SearchParams()
-        self.scorer = scorer if scorer is not None else Scorer(graph, self.params.lam)
+        self.scorer = scorer if scorer is not None else Scorer(graph)
         self.token = token
         self.stats = SearchStats()
         self.output = OutputHeap(self.params.output_mode, self.params.max_results)
@@ -98,71 +103,51 @@ class BaseSearch:
         self._done = False
         self._stopped_by_cancel = False
         # Tracing: the ambient span (if any) receives an end-of-run
-        # summary plus, when ``trace_every_n_pops`` is set, a sampled
-        # trajectory.  With no span active every hook below reduces to
-        # one falsy check per pop.
+        # summary and the time spent emitting.
         self.span = current_span()
-        self._sample_every = (
-            self.params.trace_every_n_pops if self.span is not None else 0
-        )
-        self._samples: list[dict] = []
         self._emit_seconds = 0.0
-        self._t_start = perf_counter() if self.span is not None else 0.0
         # EXPLAIN mode (off by default): when enabled the loops append a
         # bounded timeline of sampled frontier states and scheduling
         # decisions here.  Off, every hook reduces to one falsy check.
         self._explain_every = 0
-        self._explain_limit = 0
         self.explain_events: list[dict] = []
 
     # ------------------------------------------------------------------
     # explain
     # ------------------------------------------------------------------
-    def enable_explain(self, every: int = 64, limit: int = 256) -> None:
-        """Collect a sampled expansion timeline (one entry per ``every``
-        pops, at most ``limit`` events) into :attr:`explain_events`."""
-        self._explain_every = max(1, int(every))
-        self._explain_limit = max(1, int(limit))
+    def enable_explain(self) -> None:
+        """Collect a sampled expansion timeline (one ``sample`` entry per
+        :attr:`EXPLAIN_EVERY` pops, at most :attr:`EXPLAIN_LIMIT`
+        events) into :attr:`explain_events`."""
+        self._explain_every = self.EXPLAIN_EVERY
 
     def explain_note(self, kind: str, **data) -> None:
         """Append one timeline event (call sites guard on
         ``self._explain_every`` so disabled explain costs one check)."""
-        if len(self.explain_events) >= self._explain_limit:
+        if len(self.explain_events) >= self.EXPLAIN_LIMIT:
             return
         data["event"] = kind
         data["pops"] = self.stats.nodes_explored
         self.explain_events.append(data)
 
-    # ------------------------------------------------------------------
-    # profiling
-    # ------------------------------------------------------------------
     def _frontier_sizes(self) -> dict[str, int]:
         """Per-side frontier sizes, overridden by each algorithm."""
         return {}
 
-    def _profile_tick(self) -> None:
-        """Record a trajectory sample every ``trace_every_n_pops`` pops.
+    def _explain_tick(self) -> None:
+        """Record a trajectory sample every :attr:`EXPLAIN_EVERY` pops
+        while explain is on.
 
-        Called once per pop by every main loop; the common (sampling
-        off) case is a single falsy check.
+        Called once per pop by every main loop; with explain off it is
+        a single falsy check.
         """
-        every = self._sample_every
-        if every and self.stats.nodes_explored % every == 0:
-            self._samples.append(
-                {
-                    "pops": self.stats.nodes_explored,
-                    "touched": self.stats.nodes_touched,
-                    "answers_output": self.stats.answers_output,
-                    "elapsed": perf_counter() - self._t_start,
-                    "frontiers": self._frontier_sizes(),
-                }
-            )
         every = self._explain_every
         if every and self.stats.nodes_explored % every == 0:
             self.explain_note(
                 "sample",
                 touched=self.stats.nodes_touched,
                 answers_output=self.stats.answers_output,
+                elapsed=self.stats.now(),
                 frontiers=self._frontier_sizes(),
             )
 
@@ -403,9 +388,6 @@ class BaseSearch:
             )
             if self._result.cancel_reason is not None:
                 span.set_attribute("cancel_reason", self._result.cancel_reason)
-            if self._samples:
-                span.set_attribute("profile_every", self._sample_every)
-                span.set_attribute("profile", list(self._samples))
         return self._result
 
     # ------------------------------------------------------------------

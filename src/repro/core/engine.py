@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from typing import Optional, Sequence, Union
 
 from repro.core.answer import SearchResult
@@ -48,14 +49,31 @@ ALGORITHMS = {
 }
 
 
+@contextmanager
+def _stage(parent, name: str):
+    """A child span ``name`` of ``parent`` around the block, or ``None``
+    when untraced; the span ends with status ``error`` if the block
+    raises."""
+    if parent is None:
+        yield None
+        return
+    span = parent.child(name)
+    try:
+        yield span
+    except BaseException:
+        span.end(status="error")
+        raise
+    span.end()
+
+
 class KeywordSearchEngine:
     """Search facade over a frozen graph and its keyword index.
 
     The graph and index never change after construction ("index is
-    frozen"), so the engine memoizes derived state freely: scorers per
-    ``lambda`` and resolved keyword sets per query string.  Both caches
-    are lock-protected — the service layer runs searches from many
-    threads against one engine.
+    frozen"), so the engine memoizes derived state freely: one scorer
+    for every search and the resolved keyword sets per query string.
+    The resolve cache is lock-protected — the service layer runs
+    searches from many threads against one engine.
     """
 
     #: Bound on the resolve cache; far above any benchmark's distinct
@@ -66,9 +84,8 @@ class KeywordSearchEngine:
         self.graph = graph
         self.index = index
         self.params = params if params is not None else SearchParams()
-        self.scorer = Scorer(graph, self.params.lam)
+        self.scorer = Scorer(graph)
         self._cache_lock = threading.Lock()
-        self._scorers: dict[float, Scorer] = {self.params.lam: self.scorer}
         self._resolve_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
 
     # ------------------------------------------------------------------
@@ -179,116 +196,57 @@ class KeywordSearchEngine:
         run_params = params if params is not None else self.params
         if k is not None:
             run_params = run_params.with_(max_results=k)
+        # Under an ambient span the engine stages become its children:
+        # ``resolve`` -> ``expand[...]`` -> ``emit``.
         parent = current_span()
-        if parent is None:
+        with _stage(parent, "resolve") as span:
             keywords, keyword_sets = self.resolve(query)
+            if span is not None:
+                span.set_attributes(
+                    {
+                        "keywords": len(keywords),
+                        "origin_nodes": sum(len(nodes) for nodes in keyword_sets),
+                    }
+                )
+        expand = f"expand[{_SPAN_ALGO.get(algorithm, algorithm)}]"
+        with _stage(parent, expand) as span, use_span(span):
             search = search_cls(
                 self.graph,
                 keywords,
                 keyword_sets,
                 params=run_params,
-                scorer=self.scorer_for(run_params.lam),
+                scorer=self.scorer,
                 token=token,
             )
             search.stats.resolve_hits = sum(len(s) for s in keyword_sets)
             if explain:
                 search.enable_explain()
             result = search.run()
-            if explain:
-                result.explain = self._explain_report(
-                    search, result, keywords, keyword_sets, run_params
-                )
-            return result
-        return self._traced_search(
-            parent, search_cls, query, algorithm, run_params, token, explain
-        )
-
-    def _explain_report(
-        self, search, result, keywords, keyword_sets, run_params
-    ) -> dict:
-        from repro.telemetry.accounting import build_explain_report
-
-        return build_explain_report(
-            result=result,
-            keywords=keywords,
-            keyword_sets=keyword_sets,
-            params=run_params,
-            graph=self.graph,
-            timeline=search.explain_events,
-        )
-
-    def _traced_search(
-        self, parent, search_cls, query, algorithm, run_params, token, explain=False
-    ) -> SearchResult:
-        """The engine-stage spans: ``resolve`` → ``expand[...]`` →
-        ``emit`` as children of the ambient span.
-
-        The ``emit`` span is synthesized from the time the search spent
-        scoring and releasing answers — emission interleaves with
-        expansion, so it is an accumulated duration, not a wall-clock
-        interval.
-        """
-        resolve_span = parent.child("resolve")
-        try:
-            keywords, keyword_sets = self.resolve(query)
-        except BaseException:
-            resolve_span.end(status="error")
-            raise
-        resolve_span.set_attributes(
-            {
-                "keywords": len(keywords),
-                "origin_nodes": sum(len(nodes) for nodes in keyword_sets),
-            }
-        )
-        resolve_span.end()
-        expand_span = parent.child(
-            f"expand[{_SPAN_ALGO.get(algorithm, algorithm)}]"
-        )
-        try:
-            with use_span(expand_span):
-                search = search_cls(
-                    self.graph,
-                    keywords,
-                    keyword_sets,
-                    params=run_params,
-                    scorer=self.scorer_for(run_params.lam),
-                    token=token,
-                )
-                search.stats.resolve_hits = sum(len(s) for s in keyword_sets)
-                if explain:
-                    search.enable_explain()
-                result = search.run()
-        except BaseException:
-            expand_span.end(status="error")
-            raise
-        expand_span.end()
         if explain:
-            result.explain = self._explain_report(
-                search, result, keywords, keyword_sets, run_params
+            from repro.telemetry.accounting import build_explain_report
+
+            result.explain = build_explain_report(
+                result=result,
+                keywords=keywords,
+                keyword_sets=keyword_sets,
+                params=run_params,
+                graph=self.graph,
+                timeline=search.explain_events,
             )
-        emit_span = parent.child("emit")
-        emit_span.set_attributes(
-            {
-                "answers_generated": result.stats.answers_generated,
-                "answers_output": result.stats.answers_output,
-                "duplicates_discarded": result.stats.duplicates_discarded,
-            }
-        )
-        emit_span.end(duration=float(getattr(search, "emit_seconds", 0.0)))
+        if parent is not None:
+            # Emission interleaves with expansion, so ``emit`` is the
+            # accumulated time the search spent scoring and releasing
+            # answers, not a wall-clock interval.
+            emit_span = parent.child("emit")
+            emit_span.set_attributes(
+                {
+                    "answers_generated": result.stats.answers_generated,
+                    "answers_output": result.stats.answers_output,
+                    "duplicates_discarded": result.stats.duplicates_discarded,
+                }
+            )
+            emit_span.end(duration=search.emit_seconds)
         return result
-
-    def scorer_for(self, lam: float) -> Scorer:
-        """The memoized :class:`Scorer` for ``lam``.
-
-        Scorers are immutable once built (graph and ``max_prestige`` are
-        frozen), so one per distinct ``lambda`` serves every call — an
-        ablation sweeping ``lam`` no longer rebuilds a scorer per query.
-        """
-        with self._cache_lock:
-            scorer = self._scorers.get(lam)
-            if scorer is None:
-                scorer = self._scorers[lam] = Scorer(self.graph, lam)
-            return scorer
 
     # ------------------------------------------------------------------
     def constrained(self, policy) -> "KeywordSearchEngine":

@@ -52,8 +52,6 @@ class NearSearch:
         *,
         mu: float = 0.5,
         node_budget: int = 1000,
-        combine: str = "sum",
-        include_keyword_nodes: bool = False,
     ) -> None:
         if node_budget < 1:
             raise ValueError(f"node_budget must be >= 1, got {node_budget!r}")
@@ -62,7 +60,6 @@ class NearSearch:
         if not self.keyword_sets:
             raise ValueError("at least one keyword set is required")
         self.node_budget = node_budget
-        self.include_keyword_nodes = include_keyword_nodes
         self.stats = SearchStats()
         self._queue = LazyMaxHeap()
         # Proximity is direction-agnostic: an explored node's edges
@@ -75,13 +72,13 @@ class NearSearch:
             self._explored,
             self._explored,
             mu=mu,
-            combine=combine,
+            combine="sum",
         )
 
     # ------------------------------------------------------------------
     def run(self, k: Optional[int] = 10) -> NearResult:
-        """Explore and return the top-``k`` nodes by activation (``None``
-        returns every activated node)."""
+        """Explore and return the top-``k`` non-keyword nodes by
+        activation (``None`` returns every activated one)."""
         act = self._act
         total = act.total
         graph = self.graph
@@ -115,7 +112,7 @@ class NearSearch:
         ranking = [
             (node, score)
             for node, score in total.items()
-            if score > 0.0 and (self.include_keyword_nodes or node not in seeds)
+            if score > 0.0 and node not in seeds
         ]
         ranking.sort(key=lambda item: (-item[1], item[0]))
         if k is not None:

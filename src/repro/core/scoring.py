@@ -10,7 +10,8 @@
   direction of ``E``; following BANKS-I we normalize the edge score to
   ``1 / (1 + E)`` so the overall relevance ``N**lambda / (1 + E)`` is
   larger-is-better and decreases monotonically in ``E`` — the property
-  the Section 4.5 output bound depends on.  ``lambda`` defaults to 0.2.
+  the Section 4.5 output bound depends on.  ``lambda`` is the paper's
+  0.2 (:data:`LAMBDA`): every experiment runs at it (Section 5.1).
 """
 
 from __future__ import annotations
@@ -20,7 +21,11 @@ from typing import Sequence
 
 from repro.core.answer import AnswerTree, leaf_nodes
 
-__all__ = ["Scorer", "edge_score", "overall_score"]
+__all__ = ["LAMBDA", "Scorer", "edge_score", "overall_score"]
+
+#: The exponent on the node score ``N`` (Section 2.3's default); a
+#: :class:`Scorer` reads it when it is built.
+LAMBDA = 0.2
 
 #: Relative padding of :meth:`Scorer.tree_score_bound` — many orders
 #: above float64 summation error, many below any score gap that matters.
@@ -42,13 +47,12 @@ def overall_score(e: float, n: float, lam: float) -> float:
 
 
 class Scorer:
-    """Binds a graph's prestige vector and ``lambda`` into tree scoring."""
+    """Binds a graph's prestige vector and :data:`LAMBDA` into tree
+    scoring."""
 
-    def __init__(self, graph, lam: float = 0.2) -> None:
-        if lam < 0.0:
-            raise ValueError(f"lambda must be >= 0, got {lam!r}")
+    def __init__(self, graph) -> None:
         self._graph = graph
-        self.lam = lam
+        self.lam = LAMBDA
         # Root + k leaves bounds N; cached for the output bound.
         self._max_prestige = graph.max_prestige
         self._prestige = graph.prestige_values

@@ -48,6 +48,10 @@ __all__ = ["PathState", "ActivationState"]
 
 _MEMO_ATTR = "_explored_parents_memo"
 
+#: Sum-mode activation floor: a seed or a share at or below it is
+#: dropped, which is what ends a sum-mode cascade.
+MIN_CONTRIBUTION = 1e-9
+
 
 def _sparse_row(fill) -> defaultdict:
     """Row container of the search state: a dict in which an
@@ -313,29 +317,24 @@ class ActivationState:
         *,
         mu: float = 0.5,
         combine: str = "max",
-        min_contribution: float = 1e-9,
     ) -> None:
         """
         ``combine`` selects how activation reaching a node from several
-        edges is merged per keyword: ``"max"`` (the paper's default) or
-        ``"sum"`` (the footnote-6 extension for scoring models that
-        aggregate along multiple paths; powers "near queries").  In sum
-        mode cascades terminate via the ``min_contribution`` floor.
+        edges is merged per keyword: ``"max"`` (the paper's default,
+        Bidirectional's) or ``"sum"`` (the footnote-6 extension for
+        scoring models that aggregate along multiple paths; powers "near
+        queries").  In sum mode cascades terminate via the
+        :data:`MIN_CONTRIBUTION` floor.
         """
         if not 0.0 <= mu <= 1.0:
             raise ValueError(f"mu must be in [0, 1], got {mu!r}")
         if combine not in ("max", "sum"):
             raise ValueError(f"combine must be 'max' or 'sum', got {combine!r}")
-        if min_contribution <= 0.0:
-            raise ValueError(
-                f"min_contribution must be > 0, got {min_contribution!r}"
-            )
         self.graph = graph
         self.keyword_sets = tuple(frozenset(s) for s in keyword_sets)
         self.k = k = len(self.keyword_sets)
         self.mu = mu
         self.combine = combine
-        self.min_contribution = min_contribution
         self.expanded_in = expanded_in
         self.expanded_out = expanded_out
         self.act_rows = [_sparse_row(0.0) for _ in range(k)]
@@ -358,7 +357,7 @@ class ActivationState:
                 seed = prestige(node) / size
                 current = row[node]
                 if self.combine == "sum":
-                    merged = current + (seed if seed > self.min_contribution else 0.0)
+                    merged = current + (seed if seed > MIN_CONTRIBUTION else 0.0)
                 else:
                     merged = max(current, seed)
                 row[node] = merged
@@ -375,7 +374,7 @@ class ActivationState:
         into ``a(other, i)``; an increase cascades to reached ancestors
         (ACTIVATE)."""
         sum_mode = self.combine == "sum"
-        floor = self.min_contribution
+        floor = MIN_CONTRIBUTION
         i = 0
         for row in self.act_rows:
             a = row[node]
@@ -438,7 +437,7 @@ class ActivationState:
 
     def _propagate_sum(self, start: int, i: int, delta: float) -> None:
         """Sum-mode ACTIVATE: push the *added* mass upward, attenuated
-        by ``mu`` and the share split, until the ``min_contribution``
+        by ``mu`` and the share split, until the :data:`MIN_CONTRIBUTION`
         floor kills it."""
         row = self.act_rows[i]
         par = self._parents
@@ -446,7 +445,7 @@ class ActivationState:
         xout = self.expanded_out
         total = self.total
         changed = self._changed
-        floor = self.min_contribution
+        floor = MIN_CONTRIBUTION
         touches = 0
         stack = [(start, delta)]
         while stack:

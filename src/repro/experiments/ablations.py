@@ -10,6 +10,9 @@ Section 4.2's "generous default of 8".
 ABL3 — output bound: the exact NRA-style bound vs the paper's looser
 heuristic (Section 4.5): how much earlier answers are released and how
 much output-order quality is given up.
+
+Every other parameter stays at the paper's default (Section 5.1),
+``lambda = 0.2`` included (:data:`repro.core.scoring.LAMBDA`).
 """
 
 from __future__ import annotations

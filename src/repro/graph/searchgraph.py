@@ -164,7 +164,9 @@ class SearchGraph:
     # ------------------------------------------------------------------
     @property
     def num_nodes(self) -> int:
-        return len(self._out)
+        # Every factory fixes the prestige tuple at the node count; on a
+        # mapped graph ``len(self._out)`` is a python-level call.
+        return len(self._prestige)
 
     @property
     def num_forward_edges(self) -> int:
@@ -287,5 +289,7 @@ class SearchGraph:
     # internals
     # ------------------------------------------------------------------
     def _check_node(self, node: int) -> None:
-        if not 0 <= node < len(self._out):
+        # Once per edge-list read: the tuple's C-level length, see
+        # :attr:`num_nodes`.
+        if not 0 <= node < len(self._prestige):
             raise UnknownNodeError(node)

@@ -8,7 +8,7 @@ can pass them around as plain dicts:
 * :func:`build_explain_report` — turns one finished search (its stats,
   sampled timeline and released answers) into a structured report with
   a **canonical** section that is deterministic across runs and
-  trajectory sampling settings (seed resolution, parameter echo,
+  timeline sampling intervals (seed resolution, parameter echo,
   answers with full score decompositions) and non-canonical sections
   (timeline, cost vector, timings) that legitimately vary run to run.
 * :func:`query_fingerprint` — the canonical workload identity of a
@@ -289,22 +289,6 @@ SEED_SAMPLE = 8
 #: Section 2.3, normalized as DESIGN.md Section 3 records).
 SCORE_FORMULA = "node_score**lambda / (1 + edge_score)"
 
-#: Parameter fields excluded from the canonical echo: they select *how*
-#: the engine is observed, not *what* the query means, and legitimately
-#: differ across runs of the same logical query.
-_NON_CANONICAL_PARAMS = frozenset({"trace_every_n_pops"})
-
-
-def _params_echo(params) -> dict:
-    import dataclasses
-
-    payload = dataclasses.asdict(params)
-    return {
-        name: value
-        for name, value in sorted(payload.items())
-        if name not in _NON_CANONICAL_PARAMS
-    }
-
 
 def _decompose_answer(rank: int, answer, keywords, graph, lam: float) -> dict:
     """Per-answer score decomposition, recomputed from first principles
@@ -357,8 +341,7 @@ def build_explain_report(
 
     The ``canonical`` section depends only on the query and the
     released answers — per-term seed resolution (posting sizes plus a
-    sorted sample of origin ids), the parameter echo (minus the
-    trajectory sampling interval ``trace_every_n_pops``) and per-answer
+    sorted sample of origin ids), the parameter echo and per-answer
     score decompositions —
     and is byte-stable across runs (:func:`canonical_explain_bytes`
     pins this).  ``timeline`` (the
@@ -366,6 +349,10 @@ def build_explain_report(
     (the always-on counters) and ``timings`` vary run to run and live
     outside it.
     """
+    import dataclasses
+
+    from repro.core.scoring import LAMBDA
+
     seeds = [
         {
             "keyword": str(keyword),
@@ -375,7 +362,7 @@ def build_explain_report(
         for keyword, nodes in zip(keywords, keyword_sets)
     ]
     answers = [
-        _decompose_answer(rank, answer, keywords, graph, params.lam)
+        _decompose_answer(rank, answer, keywords, graph, LAMBDA)
         for rank, answer in enumerate(result.answers)
     ]
     stats = result.stats
@@ -385,7 +372,7 @@ def build_explain_report(
             "algorithm": result.algorithm,
             "keywords": [str(k) for k in keywords],
             "seeds": seeds,
-            "params": _params_echo(params),
+            "params": dict(sorted(dataclasses.asdict(params).items())),
             "answers": answers,
             "complete": bool(result.complete),
         },

@@ -191,6 +191,10 @@ BAD_PARAMS = [
     ({"frontier_balance": "fanout"}, "frontier_balance"),
     ({"tie_alternates": False}, "tie_alternates"),
     ({"flush_interval": 16}, "flush_interval"),
+    ({"lam": 0.5}, "lam"),
+    ({"activation_combine": "sum"}, "activation_combine"),
+    ({"max_combos_per_node": 8}, "max_combos_per_node"),
+    ({"trace_every_n_pops": 1}, "trace_every_n_pops"),
 ]
 
 

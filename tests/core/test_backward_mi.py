@@ -6,7 +6,7 @@ from repro.core.backward_mi import BackwardExpandingSearch, ShortestPathIterator
 from repro.core.params import SearchParams
 from repro.core.stats import SearchStats
 
-from tests.helpers import build_graph
+from tests.helpers import build_graph, combo_cap
 
 
 class TestShortestPathIterator:
@@ -93,18 +93,10 @@ class TestMultiIterator:
         leaves = list(range(1, 9))
         g = build_graph(9, [(center, leaf) for leaf in leaves])
         sets = [frozenset(leaves[:4]), frozenset(leaves[4:])]
-        capped = BackwardExpandingSearch(
-            g,
-            ("a", "b"),
-            sets,
-            params=SearchParams(max_results=1000, max_combos_per_node=2),
-        ).run()
-        full = BackwardExpandingSearch(
-            g,
-            ("a", "b"),
-            sets,
-            params=SearchParams(max_results=1000, max_combos_per_node=64),
-        ).run()
+        params = SearchParams(max_results=1000)
+        with combo_cap(2):
+            capped = BackwardExpandingSearch(g, ("a", "b"), sets, params=params).run()
+        full = BackwardExpandingSearch(g, ("a", "b"), sets, params=params).run()
         assert len(capped.answers) < len(full.answers)
         assert full.stats.answers_generated == 16  # 4 x 4 combos at the hub
 

@@ -76,7 +76,8 @@ class TestDistanceOrdering:
         search = SingleIteratorBackwardSearch(
             g, ("x",), sets, params=SearchParams(max_results=100)
         )
-        search.enable_explain(every=1)
+        search.EXPLAIN_EVERY = 1
+        search.enable_explain()
         search.run()
         touched = [
             e["touched"] for e in search.explain_events if e["event"] == "sample"

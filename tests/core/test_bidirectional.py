@@ -78,7 +78,8 @@ class TestActivationOrdering:
         search = BidirectionalSearch(
             graph, keywords, sets, params=SearchParams(**params)
         )
-        search.enable_explain(every=1)
+        search.EXPLAIN_EVERY = 1
+        search.enable_explain()
         search.run()
         return [e for e in search.explain_events if e["event"] == "switch"]
 

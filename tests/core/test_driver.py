@@ -87,7 +87,7 @@ class TestEmissionGate:
         search = self._search(max_results=1)
         # Leaves come from S_0 = {0}, S_1 = {1}: at most 0.1 + 0.1.
         assert search._leaf_prestige_cap == pytest.approx(0.2)
-        lam = search.params.lam
+        lam = search.scorer.lam
         low_root = search.scorer.tree_score_bound(0, 0.2, 1.0)
         high_root = search.scorer.tree_score_bound(2, 0.2, 1.0)
         assert low_root == pytest.approx(0.3**lam / 2.0)

@@ -83,9 +83,13 @@ class TestSearch:
         result = toy_engine.search("paper vldb", k=3)
         assert result.answers
 
-    def test_lambda_override_rescores(self, toy_engine):
-        flat = toy_engine.search("gray transaction", params=SearchParams(lam=0.0))
-        steep = toy_engine.search("gray transaction", params=SearchParams(lam=1.0))
+    def test_lambda_rescores(self, toy_engine, monkeypatch):
+        scores = {}
+        for lam in (0.0, 1.0):
+            monkeypatch.setattr("repro.core.scoring.LAMBDA", lam)
+            engine = KeywordSearchEngine(toy_engine.graph, toy_engine.index)
+            scores[lam] = engine.search("gray transaction")
+        flat, steep = scores[0.0], scores[1.0]
         assert flat.answers and steep.answers
         assert flat.best().score != steep.best().score
 

@@ -1,51 +1,24 @@
-"""Engine-level memoization: per-lambda scorers and resolve caching."""
+"""Engine-level memoization: one scorer and the resolve cache."""
 
 import pytest
 
-from repro.core.params import SearchParams
 from repro.core.scoring import Scorer
 from repro.errors import KeywordNotFoundError
 
 
-class TestScorerMemoization:
-    def test_default_scorer_is_reused(self, toy_engine):
-        assert toy_engine.scorer_for(toy_engine.params.lam) is toy_engine.scorer
-
-    def test_non_default_lam_built_once(self, toy_engine):
-        first = toy_engine.scorer_for(0.9)
-        second = toy_engine.scorer_for(0.9)
-        assert first is second
-        assert isinstance(first, Scorer)
-        assert first.lam == 0.9
-        assert first is not toy_engine.scorer
-
-    def test_search_with_non_default_lam_reuses_scorer(self, toy_engine, monkeypatch):
-        params = SearchParams(lam=0.7)
-        toy_engine.search("gray transaction", params=params)
+class TestOneScorer:
+    def test_searches_reuse_the_engine_scorer(self, toy_engine, monkeypatch):
         constructed = []
         original_init = Scorer.__init__
 
-        def counting_init(self, graph, lam=0.2):
-            constructed.append(lam)
-            original_init(self, graph, lam)
+        def counting_init(self, graph):
+            constructed.append(graph)
+            original_init(self, graph)
 
         monkeypatch.setattr(Scorer, "__init__", counting_init)
-        for _ in range(5):
-            toy_engine.search("gray transaction", params=params)
-        assert constructed == []  # memoized: no scorer rebuilt per call
-
-    def test_distinct_lams_get_distinct_scorers(self, toy_engine):
-        assert toy_engine.scorer_for(0.1) is not toy_engine.scorer_for(0.2)
-
-    def test_search_results_unchanged_by_memoization(self, toy_engine):
-        params = SearchParams(lam=0.5)
-        first = toy_engine.search("gray transaction", params=params)
-        second = toy_engine.search("gray transaction", params=params)
-        assert first.scores() == second.scores()
-        fresh = Scorer(toy_engine.graph, 0.5)
-        tree = first.trees()[0]
-        rebuilt = fresh.build_tree(tree.root, tree.paths, tree.dists)
-        assert rebuilt.score == pytest.approx(tree.score)
+        for algorithm in ("bidirectional", "si-backward", "mi-backward"):
+            toy_engine.search("gray transaction", algorithm=algorithm)
+        assert constructed == []  # every search scores with engine.scorer
 
 
 class TestResolveCache:

@@ -108,9 +108,8 @@ class TestExhaustiveAnswers:
         g = build_graph(4, [(0, 1), (2, 3)])
         assert exhaustive_answers(g, [frozenset({0}), frozenset({3})]) == []
 
-    def test_custom_scorer_used(self):
+    def test_custom_scorer_used(self, monkeypatch):
         g = build_graph(3, [(0, 1), (0, 2)], prestige=[0.8, 0.1, 0.1])
-        answers = exhaustive_answers(
-            g, [frozenset({1}), frozenset({2})], Scorer(g, lam=1.0)
-        )
+        monkeypatch.setattr("repro.core.scoring.LAMBDA", 1.0)
+        answers = exhaustive_answers(g, [frozenset({1}), frozenset({2})], Scorer(g))
         assert answers[0].score == pytest.approx((0.8 + 0.1 + 0.1) / 3.0)

@@ -3,15 +3,19 @@ determinism contract.
 
 The canonical section of an explain report (seed resolution, parameter
 echo, answers with full score decompositions) must be **byte-identical**
-across repeat runs and trajectory sampling settings for every algorithm — that is
+across repeat runs and timeline sampling intervals for every algorithm — that is
 what makes an explain plan trustworthy evidence rather than a
 measurement artifact.  Non-canonical sections (timeline, costs,
 timings) may vary.
 """
 
+import dataclasses
+
 import pytest
 
+from repro.core.driver import BaseSearch
 from repro.core.params import SearchParams
+from repro.core.scoring import LAMBDA
 from repro.telemetry.accounting import SCORE_FORMULA, canonical_explain_bytes
 
 ALGORITHMS = ("bidirectional", "si-backward", "mi-backward")
@@ -41,13 +45,14 @@ class TestReportStructure:
             assert seed["origin_count"] >= len(seed["origin_sample"]) > 0
             assert seed["origin_sample"] == sorted(seed["origin_sample"])
         assert len(canonical["answers"]) == len(result.answers)
-        # The trajectory sampling interval is excluded from the echo.
-        assert "trace_every_n_pops" not in canonical["params"]
-        assert "dmax" in canonical["params"]
+        # The echo is the search parameters, every field of them.
+        assert sorted(canonical["params"]) == sorted(
+            field.name for field in dataclasses.fields(SearchParams)
+        )
 
     def test_decomposition_audits_released_score(self, dblp_small_engine):
         result = dblp_small_engine.search(QUERY, k=3, explain=True)
-        lam = dblp_small_engine.params.lam
+        lam = LAMBDA
         for row, answer in zip(
             result.explain["canonical"]["answers"], result.answers
         ):
@@ -81,6 +86,34 @@ class TestReportStructure:
         assert switches, "bidirectional run recorded no direction switches"
         assert all("rule" in event for event in switches)
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_samples_carry_the_trajectory(
+        self, dblp_small_engine, algorithm, monkeypatch
+    ):
+        monkeypatch.setattr(BaseSearch, "EXPLAIN_EVERY", 1)
+        result = dblp_small_engine.search(
+            QUERY, algorithm=algorithm, k=3, explain=True
+        )
+        samples = [
+            event
+            for event in result.explain["timeline"]
+            if event["event"] == "sample"
+        ]
+        assert samples[0]["pops"] == 1
+        assert [s["pops"] for s in samples] == list(range(1, len(samples) + 1))
+        for sample in samples:
+            assert {"touched", "answers_output", "elapsed", "frontiers"} <= set(
+                sample
+            )
+        elapsed = [s["elapsed"] for s in samples]
+        assert elapsed == sorted(elapsed) and elapsed[0] >= 0.0
+
+    def test_timeline_is_bounded(self, dblp_small_engine, monkeypatch):
+        monkeypatch.setattr(BaseSearch, "EXPLAIN_EVERY", 1)
+        monkeypatch.setattr(BaseSearch, "EXPLAIN_LIMIT", 5)
+        result = dblp_small_engine.search(QUERY, k=3, explain=True)
+        assert len(result.explain["timeline"]) == 5
+
     def test_answer_timing_is_non_canonical(self, dblp_small_engine):
         result = dblp_small_engine.search(QUERY, k=3, explain=True)
         timing = result.explain["answer_timing"]
@@ -92,23 +125,21 @@ class TestReportStructure:
 
 class TestDeterminism:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_canonical_bytes_identical_across_trace_sampling(
-        self, dblp_small_engine, algorithm
+    def test_canonical_bytes_identical_across_sample_intervals(
+        self, dblp_small_engine, algorithm, monkeypatch
     ):
-        blobs = [
-            canonical_explain_bytes(
-                dblp_small_engine.search(
-                    QUERY,
-                    algorithm=algorithm,
-                    k=5,
-                    params=SearchParams(trace_every_n_pops=every),
-                    explain=True,
-                ).explain
+        blobs = []
+        for every in (64, 1):
+            monkeypatch.setattr(BaseSearch, "EXPLAIN_EVERY", every)
+            blobs.append(
+                canonical_explain_bytes(
+                    dblp_small_engine.search(
+                        QUERY, algorithm=algorithm, k=5, explain=True
+                    ).explain
+                )
             )
-            for every in (0, 1)
-        ]
         assert blobs[0] == blobs[1], (
-            f"canonical explain for {algorithm} moves with trace sampling"
+            f"canonical explain for {algorithm} moves with the sample interval"
         )
 
     def test_repeat_run_is_byte_stable(self, dblp_small_engine):

@@ -56,19 +56,14 @@ class TestSumCombine:
         self.spread_forward(act, 0)
         assert act.total[1] == pytest.approx(once)
 
-    def test_sum_cascade_terminates_on_cycle(self):
+    def test_sum_cascade_terminates_on_cycle(self, monkeypatch):
         # 0 <-> 1 cycle through forward+backward edges, both nodes
         # expanded: the cascade must decay below the contribution floor
         # and stop.
         g = self.graph(2, [(0, 1), (1, 0)], prestige=[0.5, 0.5])
+        monkeypatch.setattr("repro.core.state.MIN_CONTRIBUTION", 1e-6)
         act = ActivationState(
-            g,
-            [frozenset({0})],
-            {0, 1},
-            set(),
-            mu=0.9,
-            combine="sum",
-            min_contribution=1e-6,
+            g, [frozenset({0})], {0, 1}, set(), mu=0.9, combine="sum"
         )
         act.seed_all()
         act.spread(0, g.in_edges(0), g.in_inv_weight_sum(0))  # must return
@@ -79,20 +74,12 @@ class TestSumCombine:
         g = self.graph(2, [(0, 1)])
         with pytest.raises(ValueError):
             ActivationState(g, [frozenset({0})], set(), set(), combine="avg")
-        with pytest.raises(ValueError):
-            ActivationState(
-                g, [frozenset({0})], set(), set(), min_contribution=0.0
-            )
 
-    def test_min_contribution_floors_the_seed_and_the_spread(self):
+    def test_min_contribution_floors_the_seed_and_the_spread(self, monkeypatch):
         g = self.graph(2, [(0, 1)], prestige=[0.75, 0.25])
+        monkeypatch.setattr("repro.core.state.MIN_CONTRIBUTION", 0.5)
         act = ActivationState(
-            g,
-            [frozenset({0}), frozenset({1})],
-            set(),
-            set(),
-            combine="sum",
-            min_contribution=0.5,
+            g, [frozenset({0}), frozenset({1})], set(), set(), combine="sum"
         )
         act.seed_all()
         assert act.total[0] == 0.75 and act.total[1] == 0.0  # 0.25 is under the floor
@@ -124,13 +111,6 @@ class TestNearSearch:
         result = NearSearch(g, [frozenset({0})]).run(k=10)
         assert 0 not in result.nodes()
 
-    def test_keyword_nodes_includable(self):
-        g = self.graph()
-        result = NearSearch(
-            g, [frozenset({0})], include_keyword_nodes=True
-        ).run(k=10)
-        assert 0 in result.nodes()
-
     def test_scores_sorted_descending(self):
         g = self.graph()
         result = NearSearch(g, [frozenset({0}), frozenset({3})]).run(k=None)
@@ -160,12 +140,3 @@ class TestEngineNear:
         graph = toy_engine.graph
         tables = {graph.table(node) for node in result.nodes()}
         assert "paper" in tables or "writes" in tables
-
-    def test_bidirectional_accepts_sum_combine(self, toy_engine):
-        from repro.core.params import SearchParams
-
-        result = toy_engine.search(
-            "gray transaction",
-            params=SearchParams(activation_combine="sum"),
-        )
-        assert result.answers  # same answers, different exploration order

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.scoring import Scorer, edge_score, overall_score
+from repro.core.scoring import LAMBDA, Scorer, edge_score, overall_score
 
 from tests.helpers import build_graph
 
@@ -38,58 +38,57 @@ class TestOverallScore:
 class TestScorer:
     def test_node_score_root_plus_leaves(self):
         g = build_graph(3, [(0, 1), (0, 2)], prestige=[0.5, 0.3, 0.2])
-        scorer = Scorer(g, 0.2)
+        scorer = Scorer(g)
         tree = scorer.build_tree(0, [(0, 1), (0, 2)], [1.0, 1.0])
         assert tree.node_score == pytest.approx(0.5 + 0.3 + 0.2)
 
     def test_root_counted_once_in_single_node_tree(self):
         g = build_graph(2, [(0, 1)], prestige=[0.6, 0.4])
-        scorer = Scorer(g, 0.2)
+        scorer = Scorer(g)
         tree = scorer.build_tree(0, [(0,)], [0.0])
         assert tree.node_score == pytest.approx(0.6)
 
     def test_internal_keyword_node_not_counted(self):
         # N sums the root and *leaf* nodes only (paper Section 2.3).
         g = build_graph(3, [(1, 0), (2, 1)], prestige=[0.5, 0.3, 0.2])
-        scorer = Scorer(g, 0.2)
+        scorer = Scorer(g)
         tree = scorer.build_tree(0, [(0, 1), (0, 1, 2)], [1.0, 2.0])
         assert tree.node_score == pytest.approx(0.5 + 0.2)
 
     def test_build_tree_validates_roots(self):
         g = build_graph(2, [(0, 1)])
-        scorer = Scorer(g, 0.2)
+        scorer = Scorer(g)
         with pytest.raises(ValueError):
             scorer.build_tree(0, [(1, 0)], [1.0])
         with pytest.raises(ValueError):
             scorer.build_tree(0, [(0, 1)], [1.0, 2.0])
 
-    def test_score_formula(self):
+    def test_score_formula(self, monkeypatch):
         g = build_graph(3, [(0, 1), (0, 2)], prestige=[0.5, 0.3, 0.2])
-        scorer = Scorer(g, lam=0.5)
+        monkeypatch.setattr("repro.core.scoring.LAMBDA", 0.5)
+        scorer = Scorer(g)
         tree = scorer.build_tree(0, [(0, 1), (0, 2)], [1.0, 2.0])
         assert tree.edge_score == pytest.approx(3.0)
         assert tree.score == pytest.approx((1.0 ** 0.5) / 4.0)
 
-    def test_rejects_negative_lambda(self):
-        g = build_graph(2, [(0, 1)])
-        with pytest.raises(ValueError):
-            Scorer(g, lam=-0.2)
+    def test_default_lambda_is_the_papers(self):
+        assert Scorer(build_graph(2, [(0, 1)])).lam == LAMBDA == 0.2
 
 
 class TestBounds:
     def test_node_score_upper_bound(self):
         g = build_graph(3, [(0, 1), (0, 2)], prestige=[0.5, 0.3, 0.2])
-        scorer = Scorer(g, 0.2)
+        scorer = Scorer(g)
         assert scorer.node_score_upper_bound(2) == pytest.approx(0.5 * 3)
 
     def test_score_upper_bound_dominates_real_trees(self):
         g = build_graph(3, [(0, 1), (0, 2)], prestige=[0.5, 0.3, 0.2])
-        scorer = Scorer(g, 0.2)
+        scorer = Scorer(g)
         tree = scorer.build_tree(0, [(0, 1), (0, 2)], [1.0, 1.0])
         bound = scorer.score_upper_bound(tree.edge_score, 2)
         assert bound >= tree.score
 
     def test_infinite_edge_bound_gives_zero(self):
         g = build_graph(2, [(0, 1)])
-        scorer = Scorer(g, 0.2)
+        scorer = Scorer(g)
         assert scorer.score_upper_bound(float("inf"), 3) == 0.0

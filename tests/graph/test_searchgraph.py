@@ -1,6 +1,7 @@
 """Frozen SearchGraph: derived backward edges, CSR arrays, prestige."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from repro.errors import UnknownNodeError
 from repro.graph.digraph import DataGraph
 
-from tests.helpers import build_graph
+from tests.helpers import build_graph, reloaded
 
 
 class TestBackwardEdgeDerivation:
@@ -118,3 +119,97 @@ class TestEdgeWeightLookup:
         g = build_graph(3, [(0, 1)])
         with pytest.raises(KeyError):
             g.edge_weight(0, 2)
+
+
+GRAPH_KINDS = (
+    "frozen",
+    "frozen-with-prestige",
+    "from-adjacency",
+    "mapped",
+    "mapped-with-prestige",
+    "ram",
+    "overlay",
+    "overlay-extended",
+    "policy",
+)
+
+
+def _graph_kinds() -> dict:
+    """Every way a search graph is made, by :data:`GRAPH_KINDS` name,
+    over one four-node base."""
+    from repro.graph.policy import apply_edge_policy
+    from repro.graph.searchgraph import SearchGraph
+    from repro.live.overlay import OverlayGraph
+
+    base = build_graph(4, [(0, 1), (1, 2), (3, 2, 2.0)])
+    rebuilt = SearchGraph._from_adjacency(
+        out=base._out,
+        in_=base._in,
+        labels=base._labels,
+        tables=base._tables,
+        refs=base._refs,
+        num_forward_edges=base.num_forward_edges,
+        prestige=base.prestige_values,
+    )
+    mapped = reloaded(base)
+    kinds = {
+        "frozen": base,
+        "frozen-with-prestige": base.with_prestige([0.25] * 4),
+        "from-adjacency": rebuilt,
+        "mapped": mapped,
+        "mapped-with-prestige": mapped.with_prestige([0.25] * 4),
+        "ram": reloaded(base, "ram"),
+        "overlay": OverlayGraph(mapped, out_over={}, in_over={}),
+        "overlay-extended": OverlayGraph(
+            base,
+            out_over={},
+            in_over={},
+            labels_ext=("x",),
+            tables_ext=(None,),
+            refs_ext=(None,),
+            prestige_ext=(0.1,),
+        ),
+        "policy": apply_edge_policy(base, lambda src, dst, fwd: 1.0),
+    }
+    assert tuple(kinds) == GRAPH_KINDS
+    return kinds
+
+
+class TestNodeBounds:
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    def test_ids_outside_the_graph_raise(self, kind):
+        graph = _graph_kinds()[kind]
+        n = graph.num_nodes
+        for node in (0, n - 1):
+            graph.out_edges(node)
+            graph.in_edges(node)
+            graph.in_inv_weight_sum(node)
+            graph.node_prestige(node)
+        for node in (-1, n):
+            for read in (
+                graph.out_edges,
+                graph.in_edges,
+                graph.in_inv_weight_sum,
+                graph.out_inv_weight_sum,
+                graph.node_prestige,
+            ):
+                with pytest.raises(UnknownNodeError):
+                    read(node)
+
+    def test_mapped_edge_reads_never_ask_the_lazy_rows_their_length(self):
+        from repro.storage.mapped import _LazyAdjacency
+
+        graph = reloaded(build_graph(4, [(0, 1), (1, 2), (3, 2, 2.0)]))
+
+        def counted_len(self):
+            raise AssertionError("_LazyAdjacency.__len__ called")
+
+        with mock.patch.object(_LazyAdjacency, "__len__", counted_len):
+            for node in range(4):
+                graph.out_edges(node)
+                graph.in_edges(node)
+                graph.out_inv_weight_sum(node)
+                graph.in_inv_weight_sum(node)
+            assert graph.num_nodes == 4
+            with pytest.raises(UnknownNodeError):
+                graph.in_edges(4)

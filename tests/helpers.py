@@ -30,6 +30,7 @@ from repro.graph.searchgraph import SearchGraph
 
 __all__ = [
     "build_graph",
+    "combo_cap",
     "reloaded",
     "random_data_graph",
     "random_keyword_sets",
@@ -97,6 +98,17 @@ def pins(nodes: int, terms: int):
     with mock.patch.multiple(
         "repro.storage.mapped", PIN_NODES=nodes, PIN_TERMS=terms
     ):
+        yield
+
+
+@contextmanager
+def combo_cap(cap: int):
+    """MI-Backward searches inside the block emit at most ``cap`` origin
+    combinations per node (the patched
+    ``BackwardExpandingSearch.MAX_COMBOS_PER_NODE``)."""
+    from repro.core.backward_mi import BackwardExpandingSearch
+
+    with mock.patch.object(BackwardExpandingSearch, "MAX_COMBOS_PER_NODE", cap):
         yield
 
 
@@ -178,8 +190,6 @@ def validate_answer_tree(
     graph: SearchGraph,
     keyword_sets: Sequence[frozenset[int]],
     tree: AnswerTree,
-    *,
-    lam: float = 0.2,
 ) -> None:
     """Assert every structural and scoring invariant of an answer tree."""
     assert len(tree.paths) == len(keyword_sets)
@@ -202,7 +212,7 @@ def validate_answer_tree(
         )
     assert is_minimal_rooting(tree.root, tree.paths)
 
-    scorer = Scorer(graph, lam)
+    scorer = Scorer(graph)
     rebuilt = scorer.build_tree(tree.root, tree.paths, tree.dists)
     assert abs(rebuilt.edge_score - tree.edge_score) < 1e-9
     assert abs(rebuilt.node_score - tree.node_score) < 1e-9

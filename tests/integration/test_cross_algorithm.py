@@ -16,7 +16,12 @@ from repro.core.bidirectional import BidirectionalSearch
 from repro.core.exhaustive import exhaustive_answers
 from repro.core.params import SearchParams
 
-from tests.helpers import random_data_graph, random_keyword_sets, validate_answer_tree
+from tests.helpers import (
+    combo_cap,
+    random_data_graph,
+    random_keyword_sets,
+    validate_answer_tree,
+)
 
 ALGORITHMS = [
     BidirectionalSearch,
@@ -24,7 +29,14 @@ ALGORITHMS = [
     BackwardExpandingSearch,
 ]
 
-EXHAUST = SearchParams(max_results=500, dmax=40, max_combos_per_node=512)
+EXHAUST = SearchParams(max_results=500, dmax=40)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _exhaustive_combos():
+    """MI-Backward emits every origin combination these graphs have."""
+    with combo_cap(512):
+        yield
 
 
 def oracle_scores(graph, keyword_sets):

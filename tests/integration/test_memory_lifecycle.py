@@ -80,9 +80,7 @@ def run_traced(engine, query, algorithm, params):
     tracer = Tracer()
     span = tracer.start_span("request")
     with use_span(span):
-        engine.search(
-            query, algorithm=algorithm, params=params.with_(trace_every_n_pops=1)
-        )
+        engine.search(query, algorithm=algorithm, params=params, explain=True)
     span.end()
     names = {s["name"] for s in tracer.spans_for(span.trace_id)}
     assert {"resolve", "emit"} <= names

@@ -326,9 +326,7 @@ class LineageMachine(RuleBasedStateMachine):
         served = self.service.engine(NAME)
         assert_same_graph(served.graph, oracle.graph)
         assert_same_index(served.index, oracle.index, extra_terms=WORDS)
-        params = SearchParams(
-            max_results=TOP_K, dmax=30, max_combos_per_node=256
-        )
+        params = SearchParams(max_results=TOP_K, dmax=30)
         for query in QUERIES:
             try:
                 expected = oracle.engine.exhaustive(query, max_results=TOP_K)

@@ -17,9 +17,16 @@ from repro.core.exhaustive import exhaustive_answers
 from repro.core.params import SearchParams
 from repro.graph.digraph import DataGraph
 
-from tests.helpers import validate_answer_tree
+from tests.helpers import combo_cap, validate_answer_tree
 
-EXHAUST = SearchParams(max_results=300, dmax=30, max_combos_per_node=256)
+EXHAUST = SearchParams(max_results=300, dmax=30)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _exhaustive_combos():
+    """MI-Backward emits every origin combination these graphs have."""
+    with combo_cap(256):
+        yield
 
 
 @st.composite

@@ -45,7 +45,7 @@ ALGORITHMS = (
     SingleIteratorBackwardSearch,
     BackwardExpandingSearch,
 )
-PARAMS = SearchParams(max_results=50, dmax=20, max_combos_per_node=64)
+PARAMS = SearchParams(max_results=50, dmax=20)
 
 
 def build_index(keyword_sets) -> InvertedIndex:

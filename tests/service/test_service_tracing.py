@@ -1,10 +1,9 @@
 """End-to-end tracing through ``QueryService``: span trees, engine-stage
-attributes, pop-sampled profiles, the slow-query log, and the registry
-families the service feeds."""
+attributes, the slow-query log, and the registry families the service
+feeds."""
 
 import pytest
 
-from repro.core.params import SearchParams
 from repro.service import QueryRequest, QueryService
 
 
@@ -101,24 +100,15 @@ class TestSpanTree:
 
 
 class TestProfiling:
-    def test_trace_every_n_pops_samples_trajectory(self, service):
-        params = SearchParams(trace_every_n_pops=1)
-        response = service.search("toy", "gray transaction", params=params)
-        tree = service.trace(response.trace_id)
-        expand = _find(tree["roots"], "expand[bidir]")
-        attrs = expand["attributes"]
-        assert attrs["profile_every"] == 1
-        profile = attrs["profile"]
-        assert len(profile) >= 1
-        sample = profile[0]
-        assert sample["pops"] == 1
-        assert "frontiers" in sample
-
     def test_sampling_off_by_default(self, service):
-        response = service.search("toy", "gray transaction")
+        # The trajectory is sampled by the explain timeline only.
+        response = service.search(
+            QueryRequest("toy", "gray transaction", explain=True)
+        )
         tree = service.trace(response.trace_id)
         expand = _find(tree["roots"], "expand[bidir]")
         assert "profile" not in expand["attributes"]
+        assert response.result.explain["timeline"]
 
 
 class TestSlowLog:

@@ -22,7 +22,7 @@ from repro.service.wire import (
 
 
 def test_params_round_trip():
-    params = SearchParams(mu=0.3, lam=0.5, dmax=4, max_results=7)
+    params = SearchParams(mu=0.3, dmax=4, max_results=7, output_mode="heuristic")
     assert params_from_dict(params_to_dict(params)) == params
 
 
@@ -40,6 +40,10 @@ def test_params_rejects_unknown_fields():
         ({"tie_alternates": False}, "unknown fields: tie_alternates"),
         ({"flush_interval": 16}, "unknown fields: flush_interval"),
         ({"expansion_backend": "vectorized"}, "unknown fields: expansion_backend"),
+        ({"lam": 0.5}, "unknown fields: lam"),
+        ({"activation_combine": "sum"}, "unknown fields: activation_combine"),
+        ({"max_combos_per_node": 8}, "unknown fields: max_combos_per_node"),
+        ({"trace_every_n_pops": 1}, "unknown fields: trace_every_n_pops"),
         # JSON values of the wrong type
         ({"dmax": "8"}, "dmax"),
         ({"dmax": True}, "dmax"),
