@@ -21,7 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from repro.experiments.common import Report, fmt
 from repro.experiments.figure4 import build_figure4_engine, run_figure4
 
-from conftest import as_float, emit_json, run_report
+from conftest import as_float, emit_calibration_row, emit_json, run_report
 
 
 def test_figure4_worked_example(benchmark):
@@ -55,6 +55,7 @@ ROUNDS = 5
 
 def run_latency_figure4() -> Report:
     """Trend row: the worked-example query's median latency."""
+    emit_calibration_row()
     engine, meta = build_figure4_engine()
     engine.search("database james john")  # warm the engine off the clock
     times: list[float] = []

@@ -117,8 +117,9 @@ def arms() -> dict:
 def run_micro() -> Report:
     """Trend rows: one median latency per arm, arms alternated per
     round so machine drift hits every cell equally."""
-    from conftest import emit_json
+    from conftest import emit_calibration_row, emit_json
 
+    emit_calibration_row()
     searches = arms()
     times: dict[str, list[float]] = {arm: [] for arm in searches}
     for search in searches.values():  # warm engine and row caches off the clock

@@ -35,7 +35,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from repro.experiments.common import Report, build_bench, fmt
 from repro.service import QueryRequest, QueryService
 
-from conftest import as_float, cell, emit_json, run_report
+from conftest import as_float, cell, emit_calibration_row, emit_json, run_report
 
 NUM_REQUESTS = 50
 SEED_TERMS = 8
@@ -61,6 +61,7 @@ def _mixed_queries(engine) -> list[str]:
 
 
 def run_throughput() -> Report:
+    emit_calibration_row()
     bench = build_bench("dblp", 0.4)
     queries = _mixed_queries(bench.engine)
     stream = [queries[i % len(queries)] for i in range(NUM_REQUESTS)]

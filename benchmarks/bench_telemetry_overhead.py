@@ -30,9 +30,9 @@ whole 120-query rounds scored best-against-best or paired read up to
 same queries as 72 slices of 5 read within 0.9% (stdev 0.4%).  The
 emitted rows are what they always were — ``qps`` is the arm's best of
 ``ROUNDS`` rounds of ``NUM_QUERIES`` queries.  The run also emits the
-``calibration/python-loop`` row ``perf_trend`` divides every row by
-(``conftest.emit_calibration_row``: a fixed loop that runs no ``repro``
-code), timed right after the arms.
+``calibration/python-loop`` row ``perf_trend`` divides this module's
+rows by (``conftest.emit_calibration_row``: a fixed loop that runs no
+``repro`` code), timed first, before the dataset is built.
 
 A sample span tree from the traced arm is written to
 ``TELEMETRY_SPAN_OUT`` (JSON) when set — CI uploads it as an artifact,
@@ -148,6 +148,7 @@ def _dump_accounting(service: QueryService) -> None:
 
 
 def run_telemetry_overhead() -> Report:
+    emit_calibration_row()
     bench = build_bench("dblp", 0.4)
     queries = _query_pool(bench)
     arms = {}
@@ -166,7 +167,6 @@ def run_telemetry_overhead() -> Report:
                 _run_slice(arms[mode]["service"], queries, turn)
             )
 
-    emit_calibration_row()
     _dump_sample_span_tree(arms["traced"]["service"], queries)
     _dump_accounting(arms["accounting"]["service"])
     for arm in arms.values():

@@ -8,15 +8,18 @@ ratios against ``benchmarks/baseline.json``:
 
 * **calibration** — raw QPS depends on the box (CI runners drift by
   2-3x), so absolute numbers cannot gate anything.  Each run instead
-  divides every row's QPS by the run's own calibration row,
+  divides every row's QPS by a calibration row,
   ``calibration/python-loop``: a fixed pure-Python loop of heap, dict
-  and float work that runs no ``repro`` code (``conftest.py``,
-  emitted by ``bench_telemetry_overhead.py``).  The ratio "this row
-  runs N x the loop's rate *on this machine*" is stable across
-  hardware; a >20% drop in it is a real relative regression, not a
-  slower runner.  The loop runs no ``repro`` code on purpose: a
-  calibration row that searched would cancel a uniform engine speed-up
-  or regression out of every search row;
+  and float work that runs no ``repro`` code (``conftest.py``).  Every
+  gated bench module emits one at its start, and a row is divided by
+  the calibration row that most recently preceded it in the JSONL, so
+  the loop is timed within seconds of the rows it normalizes rather
+  than minutes earlier.  The ratio "this row runs N x the loop's rate
+  *on this machine*" is stable across hardware; a >20% drop in it is
+  a real relative regression, not a slower runner.  The loop runs no
+  ``repro`` code on purpose: a calibration row that searched would
+  cancel a uniform engine speed-up or regression out of every search
+  row;
 * **tolerance** — a row regresses when its normalized ratio falls more
   than ``tolerance`` (default 0.20) below the baseline's.  Faster is
   never an error (the report suggests a baseline refresh instead);
@@ -58,9 +61,9 @@ DEFAULT_BASELINE = Path(__file__).resolve().parent / "baseline.json"
 DEFAULT_HISTORY = Path("BENCH_history.json")
 
 
-def load_rows(path: Path) -> dict[tuple[str, str], float]:
-    """JSONL -> ``{(experiment, mode): qps}`` (last row wins)."""
-    rows: dict[tuple[str, str], float] = {}
+def load_rows(path: Path) -> list[tuple[tuple[str, str], float]]:
+    """JSONL -> ``[((experiment, mode), qps), ...]`` in file order."""
+    rows: list[tuple[tuple[str, str], float]] = []
     for line in path.read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if not line:
@@ -70,21 +73,33 @@ def load_rows(path: Path) -> dict[tuple[str, str], float]:
         mode = row.get("mode")
         value = row.get(METRIC)
         if experiment and mode and isinstance(value, (int, float)) and value > 0:
-            rows[(str(experiment), str(mode))] = float(value)
+            rows.append(((str(experiment), str(mode)), float(value)))
     return rows
 
 
 def normalize(
-    rows: dict[tuple[str, str], float], calibration: tuple[str, str]
+    rows: list[tuple[tuple[str, str], float]], calibration: tuple[str, str]
 ) -> dict[tuple[str, str], float]:
-    """Divide every row by the calibration row's value."""
-    cal = rows.get(calibration)
-    if not cal:
+    """Divide every row by the calibration row that most recently
+    preceded it (last row of a key wins)."""
+    normalized: dict[tuple[str, str], float] = {}
+    cal = None
+    for key, value in rows:
+        if key == calibration:
+            cal = value
+        elif cal is None:
+            raise SystemExit(
+                f"row {'/'.join(key)} precedes every calibration row "
+                f"{'/'.join(calibration)} in the bench output; each gated "
+                f"bench module emits one at its start"
+            )
+        normalized[key] = value / cal
+    if cal is None:
         raise SystemExit(
             f"calibration row {'/'.join(calibration)} missing from the "
-            f"bench output; did bench_telemetry_overhead run?"
+            f"bench output"
         )
-    return {key: value / cal for key, value in rows.items()}
+    return normalized
 
 
 def compare(
@@ -267,7 +282,7 @@ def main(argv=None) -> int:
 
     lines, regressions = compare(normalized, baseline, tolerance)
     gate_lines, gate_regressions = check_ratio_gates(
-        raw, base_doc.get("ratio_gates") or []
+        dict(raw), base_doc.get("ratio_gates") or []
     )
     regressions.extend(gate_regressions)
     print(

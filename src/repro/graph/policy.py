@@ -8,7 +8,7 @@ paths over others."
 An :class:`EdgePolicy` maps each search-graph edge — identified by the
 *table types* of its endpoints and its direction — to a weight
 multiplier, or drops it entirely.  Applying a policy produces a new
-:class:`~repro.graph.searchgraph.SearchGraph` view sharing node
+:class:`~repro.graph.searchgraph.SearchGraph` view with the same node
 metadata and prestige, so every algorithm gains type constraints with
 no changes: restricting to authorship paths, banning citation hops, or
 up-weighting (de-prioritizing) hub traversals are all one-liners.
@@ -93,7 +93,7 @@ class EdgePolicy:
 def apply_edge_policy(graph: SearchGraph, policy: PolicyFn) -> SearchGraph:
     """A search-graph view with ``policy`` applied to every edge.
 
-    Node ids, labels, tables, refs and prestige are shared; adjacency
+    Node ids, labels, tables, refs and prestige carry over; adjacency
     and the activation normalizers are rebuilt.  Dropping every edge of
     a node leaves it isolated (still a valid keyword match).
     """
@@ -113,18 +113,12 @@ def apply_edge_policy(graph: SearchGraph, policy: PolicyFn) -> SearchGraph:
             if fwd:
                 kept_forward += 1
 
-    view = SearchGraph()
-    view._out = tuple(tuple(edges) for edges in out_lists)
-    view._in = tuple(tuple(edges) for edges in in_lists)
-    view._labels = graph._labels
-    view._tables = graph._tables
-    view._refs = graph._refs
-    view._num_forward_edges = kept_forward
-    view._prestige = graph._prestige
-    view._in_inv_weight_sum = tuple(
-        sum(1.0 / w for _, w, _ in edges) for edges in view._in
+    return SearchGraph._from_adjacency(
+        out=out_lists,
+        in_=in_lists,
+        labels=graph._labels,
+        tables=graph._tables,
+        refs=graph._refs,
+        num_forward_edges=kept_forward,
+        prestige=graph.prestige_values,
     )
-    view._out_inv_weight_sum = tuple(
-        sum(1.0 / w for _, w, _ in edges) for edges in view._out
-    )
-    return view

@@ -10,10 +10,15 @@ Answer trees are rooted directed trees over this combined edge set
 Adjacency is tuple-based, one row of ``(neighbour, weight, is_forward)``
 per node and direction: what the per-pop search loops iterate.  The
 only array form of a graph is a snapshot's (:mod:`repro.service.snapshot`).
+Where the rows are kept is the graph's storage, not its class: tuples
+when a graph is built here, rows materialized on demand from a snapshot
+(:mod:`repro.storage.mapped`), or a live epoch's copy-on-write overlay
+of a base graph (:mod:`repro.live.overlay`).
 """
 
 from __future__ import annotations
 
+from copy import copy
 from typing import TYPE_CHECKING, Hashable, Iterator, Optional, Sequence
 
 from repro.errors import UnknownNodeError
@@ -32,26 +37,29 @@ class SearchGraph:
     """Immutable weighted directed graph with forward and backward edges."""
 
     def __init__(self) -> None:
-        # Populated by the _from_datagraph factory only.
-        self._out: tuple[tuple[Edge, ...], ...] = ()
-        self._in: tuple[tuple[Edge, ...], ...] = ()
-        self._labels: tuple[str, ...] = ()
-        self._tables: tuple[Optional[str], ...] = ()
-        self._refs: tuple[Optional[tuple[str, Hashable]], ...] = ()
+        # Populated by the _from_rows factory only.
+        self._out: Sequence[Sequence[Edge]] = ()
+        self._in: Sequence[Sequence[Edge]] = ()
+        self._labels: Sequence[str] = ()
+        self._tables: Sequence[Optional[str]] = ()
+        self._refs: Sequence[Optional[tuple[str, Hashable]]] = ()
         self._num_forward_edges = 0
+        self._num_edges = 0
         # Resident Python floats, like the two normalizer vectors: the
         # per-pop schedule indexes them and never needs numpy for it.
         self._prestige: tuple[float, ...] = ()
         self._prestige_array: Optional[np.ndarray] = None
-        self._in_inv_weight_sum: tuple[float, ...] = ()
-        self._out_inv_weight_sum: tuple[float, ...] = ()
-        self._ref_to_node: Optional[dict[tuple[str, Hashable], int]] = None
+        self._in_inv_weight_sum: Sequence[float] = ()
+        self._out_inv_weight_sum: Sequence[float] = ()
+        # (table, pk) -> node: anything indexable, see node_by_ref.
+        self._ref_to_node = None
 
     # ------------------------------------------------------------------
-    # construction (from DataGraph.freeze only)
+    # construction
     # ------------------------------------------------------------------
     @classmethod
     def _from_datagraph(cls, dg, prestige=None) -> "SearchGraph":
+        """Derive the backward edges of ``dg`` (from DataGraph.freeze)."""
         n = dg.num_nodes
         out_lists: list[list[Edge]] = [[] for _ in range(n)]
         in_lists: list[list[Edge]] = [[] for _ in range(n)]
@@ -61,25 +69,17 @@ class SearchGraph:
             bw = backward_edge_weight(w, dg.indegree(v))
             out_lists[v].append((u, bw, False))
             in_lists[u].append((v, bw, False))
-
-        g = cls()
-        g._out = tuple(tuple(edges) for edges in out_lists)
-        g._in = tuple(tuple(edges) for edges in in_lists)
-        g._labels = tuple(dg.label(i) for i in range(n))
-        g._tables = tuple(dg.table(i) for i in range(n))
-        g._refs = tuple(dg.ref(i) for i in range(n))
-        g._num_forward_edges = dg.num_edges
         if prestige is None:
-            g._prestige = (1.0 / n,) * n if n else ()
-        else:
-            g._prestige = cls._validate_prestige(prestige, n)
-        g._in_inv_weight_sum = tuple(
-            sum(1.0 / w for _, w, _ in edges) for edges in g._in
+            prestige = (1.0 / n,) * n if n else ()
+        return cls._from_adjacency(
+            out=out_lists,
+            in_=in_lists,
+            labels=[dg.label(i) for i in range(n)],
+            tables=[dg.table(i) for i in range(n)],
+            refs=[dg.ref(i) for i in range(n)],
+            num_forward_edges=dg.num_edges,
+            prestige=prestige,
         )
-        g._out_inv_weight_sum = tuple(
-            sum(1.0 / w for _, w, _ in edges) for edges in g._out
-        )
-        return g
 
     @classmethod
     def _from_adjacency(
@@ -95,39 +95,81 @@ class SearchGraph:
         in_inv_weight_sum: Optional[Sequence[float]] = None,
         out_inv_weight_sum: Optional[Sequence[float]] = None,
     ) -> "SearchGraph":
-        """Rebuild a graph from pre-derived adjacency lists.
+        """Build a flat graph from pre-derived adjacency lists.
 
-        Snapshot loading (:mod:`repro.service.snapshot`) uses this to
-        restore a frozen graph without re-deriving backward edges.  Both
+        Freezing, edge policies and live compaction build through this;
+        every row and per-node sequence is copied into tuples.  Both
         adjacency sides are taken verbatim — preserving the original edge
-        iteration order is what makes restored searches bit-identical.
+        iteration order is what makes rebuilt searches bit-identical.
         The ``sum(1/w)`` activation normalizers are taken verbatim too
-        when given (snapshots store them); otherwise they are recomputed
-        in that same edge order.
+        when given; otherwise they are recomputed in that same edge
+        order.
         """
-        n = len(out)
-        if len(in_) != n or len(labels) != n or len(tables) != n or len(refs) != n:
+        out = tuple(tuple(edges) for edges in out)
+        in_ = tuple(tuple(edges) for edges in in_)
+        return cls._from_rows(
+            out=out,
+            in_=in_,
+            labels=tuple(labels),
+            tables=tuple(tables),
+            refs=tuple(refs),
+            num_forward_edges=num_forward_edges,
+            num_edges=sum(map(len, out)),
+            prestige=cls._validate_prestige(prestige, len(out)),
+            in_inv_weight_sum=(
+                tuple(in_inv_weight_sum)
+                if in_inv_weight_sum is not None
+                else tuple(sum(1.0 / w for _, w, _ in edges) for edges in in_)
+            ),
+            out_inv_weight_sum=(
+                tuple(out_inv_weight_sum)
+                if out_inv_weight_sum is not None
+                else tuple(sum(1.0 / w for _, w, _ in edges) for edges in out)
+            ),
+        )
+
+    @classmethod
+    def _from_rows(
+        cls,
+        *,
+        out: Sequence[Sequence[Edge]],
+        in_: Sequence[Sequence[Edge]],
+        labels: Sequence[str],
+        tables: Sequence[Optional[str]],
+        refs: Sequence[Optional[tuple[str, Hashable]]],
+        num_forward_edges: int,
+        num_edges: int,
+        prestige: tuple[float, ...],
+        in_inv_weight_sum: Sequence[float],
+        out_inv_weight_sum: Sequence[float],
+        ref_to_node=None,
+    ) -> "SearchGraph":
+        """Store the given sequences as the graph's data, uncopied.
+
+        The one place a graph's fields are filled in.  Any sequence
+        indexable by node id will do: tuples (:meth:`_from_adjacency`),
+        a snapshot's lazy rows (:mod:`repro.storage.mapped`), or a live
+        epoch's copy-on-write overlay (:mod:`repro.live.overlay`).
+        ``prestige`` must be a validated tuple; its length is the node
+        count.
+        """
+        n = len(prestige)
+        if not len(out) == len(in_) == len(labels) == len(tables) == len(refs) == n:
             raise ValueError("adjacency and per-node metadata lengths disagree")
-        g = cls()
-        g._out = tuple(tuple(edges) for edges in out)
-        g._in = tuple(tuple(edges) for edges in in_)
-        g._labels = tuple(labels)
-        g._tables = tuple(tables)
-        g._refs = tuple(refs)
-        g._num_forward_edges = int(num_forward_edges)
-        g._prestige = cls._validate_prestige(prestige, n)
-        g._in_inv_weight_sum = (
-            tuple(in_inv_weight_sum)
-            if in_inv_weight_sum is not None
-            else tuple(sum(1.0 / w for _, w, _ in edges) for edges in g._in)
-        )
-        g._out_inv_weight_sum = (
-            tuple(out_inv_weight_sum)
-            if out_inv_weight_sum is not None
-            else tuple(sum(1.0 / w for _, w, _ in edges) for edges in g._out)
-        )
-        if len(g._in_inv_weight_sum) != n or len(g._out_inv_weight_sum) != n:
+        if len(in_inv_weight_sum) != n or len(out_inv_weight_sum) != n:
             raise ValueError("inv-weight-sum lengths disagree with adjacency")
+        g = cls()
+        g._out = out
+        g._in = in_
+        g._labels = labels
+        g._tables = tables
+        g._refs = refs
+        g._num_forward_edges = int(num_forward_edges)
+        g._num_edges = int(num_edges)
+        g._prestige = prestige
+        g._in_inv_weight_sum = in_inv_weight_sum
+        g._out_inv_weight_sum = out_inv_weight_sum
+        g._ref_to_node = ref_to_node
         return g
 
     @staticmethod
@@ -145,18 +187,11 @@ class SearchGraph:
         return vec
 
     def with_prestige(self, prestige) -> "SearchGraph":
-        """Return a structurally shared copy using the given prestige vector."""
-        g = SearchGraph()
-        g._out = self._out
-        g._in = self._in
-        g._labels = self._labels
-        g._tables = self._tables
-        g._refs = self._refs
-        g._num_forward_edges = self._num_forward_edges
-        g._in_inv_weight_sum = self._in_inv_weight_sum
-        g._out_inv_weight_sum = self._out_inv_weight_sum
+        """A structurally shared copy using the given prestige vector
+        (same class, same storage)."""
+        g = copy(self)
         g._prestige = self._validate_prestige(prestige, self.num_nodes)
-        g._ref_to_node = self._ref_to_node
+        g._prestige_array = None
         return g
 
     # ------------------------------------------------------------------
@@ -175,14 +210,14 @@ class SearchGraph:
 
     @property
     def num_edges(self) -> int:
-        """Number of combined directed edges.
+        """Number of combined directed edges, counted when the graph is
+        built.
 
         Equals ``2 * num_forward_edges`` on a freshly frozen graph; an
         edge-policy view (:mod:`repro.graph.policy`) may drop forward
-        and backward edges asymmetrically, so the count comes from the
-        adjacency itself.
+        and backward edges asymmetrically.
         """
-        return sum(len(edges) for edges in self._out)
+        return self._num_edges
 
     def out_edges(self, u: int) -> Sequence[Edge]:
         """Edges leaving ``u`` as ``(target, weight, is_forward)`` tuples."""
@@ -216,7 +251,8 @@ class SearchGraph:
         return self._refs[node]
 
     def node_by_ref(self, table: str, pk: Hashable) -> int:
-        """Inverse of :meth:`ref`; built lazily on first use."""
+        """Inverse of :meth:`ref`; built lazily on first use (a live
+        epoch's is given at build: its new nodes over the base's map)."""
         if self._ref_to_node is None:
             self._ref_to_node = {
                 ref: node for node, ref in enumerate(self._refs) if ref is not None
@@ -268,8 +304,11 @@ class SearchGraph:
         return self._prestige
 
     def node_prestige(self, node: int) -> float:
-        self._check_node(node)
-        return self._prestige[node]
+        # _check_node inlined: the scorer reads this once per leaf.
+        prestige = self._prestige
+        if not 0 <= node < len(prestige):
+            raise UnknownNodeError(node)
+        return prestige[node]
 
     @property
     def max_prestige(self) -> float:

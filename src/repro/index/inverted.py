@@ -13,7 +13,7 @@ row of a ``paper`` table even if no title contains the word.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import AbstractSet, Iterable, Iterator, Mapping, Optional
 
 from repro.index.tokenizer import normalize_term, tokenize
 
@@ -69,21 +69,39 @@ class InvertedIndex:
     ) -> "InvertedIndex":
         """Rebuild an index from already-normalized posting maps.
 
-        Used by :mod:`repro.service.snapshot`; terms are stored verbatim
-        (no re-tokenization), so a round-tripped index answers lookups
-        identically to the one it was saved from.
+        Live compaction folds an epoch's overlaid maps through this;
+        terms are stored verbatim (no re-tokenization) and every posting
+        set is copied, so the rebuilt index answers lookups identically
+        to the one it was folded from.
+        """
+        return cls._from_maps(
+            {term: set(nodes) for term, nodes in postings.items()},
+            {term: set(nodes) for term, nodes in relation_nodes.items()},
+        )
+
+    @classmethod
+    def _from_maps(
+        cls,
+        postings: Mapping[str, AbstractSet[int]],
+        relation_nodes: Mapping[str, AbstractSet[int]],
+    ) -> "InvertedIndex":
+        """An index over the given posting maps, stored uncopied.
+
+        Any term -> node-set mapping will do; a live epoch's index reads
+        a copy-on-write overlay of its base's maps
+        (:mod:`repro.live.overlay`), and only dicts of sets take the
+        ``add_*`` mutators.
         """
         index = cls()
-        index._postings = {term: set(nodes) for term, nodes in postings.items()}
-        index._relation_nodes = {
-            term: set(nodes) for term, nodes in relation_nodes.items()
-        }
+        index._postings = postings
+        index._relation_nodes = relation_nodes
         return index
 
     def _export_postings(
         self,
-    ) -> tuple[dict[str, set[int]], dict[str, set[int]]]:
-        """The raw posting maps, for snapshot serialization."""
+    ) -> tuple[Mapping[str, AbstractSet[int]], Mapping[str, AbstractSet[int]]]:
+        """The raw posting maps, for snapshot serialization and live
+        compaction."""
         return self._postings, self._relation_nodes
 
     # ------------------------------------------------------------------

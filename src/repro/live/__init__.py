@@ -8,9 +8,9 @@ the frozen substrate without giving up any of its guarantees:
 * :mod:`repro.live.mutations` — structured, wire-serializable mutation
   types (``add_node`` / ``add_edge`` / ``remove_edge`` /
   ``update_text``);
-* :mod:`repro.live.overlay` — immutable copy-on-write read views
-  (:class:`OverlayGraph`, :class:`OverlayIndex`) presenting the full
-  ``SearchGraph`` / ``InvertedIndex`` API over a base plus deltas;
+* :mod:`repro.live.overlay` — immutable copy-on-write storage: a
+  committed epoch is a plain ``SearchGraph`` + ``InvertedIndex`` whose
+  per-node sequences and posting maps read the base's plus deltas;
 * :mod:`repro.live.dataset` — :class:`MutableDataset`, the MVCC epoch
   manager: staged mutations, monotone-versioned commits (in-flight
   searches keep their epoch), incremental backward-weight and posting
@@ -50,7 +50,6 @@ if TYPE_CHECKING:
         mutation_from_dict,
         mutation_to_dict,
     )
-    from repro.live.overlay import OverlayGraph, OverlayIndex
 
 __all__ = [
     "AddEdge",
@@ -60,8 +59,6 @@ __all__ = [
     "Mutation",
     "MutationOutcome",
     "MutationResult",
-    "OverlayGraph",
-    "OverlayIndex",
     "RemoveEdge",
     "UpdateText",
     "coerce_mutation",
@@ -77,5 +74,4 @@ __getattr__, __dir__ = lazy_exports(
         "AddEdge AddNode Mutation MutationResult RemoveEdge UpdateText coerce_mutation "
         "coerce_mutations mutation_from_dict mutation_to_dict"
     ),
-    overlay="OverlayGraph OverlayIndex",
 )

@@ -10,11 +10,12 @@ MVCC-style epoch design:
   adjacency lists, new nodes live in extension arrays, index changes
   live in posting deltas.  Nothing a search can see changes yet.
 * **Commit** — :meth:`commit` freezes the working deltas into an
-  immutable :class:`~repro.live.overlay.OverlayGraph` +
-  :class:`~repro.live.overlay.OverlayIndex` pair, builds a fresh
-  :class:`~repro.core.engine.KeywordSearchEngine` over them, and bumps
-  the monotone ``version``.  In-flight searches keep the epoch they
-  started on; new requests see the new one.
+  immutable :class:`~repro.graph.SearchGraph` +
+  :class:`~repro.index.InvertedIndex` pair whose storage is a
+  copy-on-write overlay of the base's (:mod:`repro.live.overlay`),
+  builds a fresh :class:`~repro.core.engine.KeywordSearchEngine` over
+  them, and bumps the monotone ``version``.  In-flight searches keep
+  the epoch they started on; new requests see the new one.
 * **Compaction** — when the overlay grows past ``compact_ratio`` the
   deltas are folded back into flat :class:`~repro.graph.SearchGraph`
   arrays (adjacency order preserved, so scores stay bit-identical).
@@ -42,7 +43,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from math import fsum, inf
-from typing import Hashable, Optional, Sequence, Union
+from typing import Hashable, Optional, Sequence
 
 from repro.core.engine import KeywordSearchEngine
 from repro.core.params import SearchParams
@@ -59,7 +60,7 @@ from repro.live.mutations import (
     UpdateText,
     coerce_mutations,
 )
-from repro.live.overlay import OverlayGraph, OverlayIndex
+from repro.live.overlay import Overlay, OverlayPostings, OverlayRefs
 
 __all__ = ["MutableDataset", "Epoch", "MutationOutcome"]
 
@@ -73,8 +74,8 @@ class Epoch:
     """
 
     version: int
-    graph: Union[SearchGraph, OverlayGraph]
-    index: Union[InvertedIndex, OverlayIndex]
+    graph: SearchGraph
+    index: InvertedIndex
     engine: KeywordSearchEngine
     compacted: bool = False
 
@@ -125,7 +126,7 @@ class MutableDataset:
         params: Optional[SearchParams] = None,
         compact_ratio: Optional[float] = 0.25,
     ) -> None:
-        if isinstance(graph, OverlayGraph):
+        if isinstance(graph._out, Overlay):
             raise MutationError(
                 "MutableDataset needs a flat SearchGraph base; compact the "
                 "source dataset first"
@@ -153,10 +154,8 @@ class MutableDataset:
         """Reset all delta state on top of a new flat base (construction
         and compaction)."""
         self._base_graph = graph
-        self._base_index = index
         self._base_n = graph.num_nodes
-        base_post, _ = index._export_postings()
-        self._base_post = base_post
+        self._base_post, self._base_rel = index._export_postings()
         # Working (mutable) state — what staging edits.
         self._out: dict[int, list[Edge]] = {}
         self._in: dict[int, list[Edge]] = {}
@@ -637,11 +636,9 @@ class MutableDataset:
             self._commits += 1
 
             graph = self._build_view()
-            index = OverlayIndex(
-                self._base_index,
-                added=self._f_added,
-                removed=self._f_removed,
-                rel_added=self._f_rel_added,
+            index = InvertedIndex._from_maps(
+                OverlayPostings(self._base_post, self._f_added, self._f_removed),
+                OverlayPostings(self._base_rel, self._f_rel_added),
             )
             self._epoch = Epoch(
                 version=self._version,
@@ -664,23 +661,21 @@ class MutableDataset:
             if self._staged:
                 self.commit()
             graph = self._epoch.graph
-            if isinstance(graph, SearchGraph):
-                return self._epoch  # already flat: nothing to fold
-            n = graph.num_nodes
+            if graph is self._base_graph:
+                return self._epoch  # nothing committed since: nothing to fold
             flat = SearchGraph._from_adjacency(
-                out=[graph.out_edges(u) for u in range(n)],
-                in_=[graph.in_edges(u) for u in range(n)],
-                labels=[graph.label(u) for u in range(n)],
-                tables=[graph.table(u) for u in range(n)],
-                refs=[graph.ref(u) for u in range(n)],
+                out=graph._out,
+                in_=graph._in,
+                labels=graph._labels,
+                tables=graph._tables,
+                refs=graph._refs,
                 num_forward_edges=graph.num_forward_edges,
                 prestige=graph.prestige_values,
-                in_inv_weight_sum=[graph.in_inv_weight_sum(u) for u in range(n)],
-                out_inv_weight_sum=[graph.out_inv_weight_sum(u) for u in range(n)],
+                in_inv_weight_sum=graph._in_inv_weight_sum,
+                out_inv_weight_sum=graph._out_inv_weight_sum,
             )
-            index = self._epoch.index
-            flat_index = (
-                index.materialize() if isinstance(index, OverlayIndex) else index
+            flat_index = InvertedIndex._from_postings(
+                *self._epoch.index._export_postings()
             )
             self._muts_since_compact = 0  # before _rebase checkpoints it
             self._rebase(flat, flat_index)
@@ -868,19 +863,27 @@ class MutableDataset:
     # ------------------------------------------------------------------
     # view construction (lock held by callers)
     # ------------------------------------------------------------------
-    def _build_view(self) -> OverlayGraph:
-        return OverlayGraph(
-            self._base_graph,
-            out_over=self._frozen_out,
-            in_over=self._frozen_in,
-            labels_ext=self._labels_ext,
-            tables_ext=self._tables_ext,
-            refs_ext=self._refs_ext,
-            prestige_ext=self._prestige_ext,
+    def _build_view(self) -> SearchGraph:
+        base, start = self._base_graph, self._base_n
+        new = range(start, start + len(self._labels_ext))
+
+        def overlay(rows, replaced: dict) -> Overlay:
+            return Overlay(rows, replaced, [replaced[u] for u in new])
+
+        return SearchGraph._from_rows(
+            out=overlay(base._out, self._frozen_out),
+            in_=overlay(base._in, self._frozen_in),
+            labels=Overlay(base._labels, {}, self._labels_ext),
+            tables=Overlay(base._tables, {}, self._tables_ext),
+            refs=Overlay(base._refs, {}, self._refs_ext),
             num_forward_edges=self._fwd_count,
             num_edges=self._edge_count,
-            out_invw_over=self._out_invw,
-            in_invw_over=self._in_invw,
+            # Validated piecewise: the base's tuple, and each appended
+            # node's float at add_node.
+            prestige=base.prestige_values + tuple(self._prestige_ext),
+            in_inv_weight_sum=overlay(base._in_inv_weight_sum, self._in_invw),
+            out_inv_weight_sum=overlay(base._out_inv_weight_sum, self._out_invw),
+            ref_to_node=OverlayRefs(base, self._refs_ext, start),
         )
 
     # ------------------------------------------------------------------

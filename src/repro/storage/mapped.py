@@ -209,9 +209,10 @@ class MappedSearchGraph(SearchGraph):
     adjacency sides are :class:`_LazyAdjacency` objects and the
     per-node text metadata decodes from the snapshot's text blob on
     first access.  Every read accessor of the base class works
-    unchanged through the sequence protocols; the overrides below are
-    exactly the base members that would otherwise iterate all rows
-    (``num_edges``) or forget the subclass (``with_prestige``).
+    unchanged through the sequence protocols, ``num_edges`` is the
+    stored indptr's total and ``with_prestige`` keeps the subclass and
+    its ``storage``; what this class adds is the loader and
+    :meth:`compact_nbytes`.
     """
 
     @classmethod
@@ -236,51 +237,24 @@ class MappedSearchGraph(SearchGraph):
         stats: StorageStats,
     ) -> "MappedSearchGraph":
         n = len(labels)
-        if len(tables) != n or len(refs) != n:
-            raise ValueError("adjacency and per-node metadata lengths disagree")
-        g = cls()
-        g._out = _LazyAdjacency(
-            out_indptr, out_dst, out_weight, out_fwd, stats, "out_dst"
+        g = cls._from_rows(
+            out=_LazyAdjacency(
+                out_indptr, out_dst, out_weight, out_fwd, stats, "out_dst"
+            ),
+            in_=_LazyAdjacency(in_indptr, in_src, in_weight, in_fwd, stats, "in_src"),
+            # Possibly-lazy sequences: stored as given, never tuple()d
+            # (that would force the text blob at load time).
+            labels=labels,
+            tables=tables,
+            refs=refs,
+            num_forward_edges=num_forward_edges,
+            num_edges=out_indptr[-1],
+            prestige=cls._validate_prestige(prestige, n),
+            # Read once per touched node: indexed in place, never listed.
+            in_inv_weight_sum=in_inv_weight_sum,
+            out_inv_weight_sum=out_inv_weight_sum,
         )
-        g._in = _LazyAdjacency(in_indptr, in_src, in_weight, in_fwd, stats, "in_src")
-        if len(g._out) != n or len(g._in) != n:
-            raise ValueError("adjacency and per-node metadata lengths disagree")
-        # Possibly-lazy sequences: stored as given, never tuple()d (that
-        # would force the text blob at load time).
-        g._labels = labels
-        g._tables = tables
-        g._refs = refs
-        g._num_forward_edges = int(num_forward_edges)
-        g._prestige = cls._validate_prestige(prestige, n)
-        # Read once per touched node: indexed in place, never listed.
-        g._in_inv_weight_sum = in_inv_weight_sum
-        g._out_inv_weight_sum = out_inv_weight_sum
-        if len(g._in_inv_weight_sum) != n or len(g._out_inv_weight_sum) != n:
-            raise ValueError("inv-weight-sum lengths disagree with adjacency")
-        g._num_edges = int(g._out._bounds[-1])
         g.storage = stats
-        return g
-
-    @property
-    def num_edges(self) -> int:
-        # The base class sums row lengths, which would fault every row;
-        # the stored indptr already knows the total.
-        return self._num_edges
-
-    def with_prestige(self, prestige) -> "MappedSearchGraph":
-        g = MappedSearchGraph()
-        g._out = self._out
-        g._in = self._in
-        g._labels = self._labels
-        g._tables = self._tables
-        g._refs = self._refs
-        g._num_forward_edges = self._num_forward_edges
-        g._in_inv_weight_sum = self._in_inv_weight_sum
-        g._out_inv_weight_sum = self._out_inv_weight_sum
-        g._prestige = self._validate_prestige(prestige, self.num_nodes)
-        g._ref_to_node = self._ref_to_node
-        g._num_edges = self._num_edges
-        g.storage = self.storage
         return g
 
     def compact_nbytes(self) -> int:
@@ -398,7 +372,8 @@ class MappedInvertedIndex(InvertedIndex):
     blob on first index read.  The inherited ``lookup`` memoization
     works unchanged — it only uses the mapping protocol — and the
     ``add_*`` mutators are disabled: snapshot state is read-only, live
-    mutations go through :class:`~repro.live.overlay.OverlayIndex`
+    mutations go through a live epoch's index, an
+    :class:`InvertedIndex` over :class:`~repro.live.overlay.OverlayPostings`
     deltas in RAM.
     """
 

@@ -139,7 +139,13 @@ def _graph_kinds() -> dict:
     over one four-node base."""
     from repro.graph.policy import apply_edge_policy
     from repro.graph.searchgraph import SearchGraph
-    from repro.live.overlay import OverlayGraph
+    from repro.index.inverted import InvertedIndex
+    from repro.live import AddEdge, AddNode, MutableDataset
+
+    def committed(graph, batch):
+        """The graph of the epoch one ``MutableDataset`` commit builds."""
+        dataset = MutableDataset(graph, InvertedIndex(), compact_ratio=None)
+        return dataset.mutate(batch).epoch.graph
 
     base = build_graph(4, [(0, 1), (1, 2), (3, 2, 2.0)])
     rebuilt = SearchGraph._from_adjacency(
@@ -159,20 +165,36 @@ def _graph_kinds() -> dict:
         "mapped": mapped,
         "mapped-with-prestige": mapped.with_prestige([0.25] * 4),
         "ram": reloaded(base, "ram"),
-        "overlay": OverlayGraph(mapped, out_over={}, in_over={}),
-        "overlay-extended": OverlayGraph(
-            base,
-            out_over={},
-            in_over={},
-            labels_ext=("x",),
-            tables_ext=(None,),
-            refs_ext=(None,),
-            prestige_ext=(0.1,),
+        "overlay": committed(mapped, [AddEdge(u=0, v=3)]),
+        "overlay-extended": committed(
+            base, [AddNode(label="x", prestige=0.1), AddEdge(u=-1, v=2)]
         ),
         "policy": apply_edge_policy(base, lambda src, dst, fwd: 1.0),
     }
     assert tuple(kinds) == GRAPH_KINDS
     return kinds
+
+
+class TestEveryKind:
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    def test_with_prestige_keeps_the_kind(self, kind):
+        graph = _graph_kinds()[kind]
+        values = [0.5] * graph.num_nodes
+        swapped = graph.with_prestige(values)
+        assert type(swapped) is type(graph)
+        assert getattr(swapped, "storage", None) is getattr(graph, "storage", None)
+        assert swapped.prestige_values == tuple(values)
+        assert swapped.num_edges == graph.num_edges
+        for node in graph.nodes():
+            assert swapped.out_edges(node) == graph.out_edges(node)
+        assert graph.prestige_values != swapped.prestige_values  # untouched
+
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    def test_num_edges_counts_the_rows(self, kind):
+        graph = _graph_kinds()[kind]
+        assert graph.num_edges == sum(
+            len(graph.out_edges(node)) for node in graph.nodes()
+        )
 
 
 class TestNodeBounds:

@@ -107,7 +107,7 @@ class TestStructuralEquivalence:
 
 
 class TestOverlayGraphApi:
-    def test_node_by_ref_covers_extension(self, toy_dataset):
+    def test_node_by_ref_covers_extension(self, toy_dataset, toy_engine):
         outcome = toy_dataset.mutate(
             [AddNode(label="X", table="paper", ref=("paper", 1234))]
         )
@@ -117,6 +117,14 @@ class TestOverlayGraphApi:
         assert graph.ref(graph.node_by_ref("paper", 1)) == ("paper", 1)
         with pytest.raises(KeyError):
             graph.node_by_ref("paper", 999999)
+        # Base refs resolve through the base's own map, shared by every
+        # epoch over it rather than rebuilt per epoch.
+        built = toy_engine.graph._ref_to_node
+        assert isinstance(built, dict)
+        later = toy_dataset.mutate([AddNode(label="Y")]).epoch.graph
+        assert later.node_by_ref("paper", 1) == graph.node_by_ref("paper", 1)
+        assert later.node_by_ref("paper", 1234) == outcome.new_nodes[0]
+        assert toy_engine.graph._ref_to_node is built
 
     def test_unknown_node_raises(self, toy_dataset):
         toy_dataset.mutate([AddNode(label="X")])
@@ -138,14 +146,13 @@ class TestOverlayGraphApi:
         )
         assert graph.max_prestige == max(base_max, vec[-1])
 
-    def test_prestige_values_share_the_base_tuple(self, toy_dataset, toy_engine):
-        """Python floats all the way: the base's own tuple under every
-        epoch (not a copy per commit), the vector its concatenation with
-        the extension, ``node_prestige`` an index into either."""
+    def test_prestige_values_extend_the_base_tuple(self, toy_dataset, toy_engine):
+        """Python floats all the way: the vector is the base's tuple
+        followed by the extension's floats (the same float objects),
+        ``node_prestige`` an index into it."""
         base = toy_engine.graph.prestige_values
         node = toy_dataset.mutate([AddNode(label="X", prestige=0.25)]).new_nodes[0]
         graph = toy_dataset.graph
-        assert graph._prestige_base is base
         assert graph.prestige_values == base + (0.25,)
         assert graph.node_prestige(0) is base[0]
         assert graph.node_prestige(node) == 0.25
@@ -153,29 +160,14 @@ class TestOverlayGraphApi:
         with pytest.raises(UnknownNodeError):
             graph.node_prestige(-1)
 
-    def test_replacement_prestige_passes_the_search_graph_validator(self, toy_engine):
-        """A caller-supplied ``prestige_base`` is held to what
-        ``SearchGraph.with_prestige`` holds its argument to: any
-        sequence of the right length, no negative entry."""
-        from repro.live.overlay import OverlayGraph
+    def test_epochs_are_the_plain_classes(self, toy_dataset):
+        from repro.graph.searchgraph import SearchGraph
+        from repro.index.inverted import InvertedIndex
 
-        base = toy_engine.graph
-        flat = [1.0 / base.num_nodes] * base.num_nodes
-        for vector in (flat, tuple(flat), np.array(flat)):
-            graph = OverlayGraph(base, out_over={}, in_over={}, prestige_base=vector)
-            assert graph.prestige_values == tuple(flat)
-            assert graph.max_prestige == flat[0]
-        for bad, message in (
-            (flat[:-1], "must have shape"),
-            (np.zeros((base.num_nodes, 1)), "must have shape"),
-            ([-0.1] + flat[1:], "non-negative"),
-            ([float("nan")] + flat[1:], "non-negative"),
-        ):
-            with pytest.raises(ValueError, match=message) as overlay_error:
-                OverlayGraph(base, out_over={}, in_over={}, prestige_base=bad)
-            with pytest.raises(ValueError) as graph_error:
-                base.with_prestige(bad)
-            assert str(overlay_error.value) == str(graph_error.value)
+        toy_dataset.mutate([AddNode(label="X", text="plainclass")])
+        assert type(toy_dataset.graph) is SearchGraph
+        assert type(toy_dataset.index) is InvertedIndex
+        assert type(toy_dataset.compact().graph) is SearchGraph
 
     def test_isolated_new_node_normalizers_are_zero(self, toy_dataset):
         node = toy_dataset.mutate([AddNode(label="X")]).new_nodes[0]
@@ -183,6 +175,40 @@ class TestOverlayGraphApi:
         assert graph.in_inv_weight_sum(node) == 0.0
         assert graph.out_inv_weight_sum(node) == 0.0
         assert graph.out_degree(node) == 0
+
+
+class TestOverlaidIndex:
+    def test_answers_like_its_compacted_rebuild(
+        self, toy_dataset, toy_model, toy_engine
+    ):
+        """``lookup``, ``has_term``, ``terms``, ``terms_by_frequency``
+        and ``len`` of an overlaid index equal its compacted rebuild's
+        and a from-scratch rebuild's, a term whose only posting was
+        removed included."""
+        relation_terms = set(toy_engine.index._export_postings()[1])
+        dead, node = next(
+            (term, next(iter(toy_engine.index.lookup(term))))
+            for term, frequency in reversed(toy_engine.index.terms_by_frequency())
+            if frequency == 1 and term not in relation_terms
+        )
+        batch = [
+            UpdateText(node=node, text="overlaid index probe"),
+            AddNode(label="N", table="paper", text="probe brandnewterm"),
+        ]
+        epoch, rebuilt = mutate_both(toy_dataset, toy_model, batch)
+        overlaid = epoch.index
+        compacted = toy_dataset.compact().index
+        assert compacted is not overlaid
+        assert not overlaid.has_term(dead)
+        assert overlaid.lookup(dead) == frozenset()
+        for other in (compacted, rebuilt.index):
+            assert overlaid.terms_by_frequency() == other.terms_by_frequency()
+            assert len(overlaid) == len(other) == overlaid.vocabulary_size()
+            assert sorted(overlaid.terms()) == sorted(other.terms())
+            for term in {*other.terms(), *relation_terms, dead, "brandnewterm"}:
+                assert overlaid.lookup(term) == other.lookup(term), term
+                assert overlaid.has_term(term) == other.has_term(term), term
+        assert list(overlaid.terms()) == list(compacted.terms())
 
 
 class TestValidationAndAtomicity:

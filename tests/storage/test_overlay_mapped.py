@@ -1,11 +1,12 @@
 """Overlay/index ``lookup`` memo invalidation across mutation
 interleavings, against snapshot bases in both residency modes.
 
-Each committed epoch builds a fresh immutable ``OverlayIndex`` with its
-own lookup memo; these tests pin that a memoized answer from epoch N
-never leaks into epoch N+1 after ``remove_edge`` / ``update_text``
-interleavings over a base whose postings materialize lazily — and that
-the two modes behave exactly alike throughout.
+Each committed epoch builds a fresh immutable index (an
+``InvertedIndex`` over ``OverlayPostings``) with its own lookup memo;
+these tests pin that a memoized answer from epoch N never leaks into
+epoch N+1 after ``remove_edge`` / ``update_text`` interleavings over a
+base whose postings materialize lazily — and that the two modes behave
+exactly alike throughout.
 """
 
 import pytest
@@ -15,6 +16,8 @@ from repro.core.params import SearchParams
 from repro.live.dataset import MutableDataset
 from repro.service.snapshot import load_snapshot, save_engine
 from repro.storage import MappedSearchGraph
+
+from tests.helpers import pins
 
 MODES = ("ram", "mapped")
 
@@ -144,3 +147,23 @@ def test_modes_agree_after_identical_interleavings(snapshot_path):
     b = mapped.engine.search("rewritten removal", k=5)
     assert a.scores() == b.scores()
     assert a.signatures() == b.signatures()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_num_edges_is_stored_and_faults_no_row(snapshot_path, mode):
+    """``num_edges`` on a loaded graph and on an epoch over it is a
+    count kept when the graph was built: reading it materializes no
+    row, and it equals the count of a rebuild."""
+    from repro.live.mutations import AddEdge, AddNode
+
+    with pins(0, 0):
+        ds = make_dataset(snapshot_path, mode)
+    base = ds.graph
+    stats = base.storage
+    epoch = ds.mutate([AddNode(label="x"), AddEdge(u=-1, v=3)]).epoch
+    for graph in (base, epoch.graph):
+        faults = stats.row_faults
+        edges = graph.num_edges
+        assert stats.row_faults == faults
+        assert edges == sum(len(graph.out_edges(node)) for node in graph.nodes())
+    assert ds.compact().graph.num_edges == edges
