@@ -1,4 +1,6 @@
-"""Core search algorithms and answer model (S7-S11, S13).
+"""Core search: the paper's three algorithms, their shared search state,
+the answer model, and the exhaustive oracle the searches are checked
+against.
 
 Re-exports are lazy (:mod:`repro._lazy`): a process imports only what it runs.
 """
@@ -21,7 +23,7 @@ if TYPE_CHECKING:
     from repro.core.driver import nra_edge_bound
     from repro.core.engine import ALGORITHMS, KeywordSearchEngine
     from repro.core.exhaustive import exhaustive_answers, keyword_distances
-    from repro.core.heaps import LazyMaxHeap, LazyMinHeap
+    from repro.core.heaps import LazyMinHeap
     from repro.core.output_heap import BufferedAnswer, OutputHeap
     from repro.core.params import DEFAULT_PARAMS, SearchParams
     from repro.core.query import parse_query
@@ -46,7 +48,6 @@ __all__ = [
     "parse_query",
     "exhaustive_answers",
     "keyword_distances",
-    "LazyMaxHeap",
     "LazyMinHeap",
     "BufferedAnswer",
     "OutputHeap",
@@ -69,7 +70,7 @@ __getattr__, __dir__ = lazy_exports(
     driver="nra_edge_bound",
     engine="ALGORITHMS KeywordSearchEngine",
     exhaustive="exhaustive_answers keyword_distances",
-    heaps="LazyMaxHeap LazyMinHeap",
+    heaps="LazyMinHeap",
     output_heap="BufferedAnswer OutputHeap",
     params="DEFAULT_PARAMS SearchParams",
     query="parse_query",

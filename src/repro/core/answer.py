@@ -78,8 +78,8 @@ class AnswerTree:
         ``N``: sum of prestige over the root and the tree's leaf nodes.
     score:
         Overall relevance ``N**lambda / (1 + E)``; larger is better
-        (DESIGN.md Section 3 records this normalization of the paper's
-        ``E N^lambda``).
+        (:mod:`repro.core.scoring` explains this normalization of the
+        paper's ``E N^lambda``).
     """
 
     root: int

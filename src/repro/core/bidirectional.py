@@ -26,12 +26,9 @@ has the higher activation, relax the node's edges in that direction
 (pushing each newly reached neighbour right after its edge), spread
 its activation, re-prioritise the queued nodes whose activation moved.
 One loop body serves both iterators.  Each queue is a lazy-deletion
-heap of ``(-priority, seq, node)`` beside a dict of live priorities
-(:class:`~repro.core.heaps.LazyMaxHeap`, inlined): a queued node's
-priority only grows and a popped node never returns to its queue, so
-a stale entry never becomes live again.  Near queries keep the class:
-they run outside every search workload, so inlining there would buy
-no measured time.
+heap of ``(-priority, seq, node)`` beside a dict of live priorities:
+a queued node's priority only grows and a popped node never returns to
+its queue, so a stale entry never becomes live again.
 """
 
 from __future__ import annotations

@@ -249,46 +249,6 @@ class KeywordSearchEngine:
         return result
 
     # ------------------------------------------------------------------
-    def constrained(self, policy) -> "KeywordSearchEngine":
-        """An engine over an edge-policy view of the graph (paper
-        Section 1: restrict or prioritize search paths by edge type).
-
-        ``policy`` is an :class:`~repro.graph.policy.EdgePolicy` or any
-        callable ``(src_table, dst_table, is_forward) -> multiplier|None``.
-        The keyword index, prestige and parameters are shared.
-        """
-        from repro.graph.policy import apply_edge_policy
-
-        view = apply_edge_policy(self.graph, policy)
-        return KeywordSearchEngine(view, self.index, params=self.params)
-
-    # ------------------------------------------------------------------
-    def near(
-        self,
-        query: Union[str, Sequence[str]],
-        *,
-        k: Optional[int] = 10,
-        node_budget: int = 1000,
-        mu: Optional[float] = None,
-    ):
-        """Near query (paper footnote 6): rank individual nodes by
-        aggregated spreading activation from the query keywords.
-
-        Returns a :class:`~repro.core.near.NearResult` whose ranking
-        pairs node ids with proximity scores.
-        """
-        from repro.core.near import NearSearch
-
-        _, keyword_sets = self.resolve(query)
-        search = NearSearch(
-            self.graph,
-            keyword_sets,
-            mu=mu if mu is not None else self.params.mu,
-            node_budget=node_budget,
-        )
-        return search.run(k)
-
-    # ------------------------------------------------------------------
     def exhaustive(
         self,
         query: Union[str, Sequence[str]],

@@ -1,11 +1,11 @@
-"""Lazy-deletion priority queues used by every frontier.
+"""Lazy-deletion min-heap of the two Backward searches' frontiers.
 
 Python's :mod:`heapq` has no decrease-key; the standard idiom — push a
 fresh entry on every priority change and skip stale entries at pop time
-— is exactly what the paper's queues need: `Qin`/`Qout` priorities only
-*increase* (activation) and SI-Backward priorities only *decrease*
-(distance), and both directions are handled by validating the popped
-entry against the current priority.
+— is what SI-Backward's queue and MI-Backward's iterator frontiers and
+schedule need: a popped entry is valid only if it still carries its
+item's current priority.  (Bidirectional's ``Qin``/``Qout`` inline the
+same idiom over negated activations.)
 
 Ties break on a monotone sequence number so runs are deterministic.
 """
@@ -16,7 +16,7 @@ import heapq
 import itertools
 from typing import Hashable, Iterator, Optional
 
-__all__ = ["LazyMinHeap", "LazyMaxHeap"]
+__all__ = ["LazyMinHeap"]
 
 
 class LazyMinHeap:
@@ -53,10 +53,6 @@ class LazyMinHeap:
             heapq.heappop(self._heap)
         return None
 
-    def remove(self, item: Hashable) -> None:
-        """Lazily remove ``item`` if present."""
-        self._priority.pop(item, None)
-
     def get_priority(self, item: Hashable) -> Optional[float]:
         """Current priority of ``item``, or None if absent."""
         return self._priority.get(item)
@@ -77,27 +73,3 @@ class LazyMinHeap:
         number of *live* entries, not heap size.
         """
         return iter(self._priority.items())
-
-
-class LazyMaxHeap(LazyMinHeap):
-    """Max-heap counterpart (activation-ordered queues)."""
-
-    def push(self, item: Hashable, priority: float) -> None:
-        self._priority[item] = priority
-        heapq.heappush(self._heap, (-priority, next(self._seq), item))
-
-    def pop(self) -> tuple[Hashable, float]:
-        while self._heap:
-            neg, _, item = heapq.heappop(self._heap)
-            if self._priority.get(item) == -neg:
-                del self._priority[item]
-                return item, -neg
-        raise IndexError("pop from empty heap")
-
-    def peek_priority(self) -> Optional[float]:
-        while self._heap:
-            neg, _, item = self._heap[0]
-            if self._priority.get(item) == -neg:
-                return -neg
-            heapq.heappop(self._heap)
-        return None

@@ -114,12 +114,6 @@ class OutputHeap:
             self.release_floor = best[0]
 
     # ------------------------------------------------------------------
-    def peek_best_score(self) -> Optional[float]:
-        self._skim()
-        if not self._heap:
-            return None
-        return -self._heap[0][0]
-
     def pop_ready(
         self,
         *,

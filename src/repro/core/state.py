@@ -21,10 +21,10 @@ the spreading activation of Section 4.3 over the same explored sets
 (procedure ACTIVATE).
 
 Rows are sparse — dicts in which an untouched node reads ``inf`` /
-``0`` — so the per-pop loops (``backward_si`` / ``bidirectional`` /
-``near``) pay O(touched) per search, never O(n).  ``drain_changed``
-hands back the nodes whose values moved since the last call: what the
-loops need for priority upkeep.
+``0`` — so the per-pop loops (``backward_si`` / ``bidirectional``) pay
+O(touched) per search, never O(n).  ``drain_changed`` hands back the
+nodes whose values moved since the last call: what the loops need for
+priority upkeep.
 
 The loops call ``explore_edge`` once per edge and ``spread`` once per
 pop, so both are plain loops over the rows: ``explore_edge`` allocates
@@ -47,10 +47,6 @@ from repro.core.driver import nra_edge_bound
 __all__ = ["PathState", "ActivationState"]
 
 _MEMO_ATTR = "_explored_parents_memo"
-
-#: Sum-mode activation floor: a seed or a share at or below it is
-#: dropped, which is what ends a sum-mode cascade.
-MIN_CONTRIBUTION = 1e-9
 
 
 def _sparse_row(fill) -> defaultdict:
@@ -304,8 +300,7 @@ class ActivationState:
     (close to several keywords => fewer connections left to find).
     Increases reaching an explored node are propagated to its reached
     ancestors best-first (procedure ACTIVATE, Figure 3) along the edges
-    the two explored sets stand for — a :class:`PathState`'s, or the
-    caller's own (near queries keep no distances).
+    a :class:`PathState`'s two explored sets stand for.
     """
 
     def __init__(
@@ -316,25 +311,13 @@ class ActivationState:
         expanded_out: set[int],
         *,
         mu: float = 0.5,
-        combine: str = "max",
     ) -> None:
-        """
-        ``combine`` selects how activation reaching a node from several
-        edges is merged per keyword: ``"max"`` (the paper's default,
-        Bidirectional's) or ``"sum"`` (the footnote-6 extension for
-        scoring models that aggregate along multiple paths; powers "near
-        queries").  In sum mode cascades terminate via the
-        :data:`MIN_CONTRIBUTION` floor.
-        """
         if not 0.0 <= mu <= 1.0:
             raise ValueError(f"mu must be in [0, 1], got {mu!r}")
-        if combine not in ("max", "sum"):
-            raise ValueError(f"combine must be 'max' or 'sum', got {combine!r}")
         self.graph = graph
         self.keyword_sets = tuple(frozenset(s) for s in keyword_sets)
         self.k = k = len(self.keyword_sets)
         self.mu = mu
-        self.combine = combine
         self.expanded_in = expanded_in
         self.expanded_out = expanded_out
         self.act_rows = [_sparse_row(0.0) for _ in range(k)]
@@ -356,10 +339,7 @@ class ActivationState:
             for node in sorted(nodes):
                 seed = prestige(node) / size
                 current = row[node]
-                if self.combine == "sum":
-                    merged = current + (seed if seed > MIN_CONTRIBUTION else 0.0)
-                else:
-                    merged = max(current, seed)
+                merged = max(current, seed)
                 row[node] = merged
                 self.total[node] += merged - current
 
@@ -373,8 +353,6 @@ class ActivationState:
         ``mu * a(node, i) * (1/w) / norm`` to its other end, combined
         into ``a(other, i)``; an increase cascades to reached ancestors
         (ACTIVATE)."""
-        sum_mode = self.combine == "sum"
-        floor = MIN_CONTRIBUTION
         i = 0
         for row in self.act_rows:
             a = row[node]
@@ -382,11 +360,7 @@ class ActivationState:
                 budget = self.mu * a
                 for other, w, _ in edges:
                     value = budget * (1.0 / w) / norm
-                    if sum_mode:
-                        if value > floor:
-                            self._set(other, i, row[other] + value)
-                            self._propagate_sum(other, i, value)
-                    elif value > row[other]:
+                    if value > row[other]:
                         self._set(other, i, value)
                         self._propagate_up(other, i)
             i += 1
@@ -399,9 +373,8 @@ class ActivationState:
         self._changed.add(node)
 
     def _propagate_up(self, start: int, i: int) -> None:
-        """Max-mode ACTIVATE: best-first cascade of an increase; dies
-        out geometrically thanks to ``mu`` attenuation and
-        max-combining."""
+        """ACTIVATE: best-first cascade of an increase; dies out
+        geometrically thanks to ``mu`` attenuation and max-combining."""
         row = self.act_rows[i]
         par = self._parents
         xin = self.expanded_in
@@ -433,41 +406,6 @@ class ActivationState:
                     changed.add(parent)
                     touches += 1
                     heapq.heappush(heap, (-contribution, parent))
-        self.cascade_touches += touches
-
-    def _propagate_sum(self, start: int, i: int, delta: float) -> None:
-        """Sum-mode ACTIVATE: push the *added* mass upward, attenuated
-        by ``mu`` and the share split, until the :data:`MIN_CONTRIBUTION`
-        floor kills it."""
-        row = self.act_rows[i]
-        par = self._parents
-        xin = self.expanded_in
-        xout = self.expanded_out
-        total = self.total
-        changed = self._changed
-        floor = MIN_CONTRIBUTION
-        touches = 0
-        stack = [(start, delta)]
-        while stack:
-            x, d = stack.pop()
-            unmasked = x in xin
-            if not unmasked and not xout:
-                continue  # no explored edge into x: leave its row unread
-            parents, norm = par[x]
-            if not parents:
-                continue
-            budget = self.mu * d
-            for parent, w in parents:
-                if not unmasked and parent not in xout:
-                    continue
-                contribution = budget * (1.0 / w) / norm
-                if contribution > floor:
-                    # _set, inlined for the per-event hot loop.
-                    total[parent] += contribution
-                    row[parent] += contribution
-                    changed.add(parent)
-                    touches += 1
-                    stack.append((parent, contribution))
         self.cascade_touches += touches
 
     def drain_changed(self) -> list[int]:

@@ -19,7 +19,9 @@ from repro.experiments.figure4 import build_figure4_engine, run_figure4
 from repro.experiments.memory import run_memory, run_prestige
 from repro.experiments.recall_precision import run_recall_precision
 
-#: Experiment id -> callable returning a Report (see DESIGN.md Section 4).
+#: Experiment id -> callable returning a Report: the paper's Figures 4-6,
+#: the recall/precision study, the memory and prestige costs of Section
+#: 5.1, and the three ablations.
 REGISTRY = {
     "fig4": run_figure4,
     "fig5": run_fig5,

@@ -15,7 +15,7 @@ def main(argv=None) -> int:
         prog="python -m repro.experiments",
         description=(
             "Regenerate the paper's tables and figures on the synthetic "
-            "datasets (see DESIGN.md Section 4 for the experiment index)."
+            "datasets (--list names the experiments)."
         ),
     )
     parser.add_argument(

@@ -1,4 +1,4 @@
-"""ABL1-3: ablations of the design choices DESIGN.md calls out.
+"""ABL1-3: ablations of three of the paper's Section 4 design choices.
 
 ABL1 — spreading activation: sweep the attenuation ``mu`` and compare
 against pure distance ordering (SI-Backward), isolating how much of

@@ -8,7 +8,7 @@ that: from node ``u`` the walker follows edge ``e = (u, v)`` of the
 *combined* search graph with probability ``(1/w_e) / sum(1/w)`` over
 ``u``'s out-edges, and teleports uniformly with probability
 ``1 - damping``.  The paper does not state a damping factor; we use the
-Brin-Page default 0.85 (DESIGN.md Section 7).
+Brin-Page default 0.85.
 
 Prestige is a preprocessing step ("can be assumed to be precomputed",
 Section 2.3); the PRES benchmark measures its cost as the paper does in

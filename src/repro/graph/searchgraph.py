@@ -44,7 +44,6 @@ class SearchGraph:
         self._tables: Sequence[Optional[str]] = ()
         self._refs: Sequence[Optional[tuple[str, Hashable]]] = ()
         self._num_forward_edges = 0
-        self._num_edges = 0
         # Resident Python floats, like the two normalizer vectors: the
         # per-pop schedule indexes them and never needs numpy for it.
         self._prestige: tuple[float, ...] = ()
@@ -97,7 +96,7 @@ class SearchGraph:
     ) -> "SearchGraph":
         """Build a flat graph from pre-derived adjacency lists.
 
-        Freezing, edge policies and live compaction build through this;
+        Freezing and live compaction build through this;
         every row and per-node sequence is copied into tuples.  Both
         adjacency sides are taken verbatim — preserving the original edge
         iteration order is what makes rebuilt searches bit-identical.
@@ -114,7 +113,6 @@ class SearchGraph:
             tables=tuple(tables),
             refs=tuple(refs),
             num_forward_edges=num_forward_edges,
-            num_edges=sum(map(len, out)),
             prestige=cls._validate_prestige(prestige, len(out)),
             in_inv_weight_sum=(
                 tuple(in_inv_weight_sum)
@@ -138,7 +136,6 @@ class SearchGraph:
         tables: Sequence[Optional[str]],
         refs: Sequence[Optional[tuple[str, Hashable]]],
         num_forward_edges: int,
-        num_edges: int,
         prestige: tuple[float, ...],
         in_inv_weight_sum: Sequence[float],
         out_inv_weight_sum: Sequence[float],
@@ -165,7 +162,6 @@ class SearchGraph:
         g._tables = tables
         g._refs = refs
         g._num_forward_edges = int(num_forward_edges)
-        g._num_edges = int(num_edges)
         g._prestige = prestige
         g._in_inv_weight_sum = in_inv_weight_sum
         g._out_inv_weight_sum = out_inv_weight_sum
@@ -210,14 +206,10 @@ class SearchGraph:
 
     @property
     def num_edges(self) -> int:
-        """Number of combined directed edges, counted when the graph is
-        built.
-
-        Equals ``2 * num_forward_edges`` on a freshly frozen graph; an
-        edge-policy view (:mod:`repro.graph.policy`) may drop forward
-        and backward edges asymmetrically.
-        """
-        return self._num_edges
+        """Number of combined directed edges: every forward edge and its
+        derived backward twin, so ``2 * num_forward_edges`` on every
+        kind of graph (a live commit adds and removes them in pairs)."""
+        return 2 * self._num_forward_edges
 
     def out_edges(self, u: int) -> Sequence[Edge]:
         """Edges leaving ``u`` as ``(target, weight, is_forward)`` tuples."""
@@ -261,17 +253,6 @@ class SearchGraph:
 
     def nodes(self) -> Iterator[int]:
         return iter(range(self.num_nodes))
-
-    def edge_weight(self, u: int, v: int) -> float:
-        """Smallest weight among (possibly parallel) edges ``u -> v``."""
-        self._check_node(u)
-        best = None
-        for target, w, _ in self._out[u]:
-            if target == v and (best is None or w < best):
-                best = w
-        if best is None:
-            raise UnknownNodeError(v)
-        return best
 
     def __len__(self) -> int:
         return self.num_nodes

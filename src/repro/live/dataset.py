@@ -164,7 +164,6 @@ class MutableDataset:
         self._refs_ext: list[Optional[tuple[str, Hashable]]] = []
         self._prestige_ext: list[float] = []
         self._fwd_count = graph.num_forward_edges
-        self._edge_count = graph.num_edges
         self._added: dict[str, set[int]] = {}
         self._removed: dict[str, set[int]] = {}
         self._rel_added: dict[str, set[int]] = {}
@@ -186,7 +185,6 @@ class MutableDataset:
         self._staged_wire: list[dict] = []
         self._committed_ext = 0
         self._committed_fwd = self._fwd_count
-        self._committed_edges = self._edge_count
         self._committed_muts = self._muts_since_compact
 
     # ------------------------------------------------------------------
@@ -419,7 +417,6 @@ class MutableDataset:
             self._dirty_nodes.add(v)
             self._reweight_backward(v, indegree)
             self._fwd_count += 1
-            self._edge_count += 2
             self._staged_wire.append(
                 {"op": "add_edge", "u": u, "v": v, "weight": weight}
             )
@@ -464,7 +461,6 @@ class MutableDataset:
             if indegree_new:
                 self._reweight_backward(v, indegree_new)
             self._fwd_count -= 1
-            self._edge_count -= 2
             self._staged_wire.append(
                 {"op": "remove_edge", "u": u, "v": v, "weight": w}
             )
@@ -581,7 +577,6 @@ class MutableDataset:
                 self._restore_postings(self._removed, self._f_removed, term)
                 self._restore_postings(self._rel_added, self._f_rel_added, term)
             self._fwd_count = self._committed_fwd
-            self._edge_count = self._committed_edges
             self._muts_since_compact = self._committed_muts
             self._node_terms = None  # rebuilt lazily from committed state
             self._dirty_nodes.clear()
@@ -629,7 +624,6 @@ class MutableDataset:
             self._staged_wire.clear()
             self._committed_ext = len(self._labels_ext)
             self._committed_fwd = self._fwd_count
-            self._committed_edges = self._edge_count
             self._committed_muts = self._muts_since_compact
             self._applied_total += applied
             self._version += 1
@@ -877,7 +871,6 @@ class MutableDataset:
             tables=Overlay(base._tables, {}, self._tables_ext),
             refs=Overlay(base._refs, {}, self._refs_ext),
             num_forward_edges=self._fwd_count,
-            num_edges=self._edge_count,
             # Validated piecewise: the base's tuple, and each appended
             # node's float at add_node.
             prestige=base.prestige_values + tuple(self._prestige_ext),

@@ -126,24 +126,3 @@ class Schema:
         """Foreign keys whose *target* is ``table``."""
         self.table(table)
         return (fk for fk in self.foreign_keys if fk.ref_table == table)
-
-    def adjacent_tables(self, table: str) -> set[str]:
-        """Tables joined to ``table`` by some FK in either direction.
-
-        This is the neighbourhood in the *schema graph* used by
-        candidate-network enumeration.
-        """
-        out = {fk.ref_table for fk in self.fks_from(table)}
-        out.update(fk.table for fk in self.fks_to(table))
-        return out
-
-    def joins_between(self, a: str, b: str) -> list[ForeignKey]:
-        """All FKs connecting tables ``a`` and ``b`` in either direction."""
-        self.table(a)
-        self.table(b)
-        return [
-            fk
-            for fk in self.foreign_keys
-            if (fk.table == a and fk.ref_table == b)
-            or (fk.table == b and fk.ref_table == a)
-        ]

@@ -455,7 +455,12 @@ def _validate_arrays(header: dict, arrays: dict, path, *, deep: bool) -> dict:
                     f"{path} array {name} fails its checksum (damaged data page)"
                 )
     num_nodes = int(header["num_nodes"])
-    if len(arrays["prestige"]) != num_nodes:
+    # The header carries no checksum: its counts are checked against
+    # the arrays (a graph's ``num_edges`` is twice its forward count).
+    num_edges = 2 * int(header["num_forward_edges"])
+    if len(arrays["prestige"]) != num_nodes or not (
+        num_edges == len(arrays["out_dst"]) == len(arrays["in_src"])
+    ):
         raise SnapshotError(f"{path} metadata is inconsistent with its arrays")
     for side, ids_name in (("out", "out_dst"), ("in", "in_src")):
         for name in (f"{side}_weight", f"{side}_fwd"):

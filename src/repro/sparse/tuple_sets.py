@@ -77,14 +77,6 @@ class TupleSets:
         """
         return bool(self._partition[table].get(frozenset(subset)))
 
-    def nonempty_subsets(self, table: str) -> list[frozenset[str]]:
-        """The non-empty, non-free keyword subsets present in ``table``."""
-        return [
-            subset
-            for subset, pks in self._partition[table].items()
-            if subset and pks
-        ]
-
     def in_tuple_set(self, table: str, pk: Hashable, subset: frozenset[str]) -> bool:
         """Membership test used during CN execution: free sets admit
         anything, non-free sets require the exact keyword subset."""

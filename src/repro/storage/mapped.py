@@ -209,10 +209,9 @@ class MappedSearchGraph(SearchGraph):
     adjacency sides are :class:`_LazyAdjacency` objects and the
     per-node text metadata decodes from the snapshot's text blob on
     first access.  Every read accessor of the base class works
-    unchanged through the sequence protocols, ``num_edges`` is the
-    stored indptr's total and ``with_prestige`` keeps the subclass and
-    its ``storage``; what this class adds is the loader and
-    :meth:`compact_nbytes`.
+    unchanged through the sequence protocols and ``with_prestige`` keeps
+    the subclass and its ``storage``; what this class adds is the loader
+    and :meth:`compact_nbytes`.
     """
 
     @classmethod
@@ -248,7 +247,6 @@ class MappedSearchGraph(SearchGraph):
             tables=tables,
             refs=refs,
             num_forward_edges=num_forward_edges,
-            num_edges=out_indptr[-1],
             prestige=cls._validate_prestige(prestige, n),
             # Read once per touched node: indexed in place, never listed.
             in_inv_weight_sum=in_inv_weight_sum,

@@ -285,8 +285,9 @@ class WorkloadAnalytics:
 #: Origin-node ids sampled per keyword into the canonical seed section.
 SEED_SAMPLE = 8
 
-#: Answer-tree score formula echoed into every decomposition (paper
-#: Section 2.3, normalized as DESIGN.md Section 3 records).
+#: Answer-tree score formula echoed into every decomposition: paper
+#: Section 2.3's ``E N^lambda`` with the edge score normalized to
+#: ``1 / (1 + E)``, as :mod:`repro.core.scoring` explains.
 SCORE_FORMULA = "node_score**lambda / (1 + edge_score)"
 
 

@@ -5,7 +5,7 @@ tiny (1-500), small (1000-2000), medium (2500-5000), large (>7000) on
 the 2M-node DBLP graph; Section 5.4 splits workloads at <1000 ("small
 origin") and >8000 ("large origin").  Our graphs are scaled down, so
 the thresholds scale proportionally with a floor that keeps the bands
-distinct on small graphs (DESIGN.md Section 3).
+distinct on small graphs (:meth:`OriginBands.scaled_for`).
 """
 
 from __future__ import annotations
@@ -73,12 +73,6 @@ class OriginBands:
 
     def ranges(self) -> tuple[tuple[float, float], ...]:
         return (self.tiny, self.small, self.medium, self.large)
-
-    def range_for(self, code: str) -> tuple[float, float]:
-        try:
-            return self.ranges()[BAND_ORDER.index(code)]
-        except ValueError:
-            raise ValueError(f"unknown band code {code!r}") from None
 
     # ------------------------------------------------------------------
     def is_small_origin(self, min_frequency: int) -> bool:

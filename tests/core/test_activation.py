@@ -97,6 +97,15 @@ class TestForwardSpreading(_Explored):
         assert act.act_rows[0][1] > 0.0
         assert act.act_rows[0][2] > 0.0
 
+    def test_respreading_is_idempotent(self):
+        g = build_graph(2, [(0, 1)], prestige=[0.6, 0.4])
+        act = self.act(g, [frozenset({0})], mu=0.5)
+        act.seed_all()
+        self.spread_forward(act, 0)
+        once = act.total[1]
+        self.spread_forward(act, 0)  # max-combine: the same shares again
+        assert act.total[1] == pytest.approx(once)
+
 
 class TestActivatePropagation(_Explored):
     def test_cascades_through_explored_parents(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.heaps import LazyMaxHeap, LazyMinHeap
+from repro.core.heaps import LazyMinHeap
 
 
 class TestLazyMinHeap:
@@ -46,14 +46,6 @@ class TestLazyMinHeap:
     def test_peek_empty_is_none(self):
         assert LazyMinHeap().peek_priority() is None
 
-    def test_remove(self):
-        heap = LazyMinHeap()
-        heap.push("x", 1.0)
-        heap.push("y", 2.0)
-        heap.remove("x")
-        assert "x" not in heap
-        assert heap.pop() == ("y", 2.0)
-
     def test_contains_and_len(self):
         heap = LazyMinHeap()
         heap.push("x", 1.0)
@@ -82,26 +74,3 @@ class TestLazyMinHeap:
         assert heap.pop()[0] == "first"
         assert heap.pop()[0] == "second"
 
-
-class TestLazyMaxHeap:
-    def test_pop_order(self):
-        heap = LazyMaxHeap()
-        heap.push("low", 1.0)
-        heap.push("high", 9.0)
-        heap.push("mid", 5.0)
-        assert [heap.pop()[0] for _ in range(3)] == ["high", "mid", "low"]
-
-    def test_priority_increase(self):
-        heap = LazyMaxHeap()
-        heap.push("x", 1.0)
-        heap.push("y", 2.0)
-        heap.push("x", 3.0)
-        assert heap.pop() == ("x", 3.0)
-
-    def test_peek(self):
-        heap = LazyMaxHeap()
-        heap.push("x", 1.0)
-        heap.push("x", 0.5)
-        assert heap.peek_priority() == 0.5
-        assert heap.pop() == ("x", 0.5)
-        assert heap.peek_priority() is None

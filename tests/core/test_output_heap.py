@@ -29,8 +29,8 @@ class TestAdd:
         add(heap, make_tree(0, [(0, 1), (0, 2)], score=0.3))
         better = make_tree(1, [(1, 0), (1, 0, 2)], score=0.6)
         assert add(heap, better) == "improved"
-        assert heap.peek_best_score() == pytest.approx(0.6)
         assert len(heap) == 1
+        assert [b.tree.score for b in heap.drain()] == [pytest.approx(0.6)]
 
     def test_released_signature_never_rebuffered(self):
         heap = OutputHeap()
@@ -156,7 +156,6 @@ class TestDrain:
         drained = [b.tree.score for b in heap.drain()]
         assert drained == [0.7, 0.4, 0.1]
         assert not heap
-        assert heap.peek_best_score() is None
 
     def test_generation_stamps_preserved(self):
         heap = OutputHeap()

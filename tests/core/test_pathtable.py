@@ -233,13 +233,12 @@ class TestHubRowsStayUnread:
         assert expand(state, 2) == [1]  # improves 1, which is not expanded
         assert expand(state, 1) == [0]
 
-    @pytest.mark.parametrize("combine", ["max", "sum"])
-    def test_activate_skips_unexpanded_nodes(self, combine):
+    def test_activate_skips_unexpanded_nodes(self):
         from repro.core.state import ActivationState
 
         g = chain_graph()
         xin: set[int] = set()
-        act = ActivationState(g, [frozenset({2})], xin, set(), combine=combine)
+        act = ActivationState(g, [frozenset({2})], xin, set())
         act._parents = self._Rows(act._parents, xin)
         act.seed_all()
         xin.add(2)

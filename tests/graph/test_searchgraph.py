@@ -106,21 +106,6 @@ class TestRefs:
             g.node_by_ref("t", 3)
 
 
-class TestEdgeWeightLookup:
-    def test_min_parallel_weight(self):
-        dg = DataGraph()
-        a, b = dg.add_nodes("ab")
-        dg.add_edge(a, b, 3.0)
-        dg.add_edge(a, b, 1.5)
-        g = dg.freeze()
-        assert g.edge_weight(a, b) == pytest.approx(1.5)
-
-    def test_missing_edge_raises(self):
-        g = build_graph(3, [(0, 1)])
-        with pytest.raises(KeyError):
-            g.edge_weight(0, 2)
-
-
 GRAPH_KINDS = (
     "frozen",
     "frozen-with-prestige",
@@ -130,17 +115,15 @@ GRAPH_KINDS = (
     "ram",
     "overlay",
     "overlay-extended",
-    "policy",
 )
 
 
 def _graph_kinds() -> dict:
     """Every way a search graph is made, by :data:`GRAPH_KINDS` name,
     over one four-node base."""
-    from repro.graph.policy import apply_edge_policy
     from repro.graph.searchgraph import SearchGraph
     from repro.index.inverted import InvertedIndex
-    from repro.live import AddEdge, AddNode, MutableDataset
+    from repro.live import AddEdge, AddNode, MutableDataset, RemoveEdge
 
     def committed(graph, batch):
         """The graph of the epoch one ``MutableDataset`` commit builds."""
@@ -165,11 +148,10 @@ def _graph_kinds() -> dict:
         "mapped": mapped,
         "mapped-with-prestige": mapped.with_prestige([0.25] * 4),
         "ram": reloaded(base, "ram"),
-        "overlay": committed(mapped, [AddEdge(u=0, v=3)]),
+        "overlay": committed(mapped, [AddEdge(u=0, v=3), RemoveEdge(u=1, v=2)]),
         "overlay-extended": committed(
             base, [AddNode(label="x", prestige=0.1), AddEdge(u=-1, v=2)]
         ),
-        "policy": apply_edge_policy(base, lambda src, dst, fwd: 1.0),
     }
     assert tuple(kinds) == GRAPH_KINDS
     return kinds
@@ -195,6 +177,7 @@ class TestEveryKind:
         assert graph.num_edges == sum(
             len(graph.out_edges(node)) for node in graph.nodes()
         )
+        assert graph.num_edges == 2 * graph.num_forward_edges
 
 
 class TestNodeBounds:

@@ -29,5 +29,4 @@ def test_examples_present():
         "dblp_queries",
         "imdb_queries",
         "patents_queries",
-        "extensions_near_and_constraints",
     } <= names

@@ -118,10 +118,6 @@ def test_search_leaves_no_cyclic_garbage(engine, algorithm, scenario):
     assert_no_cyclic_garbage(searches)
 
 
-def test_near_query_leaves_no_cyclic_garbage(toy_engine):
-    assert_no_cyclic_garbage(lambda: toy_engine.near("gray transaction", k=5))
-
-
 def test_the_census_catches_a_search_cycle(toy_engine):
     """The harness itself: tie a knot the searches no longer tie (a
     state holding a bound method of its search — what the change

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.heaps import LazyMaxHeap, LazyMinHeap
+from repro.core.heaps import LazyMinHeap
 
 # Operation stream: (item, priority) pushes interleaved with pops.
 ops = st.lists(
@@ -43,28 +43,6 @@ def test_min_heap_matches_reference_model(operations):
                     pass
     assert len(heap) == len(model)
     assert dict(heap.items()) == model
-
-
-@given(ops)
-@settings(max_examples=100, deadline=None)
-def test_max_heap_matches_reference_model(operations):
-    heap = LazyMaxHeap()
-    model: dict[int, float] = {}
-    for op, item, priority in operations:
-        if op == "push":
-            heap.push(item, priority)
-            model[item] = priority
-        else:
-            if model:
-                got_item, got_priority = heap.pop()
-                assert got_priority == max(model.values())
-                assert model[got_item] == got_priority
-                del model[got_item]
-    peek = heap.peek_priority()
-    if model:
-        assert peek == max(model.values())
-    else:
-        assert peek is None
 
 
 @given(

@@ -93,12 +93,3 @@ class TestSchema:
         assert [fk.table for fk in schema.fks_to("author")] == ["paper"]
         assert list(schema.fks_from("author")) == []
 
-    def test_adjacent_tables(self):
-        schema = two_table_schema()
-        assert schema.adjacent_tables("author") == {"paper"}
-        assert schema.adjacent_tables("paper") == {"author"}
-
-    def test_joins_between(self):
-        schema = two_table_schema()
-        assert len(schema.joins_between("author", "paper")) == 1
-        assert len(schema.joins_between("paper", "author")) == 1

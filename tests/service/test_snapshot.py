@@ -295,6 +295,21 @@ class TestFormat:
             load_snapshot(bad, storage_mode=mode)
 
     @pytest.mark.parametrize("mode", MODES)
+    def test_forward_edge_count_disagreeing_with_arrays_rejected(
+        self, toy_snapshot, tmp_path, mode
+    ):
+        """The header has no checksum: a forward-edge count that the
+        adjacency arrays do not hold (23 over the toy's 18) must not
+        load, or ``num_edges`` would misreport the graph."""
+
+        def edit(header, arrays):
+            header["num_forward_edges"] += 5
+
+        bad = rewrite_snapshot(toy_snapshot, tmp_path / "bad-count.snap", edit)
+        with pytest.raises(SnapshotError, match="inconsistent with its arrays"):
+            load_snapshot(bad, storage_mode=mode)
+
+    @pytest.mark.parametrize("mode", MODES)
     def test_corrupt_postings_indptr_rejected(self, toy_snapshot, tmp_path, mode):
         def edit(header, arrays):
             arrays["post_indptr"][1] = -4  # decreasing: would mis-slice silently

@@ -29,10 +29,6 @@ class TestMatching:
         assert tuple_sets.has("paper", frozenset({"transaction"}))
         assert not tuple_sets.has("paper", frozenset({"gray"}))
 
-    def test_nonempty_subsets(self, tuple_sets):
-        assert tuple_sets.nonempty_subsets("paper") == [frozenset({"transaction"})]
-        assert tuple_sets.nonempty_subsets("writes") == []
-
     def test_in_tuple_set(self, tuple_sets):
         assert tuple_sets.in_tuple_set("paper", 1, frozenset({"transaction"}))
         assert not tuple_sets.in_tuple_set("paper", 2, frozenset({"transaction"}))

@@ -151,8 +151,8 @@ def test_modes_agree_after_identical_interleavings(snapshot_path):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_num_edges_is_stored_and_faults_no_row(snapshot_path, mode):
-    """``num_edges`` on a loaded graph and on an epoch over it is a
-    count kept when the graph was built: reading it materializes no
+    """``num_edges`` on a loaded graph and on an epoch over it is
+    twice the stored forward-edge count: reading it materializes no
     row, and it equals the count of a rebuild."""
     from repro.live.mutations import AddEdge, AddNode
 

@@ -1,7 +1,5 @@
 """Origin-size bands and scaling."""
 
-from math import inf
-
 import pytest
 
 from repro.workload.bands import BAND_ORDER, OriginBands
@@ -51,13 +49,6 @@ class TestScaledBands:
             seen.add(bands.classify(f))
         seen.add(bands.classify(10_000))
         assert set(BAND_ORDER) <= seen
-
-    def test_range_for(self):
-        bands = OriginBands()
-        assert bands.range_for("T") == bands.tiny
-        assert bands.range_for("L")[1] == inf
-        with pytest.raises(ValueError):
-            bands.range_for("X")
 
     def test_rejects_empty_graph(self):
         with pytest.raises(ValueError):
