@@ -53,6 +53,16 @@ class TestSeeding(_Explored):
         with pytest.raises(ValueError):
             self.act(g, [frozenset({0})], mu=1.5)
 
+    def test_reseeding_changes_nothing(self):
+        g = build_graph(3, [(0, 1)], prestige=[0.5, 0.3, 0.2])
+        act = self.act(g, [frozenset({0, 2}), frozenset({1})])
+        act.seed_all()
+        rows = [[row[v] for v in range(3)] for row in act.act_rows]
+        totals = [act.total[v] for v in range(3)]
+        act.seed_all()  # max-combine: the same seeds again
+        assert [[row[v] for v in range(3)] for row in act.act_rows] == rows
+        assert [act.total[v] for v in range(3)] == totals
+
 
 class TestBackwardSpreading(_Explored):
     def test_spreads_mu_fraction_to_in_neighbours(self):
@@ -87,6 +97,26 @@ class TestBackwardSpreading(_Explored):
         self.spread_backward(act, 0)  # must not raise
         assert act.drain_changed() == []
 
+    def test_two_incoming_shares_combine_by_max_not_sum(self):
+        # 0 -> 1 and 0 -> 2, both keyword nodes: 0 hears from each.
+        g = build_graph(3, [(0, 1), (0, 2)], prestige=[0.1, 0.6, 0.3])
+        act = self.act(g, [frozenset({1, 2})], mu=0.5)
+        act.seed_all()  # a(1) = 0.3, a(2) = 0.15
+        self.spread_backward(act, 2)
+        assert act.act_rows[0][0] == pytest.approx(0.5 * 0.15)
+        self.spread_backward(act, 1)
+        assert act.act_rows[0][0] == pytest.approx(0.5 * 0.3)
+        assert act.total[0] == pytest.approx(0.5 * 0.3)
+
+    def test_keyword_rows_spread_independently(self):
+        g = build_graph(3, [(0, 1), (0, 2)], prestige=[0.2, 0.4, 0.4])
+        act = self.act(g, [frozenset({2}), frozenset({1})], mu=0.5)
+        act.seed_all()
+        self.spread_backward(act, 2)
+        assert act.act_rows[0][0] == pytest.approx(0.5 * 0.4)
+        assert act.act_rows[1][0] == 0.0  # 2 holds nothing of keyword 1
+        assert act.total[0] == pytest.approx(act.act_rows[0][0])
+
 
 class TestForwardSpreading(_Explored):
     def test_spreads_to_out_neighbours(self):
@@ -105,6 +135,15 @@ class TestForwardSpreading(_Explored):
         once = act.total[1]
         self.spread_forward(act, 0)  # max-combine: the same shares again
         assert act.total[1] == pytest.approx(once)
+
+    def test_forward_shares_are_inverse_to_weight_over_the_norm(self):
+        # Out-edges of 0 weigh 1 and 2: norm = 1/1 + 1/2 = 1.5.
+        g = build_graph(3, [(0, 1, 1.0), (0, 2, 2.0)], prestige=[0.6, 0.2, 0.2])
+        act = self.act(g, [frozenset({0})], mu=0.5)
+        act.seed_all()
+        self.spread_forward(act, 0)
+        assert act.act_rows[0][1] == pytest.approx(0.5 * 0.6 * 1.0 / 1.5)
+        assert act.act_rows[0][2] == pytest.approx(0.5 * 0.6 * 0.5 / 1.5)
 
 
 class TestActivatePropagation(_Explored):
@@ -135,6 +174,27 @@ class TestActivatePropagation(_Explored):
         act._set(1, 0, 0.9)  # an increase at 1
         act._propagate_up(1, 0)
         assert act.act_rows[0][0] > 0.0
+
+    def test_cascade_around_a_cycle_stops_at_the_max(self):
+        # 0 <-> 1 is a cycle of explored nodes: 1's increase reaches 0,
+        # whose smaller share back to 1 must not raise 1 any further.
+        g = build_graph(3, [(0, 1), (1, 0), (1, 2)], prestige=[0.1, 0.1, 0.8])
+        act = self.act(g, [frozenset({2})], mu=0.5)
+        act.seed_all()
+        self.xin.update({0, 1})
+        self.xout.update({0, 1})
+        self.spread_backward(act, 2)
+        assert act.act_rows[0][1] == pytest.approx(0.5 * 0.8)
+        assert 0.0 < act.act_rows[0][0] < act.act_rows[0][1]
+
+    def test_cascade_touches_count_the_rows_written(self):
+        g = build_graph(3, [(0, 1), (1, 2)], prestige=[0.1, 0.1, 0.8])
+        act = self.act(g, [frozenset({2})], mu=0.5)
+        act.seed_all()
+        self.xin.add(1)
+        self.spread_backward(act, 2)
+        assert act.drain_changed() == [0, 1]
+        assert act.cascade_touches == 2  # a(1) by the spread, a(0) by ACTIVATE
 
     def test_drain_reports_increases_only(self):
         g = build_graph(3, [(0, 2), (1, 2)], prestige=[0.2, 0.2, 0.6])

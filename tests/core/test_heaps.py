@@ -74,3 +74,27 @@ class TestLazyMinHeap:
         assert heap.pop()[0] == "first"
         assert heap.pop()[0] == "second"
 
+    def test_popped_item_can_be_pushed_again(self):
+        heap = LazyMinHeap()
+        heap.push("x", 1.0)
+        heap.pop()
+        assert "x" not in heap and heap.get_priority("x") is None
+        heap.push("x", 7.0)
+        assert heap.get_priority("x") == 7.0
+        assert heap.pop() == ("x", 7.0)
+
+    def test_items_drop_popped_entries(self):
+        heap = LazyMinHeap()
+        for item, priority in (("a", 1.0), ("b", 2.0), ("c", 3.0)):
+            heap.push(item, priority)
+        heap.pop()
+        assert dict(heap.items()) == {"b": 2.0, "c": 3.0}
+
+    def test_peek_after_a_stale_top_entry(self):
+        heap = LazyMinHeap()
+        heap.push("x", 1.0)
+        heap.push("y", 2.0)
+        heap.push("x", 5.0)  # the 1.0 entry on top is now stale
+        assert heap.peek_priority() == 2.0
+        assert heap.pop() == ("y", 2.0)
+        assert heap.peek_priority() == 5.0

@@ -179,6 +179,63 @@ class TestEveryKind:
         )
         assert graph.num_edges == 2 * graph.num_forward_edges
 
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    def test_in_rows_are_the_out_rows_transposed(self, kind):
+        graph = _graph_kinds()[kind]
+        out_side = sorted(
+            (u, v, w, fwd) for u in graph.nodes() for v, w, fwd in graph.out_edges(u)
+        )
+        in_side = sorted(
+            (u, v, w, fwd) for v in graph.nodes() for u, w, fwd in graph.in_edges(v)
+        )
+        assert out_side == in_side
+        assert len(in_side) == graph.num_edges
+
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    def test_inverse_weight_sums_match_the_rows(self, kind):
+        graph = _graph_kinds()[kind]
+        for node in graph.nodes():
+            assert graph.out_inv_weight_sum(node) == pytest.approx(
+                sum(1.0 / w for _, w, _ in graph.out_edges(node))
+            )
+            assert graph.in_inv_weight_sum(node) == pytest.approx(
+                sum(1.0 / w for _, w, _ in graph.in_edges(node))
+            )
+
+
+DATASETS = ("dblp", "imdb", "patents")
+
+
+@pytest.mark.parametrize("mode", ("built", "ram", "mapped"))
+@pytest.mark.parametrize("dataset", DATASETS)
+def test_num_edges_is_twice_the_forward_edges_on_every_dataset(dataset, mode):
+    """The edge count is derived, not stored: on every generator's
+    graph, in every residency, it is the number of rows each side holds."""
+    from repro.core.engine import KeywordSearchEngine
+    from repro.datasets import (
+        DblpConfig,
+        ImdbConfig,
+        PatentsConfig,
+        make_dblp,
+        make_imdb,
+        make_patents,
+    )
+
+    maker, config = {
+        "dblp": (make_dblp, DblpConfig),
+        "imdb": (make_imdb, ImdbConfig),
+        "patents": (make_patents, PatentsConfig),
+    }[dataset]
+    graph = KeywordSearchEngine.from_database(maker(config().scaled(0.1))).graph
+    if mode != "built":
+        graph = reloaded(graph, mode)
+    assert graph.num_forward_edges > 0
+    assert graph.num_edges == 2 * graph.num_forward_edges
+    assert graph.num_edges == sum(len(graph.out_edges(v)) for v in graph.nodes())
+    assert graph.num_edges == sum(len(graph.in_edges(v)) for v in graph.nodes())
+    forward = sum(fwd for v in graph.nodes() for _, _, fwd in graph.out_edges(v))
+    assert forward == graph.num_forward_edges
+
 
 class TestNodeBounds:
     @pytest.mark.parametrize("kind", GRAPH_KINDS)

@@ -64,3 +64,23 @@ def test_full_drain_is_sorted(pushes):
     while heap:
         drained.append(heap.pop()[1])
     assert drained == sorted(drained)
+
+
+@given(ops)
+@settings(max_examples=100, deadline=None)
+def test_lookups_match_reference_model(operations):
+    """``peek_priority``, ``get_priority`` and ``in`` see only live
+    entries, whatever stale ones the re-pushes left in the heap."""
+    heap = LazyMinHeap()
+    model: dict[int, float] = {}
+    for op, item, priority in operations:
+        if op == "push":
+            heap.push(item, priority)
+            model[item] = priority
+        elif model:
+            got_item, _ = heap.pop()
+            del model[got_item]
+        assert heap.peek_priority() == (min(model.values()) if model else None)
+        for probe in range(21):
+            assert (probe in heap) == (probe in model)
+            assert heap.get_priority(probe) == model.get(probe)

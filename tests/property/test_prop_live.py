@@ -193,3 +193,22 @@ def test_base_edge_removal_equals_rebuild(data):
     rebuilt = model.build(prestige=dataset.graph.prestige)
     assert_same_graph(dataset.graph, rebuilt.graph)
     assert_same_index(dataset.index, rebuilt.index)
+
+
+@given(batches=st.lists(mutation_sequences(), min_size=1, max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_edge_count_matches_the_rows_after_every_commit(batches):
+    """``num_edges`` is derived from the forward count, never stored:
+    after each commit it is the number of rows either side holds."""
+    dataset = MutableDataset.from_engine(
+        KeywordSearchEngine.from_database(make_toy_db()), compact_ratio=None
+    )
+    for batch in batches:
+        dataset.mutate(batch)
+        graph = dataset.graph
+        nodes = range(graph.num_nodes)
+        forward = sum(fwd for v in nodes for _, _, fwd in graph.out_edges(v))
+        assert forward == graph.num_forward_edges
+        assert graph.num_edges == 2 * graph.num_forward_edges
+        assert graph.num_edges == sum(len(graph.out_edges(v)) for v in nodes)
+        assert graph.num_edges == sum(len(graph.in_edges(v)) for v in nodes)

@@ -310,6 +310,56 @@ class TestFormat:
             load_snapshot(bad, storage_mode=mode)
 
     @pytest.mark.parametrize("mode", MODES)
+    def test_forward_edge_count_below_the_arrays_rejected(
+        self, toy_snapshot, tmp_path, mode
+    ):
+        def edit(header, arrays):
+            header["num_forward_edges"] -= 1
+
+        bad = rewrite_snapshot(toy_snapshot, tmp_path / "low-count.snap", edit)
+        with pytest.raises(SnapshotError, match="inconsistent with its arrays"):
+            load_snapshot(bad, storage_mode=mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_in_side_shorter_than_the_out_side_rejected(
+        self, toy_snapshot, tmp_path, mode
+    ):
+        """A well-formed in-side CSR two entries short: the header's
+        count matches ``out_dst`` but not ``in_src``."""
+
+        def edit(header, arrays):
+            for name in ("in_src", "in_weight", "in_fwd"):
+                arrays[name] = arrays[name][:-2]
+            arrays["in_indptr"] = np.minimum(
+                arrays["in_indptr"], len(arrays["in_src"])
+            )
+
+        bad = rewrite_snapshot(toy_snapshot, tmp_path / "short-in.snap", edit)
+        with pytest.raises(SnapshotError, match="inconsistent with its arrays"):
+            load_snapshot(bad, storage_mode=mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_node_count_disagreeing_with_prestige_rejected(
+        self, toy_snapshot, tmp_path, mode
+    ):
+        def edit(header, arrays):
+            header["num_nodes"] += 1
+
+        bad = rewrite_snapshot(toy_snapshot, tmp_path / "bad-nodes.snap", edit)
+        with pytest.raises(SnapshotError, match="inconsistent with its arrays"):
+            load_snapshot(bad, storage_mode=mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("indptr", ["in_indptr", "rel_indptr"])
+    def test_every_csr_indptr_is_checked(self, toy_snapshot, tmp_path, mode, indptr):
+        def edit(header, arrays):
+            arrays[indptr] = arrays[indptr][:-2]
+
+        bad = rewrite_snapshot(toy_snapshot, tmp_path / "bad-indptr.snap", edit)
+        with pytest.raises(SnapshotError, match=f"malformed {indptr}"):
+            load_snapshot(bad, storage_mode=mode)
+
+    @pytest.mark.parametrize("mode", MODES)
     def test_corrupt_postings_indptr_rejected(self, toy_snapshot, tmp_path, mode):
         def edit(header, arrays):
             arrays["post_indptr"][1] = -4  # decreasing: would mis-slice silently
