@@ -1,4 +1,4 @@
-"""Exhaustive answer enumeration — the correctness oracle (S13).
+"""Exhaustive answer enumeration — the correctness oracle.
 
 For small graphs we can afford what the paper's algorithms avoid:
 examine the whole graph.  One multi-source Dijkstra per keyword over the

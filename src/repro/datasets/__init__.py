@@ -1,4 +1,4 @@
-"""Synthetic dataset generators (substrate S14).
+"""Synthetic dataset generators.
 
 The paper measures on DBLP (2M nodes), IMDB and a 4M-node US Patents
 subset; none of them ships with this repository, so three generators

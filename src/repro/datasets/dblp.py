@@ -1,4 +1,4 @@
-"""Synthetic DBLP-shaped bibliographic database (substrate S14).
+"""Synthetic DBLP-shaped bibliographic database.
 
 Shape mirrors the paper's DBLP graph (Sections 1, 2.1, 5): authors,
 papers, a small set of conference hub nodes with very large fan-in,

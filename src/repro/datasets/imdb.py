@@ -1,4 +1,4 @@
-"""Synthetic IMDB-shaped movie database (substrate S14).
+"""Synthetic IMDB-shaped movie database.
 
 Persons, movies, genre hub nodes, and ``acts``/``directs`` link tuples.
 The frequency stress comes from very common first names ("John in the

@@ -1,4 +1,4 @@
-"""Synthetic US-Patent-shaped database (substrate S14).
+"""Synthetic US-Patent-shaped database.
 
 Patents with assignee company hub nodes (Microsoft holds thousands of
 patents — query UQ1's shape), inventors through ``invents`` link

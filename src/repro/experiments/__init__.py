@@ -1,4 +1,4 @@
-"""Experiment harness (S16): one entry point per paper table/figure.
+"""Experiment harness: one entry point per paper table/figure.
 
 Run from the command line::
 

@@ -1,4 +1,4 @@
-"""Keyword (inverted) index substrate (S6)."""
+"""Keyword (inverted) index."""
 
 from repro.index.inverted import InvertedIndex, build_index
 from repro.index.tokenizer import normalize_term, tokenize

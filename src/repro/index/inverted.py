@@ -1,4 +1,4 @@
-"""Inverted keyword index: term -> set of graph nodes (substrate S6).
+"""Inverted keyword index: term -> set of graph nodes.
 
 Mirrors the paper's "single index ... built on values from selected
 string-valued attributes from multiple tables. The index maps from

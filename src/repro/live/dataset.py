@@ -57,7 +57,6 @@ from repro.live.mutations import (
     AddNode,
     Mutation,
     RemoveEdge,
-    UpdateText,
     coerce_mutations,
 )
 from repro.live.overlay import Overlay, OverlayPostings, OverlayRefs

@@ -1,4 +1,4 @@
-"""Mini in-memory relational engine (substrate S5).
+"""Mini in-memory relational engine.
 
 Provides the schema-validated tuple store the paper's systems sit on:
 the graph builder turns its tuples into nodes and its foreign keys into

@@ -10,7 +10,7 @@ edge order), its prestige vector and the
 :class:`~repro.index.InvertedIndex`, so a warm start skips
 ``KeywordSearchEngine.from_database`` entirely.
 
-**One layout (format version 2).**  A magic preamble, one *small* JSON
+**One layout (format version 3).**  A magic preamble, one *small* JSON
 header (counts, digest, save-time pin hints and an array table of
 ``{offset, dtype, shape, crc32}`` — O(1) in dataset size), then each
 array's raw C-contiguous bytes at a 4096-aligned offset:
@@ -24,16 +24,19 @@ array's raw C-contiguous bytes at a 4096-aligned offset:
 * ``post_indptr``/``post_nodes`` and ``rel_indptr``/``rel_nodes``:
   concatenated postings per index term (sorted node ids; postings are
   sets, so order carries no meaning).
-* ``text_json``: the O(n) text metadata (labels, tables, refs and the
-  term vocabularies) as one JSON blob, left undecoded until a query
-  first reads a label or resolves a term.
+* ``labels``, ``tables``, ``refs``, ``post_terms``, ``rel_terms``: the
+  O(n) text metadata, one JSON list per field, each left undecoded
+  until its first read: a term lookup decodes the two vocabularies,
+  ``label()`` the labels, and no search reads a node's label, table or
+  ref.
 
 **Two residency modes** (``storage_mode``, env hook
 ``REPRO_SNAPSHOT_MODE``) serve that one layout through the same lazy
 :class:`~repro.storage.MappedSearchGraph` /
 :class:`~repro.storage.MappedInvertedIndex` pair and the same pin
-policy, so every load is O(header + pin set) of Python objects and the
-modes differ only in where the bytes live: ``mapped`` (the default)
+policy, so every load is O(header + pin set) of Python objects (the
+four indptr arrays stay typed views, checked in place) and the modes
+differ only in where the bytes live: ``mapped`` (the default)
 leaves them in the file behind one ``mmap`` — paged in on demand,
 shared physically across worker processes, every row's node ids
 range-checked as it faults in; ``ram`` reads them once into process
@@ -105,18 +108,21 @@ _ARRAY_CODES = dict(
     in_indptr="q", in_src="i", in_weight="d", in_fwd="?",
     prestige="d", in_invw="d", out_invw="d",
     post_indptr="q", post_nodes="i", rel_indptr="q", rel_nodes="i",
-    text_json="B",
+    labels="B", tables="B", refs="B", post_terms="B", rel_terms="B",
 )
 
 #: The dtype an array-table entry names, and must name, for each code.
 _CODE_DTYPES = {"q": "int64", "i": "int32", "d": "float64", "?": "uint8", "B": "uint8"}
 
-#: The numeric arrays (everything but the text blob).
-_ARRAY_NAMES = tuple(name for name in _ARRAY_CODES if name != "text_json")
+#: Text metadata fields, each stored as a JSON data section rather than
+#: in the header, with the header count its length must equal.
+_TEXT_FIELDS = dict(
+    labels="num_nodes", tables="num_nodes", refs="num_nodes",
+    post_terms="index_terms", rel_terms="relation_terms",
+)
 
-#: Text metadata fields, stored as the lazily-decoded ``text_json``
-#: data array rather than in the header.
-_TEXT_FIELDS = ("labels", "tables", "refs", "post_terms", "rel_terms")
+#: The numeric arrays (everything but the text sections).
+_ARRAY_NAMES = tuple(name for name in _ARRAY_CODES if name not in _TEXT_FIELDS)
 
 
 # ----------------------------------------------------------------------
@@ -253,16 +259,15 @@ def _write_snapshot(path: Path, meta: dict, arrays: dict) -> Path:
     The tmp name embeds the pid so concurrent writers (processes saving
     to one path) never clobber each other's partial writes.  The header
     carries only O(1) state (counts, digest, array table, pin hints);
-    the O(n) text metadata is serialized as one JSON blob into the
-    ``text_json`` data array, so a load can leave it undecoded until
-    first use.  Every array's ``crc32`` goes into its table entry: the
+    the O(n) text metadata goes into one JSON data section per field,
+    so a load decodes each field only when something first reads it.
+    Every array's ``crc32`` goes into its table entry: the
     eager (``ram``) read and ``snapshot verify`` check it, so a damaged
     data page is named at load instead of mis-answering a query.
     """
     buffers = {name: arrays[name] for name in _ARRAY_NAMES}
-    buffers["text_json"] = json.dumps(
-        {field: meta[field] for field in _TEXT_FIELDS}, ensure_ascii=False
-    ).encode("utf-8")
+    for field in _TEXT_FIELDS:
+        buffers[field] = json.dumps(meta[field], ensure_ascii=False).encode("utf-8")
     table = {}
     offset = 0
     for name, buf in buffers.items():
@@ -348,7 +353,7 @@ def _carve_arrays(
     mid-search.
 
     ``raw`` is the whole file as one byte view: an ``mmap`` of it or
-    the bytes read into memory; one buffer under all 16 arrays.
+    the bytes read into memory; one buffer under all 20 arrays.
     """
     if sys.byteorder != "little":
         raise SnapshotError(f"{path} is little-endian; this host is not")
@@ -396,10 +401,10 @@ def _carve_arrays(
 _PAGE_LANES = 1024
 
 
-def _page_of(lane: int) -> int:
-    """``lane`` in each 32-bit lane of one page, built by doubling shifts
-    (a division or a ``from_bytes`` of a repeated pattern costs more)."""
-    width = 32
+def _page_of(lane: int, width: int = 32) -> int:
+    """``lane`` in each ``width``-bit lane of one page, built by doubling
+    shifts (a division or a ``from_bytes`` of a repeated pattern costs
+    more)."""
     while width < 32 * _PAGE_LANES:
         lane |= lane << width
         width *= 2
@@ -409,6 +414,9 @@ def _page_of(lane: int) -> int:
 #: The top bit of one lane (an int32 id's sign), and of every lane.
 _SIGN = 1 << 31
 _SIGNS = _page_of(_SIGN)
+
+#: The same for the int64 lanes of an indptr page.
+_SIGNS64 = _page_of(1 << 63, 64)
 
 
 def _ids_in_range(ids, n: int) -> bool:
@@ -431,10 +439,32 @@ def _ids_in_range(ids, n: int) -> bool:
     return True
 
 
-def _validate_arrays(header: dict, arrays: dict, path, *, deep: bool) -> dict:
-    """Structural validation shared by both residency modes; returns the
-    four indptr arrays as the Python lists it checked (the lazy classes
-    keep row bounds resident as exactly those lists).
+def _nondecreasing(indptr) -> bool:
+    """Whether ``0 <= a <= b`` for every two consecutive entries ``a, b``
+    of the int64 view ``indptr``, checked at C speed without building a
+    list of it.
+
+    A page of entries plus the next one, read as one little-endian int,
+    gives ``lo`` (the page's lanes) and ``hi`` (the same shifted down one
+    64-bit lane), so each lane pairs an entry with its successor.  With
+    no top bit set anywhere, each lane of ``(hi | signs) - lo`` is
+    ``2**63 + b - a``, inside ``(0, 2**64)``: no borrow crosses a lane,
+    and the lane's top bit is set exactly when ``a <= b``.
+    """
+    per_page = _PAGE_LANES // 2
+    last = len(indptr) - 1
+    for start in range(0, last, per_page):
+        width = 64 * min(per_page, last - start)
+        page = int.from_bytes(indptr[start : start + width // 64 + 1], "little")
+        lo, hi = page & ((1 << width) - 1), page >> 64
+        signs = _SIGNS64 >> (64 * per_page - width)
+        if page & (signs | 1 << (width + 63)) or ((hi | signs) - lo) & signs != signs:
+            return False
+    return True
+
+
+def _validate_arrays(header: dict, arrays: dict, path, *, deep: bool) -> None:
+    """Structural validation shared by both residency modes.
 
     A corrupt file must fail here, not as an IndexError (or a silent
     negative-index mis-score or mis-slice) deep inside a later search.
@@ -445,8 +475,11 @@ def _validate_arrays(header: dict, arrays: dict, path, *, deep: bool) -> dict:
     (:func:`_ids_in_range`); the mapped load checks only the O(n)
     invariants — touching every data page at load time would defeat
     lazy warmup — and range-checks a row's ids when it faults in; the
-    trade-off is documented in ``docs/STORAGE.md``.  The text blob
-    validates its own lengths against the header when first decoded.
+    trade-off is documented in ``docs/STORAGE.md``.  An indptr's order
+    is checked in place (:func:`_nondecreasing`) on the typed view the
+    lazy classes keep as row bounds, so no Python list of it is built.
+    Each text section checks its own length against the header when
+    first decoded.
     """
     if deep:
         for name, arr in arrays.items():
@@ -475,15 +508,13 @@ def _validate_arrays(header: dict, arrays: dict, path, *, deep: bool) -> dict:
         ("post_indptr", "post_nodes", int(header["index_terms"])),
         ("rel_indptr", "rel_nodes", int(header["relation_terms"])),
     )
-    bounds = {}
     for indptr_name, ids_name, num_rows in csr_pairs:
-        indptr, ids = arrays[indptr_name].tolist(), arrays[ids_name]
-        bounds[indptr_name] = indptr
+        indptr, ids = arrays[indptr_name], arrays[ids_name]
         if (
             len(indptr) != num_rows + 1
             or indptr[0] != 0
             or indptr[-1] != len(ids)
-            or indptr != sorted(indptr)
+            or not _nondecreasing(indptr)
         ):
             raise SnapshotError(f"{path} has a malformed {indptr_name} array")
         if deep and not _ids_in_range(ids, num_nodes):
@@ -491,11 +522,10 @@ def _validate_arrays(header: dict, arrays: dict, path, *, deep: bool) -> dict:
                 f"{path} has out-of-range node ids in {ids_name} "
                 f"(expected [0, {num_nodes}))"
             )
-    return bounds
 
 
-def _read_arrays(path: Path, *, eager: bool) -> tuple[dict, dict, dict]:
-    """``(header, arrays, bounds)`` of a snapshot, validated.
+def _read_arrays(path: Path, *, eager: bool) -> tuple[dict, dict]:
+    """``(header, arrays)`` of a snapshot, validated.
 
     ``eager`` reads the file's bytes once into process memory and
     deep-validates them; otherwise the arrays are views of one
@@ -512,10 +542,24 @@ def _read_arrays(path: Path, *, eager: bool) -> tuple[dict, dict, dict]:
         raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
     arrays = _carve_arrays(path, header, data_start, memoryview(raw))
     try:
-        bounds = _validate_arrays(header, arrays, path, deep=eager)
+        _validate_arrays(header, arrays, path, deep=eager)
     except (KeyError, TypeError, ValueError) as exc:
         raise SnapshotError(f"{path} has a malformed header: {exc}") from exc
-    return header, arrays, bounds
+    return header, arrays
+
+
+def _text_sections(header: dict, arrays: dict, path, decode_refs=None) -> dict:
+    """One lazily decoded :class:`~repro.storage.mapped._TextSection`
+    per text field, each checked against its header count."""
+    from repro.storage.mapped import _TextSection
+
+    return {
+        field: _TextSection(
+            arrays[field], field, int(header[count]), path,
+            decode_refs if field == "refs" else None,
+        )
+        for field, count in _TEXT_FIELDS.items()
+    }
 
 
 def load_snapshot(
@@ -536,39 +580,41 @@ def load_snapshot(
       and every node id verified; the file is never touched again.
 
     Both return the same lazy graph/index classes: adjacency rows,
-    posting lists and text metadata materialize on first touch, except
+    posting lists and each text field materialize on first touch, except
     the rows :func:`~repro.storage.apply_pin_policy` faults in at load.
-    Answers and scores are bit-identical across modes.
+    Row bounds stay the file's int64 views and no text section is
+    decoded, so the Python objects a load builds are the header, the
+    prestige floats and the pin set.  A search decodes the two term
+    vocabularies and nothing else of the text.  Answers and scores are
+    bit-identical across modes.
     """
     from repro.storage.mapped import (
         MappedInvertedIndex,
         MappedSearchGraph,
-        _LazyTextField,
-        _TextBlob,
         apply_pin_policy,
     )
 
     path = Path(path)
     mode = resolve_storage_mode(storage_mode)
-    header, arrays, bounds = _read_arrays(path, eager=mode == "ram")
+    header, arrays = _read_arrays(path, eager=mode == "ram")
     num_nodes = int(header["num_nodes"])
-    blob = _TextBlob(arrays["text_json"], header, path, _decode_refs)
+    text = _text_sections(header, arrays, path, _decode_refs)
     stats = StorageStats(mode=mode, path=str(path))
     if mode == "mapped":
         stats.mapped_bytes = sum(int(arr.nbytes) for arr in arrays.values())
     try:
         graph = MappedSearchGraph._from_mapped(
-            out_indptr=bounds["out_indptr"],
+            out_indptr=arrays["out_indptr"],
             out_dst=arrays["out_dst"],
             out_weight=arrays["out_weight"],
             out_fwd=arrays["out_fwd"],
-            in_indptr=bounds["in_indptr"],
+            in_indptr=arrays["in_indptr"],
             in_src=arrays["in_src"],
             in_weight=arrays["in_weight"],
             in_fwd=arrays["in_fwd"],
-            labels=_LazyTextField(blob, "labels", num_nodes),
-            tables=_LazyTextField(blob, "tables", num_nodes),
-            refs=_LazyTextField(blob, "refs", num_nodes),
+            labels=text["labels"],
+            tables=text["tables"],
+            refs=text["refs"],
             num_forward_edges=header["num_forward_edges"],
             prestige=arrays["prestige"],
             in_inv_weight_sum=arrays["in_invw"],
@@ -580,10 +626,11 @@ def load_snapshot(
         # checks above did not name.
         raise SnapshotError(f"{path} is corrupt: {exc}") from exc
     index = MappedInvertedIndex._from_mapped(
-        blob=blob,
-        post_indptr=bounds["post_indptr"],
+        post_terms=text["post_terms"],
+        rel_terms=text["rel_terms"],
+        post_indptr=arrays["post_indptr"],
         post_nodes=arrays["post_nodes"],
-        rel_indptr=bounds["rel_indptr"],
+        rel_indptr=arrays["rel_indptr"],
         rel_nodes=arrays["rel_nodes"],
         num_nodes=num_nodes,
         stats=stats,
@@ -594,15 +641,16 @@ def load_snapshot(
 
 def verify_snapshot(path: Union[str, os.PathLike]) -> dict:
     """Read every byte of ``path`` and check it: per-array checksums,
-    CSR invariants, node-id ranges, the text block, and the content
-    digest recomputed from the data.  Raises
-    :class:`~repro.errors.SnapshotError` naming what failed; returns
-    :func:`snapshot_info` on success."""
-    from repro.storage.mapped import _TextBlob
-
+    CSR invariants, node-id ranges, every text section decoded and
+    length-checked, and the content digest recomputed from the data.
+    Raises :class:`~repro.errors.SnapshotError` naming what failed;
+    returns :func:`snapshot_info` on success."""
     path = Path(path)
-    header, arrays, _ = _read_arrays(path, eager=True)
-    text = _TextBlob(arrays["text_json"], header, path, decode_refs=list).load()
+    header, arrays = _read_arrays(path, eager=True)
+    text = {
+        field: section.load()
+        for field, section in _text_sections(header, arrays, path).items()
+    }
     if _content_digest({**header, **text}, arrays) != header.get("content_digest"):
         raise SnapshotError(f"{path} content does not match its content_digest")
     return snapshot_info(path)

@@ -16,7 +16,7 @@ from typing import Union
 from repro.errors import SnapshotError
 
 SNAPSHOT_FORMAT = "repro-engine-snapshot"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 #: Preamble of a snapshot.  Deliberately starts with a non-ASCII byte
 #: (like numpy's own ``\x93NUMPY``) so no text file or zip container

@@ -1,4 +1,4 @@
-"""Sparse candidate-network baseline (substrate S12)."""
+"""Sparse candidate-network baseline."""
 
 from repro.sparse.candidate_networks import (
     CandidateNetwork,

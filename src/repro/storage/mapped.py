@@ -8,11 +8,12 @@ The arrays are typed ``memoryview`` casts of one buffer: an ``mmap`` of
 the file (``storage_mode="mapped"``) or the file's bytes read into
 process memory (``"ram"``); nothing here can tell the difference but
 the id check below, and nothing here imports numpy.
-Only what every query needs (indptr bounds, prestige) is resident from
-the start as Python numbers; the activation normalizers are indexed in
-place, adjacency and postings materialize per row, and the text block
-(labels, tables, refs, term vocabularies) decodes once on the first
-metadata or vocabulary access.
+Only prestige is resident from the start as Python numbers; the row
+bounds and activation normalizers are indexed in place, adjacency and
+postings materialize per row, and each text field (labels, tables,
+refs, the two term vocabularies) is its own JSON section, decoded on
+its own first read: a term lookup decodes the vocabularies, and no
+search reads a node's label, table or ref.
 
 Bit-identity contract: a materialized row is built through
 ``tolist()``/``zip``, so every neighbor id is a Python int, every
@@ -54,72 +55,55 @@ __all__ = [
 ]
 
 
-class _TextBlob:
-    """The snapshot's text metadata, decoded once on first access.
+class _TextSection(Sequence):
+    """One text field of a snapshot, a JSON list in its own data
+    section, decoded and length-checked on first access.
 
-    The layout stores labels, tables, refs and the two term
-    vocabularies as one JSON blob in the *data* region rather than the
-    header — parsing it is O(n) text work that a lazy load should not
-    pay before a query actually reads a label or looks up a term.
+    Parsing is O(field) text work that a lazy load should not pay
+    before a query reads the field, and a query that resolves terms
+    should not pay for the labels.  ``decode`` (if given) maps the
+    parsed list once, as refs are turned back into tuples.
     """
 
-    __slots__ = ("_raw", "_expect", "_path", "_decode_refs", "_data")
+    __slots__ = ("_raw", "_name", "_len", "_path", "_decode", "_items")
 
     def __init__(
-        self, raw, header: dict, path, decode_refs: Callable[[list], list]
+        self, raw, name: str, length: int, path, decode: Optional[Callable] = None
     ) -> None:
         self._raw = raw
-        self._expect = tuple(
-            int(header[key])
-            for key in ("num_nodes", "index_terms", "relation_terms")
-        )
+        self._name = name
+        self._len = length
         self._path = str(path)
-        self._decode_refs = decode_refs
-        self._data: Optional[dict] = None
+        self._decode = decode
+        self._items: Optional[list] = None
 
-    def load(self) -> dict:
-        data = self._data
-        if data is None:
+    def load(self) -> list:
+        items = self._items
+        if items is None:
             try:
-                data = json.loads(bytes(self._raw).decode("utf-8"))
+                items = json.loads(str(self._raw, "utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise SnapshotError(
-                    f"{self._path} has a corrupt text block: {exc}"
+                    f"{self._path} has a corrupt {self._name} section: {exc}"
                 ) from exc
-            num_nodes, index_terms, relation_terms = self._expect
-            if (
-                len(data.get("labels", ())) != num_nodes
-                or len(data.get("tables", ())) != num_nodes
-                or len(data.get("refs", ())) != num_nodes
-                or len(data.get("post_terms", ())) != index_terms
-                or len(data.get("rel_terms", ())) != relation_terms
-            ):
+            if not isinstance(items, list) or len(items) != self._len:
                 raise SnapshotError(
-                    f"{self._path} text block is inconsistent with its header"
+                    f"{self._path} {self._name} section is inconsistent with "
+                    f"its header (expected {self._len} entries)"
                 )
-            data["refs"] = self._decode_refs(data["refs"])
-            self._data = data
-        return data
-
-
-class _LazyTextField(Sequence):
-    """One list out of a :class:`_TextBlob`, decoded on first access."""
-
-    __slots__ = ("_blob", "_key", "_len")
-
-    def __init__(self, blob: _TextBlob, key: str, length: int) -> None:
-        self._blob = blob
-        self._key = key
-        self._len = length
+            if self._decode is not None:
+                items = self._decode(items)
+            self._items = items
+        return items
 
     def __len__(self) -> int:
         return self._len
 
     def __getitem__(self, i):
-        return self._blob.load()[self._key][i]
+        return self.load()[i]
 
     def __iter__(self):
-        return iter(self._blob.load()[self._key])
+        return iter(self.load())
 
 
 def _unsigned(ids):
@@ -160,10 +144,9 @@ class _LazyAdjacency(Sequence):
     )
 
     def __init__(
-        self, bounds: list[int], ids, weights, fwd, stats: StorageStats, name: str
+        self, bounds, ids, weights, fwd, stats: StorageStats, name: str
     ) -> None:
-        # Bounds are O(n) and consulted on every access: a resident
-        # Python list (the one the loader validated).
+        # The int64 view the loader validated, indexed in place.
         self._bounds = bounds
         self._ids = _unsigned(ids)
         self._weights = weights
@@ -206,9 +189,9 @@ class MappedSearchGraph(SearchGraph):
 
     Prestige is resident (a tuple of Python floats) and the activation
     normalizers are float64 views indexed in place; the two
-    adjacency sides are :class:`_LazyAdjacency` objects and the
-    per-node text metadata decodes from the snapshot's text blob on
-    first access.  Every read accessor of the base class works
+    adjacency sides are :class:`_LazyAdjacency` objects and each
+    per-node text field decodes from its snapshot section on first
+    access.  Every read accessor of the base class works
     unchanged through the sequence protocols and ``with_prestige`` keeps
     the subclass and its ``storage``; what this class adds is the loader
     and :meth:`compact_nbytes`.
@@ -241,8 +224,8 @@ class MappedSearchGraph(SearchGraph):
                 out_indptr, out_dst, out_weight, out_fwd, stats, "out_dst"
             ),
             in_=_LazyAdjacency(in_indptr, in_src, in_weight, in_fwd, stats, "in_src"),
-            # Possibly-lazy sequences: stored as given, never tuple()d
-            # (that would force the text blob at load time).
+            # Lazy sections: stored as given, never tuple()d (that
+            # would decode them at load time).
             labels=labels,
             tables=tables,
             refs=refs,
@@ -260,8 +243,7 @@ class MappedSearchGraph(SearchGraph):
         activation normalizers from: per direction, the neighbour ids
         (int32), weights (float64) and forward flags (uint8) of every
         combined edge, and the two float64 ``sum(1/w)`` vectors.  Row
-        bounds and prestige are resident Python numbers, not arrays,
-        and are not counted."""
+        bounds and prestige are not counted."""
         edge_columns = (
             view
             for side in (self._out, self._in)
@@ -279,26 +261,25 @@ class _LazyPostings(Mapping):
     so members are Python ints) and caches it.  Iteration order is the
     snapshot's term order, which is sorted.
 
-    The term list itself comes from the text blob, decoded on the
+    The term list itself is the ``post_terms`` section, decoded on the
     first *by-name* access; posting rows pinned at load time via
     :meth:`pin_row` cache by row index and need no term names at all.
     """
 
     __slots__ = (
-        "_terms_thunk", "_terms", "_positions",
+        "_terms", "_positions",
         "_bounds", "_nodes", "_num_nodes", "_verify", "_sets", "_by_index", "_stats",
     )
 
     def __init__(
         self,
-        terms_thunk: Callable[[], list],
-        bounds: list[int],
+        terms: _TextSection,
+        bounds,
         nodes,
         num_nodes: int,
         stats: StorageStats,
     ) -> None:
-        self._terms_thunk = terms_thunk
-        self._terms: Optional[list[str]] = None
+        self._terms = terms
         self._positions: Optional[dict[str, int]] = None
         self._bounds = bounds
         self._nodes = _unsigned(nodes)
@@ -309,14 +290,10 @@ class _LazyPostings(Mapping):
         self._stats = stats
 
     def _ensure_terms(self) -> list[str]:
-        terms = self._terms
-        if terms is None:
-            terms = list(self._terms_thunk())
-            if len(terms) != len(self._bounds) - 1:
-                raise SnapshotError(
-                    "posting indptr and term vocabulary lengths disagree"
-                )
-            self._terms = terms
+        # The section's header count is the one the loader checked the
+        # indptr against, so terms and rows pair up.
+        terms = self._terms.load()
+        if self._positions is None:
             self._positions = {term: i for i, term in enumerate(terms)}
         return terms
 
@@ -365,9 +342,11 @@ class MappedInvertedIndex(InvertedIndex):
     """An :class:`InvertedIndex` whose text postings live in snapshot
     arrays.
 
-    The text posting map is a :class:`_LazyPostings`; relation-name
-    postings (a handful of table-name terms) materialize from the text
-    blob on first index read.  The inherited ``lookup`` memoization
+    The text posting map is a :class:`_LazyPostings` over the
+    ``post_terms`` section; relation-name postings (a handful of
+    table-name terms) materialize with the ``rel_terms`` section on
+    first index read.  Every lookup decodes those two vocabularies and
+    never a node's label, table or ref.  The inherited ``lookup`` memoization
     works unchanged — it only uses the mapping protocol — and the
     ``add_*`` mutators are disabled: snapshot state is read-only, live
     mutations go through a live epoch's index, an
@@ -379,7 +358,8 @@ class MappedInvertedIndex(InvertedIndex):
     def _from_mapped(
         cls,
         *,
-        blob: _TextBlob,
+        post_terms: _TextSection,
+        rel_terms: _TextSection,
         post_indptr,
         post_nodes,
         rel_indptr,
@@ -391,9 +371,9 @@ class MappedInvertedIndex(InvertedIndex):
         # and the base constructor would try to assign over it.
         index = cls.__new__(cls)
         index._postings = _LazyPostings(
-            lambda: blob.load()["post_terms"], post_indptr, post_nodes, num_nodes, stats
+            post_terms, post_indptr, post_nodes, num_nodes, stats
         )
-        index._blob = blob
+        index._rel_terms = rel_terms
         index._rel_bounds = rel_indptr
         index._rel_nodes_flat = _unsigned(rel_nodes)
         index._num_nodes = num_nodes
@@ -410,7 +390,7 @@ class MappedInvertedIndex(InvertedIndex):
             flat = self._rel_nodes_flat.tolist()
             verify = _verify_rows(self.storage)
             rel = {}
-            for i, term in enumerate(self._blob.load()["rel_terms"]):
+            for i, term in enumerate(self._rel_terms):
                 ids = flat[bounds[i] : bounds[i + 1]]
                 if verify and ids and max(ids) >= self._num_nodes:
                     raise _bad_row(self.storage, "rel_nodes", i, self._num_nodes)
@@ -485,7 +465,7 @@ def apply_pin_policy(
     rankings deterministic, so every replica pins the same set.  Term
     selection: the :data:`PIN_TERMS` largest text posting lists, ties by
     row index — which is term order, since the snapshot stores terms
-    sorted; pinning by row index keeps the text blob untouched at load
+    sorted; pinning by row index keeps the vocabulary undecoded at load
     time.  Counters are zeroed afterwards so ``row_faults`` /
     ``posting_faults`` measure post-warmup demand misses, while the pin
     set itself is reported through ``pinned_*``.

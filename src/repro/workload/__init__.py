@@ -1,4 +1,4 @@
-"""Workload generation, relevance ground truth and metrics (S15)."""
+"""Workload generation, relevance ground truth and metrics."""
 
 from repro.workload.bands import BAND_ORDER, OriginBands, PAPER_REFERENCE_NODES
 from repro.workload.generator import WorkloadGenerator, WorkloadQuery

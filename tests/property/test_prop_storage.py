@@ -12,11 +12,13 @@ C-level key); with ties everywhere it must still pick exactly the rows
 the stable ``argsort`` formulation picked, and the prestige a graph
 keeps as Python floats must be the vector ``graph.prestige`` hands out.
 A ``ram`` load range-checks every stored node id as 32-bit lanes of
-Python ints; that check must agree with the obvious one on every array.
+Python ints, and every load checks row bounds' order as 64-bit lanes;
+both checks must agree with the obvious ones on every array.
 """
 
 import tempfile
 from array import array
+from itertools import accumulate, pairwise
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,7 @@ from repro.index.inverted import InvertedIndex
 from repro.service.snapshot import (
     _PAGE_LANES,
     _ids_in_range,
+    _nondecreasing,
     load_snapshot,
     save_snapshot,
 )
@@ -127,6 +130,42 @@ def test_id_range_check_agrees_with_brute_force(case):
     n, ids = case
     view = memoryview(array("i", ids))
     assert _ids_in_range(view, n) == all(0 <= v < n for v in ids)
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+@st.composite
+def indptr_arrays(draw):
+    """int64 row bounds, sorted from a base near ``0``, ``2**62`` or the
+    int64 edge, over up to three lane pages, with a few entries anywhere
+    set to a boundary value or nudged past a neighbour."""
+    base = draw(st.sampled_from([0, 2**31, 2**62, INT64_MAX - 64]))
+    length = draw(st.integers(min_value=0, max_value=3 * _PAGE_LANES // 2 + 2))
+    steps = draw(st.lists(st.integers(0, 3), min_size=length, max_size=length))
+    bounds = [min(base + b, INT64_MAX) for b in accumulate(steps)]
+    odd = st.one_of(
+        st.sampled_from([-1, 0, INT64_MIN, INT64_MAX]),
+        st.integers(min_value=INT64_MIN, max_value=INT64_MAX),
+    )
+    edits = st.lists(st.tuples(st.integers(min_value=0), odd), max_size=3)
+    for position, v in draw(edits):
+        if length:
+            bounds[position % length] = v
+    return bounds
+
+
+@example(bounds=[])
+@example(bounds=[-1])
+@example(bounds=[-1, 0])
+@example(bounds=[0] * (_PAGE_LANES // 2) + [-1])
+@example(bounds=[0] * (_PAGE_LANES // 2) + [1, 0])
+@example(bounds=[INT64_MAX, INT64_MAX])
+@given(bounds=indptr_arrays())
+@settings(max_examples=300, deadline=None)
+def test_indptr_order_check_agrees_with_brute_force(bounds):
+    view = memoryview(array("q", bounds))
+    assert _nondecreasing(view) == all(0 <= a <= b for a, b in pairwise(bounds))
 
 
 @given(

@@ -153,6 +153,20 @@ class TestVersionAndDigest:
             "2688b60f8b45fdc6c65f48d70e118d1ef80375aeee1ca803d469967ce220fe30"
         )
 
+    def test_a_dblp_engine_digests_as_it_did_in_one_blob(self, tmp_path):
+        """Pinned from a version-2 save (one JSON text blob) of the same
+        engine: the digest hashes content, not layout, so moving the
+        text into per-field sections leaves reload no-ops and WAL
+        lineage untouched."""
+        from repro.datasets import DblpConfig, make_dblp
+
+        engine = KeywordSearchEngine.from_database(make_dblp(DblpConfig().scaled(0.1)))
+        path = save_engine(tmp_path / "dblp.snap", engine)
+        assert snapshot_info(path)["content_digest"] == (
+            "eac0d75cbbfe7a90345298fee239c5d2757ca346b6065fb414a4918732e6c31b"
+        )
+        assert verify_snapshot(path)["version"] == SNAPSHOT_VERSION == 3
+
     def test_explicit_version_round_trips(self, toy_engine, tmp_path):
         path = save_engine(tmp_path / "v7.snap", toy_engine, version=7)
         assert snapshot_info(path)["dataset_version"] == 7
@@ -260,6 +274,22 @@ class TestFormat:
         bad = rewrite_snapshot(toy_snapshot, tmp_path / "other.snap", edit)
         with pytest.raises(SnapshotError, match="is not a repro-engine-snapshot"):
             load_snapshot(bad)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_version_2_is_refused_naming_version_3(self, toy_snapshot, tmp_path, mode):
+        """One layout: a version-2 file (its text one JSON blob) is
+        re-saved from the database, never read."""
+
+        def edit(header, arrays):
+            header["version"] = 2
+
+        old = rewrite_snapshot(toy_snapshot, tmp_path / "v2.snap", edit)
+        with pytest.raises(
+            SnapshotError, match="snapshot version 2; this build reads version 3"
+        ):
+            load_snapshot(old, storage_mode=mode)
+        with pytest.raises(SnapshotError, match="reads version 3"):
+            verify_snapshot(old)
 
     def test_future_version_rejected(self, toy_snapshot, tmp_path):
         def edit(header, arrays):
@@ -377,23 +407,43 @@ class TestFormat:
             load_snapshot(bad, storage_mode="ram")
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_corrupt_text_lengths_raise_snapshot_error(
+    def test_a_short_tables_section_fails_at_the_first_table_read(
         self, toy_snapshot, tmp_path, mode
     ):
-        """The text block is decoded lazily, so its length check fires
-        at the first label read — still as a SnapshotError."""
+        """Each text section is decoded lazily and on its own, so its
+        length check fires at the first read of that field — still as a
+        SnapshotError naming the section — and not at a label read."""
 
         def edit(header, arrays):
-            text = json.loads(arrays["text_json"].tobytes())
-            text["tables"] = text["tables"][:-1]  # one element short
-            arrays["text_json"] = np.frombuffer(
-                json.dumps(text).encode(), dtype=np.uint8
-            )
+            tables = json.loads(arrays["tables"].tobytes())[:-1]  # one short
+            arrays["tables"] = np.frombuffer(json.dumps(tables).encode(), np.uint8)
 
         bad = rewrite_snapshot(toy_snapshot, tmp_path / "bad-tables.snap", edit)
-        graph, _ = load_snapshot(bad, storage_mode=mode)
-        with pytest.raises(SnapshotError, match="text block is inconsistent"):
-            graph.label(0)
+        graph, index = load_snapshot(bad, storage_mode=mode)
+        assert graph.label(0) and index.lookup("gray")
+        with pytest.raises(SnapshotError, match="tables section is inconsistent"):
+            graph.table(0)
+        with pytest.raises(SnapshotError, match="tables section"):
+            verify_snapshot(bad)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("field", ["post_terms", "rel_terms"])
+    def test_a_damaged_vocabulary_fails_at_the_first_term_lookup(
+        self, toy_snapshot, tmp_path, mode, field
+    ):
+        """Valid checksums over bytes that are not JSON: the load reads
+        no text section, so the first term lookup names the damage."""
+
+        def edit(header, arrays):
+            arrays[field] = np.frombuffer(b'["gray", "tra', np.uint8)
+
+        bad = rewrite_snapshot(toy_snapshot, tmp_path / "bad-vocab.snap", edit)
+        graph, index = load_snapshot(bad, storage_mode=mode)
+        assert graph.label(0)
+        with pytest.raises(SnapshotError, match=f"corrupt {field} section"):
+            index.lookup("gray")
+        with pytest.raises(SnapshotError, match=f"corrupt {field} section"):
+            verify_snapshot(bad)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_missing_arrays_rejected(self, toy_snapshot, tmp_path, mode):
@@ -510,7 +560,11 @@ def flip_byte(path: Path, array: str, out: Path) -> Path:
 
 class TestIntegrity:
     @pytest.mark.parametrize(
-        "array", ["out_dst", "in_weight", "prestige", "post_nodes", "text_json"]
+        "array",
+        [
+            "out_dst", "in_weight", "prestige", "post_nodes",
+            "labels", "tables", "refs", "post_terms", "rel_terms",
+        ],
     )
     def test_ram_load_names_the_damaged_array(self, toy_snapshot, tmp_path, array):
         bad = flip_byte(toy_snapshot, array, tmp_path / "flipped.snap")

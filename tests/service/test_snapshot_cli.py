@@ -22,7 +22,7 @@ def test_info_prints_header_fields(toy_snapshot_path, capsys):
     info = snapshot_info(toy_snapshot_path)
     for key, value in info.items():
         assert f"{key} = {value}" in out
-    assert "version = 2" in out
+    assert "version = 3" in out
 
 
 def test_info_without_sibling_wal_stays_quiet(toy_snapshot_path, capsys):

@@ -3,7 +3,8 @@
 ``oracle_save`` below is the writer as it stood at commit 362dfd4 —
 per-element ndarray stores, ``ascontiguousarray`` buffers, a stable
 ``argsort`` for the pin hints — kept here, where numpy is welcome, as
-the reference.  The writer in ``repro.service.snapshot`` imports no
+the reference, with its one JSON text blob split into the per-field
+sections of format version 3.  The writer in ``repro.service.snapshot`` imports no
 numpy; for every graph these tests can think of it must produce the
 same file, byte for byte: same header (array table, ``crc32``s,
 ``content_digest``, ``pin_hints``), same data pages.
@@ -145,11 +146,10 @@ def _oracle_pin_hints(meta, arrays):
 
 def oracle_save(path, graph, index, *, version=0) -> Path:
     meta, arrays = _oracle_pack_state(graph, index, version)
-    text_blob = json.dumps(
-        {field: meta[field] for field in TEXT_FIELDS}, ensure_ascii=False
-    ).encode("utf-8")
     contiguous = {name: np.ascontiguousarray(arrays[name]) for name in ARRAY_NAMES}
-    contiguous["text_json"] = np.frombuffer(text_blob, dtype=np.uint8)
+    for field in TEXT_FIELDS:
+        section = json.dumps(meta[field], ensure_ascii=False).encode("utf-8")
+        contiguous[field] = np.frombuffer(section, dtype=np.uint8)
     table = {}
     offset = 0
     for name, arr in contiguous.items():

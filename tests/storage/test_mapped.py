@@ -35,7 +35,7 @@ class TestFormat:
     def test_default_save_is_the_mapped_layout(self, snapshot):
         assert snapshot.read_bytes().startswith(MAPPED_MAGIC)
         info = snapshot_info(snapshot)
-        assert info["version"] == SNAPSHOT_VERSION == 2
+        assert info["version"] == SNAPSHOT_VERSION == 3
         assert info["dataset_version"] == 5
 
     def test_header_carries_pin_hints(self, snapshot):
@@ -164,7 +164,10 @@ class TestLaziness:
         assert len(graph._out._rows) == stats.pinned_nodes
         assert len(graph._in._rows) == stats.pinned_nodes
         assert len(index._postings._by_index) == stats.pinned_terms
-        assert index._blob._data is None  # text block still undecoded
+        # No text section decoded; the row bounds stay the file's views.
+        text = (graph._labels, graph._tables, graph._refs, index._rel_terms)
+        assert all(section._items is None for section in (*text, index._postings._terms))
+        assert all(type(side._bounds) is memoryview for side in (graph._out, graph._in))
         assert stats.resident_bytes == stats.pinned_bytes
         assert (stats.row_faults, stats.posting_faults) == (0, 0)
 
