@@ -411,8 +411,8 @@ class ShardedQueryService(ServiceCore):
         restarts: the commit is an in-process overlay.  Exception
         semantics like :meth:`warmup` — a replica that fails the batch raises here
         (``MutationError`` for bad batches, ``WorkerCrashedError`` for
-        a crash; the survivors stay consistent because a bad batch
-        rolls back atomically on every replica).
+        a crash; the survivors stay consistent because every replica
+        drops a bad batch whole).
 
         Returns the thread tier's :class:`~repro.live.MutationResult`
         with ``workers`` (``{worker_id: version}``) filled in.
@@ -448,7 +448,7 @@ class ShardedQueryService(ServiceCore):
             log = self._log(dataset)
             if log is not None and wire:
                 # Empty batches are version no-ops on every replica
-                # (commit() early-returns); journaling one would leave
+                # (mutate() commits nothing); journaling one would leave
                 # a record that bumps nothing and desynchronize WAL
                 # sequences from replica versions forever.
                 payload["seq"] = log.append(wire)
@@ -460,8 +460,8 @@ class ShardedQueryService(ServiceCore):
                     futures, "mutate", timeout=self.APPLY_TIMEOUT, strict=True
                 )
             except MutationError:
-                # A rejected batch rolls back atomically on every
-                # replica *of the same state*, so the record should not
+                # A rejected batch is dropped whole on every replica
+                # *of the same state*, so the record should not
                 # survive to be replayed at the next restart — but a
                 # drifted replica (e.g. one whose non-strict startup
                 # replay stopped early) can reject a batch its healthy

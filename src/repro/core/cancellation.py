@@ -57,8 +57,7 @@ class CancellationToken:
     ----------
     deadline:
         Absolute ``time.monotonic()`` instant after which the token
-        fires with reason ``"deadline"`` (use :meth:`with_timeout` for
-        the relative spelling).
+        fires with reason ``"deadline"``.
     check_every:
         Full checks (clock, parent, external probe) run once per this
         many :meth:`tick` calls; a cancelled search returns within at
@@ -73,10 +72,6 @@ class CancellationToken:
         Zero-argument callable probed on full checks; truthy means
         "cancel now" with reason ``"cancelled"``.  The cluster worker
         probes the job ids cancelled down its channel through this.
-    cancel_at_tick:
-        Fire (reason ``"cancelled"``) once this many ticks have
-        elapsed.  Checked on *every* tick, so tests and tick-budget
-        callers get deterministic, exact cut points.
     """
 
     __slots__ = (
@@ -84,11 +79,9 @@ class CancellationToken:
         "check_every",
         "parent",
         "external_check",
-        "cancel_at_tick",
         "_ticks",
         "_fired",
         "_reason",
-        "_fired_at",
         "_lock",
     )
 
@@ -99,32 +92,17 @@ class CancellationToken:
         check_every: int = 32,
         parent: Optional["CancellationToken"] = None,
         external_check: Optional[Callable[[], bool]] = None,
-        cancel_at_tick: Optional[int] = None,
     ) -> None:
         if check_every < 1:
             raise ValueError(f"check_every must be >= 1, got {check_every!r}")
-        if cancel_at_tick is not None and cancel_at_tick < 0:
-            raise ValueError(
-                f"cancel_at_tick must be >= 0, got {cancel_at_tick!r}"
-            )
         self.deadline = deadline
         self.check_every = check_every
         self.parent = parent
         self.external_check = external_check
-        self.cancel_at_tick = cancel_at_tick
         self._ticks = 0
         self._fired = False
         self._reason: Optional[str] = None
-        self._fired_at: Optional[float] = None
         self._lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def with_timeout(cls, seconds: float, **kwargs) -> "CancellationToken":
-        """A token whose deadline is ``seconds`` from now."""
-        if seconds <= 0:
-            raise ValueError(f"timeout must be positive, got {seconds!r}")
-        return cls(deadline=time.monotonic() + seconds, **kwargs)
 
     # ------------------------------------------------------------------
     # firing
@@ -139,7 +117,6 @@ class CancellationToken:
             if not self._fired:
                 self._fired = True
                 self._reason = reason
-                self._fired_at = time.monotonic()
 
     # ------------------------------------------------------------------
     # observation
@@ -155,39 +132,19 @@ class CancellationToken:
         None while live."""
         return self._reason
 
-    @property
-    def fired_at(self) -> Optional[float]:
-        """``time.monotonic()`` instant the token fired, or None."""
-        return self._fired_at
-
-    @property
-    def ticks(self) -> int:
-        """Ticks consumed so far (pops, for the search loops)."""
-        return self._ticks
-
-    def remaining(self) -> Optional[float]:
-        """Seconds until the deadline (None without one; floored at 0)."""
-        if self.deadline is None:
-            return None
-        return max(0.0, self.deadline - time.monotonic())
-
     # ------------------------------------------------------------------
     # checking
     # ------------------------------------------------------------------
     def tick(self) -> bool:
         """Count one loop iteration; True once the token has fired.
 
-        The hot-loop entry point: a fired token and the
-        ``cancel_at_tick`` budget are checked every call, the expensive
-        sources (clock, parent, external probe) only every
-        ``check_every`` calls.
+        The hot-loop entry point: a fired token is noticed every call,
+        the expensive sources (clock, parent, external probe) only
+        every ``check_every`` calls.
         """
         if self._fired:
             return True
         self._ticks += 1
-        if self.cancel_at_tick is not None and self._ticks >= self.cancel_at_tick:
-            self._fire(REASON_CANCELLED)
-            return True
         if self._ticks % self.check_every:
             return False
         return self.check()

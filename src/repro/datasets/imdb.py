@@ -80,7 +80,9 @@ class ImdbConfig:
 def make_imdb(config: ImdbConfig = ImdbConfig()) -> Database:
     """Generate a deterministic IMDB-like database for ``config``."""
     rng = random.Random(config.seed)
-    vocab = make_vocabulary(config.vocabulary_size, head=MOVIE_WORDS, tail_prefix="reel")
+    vocab = make_vocabulary(
+        config.vocabulary_size, head=MOVIE_WORDS, tail_prefix="reel"
+    )
     names = NamePool(rare_last_fraction=0.3)
     db = Database(IMDB_SCHEMA)
 

@@ -90,7 +90,12 @@ def run_ablation_activation(
     report = Report(
         experiment="ABL1",
         title="Activation attenuation mu vs distance-only prioritization",
-        headers=["configuration", "gen pops (geomean)", "out pops (geomean)", "queries"],
+        headers=[
+            "configuration",
+            "gen pops (geomean)",
+            "out pops (geomean)",
+            "queries",
+        ],
     )
     relevants = [_relevant_for(bench, q, result_size) for q in queries]
 

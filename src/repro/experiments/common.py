@@ -110,7 +110,9 @@ def geomean(values: Sequence[float]) -> Optional[float]:
     return math.exp(sum(math.log(v) for v in cleaned) / len(cleaned))
 
 
-def safe_ratio(numerator: Optional[float], denominator: Optional[float]) -> Optional[float]:
+def safe_ratio(
+    numerator: Optional[float], denominator: Optional[float]
+) -> Optional[float]:
     """Ratio guarded against missing/zero denominators; zero-cost
     measurements are clamped to one pop/tick so early hits do not yield
     infinite ratios."""

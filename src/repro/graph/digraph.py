@@ -159,7 +159,9 @@ class DataGraph:
     # ------------------------------------------------------------------
     def _check_mutable(self) -> None:
         if self._frozen:
-            raise GraphFrozenError("DataGraph has been frozen; build a new one to mutate")
+            raise GraphFrozenError(
+                "DataGraph has been frozen; build a new one to mutate"
+            )
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < len(self._labels):

@@ -19,6 +19,7 @@ of a base graph (:mod:`repro.live.overlay`).
 from __future__ import annotations
 
 from copy import copy
+from math import isfinite
 from typing import TYPE_CHECKING, Hashable, Iterator, Optional, Sequence
 
 from repro.errors import UnknownNodeError
@@ -178,8 +179,9 @@ class SearchGraph:
         if shape != (n,):
             raise ValueError(f"prestige vector must have shape ({n},), got {shape}")
         vec = tuple(map(float, prestige))
-        if vec and not min(vec) >= 0.0:  # a leading NaN fails too
-            raise ValueError("prestige values must be non-negative")
+        # min() skips a NaN past index 0; isfinite does not.
+        if vec and not (min(vec) >= 0.0 and all(map(isfinite, vec))):
+            raise ValueError("prestige values must be finite and non-negative")
         return vec
 
     def with_prestige(self, prestige) -> "SearchGraph":

@@ -12,11 +12,14 @@ the frozen substrate without giving up any of its guarantees:
   committed epoch is a plain ``SearchGraph`` + ``InvertedIndex`` whose
   per-node sequences and posting maps read the base's plus deltas;
 * :mod:`repro.live.dataset` — :class:`MutableDataset`, the MVCC epoch
-  manager: staged mutations, monotone-versioned commits (in-flight
-  searches keep their epoch), incremental backward-weight and posting
-  maintenance, and compaction back to flat arrays.  A dataset keeps
-  data, not lineage: it writes no file, and prestige stays what the
-  base was built with (new nodes take the base's mean).
+  manager: ``mutate(batch)`` is the one way to change a dataset — a
+  batch stages into its own scratch and commits whole or not at all —
+  with monotone-versioned commits (in-flight searches keep their
+  epoch), incremental backward-weight and posting maintenance, one
+  committed copy of the delta that every epoch reads uncopied, and
+  compaction back to flat arrays.  A dataset keeps data, not lineage:
+  it writes no file, and prestige stays what the base was built with
+  (new nodes take the base's mean).
 
 Service integration lives in the owning tiers:
 ``QueryService.apply`` / ``register_mutable`` (version-keyed result

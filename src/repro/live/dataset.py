@@ -4,18 +4,20 @@ The paper's model assumes a static in-memory graph; a deployment's data
 changes under live traffic.  This module closes that gap with an
 MVCC-style epoch design:
 
-* **Staging** — :meth:`MutableDataset.add_node` / :meth:`add_edge` /
-  :meth:`remove_edge` / :meth:`update_text` apply structured mutations
-  to *working* copy-on-write state: touched nodes get private
-  adjacency lists, new nodes live in extension arrays, index changes
-  live in posting deltas.  Nothing a search can see changes yet.
-* **Commit** — :meth:`commit` freezes the working deltas into an
-  immutable :class:`~repro.graph.SearchGraph` +
-  :class:`~repro.index.InvertedIndex` pair whose storage is a
-  copy-on-write overlay of the base's (:mod:`repro.live.overlay`),
-  builds a fresh :class:`~repro.core.engine.KeywordSearchEngine` over
-  them, and bumps the monotone ``version``.  In-flight searches keep
-  the epoch they started on; new requests see the new one.
+* **Batches** — :meth:`MutableDataset.mutate` is the one way to change
+  a dataset.  It applies a batch of structured mutations
+  (:mod:`repro.live.mutations`) to a private scratch: copies of the
+  adjacency rows it touches, the nodes it appends, the posting deltas
+  of the terms it touches and its wire record.  A mutation or journal
+  that raises drops the scratch, so there is nothing to undo.
+* **Commit** — a batch that applied whole is merged into new committed
+  delta maps.  They are never edited afterwards: an epoch's
+  :class:`~repro.graph.SearchGraph` + :class:`~repro.index.InvertedIndex`
+  pair reads them uncopied, as a copy-on-write overlay of the base's
+  storage (:mod:`repro.live.overlay`), under a fresh
+  :class:`~repro.core.engine.KeywordSearchEngine`, and the monotone
+  ``version`` bumps.  In-flight searches keep the epoch they started
+  on; new requests see the new one.
 * **Compaction** — when the overlay grows past ``compact_ratio`` the
   deltas are folded back into flat :class:`~repro.graph.SearchGraph`
   arrays (adjacency order preserved, so scores stay bit-identical).
@@ -25,9 +27,9 @@ MVCC-style epoch design:
 Incremental maintenance is the subtle part: a forward edge into ``v``
 changes ``indegree(v)``, and with it the weight of *every* derived
 backward edge out of ``v`` (``w * log2(1 + indegree)``, paper
-Section 2.3).  :meth:`add_edge` / :meth:`remove_edge` therefore reweight
-``v``'s backward adjacency and each affected partner's in-list, and the
-``sum(1/w)`` activation normalizers of touched nodes are re-summed in
+Section 2.3).  Adding or removing an edge therefore reweights ``v``'s
+backward adjacency and each affected partner's in-list, and the
+``sum(1/w)`` activation normalizers of touched rows are re-summed in
 adjacency order — which keeps every float bit-identical to a
 from-scratch rebuild of the final state (the equivalence property
 ``tests/property/test_prop_live.py`` pins).
@@ -41,15 +43,15 @@ mean.  To refresh prestige, build a new snapshot and ``reload`` it.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from math import fsum, inf
-from typing import Hashable, Optional, Sequence
+from dataclasses import dataclass, replace
+from math import fsum
+from typing import Optional, Sequence
 
 from repro.core.engine import KeywordSearchEngine
 from repro.core.params import SearchParams
 from repro.errors import MutationError
 from repro.graph.searchgraph import Edge, SearchGraph
-from repro.graph.weights import DEFAULT_FORWARD_WEIGHT, backward_edge_weight
+from repro.graph.weights import backward_edge_weight
 from repro.index.inverted import InvertedIndex
 from repro.index.tokenizer import tokenize
 from repro.live.mutations import (
@@ -57,7 +59,9 @@ from repro.live.mutations import (
     AddNode,
     Mutation,
     RemoveEdge,
+    UpdateText,
     coerce_mutations,
+    mutation_to_dict,
 )
 from repro.live.overlay import Overlay, OverlayPostings, OverlayRefs
 
@@ -90,7 +94,8 @@ class MutationOutcome:
 
 
 class MutableDataset:
-    """Copy-on-write mutable view over a frozen graph + index pair.
+    """Versioned live view over a frozen graph + index pair, changed
+    only by whole batches (:meth:`mutate`).
 
     Parameters
     ----------
@@ -113,8 +118,8 @@ class MutableDataset:
 
     The dataset holds no durability sink and writes no file: a caller
     that wants a commit logged passes the write-ahead step to
-    :meth:`mutate` / :meth:`commit` as ``journal`` (``QueryService.apply``
-    passes its log's ``append``).
+    :meth:`mutate` as ``journal`` (``QueryService.apply`` passes its
+    log's ``append``).
     """
 
     def __init__(
@@ -136,9 +141,6 @@ class MutableDataset:
         self._compact_ratio = compact_ratio
         self._lock = threading.RLock()
         self._version = 0
-        self._commits = 0
-        self._muts_since_compact = 0
-        self._applied_total = 0
         self._rebase(graph, index)
         values = graph.prestige_values
         self._new_node_prestige = fsum(values) / len(values) if values else 1.0
@@ -150,41 +152,29 @@ class MutableDataset:
         )
 
     def _rebase(self, graph: SearchGraph, index: InvertedIndex) -> None:
-        """Reset all delta state on top of a new flat base (construction
-        and compaction)."""
+        """Start an empty committed delta over a new flat base
+        (construction and compaction)."""
         self._base_graph = graph
         self._base_n = graph.num_nodes
         self._base_post, self._base_rel = index._export_postings()
-        # Working (mutable) state — what staging edits.
-        self._out: dict[int, list[Edge]] = {}
-        self._in: dict[int, list[Edge]] = {}
-        self._labels_ext: list[str] = []
-        self._tables_ext: list[Optional[str]] = []
-        self._refs_ext: list[Optional[tuple[str, Hashable]]] = []
-        self._prestige_ext: list[float] = []
         self._fwd_count = graph.num_forward_edges
-        self._added: dict[str, set[int]] = {}
-        self._removed: dict[str, set[int]] = {}
-        self._rel_added: dict[str, set[int]] = {}
-        self._node_terms: Optional[dict[int, set[str]]] = None
-        # Committed (frozen) overlay — what epochs are built from.
-        self._frozen_out: dict[int, tuple[Edge, ...]] = {}
-        self._frozen_in: dict[int, tuple[Edge, ...]] = {}
+        self._muts_since_compact = 0
+        # The committed delta.  Each commit replaces these maps and
+        # tuples with new ones and never edits them, so every epoch's
+        # overlay holds them uncopied.
+        self._out: dict[int, tuple[Edge, ...]] = {}
+        self._in: dict[int, tuple[Edge, ...]] = {}
         self._out_invw: dict[int, float] = {}
         self._in_invw: dict[int, float] = {}
-        self._f_added: dict[str, frozenset[int]] = {}
-        self._f_removed: dict[str, frozenset[int]] = {}
-        self._f_rel_added: dict[str, frozenset[int]] = {}
-        # Staging bookkeeping (cleared on commit, restored on rollback).
-        self._dirty_nodes: set[int] = set()
-        self._dirty_terms: set[str] = set()
-        self._staged = 0
-        # Wire-dict mirror of the staged mutations, aliases resolved —
-        # what a commit's journal records so replay is exact.
-        self._staged_wire: list[dict] = []
-        self._committed_ext = 0
-        self._committed_fwd = self._fwd_count
-        self._committed_muts = self._muts_since_compact
+        self._added: dict[str, frozenset[int]] = {}
+        self._removed: dict[str, frozenset[int]] = {}
+        self._rel_added: dict[str, frozenset[int]] = {}
+        self._labels_ext: tuple = ()
+        self._tables_ext: tuple = ()
+        self._refs_ext: tuple = ()
+        self._prestige_ext: tuple[float, ...] = ()
+        # node -> indexed text terms, built on the first text update.
+        self._node_terms: Optional[dict[int, frozenset[str]]] = None
 
     # ------------------------------------------------------------------
     # construction conveniences
@@ -216,10 +206,10 @@ class MutableDataset:
         dataset.replay_records(log.records(start_after=start), expected=start + 1)
         return dataset
 
-    def replay_records(
-        self, records, *, expected: int, strict: bool = True
-    ) -> int:
-        """Apply an iterable of :class:`~repro.wal.WalRecord` in order.
+    def replay_records(self, records, *, expected: int, strict: bool = True) -> int:
+        """Apply an iterable of :class:`~repro.wal.WalRecord` in order,
+        each as one :meth:`mutate` journalled nowhere (the record *is*
+        the journal).
 
         ``expected`` names the sequence number the first record must
         carry; a gap raises :class:`~repro.errors.WalError` (exact
@@ -244,7 +234,9 @@ class MutableDataset:
                     f"back to this snapshot; recover from a newer one)"
                 )
             try:
-                self._replay_record(record)
+                if record.refused is not None:
+                    raise MutationError(record.refused)
+                self.mutate(record.mutations)
             except Exception as exc:
                 if strict:
                     raise WalError(
@@ -260,22 +252,6 @@ class MutableDataset:
             applied += 1
             expected += 1
         return applied
-
-    def _replay_record(self, record) -> Epoch:
-        """Apply one :class:`~repro.wal.WalRecord` as a single commit,
-        journalled nowhere (the record *is* the journal)."""
-        if record.refused is not None:
-            raise MutationError(record.refused)
-        with self._lock:
-            batch = coerce_mutations(record.mutations)
-            new_nodes: list[int] = []
-            try:
-                for mutation in batch:
-                    self._apply_one(mutation, new_nodes)
-            except Exception:
-                self.rollback()
-                raise
-            return self.commit()
 
     # ------------------------------------------------------------------
     # epoch access (lock-free reads: epochs are immutable)
@@ -300,359 +276,90 @@ class MutableDataset:
     def index(self):
         return self._epoch.index
 
-    def stats(self) -> dict:
-        """Overlay size counters (for metrics and compaction tuning)."""
-        with self._lock:
-            return {
-                "version": self._epoch.version,
-                "commits": self._commits,
-                "mutations_applied": self._applied_total,
-                "base_nodes": self._base_n,
-                "added_nodes": len(self._labels_ext),
-                "touched_nodes": len(self._frozen_out),
-                "forward_edges": self._fwd_count,
-                "staged": self._staged,
-                "mutations_since_compaction": self._muts_since_compact,
-            }
-
     # ------------------------------------------------------------------
-    # staging
+    # mutation, commit and compaction
     # ------------------------------------------------------------------
-    def add_node(
-        self,
-        label: str = "",
-        *,
-        table: Optional[str] = None,
-        ref: Optional[tuple[str, Hashable]] = None,
-        text: Optional[str] = None,
-        prestige: Optional[float] = None,
-    ) -> int:
-        """Stage a new node; returns its (immediately final) id.
-
-        ``table`` registers the node under the relation name (paper
-        Section 2.2 semantics: a keyword matching a relation name
-        matches every tuple of it); ``text`` indexes the node's terms —
-        together they mirror what :func:`repro.index.build_index` does
-        for one inserted tuple.  ``prestige`` overrides the default, the
-        base's mean prestige; the journal always records the resolved
-        value, so replay assigns it bit-identically regardless of which
-        snapshot lineage it starts from.
-        """
-        with self._lock:
-            if prestige is None:
-                prestige = self._new_node_prestige
-            else:
-                prestige = float(prestige)
-                if prestige < 0:
-                    raise MutationError(
-                        f"prestige must be >= 0, got {prestige!r}"
-                    )
-            node = self._base_n + len(self._labels_ext)
-            self._labels_ext.append(label)
-            self._tables_ext.append(table)
-            self._refs_ext.append(ref if ref is None else tuple(ref))
-            self._prestige_ext.append(prestige)
-            self._out[node] = []
-            self._in[node] = []
-            self._dirty_nodes.add(node)
-            if table is not None:
-                for term in tokenize(table):
-                    self._rel_added.setdefault(term, set()).add(node)
-                    self._dirty_terms.add(term)
-            if text:
-                terms = set(tokenize(text))
-                for term in terms:
-                    self._post_add(term, node)
-                if self._node_terms is not None:
-                    self._node_terms[node] = terms
-            self._staged_wire.append(
-                {
-                    "op": "add_node",
-                    "label": label,
-                    "table": table,
-                    "ref": list(ref) if ref is not None else None,
-                    "text": text,
-                    "prestige": prestige,
-                }
-            )
-            self._staged += 1
-            self._muts_since_compact += 1
-            return node
-
-    def add_edge(
-        self, u: int, v: int, weight: float = DEFAULT_FORWARD_WEIGHT
-    ) -> None:
-        """Stage a forward edge ``u -> v`` plus its derived backward
-        edge, reweighting ``v``'s other backward edges for the new
-        indegree."""
-        with self._lock:
-            self._check_node(u, "add_edge u")
-            self._check_node(v, "add_edge v")
-            if u == v:
-                raise MutationError(f"self loops are not allowed (node {u})")
-            weight = float(weight)
-            if not 0.0 < weight < inf:  # NaN fails too
-                raise MutationError(
-                    f"edge weight must be finite and > 0, got {weight!r}"
-                )
-            # Every backward weight into ``v`` is rescaled for the new
-            # indegree: refuse the edge before staging it if the
-            # heaviest would overflow.
-            heaviest = max(
-                [weight]
-                + [w for _, w, forward in self._current_list(self._in, v) if forward]
-            )
-            try:
-                backward_edge_weight(heaviest, self._fwd_indegree(v) + 1)
-            except ValueError as exc:
-                raise MutationError(str(exc)) from None
-            self._wlist(self._out, u).append((v, weight, True))
-            self._wlist(self._in, v).append((u, weight, True))
-            indegree = self._fwd_indegree(v)
-            bw = backward_edge_weight(weight, indegree)
-            self._wlist(self._out, v).append((u, bw, False))
-            self._wlist(self._in, u).append((v, bw, False))
-            self._dirty_nodes.add(u)
-            self._dirty_nodes.add(v)
-            self._reweight_backward(v, indegree)
-            self._fwd_count += 1
-            self._staged_wire.append(
-                {"op": "add_edge", "u": u, "v": v, "weight": weight}
-            )
-            self._staged += 1
-            self._muts_since_compact += 1
-
-    def remove_edge(
-        self, u: int, v: int, weight: Optional[float] = None
-    ) -> None:
-        """Stage removal of one forward edge ``u -> v`` (the
-        earliest-inserted match; ``weight`` narrows it among parallel
-        edges), dropping its backward twin and reweighting ``v``'s
-        remaining backward edges for the reduced indegree."""
-        with self._lock:
-            self._check_node(u, "remove_edge u")
-            self._check_node(v, "remove_edge v")
-            out_u = self._wlist(self._out, u)
-            found = None
-            for i, (target, w, forward) in enumerate(out_u):
-                if (
-                    forward
-                    and target == v
-                    and (weight is None or w == float(weight))
-                ):
-                    found = (i, w)
-                    break
-            if found is None:
-                described = f"{u} -> {v}" + (
-                    f" (weight {weight!r})" if weight is not None else ""
-                )
-                raise MutationError(f"no forward edge {described} to remove")
-            i, w = found
-            indegree_old = self._fwd_indegree(v)
-            bw_old = backward_edge_weight(w, indegree_old)
-            del out_u[i]
-            self._remove_first(self._wlist(self._in, v), (u, w, True))
-            self._remove_first(self._wlist(self._out, v), (u, bw_old, False))
-            self._remove_first(self._wlist(self._in, u), (v, bw_old, False))
-            self._dirty_nodes.add(u)
-            self._dirty_nodes.add(v)
-            indegree_new = indegree_old - 1
-            if indegree_new:
-                self._reweight_backward(v, indegree_new)
-            self._fwd_count -= 1
-            self._staged_wire.append(
-                {"op": "remove_edge", "u": u, "v": v, "weight": w}
-            )
-            self._staged += 1
-            self._muts_since_compact += 1
-
-    def update_text(self, node: int, text: str) -> None:
-        """Stage replacement of ``node``'s indexed text terms with the
-        tokens of ``text`` (relation-name postings stay)."""
-        with self._lock:
-            self._check_node(node, "update_text node")
-            node_terms = self._ensure_node_terms()
-            old = node_terms.get(node, set())
-            new = set(tokenize(text))
-            for term in old - new:
-                self._post_remove(term, node)
-            for term in new - old:
-                self._post_add(term, node)
-            node_terms[node] = new
-            self._staged_wire.append(
-                {"op": "update_text", "node": node, "text": text}
-            )
-            self._staged += 1
-            self._muts_since_compact += 1
-
     def mutate(self, mutations: Sequence, *, journal=None) -> MutationOutcome:
-        """Apply a whole batch atomically, then commit.
+        """Apply a whole batch atomically and commit it as one epoch.
 
         ``mutations`` holds mutation objects or their wire dicts
         (:mod:`repro.live.mutations`); negative node ids are batch
         aliases (``-(k+1)`` names the k-th ``AddNode`` of this batch).
-        Any failure rolls back *all* uncommitted staging — a malformed
-        batch never leaves half its edges behind — and re-raises.
-        ``journal`` is the commit's write-ahead step (see
-        :meth:`commit`).
+        The batch is staged into a private scratch, so a mutation that
+        raises leaves the dataset exactly as it was — a malformed batch
+        never leaves half its edges behind.  An empty batch commits
+        nothing, so idle batches never invalidate caches.
+
+        ``journal``, when given, is called once the whole batch has
+        applied and before its epoch is installed (write-ahead), as
+        ``journal(batch)`` — a :class:`repro.wal.MutationLog`'s
+        ``append`` fits — with the batch's wire form: aliases resolved
+        to real node ids and every new node's prestige resolved, so
+        :meth:`replay` reconstructs identical state.  A journal that
+        raises — disk full, sequence misalignment — drops the batch
+        too: an epoch is never visible that the log does not contain.
         """
         with self._lock:
             batch = coerce_mutations(mutations)
-            new_nodes: list[int] = []
-            try:
-                for mutation in batch:
-                    self._apply_one(mutation, new_nodes)
-                # Commit inside the same rollback scope: a journal
-                # failure (disk full, misaligned log) must discard the
-                # staging too, or the "failed" batch would silently
-                # ride along with the next commit.  A failure *after*
-                # the epoch is installed (in compaction) leaves nothing
-                # staged, so the rollback below degrades to a no-op and
-                # the commit stands.
-                epoch = self.commit(journal=journal)
-            except Exception:
-                self.rollback()
-                raise
+            scratch = _Scratch(self)
+            for mutation in batch:
+                scratch.apply(mutation)
+            if batch:
+                if journal is not None:
+                    journal(scratch.wire)
+                self._commit(scratch, len(batch))
             return MutationOutcome(
-                epoch=epoch, applied=len(batch), new_nodes=tuple(new_nodes)
+                epoch=self._epoch,
+                applied=len(batch),
+                new_nodes=tuple(range(scratch.start, scratch.end)),
             )
 
-    def _apply_one(self, mutation: Mutation, new_nodes: list[int]) -> None:
-        if isinstance(mutation, AddNode):
-            new_nodes.append(
-                self.add_node(
-                    mutation.label,
-                    table=mutation.table,
-                    ref=mutation.ref,
-                    text=mutation.text,
-                    prestige=mutation.prestige,
-                )
-            )
-        elif isinstance(mutation, AddEdge):
-            self.add_edge(
-                self._resolve_alias(mutation.u, new_nodes),
-                self._resolve_alias(mutation.v, new_nodes),
-                mutation.weight,
-            )
-        elif isinstance(mutation, RemoveEdge):
-            self.remove_edge(
-                self._resolve_alias(mutation.u, new_nodes),
-                self._resolve_alias(mutation.v, new_nodes),
-                mutation.weight,
-            )
-        else:
-            self.update_text(
-                self._resolve_alias(mutation.node, new_nodes), mutation.text
-            )
+    def _commit(self, scratch: "_Scratch", applied: int) -> None:
+        """Merge a batch's scratch into new committed maps, install the
+        epoch built over them and compact if the policy says so."""
+        out = {node: tuple(row) for node, row in scratch.out.items()}
+        in_ = {node: tuple(row) for node, row in scratch.in_.items()}
+        self._out = _merged(self._out, out)
+        self._in = _merged(self._in, in_)
+        self._out_invw = _merged(self._out_invw, _inv_weight_sums(out))
+        self._in_invw = _merged(self._in_invw, _inv_weight_sums(in_))
+        self._added = _merged(self._added, _frozen(scratch.added))
+        self._removed = _merged(self._removed, _frozen(scratch.removed))
+        self._rel_added = _merged(self._rel_added, _frozen(scratch.rel_added))
+        if scratch.nodes:
+            labels, tables, refs, prestige = zip(*scratch.nodes)
+            self._labels_ext += labels
+            self._tables_ext += tables
+            self._refs_ext += refs
+            self._prestige_ext += prestige
+        if self._node_terms is not None:
+            self._node_terms.update(scratch.node_terms)
+        self._fwd_count = scratch.fwd_count
+        self._muts_since_compact += applied
+        self._version += 1
 
-    @staticmethod
-    def _resolve_alias(node: int, new_nodes: list[int]) -> int:
-        if node >= 0:
-            return node
-        k = -node - 1
-        if k >= len(new_nodes):
-            raise MutationError(
-                f"alias {node} refers to the {k + 1}th added node of this "
-                f"batch, but only {len(new_nodes)} were added so far"
-            )
-        return new_nodes[k]
-
-    def rollback(self) -> None:
-        """Discard every staged-but-uncommitted change."""
-        with self._lock:
-            for node in self._dirty_nodes:
-                if node >= self._base_n + self._committed_ext:
-                    self._out.pop(node, None)
-                    self._in.pop(node, None)
-                    continue
-                self._restore_list(self._out, self._frozen_out, node)
-                self._restore_list(self._in, self._frozen_in, node)
-            del self._labels_ext[self._committed_ext :]
-            del self._tables_ext[self._committed_ext :]
-            del self._refs_ext[self._committed_ext :]
-            del self._prestige_ext[self._committed_ext :]
-            for term in self._dirty_terms:
-                self._restore_postings(self._added, self._f_added, term)
-                self._restore_postings(self._removed, self._f_removed, term)
-                self._restore_postings(self._rel_added, self._f_rel_added, term)
-            self._fwd_count = self._committed_fwd
-            self._muts_since_compact = self._committed_muts
-            self._node_terms = None  # rebuilt lazily from committed state
-            self._dirty_nodes.clear()
-            self._dirty_terms.clear()
-            self._staged = 0
-            self._staged_wire.clear()
-
-    # ------------------------------------------------------------------
-    # commit / compaction
-    # ------------------------------------------------------------------
-    def commit(self, *, journal=None) -> Epoch:
-        """Freeze staged changes into a new epoch (no-op when nothing
-        is staged, so idle commits never invalidate caches).
-
-        ``journal``, when given, is called *first* (write-ahead) as
-        ``journal(batch)`` — a :class:`repro.wal.MutationLog`'s
-        ``append`` fits — with the staged batch's wire form: aliases
-        resolved to real node ids and every new node's prestige
-        resolved, so :meth:`replay`
-        reconstructs identical state.  A journal failure — disk full,
-        sequence misalignment — raises here with the staged state
-        intact (roll back or retry), and an epoch is never visible that
-        the log does not contain.
-        """
-        with self._lock:
-            if not self._staged:
-                return self._epoch
-            if journal is not None:
-                journal(list(self._staged_wire))
-            for node in self._dirty_nodes:
-                out = self._current_list(self._out, node)
-                in_ = self._current_list(self._in, node)
-                self._frozen_out[node] = tuple(out)
-                self._frozen_in[node] = tuple(in_)
-                self._out_invw[node] = sum(1.0 / w for _, w, _ in out)
-                self._in_invw[node] = sum(1.0 / w for _, w, _ in in_)
-            for term in self._dirty_terms:
-                self._freeze_postings(self._added, self._f_added, term)
-                self._freeze_postings(self._removed, self._f_removed, term)
-                self._freeze_postings(self._rel_added, self._f_rel_added, term)
-            applied = self._staged
-            self._dirty_nodes.clear()
-            self._dirty_terms.clear()
-            self._staged = 0
-            self._staged_wire.clear()
-            self._committed_ext = len(self._labels_ext)
-            self._committed_fwd = self._fwd_count
-            self._committed_muts = self._muts_since_compact
-            self._applied_total += applied
-            self._version += 1
-            self._commits += 1
-
-            graph = self._build_view()
-            index = InvertedIndex._from_maps(
-                OverlayPostings(self._base_post, self._f_added, self._f_removed),
-                OverlayPostings(self._base_rel, self._f_rel_added),
-            )
-            self._epoch = Epoch(
-                version=self._version,
-                graph=graph,
-                index=index,
-                engine=KeywordSearchEngine(graph, index, params=self._params),
-            )
-            ratio = self._compact_ratio
-            base_edges = max(self._base_graph.num_forward_edges, 1)
-            if ratio is not None and self._muts_since_compact >= ratio * base_edges:
-                self.compact()
-            return self._epoch
+        graph = self._build_view()
+        index = InvertedIndex._from_maps(
+            OverlayPostings(self._base_post, self._added, self._removed),
+            OverlayPostings(self._base_rel, self._rel_added),
+        )
+        self._epoch = Epoch(
+            version=self._version,
+            graph=graph,
+            index=index,
+            engine=KeywordSearchEngine(graph, index, params=self._params),
+        )
+        ratio = self._compact_ratio
+        base_edges = max(self._base_graph.num_forward_edges, 1)
+        if ratio is not None and self._muts_since_compact >= ratio * base_edges:
+            self.compact()
 
     def compact(self) -> Epoch:
-        """Fold the overlay into flat base arrays (committing any staged
-        changes first).  Answers and scores are unchanged — adjacency
-        order and every weight survive verbatim — so the version does
-        *not* bump and cached results stay valid."""
+        """Fold the overlay into flat base arrays.  Answers and scores
+        are unchanged — adjacency order and every weight survive
+        verbatim — so the version does *not* bump and cached results
+        stay valid."""
         with self._lock:
-            if self._staged:
-                self.commit()
             graph = self._epoch.graph
             if graph is self._base_graph:
                 return self._epoch  # nothing committed since: nothing to fold
@@ -670,7 +377,6 @@ class MutableDataset:
             flat_index = InvertedIndex._from_postings(
                 *self._epoch.index._export_postings()
             )
-            self._muts_since_compact = 0  # before _rebase checkpoints it
             self._rebase(flat, flat_index)
             self._epoch = Epoch(
                 version=self._version,
@@ -681,73 +387,249 @@ class MutableDataset:
             )
             return self._epoch
 
+    def _text_terms(self) -> dict[int, frozenset[str]]:
+        """Node -> its indexed text terms in the committed state, built
+        from the current epoch's postings on first use and kept current
+        by every commit."""
+        if self._node_terms is None:
+            node_terms: dict[int, set[str]] = {}
+            for term, nodes in self._epoch.index._export_postings()[0].items():
+                for node in nodes:
+                    node_terms.setdefault(node, set()).add(term)
+            self._node_terms = {
+                node: frozenset(terms) for node, terms in node_terms.items()
+            }
+        return self._node_terms
+
+    def _build_view(self) -> SearchGraph:
+        base, start = self._base_graph, self._base_n
+        new = range(start, start + len(self._labels_ext))
+
+        def overlay(rows, replaced: dict) -> Overlay:
+            return Overlay(rows, replaced, [replaced[u] for u in new])
+
+        return SearchGraph._from_rows(
+            out=overlay(base._out, self._out),
+            in_=overlay(base._in, self._in),
+            labels=Overlay(base._labels, {}, self._labels_ext),
+            tables=Overlay(base._tables, {}, self._tables_ext),
+            refs=Overlay(base._refs, {}, self._refs_ext),
+            num_forward_edges=self._fwd_count,
+            # Validated piecewise: the base's tuple, and each appended
+            # node's float by its AddNode.
+            prestige=base.prestige_values + self._prestige_ext,
+            in_inv_weight_sum=overlay(base._in_inv_weight_sum, self._in_invw),
+            out_inv_weight_sum=overlay(base._out_inv_weight_sum, self._out_invw),
+            ref_to_node=OverlayRefs(base, self._refs_ext, start),
+        )
+
     # ------------------------------------------------------------------
-    # working-state internals (lock held by callers)
-    # ------------------------------------------------------------------
-    def _check_node(self, node: int, what: str) -> None:
-        if not 0 <= node < self._base_n + len(self._labels_ext):
-            raise MutationError(f"{what}: node {node} does not exist")
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        graph = self.graph
+        return (
+            f"MutableDataset(version={self.version}, nodes={graph.num_nodes}, "
+            f"forward_edges={graph.num_forward_edges})"
+        )
 
-    def _wlist(self, side: dict[int, list[Edge]], node: int) -> list[Edge]:
-        """Copy-on-write working adjacency list for ``node``."""
-        lst = side.get(node)
-        if lst is None:
-            frozen = self._frozen_out if side is self._out else self._frozen_in
-            committed = frozen.get(node)
-            if committed is not None:
-                lst = list(committed)
-            elif node < self._base_n:
-                base = (
-                    self._base_graph.out_edges(node)
-                    if side is self._out
-                    else self._base_graph.in_edges(node)
-                )
-                lst = list(base)
-            else:  # pragma: no cover - ext nodes get lists at add_node
-                lst = []
-            side[node] = lst
-        return lst
 
-    def _current_list(self, side: dict[int, list[Edge]], node: int) -> Sequence[Edge]:
-        """Read-only view of ``node``'s current adjacency (no copy)."""
-        lst = side.get(node)
-        if lst is not None:
-            return lst
-        frozen = self._frozen_out if side is self._out else self._frozen_in
-        committed = frozen.get(node)
-        if committed is not None:
-            return committed
-        if node < self._base_n:
-            return (
-                self._base_graph.out_edges(node)
-                if side is self._out
-                else self._base_graph.in_edges(node)
-            )
-        return ()
-
-    def _restore_list(
-        self,
-        side: dict[int, list[Edge]],
-        frozen: dict[int, tuple[Edge, ...]],
-        node: int,
-    ) -> None:
-        committed = frozen.get(node)
-        if committed is not None:
-            side[node] = list(committed)
+def _merged(committed: dict, changes: dict) -> dict:
+    """A new map: ``committed`` with ``changes`` laid over it, a None
+    value dropping its key — or ``committed`` itself when nothing
+    changed (committed maps are never edited, so epochs share them)."""
+    if not changes:
+        return committed
+    merged = dict(committed)
+    for key, value in changes.items():
+        if value is None:
+            merged.pop(key, None)
         else:
-            side.pop(node, None)
+            merged[key] = value
+    return merged
+
+
+def _inv_weight_sums(rows: dict[int, tuple[Edge, ...]]) -> dict[int, float]:
+    """Each row's ``sum(1/w)``, in adjacency order (as a rebuild sums)."""
+    return {node: sum(1.0 / w for _, w, _ in row) for node, row in rows.items()}
+
+
+def _frozen(postings: dict[str, set[int]]) -> dict[str, Optional[frozenset[int]]]:
+    """Per-term posting deltas as committed: a term left with no node
+    maps to None, which drops it."""
+    return {term: frozenset(nodes) or None for term, nodes in postings.items()}
+
+
+class _Scratch:
+    """One batch's private working state over a dataset's committed
+    state, which it only reads: the adjacency rows it touches (lists
+    copied from the committed rows), the nodes it appends, the posting
+    deltas of the terms it touches, the text terms of the nodes it
+    retexts and its wire record.  Dropping it undoes the batch."""
+
+    def __init__(self, dataset: MutableDataset) -> None:
+        self._ds = dataset
+        self.start = dataset._base_n + len(dataset._labels_ext)
+        self.nodes: list[tuple] = []  # (label, table, ref, prestige)
+        self.out: dict[int, list[Edge]] = {}
+        self.in_: dict[int, list[Edge]] = {}
+        self.added: dict[str, set[int]] = {}
+        self.removed: dict[str, set[int]] = {}
+        self.rel_added: dict[str, set[int]] = {}
+        self.node_terms: dict[int, frozenset[str]] = {}
+        self.fwd_count = dataset._fwd_count
+        # The batch's wire form, aliases resolved: what its journal
+        # records, so replay is exact.
+        self.wire: list[dict] = []
+
+    @property
+    def end(self) -> int:
+        """One past the last node id, the batch's own nodes included."""
+        return self.start + len(self.nodes)
+
+    def apply(self, mutation: Mutation) -> None:
+        """Stage one mutation, its node ids and batch aliases resolved."""
+        if isinstance(mutation, AddNode):
+            self._add_node(mutation)
+        elif isinstance(mutation, UpdateText):
+            node = self._node(mutation.node, "update_text node")
+            self._update_text(replace(mutation, node=node))
+        elif isinstance(mutation, AddEdge):
+            u = self._node(mutation.u, "add_edge u")
+            v = self._node(mutation.v, "add_edge v")
+            self._add_edge(replace(mutation, u=u, v=v))
+        else:
+            u = self._node(mutation.u, "remove_edge u")
+            v = self._node(mutation.v, "remove_edge v")
+            self._remove_edge(u, v, mutation.weight)
+
+    def _node(self, node: int, what: str) -> int:
+        """A real node id: a batch alias resolved, the id checked."""
+        if node < 0:
+            k = -node - 1
+            if k >= len(self.nodes):
+                raise MutationError(
+                    f"alias {node} refers to the {k + 1}th added node of this "
+                    f"batch, but only {len(self.nodes)} were added so far"
+                )
+            return self.start + k
+        if node >= self.end:
+            raise MutationError(f"{what}: node {node} does not exist")
+        return node
+
+    # ------------------------------------------------------------------
+    # the four mutations (each validated by its own dataclass)
+    # ------------------------------------------------------------------
+    def _add_node(self, mutation: AddNode) -> None:
+        """Append a node, registered under its relation name (paper
+        Section 2.2: a keyword matching a relation name matches every
+        tuple of it) and indexed under its text's terms — what
+        :func:`repro.index.build_index` does for one inserted tuple."""
+        if mutation.prestige is None:
+            mutation = replace(mutation, prestige=self._ds._new_node_prestige)
+        node = self.end
+        self.nodes.append(
+            (mutation.label, mutation.table, mutation.ref, mutation.prestige)
+        )
+        self.out[node] = []
+        self.in_[node] = []
+        if mutation.table is not None:
+            for term in tokenize(mutation.table):
+                self._edit_nodes(self.rel_added, self._ds._rel_added, term).add(node)
+        if mutation.text:
+            terms = self.node_terms[node] = frozenset(tokenize(mutation.text))
+            for term in terms:
+                self._post_add(term, node)
+        self.wire.append(mutation_to_dict(mutation))
+
+    def _add_edge(self, mutation: AddEdge) -> None:
+        """A forward edge ``u -> v`` plus its derived backward edge,
+        reweighting ``v``'s other backward edges for the new
+        indegree."""
+        u, v, weight = mutation.u, mutation.v, mutation.weight
+        if u == v:
+            raise MutationError(f"self loops are not allowed (node {u})")
+        # Every backward weight into ``v`` is rescaled for the new
+        # indegree: refuse the edge before staging it if the heaviest
+        # would overflow.
+        heaviest = max(
+            [weight] + [w for _, w, forward in self._row(self.in_, v) if forward]
+        )
+        try:
+            backward_edge_weight(heaviest, self._fwd_indegree(v) + 1)
+        except ValueError as exc:
+            raise MutationError(str(exc)) from None
+        self._edit(self.out, u).append((v, weight, True))
+        self._edit(self.in_, v).append((u, weight, True))
+        indegree = self._fwd_indegree(v)
+        bw = backward_edge_weight(weight, indegree)
+        self._edit(self.out, v).append((u, bw, False))
+        self._edit(self.in_, u).append((v, bw, False))
+        self._reweight_backward(v, indegree)
+        self.fwd_count += 1
+        self.wire.append(mutation_to_dict(mutation))
+
+    def _remove_edge(self, u: int, v: int, weight: Optional[float]) -> None:
+        """Remove one forward edge ``u -> v`` (the earliest-inserted
+        match; ``weight`` narrows it among parallel edges), dropping
+        its backward twin and reweighting ``v``'s remaining backward
+        edges for the reduced indegree."""
+        for i, (target, w, forward) in enumerate(self._row(self.out, u)):
+            if forward and target == v and (weight is None or w == weight):
+                break
+        else:
+            described = f"{u} -> {v}" + (
+                f" (weight {weight!r})" if weight is not None else ""
+            )
+            raise MutationError(f"no forward edge {described} to remove")
+        indegree = self._fwd_indegree(v)
+        bw = backward_edge_weight(w, indegree)
+        del self._edit(self.out, u)[i]
+        self._edit(self.in_, v).remove((u, w, True))
+        self._edit(self.out, v).remove((u, bw, False))
+        self._edit(self.in_, u).remove((v, bw, False))
+        if indegree > 1:
+            self._reweight_backward(v, indegree - 1)
+        self.fwd_count -= 1
+        self.wire.append(mutation_to_dict(RemoveEdge(u=u, v=v, weight=w)))
+
+    def _update_text(self, mutation: UpdateText) -> None:
+        """Replace the node's indexed text terms with the tokens of the
+        new text (relation-name postings stay)."""
+        node = mutation.node
+        old = self.node_terms.get(node)
+        if old is None:
+            old = self._ds._text_terms().get(node, frozenset())
+        new = self.node_terms[node] = frozenset(tokenize(mutation.text))
+        for term in old - new:
+            self._post_remove(term, node)
+        for term in new - old:
+            self._post_add(term, node)
+        self.wire.append(mutation_to_dict(mutation))
+
+    # ------------------------------------------------------------------
+    # adjacency rows
+    # ------------------------------------------------------------------
+    def _row(self, side: dict[int, list[Edge]], node: int) -> Sequence[Edge]:
+        """``node``'s current row on ``side`` (``self.out`` or
+        ``self.in_``), uncopied: this batch's, else the committed one,
+        else the base's (every appended node has a committed row)."""
+        row = side.get(node)
+        if row is None:
+            ds, out = self._ds, side is self.out
+            row = (ds._out if out else ds._in).get(node)
+            if row is None:
+                base = ds._base_graph
+                row = base.out_edges(node) if out else base.in_edges(node)
+        return row
+
+    def _edit(self, side: dict[int, list[Edge]], node: int) -> list[Edge]:
+        """This batch's own copy of ``node``'s row on ``side``."""
+        row = side.get(node)
+        if row is None:
+            row = side[node] = list(self._row(side, node))
+        return row
 
     def _fwd_indegree(self, v: int) -> int:
-        return sum(1 for _, _, forward in self._current_list(self._in, v) if forward)
-
-    @staticmethod
-    def _remove_first(lst: list[Edge], entry: Edge) -> None:
-        try:
-            lst.remove(entry)
-        except ValueError:  # pragma: no cover - internal invariant
-            raise MutationError(
-                f"internal adjacency inconsistency removing {entry!r}"
-            ) from None
+        return sum(1 for _, _, forward in self._row(self.in_, v) if forward)
 
     def _reweight_backward(self, v: int, indegree: int) -> None:
         """Re-derive every backward edge out of ``v`` for its new
@@ -756,9 +638,9 @@ class MutableDataset:
         backward entry pairs with the k-th forward edge into ``v``,
         both orders being global edge-insertion order)."""
         forward_sources = [
-            (src, w) for src, w, forward in self._current_list(self._in, v) if forward
+            (src, w) for src, w, forward in self._row(self.in_, v) if forward
         ]
-        out_v = self._wlist(self._out, v)
+        out_v = self._edit(self.out, v)
         pairs = iter(forward_sources)
         for i, (target, old_w, forward) in enumerate(out_v):
             if forward:
@@ -774,114 +656,49 @@ class MutableDataset:
         for src in {src for src, _ in forward_sources}:
             weights = iter(
                 w
-                for target, w, forward in self._current_list(self._out, src)
+                for target, w, forward in self._row(self.out, src)
                 if forward and target == v
             )
-            in_src = self._wlist(self._in, src)
+            in_src = self._edit(self.in_, src)
             for i, (target, old_w, forward) in enumerate(in_src):
                 if forward or target != v:
                     continue
                 new_w = backward_edge_weight(next(weights), indegree)
                 if new_w != old_w:
                     in_src[i] = (target, new_w, False)
-            self._dirty_nodes.add(src)
 
     # ------------------------------------------------------------------
-    # index-delta internals (lock held by callers)
+    # posting deltas: ``added`` / ``removed`` against the base's text
+    # postings, ``rel_added`` to its relation-name postings
     # ------------------------------------------------------------------
+    @staticmethod
+    def _nodes(delta: dict, committed: dict, term: str):
+        """``term``'s current node set in a delta map, uncopied."""
+        nodes = delta.get(term)
+        return committed.get(term, ()) if nodes is None else nodes
+
+    @staticmethod
+    def _edit_nodes(delta: dict, committed: dict, term: str) -> set[int]:
+        """This batch's own copy of ``term``'s node set in a delta map."""
+        nodes = delta.get(term)
+        if nodes is None:
+            nodes = delta[term] = set(committed.get(term, ()))
+        return nodes
+
     def _post_add(self, term: str, node: int) -> None:
-        removed = self._removed.get(term)
-        if removed is not None and node in removed:
-            removed.discard(node)
+        ds = self._ds
+        if node in self._nodes(self.removed, ds._removed, term):
+            self._edit_nodes(self.removed, ds._removed, term).discard(node)
         else:
-            base = self._base_post.get(term)
+            base = ds._base_post.get(term)
             if base is None or node not in base:
-                self._added.setdefault(term, set()).add(node)
-        self._dirty_terms.add(term)
-        if self._node_terms is not None:
-            self._node_terms.setdefault(node, set()).add(term)
+                self._edit_nodes(self.added, ds._added, term).add(node)
 
     def _post_remove(self, term: str, node: int) -> None:
-        added = self._added.get(term)
-        if added is not None and node in added:
-            added.discard(node)
+        ds = self._ds
+        if node in self._nodes(self.added, ds._added, term):
+            self._edit_nodes(self.added, ds._added, term).discard(node)
         else:
-            base = self._base_post.get(term)
+            base = ds._base_post.get(term)
             if base is not None and node in base:
-                self._removed.setdefault(term, set()).add(node)
-        self._dirty_terms.add(term)
-        if self._node_terms is not None:
-            terms = self._node_terms.get(node)
-            if terms is not None:
-                terms.discard(term)
-
-    def _ensure_node_terms(self) -> dict[int, set[str]]:
-        """Reverse map node -> indexed text terms, built on first text
-        update from the current (base + delta) posting state."""
-        if self._node_terms is None:
-            node_terms: dict[int, set[str]] = {}
-            for term, nodes in self._base_post.items():
-                for node in nodes:
-                    node_terms.setdefault(node, set()).add(term)
-            for term, nodes in self._removed.items():
-                for node in nodes:
-                    terms = node_terms.get(node)
-                    if terms is not None:
-                        terms.discard(term)
-            for term, nodes in self._added.items():
-                for node in nodes:
-                    node_terms.setdefault(node, set()).add(term)
-            self._node_terms = node_terms
-        return self._node_terms
-
-    @staticmethod
-    def _freeze_postings(
-        working: dict[str, set], frozen: dict[str, frozenset], term: str
-    ) -> None:
-        nodes = working.get(term)
-        if nodes:
-            frozen[term] = frozenset(nodes)
-        else:
-            working.pop(term, None)
-            frozen.pop(term, None)
-
-    @staticmethod
-    def _restore_postings(working: dict, frozen: dict, term: str) -> None:
-        committed = frozen.get(term)
-        if committed is not None:
-            working[term] = set(committed)
-        else:
-            working.pop(term, None)
-
-    # ------------------------------------------------------------------
-    # view construction (lock held by callers)
-    # ------------------------------------------------------------------
-    def _build_view(self) -> SearchGraph:
-        base, start = self._base_graph, self._base_n
-        new = range(start, start + len(self._labels_ext))
-
-        def overlay(rows, replaced: dict) -> Overlay:
-            return Overlay(rows, replaced, [replaced[u] for u in new])
-
-        return SearchGraph._from_rows(
-            out=overlay(base._out, self._frozen_out),
-            in_=overlay(base._in, self._frozen_in),
-            labels=Overlay(base._labels, {}, self._labels_ext),
-            tables=Overlay(base._tables, {}, self._tables_ext),
-            refs=Overlay(base._refs, {}, self._refs_ext),
-            num_forward_edges=self._fwd_count,
-            # Validated piecewise: the base's tuple, and each appended
-            # node's float at add_node.
-            prestige=base.prestige_values + tuple(self._prestige_ext),
-            in_inv_weight_sum=overlay(base._in_inv_weight_sum, self._in_invw),
-            out_inv_weight_sum=overlay(base._out_inv_weight_sum, self._out_invw),
-            ref_to_node=OverlayRefs(base, self._refs_ext, start),
-        )
-
-    # ------------------------------------------------------------------
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MutableDataset(version={self.version}, "
-            f"nodes={self._base_n + len(self._labels_ext)}, "
-            f"forward_edges={self._fwd_count})"
-        )
+                self._edit_nodes(self.removed, ds._removed, term).add(node)

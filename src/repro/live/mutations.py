@@ -65,17 +65,8 @@ class AddNode:
 
     def __post_init__(self) -> None:
         if self.prestige is not None:
-            if not isinstance(self.prestige, (int, float)) or isinstance(
-                self.prestige, bool
-            ):
-                raise MutationError(
-                    f"add_node prestige must be a number, got {self.prestige!r}"
-                )
-            if self.prestige < 0:
-                raise MutationError(
-                    f"add_node prestige must be >= 0, got {self.prestige!r}"
-                )
-            object.__setattr__(self, "prestige", float(self.prestige))
+            prestige = _finite(self.prestige, "add_node prestige", zero_ok=True)
+            object.__setattr__(self, "prestige", prestige)
         if self.ref is not None:
             ref = tuple(self.ref)
             if len(ref) != 2 or not isinstance(ref[0], str):
@@ -101,15 +92,8 @@ class AddEdge:
     def __post_init__(self) -> None:
         _check_endpoint(self.u, "add_edge u")
         _check_endpoint(self.v, "add_edge v")
-        if not isinstance(self.weight, (int, float)) or isinstance(self.weight, bool):
-            raise MutationError(
-                f"add_edge weight must be a number, got {self.weight!r}"
-            )
-        if not 0.0 < self.weight < inf:  # NaN fails too
-            raise MutationError(
-                f"add_edge weight must be finite and > 0, got {self.weight!r}"
-            )
-        object.__setattr__(self, "weight", float(self.weight))
+        weight = _finite(self.weight, "add_edge weight", zero_ok=False)
+        object.__setattr__(self, "weight", weight)
 
 
 @dataclass(frozen=True)
@@ -125,17 +109,9 @@ class RemoveEdge:
         _check_endpoint(self.u, "remove_edge u")
         _check_endpoint(self.v, "remove_edge v")
         if self.weight is not None:
-            if not isinstance(self.weight, (int, float)) or isinstance(
-                self.weight, bool
-            ):
-                raise MutationError(
-                    f"remove_edge weight must be a number, got {self.weight!r}"
-                )
-            if not 0.0 < self.weight < inf:  # no edge has such a weight
-                raise MutationError(
-                    f"remove_edge weight must be finite and > 0, got {self.weight!r}"
-                )
-            object.__setattr__(self, "weight", float(self.weight))
+            # No edge has a weight outside (0, inf): refuse it here.
+            weight = _finite(self.weight, "remove_edge weight", zero_ok=False)
+            object.__setattr__(self, "weight", weight)
 
 
 @dataclass(frozen=True)
@@ -169,6 +145,23 @@ _FIELDS = {
     "remove_edge": frozenset({"u", "v", "weight"}),
     "update_text": frozenset({"node", "text"}),
 }
+
+
+def _finite(value, what: str, *, zero_ok: bool) -> float:
+    """``value`` as a float in ``(0, inf)`` (``[0, inf)`` when
+    ``zero_ok``), else :class:`MutationError`: NaN, the infinities and an
+    int past the float range are refused here, not scored."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise MutationError(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int past the float range
+        number = inf
+    in_range = (number >= 0.0 if zero_ok else number > 0.0) and number < inf
+    if not in_range:  # NaN fails too
+        bound = ">= 0" if zero_ok else "> 0"
+        raise MutationError(f"{what} must be finite and {bound}, got {value!r}")
+    return number
 
 
 def _check_endpoint(value, what: str) -> None:

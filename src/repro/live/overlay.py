@@ -13,9 +13,11 @@ base with zero copying.  The index's two posting maps are
 :class:`OverlayPostings`: the base's map plus per-term node deltas.
 
 All three are **immutable**: :class:`~repro.live.MutableDataset`
-builds fresh ones per committed epoch, which is what gives the service
-tier its MVCC semantics — an in-flight search holds one epoch's graph
-and index and can never observe a later commit.
+builds fresh ones per committed epoch over the committed delta maps,
+which a commit replaces and never edits, so an overlay holds them
+uncopied.  That is what gives the service tier its MVCC semantics —
+an in-flight search holds one epoch's graph and index and can never
+observe a later commit.
 
 The storage preserves *byte-level* fidelity with a from-scratch rebuild
 of the same final state: adjacency tuples keep global edge-insertion
@@ -38,9 +40,10 @@ class Overlay(Sequence):
 
     ``over`` maps indices to replacement rows (it may name appended
     indices too; a replacement wins), ``ext`` holds the rows past the
-    end of ``base``.  Callers bound the index first (the graph's
-    ``_check_node``), so a read is one dict probe and one index into
-    the base's own sequence.
+    end of ``base``.  Both are held as given, uncopied: the caller
+    never edits them afterwards.  Callers bound the index first (the
+    graph's ``_check_node``), so a read is one dict probe and one index
+    into the base's own sequence.
     """
 
     __slots__ = ("_base", "_n", "_over", "_ext")
@@ -50,8 +53,8 @@ class Overlay(Sequence):
     ) -> None:
         self._base = base
         self._n = len(base)
-        self._over = dict(over)
-        self._ext = tuple(ext)
+        self._over = over
+        self._ext = ext
 
     def __len__(self) -> int:
         return self._n + len(self._ext)
@@ -89,7 +92,8 @@ class OverlayPostings(Mapping):
     """Term -> node set: ``(base - removed) | added`` per term.
 
     ``added`` / ``removed`` hold non-empty per-term node deltas against
-    ``base`` (removals only of nodes ``base`` holds).  A term left with
+    ``base`` (removals only of nodes ``base`` holds), held as given,
+    uncopied: the caller never edits them afterwards.  A term left with
     no node is not a key, as in an index rebuilt from the same state;
     terms iterate in the base's order, then the added terms it lacks.
     """
@@ -103,8 +107,8 @@ class OverlayPostings(Mapping):
         removed: Optional[Mapping[str, frozenset[int]]] = None,
     ) -> None:
         self._base = base
-        self._added = dict(added)
-        self._removed = dict(removed or {})
+        self._added = added
+        self._removed = {} if removed is None else removed
 
     def __getitem__(self, term: str) -> AbstractSet[int]:
         added = self._added.get(term, _NO_NODES)

@@ -692,8 +692,8 @@ class QueryService(ServiceCore):
         the epoch they started on and complete unperturbed.  The old
         version's entries are also purged eagerly — pure capacity
         hygiene, the version key already made them unreachable.  With a
-        log attached the dataset stages the batch, then hands its
-        resolved form to the log before the epoch installs.
+        log attached the dataset stages the batch into its scratch, then
+        hands its resolved form to the log before the epoch installs.
         """
         with self._mutation_lock(dataset):
             live = self._mutable_dataset(dataset)
@@ -733,7 +733,7 @@ class QueryService(ServiceCore):
                 # Snapshot provenance survives the upgrade: at version
                 # 0 the served content still equals the file, so a
                 # reload no-op stays possible — important because a
-                # *failed* (rolled-back) batch also lands here.  The
+                # *failed* (dropped) batch also lands here.  The
                 # digest check goes dead the moment a commit lands
                 # (_current_snapshot_digest keys off dataset.version).
             return record.live

@@ -156,7 +156,9 @@ class CNExecutor:
         for row in join_step(self.db, anchor_row, anchor_table, fk):
             self._scan_row()
             pk = row[self.db.schema.table(target_node.table).pk]
-            if not self.tuple_sets.in_tuple_set(target_node.table, pk, target_node.keywords):
+            if not self.tuple_sets.in_tuple_set(
+                target_node.table, pk, target_node.keywords
+            ):
                 continue
             key = (target_node.table, pk)
             if key in used:

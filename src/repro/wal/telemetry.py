@@ -26,6 +26,9 @@ _STAT_COUNTERS = {
     ),
 }
 
+#: The fields of a corruption incident its ``wal_corruption`` event carries.
+_INCIDENT_FIELDS = ("path", "offset", "reason", "last_valid_seq", "repaired")
+
 
 class WalTelemetry:
     """One registry's ``repro_wal_*`` families and crash-recovery events."""
@@ -75,10 +78,7 @@ class WalTelemetry:
                 severity="warning",
                 dataset=name,
                 source="wal",
-                **{
-                    key: incident[key]
-                    for key in ("path", "offset", "reason", "last_valid_seq", "repaired")
-                },
+                **{key: incident[key] for key in _INCIDENT_FIELDS},
             )
         if replayed:
             self._event_log.emit(

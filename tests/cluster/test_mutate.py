@@ -322,19 +322,25 @@ class TestHttpMutate:
             )
         assert excinfo.value.code == 400
 
-    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
-    def test_post_mutate_nonfinite_weight_is_400_and_commits_nothing(
-        self, http_fleet, fleet, weight
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            {"op": "add_edge", "u": 0, "v": 1, "weight": float("nan")},
+            {"op": "add_edge", "u": 0, "v": 1, "weight": float("inf")},
+            {"op": "add_node", "label": "x", "prestige": float("nan")},
+            {"op": "add_node", "label": "x", "prestige": float("inf")},
+            {"op": "add_node", "label": "x", "prestige": -float("inf")},
+        ],
+        ids=["weight-nan", "weight-inf", "prestige-nan", "prestige-inf", "prestige-neginf"],
+    )
+    def test_post_mutate_nonfinite_number_is_400_and_commits_nothing(
+        self, http_fleet, fleet, mutation
     ):
         before = fleet.dataset_versions()["toy"]
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             # json.dumps writes the NaN / Infinity literals json.loads takes.
             self._post(
-                f"{http_fleet}/mutate",
-                {
-                    "dataset": "toy",
-                    "mutations": [{"op": "add_edge", "u": 0, "v": 1, "weight": weight}],
-                },
+                f"{http_fleet}/mutate", {"dataset": "toy", "mutations": [mutation]}
             )
         assert excinfo.value.code == 400
         assert "finite" in json.loads(excinfo.value.read())["error"]

@@ -13,7 +13,7 @@ from repro.core.params import SearchParams
 from repro.errors import SearchCancelledError
 from repro.sparse.sparse_search import SparseSearch
 
-from tests.helpers import build_graph
+from tests.helpers import build_graph, cancel_at_tick
 
 QUERY = "database james john"
 ALGORITHMS = ["bidirectional", "si-backward", "mi-backward"]
@@ -52,21 +52,17 @@ class TestToken:
         assert ticks_until_fired < 4
         assert token.reason == "deadline"
 
-    def test_with_timeout_sets_future_deadline(self):
-        token = CancellationToken.with_timeout(60.0)
+    def test_future_deadline_does_not_fire(self):
+        token = CancellationToken(deadline=time.monotonic() + 60.0, check_every=1)
         assert not token.check()
-        assert 59.0 < token.remaining() <= 60.0
-
-    def test_with_timeout_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match="timeout"):
-            CancellationToken.with_timeout(0.0)
+        assert not any(token.tick() for _ in range(10))
 
     def test_check_every_validated(self):
         with pytest.raises(ValueError, match="check_every"):
             CancellationToken(check_every=0)
 
     def test_cancel_at_tick_is_exact(self):
-        token = CancellationToken(cancel_at_tick=5, check_every=1000)
+        token = cancel_at_tick(5)
         fired_at = next(i for i in range(1, 100) if token.tick())
         assert fired_at == 5
         assert token.reason == "cancelled"
@@ -125,7 +121,7 @@ class TestSearchCancellation:
     ):
         full = dblp_small_engine.search(QUERY, algorithm=algorithm)
         assert full.complete
-        token = CancellationToken(cancel_at_tick=200, check_every=1)
+        token = cancel_at_tick(200)
         part = dblp_small_engine.search(QUERY, algorithm=algorithm, token=token)
         assert part.complete is False
         assert len(part.answers) <= len(full.answers)
@@ -140,7 +136,7 @@ class TestSearchCancellation:
         assert result.cancel_reason == "deadline"
 
     def test_unfired_token_leaves_result_complete(self, toy_engine):
-        token = CancellationToken.with_timeout(60.0)
+        token = CancellationToken(deadline=time.monotonic() + 60.0)
         result = toy_engine.search("gray transaction", token=token)
         assert result.complete is True
         assert result.cancel_reason is None
@@ -164,7 +160,7 @@ class TestResponsiveness:
 
     @pytest.mark.parametrize("cls", SEARCH_CLASSES)
     def test_exact_tick_cut_matches_grant(self, cls):
-        token = CancellationToken(cancel_at_tick=10, check_every=32)
+        token = cancel_at_tick(10)
         result = cls(
             self.CHAIN, ("a", "b"), self.SETS, params=self.PARAMS, token=token
         ).run()
@@ -191,14 +187,14 @@ class TestResponsiveness:
 # the oracle and the sparse baseline
 # ----------------------------------------------------------------------
 def test_exhaustive_raises_on_cancel(toy_engine):
-    token = CancellationToken(cancel_at_tick=1, check_every=1)
+    token = cancel_at_tick(1)
     with pytest.raises(SearchCancelledError):
         toy_engine.exhaustive("gray transaction", token=token)
 
 
 def test_exhaustive_unfired_token_is_harmless(toy_engine):
     with_token = toy_engine.exhaustive(
-        "gray transaction", token=CancellationToken.with_timeout(60.0)
+        "gray transaction", token=CancellationToken(deadline=time.monotonic() + 60.0)
     )
     without = toy_engine.exhaustive("gray transaction")
     assert [t.signature() for t in with_token] == [t.signature() for t in without]
@@ -209,7 +205,7 @@ class TestSparseCancellation:
         sparse = SparseSearch(toy_db, max_cn_size=4)
         full = sparse.search("gray transaction", k=None)
         assert full.complete
-        token = CancellationToken(cancel_at_tick=2, check_every=1)
+        token = cancel_at_tick(2)
         part = sparse.search("gray transaction", k=None, token=token)
         assert part.complete is False
         assert part.cancel_reason == "cancelled"
@@ -218,6 +214,6 @@ class TestSparseCancellation:
     def test_unfired_token_leaves_sparse_complete(self, toy_db):
         sparse = SparseSearch(toy_db, max_cn_size=4)
         outcome = sparse.search(
-            "gray transaction", token=CancellationToken.with_timeout(60.0)
+            "gray transaction", token=CancellationToken(deadline=time.monotonic() + 60.0)
         )
         assert outcome.complete is True

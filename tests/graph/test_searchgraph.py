@@ -93,6 +93,16 @@ class TestPrestige:
         with pytest.raises(ValueError):
             g.with_prestige([-0.1, 1.1])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values_anywhere(self, bad):
+        """``min`` alone misses a NaN after index 0 and any ``+inf``."""
+        g = build_graph(2, [(0, 1)])
+        for vector in ((1.0, bad), (bad, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                g._validate_prestige(vector, 2)
+            with pytest.raises(ValueError, match="finite"):
+                g.with_prestige(vector)
+
 
 class TestRefs:
     def test_node_by_ref_roundtrip(self):

@@ -5,6 +5,7 @@ runner and a raw-socket HTTP client."""
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import random
 import socket
@@ -24,12 +25,14 @@ from unittest import mock
 import numpy as np
 
 from repro.core.answer import AnswerTree, is_minimal_rooting
+from repro.core.cancellation import CancellationToken
 from repro.core.scoring import Scorer
 from repro.graph.digraph import DataGraph
 from repro.graph.searchgraph import SearchGraph
 
 __all__ = [
     "build_graph",
+    "cancel_at_tick",
     "combo_cap",
     "reloaded",
     "random_data_graph",
@@ -64,6 +67,15 @@ def build_graph(
             u, v, w = edge
             graph.add_edge(u, v, w)
     return graph.freeze(prestige=prestige)
+
+
+def cancel_at_tick(n: int) -> CancellationToken:
+    """A token that fires (reason ``"cancelled"``) at its ``n``-th
+    ``tick()`` (the first when ``n <= 1``): a full check every tick,
+    whose external probe answers true from its ``n``-th call on — exact,
+    deterministic cut points for the cancellation tests."""
+    calls = itertools.count(1)
+    return CancellationToken(check_every=1, external_check=lambda: next(calls) >= n)
 
 
 def reloaded(graph: SearchGraph, mode: str = "mapped") -> SearchGraph:

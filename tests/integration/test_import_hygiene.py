@@ -454,11 +454,12 @@ def test_no_search_schedule_loads_numpy(tmp_path, toy_engine):
     assert "SCHEDULES-OK" in done.stdout
 
 
-#: A live dataset stages, commits, rolls back, compacts and replays a
-#: log on Python floats, and a service saves it, attaches the log and
+#: A live dataset commits a batch, drops a failing one, compacts and
+#: replays a log on Python floats, and a service saves it, attaches the log and
 #: reloads the saved file without an array library: no live or WAL
 #: operation loads numpy or scipy.
 LIVE_SCRIPT = PRELUDE + '''
+from repro.errors import MutationError
 from repro.live import MutableDataset
 from repro.service import QueryService
 from repro.service.snapshot import load_snapshot
@@ -471,8 +472,12 @@ graph, index = load_snapshot(snapshot)
 with MutationLog(scratch + ".wal") as log:
     dataset = MutableDataset(graph, index, compact_ratio=None)
     dataset.mutate(batch, journal=log.append)
-    dataset.add_node("staged")
-    dataset.rollback()
+    try:
+        dataset.mutate([{"op": "add_node", "label": "dropped"},
+                        {"op": "add_edge", "u": -1, "v": 10 ** 6}])
+    except MutationError:
+        pass
+    assert dataset.version == 1
     assert dataset.engine.search("hub").answers
     replayed = MutableDataset(graph, index, compact_ratio=None)
     assert replayed.replay_records(log.records(), expected=1) == 1

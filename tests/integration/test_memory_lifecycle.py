@@ -27,7 +27,7 @@ from repro.service import QueryRequest, QueryService
 from repro.service.snapshot import load_engine, save_engine
 from repro.telemetry.trace import Tracer, use_span
 
-from tests.helpers import assert_no_cyclic_garbage
+from tests.helpers import assert_no_cyclic_garbage, cancel_at_tick
 
 ALGORITHMS = ("bidirectional", "si-backward", "mi-backward")
 RESIDENCIES = ("built", "ram", "mapped")
@@ -59,7 +59,7 @@ def run_complete(engine, query, algorithm, params):
 
 
 def run_cancelled(engine, query, algorithm, params):
-    token = CancellationToken(cancel_at_tick=2)
+    token = cancel_at_tick(2)
     result = engine.search(query, algorithm=algorithm, params=params, token=token)
     assert not result.complete and token.fired
 

@@ -9,7 +9,7 @@ import pytest
 from repro.core.engine import KeywordSearchEngine
 from repro.errors import MutationError
 from repro.live import MutableDataset
-from repro.live.mutations import AddEdge, AddNode, UpdateText
+from repro.live.mutations import AddEdge, AddNode, RemoveEdge, UpdateText
 from repro.service.snapshot import load_snapshot
 from repro.wal import MutationLog
 
@@ -26,17 +26,21 @@ class TestEpochs:
         assert (v1, v2) == (1, 2)
 
     def test_empty_batch_does_not_bump(self, toy_dataset):
-        assert toy_dataset.mutate([]).epoch.version == 0
-        assert toy_dataset.commit().version == 0
+        journalled = []
+        outcome = toy_dataset.mutate([], journal=journalled.append)
+        assert outcome.epoch is toy_dataset.epoch
+        assert (outcome.epoch.version, journalled) == (0, [])
 
     @pytest.mark.parametrize("weight", [math.nan, math.inf, 0.0])
-    def test_add_edge_rejects_a_bad_weight_and_stages_nothing(
+    def test_add_edge_rejects_a_bad_weight_and_commits_nothing(
         self, toy_dataset, weight
     ):
-        edges = toy_dataset.graph.num_edges
+        epoch = toy_dataset.epoch
         with pytest.raises(MutationError, match="finite and > 0"):
-            toy_dataset.add_edge(0, 1, weight)
-        assert toy_dataset.commit().graph.num_edges == edges
+            toy_dataset.mutate(
+                [AddNode(label="x"), {"op": "add_edge", "u": 0, "v": 1, "weight": weight}]
+            )
+        assert toy_dataset.epoch is epoch
 
     def test_add_edge_whose_backward_weight_overflows_commits_nothing(
         self, toy_dataset
@@ -56,13 +60,21 @@ class TestEpochs:
         assert all(0.0 < w < math.inf for x in range(graph.num_nodes)
                    for _, w, _ in graph.in_edges(x))
 
-    def test_staged_changes_invisible_until_commit(self, toy_dataset):
-        node = toy_dataset.add_node("staged", text="stagedterm")
-        assert toy_dataset.index.lookup("stagedterm") == frozenset()
-        assert toy_dataset.graph.num_nodes == node  # not yet visible
-        epoch = toy_dataset.commit()
-        assert epoch.index.lookup("stagedterm") == {node}
-        assert epoch.graph.num_nodes == node + 1
+    def test_batch_invisible_until_committed(self, toy_dataset):
+        """The journal sees the whole batch before any search does."""
+        n = toy_dataset.graph.num_nodes
+        seen = []
+
+        def journal(batch):
+            index, graph = toy_dataset.index, toy_dataset.graph
+            seen.append((len(batch), index.lookup("stagedterm"), graph.num_nodes))
+
+        epoch = toy_dataset.mutate(
+            [AddNode(label="staged", text="stagedterm")], journal=journal
+        ).epoch
+        assert seen == [(1, frozenset(), n)]
+        assert epoch.index.lookup("stagedterm") == {n}
+        assert epoch.graph.num_nodes == n + 1
 
     def test_old_epoch_is_immutable(self, toy_dataset):
         """MVCC: a search holding the old epoch sees no commits."""
@@ -118,6 +130,78 @@ class TestEpochs:
         assert toy_dataset.version == 20
 
 
+class TestScratch:
+    """A batch stages into its own scratch: a failure drops it whole,
+    and a success leaves one committed copy of the delta, which every
+    epoch reads uncopied."""
+
+    #: Touches rows (an edge added and one removed, both reweighting a
+    #: hub), postings (a retext, a new node's text and relation) and
+    #: the next new node's id.
+    BATCH = [
+        AddNode(label="Doomed", table="paper", text="doomed paper"),
+        AddEdge(u=-1, v=3),
+        AddEdge(u=6, v=3),
+        RemoveEdge(u=5, v=3),
+        UpdateText(node=7, text="doomed retext"),
+        UpdateText(node=-1, text="twice doomed"),
+    ]
+
+    def test_a_journal_that_raises_leaves_the_dataset_as_it_was(self, toy_engine):
+        failed = MutableDataset.from_engine(toy_engine, compact_ratio=None)
+        clean = MutableDataset.from_engine(toy_engine, compact_ratio=None)
+        epoch = failed.epoch
+
+        def journal(batch):
+            assert len(batch) == len(self.BATCH)
+            raise OSError("disk full")
+
+        for attempt in range(2):  # a second failure starts from the same state
+            with pytest.raises(OSError, match="disk full"):
+                failed.mutate(self.BATCH, journal=journal)
+            assert failed.epoch is epoch and failed.version == 0
+        assert_same_graph(failed.graph, toy_engine.graph)
+        assert_same_index(failed.index, toy_engine.index, extra_terms=["doomed"])
+        # The next batch numbers its node where the failed one did, and
+        # a later retext of node 7 replaces its original terms.
+        later = [AddNode(label="kept", text="kept"), UpdateText(node=7, text="kept")]
+        outcomes = [dataset.mutate(later) for dataset in (failed, clean)]
+        assert outcomes[0].new_nodes == outcomes[1].new_nodes == (
+            toy_engine.graph.num_nodes,
+        )
+        assert failed.version == clean.version == 1
+        assert_same_graph(failed.graph, clean.graph)
+        assert_same_index(failed.index, clean.index, extra_terms=["doomed"])
+        assert failed.index.lookup("kept") == {7, toy_engine.graph.num_nodes}
+
+    def test_commits_keep_one_copy_of_the_delta(self, toy_dataset):
+        epochs = [toy_dataset.mutate(self.BATCH).epoch]
+        for i in range(5):
+            epochs.append(
+                toy_dataset.mutate(
+                    [AddNode(label=f"n{i}", text=f"fresh{i}"), AddEdge(u=-1, v=4)]
+                ).epoch
+            )
+        # No per-node working lists or posting sets survive a commit
+        # (the base index's own posting maps hold sets).
+        base = toy_dataset._base_post, toy_dataset._base_rel
+        for name, value in vars(toy_dataset).items():
+            if isinstance(value, dict) and not any(value is m for m in base):
+                rows = value.values()
+                assert not any(isinstance(v, (list, set)) for v in rows), name
+        # The epoch's overlays hold the committed maps themselves.
+        graph, index = toy_dataset.graph, toy_dataset.index
+        assert graph._out._over is toy_dataset._out
+        assert graph._in._over is toy_dataset._in
+        assert graph._in_inv_weight_sum._over is toy_dataset._in_invw
+        assert index._export_postings()[0]._added is toy_dataset._added
+        # ...and an older epoch keeps the maps it was built over.
+        first = epochs[0].graph
+        assert first._out._over is not toy_dataset._out
+        assert first.num_nodes == graph.num_nodes - 5
+        assert epochs[0].index.lookup("fresh0") == frozenset()
+
+
 class TestCompaction:
     def test_compact_preserves_answers_and_version(self, toy_dataset):
         toy_dataset.mutate(
@@ -147,7 +231,7 @@ class TestCompaction:
             [AddNode(label="x"), AddEdge(u=-1, v=3), AddEdge(u=-1, v=4)]
         )
         assert outcome.epoch.compacted
-        assert dataset.stats()["mutations_since_compaction"] == 0
+        assert isinstance(dataset.graph._out, tuple)  # flat again
 
     def test_node_and_text_mutations_trigger_compaction_too(self, toy_engine):
         """Regression: a node-/text-only ingest stream must still hit
@@ -157,15 +241,16 @@ class TestCompaction:
         dataset = MutableDataset.from_engine(toy_engine, compact_ratio=1e-9)
         assert dataset.mutate([AddNode(label="n", text="justtext")]).epoch.compacted
         assert dataset.mutate([UpdateText(node=7, text="renamed")]).epoch.compacted
-        assert dataset.stats()["added_nodes"] == 0  # folded into the base
+        assert isinstance(dataset.graph._out, tuple)  # folded into the base
 
-    def test_rolled_back_batch_does_not_count_toward_compaction(self, toy_engine):
-        from repro.errors import MutationError
-
-        dataset = MutableDataset.from_engine(toy_engine, compact_ratio=None)
+    def test_failed_batch_does_not_count_toward_compaction(self, toy_engine):
+        # Compacts once 2.5 mutations have landed: on the third.
+        ratio = 2.5 / toy_engine.graph.num_forward_edges
+        dataset = MutableDataset.from_engine(toy_engine, compact_ratio=ratio)
         with pytest.raises(MutationError):
             dataset.mutate([AddNode(label="x"), AddEdge(u=-1, v=99_999)])
-        assert dataset.stats()["mutations_since_compaction"] == 0
+        assert not dataset.mutate([AddNode(label="y"), AddEdge(u=-1, v=3)]).epoch.compacted
+        assert dataset.mutate([AddNode(label="z")]).epoch.compacted
 
     def test_auto_compaction_every_commits(self, toy_engine):
         dataset = MutableDataset.from_engine(toy_engine, compact_ratio=1e-9)
@@ -174,8 +259,8 @@ class TestCompaction:
         second = dataset.mutate([AddEdge(u=dataset.graph.num_nodes - 1, v=4)])
         assert second.epoch.compacted
         assert second.epoch.version == 2
-        # An idle commit folds nothing and bumps nothing.
-        assert dataset.commit() is second.epoch
+        # An empty batch folds nothing and bumps nothing.
+        assert dataset.mutate([]).epoch is second.epoch
 
 
 class TestConstruction:
@@ -207,7 +292,7 @@ class TestConstruction:
             with pytest.raises(TypeError, match=argument):
                 MutableDataset.from_engine(toy_engine, **{argument: value})
         with pytest.raises(TypeError, match="recompute_prestige"):
-            MutableDataset.from_engine(toy_engine).commit(recompute_prestige=True)
+            MutableDataset.from_engine(toy_engine).mutate([], recompute_prestige=True)
         # replay() takes a loaded base, not a file to load, and applies
         # every record strictly with the default knobs.
         with MutationLog(tmp_path / "toy.wal") as log:
@@ -230,7 +315,13 @@ class TestConstruction:
             return list(inspect.signature(function).parameters)
 
         assert arguments(MutableDataset) == ["graph", "index", "params", "compact_ratio"]
-        assert arguments(MutableDataset.commit) == ["self", "journal"]
+        assert arguments(MutableDataset.mutate) == ["self", "mutations", "journal"]
+        # mutate() is the one way to change a dataset: no staging API.
+        for name in (
+            "commit", "rollback", "add_node", "add_edge", "remove_edge",
+            "update_text", "stats",
+        ):
+            assert not hasattr(MutableDataset, name), name
         assert arguments(MutableDataset.replay) == ["log", "graph", "index"]
         assert arguments(MutationLog) == ["path", "sync", "start_seq", "readonly"]
         assert arguments(MutationLog.append) == ["self", "mutations", "seq"]
@@ -291,13 +382,14 @@ class TestConstruction:
             own = replay.mutate([AddNode(label="d")]).new_nodes[0]
             assert replay.graph.node_prestige(own) == 0.1 + 0.2 != writer_default
 
-    def test_stats_shape(self, toy_dataset):
-        toy_dataset.mutate([AddNode(label="x"), AddEdge(u=-1, v=3)])
-        stats = toy_dataset.stats()
-        assert stats["added_nodes"] == 1
-        assert stats["version"] == 1
-        assert stats["staged"] == 0
-        assert stats["mutations_applied"] == 2
+    def test_outcome_shape(self, toy_dataset):
+        n = toy_dataset.graph.num_nodes
+        outcome = toy_dataset.mutate(
+            [AddNode(label="x"), AddEdge(u=-1, v=3), AddNode(label="y")]
+        )
+        assert (outcome.applied, outcome.new_nodes) == (3, (n, n + 1))
+        assert outcome.epoch is toy_dataset.epoch
+        assert outcome.epoch.version == toy_dataset.version == 1
 
 
 def test_update_text_via_fresh_database():

@@ -77,7 +77,13 @@ class TestValidation:
         with pytest.raises(MutationError, match="weight"):
             AddEdge(u=1, v=2, weight="heavy")
 
-    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "weight",
+        [
+            float("nan"), float("inf"), -float("inf"),
+            pytest.param(10**400, id="int-past-float-range"),
+        ],
+    )
     def test_nonfinite_weight(self, weight):
         with pytest.raises(MutationError, match="finite"):
             AddEdge(u=1, v=2, weight=weight)
@@ -85,6 +91,20 @@ class TestValidation:
             RemoveEdge(u=1, v=2, weight=weight)
         with pytest.raises(MutationError, match="finite"):
             mutation_from_dict({"op": "add_edge", "u": 1, "v": 2, "weight": weight})
+
+    @pytest.mark.parametrize(
+        "prestige",
+        [
+            float("nan"), float("inf"), -float("inf"), -0.5,
+            pytest.param(10**400, id="int-past-float-range"),
+        ],
+    )
+    def test_prestige_outside_zero_to_inf(self, prestige):
+        with pytest.raises(MutationError, match="prestige must be finite and >= 0"):
+            AddNode(label="x", prestige=prestige)
+        with pytest.raises(MutationError, match="prestige must be finite and >= 0"):
+            mutation_from_dict({"op": "add_node", "prestige": prestige})
+        assert AddNode(prestige=0).prestige == 0.0
 
     def test_bad_endpoint(self):
         with pytest.raises(MutationError, match="node id"):

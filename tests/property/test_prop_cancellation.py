@@ -17,11 +17,11 @@ from hypothesis import given, settings, strategies as st
 from repro.core.backward_mi import BackwardExpandingSearch
 from repro.core.backward_si import SingleIteratorBackwardSearch
 from repro.core.bidirectional import BidirectionalSearch
-from repro.core.cancellation import CancellationToken
 from repro.core.engine import KeywordSearchEngine
 from repro.core.params import SearchParams
 
 from tests.conftest import make_toy_db
+from tests.helpers import cancel_at_tick
 from tests.property.test_prop_search import build_graph_from, search_cases
 
 QUERIES = ["gray transaction", "transaction system", "gray vldb", "postgres sigmod"]
@@ -53,7 +53,7 @@ def test_cancelled_run_is_prefix_of_full_run(
     engine, full_runs, query, algorithm, cancel_after
 ):
     full = full_runs[(query, algorithm)]
-    token = CancellationToken(cancel_at_tick=cancel_after, check_every=1)
+    token = cancel_at_tick(cancel_after)
     part = engine.search(query, algorithm=algorithm, token=token)
 
     if part.complete:
@@ -89,7 +89,7 @@ def test_cancelled_search_on_a_random_graph_is_prefix(cls, case, cancel_after):
         return cls(graph, keywords, keyword_sets, params=params, token=token).run()
 
     full = run()
-    part = run(CancellationToken(cancel_at_tick=cancel_after, check_every=1))
+    part = run(cancel_at_tick(cancel_after))
     if part.complete:
         assert part.signatures() == full.signatures()
         assert part.scores() == full.scores()

@@ -34,7 +34,6 @@ from hypothesis import strategies as st
 from repro.core.backward_mi import BackwardExpandingSearch
 from repro.core.backward_si import SingleIteratorBackwardSearch
 from repro.core.bidirectional import BidirectionalSearch
-from repro.core.cancellation import CancellationToken
 from repro.core.driver import BaseSearch
 from repro.core.engine import KeywordSearchEngine
 from repro.core.params import SearchParams
@@ -45,7 +44,7 @@ from repro.live.mutations import AddEdge, AddNode
 from repro.live.overlay import Overlay
 
 from tests.conftest import make_toy_db
-from tests.helpers import build_graph
+from tests.helpers import build_graph, cancel_at_tick
 
 ALGORITHMS = [BidirectionalSearch, SingleIteratorBackwardSearch, BackwardExpandingSearch]
 TOP_K = [1, 3, 10]
@@ -273,7 +272,7 @@ def test_cancelled_gated_run_is_prefix(cls, case, max_results, cancel_after):
     graph, keyword_sets = case
     knobs = dict(max_results=max_results)
     full = run(cls, graph, keyword_sets, **knobs)
-    token = CancellationToken(cancel_at_tick=cancel_after, check_every=1)
+    token = cancel_at_tick(cancel_after)
     part = run(cls, graph, keyword_sets, token=token, **knobs)
 
     if part.complete:

@@ -446,6 +446,19 @@ class TestFormat:
             verify_snapshot(bad)
 
     @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_prestige_rejected(self, toy_snapshot, tmp_path, mode, bad):
+        """A NaN past index 0 (which ``min`` skips) or an ``inf``, with
+        valid checksums, is refused at load, not scored."""
+
+        def edit(header, arrays):
+            arrays["prestige"][3] = bad
+
+        path = rewrite_snapshot(toy_snapshot, tmp_path / "nan-prestige.snap", edit)
+        with pytest.raises(SnapshotError, match="finite and non-negative"):
+            load_snapshot(path, storage_mode=mode)
+
+    @pytest.mark.parametrize("mode", MODES)
     def test_missing_arrays_rejected(self, toy_snapshot, tmp_path, mode):
         def edit(header, arrays):
             del arrays["prestige"]

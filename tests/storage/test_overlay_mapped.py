@@ -14,6 +14,7 @@ import pytest
 from repro.core.engine import KeywordSearchEngine
 from repro.core.params import SearchParams
 from repro.live.dataset import MutableDataset
+from repro.live.mutations import AddEdge, AddNode, RemoveEdge, UpdateText
 from repro.service.snapshot import load_snapshot, save_engine
 from repro.storage import MappedSearchGraph
 
@@ -43,8 +44,7 @@ class TestLookupMemoInvalidation:
         victim = sorted(ds.index.lookup("transaction"))[0]
         before = ds.index.lookup("transaction")  # memoized in this epoch
         assert ds.index.lookup("transaction") == before
-        ds.update_text(victim, "completely different words")
-        ds.commit()
+        ds.mutate([UpdateText(node=victim, text="completely different words")])
         after = ds.index.lookup("transaction")
         assert victim not in after
         assert after == before - {victim}
@@ -54,11 +54,9 @@ class TestLookupMemoInvalidation:
         ds = make_dataset(snapshot_path, mode)
         victim = sorted(ds.index.lookup("transaction"))[0]
         original_text = ds.graph.label(victim)
-        ds.update_text(victim, "placeholder")
-        ds.commit()
+        ds.mutate([UpdateText(node=victim, text="placeholder")])
         assert victim not in ds.index.lookup("transaction")
-        ds.update_text(victim, original_text)
-        ds.commit()
+        ds.mutate([UpdateText(node=victim, text=original_text)])
         assert victim in ds.index.lookup("transaction")
 
     def test_remove_edge_between_text_updates(self, snapshot_path, mode):
@@ -74,9 +72,9 @@ class TestLookupMemoInvalidation:
         ds.index.lookup("gray")  # warm this epoch's memo
         degree_before = len(ds.graph.out_edges(u))
 
-        ds.remove_edge(u, v)
-        ds.update_text(u, "interleaved mutation probe")
-        ds.commit()
+        ds.mutate(
+            [RemoveEdge(u=u, v=v), UpdateText(node=u, text="interleaved mutation probe")]
+        )
 
         assert len(ds.graph.out_edges(u)) < degree_before
         assert u in ds.index.lookup("interleaved")
@@ -87,18 +85,21 @@ class TestLookupMemoInvalidation:
         # Second epoch: move the text again; the first epoch's memo for
         # "interleaved" must not survive.
         assert u in ds.index.lookup("interleaved")  # memoize pre-mutation
-        ds.update_text(u, "settled")
-        ds.commit()
+        ds.mutate([UpdateText(node=u, text="settled")])
         assert u not in ds.index.lookup("interleaved")
         assert u in ds.index.lookup("settled")
 
-    def test_uncommitted_stage_not_visible_then_visible(self, snapshot_path, mode):
+    def test_uncommitted_batch_not_visible_then_visible(self, snapshot_path, mode):
         ds = make_dataset(snapshot_path, mode)
         node = sorted(ds.index.lookup("postgres"))[0]
-        ds.update_text(node, "renamed entirely")
-        # Staged but uncommitted: the serving epoch still answers old.
-        assert node in ds.index.lookup("postgres")
-        ds.commit()
+        seen = []
+
+        def journal(batch):
+            # Staged but uncommitted: the serving epoch still answers old.
+            seen.append(node in ds.index.lookup("postgres"))
+
+        ds.mutate([UpdateText(node=node, text="renamed entirely")], journal=journal)
+        assert seen == [True]
         assert node not in ds.index.lookup("postgres")
         assert node in ds.index.lookup("renamed")
 
@@ -109,8 +110,7 @@ def test_search_tracks_interleaved_mutations(snapshot_path, mode):
     latest epoch for both base tiers."""
     ds = make_dataset(snapshot_path, mode)
     node = sorted(ds.index.lookup("transaction"))[0]
-    ds.update_text(node, "xyzzyterm probe")
-    ds.commit()
+    ds.mutate([UpdateText(node=node, text="xyzzyterm probe")])
     engine = ds.engine
     assert isinstance(engine, KeywordSearchEngine)
     params = SearchParams(max_results=3)
@@ -133,9 +133,9 @@ def test_modes_agree_after_identical_interleavings(snapshot_path):
             if any(fwd for _, _, fwd in ds.graph.out_edges(n))
         )
         v = next(t for t, _, fwd in ds.graph.out_edges(u) if fwd)
-        ds.remove_edge(u, v)
-        ds.update_text(victim, "rewritten after removal")
-        ds.commit()
+        ds.mutate(
+            [RemoveEdge(u=u, v=v), UpdateText(node=victim, text="rewritten after removal")]
+        )
     ram, mapped = datasets
     assert ram.version == mapped.version
     for node in ram.graph.nodes():
@@ -154,8 +154,6 @@ def test_num_edges_is_stored_and_faults_no_row(snapshot_path, mode):
     """``num_edges`` on a loaded graph and on an epoch over it is
     twice the stored forward-edge count: reading it materializes no
     row, and it equals the count of a rebuild."""
-    from repro.live.mutations import AddEdge, AddNode
-
     with pins(0, 0):
         ds = make_dataset(snapshot_path, mode)
     base = ds.graph
